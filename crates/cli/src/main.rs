@@ -17,6 +17,7 @@ use minpsid::{
     module_section_map, run_minpsid_cached, run_minpsid_journaled, GoldenCache, MinpsidConfig,
     PipelineError,
 };
+use minpsid_faultsim::config::flag_value;
 use minpsid_faultsim::{
     binomial_ci, golden_run, interrupt, CampaignConfig, CampaignConfigBuilder, CampaignEngine,
     CampaignJournal, Deadline, FailureKind, Outcome, OutcomeCounts, ProgramCampaign, SchedSnapshot,
@@ -74,20 +75,9 @@ fn main() -> ExitCode {
     // store detects, quarantines, and recomputes. Parsed before
     // dispatch so every store this process (or a re-exec'd worker)
     // opens inherits it.
-    if let Some(v) = flag_value(rest, "--chaos-flip-artifact-one-in") {
-        match v.parse::<u64>() {
-            Ok(n) => minpsid_store::chaos::set_flip_one_in(n),
-            Err(_) => {
-                eprintln!("error: bad --chaos-flip-artifact-one-in `{v}` (want a count, 0 = off)");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Some(path) = flag_value(rest, "--trace-out") {
-        if let Err(e) = trace::init_file(&path) {
-            eprintln!("error: cannot open trace file `{path}`: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Err(e) = init_process_flags(rest) {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
     }
     // --progress is a stderr convenience; --quiet wins outright.
     if rest.iter().any(|a| a == "--progress") && !quiet() {
@@ -224,13 +214,13 @@ fn install_progress_meter() {
 /// `Some(sample_every)` when the interpreter sampling profiler should be
 /// enabled (0 = the profiler's default interval).
 fn parse_profile_flags(rest: &[String]) -> Result<Option<u64>, String> {
-    let every = match flag_value(rest, "--profile-sample-every") {
+    let every = match flag_value(rest, "--profile-sample-every")? {
         None => None,
         Some(v) => Some(v.parse::<u64>().ok().filter(|&n| n > 0).ok_or_else(|| {
             format!("bad --profile-sample-every `{v}` (want a positive step count)")
         })?),
     };
-    let folded = flag_value(rest, "--profile-folded").is_some();
+    let folded = flag_value(rest, "--profile-folded")?.is_some();
     if rest.iter().any(|a| a == "--profile-interp") || every.is_some() || folded {
         Ok(Some(every.unwrap_or(0)))
     } else {
@@ -238,10 +228,25 @@ fn parse_profile_flags(rest: &[String]) -> Result<Option<u64>, String> {
     }
 }
 
+/// Flags that configure the process before any command runs: the store
+/// chaos knob and the trace sink.
+fn init_process_flags(rest: &[String]) -> Result<(), String> {
+    if let Some(v) = flag_value(rest, "--chaos-flip-artifact-one-in")? {
+        let n = v.parse::<u64>().map_err(|_| {
+            format!("bad --chaos-flip-artifact-one-in `{v}` (want a count, 0 = off)")
+        })?;
+        minpsid_store::chaos::set_flip_one_in(n);
+    }
+    if let Some(path) = flag_value(rest, "--trace-out")? {
+        trace::init_file(&path).map_err(|e| format!("cannot open trace file `{path}`: {e}"))?;
+    }
+    Ok(())
+}
+
 /// `--status-addr ADDR`: start the embedded HTTP status server and bridge
 /// the trace event stream into its metrics registry and status board.
 fn start_status_server(rest: &[String]) -> Result<Option<minpsid_metrics::StatusServer>, String> {
-    let Some(addr) = flag_value(rest, "--status-addr") else {
+    let Some(addr) = flag_value(rest, "--status-addr")? else {
         return Ok(None);
     };
     let registry = Arc::new(minpsid_metrics::Registry::new());
@@ -293,7 +298,7 @@ fn finish_interp_profile(rest: &[String]) -> Result<(), String> {
         restore_ops: rep.restore_ops,
         samples: rep.samples.clone(),
     });
-    if let Some(path) = flag_value(rest, "--profile-folded") {
+    if let Some(path) = flag_value(rest, "--profile-folded")? {
         std::fs::write(&path, rep.folded())
             .map_err(|e| format!("writing folded stacks to {path}: {e}"))?;
         diag!("wrote folded stacks to {path}");
@@ -474,14 +479,13 @@ fn load_module(name: &str) -> Result<Module, String> {
         .ok_or_else(|| format!("unknown benchmark `{name}` (see `minpsid list`)"))
 }
 
-fn flag_value(rest: &[String], flag: &str) -> Option<String> {
-    rest.iter()
-        .position(|a| a == flag)
-        .and_then(|i| rest.get(i + 1).cloned())
+/// The journal directory of this run: `--journal DIR`, else `--resume DIR`.
+fn journal_dir_flag(rest: &[String]) -> Result<Option<String>, String> {
+    Ok(flag_value(rest, "--journal")?.or(flag_value(rest, "--resume")?))
 }
 
 fn parse_level(rest: &[String]) -> Result<f64, String> {
-    match flag_value(rest, "--level") {
+    match flag_value(rest, "--level")? {
         None => Ok(0.5),
         Some(v) => v
             .parse::<f64>()
@@ -505,7 +509,7 @@ fn parse_level(rest: &[String]) -> Result<f64, String> {
 /// configuration mistake for these: it silently yields an empty campaign
 /// or an empty search).
 fn parse_positive(rest: &[String], flag: &str, what: &str) -> Result<Option<u64>, String> {
-    match flag_value(rest, flag) {
+    match flag_value(rest, flag)? {
         None => Ok(None),
         Some(v) => v
             .parse::<u64>()
@@ -740,11 +744,9 @@ fn cmd_sections(rest: &[String]) -> Result<(), String> {
 /// `<journal>/store` when the run is journaled. `None` when neither is
 /// given — campaigns then recompute everything in memory as before.
 fn open_run_store(rest: &[String]) -> Result<Option<Arc<ArtifactStore>>, String> {
-    let dir = match flag_value(rest, "--store") {
+    let dir = match flag_value(rest, "--store")? {
         Some(d) => Some(std::path::PathBuf::from(d)),
-        None => flag_value(rest, "--journal")
-            .or_else(|| flag_value(rest, "--resume"))
-            .map(|d| std::path::PathBuf::from(d).join("store")),
+        None => journal_dir_flag(rest)?.map(|d| std::path::PathBuf::from(d).join("store")),
     };
     match dir {
         None => Ok(None),
@@ -763,7 +765,7 @@ fn cmd_store(rest: &[String]) -> Result<(), String> {
         .first()
         .map(|s| s.as_str())
         .ok_or("missing store subcommand (scrub|gc|ls)")?;
-    let dir = flag_value(rest, "--store")
+    let dir = flag_value(rest, "--store")?
         .or_else(|| rest.get(1).filter(|s| !s.starts_with("--")).cloned())
         .ok_or("missing store directory (pass a path or --store DIR)")?;
     let store = ArtifactStore::open(std::path::Path::new(&dir))
@@ -802,7 +804,7 @@ fn cmd_store(rest: &[String]) -> Result<(), String> {
             // `--kind K` keeps only objects referenced under artifact
             // class K (`table`, `wal`, `golden`, ...); the per-kind
             // totals always cover the whole store.
-            let kind_filter = flag_value(rest, "--kind");
+            let kind_filter = flag_value(rest, "--kind")?;
             let mut totals: std::collections::BTreeMap<String, (u64, u64)> = Default::default();
             for e in store.ls().map_err(|e| format!("ls: {e}"))? {
                 let mut kinds: Vec<&str> = e
@@ -867,8 +869,8 @@ fn open_fi_journal(
     campaign: &CampaignConfig,
     store: Option<Arc<ArtifactStore>>,
 ) -> Result<Option<CampaignJournal>, String> {
-    let resume = flag_value(rest, "--resume");
-    let Some(dir) = flag_value(rest, "--journal").or_else(|| resume.clone()) else {
+    let resume = flag_value(rest, "--resume")?;
+    let Some(dir) = journal_dir_flag(rest)? else {
         return Ok(None);
     };
     let dir = std::path::PathBuf::from(dir);
@@ -1202,9 +1204,9 @@ fn cmd_fi_fleet(name: &str, rest: &[String], workers: usize) -> Result<(), Strin
 fn cmd_worker(rest: &[String]) -> Result<(), String> {
     let name = first_arg(rest, "benchmark name")?;
     let spool =
-        flag_value(rest, "--spool-dir").ok_or("worker: missing --spool-dir (internal command)")?;
+        flag_value(rest, "--spool-dir")?.ok_or("worker: missing --spool-dir (internal command)")?;
     let chaos = |flag: &str| -> Result<Option<u64>, String> {
-        flag_value(rest, flag)
+        flag_value(rest, flag)?
             .map(|v| {
                 v.parse::<u64>()
                     .map_err(|_| format!("bad {flag} `{v}` (want a plan index)"))
@@ -1253,7 +1255,7 @@ fn cmd_analyze(rest: &[String]) -> Result<(), String> {
     let name = first_arg(rest, "benchmark name")?;
     let module = load_module(name)?;
     let input = parse_input(name, rest)?;
-    let top: usize = match flag_value(rest, "--top") {
+    let top: usize = match flag_value(rest, "--top")? {
         None => 15,
         Some(v) => v.parse().map_err(|_| format!("bad --top `{v}`"))?,
     };
@@ -1335,7 +1337,7 @@ fn cmd_cfg(rest: &[String]) -> Result<(), String> {
         return Err(format!("run failed: {:?}", r.termination));
     }
     let profile = r.profile.expect("profiling enabled");
-    let fid = match flag_value(rest, "--fn") {
+    let fid = match flag_value(rest, "--fn")? {
         None => module.entry,
         Some(fname) => module
             .func_by_name(&fname)
@@ -1351,11 +1353,11 @@ fn cmd_propagate(rest: &[String]) -> Result<(), String> {
     let name = first_arg(rest, "benchmark name")?;
     let module = load_module(name)?;
     let input = parse_input(name, rest)?;
-    let nth: u64 = match flag_value(rest, "--nth") {
+    let nth: u64 = match flag_value(rest, "--nth")? {
         None => 100,
         Some(v) => v.parse().map_err(|_| format!("bad --nth `{v}`"))?,
     };
-    let bit: u32 = match flag_value(rest, "--bit") {
+    let bit: u32 = match flag_value(rest, "--bit")? {
         None => 33,
         Some(v) => v.parse().map_err(|_| format!("bad --bit `{v}`"))?,
     };
@@ -1460,8 +1462,8 @@ fn cmd_minpsid(rest: &[String]) -> Result<(), String> {
         None => GoldenCache::with_capacity(cap),
     };
 
-    let resume = flag_value(rest, "--resume");
-    let journal_dir = flag_value(rest, "--journal").or_else(|| resume.clone());
+    let resume = flag_value(rest, "--resume")?;
+    let journal_dir = journal_dir_flag(rest)?;
     let mut journal = None;
     if let Some(dir) = &journal_dir {
         let dir = std::path::PathBuf::from(dir);
@@ -1698,7 +1700,7 @@ fn cmd_trace(rest: &[String]) -> Result<(), String> {
         "report" => {
             let summary = trace::summarize(&events);
             let md = trace::render_markdown(&summary);
-            match flag_value(rest, "-o").or_else(|| flag_value(rest, "--out")) {
+            match flag_value(rest, "-o")?.or(flag_value(rest, "--out")?) {
                 None => {
                     print!("{md}");
                 }
@@ -1784,9 +1786,34 @@ mod tests {
     #[test]
     fn flag_value_finds_pairs() {
         let rest = args(&["bench", "--level", "0.3", "--seed", "9"]);
-        assert_eq!(flag_value(&rest, "--level").as_deref(), Some("0.3"));
-        assert_eq!(flag_value(&rest, "--seed").as_deref(), Some("9"));
-        assert_eq!(flag_value(&rest, "--nope"), None);
+        assert_eq!(
+            flag_value(&rest, "--level").unwrap().as_deref(),
+            Some("0.3")
+        );
+        assert_eq!(flag_value(&rest, "--seed").unwrap().as_deref(), Some("9"));
+        assert_eq!(flag_value(&rest, "--nope"), Ok(None));
+    }
+
+    #[test]
+    fn flag_without_its_value_is_a_usage_error() {
+        // last on the line
+        let rest = args(&["bench", "--seed", "9", "--checkpoint-interval"]);
+        let err = flag_value(&rest, "--checkpoint-interval").unwrap_err();
+        assert!(err.contains("--checkpoint-interval needs a value"), "{err}");
+        assert!(parse_campaign(&rest).is_err(), "not the default interval");
+        // followed by another flag, which is not its value
+        let rest = args(&["bench", "--level", "--seed", "9"]);
+        assert!(flag_value(&rest, "--level").is_err());
+        assert!(parse_level(&rest).is_err(), "not the default level");
+        assert_eq!(flag_value(&rest, "--seed").unwrap().as_deref(), Some("9"));
+        // every route to a value goes through the same check
+        assert!(parse_positive(&args(&["--max-inputs"]), "--max-inputs", "x").is_err());
+        assert!(parse_profile_flags(&args(&["--profile-sample-every", "--quiet"])).is_err());
+        assert!(journal_dir_flag(&args(&["--journal", "--resume", "d"])).is_err());
+        assert!(init_process_flags(&args(&["--trace-out"])).is_err());
+        // a single dash starts a value: a negative number is a (bad) value
+        let err = parse_level(&args(&["--level", "-0.1"])).unwrap_err();
+        assert!(!err.contains("needs a value"), "{err}");
     }
 
     #[test]

@@ -157,7 +157,10 @@ impl GoldenRun {
     /// end: malformed bytes produce an error, never a panic.
     pub fn decode(meta: &[u8], ckpt: &[u8]) -> Result<GoldenRun, minpsid_interp::wire::WireError> {
         let (output, profile, steps) = minpsid_interp::wire::decode_golden(meta)?;
-        let checkpoints = minpsid_interp::wire::decode_checkpoints(ckpt)?;
+        let mut checkpoints = minpsid_interp::wire::decode_checkpoints(ckpt)?;
+        // a golden run exited normally by construction; the entry
+        // function's return value is not part of the meta image
+        checkpoints.attach_tail(output.clone(), steps, None);
         Ok(GoldenRun {
             output,
             profile,

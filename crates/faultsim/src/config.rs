@@ -226,7 +226,7 @@ impl CampaignConfigBuilder {
     /// `--quarantine-after`, `--quarantine-cap`, `--ci-half-width` and
     /// `--deadline-secs`.
     pub fn from_flags(rest: &[String]) -> Result<Self, String> {
-        let seed = match flag_value(rest, "--seed") {
+        let seed = match flag_value(rest, "--seed")? {
             None => 42,
             Some(v) => v.parse().map_err(|_| format!("bad --seed `{v}`"))?,
         };
@@ -250,10 +250,10 @@ impl CampaignConfigBuilder {
         if let Some(n) = parse_u64(rest, "--checkpoint-interval")? {
             b = b.checkpoint_interval(n)?;
         }
-        if let Some(v) = flag_value(rest, "--snapshot-mode") {
+        if let Some(v) = flag_value(rest, "--snapshot-mode")? {
             b = b.snapshot_mode(&v)?;
         }
-        if let Some(v) = flag_value(rest, "--dispatch") {
+        if let Some(v) = flag_value(rest, "--dispatch")? {
             b = b.dispatch(&v)?;
         }
         if let Some(ms) = parse_u64(rest, "--injection-timeout-ms")? {
@@ -276,13 +276,13 @@ impl CampaignConfigBuilder {
         if let Some(n) = parse_u64(rest, "--quarantine-cap")? {
             b = b.quarantine_cap(n);
         }
-        if let Some(v) = flag_value(rest, "--ci-half-width") {
+        if let Some(v) = flag_value(rest, "--ci-half-width")? {
             let w: f64 = v
                 .parse()
                 .map_err(|_| format!("bad --ci-half-width `{v}` (want a width in [0, 0.5))"))?;
             b = b.ci_half_width(w)?;
         }
-        if let Some(v) = flag_value(rest, "--deadline-secs") {
+        if let Some(v) = flag_value(rest, "--deadline-secs")? {
             let d: f64 = v
                 .parse()
                 .map_err(|_| format!("bad --deadline-secs `{v}` (want a non-negative number)"))?;
@@ -303,15 +303,22 @@ impl CampaignConfigBuilder {
     }
 }
 
-/// `--flag value` lookup over a raw argument slice.
-pub fn flag_value(rest: &[String], flag: &str) -> Option<String> {
-    rest.iter()
-        .position(|a| a == flag)
-        .and_then(|i| rest.get(i + 1).cloned())
+/// `--flag value` lookup over a raw argument slice: `Ok(None)` when the
+/// flag is absent, a usage error when it is there without its value —
+/// last on the line, or followed by another `--flag` (a value may start
+/// with a single `-`: `--level -0.1` is a value, and a bad one).
+pub fn flag_value(rest: &[String], flag: &str) -> Result<Option<String>, String> {
+    let Some(i) = rest.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    match rest.get(i + 1) {
+        Some(v) if !v.starts_with("--") => Ok(Some(v.clone())),
+        _ => Err(format!("{flag} needs a value")),
+    }
 }
 
 fn parse_u64(rest: &[String], flag: &str) -> Result<Option<u64>, String> {
-    match flag_value(rest, flag) {
+    match flag_value(rest, flag)? {
         None => Ok(None),
         Some(v) => v
             .parse::<u64>()

@@ -315,6 +315,25 @@ fn inject(
     }
 }
 
+/// Where one injection's dynamic steps went: skipped by resuming from a
+/// checkpoint, executed, and — when the run converged onto the golden run
+/// and was finished early — the tail that was neither.
+#[derive(Debug, Clone, Copy, Default)]
+struct StepTally {
+    executed: u64,
+    skipped: u64,
+    saved: Option<u64>,
+}
+
+impl StepTally {
+    fn record(&self, counters: &CampaignCounters, outcome: Outcome) {
+        counters.record(outcome_kind(outcome), self.executed, self.skipped);
+        if let Some(saved) = self.saved {
+            counters.record_converged(saved);
+        }
+    }
+}
+
 /// Salt separating the timeout knob's failure-count stream from the panic
 /// knob's, so the two chaos classes fail for independent spans.
 const CHAOS_TIMEOUT_SALT: u64 = 0xA24B_AED4_963E_E407;
@@ -363,7 +382,7 @@ fn inject_attempt(
     fault: FaultSpec,
     chaos: Option<(FailureKind, u32)>,
     attempt: u32,
-) -> AttemptResult<(Outcome, u64, u64)> {
+) -> AttemptResult<(Outcome, StepTally)> {
     let chaos_hit = matches!(chaos, Some((_, fails)) if attempt < fails);
     if chaos_hit && matches!(chaos, Some((FailureKind::Timeout, _))) {
         // a synthetic wall-clock kill: nothing executed, nothing to classify
@@ -378,13 +397,21 @@ fn inject_attempt(
     match result {
         Ok(r) => {
             debug_assert!(r.fault_applied, "fault target within population");
+            let outcome = classify(&golden.output, &r);
             let skipped = r.resumed_at.unwrap_or(0);
-            let executed = r.steps.saturating_sub(skipped);
-            match classify(&golden.output, &r) {
+            let steps = StepTally {
+                skipped,
+                // a run that converged onto golden stopped there; the
+                // rest of `steps` is golden's tail, not replayed
+                executed: r.converged_at.unwrap_or(r.steps) - skipped,
+                saved: r.converged_at.map(|at| r.steps - at),
+            };
+            st.recycle_output(r.output);
+            match outcome {
                 // a real wall-clock blowout reflects host pressure, not
                 // program behaviour — hand it to the retry loop
                 Outcome::EngineError => AttemptResult::Failed(FailureKind::Timeout),
-                o => AttemptResult::Ok((o, executed, skipped)),
+                o => AttemptResult::Ok((o, steps)),
             }
         }
         Err(_) => {
@@ -401,8 +428,7 @@ fn inject_attempt(
 /// `recovered` is true when the outcome arrived only after ≥1 retry.
 struct ResolvedInjection {
     outcome: Outcome,
-    executed: u64,
-    skipped: u64,
+    steps: StepTally,
     recovered: bool,
     exhausted: Option<FailureKind>,
 }
@@ -423,19 +449,17 @@ fn resolve_injection(
         inject_attempt(interp, st, golden, input, fault, chaos, attempt)
     }) {
         TaskResult::Done {
-            value: (outcome, executed, skipped),
+            value: (outcome, steps),
             retries,
         } => ResolvedInjection {
             outcome,
-            executed,
-            skipped,
+            steps,
             recovered: retries > 0,
             exhausted: None,
         },
         TaskResult::Exhausted { reason, .. } => ResolvedInjection {
             outcome: Outcome::EngineError,
-            executed: 0,
-            skipped: 0,
+            steps: StepTally::default(),
             recovered: false,
             exhausted: Some(reason),
         },
@@ -557,7 +581,10 @@ fn seal_program_sections(
     }
 }
 
-fn faulty_exec_config(cfg: &CampaignConfig, golden_steps: u64) -> ExecConfig {
+/// The interpreter limits a campaign's injections run under: the
+/// campaign's base limits, unprofiled, with the hang threshold scaled from
+/// the golden run's length.
+pub fn faulty_exec_config(cfg: &CampaignConfig, golden_steps: u64) -> ExecConfig {
     ExecConfig {
         profile: false,
         step_limit: golden_steps.saturating_mul(cfg.hang_multiplier).max(10_000),
@@ -954,11 +981,11 @@ impl<'a> CampaignEngine<'a> {
                     m.note_executed(1);
                 }
                 if tracing {
-                    counters.record(outcome_kind(r.outcome), r.executed, r.skipped);
+                    r.steps.record(&counters, r.outcome);
                     if r.recovered {
                         counters.record_recovered();
                     }
-                    suffix_steps.record(r.executed);
+                    suffix_steps.record(r.steps.executed);
                 }
                 UnitResult::Done {
                     outcome: r.outcome,
@@ -1283,7 +1310,7 @@ impl<'a> CampaignEngine<'a> {
                     outcomes.push(r.outcome.to_u8());
                     sched.note_completed(1);
                     if tracing {
-                        counters.record(outcome_kind(r.outcome), r.executed, r.skipped);
+                        r.steps.record(&counters, r.outcome);
                         if r.recovered {
                             counters.record_recovered();
                         }

@@ -50,7 +50,8 @@ pub use campaign::{
 };
 pub use config::CampaignConfigBuilder;
 pub use engine::{
-    CampaignEngine, CampaignPlan, PerInstSection, ProgramSection, ProgramUnitExecutor,
+    faulty_exec_config, CampaignEngine, CampaignPlan, PerInstSection, ProgramSection,
+    ProgramUnitExecutor,
 };
 pub use table::{table_sig, TableKind, TableMemo, TableStatsSnapshot, TABLE_ARTIFACT};
 // Interpreter knobs that ride on CampaignConfig, re-exported so front

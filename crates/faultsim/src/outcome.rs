@@ -149,6 +149,7 @@ mod tests {
             ret: None,
             trace: None,
             resumed_at: None,
+            converged_at: None,
         }
     }
 

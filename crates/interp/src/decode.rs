@@ -44,17 +44,20 @@
 //! frames — one shared register arena and one shared argument arena for
 //! the whole call stack, grown on call and truncated on return. Resetting
 //! it between injections is `clear()`s and a `clone_from`, never a fresh
-//! allocation, which is what makes per-worker scratch pay off in
-//! campaigns (see `CampaignEngine`).
+//! allocation — given the output buffer each result carries away is
+//! handed back ([`ExecScratch::recycle_output`]) — which is what makes
+//! per-worker scratch pay off in campaigns (see `CampaignEngine`).
 //!
 //! [`Interp::run`]: crate::Interp::run
 //! [`Interp::new`]: crate::Interp::new
 
+use crate::converge::{Converge, ConvergeStats, DecodedView};
 use crate::exec::{
     bit_equal, cmp_ord, ExecResult, Interp, MachineState, Termination, TrapKind, STACK_TAG,
 };
 use crate::fault::{flip_bit, FaultSpec, FaultTarget};
-use crate::value::{Scalar, Stream, Value};
+use crate::snapshot::CheckpointStore;
+use crate::value::{Output, Scalar, Stream, Value};
 use minpsid_ir::{BinOp, CmpOp, Function, InstKind, Module, Operand, Ty, UnOp};
 
 /// A pre-resolved operand: an index into the frame's register arena.
@@ -673,9 +676,33 @@ pub struct ExecScratch {
     pub(crate) dframes: Vec<DFrame>,
     pub(crate) regs: Vec<Value>,
     pub(crate) args: Vec<Value>,
+    /// The golden state a digest match is confirmed against (see
+    /// [`crate::converge`]).
+    shadow: MachineState,
+    converge_stats: ConvergeStats,
 }
 
 impl ExecScratch {
+    /// Hand a finished run's output buffer back, so the next run on this
+    /// scratch appends into it instead of allocating a new one. Every
+    /// result moves its output out of the scratch; callers that are done
+    /// with the result (a campaign, once the outcome is classified) return
+    /// it here.
+    pub fn recycle_output(&mut self, mut output: Output) {
+        if output.items.capacity() > self.st.output.items.capacity() {
+            output.items.clear();
+            self.st.output = output;
+        }
+    }
+
+    /// What the last [`Interp::resume_from`] on this scratch spent looking
+    /// for golden convergence.
+    ///
+    /// [`Interp::resume_from`]: crate::Interp::resume_from
+    pub fn converge_stats(&self) -> ConvergeStats {
+        self.converge_stats
+    }
+
     /// Reset to the program entry point without touching capacity.
     pub(crate) fn start_decoded(&mut self, dm: &DecodedModule) {
         self.st.reset();
@@ -1633,20 +1660,48 @@ fn decode_inst(
 /// from the first step. Nothing observes the injection counters after the
 /// fault has fired (checkpointing runs use the legacy loop), so dropping
 /// them mid-run is invisible.
+///
+/// `golden` is the checkpoint store the run resumed from, if any: once
+/// the fault has fired, the clean phase pauses at its later checkpoints
+/// and finishes early when the state has converged onto the golden run
+/// (see [`crate::converge`]).
 pub(crate) fn run_decoded(
     interp: &Interp<'_>,
     scratch: &mut ExecScratch,
     input: &crate::value::ProgInput,
     fault: Option<FaultSpec>,
+    golden: Option<&CheckpointStore>,
 ) -> ExecResult {
     let resumed_at = (scratch.st.steps > 0).then_some(scratch.st.steps);
+    scratch.converge_stats = ConvergeStats::default();
+    let mut conv = Converge::off();
     if fault.is_some() && !scratch.st.fault_applied {
-        if let Some(r) = exec_loop::<true>(interp, scratch, input, fault, resumed_at) {
+        if let Some(r) = exec_loop::<true>(interp, scratch, input, fault, resumed_at, &mut conv) {
             return r;
         }
+        if let Some(store) = golden {
+            conv = Converge::new(interp, store, resumed_at, scratch.st.steps);
+        }
     }
-    exec_loop::<false>(interp, scratch, input, fault, resumed_at)
-        .expect("the clean loop always runs to a termination")
+    let r = exec_loop::<false>(interp, scratch, input, fault, resumed_at, &mut conv)
+        .expect("the clean loop always runs to a termination");
+    scratch.converge_stats = conv.stats;
+    r
+}
+
+#[inline]
+#[cold]
+fn cold() {}
+
+/// Branch-weight hint on stable Rust: the call to a `#[cold]` function
+/// marks the taken side unlikely, so the block behind it is laid out away
+/// from the hot path.
+#[inline]
+fn unlikely(b: bool) -> bool {
+    if b {
+        cold()
+    }
+    b
 }
 
 /// One monomorphized interpreter loop; see [`run_decoded`]. Returns
@@ -1660,6 +1715,7 @@ fn exec_loop<const ARMED: bool>(
     input: &crate::value::ProgInput,
     fault: Option<FaultSpec>,
     resumed_at: Option<u64>,
+    conv: &mut Converge<'_>,
 ) -> Option<ExecResult> {
     let dm = interp.decoded();
     let step_limit = interp.config().step_limit;
@@ -1675,6 +1731,8 @@ fn exec_loop<const ARMED: bool>(
         dframes,
         regs,
         args,
+        shadow,
+        converge_stats: _,
     } = scratch;
     let MachineState {
         frames: _,
@@ -1737,7 +1795,11 @@ fn exec_loop<const ARMED: bool>(
         None => u64::MAX,
         Some(intervals) => (intervals + 1) * sample_every,
     };
-    let mut next_pause = next_pause_after(steps_l).min(next_sample);
+    // golden-convergence boundary, folded into the same compare: the next
+    // checkpoint at which the (clean-phase) state is compared with the
+    // golden run's; u64::MAX when early exit is off for this run
+    let mut conv_at = if ARMED { u64::MAX } else { conv.next_at() };
+    let mut next_pause = next_pause_after(steps_l).min(next_sample).min(conv_at);
     macro_rules! finish {
         ($term:expr, $ret:expr) => {{
             *steps = steps_l;
@@ -1750,6 +1812,7 @@ fn exec_loop<const ARMED: bool>(
                 ret: $ret,
                 trace: None,
                 resumed_at,
+                converged_at: None,
             });
         }};
     }
@@ -1759,15 +1822,19 @@ fn exec_loop<const ARMED: bool>(
         };
     }
     // legacy per-step prologue: increment, limit check, coarse deadline
-    // poll, profiler sample — all behind the one folded compare. `$di` is
-    // the carrying instruction, so fused halves attribute their sample to
-    // the superinstruction.
+    // poll, profiler sample, convergence boundary — all behind the one
+    // folded compare. `$di` is the carrying instruction, so fused halves
+    // attribute their sample to the superinstruction; `$half` is the
+    // instruction's offset from the carrying slot (0 at the loop top), so
+    // `pc + $half` is the standalone slot of the instruction about to
+    // run — the logical pc a snapshot taken here would record.
     macro_rules! tick {
-        ($di:expr) => {
+        ($di:expr, $half:expr) => {
             steps_l += 1;
-            if steps_l >= next_pause {
-                // cold: the limit expired, a deadline poll is due, or a
-                // profiler sample is due
+            if unlikely(steps_l >= next_pause) {
+                // cold: the limit expired, a deadline poll is due, a
+                // profiler sample is due, or a golden checkpoint boundary
+                // was reached
                 if steps_l > step_limit {
                     finish!(Termination::StepLimit, None);
                 }
@@ -1780,7 +1847,26 @@ fn exec_loop<const ARMED: bool>(
                     crate::opprof::record($di.op.index());
                     next_sample = ((steps_l / sample_every) + 1) * sample_every;
                 }
-                next_pause = next_pause_after(steps_l).min(next_sample);
+                if !ARMED && steps_l == conv_at {
+                    // the state is the one after `steps_l - 1` steps
+                    let view = DecodedView {
+                        dm,
+                        dframes: dframes.as_slice(),
+                        pc,
+                        half: $half,
+                        regs: regs.as_slice(),
+                        args: args.as_slice(),
+                        mem: mem.as_slice(),
+                        stack_mem: stack_mem.as_slice(),
+                        out_len: output.len(),
+                    };
+                    if conv.visit(&view, shadow) {
+                        *steps = steps_l - 1;
+                        return Some(conv.finish(output));
+                    }
+                    conv_at = conv.next_at();
+                }
+                next_pause = next_pause_after(steps_l).min(next_sample).min(conv_at);
             }
         };
     }
@@ -2028,7 +2114,7 @@ fn exec_loop<const ARMED: bool>(
         // of a non-terminator; verified IR ends every (non-empty) block
         // with a terminator, so both stay inside `code`.
         let di = unsafe { cur_code.get_unchecked(pc) };
-        tick!(di);
+        tick!(di, 0);
         match &di.op {
             DOp::Param { n } => {
                 let v = if (*n as usize) < arg_len {
@@ -2353,7 +2439,7 @@ fn exec_loop<const ARMED: bool>(
                     Value::B(c) => c,
                     _ => unreachable!("bit flip preserves the Bool variant"),
                 };
-                tick!(di);
+                tick!(di, 1);
                 pc = if cv { *t } else { *e } as usize;
             }
             DOp::Load4 {
@@ -2373,7 +2459,7 @@ fn exec_loop<const ARMED: bool>(
                 };
                 produce!(di.dense, di.inj, di.dst, r);
                 for h in 0..3 {
-                    tick!(di);
+                    tick!(di, h + 1);
                     let (ty, ptr, idx) = &ops[h + 1];
                     let bits = load_word!(ptr, idx);
                     let r = match ty {
@@ -2397,7 +2483,7 @@ fn exec_loop<const ARMED: bool>(
                 // the cast, bin and un execute from their standalone
                 // slots — a bounded tag check each, not a dispatch
                 // round; every half fetches after the previous write
-                tick!(di);
+                tick!(di, 1);
                 // SAFETY: decode fused a 4-window of one block, so the
                 // three standalone copies follow the carrying slot
                 let d2 = unsafe { cur_code.get_unchecked(pc + 1) };
@@ -2415,7 +2501,7 @@ fn exec_loop<const ARMED: bool>(
                     }
                     _ => unreachable!("LoadCastBinUn chains a cast slot"),
                 }
-                tick!(di);
+                tick!(di, 2);
                 // SAFETY: as above
                 let d3 = unsafe { cur_code.get_unchecked(pc + 2) };
                 match &d3.op {
@@ -2435,7 +2521,7 @@ fn exec_loop<const ARMED: bool>(
                     }
                     _ => unreachable!("LoadCastBinUn chains a bin slot"),
                 }
-                tick!(di);
+                tick!(di, 3);
                 // SAFETY: as above
                 let d4 = unsafe { cur_code.get_unchecked(pc + 3) };
                 match &d4.op {
@@ -2487,7 +2573,7 @@ fn exec_loop<const ARMED: bool>(
                 // compare half: operands fetched after the load write,
                 // so a compare of the loaded slot reads the post-fault
                 // value exactly as legacy does
-                tick!(di);
+                tick!(di, 1);
                 let r = match kind {
                     CmpKind::II => {
                         let (x, y) = (int!(a), int!(b));
@@ -2510,7 +2596,7 @@ fn exec_loop<const ARMED: bool>(
                     Value::B(c) => c,
                     _ => unreachable!("bit flip preserves the Bool variant"),
                 };
-                tick!(di);
+                tick!(di, 2);
                 pc = if cv { *t } else { *e } as usize;
             }
             DOp::BinLoad {
@@ -2530,7 +2616,7 @@ fn exec_loop<const ARMED: bool>(
                 let r = bin_any!(op, x, y);
                 produce!(di.dense, di.inj, di.dst, r);
                 // load half: address fetched after the bin write
-                tick!(di);
+                tick!(di, 1);
                 let bits = load_word!(ptr2, idx2);
                 let r = match ty2 {
                     Ty::I64 => Value::I(bits as i64),
@@ -2558,7 +2644,7 @@ fn exec_loop<const ARMED: bool>(
                 produce!(di.dense, di.inj, di.dst, r);
                 // store half: value fetched after the load write, so a
                 // store of the loaded value reads the post-fault value
-                tick!(di);
+                tick!(di, 1);
                 store_word!(ptr2, idx2, v);
                 pc += 2;
             }
@@ -2577,7 +2663,7 @@ fn exec_loop<const ARMED: bool>(
                 produce!(di.dense, di.inj, di.dst, r);
                 // store half: value fetched after the bin write, so a
                 // store of the bin result reads the post-fault value
-                tick!(di);
+                tick!(di, 1);
                 store_word!(ptr, idx, v);
                 pc += 2;
             }
@@ -2590,7 +2676,7 @@ fn exec_loop<const ARMED: bool>(
                 // store half (carrying DInst; produces nothing)
                 store_word!(ptr, idx, v);
                 // branch half: control-only
-                tick!(di);
+                tick!(di, 1);
                 pc = *target as usize;
             }
             DOp::StoreLoad {
@@ -2608,7 +2694,7 @@ fn exec_loop<const ARMED: bool>(
                 store_word!(ptr1, idx1, v);
                 // load half: address fetched after the store, so a
                 // read-back of the stored slot sees the new value
-                tick!(di);
+                tick!(di, 1);
                 let bits = load_word!(ptr2, idx2);
                 let r = match ty2 {
                     Ty::I64 => Value::I(bits as i64),
@@ -2625,7 +2711,7 @@ fn exec_loop<const ARMED: bool>(
                 let r = bin_any!(op, x, y);
                 produce!(di.dense, di.inj, di.dst, r);
                 // branch half: control-only
-                tick!(di);
+                tick!(di, 1);
                 pc = *target as usize;
             }
             DOp::BinBin {
@@ -2646,7 +2732,7 @@ fn exec_loop<const ARMED: bool>(
                 produce!(di.dense, di.inj, di.dst, r);
                 // second half fetches after the first write, so a
                 // dependent pair reads the post-fault value as legacy does
-                tick!(di);
+                tick!(di, 1);
                 let x = raw!(a2);
                 let y = raw!(b2);
                 let r = bin_any!(op2, x, y);
@@ -2674,7 +2760,7 @@ fn exec_loop<const ARMED: bool>(
                 produce!(di.dense, di.inj, di.dst, r);
                 // second load: address operands fetched after the first
                 // write, so indirect chains read the post-fault value
-                tick!(di);
+                tick!(di, 1);
                 let bits = load_word!(ptr2, idx2);
                 let r = match ty2 {
                     Ty::I64 => Value::I(bits as i64),
@@ -2705,7 +2791,7 @@ fn exec_loop<const ARMED: bool>(
                 let lv = produce!(di.dense, di.inj, di.dst, lv);
                 // bin half: reads the post-fault load value; operand fetch
                 // order (lhs before rhs) matches legacy
-                tick!(di);
+                tick!(di, 1);
                 let (x, y) = if *load_lhs {
                     (lv, raw!(other))
                 } else {
@@ -2730,10 +2816,10 @@ fn exec_loop<const ARMED: bool>(
                 let r = bin_any!(op, x, y);
                 produce!(di.dense, di.inj, di.dst, r);
                 // store half: value fetched after the bin write
-                tick!(di);
+                tick!(di, 1);
                 store_word!(ptr, idx, v);
                 // branch half: control-only
-                tick!(di);
+                tick!(di, 2);
                 pc = *target as usize;
             }
             DOp::LoadLoadBin {
@@ -2757,7 +2843,7 @@ fn exec_loop<const ARMED: bool>(
                 produce!(di.dense, di.inj, di.dst, r);
                 // second load: address operands fetched after the first
                 // write, so indirect chains read the post-fault value
-                tick!(di);
+                tick!(di, 1);
                 let bits = load_word!(ptr2, idx2);
                 let r = match ty2 {
                     Ty::I64 => Value::I(bits as i64),
@@ -2768,7 +2854,7 @@ fn exec_loop<const ARMED: bool>(
                 // bin third: executes from its standalone slot — a
                 // bounded tag check, not a full dispatch round; operand
                 // fetch happens after both load writes
-                tick!(di);
+                tick!(di, 2);
                 // SAFETY: decode fused a 3-window of one block, so the
                 // standalone bin copy sits two slots after the carrier
                 let d3 = unsafe { cur_code.get_unchecked(pc + 2) };
@@ -2808,7 +2894,7 @@ fn exec_loop<const ARMED: bool>(
                 let r = bin_any!(op, x, y);
                 produce!(di.dense, di.inj, di.dst, r);
                 // first load: address fetched after the bin write
-                tick!(di);
+                tick!(di, 1);
                 let bits = load_word!(ptr2, idx2);
                 let r = match ty2 {
                     Ty::I64 => Value::I(bits as i64),
@@ -2817,7 +2903,7 @@ fn exec_loop<const ARMED: bool>(
                 };
                 produce!(*ld_dense, *ld_inj, *ld_dst, r);
                 // second load executes from its standalone slot
-                tick!(di);
+                tick!(di, 2);
                 // SAFETY: decode fused a 3-window of one block, so the
                 // standalone load copy sits two slots after the carrier
                 let d3 = unsafe { cur_code.get_unchecked(pc + 2) };
@@ -2862,7 +2948,7 @@ fn exec_loop<const ARMED: bool>(
                 let lv = produce!(di.dense, di.inj, di.dst, lv);
                 // first bin: reads the post-fault load value; operand
                 // fetch order (lhs before rhs) matches legacy
-                tick!(di);
+                tick!(di, 1);
                 let (x, y) = if *load_lhs {
                     (lv, raw!(other))
                 } else {
@@ -2871,7 +2957,7 @@ fn exec_loop<const ARMED: bool>(
                 let r = bin_any!(op, x, y);
                 produce!(*bin_dense, *bin_inj, *bin_dst, r);
                 // second bin: operands fetched after the first's write
-                tick!(di);
+                tick!(di, 2);
                 let x = raw!(a2);
                 let y = raw!(b2);
                 let r = bin_any!(op2, x, y);
@@ -2902,16 +2988,16 @@ fn exec_loop<const ARMED: bool>(
                 };
                 produce!(di.dense, di.inj, di.dst, r);
                 // bin half: operands fetched after the load's write
-                tick!(di);
+                tick!(di, 1);
                 let x = raw!(a);
                 let y = raw!(b);
                 let r = bin_any!(op, x, y);
                 produce!(*bin_dense, *bin_inj, *bin_dst, r);
                 // store half: value fetched after the bin's write
-                tick!(di);
+                tick!(di, 2);
                 store_word!(st_ptr, st_idx, st_v);
                 // branch half: control-only
-                tick!(di);
+                tick!(di, 3);
                 pc = *target as usize;
             }
             DOp::LoadLoadBinStoreBr {
@@ -2936,7 +3022,7 @@ fn exec_loop<const ARMED: bool>(
                 produce!(di.dense, di.inj, di.dst, r);
                 // second load: address operands fetched after the first
                 // write, so indirect chains read the post-fault value
-                tick!(di);
+                tick!(di, 1);
                 let bits = load_word!(ptr2, idx2);
                 let r = match ty2 {
                     Ty::I64 => Value::I(bits as i64),
@@ -2945,7 +3031,7 @@ fn exec_loop<const ARMED: bool>(
                 };
                 produce!(*ld_dense, *ld_inj, *ld_dst, r);
                 // bin and store execute from their standalone slots
-                tick!(di);
+                tick!(di, 2);
                 // SAFETY: decode fused a 5-window of one block, so the
                 // four standalone copies follow the carrying slot
                 let d3 = unsafe { cur_code.get_unchecked(pc + 2) };
@@ -2960,7 +3046,7 @@ fn exec_loop<const ARMED: bool>(
                     }
                     _ => unreachable!("LoadLoadBinStoreBr chains a bin slot"),
                 }
-                tick!(di);
+                tick!(di, 3);
                 // SAFETY: as above
                 let d4 = unsafe { cur_code.get_unchecked(pc + 3) };
                 match &d4.op {
@@ -2968,7 +3054,7 @@ fn exec_loop<const ARMED: bool>(
                     _ => unreachable!("LoadLoadBinStoreBr chains a store slot"),
                 }
                 // branch half: control-only
-                tick!(di);
+                tick!(di, 4);
                 pc = *target as usize;
             }
             DOp::LoadLoadBinBinStore {
@@ -2991,7 +3077,7 @@ fn exec_loop<const ARMED: bool>(
                 };
                 produce!(di.dense, di.inj, di.dst, r);
                 // second load
-                tick!(di);
+                tick!(di, 1);
                 let bits = load_word!(ptr2, idx2);
                 let r = match ty2 {
                     Ty::I64 => Value::I(bits as i64),
@@ -3000,7 +3086,7 @@ fn exec_loop<const ARMED: bool>(
                 };
                 produce!(*ld_dense, *ld_inj, *ld_dst, r);
                 // two bins and the store execute from standalone slots
-                tick!(di);
+                tick!(di, 2);
                 // SAFETY: decode fused a 5-window of one block, so the
                 // four standalone copies follow the carrying slot
                 let d3 = unsafe { cur_code.get_unchecked(pc + 2) };
@@ -3015,7 +3101,7 @@ fn exec_loop<const ARMED: bool>(
                     }
                     _ => unreachable!("LoadLoadBinBinStore chains a bin slot"),
                 }
-                tick!(di);
+                tick!(di, 3);
                 // SAFETY: as above
                 let d4 = unsafe { cur_code.get_unchecked(pc + 3) };
                 match &d4.op {
@@ -3029,7 +3115,7 @@ fn exec_loop<const ARMED: bool>(
                     }
                     _ => unreachable!("LoadLoadBinBinStore chains a bin slot"),
                 }
-                tick!(di);
+                tick!(di, 4);
                 // SAFETY: as above
                 let d5 = unsafe { cur_code.get_unchecked(pc + 4) };
                 match &d5.op {
@@ -3058,7 +3144,7 @@ fn exec_loop<const ARMED: bool>(
                 };
                 produce!(di.dense, di.inj, di.dst, r);
                 // second load
-                tick!(di);
+                tick!(di, 1);
                 let bits = load_word!(ptr2, idx2);
                 let r = match ty2 {
                     Ty::I64 => Value::I(bits as i64),
@@ -3068,7 +3154,7 @@ fn exec_loop<const ARMED: bool>(
                 produce!(*ld_dense, *ld_inj, *ld_dst, r);
                 // the bins and the trailing element load execute from
                 // standalone slots
-                tick!(di);
+                tick!(di, 2);
                 // SAFETY: decode fused a 5-window of one block, so the
                 // four standalone copies follow the carrying slot
                 let d3 = unsafe { cur_code.get_unchecked(pc + 2) };
@@ -3083,7 +3169,7 @@ fn exec_loop<const ARMED: bool>(
                     }
                     _ => unreachable!("LoadLoadBinBinLoad chains a bin slot"),
                 }
-                tick!(di);
+                tick!(di, 3);
                 // SAFETY: as above
                 let d4 = unsafe { cur_code.get_unchecked(pc + 3) };
                 match &d4.op {
@@ -3097,7 +3183,7 @@ fn exec_loop<const ARMED: bool>(
                     }
                     _ => unreachable!("LoadLoadBinBinLoad chains a bin slot"),
                 }
-                tick!(di);
+                tick!(di, 4);
                 // SAFETY: as above
                 let d5 = unsafe { cur_code.get_unchecked(pc + 4) };
                 match &d5.op {
@@ -3134,7 +3220,7 @@ fn exec_loop<const ARMED: bool>(
                 };
                 produce!(di.dense, di.inj, di.dst, r);
                 // second load
-                tick!(di);
+                tick!(di, 1);
                 let bits = load_word!(ptr2, idx2);
                 let r = match ty2 {
                     Ty::I64 => Value::I(bits as i64),
@@ -3144,7 +3230,7 @@ fn exec_loop<const ARMED: bool>(
                 produce!(*ld_dense, *ld_inj, *ld_dst, r);
                 // the three-op arithmetic chain executes from standalone
                 // slots, each fetching after the previous write
-                tick!(di);
+                tick!(di, 2);
                 // SAFETY: decode fused a 5-window of one block, so the
                 // four standalone copies follow the carrying slot
                 let d3 = unsafe { cur_code.get_unchecked(pc + 2) };
@@ -3159,7 +3245,7 @@ fn exec_loop<const ARMED: bool>(
                     }
                     _ => unreachable!("LoadLoadBinBinBin chains a bin slot"),
                 }
-                tick!(di);
+                tick!(di, 3);
                 // SAFETY: as above
                 let d4 = unsafe { cur_code.get_unchecked(pc + 3) };
                 match &d4.op {
@@ -3173,7 +3259,7 @@ fn exec_loop<const ARMED: bool>(
                     }
                     _ => unreachable!("LoadLoadBinBinBin chains a bin slot"),
                 }
-                tick!(di);
+                tick!(di, 4);
                 // SAFETY: as above
                 let d5 = unsafe { cur_code.get_unchecked(pc + 4) };
                 match &d5.op {
@@ -3189,6 +3275,76 @@ fn exec_loop<const ARMED: bool>(
                 }
                 pc += 5;
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::snapshot::{CheckpointConfig, SnapshotMode};
+    use crate::value::{ProgInput, Scalar};
+    use crate::ExecConfig;
+
+    /// Every state the legacy loop checkpoints hashes — and compares —
+    /// equal to the same state held in the decoded arenas, wherever the
+    /// boundary falls: on an instruction slot of its own or between the
+    /// halves of a superinstruction, at any call depth.
+    #[test]
+    fn decoded_state_digests_equal_legacy_digests_at_every_boundary() {
+        let src = r#"
+fn rec(x: int) -> int {
+    if x <= 1 { return 1; }
+    return rec(x - 1) + x;
+}
+
+fn main() {
+    let n = arg_i(0);
+    let buf: [int] = alloc(16);
+    let acc = 3;
+    for i = 0 to n {
+        buf[i % 16] = buf[(i + 1) % 16] + acc * i;
+        acc = acc + buf[i % 16] % 7;
+        if acc % 5 == 0 { out_i(acc); }
+    }
+    out_i(rec(n % 6 + 2));
+    out_i(acc);
+}
+"#;
+        let m = minic::compile(src, "digest").unwrap();
+        let input = ProgInput::scalars(vec![Scalar::I(40)]);
+        let interp = Interp::new(&m, ExecConfig::default());
+        for mode in [SnapshotMode::Full, SnapshotMode::Delta] {
+            let cfg = CheckpointConfig {
+                interval: 1,
+                mode,
+                ..CheckpointConfig::default()
+            };
+            let (golden, store) = interp.run_with_checkpoint_store(&input, cfg);
+            assert!(golden.exited());
+            assert_eq!(store.len() as u64, golden.steps - 1, "one per boundary");
+
+            let mut scratch = ExecScratch::default();
+            scratch.start_decoded(interp.decoded());
+            let mut conv = Converge::audit(&interp, &store);
+            let r = exec_loop::<false>(&interp, &mut scratch, &input, None, None, &mut conv)
+                .expect("the clean loop runs to a termination");
+            assert_eq!(r.output, golden.output);
+            assert_eq!(r.converged_at, None, "an audit never exits early");
+
+            let log = conv.audit.expect("audit mode");
+            let visited: Vec<usize> = log.iter().map(|v| v.0).collect();
+            assert_eq!(visited, (0..store.len()).collect::<Vec<_>>());
+            for &(k, digest_eq, exact, mid_fused) in &log {
+                assert!(
+                    digest_eq,
+                    "digest differs at boundary {k} (fused: {mid_fused})"
+                );
+                assert!(exact, "state differs at boundary {k} (fused: {mid_fused})");
+            }
+            let fused = log.iter().filter(|v| v.3).count();
+            assert!(fused > 0, "no boundary fell inside a superinstruction");
+            assert!(fused < log.len(), "every boundary fell inside one");
         }
     }
 }

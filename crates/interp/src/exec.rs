@@ -149,6 +149,12 @@ pub struct ExecResult {
     /// derive steps-skipped (`resumed_at`) vs steps-executed
     /// (`steps - resumed_at`) per injection from it.
     pub resumed_at: Option<u64>,
+    /// Step count at which the run was found to have converged onto the
+    /// golden run and was finished early (`None` for a run replayed to its
+    /// own end). Telemetry like `resumed_at`: every other field is what
+    /// the full replay would have produced, and `converged_at -
+    /// resumed_at` is what was executed (see [`crate::converge`]).
+    pub converged_at: Option<u64>,
 }
 
 impl ExecResult {
@@ -346,7 +352,7 @@ impl<'m> Interp<'m> {
         } else {
             let mut scratch = ExecScratch::default();
             scratch.start_decoded(&self.decoded);
-            decode::run_decoded(self, &mut scratch, input, None)
+            decode::run_decoded(self, &mut scratch, input, None, None)
         }
     }
 
@@ -358,8 +364,9 @@ impl<'m> Interp<'m> {
 
     /// [`Interp::run_with_fault`] into caller-provided scratch, reusing
     /// every buffer (frames, register/argument arenas, memories, output).
-    /// Campaign workers hold one [`ExecScratch`] each, making injection
-    /// runs allocation-free after warmup.
+    /// Campaign workers hold one [`ExecScratch`] each and hand every
+    /// result's output back ([`ExecScratch::recycle_output`]), making
+    /// injection runs allocation-free after warmup.
     pub fn run_with_fault_in(
         &self,
         scratch: &mut ExecScratch,
@@ -371,7 +378,7 @@ impl<'m> Interp<'m> {
             self.run_inner(&mut scratch.st, input, Some(fault), None)
         } else {
             scratch.start_decoded(&self.decoded);
-            decode::run_decoded(self, scratch, input, Some(fault))
+            decode::run_decoded(self, scratch, input, Some(fault), None)
         }
     }
 
@@ -417,7 +424,11 @@ impl<'m> Interp<'m> {
         st.start(self.module);
         let mut coll = CheckpointCollector::new(cfg, self.module.num_insts());
         let r = self.run_inner(&mut st, input, None, Some(&mut coll));
-        (r, coll.into_store())
+        let mut store = coll.into_store();
+        if r.termination == Termination::Exit {
+            store.attach_tail(r.output.clone(), r.steps, r.ret);
+        }
+        (r, store)
     }
 
     /// Resume from a snapshot with a fault armed, executing only the
@@ -466,7 +477,7 @@ impl<'m> Interp<'m> {
             let mut scratch = ExecScratch::default();
             std::mem::swap(&mut scratch.st, st);
             scratch.enter_decoded(&self.decoded);
-            let r = decode::run_decoded(self, &mut scratch, input, Some(fault));
+            let r = decode::run_decoded(self, &mut scratch, input, Some(fault), None);
             std::mem::swap(&mut scratch.st, st);
             r
         }
@@ -477,6 +488,14 @@ impl<'m> Interp<'m> {
     /// materializes the checkpoint directly into the scratch state
     /// (applying delta chains in place when the store is delta-encoded)
     /// and the decoded loop runs the suffix without allocating.
+    ///
+    /// Same contract as [`Interp::resume`]: bit-identical to
+    /// [`Interp::run_with_fault`]. The suffix is not always *executed* to
+    /// its end, though: once the fault has fired, the run is compared with
+    /// the golden run at later checkpoints of `store` and finished early
+    /// when their states are equal (see [`crate::converge`]; the store
+    /// must come from a run under this interpreter's memory and call-depth
+    /// limits). [`ExecResult::converged_at`] says when that happened.
     pub fn resume_from(
         &self,
         scratch: &mut ExecScratch,
@@ -496,7 +515,7 @@ impl<'m> Interp<'m> {
             self.run_inner(&mut scratch.st, input, Some(fault), None)
         } else {
             scratch.enter_decoded(&self.decoded);
-            decode::run_decoded(self, scratch, input, Some(fault))
+            decode::run_decoded(self, scratch, input, Some(fault), Some(store))
         }
     }
 
@@ -581,6 +600,7 @@ impl<'m> Interp<'m> {
                             ret: $ret,
                             trace,
                             resumed_at,
+                            converged_at: None,
                         }
                     };
                 }

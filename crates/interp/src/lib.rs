@@ -24,6 +24,7 @@
 //! the nearest snapshot before its injection point is bit-identical to a
 //! from-scratch run (see [`snapshot`]).
 
+pub mod converge;
 pub mod decode;
 pub mod exec;
 pub mod fault;
@@ -33,6 +34,7 @@ pub mod snapshot;
 pub mod value;
 pub mod wire;
 
+pub use converge::ConvergeStats;
 pub use decode::ExecScratch;
 pub use exec::{
     DispatchMode, ExecConfig, ExecResult, Interp, MachineState, Termination, TraceEvent, TrapKind,

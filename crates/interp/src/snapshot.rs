@@ -39,6 +39,18 @@
 //! place. The ~5-10x size reduction buys proportionally higher checkpoint
 //! density inside the same memory budget.
 //!
+//! ## What the store knows besides states
+//!
+//! Each stored checkpoint carries a 64-bit digest of its state and the
+//! store remembers how its golden run ended (final output, step count,
+//! return value). Both serve the golden-convergence early exit (see
+//! [`crate::converge`]): a faulty run whose state equals checkpoint
+//! `k`'s will end exactly as the golden run did, so it need not be
+//! replayed further. Both are derived data — neither is in the wire
+//! image ([`crate::wire`]); digests are retaken on decode and the
+//! ending is re-attached by whoever holds the golden result
+//! ([`CheckpointStore::attach_tail`]).
+//!
 //! What a snapshot does **not** contain: the [`Profile`](crate::Profile)
 //! and the trace (resumed runs re-profile only the suffix — campaigns run
 //! faulty executions unprofiled), and the program input (resume takes the
@@ -131,7 +143,7 @@ impl Default for CheckpointConfig {
 /// bits and `Undef == Undef` (unlike the Check-semantics
 /// [`bit_equal`](crate::exec::bit_equal), which must treat any Undef as a
 /// mismatch).
-fn value_bits_eq(a: Value, b: Value) -> bool {
+pub(crate) fn value_bits_eq(a: Value, b: Value) -> bool {
     match (a, b) {
         (Value::I(x), Value::I(y)) => x == y,
         (Value::F(x), Value::F(y)) => x.to_bits() == y.to_bits(),
@@ -376,6 +388,27 @@ fn apply_delta_state(st: &mut MachineState, d: &SnapDelta, steps: u64, inj_ctr: 
     st.fault_applied = false;
 }
 
+/// Whether [`apply_delta_state`] can apply `d` to `st` without indexing
+/// out of bounds — the check a delta from outside the process must pass
+/// before it is applied.
+fn delta_applies(st: &MachineState, d: &SnapDelta) -> bool {
+    let runs_fit = |runs: &[(usize, Vec<u64>)], len: usize| {
+        runs.iter()
+            .all(|(start, words)| start.checked_add(words.len()).is_some_and(|end| end <= len))
+    };
+    let frames_fit = match &d.frames {
+        FramesDelta::Full(_) => true,
+        FramesDelta::Sparse(diffs) => {
+            diffs.len() == st.frames.len()
+                && diffs
+                    .iter()
+                    .zip(&st.frames)
+                    .all(|(diff, f)| diff.regs.iter().all(|&(i, _)| (i as usize) < f.regs.len()))
+        }
+    };
+    frames_fit && runs_fit(&d.mem, d.mem_len) && runs_fit(&d.stack, d.stack_len)
+}
+
 #[derive(Debug, Clone)]
 pub(crate) enum SnapBody {
     Key(Snapshot),
@@ -391,7 +424,22 @@ pub(crate) struct StoredSnap {
     /// Index of the governing keyframe entry (`== own index` for keys).
     pub(crate) key: u32,
     pub(crate) bytes: usize,
+    /// [`state_digest`](crate::converge::state_digest) of the checkpointed
+    /// state: what a faulty run's state is filtered against at this
+    /// boundary. Derived data — taken at capture, recomputed on decode,
+    /// never on the wire.
+    pub(crate) digest: u64,
     pub(crate) body: SnapBody,
+}
+
+/// How the golden run that filled a [`CheckpointStore`] ended: what a
+/// faulty run that converges onto it will end as.
+#[derive(Debug, Clone)]
+pub(crate) struct GoldenTail {
+    /// The complete golden output.
+    pub(crate) output: Output,
+    pub(crate) steps: u64,
+    pub(crate) ret: Option<Value>,
 }
 
 /// Accumulates checkpoints during a golden run. Lives in the interpreter
@@ -440,7 +488,7 @@ impl CheckpointCollector {
         // profiler-only clock reads: zero syscalls when disabled
         let t0 = crate::opprof::enabled().then(std::time::Instant::now);
         let inj = std::mem::take(&mut self.inj_counts);
-        self.push_entry(st, &inj);
+        self.push_entry(st, &inj, crate::converge::digest_of(st));
         self.inj_counts = inj;
         self.next_at = st.steps + self.interval;
         while self.bytes > self.mem_budget_bytes && self.entries.len() > 1 {
@@ -454,7 +502,7 @@ impl CheckpointCollector {
     /// Append one checkpoint of machine state `st` with injection counts
     /// `inj`, choosing keyframe vs delta by the configured policy. Shared
     /// by live capture and by `thin`'s re-encode.
-    fn push_entry(&mut self, st: &MachineState, inj: &[u64]) {
+    fn push_entry(&mut self, st: &MachineState, inj: &[u64], digest: u64) {
         let idx = self.entries.len();
         let make_key = match self.mode {
             SnapshotMode::Full => true,
@@ -473,6 +521,7 @@ impl CheckpointCollector {
                 inj_ctr: st.inj_ctr,
                 key: idx as u32,
                 bytes: snap.approx_bytes(),
+                digest,
                 body: SnapBody::Key(snap),
             }
         } else {
@@ -483,6 +532,7 @@ impl CheckpointCollector {
                 inj_ctr: st.inj_ctr,
                 key: self.entries.last().unwrap().key,
                 bytes: d.approx_bytes(),
+                digest,
                 body: SnapBody::Delta(d),
             }
         };
@@ -541,7 +591,7 @@ impl CheckpointCollector {
                         }
                     }
                     if i % 2 == 1 {
-                        self.push_entry(&cur, &inj);
+                        self.push_entry(&cur, &inj, e.digest);
                     }
                 }
             }
@@ -554,6 +604,7 @@ impl CheckpointCollector {
         CheckpointStore {
             num_insts: self.inj_counts.len(),
             entries: self.entries,
+            tail: None,
         }
     }
 
@@ -589,6 +640,9 @@ impl CheckpointCollector {
 pub struct CheckpointStore {
     pub(crate) entries: Vec<StoredSnap>,
     pub(crate) num_insts: usize,
+    /// Known when the golden run exited normally; without it faulty runs
+    /// replay to their own end (see [`crate::converge`]).
+    tail: Option<GoldenTail>,
 }
 
 impl CheckpointStore {
@@ -605,10 +659,59 @@ impl CheckpointStore {
                 inj_ctr: s.inj_ctr(),
                 key: i as u32,
                 bytes: s.approx_bytes(),
+                digest: crate::converge::digest_of(&s.state),
                 body: SnapBody::Key(s),
             })
             .collect();
-        CheckpointStore { entries, num_insts }
+        CheckpointStore {
+            entries,
+            num_insts,
+            tail: None,
+        }
+    }
+
+    /// Rebuild a store from wire-decoded entries (their `digest` fields
+    /// are placeholders): walk every delta chain once, refusing a delta
+    /// that would not apply, and take each checkpoint's state digest.
+    pub(crate) fn from_decoded(
+        mut entries: Vec<StoredSnap>,
+        num_insts: usize,
+    ) -> Result<Self, &'static str> {
+        let mut cur = MachineState::default();
+        for e in &mut entries {
+            match &e.body {
+                SnapBody::Key(s) => cur.clone_from(&s.state),
+                SnapBody::Delta(d) if delta_applies(&cur, d) => {
+                    apply_delta_state(&mut cur, d, e.steps, e.inj_ctr)
+                }
+                SnapBody::Delta(_) => return Err("delta does not apply to its predecessor"),
+            }
+            e.digest = crate::converge::digest_of(&cur);
+        }
+        Ok(CheckpointStore {
+            entries,
+            num_insts,
+            tail: None,
+        })
+    }
+
+    /// Tell the store how its golden run ended — normal exit after `steps`
+    /// instructions with the complete `output` and return value `ret` —
+    /// which is what lets [`Interp::resume_from`] finish a faulty run
+    /// early once it has converged onto the golden one.
+    /// [`Interp::run_with_checkpoint_store`] does this itself; a store
+    /// decoded from its wire image needs it re-attached. Pass `ret: None`
+    /// when the return value is not known: early exit then stays off for
+    /// modules whose entry function returns a value.
+    ///
+    /// [`Interp::resume_from`]: crate::Interp::resume_from
+    /// [`Interp::run_with_checkpoint_store`]: crate::Interp::run_with_checkpoint_store
+    pub fn attach_tail(&mut self, output: Output, steps: u64, ret: Option<Value>) {
+        self.tail = Some(GoldenTail { output, steps, ret });
+    }
+
+    pub(crate) fn tail(&self) -> Option<&GoldenTail> {
+        self.tail.as_ref()
     }
 
     pub fn len(&self) -> usize {

@@ -468,9 +468,12 @@ pub fn encode_checkpoints(store: &CheckpointStore) -> Vec<u8> {
 }
 
 /// Decode a [`CheckpointStore`] image, validating structure end to end:
-/// every delta chain starts at an in-range keyframe and every keyframe
-/// carries the advertised `num_insts` counts, so downstream
-/// `restore_into`/`inj_count_at` cannot index out of bounds.
+/// every delta chain starts at an in-range keyframe, every keyframe
+/// carries the advertised `num_insts` counts and every delta applies to
+/// its predecessor, so downstream `restore_into`/`inj_count_at` cannot
+/// index out of bounds. The per-checkpoint state digests are not on the
+/// wire; they are retaken here from the decoded states. The golden tail
+/// is not either: see [`CheckpointStore::attach_tail`].
 pub fn decode_checkpoints(bytes: &[u8]) -> Result<CheckpointStore, WireError> {
     let mut r = Reader::new(bytes);
     if r.take(4)? != CKPT_MAGIC {
@@ -512,11 +515,12 @@ pub fn decode_checkpoints(bytes: &[u8]) -> Result<CheckpointStore, WireError> {
             inj_ctr,
             key,
             bytes,
+            digest: 0, // derived: filled in by `from_decoded`
             body,
         });
     }
     r.finish()?;
-    Ok(CheckpointStore { entries, num_insts })
+    CheckpointStore::from_decoded(entries, num_insts).map_err(WireError::Invalid)
 }
 
 // --- profile ---
@@ -749,6 +753,12 @@ mod tests {
             for i in 0..store.len() {
                 assert_eq!(back.steps_at(i), store.steps_at(i));
                 assert_eq!(back.inj_ctr_at(i), store.inj_ctr_at(i));
+                // not on the wire: retaken from the decoded state
+                assert_eq!(back.entries[i].digest, store.entries[i].digest);
+                assert_eq!(
+                    back.entries[i].digest,
+                    crate::converge::digest_of(&store.materialize(i).state)
+                );
                 for dense in 0..8 {
                     assert_eq!(back.inj_count_at(i, dense), store.inj_count_at(i, dense));
                 }
@@ -758,6 +768,48 @@ mod tests {
                 assert_eq!(a.inj_counts, b.inj_counts);
             }
         }
+    }
+
+    #[test]
+    fn delta_that_does_not_apply_is_an_error_not_a_panic() {
+        let cfg = CheckpointConfig {
+            interval: 1,
+            mode: SnapshotMode::Delta,
+            ..CheckpointConfig::default()
+        };
+        let mut coll = CheckpointCollector::new(cfg, 8);
+        for i in 0..3u64 {
+            let mut st = sample_state(i + 1);
+            st.steps = (i + 1) * 100;
+            coll.capture(&st);
+        }
+        let store = coll.into_store();
+        decode_checkpoints(&encode_checkpoints(&store)).unwrap();
+
+        // a memory run that ends past the advertised length
+        let mut bad = store.clone();
+        let SnapBody::Delta(d) = &mut bad.entries[1].body else {
+            panic!("second entry is a delta");
+        };
+        assert!(!d.mem.is_empty(), "sample states differ in memory");
+        d.mem[0].0 = d.mem_len;
+        assert_eq!(
+            decode_checkpoints(&encode_checkpoints(&bad)).err(),
+            Some(WireError::Invalid(
+                "delta does not apply to its predecessor"
+            ))
+        );
+
+        // a sparse frame diff naming a register the frame does not have
+        let mut bad = store.clone();
+        let SnapBody::Delta(d) = &mut bad.entries[2].body else {
+            panic!("third entry is a delta");
+        };
+        let FramesDelta::Sparse(diffs) = &mut d.frames else {
+            panic!("sample states share a stack shape");
+        };
+        diffs[1].regs.push((7, Value::I(0)));
+        assert!(decode_checkpoints(&encode_checkpoints(&bad)).is_err());
     }
 
     #[test]

@@ -2,10 +2,17 @@
 //! checkpointed fault injection): for *random* minic programs and random
 //! (checkpoint interval, fault spec) pairs, resuming from any snapshot
 //! whose injection counter has not yet reached the fault must be
-//! bit-identical to injecting into a from-scratch run.
+//! bit-identical to injecting into a from-scratch run — also when the
+//! resumed run is finished early because its state converged onto the
+//! golden run's (`Interp::resume_from`), which must change what is
+//! executed and never what is returned.
 
-use minpsid_interp::{ExecConfig, FaultSpec, FaultTarget, Interp, ProgInput, Scalar};
+use minpsid_interp::{
+    CheckpointConfig, CheckpointStore, ExecConfig, ExecResult, ExecScratch, FaultSpec, FaultTarget,
+    Interp, ProgInput, Scalar, SnapshotMode, Termination,
+};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Build a random minic program from a vector of statement codes. The
 /// grammar is tiny but exercises every structure a snapshot must capture:
@@ -15,7 +22,7 @@ fn gen_source(stmts: &[(u8, u8)]) -> String {
     let mut body = String::new();
     for (idx, &(op, k)) in stmts.iter().enumerate() {
         let k = k as i64;
-        let s = match op % 6 {
+        let s = match op % 7 {
             0 => format!("    acc = acc + (a + {k}) * {};\n", idx + 1),
             1 => format!("    acc = acc - b / {};\n", k + 1),
             2 => format!(
@@ -27,7 +34,14 @@ fn gen_source(stmts: &[(u8, u8)]) -> String {
                 k % 13 + 1
             ),
             4 => format!("    acc = acc + rec(a % {} + 1);\n", k % 7 + 2),
-            _ => format!("    out_i(acc % {});\n", k + 10),
+            5 => format!("    out_i(acc % {});\n", k + 10),
+            // a long loop whose body masks most flips (`% 64` never
+            // exceeds 100) and recomputes every register each iteration:
+            // where faulty runs converge back onto the golden run
+            _ => format!(
+                "    for i = 0 to {} {{ if (i * a + {k}) % 64 > 100 {{ acc = acc + 1; out_i(i); }} }}\n",
+                150 + k * 8
+            ),
         };
         body.push_str(&s);
     }
@@ -58,6 +72,245 @@ fn exec() -> ExecConfig {
         step_limit: 300_000,
         ..ExecConfig::default()
     }
+}
+
+/// `resume_from` on `store` from checkpoint `idx`, held to its contract —
+/// equal to the cold run field for field — and to its cost bounds: the
+/// words hashed looking for convergence stay within 1/8 of the steps
+/// executed, and the boundaries hashed follow a geometric back-off.
+fn check_resume_from(
+    interp: &Interp<'_>,
+    scratch: &mut ExecScratch,
+    store: &CheckpointStore,
+    idx: usize,
+    input: &ProgInput,
+    fault: FaultSpec,
+    cold: &ExecResult,
+) -> Result<ExecResult, TestCaseError> {
+    let warm = interp.resume_from(scratch, store, idx, input, fault);
+    prop_assert_eq!(&warm.termination, &cold.termination);
+    prop_assert_eq!(&warm.output, &cold.output);
+    prop_assert_eq!(warm.steps, cold.steps);
+    prop_assert_eq!(warm.fault_applied, cold.fault_applied);
+    prop_assert_eq!(&warm.ret, &cold.ret);
+    prop_assert_eq!(warm.resumed_at, Some(store.steps_at(idx)));
+
+    let stats = scratch.converge_stats();
+    let executed = warm.converged_at.unwrap_or(warm.steps) - store.steps_at(idx);
+    prop_assert!(
+        stats.words_hashed * 8 <= executed,
+        "{} words hashed over {executed} steps",
+        stats.words_hashed
+    );
+    let boundaries = (store.len() - idx) as u32;
+    prop_assert!(
+        stats.checks <= boundaries.ilog2() + 1,
+        "{} checks over {boundaries} boundaries",
+        stats.checks
+    );
+    if let Some(at) = warm.converged_at {
+        prop_assert!(stats.checks > 0);
+        prop_assert!(at > store.steps_at(idx) && at < warm.steps);
+        prop_assert_eq!(warm.termination, Termination::Exit);
+    }
+    Ok(warm)
+}
+
+/// Cases of `early_exit_matches_cold_run` that finished early.
+static CONVERGED: AtomicUsize = AtomicUsize::new(0);
+
+/// The property above is vacuous if no case ever takes the early exit.
+#[test]
+fn early_exit_matches_cold_run_and_is_taken() {
+    early_exit_matches_cold_run();
+    let converged = CONVERGED.load(Ordering::Relaxed);
+    assert!(converged >= 5, "only {converged} runs converged");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(60))]
+
+    /// `resume_from` — restore, replay, and the golden-convergence early
+    /// exit — equals the cold run for random programs, store encodings,
+    /// intervals and faults, from the nearest eligible checkpoint (little
+    /// replayed before the flip: the cost bound delays the first check)
+    /// and from the first (much replayed: it does not). Run by
+    /// `early_exit_matches_cold_run_and_is_taken`.
+    fn early_exit_matches_cold_run(
+        stmts in proptest::collection::vec((0u8..7, 0u8..20), 1..6),
+        a in 0i64..30,
+        b in -10i64..30,
+        interval_raw in 1u64..400,
+        delta in proptest::prelude::any::<bool>(),
+        nth_raw in 0u64..100_000,
+        bit in 0u32..64,
+    ) {
+        // always one masking loop, so some faults land where they wash out
+        let mut stmts = stmts;
+        stmts.push((6, (nth_raw % 20) as u8));
+        let m = minic::compile(&gen_source(&stmts), "prop-early-exit").unwrap();
+        let input = ProgInput::scalars(vec![Scalar::I(a), Scalar::I(b)]);
+        let interp = Interp::new(&m, exec());
+        let cfg = CheckpointConfig {
+            interval: 1 + interval_raw % 200,
+            mode: if delta { SnapshotMode::Delta } else { SnapshotMode::Full },
+            keyframe_every: 4,
+            ..CheckpointConfig::default()
+        };
+        let (golden, store) = interp.run_with_checkpoint_store(&input, cfg);
+        prop_assume!(golden.exited());
+
+        let mut scratch = ExecScratch::default();
+        for salt in 0..4u64 {
+            let nth = (nth_raw + salt * 7919) % golden.steps;
+            let fault = FaultSpec { target: FaultTarget::NthDynamic(nth), bit: bit + salt as u32 };
+            let Some(nearest) = store.nearest_for_dynamic(nth) else { continue };
+            let cold = interp.run_with_fault(&input, fault);
+            for idx in [nearest, 0] {
+                let warm =
+                    check_resume_from(&interp, &mut scratch, &store, idx, &input, fault, &cold)?;
+                if warm.converged_at.is_some() {
+                    CONVERGED.fetch_add(1, Ordering::Relaxed);
+                }
+                scratch.recycle_output(warm.output);
+            }
+        }
+    }
+}
+
+/// Every result moves its output out of the scratch; once it is handed
+/// back, the next run on that scratch writes into the same buffer — to
+/// the end, or spliced with golden's tail on an early exit — instead of
+/// allocating a fresh one per injection.
+#[test]
+fn recycled_output_buffer_is_reused_by_the_next_injection() {
+    let m = minic::compile(&gen_source(&[(5, 3), (6, 4), (5, 9)]), "recycle").unwrap();
+    let input = ProgInput::scalars(vec![Scalar::I(3), Scalar::I(4)]);
+    let interp = Interp::new(&m, exec());
+    let cfg = CheckpointConfig {
+        interval: 50,
+        ..CheckpointConfig::default()
+    };
+    let (golden, store) = interp.run_with_checkpoint_store(&input, cfg);
+    assert!(golden.exited());
+
+    let mut scratch = ExecScratch::default();
+    let mut buffer = None;
+    let (mut early, mut full, mut reused) = (0, 0, 0);
+    for nth in (60..600).step_by(7) {
+        let fault = FaultSpec {
+            target: FaultTarget::NthDynamic(nth),
+            bit: 2,
+        };
+        let idx = store
+            .nearest_for_dynamic(nth)
+            .expect("past the first checkpoint");
+        let r = interp.resume_from(&mut scratch, &store, idx, &input, fault);
+        if r.output.items.capacity() == 0 {
+            continue; // trapped before printing: nothing was ever allocated
+        }
+        // a buffer that had to grow moved; one that did not is the same
+        let this = (r.output.items.as_ptr(), r.output.items.capacity());
+        if let Some((ptr, capacity)) = buffer {
+            if this.1 == capacity {
+                assert_eq!(this.0, ptr, "fault {nth} allocated a new buffer");
+                reused += 1;
+            }
+        }
+        buffer = Some(this);
+        match r.converged_at {
+            Some(_) => early += 1,
+            None => full += 1,
+        }
+        scratch.recycle_output(r.output);
+    }
+    assert!(
+        early > 0 && full > 0,
+        "{early} early exits, {full} full replays"
+    );
+    assert!(reused > 20, "only {reused} runs reused the buffer");
+}
+
+/// A fault that makes the run print one item too many and then leaves no
+/// other trace: every register it touched is recomputed within a few
+/// iterations (the printing block runs every eighth one), memory never
+/// saw it. The state is golden's except for the output length — and that
+/// is state: under an output limit the golden run just fits, the faulty
+/// run does not end as the golden run does.
+#[test]
+fn extra_output_item_is_not_convergence() {
+    let src = r#"
+fn main() {
+    let n = arg_i(0);
+    let acc = 0;
+    let t = 0;
+    for i = 0 to n {
+        if (i * 3) % 8 > 6 { out_i(i); } else { t = i; }
+        acc = acc + i;
+    }
+    out_i(acc + t);
+}
+"#;
+    let m = minic::compile(src, "extra-item").unwrap();
+    let input = ProgInput::scalars(vec![Scalar::I(3000)]);
+    let cfg = CheckpointConfig {
+        interval: 64,
+        ..CheckpointConfig::default()
+    };
+    let roomy = Interp::new(&m, ExecConfig::default());
+    let (golden, store) = roomy.run_with_checkpoint_store(&input, cfg);
+    assert!(golden.exited());
+    let golden_len = golden.output.items.len();
+    assert!(golden_len > 300, "the loop prints every eighth iteration");
+    // the same program under a limit the golden output exactly fills
+    let tight = Interp::new(
+        &m,
+        ExecConfig {
+            output_limit: golden.output.len(),
+            ..ExecConfig::default()
+        },
+    );
+
+    let mut scratch = ExecScratch::default();
+    let (mut extra_item, mut converged) = (0, 0);
+    // bit 10 adds 1024 to whatever it hits: a `% 8` result jumps over 6
+    for nth in 200..800 {
+        let fault = FaultSpec {
+            target: FaultTarget::NthDynamic(nth),
+            bit: 10,
+        };
+        let idx = store
+            .nearest_for_dynamic(nth)
+            .expect("past the first checkpoint");
+        let cold = roomy.run_with_fault(&input, fault);
+        let warm = roomy.resume_from(&mut scratch, &store, idx, &input, fault);
+        assert_eq!(warm.termination, cold.termination);
+        assert_eq!(warm.output, cold.output);
+        assert_eq!(warm.steps, cold.steps);
+        converged += usize::from(warm.converged_at.is_some());
+
+        let printed_extra = cold.exited()
+            && cold.output.items.len() == golden_len + 1
+            && cold.output.items.last() == golden.output.items.last();
+        if printed_extra {
+            extra_item += 1;
+            assert_eq!(
+                warm.converged_at, None,
+                "fault {nth}: output length is state"
+            );
+            let cold = tight.run_with_fault(&input, fault);
+            let warm = tight.resume_from(&mut scratch, &store, idx, &input, fault);
+            assert_eq!(cold.termination, Termination::StepLimit);
+            assert_eq!(warm.termination, cold.termination);
+            assert_eq!(warm.output, cold.output);
+            assert_eq!(warm.steps, cold.steps);
+        }
+    }
+    assert!(
+        extra_item >= 10,
+        "only {extra_item} faults printed an extra item"
+    );
+    assert!(converged >= 10, "only {converged} other faults converged");
 }
 
 proptest! {

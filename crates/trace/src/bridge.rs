@@ -211,8 +211,28 @@ fn apply(
             injections,
             elapsed_us,
             counts,
+            converged,
+            steps_saved,
             ..
         } => {
+            // one end event per campaign, so its totals are the deltas
+            if *converged > 0 {
+                let labels = [("workload", workload), ("kind", kind.as_str())];
+                registry
+                    .counter(
+                        "minpsid_converged_injections_total",
+                        "Injections finished early at a golden checkpoint their state had converged onto.",
+                        &labels,
+                    )
+                    .add(*converged);
+                registry
+                    .counter(
+                        "minpsid_convergence_steps_saved_total",
+                        "Dynamic steps not replayed because the injection had converged onto the golden run.",
+                        &labels,
+                    )
+                    .add(*steps_saved);
+            }
             // `total` is not carried by the end event; the final plan size
             // equals the injections actually finished plus whatever the
             // scheduler skipped, which the view already holds from the
@@ -490,6 +510,8 @@ mod tests {
             steps_executed: 1000,
             steps_skipped: 500,
             restores: 38,
+            converged: 9,
+            steps_saved: 700,
         });
 
         let snap = registry.snapshot();
@@ -732,6 +754,8 @@ mod tests {
             steps_executed: 0,
             steps_skipped: 0,
             restores: 0,
+            converged: 0,
+            steps_saved: 0,
         });
         let doc = board.render_json_at(0);
         assert!(doc.contains("\"eta_us\":0"), "{doc}");

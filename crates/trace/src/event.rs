@@ -141,7 +141,11 @@ pub enum Event {
     },
     /// Campaign summary: final outcome tallies plus checkpoint-restore
     /// accounting (dynamic steps actually executed vs skipped by resuming
-    /// from golden-run snapshots).
+    /// from golden-run snapshots) and golden-convergence accounting
+    /// (`converged` injections were finished early at a checkpoint where
+    /// their state equalled the golden run's, leaving `steps_saved` tail
+    /// steps unreplayed). The last two were added within v7 and read as 0
+    /// from logs that predate them.
     CampaignEnd {
         kind: CampaignKind,
         injections: u64,
@@ -150,6 +154,8 @@ pub enum Event {
         steps_executed: u64,
         steps_skipped: u64,
         restores: u64,
+        converged: u64,
+        steps_saved: u64,
     },
     /// Per-function outcome distribution of a per-instruction campaign.
     FunctionOutcomes { func: String, counts: OutcomeTally },
@@ -416,6 +422,15 @@ fn field_u64(v: &Json, key: &'static str) -> Result<u64, SchemaError> {
     field(v, key)?.as_u64().ok_or(SchemaError::BadField(key))
 }
 
+/// A counter added within a schema version: absent in older logs of the
+/// same version, where it reads as 0.
+fn field_u64_or_zero(v: &Json, key: &'static str) -> Result<u64, SchemaError> {
+    match field(v, key) {
+        Ok(f) => f.as_u64().ok_or(SchemaError::BadField(key)),
+        Err(_) => Ok(0),
+    }
+}
+
 fn field_f64(v: &Json, key: &'static str) -> Result<f64, SchemaError> {
     field(v, key)?.as_f64().ok_or(SchemaError::BadField(key))
 }
@@ -487,6 +502,8 @@ impl TimedEvent {
                 steps_executed,
                 steps_skipped,
                 restores,
+                converged,
+                steps_saved,
             } => {
                 o.set("campaign", Json::Str(kind.as_str().to_string()));
                 o.set("injections", Json::U64(*injections));
@@ -495,6 +512,8 @@ impl TimedEvent {
                 o.set("steps_executed", Json::U64(*steps_executed));
                 o.set("steps_skipped", Json::U64(*steps_skipped));
                 o.set("restores", Json::U64(*restores));
+                o.set("converged", Json::U64(*converged));
+                o.set("steps_saved", Json::U64(*steps_saved));
             }
             Event::FunctionOutcomes { func, counts } => {
                 o.set("func", Json::Str(func.clone()));
@@ -778,6 +797,8 @@ impl TimedEvent {
                 steps_executed: field_u64(&v, "steps_executed")?,
                 steps_skipped: field_u64(&v, "steps_skipped")?,
                 restores: field_u64(&v, "restores")?,
+                converged: field_u64_or_zero(&v, "converged")?,
+                steps_saved: field_u64_or_zero(&v, "steps_saved")?,
             },
             "function_outcomes" => Event::FunctionOutcomes {
                 func: field_str(&v, "func")?,
@@ -983,6 +1004,8 @@ mod tests {
             steps_executed: 1000,
             steps_skipped: 5000,
             restores: 99,
+            converged: 12,
+            steps_saved: 3400,
         });
         rt(Event::FunctionOutcomes {
             func: "main".into(),
@@ -1121,6 +1144,47 @@ mod tests {
         assert!(matches!(
             TimedEvent::parse_line(&line),
             Err(SchemaError::Version(999))
+        ));
+    }
+
+    /// `converged`/`steps_saved` joined `campaign_end` within v7: a log
+    /// written before them still parses (so `trace check` passes on it),
+    /// reading both as 0 — but present-and-malformed is still an error.
+    #[test]
+    fn campaign_end_from_before_the_convergence_counters_parses() {
+        let line = TimedEvent {
+            ts_us: 5,
+            event: Event::CampaignEnd {
+                kind: CampaignKind::PerInst,
+                injections: 10,
+                elapsed_us: 20,
+                counts: OutcomeTally::default(),
+                steps_executed: 30,
+                steps_skipped: 40,
+                restores: 9,
+                converged: 3,
+                steps_saved: 17,
+            },
+        }
+        .to_line();
+        let old = line.replace(",\"converged\":3,\"steps_saved\":17", "");
+        assert_ne!(old, line, "the fields were written");
+        match TimedEvent::parse_line(&old)
+            .expect("an older v7 line")
+            .event
+        {
+            Event::CampaignEnd {
+                restores,
+                converged,
+                steps_saved,
+                ..
+            } => assert_eq!((restores, converged, steps_saved), (9, 0, 0)),
+            other => panic!("parsed as {other:?}"),
+        }
+        let bad = line.replace("\"converged\":3", "\"converged\":\"three\"");
+        assert!(matches!(
+            TimedEvent::parse_line(&bad),
+            Err(SchemaError::BadField("converged"))
         ));
     }
 

@@ -99,6 +99,10 @@ pub struct CampaignStat {
     pub steps_executed: u64,
     pub steps_skipped: u64,
     pub restores: u64,
+    /// Injections finished early on golden convergence, and the tail
+    /// steps that left unreplayed.
+    pub converged: u64,
+    pub steps_saved: u64,
 }
 
 impl CampaignStat {
@@ -110,13 +114,15 @@ impl CampaignStat {
         }
     }
 
-    /// Fraction of golden-run-equivalent work skipped via restores.
+    /// Fraction of from-scratch replay work not executed: the prefixes
+    /// skipped via restores plus the tails saved by golden convergence.
     pub fn savings(&self) -> f64 {
-        let total = self.steps_executed + self.steps_skipped;
+        let avoided = self.steps_skipped + self.steps_saved;
+        let total = self.steps_executed + avoided;
         if total == 0 {
             0.0
         } else {
-            self.steps_skipped as f64 / total as f64
+            avoided as f64 / total as f64
         }
     }
 }
@@ -354,6 +360,8 @@ pub fn summarize(events: &[TimedEvent]) -> TraceSummary {
                 steps_executed,
                 steps_skipped,
                 restores,
+                converged,
+                steps_saved,
             } => {
                 let stat = match kind {
                     CampaignKind::Program => &mut s.program,
@@ -366,6 +374,8 @@ pub fn summarize(events: &[TimedEvent]) -> TraceSummary {
                 stat.steps_executed += steps_executed;
                 stat.steps_skipped += steps_skipped;
                 stat.restores += restores;
+                stat.converged += converged;
+                stat.steps_saved += steps_saved;
             }
             Event::FunctionOutcomes { func, counts } => {
                 let t = funcs.entry(func.clone()).or_insert_with(|| {
@@ -611,6 +621,14 @@ fn campaign_section(out: &mut String, title: &str, c: &CampaignStat) {
         c.steps_skipped,
         c.savings() * 100.0
     );
+    if c.converged > 0 {
+        let _ = writeln!(
+            out,
+            "golden convergence: {} injection(s) finished early at a checkpoint \
+             where their state equalled the golden run's; {} tail steps not replayed\n",
+            c.converged, c.steps_saved
+        );
+    }
     if c.counts.transient_recovered + c.counts.quarantined > 0 {
         let _ = writeln!(
             out,
@@ -1075,6 +1093,8 @@ mod tests {
                 steps_executed: 4000,
                 steps_skipped: 6000,
                 restores: 180,
+                converged: 40,
+                steps_saved: 2500,
             },
             Event::FunctionOutcomes {
                 func: "main".into(),
@@ -1183,7 +1203,8 @@ mod tests {
         assert_eq!(s.stages[0].total_us, 500);
         assert_eq!(s.per_inst.injections, 200);
         assert_eq!(s.per_inst.counts.sdc, 30);
-        assert!((s.per_inst.savings() - 0.6).abs() < 1e-9);
+        // (6000 skipped + 2500 saved) of 12500 golden-equivalent steps
+        assert!((s.per_inst.savings() - 0.68).abs() < 1e-9);
         assert_eq!(s.program.campaigns, 0);
         assert_eq!(s.functions.len(), 1);
         assert_eq!(s.ga.len(), 2);
@@ -1225,6 +1246,8 @@ mod tests {
             "| ref_fi |",
             "Per-instruction campaigns",
             "replay work saved",
+            "40 injection(s) finished early",
+            "2500 tail steps not replayed",
             "## Golden-run cache",
             "75.0% hit rate",
             "## GA search: fitness per generation",

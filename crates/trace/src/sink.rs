@@ -299,6 +299,8 @@ pub struct CampaignCounters {
     steps_executed: AtomicU64,
     steps_skipped: AtomicU64,
     restores: AtomicU64,
+    converged: AtomicU64,
+    steps_saved: AtomicU64,
     transient_recovered: AtomicU64,
     quarantined: AtomicU64,
 }
@@ -319,6 +321,8 @@ impl CampaignCounters {
             steps_executed: AtomicU64::new(0),
             steps_skipped: AtomicU64::new(0),
             restores: AtomicU64::new(0),
+            converged: AtomicU64::new(0),
+            steps_saved: AtomicU64::new(0),
             transient_recovered: AtomicU64::new(0),
             quarantined: AtomicU64::new(0),
         }
@@ -344,6 +348,16 @@ impl CampaignCounters {
                 .fetch_add(steps_skipped, Ordering::Relaxed);
             self.restores.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// The injection just [`record`](CampaignCounters::record)ed was
+    /// finished early: its state equalled the golden run's at a
+    /// checkpoint, so the `steps_saved` steps from there to the end were
+    /// not replayed (they are in neither step tally of `record`).
+    #[inline]
+    pub fn record_converged(&self, steps_saved: u64) {
+        self.converged.fetch_add(1, Ordering::Relaxed);
+        self.steps_saved.fetch_add(steps_saved, Ordering::Relaxed);
     }
 
     /// An injection that failed at least one attempt but then produced a
@@ -397,6 +411,8 @@ impl CampaignCounters {
             steps_executed: self.steps_executed.load(Ordering::Relaxed),
             steps_skipped: self.steps_skipped.load(Ordering::Relaxed),
             restores: self.restores.load(Ordering::Relaxed),
+            converged: self.converged.load(Ordering::Relaxed),
+            steps_saved: self.steps_saved.load(Ordering::Relaxed),
         }
     }
 }
@@ -496,6 +512,7 @@ mod tests {
             for i in 0..4u64 {
                 counters.record(OutcomeKind::Sdc, 100 + i, 50);
             }
+            counters.record_converged(30);
             // one of those outcomes came after a retry, plus two
             // quarantine-skipped injections: side-tallies only
             counters.record_recovered();
@@ -535,6 +552,8 @@ mod tests {
                     steps_executed,
                     steps_skipped,
                     restores,
+                    converged,
+                    steps_saved,
                     ..
                 } => Some((
                     *injections,
@@ -542,6 +561,7 @@ mod tests {
                     *steps_executed,
                     *steps_skipped,
                     *restores,
+                    (*converged, *steps_saved),
                 )),
                 _ => None,
             })
@@ -556,6 +576,7 @@ mod tests {
         assert_eq!(end.2, 100 + 101 + 102 + 103);
         assert_eq!(end.3, 200);
         assert_eq!(end.4, 4);
+        assert_eq!(end.5, (1, 30));
         // timestamps are monotone
         assert!(events.windows(2).all(|w| w[0].ts_us <= w[1].ts_us));
 

@@ -90,6 +90,8 @@ proptest! {
                 steps_executed: execd,
                 steps_skipped: skipped,
                 restores,
+                converged: restores / 3,
+                steps_saved: skipped / 2,
             }
         };
         assert_roundtrip(ts, event)?;

@@ -418,4 +418,16 @@ echo "== deterministic-report smoke (same seed + chaos knobs => identical bytes)
   --chaos-timeout-one-in 50 --quiet > "$TRACE_TMP/chaos-b.txt" 2>/dev/null
 diff "$TRACE_TMP/chaos-a.txt" "$TRACE_TMP/chaos-b.txt"
 
+echo "== repo benchmark smoke (all four workloads build, run and check their results)"
+# the checks that gate a performance PR (BENCHMARK.json) also run here:
+# the last line of standard output is the result object, and anything but
+# `"correct":true` — a digest that moved, an unaccounted injection, a unit
+# that resolves differently from a checkpoint — fails the gate
+BENCH_OUT="$(bash benchmark/run.sh --smoke 2>/dev/null | tail -n 1)" || true
+grep -q '"correct":true' <<<"$BENCH_OUT" \
+  || { echo "benchmark smoke: $BENCH_OUT"; exit 1; }
+
+echo "== repo benchmark tests (its own package, the shared target directory)"
+cargo test --release --offline -q --manifest-path benchmark/Cargo.toml --target-dir target
+
 echo "CI OK"

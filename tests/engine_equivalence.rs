@@ -6,7 +6,8 @@
 //! SIGKILLed mid-run resumes from its WAL to the same bytes.
 
 use minpsid_repro::faultsim::{
-    golden_run, CampaignConfigBuilder, CampaignEngine, CampaignJournal, GoldenRun, Scheduler,
+    faulty_exec_config, golden_run, CampaignConfig, CampaignConfigBuilder, CampaignEngine,
+    CampaignJournal, GoldenRun, Scheduler,
 };
 use minpsid_repro::interp::ProgInput;
 use minpsid_repro::ir::Module;
@@ -83,6 +84,73 @@ fn all_engine_compositions_are_byte_identical_across_thread_counts() {
             );
         }
     }
+}
+
+/// The golden-convergence early exit changes what a checkpointed
+/// injection executes, never what it resolves to: on every kernel of the
+/// suite a per-instruction campaign from checkpoints — restores, suffix
+/// replay, early exits — is byte-identical, in its report and in the
+/// journal it leaves, to the same campaign with checkpointing disabled,
+/// where every fault is replayed cold from program start to its own end.
+#[test]
+fn checkpointed_per_inst_campaign_equals_cold_replay_on_every_kernel() {
+    use minpsid_repro::interp::{ExecScratch, FaultSpec, FaultTarget, Interp};
+
+    let builder = CampaignConfigBuilder::new(11)
+        .per_inst_injections(3)
+        .expect("valid config");
+    let warm_cfg = builder.clone().build();
+    let cold_cfg = builder.no_checkpoints().build();
+    let run = |module: &Module, input: &ProgInput, golden: &GoldenRun, cfg: &CampaignConfig| {
+        let dir = journal_dir(&format!(
+            "early-exit-{}-{}",
+            module.name,
+            golden.checkpoints.len()
+        ));
+        let journal = CampaignJournal::open(&dir, 0, 0).expect("open journal");
+        let per_inst = CampaignEngine::new(module, input, golden, cfg)
+            .with_journal(&journal, 1)
+            .run_per_instruction()
+            .expect("no interrupt requested");
+        drop(journal);
+        let wal = std::fs::read(dir.join("campaign.wal")).expect("campaign WAL");
+        let _ = std::fs::remove_dir_all(&dir);
+        (format!("{per_inst:?}"), wal)
+    };
+
+    let mut converged = 0;
+    for b in workloads::suite() {
+        let (module, input) = bench_module(b.name);
+        let golden = golden_run(&module, &input, &warm_cfg).expect("golden run");
+        let cold_golden = golden_run(&module, &input, &cold_cfg).expect("golden run");
+        assert!(!golden.checkpoints.is_empty() && cold_golden.checkpoints.is_empty());
+        let (warm_report, warm_wal) = run(&module, &input, &golden, &warm_cfg);
+        let (cold_report, cold_wal) = run(&module, &input, &cold_golden, &cold_cfg);
+        assert_eq!(warm_report, cold_report, "{}: PerInstSdc diverged", b.name);
+        assert_eq!(warm_wal, cold_wal, "{}: WAL bytes diverged", b.name);
+
+        // the identity proves nothing about the early exit unless these
+        // kernels and stores take it: count it on a slice of the same
+        // injection path (`resume_from` under the engine's limits)
+        let interp = Interp::new(&module, faulty_exec_config(&warm_cfg, golden.steps));
+        let mut scratch = ExecScratch::default();
+        let population = golden.profile.injectable_execs;
+        for i in 0..40 {
+            let nth = population / 40 * i;
+            let fault = FaultSpec {
+                target: FaultTarget::NthDynamic(nth),
+                bit: (i % 8) as u32,
+            };
+            if let Some(idx) = golden.checkpoints.nearest_for_dynamic(nth) {
+                let r = interp.resume_from(&mut scratch, &golden.checkpoints, idx, &input, fault);
+                converged += usize::from(r.converged_at.is_some());
+            }
+        }
+    }
+    assert!(
+        converged >= 20,
+        "only {converged} sampled injections converged"
+    );
 }
 
 /// Observability must be a pure observer: the same campaign run with the
