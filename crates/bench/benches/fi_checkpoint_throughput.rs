@@ -90,9 +90,6 @@ struct Row {
     injections: u64,
     cold_s: f64,
     warm_s: f64,
-    /// Checkpointed campaign re-timed with `--dispatch legacy` (the
-    /// tree-walking loop) — the decoded-dispatch A/B column.
-    legacy_s: f64,
     sched_retries_off_s: f64,
     sched_default_s: f64,
     /// Checkpointed campaign re-timed with the interpreter sampling
@@ -138,12 +135,6 @@ impl Row {
     /// Mean wall-clock per injection, in microseconds.
     fn per_injection_us(&self) -> f64 {
         self.warm_s * 1e6 / self.injections as f64
-    }
-
-    /// Decoded-dispatch speedup over the legacy tree-walking loop on the
-    /// same (checkpointed) campaign.
-    fn dispatch_speedup(&self) -> f64 {
-        self.legacy_s / self.warm_s
     }
 
     /// Relative cost of the default scheduler (retry budget 2) over the
@@ -439,22 +430,6 @@ fn main() {
         let cold_s = time_campaign(&module, &input, &g_cold, &cold_cfg);
         let warm_s = time_campaign(&module, &input, &g_warm, &warm_cfg);
 
-        // decoded-vs-legacy dispatch A/B on the same checkpointed
-        // campaign, with its own equivalence gate: the two loops must
-        // produce identical reports before a speedup means anything.
-        let legacy_cfg = CampaignConfigBuilder::new(42)
-            .per_inst_injections(injections() as u64)
-            .expect("positive injection count")
-            .dispatch("legacy")
-            .expect("valid dispatch mode")
-            .build();
-        let g_legacy = golden_run(&module, &input, &legacy_cfg).expect("golden run");
-        let legacy = per_instruction_campaign(&module, &input, &g_legacy, &legacy_cfg);
-        assert_eq!(
-            legacy.sdc_prob, warm.sdc_prob,
-            "{name}: legacy dispatch diverged from decoded dispatch"
-        );
-        let legacy_s = time_campaign(&module, &input, &g_legacy, &legacy_cfg);
         let total_injections: u64 = warm.counts.iter().map(|c| c.total()).sum();
 
         // scheduler overhead: the same checkpointed campaign with the
@@ -612,7 +587,6 @@ fn main() {
             injections: total_injections,
             cold_s,
             warm_s,
-            legacy_s,
             sched_retries_off_s,
             sched_default_s,
             profiled_s,
@@ -639,13 +613,10 @@ fn main() {
             row.snapshot_bytes / 1024
         );
         println!(
-            "bench fi/{:<10} throughput: {:>8.0} inj/s   {:>8.2} us/inj   \
-             legacy {:>8.3} s   dispatch-speedup {:>5.2}x",
+            "bench fi/{:<10} throughput: {:>8.0} inj/s   {:>8.2} us/inj",
             row.name,
             row.injections_per_sec(),
             row.per_injection_us(),
-            row.legacy_s,
-            row.dispatch_speedup()
         );
         println!(
             "bench fi/{:<10} sched: retries-off {:>8.3} s   default {:>8.3} s   \
@@ -707,7 +678,6 @@ fn main() {
              \"snapshot_bytes\": {}, \"injections\": {}, \"cold_s\": {:.4}, \
              \"checkpointed_s\": {:.4}, \"speedup\": {:.3}, \
              \"injections_per_sec\": {:.1}, \"per_injection_us\": {:.2}, \
-             \"legacy_checkpointed_s\": {:.4}, \"dispatch_speedup\": {:.3}, \
              \"sched_retries_off_s\": {:.4}, \
              \"sched_default_s\": {:.4}, \"sched_overhead_pct\": {:.2}, \
              \"profiled_s\": {:.4}, \"profile_overhead_pct\": {:.2}, \
@@ -729,8 +699,6 @@ fn main() {
             r.speedup(),
             r.injections_per_sec(),
             r.per_injection_us(),
-            r.legacy_s,
-            r.dispatch_speedup(),
             r.sched_retries_off_s,
             r.sched_default_s,
             r.sched_overhead_pct(),

@@ -1,5 +1,6 @@
-//! Quick step-rate probe: golden decoded vs legacy steps/sec on hpccg.
-use minpsid_interp::{DispatchMode, ExecConfig, Interp};
+//! Quick step-rate probe: the clean and the observed (profiling) loop's
+//! steps/sec on hpccg's reference input.
+use minpsid_interp::{ExecConfig, Interp};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -7,14 +8,11 @@ fn main() {
     let b = minpsid_workloads::by_name("hpccg").unwrap();
     let module = b.compile();
     let input = b.model.materialize(&b.model.reference());
-    for (name, dispatch) in [
-        ("legacy ", DispatchMode::Legacy),
-        ("decoded", DispatchMode::Decoded),
-    ] {
+    for (name, profile) in [("clean   ", false), ("observed", true)] {
         let interp = Interp::new(
             &module,
             ExecConfig {
-                dispatch,
+                profile,
                 ..ExecConfig::default()
             },
         );

@@ -353,9 +353,6 @@ FI campaign options (fi/analyze/sid/minpsid):
   --snapshot-mode MODE      checkpoint encoding: `delta` (dirty-range
                             diffs with periodic keyframes, the default)
                             or `full` (self-contained snapshots)
-  --dispatch MODE           interpreter loop: `decoded` (pre-decoded
-                            dispatch, the default) or `legacy` (the
-                            tree-walking oracle); results are identical
   --injection-timeout-ms N  per-injection wall-clock budget alongside the
                             step limit (0 = off, the default); overruns
                             classify as engine errors, not hangs
@@ -1945,19 +1942,15 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_mode_and_dispatch_flags_parse() {
-        use minpsid_faultsim::{DispatchMode, SnapshotMode};
+    fn snapshot_mode_flag_parses() {
+        use minpsid_faultsim::SnapshotMode;
         let def = parse_campaign(&args(&[])).unwrap();
         assert_eq!(def.snapshot_mode, SnapshotMode::Delta);
-        assert_eq!(def.exec.dispatch, DispatchMode::Decoded);
 
         let full = parse_campaign(&args(&["--snapshot-mode", "full"])).unwrap();
         assert_eq!(full.snapshot_mode, SnapshotMode::Full);
-        let legacy = parse_campaign(&args(&["--dispatch", "legacy"])).unwrap();
-        assert_eq!(legacy.exec.dispatch, DispatchMode::Legacy);
 
         assert!(parse_campaign(&args(&["--snapshot-mode", "none"])).is_err());
-        assert!(parse_campaign(&args(&["--dispatch", "jit"])).is_err());
     }
 
     #[test]

@@ -2,17 +2,20 @@
 //! fitness is the weighted-CFG distance to the search history, plus the
 //! blind random searcher used as the baseline in Fig. 7.
 //!
-//! The search itself only *profiles* candidate inputs (a single
-//! interpreter run per candidate, via `wcfg::profile_input`); all actual
+//! The search itself only *profiles* candidate inputs (a single run per
+//! candidate on one profiling interpreter built with the engine, so the
+//! module is decoded once per search, not once per candidate); all actual
 //! fault-injection campaigns in the surrounding pipeline go through the
 //! faultsim `CampaignEngine`, which is where the scheduler, journal, and
 //! thread-count knobs attach.
 
 use crate::cache::input_fingerprint;
 use crate::input::{crossover, mutate, InputModel, ParamValue};
-use crate::wcfg::{fitness_score, fitness_score_normalized, indexed_cfg_list, profile_input};
+use crate::wcfg::{
+    fitness_score, fitness_score_normalized, indexed_cfg_list, profile_with, profiling_interp,
+};
 use minpsid_faultsim::{CampaignConfig, Deadline};
-use minpsid_interp::ProgInput;
+use minpsid_interp::{Interp, ProgInput};
 use minpsid_ir::Module;
 use minpsid_trace as trace;
 use rand::rngs::StdRng;
@@ -86,9 +89,9 @@ pub struct SearchOutcome {
 /// The search engine: owns the history of indexed CFG lists against which
 /// fitness is evaluated.
 pub struct SearchEngine<'a> {
-    module: &'a Module,
+    /// The one profiling interpreter every candidate runs on.
+    interp: Interp<'a>,
     model: &'a dyn InputModel,
-    campaign: CampaignConfig,
     ga: GaConfig,
     history: Vec<Vec<u64>>,
     rng: StdRng,
@@ -111,9 +114,8 @@ impl<'a> SearchEngine<'a> {
     ) -> Self {
         let rng = StdRng::seed_from_u64(ga.seed);
         SearchEngine {
-            module,
+            interp: profiling_interp(module, &campaign),
             model,
-            campaign,
             ga,
             history: Vec::new(),
             rng,
@@ -160,7 +162,7 @@ impl<'a> SearchEngine<'a> {
                 list
             }
             None => {
-                let profile = profile_input(self.module, &input, &self.campaign).ok()?;
+                let profile = profile_with(&self.interp, &input).ok()?;
                 let list = indexed_cfg_list(&profile);
                 if let Some(m) = self.memo {
                     m.record_cfg_list(fp, &list);
@@ -377,6 +379,7 @@ fn sort_by_fitness(pop: &mut [ScoredCandidate]) {
 mod tests {
     use super::*;
     use crate::input::{ParamSpec, ParamValue};
+    use crate::wcfg::profile_input;
     use minpsid_interp::Scalar;
 
     struct ToyModel {

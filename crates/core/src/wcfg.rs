@@ -5,23 +5,36 @@ use minpsid_faultsim::CampaignConfig;
 use minpsid_interp::{ExecConfig, Interp, Profile, ProgInput, Termination};
 use minpsid_ir::Module;
 
+/// A profiling interpreter for `module` under the campaign's limits.
+/// Building one decodes the module, so callers that profile many inputs
+/// (the search engine) build it once and go through [`profile_with`].
+pub(crate) fn profiling_interp<'m>(module: &'m Module, campaign: &CampaignConfig) -> Interp<'m> {
+    let exec = ExecConfig {
+        profile: true,
+        ..campaign.exec.clone()
+    };
+    Interp::new(module, exec)
+}
+
+/// Execute `input` once on a [`profiling_interp`] and return the profile.
+/// Fails on inputs that error out (those are filtered, per the
+/// input-generation rules of §III-A2).
+pub(crate) fn profile_with(interp: &Interp<'_>, input: &ProgInput) -> Result<Profile, Termination> {
+    let r = interp.run(input);
+    if r.termination != Termination::Exit {
+        return Err(r.termination);
+    }
+    Ok(r.profile.expect("profiling enabled"))
+}
+
 /// Execute `input` once with profiling and return the profile — the
-/// dynamic-profiling step ⑤ of Fig. 4. Fails on inputs that error out
-/// (those are filtered, per the input-generation rules of §III-A2).
+/// dynamic-profiling step ⑤ of Fig. 4. Fails on inputs that error out.
 pub fn profile_input(
     module: &Module,
     input: &ProgInput,
     campaign: &CampaignConfig,
 ) -> Result<Profile, Termination> {
-    let exec = ExecConfig {
-        profile: true,
-        ..campaign.exec.clone()
-    };
-    let r = Interp::new(module, exec).run(input);
-    if r.termination != Termination::Exit {
-        return Err(r.termination);
-    }
-    Ok(r.profile.expect("profiling enabled"))
+    profile_with(&profiling_interp(module, campaign), input)
 }
 
 /// The indexed weighted-CFG list of a profile: per-basic-block dynamic

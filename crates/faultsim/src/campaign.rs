@@ -175,10 +175,11 @@ impl GoldenRun {
 /// cleanly — campaign inputs must be error-free, matching the paper's
 /// input-generation rule §III-A2.
 ///
-/// Two passes: a profiled pass (the profile is needed anyway and its
-/// overhead would be charged to every snapshot clone), then an unprofiled
-/// checkpointed pass whose interval is tuned from the first pass's step
-/// count.
+/// One observed pass on one interpreter yields the profile, the
+/// checkpoint store and the run's ending together. Under
+/// [`CheckpointPolicy::Auto`] the capture interval is a function of the
+/// run's length, which nothing knows before the run: an unobserved sizing
+/// pass (the bare decoded loop) measures it first.
 pub fn golden_run(
     module: &Module,
     input: &ProgInput,
@@ -189,36 +190,34 @@ pub fn golden_run(
         profile: true,
         ..cfg.exec.clone()
     };
-    let r = Interp::new(module, exec).run(input);
-    if r.termination != Termination::Exit {
-        return Err(r.termination);
-    }
-
+    let interp = Interp::new(module, exec);
     let interval = match cfg.checkpoints {
-        CheckpointPolicy::Auto => Some(auto_interval(r.steps, cfg.max_checkpoints)),
+        CheckpointPolicy::Auto => {
+            let sizing = interp.run_unobserved(input);
+            if sizing.termination != Termination::Exit {
+                return Err(sizing.termination);
+            }
+            Some(auto_interval(sizing.steps, cfg.max_checkpoints))
+        }
         CheckpointPolicy::Every(n) => Some(n.max(1)),
         CheckpointPolicy::Disabled => None,
     };
-    let checkpoints = match interval {
+    let (r, checkpoints) = match interval {
         Some(interval) => {
             let _span = trace::span("checkpoint_capture");
-            let exec = ExecConfig {
-                profile: false,
-                ..cfg.exec.clone()
-            };
             let ck_cfg = CheckpointConfig {
                 interval,
                 mem_budget_bytes: cfg.checkpoint_mem_budget,
                 mode: cfg.snapshot_mode,
                 keyframe_every: cfg.keyframe_every,
             };
-            let (r2, store) = Interp::new(module, exec).run_with_checkpoint_store(input, ck_cfg);
-            debug_assert_eq!(r2.output, r.output, "checkpointed replay diverged");
-            debug_assert_eq!(r2.steps, r.steps);
-            store
+            interp.run_with_checkpoint_store(input, ck_cfg)
         }
-        None => CheckpointStore::default(),
+        None => (interp.run(input), CheckpointStore::default()),
     };
+    if r.termination != Termination::Exit {
+        return Err(r.termination);
+    }
 
     Ok(GoldenRun {
         output: r.output,

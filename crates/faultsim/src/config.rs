@@ -24,7 +24,7 @@
 //! [`deadline_secs`](CampaignConfigBuilder::deadline_secs).
 
 use crate::campaign::{CampaignConfig, CheckpointPolicy};
-use minpsid_interp::{DispatchMode, SnapshotMode};
+use minpsid_interp::SnapshotMode;
 
 /// Builder for [`CampaignConfig`] with every validation rule in one
 /// place. Setters take raw values and reject invalid ones with the same
@@ -132,19 +132,6 @@ impl CampaignConfigBuilder {
         Ok(self)
     }
 
-    /// Interpreter dispatch: `decoded` (the default pre-decoded hot
-    /// loop) or `legacy` (the original tree-walking loop, kept as the
-    /// equivalence oracle). Profiling and tracing runs use the legacy
-    /// loop regardless.
-    pub fn dispatch(mut self, v: &str) -> Result<Self, String> {
-        self.cfg.exec.dispatch = match v {
-            "decoded" => DispatchMode::Decoded,
-            "legacy" => DispatchMode::Legacy,
-            _ => return Err(format!("bad --dispatch `{v}` (want `legacy` or `decoded`)")),
-        };
-        Ok(self)
-    }
-
     /// Per-injection wall-clock budget in milliseconds; 0 (the default)
     /// disables it.
     pub fn injection_timeout_ms(mut self, ms: u64) -> Self {
@@ -221,8 +208,8 @@ impl CampaignConfigBuilder {
     /// irrelevant to campaigns are ignored, so front ends can mix their
     /// own flags in freely): `--seed`, `--quick`, `--injections`,
     /// `--per-inst`, `--threads`, `--checkpoint-interval`,
-    /// `--no-checkpoints`, `--snapshot-mode`, `--dispatch`,
-    /// `--injection-timeout-ms`, the two chaos knobs, `--max-retries`,
+    /// `--no-checkpoints`, `--snapshot-mode`, `--injection-timeout-ms`,
+    /// the two chaos knobs, `--max-retries`,
     /// `--quarantine-after`, `--quarantine-cap`, `--ci-half-width` and
     /// `--deadline-secs`.
     pub fn from_flags(rest: &[String]) -> Result<Self, String> {
@@ -252,9 +239,6 @@ impl CampaignConfigBuilder {
         }
         if let Some(v) = flag_value(rest, "--snapshot-mode")? {
             b = b.snapshot_mode(&v)?;
-        }
-        if let Some(v) = flag_value(rest, "--dispatch")? {
-            b = b.dispatch(&v)?;
         }
         if let Some(ms) = parse_u64(rest, "--injection-timeout-ms")? {
             b = b.injection_timeout_ms(ms);
@@ -402,22 +386,16 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_mode_and_dispatch_parse_and_reject_nonsense() {
+    fn snapshot_mode_parses_and_rejects_nonsense() {
         let c = CampaignConfigBuilder::from_flags(&args(&["--snapshot-mode", "full"]))
             .unwrap()
             .build();
         assert_eq!(c.snapshot_mode, SnapshotMode::Full);
-        let c = CampaignConfigBuilder::from_flags(&args(&["--dispatch", "legacy"]))
-            .unwrap()
-            .build();
-        assert_eq!(c.exec.dispatch, DispatchMode::Legacy);
         let d = CampaignConfigBuilder::from_flags(&args(&[]))
             .unwrap()
             .build();
         assert_eq!(d.snapshot_mode, SnapshotMode::Delta, "campaign default");
-        assert_eq!(d.exec.dispatch, DispatchMode::Decoded, "default hot loop");
         assert!(CampaignConfigBuilder::from_flags(&args(&["--snapshot-mode", "sparse"])).is_err());
-        assert!(CampaignConfigBuilder::from_flags(&args(&["--dispatch", "jit"])).is_err());
     }
 
     #[test]

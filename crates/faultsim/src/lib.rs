@@ -54,9 +54,9 @@ pub use engine::{
     ProgramUnitExecutor,
 };
 pub use table::{table_sig, TableKind, TableMemo, TableStatsSnapshot, TABLE_ARTIFACT};
-// Interpreter knobs that ride on CampaignConfig, re-exported so front
+// The interpreter knob that rides on CampaignConfig, re-exported so front
 // ends keep a single import path.
-pub use minpsid_interp::{DispatchMode, SnapshotMode};
+pub use minpsid_interp::SnapshotMode;
 pub use minpsid_journal::{interrupt, CampaignJournal, Interrupted};
 // The Wilson-interval code lives in minpsid-sched (the scheduler's
 // early-stop rule is built on it); re-exported here so campaign callers

@@ -27,7 +27,7 @@
 //! an exact comparison against the restored checkpoint before the run
 //! exits, so a collision can cost time but never an outcome. Both sides
 //! hash the same logical content (`FrameView`), whichever form holds
-//! it — the legacy `Frame` stack at capture, the decoded arenas here.
+//! it — the canonical `Frame` stack at capture, the decoded arenas here.
 //!
 //! Cost is bounded two ways, both deterministic counts:
 //!
@@ -61,7 +61,7 @@ pub(crate) struct FrameView<'a> {
 }
 
 impl<'a> FrameView<'a> {
-    fn of_legacy(f: &'a Frame) -> Self {
+    fn of_canonical(f: &'a Frame) -> Self {
         FrameView {
             func: f.func.0,
             block: f.block.0,
@@ -134,10 +134,10 @@ pub(crate) fn state_digest<'a>(
     h ^ h >> 29
 }
 
-/// [`state_digest`] of a state held in legacy form (the capture side).
+/// [`state_digest`] of a state held in canonical form (the capture side).
 pub(crate) fn digest_of(st: &MachineState) -> u64 {
     state_digest(
-        st.frames.iter().map(FrameView::of_legacy),
+        st.frames.iter().map(FrameView::of_canonical),
         &st.mem,
         &st.stack_mem,
         st.output.len(),
@@ -166,26 +166,41 @@ pub(crate) struct DecodedView<'a> {
     pub(crate) out_len: usize,
 }
 
+/// The call stack of a decoded run as [`FrameView`]s. `top_pc` is the
+/// logical pc of the running frame, whose [`DFrame::pc`] is stale while
+/// the loop caches it in a local; suspended frames sit at their call.
+pub(crate) fn frame_views<'a>(
+    dm: &'a DecodedModule,
+    dframes: &'a [DFrame],
+    top_pc: u32,
+    regs: &'a [Value],
+    args: &'a [Value],
+) -> impl Iterator<Item = FrameView<'a>> {
+    let last = dframes.len() - 1;
+    dframes.iter().enumerate().map(move |(i, f)| {
+        let df = &dm.funcs[f.func as usize];
+        let (block, pos) = df.locate(if i == last { top_pc } else { f.pc });
+        let nregs = df.num_regs as usize - df.consts.len();
+        FrameView {
+            func: f.func,
+            block: block as u32,
+            pos,
+            sp_base: f.sp_base,
+            regs: &regs[f.reg_base..f.reg_base + nregs],
+            args: &args[f.arg_base..f.arg_base + f.arg_len],
+        }
+    })
+}
+
 impl<'a> DecodedView<'a> {
-    fn frames(&self) -> impl Iterator<Item = FrameView<'a>> + '_ {
-        let last = self.dframes.len() - 1;
-        let top_pc = (self.pc + self.half) as u32;
-        self.dframes.iter().enumerate().map(move |(i, f)| {
-            let df = &self.dm.funcs[f.func as usize];
-            let pc = if i == last { top_pc } else { f.pc };
-            // every instruction keeps its own slot, so the block is the
-            // last one entered at or before pc (see `DFunc::block_entry`)
-            let block = df.block_entry.partition_point(|&e| e <= pc) - 1;
-            let nregs = df.num_regs as usize - df.consts.len();
-            FrameView {
-                func: f.func,
-                block: block as u32,
-                pos: (pc - df.block_entry[block]) as usize,
-                sp_base: f.sp_base,
-                regs: &self.regs[f.reg_base..f.reg_base + nregs],
-                args: &self.args[f.arg_base..f.arg_base + f.arg_len],
-            }
-        })
+    fn frames(&self) -> impl Iterator<Item = FrameView<'a>> {
+        frame_views(
+            self.dm,
+            self.dframes,
+            (self.pc + self.half) as u32,
+            self.regs,
+            self.args,
+        )
     }
 
     fn digest(&self) -> u64 {
@@ -205,7 +220,7 @@ impl<'a> DecodedView<'a> {
             && golden.mem == self.mem
             && golden.stack_mem == self.stack_mem
             && self.frames().zip(&golden.frames).all(|(a, g)| {
-                let g = FrameView::of_legacy(g);
+                let g = FrameView::of_canonical(g);
                 (a.func, a.block, a.pos, a.sp_base) == (g.func, g.block, g.pos, g.sp_base)
                     && values_eq(a.regs, g.regs)
                     && values_eq(a.args, g.args)

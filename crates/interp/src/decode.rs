@@ -1,12 +1,13 @@
-//! Pre-decoded dispatch: the campaign hot path.
+//! Pre-decoded dispatch: the one execution engine.
 //!
-//! The legacy interpreter loop ([`Interp::run`]'s `run_inner`) re-derives
-//! everything per step from the IR: frame → function → block → inst-id →
-//! inst → dense index is a chain of six dependent loads before the opcode
-//! match even starts. Fault-injection campaigns execute that loop billions
-//! of times on replayed suffixes, so [`Interp::new`] lowers the module once
-//! into a flat [`DecodedModule`]: one contiguous `Vec<DInst>` per function,
-//! indexed by a single program counter, with
+//! A tree walk over the IR (the reference [`crate::oracle`]) re-derives
+//! everything per step: frame → function → block → inst-id → inst → dense
+//! index is a chain of six dependent loads before the opcode match even
+//! starts. Fault-injection campaigns execute billions of steps on replayed
+//! suffixes and the input search profiles every candidate, so
+//! [`Interp::new`] lowers the module once into a flat [`DecodedModule`]:
+//! one contiguous `Vec<DInst>` per function, indexed by a single program
+//! counter, with
 //!
 //! * operands pre-resolved to dense register indices or immediate values
 //!   ([`Opd`]) — no `Operand::Value(id)` indirection at run time;
@@ -16,13 +17,13 @@
 //!   operands (`BinII`, `CmpFF`, …), falling back to the generic pair
 //!   match when types are mixed or unknown. Specialized ops still verify
 //!   the runtime variant, so semantics — including every trap — are
-//!   bit-identical to the legacy tree walk;
+//!   bit-identical to the reference tree walk;
 //! * the two hottest adjacent pairs fused into superinstructions:
 //!   cmp+cond-branch ([`DOp::CmpBr`]) and load+binop ([`DOp::LoadBin`]).
 //!
 //! ## Superinstruction layout and snapshot resume
 //!
-//! Fusion must not disturb the pc ↔ (block, pos) mapping, because legacy
+//! Fusion must not disturb the pc ↔ (block, pos) mapping, because
 //! snapshots store frame positions in (block, pos) form and a resumed run
 //! may land *between* the two halves of a pair. So a fused pair emits the
 //! superinstruction at the first instruction's pc **and** a standalone
@@ -32,10 +33,18 @@
 //! the standalone copy. Jump targets are always block starts, so no branch
 //! can land inside a pair.
 //!
-//! Fused ops replicate the legacy per-instruction sequence for *each*
+//! Fused ops replicate the reference per-instruction sequence for *each*
 //! half: step increment, step-limit check, deadline poll, operand traps,
 //! injection counting, fault application, register write — in that order —
 //! so step counts, injection indices and trap points are bit-identical.
+//!
+//! ## Observers
+//!
+//! The loop is monomorphized three ways (see [`exec_loop`]): *clean*,
+//! *armed* (fault pending) and *observed*. The observed instantiation
+//! carries the profile, trace and checkpoint-capture observers of
+//! [`crate::observe`] and is what every golden run and every GA candidate
+//! evaluation executes on; the other two compile them out.
 //!
 //! ## The scratch arena
 //!
@@ -53,10 +62,12 @@
 
 use crate::converge::{Converge, ConvergeStats, DecodedView};
 use crate::exec::{
-    bit_equal, cmp_ord, ExecResult, Interp, MachineState, Termination, TrapKind, STACK_TAG,
+    bit_equal, cmp_ord, ExecResult, Interp, MachineState, Termination, TraceEvent, TrapKind,
+    STACK_TAG,
 };
 use crate::fault::{flip_bit, FaultSpec, FaultTarget};
-use crate::snapshot::CheckpointStore;
+use crate::observe::Observers;
+use crate::snapshot::{CheckpointCollector, CheckpointStore};
 use crate::value::{Output, Scalar, Stream, Value};
 use minpsid_ir::{BinOp, CmpOp, Function, InstKind, Module, Operand, Ty, UnOp};
 
@@ -214,8 +225,8 @@ pub(crate) enum DOp {
     /// Fused pair of adjacent binary ops (a multiply feeding an
     /// accumulate, or two independent updates). The second half's
     /// operands are fetched *after* the first half's (possibly faulted)
-    /// result is written, so a dependent pair reads exactly what legacy
-    /// sequential execution reads.
+    /// result is written, so a dependent pair reads exactly what the
+    /// oracle's sequential execution reads.
     BinBin {
         op1: BinOp,
         a1: Opd,
@@ -618,7 +629,7 @@ impl DOp {
 }
 
 /// One decoded instruction slot: the op plus the static per-instruction
-/// metadata the legacy loop looked up per step.
+/// metadata the oracle looks up per step.
 #[derive(Debug, Clone)]
 pub(crate) struct DInst {
     pub(crate) op: DOp,
@@ -635,7 +646,7 @@ pub(crate) struct DFunc {
     pub(crate) code: Vec<DInst>,
     /// `pc_of(block, pos) = block_entry[block] + pos`: every instruction
     /// keeps its own slot (fusion emits a standalone second-half copy),
-    /// so the mapping from legacy frame positions is plain arithmetic.
+    /// so the mapping from canonical frame positions is plain arithmetic.
     pub(crate) block_entry: Vec<u32>,
     /// Frame arena size: instruction count plus `consts.len()`. The
     /// first `num_regs - consts.len()` slots are registers, the tail
@@ -643,6 +654,19 @@ pub(crate) struct DFunc {
     pub(crate) num_regs: u32,
     /// Interned constants, copied into the arena tail at frame entry.
     pub(crate) consts: Vec<Value>,
+    /// Code slots of all earlier functions: this function's base into
+    /// module-wide per-slot tables (see [`crate::observe`]).
+    pub(crate) slot_base: usize,
+}
+
+impl DFunc {
+    /// The (block, position) of the instruction whose slot is `pc`: every
+    /// instruction keeps its own slot, so the block is the last one
+    /// entered at or before `pc`.
+    pub(crate) fn locate(&self, pc: u32) -> (usize, usize) {
+        let block = self.block_entry.partition_point(|&e| e <= pc) - 1;
+        (block, (pc - self.block_entry[block]) as usize)
+    }
 }
 
 /// The whole module, lowered once at [`Interp::new`].
@@ -680,6 +704,8 @@ pub struct ExecScratch {
     /// [`crate::converge`]).
     shadow: MachineState,
     converge_stats: ConvergeStats,
+    /// What the observed loop records (see [`crate::observe`]).
+    obs: Observers,
 }
 
 impl ExecScratch {
@@ -723,9 +749,9 @@ impl ExecScratch {
         });
     }
 
-    /// Convert the restored legacy frames in `self.st` into decoded
-    /// frames (a snapshot-resume entry point). The legacy frames stay in
-    /// `st` untouched; the decoded run never reads them.
+    /// Convert the restored canonical frames in `self.st` into decoded
+    /// frames (a snapshot-resume entry point). The canonical frames stay
+    /// in `st` untouched; the decoded run never reads them.
     pub(crate) fn enter_decoded(&mut self, dm: &DecodedModule) {
         self.dframes.clear();
         self.regs.clear();
@@ -736,7 +762,7 @@ impl ExecScratch {
             let pc = df.block_entry[f.block.index()] + f.pos as u32;
             let reg_base = self.regs.len();
             let arg_base = self.args.len();
-            // legacy frames carry register slots only; re-materialize
+            // canonical frames carry register slots only; re-materialize
             // the const tail the decoded arena layout expects
             self.regs.extend_from_slice(&f.regs);
             self.regs.extend_from_slice(&df.consts);
@@ -810,11 +836,14 @@ impl OpdCx {
 }
 
 pub(crate) fn decode_module(m: &Module) -> DecodedModule {
-    let mut funcs = Vec::with_capacity(m.funcs.len());
+    let mut funcs: Vec<DFunc> = Vec::with_capacity(m.funcs.len());
     let mut dense_base = 0u32;
+    let mut slot_base = 0usize;
     for f in &m.funcs {
-        funcs.push(decode_func(f, dense_base));
+        let df = decode_func(f, dense_base, slot_base);
         dense_base += f.insts.len() as u32;
+        slot_base += df.code.len();
+        funcs.push(df);
     }
     // static fusion coverage for the sampling profiler: carrying
     // superinstruction slots vs all decoded slots
@@ -834,7 +863,7 @@ pub(crate) fn decode_module(m: &Module) -> DecodedModule {
     }
 }
 
-fn decode_func(f: &Function, dense_base: u32) -> DFunc {
+fn decode_func(f: &Function, dense_base: u32, slot_base: usize) -> DFunc {
     let cx = OpdCx::new(f);
     let mut block_entry = Vec::with_capacity(f.blocks.len());
     let mut pc = 0u32;
@@ -951,6 +980,7 @@ fn decode_func(f: &Function, dense_base: u32) -> DFunc {
         block_entry,
         num_regs: f.insts.len() as u32 + consts.len() as u32,
         consts,
+        slot_base,
     }
 }
 
@@ -1648,24 +1678,80 @@ fn decode_inst(
     }
 }
 
-/// The decoded hot loop. Semantics (including step accounting, trap
-/// points, injection ordering and fault application) are bit-identical to
-/// the legacy `run_inner`; the profile, trace and checkpoint observers are
-/// deliberately absent — runs needing them route to the legacy loop.
+/// Run the decoded loop from the state in `scratch` to a termination.
+/// Semantics (step accounting, trap points, injection ordering, fault
+/// application, every observer) are bit-identical to the reference walk
+/// in [`crate::oracle`].
 ///
-/// The loop is monomorphized twice via `exec_loop::<ARMED>`: the *armed*
-/// variant carries the injection counters and the fault-fire check, the
-/// *clean* variant strips every per-step fault cost. A faulty run executes
-/// armed only up to the flip, then finishes clean; a golden run is clean
-/// from the first step. Nothing observes the injection counters after the
-/// fault has fired (checkpointing runs use the legacy loop), so dropping
-/// them mid-run is invisible.
+/// A run that wants a profile or a trace (per the interpreter's config)
+/// executes on the *observed* instantiation from its first step to its
+/// last; any other run goes through [`run_unobserved`], which is also
+/// what `golden` — the checkpoint store the run resumed from, if any —
+/// is for.
+pub(crate) fn run_decoded(
+    interp: &Interp<'_>,
+    scratch: &mut ExecScratch,
+    input: &crate::value::ProgInput,
+    fault: Option<FaultSpec>,
+    golden: Option<&CheckpointStore>,
+) -> ExecResult {
+    let cfg = interp.config();
+    if cfg.profile || cfg.trace {
+        run_observed(interp, scratch, input, fault, None)
+    } else {
+        run_unobserved(interp, scratch, input, fault, golden)
+    }
+}
+
+/// A fault-free run on the observed instantiation that captures
+/// checkpoints into `ckpt` (and profiles or traces, if the config says
+/// so); hands the collector back with what it captured.
+pub(crate) fn run_capturing(
+    interp: &Interp<'_>,
+    scratch: &mut ExecScratch,
+    input: &crate::value::ProgInput,
+    ckpt: CheckpointCollector,
+) -> (ExecResult, CheckpointCollector) {
+    let r = run_observed(interp, scratch, input, None, Some(ckpt));
+    let ckpt = scratch.obs.ckpt.take().expect("the run had a collector");
+    (r, ckpt)
+}
+
+fn run_observed(
+    interp: &Interp<'_>,
+    scratch: &mut ExecScratch,
+    input: &crate::value::ProgInput,
+    fault: Option<FaultSpec>,
+    ckpt: Option<CheckpointCollector>,
+) -> ExecResult {
+    let resumed_at = (scratch.st.steps > 0).then_some(scratch.st.steps);
+    scratch.converge_stats = ConvergeStats::default();
+    scratch
+        .obs
+        .begin(interp, ckpt, &scratch.dframes, scratch.st.steps);
+    run_loop::<true, true>(
+        interp,
+        scratch,
+        input,
+        fault,
+        resumed_at,
+        &mut Converge::off(),
+    )
+    .expect("the observed loop always runs to a termination")
+}
+
+/// The observer-free run: the *armed* instantiation carries the injection
+/// counters and the fault-fire check, the *clean* one strips every
+/// per-step fault cost. A faulty run executes armed only up to the flip,
+/// then finishes clean; a fault-free run is clean from the first step.
+/// Nothing observes the injection counters after the fault has fired, so
+/// dropping them mid-run is invisible.
 ///
 /// `golden` is the checkpoint store the run resumed from, if any: once
 /// the fault has fired, the clean phase pauses at its later checkpoints
 /// and finishes early when the state has converged onto the golden run
 /// (see [`crate::converge`]).
-pub(crate) fn run_decoded(
+pub(crate) fn run_unobserved(
     interp: &Interp<'_>,
     scratch: &mut ExecScratch,
     input: &crate::value::ProgInput,
@@ -1676,14 +1762,16 @@ pub(crate) fn run_decoded(
     scratch.converge_stats = ConvergeStats::default();
     let mut conv = Converge::off();
     if fault.is_some() && !scratch.st.fault_applied {
-        if let Some(r) = exec_loop::<true>(interp, scratch, input, fault, resumed_at, &mut conv) {
+        if let Some(r) =
+            run_loop::<true, false>(interp, scratch, input, fault, resumed_at, &mut conv)
+        {
             return r;
         }
         if let Some(store) = golden {
             conv = Converge::new(interp, store, resumed_at, scratch.st.steps);
         }
     }
-    let r = exec_loop::<false>(interp, scratch, input, fault, resumed_at, &mut conv)
+    let r = run_loop::<false, false>(interp, scratch, input, fault, resumed_at, &mut conv)
         .expect("the clean loop always runs to a termination");
     scratch.converge_stats = conv.stats;
     r
@@ -1704,12 +1792,30 @@ fn unlikely(b: bool) -> bool {
     b
 }
 
-/// One monomorphized interpreter loop; see [`run_decoded`]. Returns
-/// `Some(result)` on termination. The armed variant (`ARMED = true`)
-/// additionally returns `None` at the first instruction boundary after
-/// the fault fires, with the current frame's pc synced back into the
-/// scratch so the clean variant can pick up mid-run.
-fn exec_loop<const ARMED: bool>(
+/// Why [`exec_loop`] returned. Deliberately small: the loop has hundreds
+/// of exits, and each only has to say this much.
+enum Stop {
+    /// Armed only: the fault has fired at the last instruction; the run
+    /// continues on the clean loop.
+    Handoff,
+    /// Clean only: the state equals the golden run's at the checkpoint
+    /// just visited.
+    Converged,
+    /// The run is over. `executed`: whether the instruction in flight, at
+    /// logical pc `top_pc` of the running frame, got past its step
+    /// accounting (false only when the accounting itself ends the run).
+    End {
+        termination: Termination,
+        ret: Option<Value>,
+        executed: bool,
+        top_pc: usize,
+    },
+}
+
+/// One instantiation of [`exec_loop`] from the state in `scratch`, and the
+/// result of the run if it ended there (`None`: the armed loop handed
+/// off; see [`Stop`]).
+fn run_loop<const ARMED: bool, const OBS: bool>(
     interp: &Interp<'_>,
     scratch: &mut ExecScratch,
     input: &crate::value::ProgInput,
@@ -1717,6 +1823,66 @@ fn exec_loop<const ARMED: bool>(
     resumed_at: Option<u64>,
     conv: &mut Converge<'_>,
 ) -> Option<ExecResult> {
+    match exec_loop::<ARMED, OBS>(interp, scratch, input, fault, conv) {
+        Stop::Handoff => None,
+        Stop::Converged => Some(conv.finish(&mut scratch.st.output)),
+        Stop::End {
+            termination,
+            ret,
+            executed,
+            top_pc,
+        } => {
+            let st = &mut scratch.st;
+            let result = ExecResult {
+                termination,
+                output: std::mem::take(&mut st.output),
+                profile: None,
+                steps: st.steps,
+                fault_applied: st.fault_applied,
+                ret,
+                trace: None,
+                resumed_at,
+                converged_at: None,
+            };
+            Some(if OBS {
+                scratch.obs.finish(
+                    interp,
+                    &scratch.dframes,
+                    top_pc as u32,
+                    executed,
+                    result,
+                    st.inj_ctr,
+                )
+            } else {
+                result
+            })
+        }
+    }
+}
+
+/// The interpreter loop, monomorphized three ways; see [`run_decoded`].
+/// Runs until the run ends or has to continue elsewhere, writes the step
+/// counter back into the scratch and says why it stopped.
+///
+/// * clean (`ARMED = false`): no injection counters, no fault check;
+///   pauses at golden checkpoints for the convergence early exit.
+/// * armed (`ARMED = true`): counts injectable value productions and
+///   fires the fault; stops at the first instruction boundary after the
+///   flip, with the current frame's pc synced back into the scratch so
+///   the clean variant can pick up mid-run.
+/// * observed (`ARMED = OBS = true`): armed, never hands off, and drives
+///   the scratch's [`Observers`] — taken-branch counters, call/return
+///   bookkeeping, the register write trace, per-instruction injection
+///   counts and checkpoint capture (folded into the `next_pause`
+///   compare). `OBS` without `ARMED` is not instantiated: capture needs
+///   the injection counters.
+fn exec_loop<const ARMED: bool, const OBS: bool>(
+    interp: &Interp<'_>,
+    scratch: &mut ExecScratch,
+    input: &crate::value::ProgInput,
+    fault: Option<FaultSpec>,
+    conv: &mut Converge<'_>,
+) -> Stop {
     let dm = interp.decoded();
     let step_limit = interp.config().step_limit;
     let mem_limit = interp.config().mem_limit;
@@ -1733,6 +1899,7 @@ fn exec_loop<const ARMED: bool>(
         args,
         shadow,
         converge_stats: _,
+        obs,
     } = scratch;
     let MachineState {
         frames: _,
@@ -1765,6 +1932,11 @@ fn exec_loop<const ARMED: bool>(
     let mut arg_base = top.arg_base;
     let mut arg_len = top.arg_len;
     let mut code: &[DInst] = &dm.funcs[top.func as usize].code;
+    // observed only: the running function's base into the taken-branch
+    // counters, and the offset of the instruction in flight from the slot
+    // carrying it (`pc + half_l` is its logical pc when a run stops)
+    let mut br_base = 2 * dm.funcs[top.func as usize].slot_base;
+    let mut half_l = 0usize;
 
     // the step counter lives in a register-resident local for the whole
     // loop; every exit path writes it back through `finish!` (or the
@@ -1773,8 +1945,8 @@ fn exec_loop<const ARMED: bool>(
     // one threshold folds the per-step limit check and the periodic
     // deadline poll into a single compare: `next_pause` is the next step
     // count at which *something* must happen — the step limit expiring
-    // (at exactly step_limit + 1, as legacy) or a wall-clock poll (at
-    // the next multiple of 8192, as legacy). With no deadline set — every
+    // (at exactly step_limit + 1, as the oracle) or a wall-clock poll (at
+    // the next multiple of 8192, as the oracle). With no deadline set — every
     // campaign run — the poll term is u64::MAX and the compare is the
     // only per-step accounting cost.
     let next_pause_after = |steps: u64| -> u64 {
@@ -1799,21 +1971,35 @@ fn exec_loop<const ARMED: bool>(
     // checkpoint at which the (clean-phase) state is compared with the
     // golden run's; u64::MAX when early exit is off for this run
     let mut conv_at = if ARMED { u64::MAX } else { conv.next_at() };
-    let mut next_pause = next_pause_after(steps_l).min(next_sample).min(conv_at);
+    // checkpoint-capture boundary, folded into the same compare: one past
+    // the completed-step count at which the next capture is due (the
+    // pause sits in the tick of the instruction that follows the
+    // boundary); u64::MAX when nothing is captured
+    let mut cap_at = if OBS {
+        obs.capture_at(steps_l)
+    } else {
+        u64::MAX
+    };
+    let mut next_pause = next_pause_after(steps_l)
+        .min(next_sample)
+        .min(conv_at)
+        .min(cap_at);
+    // `$executed`: whether the instruction in flight got past its step
+    // accounting (false only when the tick itself ends the run)
     macro_rules! finish {
-        ($term:expr, $ret:expr) => {{
+        ($term:expr, $ret:expr) => {
+            finish!($term, $ret, true)
+        };
+        ($term:expr, $ret:expr, $executed:expr) => {{
+            // no run ends twice: every exit is off the hot path
+            cold();
             *steps = steps_l;
-            return Some(ExecResult {
+            return Stop::End {
                 termination: $term,
-                output: std::mem::take(output),
-                profile: None,
-                steps: steps_l,
-                fault_applied: *fault_applied,
                 ret: $ret,
-                trace: None,
-                resumed_at,
-                converged_at: None,
-            });
+                executed: $executed,
+                top_pc: pc + half_l,
+            };
         }};
     }
     macro_rules! trap {
@@ -1821,9 +2007,9 @@ fn exec_loop<const ARMED: bool>(
             finish!(Termination::Trap($kind), None)
         };
     }
-    // legacy per-step prologue: increment, limit check, coarse deadline
-    // poll, profiler sample, convergence boundary — all behind the one
-    // folded compare. `$di` is the carrying instruction, so fused halves
+    // per-step prologue: increment, checkpoint capture, limit check,
+    // coarse deadline poll, profiler sample, convergence boundary — all
+    // behind the one folded compare. `$di` is the carrying instruction, so fused halves
     // attribute their sample to the superinstruction; `$half` is the
     // instruction's offset from the carrying slot (0 at the loop top), so
     // `pc + $half` is the standalone slot of the instruction about to
@@ -1831,16 +2017,34 @@ fn exec_loop<const ARMED: bool>(
     macro_rules! tick {
         ($di:expr, $half:expr) => {
             steps_l += 1;
+            if OBS {
+                half_l = $half;
+            }
             if unlikely(steps_l >= next_pause) {
-                // cold: the limit expired, a deadline poll is due, a
-                // profiler sample is due, or a golden checkpoint boundary
-                // was reached
+                // cold: a capture is due, the limit expired, a deadline
+                // poll is due, a profiler sample is due, or a golden
+                // checkpoint boundary was reached
+                if OBS && steps_l >= cap_at {
+                    // due before this instruction, on completed steps:
+                    // the state is the one after `steps_l - 1` steps
+                    obs.capture(
+                        dm,
+                        dframes.as_slice(),
+                        (pc + $half) as u32,
+                        regs.as_slice(),
+                        args.as_slice(),
+                        (&mut *mem, &mut *stack_mem, &mut *output),
+                        steps_l - 1,
+                        *inj_ctr,
+                    );
+                    cap_at = obs.capture_at(steps_l);
+                }
                 if steps_l > step_limit {
-                    finish!(Termination::StepLimit, None);
+                    finish!(Termination::StepLimit, None, false);
                 }
                 if let Some(d) = deadline {
                     if std::time::Instant::now() >= d {
-                        finish!(Termination::WallClock, None);
+                        finish!(Termination::WallClock, None, false);
                     }
                 }
                 if steps_l >= next_sample {
@@ -1862,15 +2066,27 @@ fn exec_loop<const ARMED: bool>(
                     };
                     if conv.visit(&view, shadow) {
                         *steps = steps_l - 1;
-                        return Some(conv.finish(output));
+                        return Stop::Converged;
                     }
                     conv_at = conv.next_at();
                 }
-                next_pause = next_pause_after(steps_l).min(next_sample).min(conv_at);
+                next_pause = next_pause_after(steps_l)
+                    .min(next_sample)
+                    .min(conv_at)
+                    .min(cap_at);
             }
         };
     }
-    // operand fetch; trap order (UndefRead before type checks) matches legacy
+    // observed only: count the taken branch of the control instruction at
+    // offset `$half` of the carrying slot (`$else`: its second target)
+    macro_rules! edge {
+        ($half:expr, $else:expr) => {
+            if OBS {
+                obs.branches[br_base + 2 * (pc + $half) + usize::from($else)] += 1;
+            }
+        };
+    }
+    // operand fetch; trap order (UndefRead before type checks) matches the oracle
     macro_rules! raw {
         ($o:expr) => {{
             let r = *$o as usize;
@@ -1891,7 +2107,7 @@ fn exec_loop<const ARMED: bool>(
     // verified IR a non-Undef register always holds its declared variant
     // (bit flips preserve the variant, const slots are pre-materialized),
     // so the only reachable trap here is UndefRead — checked per operand
-    // in the same order as legacy.
+    // in the same order as the oracle.
     macro_rules! int {
         ($o:expr) => {{
             let r = *$o as usize;
@@ -1940,9 +2156,9 @@ fn exec_loop<const ARMED: bool>(
             }
         }};
     }
-    // fault application + injection counting + register write for one
-    // produced value; evaluates to the (possibly flipped) value. The
-    // clean variant compiles down to the bare register write.
+    // fault application + injection counting + register write (+ trace
+    // event) for one produced value; evaluates to the (possibly flipped)
+    // value. The clean variant compiles down to the bare register write.
     macro_rules! produce {
         ($dense:expr, $inj:expr, $dst:expr, $v:expr) => {{
             let mut v = $v;
@@ -1964,12 +2180,25 @@ fn exec_loop<const ARMED: bool>(
                     v = flip_bit(v, fault_bit);
                 }
                 *inj_ctr += 1;
+                if OBS {
+                    if let Some(c) = obs.ckpt.as_mut() {
+                        c.inj_counts[$dense as usize] += 1;
+                    }
+                }
             }
             debug_assert!(reg_base + ($dst as usize) < regs.len());
             // SAFETY: dst is this instruction's id (< num_regs); see the
             // operand-read invariant in `raw!`.
             unsafe {
                 *regs.get_unchecked_mut(reg_base + $dst as usize) = v;
+            }
+            if OBS {
+                if let Some(t) = obs.trace.as_mut() {
+                    t.push(TraceEvent {
+                        dense: $dense,
+                        value: v,
+                    });
+                }
             }
             v
         }};
@@ -2014,7 +2243,7 @@ fn exec_loop<const ARMED: bool>(
             }
         }};
     }
-    // generic pair dispatch, identical to the legacy Bin arm
+    // generic pair dispatch, identical to the oracle's Bin arm
     macro_rules! bin_any {
         ($op:expr, $a:expr, $b:expr) => {
             match ($a, $b) {
@@ -2057,7 +2286,7 @@ fn exec_loop<const ARMED: bool>(
                 (&*mem, p)
             };
             // u64 + signed offset; None (negative or overflow) is
-            // exactly the legacy i128 out-of-range condition
+            // exactly the oracle's i128 out-of-range condition
             let addr = match base.checked_add_signed(i) {
                 Some(a) if a < space.len() as u64 => a,
                 _ => trap!(TrapKind::OutOfBounds),
@@ -2066,7 +2295,7 @@ fn exec_loop<const ARMED: bool>(
         }};
     }
     // one store, shared by the Store arm and the store-carrying fused
-    // ops; operand fetch and trap order match the legacy Store arm
+    // ops; operand fetch and trap order match the oracle's Store arm
     macro_rules! store_word {
         ($ptr:expr, $idx:expr, $v:expr) => {{
             let p = pointer!($ptr);
@@ -2101,10 +2330,10 @@ fn exec_loop<const ARMED: bool>(
     loop {
         // armed phase only: hand off to the clean loop at the first
         // instruction boundary after the fault has fired
-        if ARMED && *fault_applied {
+        if ARMED && !OBS && *fault_applied {
             dframes.last_mut().expect("frame stack is non-empty").pc = pc as u32;
             *steps = steps_l;
-            return None;
+            return Stop::Handoff;
         }
         // `code` is reassigned on call/return while `di` may still be
         // live, so index through a per-iteration copy of the reference
@@ -2277,6 +2506,11 @@ fn exec_loop<const ARMED: bool>(
                     arg_len: cargs.len(),
                     sp_base: stack_mem.len(),
                 });
+                if OBS {
+                    let caller = dframes[dframes.len() - 2].func;
+                    obs.on_call(caller, callee, steps_l);
+                    br_base = 2 * cf.slot_base;
+                }
                 code = &dm.funcs[callee].code;
                 pc = cf.block_entry[0] as usize;
                 reg_base = new_reg_base;
@@ -2371,10 +2605,12 @@ fn exec_loop<const ARMED: bool>(
                 pc += 1;
             }
             DOp::Br { target } => {
+                edge!(0, false);
                 pc = *target as usize;
             }
             DOp::CondBr { c, t, e } => {
                 let cv = boolean!(c);
+                edge!(0, !cv);
                 pc = if cv { *t } else { *e } as usize;
             }
             DOp::Ret { v } => {
@@ -2386,11 +2622,17 @@ fn exec_loop<const ARMED: bool>(
                 stack_mem.truncate(finished.sp_base);
                 regs.truncate(finished.reg_base);
                 args.truncate(finished.arg_base);
+                if OBS {
+                    obs.close_stretch(finished.func, steps_l);
+                }
                 match dframes.last() {
                     None => {
                         finish!(Termination::Exit, rv);
                     }
                     Some(&caller) => {
+                        if OBS {
+                            br_base = 2 * dm.funcs[caller.func as usize].slot_base;
+                        }
                         code = &dm.funcs[caller.func as usize].code;
                         pc = caller.pc as usize;
                         reg_base = caller.reg_base;
@@ -2434,12 +2676,13 @@ fn exec_loop<const ARMED: bool>(
                 };
                 let v = produce!(di.dense, di.inj, di.dst, Value::B(r));
                 // branch half: a flip on a Bool stays a Bool, so the
-                // branch reads the post-fault value exactly as legacy does
+                // branch reads the post-fault value exactly as the oracle does
                 let cv = match v {
                     Value::B(c) => c,
                     _ => unreachable!("bit flip preserves the Bool variant"),
                 };
                 tick!(di, 1);
+                edge!(1, !cv);
                 pc = if cv { *t } else { *e } as usize;
             }
             DOp::Load4 {
@@ -2572,7 +2815,7 @@ fn exec_loop<const ARMED: bool>(
                 produce!(di.dense, di.inj, di.dst, r);
                 // compare half: operands fetched after the load write,
                 // so a compare of the loaded slot reads the post-fault
-                // value exactly as legacy does
+                // value exactly as the oracle does
                 tick!(di, 1);
                 let r = match kind {
                     CmpKind::II => {
@@ -2597,6 +2840,7 @@ fn exec_loop<const ARMED: bool>(
                     _ => unreachable!("bit flip preserves the Bool variant"),
                 };
                 tick!(di, 2);
+                edge!(2, !cv);
                 pc = if cv { *t } else { *e } as usize;
             }
             DOp::BinLoad {
@@ -2677,6 +2921,7 @@ fn exec_loop<const ARMED: bool>(
                 store_word!(ptr, idx, v);
                 // branch half: control-only
                 tick!(di, 1);
+                edge!(1, false);
                 pc = *target as usize;
             }
             DOp::StoreLoad {
@@ -2712,6 +2957,7 @@ fn exec_loop<const ARMED: bool>(
                 produce!(di.dense, di.inj, di.dst, r);
                 // branch half: control-only
                 tick!(di, 1);
+                edge!(1, false);
                 pc = *target as usize;
             }
             DOp::BinBin {
@@ -2731,7 +2977,7 @@ fn exec_loop<const ARMED: bool>(
                 let r = bin_any!(op1, x, y);
                 produce!(di.dense, di.inj, di.dst, r);
                 // second half fetches after the first write, so a
-                // dependent pair reads the post-fault value as legacy does
+                // dependent pair reads the post-fault value as the oracle does
                 tick!(di, 1);
                 let x = raw!(a2);
                 let y = raw!(b2);
@@ -2790,7 +3036,7 @@ fn exec_loop<const ARMED: bool>(
                 };
                 let lv = produce!(di.dense, di.inj, di.dst, lv);
                 // bin half: reads the post-fault load value; operand fetch
-                // order (lhs before rhs) matches legacy
+                // order (lhs before rhs) matches the oracle
                 tick!(di, 1);
                 let (x, y) = if *load_lhs {
                     (lv, raw!(other))
@@ -2820,6 +3066,7 @@ fn exec_loop<const ARMED: bool>(
                 store_word!(ptr, idx, v);
                 // branch half: control-only
                 tick!(di, 2);
+                edge!(2, false);
                 pc = *target as usize;
             }
             DOp::LoadLoadBin {
@@ -2947,7 +3194,7 @@ fn exec_loop<const ARMED: bool>(
                 };
                 let lv = produce!(di.dense, di.inj, di.dst, lv);
                 // first bin: reads the post-fault load value; operand
-                // fetch order (lhs before rhs) matches legacy
+                // fetch order (lhs before rhs) matches the oracle
                 tick!(di, 1);
                 let (x, y) = if *load_lhs {
                     (lv, raw!(other))
@@ -2998,6 +3245,7 @@ fn exec_loop<const ARMED: bool>(
                 store_word!(st_ptr, st_idx, st_v);
                 // branch half: control-only
                 tick!(di, 3);
+                edge!(3, false);
                 pc = *target as usize;
             }
             DOp::LoadLoadBinStoreBr {
@@ -3055,6 +3303,7 @@ fn exec_loop<const ARMED: bool>(
                 }
                 // branch half: control-only
                 tick!(di, 4);
+                edge!(4, false);
                 pc = *target as usize;
             }
             DOp::LoadLoadBinBinStore {
@@ -3286,12 +3535,12 @@ mod tests {
     use crate::value::{ProgInput, Scalar};
     use crate::ExecConfig;
 
-    /// Every state the legacy loop checkpoints hashes — and compares —
+    /// Every state the reference walk checkpoints hashes — and compares —
     /// equal to the same state held in the decoded arenas, wherever the
     /// boundary falls: on an instruction slot of its own or between the
     /// halves of a superinstruction, at any call depth.
     #[test]
-    fn decoded_state_digests_equal_legacy_digests_at_every_boundary() {
+    fn decoded_state_digests_equal_oracle_digests_at_every_boundary() {
         let src = r#"
 fn rec(x: int) -> int {
     if x <= 1 { return 1; }
@@ -3320,14 +3569,14 @@ fn main() {
                 mode,
                 ..CheckpointConfig::default()
             };
-            let (golden, store) = interp.run_with_checkpoint_store(&input, cfg);
+            let (golden, store) = crate::oracle::run_with_checkpoint_store(&interp, &input, cfg);
             assert!(golden.exited());
             assert_eq!(store.len() as u64, golden.steps - 1, "one per boundary");
 
             let mut scratch = ExecScratch::default();
             scratch.start_decoded(interp.decoded());
             let mut conv = Converge::audit(&interp, &store);
-            let r = exec_loop::<false>(&interp, &mut scratch, &input, None, None, &mut conv)
+            let r = run_loop::<false, false>(&interp, &mut scratch, &input, None, None, &mut conv)
                 .expect("the clean loop runs to a termination");
             assert_eq!(r.output, golden.output);
             assert_eq!(r.converged_at, None, "an audit never exits early");
@@ -3345,6 +3594,35 @@ fn main() {
             let fused = log.iter().filter(|v| v.3).count();
             assert!(fused > 0, "no boundary fell inside a superinstruction");
             assert!(fused < log.len(), "every boundary fell inside one");
+
+            // the observed loop captures at those same boundaries — the
+            // ones inside a superinstruction included — the very store
+            let (_, captured) = interp.run_with_checkpoint_store(&input, cfg);
+            assert!(
+                crate::wire::encode_checkpoints(&captured)
+                    == crate::wire::encode_checkpoints(&store),
+                "{mode:?} store images differ"
+            );
+
+            // and a run that stops between the halves of a superinstruction
+            // (the step limit expires on the second one) profiles and
+            // traces like the reference walk
+            for &(k, ..) in log.iter().filter(|v| v.3) {
+                let cut = Interp::new(
+                    &m,
+                    ExecConfig {
+                        step_limit: store.steps_at(k),
+                        profile: true,
+                        trace: true,
+                        ..ExecConfig::default()
+                    },
+                );
+                let (stopped, reference) = (cut.run(&input), crate::oracle::run(&cut, &input));
+                assert_eq!(stopped.termination, Termination::StepLimit);
+                assert_eq!(stopped.steps, reference.steps);
+                assert_eq!(stopped.profile, reference.profile, "boundary {k}");
+                assert_eq!(stopped.trace, reference.trace, "boundary {k}");
+            }
         }
     }
 }

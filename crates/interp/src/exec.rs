@@ -1,25 +1,26 @@
-//! The execution engine.
+//! The interpreter's front door: execution limits, results, the canonical
+//! machine state and [`Interp`], which binds a module to its decoded form.
 //!
-//! A straightforward explicit-stack interpreter over the IR. The inner loop
-//! avoids allocation: register files are reused per frame, per-instruction
-//! static data (cycle cost, injectability, dense numbering) is precomputed
-//! in [`Interp::new`], and profiling is branch-guarded so fault-injection
-//! runs (which dominate total experiment time and need no profile) stay on
-//! the fast path.
+//! Every run — clean, faulty, profiled, traced, checkpoint-capturing —
+//! executes on the one decoded loop in [`crate::decode`]; this module only
+//! prepares the scratch state and picks the entry point. Per-instruction
+//! static data (cycle cost, dense numbering) is precomputed in
+//! [`Interp::new`], and the observers are compiled out of the
+//! fault-injection runs that dominate total experiment time.
 //!
 //! All mutable machine state lives in [`MachineState`], which makes two
-//! things cheap: snapshotting it mid-run into a [`Snapshot`] (see
-//! [`Interp::run_with_checkpoints`]) and resuming a faulty run from a
-//! snapshot instead of from scratch (see [`Interp::resume`]). Because the
-//! machine is fully deterministic, a resumed run is bit-identical to a
-//! from-scratch run with the same fault.
+//! things cheap: snapshotting it mid-run (see
+//! [`Interp::run_with_checkpoint_store`]) and resuming a faulty run from a
+//! checkpoint instead of from scratch (see [`Interp::resume_from`]).
+//! Because the machine is fully deterministic, a resumed run is
+//! bit-identical to a from-scratch run with the same fault.
 
 use crate::decode::{self, DecodedModule, ExecScratch};
-use crate::fault::{flip_bit, FaultSpec, FaultTarget};
+use crate::fault::{FaultSpec, FaultTarget};
 use crate::profile::Profile;
-use crate::snapshot::{CheckpointCollector, CheckpointConfig, CheckpointStore, Snapshot};
-use crate::value::{Output, ProgInput, Scalar, Stream, Value};
-use minpsid_ir::{BinOp, BlockId, CmpOp, CostModel, FuncId, InstKind, Module, Ty, UnOp};
+use crate::snapshot::{CheckpointCollector, CheckpointConfig, CheckpointStore};
+use crate::value::{Output, ProgInput, Value};
+use minpsid_ir::{BlockId, CmpOp, CostModel, FuncId, Module};
 
 /// Limits and switches for one execution.
 #[derive(Debug, Clone)]
@@ -48,23 +49,6 @@ pub struct ExecConfig {
     /// campaigns that must replay bit-identically leave this at 0.
     pub wall_clock_ms: u64,
     pub cost_model: CostModel,
-    /// Which interpreter loop to use; see [`DispatchMode`]. Both loops are
-    /// bit-identical, so this is a performance knob, not a semantic one.
-    pub dispatch: DispatchMode,
-}
-
-/// Which interpreter loop executes a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DispatchMode {
-    /// The pre-decoded index-dispatch loop (see [`crate::decode`]) — the
-    /// campaign hot path. Runs that need a profile, a trace, or checkpoint
-    /// capture fall back to the legacy loop automatically: those
-    /// observers only exist there, and the golden run they belong to is a
-    /// once-per-campaign cost.
-    #[default]
-    Decoded,
-    /// The original per-step IR tree walk.
-    Legacy,
 }
 
 impl Default for ExecConfig {
@@ -78,7 +62,6 @@ impl Default for ExecConfig {
             trace: false,
             wall_clock_ms: 0,
             cost_model: CostModel::default(),
-            dispatch: DispatchMode::default(),
         }
     }
 }
@@ -190,8 +173,9 @@ pub(crate) struct Frame {
 /// runs re-collect them for the suffix only.
 ///
 /// Campaigns keep one `MachineState` per worker thread as reusable scratch
-/// (see [`Interp::resume_with`]): restoring into an existing state reuses
-/// its memory buffers instead of reallocating per injection.
+/// (inside an [`ExecScratch`], see [`Interp::resume_from`]): restoring
+/// into an existing state reuses its memory buffers instead of
+/// reallocating per injection.
 #[derive(Debug, Default)]
 pub struct MachineState {
     pub(crate) frames: Vec<Frame>,
@@ -280,17 +264,16 @@ impl MachineState {
     }
 }
 
-/// An interpreter bound to one module. Cheap to construct; immutable and
-/// shareable across threads (campaigns clone nothing but the config).
+/// An interpreter bound to one module. Construction decodes the module
+/// (see [`crate::decode`]), so build one per module and reuse it across
+/// runs; it is immutable and shareable across threads.
 pub struct Interp<'m> {
     module: &'m Module,
     config: ExecConfig,
     /// Dense numbering base per function.
-    base: Vec<usize>,
+    pub(crate) base: Vec<usize>,
     /// Per static instruction (dense): cycle cost.
-    cost: Vec<u64>,
-    /// Per static instruction (dense): injectable flag.
-    injectable: Vec<bool>,
+    pub(crate) cost: Vec<u64>,
     /// The module lowered for pre-decoded dispatch (see [`crate::decode`]).
     decoded: DecodedModule,
 }
@@ -300,13 +283,11 @@ impl<'m> Interp<'m> {
         let mut base = Vec::with_capacity(module.funcs.len());
         let mut acc = 0usize;
         let mut cost = Vec::with_capacity(module.num_insts());
-        let mut injectable = Vec::with_capacity(module.num_insts());
         for f in &module.funcs {
             base.push(acc);
             acc += f.insts.len();
             for inst in &f.insts {
                 cost.push(config.cost_model.cycles(&inst.kind, inst.ty));
-                injectable.push(inst.injectable());
             }
         }
         let decoded = decode::decode_module(module);
@@ -315,19 +296,12 @@ impl<'m> Interp<'m> {
             config,
             base,
             cost,
-            injectable,
             decoded,
         }
     }
 
     pub(crate) fn decoded(&self) -> &DecodedModule {
         &self.decoded
-    }
-
-    /// Runs that need the profile, trace or checkpoint observers use the
-    /// legacy loop regardless of the configured [`DispatchMode`].
-    fn use_legacy(&self) -> bool {
-        self.config.profile || self.config.trace || self.config.dispatch == DispatchMode::Legacy
     }
 
     pub fn module(&self) -> &'m Module {
@@ -345,15 +319,19 @@ impl<'m> Interp<'m> {
 
     /// Execute without faults.
     pub fn run(&self, input: &ProgInput) -> ExecResult {
-        if self.use_legacy() {
-            let mut st = MachineState::default();
-            st.start(self.module);
-            self.run_inner(&mut st, input, None, None)
-        } else {
-            let mut scratch = ExecScratch::default();
-            scratch.start_decoded(&self.decoded);
-            decode::run_decoded(self, &mut scratch, input, None, None)
-        }
+        let mut scratch = ExecScratch::default();
+        scratch.start_decoded(&self.decoded);
+        decode::run_decoded(self, &mut scratch, input, None, None)
+    }
+
+    /// Execute without faults and without observers, whatever the config
+    /// asks for: the result carries no profile and no trace. This is the
+    /// sizing pass of a golden run whose checkpoint interval depends on
+    /// the run's length.
+    pub fn run_unobserved(&self, input: &ProgInput) -> ExecResult {
+        let mut scratch = ExecScratch::default();
+        scratch.start_decoded(&self.decoded);
+        decode::run_unobserved(self, &mut scratch, input, None, None)
     }
 
     /// Execute with a single fault armed.
@@ -373,57 +351,25 @@ impl<'m> Interp<'m> {
         input: &ProgInput,
         fault: FaultSpec,
     ) -> ExecResult {
-        if self.use_legacy() {
-            scratch.st.start(self.module);
-            self.run_inner(&mut scratch.st, input, Some(fault), None)
-        } else {
-            scratch.start_decoded(&self.decoded);
-            decode::run_decoded(self, scratch, input, Some(fault), None)
-        }
+        scratch.start_decoded(&self.decoded);
+        decode::run_decoded(self, scratch, input, Some(fault), None)
     }
 
-    /// Execute without faults, capturing a [`Snapshot`] every `interval`
-    /// dynamic instructions (with the default memory budget). The result
-    /// is bit-identical to [`Interp::run`].
-    pub fn run_with_checkpoints(
-        &self,
-        input: &ProgInput,
-        interval: u64,
-    ) -> (ExecResult, Vec<Snapshot>) {
-        self.run_with_checkpoint_config(
-            input,
-            CheckpointConfig {
-                interval,
-                ..CheckpointConfig::default()
-            },
-        )
-    }
-
-    /// [`Interp::run_with_checkpoints`] with an explicit memory budget.
-    pub fn run_with_checkpoint_config(
-        &self,
-        input: &ProgInput,
-        cfg: CheckpointConfig,
-    ) -> (ExecResult, Vec<Snapshot>) {
-        let mut st = MachineState::default();
-        st.start(self.module);
-        let mut coll = CheckpointCollector::new(cfg, self.module.num_insts());
-        let r = self.run_inner(&mut st, input, None, Some(&mut coll));
-        (r, coll.into_snapshots())
-    }
-
-    /// [`Interp::run_with_checkpoint_config`] returning the
-    /// [`CheckpointStore`] directly: delta-encoded checkpoints stay
-    /// encoded instead of being materialized. This is what campaigns use.
+    /// Execute without faults, capturing a checkpoint every
+    /// `cfg.interval` dynamic instructions into a [`CheckpointStore`]
+    /// (delta-encoded checkpoints stay encoded). The result is
+    /// bit-identical to [`Interp::run`], profile and trace included when
+    /// the config asks for them — one pass yields everything a golden run
+    /// needs.
     pub fn run_with_checkpoint_store(
         &self,
         input: &ProgInput,
         cfg: CheckpointConfig,
     ) -> (ExecResult, CheckpointStore) {
-        let mut st = MachineState::default();
-        st.start(self.module);
-        let mut coll = CheckpointCollector::new(cfg, self.module.num_insts());
-        let r = self.run_inner(&mut st, input, None, Some(&mut coll));
+        let mut scratch = ExecScratch::default();
+        scratch.start_decoded(&self.decoded);
+        let coll = CheckpointCollector::new(cfg, self.module.num_insts());
+        let (r, coll) = decode::run_capturing(self, &mut scratch, input, coll);
         let mut store = coll.into_store();
         if r.termination == Termination::Exit {
             store.attach_tail(r.output.clone(), r.steps, r.ret);
@@ -431,71 +377,30 @@ impl<'m> Interp<'m> {
         (r, store)
     }
 
-    /// Resume from a snapshot with a fault armed, executing only the
-    /// suffix. Bit-identical to [`Interp::run_with_fault`] with the same
-    /// input and fault, provided the snapshot came from a golden
-    /// (fault-free) run of the same module and input and the fault's
-    /// target has not yet executed at the snapshot (use
-    /// [`CheckpointStore::nearest_for_dynamic`] /
-    /// [`CheckpointStore::nearest_for_inst`] to pick one).
+    /// Resume from checkpoint `idx` of a [`CheckpointStore`] into
+    /// caller-provided scratch with a fault armed, executing only the
+    /// suffix. This is the campaign hot path: the store materializes the
+    /// checkpoint directly into the scratch state (applying delta chains
+    /// in place when the store is delta-encoded) and the decoded loop runs
+    /// the suffix without allocating.
     ///
-    /// The `profile` and `trace` of the result, when enabled, cover the
-    /// suffix only.
+    /// Bit-identical to [`Interp::run_with_fault`] with the same input and
+    /// fault, provided the store came from a golden (fault-free) run of
+    /// the same module and input and the fault's target has not yet
+    /// executed at the checkpoint (use
+    /// [`CheckpointStore::nearest_for_dynamic`] /
+    /// [`CheckpointStore::nearest_for_inst`] to pick one). The `profile`
+    /// and `trace` of the result, when enabled, cover the suffix only.
+    ///
+    /// The suffix is not always *executed* to its end: once the fault has
+    /// fired, an unobserved run is compared with the golden run at later
+    /// checkpoints of `store` and finished early when their states are
+    /// equal (see [`crate::converge`]; the store must come from a run
+    /// under this interpreter's memory and call-depth limits).
+    /// [`ExecResult::converged_at`] says when that happened.
     ///
     /// [`CheckpointStore::nearest_for_dynamic`]: crate::CheckpointStore::nearest_for_dynamic
     /// [`CheckpointStore::nearest_for_inst`]: crate::CheckpointStore::nearest_for_inst
-    pub fn resume(&self, snap: &Snapshot, input: &ProgInput, fault: FaultSpec) -> ExecResult {
-        let mut st = MachineState::default();
-        self.resume_with(&mut st, snap, input, fault)
-    }
-
-    /// [`Interp::resume`] into caller-provided scratch state, reusing its
-    /// buffers. Campaign workers hold one `MachineState` each and restore
-    /// into it per injection.
-    pub fn resume_with(
-        &self,
-        st: &mut MachineState,
-        snap: &Snapshot,
-        input: &ProgInput,
-        fault: FaultSpec,
-    ) -> ExecResult {
-        st.clone_from(&snap.state);
-        // `NthOfInst` counts executions of one static instruction; the
-        // golden run that captured the snapshot had no armed target, so
-        // restore the counter from the snapshot's dense count vector.
-        if let FaultTarget::NthOfInst(gid, _) = fault.target {
-            st.per_inst_ctr = snap.inj_count_of(self.dense_index(gid));
-        } else {
-            st.per_inst_ctr = 0;
-        }
-        st.fault_applied = false;
-        if self.use_legacy() {
-            self.run_inner(st, input, Some(fault), None)
-        } else {
-            // compat path: borrow the caller's state into a temporary
-            // scratch (swap is pointer-sized), run decoded, swap back
-            let mut scratch = ExecScratch::default();
-            std::mem::swap(&mut scratch.st, st);
-            scratch.enter_decoded(&self.decoded);
-            let r = decode::run_decoded(self, &mut scratch, input, Some(fault), None);
-            std::mem::swap(&mut scratch.st, st);
-            r
-        }
-    }
-
-    /// Resume from checkpoint `idx` of a [`CheckpointStore`] into
-    /// caller-provided scratch. This is the campaign hot path: the store
-    /// materializes the checkpoint directly into the scratch state
-    /// (applying delta chains in place when the store is delta-encoded)
-    /// and the decoded loop runs the suffix without allocating.
-    ///
-    /// Same contract as [`Interp::resume`]: bit-identical to
-    /// [`Interp::run_with_fault`]. The suffix is not always *executed* to
-    /// its end, though: once the fault has fired, the run is compared with
-    /// the golden run at later checkpoints of `store` and finished early
-    /// when their states are equal (see [`crate::converge`]; the store
-    /// must come from a run under this interpreter's memory and call-depth
-    /// limits). [`ExecResult::converged_at`] says when that happened.
     pub fn resume_from(
         &self,
         scratch: &mut ExecScratch,
@@ -505,615 +410,18 @@ impl<'m> Interp<'m> {
         fault: FaultSpec,
     ) -> ExecResult {
         store.restore_into(idx, &mut scratch.st);
+        // `NthOfInst` counts executions of one static instruction; the
+        // golden run that captured the checkpoint had no armed target, so
+        // restore the counter from the store's dense count vector.
         if let FaultTarget::NthOfInst(gid, _) = fault.target {
             scratch.st.per_inst_ctr = store.inj_count_at(idx, self.dense_index(gid));
         } else {
             scratch.st.per_inst_ctr = 0;
         }
         scratch.st.fault_applied = false;
-        if self.use_legacy() {
-            self.run_inner(&mut scratch.st, input, Some(fault), None)
-        } else {
-            scratch.enter_decoded(&self.decoded);
-            decode::run_decoded(self, scratch, input, Some(fault), Some(store))
-        }
+        scratch.enter_decoded(&self.decoded);
+        decode::run_decoded(self, scratch, input, Some(fault), Some(store))
     }
-
-    fn run_inner(
-        &self,
-        st: &mut MachineState,
-        input: &ProgInput,
-        fault: Option<FaultSpec>,
-        mut ckpt: Option<&mut CheckpointCollector>,
-    ) -> ExecResult {
-        let m = self.module;
-        let mut profile = self.config.profile.then(|| Profile::for_module(m));
-        let mut trace: Option<Vec<TraceEvent>> = self.config.trace.then(Vec::new);
-        let deadline = (self.config.wall_clock_ms > 0).then(|| {
-            std::time::Instant::now() + std::time::Duration::from_millis(self.config.wall_clock_ms)
-        });
-        // A resumed run enters with the snapshot's step counter already set.
-        let resumed_at = (st.steps > 0).then_some(st.steps);
-
-        // fault target precomputation
-        let (target_dense, target_nth, whole_nth) = match fault {
-            Some(FaultSpec {
-                target: FaultTarget::NthOfInst(gid, n),
-                ..
-            }) => (Some(self.dense_index(gid)), n, u64::MAX),
-            Some(FaultSpec {
-                target: FaultTarget::NthDynamic(n),
-                ..
-            }) => (None, 0, n),
-            None => (None, 0, u64::MAX),
-        };
-        let fault_armed = fault.is_some();
-        let fault_bit = fault.map(|f| f.bit).unwrap_or(0);
-
-        // A fresh run enters the entry block; a resumed run (steps > 0)
-        // re-enters mid-block, and its suffix profile counts no extra
-        // block entry.
-        if st.steps == 0 {
-            if let Some(p) = profile.as_mut() {
-                p.block_counts[m.entry.index()][0] += 1;
-            }
-        }
-
-        'outer: loop {
-            // Hot loop: one instruction per iteration of this inner loop.
-            loop {
-                // Checkpoint capture sits between instructions, before any
-                // borrow of the frame stack: everything the next
-                // instruction will observe is in `st`.
-                if let Some(c) = ckpt.as_deref_mut() {
-                    if c.due(st.steps) {
-                        c.capture(st);
-                    }
-                }
-
-                // Disjoint field borrows: the frame stack, memories, and
-                // counters are all mutated in one iteration.
-                let MachineState {
-                    frames: stack,
-                    mem,
-                    stack_mem,
-                    output,
-                    steps,
-                    inj_ctr,
-                    per_inst_ctr,
-                    fault_applied,
-                } = &mut *st;
-
-                macro_rules! finish {
-                    ($term:expr, $ret:expr) => {
-                        return ExecResult {
-                            termination: $term,
-                            output: std::mem::take(output),
-                            profile: profile.map(|mut p: Profile| {
-                                p.total_insts = *steps;
-                                p.injectable_execs = *inj_ctr;
-                                p.total_cycles = p.inst_cycles.iter().sum();
-                                p
-                            }),
-                            steps: *steps,
-                            fault_applied: *fault_applied,
-                            ret: $ret,
-                            trace,
-                            resumed_at,
-                            converged_at: None,
-                        }
-                    };
-                }
-                macro_rules! trap {
-                    ($kind:expr) => {
-                        finish!(Termination::Trap($kind), None)
-                    };
-                }
-
-                let depth = stack.len() as u32;
-                let frame = stack.last_mut().unwrap();
-                let func = &m.funcs[frame.func.index()];
-                let block = &func.blocks[frame.block.index()];
-                debug_assert!(frame.pos < block.insts.len(), "fell off block end");
-                let iid = block.insts[frame.pos];
-                let inst = &func.insts[iid.index()];
-                let dense = self.base[frame.func.index()] + iid.index();
-
-                *steps += 1;
-                if *steps > self.config.step_limit {
-                    finish!(Termination::StepLimit, None);
-                }
-                // Clock checks are ~100x an interpreted step, so poll the
-                // deadline coarsely; 8192 steps is far under a millisecond.
-                if *steps & 8191 == 0 {
-                    if let Some(d) = deadline {
-                        if std::time::Instant::now() >= d {
-                            finish!(Termination::WallClock, None);
-                        }
-                    }
-                }
-                if let Some(p) = profile.as_mut() {
-                    p.inst_counts[dense] += 1;
-                    p.inst_cycles[dense] += self.cost[dense];
-                    // Per-section dynamic range: steps are 1-based here
-                    // (incremented above), so 0 doubles as "never ran".
-                    let fidx = frame.func.index();
-                    if p.sec_first_step[fidx] == 0 {
-                        p.sec_first_step[fidx] = *steps;
-                    }
-                    p.sec_last_step[fidx] = *steps;
-                }
-
-                // operand fetch
-                macro_rules! val {
-                    ($o:expr) => {{
-                        let v = match $o {
-                            minpsid_ir::Operand::Value(id) => frame.regs[id.index()],
-                            minpsid_ir::Operand::ConstI(c) => Value::I(*c),
-                            minpsid_ir::Operand::ConstF(c) => Value::F(*c),
-                            minpsid_ir::Operand::ConstB(c) => Value::B(*c),
-                        };
-                        if matches!(v, Value::Undef) {
-                            trap!(TrapKind::UndefRead);
-                        }
-                        v
-                    }};
-                }
-                macro_rules! int {
-                    ($o:expr) => {
-                        match val!($o) {
-                            Value::I(v) => v,
-                            _ => trap!(TrapKind::TypeConfusion),
-                        }
-                    };
-                }
-                macro_rules! flt {
-                    ($o:expr) => {
-                        match val!($o) {
-                            Value::F(v) => v,
-                            _ => trap!(TrapKind::TypeConfusion),
-                        }
-                    };
-                }
-                macro_rules! boolean {
-                    ($o:expr) => {
-                        match val!($o) {
-                            Value::B(v) => v,
-                            _ => trap!(TrapKind::TypeConfusion),
-                        }
-                    };
-                }
-                macro_rules! ptr {
-                    ($o:expr) => {
-                        match val!($o) {
-                            Value::P(v) => v,
-                            _ => trap!(TrapKind::TypeConfusion),
-                        }
-                    };
-                }
-
-                // compute the result value (None for void / control)
-                let mut result: Option<Value> = None;
-                let mut control: Option<Control> = None;
-
-                match &inst.kind {
-                    InstKind::Param { n } => {
-                        let v = frame.args.get(*n as usize).copied().unwrap_or(Value::Undef);
-                        result = Some(v);
-                    }
-                    InstKind::Bin { op, lhs, rhs } => {
-                        let a = val!(lhs);
-                        let b = val!(rhs);
-                        match (a, b) {
-                            (Value::I(x), Value::I(y)) => {
-                                let r = match op {
-                                    BinOp::Add => x.wrapping_add(y),
-                                    BinOp::Sub => x.wrapping_sub(y),
-                                    BinOp::Mul => x.wrapping_mul(y),
-                                    BinOp::Div => match x.checked_div(y) {
-                                        Some(v) => v,
-                                        None => trap!(TrapKind::DivByZero),
-                                    },
-                                    BinOp::Rem => match x.checked_rem(y) {
-                                        Some(v) => v,
-                                        None => trap!(TrapKind::DivByZero),
-                                    },
-                                    BinOp::And => x & y,
-                                    BinOp::Or => x | y,
-                                    BinOp::Xor => x ^ y,
-                                    BinOp::Shl => x.wrapping_shl(y as u32 & 63),
-                                    BinOp::Shr => x.wrapping_shr(y as u32 & 63),
-                                    BinOp::Min => x.min(y),
-                                    BinOp::Max => x.max(y),
-                                };
-                                result = Some(Value::I(r));
-                            }
-                            (Value::F(x), Value::F(y)) => {
-                                let r = match op {
-                                    BinOp::Add => x + y,
-                                    BinOp::Sub => x - y,
-                                    BinOp::Mul => x * y,
-                                    BinOp::Div => x / y,
-                                    BinOp::Rem => x % y,
-                                    BinOp::Min => x.min(y),
-                                    BinOp::Max => x.max(y),
-                                    _ => trap!(TrapKind::TypeConfusion),
-                                };
-                                result = Some(Value::F(r));
-                            }
-                            _ => trap!(TrapKind::TypeConfusion),
-                        }
-                    }
-                    InstKind::Un { op, arg } => {
-                        let v = val!(arg);
-                        let r = match (op, v) {
-                            (UnOp::Neg, Value::I(x)) => Value::I(x.wrapping_neg()),
-                            (UnOp::Neg, Value::F(x)) => Value::F(-x),
-                            (UnOp::Not, Value::B(x)) => Value::B(!x),
-                            (UnOp::Not, Value::I(x)) => Value::I(!x),
-                            (UnOp::Abs, Value::I(x)) => Value::I(x.wrapping_abs()),
-                            (UnOp::Abs, Value::F(x)) => Value::F(x.abs()),
-                            (UnOp::Sqrt, Value::F(x)) => Value::F(x.sqrt()),
-                            (UnOp::Sin, Value::F(x)) => Value::F(x.sin()),
-                            (UnOp::Cos, Value::F(x)) => Value::F(x.cos()),
-                            (UnOp::Exp, Value::F(x)) => Value::F(x.exp()),
-                            (UnOp::Log, Value::F(x)) => Value::F(x.ln()),
-                            (UnOp::Floor, Value::F(x)) => Value::F(x.floor()),
-                            _ => trap!(TrapKind::TypeConfusion),
-                        };
-                        result = Some(r);
-                    }
-                    InstKind::Cmp { op, lhs, rhs } => {
-                        let a = val!(lhs);
-                        let b = val!(rhs);
-                        let r = match (a, b) {
-                            (Value::I(x), Value::I(y)) => cmp_ord(*op, x.cmp(&y)),
-                            (Value::B(x), Value::B(y)) => cmp_ord(*op, x.cmp(&y)),
-                            (Value::F(x), Value::F(y)) => match op {
-                                CmpOp::Eq => x == y,
-                                CmpOp::Ne => x != y,
-                                CmpOp::Lt => x < y,
-                                CmpOp::Le => x <= y,
-                                CmpOp::Gt => x > y,
-                                CmpOp::Ge => x >= y,
-                            },
-                            _ => trap!(TrapKind::TypeConfusion),
-                        };
-                        result = Some(Value::B(r));
-                    }
-                    InstKind::Select {
-                        cond,
-                        then_v,
-                        else_v,
-                    } => {
-                        let c = boolean!(cond);
-                        result = Some(if c { val!(then_v) } else { val!(else_v) });
-                    }
-                    InstKind::Cast { to, arg } => {
-                        let v = val!(arg);
-                        let r = match (v, to) {
-                            (Value::I(x), Ty::F64) => Value::F(x as f64),
-                            (Value::F(x), Ty::I64) => Value::I(x as i64), // saturating
-                            (Value::B(x), Ty::I64) => Value::I(x as i64),
-                            (Value::I(x), Ty::I64) => Value::I(x),
-                            _ => trap!(TrapKind::TypeConfusion),
-                        };
-                        result = Some(r);
-                    }
-                    InstKind::Alloc { count } => {
-                        let n = int!(count);
-                        if n < 0 {
-                            trap!(TrapKind::NegativeAlloc);
-                        }
-                        let n = n as u64;
-                        let base = mem.len() as u64;
-                        if base + n > self.config.mem_limit {
-                            trap!(TrapKind::MemLimit);
-                        }
-                        mem.resize((base + n) as usize, 0);
-                        result = Some(Value::P(base));
-                    }
-                    InstKind::Salloc { count } => {
-                        let n = int!(count);
-                        if n < 0 {
-                            trap!(TrapKind::NegativeAlloc);
-                        }
-                        let n = n as u64;
-                        let base = stack_mem.len() as u64;
-                        if base + n > self.config.mem_limit {
-                            trap!(TrapKind::MemLimit);
-                        }
-                        stack_mem.resize((base + n) as usize, 0);
-                        result = Some(Value::P(STACK_TAG | base));
-                    }
-                    InstKind::Load { ptr, idx, ty } => {
-                        let p = ptr!(ptr);
-                        let i = int!(idx);
-                        let (space, base): (&[u64], u64) = if p & STACK_TAG != 0 {
-                            (&*stack_mem, p & !STACK_TAG)
-                        } else {
-                            (&*mem, p)
-                        };
-                        let addr = base as i128 + i as i128;
-                        if addr < 0 || addr >= space.len() as i128 {
-                            trap!(TrapKind::OutOfBounds);
-                        }
-                        let bits = space[addr as usize];
-                        result = Some(match ty {
-                            Ty::I64 => Value::I(bits as i64),
-                            Ty::F64 => Value::F(f64::from_bits(bits)),
-                            _ => trap!(TrapKind::TypeConfusion),
-                        });
-                    }
-                    InstKind::Store { ptr, idx, value } => {
-                        let p = ptr!(ptr);
-                        let i = int!(idx);
-                        let v = val!(value);
-                        let (space, base): (&mut Vec<u64>, u64) = if p & STACK_TAG != 0 {
-                            (&mut *stack_mem, p & !STACK_TAG)
-                        } else {
-                            (&mut *mem, p)
-                        };
-                        let addr = base as i128 + i as i128;
-                        if addr < 0 || addr >= space.len() as i128 {
-                            trap!(TrapKind::OutOfBounds);
-                        }
-                        space[addr as usize] = match v {
-                            Value::I(x) => x as u64,
-                            Value::F(x) => x.to_bits(),
-                            _ => trap!(TrapKind::TypeConfusion),
-                        };
-                    }
-                    InstKind::Call { func: callee, args } => {
-                        if depth >= self.config.call_depth_limit {
-                            trap!(TrapKind::CallDepth);
-                        }
-                        let mut argv = Vec::with_capacity(args.len());
-                        for a in args {
-                            argv.push(val!(a));
-                        }
-                        control = Some(Control::Call(*callee, argv));
-                    }
-                    InstKind::NArgs => {
-                        result = Some(Value::I(input.args.len() as i64));
-                    }
-                    InstKind::ArgI { n } => {
-                        let i = int!(n);
-                        // a negative (or otherwise unrepresentable) index
-                        // traps distinctly instead of aliasing to a miss
-                        let Ok(ix) = usize::try_from(i) else {
-                            trap!(TrapKind::BadIndex)
-                        };
-                        match input.args.get(ix) {
-                            Some(Scalar::I(v)) => result = Some(Value::I(*v)),
-                            Some(Scalar::F(_)) => trap!(TrapKind::ArgTypeMismatch),
-                            None => trap!(TrapKind::ArgOutOfRange),
-                        }
-                    }
-                    InstKind::ArgF { n } => {
-                        let i = int!(n);
-                        let Ok(ix) = usize::try_from(i) else {
-                            trap!(TrapKind::BadIndex)
-                        };
-                        match input.args.get(ix) {
-                            Some(Scalar::F(v)) => result = Some(Value::F(*v)),
-                            Some(Scalar::I(_)) => trap!(TrapKind::ArgTypeMismatch),
-                            None => trap!(TrapKind::ArgOutOfRange),
-                        }
-                    }
-                    InstKind::DataLen { stream } => {
-                        let len = input
-                            .streams
-                            .get(*stream as usize)
-                            .map(|s| s.len() as i64)
-                            .unwrap_or(0);
-                        result = Some(Value::I(len));
-                    }
-                    InstKind::DataI { stream, idx } => {
-                        let i = int!(idx);
-                        let Ok(ix) = usize::try_from(i) else {
-                            trap!(TrapKind::BadIndex)
-                        };
-                        match input.streams.get(*stream as usize) {
-                            Some(Stream::I(v)) => match v.get(ix) {
-                                Some(x) => result = Some(Value::I(*x)),
-                                None => trap!(TrapKind::StreamOutOfBounds),
-                            },
-                            Some(Stream::F(_)) => trap!(TrapKind::StreamTypeMismatch),
-                            None => trap!(TrapKind::StreamOutOfBounds),
-                        }
-                    }
-                    InstKind::DataF { stream, idx } => {
-                        let i = int!(idx);
-                        let Ok(ix) = usize::try_from(i) else {
-                            trap!(TrapKind::BadIndex)
-                        };
-                        match input.streams.get(*stream as usize) {
-                            Some(Stream::F(v)) => match v.get(ix) {
-                                Some(x) => result = Some(Value::F(*x)),
-                                None => trap!(TrapKind::StreamOutOfBounds),
-                            },
-                            Some(Stream::I(_)) => trap!(TrapKind::StreamTypeMismatch),
-                            None => trap!(TrapKind::StreamOutOfBounds),
-                        }
-                    }
-                    InstKind::OutI { v } => {
-                        let x = int!(v);
-                        output.push_i(x);
-                        if output.len() > self.config.output_limit {
-                            finish!(Termination::StepLimit, None);
-                        }
-                    }
-                    InstKind::OutF { v } => {
-                        let x = flt!(v);
-                        output.push_f(x);
-                        if output.len() > self.config.output_limit {
-                            finish!(Termination::StepLimit, None);
-                        }
-                    }
-                    InstKind::Check { a, b } => {
-                        let x = val!(a);
-                        let y = val!(b);
-                        if !bit_equal(x, y) {
-                            finish!(Termination::Detected, None);
-                        }
-                    }
-                    InstKind::Br { target } => {
-                        control = Some(Control::Jump(*target));
-                    }
-                    InstKind::CondBr {
-                        cond,
-                        then_b,
-                        else_b,
-                    } => {
-                        let c = boolean!(cond);
-                        control = Some(Control::Jump(if c { *then_b } else { *else_b }));
-                    }
-                    InstKind::Ret { v } => {
-                        let rv = match v {
-                            Some(v) => Some(val!(v)),
-                            None => None,
-                        };
-                        control = Some(Control::Return(rv));
-                    }
-                }
-
-                // fault application: flip a bit of the freshly produced
-                // value when this dynamic execution is the armed target.
-                // Calls produce their value at return time and are handled
-                // in the Return branch below; everything else produces it
-                // here. Checkpoint collection mirrors the counters here so
-                // snapshots can restore them exactly.
-                if self.injectable[dense] {
-                    if let Some(v) = result {
-                        if fault_armed {
-                            let fire = match target_dense {
-                                Some(td) => {
-                                    if td == dense {
-                                        let hit = *per_inst_ctr == target_nth;
-                                        *per_inst_ctr += 1;
-                                        hit
-                                    } else {
-                                        false
-                                    }
-                                }
-                                None => *inj_ctr == whole_nth,
-                            };
-                            if fire && !*fault_applied {
-                                *fault_applied = true;
-                                result = Some(flip_bit(v, fault_bit));
-                            }
-                        }
-                        *inj_ctr += 1;
-                        if let Some(c) = ckpt.as_deref_mut() {
-                            c.inj_counts[dense] += 1;
-                        }
-                    }
-                }
-
-                if let Some(v) = result {
-                    frame.regs[iid.index()] = v;
-                    if let Some(t) = trace.as_mut() {
-                        t.push(TraceEvent {
-                            dense: dense as u32,
-                            value: v,
-                        });
-                    }
-                }
-
-                match control {
-                    None => {
-                        frame.pos += 1;
-                    }
-                    Some(Control::Jump(target)) => {
-                        if let Some(p) = profile.as_mut() {
-                            p.block_counts[frame.func.index()][target.index()] += 1;
-                            *p.edge_counts[frame.func.index()]
-                                .entry((frame.block, target))
-                                .or_insert(0) += 1;
-                        }
-                        frame.block = target;
-                        frame.pos = 0;
-                    }
-                    Some(Control::Call(callee, argv)) => {
-                        let cf = &m.funcs[callee.index()];
-                        let new_frame = Frame {
-                            func: callee,
-                            block: BlockId(0),
-                            pos: 0,
-                            regs: vec![Value::Undef; cf.insts.len()],
-                            args: argv,
-                            sp_base: stack_mem.len(),
-                        };
-                        if let Some(p) = profile.as_mut() {
-                            p.block_counts[callee.index()][0] += 1;
-                        }
-                        stack.push(new_frame);
-                    }
-                    Some(Control::Return(rv)) => {
-                        let finished = stack.pop().unwrap();
-                        stack_mem.truncate(finished.sp_base);
-                        match stack.last_mut() {
-                            None => {
-                                finish!(Termination::Exit, rv);
-                            }
-                            Some(caller) => {
-                                // write the return value into the call's
-                                // register and advance past the call; the
-                                // call's return value materializes *here*,
-                                // so this is its fault-injection point
-                                let cfunc = &m.funcs[caller.func.index()];
-                                let cblock = &cfunc.blocks[caller.block.index()];
-                                let call_iid = cblock.insts[caller.pos];
-                                let call_dense = self.base[caller.func.index()] + call_iid.index();
-                                if let Some(mut v) = rv {
-                                    if self.injectable[call_dense] {
-                                        if fault_armed {
-                                            let fire = match target_dense {
-                                                Some(td) => {
-                                                    if td == call_dense {
-                                                        let hit = *per_inst_ctr == target_nth;
-                                                        *per_inst_ctr += 1;
-                                                        hit
-                                                    } else {
-                                                        false
-                                                    }
-                                                }
-                                                None => *inj_ctr == whole_nth,
-                                            };
-                                            if fire && !*fault_applied {
-                                                *fault_applied = true;
-                                                v = flip_bit(v, fault_bit);
-                                            }
-                                        }
-                                        *inj_ctr += 1;
-                                        if let Some(c) = ckpt.as_deref_mut() {
-                                            c.inj_counts[call_dense] += 1;
-                                        }
-                                    }
-                                    caller.regs[call_iid.index()] = v;
-                                    if let Some(t) = trace.as_mut() {
-                                        t.push(TraceEvent {
-                                            dense: call_dense as u32,
-                                            value: v,
-                                        });
-                                    }
-                                }
-                                caller.pos += 1;
-                            }
-                        }
-                        continue 'outer;
-                    }
-                }
-            }
-        }
-    }
-}
-
-enum Control {
-    Jump(BlockId),
-    Call(FuncId, Vec<Value>),
-    Return(Option<Value>),
 }
 
 pub(crate) fn cmp_ord(op: CmpOp, ord: std::cmp::Ordering) -> bool {
@@ -1143,8 +451,15 @@ pub(crate) fn bit_equal(a: Value, b: Value) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::CheckpointStore;
-    use minpsid_ir::{verify::assert_verified, GlobalInstId, InstId, ModuleBuilder};
+    use crate::value::{Scalar, Stream};
+    use minpsid_ir::{verify::assert_verified, GlobalInstId, InstId, ModuleBuilder, Ty, UnOp};
+
+    fn every(interval: u64) -> CheckpointConfig {
+        CheckpointConfig {
+            interval,
+            ..CheckpointConfig::default()
+        }
+    }
 
     fn run_module(m: &Module, input: &ProgInput) -> ExecResult {
         assert_verified(m);
@@ -1591,13 +906,13 @@ mod tests {
         ] {
             let interp = Interp::new(&m, ExecConfig::default());
             let plain = interp.run(&input);
-            let (ckpt, snaps) = interp.run_with_checkpoints(&input, 7);
+            let (ckpt, store) = interp.run_with_checkpoint_store(&input, every(7));
             assert_eq!(plain.termination, ckpt.termination);
             assert_eq!(plain.output, ckpt.output);
             assert_eq!(plain.steps, ckpt.steps);
-            assert!(!snaps.is_empty(), "run is long enough to snapshot");
+            assert!(!store.is_empty(), "run is long enough to snapshot");
             assert!(
-                snaps.windows(2).all(|w| w[0].steps() < w[1].steps()),
+                (1..store.len()).all(|i| store.steps_at(i - 1) < store.steps_at(i)),
                 "snapshots are strictly ordered by step"
             );
         }
@@ -1608,8 +923,8 @@ mod tests {
         let m = fib_module();
         let interp = Interp::new(&m, ExecConfig::default());
         let input = ProgInput::scalars(vec![Scalar::I(11)]);
-        let (golden, snaps) = interp.run_with_checkpoints(&input, 13);
-        let store = CheckpointStore::new(snaps);
+        let (golden, store) = interp.run_with_checkpoint_store(&input, every(13));
+        let mut scratch = ExecScratch::default();
         let pop = golden.steps; // upper bound on injectable execs
         let stride = (pop as usize / 40).max(1);
         for nth in (0..pop).step_by(stride) {
@@ -1621,8 +936,7 @@ mod tests {
                 let cold = interp.run_with_fault(&input, fault);
                 assert_eq!(cold.resumed_at, None, "cold runs report no restore");
                 if let Some(i) = store.nearest_for_dynamic(nth) {
-                    let snap = store.materialize(i);
-                    let warm = interp.resume(&snap, &input, fault);
+                    let warm = interp.resume_from(&mut scratch, &store, i, &input, fault);
                     assert_eq!(cold.termination, warm.termination, "nth={nth} bit={bit}");
                     assert_eq!(cold.output, warm.output, "nth={nth} bit={bit}");
                     assert_eq!(cold.steps, warm.steps, "nth={nth} bit={bit}");
@@ -1655,8 +969,8 @@ mod tests {
             },
         );
         let input = ProgInput::scalars(vec![Scalar::I(10)]);
-        let (_, snaps) = interp.run_with_checkpoints(&input, 9);
-        let store = CheckpointStore::new(snaps);
+        let (_, store) = interp.run_with_checkpoint_store(&input, every(9));
+        let mut scratch = ExecScratch::default();
         for f in 0..m.funcs.len() {
             for i in 0..m.funcs[f].insts.len() {
                 let gid = GlobalInstId {
@@ -1674,8 +988,7 @@ mod tests {
                     };
                     let cold = interp.run_with_fault(&input, fault);
                     if let Some(i) = store.nearest_for_inst(dense, nth) {
-                        let snap = store.materialize(i);
-                        let warm = interp.resume(&snap, &input, fault);
+                        let warm = interp.resume_from(&mut scratch, &store, i, &input, fault);
                         assert_eq!(cold.termination, warm.termination, "gid={gid:?} nth={nth}");
                         assert_eq!(cold.output, warm.output, "gid={gid:?} nth={nth}");
                         assert_eq!(cold.steps, warm.steps, "gid={gid:?} nth={nth}");
@@ -1687,12 +1000,11 @@ mod tests {
     }
 
     #[test]
-    fn resume_with_reuses_scratch_state() {
+    fn resume_from_reuses_scratch_state() {
         let m = sum_module();
         let interp = Interp::new(&m, ExecConfig::default());
         let input = ProgInput::scalars(vec![Scalar::I(30)]);
-        let (_, snaps) = interp.run_with_checkpoints(&input, 11);
-        let store = CheckpointStore::new(snaps);
+        let (_, store) = interp.run_with_checkpoint_store(&input, every(11));
         let mut scratch = ExecScratch::default();
         // back-to-back resumes into the same scratch must stay independent
         for nth in [5u64, 50, 20] {
@@ -1715,8 +1027,7 @@ mod tests {
         let m = fib_module();
         let interp = Interp::new(&m, ExecConfig::default());
         let input = ProgInput::scalars(vec![Scalar::I(10)]);
-        let (_, snaps) = interp.run_with_checkpoints(&input, 10);
-        let store = CheckpointStore::new(snaps);
+        let (_, store) = interp.run_with_checkpoint_store(&input, every(10));
         // a snapshot chosen for nth must not have passed the event yet
         for nth in 0..60u64 {
             if let Some(i) = store.nearest_for_dynamic(nth) {

@@ -28,7 +28,10 @@ pub mod converge;
 pub mod decode;
 pub mod exec;
 pub mod fault;
+mod observe;
 pub mod opprof;
+#[doc(hidden)]
+pub mod oracle;
 pub mod profile;
 pub mod snapshot;
 pub mod value;
@@ -36,9 +39,7 @@ pub mod wire;
 
 pub use converge::ConvergeStats;
 pub use decode::ExecScratch;
-pub use exec::{
-    DispatchMode, ExecConfig, ExecResult, Interp, MachineState, Termination, TraceEvent, TrapKind,
-};
+pub use exec::{ExecConfig, ExecResult, Interp, MachineState, Termination, TraceEvent, TrapKind};
 pub use fault::{flip_bit, FaultSpec, FaultTarget};
 pub use opprof::InterpProfileReport;
 pub use profile::Profile;

@@ -13,13 +13,12 @@
 //!
 //! The profiler is deliberately *not* part of [`ExecConfig`]: config
 //! fields feed the journal fingerprint (a resumed campaign must match its
-//! WAL header) and `use_legacy()` routing, so a profiling knob there
-//! would either change replay identity or silently fall back to the
-//! legacy loop — the opposite of what we want to measure. Instead the
-//! decoded loop reads one atomic at entry; enabling the profiler changes
-//! *nothing* about execution semantics (sampling shares the existing
-//! folded `next_pause` compare, so the disabled cost is zero and the
-//! enabled cost is one extra min() whenever the cold pause path runs).
+//! WAL header), so a profiling knob there would change replay identity.
+//! Instead the decoded loop reads one atomic at entry; enabling the
+//! profiler changes *nothing* about execution semantics (sampling shares
+//! the existing folded `next_pause` compare, so the disabled cost is zero
+//! and the enabled cost is one extra min() whenever the cold pause path
+//! runs).
 //!
 //! Determinism invariant: sampling only ever *reads* interpreter state.
 //! Reports and WAL bytes are identical with the profiler on or off

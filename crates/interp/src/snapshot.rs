@@ -445,6 +445,7 @@ pub(crate) struct GoldenTail {
 /// Accumulates checkpoints during a golden run. Lives in the interpreter
 /// loop; also maintains the live dense injection-count vector that each
 /// snapshot clones.
+#[derive(Debug)]
 pub(crate) struct CheckpointCollector {
     interval: u64,
     next_at: u64,
@@ -482,6 +483,11 @@ impl CheckpointCollector {
     #[inline]
     pub(crate) fn due(&self, steps: u64) -> bool {
         steps >= self.next_at
+    }
+
+    /// Completed-step count from which the next capture is due.
+    pub(crate) fn next_at(&self) -> u64 {
+        self.next_at
     }
 
     pub(crate) fn capture(&mut self, st: &MachineState) {
@@ -607,27 +613,6 @@ impl CheckpointCollector {
             tail: None,
         }
     }
-
-    /// Materialize every stored checkpoint (compat surface for callers
-    /// that want plain [`Snapshot`]s; full-mode entries just move out).
-    pub(crate) fn into_snapshots(self) -> Vec<Snapshot> {
-        if self
-            .entries
-            .iter()
-            .all(|e| matches!(e.body, SnapBody::Key(_)))
-        {
-            return self
-                .entries
-                .into_iter()
-                .map(|e| match e.body {
-                    SnapBody::Key(s) => s,
-                    SnapBody::Delta(_) => unreachable!(),
-                })
-                .collect();
-        }
-        let store = self.into_store();
-        (0..store.len()).map(|i| store.materialize(i)).collect()
-    }
 }
 
 /// An ordered set of checkpoints from one golden run, with the lookups FI
@@ -646,30 +631,6 @@ pub struct CheckpointStore {
 }
 
 impl CheckpointStore {
-    /// Build from materialized snapshots (already in capture order); each
-    /// becomes its own keyframe.
-    pub fn new(snaps: Vec<Snapshot>) -> Self {
-        debug_assert!(snaps.windows(2).all(|w| w[0].steps() < w[1].steps()));
-        let num_insts = snaps.first().map(|s| s.inj_counts.len()).unwrap_or(0);
-        let entries = snaps
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| StoredSnap {
-                steps: s.steps(),
-                inj_ctr: s.inj_ctr(),
-                key: i as u32,
-                bytes: s.approx_bytes(),
-                digest: crate::converge::digest_of(&s.state),
-                body: SnapBody::Key(s),
-            })
-            .collect();
-        CheckpointStore {
-            entries,
-            num_insts,
-            tail: None,
-        }
-    }
-
     /// Rebuild a store from wire-decoded entries (their `digest` fields
     /// are placeholders): walk every delta chain once, refusing a delta
     /// that would not apply, and take each checkpoint's state digest.

@@ -316,7 +316,7 @@ fn main() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// `resume(snapshot, fault)` on every snapshot eligible for a random
+    /// `resume_from` on every checkpoint eligible for a random
     /// dynamic-index fault matches `run_with_fault` bit for bit.
     #[test]
     fn resume_matches_cold_run_for_dynamic_faults(
@@ -334,17 +334,20 @@ proptest! {
         prop_assume!(golden.exited());
 
         let interval = 1 + interval_raw % golden.steps.max(1);
-        let (gold2, snaps) = interp.run_with_checkpoints(&input, interval);
+        let cfg = CheckpointConfig { interval, ..CheckpointConfig::default() };
+        let (gold2, store) = interp.run_with_checkpoint_store(&input, cfg);
         prop_assert_eq!(&golden.output, &gold2.output);
         prop_assert_eq!(golden.steps, gold2.steps);
-        prop_assert!(!snaps.is_empty(), "interval <= steps yields snapshots");
+        prop_assert!(!store.is_empty(), "interval <= steps yields snapshots");
 
         let nth = nth_raw % golden.steps;
         let fault = FaultSpec { target: FaultTarget::NthDynamic(nth), bit };
         let cold = interp.run_with_fault(&input, fault);
 
-        for snap in snaps.iter().filter(|s| s.inj_ctr() <= nth) {
-            let warm = interp.resume(snap, &input, fault);
+        let mut scratch = ExecScratch::default();
+        for i in (0..store.len()).filter(|&i| store.inj_ctr_at(i) <= nth) {
+            prop_assert_eq!(store.materialize(i).inj_ctr(), store.inj_ctr_at(i));
+            let warm = interp.resume_from(&mut scratch, &store, i, &input, fault);
             prop_assert_eq!(&warm.termination, &cold.termination);
             prop_assert_eq!(&warm.output, &cold.output);
             prop_assert_eq!(warm.steps, cold.steps);
@@ -354,7 +357,7 @@ proptest! {
     }
 
     /// Same property for per-static-instruction faults, which restore the
-    /// per-instruction injection counter from the snapshot.
+    /// per-instruction injection counter from the store.
     #[test]
     fn resume_matches_cold_run_for_per_inst_faults(
         stmts in proptest::collection::vec((0u8..6, 0u8..20), 1..8),
@@ -372,7 +375,8 @@ proptest! {
         prop_assume!(golden.exited());
 
         let interval = 1 + interval_raw % golden.steps.max(1);
-        let (_, snaps) = interp.run_with_checkpoints(&input, interval);
+        let cfg = CheckpointConfig { interval, ..CheckpointConfig::default() };
+        let (_, store) = interp.run_with_checkpoint_store(&input, cfg);
 
         let numbering = m.numbering();
         let dense = dense_raw % m.num_insts();
@@ -380,8 +384,13 @@ proptest! {
         let fault = FaultSpec { target: FaultTarget::NthOfInst(gid, nth), bit };
         let cold = interp.run_with_fault(&input, fault);
 
-        for snap in snaps.iter().filter(|s| s.inj_count_of(dense) <= nth) {
-            let warm = interp.resume(snap, &input, fault);
+        let mut scratch = ExecScratch::default();
+        for i in (0..store.len()).filter(|&i| store.inj_count_at(i, dense) <= nth) {
+            prop_assert_eq!(
+                store.materialize(i).inj_count_of(dense),
+                store.inj_count_at(i, dense)
+            );
+            let warm = interp.resume_from(&mut scratch, &store, i, &input, fault);
             prop_assert_eq!(&warm.termination, &cold.termination);
             prop_assert_eq!(&warm.output, &cold.output);
             prop_assert_eq!(warm.steps, cold.steps);

@@ -1,21 +1,30 @@
-//! Property tests for the pre-decoded dispatch loop and delta-encoded
-//! snapshots: for *random* minic programs,
+//! Property tests holding the decoded engine to the reference oracle
+//! (`minpsid_interp::oracle`, the per-step tree walk) and delta-encoded
+//! snapshots to full ones: for *random* minic programs,
 //!
-//! * the decoded hot loop must be bit-identical to the legacy
-//!   tree-walking loop — same termination, output, step count and return
-//!   value, with and without an injected fault (the fault model counts
-//!   dynamic instructions, so a single off-by-one step in either loop
-//!   shows up as a different injection point and fails loudly);
-//! * a delta-encoded checkpoint store must materialize to exactly the
+//! * every run — clean, faulty, resumed — ends the same way on both:
+//!   termination, output, step count, return value (the fault model
+//!   counts dynamic instructions, so a single off-by-one step in either
+//!   engine shows up as a different injection point and fails loudly);
+//! * the observers agree field for field: the whole `Profile`, the
+//!   register-write trace event for event, and the checkpoint store byte
+//!   for byte in both encodings, thinned or not;
+//! * a delta-encoded checkpoint store materializes to exactly the
 //!   snapshots a full-encoding store captures, and resuming a faulty run
-//!   from any delta-chain index must match the from-scratch faulty run
-//!   bit for bit.
+//!   from any delta-chain index matches the from-scratch faulty run.
+//!
+//! Directed tests below the properties reach what random programs do
+//! not: every trap kind, a detected fault, the output limit, and a stop
+//! at every single step of a run.
 
+use minpsid_interp::wire::encode_checkpoints;
 use minpsid_interp::{
-    CheckpointConfig, DispatchMode, ExecConfig, ExecScratch, FaultSpec, FaultTarget, Interp,
-    ProgInput, Scalar, SnapshotMode,
+    oracle, CheckpointConfig, ExecConfig, ExecResult, ExecScratch, FaultSpec, FaultTarget, Interp,
+    ProgInput, Scalar, SnapshotMode, Stream, Termination, TrapKind, Value,
 };
+use minpsid_ir::{CmpOp, Module, ModuleBuilder, Ty};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Random minic program from statement codes; exercises loops, branches,
 /// array stores (linear memory), recursion (frame stack + stack memory),
@@ -70,40 +79,115 @@ fn main() {{
 
 /// Identical step cap for every variant so bit-identity is preserved
 /// even when a faulty run diverges into unbounded recursion.
-fn exec(dispatch: DispatchMode) -> ExecConfig {
+fn exec() -> ExecConfig {
     ExecConfig {
         step_limit: 300_000,
-        dispatch,
         ..ExecConfig::default()
     }
+}
+
+/// [`exec`] with the profile and trace observers on.
+fn observed() -> ExecConfig {
+    ExecConfig {
+        profile: true,
+        trace: true,
+        ..exec()
+    }
+}
+
+/// A register value as comparable bits (NaN payloads included).
+fn value_key(v: Value) -> (u8, u64) {
+    match v {
+        Value::I(x) => (0, x as u64),
+        Value::F(x) => (1, x.to_bits()),
+        Value::B(x) => (2, u64::from(x)),
+        Value::P(x) => (3, x),
+        Value::Undef => (4, 0),
+    }
+}
+
+/// Everything a run reports, decoded engine against oracle.
+fn same_result(decoded: &ExecResult, reference: &ExecResult) -> Result<(), TestCaseError> {
+    prop_assert_eq!(&decoded.termination, &reference.termination);
+    prop_assert_eq!(&decoded.output, &reference.output);
+    prop_assert_eq!(decoded.steps, reference.steps);
+    prop_assert_eq!(decoded.fault_applied, reference.fault_applied);
+    prop_assert_eq!(
+        decoded.ret.map(value_key),
+        reference.ret.map(value_key),
+        "return value"
+    );
+    prop_assert_eq!(decoded.resumed_at, reference.resumed_at);
+    prop_assert_eq!(&decoded.profile, &reference.profile);
+    let events = |r: &ExecResult| {
+        r.trace.as_ref().map(|t| {
+            t.iter()
+                .map(|e| (e.dense, value_key(e.value)))
+                .collect::<Vec<_>>()
+        })
+    };
+    prop_assert_eq!(events(decoded), events(reference), "trace");
+    Ok(())
+}
+
+/// How the runs of the observer properties ended, so that the properties
+/// can be shown not to be vacuous.
+struct Seen {
+    exit: AtomicUsize,
+    trap: AtomicUsize,
+    step_limit: AtomicUsize,
+    thinned: AtomicUsize,
+    resumed: AtomicUsize,
+}
+
+impl Seen {
+    fn record(&self, t: Termination) {
+        let counter = match t {
+            Termination::Exit => &self.exit,
+            Termination::Trap(_) => &self.trap,
+            Termination::StepLimit => &self.step_limit,
+            Termination::Detected | Termination::WallClock => return,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+static SEEN: Seen = Seen {
+    exit: AtomicUsize::new(0),
+    trap: AtomicUsize::new(0),
+    step_limit: AtomicUsize::new(0),
+    thinned: AtomicUsize::new(0),
+    resumed: AtomicUsize::new(0),
+};
+
+/// The observer properties, and the evidence that they compared runs of
+/// every kind random programs can end in.
+#[test]
+fn observers_match_the_oracle_on_every_kind_of_run() {
+    observed_runs_match_oracle();
+    checkpoint_stores_are_byte_identical();
+    resumed_suffix_matches_oracle();
+    let n = |c: &AtomicUsize| c.load(Ordering::Relaxed);
+    assert!(n(&SEEN.exit) >= 20, "{} runs exited", n(&SEEN.exit));
+    assert!(n(&SEEN.trap) >= 5, "{} runs trapped", n(&SEEN.trap));
+    assert!(
+        n(&SEEN.step_limit) >= 5,
+        "{} runs hit the step limit",
+        n(&SEEN.step_limit)
+    );
+    assert!(n(&SEEN.thinned) >= 5, "{} stores thinned", n(&SEEN.thinned));
+    assert!(n(&SEEN.resumed) >= 20, "{} resumes", n(&SEEN.resumed));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Decoded dispatch is bit-identical to the legacy loop on clean
-    /// runs: termination, output, step count and return value.
+    /// The unobserved loops (clean, armed → clean) against the oracle,
+    /// without and with a random single-bit fault at a random dynamic
+    /// instruction — the injection counters of the two engines must agree
+    /// step for step.
     #[test]
-    fn decoded_matches_legacy_without_faults(
-        stmts in proptest::collection::vec((0u8..8, 0u8..20), 1..8),
-        a in 0i64..30,
-        b in -10i64..30,
-    ) {
-        let m = minic::compile(&gen_source(&stmts), "prop-decode").unwrap();
-        let input = ProgInput::scalars(vec![Scalar::I(a), Scalar::I(b)]);
-        let legacy = Interp::new(&m, exec(DispatchMode::Legacy)).run(&input);
-        let decoded = Interp::new(&m, exec(DispatchMode::Decoded)).run(&input);
-        prop_assert_eq!(&decoded.termination, &legacy.termination);
-        prop_assert_eq!(&decoded.output, &legacy.output);
-        prop_assert_eq!(decoded.steps, legacy.steps);
-        prop_assert_eq!(&decoded.ret, &legacy.ret);
-    }
-
-    /// Decoded dispatch is bit-identical to the legacy loop under a
-    /// random single-bit fault at a random dynamic instruction — the
-    /// injection counters of the two loops must agree step for step.
-    #[test]
-    fn decoded_matches_legacy_under_faults(
+    fn unobserved_runs_match_oracle(
         stmts in proptest::collection::vec((0u8..8, 0u8..20), 1..8),
         a in 0i64..30,
         b in -10i64..30,
@@ -112,19 +196,138 @@ proptest! {
     ) {
         let m = minic::compile(&gen_source(&stmts), "prop-decode").unwrap();
         let input = ProgInput::scalars(vec![Scalar::I(a), Scalar::I(b)]);
-        let li = Interp::new(&m, exec(DispatchMode::Legacy));
-        let golden = li.run(&input);
+        let interp = Interp::new(&m, exec());
+        let golden = oracle::run(&interp, &input);
+        same_result(&interp.run(&input), &golden)?;
         prop_assume!(golden.exited());
 
         let nth = nth_raw % golden.steps;
         let fault = FaultSpec { target: FaultTarget::NthDynamic(nth), bit };
-        let lf = li.run_with_fault(&input, fault);
-        let df = Interp::new(&m, exec(DispatchMode::Decoded)).run_with_fault(&input, fault);
-        prop_assert_eq!(&df.termination, &lf.termination);
-        prop_assert_eq!(&df.output, &lf.output);
-        prop_assert_eq!(df.steps, lf.steps);
-        prop_assert_eq!(df.fault_applied, lf.fault_applied);
-        prop_assert_eq!(&df.ret, &lf.ret);
+        same_result(
+            &interp.run_with_fault(&input, fault),
+            &oracle::run_with_fault(&interp, &input, fault),
+        )?;
+    }
+
+    /// The observed loop against the oracle: the whole profile and the
+    /// whole trace, fault-free, under a whole-program fault, under a
+    /// per-instruction fault, and cut short by a step limit that falls
+    /// anywhere in the run. Run by
+    /// `observers_match_the_oracle_on_every_kind_of_run`.
+    fn observed_runs_match_oracle(
+        stmts in proptest::collection::vec((0u8..8, 0u8..20), 1..8),
+        a in 0i64..30,
+        b in -10i64..30,
+        nth_raw in 0u64..10_000,
+        dense_raw in 0usize..10_000,
+        bit in 0u32..64,
+    ) {
+        let m = minic::compile(&gen_source(&stmts), "prop-observe").unwrap();
+        let input = ProgInput::scalars(vec![Scalar::I(a), Scalar::I(b)]);
+        let interp = Interp::new(&m, observed());
+        let golden = oracle::run(&interp, &input);
+        SEEN.record(golden.termination);
+        same_result(&interp.run(&input), &golden)?;
+
+        let nth = nth_raw % golden.steps;
+        let gid = m.numbering().id_of(dense_raw % m.num_insts());
+        for target in [FaultTarget::NthDynamic(nth), FaultTarget::NthOfInst(gid, nth % 5)] {
+            let fault = FaultSpec { target, bit };
+            let reference = oracle::run_with_fault(&interp, &input, fault);
+            SEEN.record(reference.termination);
+            same_result(&interp.run_with_fault(&input, fault), &reference)?;
+        }
+
+        let cut = Interp::new(&m, ExecConfig { step_limit: nth, ..observed() });
+        let reference = oracle::run(&cut, &input);
+        SEEN.record(reference.termination);
+        same_result(&cut.run(&input), &reference)?;
+    }
+
+    /// One observed pass captures the very store the oracle captures:
+    /// same boundaries, counters, thinning and keyframe/delta choices, so
+    /// the wire images are equal byte for byte — in both encodings, with
+    /// a memory budget that forces thinning in some cases, and with the
+    /// profile riding along. Run by
+    /// `observers_match_the_oracle_on_every_kind_of_run`.
+    fn checkpoint_stores_are_byte_identical(
+        stmts in proptest::collection::vec((0u8..8, 0u8..20), 1..8),
+        a in 0i64..30,
+        b in -10i64..30,
+        interval_raw in 1u64..400,
+        keyframe_every in 1u32..9,
+        budget_kib in 1usize..64,
+    ) {
+        let m = minic::compile(&gen_source(&stmts), "prop-capture").unwrap();
+        let input = ProgInput::scalars(vec![Scalar::I(a), Scalar::I(b)]);
+        let interp = Interp::new(&m, observed());
+        let golden = oracle::run(&interp, &input);
+        prop_assume!(golden.exited());
+
+        let interval = 1 + interval_raw % 40;
+        for mode in [SnapshotMode::Full, SnapshotMode::Delta] {
+            let cfg = CheckpointConfig {
+                interval,
+                mem_budget_bytes: budget_kib << 10,
+                mode,
+                keyframe_every,
+            };
+            let (rr, reference) = oracle::run_with_checkpoint_store(&interp, &input, cfg);
+            let (rd, decoded) = interp.run_with_checkpoint_store(&input, cfg);
+            same_result(&rd, &rr)?;
+            same_result(&rd, &golden)?;
+            prop_assert_eq!(decoded.len(), reference.len());
+            prop_assert_eq!(decoded.total_bytes(), reference.total_bytes());
+            prop_assert!(
+                encode_checkpoints(&decoded) == encode_checkpoints(&reference),
+                "{mode:?} store images differ"
+            );
+            if (decoded.len() as u64) < (golden.steps - 1) / interval {
+                SEEN.thinned.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// A resumed run's observers cover the suffix only — no entry-block
+    /// count, no credit for what ran before the checkpoint — and agree
+    /// with the oracle resumed from the same checkpoint. Run by
+    /// `observers_match_the_oracle_on_every_kind_of_run`.
+    fn resumed_suffix_matches_oracle(
+        stmts in proptest::collection::vec((0u8..8, 0u8..20), 1..8),
+        a in 0i64..30,
+        b in -10i64..30,
+        interval_raw in 1u64..400,
+        nth_raw in 0u64..10_000,
+        bit in 0u32..64,
+    ) {
+        let m = minic::compile(&gen_source(&stmts), "prop-resume").unwrap();
+        let input = ProgInput::scalars(vec![Scalar::I(a), Scalar::I(b)]);
+        let interp = Interp::new(&m, observed());
+        let cfg = CheckpointConfig {
+            interval: 1 + interval_raw % 97,
+            mode: SnapshotMode::Delta,
+            keyframe_every: 4,
+            ..CheckpointConfig::default()
+        };
+        let (golden, store) = interp.run_with_checkpoint_store(&input, cfg);
+        prop_assume!(golden.exited());
+
+        let nth = nth_raw % golden.steps;
+        let fault = FaultSpec { target: FaultTarget::NthDynamic(nth), bit };
+        let eligible: Vec<usize> =
+            (0..store.len()).filter(|&i| store.inj_ctr_at(i) <= nth).collect();
+        let mut scratch = ExecScratch::default();
+        // the first, the middle and the nearest eligible checkpoint
+        for &idx in [eligible.first(), eligible.get(eligible.len() / 2), eligible.last()]
+            .into_iter()
+            .flatten()
+        {
+            let reference = oracle::resume_from(&interp, &store, idx, &input, fault);
+            let resumed = interp.resume_from(&mut scratch, &store, idx, &input, fault);
+            prop_assert_eq!(resumed.resumed_at, Some(store.steps_at(idx)));
+            same_result(&resumed, &reference)?;
+            SEEN.resumed.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// A delta-encoded store materializes to exactly the snapshots the
@@ -143,7 +346,7 @@ proptest! {
     ) {
         let m = minic::compile(&gen_source(&stmts), "prop-decode").unwrap();
         let input = ProgInput::scalars(vec![Scalar::I(a), Scalar::I(b)]);
-        let interp = Interp::new(&m, exec(DispatchMode::Decoded));
+        let interp = Interp::new(&m, exec());
         let golden = interp.run(&input);
         prop_assume!(golden.exited());
 
@@ -195,7 +398,7 @@ proptest! {
     ) {
         let m = minic::compile(&gen_source(&stmts), "prop-decode").unwrap();
         let input = ProgInput::scalars(vec![Scalar::I(a), Scalar::I(b)]);
-        let interp = Interp::new(&m, exec(DispatchMode::Decoded));
+        let interp = Interp::new(&m, exec());
         let golden = interp.run(&input);
         prop_assume!(golden.exited());
 
@@ -222,5 +425,223 @@ proptest! {
             prop_assert_eq!(warm.fault_applied, cold.fault_applied);
             prop_assert_eq!(&warm.ret, &cold.ret);
         }
+    }
+}
+
+/// Compare one observed run with the oracle and return how it ended.
+fn ends_like_the_oracle(m: &Module, cfg: ExecConfig, input: &ProgInput) -> Termination {
+    let interp = Interp::new(m, cfg);
+    let reference = oracle::run(&interp, input);
+    if let Err(e) = same_result(&interp.run(input), &reference) {
+        panic!("{}: {e}", m.name);
+    }
+    reference.termination
+}
+
+fn compiled(name: &str, body: &str) -> Module {
+    let src =
+        format!("fn rec(x: int) -> int {{ return rec(x + 1) + 1; }}\nfn main() {{\n{body}\n}}\n");
+    minic::compile(&src, name).unwrap()
+}
+
+/// Random programs only ever trap out of bounds, on a division or deep
+/// in a recursion. Every other way a run can end, on a program made for
+/// it: each trap kind (the work before the trap makes the profile worth
+/// comparing), a duplication check that fires, and the output limit.
+#[test]
+fn every_termination_kind_profiles_like_the_oracle() {
+    let warmup = "let buf: [int] = alloc(4);\nlet s = 0;\n\
+                  for i = 0 to 9 { buf[i % 4] = i; s = s + buf[(i + 1) % 4]; }\nout_i(s);";
+    let ints = |v: &[i64]| ProgInput::scalars(v.iter().map(|&x| Scalar::I(x)).collect());
+    let streams = |s: Stream| ProgInput::new(vec![Scalar::I(1)], vec![s]);
+    let trap = |k| Termination::Trap(k);
+    let limits = ExecConfig {
+        mem_limit: 64,
+        call_depth_limit: 7,
+        output_limit: 3,
+        ..observed()
+    };
+    let cases: Vec<(&str, String, ProgInput, ExecConfig, Termination)> = vec![
+        (
+            "exit",
+            String::new(),
+            ints(&[1]),
+            observed(),
+            Termination::Exit,
+        ),
+        (
+            "oob",
+            "out_i(buf[arg_i(0)]);".into(),
+            ints(&[100]),
+            observed(),
+            trap(TrapKind::OutOfBounds),
+        ),
+        (
+            "div0",
+            "out_i(s / arg_i(0));".into(),
+            ints(&[0]),
+            observed(),
+            trap(TrapKind::DivByZero),
+        ),
+        (
+            "negalloc",
+            "let big: [int] = alloc(arg_i(0)); out_i(big[0]);".into(),
+            ints(&[-3]),
+            observed(),
+            trap(TrapKind::NegativeAlloc),
+        ),
+        (
+            "memlimit",
+            "let big: [int] = alloc(arg_i(0)); out_i(big[0]);".into(),
+            ints(&[61]),
+            limits.clone(),
+            trap(TrapKind::MemLimit),
+        ),
+        (
+            "calldepth",
+            "out_i(rec(arg_i(0)));".into(),
+            ints(&[1]),
+            limits.clone(),
+            trap(TrapKind::CallDepth),
+        ),
+        (
+            "argrange",
+            "out_i(arg_i(3));".into(),
+            ints(&[1]),
+            observed(),
+            trap(TrapKind::ArgOutOfRange),
+        ),
+        (
+            "argtype",
+            "out_f(arg_f(0));".into(),
+            ints(&[1]),
+            observed(),
+            trap(TrapKind::ArgTypeMismatch),
+        ),
+        (
+            "badindex",
+            "out_i(arg_i(0 - arg_i(0)));".into(),
+            ints(&[1]),
+            observed(),
+            trap(TrapKind::BadIndex),
+        ),
+        (
+            "streamoob",
+            "out_i(data_i(0, data_len(0)));".into(),
+            streams(Stream::I(vec![4, 5])),
+            observed(),
+            trap(TrapKind::StreamOutOfBounds),
+        ),
+        (
+            "streamtype",
+            "out_i(data_i(0, 0));".into(),
+            streams(Stream::F(vec![4.0])),
+            observed(),
+            trap(TrapKind::StreamTypeMismatch),
+        ),
+        (
+            "outlimit",
+            "for i = 0 to 9 { out_i(i); }".into(),
+            ints(&[1]),
+            limits,
+            Termination::StepLimit,
+        ),
+    ];
+    for (name, tail, input, cfg, want) in cases {
+        let m = compiled(name, &format!("{warmup}\n{tail}"));
+        assert_eq!(ends_like_the_oracle(&m, cfg, &input), want, "{name}");
+    }
+
+    // shapes the front end never emits: a parameter nobody passed, an
+    // integer added to a float, and a duplication check that disagrees
+    let built = |name: &str, body: &dyn Fn(&mut minpsid_ir::FunctionBuilder)| {
+        let mut mb = ModuleBuilder::new(name);
+        let main = mb.declare("main", vec![], None);
+        let mut fb = mb.body(main);
+        let looped = fb.new_block("loop");
+        let done = fb.new_block("done");
+        let slot = fb.alloc(1i64);
+        fb.store(slot, 0i64, 0i64);
+        fb.br(looped);
+        fb.switch_to(looped);
+        let i = fb.load(Ty::I64, slot, 0i64);
+        let i2 = fb.add(Ty::I64, i, 1i64);
+        fb.store(slot, 0i64, i2);
+        let c = fb.cmp(CmpOp::Lt, i2, 5i64);
+        fb.cond_br(c, looped, done);
+        fb.switch_to(done);
+        body(&mut fb);
+        fb.ret_void();
+        mb.define(fb);
+        mb.finish()
+    };
+    let helper_with_missing_arg = {
+        let mut mb = ModuleBuilder::new("undef");
+        let main = mb.declare("main", vec![], None);
+        let h = mb.declare("h", vec![Ty::I64], Some(Ty::I64));
+        let mut fb = mb.body(h);
+        let p = fb.param(0);
+        let r = fb.add(Ty::I64, p, 1i64);
+        fb.ret(r);
+        mb.define(fb);
+        let mut fb = mb.body(main);
+        let v = fb.call(h, Some(Ty::I64), vec![]);
+        fb.out_i(v);
+        fb.ret_void();
+        mb.define(fb);
+        mb.finish()
+    };
+    let none = ProgInput::default();
+    assert_eq!(
+        ends_like_the_oracle(&helper_with_missing_arg, observed(), &none),
+        trap(TrapKind::UndefRead)
+    );
+    let confused = built("confused", &|fb| {
+        let x = fb.add(Ty::I64, 1i64, 2.5f64);
+        fb.out_i(x);
+    });
+    assert_eq!(
+        ends_like_the_oracle(&confused, observed(), &none),
+        trap(TrapKind::TypeConfusion)
+    );
+    let detected = built("detected", &|fb| {
+        let x = fb.add(Ty::I64, 1i64, 2i64);
+        let y = fb.add(Ty::I64, 1i64, 3i64);
+        fb.check(x, y);
+        fb.out_i(x);
+    });
+    assert_eq!(
+        ends_like_the_oracle(&detected, observed(), &none),
+        Termination::Detected
+    );
+}
+
+/// A step limit at every single step of one run: each dynamic
+/// instruction — first of a block, second half of a superinstruction,
+/// first of a callee, the one after a return — is once the instruction
+/// that trips the limit, which is counted as a step but not as an
+/// execution.
+#[test]
+fn a_stop_at_every_step_profiles_like_the_oracle() {
+    let m = minic::compile(
+        &gen_source(&[(3, 5), (4, 3), (5, 2), (6, 4), (2, 1)]),
+        "sweep",
+    )
+    .unwrap();
+    let input = ProgInput::scalars(vec![Scalar::I(5), Scalar::I(3)]);
+    let full = oracle::run(&Interp::new(&m, observed()), &input);
+    assert!(full.exited());
+    assert!(full.steps > 300, "the run is worth sweeping");
+    for step_limit in 0..=full.steps {
+        let cfg = ExecConfig {
+            step_limit,
+            ..observed()
+        };
+        let want = if step_limit == full.steps {
+            Termination::Exit
+        } else {
+            Termination::StepLimit
+        };
+        assert_eq!(ends_like_the_oracle(&m, cfg, &input), want, "{step_limit}");
     }
 }

@@ -23,8 +23,9 @@ use std::sync::{Arc, Mutex};
 const SPAN_BOUNDS: [f64; 8] = [0.001, 0.01, 0.05, 0.25, 1.0, 5.0, 30.0, 120.0];
 
 struct KindState {
+    /// The running campaign's last absolute tally (zero between
+    /// campaigns): counters advance by the difference to it.
     prev: OutcomeTally,
-    prev_done: u64,
     view: CampaignView,
 }
 
@@ -83,15 +84,31 @@ fn apply_tally(
     let kind_str = kind.as_str();
     let entry = st.per_kind.entry(kind_str).or_insert_with(|| KindState {
         prev: OutcomeTally::default(),
-        prev_done: 0,
         view: CampaignView {
             workload: workload.to_string(),
             kind: kind_str.to_string(),
             ..CampaignView::default()
         },
     });
-    // Counters advance by delta from the previous absolute snapshot.
-    let p = entry.prev;
+    // Counters advance by delta from the previous absolute snapshot. A
+    // tally that went backwards belongs to another campaign (one whose
+    // predecessor's end was never seen, or campaigns of one kind
+    // interleaving in one process, as parallel tests do): count it from
+    // zero — an observer must not take the campaign down on underflow.
+    let mut p = entry.prev;
+    let went_backwards = [
+        (p.benign, counts.benign),
+        (p.sdc, counts.sdc),
+        (p.crash, counts.crash),
+        (p.hang, counts.hang),
+        (p.detected, counts.detected),
+        (p.engine_error, counts.engine_error),
+    ]
+    .iter()
+    .any(|(before, now)| before > now);
+    if went_backwards {
+        p = OutcomeTally::default();
+    }
     outcome_counter(
         registry,
         workload,
@@ -122,8 +139,12 @@ fn apply_tally(
         "engine_error",
         counts.engine_error - p.engine_error,
     );
-    entry.prev = *counts;
-    entry.prev_done = done;
+    // the next campaign of this kind starts its tally from zero again
+    entry.prev = if finished {
+        OutcomeTally::default()
+    } else {
+        *counts
+    };
 
     let labels = [("workload", workload), ("kind", kind_str)];
     registry
@@ -558,6 +579,68 @@ mod tests {
         assert!(doc.contains("\"completeness\":0.95"), "{doc}");
         assert!(doc.contains("\"site\":\"program#7\""), "{doc}");
         assert!(doc.contains("\"retries\":1"), "{doc}");
+    }
+
+    /// A pipeline run with a status endpoint runs one campaign of a kind
+    /// per input, all in one process: each restarts its tally at zero, and
+    /// the counters must carry on from the previous campaign's totals.
+    #[test]
+    fn second_campaign_of_a_kind_adds_to_the_first() {
+        let registry = Registry::new();
+        let board = StatusBoard::new();
+        let mut st = BridgeState {
+            per_kind: BTreeMap::new(),
+        };
+        let mut feed = |e: Event| apply(&mut st, &ev(e), &registry, &board, "fft");
+        for (progress, end) in [(tally(8, 2), tally(30, 8)), (tally(3, 1), tally(11, 4))] {
+            feed(Event::CampaignProgress {
+                kind: CampaignKind::PerInst,
+                done: progress.benign + progress.sdc,
+                total: 60,
+                counts: progress,
+                elapsed_us: 1_000,
+            });
+            feed(Event::CampaignEnd {
+                kind: CampaignKind::PerInst,
+                injections: end.benign + end.sdc,
+                elapsed_us: 2_000,
+                counts: end,
+                steps_executed: 0,
+                steps_skipped: 0,
+                restores: 0,
+                converged: 0,
+                steps_saved: 0,
+            });
+        }
+        let count = |outcome: &str| {
+            registry
+                .snapshot()
+                .iter()
+                .find(|f| f.name == "minpsid_injections_total")
+                .expect("family registered")
+                .series
+                .iter()
+                .find(|s| s.labels.iter().any(|(k, v)| k == "outcome" && v == outcome))
+                .map(|s| s.value.clone())
+        };
+        assert_eq!(count("benign"), Some(SampleValue::Counter(30 + 11)));
+        assert_eq!(count("sdc"), Some(SampleValue::Counter(8 + 4)));
+
+        // a tally below the running one (another campaign's, interleaved)
+        // restarts the count instead of underflowing
+        for counts in [tally(20, 5), tally(2, 0)] {
+            feed(Event::CampaignProgress {
+                kind: CampaignKind::PerInst,
+                done: counts.benign + counts.sdc,
+                total: 60,
+                counts,
+                elapsed_us: 3_000,
+            });
+        }
+        assert_eq!(
+            count("benign"),
+            Some(SampleValue::Counter(30 + 11 + 20 + 2))
+        );
     }
 
     #[test]

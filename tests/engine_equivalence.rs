@@ -3,7 +3,10 @@
 //! reports at every thread count, because the plan is fixed by the seed
 //! and reduction happens in plan order regardless of how workers race.
 //! Plus the crash story for the *parallel* journaled path: a campaign
-//! SIGKILLed mid-run resumes from its WAL to the same bytes.
+//! SIGKILLed mid-run resumes from its WAL to the same bytes. And the
+//! interpreter's side of the bargain, on all 11 kernels: the decoded
+//! engine's one-pass golden run and shared-interpreter input search
+//! against the reference oracle and per-candidate profiling.
 
 use minpsid_repro::faultsim::{
     faulty_exec_config, golden_run, CampaignConfig, CampaignConfigBuilder, CampaignEngine,
@@ -151,6 +154,178 @@ fn checkpointed_per_inst_campaign_equals_cold_replay_on_every_kernel() {
         converged >= 20,
         "only {converged} sampled injections converged"
     );
+}
+
+/// `golden_run` — one observed pass of the decoded engine yielding the
+/// profile, the checkpoint store and the run's ending together — equals,
+/// on every kernel of the suite and in both store encodings, what the
+/// reference oracle produces the slow way: a profiled tree walk, then a
+/// second, capturing walk at the interval the first one's length sets.
+/// Equal means equal bytes: the store's object names hang off them.
+#[test]
+fn one_pass_golden_run_equals_the_oracles_two_passes_on_every_kernel() {
+    use minpsid_repro::interp::wire::{encode_checkpoints, encode_golden};
+    use minpsid_repro::interp::{auto_interval, oracle, CheckpointConfig, ExecConfig, Interp};
+
+    for mode in ["delta", "full"] {
+        let cfg = CampaignConfigBuilder::new(7)
+            .max_checkpoints(128)
+            .and_then(|b| b.snapshot_mode(mode))
+            .expect("valid config")
+            .build();
+        for b in workloads::suite() {
+            let (module, input) = bench_module(b.name);
+            let golden = golden_run(&module, &input, &cfg).expect("golden run");
+
+            let profiling = Interp::new(
+                &module,
+                ExecConfig {
+                    profile: true,
+                    ..cfg.exec.clone()
+                },
+            );
+            let first = oracle::run(&profiling, &input);
+            assert!(first.exited(), "{}", b.name);
+            let capturing = Interp::new(&module, cfg.exec.clone());
+            let ck = CheckpointConfig {
+                interval: auto_interval(first.steps, cfg.max_checkpoints),
+                mem_budget_bytes: cfg.checkpoint_mem_budget,
+                mode: cfg.snapshot_mode,
+                keyframe_every: cfg.keyframe_every,
+            };
+            let (second, store) = oracle::run_with_checkpoint_store(&capturing, &input, ck);
+            assert_eq!(second.steps, first.steps, "{}", b.name);
+            assert!(!store.is_empty(), "{}: nothing captured", b.name);
+
+            let profile = first.profile.expect("profiled walk");
+            assert_eq!(golden.steps, first.steps, "{} ({mode}): steps", b.name);
+            assert_eq!(golden.output, first.output, "{} ({mode}): output", b.name);
+            assert_eq!(golden.profile, profile, "{} ({mode}): profile", b.name);
+            assert!(
+                golden.encode_meta() == encode_golden(&first.output, &profile, first.steps),
+                "{} ({mode}): golden meta image",
+                b.name
+            );
+            assert!(
+                golden.encode_checkpoints() == encode_checkpoints(&store),
+                "{} ({mode}): checkpoint store image",
+                b.name
+            );
+        }
+    }
+}
+
+/// The input search evaluates every GA candidate on the one profiling
+/// interpreter it built at construction. On every kernel that search
+/// returns what a search fed by per-candidate `profile_input` (a fresh
+/// interpreter, hence a fresh decode, per candidate) returns: same
+/// parameters, fitness, indexed CFG list and evaluation count, round
+/// after round.
+#[test]
+fn search_on_a_shared_interpreter_equals_per_candidate_profiling() {
+    use minpsid_repro::minpsid::{
+        indexed_cfg_list, input_fingerprint, profile_input, EvalMemo, GaConfig, InputModel,
+        ParamSpec, ParamValue, SearchEngine,
+    };
+    use std::collections::HashMap;
+    use std::sync::Mutex;
+
+    /// The kernel's own model, remembering every input it materialized.
+    struct Recording<'a> {
+        inner: &'a dyn InputModel,
+        inputs: Mutex<HashMap<u64, ProgInput>>,
+    }
+    impl InputModel for Recording<'_> {
+        fn spec(&self) -> &[ParamSpec] {
+            self.inner.spec()
+        }
+        fn materialize(&self, params: &[ParamValue]) -> ProgInput {
+            let input = self.inner.materialize(params);
+            let mut inputs = self.inputs.lock().expect("no panic under the lock");
+            inputs.insert(input_fingerprint(&input), input.clone());
+            input
+        }
+        fn random(&self, rng: &mut rand::rngs::StdRng) -> Vec<ParamValue> {
+            self.inner.random(rng)
+        }
+        fn reference(&self) -> Vec<ParamValue> {
+            self.inner.reference()
+        }
+    }
+    /// Serves every candidate's list from a per-candidate `profile_input`.
+    struct PerCandidate<'a> {
+        module: &'a Module,
+        model: &'a Recording<'a>,
+        campaign: &'a CampaignConfig,
+    }
+    impl EvalMemo for PerCandidate<'_> {
+        fn cfg_list(&self, input_fp: u64) -> Option<Vec<u64>> {
+            let inputs = self.model.inputs.lock().expect("no panic under the lock");
+            let input = inputs
+                .get(&input_fp)
+                .expect("materialized before evaluated");
+            profile_input(self.module, input, self.campaign)
+                .ok()
+                .map(|p| indexed_cfg_list(&p))
+        }
+        fn record_cfg_list(&self, _: u64, _: &[u64]) {}
+    }
+
+    let campaign = CampaignConfigBuilder::new(7).build();
+    let ga = GaConfig {
+        population: 6,
+        max_generations: 3,
+        ..GaConfig::default()
+    };
+    for b in workloads::suite() {
+        let module = b.compile();
+        let model: &dyn InputModel = b.model.as_ref();
+        let reference = model.materialize(&model.reference());
+        let ref_list = indexed_cfg_list(
+            &profile_input(&module, &reference, &campaign).expect("reference input exits"),
+        );
+
+        let mut shared = SearchEngine::new(&module, model, campaign.clone(), ga.clone());
+        let recording = Recording {
+            inner: model,
+            inputs: Mutex::new(HashMap::new()),
+        };
+        let memo = PerCandidate {
+            module: &module,
+            model: &recording,
+            campaign: &campaign,
+        };
+        let mut fed = SearchEngine::new(&module, &recording, campaign.clone(), ga.clone());
+        fed.set_eval_memo(&memo);
+        shared.record_history(ref_list.clone());
+        fed.record_history(ref_list);
+        for round in 0..2 {
+            let a = shared.next_ga_input().expect("a valid candidate");
+            let f = fed.next_ga_input().expect("a valid candidate");
+            assert_eq!(a.params, f.params, "{} round {round}: params", b.name);
+            assert_eq!(a.input, f.input, "{} round {round}: input", b.name);
+            assert_eq!(
+                a.fitness.to_bits(),
+                f.fitness.to_bits(),
+                "{} round {round}: fitness",
+                b.name
+            );
+            assert_eq!(a.cfg_list, f.cfg_list, "{} round {round}: list", b.name);
+            assert_eq!(
+                shared.profiled_runs, fed.profiled_runs,
+                "{} round {round}: evaluations",
+                b.name
+            );
+            shared.record_history(a.cfg_list);
+            fed.record_history(f.cfg_list);
+        }
+        assert_eq!(shared.memo_served, 0);
+        assert_eq!(
+            fed.memo_served, fed.profiled_runs,
+            "{}: every counted evaluation came from `profile_input`",
+            b.name
+        );
+    }
 }
 
 /// Observability must be a pure observer: the same campaign run with the
