@@ -20,6 +20,7 @@
 
 use minpsid_faultsim::{golden_run, CampaignConfig, GoldenRun};
 use minpsid_interp::{Output, OutputItem, ProgInput, Scalar, Stream, Termination};
+use minpsid_ir::bytes::Fnv;
 use minpsid_ir::Module;
 use minpsid_store::ArtifactStore;
 use std::collections::HashMap;
@@ -32,44 +33,12 @@ pub const GOLDEN_ARTIFACT: &str = "golden";
 /// Store artifact class for a golden run's checkpoint store.
 pub const CKPT_ARTIFACT: &str = "ckpt";
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a accumulator that doubles as a `fmt::Write` sink, so arbitrary
-/// `Debug`-renderable structure can be folded in without allocating the
-/// rendered string.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(FNV_OFFSET)
-    }
-
-    fn eat_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    fn eat_u64(&mut self, v: u64) {
-        self.eat_bytes(&v.to_le_bytes());
-    }
-}
-
-impl std::fmt::Write for Fnv {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        self.eat_bytes(s.as_bytes());
-        Ok(())
-    }
-}
-
 /// Structural fingerprint of a module: any change to functions, blocks, or
 /// instructions changes it.
 pub fn module_fingerprint(module: &Module) -> u64 {
     let mut h = Fnv::new();
     write!(h, "{module:?}").expect("fmt to hasher cannot fail");
-    h.0
+    h.finish()
 }
 
 /// FNV-1a over a value's `Debug` rendering (the journal's config
@@ -77,7 +46,7 @@ pub fn module_fingerprint(module: &Module) -> u64 {
 pub(crate) fn fingerprint_debug<T: std::fmt::Debug>(v: &T) -> u64 {
     let mut h = Fnv::new();
     write!(h, "{v:?}").expect("fmt to hasher cannot fail");
-    h.0
+    h.finish()
 }
 
 /// Bit-exact fingerprint of a program input (floats hash by bit pattern,
@@ -85,39 +54,39 @@ pub(crate) fn fingerprint_debug<T: std::fmt::Debug>(v: &T) -> u64 {
 /// bit-exact semantics).
 pub fn input_fingerprint(input: &ProgInput) -> u64 {
     let mut h = Fnv::new();
-    h.eat_u64(input.args.len() as u64);
+    h.u64(input.args.len() as u64);
     for a in &input.args {
         match a {
             Scalar::I(v) => {
-                h.eat_bytes(b"i");
-                h.eat_u64(*v as u64);
+                h.bytes(b"i");
+                h.u64(*v as u64);
             }
             Scalar::F(v) => {
-                h.eat_bytes(b"f");
-                h.eat_u64(v.to_bits());
+                h.bytes(b"f");
+                h.u64(v.to_bits());
             }
         }
     }
-    h.eat_u64(input.streams.len() as u64);
+    h.u64(input.streams.len() as u64);
     for s in &input.streams {
         match s {
             Stream::I(v) => {
-                h.eat_bytes(b"I");
-                h.eat_u64(v.len() as u64);
+                h.bytes(b"I");
+                h.u64(v.len() as u64);
                 for x in v {
-                    h.eat_u64(*x as u64);
+                    h.u64(*x as u64);
                 }
             }
             Stream::F(v) => {
-                h.eat_bytes(b"F");
-                h.eat_u64(v.len() as u64);
+                h.bytes(b"F");
+                h.u64(v.len() as u64);
                 for x in v {
-                    h.eat_u64(x.to_bits());
+                    h.u64(x.to_bits());
                 }
             }
         }
     }
-    h.0
+    h.finish()
 }
 
 /// Bit-exact fingerprint of an execution's output — the digest the
@@ -125,20 +94,20 @@ pub fn input_fingerprint(input: &ProgInput) -> u64 {
 /// golden runs match the originals.
 pub fn output_fingerprint(output: &Output) -> u64 {
     let mut h = Fnv::new();
-    h.eat_u64(output.items.len() as u64);
+    h.u64(output.items.len() as u64);
     for item in &output.items {
         match item {
             OutputItem::I(v) => {
-                h.eat_bytes(b"i");
-                h.eat_u64(*v as u64);
+                h.bytes(b"i");
+                h.u64(*v as u64);
             }
             OutputItem::F(v) => {
-                h.eat_bytes(b"f");
-                h.eat_u64(v.to_bits());
+                h.bytes(b"f");
+                h.u64(v.to_bits());
             }
         }
     }
-    h.0
+    h.finish()
 }
 
 /// Fingerprint of the campaign-config fields a golden run depends on.
@@ -157,7 +126,7 @@ pub fn config_fingerprint(cfg: &CampaignConfig) -> u64 {
         cfg.keyframe_every
     )
     .expect("fmt to hasher cannot fail");
-    h.0
+    h.finish()
 }
 
 type Key = (u64, u64, u64);

@@ -34,8 +34,10 @@
 
 use crate::campaign::{CampaignConfig, GoldenRun};
 use minpsid_interp::OutputItem;
+use minpsid_ir::bytes::{put_u32, put_u64, put_varint, Error, Fnv, Reader};
 use minpsid_store::{ArtifactStore, StoreError};
 use minpsid_trace as trace;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -45,20 +47,6 @@ pub const TABLE_ARTIFACT: &str = "table";
 /// Bump on any layout change; decoders treat other versions as misses.
 const TABLE_VERSION: u32 = 1;
 const TABLE_MAGIC: &[u8; 4] = b"MPTB";
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-fn fnv_bytes(h: &mut u64, b: &[u8]) {
-    for &x in b {
-        *h ^= x as u64;
-        *h = h.wrapping_mul(FNV_PRIME);
-    }
-}
-
-fn fnv_u64(h: &mut u64, v: u64) {
-    fnv_bytes(h, &v.to_le_bytes());
-}
 
 /// Which campaign shape a table memoizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,36 +81,35 @@ pub fn table_sig(
     sec_counts: &[u64],
     pop: u64,
 ) -> u64 {
-    let mut h = FNV_OFFSET;
-    fnv_u64(&mut h, TABLE_VERSION as u64);
-    fnv_bytes(&mut h, &[kind.tag()]);
-    fnv_u64(&mut h, cfg.seed);
-    fnv_u64(&mut h, cfg.hang_multiplier);
+    let mut h = Fnv::new();
+    h.u64(TABLE_VERSION as u64);
+    h.bytes(&[kind.tag()]);
+    h.u64(cfg.seed);
+    h.u64(cfg.hang_multiplier);
     if kind == TableKind::PerInst {
-        fnv_u64(&mut h, cfg.per_inst_injections as u64);
+        h.u64(cfg.per_inst_injections as u64);
     }
-    fnv_bytes(&mut h, format!("{:?}", cfg.exec).as_bytes());
-    fnv_bytes(&mut h, format!("{:?}", cfg.sched).as_bytes());
-    fnv_u64(&mut h, golden.steps);
-    fnv_u64(&mut h, golden.output.items.len() as u64);
+    write!(h, "{:?}{:?}", cfg.exec, cfg.sched).expect("fmt to hasher cannot fail");
+    h.u64(golden.steps);
+    h.u64(golden.output.items.len() as u64);
     for item in &golden.output.items {
         match item {
             OutputItem::I(v) => {
-                fnv_bytes(&mut h, b"i");
-                fnv_u64(&mut h, *v as u64);
+                h.bytes(b"i");
+                h.u64(*v as u64);
             }
             OutputItem::F(v) => {
-                fnv_bytes(&mut h, b"f");
-                fnv_u64(&mut h, v.to_bits());
+                h.bytes(b"f");
+                h.u64(v.to_bits());
             }
         }
     }
-    fnv_u64(&mut h, sec_counts.len() as u64);
+    h.u64(sec_counts.len() as u64);
     for &c in sec_counts {
-        fnv_u64(&mut h, c);
+        h.u64(c);
     }
-    fnv_u64(&mut h, pop);
-    h
+    h.u64(pop);
+    h.finish()
 }
 
 /// A decoded whole-program outcome table: one `(outcome, recovered)` pair
@@ -158,111 +145,44 @@ impl PerInstTable {
     }
 }
 
-// --- wire format (local checked reader, same discipline as the WAL) ---
-
-fn w_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(b);
-            return;
-        }
-        buf.push(b | 0x80);
-    }
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn u8(&mut self) -> Option<u8> {
-        let b = *self.buf.get(self.pos)?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let s = self.buf.get(self.pos..self.pos + n)?;
-        self.pos += n;
-        Some(s)
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn varint(&mut self) -> Option<u64> {
-        let mut v = 0u64;
-        for shift in (0..64).step_by(7) {
-            let b = self.u8()?;
-            v |= ((b & 0x7f) as u64) << shift;
-            if b & 0x80 == 0 {
-                return Some(v);
-            }
-        }
-        None
-    }
-
-    /// A count that promises at least `min_bytes` per element: bounds
-    /// hostile lengths before any allocation.
-    fn count(&mut self, min_bytes: usize) -> Option<usize> {
-        let n = self.varint()?;
-        if (n as usize).checked_mul(min_bytes)? > self.buf.len() - self.pos {
-            return None;
-        }
-        Some(n as usize)
-    }
-
-    fn finish(self) -> Option<()> {
-        (self.pos == self.buf.len()).then_some(())
-    }
-}
+// --- wire format ---
 
 fn header(kind: TableKind, complete: bool, fp: u64, input_fp: u64, sig: u64) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64);
     buf.extend_from_slice(TABLE_MAGIC);
-    buf.extend_from_slice(&TABLE_VERSION.to_le_bytes());
+    put_u32(&mut buf, TABLE_VERSION);
     buf.push(kind.tag());
     buf.push(complete as u8);
-    buf.extend_from_slice(&fp.to_le_bytes());
-    buf.extend_from_slice(&input_fp.to_le_bytes());
-    buf.extend_from_slice(&sig.to_le_bytes());
+    put_u64(&mut buf, fp);
+    put_u64(&mut buf, input_fp);
+    put_u64(&mut buf, sig);
     buf
 }
 
-/// Decode the common header; `None` (a miss) unless magic, version, kind,
-/// fingerprint, input and signature all match. Returns the completeness
-/// flag and a reader positioned at the body.
+/// Decode the common header; an error (a miss) unless magic, version,
+/// kind, fingerprint, input and signature all match. Returns the
+/// completeness flag and a reader positioned at the body.
 fn check_header<'a>(
     bytes: &'a [u8],
     kind: TableKind,
     fp: u64,
     input_fp: u64,
     sig: u64,
-) -> Option<(bool, Reader<'a>)> {
-    let mut r = Reader { buf: bytes, pos: 0 };
-    if r.take(4)? != TABLE_MAGIC {
-        return None;
-    }
-    if u32::from_le_bytes(r.take(4)?.try_into().unwrap()) != TABLE_VERSION {
-        return None;
-    }
-    if r.u8()? != kind.tag() {
-        return None;
+) -> Result<(bool, Reader<'a>), Error> {
+    let mut r = Reader::new(bytes);
+    if r.take(4)? != TABLE_MAGIC || r.u32()? != TABLE_VERSION || r.u8()? != kind.tag() {
+        return Err(Error::Invalid("not this kind of table"));
     }
     let complete = r.u8()? != 0;
     if r.u64()? != fp || r.u64()? != input_fp || r.u64()? != sig {
-        return None;
+        return Err(Error::Invalid("table of another section or context"));
     }
-    Some((complete, r))
+    Ok((complete, r))
 }
 
 fn encode_program(fp: u64, input_fp: u64, sig: u64, t: &ProgramTable) -> Vec<u8> {
     let mut buf = header(TableKind::Program, t.complete, fp, input_fp, sig);
-    w_varint(&mut buf, t.units.len() as u64);
+    put_varint(&mut buf, t.units.len() as u64);
     for &(outcome, recovered) in &t.units {
         buf.push(outcome);
         buf.push(recovered as u8);
@@ -270,7 +190,7 @@ fn encode_program(fp: u64, input_fp: u64, sig: u64, t: &ProgramTable) -> Vec<u8>
     buf
 }
 
-fn decode_program(bytes: &[u8], fp: u64, input_fp: u64, sig: u64) -> Option<ProgramTable> {
+fn decode_program(bytes: &[u8], fp: u64, input_fp: u64, sig: u64) -> Result<ProgramTable, Error> {
     let (complete, mut r) = check_header(bytes, TableKind::Program, fp, input_fp, sig)?;
     let n = r.count(2)?;
     let mut units = Vec::with_capacity(n);
@@ -278,40 +198,36 @@ fn decode_program(bytes: &[u8], fp: u64, input_fp: u64, sig: u64) -> Option<Prog
         let outcome = r.u8()?;
         let recovered = r.u8()?;
         if recovered > 1 {
-            return None;
+            return Err(Error::Invalid("recovered byte"));
         }
         units.push((outcome, recovered != 0));
     }
     r.finish()?;
-    Some(ProgramTable { complete, units })
+    Ok(ProgramTable { complete, units })
 }
 
 fn encode_per_inst(fp: u64, input_fp: u64, sig: u64, t: &PerInstTable) -> Vec<u8> {
     let mut buf = header(TableKind::PerInst, t.complete, fp, input_fp, sig);
-    w_varint(&mut buf, t.sites.len() as u64);
+    put_varint(&mut buf, t.sites.len() as u64);
     for (local, outcomes) in &t.sites {
-        w_varint(&mut buf, *local as u64);
-        w_varint(&mut buf, outcomes.len() as u64);
+        put_varint(&mut buf, *local as u64);
+        put_varint(&mut buf, outcomes.len() as u64);
         buf.extend_from_slice(outcomes);
     }
     buf
 }
 
-fn decode_per_inst(bytes: &[u8], fp: u64, input_fp: u64, sig: u64) -> Option<PerInstTable> {
+fn decode_per_inst(bytes: &[u8], fp: u64, input_fp: u64, sig: u64) -> Result<PerInstTable, Error> {
     let (complete, mut r) = check_header(bytes, TableKind::PerInst, fp, input_fp, sig)?;
     let n = r.count(2)?;
     let mut sites = Vec::with_capacity(n);
     for _ in 0..n {
-        let local = r.varint()?;
-        if local > u32::MAX as u64 {
-            return None;
-        }
+        let local = u32::try_from(r.varint()?).map_err(|_| Error::Invalid("site index"))?;
         let k = r.count(1)?;
-        let outcomes = r.take(k)?.to_vec();
-        sites.push((local as u32, outcomes));
+        sites.push((local, r.take(k)?.to_vec()));
     }
     r.finish()?;
-    Some(PerInstTable { complete, sites })
+    Ok(PerInstTable { complete, sites })
 }
 
 // --- the memo ---
@@ -473,12 +389,12 @@ impl TableMemo {
     /// tables (sealed under an expired deadline) are misses.
     pub(crate) fn load_program(&self, fp: u64, sig: u64) -> Option<ProgramTable> {
         let bytes = self.fetch(TableKind::Program, fp, sig)?;
-        match decode_program(&bytes, fp, self.input_fp, sig).filter(|t| t.complete) {
-            Some(t) => {
+        match decode_program(&bytes, fp, self.input_fp, sig) {
+            Ok(t) if t.complete => {
                 self.note_hit(fp, t.units.len() as u64);
                 Some(t)
             }
-            None => {
+            _ => {
                 self.note_stale(fp);
                 None
             }
@@ -488,12 +404,12 @@ impl TableMemo {
     /// Load a sealed per-instruction table for `(fp, sig)`.
     pub(crate) fn load_per_inst(&self, fp: u64, sig: u64) -> Option<PerInstTable> {
         let bytes = self.fetch(TableKind::PerInst, fp, sig)?;
-        match decode_per_inst(&bytes, fp, self.input_fp, sig).filter(|t| t.complete) {
-            Some(t) => {
+        match decode_per_inst(&bytes, fp, self.input_fp, sig) {
+            Ok(t) if t.complete => {
                 self.note_hit(fp, t.total_outcomes());
                 Some(t)
             }
-            None => {
+            _ => {
                 self.note_stale(fp);
                 None
             }
@@ -621,34 +537,55 @@ mod tests {
     }
 
     #[test]
-    fn malformed_table_bytes_never_panic() {
+    fn corrupt_table_bytes_are_misses_or_tables_that_are_safe_to_serve() {
+        use minpsid_ir::bytes::mutations;
         let t = ProgramTable {
             complete: true,
             units: vec![(1, false), (2, true)],
         };
         let good = encode_program(9, 77, 13, &t);
-        for cut in 0..good.len() {
-            assert!(decode_program(&good[..cut], 9, 77, 13).is_none());
-        }
-        for pos in 0..good.len() {
-            let mut bad = good.clone();
-            bad[pos] ^= 0x40;
-            let _ = decode_program(&bad, 9, 77, 13);
+        for bad in mutations(&good) {
+            if let Ok(back) = decode_program(&bad, 9, 77, 13) {
+                assert_eq!(bad.len(), good.len(), "a truncation decoded");
+                assert_eq!(
+                    back.units.len(),
+                    2,
+                    "a flip may change outcomes, never the shape"
+                );
+            }
         }
         let pi = PerInstTable {
             complete: true,
-            sites: vec![(1, vec![0; 4])],
+            sites: vec![(1, vec![0; 4]), (300, vec![3; 130])],
         };
         let good = encode_per_inst(9, 77, 13, &pi);
-        for cut in 0..good.len() {
-            assert!(decode_per_inst(&good[..cut], 9, 77, 13).is_none());
+        for bad in mutations(&good) {
+            if let Ok(back) = decode_per_inst(&bad, 9, 77, 13) {
+                assert_eq!(bad.len(), good.len(), "a truncation decoded");
+                assert!(back.total_outcomes() <= good.len() as u64);
+                back.site(1);
+            }
         }
+        let body = header(TableKind::PerInst, true, 9, 77, 13).len();
         // hostile length never over-allocates
         let mut bad = good.clone();
-        let body = header(TableKind::PerInst, true, 9, 77, 13).len();
         bad[body] = 0xff;
         bad.push(0xff);
-        let _ = decode_per_inst(&bad, 9, 77, 13);
+        assert!(decode_per_inst(&bad, 9, 77, 13).is_err());
+        // a ten-byte varint may only carry bit 63 in its last byte
+        let mut bad = good[..body].to_vec();
+        bad.extend_from_slice(&[0xff; 9]);
+        bad.push(0x02);
+        assert_eq!(
+            decode_per_inst(&bad, 9, 77, 13).err(),
+            Some(Error::Invalid("varint exceeds 64 bits"))
+        );
+        // a length near usize::MAX is an error, not an overflowing `pos + n`
+        let mut bad = good[..body].to_vec();
+        put_varint(&mut bad, 1);
+        put_varint(&mut bad, 0);
+        put_varint(&mut bad, u64::MAX);
+        assert!(decode_per_inst(&bad, 9, 77, 13).is_err());
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! Clean EOF on either pipe means the peer is gone: for the supervisor
 //! that is the worker-death signal driving lease reassignment.
 
+use minpsid_store::bytes::{put_u32, put_u64, Error, Reader};
 use std::io::{self, Read, Write};
 
 /// Upper bound on a frame payload. An `ASSIGN` carries one `u64` per
@@ -57,45 +58,6 @@ fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("fleet proto: {msg}"))
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl Reader<'_> {
-    fn u32(&mut self) -> io::Result<u32> {
-        let end = self.at.checked_add(4).filter(|&e| e <= self.bytes.len());
-        let end = end.ok_or_else(|| bad("truncated u32"))?;
-        let v = u32::from_le_bytes(self.bytes[self.at..end].try_into().unwrap());
-        self.at = end;
-        Ok(v)
-    }
-
-    fn u64(&mut self) -> io::Result<u64> {
-        let end = self.at.checked_add(8).filter(|&e| e <= self.bytes.len());
-        let end = end.ok_or_else(|| bad("truncated u64"))?;
-        let v = u64::from_le_bytes(self.bytes[self.at..end].try_into().unwrap());
-        self.at = end;
-        Ok(v)
-    }
-
-    fn done(&self) -> io::Result<()> {
-        if self.at == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(bad("trailing bytes in frame"))
-        }
-    }
-}
-
 impl ToSupervisor {
     pub fn encode(&self) -> Vec<u8> {
         let mut b = Vec::with_capacity(16);
@@ -118,9 +80,12 @@ impl ToSupervisor {
     }
 
     pub fn decode(bytes: &[u8]) -> io::Result<ToSupervisor> {
-        let (&tag, rest) = bytes.split_first().ok_or_else(|| bad("empty frame"))?;
-        let mut r = Reader { bytes: rest, at: 0 };
-        let msg = match tag {
+        Self::parse(bytes).map_err(|e| bad(&e.to_string()))
+    }
+
+    fn parse(bytes: &[u8]) -> Result<ToSupervisor, Error> {
+        let mut r = Reader::new(bytes);
+        let msg = match r.u8()? {
             TAG_READY => ToSupervisor::Ready {
                 population: r.u64()?,
             },
@@ -129,7 +94,7 @@ impl ToSupervisor {
                 done: r.u64()?,
             },
             TAG_SHARD_DONE => ToSupervisor::ShardDone { shard: r.u32()? },
-            t => return Err(bad(&format!("unknown worker→supervisor tag {t}"))),
+            t => return Err(Error::UnknownTag(t)),
         };
         r.done()?;
         Ok(msg)
@@ -159,14 +124,18 @@ impl ToWorker {
     }
 
     pub fn decode(bytes: &[u8]) -> io::Result<ToWorker> {
-        let (&tag, rest) = bytes.split_first().ok_or_else(|| bad("empty frame"))?;
-        let mut r = Reader { bytes: rest, at: 0 };
-        let msg = match tag {
+        Self::parse(bytes).map_err(|e| bad(&e.to_string()))
+    }
+
+    fn parse(bytes: &[u8]) -> Result<ToWorker, Error> {
+        let mut r = Reader::new(bytes);
+        let msg = match r.u8()? {
             TAG_ASSIGN => {
                 let shard = r.u32()?;
                 let attempt = r.u32()?;
-                let n = r.u32()? as usize;
-                let mut units = Vec::with_capacity(n.min(1 << 16));
+                let n = r.u32()?;
+                let n = r.count(n.into(), 8)?;
+                let mut units = Vec::with_capacity(n);
                 for _ in 0..n {
                     units.push(r.u64()?);
                 }
@@ -177,7 +146,7 @@ impl ToWorker {
                 }
             }
             TAG_SHUTDOWN => ToWorker::Shutdown,
-            t => return Err(bad(&format!("unknown supervisor→worker tag {t}"))),
+            t => return Err(Error::UnknownTag(t)),
         };
         r.done()?;
         Ok(msg)
@@ -255,22 +224,5 @@ mod tests {
         assert_eq!(ToWorker::decode(&m.encode()).unwrap(), m);
         let s = ToWorker::Shutdown;
         assert_eq!(ToWorker::decode(&s.encode()).unwrap(), s);
-    }
-
-    #[test]
-    fn torn_and_garbage_frames_are_errors() {
-        // EOF inside the length prefix
-        let mut r: &[u8] = &[1, 0];
-        assert!(read_frame(&mut r).is_err());
-        // EOF inside the payload
-        let mut r: &[u8] = &[4, 0, 0, 0, 1];
-        assert!(read_frame(&mut r).is_err());
-        // absurd length prefix dies without allocating
-        let mut r: &[u8] = &[255, 255, 255, 255, 0];
-        assert!(read_frame(&mut r).is_err());
-        // unknown tags and trailing bytes are decode errors
-        assert!(ToSupervisor::decode(&[99]).is_err());
-        assert!(ToWorker::decode(&[TAG_SHUTDOWN, 1]).is_err());
-        assert!(ToSupervisor::decode(&[]).is_err());
     }
 }

@@ -25,9 +25,10 @@ use crate::snapshot::{
     CheckpointStore, FrameDiff, FramesDelta, SnapBody, SnapDelta, Snapshot, StoredSnap,
 };
 use crate::value::{Output, OutputItem, Value};
+pub use minpsid_ir::bytes::Error as WireError;
+use minpsid_ir::bytes::{put_u32, put_u64, put_varint, Reader};
 use minpsid_ir::{BlockId, FuncId};
 use std::collections::HashMap;
-use std::fmt;
 
 /// Format version; bump on any layout change (decoders reject other
 /// versions rather than guessing). v2 added the per-section dynamic step
@@ -37,135 +38,17 @@ pub const WIRE_VERSION: u32 = 2;
 const GOLDEN_MAGIC: &[u8; 4] = b"MPSG";
 const CKPT_MAGIC: &[u8; 4] = b"MPSC";
 
-/// Why a byte image failed to decode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireError {
-    /// The input ended before the value it promised.
-    Truncated,
-    /// Structurally impossible content (bad magic/version/tag, a length
-    /// larger than the remaining input, a varint past 64 bits, ...).
-    Invalid(&'static str),
-}
-
-impl fmt::Display for WireError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WireError::Truncated => write!(f, "wire image truncated"),
-            WireError::Invalid(what) => write!(f, "wire image invalid: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
-
-// --- writer helpers ---
-
-fn w_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(b);
-            return;
-        }
-        buf.push(b | 0x80);
-    }
-}
-
-fn w_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn w_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-// --- checked reader ---
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
-            return Err(WireError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn varint(&mut self) -> Result<u64, WireError> {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let b = self.u8()?;
-            if shift == 63 && b > 1 {
-                return Err(WireError::Invalid("varint exceeds 64 bits"));
-            }
-            v |= u64::from(b & 0x7f) << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-            if shift > 63 {
-                return Err(WireError::Invalid("varint exceeds 64 bits"));
-            }
-        }
-    }
-
-    /// A count of items each at least `min_bytes` long. Bounds every
-    /// allocation by what the remaining input could actually hold, so a
-    /// malformed length can't balloon memory before `Truncated` fires.
-    fn count(&mut self, min_bytes: usize) -> Result<usize, WireError> {
-        let n = self.varint()? as usize;
-        if n.saturating_mul(min_bytes.max(1)) > self.remaining() {
-            return Err(WireError::Invalid("count exceeds remaining input"));
-        }
-        Ok(n)
-    }
-
-    fn finish(self) -> Result<(), WireError> {
-        if self.remaining() != 0 {
-            return Err(WireError::Invalid("trailing bytes"));
-        }
-        Ok(())
-    }
-}
-
 // --- values / output ---
 
 fn w_value(buf: &mut Vec<u8>, v: Value) {
     match v {
         Value::I(x) => {
             buf.push(0);
-            w_u64(buf, x as u64);
+            put_u64(buf, x as u64);
         }
         Value::F(x) => {
             buf.push(1);
-            w_u64(buf, x.to_bits());
+            put_u64(buf, x.to_bits());
         }
         Value::B(x) => {
             buf.push(2);
@@ -173,7 +56,7 @@ fn w_value(buf: &mut Vec<u8>, v: Value) {
         }
         Value::P(x) => {
             buf.push(3);
-            w_u64(buf, x);
+            put_u64(buf, x);
         }
         Value::Undef => buf.push(4),
     }
@@ -195,7 +78,7 @@ fn r_value(r: &mut Reader) -> Result<Value, WireError> {
 }
 
 fn w_values(buf: &mut Vec<u8>, vs: &[Value]) {
-    w_varint(buf, vs.len() as u64);
+    put_varint(buf, vs.len() as u64);
     for &v in vs {
         w_value(buf, v);
     }
@@ -211,16 +94,16 @@ fn r_values(r: &mut Reader) -> Result<Vec<Value>, WireError> {
 }
 
 fn w_output_items(buf: &mut Vec<u8>, items: &[OutputItem]) {
-    w_varint(buf, items.len() as u64);
+    put_varint(buf, items.len() as u64);
     for item in items {
         match *item {
             OutputItem::I(v) => {
                 buf.push(0);
-                w_u64(buf, v as u64);
+                put_u64(buf, v as u64);
             }
             OutputItem::F(v) => {
                 buf.push(1);
-                w_u64(buf, v.to_bits());
+                put_u64(buf, v.to_bits());
             }
         }
     }
@@ -242,9 +125,9 @@ fn r_output_items(r: &mut Reader) -> Result<Vec<OutputItem>, WireError> {
 // --- raw word memories & varint vectors ---
 
 fn w_words(buf: &mut Vec<u8>, words: &[u64]) {
-    w_varint(buf, words.len() as u64);
+    put_varint(buf, words.len() as u64);
     for &w in words {
-        w_u64(buf, w);
+        put_u64(buf, w);
     }
 }
 
@@ -258,9 +141,9 @@ fn r_words(r: &mut Reader) -> Result<Vec<u64>, WireError> {
 }
 
 fn w_varints(buf: &mut Vec<u8>, vals: &[u64]) {
-    w_varint(buf, vals.len() as u64);
+    put_varint(buf, vals.len() as u64);
     for &v in vals {
-        w_varint(buf, v);
+        put_varint(buf, v);
     }
 }
 
@@ -276,12 +159,12 @@ fn r_varints(r: &mut Reader) -> Result<Vec<u64>, WireError> {
 // --- frames & machine state ---
 
 fn w_frame(buf: &mut Vec<u8>, f: &Frame) {
-    w_u32(buf, f.func.0);
-    w_u32(buf, f.block.0);
-    w_varint(buf, f.pos as u64);
+    put_u32(buf, f.func.0);
+    put_u32(buf, f.block.0);
+    put_varint(buf, f.pos as u64);
     w_values(buf, &f.regs);
     w_values(buf, &f.args);
-    w_varint(buf, f.sp_base as u64);
+    put_varint(buf, f.sp_base as u64);
 }
 
 fn r_frame(r: &mut Reader) -> Result<Frame, WireError> {
@@ -296,7 +179,7 @@ fn r_frame(r: &mut Reader) -> Result<Frame, WireError> {
 }
 
 fn w_frames(buf: &mut Vec<u8>, frames: &[Frame]) {
-    w_varint(buf, frames.len() as u64);
+    put_varint(buf, frames.len() as u64);
     for f in frames {
         w_frame(buf, f);
     }
@@ -316,9 +199,9 @@ fn w_state(buf: &mut Vec<u8>, st: &MachineState) {
     w_words(buf, &st.mem);
     w_words(buf, &st.stack_mem);
     w_output_items(buf, &st.output.items);
-    w_varint(buf, st.steps);
-    w_varint(buf, st.inj_ctr);
-    w_varint(buf, st.per_inst_ctr);
+    put_varint(buf, st.steps);
+    put_varint(buf, st.inj_ctr);
+    put_varint(buf, st.per_inst_ctr);
     buf.push(u8::from(st.fault_applied));
 }
 
@@ -356,9 +239,9 @@ fn r_snapshot(r: &mut Reader) -> Result<Snapshot, WireError> {
 // --- delta bodies ---
 
 fn w_runs(buf: &mut Vec<u8>, runs: &[(usize, Vec<u64>)]) {
-    w_varint(buf, runs.len() as u64);
+    put_varint(buf, runs.len() as u64);
     for (start, words) in runs {
-        w_varint(buf, *start as u64);
+        put_varint(buf, *start as u64);
         w_words(buf, words);
     }
 }
@@ -377,13 +260,13 @@ fn w_delta(buf: &mut Vec<u8>, d: &SnapDelta) {
     match &d.frames {
         FramesDelta::Sparse(diffs) => {
             buf.push(0);
-            w_varint(buf, diffs.len() as u64);
+            put_varint(buf, diffs.len() as u64);
             for diff in diffs {
-                w_u32(buf, diff.block.0);
-                w_varint(buf, diff.pos as u64);
-                w_varint(buf, diff.regs.len() as u64);
+                put_u32(buf, diff.block.0);
+                put_varint(buf, diff.pos as u64);
+                put_varint(buf, diff.regs.len() as u64);
                 for &(i, v) in &diff.regs {
-                    w_u32(buf, i);
+                    put_u32(buf, i);
                     w_value(buf, v);
                 }
             }
@@ -394,11 +277,11 @@ fn w_delta(buf: &mut Vec<u8>, d: &SnapDelta) {
         }
     }
     w_runs(buf, &d.mem);
-    w_varint(buf, d.mem_len as u64);
+    put_varint(buf, d.mem_len as u64);
     w_runs(buf, &d.stack);
-    w_varint(buf, d.stack_len as u64);
+    put_varint(buf, d.stack_len as u64);
     w_output_items(buf, &d.out_tail);
-    w_varint(buf, d.inj.len() as u64);
+    put_varint(buf, d.inj.len() as u64);
     buf.extend_from_slice(&d.inj);
 }
 
@@ -445,14 +328,14 @@ fn r_delta(r: &mut Reader) -> Result<SnapDelta, WireError> {
 pub fn encode_checkpoints(store: &CheckpointStore) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64 + store.total_bytes() / 4);
     buf.extend_from_slice(CKPT_MAGIC);
-    w_u32(&mut buf, WIRE_VERSION);
-    w_varint(&mut buf, store.num_insts as u64);
-    w_varint(&mut buf, store.entries.len() as u64);
+    put_u32(&mut buf, WIRE_VERSION);
+    put_varint(&mut buf, store.num_insts as u64);
+    put_varint(&mut buf, store.entries.len() as u64);
     for e in &store.entries {
-        w_varint(&mut buf, e.steps);
-        w_varint(&mut buf, e.inj_ctr);
-        w_u32(&mut buf, e.key);
-        w_varint(&mut buf, e.bytes as u64);
+        put_varint(&mut buf, e.steps);
+        put_varint(&mut buf, e.inj_ctr);
+        put_u32(&mut buf, e.key);
+        put_varint(&mut buf, e.bytes as u64);
         match &e.body {
             SnapBody::Key(s) => {
                 buf.push(0);
@@ -528,24 +411,24 @@ pub fn decode_checkpoints(bytes: &[u8]) -> Result<CheckpointStore, WireError> {
 fn w_profile(buf: &mut Vec<u8>, p: &Profile) {
     w_varints(buf, &p.inst_counts);
     w_varints(buf, &p.inst_cycles);
-    w_varint(buf, p.block_counts.len() as u64);
+    put_varint(buf, p.block_counts.len() as u64);
     for counts in &p.block_counts {
         w_varints(buf, counts);
     }
-    w_varint(buf, p.edge_counts.len() as u64);
+    put_varint(buf, p.edge_counts.len() as u64);
     for edges in &p.edge_counts {
         let mut sorted: Vec<_> = edges.iter().collect();
         sorted.sort_unstable_by_key(|(k, _)| **k);
-        w_varint(buf, sorted.len() as u64);
+        put_varint(buf, sorted.len() as u64);
         for (&(from, to), &count) in sorted {
-            w_u32(buf, from.0);
-            w_u32(buf, to.0);
-            w_varint(buf, count);
+            put_u32(buf, from.0);
+            put_u32(buf, to.0);
+            put_varint(buf, count);
         }
     }
-    w_varint(buf, p.total_cycles);
-    w_varint(buf, p.total_insts);
-    w_varint(buf, p.injectable_execs);
+    put_varint(buf, p.total_cycles);
+    put_varint(buf, p.total_insts);
+    put_varint(buf, p.injectable_execs);
     w_varints(buf, &p.sec_first_step);
     w_varints(buf, &p.sec_last_step);
 }
@@ -598,10 +481,10 @@ fn r_profile(r: &mut Reader) -> Result<Profile, WireError> {
 pub fn encode_golden(output: &Output, profile: &Profile, steps: u64) -> Vec<u8> {
     let mut buf = Vec::with_capacity(256 + output.items.len() * 9);
     buf.extend_from_slice(GOLDEN_MAGIC);
-    w_u32(&mut buf, WIRE_VERSION);
+    put_u32(&mut buf, WIRE_VERSION);
     w_output_items(&mut buf, &output.items);
     w_profile(&mut buf, profile);
-    w_varint(&mut buf, steps);
+    put_varint(&mut buf, steps);
     buf
 }
 
@@ -730,21 +613,7 @@ mod tests {
     #[test]
     fn checkpoint_store_round_trips_full_and_delta() {
         for mode in [SnapshotMode::Full, SnapshotMode::Delta] {
-            let cfg = CheckpointConfig {
-                interval: 1,
-                mode,
-                keyframe_every: 3,
-                ..CheckpointConfig::default()
-            };
-            let mut coll = CheckpointCollector::new(cfg, 8);
-            for i in 0..10u64 {
-                let mut st = sample_state(i);
-                st.steps = (i + 1) * 100;
-                st.inj_ctr = (i + 1) * 10;
-                coll.inj_counts[(i % 8) as usize] += 1;
-                coll.capture(&st);
-            }
-            let store = coll.into_store();
+            let store = ten_entry_store(mode);
             let bytes = encode_checkpoints(&store);
             assert_eq!(bytes, encode_checkpoints(&store), "deterministic");
             let back = decode_checkpoints(&bytes).unwrap();
@@ -819,41 +688,86 @@ mod tests {
         assert!(back.is_empty());
     }
 
-    #[test]
-    fn malformed_images_error_and_never_panic() {
-        let store = {
-            let mut coll = CheckpointCollector::new(CheckpointConfig::default(), 4);
-            coll.capture(&sample_state(1));
-            coll.into_store()
+    /// Ten captures of a changing machine with a moving injection count,
+    /// stored as `mode` says (delta: keyframes at 0, 3, 6, 9).
+    fn ten_entry_store(mode: SnapshotMode) -> CheckpointStore {
+        let cfg = CheckpointConfig {
+            interval: 1,
+            mode,
+            keyframe_every: 3,
+            ..CheckpointConfig::default()
         };
-        let good = encode_checkpoints(&store);
-
-        // every truncation point errors cleanly
-        for cut in 0..good.len() {
-            assert!(decode_checkpoints(&good[..cut]).is_err());
+        let mut coll = CheckpointCollector::new(cfg, 8);
+        for i in 0..10u64 {
+            let mut st = sample_state(i);
+            st.steps = (i + 1) * 100;
+            st.inj_ctr = (i + 1) * 10;
+            coll.inj_counts[(i % 8) as usize] += 1;
+            coll.inj_counts[(i * 3 % 8) as usize] += 200; // two-byte varints
+            coll.capture(&st);
         }
-        // bad magic / version
-        let mut bad = good.clone();
-        bad[0] ^= 0xff;
-        assert_eq!(
-            decode_checkpoints(&bad).err(),
-            Some(WireError::Invalid("checkpoint magic"))
-        );
-        let mut bad = good.clone();
-        bad[4] ^= 0xff;
-        assert_eq!(
-            decode_checkpoints(&bad).err(),
-            Some(WireError::Invalid("wire version"))
-        );
-        // trailing garbage is rejected, not silently ignored
-        let mut bad = good.clone();
-        bad.push(0);
-        assert!(decode_checkpoints(&bad).is_err());
-        // single flipped bytes either decode or error — never panic
-        for pos in 8..good.len() {
+        coll.into_store()
+    }
+
+    /// What a campaign does with a store it decoded.
+    fn use_store(store: &CheckpointStore) {
+        let mut st = MachineState::default();
+        for i in 0..store.len() {
+            for dense in 0..store.num_insts {
+                store.inj_count_at(i, dense);
+            }
+            store.materialize(i);
+            store.restore_into(i, &mut st);
+        }
+        for dense in 0..store.num_insts {
+            store.nearest_for_inst(dense, 1);
+        }
+    }
+
+    #[test]
+    fn corrupt_images_error_or_decode_to_a_store_that_is_safe_to_use() {
+        for mode in [SnapshotMode::Full, SnapshotMode::Delta] {
+            let good = encode_checkpoints(&ten_entry_store(mode));
+            for bad in minpsid_ir::bytes::mutations(&good) {
+                if let Ok(store) = decode_checkpoints(&bad) {
+                    assert_eq!(bad.len(), good.len(), "a truncation decoded");
+                    use_store(&store);
+                }
+            }
+            // bad magic / version
             let mut bad = good.clone();
-            bad[pos] ^= 0x10;
-            let _ = decode_checkpoints(&bad);
+            bad[0] ^= 0xff;
+            assert_eq!(
+                decode_checkpoints(&bad).err(),
+                Some(WireError::Invalid("checkpoint magic"))
+            );
+            let mut bad = good.clone();
+            bad[4] ^= 0xff;
+            assert_eq!(
+                decode_checkpoints(&bad).err(),
+                Some(WireError::Invalid("wire version"))
+            );
+            // trailing garbage is rejected, not silently ignored
+            let mut bad = good.clone();
+            bad.push(0);
+            assert!(decode_checkpoints(&bad).is_err());
+        }
+
+        // an injection-count stream that names an instruction the module
+        // does not have, or stops inside a varint
+        let store = ten_entry_store(SnapshotMode::Delta);
+        for inj in [vec![8, 1], vec![0, 0x80]] {
+            let mut bad = store.clone();
+            let SnapBody::Delta(d) = &mut bad.entries[1].body else {
+                panic!("second entry is a delta");
+            };
+            d.inj = inj;
+            assert_eq!(
+                decode_checkpoints(&encode_checkpoints(&bad)).err(),
+                Some(WireError::Invalid(
+                    "delta does not apply to its predecessor"
+                ))
+            );
         }
 
         let meta = encode_golden(

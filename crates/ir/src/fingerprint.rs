@@ -9,35 +9,10 @@
 //! signature. Fingerprints are the key under which per-section outcome
 //! tables are memoized and composed (FastFlip-style O(diff) re-campaigns).
 
+use crate::bytes::Fnv;
 use crate::inst::InstKind;
 use crate::module::{FuncId, Module};
 use crate::printer::print_inst;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-/// Streaming FNV-1a accumulator (local copy; `core`'s is crate-private and
-/// depends on this crate).
-#[derive(Clone, Copy)]
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(FNV_OFFSET)
-    }
-    fn bytes(&mut self, b: &[u8]) {
-        for &x in b {
-            self.0 ^= x as u64;
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-    fn finish(self) -> u64 {
-        self.0
-    }
-}
 
 /// The direct callees of each function, deduplicated, in call-site order.
 pub fn callees(m: &Module) -> Vec<Vec<FuncId>> {

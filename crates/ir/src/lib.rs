@@ -25,6 +25,7 @@
 //! lowers mutable variables and keeps dominance checking simple.
 
 pub mod builder;
+pub mod bytes;
 pub mod cfg;
 pub mod cost;
 pub mod dom;

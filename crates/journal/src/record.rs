@@ -8,7 +8,8 @@
 //! torn-tail handling live in [`crate::wal`]; a record never sees a
 //! corrupt payload.
 
-use std::fmt;
+pub use minpsid_store::bytes::Error as DecodeError;
+use minpsid_store::bytes::{put_u64, Reader};
 
 /// One durable fact about campaign progress. Keys are FNV-64
 /// fingerprints computed by the caller (the journal is below the layers
@@ -79,30 +80,6 @@ pub enum Record {
     SectionMap { entries: Vec<(u64, u64, u64)> },
 }
 
-/// Why a payload failed to decode. Reaching this for a frame that passed
-/// its checksum means a writer bug or version skew, so the recovery path
-/// treats it like corruption: stop at the previous record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DecodeError {
-    Truncated,
-    UnknownTag(u8),
-    TrailingBytes(usize),
-    LengthOverflow(u64),
-}
-
-impl fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DecodeError::Truncated => write!(f, "record payload truncated"),
-            DecodeError::UnknownTag(t) => write!(f, "unknown record tag {t}"),
-            DecodeError::TrailingBytes(n) => write!(f, "{n} trailing bytes after record"),
-            DecodeError::LengthOverflow(n) => write!(f, "embedded length {n} exceeds payload"),
-        }
-    }
-}
-
-impl std::error::Error for DecodeError {}
-
 const TAG_HEADER: u8 = 1;
 const TAG_GOLDEN: u8 = 2;
 const TAG_PER_INST: u8 = 3;
@@ -113,37 +90,6 @@ const TAG_SELECTION: u8 = 7;
 const TAG_QUARANTINE: u8 = 8;
 const TAG_SHARD_UNIT: u8 = 9;
 const TAG_SECTION_MAP: u8 = 10;
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        let b = *self.bytes.get(self.pos).ok_or(DecodeError::Truncated)?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        let end = self.pos.checked_add(8).ok_or(DecodeError::Truncated)?;
-        let chunk = self
-            .bytes
-            .get(self.pos..end)
-            .ok_or(DecodeError::Truncated)?;
-        self.pos = end;
-        Ok(u64::from_le_bytes(chunk.try_into().unwrap()))
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-}
 
 impl Record {
     /// Append the binary encoding of `self` to `buf`.
@@ -255,7 +201,7 @@ impl Record {
 
     /// Decode one record occupying the whole of `bytes`.
     pub fn decode(bytes: &[u8]) -> Result<Record, DecodeError> {
-        let mut r = Reader { bytes, pos: 0 };
+        let mut r = Reader::new(bytes);
         let rec = match r.u8()? {
             TAG_HEADER => Record::Header {
                 module_fp: r.u64()?,
@@ -280,10 +226,8 @@ impl Record {
             TAG_EVAL => {
                 let input_fp = r.u64()?;
                 let n = r.u64()?;
-                if n > (r.remaining() / 8) as u64 {
-                    return Err(DecodeError::LengthOverflow(n));
-                }
-                let mut cfg_list = Vec::with_capacity(n as usize);
+                let n = r.count(n, 8)?;
+                let mut cfg_list = Vec::with_capacity(n);
                 for _ in 0..n {
                     cfg_list.push(r.u64()?);
                 }
@@ -295,17 +239,14 @@ impl Record {
             },
             TAG_SELECTION => {
                 let n = r.u64()?;
-                if n > (r.remaining() as u64).saturating_mul(8) {
-                    return Err(DecodeError::LengthOverflow(n));
-                }
-                let mut bits = Vec::with_capacity(n as usize);
-                let mut byte = 0u8;
-                for i in 0..n as usize {
-                    if i % 8 == 0 {
-                        byte = r.u8()?;
-                    }
-                    bits.push(byte & (1 << (i % 8)) != 0);
-                }
+                // eight selections per byte
+                let bytes = r
+                    .count(n.div_ceil(8), 1)
+                    .map_err(|_| DecodeError::LengthOverflow(n))?;
+                let packed = r.take(bytes)?;
+                let bits = (0..n as usize)
+                    .map(|i| packed[i / 8] & (1 << (i % 8)) != 0)
+                    .collect();
                 Record::Selection { bits }
             }
             TAG_QUARANTINE => Record::Quarantine {
@@ -320,10 +261,8 @@ impl Record {
             },
             TAG_SECTION_MAP => {
                 let n = r.u64()?;
-                if n > (r.remaining() / 24) as u64 {
-                    return Err(DecodeError::LengthOverflow(n));
-                }
-                let mut entries = Vec::with_capacity(n as usize);
+                let n = r.count(n, 24)?;
+                let mut entries = Vec::with_capacity(n);
                 for _ in 0..n {
                     entries.push((r.u64()?, r.u64()?, r.u64()?));
                 }
@@ -331,9 +270,7 @@ impl Record {
             }
             t => return Err(DecodeError::UnknownTag(t)),
         };
-        if r.remaining() != 0 {
-            return Err(DecodeError::TrailingBytes(r.remaining()));
-        }
+        r.done()?;
         Ok(rec)
     }
 
@@ -414,17 +351,14 @@ mod tests {
     }
 
     #[test]
-    fn truncation_and_bad_tags_are_rejected() {
-        let bytes = Record::Header {
+    fn bad_tags_and_trailing_bytes_are_rejected() {
+        // truncations and bit flips of every variant: tests/format_corruption.rs
+        assert_eq!(Record::decode(&[99]), Err(DecodeError::UnknownTag(99)));
+        let mut extra = Record::Header {
             module_fp: 1,
             config_fp: 2,
         }
         .to_bytes();
-        for cut in 0..bytes.len() {
-            assert!(Record::decode(&bytes[..cut]).is_err(), "cut at {cut}");
-        }
-        assert_eq!(Record::decode(&[99]), Err(DecodeError::UnknownTag(99)));
-        let mut extra = bytes.clone();
         extra.push(0);
         assert_eq!(Record::decode(&extra), Err(DecodeError::TrailingBytes(1)));
     }

@@ -19,6 +19,8 @@
 //! that point is intact by checksum.
 
 use crate::record::Record;
+pub use minpsid_store::bytes::fnv64;
+use minpsid_store::bytes::{put_u32, put_u64, Reader};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -29,18 +31,6 @@ const PREAMBLE_LEN: u64 = 8;
 /// Frames are campaign facts, not bulk data; anything bigger than this
 /// is corruption masquerading as a length.
 const MAX_FRAME: u32 = 64 << 20;
-
-/// FNV-1a 64 — the same fingerprint family the rest of the workspace
-/// uses; collision resistance is irrelevant here, torn-write detection is
-/// the job.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 /// What recovery found in an existing log.
 #[derive(Debug, Default)]
@@ -70,16 +60,24 @@ impl Recovery {
     }
 }
 
+/// Append `record` as one `[len][fnv64][payload]` frame.
+fn put_frame(buf: &mut Vec<u8>, record: &Record) {
+    let payload = record.to_bytes();
+    put_u32(buf, payload.len() as u32);
+    put_u64(buf, fnv64(&payload));
+    buf.extend_from_slice(&payload);
+}
+
 /// Try to parse one frame at `pos`; returns the record and the offset
 /// just past the frame.
 fn try_frame(bytes: &[u8], pos: usize) -> Option<(Record, usize)> {
-    let head = bytes.get(pos..pos + 12)?;
-    let len = u32::from_le_bytes(head[..4].try_into().unwrap());
+    let mut r = Reader::new(bytes.get(pos..)?);
+    let len = r.u32().ok()?;
     if len > MAX_FRAME {
         return None;
     }
-    let sum = u64::from_le_bytes(head[4..12].try_into().unwrap());
-    let payload = bytes.get(pos + 12..pos + 12 + len as usize)?;
+    let sum = r.u64().ok()?;
+    let payload = r.take(len as usize).ok()?;
     if fnv64(payload) != sum {
         return None;
     }
@@ -145,12 +143,9 @@ pub fn scan_bytes(bytes: &[u8]) -> Recovery {
 pub fn encode_records(records: &[Record]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(PREAMBLE_LEN as usize + records.len() * 32);
     buf.extend_from_slice(&MAGIC);
-    buf.extend_from_slice(&VERSION.to_le_bytes());
+    put_u32(&mut buf, VERSION);
     for record in records {
-        let payload = record.to_bytes();
-        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&fnv64(&payload).to_le_bytes());
-        buf.extend_from_slice(&payload);
+        put_frame(&mut buf, record);
     }
     buf
 }
@@ -194,10 +189,7 @@ impl WalWriter {
         }
         let mut buf = Vec::with_capacity(records.len() * 32);
         for record in records {
-            let payload = record.to_bytes();
-            buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            buf.extend_from_slice(&fnv64(&payload).to_le_bytes());
-            buf.extend_from_slice(&payload);
+            put_frame(&mut buf, record);
         }
         self.file.write_all(&buf)?;
         self.unsynced += records.len() as u32;

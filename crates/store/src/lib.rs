@@ -24,9 +24,11 @@
 //! published object — between write and read — to prove end to end that
 //! corruption is detected, quarantined, and recomputed, never consumed.
 
+pub mod bytes;
 mod digest;
 pub use digest::{sha256, Digest};
 
+use bytes::fnv64;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fs::{self, File};
 use std::io::{self, Write};
@@ -186,17 +188,6 @@ pub fn two_phase_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
     fs::rename(&tmp, path)?;
     File::open(&dir)?.sync_all()?;
     Ok(())
-}
-
-/// FNV-1a 64 over raw bytes — only used to pick a deterministic bit to
-/// flip under chaos, never for integrity.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn emit(op: &str, artifact: &str, bytes: u64) {

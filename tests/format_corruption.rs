@@ -1,0 +1,308 @@
+//! One corruption harness over every byte format the tree persists or
+//! pipes: each public decoder is fed every proper prefix and every
+//! single-bit flip of a good image (`ir::bytes::mutations`) and must
+//! answer with an error or with a value that is safe to use — never a
+//! panic, never bytes it was not given. `faultsim::table`'s decoders are
+//! crate-private; their case lives next to them.
+
+use minpsid_repro::fleet::proto::{read_frame, write_frame, ToSupervisor, ToWorker};
+use minpsid_repro::interp::wire::{
+    decode_checkpoints, decode_golden, encode_checkpoints, encode_golden,
+};
+use minpsid_repro::interp::{
+    CheckpointConfig, CheckpointStore, ExecConfig, Interp, MachineState, ProgInput, Scalar,
+    SnapshotMode,
+};
+use minpsid_repro::ir::bytes::mutations;
+use minpsid_repro::journal::record::{DecodeError, Record};
+use minpsid_repro::journal::wal::{encode_records, scan_bytes};
+use minpsid_repro::store::{ArtifactStore, StoreError};
+
+fn every_record() -> Vec<Record> {
+    vec![
+        Record::Header {
+            module_fp: 1,
+            config_fp: u64::MAX,
+        },
+        Record::GoldenDigest {
+            input_fp: 3,
+            output_fp: 4,
+            steps: 5,
+        },
+        Record::PerInstOutcome {
+            input_fp: 9,
+            dense: 10,
+            k: 11,
+            outcome: 255,
+        },
+        Record::ProgramOutcome {
+            input_fp: 6,
+            index: 7,
+            outcome: 0,
+        },
+        Record::EvalProfile {
+            input_fp: 12,
+            cfg_list: vec![0, u64::MAX, 17],
+        },
+        Record::SearchAccepted {
+            index: 2,
+            input_fp: 13,
+        },
+        Record::Selection {
+            bits: vec![true, false, true, true, false, false, false, true, true],
+        },
+        Record::Quarantine {
+            input_fp: 14,
+            dense: 15,
+            reason: 1,
+        },
+        Record::ShardUnit {
+            index: 16,
+            outcome: 2,
+            recovered: true,
+        },
+        Record::SectionMap {
+            entries: vec![(0xdead_beef, 0, 12), (u64::MAX, 12, 3)],
+        },
+    ]
+}
+
+#[test]
+fn journal_records() {
+    for rec in every_record() {
+        let good = rec.to_bytes();
+        for bad in mutations(&good) {
+            // a flip inside a field is another record, as good as any
+            if let Ok(other) = Record::decode(&bad) {
+                assert_eq!(bad.len(), good.len(), "{rec:?}: a truncation decoded");
+                assert_eq!(Record::decode(&other.to_bytes()).as_ref(), Ok(&other));
+            }
+        }
+    }
+    // embedded lengths are refused before they are allocated or looped over
+    for (tag, rest) in [(5u8, 8usize), (7, 0), (10, 0)] {
+        let mut buf = vec![tag];
+        buf.extend_from_slice(&vec![0; rest]);
+        buf.extend_from_slice(&u64::MAX.to_le_bytes());
+        buf.extend_from_slice(&[0; 24]);
+        assert_eq!(
+            Record::decode(&buf),
+            Err(DecodeError::LengthOverflow(u64::MAX)),
+            "tag {tag}"
+        );
+    }
+}
+
+#[test]
+fn wal_images() {
+    let records = every_record();
+    let good = encode_records(&records);
+    assert_eq!(scan_bytes(&good).records, records);
+    for bad in mutations(&good) {
+        let rec = scan_bytes(&bad);
+        assert_eq!(rec.valid_len + rec.truncated_bytes, bad.len() as u64);
+        assert!(rec.records.len() <= records.len());
+        assert_eq!(
+            rec.records,
+            records[..rec.records.len()],
+            "recovery is a prefix of what was written"
+        );
+        if bad.len() == good.len() {
+            assert!(rec.records.len() < records.len(), "a flipped bit is seen");
+        }
+    }
+}
+
+#[test]
+fn fleet_frames() {
+    let up = [
+        ToSupervisor::Ready { population: 12345 },
+        ToSupervisor::Heartbeat { shard: 7, done: 42 },
+        ToSupervisor::ShardDone { shard: u32::MAX },
+    ];
+    let down = [
+        ToWorker::Assign {
+            shard: 3,
+            attempt: 2,
+            units: vec![0, 9, u64::MAX],
+        },
+        ToWorker::Shutdown,
+    ];
+    let mut pipe = Vec::new();
+    for m in &up {
+        write_frame(&mut pipe, &m.encode()).unwrap();
+    }
+    for m in &down {
+        write_frame(&mut pipe, &m.encode()).unwrap();
+    }
+    for bad in mutations(&pipe) {
+        let mut r = &bad[..];
+        // a reader stops at the first frame it cannot read
+        while let Ok(Some(frame)) = read_frame(&mut r) {
+            assert!(!frame.is_empty() && frame.len() <= pipe.len());
+            if let Ok(ToWorker::Assign { units, .. }) = ToWorker::decode(&frame) {
+                assert!(units.len() * 8 < frame.len());
+            }
+            let _ = ToSupervisor::decode(&frame);
+        }
+    }
+    for good in up.iter().map(ToSupervisor::encode) {
+        for bad in mutations(&good) {
+            assert!(ToSupervisor::decode(&bad).is_err() || bad.len() == good.len());
+        }
+    }
+    for good in down.iter().map(ToWorker::encode) {
+        for bad in mutations(&good) {
+            assert!(ToWorker::decode(&bad).is_err() || bad.len() == good.len());
+        }
+    }
+
+    // EOF inside the length prefix
+    let mut r: &[u8] = &[1, 0];
+    assert!(read_frame(&mut r).is_err());
+    // EOF inside the payload
+    let mut r: &[u8] = &[4, 0, 0, 0, 1];
+    assert!(read_frame(&mut r).is_err());
+    // absurd length prefix dies without allocating
+    let mut r: &[u8] = &[255, 255, 255, 255, 0];
+    assert!(read_frame(&mut r).is_err());
+    // unknown tags and trailing bytes are decode errors
+    assert!(ToSupervisor::decode(&[99]).is_err());
+    let mut shutdown = ToWorker::Shutdown.encode();
+    shutdown.push(1);
+    assert!(ToWorker::decode(&shutdown).is_err());
+    assert!(ToSupervisor::decode(&[]).is_err());
+    // an ASSIGN promising more units than its frame holds is refused
+    // before the units are allocated
+    let mut assign = ToWorker::Assign {
+        shard: 0,
+        attempt: 0,
+        units: vec![],
+    }
+    .encode();
+    let n = assign.len();
+    assign[n - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
+    assign.extend_from_slice(&[0; 16]);
+    let err = ToWorker::decode(&assign).unwrap_err();
+    assert!(err.to_string().contains("exceeds payload"), "{err}");
+}
+
+const KERNEL: &str = r#"
+fn bump(x: int) -> int {
+    return x * 3 + 1;
+}
+fn main() {
+    let n = arg_i(0);
+    let a: [int] = alloc(n);
+    let acc = 0;
+    for i = 0 to n {
+        a[i] = bump(i) + acc;
+        acc = acc + a[i] - i;
+        out_i(acc);
+    }
+}
+"#;
+
+/// What a campaign does with a checkpoint store it decoded.
+fn use_store(store: &CheckpointStore, num_insts: usize) {
+    let mut st = MachineState::default();
+    for i in 0..store.len() {
+        for dense in 0..num_insts {
+            store.inj_count_at(i, dense);
+        }
+        store.materialize(i);
+        store.restore_into(i, &mut st);
+    }
+    for dense in 0..num_insts {
+        store.nearest_for_inst(dense, 1);
+    }
+}
+
+#[test]
+fn golden_and_checkpoint_images() {
+    let module = minpsid_repro::minic::compile(KERNEL, "kernel").expect("kernel compiles");
+    let input = ProgInput::scalars(vec![Scalar::I(5)]);
+    let interp = Interp::new(
+        &module,
+        ExecConfig {
+            profile: true,
+            ..ExecConfig::default()
+        },
+    );
+    let steps = interp.run(&input).steps;
+
+    for mode in [SnapshotMode::Full, SnapshotMode::Delta] {
+        let cfg = CheckpointConfig {
+            interval: steps / 12,
+            mode,
+            keyframe_every: 4,
+            ..CheckpointConfig::default()
+        };
+        let (run, store) = interp.run_with_checkpoint_store(&input, cfg);
+        assert!(run.exited() && store.len() >= 10, "{} entries", store.len());
+        let good = encode_checkpoints(&store);
+        decode_checkpoints(&good).expect("the image it wrote");
+        for bad in mutations(&good) {
+            if let Ok(back) = decode_checkpoints(&bad) {
+                assert_eq!(bad.len(), good.len(), "a truncation decoded");
+                use_store(&back, module.num_insts());
+            }
+        }
+
+        if mode == SnapshotMode::Full {
+            let profile = run.profile.expect("profiled run");
+            let good = encode_golden(&run.output, &profile, run.steps);
+            assert_eq!(decode_golden(&good).unwrap().0, run.output);
+            for bad in mutations(&good) {
+                // a flip inside a field is another run, as good as any
+                if let Ok(other) = decode_golden(&bad) {
+                    assert_eq!(bad.len(), good.len(), "a truncation decoded");
+                    let again = encode_golden(&other.0, &other.1, other.2);
+                    assert_eq!(decode_golden(&again), Ok(other));
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn store_objects_and_refs() {
+    let root =
+        std::env::temp_dir().join(format!("minpsid-format-corruption-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let store = ArtifactStore::open(&root).unwrap();
+    let original = b"thirty-two bytes of artifact....".to_vec();
+    let digest = store.publish("golden", &original).unwrap();
+    store.set_ref("golden", "run", &digest).unwrap();
+    let hex = digest.hex();
+    let object = root
+        .join("objects")
+        .join(&hex[..2])
+        .join(format!("{hex}.obj"));
+    assert_eq!(std::fs::read(&object).unwrap(), original);
+
+    // verify-on-load: a rotten object is quarantined, never served
+    for bad in mutations(&original) {
+        std::fs::write(&object, &bad).unwrap();
+        match store.load("golden", &digest) {
+            Err(StoreError::Corrupt { .. }) => assert!(!object.exists(), "quarantined"),
+            other => panic!("served {other:?} for a corrupt object"),
+        }
+        assert!(matches!(store.load_named("golden", "run"), Ok(None)));
+    }
+    std::fs::write(&object, &original).unwrap();
+
+    // a rotten ref reads as absent (or unreadable), never as other bytes
+    let ref_file = root.join("refs").join("golden").join("run.ref");
+    let good_ref = std::fs::read(&ref_file).unwrap();
+    for bad in mutations(&good_ref) {
+        std::fs::write(&ref_file, &bad).unwrap();
+        if let Ok(Some((d, bytes))) = store.load_named("golden", "run") {
+            assert_eq!((d, bytes), (digest, original.clone()));
+        }
+    }
+    std::fs::write(&ref_file, &good_ref).unwrap();
+    let (_, bytes) = store.load_named("golden", "run").unwrap().unwrap();
+    assert_eq!(bytes, original);
+    let _ = std::fs::remove_dir_all(&root);
+}
