@@ -1555,7 +1555,7 @@ fn cmd_minpsid(rest: &[String]) -> Result<(), String> {
             r.sched.planned
         ));
     }
-    print_run_telemetry(&r.timings, &cache);
+    print_run_telemetry(&r.timings, &cache, r.deduped);
     if let Some(j) = &journal {
         let (served, appended) = j.usage();
         diag!(
@@ -1570,9 +1570,9 @@ fn cmd_minpsid(rest: &[String]) -> Result<(), String> {
 }
 
 /// End-of-run telemetry (satellite of the tracing layer): the Fig. 8 time
-/// breakdown plus golden-cache effectiveness, as a small stderr table so
-/// stdout stays parseable.
-fn print_run_telemetry(t: &minpsid::Timings, cache: &GoldenCache) {
+/// breakdown plus golden-cache and run-memo effectiveness, as a small
+/// stderr table so stdout stays parseable.
+fn print_run_telemetry(t: &minpsid::Timings, cache: &GoldenCache, deduped: minpsid::Deduped) {
     let total = t.total().as_secs_f64().max(1e-9);
     let row = |name: &str, d: std::time::Duration| {
         diag!(
@@ -1599,6 +1599,11 @@ fn print_run_telemetry(t: &minpsid::Timings, cache: &GoldenCache) {
             cache.len()
         );
     }
+    diag!(
+        "  run memo       {} GA evaluations / {} injections repeated an earlier run and took its result",
+        deduped.evals,
+        deduped.injections
+    );
     if let Some(s) = cache.store() {
         if let Ok(q) = s.quarantined_count() {
             if q > 0 {

@@ -18,7 +18,7 @@
 //! the golden run (interpreter limits and checkpoint knobs — not seeds,
 //! thread counts, or injection counts).
 
-use minpsid_faultsim::{golden_run, CampaignConfig, GoldenRun};
+use minpsid_faultsim::{golden_run_sized, CampaignConfig, GoldenRun};
 use minpsid_interp::{Output, OutputItem, ProgInput, Scalar, Stream, Termination};
 use minpsid_ir::bytes::Fnv;
 use minpsid_ir::Module;
@@ -217,6 +217,19 @@ impl GoldenCache {
         input: &ProgInput,
         cfg: &CampaignConfig,
     ) -> Result<Arc<GoldenRun>, Termination> {
+        self.golden_sized(module, input, cfg, None)
+    }
+
+    /// [`GoldenCache::golden`] with the run's length, when the caller
+    /// already knows it, handed to a miss's compute (see
+    /// [`golden_run_sized`]). The entry is the same either way.
+    pub fn golden_sized(
+        &self,
+        module: &Module,
+        input: &ProgInput,
+        cfg: &CampaignConfig,
+        steps: Option<u64>,
+    ) -> Result<Arc<GoldenRun>, Termination> {
         let key = (
             module_fingerprint(module),
             input_fingerprint(input),
@@ -238,7 +251,7 @@ impl GoldenCache {
         // Compute outside the lock so concurrent misses on different keys
         // don't serialize. Two threads racing on the *same* key compute
         // identical results (determinism), so last-write-wins is benign.
-        let g = Arc::new(golden_run(module, input, cfg)?);
+        let g = Arc::new(golden_run_sized(module, input, cfg, steps)?);
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.publish_to_store(key, &g);
         self.insert(key, &g);

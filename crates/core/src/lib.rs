@@ -47,8 +47,8 @@ pub use incubative::{incubative_between, IncubativeConfig, IncubativeTracker, Re
 pub use input::{crossover, mutate, InputModel, ParamKind, ParamSpec, ParamValue};
 pub use pipeline::{
     minpsid_config_fingerprint, module_section_map, run_baseline_sid, run_minpsid,
-    run_minpsid_cached, run_minpsid_journaled, MinpsidConfig, MinpsidResult, PipelineError,
-    SearchStrategy, Timings,
+    run_minpsid_cached, run_minpsid_journaled, Deduped, MinpsidConfig, MinpsidResult,
+    PipelineError, SearchStrategy, Timings,
 };
 pub use search::{random_searcher, EvalMemo, FitnessKind, GaConfig, SearchEngine, SearchOutcome};
 pub use wcfg::{

@@ -126,6 +126,21 @@ pub struct MinpsidResult {
     /// `None` when memoization was off (no store, or `incremental:
     /// false`).
     pub table_stats: Option<TableStatsSnapshot>,
+    /// Interpretations the run was asked for twice and did once.
+    pub deduped: Deduped,
+}
+
+/// Identical interpretations a run did not repeat: the interpreter is
+/// deterministic, so a GA candidate that materializes to an input the
+/// search already profiled, or an injection that draws a `(dynamic
+/// instance, bit)` its site already ran, has a known answer. Both are
+/// counted where they would have run, as if they had.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Deduped {
+    /// GA candidate evaluations (see `SearchEngine::deduped`).
+    pub evals: u64,
+    /// Per-instruction injections (see `CampaignEngine::deduped`).
+    pub injections: u64,
 }
 
 /// Baseline SID under this crate's naming, for experiment symmetry.
@@ -264,33 +279,90 @@ impl EvalMemo for CampaignJournal {
     }
 }
 
-/// Fetch the golden run for `input`, verifying (or recording) its journal
-/// digest. A digest mismatch means the journal belongs to different work
-/// and replaying its outcomes would be silent garbage — refuse loudly.
-fn golden_checked(
-    module: &Module,
-    input: &ProgInput,
-    cfg: &MinpsidConfig,
-    cache: &GoldenCache,
-    journal: &CampaignJournal,
-) -> Result<(Arc<GoldenRun>, u64), PipelineError> {
-    let fp = input_fingerprint(input);
-    let golden = cache.golden(module, input, &cfg.campaign)?;
-    let digest = output_fingerprint(&golden.output);
-    match journal.golden_digest(fp) {
-        Some((d, s)) if d != digest || s != golden.steps => {
-            return Err(PipelineError::Journal(format!(
-                "golden-run digest mismatch for input {fp:#x}: journal has \
-                 (output {d:#x}, {s} steps) but this run computed \
-                 (output {digest:#x}, {} steps) — the journal belongs to a \
-                 different program or campaign config",
-                golden.steps
-            )));
+/// What the per-input FI steps of one pipeline run share, and what they
+/// add up.
+struct FiStage<'a> {
+    module: &'a Module,
+    cfg: &'a MinpsidConfig,
+    cache: &'a GoldenCache,
+    sched: &'a Scheduler,
+    journal: Option<&'a CampaignJournal>,
+    table_stats: Option<TableStatsSnapshot>,
+    injections_deduped: u64,
+}
+
+impl FiStage<'_> {
+    /// Fetch the golden run for `input` (`steps`: its length, when a
+    /// profile run already measured it) and, under a journal, verify or
+    /// record its digest. A digest mismatch means the journal belongs to
+    /// different work and replaying its outcomes would be silent garbage —
+    /// refuse loudly.
+    fn golden(
+        &self,
+        input: &ProgInput,
+        steps: Option<u64>,
+    ) -> Result<(Arc<GoldenRun>, Option<u64>), PipelineError> {
+        let golden = self
+            .cache
+            .golden_sized(self.module, input, &self.cfg.campaign, steps)?;
+        let Some(journal) = self.journal else {
+            return Ok((golden, None));
+        };
+        let fp = input_fingerprint(input);
+        let digest = output_fingerprint(&golden.output);
+        match journal.golden_digest(fp) {
+            Some((d, s)) if d != digest || s != golden.steps => {
+                return Err(PipelineError::Journal(format!(
+                    "golden-run digest mismatch for input {fp:#x}: journal has \
+                     (output {d:#x}, {s} steps) but this run computed \
+                     (output {digest:#x}, {} steps) — the journal belongs to a \
+                     different program or campaign config",
+                    golden.steps
+                )));
+            }
+            Some(_) => {}
+            None => journal.record_golden(fp, digest, golden.steps),
         }
-        Some(_) => {}
-        None => journal.record_golden(fp, digest, golden.steps),
+        Ok((golden, Some(fp)))
     }
-    Ok((golden, fp))
+
+    /// Fetch the golden run for one input and run its per-instruction FI
+    /// through the [`CampaignEngine`], with the journal layer attached
+    /// when one is present (digest-checked golden, served/appended
+    /// outcomes).
+    fn per_inst_fi(
+        &mut self,
+        input: &ProgInput,
+        steps: Option<u64>,
+    ) -> Result<(Arc<GoldenRun>, CostBenefit, Option<u64>), PipelineError> {
+        let (golden, input_fp) = self.golden(input, steps)?;
+        // Section-table memo: scoped to (store, input), shared by every
+        // campaign shape over this pair.
+        let memo = match (self.cfg.incremental, self.cache.store()) {
+            (true, Some(store)) => Some(TableMemo::new(
+                store.clone(),
+                input_fp.unwrap_or_else(|| input_fingerprint(input)),
+            )),
+            _ => None,
+        };
+        let mut engine = CampaignEngine::new(self.module, input, &golden, &self.cfg.campaign)
+            .with_scheduler(self.sched);
+        if let (Some(j), Some(fp)) = (self.journal, input_fp) {
+            engine = engine.with_journal(j, fp);
+        }
+        if let Some(m) = &memo {
+            engine = engine.with_tables(m);
+        }
+        let per_inst = engine.run_per_instruction()?;
+        self.injections_deduped += engine.deduped();
+        if let Some(m) = &memo {
+            self.table_stats
+                .get_or_insert_with(Default::default)
+                .merge(&m.stats());
+        }
+        let cb = CostBenefit::build(self.module, &golden, &per_inst);
+        Ok((golden, cb, input_fp))
+    }
 }
 
 /// [`run_minpsid_cached`] with crash-safe progress: every per-injection
@@ -309,52 +381,6 @@ pub fn run_minpsid_journaled(
     run_minpsid_inner(module, model, cfg, cache, Some(journal))
 }
 
-/// Fetch the golden run for one input and run its per-instruction FI
-/// through the [`CampaignEngine`], with the journal layer attached when
-/// one is present (digest-checked golden, served/appended outcomes).
-fn engine_per_inst_fi(
-    module: &Module,
-    input: &ProgInput,
-    cfg: &MinpsidConfig,
-    cache: &GoldenCache,
-    sched: &Scheduler,
-    journal: Option<&CampaignJournal>,
-    table_stats: &mut Option<TableStatsSnapshot>,
-) -> Result<(Arc<GoldenRun>, CostBenefit, Option<u64>), PipelineError> {
-    let (golden, input_fp) = match journal {
-        Some(j) => {
-            let (g, fp) = golden_checked(module, input, cfg, cache, j)?;
-            (g, Some(fp))
-        }
-        None => (cache.golden(module, input, &cfg.campaign)?, None),
-    };
-    // Section-table memo: scoped to (store, input), shared by every
-    // campaign shape over this pair.
-    let memo = match (cfg.incremental, cache.store()) {
-        (true, Some(store)) => Some(TableMemo::new(
-            store.clone(),
-            input_fp.unwrap_or_else(|| input_fingerprint(input)),
-        )),
-        _ => None,
-    };
-    let mut engine =
-        CampaignEngine::new(module, input, &golden, &cfg.campaign).with_scheduler(sched);
-    if let (Some(j), Some(fp)) = (journal, input_fp) {
-        engine = engine.with_journal(j, fp);
-    }
-    if let Some(m) = &memo {
-        engine = engine.with_tables(m);
-    }
-    let per_inst = engine.run_per_instruction()?;
-    if let Some(m) = &memo {
-        table_stats
-            .get_or_insert_with(Default::default)
-            .merge(&m.stats());
-    }
-    let cb = CostBenefit::build(module, &golden, &per_inst);
-    Ok((golden, cb, input_fp))
-}
-
 /// The one pipeline body behind [`run_minpsid_cached`] and
 /// [`run_minpsid_journaled`]: identical orchestration, with the journal
 /// (durable outcomes, eval memo, interrupt handling, selection record)
@@ -369,21 +395,21 @@ fn run_minpsid_inner(
     let mut timings = Timings::default();
     let _pipeline_span = trace::span("minpsid_pipeline");
     let sched = run_scheduler(cfg);
-    let mut table_stats: Option<TableStatsSnapshot> = None;
+    let mut fi = FiStage {
+        module,
+        cfg,
+        cache,
+        sched: &sched,
+        journal,
+        table_stats: None,
+        injections_deduped: 0,
+    };
 
     // ① SID preparation: reference-input profile + per-instruction FI
     let t0 = Instant::now();
     let ref_fi_span = trace::span("ref_fi");
     let ref_input = model.materialize(&model.reference());
-    let (ref_golden, ref_cb, _) = engine_per_inst_fi(
-        module,
-        &ref_input,
-        cfg,
-        cache,
-        &sched,
-        journal,
-        &mut table_stats,
-    )?;
+    let (ref_golden, ref_cb, _) = fi.per_inst_fi(&ref_input, None)?;
     drop(ref_fi_span);
     timings.ref_fi = t0.elapsed();
     if let Some(j) = journal {
@@ -428,15 +454,7 @@ fn run_minpsid_inner(
         // ⑦ per-instruction FI under the searched input
         let t_fi = Instant::now();
         let fi_span = trace::span("incubative_fi");
-        let (_, cb, input_fp) = engine_per_inst_fi(
-            module,
-            &outcome.input,
-            cfg,
-            cache,
-            &sched,
-            journal,
-            &mut table_stats,
-        )?;
+        let (_, cb, input_fp) = fi.per_inst_fi(&outcome.input, outcome.steps)?;
         drop(fi_span);
         timings.incubative_fi += t_fi.elapsed();
 
@@ -506,7 +524,11 @@ fn run_minpsid_inner(
         cost_benefit: cb,
         tracker,
         sched: sched.snapshot(),
-        table_stats,
+        table_stats: fi.table_stats,
+        deduped: Deduped {
+            evals: engine.deduped,
+            injections: fi.injections_deduped,
+        },
     })
 }
 

@@ -3,11 +3,12 @@
 //! blind random searcher used as the baseline in Fig. 7.
 //!
 //! The search itself only *profiles* candidate inputs (a single run per
-//! candidate on one profiling interpreter built with the engine, so the
-//! module is decoded once per search, not once per candidate); all actual
-//! fault-injection campaigns in the surrounding pipeline go through the
-//! faultsim `CampaignEngine`, which is where the scheduler, journal, and
-//! thread-count knobs attach.
+//! distinct input on one profiling interpreter built with the engine, so
+//! the module is decoded once per search, not once per candidate, and an
+//! input is interpreted once per search, however many candidates
+//! materialize to it); all actual fault-injection campaigns in the
+//! surrounding pipeline go through the faultsim `CampaignEngine`, which is
+//! where the scheduler, journal, and thread-count knobs attach.
 
 use crate::cache::input_fingerprint;
 use crate::input::{crossover, mutate, InputModel, ParamValue};
@@ -20,6 +21,7 @@ use minpsid_ir::Module;
 use minpsid_trace as trace;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::collections::HashMap;
 
 /// Memoized profiling results, keyed by input fingerprint. The crash-safe
 /// journal implements this so a resumed search replays GA evaluations from
@@ -78,12 +80,18 @@ impl Default for GaConfig {
 /// An input accepted by the search, with the indexed CFG list its fitness
 /// was scored against (all the pipeline needs for the history; carrying
 /// the full `Profile` would defeat memoized resume).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchOutcome {
     pub params: Vec<ParamValue>,
     pub input: ProgInput,
     pub fitness: f64,
     pub cfg_list: Vec<u64>,
+    /// Length in dynamic steps of the profile run that produced
+    /// `cfg_list` — the golden run of `input` is that same run, so it can
+    /// size its checkpoint interval from this instead of a sizing pass.
+    /// `None` when the list came from an [`EvalMemo`], which keeps lists
+    /// only.
+    pub steps: Option<u64>,
 }
 
 /// The search engine: owns the history of indexed CFG lists against which
@@ -96,13 +104,29 @@ pub struct SearchEngine<'a> {
     history: Vec<Vec<u64>>,
     rng: StdRng,
     memo: Option<&'a dyn EvalMemo>,
+    /// What the profile run of every input this engine has interpreted
+    /// produced, by input fingerprint: the indexed CFG list and the run's
+    /// steps, or `None` for an input that errors out. The interpreter is
+    /// deterministic and the engine's module and limits are fixed, so an
+    /// entry stands for every later run of its input. Mutation no-ops and
+    /// candidates re-drawn in a later GA round land here.
+    profiled: HashMap<u64, Option<(Vec<u64>, u64)>>,
+    /// Evaluate as if `profiled` were always empty (the reference the
+    /// memo is tested against).
+    #[cfg(test)]
+    bypass_profiled: bool,
     deadline: Deadline,
-    /// Profiled executions performed *or served from a memo* — memo hits
-    /// count so an interrupted-and-resumed search reports the same totals
-    /// (and emits the same trace events) as an uninterrupted one.
+    /// Candidate evaluations that produced a CFG list, however it was
+    /// obtained — a profile run, this engine's own record of one, or the
+    /// memo. Memo hits count so an interrupted-and-resumed search reports
+    /// the same totals (and emits the same trace events) as an
+    /// uninterrupted one; repeats count for the same reason.
     pub profiled_runs: u64,
     /// How many of `profiled_runs` were served from the memo.
     pub memo_served: u64,
+    /// Evaluations (of valid and of erroring inputs) answered from this
+    /// engine's record of an earlier profile run of the same input.
+    pub deduped: u64,
 }
 
 impl<'a> SearchEngine<'a> {
@@ -120,9 +144,13 @@ impl<'a> SearchEngine<'a> {
             history: Vec::new(),
             rng,
             memo: None,
+            profiled: HashMap::new(),
+            #[cfg(test)]
+            bypass_profiled: false,
             deadline: Deadline::none(),
             profiled_runs: 0,
             memo_served: 0,
+            deduped: 0,
         }
     }
 
@@ -150,24 +178,42 @@ impl<'a> SearchEngine<'a> {
         self.history.len()
     }
 
+    /// The profile run of `input` (fingerprint `fp`): looked up in
+    /// `profiled`, else executed and entered there. A fresh valid run is
+    /// also handed to the memo.
+    fn profile(&mut self, fp: u64, input: &ProgInput) -> Option<(Vec<u64>, u64)> {
+        #[cfg(test)]
+        if self.bypass_profiled {
+            self.profiled.clear();
+        }
+        if let Some(known) = self.profiled.get(&fp) {
+            self.deduped += 1;
+            return known.clone();
+        }
+        let run = profile_with(&self.interp, input)
+            .ok()
+            .map(|(profile, steps)| (indexed_cfg_list(&profile), steps));
+        if let (Some(m), Some((list, _))) = (self.memo, &run) {
+            m.record_cfg_list(fp, list);
+        }
+        self.profiled.insert(fp, run.clone());
+        run
+    }
+
     /// Evaluate one parameter vector: materialize, profile (or serve the
     /// CFG list from the memo), score. `None` if the input errors out
     /// (filtered per §III-A2).
-    fn evaluate(&mut self, params: Vec<ParamValue>) -> Option<ScoredCandidate> {
+    fn evaluate(&mut self, params: Vec<ParamValue>) -> Option<SearchOutcome> {
         let input = self.model.materialize(&params);
         let fp = input_fingerprint(&input);
-        let list = match self.memo.and_then(|m| m.cfg_list(fp)) {
+        let (list, steps) = match self.memo.and_then(|m| m.cfg_list(fp)) {
             Some(list) => {
                 self.memo_served += 1;
-                list
+                (list, None)
             }
             None => {
-                let profile = profile_with(&self.interp, &input).ok()?;
-                let list = indexed_cfg_list(&profile);
-                if let Some(m) = self.memo {
-                    m.record_cfg_list(fp, &list);
-                }
-                list
+                let (list, steps) = self.profile(fp, &input)?;
+                (list, Some(steps))
             }
         };
         self.profiled_runs += 1;
@@ -175,15 +221,16 @@ impl<'a> SearchEngine<'a> {
             FitnessKind::Euclidean => fitness_score(&list, &self.history),
             FitnessKind::NormalizedEuclidean => fitness_score_normalized(&list, &self.history),
         };
-        Some(ScoredCandidate {
+        Some(SearchOutcome {
             params,
             input,
             cfg_list: list,
+            steps,
             fitness,
         })
     }
 
-    fn random_candidate(&mut self, attempts: usize) -> Option<ScoredCandidate> {
+    fn random_candidate(&mut self, attempts: usize) -> Option<SearchOutcome> {
         for _ in 0..attempts {
             let params = self.model.random(&mut self.rng);
             if let Some(c) = self.evaluate(params) {
@@ -198,7 +245,7 @@ impl<'a> SearchEngine<'a> {
     /// the history — the caller does that after the FI step accepts it.
     pub fn next_ga_input(&mut self) -> Option<SearchOutcome> {
         let pop_size = self.ga.population.max(2);
-        let mut pop: Vec<ScoredCandidate> = Vec::with_capacity(pop_size);
+        let mut pop: Vec<SearchOutcome> = Vec::with_capacity(pop_size);
         for _ in 0..pop_size {
             if let Some(c) = self.random_candidate(10) {
                 pop.push(c);
@@ -269,25 +316,13 @@ impl<'a> SearchEngine<'a> {
             }
         }
 
-        let winner = pop.into_iter().next().unwrap();
-        Some(SearchOutcome {
-            params: winner.params,
-            input: winner.input,
-            fitness: winner.fitness,
-            cfg_list: winner.cfg_list,
-        })
+        pop.into_iter().next()
     }
 
     /// Blind random search (the Fig. 7 baseline): a single random valid
     /// input, no fitness guidance.
     pub fn next_random_input(&mut self) -> Option<SearchOutcome> {
-        let c = self.random_candidate(20)?;
-        Some(SearchOutcome {
-            params: c.params,
-            input: c.input,
-            fitness: c.fitness,
-            cfg_list: c.cfg_list,
-        })
+        self.random_candidate(20)
     }
 
     /// Simulated-annealing search — the paper's future-work direction of
@@ -331,13 +366,7 @@ impl<'a> SearchEngine<'a> {
         }
 
         // re-materialize the best point seen (the chain may have moved on)
-        let best = self.evaluate(best_params)?;
-        Some(SearchOutcome {
-            params: best.params,
-            input: best.input,
-            fitness: best.fitness,
-            cfg_list: best.cfg_list,
-        })
+        self.evaluate(best_params)
     }
 }
 
@@ -360,14 +389,7 @@ pub fn random_searcher(
     engine.next_random_input()
 }
 
-struct ScoredCandidate {
-    params: Vec<ParamValue>,
-    input: ProgInput,
-    cfg_list: Vec<u64>,
-    fitness: f64,
-}
-
-fn sort_by_fitness(pop: &mut [ScoredCandidate]) {
+fn sort_by_fitness(pop: &mut [SearchOutcome]) {
     pop.sort_by(|a, b| {
         b.fitness
             .partial_cmp(&a.fitness)
@@ -513,6 +535,134 @@ mod tests {
             e.next_ga_input().unwrap().params
         };
         assert_eq!(run(5), run(5));
+    }
+
+    /// Two parameters, one input: `noise` never reaches the program, and
+    /// `n` is divided by four on the way, so candidates collide (every
+    /// mutation of `noise` is a no-op on the input). The program divides by
+    /// `n % 5`: one input in five traps, and those collide too.
+    struct CollidingModel {
+        spec: Vec<ParamSpec>,
+        /// Candidates materialized to an input that traps.
+        trapping: std::sync::atomic::AtomicU64,
+    }
+
+    impl InputModel for CollidingModel {
+        fn spec(&self) -> &[ParamSpec] {
+            &self.spec
+        }
+
+        fn materialize(&self, params: &[ParamValue]) -> ProgInput {
+            let n = params[0].as_i() / 4;
+            if n % 5 == 0 {
+                self.trapping
+                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            }
+            ProgInput::scalars(vec![Scalar::I(n)])
+        }
+
+        fn reference(&self) -> Vec<ParamValue> {
+            vec![ParamValue::I(44), ParamValue::I(0)]
+        }
+    }
+
+    /// What a search did, as far as anything outside it can tell.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        outcomes: Vec<SearchOutcome>,
+        profiled_runs: u64,
+        memo_served: u64,
+        generations: Vec<trace::Event>,
+    }
+
+    /// Three rounds of each strategy on one engine, with every
+    /// `ga_generation` event the calling thread emitted (other tests of
+    /// this binary may be searching on theirs).
+    fn observe(engine: &mut SearchEngine<'_>) -> Observed {
+        use std::sync::{Arc, Mutex};
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let (sink, me) = (seen.clone(), std::thread::current().id());
+        trace::add_observer(move |e| {
+            if std::thread::current().id() == me
+                && matches!(e.event, trace::Event::GaGeneration { .. })
+            {
+                sink.lock().unwrap().push(e.event.clone());
+            }
+        });
+        let mut outcomes = Vec::new();
+        for round in 0..9 {
+            let got = match round % 3 {
+                0 => engine.next_ga_input(),
+                1 => engine.next_annealing_input(),
+                _ => engine.next_random_input(),
+            }
+            .expect("four inputs in five are valid");
+            engine.record_history(got.cfg_list.clone());
+            outcomes.push(got);
+        }
+        trace::shutdown().unwrap();
+        let generations = std::mem::take(&mut *seen.lock().unwrap());
+        assert!(!generations.is_empty(), "the observer saw the search");
+        Observed {
+            outcomes,
+            profiled_runs: engine.profiled_runs,
+            memo_served: engine.memo_served,
+            generations,
+        }
+    }
+
+    /// The engine's record of its own profile runs changes how many times
+    /// the interpreter runs and nothing else: against an engine that
+    /// forgets every run at once, the same accepted inputs, fitness bits,
+    /// evaluation counts and trace events — on an input space where
+    /// candidates collide and where one input in five errors out.
+    #[test]
+    fn remembered_profile_runs_change_nothing_observable() {
+        let m = minic::compile(
+            r#"
+            fn main() {
+                let n = arg_i(0);
+                let acc = 100 / (n % 5);
+                for i = 0 to n { if i % 3 == 0 { acc = acc + i; } }
+                out_i(acc);
+            }
+            "#,
+            "search-memo-test",
+        )
+        .unwrap();
+        let model = CollidingModel {
+            spec: vec![
+                ParamSpec::int("n", 4, 400),
+                ParamSpec::int("noise", 0, 1000),
+            ],
+            trapping: Default::default(),
+        };
+        let cfg = CampaignConfig::quick(1);
+        let ga = GaConfig {
+            population: 7,
+            seed: 9,
+            ..GaConfig::default()
+        };
+        let ref_list = indexed_cfg_list(
+            &profile_input(&m, &model.materialize(&model.reference()), &cfg).unwrap(),
+        );
+        let run = |bypass: bool| {
+            let mut e = SearchEngine::new(&m, &model, cfg.clone(), ga.clone());
+            e.bypass_profiled = bypass;
+            e.record_history(ref_list.clone());
+            (observe(&mut e), e.deduped)
+        };
+        let (remembering, deduped) = run(false);
+        let (forgetting, none) = run(true);
+        assert_eq!(remembering, forgetting);
+        assert_eq!(none, 0);
+        assert!(deduped > 20, "only {deduped} evaluations repeated an input");
+        // both kinds of entry were hit: `n / 4` has 20 trapping values, and
+        // more candidates than that (over both runs) materialized to one
+        let trapping = model.trapping.load(std::sync::atomic::Ordering::Relaxed) / 2;
+        assert!(trapping > 20, "only {trapping} candidates trapped");
+        // a run this engine made itself carries its steps
+        assert!(remembering.outcomes.iter().all(|o| o.steps.is_some()));
     }
 
     #[test]

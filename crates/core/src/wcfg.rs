@@ -16,15 +16,18 @@ pub(crate) fn profiling_interp<'m>(module: &'m Module, campaign: &CampaignConfig
     Interp::new(module, exec)
 }
 
-/// Execute `input` once on a [`profiling_interp`] and return the profile.
-/// Fails on inputs that error out (those are filtered, per the
-/// input-generation rules of §III-A2).
-pub(crate) fn profile_with(interp: &Interp<'_>, input: &ProgInput) -> Result<Profile, Termination> {
+/// Execute `input` once on a [`profiling_interp`] and return the profile
+/// with the run's length in dynamic steps. Fails on inputs that error out
+/// (those are filtered, per the input-generation rules of §III-A2).
+pub(crate) fn profile_with(
+    interp: &Interp<'_>,
+    input: &ProgInput,
+) -> Result<(Profile, u64), Termination> {
     let r = interp.run(input);
     if r.termination != Termination::Exit {
         return Err(r.termination);
     }
-    Ok(r.profile.expect("profiling enabled"))
+    Ok((r.profile.expect("profiling enabled"), r.steps))
 }
 
 /// Execute `input` once with profiling and return the profile — the
@@ -34,7 +37,7 @@ pub fn profile_input(
     input: &ProgInput,
     campaign: &CampaignConfig,
 ) -> Result<Profile, Termination> {
-    profile_with(&profiling_interp(module, campaign), input)
+    profile_with(&profiling_interp(module, campaign), input).map(|(profile, _)| profile)
 }
 
 /// The indexed weighted-CFG list of a profile: per-basic-block dynamic

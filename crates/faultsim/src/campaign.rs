@@ -179,11 +179,29 @@ impl GoldenRun {
 /// checkpoint store and the run's ending together. Under
 /// [`CheckpointPolicy::Auto`] the capture interval is a function of the
 /// run's length, which nothing knows before the run: an unobserved sizing
-/// pass (the bare decoded loop) measures it first.
+/// pass (the bare decoded loop) measures it first. A caller that has
+/// already run this input under these limits skips that pass with
+/// [`golden_run_sized`].
 pub fn golden_run(
     module: &Module,
     input: &ProgInput,
     cfg: &CampaignConfig,
+) -> Result<GoldenRun, Termination> {
+    golden_run_sized(module, input, cfg, None)
+}
+
+/// [`golden_run`] for a caller that may already know the run's length:
+/// `steps` is what an earlier fault-free run of `(module, input)` under
+/// `cfg.exec`'s limits took (the input search's profile run of the input
+/// it accepted), and stands in for the sizing pass of
+/// [`CheckpointPolicy::Auto`]. It is a hint, checked against the captured
+/// run: when that run's length disagrees, capture is redone at the
+/// interval the true length sets, so the result never depends on it.
+pub fn golden_run_sized(
+    module: &Module,
+    input: &ProgInput,
+    cfg: &CampaignConfig,
+    steps: Option<u64>,
 ) -> Result<GoldenRun, Termination> {
     let _span = trace::span("golden_run");
     let exec = ExecConfig {
@@ -191,29 +209,37 @@ pub fn golden_run(
         ..cfg.exec.clone()
     };
     let interp = Interp::new(module, exec);
-    let interval = match cfg.checkpoints {
-        CheckpointPolicy::Auto => {
-            let sizing = interp.run_unobserved(input);
-            if sizing.termination != Termination::Exit {
-                return Err(sizing.termination);
-            }
-            Some(auto_interval(sizing.steps, cfg.max_checkpoints))
-        }
-        CheckpointPolicy::Every(n) => Some(n.max(1)),
-        CheckpointPolicy::Disabled => None,
+    let capture = |interval: u64| {
+        let _span = trace::span("checkpoint_capture");
+        let ck_cfg = CheckpointConfig {
+            interval,
+            mem_budget_bytes: cfg.checkpoint_mem_budget,
+            mode: cfg.snapshot_mode,
+            keyframe_every: cfg.keyframe_every,
+        };
+        interp.run_with_checkpoint_store(input, ck_cfg)
     };
-    let (r, checkpoints) = match interval {
-        Some(interval) => {
-            let _span = trace::span("checkpoint_capture");
-            let ck_cfg = CheckpointConfig {
-                interval,
-                mem_budget_bytes: cfg.checkpoint_mem_budget,
-                mode: cfg.snapshot_mode,
-                keyframe_every: cfg.keyframe_every,
+    let (r, checkpoints) = match cfg.checkpoints {
+        CheckpointPolicy::Auto => {
+            let steps = match steps {
+                Some(steps) => steps,
+                None => {
+                    let sizing = interp.run_unobserved(input);
+                    if sizing.termination != Termination::Exit {
+                        return Err(sizing.termination);
+                    }
+                    sizing.steps
+                }
             };
-            interp.run_with_checkpoint_store(input, ck_cfg)
+            let captured = capture(auto_interval(steps, cfg.max_checkpoints));
+            if captured.0.termination == Termination::Exit && captured.0.steps != steps {
+                capture(auto_interval(captured.0.steps, cfg.max_checkpoints))
+            } else {
+                captured
+            }
         }
-        None => (interp.run(input), CheckpointStore::default()),
+        CheckpointPolicy::Every(n) => capture(n.max(1)),
+        CheckpointPolicy::Disabled => (interp.run(input), CheckpointStore::default()),
     };
     if r.termination != Termination::Exit {
         return Err(r.termination);
@@ -392,6 +418,36 @@ mod tests {
         // encoding is deterministic, so the store dedups identical runs
         assert_eq!(g.encode_meta(), back.encode_meta());
         assert_eq!(g.encode_checkpoints(), back.encode_checkpoints());
+    }
+
+    /// The steps a caller hands `golden_run_sized` spare it the sizing
+    /// pass and decide nothing: right, stale or absurd, the run and its
+    /// store are the ones `golden_run` sizes for itself.
+    #[test]
+    fn sized_golden_run_does_not_depend_on_the_hint() {
+        let m = test_module();
+        let cfg = CampaignConfig::default();
+        let g = golden_run(&m, &input(60), &cfg).unwrap();
+        assert!(g.checkpoints.len() > 2);
+        for hint in [g.steps, g.steps / 3, g.steps * 7, 0] {
+            let h = golden_run_sized(&m, &input(60), &cfg, Some(hint)).unwrap();
+            assert_eq!(h.encode_meta(), g.encode_meta(), "hint {hint}");
+            assert!(
+                h.encode_checkpoints() == g.encode_checkpoints(),
+                "hint {hint}: store image"
+            );
+        }
+        // a fixed interval never had a sizing pass to skip
+        let fixed = CampaignConfig {
+            checkpoints: CheckpointPolicy::Every(23),
+            ..CampaignConfig::default()
+        };
+        let a = golden_run(&m, &input(60), &fixed).unwrap();
+        let b = golden_run_sized(&m, &input(60), &fixed, Some(5)).unwrap();
+        assert!(a.encode_checkpoints() == b.encode_checkpoints());
+        // and a hint does not make a trapping input a golden run
+        let div = minic::compile("fn main() { out_i(10 / arg_i(0)); }", "div").unwrap();
+        assert!(golden_run_sized(&div, &input(0), &cfg, Some(100)).is_err());
     }
 
     #[test]

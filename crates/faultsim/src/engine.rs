@@ -50,8 +50,9 @@ use minpsid_trace as trace;
 use minpsid_trace::{CampaignCounters, CampaignKind, Histogram, OutcomeKind};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 // ---------------------------------------------------------------------------
@@ -294,8 +295,9 @@ fn emit_function_outcomes(
 
 /// Run one injection: resume from the nearest safe snapshot when one
 /// exists (faults early in the trace may precede the first snapshot),
-/// otherwise replay from scratch. `st` is per-worker scratch whose buffers
-/// are reused across injections.
+/// otherwise replay from scratch. Either way the run is finished early
+/// once its state equals the golden run's at a later snapshot. `st` is
+/// per-worker scratch whose buffers are reused across injections.
 fn inject(
     interp: &Interp<'_>,
     st: &mut ExecScratch,
@@ -311,7 +313,7 @@ fn inject(
     };
     match snap {
         Some(i) => interp.resume_from(st, &golden.checkpoints, i, input, fault),
-        None => interp.run_with_fault_in(st, input, fault),
+        None => interp.run_with_fault_against(st, &golden.checkpoints, input, fault),
     }
 }
 
@@ -433,6 +435,26 @@ struct ResolvedInjection {
     exhausted: Option<FailureKind>,
 }
 
+impl ResolvedInjection {
+    /// An injection that executed cleanly — first attempt, no engine
+    /// failure — is a pure function of its fault: the interpreter is
+    /// deterministic. Only those may stand in for a repeat of the fault.
+    fn clean(&self) -> bool {
+        !self.recovered && self.exhausted.is_none()
+    }
+
+    /// The repeat: the outcome of a clean run of the same fault, with no
+    /// steps to its name.
+    fn repeat_of(outcome: Outcome) -> Self {
+        ResolvedInjection {
+            outcome,
+            steps: StepTally::default(),
+            recovered: false,
+            exhausted: None,
+        }
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn resolve_injection(
     sched: &Scheduler,
@@ -512,6 +534,32 @@ fn program_unit(
         fault,
         chaos_plan(cfg, i as u64),
     )
+}
+
+/// The `k`-th fault a per-instruction campaign injects at the site
+/// `(gid, count)` of `sec`: one of the site's `count` dynamic instances,
+/// one bit. Seeded by content (section fingerprint, function-local
+/// instruction index, `k`), never by plan position, for the same reason
+/// [`program_unit`]'s stream is. With `count` instances there are only
+/// `64 * count` distinct faults, so at a site executed once a campaign of
+/// N injections repeats itself (half of them at N = 100).
+fn per_inst_fault(
+    cfg: &CampaignConfig,
+    sec: &PerInstSection,
+    gid: GlobalInstId,
+    count: u64,
+    k: usize,
+) -> FaultSpec {
+    let mut rng = StdRng::seed_from_u64(
+        cfg.seed
+            ^ splitmix64(sec.fp)
+            ^ (gid.inst.index() as u64).wrapping_mul(0xD1B5_4A32_D192_ED03)
+            ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+    );
+    FaultSpec {
+        target: FaultTarget::NthOfInst(gid, rng.random_range(0..count)),
+        bit: rng.random_range(0..64),
+    }
 }
 
 /// Golden-context table signature for a program section: the per-site
@@ -684,6 +732,9 @@ pub struct CampaignEngine<'a> {
     sched: Option<&'a Scheduler>,
     journal: Option<(&'a CampaignJournal, u64)>,
     tables: Option<&'a TableMemo>,
+    /// Per-instruction injections that repeated a fault already run at
+    /// their site and took its outcome (a statistic, hence `Relaxed`).
+    deduped: AtomicU64,
 }
 
 impl<'a> CampaignEngine<'a> {
@@ -704,6 +755,7 @@ impl<'a> CampaignEngine<'a> {
             sched: None,
             journal: None,
             tables: None,
+            deduped: AtomicU64::new(0),
         }
     }
 
@@ -750,6 +802,28 @@ impl<'a> CampaignEngine<'a> {
     /// The scheduler this engine executes under.
     pub fn scheduler(&self) -> &Scheduler {
         self.sched.unwrap_or(&self.owned_sched)
+    }
+
+    /// Per-instruction injections so far that were not interpreted
+    /// because the same `(dynamic instance, bit)` had already run at their
+    /// site in this campaign. They are accounted exactly like executed
+    /// ones — reports, journal and tables cannot tell — with zero steps.
+    pub fn deduped(&self) -> u64 {
+        self.deduped.load(Ordering::Relaxed)
+    }
+
+    /// The faults [`run_per_instruction`](Self::run_per_instruction)
+    /// injects at `sec.sites[site]`, in injection order. Planning is pure
+    /// (config, section fingerprint, the site's dynamic count): what the
+    /// journal or a sealed table serves, and which repeats are deduped,
+    /// changes which of these faults are *run*, never which are planned.
+    pub fn planned_faults<'s>(
+        &'s self,
+        sec: &'s PerInstSection,
+        site: usize,
+    ) -> impl Iterator<Item = FaultSpec> + 's {
+        let (_, gid, count) = sec.sites[site];
+        (0..self.cfg.per_inst_injections).map(move |k| per_inst_fault(self.cfg, sec, gid, count, k))
     }
 
     /// Injectable sites per function: `(dense index, gid, dynamic count)`
@@ -1142,6 +1216,8 @@ impl<'a> CampaignEngine<'a> {
                     .unwrap_or(&[]);
                 let mut status = SiteStatus::Full;
                 let mut consecutive = 0u32;
+                // outcome of the faults that ran cleanly at this site
+                let mut ran: HashMap<FaultSpec, Outcome> = HashMap::new();
                 for k in 0..planned {
                     if journal.is_some() && interrupt::requested() {
                         // partial work stays durable: the batch holds
@@ -1241,28 +1317,39 @@ impl<'a> CampaignEngine<'a> {
                         }
                         continue;
                     }
-                    let mut rng = StdRng::seed_from_u64(
-                        cfg.seed
-                            ^ splitmix64(sec.fp)
-                            ^ (gid.inst.index() as u64).wrapping_mul(0xD1B5_4A32_D192_ED03)
-                            ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                    );
-                    let fault = FaultSpec {
-                        target: FaultTarget::NthOfInst(gid, rng.random_range(0..count)),
-                        bit: rng.random_range(0..64),
-                    };
+                    let fault = per_inst_fault(cfg, sec, gid, count, k);
                     let chaos_key = per_inst_chaos_key(cfg, dense, k);
-                    let r = resolve_injection(
-                        sched,
-                        CampaignKind::PerInst,
-                        chaos_key,
-                        &interp,
-                        st,
-                        self.golden,
-                        self.input,
-                        fault,
-                        chaos_plan(cfg, chaos_key),
-                    );
+                    let chaos = chaos_plan(cfg, chaos_key);
+                    // a repeat of a fault that ran cleanly at this site
+                    // takes its outcome (chaos fails attempts by `k`, so
+                    // a chaos-planned repeat still has to be attempted)
+                    let repeat = ran.get(&fault).filter(|_| chaos.is_none());
+                    let r = match repeat {
+                        Some(&outcome) => {
+                            self.deduped.fetch_add(1, Ordering::Relaxed);
+                            if tracing {
+                                counters.record_deduped();
+                            }
+                            ResolvedInjection::repeat_of(outcome)
+                        }
+                        None => {
+                            let r = resolve_injection(
+                                sched,
+                                CampaignKind::PerInst,
+                                chaos_key,
+                                &interp,
+                                st,
+                                self.golden,
+                                self.input,
+                                fault,
+                                chaos,
+                            );
+                            if chaos.is_none() && r.clean() {
+                                ran.insert(fault, r.outcome);
+                            }
+                            r
+                        }
+                    };
                     fresh = true;
                     if let Some(m) = memo {
                         m.note_executed(1);

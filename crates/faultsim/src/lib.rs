@@ -45,8 +45,8 @@ pub mod propagation;
 pub mod table;
 
 pub use campaign::{
-    golden_run, outcome_fraction, per_instruction_campaign, program_campaign, CampaignConfig,
-    CheckpointPolicy, GoldenRun, PerInstSdc, ProgramCampaign,
+    golden_run, golden_run_sized, outcome_fraction, per_instruction_campaign, program_campaign,
+    CampaignConfig, CheckpointPolicy, GoldenRun, PerInstSdc, ProgramCampaign,
 };
 pub use config::CampaignConfigBuilder;
 pub use engine::{

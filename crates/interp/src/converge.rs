@@ -7,8 +7,10 @@
 //! there will retrace the golden run step for step to its end: same
 //! termination, same step count, same return value, same output items
 //! from there on. Replaying that suffix buys nothing, so the checkpointed
-//! injection path ([`Interp::resume_from`]) stops at `k` and returns the
-//! result the full replay would have produced.
+//! injection path ([`Interp::resume_from`], and
+//! [`Interp::run_with_fault_against`] for a fault that precedes the first
+//! checkpoint) stops at `k` and returns the result the full replay would
+//! have produced.
 //!
 //! **State** is what the next instruction can observe: the frame stack
 //! (function, logical pc, every register, arguments, stack watermark),
@@ -39,10 +41,11 @@
 //!   the bound are passed over, which spaces the checks by state size.
 //!
 //! [`Interp::resume_from`]: crate::Interp::resume_from
+//! [`Interp::run_with_fault_against`]: crate::Interp::run_with_fault_against
 
 use crate::decode::{DFrame, DecodedModule};
 use crate::exec::{ExecResult, Frame, Interp, MachineState, Termination};
-use crate::snapshot::{value_bits_eq, CheckpointStore, GoldenTail};
+use crate::snapshot::{value_bits_eq, CheckpointStore, GoldenTail, Snapshot};
 use crate::value::{Output, Value};
 
 /// Cumulative words hashed per injection stay ≤ steps replayed / this.
@@ -146,6 +149,58 @@ pub(crate) fn digest_of(st: &MachineState) -> u64 {
 
 fn values_eq(a: &[Value], b: &[Value]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(&x, &y)| value_bits_eq(x, y))
+}
+
+/// The coarsest part of the state (as the module docs define it) in which
+/// two snapshots differ; see [`divergence`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Divergence {
+    /// The call stacks are not in the same place — depth, function,
+    /// logical pc or stack watermark of some frame — or the outputs are
+    /// not the same length.
+    Shape,
+    /// Same shape; heap or stack memory differs.
+    Memory,
+    /// Same shape and memories; only register or argument values differ.
+    Registers,
+}
+
+/// Why a run whose state is `faulty` has not converged onto the run whose
+/// state at the same step is `golden`, or `None` if it has. A measurement
+/// aid (`examples/replay_headroom.rs`): the early exit itself only ever
+/// asks whether the states are equal.
+pub fn divergence(faulty: &Snapshot, golden: &Snapshot) -> Option<Divergence> {
+    let (a, b) = (&faulty.state, &golden.state);
+    let place = |f: &Frame| {
+        (
+            f.func,
+            f.block,
+            f.pos,
+            f.sp_base,
+            f.regs.len(),
+            f.args.len(),
+        )
+    };
+    if a.output.len() != b.output.len()
+        || a.frames.len() != b.frames.len()
+        || a.frames
+            .iter()
+            .zip(&b.frames)
+            .any(|(x, y)| place(x) != place(y))
+    {
+        Some(Divergence::Shape)
+    } else if a.mem != b.mem || a.stack_mem != b.stack_mem {
+        Some(Divergence::Memory)
+    } else if a
+        .frames
+        .iter()
+        .zip(&b.frames)
+        .any(|(x, y)| !values_eq(&x.regs, &y.regs) || !values_eq(&x.args, &y.args))
+    {
+        Some(Divergence::Registers)
+    } else {
+        None
+    }
 }
 
 /// A decoded run's live state, borrowed at a pause. The running frame's

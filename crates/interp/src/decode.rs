@@ -1686,8 +1686,8 @@ fn decode_inst(
 /// A run that wants a profile or a trace (per the interpreter's config)
 /// executes on the *observed* instantiation from its first step to its
 /// last; any other run goes through [`run_unobserved`], which is also
-/// what `golden` — the checkpoint store the run resumed from, if any —
-/// is for.
+/// what `golden` — the golden run's checkpoint store, if the caller has
+/// one — is for.
 pub(crate) fn run_decoded(
     interp: &Interp<'_>,
     scratch: &mut ExecScratch,
@@ -1747,10 +1747,11 @@ fn run_observed(
 /// Nothing observes the injection counters after the fault has fired, so
 /// dropping them mid-run is invisible.
 ///
-/// `golden` is the checkpoint store the run resumed from, if any: once
-/// the fault has fired, the clean phase pauses at its later checkpoints
-/// and finishes early when the state has converged onto the golden run
-/// (see [`crate::converge`]).
+/// `golden` is the golden run's checkpoint store — the one the run
+/// resumed from, or that a cold run executes beside: once the fault has
+/// fired, the clean phase pauses at its later checkpoints and finishes
+/// early when the state has converged onto the golden run (see
+/// [`crate::converge`]).
 pub(crate) fn run_unobserved(
     interp: &Interp<'_>,
     scratch: &mut ExecScratch,

@@ -355,6 +355,24 @@ impl<'m> Interp<'m> {
         decode::run_decoded(self, scratch, input, Some(fault), None)
     }
 
+    /// [`Interp::run_with_fault_in`] for a fault that fires before the
+    /// first checkpoint of `golden` (so there is nothing to resume from):
+    /// a cold run from the entry point that, once the fault has fired, is
+    /// compared with the golden run at `golden`'s checkpoints and finished
+    /// early when their states are equal, exactly as
+    /// [`Interp::resume_from`] does for a resumed one. Same result as the
+    /// plain cold run, `converged_at` aside.
+    pub fn run_with_fault_against(
+        &self,
+        scratch: &mut ExecScratch,
+        golden: &CheckpointStore,
+        input: &ProgInput,
+        fault: FaultSpec,
+    ) -> ExecResult {
+        scratch.start_decoded(&self.decoded);
+        decode::run_decoded(self, scratch, input, Some(fault), Some(golden))
+    }
+
     /// Execute without faults, capturing a checkpoint every
     /// `cfg.interval` dynamic instructions into a [`CheckpointStore`]
     /// (delta-encoded checkpoints stay encoded). The result is

@@ -9,7 +9,7 @@ use crate::value::Value;
 use minpsid_ir::GlobalInstId;
 
 /// Which dynamic instruction execution the fault hits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultTarget {
     /// The `n`-th (0-based) dynamic execution of *any* injectable
     /// instruction in the run — LLFI's whole-program random injection.
@@ -20,7 +20,7 @@ pub enum FaultTarget {
 }
 
 /// A single-bit-flip fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FaultSpec {
     pub target: FaultTarget,
     /// Bit position to flip. For `Bool` results any value flips the bit;

@@ -37,7 +37,7 @@ pub mod snapshot;
 pub mod value;
 pub mod wire;
 
-pub use converge::ConvergeStats;
+pub use converge::{divergence, ConvergeStats, Divergence};
 pub use decode::ExecScratch;
 pub use exec::{ExecConfig, ExecResult, Interp, MachineState, Termination, TraceEvent, TrapKind};
 pub use fault::{flip_bit, FaultSpec, FaultTarget};

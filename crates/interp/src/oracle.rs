@@ -44,10 +44,32 @@ pub fn run_with_checkpoint_store(
     input: &ProgInput,
     cfg: CheckpointConfig,
 ) -> (ExecResult, CheckpointStore) {
+    capture(interp, input, None, cfg)
+}
+
+/// A *faulty* run captured the way a golden run is, which the decoded
+/// engine has no use for: the states a fault leaves behind at the golden
+/// run's checkpoint boundaries, for asking afterwards why a run did not
+/// converge ([`crate::converge::divergence`]).
+pub fn run_with_fault_capturing(
+    interp: &Interp<'_>,
+    input: &ProgInput,
+    fault: FaultSpec,
+    cfg: CheckpointConfig,
+) -> (ExecResult, CheckpointStore) {
+    capture(interp, input, Some(fault), cfg)
+}
+
+fn capture(
+    interp: &Interp<'_>,
+    input: &ProgInput,
+    fault: Option<FaultSpec>,
+    cfg: CheckpointConfig,
+) -> (ExecResult, CheckpointStore) {
     let mut st = MachineState::default();
     st.start(interp.module());
     let mut coll = CheckpointCollector::new(cfg, interp.module().num_insts());
-    let r = run_inner(interp, &mut st, input, None, Some(&mut coll));
+    let r = run_inner(interp, &mut st, input, fault, Some(&mut coll));
     let mut store = coll.into_store();
     if r.termination == Termination::Exit {
         store.attach_tail(r.output.clone(), r.steps, r.ret);

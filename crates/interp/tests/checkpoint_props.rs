@@ -4,7 +4,8 @@
 //! whose injection counter has not yet reached the fault must be
 //! bit-identical to injecting into a from-scratch run — also when the
 //! resumed run is finished early because its state converged onto the
-//! golden run's (`Interp::resume_from`), which must change what is
+//! golden run's (`Interp::resume_from`, and `Interp::run_with_fault_against`
+//! for a fault that precedes every snapshot), which must change what is
 //! executed and never what is returned.
 
 use minpsid_interp::{
@@ -74,7 +75,8 @@ fn exec() -> ExecConfig {
     }
 }
 
-/// `resume_from` on `store` from checkpoint `idx`, held to its contract —
+/// `resume_from` on `store` from checkpoint `idx` — or, for `None`, the
+/// cold `run_with_fault_against` beside `store` — held to its contract —
 /// equal to the cold run field for field — and to its cost bounds: the
 /// words hashed looking for convergence stay within 1/8 of the steps
 /// executed, and the boundaries hashed follow a geometric back-off.
@@ -82,27 +84,32 @@ fn check_resume_from(
     interp: &Interp<'_>,
     scratch: &mut ExecScratch,
     store: &CheckpointStore,
-    idx: usize,
+    idx: Option<usize>,
     input: &ProgInput,
     fault: FaultSpec,
     cold: &ExecResult,
 ) -> Result<ExecResult, TestCaseError> {
-    let warm = interp.resume_from(scratch, store, idx, input, fault);
+    let warm = match idx {
+        Some(idx) => interp.resume_from(scratch, store, idx, input, fault),
+        None => interp.run_with_fault_against(scratch, store, input, fault),
+    };
     prop_assert_eq!(&warm.termination, &cold.termination);
     prop_assert_eq!(&warm.output, &cold.output);
     prop_assert_eq!(warm.steps, cold.steps);
     prop_assert_eq!(warm.fault_applied, cold.fault_applied);
     prop_assert_eq!(&warm.ret, &cold.ret);
-    prop_assert_eq!(warm.resumed_at, Some(store.steps_at(idx)));
+    let resumed_at = idx.map(|idx| store.steps_at(idx));
+    prop_assert_eq!(warm.resumed_at, resumed_at);
 
     let stats = scratch.converge_stats();
-    let executed = warm.converged_at.unwrap_or(warm.steps) - store.steps_at(idx);
+    let start = resumed_at.unwrap_or(0);
+    let executed = warm.converged_at.unwrap_or(warm.steps) - start;
     prop_assert!(
         stats.words_hashed * 8 <= executed,
         "{} words hashed over {executed} steps",
         stats.words_hashed
     );
-    let boundaries = (store.len() - idx) as u32;
+    let boundaries = (store.len() - idx.unwrap_or(0)) as u32;
     prop_assert!(
         stats.checks <= boundaries.ilog2() + 1,
         "{} checks over {boundaries} boundaries",
@@ -110,7 +117,7 @@ fn check_resume_from(
     );
     if let Some(at) = warm.converged_at {
         prop_assert!(stats.checks > 0);
-        prop_assert!(at > store.steps_at(idx) && at < warm.steps);
+        prop_assert!(at > start && at < warm.steps);
         prop_assert_eq!(warm.termination, Termination::Exit);
     }
     Ok(warm)
@@ -134,7 +141,8 @@ proptest! {
     /// exit — equals the cold run for random programs, store encodings,
     /// intervals and faults, from the nearest eligible checkpoint (little
     /// replayed before the flip: the cost bound delays the first check)
-    /// and from the first (much replayed: it does not). Run by
+    /// and from the first (much replayed: it does not), or from the entry
+    /// point when the fault precedes them all. Run by
     /// `early_exit_matches_cold_run_and_is_taken`.
     fn early_exit_matches_cold_run(
         stmts in proptest::collection::vec((0u8..7, 0u8..20), 1..6),
@@ -164,9 +172,13 @@ proptest! {
         for salt in 0..4u64 {
             let nth = (nth_raw + salt * 7919) % golden.steps;
             let fault = FaultSpec { target: FaultTarget::NthDynamic(nth), bit: bit + salt as u32 };
-            let Some(nearest) = store.nearest_for_dynamic(nth) else { continue };
             let cold = interp.run_with_fault(&input, fault);
-            for idx in [nearest, 0] {
+            // a fault that precedes every checkpoint is replayed cold
+            let from = match store.nearest_for_dynamic(nth) {
+                Some(nearest) => vec![Some(nearest), Some(0)],
+                None => vec![None],
+            };
+            for idx in from {
                 let warm =
                     check_resume_from(&interp, &mut scratch, &store, idx, &input, fault, &cold)?;
                 if warm.converged_at.is_some() {
@@ -176,6 +188,48 @@ proptest! {
             }
         }
     }
+}
+
+/// A fault before the first checkpoint has nothing to resume from, but the
+/// run it starts from the entry point still meets every checkpoint on its
+/// way: `run_with_fault_against` finishes it at the first one where its
+/// state is golden's again. The program opens with the masking loop, so
+/// most early flips wash out within an iteration.
+#[test]
+fn cold_injection_converges_and_equals_the_cold_replay() {
+    let m = minic::compile(&gen_source(&[(6, 4), (5, 3), (0, 7)]), "cold-converge").unwrap();
+    let input = ProgInput::scalars(vec![Scalar::I(3), Scalar::I(4)]);
+    let interp = Interp::new(&m, exec());
+    let cfg = CheckpointConfig {
+        interval: 120,
+        ..CheckpointConfig::default()
+    };
+    let (golden, store) = interp.run_with_checkpoint_store(&input, cfg);
+    assert!(golden.exited());
+    let first = store.inj_ctr_at(0);
+    assert!(first > 40, "room for faults before the first checkpoint");
+
+    let mut scratch = ExecScratch::default();
+    let (mut early, mut full) = (0, 0);
+    for nth in 0..first {
+        let fault = FaultSpec {
+            target: FaultTarget::NthDynamic(nth),
+            bit: (nth % 5) as u32,
+        };
+        assert_eq!(store.nearest_for_dynamic(nth), None);
+        let cold = interp.run_with_fault(&input, fault);
+        let warm = check_resume_from(&interp, &mut scratch, &store, None, &input, fault, &cold)
+            .unwrap_or_else(|e| panic!("fault {nth}: {e:?}"));
+        match warm.converged_at {
+            Some(_) => early += 1,
+            None => full += 1,
+        }
+        scratch.recycle_output(warm.output);
+    }
+    assert!(
+        early >= 10 && full > 0,
+        "{early} early exits, {full} full replays"
+    );
 }
 
 /// Every result moves its output out of the scratch; once it is handed

@@ -234,9 +234,19 @@ fn apply(
             counts,
             converged,
             steps_saved,
+            deduped,
             ..
         } => {
             // one end event per campaign, so its totals are the deltas
+            if *deduped > 0 {
+                registry
+                    .counter(
+                        "minpsid_deduped_injections_total",
+                        "Injections that repeated a fault already run at their site and took its outcome.",
+                        &[("workload", workload), ("kind", kind.as_str())],
+                    )
+                    .add(*deduped);
+            }
             if *converged > 0 {
                 let labels = [("workload", workload), ("kind", kind.as_str())];
                 registry
@@ -533,6 +543,7 @@ mod tests {
             restores: 38,
             converged: 9,
             steps_saved: 700,
+            deduped: 0,
         });
 
         let snap = registry.snapshot();
@@ -610,6 +621,7 @@ mod tests {
                 restores: 0,
                 converged: 0,
                 steps_saved: 0,
+                deduped: 0,
             });
         }
         let count = |outcome: &str| {
@@ -839,6 +851,7 @@ mod tests {
             restores: 0,
             converged: 0,
             steps_saved: 0,
+            deduped: 0,
         });
         let doc = board.render_json_at(0);
         assert!(doc.contains("\"eta_us\":0"), "{doc}");

@@ -27,7 +27,10 @@ use crate::json::{parse, Json, JsonError};
 /// (0 for a plain torn tail).
 /// v7: incremental campaigns emit `section_event` — per-section outcome
 /// table dispositions (hit/miss/recompute) and the final compose step.
-pub const SCHEMA_VERSION: u32 = 7;
+/// v8: `campaign_end` carries `deduped` — per-instruction injections that
+/// repeated a fault already run at their site and took its outcome — and
+/// `converged`/`steps_saved`, optional within v7, are required.
+pub const SCHEMA_VERSION: u32 = 8;
 
 /// Which campaign shape produced a progress/end event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,8 +147,8 @@ pub enum Event {
     /// from golden-run snapshots) and golden-convergence accounting
     /// (`converged` injections were finished early at a checkpoint where
     /// their state equalled the golden run's, leaving `steps_saved` tail
-    /// steps unreplayed). The last two were added within v7 and read as 0
-    /// from logs that predate them.
+    /// steps unreplayed; `deduped` injections repeated a fault already run
+    /// at their site and were not replayed at all).
     CampaignEnd {
         kind: CampaignKind,
         injections: u64,
@@ -156,6 +159,7 @@ pub enum Event {
         restores: u64,
         converged: u64,
         steps_saved: u64,
+        deduped: u64,
     },
     /// Per-function outcome distribution of a per-instruction campaign.
     FunctionOutcomes { func: String, counts: OutcomeTally },
@@ -422,15 +426,6 @@ fn field_u64(v: &Json, key: &'static str) -> Result<u64, SchemaError> {
     field(v, key)?.as_u64().ok_or(SchemaError::BadField(key))
 }
 
-/// A counter added within a schema version: absent in older logs of the
-/// same version, where it reads as 0.
-fn field_u64_or_zero(v: &Json, key: &'static str) -> Result<u64, SchemaError> {
-    match field(v, key) {
-        Ok(f) => f.as_u64().ok_or(SchemaError::BadField(key)),
-        Err(_) => Ok(0),
-    }
-}
-
 fn field_f64(v: &Json, key: &'static str) -> Result<f64, SchemaError> {
     field(v, key)?.as_f64().ok_or(SchemaError::BadField(key))
 }
@@ -504,6 +499,7 @@ impl TimedEvent {
                 restores,
                 converged,
                 steps_saved,
+                deduped,
             } => {
                 o.set("campaign", Json::Str(kind.as_str().to_string()));
                 o.set("injections", Json::U64(*injections));
@@ -514,6 +510,7 @@ impl TimedEvent {
                 o.set("restores", Json::U64(*restores));
                 o.set("converged", Json::U64(*converged));
                 o.set("steps_saved", Json::U64(*steps_saved));
+                o.set("deduped", Json::U64(*deduped));
             }
             Event::FunctionOutcomes { func, counts } => {
                 o.set("func", Json::Str(func.clone()));
@@ -797,8 +794,9 @@ impl TimedEvent {
                 steps_executed: field_u64(&v, "steps_executed")?,
                 steps_skipped: field_u64(&v, "steps_skipped")?,
                 restores: field_u64(&v, "restores")?,
-                converged: field_u64_or_zero(&v, "converged")?,
-                steps_saved: field_u64_or_zero(&v, "steps_saved")?,
+                converged: field_u64(&v, "converged")?,
+                steps_saved: field_u64(&v, "steps_saved")?,
+                deduped: field_u64(&v, "deduped")?,
             },
             "function_outcomes" => Event::FunctionOutcomes {
                 func: field_str(&v, "func")?,
@@ -1006,6 +1004,7 @@ mod tests {
             restores: 99,
             converged: 12,
             steps_saved: 3400,
+            deduped: 5,
         });
         rt(Event::FunctionOutcomes {
             func: "main".into(),
@@ -1140,18 +1139,17 @@ mod tests {
             event: Event::TraceEnd { dur_us: 0 },
         }
         .to_line()
-        .replace("\"v\":7", "\"v\":999");
+        .replace("\"v\":8", "\"v\":999");
         assert!(matches!(
             TimedEvent::parse_line(&line),
             Err(SchemaError::Version(999))
         ));
     }
 
-    /// `converged`/`steps_saved` joined `campaign_end` within v7: a log
-    /// written before them still parses (so `trace check` passes on it),
-    /// reading both as 0 — but present-and-malformed is still an error.
+    /// Every `campaign_end` counter is required under v8 (a v7 log, where
+    /// `converged`/`steps_saved` could be absent, is refused by version).
     #[test]
-    fn campaign_end_from_before_the_convergence_counters_parses() {
+    fn campaign_end_without_a_counter_is_rejected() {
         let line = TimedEvent {
             ts_us: 5,
             event: Event::CampaignEnd {
@@ -1164,38 +1162,37 @@ mod tests {
                 restores: 9,
                 converged: 3,
                 steps_saved: 17,
+                deduped: 2,
             },
         }
         .to_line();
-        let old = line.replace(",\"converged\":3,\"steps_saved\":17", "");
-        assert_ne!(old, line, "the fields were written");
-        match TimedEvent::parse_line(&old)
-            .expect("an older v7 line")
-            .event
-        {
-            Event::CampaignEnd {
-                restores,
-                converged,
-                steps_saved,
-                ..
-            } => assert_eq!((restores, converged, steps_saved), (9, 0, 0)),
-            other => panic!("parsed as {other:?}"),
+        for (field, text) in [
+            ("converged", ",\"converged\":3"),
+            ("steps_saved", ",\"steps_saved\":17"),
+            ("deduped", ",\"deduped\":2"),
+        ] {
+            let without = line.replace(text, "");
+            assert_ne!(without, line, "{field} was written");
+            assert_eq!(
+                TimedEvent::parse_line(&without),
+                Err(SchemaError::MissingField(field))
+            );
         }
-        let bad = line.replace("\"converged\":3", "\"converged\":\"three\"");
-        assert!(matches!(
+        let bad = line.replace("\"deduped\":2", "\"deduped\":\"two\"");
+        assert_eq!(
             TimedEvent::parse_line(&bad),
-            Err(SchemaError::BadField("converged"))
-        ));
+            Err(SchemaError::BadField("deduped"))
+        );
     }
 
     #[test]
     fn unknown_kind_and_missing_fields_are_rejected() {
         assert!(matches!(
-            TimedEvent::parse_line(r#"{"v":7,"ts_us":0,"kind":"mystery"}"#),
+            TimedEvent::parse_line(r#"{"v":8,"ts_us":0,"kind":"mystery"}"#),
             Err(SchemaError::UnknownKind(_))
         ));
         assert!(matches!(
-            TimedEvent::parse_line(r#"{"v":7,"ts_us":0,"kind":"counter","name":"x"}"#),
+            TimedEvent::parse_line(r#"{"v":8,"ts_us":0,"kind":"counter","name":"x"}"#),
             Err(SchemaError::MissingField("value"))
         ));
         assert!(matches!(

@@ -103,6 +103,9 @@ pub struct CampaignStat {
     /// steps that left unreplayed.
     pub converged: u64,
     pub steps_saved: u64,
+    /// Injections that repeated a fault already run at their site and
+    /// took its outcome without a replay.
+    pub deduped: u64,
 }
 
 impl CampaignStat {
@@ -362,6 +365,7 @@ pub fn summarize(events: &[TimedEvent]) -> TraceSummary {
                 restores,
                 converged,
                 steps_saved,
+                deduped,
             } => {
                 let stat = match kind {
                     CampaignKind::Program => &mut s.program,
@@ -376,6 +380,7 @@ pub fn summarize(events: &[TimedEvent]) -> TraceSummary {
                 stat.restores += restores;
                 stat.converged += converged;
                 stat.steps_saved += steps_saved;
+                stat.deduped += deduped;
             }
             Event::FunctionOutcomes { func, counts } => {
                 let t = funcs.entry(func.clone()).or_insert_with(|| {
@@ -627,6 +632,14 @@ fn campaign_section(out: &mut String, title: &str, c: &CampaignStat) {
             "golden convergence: {} injection(s) finished early at a checkpoint \
              where their state equalled the golden run's; {} tail steps not replayed\n",
             c.converged, c.steps_saved
+        );
+    }
+    if c.deduped > 0 {
+        let _ = writeln!(
+            out,
+            "deduplication: {} injection(s) repeated a fault already run at their site \
+             and took its outcome without a replay\n",
+            c.deduped
         );
     }
     if c.counts.transient_recovered + c.counts.quarantined > 0 {
@@ -1095,6 +1108,7 @@ mod tests {
                 restores: 180,
                 converged: 40,
                 steps_saved: 2500,
+                deduped: 7,
             },
             Event::FunctionOutcomes {
                 func: "main".into(),
@@ -1248,6 +1262,7 @@ mod tests {
             "replay work saved",
             "40 injection(s) finished early",
             "2500 tail steps not replayed",
+            "7 injection(s) repeated a fault already run",
             "## Golden-run cache",
             "75.0% hit rate",
             "## GA search: fitness per generation",

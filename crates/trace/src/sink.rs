@@ -301,6 +301,7 @@ pub struct CampaignCounters {
     restores: AtomicU64,
     converged: AtomicU64,
     steps_saved: AtomicU64,
+    deduped: AtomicU64,
     transient_recovered: AtomicU64,
     quarantined: AtomicU64,
 }
@@ -323,6 +324,7 @@ impl CampaignCounters {
             restores: AtomicU64::new(0),
             converged: AtomicU64::new(0),
             steps_saved: AtomicU64::new(0),
+            deduped: AtomicU64::new(0),
             transient_recovered: AtomicU64::new(0),
             quarantined: AtomicU64::new(0),
         }
@@ -358,6 +360,14 @@ impl CampaignCounters {
     pub fn record_converged(&self, steps_saved: u64) {
         self.converged.fetch_add(1, Ordering::Relaxed);
         self.steps_saved.fetch_add(steps_saved, Ordering::Relaxed);
+    }
+
+    /// The injection about to be [`record`](CampaignCounters::record)ed
+    /// (with zero steps) repeats a fault already run at its site: it took
+    /// that run's outcome and was not replayed.
+    #[inline]
+    pub fn record_deduped(&self) {
+        self.deduped.fetch_add(1, Ordering::Relaxed);
     }
 
     /// An injection that failed at least one attempt but then produced a
@@ -413,6 +423,7 @@ impl CampaignCounters {
             restores: self.restores.load(Ordering::Relaxed),
             converged: self.converged.load(Ordering::Relaxed),
             steps_saved: self.steps_saved.load(Ordering::Relaxed),
+            deduped: self.deduped.load(Ordering::Relaxed),
         }
     }
 }
@@ -513,6 +524,7 @@ mod tests {
                 counters.record(OutcomeKind::Sdc, 100 + i, 50);
             }
             counters.record_converged(30);
+            counters.record_deduped();
             // one of those outcomes came after a retry, plus two
             // quarantine-skipped injections: side-tallies only
             counters.record_recovered();
@@ -554,6 +566,7 @@ mod tests {
                     restores,
                     converged,
                     steps_saved,
+                    deduped,
                     ..
                 } => Some((
                     *injections,
@@ -561,7 +574,7 @@ mod tests {
                     *steps_executed,
                     *steps_skipped,
                     *restores,
-                    (*converged, *steps_saved),
+                    (*converged, *steps_saved, *deduped),
                 )),
                 _ => None,
             })
@@ -576,7 +589,7 @@ mod tests {
         assert_eq!(end.2, 100 + 101 + 102 + 103);
         assert_eq!(end.3, 200);
         assert_eq!(end.4, 4);
-        assert_eq!(end.5, (1, 30));
+        assert_eq!(end.5, (1, 30, 1));
         // timestamps are monotone
         assert!(events.windows(2).all(|w| w[0].ts_us <= w[1].ts_us));
 

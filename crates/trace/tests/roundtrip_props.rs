@@ -92,6 +92,7 @@ proptest! {
                 restores,
                 converged: restores / 3,
                 steps_saved: skipped / 2,
+                deduped: done / 5,
             }
         };
         assert_roundtrip(ts, event)?;

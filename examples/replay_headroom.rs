@@ -1,0 +1,332 @@
+//! Where do a per-instruction campaign's steps go, and what could an
+//! *exact* replay shortcut still save?
+//!
+//! For every kernel of the suite this resolves the reference input's
+//! per-instruction plan (`CampaignEngine::planned_faults`) one fault at a
+//! time on the path a campaign's `inject` takes — `Interp::resume_from`,
+//! or `Interp::run_with_fault_against` before the first checkpoint — and
+//! prints three tables (EXPERIMENTS.md, "Replay headroom"):
+//!
+//! 1. **Steps by outcome**: the share of executed steps spent in runs that
+//!    end SDC / benign / hang / crash. SDC and hang runs must reach their
+//!    own end; only benign runs can rejoin the golden run.
+//! 2. **Why unconverged benign runs missed**, as a share of all steps. Each
+//!    such run is replayed on the reference walk with its states captured
+//!    at the golden boundaries (`oracle::run_with_fault_capturing`) and
+//!    compared there (`interp::divergence`): *no boundary* left after the
+//!    flip; *never visited* — equal to golden at some boundary the back-off
+//!    and the hashing budget passed over; otherwise what still differed at
+//!    the last shared boundary — *shape* (call stack, pc, output length),
+//!    *memory*, or *registers only* (the case a liveness-masked digest
+//!    would admit, ROADMAP item 3a).
+//! 3. **Engine vs raw loop**: the same faults through `CampaignEngine`
+//!    (scheduler, accounting, reduction) against the bare loop above, the
+//!    campaign's hangs, and its slowest single injection.
+//!
+//! ```text
+//! cargo run --release --example replay_headroom -- [--per-inst N] [--seed N]
+//!     [--kernel NAME] [--default-mem-limit]
+//! ```
+//!
+//! Defaults are the repo benchmark's `pipeline_suite` campaign: 6
+//! injections per site, seed 42, 128 checkpoints, a 2^20-word memory cap
+//! (`--default-mem-limit` keeps the CLI's 2^24).
+
+use minpsid_repro::faultsim::config::flag_value;
+use minpsid_repro::faultsim::{
+    classify, faulty_exec_config, golden_run, CampaignConfigBuilder, CampaignEngine, CampaignPlan,
+    Outcome,
+};
+use minpsid_repro::interp::{
+    auto_interval, divergence, oracle, CheckpointConfig, CheckpointStore, Divergence, ExecResult,
+    ExecScratch, FaultSpec, FaultTarget, Interp, ProgInput, SnapshotMode,
+};
+use minpsid_repro::ir::GlobalInstId;
+use minpsid_repro::workloads;
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::time::{Duration, Instant};
+
+/// Why an unconverged benign run missed; indexes `Kernel::missed`.
+#[derive(Clone, Copy)]
+enum Miss {
+    NoBoundary,
+    NeverVisited,
+    Shape,
+    Memory,
+    Registers,
+}
+
+/// The site a fault was planned at.
+struct Site {
+    gid: GlobalInstId,
+    /// Dynamic executions in the golden run.
+    count: u64,
+}
+
+#[derive(Default)]
+struct Kernel {
+    /// Steps executed in runs ending sdc / benign / hang / crash+detected.
+    by_outcome: [u64; 4],
+    /// Of the benign steps: runs that converged, then one slot per `Miss`.
+    benign_converged: u64,
+    missed: [u64; 5],
+    injections: u64,
+    repeats: u64,
+    hangs: u64,
+    hangs_once: u64,
+    hang_insts: BTreeSet<String>,
+    raw: Duration,
+    slowest: Duration,
+    engine: Duration,
+}
+
+fn main() {
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    if !args.iter().any(|a| a == "--per-inst") {
+        args.extend(["--per-inst".to_string(), "6".to_string()]);
+    }
+    let only = flag_value(&args, "--kernel").expect("--kernel NAME");
+    let mut cfg = CampaignConfigBuilder::from_flags(&args)
+        .and_then(|b| b.max_checkpoints(128))
+        .and_then(|b| b.threads(1))
+        .expect("--per-inst N, --seed N")
+        .build();
+    if !args.iter().any(|a| a == "--default-mem-limit") {
+        cfg.exec.mem_limit = 1 << 20;
+    }
+
+    let mut rows = Vec::new();
+    for b in workloads::suite() {
+        if only.as_deref().is_some_and(|k| k != b.name) {
+            continue;
+        }
+        let module = b.compile();
+        let input = b.model.materialize(&b.model.reference());
+        let golden = golden_run(&module, &input, &cfg).expect("reference input exits");
+        let store = &golden.checkpoints;
+        let engine = CampaignEngine::new(&module, &input, &golden, &cfg);
+        let CampaignPlan::PerInst { sections, .. } = engine.plan_per_instruction() else {
+            unreachable!("a per-instruction plan")
+        };
+        let interp = Interp::new(&module, faulty_exec_config(&cfg, golden.steps));
+        // the faulty run's states at golden's boundaries, every one kept
+        let capture = CheckpointConfig {
+            interval: auto_interval(golden.steps, cfg.max_checkpoints),
+            mem_budget_bytes: usize::MAX,
+            mode: SnapshotMode::Full,
+            keyframe_every: 1,
+        };
+        let mut k = Kernel::default();
+        // every distinct planned fault on `inject`'s path, handed to `visit`
+        // with its site's dynamic count, its result and outcome, and the
+        // time the run and its classification took
+        let replay = |visit: &mut dyn FnMut(Site, FaultSpec, &ExecResult, Outcome, Duration)| {
+            let mut scratch = ExecScratch::default();
+            let (mut injections, mut repeats) = (0, 0);
+            for sec in &sections {
+                for (i, &(dense, gid, count)) in sec.sites.iter().enumerate() {
+                    let mut ran = HashSet::new();
+                    for fault in engine.planned_faults(sec, i) {
+                        let FaultTarget::NthOfInst(_, nth) = fault.target else {
+                            unreachable!("per-instruction faults name their site")
+                        };
+                        injections += 1;
+                        if !ran.insert(fault) {
+                            repeats += 1; // the engine serves these from the first run
+                            continue;
+                        }
+                        let from = store.nearest_for_inst(dense, nth);
+                        let t = Instant::now();
+                        let r = match from {
+                            Some(idx) => {
+                                interp.resume_from(&mut scratch, store, idx, &input, fault)
+                            }
+                            None => {
+                                interp.run_with_fault_against(&mut scratch, store, &input, fault)
+                            }
+                        };
+                        let outcome = classify(&golden.output, &r);
+                        let took = t.elapsed();
+                        visit(Site { gid, count }, fault, &r, outcome, took);
+                        scratch.recycle_output(r.output);
+                    }
+                }
+            }
+            (injections, repeats)
+        };
+
+        // the raw loop's time, best of three, then the same loop looked into
+        k.raw = (0..3)
+            .map(|_| {
+                let mut total = Duration::ZERO;
+                replay(&mut |_, _, _, _, took| total += took);
+                total
+            })
+            .min()
+            .expect("three runs");
+        (k.injections, k.repeats) = replay(&mut |site, fault, r, outcome, took| {
+            k.slowest = k.slowest.max(took);
+            let executed = r.converged_at.unwrap_or(r.steps) - r.resumed_at.unwrap_or(0);
+            match outcome {
+                Outcome::Sdc => k.by_outcome[0] += executed,
+                Outcome::Benign => k.by_outcome[1] += executed,
+                Outcome::Hang => {
+                    k.by_outcome[2] += executed;
+                    k.hangs += 1;
+                    k.hangs_once += u64::from(site.count == 1);
+                    let kind = format!("{:?}", module.inst(site.gid).kind);
+                    let name = kind.split([' ', '{', '(']).next().unwrap_or("?");
+                    k.hang_insts.insert(name.to_string());
+                }
+                _ => k.by_outcome[3] += executed,
+            }
+            if outcome != Outcome::Benign {
+                return;
+            }
+            if r.converged_at.is_some() {
+                k.benign_converged += executed;
+                return;
+            }
+            let miss = why_missed(&interp, &input, fault, capture, store);
+            k.missed[miss as usize] += executed;
+        });
+
+        // the same plan through the engine, best of three
+        k.engine = (0..3)
+            .map(|_| {
+                let t = Instant::now();
+                let report = CampaignEngine::new(&module, &input, &golden, &cfg)
+                    .run_per_instruction()
+                    .expect("no journal, no interrupt");
+                std::hint::black_box(report);
+                t.elapsed()
+            })
+            .min()
+            .expect("three runs");
+        rows.push((b.name, k));
+    }
+    print_tables(&rows);
+}
+
+/// Replay `fault` on the reference walk, keeping its state at every
+/// golden boundary, and say why the run never met the golden run there.
+fn why_missed(
+    interp: &Interp<'_>,
+    input: &ProgInput,
+    fault: FaultSpec,
+    capture: CheckpointConfig,
+    golden: &CheckpointStore,
+) -> Miss {
+    let (_, faulty) = oracle::run_with_fault_capturing(interp, input, fault, capture);
+    // boundaries both stores hold, by step count (golden's may be thinned)
+    let at: HashMap<u64, usize> = (0..faulty.len()).map(|i| (faulty.steps_at(i), i)).collect();
+    let mut last = None;
+    for g in 0..golden.len() {
+        let Some(&f) = at.get(&golden.steps_at(g)) else {
+            continue;
+        };
+        match divergence(&faulty.materialize(f), &golden.materialize(g)) {
+            // equal before the flip, by construction: not a boundary that counts
+            None if last.is_none() => {}
+            None => return Miss::NeverVisited,
+            Some(d) => last = Some(d),
+        }
+    }
+    match last {
+        None => Miss::NoBoundary,
+        Some(Divergence::Shape) => Miss::Shape,
+        Some(Divergence::Memory) => Miss::Memory,
+        Some(Divergence::Registers) => Miss::Registers,
+    }
+}
+
+fn print_tables(rows: &[(&str, Kernel)]) {
+    let pct = |part: u64, whole: u64| 100.0 * part as f64 / whole.max(1) as f64;
+    let total = |k: &Kernel| k.by_outcome.iter().sum::<u64>();
+
+    println!("steps executed, by how the run ended");
+    println!(
+        "{:<15} {:>13} {:>7} {:>7} {:>7} {:>7}",
+        "kernel", "steps", "sdc", "benign", "hang", "crash"
+    );
+    let mut suite = Kernel::default();
+    for (name, k) in rows {
+        let t = total(k);
+        println!(
+            "{:<15} {:>13} {:>6.1}% {:>6.1}% {:>6.1}% {:>6.1}%",
+            name,
+            t,
+            pct(k.by_outcome[0], t),
+            pct(k.by_outcome[1], t),
+            pct(k.by_outcome[2], t),
+            pct(k.by_outcome[3], t)
+        );
+        for (s, v) in suite.by_outcome.iter_mut().zip(k.by_outcome) {
+            *s += v;
+        }
+        for (s, v) in suite.missed.iter_mut().zip(k.missed) {
+            *s += v;
+        }
+        suite.benign_converged += k.benign_converged;
+    }
+    let t = total(&suite);
+    println!(
+        "{:<15} {:>13} {:>6.1}% {:>6.1}% {:>6.1}% {:>6.1}%",
+        "suite",
+        t,
+        pct(suite.by_outcome[0], t),
+        pct(suite.by_outcome[1], t),
+        pct(suite.by_outcome[2], t),
+        pct(suite.by_outcome[3], t)
+    );
+
+    println!("\nbenign steps: converged, or why not (share of all steps)");
+    println!(
+        "{:<15} {:>10} {:>12} {:>14} {:>7} {:>7} {:>10}",
+        "kernel", "converged", "no boundary", "never visited", "shape", "memory", "registers"
+    );
+    for (name, k) in rows.iter().map(|(n, k)| (*n, k)).chain([("suite", &suite)]) {
+        let t = total(k);
+        println!(
+            "{:<15} {:>9.1}% {:>11.1}% {:>13.1}% {:>6.1}% {:>6.1}% {:>9.1}%",
+            name,
+            pct(k.benign_converged, t),
+            pct(k.missed[Miss::NoBoundary as usize], t),
+            pct(k.missed[Miss::NeverVisited as usize], t),
+            pct(k.missed[Miss::Shape as usize], t),
+            pct(k.missed[Miss::Memory as usize], t),
+            pct(k.missed[Miss::Registers as usize], t)
+        );
+    }
+
+    println!("\nengine vs raw loop (one thread; repeats run once on both sides)");
+    println!(
+        "{:<15} {:>6} {:>8} {:>9} {:>9} {:>8} {:>6} {:>10} {:>11}  hang sites",
+        "kernel",
+        "inj",
+        "repeats",
+        "raw ms",
+        "engine ms",
+        "engine",
+        "hangs",
+        "once-exec",
+        "slowest"
+    );
+    for (name, k) in rows {
+        let ms = |d: Duration| d.as_secs_f64() * 1e3;
+        println!(
+            "{:<15} {:>6} {:>8} {:>9.1} {:>9.1} {:>+7.1}% {:>6} {:>10} {:>6.2} ms {:>2.0}%  {}",
+            name,
+            k.injections,
+            k.repeats,
+            ms(k.raw),
+            ms(k.engine),
+            100.0 * (ms(k.engine) / ms(k.raw) - 1.0),
+            k.hangs,
+            k.hangs_once,
+            ms(k.slowest),
+            100.0 * ms(k.slowest) / ms(k.raw),
+            k.hang_insts.iter().cloned().collect::<Vec<_>>().join(",")
+        );
+    }
+}

@@ -105,6 +105,19 @@ diff "$TRACE_TMP/eq-fi-t1.txt" "$TRACE_TMP/eq-fi-t4.txt"
   --journal "$TRACE_TMP/eq-journal-t4" > "$TRACE_TMP/eq-mp-t4.txt" 2>/dev/null
 diff "$TRACE_TMP/eq-mp-t1.txt" "$TRACE_TMP/eq-mp-t4.txt"
 
+echo "== dedup smoke (kmeans at 64/site repeats faults; report equals the cold replay's)"
+# a site executed once draws its 64 faults from 64 possibilities, so the
+# campaign must serve repeats from their first run (deduped > 0 in
+# campaign_end) — and print what a campaign that replays every fault
+# from program start, with no checkpoint to resume or converge on, prints
+DEDUP_ARGS=(analyze kmeans --per-inst 64 --seed 42 --threads 1)
+"$CLI" "${DEDUP_ARGS[@]}" --trace-out "$TRACE_TMP/dedup.jsonl" \
+  > "$TRACE_TMP/dedup.txt" 2>/dev/null
+"$CLI" "${DEDUP_ARGS[@]}" --no-checkpoints > "$TRACE_TMP/dedup-cold.txt" 2>/dev/null
+cmp "$TRACE_TMP/dedup.txt" "$TRACE_TMP/dedup-cold.txt"
+grep '"kind":"campaign_end"' "$TRACE_TMP/dedup.jsonl" | grep -Eq '"deduped":[1-9]' \
+  || { echo "campaign_end reports no deduped injection"; exit 1; }
+
 echo "== fleet-identity smoke (--workers vs --threads: reports + WAL byte-identical)"
 FLEET_ARGS=(fi fft --injections 300 --seed 42)
 "$CLI" "${FLEET_ARGS[@]}" --threads 4 --journal "$TRACE_TMP/fleet-j-threads" \

@@ -3,7 +3,10 @@
 //! reports at every thread count, because the plan is fixed by the seed
 //! and reduction happens in plan order regardless of how workers race.
 //! Plus the crash story for the *parallel* journaled path: a campaign
-//! SIGKILLed mid-run resumes from its WAL to the same bytes. And the
+//! SIGKILLed mid-run resumes from its WAL to the same bytes. Every fault
+//! a per-instruction campaign plans, resolved one by one on a bare
+//! interpreter, against what the engine — checkpoints, early exits,
+//! deduplicated repeats — reports and journals for it. And the
 //! interpreter's side of the bargain, on all 11 kernels: the decoded
 //! engine's one-pass golden run and shared-interpreter input search
 //! against the reference oracle and per-candidate profiling.
@@ -121,7 +124,7 @@ fn checkpointed_per_inst_campaign_equals_cold_replay_on_every_kernel() {
         (format!("{per_inst:?}"), wal)
     };
 
-    let mut converged = 0;
+    let (mut converged, mut cold_converged) = (0, 0);
     for b in workloads::suite() {
         let (module, input) = bench_module(b.name);
         let golden = golden_run(&module, &input, &warm_cfg).expect("golden run");
@@ -149,11 +152,114 @@ fn checkpointed_per_inst_campaign_equals_cold_replay_on_every_kernel() {
                 converged += usize::from(r.converged_at.is_some());
             }
         }
+        // and on faults that precede the first checkpoint, which the
+        // engine replays cold, beside the store instead of from it
+        let first = golden.checkpoints.inj_ctr_at(0);
+        for i in 0..8 {
+            let nth = first / 8 * i;
+            if golden.checkpoints.nearest_for_dynamic(nth).is_some() {
+                continue;
+            }
+            let fault = FaultSpec {
+                target: FaultTarget::NthDynamic(nth),
+                bit: i as u32,
+            };
+            let r = interp.run_with_fault_against(&mut scratch, &golden.checkpoints, &input, fault);
+            assert_eq!(r.resumed_at, None);
+            cold_converged += usize::from(r.converged_at.is_some());
+        }
     }
     assert!(
         converged >= 20,
         "only {converged} sampled injections converged"
     );
+    assert!(
+        cold_converged >= 5,
+        "only {cold_converged} sampled cold injections converged"
+    );
+}
+
+/// The engine against no engine at all. Every fault the per-instruction
+/// plan holds for `bfs` at 64 injections per site — where a site executed
+/// once can only draw from 64 distinct faults, so the campaign repeats
+/// itself — is resolved here by one cold `Interp::run_with_fault` and
+/// `classify`, nothing shared between two of them. The engine, which
+/// resumes from checkpoints, exits early on convergence and serves a
+/// repeated `(instance, bit)` from the first run of it, must arrive at the
+/// same outcome stream at every site, the same report and the same WAL.
+#[test]
+fn every_planned_fault_resolved_alone_equals_the_engine() {
+    use minpsid_repro::faultsim::outcome::{classify, OutcomeCounts};
+    use minpsid_repro::faultsim::{CampaignPlan, PerInstSdc};
+    use minpsid_repro::interp::Interp;
+    use minpsid_repro::sched::SiteStatus;
+
+    const INPUT_FP: u64 = 1;
+    let (module, input) = bench_module("bfs");
+    let cfg = CampaignConfigBuilder::new(42)
+        .per_inst_injections(64)
+        .expect("valid config")
+        .build();
+    let golden = golden_run(&module, &input, &cfg).expect("golden run");
+    let wal_of = |dir: &PathBuf| {
+        let wal = std::fs::read(dir.join("campaign.wal")).expect("campaign WAL");
+        let _ = std::fs::remove_dir_all(dir);
+        wal
+    };
+
+    let dir = journal_dir("planned-engine");
+    let journal = CampaignJournal::open(&dir, 0, 0).expect("open journal");
+    let engine =
+        CampaignEngine::new(&module, &input, &golden, &cfg).with_journal(&journal, INPUT_FP);
+    let report = engine
+        .run_per_instruction()
+        .expect("no interrupt requested");
+    assert!(
+        engine.deduped() > 0,
+        "no site repeated a fault: the memo went untested"
+    );
+
+    // the reference: same plan, every fault on its own
+    let CampaignPlan::PerInst { sections, .. } = engine.plan_per_instruction() else {
+        unreachable!("a per-instruction plan")
+    };
+    let interp = Interp::new(&module, faulty_exec_config(&cfg, golden.steps));
+    let sched = Scheduler::unbounded(cfg.sched.clone());
+    let n = module.numbering().len();
+    let mut expected = PerInstSdc {
+        sdc_prob: vec![0.0; n],
+        counts: vec![OutcomeCounts::default(); n],
+        ci: vec![sched.site_ci(0, 0); n],
+        status: vec![SiteStatus::Unsampled; n],
+    };
+    let ref_dir = journal_dir("planned-alone");
+    let ref_journal = CampaignJournal::open(&ref_dir, 0, 0).expect("open journal");
+    let mut repeats = 0;
+    for sec in &sections {
+        for (i, &(dense, _, _)) in sec.sites.iter().enumerate() {
+            let faults: Vec<_> = engine.planned_faults(sec, i).collect();
+            assert_eq!(faults.len(), 64);
+            let counts = &mut expected.counts[dense];
+            for (k, &fault) in faults.iter().enumerate() {
+                repeats += usize::from(faults[..k].contains(&fault));
+                let outcome = classify(&golden.output, &interp.run_with_fault(&input, fault));
+                assert_eq!(
+                    journal.per_inst_outcome(INPUT_FP, dense as u64, k as u64),
+                    Some(outcome.to_u8()),
+                    "site {dense}, injection {k}: {fault:?}"
+                );
+                counts.record(outcome);
+                ref_journal.record_per_inst(INPUT_FP, dense as u64, k as u64, outcome.to_u8());
+            }
+            expected.sdc_prob[dense] = counts.sdc_prob();
+            expected.ci[dense] = sched.site_ci(counts.sdc, counts.valid_total());
+            expected.status[dense] = SiteStatus::Full;
+        }
+    }
+    assert_eq!(engine.deduped(), repeats as u64, "every repeat, no more");
+    assert_eq!(format!("{report:?}"), format!("{expected:?}"));
+    drop((journal, ref_journal));
+    assert!(wal_of(&dir) == wal_of(&ref_dir), "WAL bytes diverged");
 }
 
 /// `golden_run` — one observed pass of the decoded engine yielding the
