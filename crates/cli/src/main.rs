@@ -67,6 +67,10 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let rest = &args[1..];
+    if let Err(e) = check_flags(rest) {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
+    }
     if rest.iter().any(|a| a == "--quiet") {
         QUIET.store(true, Ordering::Relaxed);
     }
@@ -304,10 +308,13 @@ fn finish_interp_profile(rest: &[String]) -> Result<(), String> {
         diag!("wrote folded stacks to {path}");
     }
     diag!(
-        "interp profile: {} samples (1 per {} steps), {:.1}% on fused superinstructions",
+        "interp profile: {} samples (1 per {} steps), {:.1}% on fused superinstructions, \
+         {} of {} load/store halves slot-addressed",
         rep.total_samples,
         rep.sample_every,
-        rep.fused_sample_rate() * 100.0
+        rep.fused_sample_rate() * 100.0,
+        rep.slot_halves,
+        rep.mem_halves
     );
     for (op, n) in rep.samples.iter().take(5) {
         diag!("  {op:<22} {n}");
@@ -315,13 +322,98 @@ fn finish_interp_profile(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn usage() {
-    eprintln!(
-        "minpsid — MINPSID (SC'22) reproduction driver
+/// Every `--flag` a subcommand reads and whether a value follows it, the
+/// hidden worker and chaos flags included. Anything else on the command
+/// line that starts with `--` is a usage error (a misspelt flag used to
+/// run a different experiment, silently); a test holds the table to the
+/// flags [`USAGE`] documents.
+const FLAGS: &[(&str, bool)] = &[
+    // what to run on
+    ("--args", false), // followed by any number of `i:N` / `f:X`
+    ("--opt", false),
+    ("--fn", true),
+    ("--nth", true),
+    ("--bit", true),
+    ("--top", true),
+    ("--static", false),
+    ("--kind", true),
+    ("--out", true),
+    ("--level", true),
+    ("--json", false),
+    ("--help", false),
+    // FI campaign
+    ("--injections", true),
+    ("--per-inst", true),
+    ("--seed", true),
+    ("--quick", false),
+    ("--threads", true),
+    ("--checkpoint-interval", true),
+    ("--no-checkpoints", false),
+    ("--snapshot-mode", true),
+    ("--injection-timeout-ms", true),
+    ("--chaos-panic-one-in", true),
+    ("--chaos-timeout-one-in", true),
+    // fleet
+    ("--workers", true),
+    ("--fleet-lease-ms", true),
+    ("--shards-per-worker", true),
+    ("--poison-after", true),
+    ("--chaos-kill-worker-ms", true),
+    ("--chaos-abort-unit", true),
+    ("--chaos-poison-unit", true),
+    ("--chaos-hang-unit", true),
+    ("--worker-id", true), // hidden: `minpsid worker`
+    ("--spool-dir", true), // hidden: `minpsid worker`
+    // scheduling
+    ("--deadline-secs", true),
+    ("--max-retries", true),
+    ("--quarantine-after", true),
+    ("--quarantine-cap", true),
+    ("--ci-half-width", true),
+    // journal, store, incremental
+    ("--journal", true),
+    ("--resume", true),
+    ("--max-inputs", true),
+    ("--golden-cache-cap", true),
+    ("--store", true),
+    ("--chaos-flip-artifact-one-in", true),
+    ("--incremental", false),
+    ("--no-incremental", false),
+    // observability
+    ("--status-addr", true),
+    ("--profile-interp", false),
+    ("--profile-sample-every", true),
+    ("--profile-folded", true),
+    ("--trace-out", true),
+    ("--progress", false),
+    ("--quiet", false),
+];
+
+/// Whether `flag` is followed by a value; `None` for a flag nothing reads.
+fn takes_value(flag: &str) -> Option<bool> {
+    FLAGS.iter().find(|(f, _)| *f == flag).map(|&(_, v)| v)
+}
+
+/// Refuse a command line before anything runs: a `--flag` that no
+/// subcommand reads, or a value-taking flag without its value.
+fn check_flags(rest: &[String]) -> Result<(), String> {
+    for a in rest.iter().filter(|a| a.starts_with("--")) {
+        match takes_value(a) {
+            None => return Err(format!("unknown flag {a}")),
+            Some(true) => {
+                flag_value(rest, a)?;
+            }
+            Some(false) => {}
+        }
+    }
+    Ok(())
+}
+
+const USAGE: &str = "minpsid — MINPSID (SC'22) reproduction driver
 
 usage:
   minpsid list
-  minpsid compile <bench|file.mc>
+  minpsid compile <bench|file.mc> [--opt]
   minpsid run <bench> [--args i:N f:X ...]
   minpsid fi <bench> [--injections N] [--seed S]
   minpsid analyze <bench> [--top N]      # rank instructions by SDC benefit
@@ -331,7 +423,7 @@ usage:
   minpsid minpsid <bench> [--level 0.5] [--seed S] [--json]
   minpsid sections <bench> [--static]    # per-function fingerprints and
                                          # dynamic ranges (incremental FI)
-  minpsid trace report <log.jsonl> [-o out/]   # analyze a trace log
+  minpsid trace report <log.jsonl> [-o|--out out/]  # analyze a trace log
   minpsid trace check <log.jsonl>              # validate a trace log
   minpsid store scrub <dir>              # verify every object; exit 3 if
                                          # corruption was found+quarantined
@@ -339,6 +431,9 @@ usage:
   minpsid store ls <dir> [--kind K]      # list objects with back-refs,
                                          # filtered by artifact class,
                                          # plus per-kind byte totals
+  minpsid help | --help
+
+A flag no subcommand reads is an error, not a no-op.
 
 FI campaign options (fi/analyze/sid/minpsid):
   --injections N            whole-program campaign size (default 1000)
@@ -445,8 +540,10 @@ global options:
   --progress                live campaign meter on stderr (single-line
                             when stderr is a TTY, throttled plain lines
                             otherwise; silenced by --quiet)
-  --quiet                   suppress stderr diagnostics"
-    );
+  --quiet                   suppress stderr diagnostics";
+
+fn usage() {
+    eprintln!("{USAGE}");
 }
 
 fn cmd_list() -> Result<(), String> {
@@ -969,26 +1066,25 @@ fn print_fi_report(c: &ProgramCampaign, snap: &SchedSnapshot) -> Result<(), Stri
 }
 
 /// Flags the supervisor consumes (or that would be wrong to duplicate
-/// in a worker: its own journal, status server, trace file) — stripped
-/// from the argv re-exec'd into worker processes. Listed as
-/// (flag, takes_value) pairs.
-const FLEET_SUPERVISOR_FLAGS: &[(&str, bool)] = &[
-    ("--workers", true),
-    ("--threads", true),
-    ("--journal", true),
-    ("--resume", true),
-    ("--store", true),
-    ("--trace-out", true),
-    ("--status-addr", true),
-    ("--fleet-lease-ms", true),
-    ("--shards-per-worker", true),
-    ("--poison-after", true),
-    ("--chaos-kill-worker-ms", true),
-    ("--progress", false),
-    ("--quiet", false),
+/// in a worker: its own journal, status server, trace file) — stripped,
+/// with their values, from the argv re-exec'd into worker processes.
+const FLEET_SUPERVISOR_FLAGS: &[&str] = &[
+    "--workers",
+    "--threads",
+    "--journal",
+    "--resume",
+    "--store",
+    "--trace-out",
+    "--status-addr",
+    "--fleet-lease-ms",
+    "--shards-per-worker",
+    "--poison-after",
+    "--chaos-kill-worker-ms",
+    "--progress",
+    "--quiet",
     // table memoization is supervisor-side (workers have no store)
-    ("--incremental", false),
-    ("--no-incremental", false),
+    "--incremental",
+    "--no-incremental",
 ];
 
 /// The argv a fleet worker is re-exec'd with: the benchmark name plus
@@ -1004,8 +1100,8 @@ fn worker_args(name: &str, rest: &[String]) -> Vec<String> {
             i += 1;
             continue;
         }
-        if let Some((_, takes_value)) = FLEET_SUPERVISOR_FLAGS.iter().find(|(f, _)| f == a) {
-            i += 1 + usize::from(*takes_value);
+        if FLEET_SUPERVISOR_FLAGS.contains(&a.as_str()) {
+            i += 1 + usize::from(takes_value(a) == Some(true));
             continue;
         }
         out.push(a.clone());
@@ -1783,6 +1879,59 @@ mod tests {
         assert_ne!(fi_journal_key(&base), fi_journal_key(&other_seed));
         assert_ne!(fi_journal_key(&base), fi_journal_key(&other_n));
         assert_eq!(fi_journal_key(&base), fi_journal_key(&base.clone()));
+    }
+
+    /// The flag table against the usage text: the same flags (but for the
+    /// two only a re-exec'd worker is ever handed), and a value column
+    /// that agrees with every `--flag VALUE` line of the option lists.
+    #[test]
+    fn flag_table_is_what_usage_documents() {
+        use std::collections::BTreeSet;
+        let documented: BTreeSet<&str> = USAGE
+            .split(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+            .filter(|w| w.len() > 2 && w.starts_with("--"))
+            .collect();
+        let hidden = ["--worker-id", "--spool-dir"];
+        let table: BTreeSet<&str> = FLAGS
+            .iter()
+            .map(|&(f, _)| f)
+            .filter(|f| !hidden.contains(f))
+            .collect();
+        assert_eq!(documented, table);
+        assert_eq!(FLAGS.len(), table.len() + hidden.len(), "a flag twice");
+
+        let mut option_lines = 0;
+        for line in USAGE.lines().filter(|l| l.starts_with("  --")) {
+            let mut words = line.split_whitespace();
+            let flag = words.next().unwrap();
+            let placeholder = words
+                .next()
+                .is_some_and(|w| w.chars().all(|c| c.is_ascii_uppercase()));
+            assert_eq!(takes_value(flag), Some(placeholder), "{line}");
+            option_lines += 1;
+        }
+        assert!(option_lines >= 35, "{option_lines} option lines");
+    }
+
+    #[test]
+    fn a_flag_nothing_reads_is_a_usage_error() {
+        let err = check_flags(&args(&["bfs", "--quick", "--per-instt", "3"])).unwrap_err();
+        assert_eq!(err, "unknown flag --per-instt");
+        // removed two PRs ago, silently skipped since
+        assert!(check_flags(&args(&["hpccg", "--dispatch", "legacy"])).is_err());
+        assert!(check_flags(&args(&["hpccg", "--"])).is_err());
+        // positionals, values with one dash and `--args` lists pass
+        for ok in [
+            &["bfs", "--quick", "--per-inst", "3", "--level", "-0.1"][..],
+            &["custom.mc", "--args", "i:-5", "f:2.5", "--quiet"],
+            &["report", "log.jsonl", "-o", "out"],
+            &["7", "--worker-id", "0", "--spool-dir", "/tmp/s"],
+        ] {
+            assert_eq!(check_flags(&args(ok)), Ok(()), "{ok:?}");
+        }
+        // and a known flag still needs its value, whoever reads it
+        let err = check_flags(&args(&["run", "fft", "--seed"])).unwrap_err();
+        assert!(err.contains("--seed needs a value"), "{err}");
     }
 
     #[test]

@@ -38,6 +38,26 @@
 //! injection counting, fault application, register write — in that order —
 //! so step counts, injection indices and trap points are bit-identical.
 //!
+//! ## Slot addressing, and the two lowerings
+//!
+//! The front end keeps a function's mutable locals in one `salloc` at the
+//! top of its entry block, so over a third of all dynamic instructions are
+//! a load or store at a constant index into it: an address — frame stack
+//! base plus a constant — the decoder already knows. [`slot_offsets`] finds
+//! those halves and the *slotted* lowering addresses them directly
+//! (`ptr = `[`SLOT`], `idx` = the word offset; see `load_word!`), skipping
+//! two register fetches, the tag test, the checked add and the range
+//! compare. That is exact while every `salloc` register holds the pointer
+//! its `salloc` produced, which only a fault *into a `salloc` result*
+//! breaks. So [`decode_module`] also keeps the *generic* lowering — same
+//! slots, same fusion, same constant pool, every address computed from
+//! its operands — and a run moves onto it as soon as it may hold a
+//! corrupted slot pointer: the clean phase after a flip of a `salloc`
+//! result, a run entered with the fault already applied, and every
+//! observed run that carries a fault (it never hands off). Nothing but
+//! `code` differs between the two, so pcs, snapshots, digests and
+//! observers cannot tell them apart.
+//!
 //! ## Observers
 //!
 //! The loop is monomorphized three ways (see [`exec_loop`]): *clean*,
@@ -78,6 +98,11 @@ use minpsid_ir::{BinOp, CmpOp, Function, InstKind, Module, Operand, Ty, UnOp};
 /// fetch is therefore a single indexed load — no immediate-vs-register
 /// branch in the hot loop.
 pub(crate) type Opd = u32;
+
+/// In the `ptr` field of a load/store half: the half is slot-addressed and
+/// its `idx` field is the word offset from the frame's stack base, not an
+/// operand. No function has this many registers.
+pub(crate) const SLOT: Opd = u32::MAX;
 
 /// Which specialized comparison a fused [`DOp::CmpBr`] performs.
 #[derive(Debug, Clone, Copy)]
@@ -626,6 +651,129 @@ impl DOp {
             DOp::LoadBin { .. } => 49,
         }
     }
+
+    /// The load/store halves this op carries inline, as `(offset from the
+    /// carrying slot, pointer operand, index operand)`. A half that a
+    /// superinstruction executes from its standalone slot is that slot's
+    /// own.
+    fn for_each_mem_half(&mut self, mut f: impl FnMut(usize, &mut Opd, &mut Opd)) {
+        match self {
+            DOp::Load { ptr, idx, .. }
+            | DOp::Store { ptr, idx, .. }
+            | DOp::StoreBr { ptr, idx, .. }
+            | DOp::LoadCastBinUn { ptr, idx, .. }
+            | DOp::LoadCmpBr { ptr, idx, .. }
+            | DOp::LoadBinBin { ptr, idx, .. }
+            | DOp::LoadBin { ptr, idx, .. } => f(0, ptr, idx),
+            DOp::BinStore { ptr, idx, .. } | DOp::BinStoreBr { ptr, idx, .. } => f(1, ptr, idx),
+            DOp::BinLoad { ptr2, idx2, .. } | DOp::BinLoadLoad { ptr2, idx2, .. } => {
+                f(1, ptr2, idx2)
+            }
+            DOp::LoadLoad {
+                ptr1,
+                idx1,
+                ptr2,
+                idx2,
+                ..
+            }
+            | DOp::LoadLoadBin {
+                ptr1,
+                idx1,
+                ptr2,
+                idx2,
+                ..
+            }
+            | DOp::LoadLoadBinStoreBr {
+                ptr1,
+                idx1,
+                ptr2,
+                idx2,
+                ..
+            }
+            | DOp::LoadLoadBinBinStore {
+                ptr1,
+                idx1,
+                ptr2,
+                idx2,
+                ..
+            }
+            | DOp::LoadLoadBinBinLoad {
+                ptr1,
+                idx1,
+                ptr2,
+                idx2,
+                ..
+            }
+            | DOp::LoadLoadBinBinBin {
+                ptr1,
+                idx1,
+                ptr2,
+                idx2,
+                ..
+            }
+            | DOp::StoreLoad {
+                ptr1,
+                idx1,
+                ptr2,
+                idx2,
+                ..
+            }
+            | DOp::LoadStore {
+                ptr1,
+                idx1,
+                ptr2,
+                idx2,
+                ..
+            } => {
+                f(0, ptr1, idx1);
+                f(1, ptr2, idx2);
+            }
+            DOp::LoadBinStoreBr {
+                ptr,
+                idx,
+                st_ptr,
+                st_idx,
+                ..
+            } => {
+                f(0, ptr, idx);
+                f(2, st_ptr, st_idx);
+            }
+            DOp::Load4 { ops, .. } => {
+                for (h, (_, ptr, idx)) in ops.iter_mut().enumerate() {
+                    f(h, ptr, idx);
+                }
+            }
+            DOp::Param { .. }
+            | DOp::BinII { .. }
+            | DOp::BinFF { .. }
+            | DOp::BinAny { .. }
+            | DOp::Un { .. }
+            | DOp::CmpII { .. }
+            | DOp::CmpFF { .. }
+            | DOp::CmpBB { .. }
+            | DOp::CmpAny { .. }
+            | DOp::Select { .. }
+            | DOp::Cast { .. }
+            | DOp::Alloc { .. }
+            | DOp::Salloc { .. }
+            | DOp::Call { .. }
+            | DOp::NArgs
+            | DOp::ArgI { .. }
+            | DOp::ArgF { .. }
+            | DOp::DataLen { .. }
+            | DOp::DataI { .. }
+            | DOp::DataF { .. }
+            | DOp::OutI { .. }
+            | DOp::OutF { .. }
+            | DOp::Check { .. }
+            | DOp::Br { .. }
+            | DOp::CondBr { .. }
+            | DOp::Ret { .. }
+            | DOp::CmpBr { .. }
+            | DOp::BinBr { .. }
+            | DOp::BinBin { .. } => {}
+        }
+    }
 }
 
 /// One decoded instruction slot: the op plus the static per-instruction
@@ -641,7 +789,7 @@ pub(crate) struct DInst {
 }
 
 /// One decoded function: flat code, block-entry pcs, register count.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct DFunc {
     pub(crate) code: Vec<DInst>,
     /// `pc_of(block, pos) = block_entry[block] + pos`: every instruction
@@ -669,13 +817,28 @@ impl DFunc {
     }
 }
 
-/// The whole module, lowered once at [`Interp::new`].
-///
-/// [`Interp::new`]: crate::Interp::new
+/// One lowering of the whole module.
 #[derive(Debug)]
 pub(crate) struct DecodedModule {
     pub(crate) funcs: Vec<DFunc>,
     pub(crate) entry: u32,
+}
+
+/// The module lowered once, both ways, at [`Interp::new`] (see "Slot
+/// addressing" in the module docs).
+///
+/// [`Interp::new`]: crate::Interp::new
+#[derive(Debug)]
+pub(crate) struct Lowered {
+    /// Slot-addressed halves rewritten; what every run starts on.
+    pub(crate) slotted: DecodedModule,
+    /// Every address computed from its operands.
+    pub(crate) generic: DecodedModule,
+    /// Per static instruction (dense): a load or store the slotted
+    /// lowering addresses at decode time.
+    pub(crate) slot_addressed: Vec<bool>,
+    /// Load and store instructions in the module's blocks.
+    pub(crate) mem_halves: usize,
 }
 
 /// One decoded frame: bases into the shared [`ExecScratch`] arenas
@@ -704,6 +867,8 @@ pub struct ExecScratch {
     /// [`crate::converge`]).
     shadow: MachineState,
     converge_stats: ConvergeStats,
+    /// See [`ExecScratch::finished_on_generic`].
+    on_generic: bool,
     /// What the observed loop records (see [`crate::observe`]).
     obs: Observers,
 }
@@ -729,6 +894,14 @@ impl ExecScratch {
         self.converge_stats
     }
 
+    /// Whether the last run on this scratch finished on the generic
+    /// lowering, as a run that may hold a corrupted slot pointer must
+    /// (tests hold the choice to exactly those runs).
+    #[doc(hidden)]
+    pub fn finished_on_generic(&self) -> bool {
+        self.on_generic
+    }
+
     /// Reset to the program entry point without touching capacity.
     pub(crate) fn start_decoded(&mut self, dm: &DecodedModule) {
         self.st.reset();
@@ -752,14 +925,39 @@ impl ExecScratch {
     /// Convert the restored canonical frames in `self.st` into decoded
     /// frames (a snapshot-resume entry point). The canonical frames stay
     /// in `st` untouched; the decoded run never reads them.
+    ///
+    /// The loop reads registers and code unchecked and addresses slots
+    /// from `sp_base`, and the state may come from a decoded wire image,
+    /// so the shape it relies on is checked here, once per restore.
+    ///
+    /// # Panics
+    /// If the frames do not fit `dm`: no frame, a register file of the
+    /// wrong size, a position outside its block, a suspended frame that is
+    /// not at a call, or stack bases that decrease or pass the stack's end.
     pub(crate) fn enter_decoded(&mut self, dm: &DecodedModule) {
+        const MISFIT: &str = "restored frames do not fit the decoded module";
         self.dframes.clear();
         self.regs.clear();
         self.args.clear();
-        for f in &self.st.frames {
+        assert!(!self.st.frames.is_empty(), "{MISFIT}");
+        let last = self.st.frames.len() - 1;
+        let mut sp_floor = 0;
+        for (i, f) in self.st.frames.iter().enumerate() {
             let df = &dm.funcs[f.func.index()];
-            debug_assert_eq!(f.regs.len() + df.consts.len(), df.num_regs as usize);
-            let pc = df.block_entry[f.block.index()] + f.pos as u32;
+            let block = f.block.index();
+            let start = df.block_entry[block] as usize;
+            let end = df
+                .block_entry
+                .get(block + 1)
+                .map_or(df.code.len(), |&e| e as usize);
+            assert!(
+                f.regs.len() + df.consts.len() == df.num_regs as usize
+                    && f.pos < end - start
+                    && (i == last || matches!(df.code[start + f.pos].op, DOp::Call { .. }))
+                    && sp_floor <= f.sp_base,
+                "{MISFIT}"
+            );
+            sp_floor = f.sp_base;
             let reg_base = self.regs.len();
             let arg_base = self.args.len();
             // canonical frames carry register slots only; re-materialize
@@ -769,13 +967,14 @@ impl ExecScratch {
             self.args.extend_from_slice(&f.args);
             self.dframes.push(DFrame {
                 func: f.func.0,
-                pc,
+                pc: (start + f.pos) as u32,
                 reg_base,
                 arg_base,
                 arg_len: f.args.len(),
                 sp_base: f.sp_base,
             });
         }
+        assert!(sp_floor <= self.st.stack_mem.len(), "{MISFIT}");
     }
 }
 
@@ -835,20 +1034,43 @@ impl OpdCx {
     }
 }
 
-pub(crate) fn decode_module(m: &Module) -> DecodedModule {
-    let mut funcs: Vec<DFunc> = Vec::with_capacity(m.funcs.len());
+pub(crate) fn decode_module(m: &Module) -> Lowered {
+    let mut generic: Vec<DFunc> = Vec::with_capacity(m.funcs.len());
+    let mut slotted: Vec<DFunc> = Vec::with_capacity(m.funcs.len());
+    let mut slot_addressed = vec![false; m.num_insts()];
+    let mut mem_halves = 0;
     let mut dense_base = 0u32;
     let mut slot_base = 0usize;
     for f in &m.funcs {
         let df = decode_func(f, dense_base, slot_base);
         dense_base += f.insts.len() as u32;
         slot_base += df.code.len();
-        funcs.push(df);
+        mem_halves += f
+            .insts
+            .iter()
+            .filter(|i| matches!(i.kind, InstKind::Load { .. } | InstKind::Store { .. }))
+            .count();
+        // the slotted lowering is the generic one with the slot-addressed
+        // halves rewritten in place: layout, fusion and pool are shared
+        // by construction
+        let offsets = slot_offsets(f);
+        let mut sf = df.clone();
+        for pc in 0..sf.code.len() {
+            sf.code[pc].op.for_each_mem_half(|half, ptr, idx| {
+                if let Some(off) = offsets[pc + half] {
+                    (*ptr, *idx) = (SLOT, off);
+                    slot_addressed[df.code[pc + half].dense as usize] = true;
+                }
+            });
+        }
+        generic.push(df);
+        slotted.push(sf);
     }
-    // static fusion coverage for the sampling profiler: carrying
-    // superinstruction slots vs all decoded slots
+    // static coverage for the sampling profiler: carrying
+    // superinstruction slots vs all decoded slots, and slot-addressed
+    // loads/stores vs all of them
     let (mut fused, mut total) = (0u64, 0u64);
-    for f in &funcs {
+    for f in &generic {
         total += f.code.len() as u64;
         fused += f
             .code
@@ -856,11 +1078,90 @@ pub(crate) fn decode_module(m: &Module) -> DecodedModule {
             .filter(|di| di.op.index() >= crate::opprof::FIRST_FUSED)
             .count() as u64;
     }
-    crate::opprof::record_decode_stats(fused, total);
-    DecodedModule {
+    let slot_halves = slot_addressed.iter().filter(|&&s| s).count();
+    crate::opprof::record_decode_stats(fused, total, slot_halves as u64, mem_halves as u64);
+    let lowering = |funcs| DecodedModule {
         funcs,
         entry: m.entry.0,
+    };
+    Lowered {
+        slotted: lowering(slotted),
+        generic: lowering(generic),
+        slot_addressed,
+        mem_halves,
     }
+}
+
+/// Per code slot of `f` (block order is code order): the word offset from
+/// the frame's stack base that the load or store in that slot addresses,
+/// when the decoder can know it. All four conditions are needed:
+///
+/// * the pointer is the result of a `salloc` with a non-negative constant
+///   count in the entry block, with only such `salloc`s before it there —
+///   a dynamic count ahead of it would shift it by a run-time amount;
+/// * no branch targets the entry block — a second pass through it would
+///   allocate the slot again, further up;
+/// * the index is a constant inside the slot — an index past its end
+///   lands in a neighbour, or out of bounds, and those are the operand
+///   path's to decide;
+/// * a use inside the entry block follows its `salloc` — before it the
+///   register is still undefined and the access traps.
+///
+/// The entry block then runs exactly once per frame, before anything
+/// else of the frame, so every such `salloc` register holds
+/// `STACK_TAG | (sp_base + offset)` whenever a use executes. (Block
+/// structure — one terminator, last; every instruction placed once — is
+/// taken as given, as it is by the loop's unchecked code reads.)
+fn slot_offsets(f: &Function) -> Vec<Option<u32>> {
+    let mut offsets = vec![None; f.blocks.iter().map(|b| b.insts.len()).sum()];
+    let entry_is_target = f.insts.iter().any(|inst| match &inst.kind {
+        InstKind::Br { target } => target.index() == 0,
+        InstKind::CondBr { then_b, else_b, .. } => then_b.index() == 0 || else_b.index() == 0,
+        _ => false,
+    });
+    if entry_is_target {
+        return offsets;
+    }
+    // (offset, count) of each slot the frame opens with, by instruction
+    let mut frame: Vec<Option<(u32, u32)>> = vec![None; f.insts.len()];
+    let mut top = 0u32;
+    let mut open = true;
+    let mut slot = 0;
+    for (bi, b) in f.blocks.iter().enumerate() {
+        open &= bi == 0;
+        for id in &b.insts {
+            match &f.insts[id.index()].kind {
+                InstKind::Salloc { count } if open => {
+                    let end = match count {
+                        Operand::ConstI(c) => u32::try_from(*c)
+                            .ok()
+                            .and_then(|c| top.checked_add(c))
+                            .filter(|&end| end < SLOT),
+                        _ => None,
+                    };
+                    match end {
+                        Some(end) => {
+                            frame[id.index()] = Some((top, end - top));
+                            top = end;
+                        }
+                        None => open = false,
+                    }
+                }
+                InstKind::Load { ptr, idx, .. } | InstKind::Store { ptr, idx, .. } => {
+                    if let (Operand::Value(p), Operand::ConstI(k)) = (ptr, idx) {
+                        // inside the entry block `frame` holds only the
+                        // slots allocated so far
+                        offsets[slot] = frame[p.index()]
+                            .filter(|&(_, count)| (0..i64::from(count)).contains(k))
+                            .map(|(off, _)| off + *k as u32);
+                    }
+                }
+                _ => {}
+            }
+            slot += 1;
+        }
+    }
+    offsets
 }
 
 fn decode_func(f: &Function, dense_base: u32, slot_base: usize) -> DFunc {
@@ -1729,6 +2030,9 @@ fn run_observed(
     scratch
         .obs
         .begin(interp, ckpt, &scratch.dframes, scratch.st.steps);
+    // the observed loop never hands off, so a run that will flip a value
+    // (or already has) is generic from its first step
+    scratch.on_generic = fault.is_some() || scratch.st.fault_applied;
     run_loop::<true, true>(
         interp,
         scratch,
@@ -1761,6 +2065,8 @@ pub(crate) fn run_unobserved(
 ) -> ExecResult {
     let resumed_at = (scratch.st.steps > 0).then_some(scratch.st.steps);
     scratch.converge_stats = ConvergeStats::default();
+    // a fault this run did not see applied may sit in a slot pointer
+    scratch.on_generic = scratch.st.fault_applied;
     let mut conv = Converge::off();
     if fault.is_some() && !scratch.st.fault_applied {
         if let Some(r) =
@@ -1796,9 +2102,9 @@ fn unlikely(b: bool) -> bool {
 /// Why [`exec_loop`] returned. Deliberately small: the loop has hundreds
 /// of exits, and each only has to say this much.
 enum Stop {
-    /// Armed only: the fault has fired at the last instruction; the run
-    /// continues on the clean loop.
-    Handoff,
+    /// Armed only: the fault has fired at the last instruction, the one
+    /// with dense index `flipped`; the run continues on the clean loop.
+    Handoff { flipped: u32 },
     /// Clean only: the state equals the golden run's at the checkpoint
     /// just visited.
     Converged,
@@ -1824,8 +2130,18 @@ fn run_loop<const ARMED: bool, const OBS: bool>(
     resumed_at: Option<u64>,
     conv: &mut Converge<'_>,
 ) -> Option<ExecResult> {
-    match exec_loop::<ARMED, OBS>(interp, scratch, input, fault, conv) {
-        Stop::Handoff => None,
+    let lowered = interp.lowered();
+    let dm = if scratch.on_generic {
+        &lowered.generic
+    } else {
+        &lowered.slotted
+    };
+    match exec_loop::<ARMED, OBS>(interp, dm, scratch, input, fault, conv) {
+        Stop::Handoff { flipped } => {
+            // a flipped slot pointer no longer addresses its slot
+            scratch.on_generic = interp.is_salloc(flipped);
+            None
+        }
         Stop::Converged => Some(conv.finish(&mut scratch.st.output)),
         Stop::End {
             termination,
@@ -1879,12 +2195,12 @@ fn run_loop<const ARMED: bool, const OBS: bool>(
 ///   the injection counters.
 fn exec_loop<const ARMED: bool, const OBS: bool>(
     interp: &Interp<'_>,
+    dm: &DecodedModule,
     scratch: &mut ExecScratch,
     input: &crate::value::ProgInput,
     fault: Option<FaultSpec>,
     conv: &mut Converge<'_>,
 ) -> Stop {
-    let dm = interp.decoded();
     let step_limit = interp.config().step_limit;
     let mem_limit = interp.config().mem_limit;
     let call_depth_limit = interp.config().call_depth_limit;
@@ -1900,6 +2216,7 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
         args,
         shadow,
         converge_stats: _,
+        on_generic: _,
         obs,
     } = scratch;
     let MachineState {
@@ -1932,7 +2249,12 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
     let mut reg_base = top.reg_base;
     let mut arg_base = top.arg_base;
     let mut arg_len = top.arg_len;
+    // where the running frame's slots start: a slot-addressed half is
+    // `stack_mem[sp_base + offset]`
+    let mut sp_base = top.sp_base;
     let mut code: &[DInst] = &dm.funcs[top.func as usize].code;
+    // armed only: dense index of the instruction whose value was flipped
+    let mut flipped = u32::MAX;
     // observed only: the running function's base into the taken-branch
     // counters, and the offset of the instruction in flight from the slot
     // carrying it (`pc + half_l` is its logical pc when a run stops)
@@ -2178,6 +2500,7 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
                 };
                 if fire && !*fault_applied {
                     *fault_applied = true;
+                    flipped = $dense;
                     v = flip_bit(v, fault_bit);
                 }
                 *inj_ctr += 1;
@@ -2277,45 +2600,64 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
             }
         };
     }
+    // a slot-addressed half (see the module docs) goes straight to its
+    // word; the index stays checked, so a frame whose stack is shorter
+    // than its function's slots — no run produces one, a bad restored
+    // image could — panics instead of reading out of bounds
     macro_rules! load_word {
         ($ptr:expr, $idx:expr) => {{
-            let p = pointer!($ptr);
-            let i = int!($idx);
-            let (space, base): (&[u64], u64) = if p & STACK_TAG != 0 {
-                (&*stack_mem, p & !STACK_TAG)
+            if *$ptr == SLOT {
+                stack_mem[sp_base + *$idx as usize]
             } else {
-                (&*mem, p)
-            };
-            // u64 + signed offset; None (negative or overflow) is
-            // exactly the oracle's i128 out-of-range condition
-            let addr = match base.checked_add_signed(i) {
-                Some(a) if a < space.len() as u64 => a,
-                _ => trap!(TrapKind::OutOfBounds),
-            };
-            space[addr as usize]
+                let p = pointer!($ptr);
+                let i = int!($idx);
+                let (space, base): (&[u64], u64) = if p & STACK_TAG != 0 {
+                    (&*stack_mem, p & !STACK_TAG)
+                } else {
+                    (&*mem, p)
+                };
+                // u64 + signed offset; None (negative or overflow) is
+                // exactly the oracle's i128 out-of-range condition
+                let addr = match base.checked_add_signed(i) {
+                    Some(a) if a < space.len() as u64 => a,
+                    _ => trap!(TrapKind::OutOfBounds),
+                };
+                space[addr as usize]
+            }
         }};
     }
-    // one store, shared by the Store arm and the store-carrying fused
-    // ops; operand fetch and trap order match the oracle's Store arm
-    macro_rules! store_word {
-        ($ptr:expr, $idx:expr, $v:expr) => {{
-            let p = pointer!($ptr);
-            let i = int!($idx);
-            let val = raw!($v);
-            let (space, base): (&mut Vec<u64>, u64) = if p & STACK_TAG != 0 {
-                (&mut *stack_mem, p & !STACK_TAG)
-            } else {
-                (&mut *mem, p)
-            };
-            let addr = match base.checked_add_signed(i) {
-                Some(a) if a < space.len() as u64 => a,
-                _ => trap!(TrapKind::OutOfBounds),
-            };
-            space[addr as usize] = match val {
+    macro_rules! word_of {
+        ($val:expr) => {
+            match $val {
                 Value::I(x) => x as u64,
                 Value::F(x) => x.to_bits(),
                 _ => trap!(TrapKind::TypeConfusion),
-            };
+            }
+        };
+    }
+    // one store, shared by the Store arm and the store-carrying fused
+    // ops; operand fetch and trap order match the oracle's Store arm (a
+    // slot-addressed store's pointer and index cannot trap)
+    macro_rules! store_word {
+        ($ptr:expr, $idx:expr, $v:expr) => {{
+            if *$ptr == SLOT {
+                let val = raw!($v);
+                stack_mem[sp_base + *$idx as usize] = word_of!(val);
+            } else {
+                let p = pointer!($ptr);
+                let i = int!($idx);
+                let val = raw!($v);
+                let (space, base): (&mut Vec<u64>, u64) = if p & STACK_TAG != 0 {
+                    (&mut *stack_mem, p & !STACK_TAG)
+                } else {
+                    (&mut *mem, p)
+                };
+                let addr = match base.checked_add_signed(i) {
+                    Some(a) if a < space.len() as u64 => a,
+                    _ => trap!(TrapKind::OutOfBounds),
+                };
+                space[addr as usize] = word_of!(val);
+            }
         }};
     }
     macro_rules! stream_idx {
@@ -2334,7 +2676,7 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
         if ARMED && !OBS && *fault_applied {
             dframes.last_mut().expect("frame stack is non-empty").pc = pc as u32;
             *steps = steps_l;
-            return Stop::Handoff;
+            return Stop::Handoff { flipped };
         }
         // `code` is reassigned on call/return while `di` may still be
         // live, so index through a per-iteration copy of the reference
@@ -2517,6 +2859,7 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
                 reg_base = new_reg_base;
                 arg_base = new_arg_base;
                 arg_len = cargs.len();
+                sp_base = stack_mem.len();
             }
             DOp::NArgs => {
                 produce!(di.dense, di.inj, di.dst, Value::I(input.args.len() as i64));
@@ -2639,6 +2982,7 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
                         reg_base = caller.reg_base;
                         arg_base = caller.arg_base;
                         arg_len = caller.arg_len;
+                        sp_base = caller.sp_base;
                         // the caller's pc still points at the call (calls
                         // are never fused): its return value materializes
                         // here, so this is its fault-injection point
@@ -3535,6 +3879,102 @@ mod tests {
     use crate::snapshot::{CheckpointConfig, SnapshotMode};
     use crate::value::{ProgInput, Scalar};
     use crate::ExecConfig;
+
+    /// The two lowerings are one layout — same slots, same fusion choice
+    /// per slot, same block entries, same constant pool — and differ only
+    /// in the address operands of slot-addressed halves. Every half
+    /// [`DOp::for_each_mem_half`] reports is the load or store `half`
+    /// slots after the carrier, and it reports every address an op
+    /// carries, so no superinstruction quietly keeps computing.
+    #[test]
+    fn lowerings_differ_only_in_the_addresses_of_slot_halves() {
+        let src = r#"
+fn mix(a: [float], n: int, w: float) -> float {
+    let s = 0.0;
+    let t = 1.0;
+    for i = 0 to n {
+        let x = a[i];
+        a[i] = a[(i + 1) % n] * w + x;
+        s = s + cos(w * float(i)) * a[i];
+        t = t + s * x - w;
+        if s > t { let u = s; s = t; t = u; }
+    }
+    return s + t;
+}
+
+fn main() {
+    let n = arg_i(0);
+    let buf: [float] = alloc(8);
+    let acc = 3;
+    for i = 0 to 8 { buf[i] = float(i) * 0.5; }
+    for i = 0 to n {
+        acc = acc + i * 3 % 7;
+        if acc % 5 == 0 { out_i(acc); }
+    }
+    out_f(mix(buf, 8, 0.25));
+    out_i(acc);
+}
+"#;
+        let m = minic::compile(src, "lowerings").unwrap();
+        let interp = Interp::new(&m, ExecConfig::default());
+        let low = interp.lowered();
+        assert_eq!(low.slotted.entry, low.generic.entry);
+        // an op with its addresses blanked, and the addresses
+        let split = |op: &DOp| {
+            let mut op = op.clone();
+            let mut halves = Vec::new();
+            op.for_each_mem_half(|h, ptr, idx| {
+                halves.push((h, *ptr, *idx));
+                (*ptr, *idx) = (0, 0);
+            });
+            (format!("{op:?}"), halves)
+        };
+        let mut slotted_kinds = std::collections::BTreeSet::new();
+        for ((f, s), g) in m
+            .funcs
+            .iter()
+            .zip(&low.slotted.funcs)
+            .zip(&low.generic.funcs)
+        {
+            assert_eq!(s.code.len(), g.code.len());
+            assert_eq!(s.block_entry, g.block_entry);
+            assert_eq!((s.num_regs, s.slot_base), (g.num_regs, g.slot_base));
+            assert_eq!(format!("{:?}", s.consts), format!("{:?}", g.consts));
+            let placed: Vec<_> = f.blocks.iter().flat_map(|b| &b.insts).collect();
+            for (pc, (ds, dg)) in s.code.iter().zip(&g.code).enumerate() {
+                assert_eq!((ds.dst, ds.dense, ds.inj), (dg.dst, dg.dense, dg.inj));
+                let ((shape_s, halves_s), (shape_g, halves_g)) = (split(&ds.op), split(&dg.op));
+                assert_eq!(shape_s, shape_g, "slot {pc} differs in more than addresses");
+                let address_fields = match &dg.op {
+                    DOp::Load4 { .. } => 4,
+                    _ => format!("{:?}", dg.op).matches("ptr").count(),
+                };
+                assert_eq!(halves_g.len(), address_fields, "{:?}", dg.op);
+                for (&hs, &(h, ptr, idx)) in halves_s.iter().zip(&halves_g) {
+                    let (InstKind::Load { ptr: p, .. } | InstKind::Store { ptr: p, .. }) =
+                        &f.insts[placed[pc + h].index()].kind
+                    else {
+                        panic!("half {h} of slot {pc} is not a load or store");
+                    };
+                    assert_eq!(Operand::Value(minpsid_ir::InstId(ptr)), *p);
+                    if hs.1 == SLOT {
+                        slotted_kinds.insert(ds.op.index());
+                    } else {
+                        assert_eq!(hs, (h, ptr, idx), "neither slotted nor generic");
+                    }
+                }
+            }
+        }
+        let (slotted, all) = interp.slot_coverage();
+        assert!(
+            slotted * 2 > all,
+            "{slotted} of {all} halves slot-addressed"
+        );
+        assert!(
+            slotted_kinds.len() >= 10,
+            "slot-addressed halves in only {slotted_kinds:?}"
+        );
+    }
 
     /// Every state the reference walk checkpoints hashes — and compares —
     /// equal to the same state held in the decoded arenas, wherever the

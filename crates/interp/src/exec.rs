@@ -15,12 +15,12 @@
 //! Because the machine is fully deterministic, a resumed run is
 //! bit-identical to a from-scratch run with the same fault.
 
-use crate::decode::{self, DecodedModule, ExecScratch};
+use crate::decode::{self, DecodedModule, ExecScratch, Lowered};
 use crate::fault::{FaultSpec, FaultTarget};
 use crate::profile::Profile;
 use crate::snapshot::{CheckpointCollector, CheckpointConfig, CheckpointStore};
 use crate::value::{Output, ProgInput, Value};
-use minpsid_ir::{BlockId, CmpOp, CostModel, FuncId, Module};
+use minpsid_ir::{BlockId, CmpOp, CostModel, FuncId, InstKind, Module};
 
 /// Limits and switches for one execution.
 #[derive(Debug, Clone)]
@@ -275,7 +275,7 @@ pub struct Interp<'m> {
     /// Per static instruction (dense): cycle cost.
     pub(crate) cost: Vec<u64>,
     /// The module lowered for pre-decoded dispatch (see [`crate::decode`]).
-    decoded: DecodedModule,
+    lowered: Lowered,
 }
 
 impl<'m> Interp<'m> {
@@ -290,18 +290,52 @@ impl<'m> Interp<'m> {
                 cost.push(config.cost_model.cycles(&inst.kind, inst.ty));
             }
         }
-        let decoded = decode::decode_module(module);
+        let lowered = decode::decode_module(module);
         Interp {
             module,
             config,
             base,
             cost,
-            decoded,
+            lowered,
         }
     }
 
+    pub(crate) fn lowered(&self) -> &Lowered {
+        &self.lowered
+    }
+
+    /// The lowering every run starts on. Frame layout, block entries and
+    /// constant pools are the generic lowering's too.
     pub(crate) fn decoded(&self) -> &DecodedModule {
-        &self.decoded
+        &self.lowered.slotted
+    }
+
+    /// Whether the static instruction with dense index `dense` is a
+    /// `salloc`: the one kind of value whose corruption the slotted
+    /// lowering would not see.
+    pub(crate) fn is_salloc(&self, dense: u32) -> bool {
+        let dense = dense as usize;
+        let func = self.base.partition_point(|&b| b <= dense) - 1;
+        matches!(
+            self.module.funcs[func].insts[dense - self.base[func]].kind,
+            InstKind::Salloc { .. }
+        )
+    }
+
+    /// Static slot-addressing coverage: `(loads and stores addressed at
+    /// decode time, all loads and stores)`. What the front end must keep
+    /// emitting for the slotted lowering to pay off; tests pin a floor.
+    #[doc(hidden)]
+    pub fn slot_coverage(&self) -> (usize, usize) {
+        let slotted = self.lowered.slot_addressed.iter().filter(|&&s| s).count();
+        (slotted, self.lowered.mem_halves)
+    }
+
+    /// Whether the static instruction with dense index `dense` is a load
+    /// or store addressed at decode time.
+    #[doc(hidden)]
+    pub fn slot_addressed(&self, dense: usize) -> bool {
+        self.lowered.slot_addressed[dense]
     }
 
     pub fn module(&self) -> &'m Module {
@@ -320,7 +354,7 @@ impl<'m> Interp<'m> {
     /// Execute without faults.
     pub fn run(&self, input: &ProgInput) -> ExecResult {
         let mut scratch = ExecScratch::default();
-        scratch.start_decoded(&self.decoded);
+        scratch.start_decoded(self.decoded());
         decode::run_decoded(self, &mut scratch, input, None, None)
     }
 
@@ -330,7 +364,7 @@ impl<'m> Interp<'m> {
     /// the run's length.
     pub fn run_unobserved(&self, input: &ProgInput) -> ExecResult {
         let mut scratch = ExecScratch::default();
-        scratch.start_decoded(&self.decoded);
+        scratch.start_decoded(self.decoded());
         decode::run_unobserved(self, &mut scratch, input, None, None)
     }
 
@@ -351,7 +385,7 @@ impl<'m> Interp<'m> {
         input: &ProgInput,
         fault: FaultSpec,
     ) -> ExecResult {
-        scratch.start_decoded(&self.decoded);
+        scratch.start_decoded(self.decoded());
         decode::run_decoded(self, scratch, input, Some(fault), None)
     }
 
@@ -369,7 +403,7 @@ impl<'m> Interp<'m> {
         input: &ProgInput,
         fault: FaultSpec,
     ) -> ExecResult {
-        scratch.start_decoded(&self.decoded);
+        scratch.start_decoded(self.decoded());
         decode::run_decoded(self, scratch, input, Some(fault), Some(golden))
     }
 
@@ -385,7 +419,7 @@ impl<'m> Interp<'m> {
         cfg: CheckpointConfig,
     ) -> (ExecResult, CheckpointStore) {
         let mut scratch = ExecScratch::default();
-        scratch.start_decoded(&self.decoded);
+        scratch.start_decoded(self.decoded());
         let coll = CheckpointCollector::new(cfg, self.module.num_insts());
         let (r, coll) = decode::run_capturing(self, &mut scratch, input, coll);
         let mut store = coll.into_store();
@@ -437,7 +471,7 @@ impl<'m> Interp<'m> {
             scratch.st.per_inst_ctr = 0;
         }
         scratch.st.fault_applied = false;
-        scratch.enter_decoded(&self.decoded);
+        scratch.enter_decoded(self.decoded());
         decode::run_decoded(self, scratch, input, Some(fault), Some(store))
     }
 }
@@ -1037,6 +1071,84 @@ mod tests {
                 assert_eq!(cold.output, warm.output);
                 assert_eq!(cold.steps, warm.steps);
             }
+        }
+    }
+
+    /// `resume_from` takes any store, one decoded from a wire image
+    /// included, and the loop reads registers and code unchecked: a
+    /// checkpoint whose frames are not this module's is refused at the
+    /// restore, in release builds too.
+    #[test]
+    fn a_checkpoint_that_does_not_fit_the_module_is_refused() {
+        use crate::snapshot::{SnapBody, SnapshotMode};
+        // locals that are assigned to live in stack slots
+        let src = "fn rec(x: int) -> int {\n    let y = x;\n    y = y * 2;\n    \
+                   if x <= 1 { return y; }\n    return rec(x - 1) + y;\n}\n\
+                   fn main() { let a = 2; a = a + 1; out_i(rec(6) + a); }\n";
+        let m = minic::compile(src, "misfit").unwrap();
+        let interp = Interp::new(&m, ExecConfig::default());
+        let input = ProgInput::default();
+        let cfg = CheckpointConfig {
+            mode: SnapshotMode::Full,
+            ..every(5)
+        };
+        let (_, store) = interp.run_with_checkpoint_store(&input, cfg);
+        let state_of = |store: &CheckpointStore, i: usize| match &store.entries[i].body {
+            SnapBody::Key(snap) => snap.state.clone(),
+            SnapBody::Delta(_) => unreachable!("a full store holds keyframes only"),
+        };
+        let deep = (0..store.len())
+            .max_by_key(|&i| state_of(&store, i).frames.len())
+            .unwrap();
+        let depth = state_of(&store, deep).frames.len();
+        assert!(depth >= 4, "{depth} frames");
+        let never = FaultSpec {
+            target: FaultTarget::NthDynamic(u64::MAX),
+            bit: 0,
+        };
+        type Edit<'a> = &'a dyn Fn(&mut MachineState);
+        let resume = |edit: Edit| {
+            let mut store = store.clone();
+            match &mut store.entries[deep].body {
+                SnapBody::Key(snap) => edit(&mut snap.state),
+                SnapBody::Delta(_) => unreachable!("a full store holds keyframes only"),
+            }
+            std::panic::catch_unwind(|| {
+                interp.resume_from(&mut ExecScratch::default(), &store, deep, &input, never)
+            })
+            .map_err(|p| p.downcast_ref::<String>().cloned().unwrap_or_default())
+        };
+        assert!(resume(&|_| {})
+            .expect("the checkpoint as captured fits")
+            .exited());
+        let misfits: [(&str, Edit); 7] = [
+            ("one register too few", &|st| {
+                st.frames[1].regs.pop();
+            }),
+            ("a position past its block", &|st| {
+                st.frames.last_mut().unwrap().pos = 10_000
+            }),
+            ("a position that wraps", &|st| {
+                st.frames.last_mut().unwrap().pos = usize::MAX
+            }),
+            ("a suspended frame not at a call", &|st| {
+                st.frames[1].pos -= 1
+            }),
+            ("a shortened stack", &|st| {
+                let keep = st.frames.last().unwrap().sp_base - 1;
+                st.stack_mem.truncate(keep)
+            }),
+            ("a stack base below the caller's", &|st| {
+                st.frames.last_mut().unwrap().sp_base = 0
+            }),
+            ("no frame", &|st| st.frames.clear()),
+        ];
+        for (what, edit) in misfits {
+            let refused = resume(edit).expect_err(what);
+            assert!(
+                refused.contains("do not fit the decoded module"),
+                "{what}: {refused}"
+            );
         }
     }
 

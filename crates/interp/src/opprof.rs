@@ -55,6 +55,8 @@ static SAMPLES: [AtomicU64; NUM_OPS] = [ZERO; NUM_OPS];
 
 static FUSED_SITES: AtomicU64 = AtomicU64::new(0);
 static TOTAL_SITES: AtomicU64 = AtomicU64::new(0);
+static SLOT_HALVES: AtomicU64 = AtomicU64::new(0);
+static MEM_HALVES: AtomicU64 = AtomicU64::new(0);
 static ENCODE_NS: AtomicU64 = AtomicU64::new(0);
 static ENCODE_OPS: AtomicU64 = AtomicU64::new(0);
 static RESTORE_NS: AtomicU64 = AtomicU64::new(0);
@@ -93,12 +95,19 @@ pub(crate) fn record(op: usize) {
     SAMPLES[op].fetch_add(1, Ordering::Relaxed);
 }
 
-/// Record static fusion stats from one module decode (idempotent store:
-/// re-decoding the same module overwrites with identical values; the
-/// last decoded module wins if several differ).
-pub(crate) fn record_decode_stats(fused_sites: u64, total_sites: u64) {
+/// Record static fusion and slot-addressing stats from one module decode
+/// (idempotent store: re-decoding the same module overwrites with
+/// identical values; the last decoded module wins if several differ).
+pub(crate) fn record_decode_stats(
+    fused_sites: u64,
+    total_sites: u64,
+    slot_halves: u64,
+    mem_halves: u64,
+) {
     FUSED_SITES.store(fused_sites, Ordering::Relaxed);
     TOTAL_SITES.store(total_sites, Ordering::Relaxed);
+    SLOT_HALVES.store(slot_halves, Ordering::Relaxed);
+    MEM_HALVES.store(mem_halves, Ordering::Relaxed);
 }
 
 /// Account one checkpoint encode (capture) of `ns` nanoseconds.
@@ -121,6 +130,8 @@ pub fn reset() {
     }
     FUSED_SITES.store(0, Ordering::Relaxed);
     TOTAL_SITES.store(0, Ordering::Relaxed);
+    SLOT_HALVES.store(0, Ordering::Relaxed);
+    MEM_HALVES.store(0, Ordering::Relaxed);
     ENCODE_NS.store(0, Ordering::Relaxed);
     ENCODE_OPS.store(0, Ordering::Relaxed);
     RESTORE_NS.store(0, Ordering::Relaxed);
@@ -140,6 +151,11 @@ pub struct InterpProfileReport {
     pub fused_sites: u64,
     /// Total decoded slots in the last decoded module.
     pub total_sites: u64,
+    /// Static loads and stores of the last decoded module that address a
+    /// stack slot at decode time.
+    pub slot_halves: u64,
+    /// All static loads and stores of the last decoded module.
+    pub mem_halves: u64,
     pub encode_ns: u64,
     pub encode_ops: u64,
     pub restore_ns: u64,
@@ -197,6 +213,8 @@ pub fn snapshot() -> InterpProfileReport {
         fused_samples: fused,
         fused_sites: FUSED_SITES.load(Ordering::Relaxed),
         total_sites: TOTAL_SITES.load(Ordering::Relaxed),
+        slot_halves: SLOT_HALVES.load(Ordering::Relaxed),
+        mem_halves: MEM_HALVES.load(Ordering::Relaxed),
         encode_ns: ENCODE_NS.load(Ordering::Relaxed),
         encode_ops: ENCODE_OPS.load(Ordering::Relaxed),
         restore_ns: RESTORE_NS.load(Ordering::Relaxed),
@@ -223,7 +241,7 @@ mod tests {
         record(1); // BinII
         record(1);
         record(FIRST_FUSED); // first fused superinstruction
-        record_decode_stats(10, 40);
+        record_decode_stats(10, 40, 7, 9);
         add_encode(1_000);
         add_restore(500);
         add_restore(700);
@@ -234,6 +252,7 @@ mod tests {
         assert!((snap.fused_sample_rate() - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(snap.fused_sites, 10);
         assert_eq!(snap.total_sites, 40);
+        assert_eq!((snap.slot_halves, snap.mem_halves), (7, 9));
         assert_eq!(snap.encode_ops, 1);
         assert_eq!(snap.encode_ns, 1_000);
         assert_eq!(snap.restore_ops, 2);

@@ -14,15 +14,18 @@
 //!   from any delta-chain index matches the from-scratch faulty run.
 //!
 //! Directed tests below the properties reach what random programs do
-//! not: every trap kind, a detected fault, the output limit, and a stop
-//! at every single step of a run.
+//! not: every trap kind, a detected fault, the output limit, a stop at
+//! every single step of a run, every shape the slot-addressing rewrite
+//! must leave alone, and every bit of a fault into a slot pointer.
 
 use minpsid_interp::wire::encode_checkpoints;
 use minpsid_interp::{
     oracle, CheckpointConfig, ExecConfig, ExecResult, ExecScratch, FaultSpec, FaultTarget, Interp,
     ProgInput, Scalar, SnapshotMode, Stream, Termination, TrapKind, Value,
 };
-use minpsid_ir::{CmpOp, Module, ModuleBuilder, Ty};
+use minpsid_ir::{
+    BlockId, CmpOp, FunctionBuilder, GlobalInstId, InstKind, Module, ModuleBuilder, Ty,
+};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -138,6 +141,12 @@ struct Seen {
     step_limit: AtomicUsize,
     thinned: AtomicUsize,
     resumed: AtomicUsize,
+    /// Slot-addressed loads and stores executed by compared runs.
+    slot_halves: AtomicUsize,
+    /// Compared runs that finished on the generic lowering.
+    on_generic: AtomicUsize,
+    /// Loads and stores a directed shape must not slot-address.
+    ineligible: AtomicUsize,
 }
 
 impl Seen {
@@ -158,6 +167,9 @@ static SEEN: Seen = Seen {
     step_limit: AtomicUsize::new(0),
     thinned: AtomicUsize::new(0),
     resumed: AtomicUsize::new(0),
+    slot_halves: AtomicUsize::new(0),
+    on_generic: AtomicUsize::new(0),
+    ineligible: AtomicUsize::new(0),
 };
 
 /// The observer properties, and the evidence that they compared runs of
@@ -644,4 +656,453 @@ fn a_stop_at_every_step_profiles_like_the_oracle() {
         };
         assert_eq!(ends_like_the_oracle(&m, cfg, &input), want, "{step_limit}");
     }
+}
+
+/// One `main` (function 0) built by `body`, plus whatever `body` declares.
+fn built(name: &str, body: impl FnOnce(&mut ModuleBuilder, &mut FunctionBuilder)) -> Module {
+    let mut mb = ModuleBuilder::new(name);
+    let main = mb.declare("main", vec![], None);
+    let mut fb = mb.body(main);
+    body(&mut mb, &mut fb);
+    mb.define(fb);
+    mb.finish()
+}
+
+/// Every fault-free way of running `m`, decoded against the oracle: the
+/// bare loop, the observed loop (whole profile, whole trace) and the
+/// checkpoint stores byte for byte in both encodings. Returns how the run
+/// ended and counts the slot-addressed halves it executed.
+fn fault_free_runs_match(m: &Module, input: &ProgInput, cfg: ExecConfig) -> Termination {
+    let check = |r: Result<(), TestCaseError>| r.unwrap_or_else(|e| panic!("{}: {e}", m.name));
+    let bare = Interp::new(m, cfg.clone());
+    check(same_result(&bare.run(input), &oracle::run(&bare, input)));
+    let interp = Interp::new(
+        m,
+        ExecConfig {
+            profile: true,
+            trace: true,
+            ..cfg
+        },
+    );
+    let reference = oracle::run(&interp, input);
+    check(same_result(&interp.run(input), &reference));
+    for mode in [SnapshotMode::Full, SnapshotMode::Delta] {
+        let ckpt = CheckpointConfig {
+            interval: 3,
+            mode,
+            keyframe_every: 4,
+            ..CheckpointConfig::default()
+        };
+        let (rr, want) = oracle::run_with_checkpoint_store(&interp, input, ckpt);
+        let (rd, got) = interp.run_with_checkpoint_store(input, ckpt);
+        check(same_result(&rd, &rr));
+        assert!(
+            encode_checkpoints(&got) == encode_checkpoints(&want),
+            "{}: {mode:?} store images differ",
+            m.name
+        );
+    }
+    let counts = &reference.profile.as_ref().expect("profiled").inst_counts;
+    let executed: u64 = (0..counts.len())
+        .filter(|&d| interp.slot_addressed(d))
+        .map(|d| counts[d])
+        .sum();
+    SEEN.slot_halves
+        .fetch_add(executed as usize, Ordering::Relaxed);
+    reference.termination
+}
+
+/// The shapes the slot-addressing rewrite must leave alone, each in a
+/// function built for it (the front end emits none of them), each written
+/// so that a half addressed at decode time anyway would read or write a
+/// different word than the operand path: the coverage count says the
+/// rewrite declined exactly those halves, the oracle that the runs agree.
+fn ineligible_shapes_stay_on_the_operand_path() {
+    let ints = |v: &[i64]| ProgInput::scalars(v.iter().map(|&x| Scalar::I(x)).collect());
+    let oob = Termination::Trap(TrapKind::OutOfBounds);
+    // (module, input, (slot-addressed, all) loads and stores, ending)
+    let mut cases: Vec<(Module, ProgInput, (usize, usize), Termination)> = Vec::new();
+
+    // the control: constant slots opening the entry block, in-range
+    // constant indices, uses after the allocation and in a later block
+    let eligible = built("eligible", |_, fb| {
+        let next = fb.new_block("next");
+        let a = fb.salloc(2i64);
+        let b = fb.salloc(1i64);
+        fb.store(a, 1i64, 5i64);
+        fb.store(b, 0i64, 6i64);
+        fb.br(next);
+        fb.switch_to(next);
+        let x = fb.load(Ty::I64, a, 1i64);
+        let y = fb.load(Ty::I64, b, 0i64);
+        let z = fb.add(Ty::I64, x, y);
+        fb.out_i(z);
+        fb.ret_void();
+    });
+    cases.push((eligible, ints(&[]), (4, 4), Termination::Exit));
+
+    // a dynamic-count salloc ahead of a constant one: `s` sits `n` words
+    // up, wherever that is this run
+    let dynamic_first = built("dynamic-first", |_, fb| {
+        let n = fb.arg_i(0i64);
+        let d = fb.salloc(n);
+        let s = fb.salloc(2i64);
+        let zero = fb.sub(Ty::I64, n, n);
+        fb.store(s, 0i64, 11i64);
+        fb.store(s, 1i64, 22i64);
+        fb.store(d, zero, 5i64);
+        for (ptr, idx) in [(s, 0i64), (s, 1i64)] {
+            let v = fb.load(Ty::I64, ptr, idx);
+            fb.out_i(v);
+        }
+        let v = fb.load(Ty::I64, d, zero);
+        fb.out_i(v);
+        fb.ret_void();
+    });
+    cases.push((dynamic_first.clone(), ints(&[1]), (0, 6), Termination::Exit));
+    cases.push((dynamic_first, ints(&[3]), (0, 6), Termination::Exit));
+
+    // a salloc outside the entry block, in a loop: every pass allocates
+    // `s` anew, one word further up; the read-back goes through a
+    // computed zero
+    let late = built("late-salloc", |_, fb| {
+        let (next, exit) = (fb.new_block("next"), fb.new_block("exit"));
+        let e = fb.salloc(1i64);
+        fb.store(e, 0i64, 0i64);
+        fb.br(next);
+        fb.switch_to(next);
+        let s = fb.salloc(1i64);
+        let i = fb.load(Ty::I64, e, 0i64);
+        fb.store(s, 0i64, i);
+        let zero = fb.sub(Ty::I64, i, i);
+        let v = fb.load(Ty::I64, s, zero);
+        fb.out_i(v);
+        let i2 = fb.add(Ty::I64, i, 1i64);
+        fb.store(e, 0i64, i2);
+        let again = fb.cmp(CmpOp::Lt, i2, 3i64);
+        fb.cond_br(again, next, exit);
+        fb.switch_to(exit);
+        fb.ret_void();
+    });
+    cases.push((late, ints(&[]), (3, 5), Termination::Exit));
+
+    // a branch back to the entry block: the same, one block earlier
+    let looped = built("entry-loop", |mb, fb| {
+        let f = mb.declare("f", vec![Ty::Ptr], None);
+        let mut g = mb.body(f);
+        let exit = g.new_block("exit");
+        let cell = g.param(0);
+        let s = g.salloc(1i64);
+        let i = g.load(Ty::I64, cell, 0i64);
+        g.store(s, 0i64, i);
+        let zero = g.sub(Ty::I64, i, i);
+        let v = g.load(Ty::I64, s, zero);
+        g.out_i(v);
+        let i2 = g.add(Ty::I64, i, 1i64);
+        g.store(cell, 0i64, i2);
+        let again = g.cmp(CmpOp::Lt, i2, 3i64);
+        g.cond_br(again, BlockId(0), exit);
+        g.switch_to(exit);
+        g.ret_void();
+        mb.define(g);
+        let cell = fb.alloc(1i64);
+        fb.store(cell, 0i64, 0i64);
+        fb.call(f, None, vec![cell.into()]);
+        fb.ret_void();
+    });
+    cases.push((looped, ints(&[]), (0, 5), Termination::Exit));
+
+    // a constant index equal to the count lands in the next slot, or past
+    // the stack's end
+    let past_end = built("index-eq-count", |_, fb| {
+        let a = fb.salloc(2i64);
+        let b = fb.salloc(2i64);
+        fb.store(b, 0i64, 7i64);
+        fb.store(a, 1i64, 3i64);
+        let x = fb.load(Ty::I64, a, 2i64);
+        fb.out_i(x);
+        let y = fb.load(Ty::I64, b, 2i64);
+        fb.out_i(y);
+        fb.ret_void();
+    });
+    cases.push((past_end, ints(&[]), (2, 4), oob));
+
+    // a negative index reaches the slot below, the caller's frame, or
+    // under the stack
+    let negative = built("negative-index", |mb, fb| {
+        let f = mb.declare("f", vec![], None);
+        let mut g = mb.body(f);
+        let a = g.salloc(1i64);
+        let b = g.salloc(1i64);
+        g.store(a, 0i64, 4i64);
+        let x = g.load(Ty::I64, b, -1i64);
+        g.out_i(x);
+        let y = g.load(Ty::I64, a, -1i64);
+        g.out_i(y);
+        g.ret_void();
+        mb.define(g);
+        let m = fb.salloc(1i64);
+        fb.store(m, 0i64, 9i64);
+        fb.call(f, None, vec![]);
+        let w = fb.load(Ty::I64, m, -1i64);
+        fb.out_i(w);
+        fb.ret_void();
+    });
+    cases.push((negative, ints(&[]), (2, 5), oob));
+
+    // a use ahead of its salloc in the entry block (IR that does not
+    // verify): the register is still undefined there
+    let mut early = built("use-before-salloc", |_, fb| {
+        let s = fb.salloc(1i64);
+        fb.store(s, 0i64, 1i64);
+        let v = fb.load(Ty::I64, s, 0i64);
+        fb.out_i(v);
+        fb.ret_void();
+    });
+    early.funcs[0].blocks[0].insts.swap(0, 1);
+    assert!(minpsid_ir::verify_module(&early).is_err());
+    let undef = Termination::Trap(TrapKind::UndefRead);
+    cases.push((early, ints(&[]), (1, 2), undef));
+
+    for (m, input, coverage, want) in cases {
+        let interp = Interp::new(&m, observed());
+        assert_eq!(interp.slot_coverage(), coverage, "{}", m.name);
+        SEEN.ineligible
+            .fetch_add(coverage.1 - coverage.0, Ordering::Relaxed);
+        assert_eq!(
+            fault_free_runs_match(&m, &input, exec()),
+            want,
+            "{}",
+            m.name
+        );
+    }
+}
+
+/// A callee with three slots between its caller's and the stack's end, a
+/// heap block for a pointer that loses its stack tag, and a loop long
+/// enough for checkpoints to fall inside both calls.
+fn slots_module() -> Module {
+    built("slot-faults", |mb, fb| {
+        let f = mb.declare("f", vec![Ty::I64], Some(Ty::I64));
+        let mut g = mb.body(f);
+        let (head, body, exit) = (
+            g.new_block("head"),
+            g.new_block("body"),
+            g.new_block("exit"),
+        );
+        let k = g.param(0);
+        let x = g.salloc(1i64);
+        let y = g.salloc(2i64);
+        let z = g.salloc(1i64);
+        g.store(x, 0i64, k);
+        g.store(y, 0i64, 10i64);
+        g.store(y, 1i64, 20i64);
+        g.store(z, 0i64, 30i64);
+        g.br(head);
+        g.switch_to(head);
+        let i = g.load(Ty::I64, x, 0i64);
+        let more = g.cmp(CmpOp::Lt, i, 6i64);
+        g.cond_br(more, body, exit);
+        g.switch_to(body);
+        let a = g.load(Ty::I64, y, 0i64);
+        let b = g.load(Ty::I64, y, 1i64);
+        let t = g.add(Ty::I64, a, b);
+        g.store(y, 0i64, t);
+        let i2 = g.add(Ty::I64, i, 1i64);
+        g.store(x, 0i64, i2);
+        g.br(head);
+        g.switch_to(exit);
+        let r0 = g.load(Ty::I64, y, 0i64);
+        let r1 = g.load(Ty::I64, z, 0i64);
+        let r = g.add(Ty::I64, r0, r1);
+        g.ret(r);
+        mb.define(g);
+
+        let heap = fb.alloc(5i64);
+        fb.store(heap, 3i64, 100i64);
+        let m = fb.salloc(2i64);
+        fb.store(m, 0i64, 1i64);
+        fb.store(m, 1i64, 2i64);
+        for arg in [2i64, 4] {
+            let v = fb.call(f, Some(Ty::I64), vec![arg.into()]);
+            fb.out_i(v);
+        }
+        let u = fb.load(Ty::I64, m, 1i64);
+        fb.out_i(u);
+        let h = fb.load(Ty::I64, heap, 3i64);
+        fb.out_i(h);
+        fb.ret_void();
+    })
+}
+
+/// Every bit of a fault into every `salloc` result — the pointer moves to
+/// a neighbour slot, into the caller's frame, past the stack's end, or
+/// (stack tag cleared) onto the heap — cold, cold beside the golden
+/// store, and resumed from every checkpoint before the flip, addressed as
+/// `NthDynamic` and as `NthOfInst`, on the bare loops and on the observed
+/// loop with the trace on. The slotted lowering would not see the flipped
+/// pointer, so each of these runs must finish on the generic one; a fault
+/// anywhere else must not.
+fn faults_into_slot_pointers_match_the_oracle() {
+    let m = slots_module();
+    let input = ProgInput::default();
+    let (bare, obs) = (Interp::new(&m, exec()), Interp::new(&m, observed()));
+    let ckpt = CheckpointConfig {
+        interval: 7,
+        mode: SnapshotMode::Delta,
+        keyframe_every: 3,
+        ..CheckpointConfig::default()
+    };
+    let (golden, store) = obs.run_with_checkpoint_store(&input, ckpt);
+    assert!(golden.exited());
+    assert!(store.len() > 10, "{} checkpoints", store.len());
+    let (slotted, all) = bare.slot_coverage();
+    assert_eq!((slotted, all), (14, 16), "only the heap accesses compute");
+
+    // every injectable production of the golden run, in order: its
+    // `NthDynamic` index is its position, its `NthOfInst` index the
+    // number of earlier productions of the same instruction
+    let numbering = m.numbering();
+    let productions: Vec<GlobalInstId> = golden
+        .trace
+        .as_ref()
+        .expect("traced")
+        .iter()
+        .map(|e| numbering.id_of(e.dense as usize))
+        .filter(|&gid| m.inst(gid).injectable())
+        .collect();
+    let check = |what: &str, r: Result<(), TestCaseError>| {
+        r.unwrap_or_else(|e| panic!("{what}: {e}"));
+    };
+    let mut scratch = ExecScratch::default();
+    let (mut into_salloc, mut elsewhere) = (0, 0);
+    for (nth, &gid) in productions.iter().enumerate() {
+        let is_salloc = matches!(m.inst(gid).kind, InstKind::Salloc { .. });
+        let of_inst = productions[..nth].iter().filter(|&&g| g == gid).count() as u64;
+        let dense = numbering.index(gid);
+        // all 64 bits of a slot pointer; one bit of everything else
+        let bits = if is_salloc { 0..64 } else { 1..2 };
+        for bit in bits {
+            for target in [
+                FaultTarget::NthDynamic(nth as u64),
+                FaultTarget::NthOfInst(gid, of_inst),
+            ] {
+                let fault = FaultSpec { target, bit };
+                let what = format!("{fault:?}");
+                let reference = oracle::run_with_fault(&bare, &input, fault);
+                assert!(reference.fault_applied, "{what}");
+                let cold = bare.run_with_fault_in(&mut scratch, &input, fault);
+                check(&what, same_result(&cold, &reference));
+                assert_eq!(scratch.finished_on_generic(), is_salloc, "{what}");
+                let beside = bare.run_with_fault_against(&mut scratch, &store, &input, fault);
+                check(&what, same_result(&beside, &reference));
+                assert_eq!(scratch.finished_on_generic(), is_salloc, "{what}");
+                let traced = obs.run_with_fault_in(&mut scratch, &input, fault);
+                check(
+                    &what,
+                    same_result(&traced, &oracle::run_with_fault(&obs, &input, fault)),
+                );
+                assert!(scratch.finished_on_generic(), "observed, {what}");
+
+                let before_flip = |i: usize| match target {
+                    FaultTarget::NthDynamic(n) => store.inj_ctr_at(i) <= n,
+                    FaultTarget::NthOfInst(_, n) => store.inj_count_at(i, dense) <= n,
+                };
+                for idx in (0..store.len()).filter(|&i| before_flip(i)) {
+                    let what = format!("{what} from checkpoint {idx}");
+                    let resumed = bare.resume_from(&mut scratch, &store, idx, &input, fault);
+                    check(
+                        &what,
+                        same_result(
+                            &resumed,
+                            &oracle::resume_from(&bare, &store, idx, &input, fault),
+                        ),
+                    );
+                    assert_eq!(scratch.finished_on_generic(), is_salloc, "{what}");
+                    let traced = obs.resume_from(&mut scratch, &store, idx, &input, fault);
+                    check(
+                        &what,
+                        same_result(
+                            &traced,
+                            &oracle::resume_from(&obs, &store, idx, &input, fault),
+                        ),
+                    );
+                    SEEN.resumed.fetch_add(1, Ordering::Relaxed);
+                    if is_salloc {
+                        SEEN.on_generic.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+                *if is_salloc {
+                    &mut into_salloc
+                } else {
+                    &mut elsewhere
+                } += 1;
+            }
+        }
+    }
+    // x, y, z in two calls and main's own slot; every ending a moved
+    // pointer can have was among them
+    assert_eq!(into_salloc, 7 * 64 * 2);
+    assert!(elsewhere > 100, "{elsewhere} faults outside slot pointers");
+    let moved = |bit| {
+        let y_in_the_second_call = productions
+            .iter()
+            .enumerate()
+            .filter(|(_, &g)| matches!(m.inst(g).kind, InstKind::Salloc { .. }))
+            .nth(5)
+            .expect("seven sallocs run")
+            .0 as u64;
+        let fault = FaultSpec {
+            target: FaultTarget::NthDynamic(y_in_the_second_call),
+            bit,
+        };
+        let r = bare.run_with_fault(&input, fault);
+        (r.termination, r.output == golden.output)
+    };
+    // y = stack word 3: bit 0 -> x's slot, bit 1 -> the caller's m[1],
+    // bit 3 -> past the end, bit 62 -> heap word 3
+    assert_eq!(moved(0), (Termination::Exit, false), "neighbour slot");
+    assert_eq!(moved(1), (Termination::Exit, false), "caller's frame");
+    assert_eq!(
+        moved(3).0,
+        Termination::Trap(TrapKind::OutOfBounds),
+        "past the stack's end"
+    );
+    assert_eq!(moved(62), (Termination::Exit, false), "onto the heap");
+
+    // and a fault-free run never leaves the slotted lowering
+    let mut scratch = ExecScratch::default();
+    let idx = store.len() / 2;
+    let never = FaultSpec {
+        target: FaultTarget::NthDynamic(u64::MAX),
+        bit: 0,
+    };
+    let r = bare.resume_from(&mut scratch, &store, idx, &input, never);
+    assert!(!r.fault_applied && r.output == golden.output);
+    assert!(!scratch.finished_on_generic());
+    assert_eq!(fault_free_runs_match(&m, &input, exec()), Termination::Exit);
+}
+
+/// The slot-addressing rewrite against the oracle where it applies and
+/// where it must not, and the evidence that both were exercised.
+#[test]
+fn slot_addressing_matches_the_oracle_and_yields_where_it_must() {
+    ineligible_shapes_stay_on_the_operand_path();
+    faults_into_slot_pointers_match_the_oracle();
+    let n = |c: &AtomicUsize| c.load(Ordering::Relaxed);
+    assert!(
+        n(&SEEN.slot_halves) >= 50,
+        "{} slot halves ran",
+        n(&SEEN.slot_halves)
+    );
+    assert!(
+        n(&SEEN.on_generic) >= 1000,
+        "{} generic runs",
+        n(&SEEN.on_generic)
+    );
+    assert!(
+        n(&SEEN.ineligible) >= 15,
+        "{} ineligible halves",
+        n(&SEEN.ineligible)
+    );
 }

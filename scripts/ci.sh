@@ -14,6 +14,14 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo test (workspace)"
 cargo test -q --workspace --offline
 
+echo "== cargo test --release (interpreter + engine equivalence)"
+# the debug profile above compiles `debug_assert!` in and std checks
+# `get_unchecked`; what ships is the release build, where the restore
+# checks and the slot-addressing bounds are all that stand between a bad
+# checkpoint image and an out-of-bounds read
+cargo test --release -q --offline -p minpsid-interp
+cargo test --release -q --offline --test engine_equivalence
+
 echo "== fig2 smoke (--preset tiny)"
 cargo run --release --offline -q -p minpsid-bench --bin fig2_baseline_loss -- \
   --preset tiny --bench pathfinder --seed 42 >/dev/null
@@ -53,6 +61,12 @@ test -s "$TRACE_TMP/journal-kill/campaign.wal"
 "$CLI" "${SMOKE_ARGS[@]}" --resume "$TRACE_TMP/journal-kill" \
   > "$TRACE_TMP/resumed.txt"
 diff "$TRACE_TMP/uninterrupted.txt" "$TRACE_TMP/resumed.txt"
+
+echo "== unknown-flag smoke (a misspelt flag is a usage error, not a different run)"
+if BOGUS_OUT="$("$CLI" fi hpccg --quick --bogus-flag 2>&1)"; then
+  echo "fi --bogus-flag exited 0"; exit 1
+fi
+grep -q "unknown flag --bogus-flag" <<<"$BOGUS_OUT"
 
 echo "== chaos smoke (worker panics degrade to engine errors)"
 # --max-retries 0: with the default retry budget the scheduler would heal

@@ -9,7 +9,8 @@
 //! deduplicated repeats — reports and journals for it. And the
 //! interpreter's side of the bargain, on all 11 kernels: the decoded
 //! engine's one-pass golden run and shared-interpreter input search
-//! against the reference oracle and per-candidate profiling.
+//! against the reference oracle and per-candidate profiling, and faults
+//! into the stack-slot pointers its slot addressing takes for granted.
 
 use minpsid_repro::faultsim::{
     faulty_exec_config, golden_run, CampaignConfig, CampaignConfigBuilder, CampaignEngine,
@@ -319,6 +320,79 @@ fn one_pass_golden_run_equals_the_oracles_two_passes_on_every_kernel() {
             );
         }
     }
+}
+
+/// The decoded engine addresses a function's constant stack slots at
+/// decode time, which is exact only while every `salloc` register holds
+/// the pointer its `salloc` produced. On every kernel, a flip of that
+/// pointer — at every `salloc` site, in its first and its last execution,
+/// on bits that move it to a neighbour word (0), far off (5, 17), onto the
+/// heap (62, the stack tag) and out of any space (63) — ends as the
+/// reference oracle says, cold beside the golden store and resumed from
+/// the nearest checkpoint. And every kernel keeps most of its loads and
+/// stores slot-addressed: a front end that stops emitting entry-block
+/// slots fails here instead of quietly costing a sixth of the speed.
+#[test]
+fn faults_into_slot_pointers_equal_the_oracle_on_every_kernel() {
+    use minpsid_repro::interp::{oracle, ExecScratch, FaultSpec, FaultTarget, Interp};
+    use minpsid_repro::ir::InstKind;
+
+    let cfg = CampaignConfigBuilder::new(7).build();
+    let (mut sites, mut resumed, mut on_generic) = (0, 0, 0);
+    for b in workloads::suite() {
+        let (module, input) = bench_module(b.name);
+        let golden = golden_run(&module, &input, &cfg).expect("golden run");
+        let interp = Interp::new(&module, faulty_exec_config(&cfg, golden.steps));
+
+        let (slotted, all) = interp.slot_coverage();
+        assert!(
+            slotted * 10 >= all * 7,
+            "{}: only {slotted} of {all} loads and stores are slot-addressed",
+            b.name
+        );
+
+        let numbering = module.numbering();
+        let mut scratch = ExecScratch::default();
+        for (gid, inst) in module.iter_insts() {
+            let dense = numbering.index(gid);
+            let executions = golden.profile.inst_counts[dense];
+            if !matches!(inst.kind, InstKind::Salloc { .. }) || executions == 0 {
+                continue;
+            }
+            sites += 1;
+            for nth in [0, executions - 1] {
+                for bit in [0, 5, 17, 62, 63] {
+                    let fault = FaultSpec {
+                        target: FaultTarget::NthOfInst(gid, nth),
+                        bit,
+                    };
+                    let what = format!("{} {fault:?}", b.name);
+                    let want = oracle::run_with_fault(&interp, &input, fault);
+                    assert!(want.fault_applied, "{what}");
+                    let ends = |r: &minpsid_repro::interp::ExecResult| {
+                        (r.termination, r.output.clone(), r.steps, r.fault_applied)
+                    };
+                    let store = &golden.checkpoints;
+                    let cold = interp.run_with_fault_against(&mut scratch, store, &input, fault);
+                    assert_eq!(ends(&cold), ends(&want), "{what}, cold");
+                    on_generic += usize::from(scratch.finished_on_generic());
+                    if let Some(idx) = store.nearest_for_inst(dense, nth) {
+                        let warm = interp.resume_from(&mut scratch, store, idx, &input, fault);
+                        assert_eq!(ends(&warm), ends(&want), "{what}, from checkpoint {idx}");
+                        assert!(scratch.finished_on_generic(), "{what}");
+                        resumed += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(sites >= 20, "{sites} salloc sites");
+    assert_eq!(
+        on_generic,
+        sites * 10,
+        "every flipped slot pointer goes generic"
+    );
+    assert!(resumed >= 100, "{resumed} resumed runs");
 }
 
 /// The input search evaluates every GA candidate on the one profiling
