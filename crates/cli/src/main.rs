@@ -19,9 +19,8 @@ use minpsid::{
 };
 use minpsid_faultsim::config::flag_value;
 use minpsid_faultsim::{
-    binomial_ci, golden_run, interrupt, CampaignConfig, CampaignConfigBuilder, CampaignEngine,
-    CampaignJournal, Deadline, FailureKind, Outcome, OutcomeCounts, ProgramCampaign, SchedSnapshot,
-    Scheduler, TableMemo, TableStatsSnapshot,
+    golden_run, interrupt, CampaignConfig, CampaignConfigBuilder, CampaignEngine, CampaignJournal,
+    Deadline, ProgramCampaign, SchedSnapshot, Scheduler, TableMemo, TableStatsSnapshot,
 };
 use minpsid_interp::{ExecConfig, Interp, ProgInput, Scalar};
 use minpsid_ir::printer::print_module;
@@ -77,8 +76,7 @@ fn main() -> ExitCode {
     // Chaos knob for the artifact store, deliberately outside every
     // config fingerprint: flips a bit in stored artifacts to prove the
     // store detects, quarantines, and recomputes. Parsed before
-    // dispatch so every store this process (or a re-exec'd worker)
-    // opens inherits it.
+    // dispatch so every store this process opens inherits it.
     if let Err(e) = init_process_flags(rest) {
         eprintln!("error: {e}");
         return ExitCode::FAILURE;
@@ -109,8 +107,6 @@ fn main() -> ExitCode {
         "compile" => cmd_compile(rest),
         "run" => cmd_run(rest),
         "fi" => cmd_fi(rest),
-        // hidden: fleet worker process, re-exec'd by `fi --workers`
-        "worker" => cmd_worker(rest),
         "analyze" => cmd_analyze(rest),
         "cfg" => cmd_cfg(rest),
         "propagate" => cmd_propagate(rest),
@@ -323,10 +319,10 @@ fn finish_interp_profile(rest: &[String]) -> Result<(), String> {
 }
 
 /// Every `--flag` a subcommand reads and whether a value follows it, the
-/// hidden worker and chaos flags included. Anything else on the command
-/// line that starts with `--` is a usage error (a misspelt flag used to
-/// run a different experiment, silently); a test holds the table to the
-/// flags [`USAGE`] documents.
+/// chaos flags included. Anything else on the command line that starts
+/// with `--` is a usage error (a misspelt flag used to run a different
+/// experiment, silently); a test holds the table to the flags [`USAGE`]
+/// documents.
 const FLAGS: &[(&str, bool)] = &[
     // what to run on
     ("--args", false), // followed by any number of `i:N` / `f:X`
@@ -353,17 +349,6 @@ const FLAGS: &[(&str, bool)] = &[
     ("--injection-timeout-ms", true),
     ("--chaos-panic-one-in", true),
     ("--chaos-timeout-one-in", true),
-    // fleet
-    ("--workers", true),
-    ("--fleet-lease-ms", true),
-    ("--shards-per-worker", true),
-    ("--poison-after", true),
-    ("--chaos-kill-worker-ms", true),
-    ("--chaos-abort-unit", true),
-    ("--chaos-poison-unit", true),
-    ("--chaos-hang-unit", true),
-    ("--worker-id", true), // hidden: `minpsid worker`
-    ("--spool-dir", true), // hidden: `minpsid worker`
     // scheduling
     ("--deadline-secs", true),
     ("--max-retries", true),
@@ -455,31 +440,6 @@ FI campaign options (fi/analyze/sid/minpsid):
                             worker to exercise fault isolation
   --chaos-timeout-one-in N  test harness: synthetic timeout in every Nth
                             injection to exercise retry → quarantine
-
-process-isolated fleet (fi):
-  --workers N               run the campaign across N supervised worker
-                            processes instead of threads; a worker
-                            killed mid-shard (SIGKILL, abort, OOM,
-                            hang) is restarted and its shard
-                            reassigned, and the report and journal stay
-                            byte-identical to a --threads run
-  --fleet-lease-ms MS       heartbeat lease on a shard before the
-                            holder is presumed hung and killed
-                            (default 10000)
-  --shards-per-worker N     plan granularity: shards = workers × N
-                            (default 4)
-  --poison-after K          kills of non-chaos workers a shard may
-                            cause before it is quarantined as poisoned
-                            (default 3)
-  --chaos-kill-worker-ms MS test harness: SIGKILL a random busy worker
-                            every MS milliseconds; the report must not
-                            change
-  --chaos-abort-unit I      test harness: worker aborts at plan index I
-                            on the first attempt (transient fault)
-  --chaos-poison-unit I     test harness: worker aborts at plan index I
-                            on every attempt (poisoned shard)
-  --chaos-hang-unit I       test harness: worker hangs at plan index I
-                            on the first attempt (lease expiry)
 
 resilient scheduling (fi/analyze/sid/minpsid):
   --deadline-secs S         global wall-clock budget; expired work is
@@ -698,16 +658,6 @@ fn cmd_run(rest: &[String]) -> Result<(), String> {
 
 fn cmd_fi(rest: &[String]) -> Result<(), String> {
     let name = first_arg(rest, "benchmark name")?;
-    if let Some(w) = parse_positive(rest, "--workers", "want a positive worker-process count")? {
-        if parse_deadline(rest)?.is_some() {
-            return Err(
-                "--workers does not combine with --deadline-secs; deadline-bounded \
-                 campaigns use the in-process --threads path"
-                    .into(),
-            );
-        }
-        return cmd_fi_fleet(name, rest, w as usize);
-    }
     let module = load_module(name)?;
     let input = parse_input(name, rest)?;
     let campaign = parse_campaign(rest)?;
@@ -1014,9 +964,6 @@ fn fi_resume_hint(rest: &[String], j: &CampaignJournal) -> String {
     )
 }
 
-/// The `fi` report, shared verbatim by the `--threads` and `--workers`
-/// paths so process isolation can be byte-identity-tested against
-/// in-process execution.
 fn print_fi_report(c: &ProgramCampaign, snap: &SchedSnapshot) -> Result<(), String> {
     println!("injections: {}", c.counts.total());
     println!("  benign:   {}", c.counts.benign);
@@ -1042,12 +989,6 @@ fn print_fi_report(c: &ProgramCampaign, snap: &SchedSnapshot) -> Result<(), Stri
             c.truncated, c.planned
         );
     }
-    if snap.quarantined_injections > 0 {
-        println!(
-            "  quarantined: {} of {} planned (poisoned shards)",
-            snap.quarantined_injections, c.planned
-        );
-    }
     println!(
         "SDC probability: {:.2}% (95% CI {:.2}%..{:.2}%)",
         c.sdc_prob() * 100.0,
@@ -1063,282 +1004,6 @@ fn print_fi_report(c: &ProgramCampaign, snap: &SchedSnapshot) -> Result<(), Stri
         ));
     }
     Ok(())
-}
-
-/// Flags the supervisor consumes (or that would be wrong to duplicate
-/// in a worker: its own journal, status server, trace file) — stripped,
-/// with their values, from the argv re-exec'd into worker processes.
-const FLEET_SUPERVISOR_FLAGS: &[&str] = &[
-    "--workers",
-    "--threads",
-    "--journal",
-    "--resume",
-    "--store",
-    "--trace-out",
-    "--status-addr",
-    "--fleet-lease-ms",
-    "--shards-per-worker",
-    "--poison-after",
-    "--chaos-kill-worker-ms",
-    "--progress",
-    "--quiet",
-    // table memoization is supervisor-side (workers have no store)
-    "--incremental",
-    "--no-incremental",
-];
-
-/// The argv a fleet worker is re-exec'd with: the benchmark name plus
-/// every campaign-relevant flag, minus supervisor-side concerns.
-fn worker_args(name: &str, rest: &[String]) -> Vec<String> {
-    let mut out = vec![name.to_string()];
-    let mut i = 0;
-    let mut seen_name = false;
-    while i < rest.len() {
-        let a = &rest[i];
-        if !seen_name && a == name && !a.starts_with("--") {
-            seen_name = true; // the positional we already re-emitted
-            i += 1;
-            continue;
-        }
-        if FLEET_SUPERVISOR_FLAGS.contains(&a.as_str()) {
-            i += 1 + usize::from(takes_value(a) == Some(true));
-            continue;
-        }
-        out.push(a.clone());
-        i += 1;
-    }
-    out
-}
-
-/// `fi --workers N`: the process-isolated campaign fleet.
-///
-/// The supervisor runs its own golden run (for the plan and a
-/// determinism cross-check), re-execs this binary as N `worker`
-/// processes, leases shards to them, and merges their spool segments in
-/// plan order. The printed report — and, under `--journal`, the WAL —
-/// is byte-identical to the in-process `--threads` path, including
-/// under `--chaos-kill-worker-ms` random kills; shards that keep
-/// killing workers are quarantined as poisoned instead of sinking the
-/// campaign.
-fn cmd_fi_fleet(name: &str, rest: &[String], workers: usize) -> Result<(), String> {
-    let module = load_module(name)?;
-    let input = parse_input(name, rest)?;
-    let campaign = parse_campaign(rest)?;
-    let sched = Scheduler::new(campaign.sched.clone(), Deadline::from_secs(None));
-    let injections = campaign.injections as u64;
-    let input_fp = input_fingerprint(&input);
-
-    let journal = open_fi_journal(rest, &module, &campaign, open_run_store(rest)?)?;
-    // Fleet runs are always interruptible: SIGTERM/SIGINT stop leasing,
-    // salvage finished units, and (when journaled) leave a resumable WAL.
-    install_interrupt_handlers();
-    interrupt::clear();
-
-    let golden =
-        golden_run(&module, &input, &campaign).map_err(|t| format!("golden run failed: {t:?}"))?;
-    let population = golden.profile.injectable_execs;
-    if population == 0 || injections == 0 {
-        let c = ProgramCampaign {
-            counts: OutcomeCounts::default(),
-            sdc_ci: binomial_ci(0, 0, campaign.sched.ci_z),
-            planned: 0,
-            truncated: 0,
-            recovered: 0,
-        };
-        return print_fi_report(&c, &sched.snapshot());
-    }
-
-    sched.add_planned(injections);
-
-    // Probe the journal in plan order: served outcomes and honoured
-    // quarantines never reach a worker.
-    let mut served: Vec<Option<Outcome>> = vec![None; injections as usize];
-    let mut prequarantined = vec![false; injections as usize];
-    let mut units = Vec::with_capacity(injections as usize);
-    for i in 0..injections {
-        if let Some(j) = &journal {
-            if let Some(o) = j.program_outcome(input_fp, i).and_then(Outcome::from_u8) {
-                served[i as usize] = Some(o);
-                sched.note_completed(1);
-                continue;
-            }
-            if j.quarantined_site(input_fp, i).is_some() {
-                prequarantined[i as usize] = true;
-                sched.note_quarantine_skipped(1);
-                continue;
-            }
-        }
-        units.push(i);
-    }
-
-    let mut fcfg = minpsid_fleet::FleetConfig::new(workers);
-    if let Some(ms) = parse_positive(rest, "--fleet-lease-ms", "want milliseconds")? {
-        fcfg.lease_ms = ms;
-    }
-    if let Some(n) = parse_positive(rest, "--shards-per-worker", "want a positive shard count")? {
-        fcfg.shards_per_worker = n as usize;
-    }
-    if let Some(n) = parse_positive(rest, "--poison-after", "want a positive kill count")? {
-        fcfg.poison_after = n as u32;
-    }
-    if let Some(ms) = parse_positive(rest, "--chaos-kill-worker-ms", "want milliseconds")? {
-        fcfg.chaos_kill_worker_ms = Some(ms);
-    }
-
-    let spool = match &journal {
-        Some(j) => j.dir().join("spool"),
-        None => std::env::temp_dir().join(format!("minpsid-fleet-{}", std::process::id())),
-    };
-    let _ = std::fs::remove_dir_all(&spool);
-
-    let exe = std::env::current_exe().map_err(|e| format!("locating own binary: {e}"))?;
-    let wargs = worker_args(name, rest);
-    diag!(
-        "fleet: {workers} worker processes over {} pending of {injections} planned injections",
-        units.len()
-    );
-    let fo = minpsid_fleet::run_fleet(&fcfg, &units, population, &spool, |k| {
-        std::process::Command::new(&exe)
-            .arg("worker")
-            .args(&wargs)
-            .args(["--worker-id", &k.to_string(), "--spool-dir"])
-            .arg(&spool)
-            .arg("--quiet")
-            .stdin(std::process::Stdio::piped())
-            .stdout(std::process::Stdio::piped())
-            .stderr(std::process::Stdio::inherit())
-            .spawn()
-    })
-    .map_err(|e| format!("fleet supervisor: {e}"))?;
-
-    // Merge in plan order: the journal (and the report) end up
-    // byte-identical to a single-process run over the same plan.
-    let mut counts = OutcomeCounts::default();
-    let mut recovered = 0u64;
-    let mut missing = 0u64;
-    for i in 0..injections {
-        let idx = i as usize;
-        if let Some(o) = served[idx] {
-            counts.record(o);
-            continue;
-        }
-        if prequarantined[idx] {
-            continue;
-        }
-        if let Some((byte, rec)) = fo.ledger.get(i) {
-            let o = Outcome::from_u8(byte)
-                .ok_or_else(|| format!("corrupt spool outcome byte {byte} for unit {i}"))?;
-            if let Some(j) = &journal {
-                j.record_program(input_fp, i, byte);
-            }
-            sched.note_completed(1);
-            counts.record(o);
-            recovered += u64::from(rec);
-        } else if fo.poisoned.contains(&i) {
-            if let Some(j) = &journal {
-                j.record_quarantine(input_fp, i, FailureKind::PoisonedShard.to_u8());
-            }
-            sched.note_quarantine_skipped(1);
-        } else {
-            missing += 1;
-        }
-    }
-    if let Some(j) = &journal {
-        j.sync().map_err(|e| format!("syncing journal: {e}"))?;
-    }
-    let _ = std::fs::remove_dir_all(&spool);
-
-    if fo.stats.deaths > 0 || fo.stats.poisoned_shards > 0 || fo.stats.corrupt_segments > 0 {
-        diag!(
-            "fleet: {} spawns, {} deaths ({} chaos kills, {} lease expiries), \
-             {} shards reassigned, {} poisoned, {} corrupt segments re-executed",
-            fo.stats.spawns,
-            fo.stats.deaths,
-            fo.stats.chaos_kills,
-            fo.stats.lease_expiries,
-            fo.stats.reassigned,
-            fo.stats.poisoned_shards,
-            fo.stats.corrupt_segments
-        );
-    }
-    if fo.interrupted || missing > 0 {
-        return Err(match &journal {
-            Some(j) => fi_resume_hint(rest, j),
-            None => format!(
-                "interrupted with {missing} injections unfinished \
-                 (add --journal DIR to make fleet runs resumable)"
-            ),
-        });
-    }
-
-    let c = ProgramCampaign {
-        counts,
-        sdc_ci: binomial_ci(counts.sdc, counts.valid_total(), campaign.sched.ci_z),
-        planned: injections,
-        truncated: 0,
-        recovered,
-    };
-    print_fi_report(&c, &sched.snapshot())?;
-    if let Some(j) = &journal {
-        let (served, appended) = j.usage();
-        diag!(
-            "journal: {served} injections served, {appended} records appended ({})",
-            j.dir().display()
-        );
-    }
-    Ok(())
-}
-
-/// Hidden subcommand: one fleet worker process. Protocol on
-/// stdin/stdout, results spooled to `--spool-dir`; see `minpsid-fleet`.
-/// The `--chaos-*-unit` knobs let tests make this process abort or hang
-/// at a specific plan index — on the first attempt only (transient) or
-/// on every attempt (a poisoned shard).
-fn cmd_worker(rest: &[String]) -> Result<(), String> {
-    let name = first_arg(rest, "benchmark name")?;
-    let spool =
-        flag_value(rest, "--spool-dir")?.ok_or("worker: missing --spool-dir (internal command)")?;
-    let chaos = |flag: &str| -> Result<Option<u64>, String> {
-        flag_value(rest, flag)?
-            .map(|v| {
-                v.parse::<u64>()
-                    .map_err(|_| format!("bad {flag} `{v}` (want a plan index)"))
-            })
-            .transpose()
-    };
-    let abort_unit = chaos("--chaos-abort-unit")?;
-    let poison_unit = chaos("--chaos-poison-unit")?;
-    let hang_unit = chaos("--chaos-hang-unit")?;
-
-    let module = load_module(name)?;
-    let input = parse_input(name, rest)?;
-    let campaign = parse_campaign(rest)?;
-    let sched = Scheduler::new(campaign.sched.clone(), Deadline::from_secs(None));
-    let golden = golden_run(&module, &input, &campaign)
-        .map_err(|t| format!("worker golden run failed: {t:?}"))?;
-    let engine = CampaignEngine::new(&module, &input, &golden, &campaign).with_scheduler(&sched);
-    let mut ex = engine.program_executor();
-    let population = ex.population();
-    minpsid_fleet::run_worker(
-        std::path::Path::new(&spool),
-        population,
-        move |unit, attempt| {
-            if poison_unit == Some(unit) {
-                std::process::abort(); // poisoned: dies on every attempt
-            }
-            if abort_unit == Some(unit) && attempt == 0 {
-                std::process::abort(); // transient: recovers on reassignment
-            }
-            if hang_unit == Some(unit) && attempt == 0 {
-                loop {
-                    std::thread::sleep(std::time::Duration::from_secs(3600));
-                }
-            }
-            let (o, rec) = ex.run_unit(unit as usize);
-            (o.to_u8(), rec)
-        },
-    )
-    .map_err(|e| format!("worker: {e}"))
 }
 
 /// Rank instructions by SDC benefit under the reference input — the
@@ -1494,11 +1159,10 @@ fn cmd_sid(rest: &[String]) -> Result<(), String> {
 }
 
 /// Route SIGINT *and* SIGTERM through the cooperative interrupt flag so
-/// a journaled campaign (or a fleet supervisor) flushes its WAL and
-/// exits with a resume hint instead of dying mid-write. Process
-/// managers and CI cancelers send SIGTERM, interactive ^C sends SIGINT;
-/// both deserve the same graceful path. Only an atomic store happens in
-/// the handler.
+/// a journaled campaign flushes its WAL and exits with a resume hint
+/// instead of dying mid-write. Process managers and CI cancelers send
+/// SIGTERM, interactive ^C sends SIGINT; both deserve the same graceful
+/// path. Only an atomic store happens in the handler.
 #[cfg(unix)]
 fn install_interrupt_handlers() {
     extern "C" {
@@ -1833,43 +1497,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_args_strip_supervisor_concerns() {
-        let rest = args(&[
-            "fft",
-            "--quick",
-            "--workers",
-            "4",
-            "--seed",
-            "7",
-            "--journal",
-            "/tmp/j",
-            "--trace-out",
-            "/tmp/t.jsonl",
-            "--status-addr",
-            "127.0.0.1:9090",
-            "--threads",
-            "8",
-            "--fleet-lease-ms",
-            "500",
-            "--poison-after",
-            "2",
-            "--chaos-kill-worker-ms",
-            "25",
-            "--progress",
-            "--chaos-abort-unit",
-            "5",
-        ]);
-        let w = worker_args("fft", &rest);
-        // bench name stays first (first_arg only inspects rest[0])
-        assert_eq!(w[0], "fft");
-        // campaign-relevant flags survive, supervisor concerns don't
-        assert_eq!(
-            w[1..],
-            args(&["--quick", "--seed", "7", "--chaos-abort-unit", "5"])
-        );
-    }
-
-    #[test]
     fn fi_journal_key_mixes_seed_and_plan_size() {
         let base = CampaignConfig::default();
         let mut other_seed = base.clone();
@@ -1881,9 +1508,9 @@ mod tests {
         assert_eq!(fi_journal_key(&base), fi_journal_key(&base.clone()));
     }
 
-    /// The flag table against the usage text: the same flags (but for the
-    /// two only a re-exec'd worker is ever handed), and a value column
-    /// that agrees with every `--flag VALUE` line of the option lists.
+    /// The flag table against the usage text: the same flags, and a value
+    /// column that agrees with every `--flag VALUE` line of the option
+    /// lists.
     #[test]
     fn flag_table_is_what_usage_documents() {
         use std::collections::BTreeSet;
@@ -1891,14 +1518,9 @@ mod tests {
             .split(|c: char| !(c.is_ascii_lowercase() || c == '-'))
             .filter(|w| w.len() > 2 && w.starts_with("--"))
             .collect();
-        let hidden = ["--worker-id", "--spool-dir"];
-        let table: BTreeSet<&str> = FLAGS
-            .iter()
-            .map(|&(f, _)| f)
-            .filter(|f| !hidden.contains(f))
-            .collect();
+        let table: BTreeSet<&str> = FLAGS.iter().map(|&(f, _)| f).collect();
         assert_eq!(documented, table);
-        assert_eq!(FLAGS.len(), table.len() + hidden.len(), "a flag twice");
+        assert_eq!(FLAGS.len(), table.len(), "a flag twice");
 
         let mut option_lines = 0;
         for line in USAGE.lines().filter(|l| l.starts_with("  --")) {
@@ -1910,7 +1532,7 @@ mod tests {
             assert_eq!(takes_value(flag), Some(placeholder), "{line}");
             option_lines += 1;
         }
-        assert!(option_lines >= 35, "{option_lines} option lines");
+        assert!(option_lines >= 30, "{option_lines} option lines");
     }
 
     #[test]
@@ -1920,12 +1542,15 @@ mod tests {
         // removed two PRs ago, silently skipped since
         assert!(check_flags(&args(&["hpccg", "--dispatch", "legacy"])).is_err());
         assert!(check_flags(&args(&["hpccg", "--"])).is_err());
+        // the second executor's flags went with it: no silent thread run
+        let err = check_flags(&args(&["pathfinder", "--quick", "--workers", "4"])).unwrap_err();
+        assert_eq!(err, "unknown flag --workers");
+        assert!(check_flags(&args(&["7", "--spool-dir", "/tmp/s"])).is_err());
         // positionals, values with one dash and `--args` lists pass
         for ok in [
             &["bfs", "--quick", "--per-inst", "3", "--level", "-0.1"][..],
             &["custom.mc", "--args", "i:-5", "f:2.5", "--quiet"],
             &["report", "log.jsonl", "-o", "out"],
-            &["7", "--worker-id", "0", "--spool-dir", "/tmp/s"],
         ] {
             assert_eq!(check_flags(&args(ok)), Ok(()), "{ok:?}");
         }

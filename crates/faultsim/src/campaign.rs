@@ -480,14 +480,11 @@ mod tests {
         let g = golden_run(&m, &input(60), &cfg).unwrap();
         let whole = program_campaign(&m, &input(60), &g, &cfg);
 
-        // Resolve the same plan unit-at-a-time in a scrambled order —
-        // the order a fleet's shard leases (and reassignments after
-        // worker deaths) would produce — and re-aggregate.
+        // Resolve the same plan unit-at-a-time in a scrambled order and
+        // re-aggregate.
         let inp = input(60);
         let engine = CampaignEngine::new(&m, &inp, &g, &cfg);
         let mut ex = engine.program_executor();
-        assert_eq!(ex.injections(), cfg.injections);
-        assert_eq!(ex.population(), g.profile.injectable_execs);
         let mut order: Vec<usize> = (0..cfg.injections).collect();
         order.reverse();
         order.rotate_left(cfg.injections / 3);
@@ -501,7 +498,7 @@ mod tests {
             "unit-at-a-time execution must reduce to the run_program report"
         );
 
-        // and re-running a unit is idempotent (at-least-once execution)
+        // and re-running a unit is idempotent
         let mut ex2 = engine.program_executor();
         let (a, ra) = ex2.run_unit(3);
         let (b, rb) = ex2.run_unit(3);

@@ -489,9 +489,9 @@ fn resolve_injection(
 }
 
 /// Execute program-campaign unit `i` (section-local index `j` within
-/// `sec`) — the body shared by [`CampaignEngine::run_program`] and the
-/// fleet's [`ProgramUnitExecutor`], so an out-of-process shard worker
-/// resolves exactly the outcome the in-process parallel executor would.
+/// `sec`) — the body shared by [`CampaignEngine::run_program`] and
+/// [`ProgramUnitExecutor`], so a unit resolved on its own is exactly the
+/// outcome the parallel executor records at that plan position.
 ///
 /// The RNG stream is seeded by `(cfg.seed, section fingerprint, j)` —
 /// never by the flat plan position — so an unedited section draws the
@@ -1481,11 +1481,11 @@ impl<'a> CampaignEngine<'a> {
     }
 
     /// A sequential unit-at-a-time executor over this engine's program
-    /// plan, for callers that drive unit selection themselves — the fleet
-    /// worker resolves exactly the units its leased shard names, in
-    /// whatever order the supervisor hands them out, and each unit's
-    /// outcome is identical to what [`run_program`](Self::run_program)
-    /// would have produced at that plan position.
+    /// plan, for callers that drive unit selection themselves — the
+    /// benchmark's `fi_units` workload times one injection at a time — in
+    /// whatever order they choose; each unit's outcome is identical to
+    /// what [`run_program`](Self::run_program) would have produced at
+    /// that plan position.
     pub fn program_executor(&self) -> ProgramUnitExecutor<'_> {
         let (injections, population, sections) = match self.plan_program() {
             CampaignPlan::Program {
@@ -1510,18 +1510,16 @@ impl<'a> CampaignEngine<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// Pluggable shard executor
+// Unit-at-a-time executor
 // ---------------------------------------------------------------------------
 
-/// Resolves individual program-campaign units on demand.
-///
-/// This is the engine's seam for out-of-process execution: a fleet worker
-/// builds one from its own [`CampaignEngine`] (same module, input, golden
-/// run and config as the supervisor planned with) and resolves the unit
-/// indices of whatever shard it currently leases. Determinism is carried
-/// entirely by the plan position `i` — RNG seed, chaos plan and retry
-/// schedule all derive from `(cfg, i)` — so at-least-once execution
-/// across worker deaths still reduces to exactly the `--threads` report.
+/// Resolves individual program-campaign units on demand: restore →
+/// replay → classify for one plan position, with no pool, journal or
+/// table around it, which is what the benchmark's `fi_units` workload
+/// times. Determinism is carried entirely by the plan position `i` — RNG
+/// seed, chaos plan and retry schedule all derive from `(cfg, i)` — so
+/// units resolved in any order, any number of times, reduce to exactly
+/// the [`run_program`](CampaignEngine::run_program) report.
 pub struct ProgramUnitExecutor<'e> {
     cfg: &'e CampaignConfig,
     sched: &'e Scheduler,
@@ -1535,21 +1533,9 @@ pub struct ProgramUnitExecutor<'e> {
 }
 
 impl ProgramUnitExecutor<'_> {
-    /// Units in the plan (`cfg.injections`).
-    pub fn injections(&self) -> usize {
-        self.injections
-    }
-
-    /// Injectable dynamic-execution population of the golden run. When
-    /// zero the plan is empty and no unit may be run.
-    pub fn population(&self) -> u64 {
-        self.population
-    }
-
     /// Resolve unit `i`: `(classified outcome, recovered-via-retry)`.
     ///
-    /// Panics if `i` is outside the plan or the population is empty —
-    /// the supervisor never leases such units.
+    /// Panics if `i` is outside the plan or the population is empty.
     pub fn run_unit(&mut self, i: usize) -> (Outcome, bool) {
         assert!(
             i < self.injections && self.population > 0,

@@ -1,6 +1,6 @@
 //! # minpsid-journal — crash-safe campaign journal
 //!
-//! Fleet-scale SDC screening runs for hours; this crate makes the run's
+//! An SDC screening campaign runs for hours; this crate makes the run's
 //! progress durable so a crash, OOM, or `kill -9` costs seconds of
 //! replay instead of the whole campaign. The design follows the
 //! append-only, checksummed, recovery-by-replay idioms of persistent
@@ -182,10 +182,6 @@ impl State {
             } => {
                 self.quarantine.insert((input_fp, dense), reason);
             }
-            // Spool-only: workers write these into their private segments;
-            // the supervisor folds them into ProgramOutcome records before
-            // anything reaches a campaign WAL. Ignore defensively.
-            Record::ShardUnit { .. } => {}
             Record::SectionMap { entries } => self.sections = Some(entries),
         }
     }

@@ -61,15 +61,6 @@ pub enum Record {
         dense: u64,
         reason: u8,
     },
-    /// One unit of a fleet shard, written by a worker process into its
-    /// private spool segment. Spool-only: the supervisor folds these into
-    /// `ProgramOutcome` records when it merges segments in plan order, so
-    /// a campaign WAL never contains one. `State::apply` ignores them.
-    ShardUnit {
-        index: u64,
-        outcome: u8,
-        recovered: bool,
-    },
     /// Per-section identity of the module this WAL belongs to: one
     /// `(fingerprint, dense base, instruction count)` triple per
     /// function, in function order. A later open against an *edited*
@@ -88,7 +79,9 @@ const TAG_EVAL: u8 = 5;
 const TAG_ACCEPTED: u8 = 6;
 const TAG_SELECTION: u8 = 7;
 const TAG_QUARANTINE: u8 = 8;
-const TAG_SHARD_UNIT: u8 = 9;
+// 9 is reserved: it was `ShardUnit`, written only into the spool segments
+// of the process fleet removed in PR 19 (never into a campaign WAL), and
+// is never reused.
 const TAG_SECTION_MAP: u8 = 10;
 
 impl Record {
@@ -177,16 +170,6 @@ impl Record {
                 put_u64(buf, *dense);
                 buf.push(*reason);
             }
-            Record::ShardUnit {
-                index,
-                outcome,
-                recovered,
-            } => {
-                buf.push(TAG_SHARD_UNIT);
-                put_u64(buf, *index);
-                buf.push(*outcome);
-                buf.push(u8::from(*recovered));
-            }
             Record::SectionMap { entries } => {
                 buf.push(TAG_SECTION_MAP);
                 put_u64(buf, entries.len() as u64);
@@ -253,11 +236,6 @@ impl Record {
                 input_fp: r.u64()?,
                 dense: r.u64()?,
                 reason: r.u8()?,
-            },
-            TAG_SHARD_UNIT => Record::ShardUnit {
-                index: r.u64()?,
-                outcome: r.u8()?,
-                recovered: r.u8()? != 0,
             },
             TAG_SECTION_MAP => {
                 let n = r.u64()?;
@@ -333,16 +311,6 @@ mod tests {
             input_fp: 14,
             dense: 15,
             reason: 1,
-        });
-        rt(Record::ShardUnit {
-            index: 16,
-            outcome: 2,
-            recovered: true,
-        });
-        rt(Record::ShardUnit {
-            index: u64::MAX,
-            outcome: 0,
-            recovered: false,
         });
         rt(Record::SectionMap { entries: vec![] });
         rt(Record::SectionMap {

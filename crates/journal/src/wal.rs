@@ -105,9 +105,10 @@ fn count_dropped(bytes: &[u8], from: usize) -> u64 {
     count
 }
 
-/// Parse the byte image of a log. Never fails: a log that is corrupt
-/// from the first frame simply recovers zero records.
-fn scan(bytes: &[u8]) -> Recovery {
+/// Parse the byte image of a log (a file just read, or a compacted WAL
+/// snapshot loaded — verified — from the artifact store). Never fails: a
+/// log that is corrupt from the first frame simply recovers zero records.
+pub fn scan_bytes(bytes: &[u8]) -> Recovery {
     let mut rec = Recovery::default();
     let total = bytes.len() as u64;
     if bytes.len() < PREAMBLE_LEN as usize
@@ -129,12 +130,6 @@ fn scan(bytes: &[u8]) -> Recovery {
         rec.dropped_records = count_dropped(bytes, pos + 1);
     }
     rec
-}
-
-/// Parse a byte image that is already in memory (e.g. a spool segment
-/// loaded — verified — from the artifact store).
-pub fn scan_bytes(bytes: &[u8]) -> Recovery {
-    scan(bytes)
 }
 
 /// The full byte image of a log holding exactly `records` — preamble
@@ -165,9 +160,9 @@ impl WalWriter {
 
     /// Override the automatic fsync cadence. `0` disables periodic
     /// fsync entirely: only explicit [`sync`](Self::sync) calls hit
-    /// stable storage. Logs whose durability point is a single
-    /// end-of-batch barrier (fleet spool segments fsync once before
-    /// `SHARD_DONE`) use this to avoid paying fsync per batch slice.
+    /// stable storage. A writer whose durability point is a single
+    /// end-of-batch barrier (the benchmark's WAL probe times the append
+    /// alone) uses this to avoid paying fsync per batch slice.
     pub fn set_fsync_every(&mut self, every: u32) {
         self.fsync_every = every;
     }
@@ -178,11 +173,10 @@ impl WalWriter {
     }
 
     /// Append several records with a single `write` — frame encoding is
-    /// identical to one [`append`](Self::append) per record, but
-    /// high-rate writers (fleet spool segments at microseconds per
-    /// record) pay one syscall per batch instead of one per record. A
-    /// crash loses at most the batch being written, which batching
-    /// callers must already tolerate.
+    /// identical to one [`append`](Self::append) per record, but a
+    /// high-rate writer pays one syscall per batch instead of one per
+    /// record. A crash loses at most the batch being written, which
+    /// batching callers must already tolerate.
     pub fn append_batch(&mut self, records: &[Record]) -> io::Result<()> {
         if records.is_empty() {
             return Ok(());
@@ -242,7 +236,7 @@ pub fn open_wal(path: &Path) -> io::Result<(WalWriter, Recovery)> {
         ));
     }
 
-    let mut recovery = scan(&bytes);
+    let mut recovery = scan_bytes(&bytes);
     if recovery.valid_len == 0 {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -293,8 +287,7 @@ pub fn open_wal(path: &Path) -> io::Result<(WalWriter, Recovery)> {
 
 /// Read-only scan of the log at `path`: recover the intact record prefix
 /// without touching the file (no tail truncation, no writer). A missing
-/// file recovers zero records — callers merging spool segments treat
-/// "worker died before its first sync" and "empty segment" the same way.
+/// file recovers zero records.
 pub fn read_wal(path: &Path) -> io::Result<Recovery> {
     let mut bytes = Vec::new();
     match File::open(path) {
@@ -304,7 +297,7 @@ pub fn read_wal(path: &Path) -> io::Result<Recovery> {
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Recovery::default()),
         Err(e) => return Err(e),
     }
-    Ok(scan(&bytes))
+    Ok(scan_bytes(&bytes))
 }
 
 /// Atomically replace the log at `path` with a compacted one holding

@@ -47,9 +47,6 @@ struct BoardState {
     retries: u64,
     early_stops: u64,
     deadline_truncations: u64,
-    fleet_workers: u64,
-    fleet_restarts: u64,
-    fleet_poisoned_shards: u64,
 }
 
 /// Cap on the quarantine list kept in memory: `/status` is a live
@@ -112,21 +109,6 @@ impl StatusBoard {
         self.lock().deadline_truncations += 1;
     }
 
-    /// Set the current number of live fleet worker processes.
-    pub fn set_fleet_workers(&self, n: u64) {
-        self.lock().fleet_workers = n;
-    }
-
-    /// Count one fleet worker restart (death + respawn).
-    pub fn add_fleet_restart(&self) {
-        self.lock().fleet_restarts += 1;
-    }
-
-    /// Count one shard declared poisoned by the fleet supervisor.
-    pub fn add_fleet_poisoned_shard(&self) {
-        self.lock().fleet_poisoned_shards += 1;
-    }
-
     /// Render the board as a stable JSON document.
     ///
     /// `now_unix_ms` is injected so tests can pin it; the HTTP server
@@ -183,10 +165,6 @@ impl StatusBoard {
             st.deadline_truncations,
             false,
         );
-        o.push_str("},\"fleet\":{");
-        push_u64_field(&mut o, "workers", st.fleet_workers, true);
-        push_u64_field(&mut o, "restarts", st.fleet_restarts, false);
-        push_u64_field(&mut o, "poisoned_shards", st.fleet_poisoned_shards, false);
         o.push_str("}}");
         o
     }
@@ -268,8 +246,7 @@ mod tests {
         assert_eq!(
             b.render_json_at(0),
             "{\"tool\":\"\",\"now_unix_ms\":0,\"campaigns\":[],\"quarantine\":[],\
-             \"sched\":{\"retries\":0,\"early_stops\":0,\"deadline_truncations\":0},\
-             \"fleet\":{\"workers\":0,\"restarts\":0,\"poisoned_shards\":0}}"
+             \"sched\":{\"retries\":0,\"early_stops\":0,\"deadline_truncations\":0}}"
         );
     }
 
@@ -299,9 +276,6 @@ mod tests {
         b.add_retry();
         b.add_retry();
         b.add_early_stop();
-        b.set_fleet_workers(4);
-        b.add_fleet_restart();
-        b.add_fleet_poisoned_shard();
         let doc = b.render_json_at(1_700_000_000_000);
         assert_eq!(
             doc,
@@ -312,8 +286,7 @@ mod tests {
              \"completeness\":0.4,\"finished\":false}],\
              \"quarantine\":[{\"workload\":\"hpccg\",\"site\":\"inst#17\",\
              \"failures\":3}],\
-             \"sched\":{\"retries\":2,\"early_stops\":1,\"deadline_truncations\":0},\
-             \"fleet\":{\"workers\":4,\"restarts\":1,\"poisoned_shards\":1}}"
+             \"sched\":{\"retries\":2,\"early_stops\":1,\"deadline_truncations\":0}}"
         );
     }
 

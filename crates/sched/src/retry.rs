@@ -15,29 +15,25 @@ pub enum FailureKind {
     Panic,
     /// The per-injection wall-clock budget blew.
     Timeout,
-    /// The work killed its executor *process* (abort, OOM, segfault)
-    /// repeatedly: the fleet supervisor declared the shard poisoned after
-    /// K consecutive worker deaths and quarantined its injections.
-    PoisonedShard,
 }
 
 impl FailureKind {
     /// Stable byte encoding used by the journal's quarantine records.
+    /// Byte 2 is reserved: it was `PoisonedShard`, written by the process
+    /// fleet removed in PR 19, and is never reused.
     pub fn to_u8(self) -> u8 {
         match self {
             FailureKind::Panic => 0,
             FailureKind::Timeout => 1,
-            FailureKind::PoisonedShard => 2,
         }
     }
 
-    /// Inverse of [`FailureKind::to_u8`]; `None` for bytes no version
-    /// ever wrote.
+    /// Inverse of [`FailureKind::to_u8`]; `None` for every other byte,
+    /// the reserved 2 included (the engine then falls back to `Panic`).
     pub fn from_u8(b: u8) -> Option<FailureKind> {
         match b {
             0 => Some(FailureKind::Panic),
             1 => Some(FailureKind::Timeout),
-            2 => Some(FailureKind::PoisonedShard),
             _ => None,
         }
     }
@@ -46,7 +42,6 @@ impl FailureKind {
         match self {
             FailureKind::Panic => "panic",
             FailureKind::Timeout => "timeout",
-            FailureKind::PoisonedShard => "poisoned-shard",
         }
     }
 }
@@ -92,13 +87,10 @@ mod tests {
 
     #[test]
     fn failure_kind_bytes_round_trip() {
-        for k in [
-            FailureKind::Panic,
-            FailureKind::Timeout,
-            FailureKind::PoisonedShard,
-        ] {
+        for k in [FailureKind::Panic, FailureKind::Timeout] {
             assert_eq!(FailureKind::from_u8(k.to_u8()), Some(k));
         }
+        assert_eq!(FailureKind::from_u8(2), None, "reserved, not reused");
         assert_eq!(FailureKind::from_u8(3), None);
     }
 

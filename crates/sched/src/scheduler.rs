@@ -111,7 +111,6 @@ impl SiteStatus {
             SiteStatus::Truncated => "truncated",
             SiteStatus::Quarantined(FailureKind::Panic) => "quarantined(panic)",
             SiteStatus::Quarantined(FailureKind::Timeout) => "quarantined(timeout)",
-            SiteStatus::Quarantined(FailureKind::PoisonedShard) => "quarantined(poisoned-shard)",
             SiteStatus::Unsampled => "unsampled",
         }
     }

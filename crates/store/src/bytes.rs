@@ -1,5 +1,5 @@
 //! How bytes are read, written and checksummed by the journal family
-//! (`journal::record`, `journal::wal`, `fleet::proto`) and this crate:
+//! (`journal::record`, `journal::wal`) and this crate:
 //! fixed-width little-endian integers behind a checked cursor, and the
 //! FNV-1a 64 that frames WAL payloads. `minpsid_ir::bytes` is the same
 //! decision for the formats rooted at the IR crate; the two crate trees

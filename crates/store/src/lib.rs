@@ -8,7 +8,7 @@
 //! digest: a mismatch is *never* returned to the caller — the object is
 //! moved to `corrupt/` (quarantined) and surfaced as
 //! [`StoreError::Corrupt`], and the caller falls back to recomputing the
-//! artifact (goldens, checkpoints, spool segments, and compacted WALs
+//! artifact (goldens, checkpoints, outcome tables, and compacted WALs
 //! are all re-derivable). A flipped bit on disk therefore costs one
 //! recomputation instead of a silently wrong campaign report.
 //!
@@ -200,8 +200,8 @@ fn emit(op: &str, artifact: &str, bytes: u64) {
 
 /// A content-addressed store rooted at one directory. Cheap to open;
 /// safe to share across threads (all mutation happens through atomic
-/// filesystem operations) and across processes (fleet workers and the
-/// supervisor open the same root independently).
+/// filesystem operations) and across processes (two CLI invocations may
+/// open the same root independently).
 pub struct ArtifactStore {
     root: PathBuf,
     /// Chaos: flip one bit in every Nth freshly published object

@@ -349,60 +349,6 @@ fn apply(
                 board.upsert_campaign(k.view.clone());
             }
         }
-        Event::FleetWorker { event, .. } => match event.as_str() {
-            "spawned" => {
-                registry
-                    .counter(
-                        "minpsid_fleet_worker_spawns_total",
-                        "Fleet worker processes spawned (including restarts).",
-                        &[],
-                    )
-                    .inc();
-            }
-            "died" | "killed" => {
-                board.add_fleet_restart();
-                registry
-                    .counter(
-                        "minpsid_fleet_worker_deaths_total",
-                        "Fleet worker processes that died or were killed.",
-                        &[],
-                    )
-                    .inc();
-            }
-            _ => {}
-        },
-        Event::FleetShard { event, .. } => match event.as_str() {
-            "reassigned" => {
-                registry
-                    .counter(
-                        "minpsid_fleet_shards_reassigned_total",
-                        "Shards reassigned after a worker death or lease expiry.",
-                        &[],
-                    )
-                    .inc();
-            }
-            "poisoned" => {
-                board.add_fleet_poisoned_shard();
-                registry
-                    .counter(
-                        "minpsid_fleet_poisoned_shards_total",
-                        "Shards quarantined after killing consecutive workers.",
-                        &[],
-                    )
-                    .inc();
-            }
-            _ => {}
-        },
-        Event::FleetSummary { workers, .. } => {
-            board.set_fleet_workers(*workers);
-            registry
-                .gauge(
-                    "minpsid_fleet_workers",
-                    "Fleet worker slots in the supervisor.",
-                    &[],
-                )
-                .set(*workers as f64);
-        }
         Event::StoreEvent { op, artifact, .. } => {
             registry
                 .counter(
@@ -652,82 +598,6 @@ mod tests {
         assert_eq!(
             count("benign"),
             Some(SampleValue::Counter(30 + 11 + 20 + 2))
-        );
-    }
-
-    #[test]
-    fn bridge_translates_fleet_events() {
-        let registry = Registry::new();
-        let board = StatusBoard::new();
-        let mut st = BridgeState {
-            per_kind: BTreeMap::new(),
-        };
-        let mut feed = |e: Event| apply(&mut st, &ev(e), &registry, &board, "hpccg");
-        feed(Event::FleetWorker {
-            worker: 0,
-            event: "spawned".into(),
-            restarts: 0,
-        });
-        feed(Event::FleetWorker {
-            worker: 0,
-            event: "died".into(),
-            restarts: 0,
-        });
-        feed(Event::FleetWorker {
-            worker: 0,
-            event: "spawned".into(),
-            restarts: 1,
-        });
-        feed(Event::FleetShard {
-            shard: 1,
-            worker: 0,
-            attempt: 1,
-            event: "reassigned".into(),
-        });
-        feed(Event::FleetShard {
-            shard: 2,
-            worker: 3,
-            attempt: 3,
-            event: "poisoned".into(),
-        });
-        feed(Event::FleetSummary {
-            workers: 4,
-            spawns: 2,
-            deaths: 1,
-            reassigned: 1,
-            poisoned_shards: 1,
-        });
-
-        let snap = registry.snapshot();
-        let count = |name: &str| -> SampleValue {
-            snap.iter()
-                .find(|f| f.name == name)
-                .unwrap_or_else(|| panic!("family {name} registered"))
-                .series[0]
-                .value
-                .clone()
-        };
-        assert_eq!(
-            count("minpsid_fleet_worker_spawns_total"),
-            SampleValue::Counter(2)
-        );
-        assert_eq!(
-            count("minpsid_fleet_worker_deaths_total"),
-            SampleValue::Counter(1)
-        );
-        assert_eq!(
-            count("minpsid_fleet_shards_reassigned_total"),
-            SampleValue::Counter(1)
-        );
-        assert_eq!(
-            count("minpsid_fleet_poisoned_shards_total"),
-            SampleValue::Counter(1)
-        );
-        assert_eq!(count("minpsid_fleet_workers"), SampleValue::Gauge(4.0));
-        let doc = board.render_json_at(0);
-        assert!(
-            doc.contains("\"fleet\":{\"workers\":4,\"restarts\":1,\"poisoned_shards\":1}"),
-            "{doc}"
         );
     }
 

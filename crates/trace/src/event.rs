@@ -1,6 +1,6 @@
 //! The versioned trace event schema.
 //!
-//! Every JSONL line is one [`TimedEvent`]: `{"v":6,"ts_us":…,"kind":…,…}`.
+//! Every JSONL line is one [`TimedEvent`]: `{"v":9,"ts_us":…,"kind":…,…}`.
 //! `v` is [`SCHEMA_VERSION`]; the parser rejects lines whose version it
 //! does not understand, so a report can never silently misparse a log
 //! written by a different schema. Serialization is hand-rolled over
@@ -18,8 +18,7 @@ use crate::json::{parse, Json, JsonError};
 /// v4: the interpreter sampling profiler emits `interp_profile`, and the
 /// engine wraps plan/execute/reduce (plus golden runs and checkpoint
 /// capture) in span begin/end pairs so reports render a stage waterfall.
-/// v5: the process-isolated fleet emits `fleet_worker`/`fleet_shard`
-/// lifecycle events and a `fleet_summary` at the end of a `--workers` run.
+/// v5: `fleet_worker`/`fleet_shard`/`fleet_summary`, removed again in v9.
 /// v6: the content-addressed artifact store emits `store_event`
 /// (publish/load/quarantine/scrub per artifact class), and
 /// `journal_recovery` carries `dropped_records` — the count of intact
@@ -30,7 +29,9 @@ use crate::json::{parse, Json, JsonError};
 /// v8: `campaign_end` carries `deduped` — per-instruction injections that
 /// repeated a fault already run at their site and took its outcome — and
 /// `converged`/`steps_saved`, optional within v7, are required.
-pub const SCHEMA_VERSION: u32 = 8;
+/// v9: the three v5 kinds are gone with the executor that emitted them; a
+/// log holding one is an unknown kind.
+pub const SCHEMA_VERSION: u32 = 9;
 
 /// Which campaign shape produced a progress/end event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -266,34 +267,9 @@ pub enum Event {
         truncated: u64,
         completeness: f64,
     },
-    /// Fleet worker lifecycle: `event` is one of `spawned`, `ready`,
-    /// `died`, `killed` (lease expiry or kill chaos), `stopped`.
-    /// `restarts` is how many times this worker slot has been respawned.
-    FleetWorker {
-        worker: u64,
-        event: String,
-        restarts: u64,
-    },
-    /// Fleet shard lifecycle: `event` is one of `leased`, `done`,
-    /// `reassigned`, `poisoned`. `attempt` counts lease grants for this
-    /// shard (0 = first).
-    FleetShard {
-        shard: u64,
-        worker: u64,
-        attempt: u64,
-        event: String,
-    },
-    /// End-of-run fleet accounting, emitted once by the supervisor.
-    FleetSummary {
-        workers: u64,
-        spawns: u64,
-        deaths: u64,
-        reassigned: u64,
-        poisoned_shards: u64,
-    },
     /// Artifact-store operation. `op` is one of `publish`, `load`,
     /// `quarantine`, `chaos_flip`, `scrub`, `gc`; `artifact` is the
-    /// artifact class (`golden`, `ckpt`, `spool`, `wal`, …— `*` for
+    /// artifact class (`golden`, `ckpt`, `table`, `wal`, …— `*` for
     /// store-wide ops); `bytes` is the object size (for `scrub`/`gc`,
     /// the number of objects examined).
     StoreEvent {
@@ -372,9 +348,6 @@ impl Event {
             Event::DeadlineTruncation { .. } => "deadline_truncation",
             Event::InterpProfile { .. } => "interp_profile",
             Event::SchedSummary { .. } => "sched_summary",
-            Event::FleetWorker { .. } => "fleet_worker",
-            Event::FleetShard { .. } => "fleet_shard",
-            Event::FleetSummary { .. } => "fleet_summary",
             Event::StoreEvent { .. } => "store_event",
             Event::SectionEvent { .. } => "section_event",
         }
@@ -678,39 +651,6 @@ impl TimedEvent {
                 o.set("truncated", Json::U64(*truncated));
                 o.set("completeness", Json::F64(*completeness));
             }
-            Event::FleetWorker {
-                worker,
-                event,
-                restarts,
-            } => {
-                o.set("worker", Json::U64(*worker));
-                o.set("event", Json::Str(event.clone()));
-                o.set("restarts", Json::U64(*restarts));
-            }
-            Event::FleetShard {
-                shard,
-                worker,
-                attempt,
-                event,
-            } => {
-                o.set("shard", Json::U64(*shard));
-                o.set("worker", Json::U64(*worker));
-                o.set("attempt", Json::U64(*attempt));
-                o.set("event", Json::Str(event.clone()));
-            }
-            Event::FleetSummary {
-                workers,
-                spawns,
-                deaths,
-                reassigned,
-                poisoned_shards,
-            } => {
-                o.set("workers", Json::U64(*workers));
-                o.set("spawns", Json::U64(*spawns));
-                o.set("deaths", Json::U64(*deaths));
-                o.set("reassigned", Json::U64(*reassigned));
-                o.set("poisoned_shards", Json::U64(*poisoned_shards));
-            }
             Event::StoreEvent {
                 op,
                 artifact,
@@ -902,24 +842,6 @@ impl TimedEvent {
                 truncated: field_u64(&v, "truncated")?,
                 completeness: field_f64(&v, "completeness")?,
             },
-            "fleet_worker" => Event::FleetWorker {
-                worker: field_u64(&v, "worker")?,
-                event: field_str(&v, "event")?,
-                restarts: field_u64(&v, "restarts")?,
-            },
-            "fleet_shard" => Event::FleetShard {
-                shard: field_u64(&v, "shard")?,
-                worker: field_u64(&v, "worker")?,
-                attempt: field_u64(&v, "attempt")?,
-                event: field_str(&v, "event")?,
-            },
-            "fleet_summary" => Event::FleetSummary {
-                workers: field_u64(&v, "workers")?,
-                spawns: field_u64(&v, "spawns")?,
-                deaths: field_u64(&v, "deaths")?,
-                reassigned: field_u64(&v, "reassigned")?,
-                poisoned_shards: field_u64(&v, "poisoned_shards")?,
-            },
             "store_event" => Event::StoreEvent {
                 op: field_str(&v, "op")?,
                 artifact: field_str(&v, "artifact")?,
@@ -1095,24 +1017,6 @@ mod tests {
             truncated: 12,
             completeness: 0.875,
         });
-        rt(Event::FleetWorker {
-            worker: 2,
-            event: "died".into(),
-            restarts: 3,
-        });
-        rt(Event::FleetShard {
-            shard: 5,
-            worker: 1,
-            attempt: 2,
-            event: "reassigned".into(),
-        });
-        rt(Event::FleetSummary {
-            workers: 4,
-            spawns: 7,
-            deaths: 3,
-            reassigned: 3,
-            poisoned_shards: 1,
-        });
         rt(Event::StoreEvent {
             op: "quarantine".into(),
             artifact: "golden".into(),
@@ -1139,7 +1043,7 @@ mod tests {
             event: Event::TraceEnd { dur_us: 0 },
         }
         .to_line()
-        .replace("\"v\":8", "\"v\":999");
+        .replace("\"v\":9", "\"v\":999");
         assert!(matches!(
             TimedEvent::parse_line(&line),
             Err(SchemaError::Version(999))
@@ -1188,11 +1092,11 @@ mod tests {
     #[test]
     fn unknown_kind_and_missing_fields_are_rejected() {
         assert!(matches!(
-            TimedEvent::parse_line(r#"{"v":8,"ts_us":0,"kind":"mystery"}"#),
+            TimedEvent::parse_line(r#"{"v":9,"ts_us":0,"kind":"mystery"}"#),
             Err(SchemaError::UnknownKind(_))
         ));
         assert!(matches!(
-            TimedEvent::parse_line(r#"{"v":8,"ts_us":0,"kind":"counter","name":"x"}"#),
+            TimedEvent::parse_line(r#"{"v":9,"ts_us":0,"kind":"counter","name":"x"}"#),
             Err(SchemaError::MissingField("value"))
         ));
         assert!(matches!(

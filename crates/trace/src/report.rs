@@ -176,12 +176,6 @@ pub struct TraceSummary {
     pub quarantine_events: u64,
     pub early_stop_events: u64,
     pub truncation_events: u64,
-    /// End-of-run fleet accounting (last `fleet_summary` event).
-    pub fleet: Option<FleetStat>,
-    /// Raw fleet lifecycle event counts, present even when the
-    /// supervisor died before emitting its summary.
-    pub fleet_worker_events: u64,
-    pub fleet_shard_events: u64,
     /// Last sample of each named counter.
     pub counters: BTreeMap<String, u64>,
     /// Last sample of each named histogram.
@@ -240,17 +234,6 @@ pub struct SectionStat {
     pub composes: u64,
     /// Injections served from cached tables (sum of `units` on hits).
     pub served_injections: u64,
-}
-
-/// Process-isolated fleet accounting: worker spawns/deaths, shard
-/// reassignment, and poisoned shards.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct FleetStat {
-    pub workers: u64,
-    pub spawns: u64,
-    pub deaths: u64,
-    pub reassigned: u64,
-    pub poisoned_shards: u64,
 }
 
 /// Resilient-scheduler accounting: retries, quarantine, early stopping,
@@ -510,8 +493,6 @@ pub fn summarize(events: &[TimedEvent]) -> TraceSummary {
                     completeness: *completeness,
                 });
             }
-            Event::FleetWorker { .. } => s.fleet_worker_events += 1,
-            Event::FleetShard { .. } => s.fleet_shard_events += 1,
             Event::StoreEvent { op, .. } => {
                 let st = s.store.get_or_insert_with(StoreStat::default);
                 match op.as_str() {
@@ -533,21 +514,6 @@ pub fn summarize(events: &[TimedEvent]) -> TraceSummary {
                     SectionAction::Recompute => st.recomputes += 1,
                     SectionAction::Compose => st.composes += 1,
                 }
-            }
-            Event::FleetSummary {
-                workers,
-                spawns,
-                deaths,
-                reassigned,
-                poisoned_shards,
-            } => {
-                s.fleet = Some(FleetStat {
-                    workers: *workers,
-                    spawns: *spawns,
-                    deaths: *deaths,
-                    reassigned: *reassigned,
-                    poisoned_shards: *poisoned_shards,
-                });
             }
         }
     }
@@ -882,34 +848,6 @@ pub fn render_markdown(s: &TraceSummary) -> String {
             let _ = writeln!(
                 out,
                 "- **warning**: no sched_summary event — run died before final accounting"
-            );
-        }
-        let _ = writeln!(out);
-    }
-
-    let any_fleet = s.fleet.is_some() || s.fleet_worker_events + s.fleet_shard_events > 0;
-    if any_fleet {
-        let _ = writeln!(out, "## Process-isolated fleet\n");
-        let _ = writeln!(
-            out,
-            "- events: {} worker lifecycle, {} shard lifecycle",
-            s.fleet_worker_events, s.fleet_shard_events
-        );
-        if let Some(f) = &s.fleet {
-            let _ = writeln!(
-                out,
-                "- workers: {} slot(s), {} spawn(s), {} death(s)",
-                f.workers, f.spawns, f.deaths
-            );
-            let _ = writeln!(
-                out,
-                "- shards: {} reassigned after a worker death, {} poisoned",
-                f.reassigned, f.poisoned_shards
-            );
-        } else {
-            let _ = writeln!(
-                out,
-                "- **warning**: no fleet_summary event — supervisor died before final accounting"
             );
         }
         let _ = writeln!(out);

@@ -40,33 +40,18 @@ cargo run --release --offline -q -p minpsid-cli -- trace report "$TRACE_TMP/fig2
 test -s "$TRACE_TMP/report/trace_report.md"
 test -s "$TRACE_TMP/report/trace_report.html"
 
-echo "== crash-recovery smoke (SIGKILL mid-campaign, resume, diff)"
 CLI="target/release/minpsid"
 cargo build --release --offline -q -p minpsid-cli
-# stdout of the plain (non --json) report is fully deterministic: the
-# --json variant embeds wall-clock timings, so it cannot be diffed
-SMOKE_ARGS=(minpsid pathfinder --quick --seed 42 --level 0.5 --quiet)
-# uninterrupted journaled reference run
-"$CLI" "${SMOKE_ARGS[@]}" --journal "$TRACE_TMP/journal-ref" \
-  > "$TRACE_TMP/uninterrupted.txt"
-# start the same campaign fresh, SIGKILL it mid-flight, then resume; the
-# resumed run must produce a byte-identical report
-"$CLI" "${SMOKE_ARGS[@]}" --journal "$TRACE_TMP/journal-kill" \
-  > /dev/null 2>&1 &
-VICTIM=$!
-sleep 0.4
-kill -9 "$VICTIM" 2>/dev/null || true
-wait "$VICTIM" 2>/dev/null || true
-test -s "$TRACE_TMP/journal-kill/campaign.wal"
-"$CLI" "${SMOKE_ARGS[@]}" --resume "$TRACE_TMP/journal-kill" \
-  > "$TRACE_TMP/resumed.txt"
-diff "$TRACE_TMP/uninterrupted.txt" "$TRACE_TMP/resumed.txt"
 
 echo "== unknown-flag smoke (a misspelt flag is a usage error, not a different run)"
-if BOGUS_OUT="$("$CLI" fi hpccg --quick --bogus-flag 2>&1)"; then
-  echo "fi --bogus-flag exited 0"; exit 1
-fi
-grep -q "unknown flag --bogus-flag" <<<"$BOGUS_OUT"
+# --workers: a flag an older binary accepted is refused like a typo
+for BAD in "--bogus-flag" "--workers 2"; do
+  # shellcheck disable=SC2086
+  if BAD_OUT="$("$CLI" fi hpccg --quick $BAD 2>&1)"; then
+    echo "fi $BAD exited 0"; exit 1
+  fi
+  grep -q "unknown flag ${BAD%% *}" <<<"$BAD_OUT"
+done
 
 echo "== chaos smoke (worker panics degrade to engine errors)"
 # --max-retries 0: with the default retry budget the scheduler would heal
@@ -132,43 +117,6 @@ cmp "$TRACE_TMP/dedup.txt" "$TRACE_TMP/dedup-cold.txt"
 grep '"kind":"campaign_end"' "$TRACE_TMP/dedup.jsonl" | grep -Eq '"deduped":[1-9]' \
   || { echo "campaign_end reports no deduped injection"; exit 1; }
 
-echo "== fleet-identity smoke (--workers vs --threads: reports + WAL byte-identical)"
-FLEET_ARGS=(fi fft --injections 300 --seed 42)
-"$CLI" "${FLEET_ARGS[@]}" --threads 4 --journal "$TRACE_TMP/fleet-j-threads" \
-  > "$TRACE_TMP/fleet-threads.txt" 2>/dev/null
-"$CLI" "${FLEET_ARGS[@]}" --workers 4 --journal "$TRACE_TMP/fleet-j-workers" \
-  > "$TRACE_TMP/fleet-workers.txt" 2>/dev/null
-diff "$TRACE_TMP/fleet-threads.txt" "$TRACE_TMP/fleet-workers.txt"
-cmp "$TRACE_TMP/fleet-j-threads/campaign.wal" "$TRACE_TMP/fleet-j-workers/campaign.wal"
-
-echo "== fleet chaos matrix (kill-worker x poison-shard x SIGTERM-resume)"
-# cell 1: random SIGKILLs every 20ms must not change a report or WAL byte
-"$CLI" "${FLEET_ARGS[@]}" --workers 4 --chaos-kill-worker-ms 20 \
-  --journal "$TRACE_TMP/fleet-j-chaos" > "$TRACE_TMP/fleet-chaos.txt" 2>/dev/null
-diff "$TRACE_TMP/fleet-threads.txt" "$TRACE_TMP/fleet-chaos.txt"
-cmp "$TRACE_TMP/fleet-j-threads/campaign.wal" "$TRACE_TMP/fleet-j-chaos/campaign.wal"
-# cell 2: a shard that aborts its worker on every attempt is quarantined
-# as poisoned; the campaign exits 0 with an honest (<1) completeness
-POISON_OUT="$("$CLI" fi fft --quick --seed 42 --workers 2 \
-  --chaos-poison-unit 5 --poison-after 2 2>/dev/null)"
-echo "$POISON_OUT" | grep -q "quarantined:" \
-  || { echo "poisoned shard not surfaced in the report"; exit 1; }
-echo "$POISON_OUT" | grep -q "^completeness: 0\." \
-  || { echo "poisoned shard not reflected in completeness"; exit 1; }
-# cell 3: SIGTERM a parked fleet run, then resume to an identical report
-"$CLI" fi fft --quick --seed 42 --threads 2 > "$TRACE_TMP/fleet-ref.txt" 2>/dev/null
-"$CLI" fi fft --quick --seed 42 --workers 2 --chaos-hang-unit 2 \
-  --fleet-lease-ms 3600000 --journal "$TRACE_TMP/fleet-j-term" \
-  > /dev/null 2>&1 &
-FLEET_VICTIM=$!
-sleep 1.5
-kill -TERM "$FLEET_VICTIM" 2>/dev/null || true
-wait "$FLEET_VICTIM" 2>/dev/null || true
-test -s "$TRACE_TMP/fleet-j-term/campaign.wal"
-"$CLI" fi fft --quick --seed 42 --workers 2 --resume "$TRACE_TMP/fleet-j-term" \
-  > "$TRACE_TMP/fleet-resumed.txt" 2>/dev/null
-diff "$TRACE_TMP/fleet-ref.txt" "$TRACE_TMP/fleet-resumed.txt"
-
 echo "== store smoke (scrub exit codes, corruption heals, cross-invocation cache hits)"
 # first store-backed run populates the store; scrub verifies clean (exit 0)
 STORE_ARGS=(minpsid pathfinder --quick --seed 42 --level 0.5)
@@ -197,12 +145,6 @@ test "$SCRUB_EXIT" = "3" \
 "$CLI" "${STORE_ARGS[@]}" --quiet --store "$TRACE_TMP/store" > "$TRACE_TMP/store-run3.txt"
 diff "$TRACE_TMP/store-run1.txt" "$TRACE_TMP/store-run3.txt"
 "$CLI" store scrub "$TRACE_TMP/store" >/dev/null
-# chaos-flip across a journaled fleet run: segments rot between worker
-# fsync and merge, shards re-execute, report + WAL stay byte-identical
-"$CLI" "${FLEET_ARGS[@]}" --workers 2 --chaos-flip-artifact-one-in 2 \
-  --journal "$TRACE_TMP/fleet-j-flip" > "$TRACE_TMP/fleet-flip.txt" 2>/dev/null
-diff "$TRACE_TMP/fleet-threads.txt" "$TRACE_TMP/fleet-flip.txt"
-cmp "$TRACE_TMP/fleet-j-threads/campaign.wal" "$TRACE_TMP/fleet-j-flip/campaign.wal"
 
 echo "== incremental smoke (cold seal -> edit one fn -> O(diff) re-campaign)"
 # compositional FI at the CLI: a cold store-backed campaign seals
@@ -295,9 +237,9 @@ echo "== oracle-isolation guard (the reference tree walk is reachable from tests
 echo "== byte-codec guard (one checked reader and one FNV per dependency root)"
 # how bytes are read, written and hashed is decided in two modules, one
 # per root of the crate graph: crates/ir/src/bytes.rs (ir <- interp <-
-# faultsim/core) and crates/store/src/bytes.rs (store <- journal <-
-# fleet). An FNV prime, a `struct Reader` or a LEB128 loop anywhere else
-# in production code is a third codec starting.
+# faultsim/core) and crates/store/src/bytes.rs (store <- journal). An
+# FNV prime, a `struct Reader` or a LEB128 loop anywhere else in
+# production code is a third codec starting.
 ! awk 'FNR == 1 { in_tests = 0 } /^#\[cfg\(test\)\]/ { in_tests = 1 }
        { line = tolower($0); gsub(/_/, "", line) }
        !in_tests && (line ~ /100000001b3/ || /struct Reader/ || /& 0x7f/) {
@@ -312,39 +254,6 @@ echo "== snapshot-encoding smoke (full vs delta checkpoints, same report)"
 "$CLI" fi hpccg --quick --seed 42 --quiet --snapshot-mode delta \
   > "$TRACE_TMP/snap-delta.txt" 2>/dev/null
 diff "$TRACE_TMP/snap-full.txt" "$TRACE_TMP/snap-delta.txt"
-
-echo "== perf-regression guard (injections_per_sec vs committed baseline)"
-# re-measure one workload's checkpointed campaign throughput and compare
-# against the committed BENCH_fi_throughput.json; a >20% drop fails.
-# Skips gracefully when the baseline predates the throughput columns.
-BASE="$(python3 - <<'EOF'
-import json
-try:
-    d = json.load(open("BENCH_fi_throughput.json"))
-    w = [r for r in d.get("workloads", []) if r["name"] == "hpccg"]
-    print(w[0]["injections_per_sec"] if w and "injections_per_sec" in w[0] else "")
-except Exception:
-    print("")
-EOF
-)"
-if [ -n "$BASE" ]; then
-  PERF_T0=$(date +%s.%N)
-  "$CLI" fi hpccg --seed 42 --injections 2000 --quiet >/dev/null 2>&1
-  PERF_T1=$(date +%s.%N)
-  python3 - "$BASE" "$PERF_T0" "$PERF_T1" <<'EOF'
-import sys
-base, t0, t1 = float(sys.argv[1]), float(sys.argv[2]), float(sys.argv[3])
-# the timed run includes the golden run + campaign; only guard against
-# catastrophic slowdowns (>20% below the committed single-thread rate
-# is scaled by a 4x grace factor for golden-run + process overhead)
-rate = 2000 / (t1 - t0)
-floor = base * 0.8 / 4.0
-print(f"perf guard: measured {rate:.0f} inj/s end-to-end, floor {floor:.0f} inj/s")
-sys.exit(0 if rate >= floor else 1)
-EOF
-else
-  echo "perf guard: baseline lacks injections_per_sec, skipping"
-fi
 
 echo "== observability smoke (--status-addr live endpoints, reports + WAL unchanged)"
 # reference: a journaled campaign with no observability at all

@@ -22,8 +22,6 @@
 //!   resume-after-crash, cooperative interrupts;
 //! * [`sched`] — resilient campaign scheduler: retry/backoff,
 //!   site quarantine, Wilson-interval early stopping, deadlines;
-//! * [`fleet`] — process-isolated campaign fleet: supervised workers,
-//!   lease-based shard reassignment, poison-shard quarantine;
 //! * [`store`] — self-verifying content-addressed artifact store:
 //!   digest-verified loads, corruption quarantine, scrub/gc;
 //! * [`workloads`] — the 11 benchmarks of Table I.
@@ -34,7 +32,6 @@
 pub use minic;
 pub use minpsid;
 pub use minpsid_faultsim as faultsim;
-pub use minpsid_fleet as fleet;
 pub use minpsid_interp as interp;
 pub use minpsid_ir as ir;
 pub use minpsid_journal as journal;

@@ -568,50 +568,72 @@ fn observability_on_and_off_produce_byte_identical_reports() {
     );
 }
 
-/// Campaign the SIGKILL child and the resuming parent both run: big
-/// enough to survive a few hundred milliseconds on one core, parallel
-/// (8 workers) so the kill lands on the multi-threaded journaled path.
-fn sigkill_campaign() -> (Module, ProgInput, minpsid_repro::faultsim::CampaignConfig) {
+/// Campaign the SIGKILL child and the resuming parent both run, in one of
+/// the engine's two shapes: big enough to survive a few hundred
+/// milliseconds on one core, parallel (8 workers) so the kill lands on
+/// the multi-threaded journaled path.
+fn sigkill_campaign(shape: &str) -> (Module, ProgInput, CampaignConfig) {
     let (module, input) = bench_module("hpccg");
-    let cfg = CampaignConfigBuilder::new(11)
-        .per_inst_injections(8)
+    let sized = match shape {
+        "per_inst" => CampaignConfigBuilder::new(11).per_inst_injections(8),
+        "program" => CampaignConfigBuilder::new(11).injections(4000),
+        other => panic!("unknown campaign shape {other}"),
+    };
+    let cfg = sized
         .and_then(|b| b.threads(8))
         .expect("valid sigkill config")
         .build();
     (module, input, cfg)
 }
 
+/// Run `engine` in `shape` and render its report (no timing fields).
+fn run_shape(shape: &str, engine: &CampaignEngine) -> String {
+    match shape {
+        "per_inst" => format!("{:?}", engine.run_per_instruction().expect("no interrupt")),
+        _ => format!("{:?}", engine.run_program().expect("no interrupt")),
+    }
+}
+
 const CHILD_ENV: &str = "MINPSID_EQ_CHILD";
 
 /// Child half of the SIGKILL test: re-invoked by `--exact` from the
-/// parent with `MINPSID_EQ_CHILD` pointing at the journal directory.
+/// parent with `MINPSID_EQ_CHILD` set to `<shape>=<journal directory>`.
 /// A no-op (instant pass) in a normal test run.
 #[test]
 fn sigkill_resume_child() {
-    let Ok(dir) = std::env::var(CHILD_ENV) else {
+    let Ok(spec) = std::env::var(CHILD_ENV) else {
         return;
     };
-    let (module, input, cfg) = sigkill_campaign();
+    let (shape, dir) = spec.split_once('=').expect("shape=dir");
+    let (module, input, cfg) = sigkill_campaign(shape);
     let golden = golden_run(&module, &input, &cfg).expect("golden run");
     let journal =
-        CampaignJournal::open(std::path::Path::new(&dir), 0, 0).expect("open child journal");
-    let _ = CampaignEngine::new(&module, &input, &golden, &cfg)
-        .with_journal(&journal, 1)
-        .run_per_instruction();
+        CampaignJournal::open(std::path::Path::new(dir), 0, 0).expect("open child journal");
+    run_shape(
+        shape,
+        &CampaignEngine::new(&module, &input, &golden, &cfg).with_journal(&journal, 1),
+    );
 }
 
 /// SIGKILL a parallel journaled campaign mid-run (a real child process,
 /// killed without warning once its WAL shows progress), then resume from
 /// the surviving journal and demand the same bytes a never-crashed
-/// campaign produces.
+/// campaign produces — for the per-instruction campaign and for the
+/// whole-program one `minpsid fi` runs, whose only protection against a
+/// process killed from outside is this path.
 #[test]
 fn sigkilled_parallel_journaled_campaign_resumes_bit_identically() {
-    let dir = journal_dir("sigkill");
+    sigkill_then_resume("per_inst");
+    sigkill_then_resume("program");
+}
+
+fn sigkill_then_resume(shape: &str) {
+    let dir = journal_dir(&format!("sigkill-{shape}"));
     std::fs::create_dir_all(&dir).expect("create journal dir");
     let exe = std::env::current_exe().expect("test binary path");
     let mut child = std::process::Command::new(exe)
         .args(["sigkill_resume_child", "--exact", "--nocapture"])
-        .env(CHILD_ENV, &dir)
+        .env(CHILD_ENV, format!("{shape}={}", dir.display()))
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::null())
         .spawn()
@@ -632,38 +654,48 @@ fn sigkilled_parallel_journaled_campaign_resumes_bit_identically() {
         }
         assert!(
             Instant::now() < deadline,
-            "child campaign made no journal progress within 120s"
+            "{shape}: child campaign made no journal progress within 120s"
         );
         std::thread::sleep(Duration::from_millis(10));
     }
     let _ = child.kill();
     let _ = child.wait();
 
-    let (module, input, cfg) = sigkill_campaign();
+    // the reference: the same journaled campaign, never killed
+    let (module, input, cfg) = sigkill_campaign(shape);
     let golden = golden_run(&module, &input, &cfg).expect("golden run");
-    let plain = CampaignEngine::new(&module, &input, &golden, &cfg)
-        .run_per_instruction()
-        .expect("plain campaign is interrupt-free");
+    let whole_dir = journal_dir(&format!("never-killed-{shape}"));
+    let whole = CampaignJournal::open(&whole_dir, 0, 0).expect("open reference journal");
+    let never_killed = run_shape(
+        shape,
+        &CampaignEngine::new(&module, &input, &golden, &cfg).with_journal(&whole, 1),
+    );
 
     let journal = CampaignJournal::open(&dir, 0, 0).expect("reopen journal after SIGKILL");
     let (recovered, _truncated) = journal.recovery_stats();
     assert!(
         recovered > 0,
-        "the SIGKILLed campaign left no recoverable journal records"
+        "{shape}: the SIGKILLed campaign left no recoverable journal records"
     );
-    let resumed = CampaignEngine::new(&module, &input, &golden, &cfg)
-        .with_journal(&journal, 1)
-        .run_per_instruction()
-        .expect("no interrupt requested on resume");
+    let resumed = run_shape(
+        shape,
+        &CampaignEngine::new(&module, &input, &golden, &cfg).with_journal(&journal, 1),
+    );
     assert_eq!(
-        format!("{resumed:?}"),
-        format!("{plain:?}"),
-        "resumed campaign diverged from a never-crashed one"
+        resumed, never_killed,
+        "{shape}: resumed campaign diverged from a never-crashed one"
     );
     let (served, _appended) = journal.usage();
     assert!(
         served > 0,
-        "resume served nothing from the WAL — the crash recovery path was not exercised"
+        "{shape}: resume served nothing from the WAL — the crash recovery path was not exercised"
+    );
+    // and appended only what the kill lost: the log is the one a run that
+    // was never killed writes
+    assert!(
+        std::fs::read(&wal).unwrap() == std::fs::read(whole_dir.join("campaign.wal")).unwrap(),
+        "{shape}: the resumed WAL is not the never-crashed WAL"
     );
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&whole_dir);
 }

@@ -1,11 +1,10 @@
-//! One corruption harness over every byte format the tree persists or
-//! pipes: each public decoder is fed every proper prefix and every
+//! One corruption harness over every byte format the tree persists:
+//! each public decoder is fed every proper prefix and every
 //! single-bit flip of a good image (`ir::bytes::mutations`) and must
 //! answer with an error or with a value that is safe to use — never a
 //! panic, never bytes it was not given. `faultsim::table`'s decoders are
 //! crate-private; their case lives next to them.
 
-use minpsid_repro::fleet::proto::{read_frame, write_frame, ToSupervisor, ToWorker};
 use minpsid_repro::interp::wire::{
     decode_checkpoints, decode_golden, encode_checkpoints, encode_golden,
 };
@@ -16,6 +15,8 @@ use minpsid_repro::interp::{
 use minpsid_repro::ir::bytes::mutations;
 use minpsid_repro::journal::record::{DecodeError, Record};
 use minpsid_repro::journal::wal::{encode_records, scan_bytes};
+use minpsid_repro::journal::CampaignJournal;
+use minpsid_repro::sched::FailureKind;
 use minpsid_repro::store::{ArtifactStore, StoreError};
 
 fn every_record() -> Vec<Record> {
@@ -54,12 +55,7 @@ fn every_record() -> Vec<Record> {
         Record::Quarantine {
             input_fp: 14,
             dense: 15,
-            reason: 1,
-        },
-        Record::ShardUnit {
-            index: 16,
-            outcome: 2,
-            recovered: true,
+            reason: 2, // reserved; stored raw, so old journals still open
         },
         Record::SectionMap {
             entries: vec![(0xdead_beef, 0, 12), (u64::MAX, 12, 3)],
@@ -91,6 +87,10 @@ fn journal_records() {
             "tag {tag}"
         );
     }
+    // what only the removed second executor wrote stays reserved: tag 9 is
+    // no record, and reason byte 2 (in `every_record`) no failure kind
+    assert_eq!(Record::decode(&[9; 11]), Err(DecodeError::UnknownTag(9)));
+    assert_eq!(FailureKind::from_u8(2), None);
 }
 
 #[test]
@@ -98,6 +98,14 @@ fn wal_images() {
     let records = every_record();
     let good = encode_records(&records);
     assert_eq!(scan_bytes(&good).records, records);
+    // the image is a journal, reserved quarantine reason and all
+    let dir = std::env::temp_dir().join(format!("minpsid-wal-image-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("campaign.wal"), &good).unwrap();
+    let journal = CampaignJournal::open(&dir, 1, u64::MAX).expect("the image is a journal");
+    assert_eq!(journal.quarantined_site(14, 15), Some(2));
+    let _ = std::fs::remove_dir_all(&dir);
     for bad in mutations(&good) {
         let rec = scan_bytes(&bad);
         assert_eq!(rec.valid_len + rec.truncated_bytes, bad.len() as u64);
@@ -111,80 +119,6 @@ fn wal_images() {
             assert!(rec.records.len() < records.len(), "a flipped bit is seen");
         }
     }
-}
-
-#[test]
-fn fleet_frames() {
-    let up = [
-        ToSupervisor::Ready { population: 12345 },
-        ToSupervisor::Heartbeat { shard: 7, done: 42 },
-        ToSupervisor::ShardDone { shard: u32::MAX },
-    ];
-    let down = [
-        ToWorker::Assign {
-            shard: 3,
-            attempt: 2,
-            units: vec![0, 9, u64::MAX],
-        },
-        ToWorker::Shutdown,
-    ];
-    let mut pipe = Vec::new();
-    for m in &up {
-        write_frame(&mut pipe, &m.encode()).unwrap();
-    }
-    for m in &down {
-        write_frame(&mut pipe, &m.encode()).unwrap();
-    }
-    for bad in mutations(&pipe) {
-        let mut r = &bad[..];
-        // a reader stops at the first frame it cannot read
-        while let Ok(Some(frame)) = read_frame(&mut r) {
-            assert!(!frame.is_empty() && frame.len() <= pipe.len());
-            if let Ok(ToWorker::Assign { units, .. }) = ToWorker::decode(&frame) {
-                assert!(units.len() * 8 < frame.len());
-            }
-            let _ = ToSupervisor::decode(&frame);
-        }
-    }
-    for good in up.iter().map(ToSupervisor::encode) {
-        for bad in mutations(&good) {
-            assert!(ToSupervisor::decode(&bad).is_err() || bad.len() == good.len());
-        }
-    }
-    for good in down.iter().map(ToWorker::encode) {
-        for bad in mutations(&good) {
-            assert!(ToWorker::decode(&bad).is_err() || bad.len() == good.len());
-        }
-    }
-
-    // EOF inside the length prefix
-    let mut r: &[u8] = &[1, 0];
-    assert!(read_frame(&mut r).is_err());
-    // EOF inside the payload
-    let mut r: &[u8] = &[4, 0, 0, 0, 1];
-    assert!(read_frame(&mut r).is_err());
-    // absurd length prefix dies without allocating
-    let mut r: &[u8] = &[255, 255, 255, 255, 0];
-    assert!(read_frame(&mut r).is_err());
-    // unknown tags and trailing bytes are decode errors
-    assert!(ToSupervisor::decode(&[99]).is_err());
-    let mut shutdown = ToWorker::Shutdown.encode();
-    shutdown.push(1);
-    assert!(ToWorker::decode(&shutdown).is_err());
-    assert!(ToSupervisor::decode(&[]).is_err());
-    // an ASSIGN promising more units than its frame holds is refused
-    // before the units are allocated
-    let mut assign = ToWorker::Assign {
-        shard: 0,
-        attempt: 0,
-        units: vec![],
-    }
-    .encode();
-    let n = assign.len();
-    assign[n - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
-    assign.extend_from_slice(&[0; 16]);
-    let err = ToWorker::decode(&assign).unwrap_err();
-    assert!(err.to_string().contains("exceeds payload"), "{err}");
 }
 
 const KERNEL: &str = r#"

@@ -1,8 +1,8 @@
 //! Chaos matrix for the self-verifying artifact store: a flipped bit in
 //! ANY stored artifact class — golden-run metadata, checkpoint store,
-//! fleet spool segment, compacted journal WAL snapshot — must be
-//! detected by digest verification, quarantined, and healed by
-//! recompute, with the final result identical to an uncorrupted run.
+//! compacted journal WAL snapshot — must be detected by digest
+//! verification, quarantined, and healed by recompute, with the final
+//! result identical to an uncorrupted run.
 //! Corruption may cost time; it must never change an answer.
 //!
 //! The `--chaos-flip-artifact-one-in` knob (here the per-store
@@ -11,10 +11,6 @@
 //! single at-rest rot event per artifact.
 
 use minpsid_repro::faultsim::{CampaignConfig, CampaignJournal};
-use minpsid_repro::fleet::{
-    read_segment_verified, segment_ref_name, SegmentWriter, SpooledUnit, VerifiedSegment,
-    SPOOL_ARTIFACT,
-};
 use minpsid_repro::minpsid::{
     minpsid_config_fingerprint, module_fingerprint, run_minpsid, run_minpsid_cached,
     run_minpsid_journaled, GaConfig, GoldenCache, MinpsidConfig, MinpsidResult, SearchStrategy,
@@ -107,63 +103,6 @@ fn flipped_golden_and_checkpoint_artifacts_recompute_identically() {
     );
     assert!(!store3.scrub().unwrap().found_corruption());
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Artifact class `spool`: a sealed fleet segment rots between the
-/// worker's fsync and the supervisor's merge. The verified read reports
-/// it corrupt (never folding rotten outcomes into the ledger), and the
-/// shard's re-execution produces a segment identical to a clean run.
-#[test]
-fn flipped_spool_segment_is_detected_and_reexecution_matches_clean() {
-    let d = tmpdir("spool");
-    let store = ArtifactStore::open(&d.join("store")).unwrap();
-    store.set_chaos_flip(1);
-    let units = [
-        SpooledUnit {
-            index: 3,
-            outcome: 1,
-            recovered: false,
-        },
-        SpooledUnit {
-            index: 8,
-            outcome: 2,
-            recovered: true,
-        },
-    ];
-    let mut w = SegmentWriter::create(&d, 0, 0).unwrap();
-    for u in units {
-        w.record(u).unwrap();
-    }
-    w.seal(&store).unwrap(); // published object is flipped by chaos
-
-    assert_eq!(
-        read_segment_verified(&store, &d, 0, 0).unwrap(),
-        VerifiedSegment::Corrupt,
-        "rotten segment is detected at merge time"
-    );
-    assert!(store.quarantined_count().unwrap() >= 1);
-    assert!(
-        matches!(
-            store.load_named(SPOOL_ARTIFACT, &segment_ref_name(0, 0)),
-            Ok(None)
-        ),
-        "the quarantined object reads as absent, never as its rotten bytes"
-    );
-
-    // The supervisor requeues the shard; deterministic re-execution at
-    // the next attempt spools identical outcomes. The flip marker
-    // guarantees at-most-one rot per digest, so the republished bytes
-    // verify and the merged ledger matches a clean run exactly.
-    let mut w2 = SegmentWriter::create(&d, 0, 1).unwrap();
-    for u in units {
-        w2.record(u).unwrap();
-    }
-    w2.seal(&store).unwrap();
-    assert_eq!(
-        read_segment_verified(&store, &d, 0, 1).unwrap(),
-        VerifiedSegment::Units(units.to_vec())
-    );
-    let _ = std::fs::remove_dir_all(&d);
 }
 
 /// Artifact class `wal`: the compacted journal snapshot rots. Reopening
