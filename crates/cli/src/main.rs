@@ -73,11 +73,7 @@ fn main() -> ExitCode {
     if rest.iter().any(|a| a == "--quiet") {
         QUIET.store(true, Ordering::Relaxed);
     }
-    // Chaos knob for the artifact store, deliberately outside every
-    // config fingerprint: flips a bit in stored artifacts to prove the
-    // store detects, quarantines, and recomputes. Parsed before
-    // dispatch so every store this process opens inherits it.
-    if let Err(e) = init_process_flags(rest) {
+    if let Err(e) = init_trace_sink(rest) {
         eprintln!("error: {e}");
         return ExitCode::FAILURE;
     }
@@ -93,15 +89,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    // Keep the server alive for the whole run; dropping it (end of main)
-    // joins the accept loop.
-    let _status_server = match start_status_server(rest) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
     let result = match cmd.as_str() {
         "list" => cmd_list(),
         "compile" => cmd_compile(rest),
@@ -228,52 +215,12 @@ fn parse_profile_flags(rest: &[String]) -> Result<Option<u64>, String> {
     }
 }
 
-/// Flags that configure the process before any command runs: the store
-/// chaos knob and the trace sink.
-fn init_process_flags(rest: &[String]) -> Result<(), String> {
-    if let Some(v) = flag_value(rest, "--chaos-flip-artifact-one-in")? {
-        let n = v.parse::<u64>().map_err(|_| {
-            format!("bad --chaos-flip-artifact-one-in `{v}` (want a count, 0 = off)")
-        })?;
-        minpsid_store::chaos::set_flip_one_in(n);
-    }
+/// `--trace-out PATH`: open the trace sink before any command runs.
+fn init_trace_sink(rest: &[String]) -> Result<(), String> {
     if let Some(path) = flag_value(rest, "--trace-out")? {
         trace::init_file(&path).map_err(|e| format!("cannot open trace file `{path}`: {e}"))?;
     }
     Ok(())
-}
-
-/// `--status-addr ADDR`: start the embedded HTTP status server and bridge
-/// the trace event stream into its metrics registry and status board.
-fn start_status_server(rest: &[String]) -> Result<Option<minpsid_metrics::StatusServer>, String> {
-    let Some(addr) = flag_value(rest, "--status-addr")? else {
-        return Ok(None);
-    };
-    let registry = Arc::new(minpsid_metrics::Registry::new());
-    registry
-        .gauge(
-            "minpsid_build_info",
-            "Build metadata; the value is always 1.",
-            &[("version", env!("CARGO_PKG_VERSION"))],
-        )
-        .set(1.0);
-    let board = Arc::new(minpsid_metrics::StatusBoard::new());
-    board.set_tool(concat!("minpsid ", env!("CARGO_PKG_VERSION")));
-    // The event stream only carries campaign kinds; label series with the
-    // workload being screened (first positional argument).
-    let workload = rest
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map(|s| s.as_str())
-        .unwrap_or("-");
-    trace::bridge::install(registry.clone(), board.clone(), workload);
-    let server = minpsid_metrics::StatusServer::bind(&addr, registry, board)
-        .map_err(|e| format!("cannot bind status server on `{addr}`: {e}"))?;
-    diag!(
-        "status server on http://{}/  (endpoints: /metrics, /status)",
-        server.local_addr()
-    );
-    Ok(Some(server))
 }
 
 /// When the interpreter profiler ran, surface its findings: emit the
@@ -345,7 +292,6 @@ const FLAGS: &[(&str, bool)] = &[
     ("--threads", true),
     ("--checkpoint-interval", true),
     ("--no-checkpoints", false),
-    ("--snapshot-mode", true),
     ("--injection-timeout-ms", true),
     ("--chaos-panic-one-in", true),
     ("--chaos-timeout-one-in", true),
@@ -361,11 +307,9 @@ const FLAGS: &[(&str, bool)] = &[
     ("--max-inputs", true),
     ("--golden-cache-cap", true),
     ("--store", true),
-    ("--chaos-flip-artifact-one-in", true),
     ("--incremental", false),
     ("--no-incremental", false),
     // observability
-    ("--status-addr", true),
     ("--profile-interp", false),
     ("--profile-sample-every", true),
     ("--profile-folded", true),
@@ -430,9 +374,6 @@ FI campaign options (fi/analyze/sid/minpsid):
                             instructions (default: auto, ~sqrt of steps)
   --no-checkpoints          disable checkpointing; replay every injection
                             from scratch
-  --snapshot-mode MODE      checkpoint encoding: `delta` (dirty-range
-                            diffs with periodic keyframes, the default)
-                            or `full` (self-contained snapshots)
   --injection-timeout-ms N  per-injection wall-clock budget alongside the
                             step limit (0 = off, the default); overruns
                             classify as engine errors, not hangs
@@ -467,11 +408,6 @@ self-verifying artifact store (fi/minpsid):
                             artifacts are digest-verified on load —
                             corruption is quarantined and recomputed,
                             never served)
-  --chaos-flip-artifact-one-in N
-                            test harness: flip one bit in every Nth
-                            published artifact between write and read;
-                            reports must not change (corruption is
-                            detected and healed by recompute)
 
 incremental re-campaigns (fi/minpsid, needs --store or --journal):
   --incremental             memoize sealed per-section outcome tables in
@@ -481,10 +417,7 @@ incremental re-campaigns (fi/minpsid, needs --store or --journal):
                             is attached)
   --no-incremental          always re-execute every injection
 
-live observability:
-  --status-addr ADDR        serve /metrics (Prometheus text) and /status
-                            (JSON) over HTTP while the run executes,
-                            e.g. --status-addr 127.0.0.1:9090
+profiling:
   --profile-interp          interpreter sampling profiler: per-opcode
                             cycle attribution, fusion hit rates, and
                             snapshot encode/restore costs (reported via
@@ -1532,7 +1465,7 @@ mod tests {
             assert_eq!(takes_value(flag), Some(placeholder), "{line}");
             option_lines += 1;
         }
-        assert!(option_lines >= 30, "{option_lines} option lines");
+        assert!(option_lines >= 27, "{option_lines} option lines");
     }
 
     #[test]
@@ -1546,6 +1479,15 @@ mod tests {
         let err = check_flags(&args(&["pathfinder", "--quick", "--workers", "4"])).unwrap_err();
         assert_eq!(err, "unknown flag --workers");
         assert!(check_flags(&args(&["7", "--spool-dir", "/tmp/s"])).is_err());
+        // the live endpoint and two flags that had no user: gone, not ignored
+        for (gone, value) in [
+            ("--status-addr", "127.0.0.1:1"),
+            ("--snapshot-mode", "full"),
+            ("--chaos-flip-artifact-one-in", "3"),
+        ] {
+            let err = check_flags(&args(&["hpccg", "--quick", gone, value])).unwrap_err();
+            assert_eq!(err, format!("unknown flag {gone}"));
+        }
         // positionals, values with one dash and `--args` lists pass
         for ok in [
             &["bfs", "--quick", "--per-inst", "3", "--level", "-0.1"][..],
@@ -1586,7 +1528,7 @@ mod tests {
         assert!(parse_positive(&args(&["--max-inputs"]), "--max-inputs", "x").is_err());
         assert!(parse_profile_flags(&args(&["--profile-sample-every", "--quiet"])).is_err());
         assert!(journal_dir_flag(&args(&["--journal", "--resume", "d"])).is_err());
-        assert!(init_process_flags(&args(&["--trace-out"])).is_err());
+        assert!(init_trace_sink(&args(&["--trace-out"])).is_err());
         // a single dash starts a value: a negative number is a (bad) value
         let err = parse_level(&args(&["--level", "-0.1"])).unwrap_err();
         assert!(!err.contains("needs a value"), "{err}");
@@ -1718,18 +1660,6 @@ mod tests {
 
         assert!(parse_campaign(&args(&["--checkpoint-interval", "0"])).is_err());
         assert!(parse_campaign(&args(&["--checkpoint-interval", "abc"])).is_err());
-    }
-
-    #[test]
-    fn snapshot_mode_flag_parses() {
-        use minpsid_faultsim::SnapshotMode;
-        let def = parse_campaign(&args(&[])).unwrap();
-        assert_eq!(def.snapshot_mode, SnapshotMode::Delta);
-
-        let full = parse_campaign(&args(&["--snapshot-mode", "full"])).unwrap();
-        assert_eq!(full.snapshot_mode, SnapshotMode::Full);
-
-        assert!(parse_campaign(&args(&["--snapshot-mode", "none"])).is_err());
     }
 
     #[test]

@@ -729,10 +729,15 @@ mod tests {
         assert_eq!(a.expected_coverage, b.expected_coverage);
     }
 
-    /// One test covers fresh-journaled, resumed, and interrupted runs so
-    /// nothing else races the process-wide interrupt flag.
+    /// `interrupt::request()` is process-wide and every journal-attached
+    /// run polls it: a test that raises the flag or attaches a journal
+    /// holds this for its whole body.
+    static INTERRUPT_FLAG: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// One test covers fresh-journaled, resumed, and interrupted runs.
     #[test]
     fn journaled_runs_are_bit_identical_and_resumable() {
+        let _flag = INTERRUPT_FLAG.lock().unwrap_or_else(|e| e.into_inner());
         let m = module();
         let model = Model::new();
         let cfg = quick_cfg(0.5, SearchStrategy::Genetic);

@@ -72,8 +72,9 @@ pub struct CampaignConfig {
     /// Total snapshot memory budget; exceeding it thins the store.
     pub checkpoint_mem_budget: usize,
     /// Full snapshots or delta chains (see [`SnapshotMode`]). Campaigns
-    /// default to delta: same restore semantics, ~5-10x less memory per
-    /// checkpoint, so density can rise inside the same budget.
+    /// run delta: same restore semantics, ~5-10x less memory per
+    /// checkpoint, so density can rise inside the same budget. No flag
+    /// sets it; `Full` is the reference encoding tests compare against.
     pub snapshot_mode: SnapshotMode,
     /// Delta mode: full keyframe every this many stored checkpoints.
     pub keyframe_every: u32,
@@ -583,6 +584,8 @@ mod tests {
         auto_cfg.checkpoints = CheckpointPolicy::Auto;
         let mut fixed = CampaignConfig::quick(77);
         fixed.checkpoints = CheckpointPolicy::Every(23);
+        let mut full = fixed.clone(); // the reference encoding, no delta chains
+        full.snapshot_mode = SnapshotMode::Full;
 
         let g_cold = golden_run(&m, &input(60), &cold).unwrap();
         assert!(g_cold.checkpoints.is_empty());
@@ -592,12 +595,15 @@ mod tests {
             "run long enough to snapshot"
         );
         let g_fixed = golden_run(&m, &input(60), &fixed).unwrap();
+        let g_full = golden_run(&m, &input(60), &full).unwrap();
 
         let a = program_campaign(&m, &input(60), &g_cold, &cold);
         let b = program_campaign(&m, &input(60), &g_auto, &auto_cfg);
         let c = program_campaign(&m, &input(60), &g_fixed, &fixed);
         assert_eq!(a.counts, b.counts);
         assert_eq!(a.counts, c.counts);
+        let d = program_campaign(&m, &input(60), &g_full, &full);
+        assert_eq!(a.counts, d.counts);
 
         let pa = per_instruction_campaign(&m, &input(60), &g_cold, &cold);
         let pb = per_instruction_campaign(&m, &input(60), &g_auto, &auto_cfg);
@@ -605,6 +611,9 @@ mod tests {
         assert_eq!(pa.sdc_prob, pb.sdc_prob);
         assert_eq!(pa.counts, pb.counts);
         assert_eq!(pa.counts, pc.counts);
+        let pd = per_instruction_campaign(&m, &input(60), &g_full, &full);
+        assert_eq!(pa.sdc_prob, pd.sdc_prob);
+        assert_eq!(pa.counts, pd.counts);
     }
 
     #[test]
@@ -627,8 +636,14 @@ mod tests {
         d
     }
 
+    /// `interrupt::request()` is process-wide and every journal-attached
+    /// campaign polls it: the test that raises the flag and each test that
+    /// attaches a journal hold this for their whole body.
+    static INTERRUPT_FLAG: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn journaled_campaigns_match_plain_ones_bit_identically() {
+        let _flag = INTERRUPT_FLAG.lock().unwrap_or_else(|e| e.into_inner());
         let m = test_module();
         let cfg = CampaignConfig::quick(21);
         let g = golden_run(&m, &input(50), &cfg).unwrap();
@@ -701,6 +716,7 @@ mod tests {
 
     #[test]
     fn interrupted_campaign_preserves_progress_and_resumes() {
+        let _flag = INTERRUPT_FLAG.lock().unwrap_or_else(|e| e.into_inner());
         let m = test_module();
         let mut cfg = CampaignConfig::quick(31);
         cfg.threads = 1;
@@ -915,6 +931,7 @@ mod tests {
 
     #[test]
     fn journaled_quarantine_is_skipped_on_resume() {
+        let _flag = INTERRUPT_FLAG.lock().unwrap_or_else(|e| e.into_inner());
         let m = test_module();
         let mut cfg = CampaignConfig::quick(6);
         cfg.per_inst_injections = 4;

@@ -24,7 +24,6 @@
 //! [`deadline_secs`](CampaignConfigBuilder::deadline_secs).
 
 use crate::campaign::{CampaignConfig, CheckpointPolicy};
-use minpsid_interp::SnapshotMode;
 
 /// Builder for [`CampaignConfig`] with every validation rule in one
 /// place. Setters take raw values and reject invalid ones with the same
@@ -116,22 +115,6 @@ impl CampaignConfigBuilder {
         Ok(self)
     }
 
-    /// Checkpoint encoding: `full` self-contained snapshots, or `delta`
-    /// chains with periodic keyframes (the campaign default — same
-    /// restore semantics, far less memory per checkpoint).
-    pub fn snapshot_mode(mut self, v: &str) -> Result<Self, String> {
-        self.cfg.snapshot_mode = match v {
-            "full" => SnapshotMode::Full,
-            "delta" => SnapshotMode::Delta,
-            _ => {
-                return Err(format!(
-                    "bad --snapshot-mode `{v}` (want `full` or `delta`)"
-                ))
-            }
-        };
-        Ok(self)
-    }
-
     /// Per-injection wall-clock budget in milliseconds; 0 (the default)
     /// disables it.
     pub fn injection_timeout_ms(mut self, ms: u64) -> Self {
@@ -208,7 +191,7 @@ impl CampaignConfigBuilder {
     /// irrelevant to campaigns are ignored, so front ends can mix their
     /// own flags in freely): `--seed`, `--quick`, `--injections`,
     /// `--per-inst`, `--threads`, `--checkpoint-interval`,
-    /// `--no-checkpoints`, `--snapshot-mode`, `--injection-timeout-ms`,
+    /// `--no-checkpoints`, `--injection-timeout-ms`,
     /// the two chaos knobs, `--max-retries`,
     /// `--quarantine-after`, `--quarantine-cap`, `--ci-half-width` and
     /// `--deadline-secs`.
@@ -236,9 +219,6 @@ impl CampaignConfigBuilder {
         }
         if let Some(n) = parse_u64(rest, "--checkpoint-interval")? {
             b = b.checkpoint_interval(n)?;
-        }
-        if let Some(v) = flag_value(rest, "--snapshot-mode")? {
-            b = b.snapshot_mode(&v)?;
         }
         if let Some(ms) = parse_u64(rest, "--injection-timeout-ms")? {
             b = b.injection_timeout_ms(ms);
@@ -383,19 +363,6 @@ mod tests {
             let c = CampaignConfigBuilder::from_flags(&rest).unwrap().build();
             assert_eq!(c.checkpoints, CheckpointPolicy::Disabled);
         }
-    }
-
-    #[test]
-    fn snapshot_mode_parses_and_rejects_nonsense() {
-        let c = CampaignConfigBuilder::from_flags(&args(&["--snapshot-mode", "full"]))
-            .unwrap()
-            .build();
-        assert_eq!(c.snapshot_mode, SnapshotMode::Full);
-        let d = CampaignConfigBuilder::from_flags(&args(&[]))
-            .unwrap()
-            .build();
-        assert_eq!(d.snapshot_mode, SnapshotMode::Delta, "campaign default");
-        assert!(CampaignConfigBuilder::from_flags(&args(&["--snapshot-mode", "sparse"])).is_err());
     }
 
     #[test]

@@ -1,40 +1,14 @@
-//! # minpsid-metrics — live observability primitives
+//! # minpsid-metrics — an empty crate that holds a lock-file edge
 //!
-//! Post-mortem tracing (`minpsid-trace`) answers "what happened"; a fleet
-//! running continuous SDC screening ("Silent Data Corruptions at Scale",
-//! Dixit et al.) also needs "what is happening *now*". This crate is that
-//! layer, kept dependency-free so it can sit below every other crate in
-//! the workspace:
+//! The metrics registry, Prometheus exposition, `/status` board and HTTP
+//! server that lived here were deleted in PR 20: a run is watched through
+//! the trace (`--progress`, `--trace-out`, `minpsid trace report`;
+//! DESIGN.md "One way to watch a run").
 //!
-//! * **Registry** ([`registry`]): typed metric families — monotone atomic
-//!   [`Counter`]s, last-write [`Gauge`]s, and fixed-bucket
-//!   [`Histogram`]s — generalizing the ad-hoc lock-free campaign counters
-//!   that previously lived inside the trace sink. Handles are `Arc`s;
-//!   updates are relaxed atomics; [`Registry::snapshot`] is the only
-//!   place a lock is taken.
-//! * **Exposition** ([`expo`]): Prometheus text format (v0.0.4) with
-//!   proper name sanitization, HELP/label escaping, byte-stable ordering,
-//!   and cumulative histogram buckets ending in `+Inf`.
-//! * **Status board** ([`status`]): a typed mirror of campaign progress
-//!   (per-workload done/total/ETA, outcome tallies, quarantine list,
-//!   retry/early-stop/truncation accounting, completeness) rendered as a
-//!   stable JSON document for the `/status` endpoint. The board knows
-//!   nothing about trace events — `minpsid-trace` installs a bridge
-//!   observer that translates its event stream into board updates.
-//! * **HTTP server** ([`http`]): a hand-rolled HTTP/1.1 responder over
-//!   `std::net::TcpListener` (same no-deps spirit as the hand-rolled JSON
-//!   codec) serving `GET /metrics` and `GET /status`.
-//!
-//! Nothing here feeds back into campaign execution: metrics are
-//! observe-only, so reports and WAL bytes are identical with the whole
-//! layer on or off.
-
-pub mod expo;
-pub mod http;
-pub mod registry;
-pub mod status;
-
-pub use expo::render_prometheus;
-pub use http::StatusServer;
-pub use registry::{Counter, Gauge, Histogram, MetricKind, Registry, SampleValue, SeriesSnapshot};
-pub use status::{CampaignView, QuarantineEntry, StatusBoard};
+//! The crate itself stays, with no items, because `benchmark/Cargo.lock`
+//! pins the `minpsid-trace → minpsid-metrics` edge and `benchmark/run.sh`
+//! builds `--offline` without `--locked`: dropping the edge makes cargo
+//! rewrite a file under `benchmark/`, which only a benchmark PR may touch
+//! (`scripts/ci.sh` fails on that diff). ROADMAP 4(d) — the PR that
+//! refreshes the lock — deletes this directory and the dependency line in
+//! `crates/trace/Cargo.toml`.

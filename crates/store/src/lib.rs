@@ -19,10 +19,10 @@
 //!
 //! `scrub` walks every object and verifies it in place; `gc` drops
 //! objects no ref points at; `ls` lists objects with their back-refs.
-//! The `--chaos-flip-artifact-one-in` knob (wired through [`chaos`] and
-//! [`ArtifactStore::set_chaos_flip`]) flips one bit in every Nth freshly
-//! published object — between write and read — to prove end to end that
-//! corruption is detected, quarantined, and recomputed, never consumed.
+//! [`ArtifactStore::set_chaos_flip`] is the tests' hook: it flips one bit
+//! in every Nth freshly published object — between write and read — to
+//! prove end to end that corruption is detected, quarantined, and
+//! recomputed, never consumed. A store opens with flipping off.
 
 pub mod bytes;
 mod digest;
@@ -40,29 +40,6 @@ const CORRUPT: &str = "corrupt";
 const REFS: &str = "refs";
 const CHAOS: &str = "chaos";
 const OBJ_EXT: &str = "obj";
-
-/// Process-global default for the chaos bit-flip knob. The CLI arms it
-/// once from `--chaos-flip-artifact-one-in`; every store opened afterward
-/// inherits it (workers re-exec the CLI, so the flag forwards naturally).
-/// Tests that need chaos should prefer [`ArtifactStore::set_chaos_flip`]
-/// on their own store instance — the global would leak across parallel
-/// tests in the same process.
-pub mod chaos {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static DEFAULT_FLIP_ONE_IN: AtomicU64 = AtomicU64::new(0);
-
-    /// Arm (n > 0) or disarm (n = 0) the default flip rate for stores
-    /// opened after this call.
-    pub fn set_flip_one_in(n: u64) {
-        DEFAULT_FLIP_ONE_IN.store(n, Ordering::Relaxed);
-    }
-
-    /// Current default flip rate (0 = disabled).
-    pub fn flip_one_in() -> u64 {
-        DEFAULT_FLIP_ONE_IN.load(Ordering::Relaxed)
-    }
-}
 
 /// Typed load failure. `Corrupt` is the one callers must handle: the
 /// object failed digest verification, has already been moved to
@@ -213,15 +190,14 @@ pub struct ArtifactStore {
 }
 
 impl ArtifactStore {
-    /// Open (creating if needed) a store rooted at `root`. Inherits the
-    /// process-wide [`chaos`] flip rate.
+    /// Open (creating if needed) a store rooted at `root`.
     pub fn open(root: &Path) -> io::Result<ArtifactStore> {
         fs::create_dir_all(root.join(OBJECTS))?;
         fs::create_dir_all(root.join(CORRUPT))?;
         fs::create_dir_all(root.join(REFS))?;
         Ok(ArtifactStore {
             root: root.to_path_buf(),
-            flip_one_in: AtomicU64::new(chaos::flip_one_in()),
+            flip_one_in: AtomicU64::new(0),
             publishes: AtomicU64::new(0),
         })
     }
@@ -230,7 +206,8 @@ impl ArtifactStore {
         &self.root
     }
 
-    /// Override the chaos flip rate for this store instance (0 = off).
+    /// Set the chaos flip rate of this store instance (0 = off, the
+    /// state it opens in).
     pub fn set_chaos_flip(&self, one_in: u64) {
         self.flip_one_in.store(one_in, Ordering::Relaxed);
     }

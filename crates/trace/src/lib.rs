@@ -25,11 +25,12 @@
 //!   restore savings, golden-cache hit rates, and per-generation GA
 //!   fitness curves.
 //!
-//! The crate sits at the bottom of the workspace dependency graph (it
-//! depends on nothing), so every layer — interp, faultsim, sid, core,
-//! CLI, bench — can emit events.
+//! The crate sits at the bottom of the workspace dependency graph, so
+//! every layer — interp, faultsim, sid, core, CLI, bench — can emit
+//! events. Its one dependency, `minpsid-metrics`, is an item-less stub
+//! that nothing here names: the edge stays only because
+//! `benchmark/Cargo.lock` pins it (see that crate's doc).
 
-pub mod bridge;
 pub mod event;
 pub mod json;
 pub mod report;

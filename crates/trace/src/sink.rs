@@ -432,6 +432,9 @@ impl CampaignCounters {
 /// from `counters` every `interval`; a final `campaign_end` summary is
 /// emitted when `body` returns. When the sink is inactive no thread is
 /// spawned and `body` runs bare — campaigns without tracing pay nothing.
+/// A `body` that panics stops the sampler on the way out, so the panic
+/// propagates (the scope would otherwise join a thread that never ends)
+/// and no `campaign_end` is emitted for a campaign that did not finish.
 pub fn sample_campaign<T>(
     counters: &CampaignCounters,
     interval: Duration,
@@ -439,6 +442,12 @@ pub fn sample_campaign<T>(
 ) -> T {
     if !active() {
         return body();
+    }
+    struct StopOnDrop<'a>(&'a AtomicBool);
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Relaxed);
+        }
     }
     let stop = AtomicBool::new(false);
     let result = std::thread::scope(|scope| {
@@ -456,9 +465,8 @@ pub fn sample_campaign<T>(
                 }
             }
         });
-        let r = body();
-        stop.store(true, Ordering::Relaxed);
-        r
+        let _stop = StopOnDrop(&stop);
+        body()
     });
     emit(counters.end_event());
     result
@@ -494,10 +502,13 @@ mod tests {
         }
     }
 
-    /// The global sink is process-wide state, so everything that touches
-    /// it lives in one sequential test.
+    /// The global sink is process-wide state: a test that touches it holds
+    /// this for its whole body.
+    static SINK_TESTS: StdMutex<()> = StdMutex::new(());
+
     #[test]
     fn global_sink_lifecycle() {
+        let _sink = SINK_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         assert!(!active(), "sink starts disabled");
         // disabled: spans and emits are free no-ops
         drop(span("noop"));
@@ -599,6 +610,34 @@ mod tests {
             value: 1,
         });
         assert_eq!(buf.lines().len(), events.len());
+    }
+
+    /// A `body` that unwinds takes the sampler down with it: the panic
+    /// reaches the caller (no hung join) and no `campaign_end` is emitted.
+    #[test]
+    fn a_panicking_body_propagates_through_an_observed_campaign() {
+        let _sink = SINK_TESTS.lock().unwrap_or_else(|e| e.into_inner());
+        let ended = Arc::new(AtomicBool::new(false));
+        let seen = ended.clone();
+        add_observer(move |ev| {
+            if matches!(ev.event, Event::CampaignEnd { .. }) {
+                seen.store(true, Ordering::Relaxed);
+            }
+        });
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let counters = CampaignCounters::new(CampaignKind::Program, 1);
+            let unwound = std::panic::catch_unwind(|| {
+                sample_campaign(&counters, Duration::from_millis(50), || {
+                    panic!("a worker panic re-raised outside catch_unwind")
+                })
+            });
+            let _ = tx.send(unwound.is_err());
+        });
+        let came_back = rx.recv_timeout(Duration::from_secs(3));
+        shutdown().unwrap();
+        assert_eq!(came_back, Ok(true), "the sampler outlived a panicked body");
+        assert!(!ended.load(Ordering::Relaxed), "campaign_end, unfinished");
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! * [`sid`] — baseline selective instruction duplication;
 //! * [`minpsid`] — the paper's contribution: GA input search,
 //!   incubative-instruction identification, re-prioritized SID;
-//! * [`trace`] — structured tracing/metrics sink and the offline
-//!   `minpsid trace report` analyzer;
+//! * [`trace`] — structured tracing sink, in-process observers and the
+//!   offline `minpsid trace report` analyzer: the one way to watch a run;
 //! * [`journal`] — crash-safe campaign journal: durable WAL,
 //!   resume-after-crash, cooperative interrupts;
 //! * [`sched`] — resilient campaign scheduler: retry/backoff,
@@ -35,7 +35,6 @@ pub use minpsid_faultsim as faultsim;
 pub use minpsid_interp as interp;
 pub use minpsid_ir as ir;
 pub use minpsid_journal as journal;
-pub use minpsid_metrics as metrics;
 pub use minpsid_sched as sched;
 pub use minpsid_sid as sid;
 pub use minpsid_store as store;

@@ -19,13 +19,20 @@ use minpsid_repro::faultsim::{
 use minpsid_repro::interp::ProgInput;
 use minpsid_repro::ir::Module;
 use minpsid_repro::workloads;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 fn journal_dir(name: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("minpsid-engine-eq-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     d
+}
+
+/// The WAL a journal (dropped by now) left in `dir`; removes `dir`.
+fn wal_of(dir: &Path) -> Vec<u8> {
+    let wal = std::fs::read(dir.join("campaign.wal")).expect("campaign WAL");
+    let _ = std::fs::remove_dir_all(dir);
+    wal
 }
 
 fn bench_module(name: &str) -> (Module, ProgInput) {
@@ -202,12 +209,6 @@ fn every_planned_fault_resolved_alone_equals_the_engine() {
         .expect("valid config")
         .build();
     let golden = golden_run(&module, &input, &cfg).expect("golden run");
-    let wal_of = |dir: &PathBuf| {
-        let wal = std::fs::read(dir.join("campaign.wal")).expect("campaign WAL");
-        let _ = std::fs::remove_dir_all(dir);
-        wal
-    };
-
     let dir = journal_dir("planned-engine");
     let journal = CampaignJournal::open(&dir, 0, 0).expect("open journal");
     let engine =
@@ -272,14 +273,16 @@ fn every_planned_fault_resolved_alone_equals_the_engine() {
 #[test]
 fn one_pass_golden_run_equals_the_oracles_two_passes_on_every_kernel() {
     use minpsid_repro::interp::wire::{encode_checkpoints, encode_golden};
-    use minpsid_repro::interp::{auto_interval, oracle, CheckpointConfig, ExecConfig, Interp};
+    use minpsid_repro::interp::{
+        auto_interval, oracle, CheckpointConfig, ExecConfig, Interp, SnapshotMode,
+    };
 
-    for mode in ["delta", "full"] {
-        let cfg = CampaignConfigBuilder::new(7)
+    for mode in [SnapshotMode::Delta, SnapshotMode::Full] {
+        let mut cfg = CampaignConfigBuilder::new(7)
             .max_checkpoints(128)
-            .and_then(|b| b.snapshot_mode(mode))
             .expect("valid config")
             .build();
+        cfg.snapshot_mode = mode;
         for b in workloads::suite() {
             let (module, input) = bench_module(b.name);
             let golden = golden_run(&module, &input, &cfg).expect("golden run");
@@ -305,17 +308,17 @@ fn one_pass_golden_run_equals_the_oracles_two_passes_on_every_kernel() {
             assert!(!store.is_empty(), "{}: nothing captured", b.name);
 
             let profile = first.profile.expect("profiled walk");
-            assert_eq!(golden.steps, first.steps, "{} ({mode}): steps", b.name);
-            assert_eq!(golden.output, first.output, "{} ({mode}): output", b.name);
-            assert_eq!(golden.profile, profile, "{} ({mode}): profile", b.name);
+            assert_eq!(golden.steps, first.steps, "{} ({mode:?}): steps", b.name);
+            assert_eq!(golden.output, first.output, "{} ({mode:?}): output", b.name);
+            assert_eq!(golden.profile, profile, "{} ({mode:?}): profile", b.name);
             assert!(
                 golden.encode_meta() == encode_golden(&first.output, &profile, first.steps),
-                "{} ({mode}): golden meta image",
+                "{} ({mode:?}): golden meta image",
                 b.name
             );
             assert!(
                 golden.encode_checkpoints() == encode_checkpoints(&store),
-                "{} ({mode}): checkpoint store image",
+                "{} ({mode:?}): checkpoint store image",
                 b.name
             );
         }
@@ -508,16 +511,15 @@ fn search_on_a_shared_interpreter_equals_per_candidate_profiling() {
     }
 }
 
-/// Observability must be a pure observer: the same campaign run with the
-/// interpreter sampling profiler enabled AND the full trace/metrics
-/// bridge attached (the `--status-addr` wiring) produces byte-identical
-/// reports to a bare run. The bridge sees real events — the campaign is
-/// sampled — but none of it may leak into results.
+/// Observation must be pure: the same two campaigns, journaled, with an
+/// in-process observer, a trace writer and the interpreter sampling
+/// profiler attached produce the reports *and the WAL* of a bare run.
+/// The observer sees real events — the campaigns are sampled — but none
+/// of it may leak into what a run reports or persists.
 #[test]
 fn observability_on_and_off_produce_byte_identical_reports() {
-    use minpsid_repro::metrics::{Registry, StatusBoard};
-    use minpsid_repro::trace;
-    use std::sync::Arc;
+    use minpsid_repro::trace::{self, CampaignKind, Event};
+    use std::sync::{Arc, Mutex};
 
     let (module, input) = bench_module("fft");
     let cfg = CampaignConfigBuilder::new(7)
@@ -527,45 +529,42 @@ fn observability_on_and_off_produce_byte_identical_reports() {
         .build();
     let golden = golden_run(&module, &input, &cfg).expect("golden run");
 
-    let run = || {
-        let program = CampaignEngine::new(&module, &input, &golden, &cfg)
-            .run_program()
-            .expect("no interrupt requested");
-        let per_inst = CampaignEngine::new(&module, &input, &golden, &cfg)
-            .run_per_instruction()
-            .expect("no interrupt requested");
-        (format!("{program:?}"), format!("{per_inst:?}"))
+    let run = |pass: &str| {
+        let dir = journal_dir(&format!("observed-{pass}"));
+        let journal = CampaignJournal::open(&dir, 0, 0).expect("open journal");
+        let engine = CampaignEngine::new(&module, &input, &golden, &cfg).with_journal(&journal, 1);
+        let reports = ["program", "per_inst"].map(|shape| run_shape(shape, &engine));
+        drop(journal);
+        (reports, wal_of(&dir))
     };
 
-    let bare = run();
+    let (bare, bare_wal) = run("off");
 
-    let registry = Arc::new(Registry::new());
-    let board = Arc::new(StatusBoard::new());
-    trace::bridge::install(registry.clone(), board.clone(), "fft");
+    let ends = Arc::new(Mutex::new(Vec::new()));
+    let seen = ends.clone();
+    trace::add_observer(move |ev| {
+        if let Event::CampaignEnd { kind, .. } = &ev.event {
+            seen.lock().unwrap().push(*kind);
+        }
+    });
+    trace::init_writer(Box::new(std::io::sink()));
     minpsid_repro::interp::opprof::enable(64);
-    let observed = run();
+    let (observed, observed_wal) = run("on");
+    let samples = minpsid_repro::interp::opprof::snapshot().total_samples;
     minpsid_repro::interp::opprof::disable();
     minpsid_repro::interp::opprof::reset();
     trace::shutdown().expect("clean trace shutdown");
 
-    assert_eq!(
-        observed, bare,
-        "campaign reports changed with profiler + metrics bridge enabled"
-    );
-    // The observers must have actually seen the campaign, or the identity
-    // check proved nothing.
-    let doc = board.render_json_at(0);
+    assert_eq!(observed, bare, "reports changed under observation");
+    assert!(observed_wal == bare_wal, "WAL changed under observation");
+    // The observers must have actually seen the campaigns, or the identity
+    // check proved nothing (sibling tests' campaigns reach the same sink).
+    let ends = ends.lock().unwrap();
     assert!(
-        doc.contains("\"workload\":\"fft\"") && doc.contains("\"finished\":true"),
-        "bridge saw no campaign: {doc}"
+        ends.contains(&CampaignKind::Program) && ends.contains(&CampaignKind::PerInst),
+        "a campaign_end per campaign: {ends:?}"
     );
-    assert!(
-        registry
-            .snapshot()
-            .iter()
-            .any(|f| f.name == "minpsid_injections_total"),
-        "bridge recorded no injections"
-    );
+    assert!(samples > 0, "the profiler sampled nothing");
 }
 
 /// Campaign the SIGKILL child and the resuming parent both run, in one of
