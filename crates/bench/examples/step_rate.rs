@@ -1,19 +1,36 @@
-//! Step-rate probe: per kernel, on its reference input, the clean and the
-//! observed (profiling) loop's steps/sec, and how much of the run the
-//! slotted lowering addresses at decode time — the share of dynamic
-//! instructions that are loads or stores, the share that are
-//! slot-addressed ones, and the static count behind it.
-use minpsid_interp::{ExecConfig, Interp};
+//! Step-rate probe: per kernel, on its reference input, the steps/sec of
+//! the clean loop, of the observed loop (a profiled fault-free run, what a
+//! GA candidate costs) and of the armed-observed loop (a profiled run with
+//! a fault aimed past the end of the trace, so it never fires: what
+//! observing cost before it stopped arming), with the observed/clean
+//! ratio; and how much of the run the slotted lowering addresses at
+//! decode time — the share of dynamic instructions that are loads or
+//! stores, the share that are slot-addressed ones, and the static count
+//! behind it.
+use minpsid_interp::{ExecConfig, FaultSpec, FaultTarget, Interp, ProgInput};
 use minpsid_ir::InstKind;
 use std::hint::black_box;
 use std::time::Instant;
 
 fn main() {
     println!(
-        "{:<15} {:>8} {:>7} {:>7} {:>9} {:>9} {:>9}",
-        "kernel", "steps", "mem %", "slot %", "static", "clean M/s", "obs M/s"
+        "{:<15} {:>8} {:>7} {:>7} {:>9} {:>9} {:>9} {:>9} {:>9}",
+        "kernel",
+        "steps",
+        "mem %",
+        "slot %",
+        "static",
+        "clean M/s",
+        "obs M/s",
+        "armed-obs",
+        "obs/clean"
     );
+    let never = FaultSpec {
+        target: FaultTarget::NthDynamic(u64::MAX),
+        bit: 0,
+    };
     let (mut steps_all, mut mem_all, mut slot_all) = (0u64, 0u64, 0u64);
+    let mut secs_all = [0f64; 3];
     for b in minpsid_workloads::suite() {
         let module = b.compile();
         let input = b.model.materialize(&b.model.reference());
@@ -27,15 +44,22 @@ fn main() {
             )
         });
         let p = observed.run(&input).profile.expect("profiled");
-        let rate = |interp: &Interp| {
+        // best of 30: a run is ~100 us, so a handful is all scheduler
+        let best_secs = |run: &dyn Fn(&ProgInput)| {
             let mut best = f64::INFINITY;
-            for _ in 0..5 {
+            for _ in 0..30 {
                 let t = Instant::now();
-                black_box(interp.run(black_box(&input)));
+                run(black_box(&input));
                 best = best.min(t.elapsed().as_secs_f64());
             }
-            p.total_insts as f64 / best / 1e6
+            best
         };
+        let secs = [
+            best_secs(&|i| drop(black_box(clean.run(i)))),
+            best_secs(&|i| drop(black_box(observed.run(i)))),
+            best_secs(&|i| drop(black_box(observed.run_with_fault(i, never)))),
+        ];
+        let rate = |secs: f64| p.total_insts as f64 / secs / 1e6;
         let (mut mem, mut slot) = (0u64, 0u64);
         for ((_, inst), (dense, &n)) in module.iter_insts().zip(p.inst_counts.iter().enumerate()) {
             if matches!(inst.kind, InstKind::Load { .. } | InstKind::Store { .. }) {
@@ -48,22 +72,30 @@ fn main() {
         let (slotted, all) = clean.slot_coverage();
         let pct = |n: u64| 100.0 * n as f64 / p.total_insts as f64;
         println!(
-            "{:<15} {:>8} {:>7.1} {:>7.1} {:>9} {:>9.1} {:>9.1}",
+            "{:<15} {:>8} {:>7.1} {:>7.1} {:>9} {:>9.1} {:>9.1} {:>9.1} {:>9.2}",
             b.name,
             p.total_insts,
             pct(mem),
             pct(slot),
             format!("{slotted}/{all}"),
-            rate(&clean),
-            rate(&observed)
+            rate(secs[0]),
+            rate(secs[1]),
+            rate(secs[2]),
+            secs[0] / secs[1]
         );
+        for (all, s) in secs_all.iter_mut().zip(secs) {
+            *all += s;
+        }
         steps_all += p.total_insts;
         mem_all += mem;
         slot_all += slot;
     }
+    let [clean, obs, armed_obs] = secs_all.map(|s| steps_all as f64 / s / 1e6);
     println!(
-        "suite: {steps_all} steps, {:.1} % loads/stores, {:.1} % slot-addressed",
+        "suite: {steps_all} steps, {:.1} % loads/stores, {:.1} % slot-addressed; \
+         clean {clean:.1} M/s, observed {obs:.1} M/s ({:.2}x clean), armed-observed {armed_obs:.1} M/s",
         100.0 * mem_all as f64 / steps_all as f64,
-        100.0 * slot_all as f64 / steps_all as f64
+        100.0 * slot_all as f64 / steps_all as f64,
+        obs / clean
     );
 }

@@ -16,7 +16,7 @@ use crate::wcfg::{
     fitness_score, fitness_score_normalized, indexed_cfg_list, profile_with, profiling_interp,
 };
 use minpsid_faultsim::{CampaignConfig, Deadline};
-use minpsid_interp::{Interp, ProgInput};
+use minpsid_interp::{ExecScratch, Interp, ProgInput};
 use minpsid_ir::Module;
 use minpsid_trace as trace;
 use rand::rngs::StdRng;
@@ -99,6 +99,8 @@ pub struct SearchOutcome {
 pub struct SearchEngine<'a> {
     /// The one profiling interpreter every candidate runs on.
     interp: Interp<'a>,
+    /// The one set of run buffers every candidate runs in.
+    scratch: ExecScratch,
     model: &'a dyn InputModel,
     ga: GaConfig,
     history: Vec<Vec<u64>>,
@@ -139,6 +141,7 @@ impl<'a> SearchEngine<'a> {
         let rng = StdRng::seed_from_u64(ga.seed);
         SearchEngine {
             interp: profiling_interp(module, &campaign),
+            scratch: ExecScratch::default(),
             model,
             ga,
             history: Vec::new(),
@@ -190,7 +193,7 @@ impl<'a> SearchEngine<'a> {
             self.deduped += 1;
             return known.clone();
         }
-        let run = profile_with(&self.interp, input)
+        let run = profile_with(&self.interp, &mut self.scratch, input)
             .ok()
             .map(|(profile, steps)| (indexed_cfg_list(&profile), steps));
         if let (Some(m), Some((list, _))) = (self.memo, &run) {

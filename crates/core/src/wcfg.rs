@@ -2,7 +2,7 @@
 //! Eq. 3).
 
 use minpsid_faultsim::CampaignConfig;
-use minpsid_interp::{ExecConfig, Interp, Profile, ProgInput, Termination};
+use minpsid_interp::{ExecConfig, ExecScratch, Interp, Profile, ProgInput, Termination};
 use minpsid_ir::Module;
 
 /// A profiling interpreter for `module` under the campaign's limits.
@@ -16,14 +16,16 @@ pub(crate) fn profiling_interp<'m>(module: &'m Module, campaign: &CampaignConfig
     Interp::new(module, exec)
 }
 
-/// Execute `input` once on a [`profiling_interp`] and return the profile
-/// with the run's length in dynamic steps. Fails on inputs that error out
-/// (those are filtered, per the input-generation rules of §III-A2).
+/// Execute `input` once on a [`profiling_interp`], in `scratch`, and
+/// return the profile with the run's length in dynamic steps. Fails on
+/// inputs that error out (those are filtered, per the input-generation
+/// rules of §III-A2).
 pub(crate) fn profile_with(
     interp: &Interp<'_>,
+    scratch: &mut ExecScratch,
     input: &ProgInput,
 ) -> Result<(Profile, u64), Termination> {
-    let r = interp.run(input);
+    let r = interp.run_in(scratch, input);
     if r.termination != Termination::Exit {
         return Err(r.termination);
     }
@@ -37,7 +39,12 @@ pub fn profile_input(
     input: &ProgInput,
     campaign: &CampaignConfig,
 ) -> Result<Profile, Termination> {
-    profile_with(&profiling_interp(module, campaign), input).map(|(profile, _)| profile)
+    profile_with(
+        &profiling_interp(module, campaign),
+        &mut ExecScratch::default(),
+        input,
+    )
+    .map(|(profile, _)| profile)
 }
 
 /// The indexed weighted-CFG list of a profile: per-basic-block dynamic

@@ -60,11 +60,13 @@
 //!
 //! ## Observers
 //!
-//! The loop is monomorphized three ways (see [`exec_loop`]): *clean*,
-//! *armed* (fault pending) and *observed*. The observed instantiation
-//! carries the profile, trace and checkpoint-capture observers of
-//! [`crate::observe`] and is what every golden run and every GA candidate
-//! evaluation executes on; the other two compile them out.
+//! The loop is monomorphized four ways (see [`exec_loop`]), over whether
+//! it is *armed* (counts value productions, fires the fault) and whether
+//! it is *observed*. The observed instantiations carry the profile, trace
+//! and checkpoint-capture observers of [`crate::observe`]; the unarmed
+//! one is what every golden run and every GA candidate evaluation
+//! executes on, and the injection counts those need are derived from the
+//! observers' own counters. The other two compile the observers out.
 //!
 //! ## The scratch arena
 //!
@@ -1985,10 +1987,10 @@ fn decode_inst(
 /// in [`crate::oracle`].
 ///
 /// A run that wants a profile or a trace (per the interpreter's config)
-/// executes on the *observed* instantiation from its first step to its
-/// last; any other run goes through [`run_unobserved`], which is also
-/// what `golden` — the golden run's checkpoint store, if the caller has
-/// one — is for.
+/// executes on an *observed* instantiation from its first step to its
+/// last ([`run_observed`] says which); any other run goes through
+/// [`run_unobserved`], which is also what `golden` — the golden run's
+/// checkpoint store, if the caller has one — is for.
 pub(crate) fn run_decoded(
     interp: &Interp<'_>,
     scratch: &mut ExecScratch,
@@ -2004,9 +2006,9 @@ pub(crate) fn run_decoded(
     }
 }
 
-/// A fault-free run on the observed instantiation that captures
-/// checkpoints into `ckpt` (and profiles or traces, if the config says
-/// so); hands the collector back with what it captured.
+/// A fault-free run from the entry point on the observed instantiation
+/// that captures checkpoints into `ckpt` (and profiles or traces, if the
+/// config says so); hands the collector back with what it captured.
 pub(crate) fn run_capturing(
     interp: &Interp<'_>,
     scratch: &mut ExecScratch,
@@ -2018,6 +2020,13 @@ pub(crate) fn run_capturing(
     (r, ckpt)
 }
 
+/// The observed run. Observing does not need the injection counters: a
+/// fault-free run from the entry point — a GA candidate's profile, a
+/// golden run's capture, the golden side of a propagation trace —
+/// executes *unarmed*, and what the counters would have read is derived
+/// from what the observers keep anyway (see [`crate::observe`]). Only a
+/// run that has a fault to fire, already carries one, or starts mid-run
+/// from a restored counter executes *armed-observed*.
 fn run_observed(
     interp: &Interp<'_>,
     scratch: &mut ExecScratch,
@@ -2025,23 +2034,25 @@ fn run_observed(
     fault: Option<FaultSpec>,
     ckpt: Option<CheckpointCollector>,
 ) -> ExecResult {
-    let resumed_at = (scratch.st.steps > 0).then_some(scratch.st.steps);
+    let st = &scratch.st;
+    let resumed_at = (st.steps > 0).then_some(st.steps);
+    let armed = fault.is_some() || st.fault_applied || st.steps > 0;
+    assert!(
+        !armed || ckpt.is_none(),
+        "only a fault-free run from the entry point is captured"
+    );
     scratch.converge_stats = ConvergeStats::default();
-    scratch
-        .obs
-        .begin(interp, ckpt, &scratch.dframes, scratch.st.steps);
+    scratch.obs.begin(interp, ckpt, &scratch.dframes, st.steps);
     // the observed loop never hands off, so a run that will flip a value
     // (or already has) is generic from its first step
-    scratch.on_generic = fault.is_some() || scratch.st.fault_applied;
-    run_loop::<true, true>(
-        interp,
-        scratch,
-        input,
-        fault,
-        resumed_at,
-        &mut Converge::off(),
-    )
-    .expect("the observed loop always runs to a termination")
+    scratch.on_generic = fault.is_some() || st.fault_applied;
+    let conv = &mut Converge::off();
+    if armed {
+        run_loop::<true, true>(interp, scratch, input, fault, resumed_at, conv)
+    } else {
+        run_loop::<false, true>(interp, scratch, input, None, None, conv)
+    }
+    .expect("the observed loops always run to a termination")
 }
 
 /// The observer-free run: the *armed* instantiation carries the injection
@@ -2168,7 +2179,7 @@ fn run_loop<const ARMED: bool, const OBS: bool>(
                     top_pc as u32,
                     executed,
                     result,
-                    st.inj_ctr,
+                    ARMED.then_some(st.inj_ctr),
                 )
             } else {
                 result
@@ -2177,22 +2188,31 @@ fn run_loop<const ARMED: bool, const OBS: bool>(
     }
 }
 
-/// The interpreter loop, monomorphized three ways; see [`run_decoded`].
-/// Runs until the run ends or has to continue elsewhere, writes the step
-/// counter back into the scratch and says why it stopped.
+/// The interpreter loop, monomorphized four ways — `ARMED` and `OBS` are
+/// independent; see [`run_decoded`]. Runs until the run ends or has to
+/// continue elsewhere, writes the step counter back into the scratch and
+/// says why it stopped.
 ///
-/// * clean (`ARMED = false`): no injection counters, no fault check;
-///   pauses at golden checkpoints for the convergence early exit.
-/// * armed (`ARMED = true`): counts injectable value productions and
-///   fires the fault; stops at the first instruction boundary after the
-///   flip, with the current frame's pc synced back into the scratch so
-///   the clean variant can pick up mid-run.
-/// * observed (`ARMED = OBS = true`): armed, never hands off, and drives
-///   the scratch's [`Observers`] — taken-branch counters, call/return
-///   bookkeeping, the register write trace, per-instruction injection
-///   counts and checkpoint capture (folded into the `next_pause`
-///   compare). `OBS` without `ARMED` is not instantiated: capture needs
-///   the injection counters.
+/// * `ARMED`: counts injectable value productions and fires the fault.
+///   Without it a produced value is a bare register write.
+/// * `OBS`: never hands off and drives the scratch's [`Observers`] —
+///   taken-branch counters, call/return bookkeeping, the register write
+///   trace.
+///
+/// * clean (neither): pauses at golden checkpoints for the convergence
+///   early exit.
+/// * armed: stops at the first instruction boundary after the flip, with
+///   the current frame's pc synced back into the scratch so the clean
+///   variant can pick up mid-run.
+/// * observed: a fault-free run from the entry point; captures
+///   checkpoints (folded into the `next_pause` compare). It counts no
+///   production — a value a call produces is produced at the callee's
+///   return, not when the call executes, so the observers derive the
+///   injection counts from executions minus the calls still suspended
+///   (see [`crate::observe`]).
+/// * armed-observed: a profiled or traced run with a fault armed or
+///   applied, or resumed mid-run; runs to its end on the counters it
+///   entered with.
 fn exec_loop<const ARMED: bool, const OBS: bool>(
     interp: &Interp<'_>,
     dm: &DecodedModule,
@@ -2293,12 +2313,16 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
     // golden-convergence boundary, folded into the same compare: the next
     // checkpoint at which the (clean-phase) state is compared with the
     // golden run's; u64::MAX when early exit is off for this run
-    let mut conv_at = if ARMED { u64::MAX } else { conv.next_at() };
+    let mut conv_at = if ARMED || OBS {
+        u64::MAX
+    } else {
+        conv.next_at()
+    };
     // checkpoint-capture boundary, folded into the same compare: one past
     // the completed-step count at which the next capture is due (the
     // pause sits in the tick of the instruction that follows the
     // boundary); u64::MAX when nothing is captured
-    let mut cap_at = if OBS {
+    let mut cap_at = if OBS && !ARMED {
         obs.capture_at(steps_l)
     } else {
         u64::MAX
@@ -2307,6 +2331,26 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
         .min(next_sample)
         .min(conv_at)
         .min(cap_at);
+    // The capture is reached through a pointer, not by name: what the
+    // observers call must not change how the loops compile. rustc's MIR
+    // inliner inlines this crate's getters (`Interp::config`,
+    // `Interp::dense_index`, `Output::len`) into this body only while the
+    // call graph it can follow from here stays shallow; one more level
+    // under `Observers::capture` and it leaves them to LLVM, which then
+    // keeps `pc` on the stack in *every* instantiation (measured: the
+    // clean loop 348 -> 285 M steps/s, `faultsim.per_inst_s` +20 %). It
+    // does not follow a pointer.
+    #[allow(clippy::type_complexity)]
+    let capture: fn(
+        &mut Observers,
+        &Interp<'_>,
+        &[DFrame],
+        u32,
+        &[Value],
+        &[Value],
+        (&mut Vec<u64>, &mut Vec<u64>, &mut Output),
+        u64,
+    ) = Observers::capture;
     // `$executed`: whether the instruction in flight got past its step
     // accounting (false only when the tick itself ends the run)
     macro_rules! finish {
@@ -2347,18 +2391,18 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
                 // cold: a capture is due, the limit expired, a deadline
                 // poll is due, a profiler sample is due, or a golden
                 // checkpoint boundary was reached
-                if OBS && steps_l >= cap_at {
+                if OBS && !ARMED && steps_l >= cap_at {
                     // due before this instruction, on completed steps:
                     // the state is the one after `steps_l - 1` steps
-                    obs.capture(
-                        dm,
+                    capture(
+                        obs,
+                        interp,
                         dframes.as_slice(),
                         (pc + $half) as u32,
                         regs.as_slice(),
                         args.as_slice(),
                         (&mut *mem, &mut *stack_mem, &mut *output),
                         steps_l - 1,
-                        *inj_ctr,
                     );
                     cap_at = obs.capture_at(steps_l);
                 }
@@ -2374,7 +2418,7 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
                     crate::opprof::record($di.op.index());
                     next_sample = ((steps_l / sample_every) + 1) * sample_every;
                 }
-                if !ARMED && steps_l == conv_at {
+                if !ARMED && !OBS && steps_l == conv_at {
                     // the state is the one after `steps_l - 1` steps
                     let view = DecodedView {
                         dm,
@@ -2481,7 +2525,7 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
     }
     // fault application + injection counting + register write (+ trace
     // event) for one produced value; evaluates to the (possibly flipped)
-    // value. The clean variant compiles down to the bare register write.
+    // value. Unarmed, it compiles down to the bare register write.
     macro_rules! produce {
         ($dense:expr, $inj:expr, $dst:expr, $v:expr) => {{
             let mut v = $v;
@@ -2504,11 +2548,6 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
                     v = flip_bit(v, fault_bit);
                 }
                 *inj_ctr += 1;
-                if OBS {
-                    if let Some(c) = obs.ckpt.as_mut() {
-                        c.inj_counts[$dense as usize] += 1;
-                    }
-                }
             }
             debug_assert!(reg_base + ($dst as usize) < regs.len());
             // SAFETY: dst is this instruction's id (< num_regs); see the

@@ -17,6 +17,7 @@
 
 use crate::decode::{self, DecodedModule, ExecScratch, Lowered};
 use crate::fault::{FaultSpec, FaultTarget};
+use crate::observe::BlockTable;
 use crate::profile::Profile;
 use crate::snapshot::{CheckpointCollector, CheckpointConfig, CheckpointStore};
 use crate::value::{Output, ProgInput, Value};
@@ -274,6 +275,8 @@ pub struct Interp<'m> {
     pub(crate) base: Vec<usize>,
     /// Per static instruction (dense): cycle cost.
     pub(crate) cost: Vec<u64>,
+    /// The module's blocks as the observers' counters see them.
+    pub(crate) block_table: BlockTable,
     /// The module lowered for pre-decoded dispatch (see [`crate::decode`]).
     lowered: Lowered,
 }
@@ -296,6 +299,7 @@ impl<'m> Interp<'m> {
             config,
             base,
             cost,
+            block_table: BlockTable::new(module, &lowered.slotted),
             lowered,
         }
     }
@@ -353,9 +357,16 @@ impl<'m> Interp<'m> {
 
     /// Execute without faults.
     pub fn run(&self, input: &ProgInput) -> ExecResult {
-        let mut scratch = ExecScratch::default();
+        self.run_in(&mut ExecScratch::default(), input)
+    }
+
+    /// [`Interp::run`] into caller-provided scratch, reusing every buffer
+    /// (frames, register/argument arenas, memories, the observers'
+    /// counters): what a caller that runs many inputs holds one
+    /// [`ExecScratch`] for.
+    pub fn run_in(&self, scratch: &mut ExecScratch, input: &ProgInput) -> ExecResult {
         scratch.start_decoded(self.decoded());
-        decode::run_decoded(self, &mut scratch, input, None, None)
+        decode::run_decoded(self, scratch, input, None, None)
     }
 
     /// Execute without faults and without observers, whatever the config

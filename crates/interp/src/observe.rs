@@ -6,28 +6,41 @@
 //! walk ([`crate::oracle`]) records instruction by instruction, but the
 //! loop itself does almost none of that work per step:
 //!
-//! * **Profile.** The loop counts only control transfers: one counter per
-//!   *taken branch* (two per code slot, indexed by the branch's logical
-//!   pc, so a branch fused into a superinstruction counts like a
-//!   standalone one) and one block entry per call. At the end of the run
-//!   the branch counters become block entries and CFG edges, and every
+//! * **Counts.** The loop counts only control transfers, profiled or
+//!   not: one counter per *taken branch* (two per code slot, indexed by
+//!   the branch's logical pc, so a branch fused into a superinstruction
+//!   counts like a standalone one) and one block entry per call. Whenever
+//!   counts are wanted — at the end of a profiled run, at a capture — the
+//!   branch counters become block entries and CFG edges, and every
 //!   instruction's dynamic count is the entry count of its block — minus
 //!   one for each live frame that has not reached it yet (the *partial
 //!   block correction*: a suspended caller has executed its block up to
 //!   and including the call, the running frame up to the instruction in
 //!   flight), plus one for each frame a resumed run re-entered mid-block
-//!   without a block entry. Per-function step ranges are kept per
-//!   *stretch* — the steps a frame runs between two calls or returns —
-//!   so they cost two stores per call, not per step.
+//!   without a block entry.
+//! * **Injection counts.** A fault-free run from the entry point executes
+//!   on the unarmed loop, which counts no value production. What the
+//!   armed counters would read — [`Profile::injectable_execs`], a
+//!   snapshot's `inj_ctr` and its dense per-instruction vector — is the
+//!   execution count of every injectable instruction minus the executions
+//!   that have *not produced*: a call's value is produced at the return,
+//!   so each suspended frame still owes its call's, and an instruction
+//!   that ends the run (a trap) never produces its own ([`unproduced`]).
+//!   A run with a fault armed or applied, or resumed mid-run, executes on
+//!   the armed loop and reads the counter it keeps.
+//! * **Profile.** Per-function step ranges are kept per *stretch* — the
+//!   steps a frame runs between two calls or returns — so they cost two
+//!   stores per call, not per step.
 //! * **Trace.** One [`TraceEvent`] per register write, pushed where the
 //!   loop writes the register.
 //! * **Checkpoint capture.** The next capture boundary is one more term
 //!   of the loop's folded `next_pause` compare. At a boundary the decoded
 //!   frames are synced back into canonical [`Frame`]s (logical pc =
 //!   `pc + half` inside a superinstruction), the memories and the output
-//!   are lent to a staging [`MachineState`], and the
-//!   [`CheckpointCollector`] captures that — the very state the reference
-//!   walk would hand it, so stores are byte-identical.
+//!   are lent to a staging [`MachineState`], the injection counts so far
+//!   are derived as above, and the [`CheckpointCollector`] captures that
+//!   — the very state the reference walk would hand it, so stores are
+//!   byte-identical.
 
 use crate::converge::frame_views;
 use crate::decode::{DFrame, DecodedModule};
@@ -35,7 +48,7 @@ use crate::exec::{ExecResult, Frame, Interp, MachineState, TraceEvent};
 use crate::profile::Profile;
 use crate::snapshot::CheckpointCollector;
 use crate::value::{Output, Value};
-use minpsid_ir::{BlockId, FuncId, InstKind};
+use minpsid_ir::{BlockId, FuncId, InstKind, Module};
 
 /// Observer state of one run of the observed loop; part of the
 /// [`ExecScratch`](crate::ExecScratch), which the unobserved
@@ -46,9 +59,12 @@ pub(crate) struct Observers {
     /// often the control instruction at logical pc `pc` of a function
     /// went to its `k`-th target (`Br`: k = 0; `CondBr`: then 0, else 1).
     pub(crate) branches: Vec<u64>,
+    /// The block entries no branch counts, per function: calls, and the
+    /// program entry.
+    calls: Vec<u64>,
     /// The profile under construction. During the run it holds only what
-    /// the loop cannot reconstruct later: block entries by call (and the
-    /// program entry), the step ranges, and a resumed run's credits.
+    /// the counters cannot say later: the step ranges and a resumed run's
+    /// credits.
     profile: Option<Profile>,
     /// First step of the running frame's current stretch.
     stretch_start: u64,
@@ -72,6 +88,146 @@ fn block_tail<'i>(
         .map(move |iid| base + iid.index())
 }
 
+/// Per live frame of `dframes`, whether it is the running one and what it
+/// has left of its block from its instruction on (dense indices): the
+/// running frame's instruction is the one at logical pc `top_pc`, a
+/// suspended frame's is its call.
+fn live_tails<'i>(
+    interp: &'i Interp<'_>,
+    dframes: &'i [DFrame],
+    top_pc: u32,
+) -> impl Iterator<Item = (bool, impl Iterator<Item = usize> + 'i)> + 'i {
+    let last = dframes.len().wrapping_sub(1);
+    dframes.iter().enumerate().map(move |(i, fr)| {
+        let running = i == last;
+        let pc = if running { top_pc } else { fr.pc };
+        let (block, pos) = interp.decoded().funcs[fr.func as usize].locate(pc);
+        (running, block_tail(interp, fr.func, block, pos))
+    })
+}
+
+/// No block, or no branch target.
+const NONE: u32 = u32::MAX;
+
+/// A block's terminator, as the counters see it.
+#[derive(Debug, Clone, Copy)]
+struct Term {
+    /// Which pair of [`Observers::branches`] counts it: `slot_base + pc`.
+    slot: u32,
+    /// The blocks the two counters lead to, numbered module-wide; `NONE`
+    /// where the terminator has no such target.
+    targets: [u32; 2],
+}
+
+/// The module's blocks, numbered module-wide, laid out so that the loop's
+/// counters turn into counts without walking the IR: a capture does this
+/// at every boundary. Built once, with the [`Interp`].
+#[derive(Debug)]
+pub(crate) struct BlockTable {
+    /// Per function, the number of its first block; then the block count.
+    first: Vec<u32>,
+    terms: Vec<Term>,
+    /// Per static instruction (dense): its block; `NONE` if it is in none.
+    block_of: Vec<u32>,
+    /// `block_of` for the instructions whose value is an injection site,
+    /// `NONE` for the rest.
+    inj_block: Vec<u32>,
+}
+
+impl BlockTable {
+    pub(crate) fn new(m: &Module, dm: &DecodedModule) -> Self {
+        let mut first = Vec::with_capacity(m.funcs.len() + 1);
+        let mut blocks = 0;
+        for f in &m.funcs {
+            first.push(blocks);
+            blocks += f.blocks.len() as u32;
+        }
+        first.push(blocks);
+        let mut terms = Vec::with_capacity(blocks as usize);
+        let mut block_of = vec![NONE; m.num_insts()];
+        let mut inj_block = block_of.clone();
+        let mut base = 0;
+        for ((f, df), &first) in m.funcs.iter().zip(&dm.funcs).zip(&first) {
+            for (bi, block) in f.blocks.iter().enumerate() {
+                let number = first + bi as u32;
+                for iid in &block.insts {
+                    block_of[base + iid.index()] = number;
+                    if f.insts[iid.index()].injectable() {
+                        inj_block[base + iid.index()] = number;
+                    }
+                }
+                let targets = match block.insts.last().map(|t| &f.insts[t.index()].kind) {
+                    Some(InstKind::Br { target }) => [first + target.0, NONE],
+                    Some(InstKind::CondBr { then_b, else_b, .. }) => {
+                        [first + then_b.0, first + else_b.0]
+                    }
+                    _ => [NONE; 2],
+                };
+                // the last slot of the block; read only where there is a target
+                let end = df.block_entry[bi] as usize + block.insts.len();
+                terms.push(Term {
+                    slot: (df.slot_base + end).saturating_sub(1) as u32,
+                    targets,
+                });
+            }
+            base += f.insts.len();
+        }
+        BlockTable {
+            first,
+            terms,
+            block_of,
+            inj_block,
+        }
+    }
+}
+
+/// Add to `counts` (dense) the executions of every instruction that `of`
+/// gives a block, when `blocks` are the entries of each block, the call
+/// stack is `dframes` and the running frame is at logical pc `top_pc`,
+/// its instruction `executed` or not: every entry of a block executes all
+/// of it, except the entries the live frames are still in the middle of.
+fn add_executions(
+    interp: &Interp<'_>,
+    of: &[u32],
+    blocks: &[u64],
+    dframes: &[DFrame],
+    top_pc: u32,
+    executed: bool,
+    counts: &mut [u64],
+) {
+    for (n, &block) in counts.iter_mut().zip(of) {
+        if block != NONE {
+            *n += blocks[block as usize];
+        }
+    }
+    for (running, tail) in live_tails(interp, dframes, top_pc) {
+        // a frame is past its own instruction unless it never executed it
+        let past = usize::from(!running || executed);
+        for d in tail.skip(past) {
+            if of[d] != NONE {
+                counts[d] -= 1;
+            }
+        }
+    }
+}
+
+/// The injection sites (dense index) with an execution that has not
+/// produced its value, in a fault-free run from the entry point: a
+/// suspended frame has executed its call, whose value is produced at the
+/// return, and an instruction that executed and is still the running
+/// frame's ended the run (a trap) before producing.
+fn unproduced<'a>(
+    interp: &'a Interp<'_>,
+    dframes: &'a [DFrame],
+    top_pc: u32,
+    executed: bool,
+) -> impl Iterator<Item = usize> + 'a {
+    live_tails(interp, dframes, top_pc)
+        .filter(move |(running, _)| !running || executed)
+        .filter_map(|(_, mut tail)| tail.next())
+        .filter(|&d| interp.block_table.inj_block[d] != NONE)
+}
+
 impl Observers {
     /// Set up for a run about to enter the loop with call stack `dframes`
     /// after `steps` completed steps (0: a fresh run), capturing into
@@ -87,22 +243,19 @@ impl Observers {
         let slots = dm.funcs.last().map_or(0, |f| f.slot_base + f.code.len());
         self.branches.clear();
         self.branches.resize(2 * slots, 0);
+        self.calls.clear();
+        self.calls.resize(m.funcs.len(), 0);
         self.profile = interp.config().profile.then(|| Profile::for_module(m));
-        if let Some(p) = &mut self.profile {
-            if steps == 0 {
-                p.block_counts[m.entry.index()][0] += 1;
-            } else {
-                // a resumed run re-enters its live blocks mid-way and
-                // counts no block entry for them: credit what each frame
-                // has left of its block (a suspended caller is past its
-                // call)
-                let last = dframes.len() - 1;
-                for (i, fr) in dframes.iter().enumerate() {
-                    let (block, pos) = dm.funcs[fr.func as usize].locate(fr.pc);
-                    let from = if i == last { pos } else { pos + 1 };
-                    for d in block_tail(interp, fr.func, block, from) {
-                        p.inst_counts[d] += 1;
-                    }
+        if steps == 0 {
+            self.calls[m.entry.index()] = 1;
+        } else if let Some(p) = &mut self.profile {
+            // a resumed run re-enters its live blocks mid-way and counts
+            // no block entry for them: credit what each frame has left of
+            // its block (a suspended caller is past its call)
+            let top_pc = dframes.last().expect("a resumed run has a frame").pc;
+            for (running, tail) in live_tails(interp, dframes, top_pc) {
+                for d in tail.skip(usize::from(!running)) {
+                    p.inst_counts[d] += 1;
                 }
             }
         }
@@ -132,9 +285,32 @@ impl Observers {
     #[inline]
     pub(crate) fn on_call(&mut self, caller: u32, callee: usize, step: u64) {
         self.close_stretch(caller, step);
-        if let Some(p) = &mut self.profile {
-            p.block_counts[callee][0] += 1;
+        self.calls[callee] += 1;
+    }
+
+    /// Entries of every block so far, numbered as in `t`: by call, counted
+    /// as the run goes, and by taken branch, from the counters — each of
+    /// which is also a CFG edge `(from, to, times taken)` that `edge` is
+    /// told.
+    fn block_counts(&self, t: &BlockTable, mut edge: impl FnMut(usize, u32, u64)) -> Vec<u64> {
+        let mut counts = vec![0; t.terms.len()];
+        for (&first, &n) in t.first.iter().zip(&self.calls) {
+            if n > 0 {
+                counts[first as usize] = n;
+            }
         }
+        for (from, term) in t.terms.iter().enumerate() {
+            for (k, &to) in term.targets.iter().enumerate() {
+                if to != NONE {
+                    let n = self.branches[2 * term.slot as usize + k];
+                    counts[to as usize] += n;
+                    if n > 0 {
+                        edge(from, to, n);
+                    }
+                }
+            }
+        }
+        counts
     }
 
     /// Step count at which the loop must pause for the next capture,
@@ -148,23 +324,43 @@ impl Observers {
     }
 
     /// Capture the state after `steps` completed steps: `dframes` with the
-    /// running frame at logical pc `top_pc`, the arenas, and the memories
-    /// and output (lent to the staging state for the capture, not copied).
+    /// running frame about to execute logical pc `top_pc`, the arenas, the
+    /// memories and output (lent to the staging state for the capture, not
+    /// copied), and the injection counts the run so far amounts to.
     #[cold]
     #[inline(never)]
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn capture(
         &mut self,
-        dm: &DecodedModule,
+        interp: &Interp<'_>,
         dframes: &[DFrame],
         top_pc: u32,
         regs: &[Value],
         args: &[Value],
         (mem, stack_mem, output): (&mut Vec<u64>, &mut Vec<u64>, &mut Output),
         steps: u64,
-        inj_ctr: u64,
     ) {
+        // what the armed counters would read: the executions of every
+        // injection site, minus the ones that have not produced
+        let t = &interp.block_table;
+        let blocks = self.block_counts(t, |_, _, _| {});
         let coll = self.ckpt.as_mut().expect("a capture was announced");
+        let counts = &mut coll.inj_counts;
+        counts.fill(0);
+        add_executions(
+            interp,
+            &t.inj_block,
+            &blocks,
+            dframes,
+            top_pc,
+            false,
+            counts,
+        );
+        for d in unproduced(interp, dframes, top_pc, false) {
+            counts[d] -= 1;
+        }
+        let inj_ctr = counts.iter().sum();
+        let dm = interp.decoded();
         let st = &mut self.staging;
         st.frames.clear();
         st.frames
@@ -191,9 +387,10 @@ impl Observers {
     /// running frame at logical pc `top_pc`; `executed` says whether the
     /// instruction there got past its step accounting (a run that stops
     /// *in* the accounting — step limit, wall clock — counts the step but
-    /// not the instruction). Completes `result` with the trace and with
-    /// the [`Profile`] the counters amount to — the one the reference walk
-    /// would have collected.
+    /// not the instruction). `inj_ctr` is the armed loop's count of
+    /// injectable value productions; the unarmed loop has none. Completes
+    /// `result` with the trace and with the [`Profile`] the counters
+    /// amount to — the one the reference walk would have collected.
     #[cold]
     #[inline(never)]
     pub(crate) fn finish(
@@ -203,7 +400,7 @@ impl Observers {
         top_pc: u32,
         executed: bool,
         mut result: ExecResult,
-        inj_ctr: u64,
+        inj_ctr: Option<u64>,
     ) -> ExecResult {
         result.trace = self.trace.take();
         if self.profile.is_none() {
@@ -216,54 +413,27 @@ impl Observers {
             self.close_stretch(top.func, if executed { steps } else { steps - 1 });
         }
         let mut p = self.profile.take().expect("checked above");
-        let (m, dm) = (interp.module(), interp.decoded());
-
-        // taken branches -> block entries and CFG edges
-        for (fi, (f, df)) in m.funcs.iter().zip(&dm.funcs).enumerate() {
-            for (bi, block) in f.blocks.iter().enumerate() {
-                let Some(term) = block.insts.last() else {
-                    continue;
-                };
-                let targets = match &f.insts[term.index()].kind {
-                    InstKind::Br { target } => [Some(*target), None],
-                    InstKind::CondBr { then_b, else_b, .. } => [Some(*then_b), Some(*else_b)],
-                    _ => continue,
-                };
-                let term_pc = df.block_entry[bi] as usize + block.insts.len() - 1;
-                let taken = &self.branches[2 * (df.slot_base + term_pc)..][..2];
-                for (target, &n) in targets.into_iter().zip(taken) {
-                    if let (Some(target), true) = (target, n > 0) {
-                        p.block_counts[fi][target.index()] += n;
-                        *p.edge_counts[fi]
-                            .entry((BlockId(bi as u32), target))
-                            .or_insert(0) += n;
-                    }
-                }
-            }
+        let t = &interp.block_table;
+        let edges = &mut p.edge_counts;
+        let blocks = self.block_counts(t, |from, to, n| {
+            let fi = t.first.partition_point(|&first| first as usize <= from) - 1;
+            let local = |block: u32| BlockId(block - t.first[fi]);
+            *edges[fi]
+                .entry((local(from as u32), local(to)))
+                .or_insert(0) += n;
+        });
+        for (counts, range) in p.block_counts.iter_mut().zip(t.first.windows(2)) {
+            counts.copy_from_slice(&blocks[range[0] as usize..range[1] as usize]);
         }
-
-        // every entry of a block executes all of it ...
-        for (fi, f) in m.funcs.iter().enumerate() {
-            for (bi, block) in f.blocks.iter().enumerate() {
-                let n = p.block_counts[fi][bi];
-                if n > 0 {
-                    for iid in &block.insts {
-                        p.inst_counts[interp.base[fi] + iid.index()] += n;
-                    }
-                }
-            }
-        }
-        // ... except the entries the live frames are still in the middle of
-        let last = dframes.len().wrapping_sub(1);
-        for (i, fr) in dframes.iter().enumerate() {
-            let running = i == last;
-            let pc = if running { top_pc } else { fr.pc };
-            let (block, pos) = dm.funcs[fr.func as usize].locate(pc);
-            let from = if running && !executed { pos } else { pos + 1 };
-            for d in block_tail(interp, fr.func, block, from) {
-                p.inst_counts[d] -= 1;
-            }
-        }
+        add_executions(
+            interp,
+            &t.block_of,
+            &blocks,
+            dframes,
+            top_pc,
+            executed,
+            &mut p.inst_counts,
+        );
 
         for ((cycles, &n), &cost) in p
             .inst_cycles
@@ -275,7 +445,16 @@ impl Observers {
         }
         p.total_cycles = p.inst_cycles.iter().sum();
         p.total_insts = steps;
-        p.injectable_execs = inj_ctr;
+        p.injectable_execs = inj_ctr.unwrap_or_else(|| {
+            let executions: u64 = p
+                .inst_counts
+                .iter()
+                .zip(&t.inj_block)
+                .filter(|(_, &block)| block != NONE)
+                .map(|(&n, _)| n)
+                .sum();
+            executions - unproduced(interp, dframes, top_pc, executed).count() as u64
+        });
         result.profile = Some(p);
         result
     }

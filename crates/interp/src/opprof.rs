@@ -1,6 +1,6 @@
 //! Sampling profiler for the decoded dispatch loop.
 //!
-//! ROADMAP item 3 ("make FI throughput hardware-bound") needs per-opcode
+//! ROADMAP item 4(e) (what each superinstruction earns) needs per-opcode
 //! cost attribution before anything can be optimized further: after the
 //! pre-decode PR we know an injection costs ~46–275 µs but not *where*
 //! the cycles go. This module answers that with statistical sampling:
@@ -220,52 +220,5 @@ pub fn snapshot() -> InterpProfileReport {
         restore_ns: RESTORE_NS.load(Ordering::Relaxed),
         restore_ops: RESTORE_OPS.load(Ordering::Relaxed),
         samples,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    // Profiler state is process-global; exercise it in one test to avoid
-    // cross-test interference under the parallel test runner.
-    #[test]
-    fn sampling_accumulates_and_folds() {
-        reset();
-        assert!(!enabled());
-        enable(0);
-        assert_eq!(sample_every(), DEFAULT_SAMPLE_EVERY);
-        enable(256);
-        assert_eq!(sample_every(), 256);
-
-        record(1); // BinII
-        record(1);
-        record(FIRST_FUSED); // first fused superinstruction
-        record_decode_stats(10, 40, 7, 9);
-        add_encode(1_000);
-        add_restore(500);
-        add_restore(700);
-
-        let snap = snapshot();
-        assert_eq!(snap.total_samples, 3);
-        assert_eq!(snap.fused_samples, 1);
-        assert!((snap.fused_sample_rate() - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(snap.fused_sites, 10);
-        assert_eq!(snap.total_sites, 40);
-        assert_eq!((snap.slot_halves, snap.mem_halves), (7, 9));
-        assert_eq!(snap.encode_ops, 1);
-        assert_eq!(snap.encode_ns, 1_000);
-        assert_eq!(snap.restore_ops, 2);
-        assert_eq!(snap.restore_ns, 1_200);
-        assert_eq!(snap.samples[0], ("BinII".to_string(), 2));
-        assert_eq!(snap.samples[1].1, 1);
-        let folded = snap.folded();
-        assert!(folded.starts_with("minpsid;interp;BinII 2\n"));
-        assert_eq!(folded.lines().count(), 2);
-
-        disable();
-        assert!(!enabled());
-        reset();
-        assert_eq!(snapshot().total_samples, 0);
     }
 }

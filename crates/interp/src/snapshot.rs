@@ -445,9 +445,10 @@ pub(crate) struct GoldenTail {
     pub(crate) ret: Option<Value>,
 }
 
-/// Accumulates checkpoints during a golden run. Lives in the interpreter
-/// loop; also maintains the live dense injection-count vector that each
-/// snapshot clones.
+/// Accumulates checkpoints during a golden run, with the dense
+/// injection-count vector that each snapshot clones: the oracle counts
+/// into it production by production, the decoded engine fills it in at
+/// each capture from what its observers kept (see [`crate::observe`]).
 #[derive(Debug)]
 pub(crate) struct CheckpointCollector {
     interval: u64,

@@ -8,7 +8,9 @@
 //!   engine shows up as a different injection point and fails loudly);
 //! * the observers agree field for field: the whole `Profile`, the
 //!   register-write trace event for event, and the checkpoint store byte
-//!   for byte in both encodings, thinned or not;
+//!   for byte in both encodings, thinned or not — the injection counts
+//!   among them, which the oracle counts production by production and
+//!   the decoded engine derives for a fault-free run;
 //! * a delta-encoded checkpoint store materializes to exactly the
 //!   snapshots a full-encoding store captures, and resuming a faulty run
 //!   from any delta-chain index matches the from-scratch faulty run.
@@ -16,12 +18,15 @@
 //! Directed tests below the properties reach what random programs do
 //! not: every trap kind, a detected fault, the output limit, a stop at
 //! every single step of a run, every shape the slot-addressing rewrite
-//! must leave alone, and every bit of a fault into a slot pointer.
+//! must leave alone, every bit of a fault into a slot pointer, and the
+//! runs whose derived injection counts need a correction: ended under a
+//! suspended value-returning call, at the step limit mid-block, at the
+//! output limit.
 
 use minpsid_interp::wire::encode_checkpoints;
 use minpsid_interp::{
-    oracle, CheckpointConfig, ExecConfig, ExecResult, ExecScratch, FaultSpec, FaultTarget, Interp,
-    ProgInput, Scalar, SnapshotMode, Stream, Termination, TrapKind, Value,
+    oracle, CheckpointConfig, CheckpointStore, ExecConfig, ExecResult, ExecScratch, FaultSpec,
+    FaultTarget, Interp, ProgInput, Scalar, SnapshotMode, Stream, Termination, TrapKind, Value,
 };
 use minpsid_ir::{
     BlockId, CmpOp, FunctionBuilder, GlobalInstId, InstKind, Module, ModuleBuilder, Ty,
@@ -109,6 +114,35 @@ fn value_key(v: Value) -> (u8, u64) {
     }
 }
 
+/// The injection counters of two checkpoint stores of one module, entry
+/// by entry: the global counter and every static instruction's.
+fn same_inj_counts(
+    m: &Module,
+    decoded: &CheckpointStore,
+    reference: &CheckpointStore,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(decoded.len(), reference.len());
+    for i in 0..reference.len() {
+        prop_assert_eq!(decoded.steps_at(i), reference.steps_at(i), "entry {}", i);
+        prop_assert_eq!(
+            decoded.inj_ctr_at(i),
+            reference.inj_ctr_at(i),
+            "inj_ctr of entry {}",
+            i
+        );
+        for d in 0..m.num_insts() {
+            prop_assert_eq!(
+                decoded.inj_count_at(i, d),
+                reference.inj_count_at(i, d),
+                "inj_count of instruction {} at entry {}",
+                d,
+                i
+            );
+        }
+    }
+    Ok(())
+}
+
 /// Everything a run reports, decoded engine against oracle.
 fn same_result(decoded: &ExecResult, reference: &ExecResult) -> Result<(), TestCaseError> {
     prop_assert_eq!(&decoded.termination, &reference.termination);
@@ -121,6 +155,11 @@ fn same_result(decoded: &ExecResult, reference: &ExecResult) -> Result<(), TestC
         "return value"
     );
     prop_assert_eq!(decoded.resumed_at, reference.resumed_at);
+    prop_assert_eq!(
+        decoded.profile.as_ref().map(|p| p.injectable_execs),
+        reference.profile.as_ref().map(|p| p.injectable_execs),
+        "injectable_execs"
+    );
     prop_assert_eq!(&decoded.profile, &reference.profile);
     let events = |r: &ExecResult| {
         r.trace.as_ref().map(|t| {
@@ -288,7 +327,7 @@ proptest! {
             let (rd, decoded) = interp.run_with_checkpoint_store(&input, cfg);
             same_result(&rd, &rr)?;
             same_result(&rd, &golden)?;
-            prop_assert_eq!(decoded.len(), reference.len());
+            same_inj_counts(&m, &decoded, &reference)?;
             prop_assert_eq!(decoded.total_bytes(), reference.total_bytes());
             prop_assert!(
                 encode_checkpoints(&decoded) == encode_checkpoints(&reference),
@@ -656,6 +695,179 @@ fn a_stop_at_every_step_profiles_like_the_oracle() {
         };
         assert_eq!(ends_like_the_oracle(&m, cfg, &input), want, "{step_limit}");
     }
+}
+
+/// A fault aimed past the end of any trace: arms the loop, never fires.
+const NEVER: FaultSpec = FaultSpec {
+    target: FaultTarget::NthDynamic(u64::MAX),
+    bit: 0,
+};
+
+/// The injectable value productions of one fault-free run of `src`, three
+/// ways that must agree: counted by the oracle, counted by the armed
+/// observed loop (a fault that never fires) and derived by the unarmed
+/// one — in the profile and at every checkpoint of a store captured every
+/// other step. Returns the run with that number, and what a derivation
+/// without its corrections would have said: the executions of every
+/// injectable instruction.
+fn injectable_execs_three_ways(name: &str, src: &str, cfg: ExecConfig) -> (ExecResult, u64, u64) {
+    let m = minic::compile(src, name).unwrap();
+    let input = ProgInput::default();
+    let interp = Interp::new(&m, cfg);
+    let check = |r: Result<(), TestCaseError>| r.unwrap_or_else(|e| panic!("{name}: {e}"));
+    let counted = oracle::run(&interp, &input);
+    let derived = interp.run(&input);
+    check(same_result(&derived, &counted));
+    check(same_result(
+        &interp.run_with_fault(&input, NEVER),
+        &oracle::run_with_fault(&interp, &input, NEVER),
+    ));
+    for mode in [SnapshotMode::Full, SnapshotMode::Delta] {
+        let ckpt = CheckpointConfig {
+            interval: 2,
+            mode,
+            keyframe_every: 4,
+            ..CheckpointConfig::default()
+        };
+        let (_, want) = oracle::run_with_checkpoint_store(&interp, &input, ckpt);
+        let (_, got) = interp.run_with_checkpoint_store(&input, ckpt);
+        check(same_inj_counts(&m, &got, &want));
+        assert!(
+            encode_checkpoints(&got) == encode_checkpoints(&want),
+            "{name}: {mode:?} store images differ"
+        );
+    }
+    let p = derived.profile.as_ref().expect("profiled");
+    let executions = m
+        .iter_insts()
+        .zip(&p.inst_counts)
+        .filter(|((_, inst), _)| inst.injectable())
+        .map(|(_, &n)| n)
+        .sum();
+    let productions = p.injectable_execs;
+    (derived, productions, executions)
+}
+
+/// The unarmed observed loop counts no production; it derives them from
+/// executions, and an execution is not a production where the value has
+/// not been produced. The three ways a fault-free run ends with such
+/// executions outstanding: (i) a trap in a callee reached through two
+/// value-returning calls — both calls executed, neither has produced
+/// (a call's value is produced at the return), and the trapping division
+/// never will; (ii) the step limit in the middle of a callee's block;
+/// (iii) the output limit, inside a callee.
+#[test]
+fn derived_injection_counts_survive_every_unfinished_run() {
+    let helpers = "fn inv(x: int) -> int { return 100 / x; }\n\
+                   fn outer(x: int) -> int { return inv(x - 1) + 1; }\n\
+                   fn emit(i: int) -> int { out_i(i); return i + 1; }\n";
+    let program = |body: &str| format!("{helpers}fn main() {{\n{body}\n}}\n");
+
+    // (i) the fourth trip divides by zero two calls down
+    let (r, productions, executions) = injectable_execs_three_ways(
+        "trap-under-calls",
+        &program("let s = 0;\nfor i = 0 to 5 { s = s + outer(4 - i); }\nout_i(s);"),
+        observed(),
+    );
+    assert_eq!(r.termination, Termination::Trap(TrapKind::DivByZero));
+    assert!(
+        productions > 20,
+        "{productions} productions before the trap"
+    );
+    assert_eq!(
+        executions - productions,
+        3,
+        "two suspended calls and the division that trapped"
+    );
+
+    // (ii) every step limit that falls inside the first `outer(..)` call
+    // or right around it: mid-block in main, in outer, in inv
+    let src = program("let s = 0;\nfor i = 0 to 3 { s = s + outer(i + 2); }\nout_i(s);");
+    let mut owed = [0u64; 4];
+    for step_limit in 3..40 {
+        let cfg = ExecConfig {
+            step_limit,
+            ..observed()
+        };
+        let (r, productions, executions) = injectable_execs_three_ways("step-limit", &src, cfg);
+        assert_eq!(r.termination, Termination::StepLimit, "{step_limit}");
+        owed[(executions - productions) as usize] += 1;
+    }
+    assert!(
+        owed[0] > 0 && owed[1] > 0 && owed[2] > 0 && owed[3] == 0,
+        "stops under no, one and two suspended calls: {owed:?}"
+    );
+
+    // (iii) the fourth `out_i` is one too many, inside `emit`
+    let cfg = ExecConfig {
+        output_limit: 3,
+        ..observed()
+    };
+    let (r, productions, executions) = injectable_execs_three_ways(
+        "output-limit",
+        &program("let s = 0;\nfor i = 0 to 9 { s = s + emit(i); }\nout_i(s);"),
+        cfg,
+    );
+    assert_eq!(r.termination, Termination::StepLimit);
+    assert_eq!(r.output.len(), 4);
+    assert_eq!(executions - productions, 1, "the suspended call to `emit`");
+}
+
+/// The runs that stay on the armed observed loop, where a counter is
+/// state the run entered with or needs to fire its fault: a profiled
+/// *faulty* run applies its fault and profiles like the oracle's, and a
+/// *resumed* observed run — its fault never fires — reports the
+/// injection count of the whole run, the restored counter plus the
+/// suffix, which no derivation from the suffix's executions could.
+#[test]
+fn faulty_and_resumed_observed_runs_keep_their_counters() {
+    let m = minic::compile(
+        &gen_source(&[(3, 5), (4, 3), (5, 2), (6, 4), (2, 1)]),
+        "armed-observed",
+    )
+    .unwrap();
+    let input = ProgInput::scalars(vec![Scalar::I(5), Scalar::I(3)]);
+    let interp = Interp::new(&m, observed());
+    let check = |r: Result<(), TestCaseError>| r.unwrap_or_else(|e| panic!("{e}"));
+
+    let ckpt = CheckpointConfig {
+        interval: 37,
+        ..CheckpointConfig::default()
+    };
+    let (golden, store) = interp.run_with_checkpoint_store(&input, ckpt);
+    assert!(golden.exited());
+    let total = golden.profile.as_ref().expect("profiled").injectable_execs;
+
+    let fault = FaultSpec {
+        target: FaultTarget::NthDynamic(total / 2),
+        bit: 1,
+    };
+    let faulty = interp.run_with_fault(&input, fault);
+    assert!(faulty.fault_applied);
+    check(same_result(
+        &faulty,
+        &oracle::run_with_fault(&interp, &input, fault),
+    ));
+
+    let mut scratch = ExecScratch::default();
+    let idx = store.len() / 2;
+    let resumed = interp.resume_from(&mut scratch, &store, idx, &input, NEVER);
+    check(same_result(
+        &resumed,
+        &oracle::resume_from(&interp, &store, idx, &input, NEVER),
+    ));
+    let p = resumed.profile.as_ref().expect("profiled");
+    assert_eq!(p.injectable_execs, total, "restored counter + suffix");
+    let suffix: u64 = m
+        .iter_insts()
+        .zip(&p.inst_counts)
+        .filter(|((_, inst), _)| inst.injectable())
+        .map(|(_, &n)| n)
+        .sum();
+    assert!(
+        store.inj_ctr_at(idx) > 0 && suffix < total,
+        "the suffix alone executes {suffix} of {total}"
+    );
 }
 
 /// One `main` (function 0) built by `body`, plus whatever `body` declares.

@@ -18,10 +18,14 @@
 //!    and the hashing budget passed over; otherwise what still differed at
 //!    the last shared boundary — *shape* (call stack, pc, output length),
 //!    *memory*, or *registers only* (the case a liveness-masked digest
-//!    would admit, ROADMAP item 3a).
+//!    would admit, ROADMAP item 4).
 //! 3. **Engine vs raw loop**: the same faults through `CampaignEngine`
 //!    (scheduler, accounting, reduction) against the bare loop above, the
-//!    campaign's hangs, and its slowest single injection.
+//!    campaign's hangs, and its slowest single injection. *Trajectories*
+//!    is how many distinct runs the hangs are: each hang fault is re-run
+//!    profiled, and two hangs whose block-entry counts are equal retraced
+//!    the same path to the step limit (what ROADMAP item 4(a)'s
+//!    counted-loop proof would have to recognise without running them).
 //!
 //! ```text
 //! cargo run --release --example replay_headroom -- [--per-inst N] [--seed N]
@@ -38,8 +42,8 @@ use minpsid_repro::faultsim::{
     Outcome,
 };
 use minpsid_repro::interp::{
-    auto_interval, divergence, oracle, CheckpointConfig, CheckpointStore, Divergence, ExecResult,
-    ExecScratch, FaultSpec, FaultTarget, Interp, ProgInput, SnapshotMode,
+    auto_interval, divergence, oracle, CheckpointConfig, CheckpointStore, Divergence, ExecConfig,
+    ExecResult, ExecScratch, FaultSpec, FaultTarget, Interp, ProgInput, SnapshotMode,
 };
 use minpsid_repro::ir::GlobalInstId;
 use minpsid_repro::workloads;
@@ -74,6 +78,8 @@ struct Kernel {
     repeats: u64,
     hangs: u64,
     hangs_once: u64,
+    /// The block-entry counts of every hang run, one profiled re-run each.
+    hang_trajectories: HashSet<Vec<u64>>,
     hang_insts: BTreeSet<String>,
     raw: Duration,
     slowest: Duration,
@@ -109,6 +115,13 @@ fn main() {
             unreachable!("a per-instruction plan")
         };
         let interp = Interp::new(&module, faulty_exec_config(&cfg, golden.steps));
+        let profiling = Interp::new(
+            &module,
+            ExecConfig {
+                profile: true,
+                ..faulty_exec_config(&cfg, golden.steps)
+            },
+        );
         // the faulty run's states at golden's boundaries, every one kept
         let capture = CheckpointConfig {
             interval: auto_interval(golden.steps, cfg.max_checkpoints),
@@ -174,6 +187,9 @@ fn main() {
                     k.by_outcome[2] += executed;
                     k.hangs += 1;
                     k.hangs_once += u64::from(site.count == 1);
+                    let profile = profiling.run_with_fault(&input, fault).profile;
+                    k.hang_trajectories
+                        .insert(profile.expect("a profiled run").indexed_cfg_list());
                     let kind = format!("{:?}", module.inst(site.gid).kind);
                     let name = kind.split([' ', '{', '(']).next().unwrap_or("?");
                     k.hang_insts.insert(name.to_string());
@@ -301,7 +317,7 @@ fn print_tables(rows: &[(&str, Kernel)]) {
 
     println!("\nengine vs raw loop (one thread; repeats run once on both sides)");
     println!(
-        "{:<15} {:>6} {:>8} {:>9} {:>9} {:>8} {:>6} {:>10} {:>11}  hang sites",
+        "{:<15} {:>6} {:>8} {:>9} {:>9} {:>8} {:>6} {:>10} {:>12} {:>11}  hang sites",
         "kernel",
         "inj",
         "repeats",
@@ -310,12 +326,13 @@ fn print_tables(rows: &[(&str, Kernel)]) {
         "engine",
         "hangs",
         "once-exec",
+        "trajectories",
         "slowest"
     );
     for (name, k) in rows {
         let ms = |d: Duration| d.as_secs_f64() * 1e3;
         println!(
-            "{:<15} {:>6} {:>8} {:>9.1} {:>9.1} {:>+7.1}% {:>6} {:>10} {:>6.2} ms {:>2.0}%  {}",
+            "{:<15} {:>6} {:>8} {:>9.1} {:>9.1} {:>+7.1}% {:>6} {:>10} {:>12} {:>6.2} ms {:>2.0}%  {}",
             name,
             k.injections,
             k.repeats,
@@ -324,6 +341,7 @@ fn print_tables(rows: &[(&str, Kernel)]) {
             100.0 * (ms(k.engine) / ms(k.raw) - 1.0),
             k.hangs,
             k.hangs_once,
+            k.hang_trajectories.len(),
             ms(k.slowest),
             100.0 * ms(k.slowest) / ms(k.raw),
             k.hang_insts.iter().cloned().collect::<Vec<_>>().join(",")

@@ -9,8 +9,10 @@
 //! deduplicated repeats — reports and journals for it. And the
 //! interpreter's side of the bargain, on all 11 kernels: the decoded
 //! engine's one-pass golden run and shared-interpreter input search
-//! against the reference oracle and per-candidate profiling, and faults
-//! into the stack-slot pointers its slot addressing takes for granted.
+//! against the reference oracle and per-candidate profiling, the
+//! injection counts a fault-free observed run derives against the ones
+//! the oracle counts, and faults into the stack-slot pointers its slot
+//! addressing takes for granted.
 
 use minpsid_repro::faultsim::{
     faulty_exec_config, golden_run, CampaignConfig, CampaignConfigBuilder, CampaignEngine,
@@ -323,6 +325,93 @@ fn one_pass_golden_run_equals_the_oracles_two_passes_on_every_kernel() {
             );
         }
     }
+}
+
+/// A fault-free observed run counts no value production: the profile's
+/// `injectable_execs` — the population every whole-program fault is
+/// drawn from — and each checkpoint's `inj_ctr` and per-instruction
+/// counts — which pick the checkpoint an injection resumes from and seed
+/// its counter — are derived from block entries. On every kernel, on its
+/// reference input and on two random ones, they equal what the oracle
+/// counts production by production: the profile field by field, and the
+/// store entry by entry and byte by byte in both encodings.
+#[test]
+fn derived_injection_counts_equal_the_oracles_on_every_kernel() {
+    use minpsid_repro::interp::wire::encode_checkpoints;
+    use minpsid_repro::interp::{
+        auto_interval, oracle, CheckpointConfig, ExecConfig, Interp, SnapshotMode,
+    };
+    use rand::SeedableRng;
+
+    let cfg = CampaignConfigBuilder::new(7).build();
+    let (mut runs, mut checkpoints) = (0, 0);
+    for b in workloads::suite() {
+        let module = b.compile();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
+        let params = [
+            b.model.reference(),
+            b.model.random(&mut rng),
+            b.model.random(&mut rng),
+        ];
+        let interp = Interp::new(
+            &module,
+            ExecConfig {
+                profile: true,
+                ..cfg.exec.clone()
+            },
+        );
+        for (k, params) in params.iter().enumerate() {
+            let what = format!("{} input {k}", b.name);
+            let input = b.model.materialize(params);
+            let counted = oracle::run(&interp, &input);
+            let derived = interp.run(&input);
+            assert_eq!(derived.termination, counted.termination, "{what}");
+            let (d, c) = (
+                derived.profile.expect("profiled"),
+                counted.profile.expect("profiled walk"),
+            );
+            assert_eq!(d.inst_counts, c.inst_counts, "{what}: inst_counts");
+            assert_eq!(d.block_counts, c.block_counts, "{what}: block_counts");
+            assert_eq!(d.edge_counts, c.edge_counts, "{what}: edge_counts");
+            assert_eq!(d.total_insts, c.total_insts, "{what}: total_insts");
+            assert_eq!(
+                d.injectable_execs, c.injectable_execs,
+                "{what}: injectable_execs"
+            );
+            assert_eq!(d, c, "{what}: the rest of the profile");
+            runs += 1;
+
+            for mode in [SnapshotMode::Full, SnapshotMode::Delta] {
+                let ck = CheckpointConfig {
+                    interval: auto_interval(counted.steps, cfg.max_checkpoints),
+                    mem_budget_bytes: cfg.checkpoint_mem_budget,
+                    mode,
+                    keyframe_every: cfg.keyframe_every,
+                };
+                let (_, want) = oracle::run_with_checkpoint_store(&interp, &input, ck);
+                let (_, got) = interp.run_with_checkpoint_store(&input, ck);
+                assert_eq!(got.len(), want.len(), "{what} ({mode:?})");
+                for i in 0..want.len() {
+                    let at = format!("{what} ({mode:?}), checkpoint {i}");
+                    assert_eq!(got.inj_ctr_at(i), want.inj_ctr_at(i), "{at}: inj_ctr");
+                    for dense in 0..module.num_insts() {
+                        assert_eq!(
+                            got.inj_count_at(i, dense),
+                            want.inj_count_at(i, dense),
+                            "{at}: inj_count of instruction {dense}"
+                        );
+                    }
+                }
+                assert!(
+                    encode_checkpoints(&got) == encode_checkpoints(&want),
+                    "{what} ({mode:?}): checkpoint store image"
+                );
+                checkpoints += want.len();
+            }
+        }
+    }
+    assert_eq!(runs, 33);
+    assert!(checkpoints >= 2000, "{checkpoints} checkpoints compared");
 }
 
 /// The decoded engine addresses a function's constant stack slots at
