@@ -265,11 +265,10 @@ fn finish_interp_profile(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Every `--flag` a subcommand reads and whether a value follows it, the
-/// chaos flags included. Anything else on the command line that starts
-/// with `--` is a usage error (a misspelt flag used to run a different
-/// experiment, silently); a test holds the table to the flags [`USAGE`]
-/// documents.
+/// Every `--flag` a subcommand reads and whether a value follows it.
+/// Anything else on the command line that starts with `--` is a usage
+/// error (a misspelt flag used to run a different experiment, silently);
+/// a test holds the table to the flags [`USAGE`] documents.
 const FLAGS: &[(&str, bool)] = &[
     // what to run on
     ("--args", false), // followed by any number of `i:N` / `f:X`
@@ -292,14 +291,8 @@ const FLAGS: &[(&str, bool)] = &[
     ("--threads", true),
     ("--checkpoint-interval", true),
     ("--no-checkpoints", false),
-    ("--injection-timeout-ms", true),
-    ("--chaos-panic-one-in", true),
-    ("--chaos-timeout-one-in", true),
     // scheduling
     ("--deadline-secs", true),
-    ("--max-retries", true),
-    ("--quarantine-after", true),
-    ("--quarantine-cap", true),
     ("--ci-half-width", true),
     // journal, store, incremental
     ("--journal", true),
@@ -374,23 +367,11 @@ FI campaign options (fi/analyze/sid/minpsid):
                             instructions (default: auto, ~sqrt of steps)
   --no-checkpoints          disable checkpointing; replay every injection
                             from scratch
-  --injection-timeout-ms N  per-injection wall-clock budget alongside the
-                            step limit (0 = off, the default); overruns
-                            classify as engine errors, not hangs
-  --chaos-panic-one-in N    test harness: panic inside every Nth injection
-                            worker to exercise fault isolation
-  --chaos-timeout-one-in N  test harness: synthetic timeout in every Nth
-                            injection to exercise retry → quarantine
 
-resilient scheduling (fi/analyze/sid/minpsid):
+scheduling (fi/analyze/sid/minpsid):
   --deadline-secs S         global wall-clock budget; expired work is
                             truncated (low-benefit sites first) and the
                             report carries a completeness score
-  --max-retries N           extra attempts for transient engine failures
-                            (default 2; 0 disables retries)
-  --quarantine-after N      consecutive exhausted injections before a
-                            site is quarantined (default 2)
-  --quarantine-cap N        hard cap on quarantined sites (default 64)
   --ci-half-width W         per-site early stop once the 95% Wilson
                             interval half-width is <= W (0 = off)
 
@@ -904,18 +885,6 @@ fn print_fi_report(c: &ProgramCampaign, snap: &SchedSnapshot) -> Result<(), Stri
     println!("  crash:    {}", c.counts.crash);
     println!("  hang:     {}", c.counts.hang);
     println!("  detected: {}", c.counts.detected);
-    if c.counts.engine_error > 0 {
-        println!(
-            "  engine-err: {} (excluded from rates)",
-            c.counts.engine_error
-        );
-    }
-    if c.recovered > 0 {
-        println!(
-            "  recovered: {} (transient failures healed by retry)",
-            c.recovered
-        );
-    }
     if c.truncated > 0 {
         println!(
             "  truncated: {} of {} planned (deadline expired)",
@@ -993,14 +962,12 @@ fn cmd_analyze(rest: &[String]) -> Result<(), String> {
             minpsid_ir::printer::print_inst(func, gid.inst)
         );
     }
-    let quarantined = per_inst.status.iter().filter(|s| !s.trusted()).count();
     let early = per_inst
         .status
         .iter()
         .filter(|s| matches!(s, minpsid_faultsim::SiteStatus::EarlyStopped))
         .count();
     let snap = sched.snapshot();
-    println!("quarantined sites: {quarantined}");
     if early > 0 {
         println!("early-stopped sites: {early}");
     }
@@ -1225,15 +1192,6 @@ fn cmd_minpsid(rest: &[String]) -> Result<(), String> {
             r.expected_coverage * 100.0
         );
         println!("campaign completeness: {:.4}", r.sched.completeness());
-        if r.sched.recovered > 0 {
-            println!(
-                "transient failures recovered by retry: {}",
-                r.sched.recovered
-            );
-        }
-        if r.sched.quarantined_sites > 0 {
-            println!("quarantined sites: {}", r.sched.quarantined_sites);
-        }
         if r.sched.truncated > 0 {
             println!(
                 "deadline-truncated injections: {} of {} planned",
@@ -1343,13 +1301,6 @@ fn minpsid_json(
     let mut sched = Json::obj();
     sched.set("planned", Json::U64(r.sched.planned));
     sched.set("completed", Json::U64(r.sched.completed));
-    sched.set("retries", Json::U64(r.sched.retries));
-    sched.set("recovered", Json::U64(r.sched.recovered));
-    sched.set("quarantined_sites", Json::U64(r.sched.quarantined_sites));
-    sched.set(
-        "quarantined_injections",
-        Json::U64(r.sched.quarantined_injections),
-    );
     sched.set(
         "early_stopped_sites",
         Json::U64(r.sched.early_stopped_sites),
@@ -1465,7 +1416,8 @@ mod tests {
             assert_eq!(takes_value(flag), Some(placeholder), "{line}");
             option_lines += 1;
         }
-        assert!(option_lines >= 27, "{option_lines} option lines");
+        assert_eq!(FLAGS.len(), 34);
+        assert!(option_lines >= 21, "{option_lines} option lines");
     }
 
     #[test]
@@ -1479,11 +1431,18 @@ mod tests {
         let err = check_flags(&args(&["pathfinder", "--quick", "--workers", "4"])).unwrap_err();
         assert_eq!(err, "unknown flag --workers");
         assert!(check_flags(&args(&["7", "--spool-dir", "/tmp/s"])).is_err());
-        // the live endpoint and two flags that had no user: gone, not ignored
+        // the live endpoint and two flags that had no user, then the retry
+        // scheduler's six: gone, not ignored
         for (gone, value) in [
             ("--status-addr", "127.0.0.1:1"),
             ("--snapshot-mode", "full"),
             ("--chaos-flip-artifact-one-in", "3"),
+            ("--max-retries", "0"),
+            ("--quarantine-after", "3"),
+            ("--quarantine-cap", "0"),
+            ("--injection-timeout-ms", "5"),
+            ("--chaos-panic-one-in", "40"),
+            ("--chaos-timeout-one-in", "40"),
         ] {
             let err = check_flags(&args(&["hpccg", "--quick", gone, value])).unwrap_err();
             assert_eq!(err, format!("unknown flag {gone}"));
@@ -1563,61 +1522,25 @@ mod tests {
     }
 
     #[test]
-    fn campaign_flags_cover_sizes_timeout_and_chaos() {
-        let c = parse_campaign(&args(&[
-            "--injections",
-            "60",
-            "--per-inst",
-            "7",
-            "--injection-timeout-ms",
-            "250",
-            "--chaos-panic-one-in",
-            "40",
-        ]))
-        .unwrap();
+    fn campaign_flags_cover_sizes() {
+        let c = parse_campaign(&args(&["--injections", "60", "--per-inst", "7"])).unwrap();
         assert_eq!(c.injections, 60);
         assert_eq!(c.per_inst_injections, 7);
-        assert_eq!(c.exec.wall_clock_ms, 250);
-        assert_eq!(c.chaos_panic_one_in, Some(40));
 
         let q = parse_campaign(&args(&["--quick"])).unwrap();
         assert!(q.injections < CampaignConfig::default().injections);
-        // timeout 0 explicitly disables the wall-clock budget
-        let off = parse_campaign(&args(&["--injection-timeout-ms", "0"])).unwrap();
-        assert_eq!(off.exec.wall_clock_ms, 0);
         assert!(parse_campaign(&args(&["--injections", "0"])).is_err());
-        assert!(parse_campaign(&args(&["--chaos-panic-one-in", "0"])).is_err());
-        assert!(parse_campaign(&args(&["--chaos-timeout-one-in", "0"])).is_err());
     }
 
     #[test]
     fn sched_flags_parse_into_sched_config() {
-        let c = parse_campaign(&args(&[
-            "--chaos-timeout-one-in",
-            "50",
-            "--max-retries",
-            "0",
-            "--quarantine-after",
-            "3",
-            "--quarantine-cap",
-            "0",
-            "--ci-half-width",
-            "0.05",
-        ]))
-        .unwrap();
-        assert_eq!(c.chaos_timeout_one_in, Some(50));
-        assert_eq!(c.sched.max_retries, 0, "0 restores fail-fast behaviour");
-        assert_eq!(c.sched.quarantine_after, 3);
-        assert_eq!(c.sched.quarantine_cap, 0, "0 disables quarantine");
+        let c = parse_campaign(&args(&["--ci-half-width", "0.05"])).unwrap();
         assert_eq!(c.sched.ci_half_width, 0.05);
 
         // defaults survive when no flags are given
         let d = parse_campaign(&args(&[])).unwrap();
         assert_eq!(d.sched, minpsid_faultsim::SchedConfig::default());
-        assert_eq!(d.chaos_timeout_one_in, None);
 
-        assert!(parse_campaign(&args(&["--max-retries", "abc"])).is_err());
-        assert!(parse_campaign(&args(&["--quarantine-after", "0"])).is_err());
         assert!(parse_campaign(&args(&["--ci-half-width", "0.7"])).is_err());
         assert!(parse_campaign(&args(&["--ci-half-width", "-0.1"])).is_err());
     }
@@ -1634,6 +1557,11 @@ mod tests {
             Some(0.0),
             "an already-expired budget is allowed (truncate everything)"
         );
+        // a budget no clock can hold is "never", not a panic
+        for huge in ["1e19", "1e300"] {
+            let d = parse_deadline(&args(&["--deadline-secs", huge])).unwrap();
+            assert!(!Deadline::from_secs(d).is_bounded(), "{huge}");
+        }
         assert!(parse_deadline(&args(&["--deadline-secs", "-1"])).is_err());
         assert!(parse_deadline(&args(&["--deadline-secs", "inf"])).is_err());
         assert!(parse_deadline(&args(&["--deadline-secs", "soon"])).is_err());

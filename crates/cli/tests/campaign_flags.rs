@@ -1,0 +1,81 @@
+//! What the command line promises about a campaign's budget and about the
+//! flags it no longer has, on the real binary: `--deadline-secs` always
+//! ends in an honest report, and a flag an older binary accepted is
+//! refused before anything runs.
+
+use std::process::{Command, Output};
+
+fn minpsid(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_minpsid"))
+        .args(args)
+        .output()
+        .expect("spawn minpsid")
+}
+
+fn stdout_of(args: &[&str]) -> String {
+    let out = minpsid(args);
+    assert!(out.status.success(), "{args:?}: {out:?}");
+    String::from_utf8(out.stdout).expect("utf-8 report")
+}
+
+/// An expired budget, a loose one and one no clock can represent all exit
+/// 0 with a completeness line and a CI annotation; the same seed prints
+/// the same bytes twice; and a budget that never bites prints what no
+/// budget prints.
+#[test]
+fn deadlines_end_in_an_honest_report() {
+    let fi = ["fi", "pathfinder", "--quick", "--seed", "42", "--quiet"];
+    let with = |extra: &[&str]| stdout_of(&[&fi[..], extra].concat());
+    let unbounded = with(&[]);
+    assert!(
+        unbounded.contains("\ncompleteness: 1.0000\n"),
+        "{unbounded}"
+    );
+
+    let expired = with(&["--deadline-secs", "0"]);
+    assert!(expired.contains("\ncompleteness: 0.0000\n"), "{expired}");
+    assert!(
+        expired.contains("truncated: 120 of 120 planned"),
+        "{expired}"
+    );
+    assert!(expired.contains("SDC probability") && expired.contains("CI"));
+    assert_eq!(expired, with(&["--deadline-secs", "0"]));
+
+    // 1e19 s overflowed `Instant + Duration`, 1e300 s `Duration` itself
+    for loose in ["120", "1e19", "1e300"] {
+        assert_eq!(with(&["--deadline-secs", loose]), unbounded, "{loose}");
+    }
+    for cmd in ["analyze", "minpsid"] {
+        let args = [cmd, "pathfinder", "--quick", "--seed", "42", "--quiet"];
+        let plain = stdout_of(&args);
+        for loose in ["1e19", "1e300"] {
+            let out = stdout_of(&[&args[..], &["--deadline-secs", loose]].concat());
+            assert_eq!(out, plain, "{cmd} {loose}");
+        }
+    }
+}
+
+/// The retry scheduler's six flags went with it: each is a usage error
+/// under every subcommand that used to read it, not a silent no-op.
+#[test]
+fn retired_flags_are_unknown_flags() {
+    for cmd in ["fi", "analyze", "sid", "minpsid"] {
+        for flag in [
+            "--max-retries",
+            "--quarantine-after",
+            "--quarantine-cap",
+            "--injection-timeout-ms",
+            "--chaos-panic-one-in",
+            "--chaos-timeout-one-in",
+        ] {
+            let out = minpsid(&[cmd, "pathfinder", "--quick", flag, "3"]);
+            assert_eq!(out.status.code(), Some(1), "{cmd} {flag}: {out:?}");
+            assert!(out.stdout.is_empty(), "{cmd} {flag} ran something");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                err.contains(&format!("error: unknown flag {flag}")),
+                "{cmd} {flag}: {err}"
+            );
+        }
+    }
+}

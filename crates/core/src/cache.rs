@@ -19,7 +19,7 @@
 //! thread counts, or injection counts).
 
 use minpsid_faultsim::{golden_run_sized, CampaignConfig, GoldenRun};
-use minpsid_interp::{Output, OutputItem, ProgInput, Scalar, Stream, Termination};
+use minpsid_interp::{Output, OutputItem, ProgInput, Termination};
 use minpsid_ir::bytes::Fnv;
 use minpsid_ir::Module;
 use minpsid_store::ArtifactStore;
@@ -49,44 +49,9 @@ pub(crate) fn fingerprint_debug<T: std::fmt::Debug>(v: &T) -> u64 {
     h.finish()
 }
 
-/// Bit-exact fingerprint of a program input (floats hash by bit pattern,
-/// so -0.0 and NaN payloads are distinguished, matching the interpreter's
-/// bit-exact semantics).
+/// [`ProgInput::fingerprint`] under the name this crate's callers import.
 pub fn input_fingerprint(input: &ProgInput) -> u64 {
-    let mut h = Fnv::new();
-    h.u64(input.args.len() as u64);
-    for a in &input.args {
-        match a {
-            Scalar::I(v) => {
-                h.bytes(b"i");
-                h.u64(*v as u64);
-            }
-            Scalar::F(v) => {
-                h.bytes(b"f");
-                h.u64(v.to_bits());
-            }
-        }
-    }
-    h.u64(input.streams.len() as u64);
-    for s in &input.streams {
-        match s {
-            Stream::I(v) => {
-                h.bytes(b"I");
-                h.u64(v.len() as u64);
-                for x in v {
-                    h.u64(*x as u64);
-                }
-            }
-            Stream::F(v) => {
-                h.bytes(b"F");
-                h.u64(v.len() as u64);
-                for x in v {
-                    h.u64(x.to_bits());
-                }
-            }
-        }
-    }
-    h.finish()
+    input.fingerprint()
 }
 
 /// Bit-exact fingerprint of an execution's output — the digest the
@@ -366,6 +331,7 @@ impl std::fmt::Debug for GoldenCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use minpsid_interp::Scalar;
 
     fn module() -> Module {
         minic::compile(

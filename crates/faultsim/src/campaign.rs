@@ -51,7 +51,7 @@ pub enum CheckpointPolicy {
 }
 
 /// Campaign parameters (defaults follow §III-A3 of the paper).
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct CampaignConfig {
     /// Whole-program campaign size (paper: 1000).
     pub injections: usize,
@@ -78,22 +78,37 @@ pub struct CampaignConfig {
     pub snapshot_mode: SnapshotMode,
     /// Delta mode: full keyframe every this many stored checkpoints.
     pub keyframe_every: u32,
-    /// Harness chaos knob: deterministically panic inside every
-    /// `n`-th-keyed injection worker. Exercises the `catch_unwind` →
-    /// retry → [`Outcome::EngineError`] degradation path in tests and
-    /// smoke runs; `None` (the default) in real campaigns.
-    pub chaos_panic_one_in: Option<u64>,
-    /// Chaos knob for the other failure class: every `n`-th-keyed
-    /// injection (offset by half a period so the two knobs hit different
-    /// injections) reports a synthetic wall-clock blowout instead of
-    /// executing. Exercises the timeout retry path.
-    pub chaos_timeout_one_in: Option<u64>,
-    /// Retry / quarantine / early-stop knobs. Part of the config (and so
-    /// of the journal fingerprint): two runs with different retry budgets
-    /// are different experiments. The wall-clock deadline is *not* here —
-    /// it lives on the [`Scheduler`](minpsid_sched::Scheduler) so a
-    /// resumed run may get a fresh budget.
+    /// Early-stop knobs. Part of the config (and so of the journal
+    /// fingerprint): two runs that stop sampling at different widths are
+    /// different experiments. The wall-clock deadline is *not* here — it
+    /// lives on the [`Scheduler`](minpsid_sched::Scheduler) so a resumed
+    /// run may get a fresh budget.
     pub sched: SchedConfig,
+}
+
+/// Hashed, so frozen: `minpsid_config_fingerprint` (the MINPSID journal
+/// header) renders a whole `MinpsidConfig`, this struct included. The two
+/// `chaos_*` fields are the retired fault-the-harness knobs, printed at
+/// the one value a real run ever held.
+impl std::fmt::Debug for CampaignConfig {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CampaignConfig")
+            .field("injections", &self.injections)
+            .field("per_inst_injections", &self.per_inst_injections)
+            .field("seed", &self.seed)
+            .field("threads", &self.threads)
+            .field("hang_multiplier", &self.hang_multiplier)
+            .field("exec", &self.exec)
+            .field("checkpoints", &self.checkpoints)
+            .field("max_checkpoints", &self.max_checkpoints)
+            .field("checkpoint_mem_budget", &self.checkpoint_mem_budget)
+            .field("snapshot_mode", &self.snapshot_mode)
+            .field("keyframe_every", &self.keyframe_every)
+            .field("chaos_panic_one_in", &None::<u64>)
+            .field("chaos_timeout_one_in", &None::<u64>)
+            .field("sched", &self.sched)
+            .finish()
+    }
 }
 
 impl Default for CampaignConfig {
@@ -110,8 +125,6 @@ impl Default for CampaignConfig {
             checkpoint_mem_budget: 256 << 20,
             snapshot_mode: SnapshotMode::Delta,
             keyframe_every: 16,
-            chaos_panic_one_in: None,
-            chaos_timeout_one_in: None,
             sched: SchedConfig::default(),
         }
     }
@@ -264,9 +277,6 @@ pub struct ProgramCampaign {
     pub planned: u64,
     /// Injections dropped because the wall-clock deadline expired.
     pub truncated: u64,
-    /// Injections that failed at least once and then produced a real
-    /// outcome on retry (already counted once in `counts`).
-    pub recovered: u64,
 }
 
 impl ProgramCampaign {
@@ -280,7 +290,6 @@ impl ProgramCampaign {
             sdc_ci: binomial_ci(0, 0, cfg.sched.ci_z),
             planned: 0,
             truncated: 0,
-            recovered: 0,
         }
     }
 }
@@ -288,13 +297,13 @@ impl ProgramCampaign {
 /// Per-static-instruction SDC profile (dense in module numbering order).
 #[derive(Debug, Clone)]
 pub struct PerInstSdc {
-    /// SDC probability of each static instruction; 0 for never-executed,
-    /// non-injectable, or quarantined instructions.
+    /// SDC probability of each static instruction; 0 for never-executed
+    /// or non-injectable instructions.
     pub sdc_prob: Vec<f64>,
     /// Raw outcome counts per static instruction.
     pub counts: Vec<OutcomeCounts>,
     /// Wilson interval on each instruction's SDC probability (vacuous for
-    /// unsampled or quarantined instructions).
+    /// unsampled instructions).
     pub ci: Vec<BinomialCi>,
     /// How sampling ended at each instruction. `Unsampled` for
     /// instructions outside the campaign (never executed, not injectable)
@@ -315,7 +324,7 @@ impl PerInstSdc {
 /// Inject `cfg.injections` single-bit flips, each into a uniformly random
 /// dynamic instruction execution and uniformly random bit, and classify
 /// every outcome. Compatibility wrapper over [`CampaignEngine`] with no
-/// policy layers attached (retries per `cfg.sched`, no deadline, no
+/// policy layers attached (early stop per `cfg.sched`, no deadline, no
 /// journal); attach layers on the engine for anything more.
 pub fn program_campaign(
     module: &Module,
@@ -355,13 +364,12 @@ pub fn outcome_fraction(counts: &OutcomeCounts, outcome: Outcome) -> f64 {
         Outcome::Crash => counts.crash,
         Outcome::Hang => counts.hang,
         Outcome::Detected => counts.detected,
-        Outcome::EngineError => counts.engine_error,
     };
     k as f64 / t as f64
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use minpsid_interp::Scalar;
     use minpsid_journal::{interrupt, CampaignJournal, Interrupted};
@@ -369,7 +377,7 @@ mod tests {
 
     /// A small kernel with input-dependent branching: faults on the
     /// comparison flip the branch only when `x` is near the threshold.
-    fn test_module() -> Module {
+    pub(crate) fn test_module() -> Module {
         minic::compile(
             r#"
             fn main() {
@@ -387,7 +395,7 @@ mod tests {
         .unwrap()
     }
 
-    fn input(n: i64) -> ProgInput {
+    pub(crate) fn input(n: i64) -> ProgInput {
         ProgInput::scalars(vec![Scalar::I(n)])
     }
 
@@ -491,7 +499,7 @@ mod tests {
         order.rotate_left(cfg.injections / 3);
         let mut counts = OutcomeCounts::default();
         for i in order {
-            let (o, _recovered) = ex.run_unit(i);
+            let (o, _) = ex.run_unit(i);
             counts.record(o);
         }
         assert_eq!(
@@ -501,9 +509,7 @@ mod tests {
 
         // and re-running a unit is idempotent
         let mut ex2 = engine.program_executor();
-        let (a, ra) = ex2.run_unit(3);
-        let (b, rb) = ex2.run_unit(3);
-        assert_eq!((a, ra), (b, rb));
+        assert_eq!(ex2.run_unit(3), ex2.run_unit(3));
     }
 
     #[test]
@@ -629,7 +635,7 @@ mod tests {
         assert_eq!(c.counts.total(), cfg.injections as u64);
     }
 
-    fn journal_dir(name: &str) -> std::path::PathBuf {
+    pub(crate) fn journal_dir(name: &str) -> std::path::PathBuf {
         let d =
             std::env::temp_dir().join(format!("minpsid-campaign-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
@@ -639,7 +645,7 @@ mod tests {
     /// `interrupt::request()` is process-wide and every journal-attached
     /// campaign polls it: the test that raises the flag and each test that
     /// attaches a journal hold this for their whole body.
-    static INTERRUPT_FLAG: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    pub(crate) static INTERRUPT_FLAG: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
     fn journaled_campaigns_match_plain_ones_bit_identically() {
@@ -691,30 +697,6 @@ mod tests {
     }
 
     #[test]
-    fn chaos_panic_degrades_to_engine_error_without_aborting() {
-        let m = test_module();
-        let mut cfg = CampaignConfig::quick(8);
-        cfg.chaos_panic_one_in = Some(40);
-        // retries off: every chaos hit must surface as EngineError, the
-        // pre-scheduler behaviour
-        cfg.sched.max_retries = 0;
-        let g = golden_run(&m, &input(50), &cfg).unwrap();
-        let c = program_campaign(&m, &input(50), &g, &cfg);
-        // the campaign completed, engine errors were counted, and they do
-        // not contaminate the SDC denominator
-        assert_eq!(c.counts.total(), cfg.injections as u64);
-        assert_eq!(c.counts.engine_error, (cfg.injections as u64).div_ceil(40));
-        assert_eq!(
-            c.counts.valid_total(),
-            cfg.injections as u64 - c.counts.engine_error
-        );
-
-        // deterministic: same seed, same chaos, same counts
-        let c2 = program_campaign(&m, &input(50), &g, &cfg);
-        assert_eq!(c.counts, c2.counts);
-    }
-
-    #[test]
     fn interrupted_campaign_preserves_progress_and_resumes() {
         let _flag = INTERRUPT_FLAG.lock().unwrap_or_else(|e| e.into_inner());
         let m = test_module();
@@ -744,125 +726,12 @@ mod tests {
         assert_eq!(resumed.counts, plain.counts);
     }
 
-    fn fast_sched(cfg: &mut CampaignConfig) {
-        // tests never want real backoff sleeps
-        cfg.sched.backoff_base_ms = 0;
-        cfg.sched.backoff_cap_ms = 0;
-    }
-
-    #[test]
-    fn transient_chaos_recovers_via_retry() {
-        let m = test_module();
-        let mut cfg = CampaignConfig::quick(8);
-        cfg.chaos_panic_one_in = Some(40);
-        fast_sched(&mut cfg);
-        let g = golden_run(&m, &input(50), &cfg).unwrap();
-
-        // chaos hits keys 0, 40, 80; each fails 1–4 consecutive attempts,
-        // so with the default budget (3 attempts) every hit either
-        // recovers or exhausts — and nothing is lost either way
-        let s = Scheduler::unbounded(cfg.sched.clone());
-        let c = CampaignEngine::new(&m, &input(50), &g, &cfg)
-            .with_scheduler(&s)
-            .run_program()
-            .unwrap();
-        let snap = s.snapshot();
-        assert_eq!(c.counts.total(), cfg.injections as u64);
-        assert_eq!(snap.recovered + snap.exhausted, 3, "{snap:?}");
-        assert_eq!(c.counts.engine_error, snap.exhausted);
-        assert_eq!(c.recovered, snap.recovered);
-        assert_eq!(snap.accounted(), snap.planned);
-
-        // deterministic: a fresh scheduler reproduces counts and tallies
-        let s2 = Scheduler::unbounded(cfg.sched.clone());
-        let c2 = CampaignEngine::new(&m, &input(50), &g, &cfg)
-            .with_scheduler(&s2)
-            .run_program()
-            .unwrap();
-        assert_eq!(c.counts, c2.counts);
-        assert_eq!(snap, s2.snapshot());
-    }
-
-    #[test]
-    fn chaos_timeout_knob_hits_offset_keys() {
-        let m = test_module();
-        let mut cfg = CampaignConfig::quick(8);
-        cfg.chaos_panic_one_in = Some(40);
-        cfg.chaos_timeout_one_in = Some(40);
-        cfg.sched.max_retries = 0;
-        fast_sched(&mut cfg);
-        let g = golden_run(&m, &input(50), &cfg).unwrap();
-        let c = program_campaign(&m, &input(50), &g, &cfg);
-        // panic keys 0,40,80 and timeout keys 20,60,100 are disjoint;
-        // with retries off all six surface as EngineError
-        assert_eq!(c.counts.total(), cfg.injections as u64);
-        assert_eq!(c.counts.engine_error, 6, "{:?}", c.counts);
-    }
-
-    #[test]
-    fn persistently_failing_sites_are_quarantined_up_to_the_cap() {
-        let m = test_module();
-        let mut cfg = CampaignConfig::quick(9);
-        cfg.per_inst_injections = 6;
-        cfg.threads = 1;
-        cfg.chaos_panic_one_in = Some(1); // every injection fails
-        cfg.sched.max_retries = 0;
-        cfg.sched.quarantine_cap = 2;
-        fast_sched(&mut cfg);
-        let g = golden_run(&m, &input(20), &cfg).unwrap();
-        let s = Scheduler::unbounded(cfg.sched.clone());
-        let p = CampaignEngine::new(&m, &input(20), &g, &cfg)
-            .with_scheduler(&s)
-            .run_per_instruction()
-            .unwrap();
-        let snap = s.snapshot();
-
-        // quarantine_after=2: each site records one EngineError, then the
-        // second consecutive exhaustion quarantines it — until the cap
-        assert_eq!(snap.quarantined_sites, 2);
-        let quarantined: Vec<usize> = p
-            .status
-            .iter()
-            .enumerate()
-            .filter(|(_, st)| matches!(st, SiteStatus::Quarantined(_)))
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(quarantined.len(), 2);
-        for &dense in &quarantined {
-            // estimates from a quarantined site are excluded from rates
-            assert_eq!(p.sdc_prob[dense], 0.0);
-            assert_eq!((p.ci[dense].lo, p.ci[dense].hi), (0.0, 1.0));
-            assert_eq!(
-                p.counts[dense].total(),
-                1,
-                "only the pre-quarantine injection"
-            );
-        }
-        // sites past the cap degrade to plain EngineError outcomes
-        let full: Vec<usize> = p
-            .status
-            .iter()
-            .enumerate()
-            .filter(|(_, st)| matches!(st, SiteStatus::Full))
-            .map(|(i, _)| i)
-            .collect();
-        assert!(!full.is_empty());
-        for &dense in &full {
-            assert_eq!(p.counts[dense].engine_error, 6);
-        }
-        // zero lost injections, and completeness only loses the
-        // quarantined work
-        assert_eq!(snap.accounted(), snap.planned);
-        assert!(snap.completeness() < 1.0);
-    }
-
     #[test]
     fn early_stop_halts_converged_sites_without_losing_completeness() {
         let m = test_module();
         let mut cfg = CampaignConfig::quick(12);
         cfg.per_inst_injections = 50;
         cfg.sched.ci_half_width = 0.4; // generous: converges in a few samples
-        fast_sched(&mut cfg);
         let g = golden_run(&m, &input(30), &cfg).unwrap();
         let s = Scheduler::unbounded(cfg.sched.clone());
         let p = CampaignEngine::new(&m, &input(30), &g, &cfg)
@@ -899,8 +768,7 @@ mod tests {
     fn expired_deadline_truncates_gracefully() {
         use minpsid_sched::Deadline;
         let m = test_module();
-        let mut cfg = CampaignConfig::quick(4);
-        fast_sched(&mut cfg);
+        let cfg = CampaignConfig::quick(4);
         let g = golden_run(&m, &input(30), &cfg).unwrap();
 
         let s = Scheduler::new(cfg.sched.clone(), Deadline::from_secs(Some(0.0)));
@@ -927,65 +795,6 @@ mod tests {
         let snap = s.snapshot();
         assert_eq!(snap.accounted(), snap.planned);
         assert_eq!(snap.completeness(), 0.0);
-    }
-
-    #[test]
-    fn journaled_quarantine_is_skipped_on_resume() {
-        let _flag = INTERRUPT_FLAG.lock().unwrap_or_else(|e| e.into_inner());
-        let m = test_module();
-        let mut cfg = CampaignConfig::quick(6);
-        cfg.per_inst_injections = 4;
-        cfg.threads = 1;
-        cfg.chaos_panic_one_in = Some(1);
-        cfg.sched.max_retries = 0;
-        cfg.sched.quarantine_after = 1; // first exhaustion quarantines
-        fast_sched(&mut cfg);
-        let g = golden_run(&m, &input(20), &cfg).unwrap();
-
-        let dir = journal_dir("quarantine-resume");
-        let sites;
-        {
-            let j = CampaignJournal::open(&dir, 1, 2).unwrap();
-            let s = Scheduler::unbounded(cfg.sched.clone());
-            let p = CampaignEngine::new(&m, &input(20), &g, &cfg)
-                .with_scheduler(&s)
-                .with_journal(&j, 9)
-                .run_per_instruction()
-                .unwrap();
-            sites = p
-                .status
-                .iter()
-                .filter(|st| matches!(st, SiteStatus::Quarantined(_)))
-                .count() as u64;
-            assert!(sites > 0);
-            assert_eq!(s.snapshot().quarantined_sites, sites);
-            j.sync().unwrap();
-        }
-
-        // resume with the chaos gone: the journal's quarantine list still
-        // rules those sites out, with zero fresh executions or appends
-        let mut calm = cfg.clone();
-        calm.chaos_panic_one_in = None;
-        let j = CampaignJournal::open(&dir, 1, 2).unwrap();
-        let s = Scheduler::unbounded(calm.sched.clone());
-        let p = CampaignEngine::new(&m, &input(20), &g, &calm)
-            .with_scheduler(&s)
-            .with_journal(&j, 9)
-            .run_per_instruction()
-            .unwrap();
-        let snap = s.snapshot();
-        assert_eq!(snap.quarantined_sites, sites);
-        assert_eq!(snap.quarantined_injections, sites * 4);
-        assert_eq!(snap.completed, 0);
-        assert_eq!(snap.accounted(), snap.planned);
-        assert_eq!(j.usage().1, 0, "resume appends nothing");
-        assert!(
-            p.status
-                .iter()
-                .filter(|st| matches!(st, SiteStatus::Quarantined(_)))
-                .count() as u64
-                == sites
-        );
     }
 
     #[test]

@@ -2,20 +2,17 @@
 //!
 //! The CLI, the bench binaries and the examples all accept the same
 //! campaign vocabulary (`--injections`, `--per-inst`, `--threads`,
-//! checkpoint flags, chaos knobs, the scheduler's retry/quarantine/
-//! early-stop knobs and `--deadline-secs`). Before this module each front
-//! end re-parsed and re-validated its own subset, and the validation
-//! rules drifted. [`CampaignConfigBuilder`] is the single place those
-//! rules live: construct one (or parse one with
+//! checkpoint flags, `--ci-half-width` and `--deadline-secs`). Before
+//! this module each front end re-parsed and re-validated its own subset,
+//! and the validation rules drifted. [`CampaignConfigBuilder`] is the
+//! single place those rules live: construct one (or parse one with
 //! [`CampaignConfigBuilder::from_flags`]), chain validated setters, then
 //! [`build`](CampaignConfigBuilder::build) the [`CampaignConfig`].
 //!
 //! Validation philosophy, inherited from the CLI: a knob whose zero value
 //! silently produces an empty campaign (`injections`, `per-inst`,
-//! `threads`, chaos periods, `quarantine-after`, `checkpoint-interval`)
-//! rejects zero; a knob where zero is a meaningful mode (`max-retries` =
-//! fail fast, `quarantine-cap` = quarantine off, `injection-timeout-ms` =
-//! no wall-clock budget, `ci-half-width` = early stop off) accepts it.
+//! `threads`, `checkpoint-interval`) rejects zero; a knob where zero is a
+//! meaningful mode (`ci-half-width` = early stop off) accepts it.
 //!
 //! The deadline rides on the builder but **not** on the built config: it
 //! bounds how much work runs, never what that work computes, so it stays
@@ -115,53 +112,6 @@ impl CampaignConfigBuilder {
         Ok(self)
     }
 
-    /// Per-injection wall-clock budget in milliseconds; 0 (the default)
-    /// disables it.
-    pub fn injection_timeout_ms(mut self, ms: u64) -> Self {
-        self.cfg.exec.wall_clock_ms = ms;
-        self
-    }
-
-    /// Chaos knob: panic inside every `n`-th-keyed injection worker.
-    pub fn chaos_panic_one_in(mut self, n: u64) -> Result<Self, String> {
-        if n == 0 {
-            return Err("bad --chaos-panic-one-in `0` (want a positive period)".into());
-        }
-        self.cfg.chaos_panic_one_in = Some(n);
-        Ok(self)
-    }
-
-    /// Chaos knob: synthetic timeout in every `n`-th-keyed injection.
-    pub fn chaos_timeout_one_in(mut self, n: u64) -> Result<Self, String> {
-        if n == 0 {
-            return Err("bad --chaos-timeout-one-in `0` (want a positive period)".into());
-        }
-        self.cfg.chaos_timeout_one_in = Some(n);
-        Ok(self)
-    }
-
-    /// Extra attempts for transient engine failures; 0 restores
-    /// fail-fast EngineError behaviour.
-    pub fn max_retries(mut self, n: u32) -> Self {
-        self.cfg.sched.max_retries = n;
-        self
-    }
-
-    /// Consecutive exhausted injections before a site is quarantined.
-    pub fn quarantine_after(mut self, n: u32) -> Result<Self, String> {
-        if n == 0 {
-            return Err("bad --quarantine-after `0` (want a positive count)".into());
-        }
-        self.cfg.sched.quarantine_after = n;
-        Ok(self)
-    }
-
-    /// Hard cap on quarantined sites; 0 disables quarantine entirely.
-    pub fn quarantine_cap(mut self, n: u64) -> Self {
-        self.cfg.sched.quarantine_cap = n;
-        self
-    }
-
     /// Per-site early stop once the Wilson half-width is ≤ `w`; 0
     /// disables early stopping. Widths ≥ 0.5 are vacuous (the interval
     /// starts narrower) and rejected as configuration mistakes.
@@ -191,10 +141,7 @@ impl CampaignConfigBuilder {
     /// irrelevant to campaigns are ignored, so front ends can mix their
     /// own flags in freely): `--seed`, `--quick`, `--injections`,
     /// `--per-inst`, `--threads`, `--checkpoint-interval`,
-    /// `--no-checkpoints`, `--injection-timeout-ms`,
-    /// the two chaos knobs, `--max-retries`,
-    /// `--quarantine-after`, `--quarantine-cap`, `--ci-half-width` and
-    /// `--deadline-secs`.
+    /// `--no-checkpoints`, `--ci-half-width` and `--deadline-secs`.
     pub fn from_flags(rest: &[String]) -> Result<Self, String> {
         let seed = match flag_value(rest, "--seed")? {
             None => 42,
@@ -219,26 +166,6 @@ impl CampaignConfigBuilder {
         }
         if let Some(n) = parse_u64(rest, "--checkpoint-interval")? {
             b = b.checkpoint_interval(n)?;
-        }
-        if let Some(ms) = parse_u64(rest, "--injection-timeout-ms")? {
-            b = b.injection_timeout_ms(ms);
-        }
-        if let Some(n) = parse_u64(rest, "--chaos-panic-one-in")? {
-            b = b.chaos_panic_one_in(n)?;
-        }
-        if let Some(n) = parse_u64(rest, "--chaos-timeout-one-in")? {
-            b = b.chaos_timeout_one_in(n)?;
-        }
-        if let Some(n) = parse_u64(rest, "--max-retries")? {
-            b = b.max_retries(u32::try_from(n).map_err(|_| "bad --max-retries (too large)")?);
-        }
-        if let Some(n) = parse_u64(rest, "--quarantine-after")? {
-            b = b.quarantine_after(
-                u32::try_from(n).map_err(|_| "bad --quarantine-after (too large)")?,
-            )?;
-        }
-        if let Some(n) = parse_u64(rest, "--quarantine-cap")? {
-            b = b.quarantine_cap(n);
         }
         if let Some(v) = flag_value(rest, "--ci-half-width")? {
             let w: f64 = v
@@ -322,25 +249,14 @@ mod tests {
         assert!(CampaignConfigBuilder::new(1)
             .checkpoint_interval(0)
             .is_err());
-        assert!(CampaignConfigBuilder::new(1).chaos_panic_one_in(0).is_err());
-        assert!(CampaignConfigBuilder::new(1)
-            .chaos_timeout_one_in(0)
-            .is_err());
-        assert!(CampaignConfigBuilder::new(1).quarantine_after(0).is_err());
     }
 
     #[test]
     fn zero_meaning_knobs_accept_zero() {
         let c = CampaignConfigBuilder::new(1)
-            .max_retries(0)
-            .quarantine_cap(0)
-            .injection_timeout_ms(0)
             .ci_half_width(0.0)
             .unwrap()
             .build();
-        assert_eq!(c.sched.max_retries, 0);
-        assert_eq!(c.sched.quarantine_cap, 0);
-        assert_eq!(c.exec.wall_clock_ms, 0);
         assert_eq!(c.sched.ci_half_width, 0.0);
     }
 

@@ -3,13 +3,13 @@
 //!
 //! Four features grew onto the fault-injection loop one PR at a time —
 //! checkpointed replay, tracing, the crash-safe WAL journal, and the
-//! resilient scheduler — and each arrived as a forked entry point, until
+//! scheduler — and each arrived as a forked entry point, until
 //! `campaign.rs` carried a 3×2 matrix of near-identical loop bodies.
 //! [`CampaignEngine`] folds that matrix back into one orchestration core
 //! with the features attached as *policy layers*:
 //!
-//! * **Scheduling** — retry/backoff, quarantine, early stop and the
-//!   wall-clock deadline live on a [`Scheduler`]. The engine owns an
+//! * **Scheduling** — early stop, the wall-clock deadline and the
+//!   accounting invariant live on a [`Scheduler`]. The engine owns an
 //!   unbounded one by default; [`CampaignEngine::with_scheduler`] attaches
 //!   a caller-owned (deadline-aware, shared-accounting) one instead.
 //! * **Journaling** — [`CampaignEngine::with_journal`] makes the run
@@ -28,6 +28,14 @@
 //! deterministic as the report while finished work still reaches disk
 //! *during* the run (a crash loses at most the in-flight units).
 //!
+//! Failure policy, stated once: everything an injected program can do
+//! wrong is a value the interpreter returns — its step, output, memory
+//! and call-depth limits turn every runaway into `Crash` or `Hang`. What
+//! is left is a bug in the harness itself, and [`injection_boundary`] is
+//! the one place that meets it: it names the fault that was running and
+//! lets the panic go on to stop the run. Nothing is recorded for that
+//! injection, and what the WAL had committed resumes.
+//!
 //! Determinism contract (unchanged from the pre-engine code, verified by
 //! the equivalence tests): every injection's RNG is seeded only by
 //! `(cfg.seed, plan position)`, never by thread schedule or by which
@@ -43,15 +51,13 @@ use minpsid_interp::{
 };
 use minpsid_ir::{section_fingerprints, GlobalInstId, Module};
 use minpsid_journal::{interrupt, CampaignJournal, Interrupted};
-use minpsid_sched::{
-    binomial_ci, splitmix64, AttemptResult, FailureKind, Scheduler, SiteStatus, TaskResult,
-};
+use minpsid_sched::{binomial_ci, splitmix64, Scheduler, SiteStatus};
 use minpsid_trace as trace;
 use minpsid_trace::{CampaignCounters, CampaignKind, Histogram, OutcomeKind};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::{BTreeMap, HashMap};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -160,7 +166,6 @@ impl CampaignPlan {
 enum PendingRecord {
     Program { index: u64, outcome: u8 },
     PerInst { site: u64, k: u64, outcome: u8 },
-    Quarantine { site: u64, reason: u8 },
 }
 
 /// The single ordered writer behind parallel journaled runs.
@@ -235,9 +240,6 @@ impl<'j> OrderedWriter<'j> {
                 self.journal
                     .record_per_inst(self.input_fp, site, k, outcome)
             }
-            PendingRecord::Quarantine { site, reason } => {
-                self.journal.record_quarantine(self.input_fp, site, reason)
-            }
         }
     }
 }
@@ -253,7 +255,6 @@ fn outcome_kind(o: Outcome) -> OutcomeKind {
         Outcome::Crash => OutcomeKind::Crash,
         Outcome::Hang => OutcomeKind::Hang,
         Outcome::Detected => OutcomeKind::Detected,
-        Outcome::EngineError => OutcomeKind::EngineError,
     }
 }
 
@@ -264,11 +265,6 @@ fn outcome_tally(c: &OutcomeCounts) -> trace::OutcomeTally {
         crash: c.crash,
         hang: c.hang,
         detected: c.detected,
-        engine_error: c.engine_error,
-        // the retry/quarantine side-tallies are campaign-level, not
-        // per-function
-        transient_recovered: 0,
-        quarantined: 0,
     }
 }
 
@@ -317,6 +313,12 @@ fn inject(
     }
 }
 
+/// How a campaign runs one fault: [`inject`], always — a type so that a
+/// test can hand the engine a way that fails.
+type Inject<'f> = dyn Fn(&Interp<'_>, &mut ExecScratch, &GoldenRun, &ProgInput, FaultSpec) -> ExecResult
+    + Sync
+    + 'f;
+
 /// Where one injection's dynamic steps went: skipped by resuming from a
 /// checkpoint, executed, and — when the run converged onto the golden run
 /// and was finished early — the tail that was neither.
@@ -336,181 +338,54 @@ impl StepTally {
     }
 }
 
-/// Salt separating the timeout knob's failure-count stream from the panic
-/// knob's, so the two chaos classes fail for independent spans.
-const CHAOS_TIMEOUT_SALT: u64 = 0xA24B_AED4_963E_E407;
-
-/// Deterministic chaos plan for one injection key: `(kind, n)` means the
-/// first `n` attempts at this injection fail with `kind`. `n` spans 1–4,
-/// so with the default retry budget of 2 some chaos-hit injections
-/// recover and some exhaust — both paths are exercised by one knob.
-/// Deterministic in the key alone, so interrupted-and-resumed runs see
-/// the same engine failures as uninterrupted ones.
-fn chaos_plan(cfg: &CampaignConfig, key: u64) -> Option<(FailureKind, u32)> {
-    if let Some(n) = cfg.chaos_panic_one_in.filter(|&n| n > 0) {
-        if key.is_multiple_of(n) {
-            return Some((FailureKind::Panic, 1 + (splitmix64(key) & 3) as u32));
-        }
-    }
-    if let Some(m) = cfg.chaos_timeout_one_in.filter(|&m| m > 0) {
-        if key.wrapping_add(m / 2).is_multiple_of(m) {
-            let fails = 1 + (splitmix64(key ^ CHAOS_TIMEOUT_SALT) & 3) as u32;
-            return Some((FailureKind::Timeout, fails));
-        }
-    }
-    None
+/// The one line a harness panic adds to the panic's own: which fault was
+/// running, in the terms `propagate` and a journal use to find it again.
+fn describe_fault(module: &Module, input: &ProgInput, seed: u64, fault: FaultSpec) -> String {
+    let target = match fault.target {
+        FaultTarget::NthOfInst(gid, nth) => format!(
+            "{}::%{} (dynamic instance {nth}",
+            module.func(gid.func).name,
+            gid.inst.index()
+        ),
+        FaultTarget::NthDynamic(nth) => format!("(dynamic instruction {nth}"),
+    };
+    format!(
+        "minpsid: harness panic while injecting into {target}, bit {}) — campaign seed {seed}, \
+         input {:016x}. This is a bug in the interpreter or the engine, not an outcome: nothing \
+         was recorded for this injection, and a journaled run resumes from what its WAL holds.",
+        fault.bit,
+        input.fingerprint()
+    )
 }
 
-/// Flat injection index of the per-instruction campaign's (dense, k)
-/// pair, the chaos key shared by journaled and plain variants.
-fn per_inst_chaos_key(cfg: &CampaignConfig, dense: usize, k: usize) -> u64 {
-    (dense as u64) * (cfg.per_inst_injections as u64) + k as u64
-}
-
-/// One attempt at [`inject`], hardened for the retry loop: a panic
-/// anywhere inside the replay (an interpreter bug, or the chaos knob)
-/// surfaces as [`FailureKind::Panic`] instead of poisoning the worker
-/// pool, and a wall-clock blowout (real, or the timeout chaos knob)
-/// surfaces as [`FailureKind::Timeout`]. Both are retryable — they say
-/// something about the harness or the host, not the program under test.
-/// The panic still prints to stderr: a degraded run is visible, not
-/// silent.
-#[allow(clippy::too_many_arguments)]
-fn inject_attempt(
-    interp: &Interp<'_>,
-    st: &mut ExecScratch,
-    golden: &GoldenRun,
+/// The harness's whole failure policy: run one injection and, if the
+/// harness itself panics underneath it, say which fault it was running
+/// and re-raise. `par_map_init` and `sample_campaign` carry the panic on
+/// to the caller, so the process stops; the interpreter is deterministic,
+/// so running the fault again would only panic again.
+fn injection_boundary<T>(
+    module: &Module,
     input: &ProgInput,
+    seed: u64,
     fault: FaultSpec,
-    chaos: Option<(FailureKind, u32)>,
-    attempt: u32,
-) -> AttemptResult<(Outcome, StepTally)> {
-    let chaos_hit = matches!(chaos, Some((_, fails)) if attempt < fails);
-    if chaos_hit && matches!(chaos, Some((FailureKind::Timeout, _))) {
-        // a synthetic wall-clock kill: nothing executed, nothing to classify
-        return AttemptResult::Failed(FailureKind::Timeout);
-    }
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        if chaos_hit {
-            panic!("chaos: injected worker panic (chaos_panic_one_in)");
-        }
-        inject(interp, st, golden, input, fault)
-    }));
-    match result {
-        Ok(r) => {
-            debug_assert!(r.fault_applied, "fault target within population");
-            let outcome = classify(&golden.output, &r);
-            let skipped = r.resumed_at.unwrap_or(0);
-            let steps = StepTally {
-                skipped,
-                // a run that converged onto golden stopped there; the
-                // rest of `steps` is golden's tail, not replayed
-                executed: r.converged_at.unwrap_or(r.steps) - skipped,
-                saved: r.converged_at.map(|at| r.steps - at),
-            };
-            st.recycle_output(r.output);
-            match outcome {
-                // a real wall-clock blowout reflects host pressure, not
-                // program behaviour — hand it to the retry loop
-                Outcome::EngineError => AttemptResult::Failed(FailureKind::Timeout),
-                o => AttemptResult::Ok((o, steps)),
-            }
-        }
-        Err(_) => {
-            // the panic may have left the per-worker scratch mid-run;
-            // drop it so the next attempt starts clean
-            *st = ExecScratch::default();
-            AttemptResult::Failed(FailureKind::Panic)
-        }
-    }
+    run: impl FnOnce() -> T,
+) -> T {
+    catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|payload| {
+        eprintln!("{}", describe_fault(module, input, seed, fault));
+        resume_unwind(payload)
+    })
 }
 
-/// Drive one injection through the scheduler's retry loop. Exhaustion
-/// collapses to a final [`Outcome::EngineError`] with zero step counts;
-/// `recovered` is true when the outcome arrived only after ≥1 retry.
-struct ResolvedInjection {
-    outcome: Outcome,
-    steps: StepTally,
-    recovered: bool,
-    exhausted: Option<FailureKind>,
-}
-
-impl ResolvedInjection {
-    /// An injection that executed cleanly — first attempt, no engine
-    /// failure — is a pure function of its fault: the interpreter is
-    /// deterministic. Only those may stand in for a repeat of the fault.
-    fn clean(&self) -> bool {
-        !self.recovered && self.exhausted.is_none()
-    }
-
-    /// The repeat: the outcome of a clean run of the same fault, with no
-    /// steps to its name.
-    fn repeat_of(outcome: Outcome) -> Self {
-        ResolvedInjection {
-            outcome,
-            steps: StepTally::default(),
-            recovered: false,
-            exhausted: None,
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn resolve_injection(
-    sched: &Scheduler,
-    kind: CampaignKind,
-    site: u64,
-    interp: &Interp<'_>,
-    st: &mut ExecScratch,
-    golden: &GoldenRun,
-    input: &ProgInput,
-    fault: FaultSpec,
-    chaos: Option<(FailureKind, u32)>,
-) -> ResolvedInjection {
-    match sched.run_task(kind, site, |attempt| {
-        inject_attempt(interp, st, golden, input, fault, chaos, attempt)
-    }) {
-        TaskResult::Done {
-            value: (outcome, steps),
-            retries,
-        } => ResolvedInjection {
-            outcome,
-            steps,
-            recovered: retries > 0,
-            exhausted: None,
-        },
-        TaskResult::Exhausted { reason, .. } => ResolvedInjection {
-            outcome: Outcome::EngineError,
-            steps: StepTally::default(),
-            recovered: false,
-            exhausted: Some(reason),
-        },
-    }
-}
-
-/// Execute program-campaign unit `i` (section-local index `j` within
-/// `sec`) — the body shared by [`CampaignEngine::run_program`] and
+/// The fault a whole-program campaign injects at section-local unit `j`
+/// of `sec` — shared by [`CampaignEngine::run_program`] and
 /// [`ProgramUnitExecutor`], so a unit resolved on its own is exactly the
 /// outcome the parallel executor records at that plan position.
 ///
 /// The RNG stream is seeded by `(cfg.seed, section fingerprint, j)` —
 /// never by the flat plan position — so an unedited section draws the
 /// same fault sequence whatever its neighbours turned into, which is the
-/// determinism a memoized outcome table relies on. Chaos and scheduler
-/// site keys stay flat: they describe harness behaviour, not the program
-/// under test.
-#[allow(clippy::too_many_arguments)]
-fn program_unit(
-    cfg: &CampaignConfig,
-    sched: &Scheduler,
-    interp: &Interp<'_>,
-    st: &mut ExecScratch,
-    golden: &GoldenRun,
-    input: &ProgInput,
-    sec: &ProgramSection,
-    j: usize,
-    i: usize,
-) -> ResolvedInjection {
+/// determinism a memoized outcome table relies on.
+fn program_fault(cfg: &CampaignConfig, sec: &ProgramSection, j: usize) -> FaultSpec {
     let mut rng = StdRng::seed_from_u64(
         cfg.seed ^ splitmix64(sec.fp) ^ (j as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
     );
@@ -519,28 +394,17 @@ fn program_unit(
     let idx = sec.prefix.partition_point(|&(_, cum)| cum <= r);
     let (gid, _) = sec.prefix[idx];
     let prev = if idx == 0 { 0 } else { sec.prefix[idx - 1].1 };
-    let fault = FaultSpec {
+    FaultSpec {
         target: FaultTarget::NthOfInst(gid, r - prev),
         bit: rng.random_range(0..64),
-    };
-    resolve_injection(
-        sched,
-        CampaignKind::Program,
-        i as u64,
-        interp,
-        st,
-        golden,
-        input,
-        fault,
-        chaos_plan(cfg, i as u64),
-    )
+    }
 }
 
 /// The `k`-th fault a per-instruction campaign injects at the site
 /// `(gid, count)` of `sec`: one of the site's `count` dynamic instances,
 /// one bit. Seeded by content (section fingerprint, function-local
 /// instruction index, `k`), never by plan position, for the same reason
-/// [`program_unit`]'s stream is. With `count` instances there are only
+/// [`program_fault`]'s stream is. With `count` instances there are only
 /// `64 * count` distinct faults, so at a site executed once a campaign of
 /// N injections repeats itself (half of them at N = 100).
 fn per_inst_fault(
@@ -612,9 +476,7 @@ fn seal_program_sections(
         let mut complete = true;
         for r in range {
             match r {
-                UnitResult::Done {
-                    outcome, recovered, ..
-                } => units.push((outcome.to_u8(), *recovered)),
+                UnitResult::Done { outcome, .. } => units.push(outcome.to_u8()),
                 _ => {
                     complete = false;
                     break;
@@ -644,33 +506,50 @@ pub fn faulty_exec_config(cfg: &CampaignConfig, golden_steps: u64) -> ExecConfig
 /// interpreter execution from an outcome served by the journal or a
 /// memoized table — sealing skips groups with nothing newly executed.
 enum UnitResult {
-    Done {
-        outcome: Outcome,
-        recovered: bool,
-        fresh: bool,
-    },
+    Done { outcome: Outcome, fresh: bool },
     Truncated,
     Interrupted,
 }
 
 /// How one per-instruction site (one work unit) ended: the dense index
-/// and outcome tally the reducer keys on, the final site status, whether
-/// the unit ran to completion (vs interrupted), the recorded outcome
-/// bytes in injection order (what sealing writes), and whether any
-/// injection at this site executed fresh.
+/// and outcome tally the reducer keys on, the final site status, how many
+/// of its injections the deadline cut, whether the unit ran to completion
+/// (vs interrupted), the recorded outcome bytes in injection order (what
+/// sealing writes), and whether any injection at this site executed
+/// fresh.
 struct SiteResult {
     dense: usize,
     counts: OutcomeCounts,
     status: SiteStatus,
+    truncated: u64,
     done: bool,
     outcomes: Vec<u8>,
     fresh: bool,
 }
 
+/// Where one injection's outcome came from.
+#[derive(PartialEq)]
+enum Source {
+    Journal,
+    Table,
+    Run,
+}
+
+impl Source {
+    /// Book the injection with the table layer's served/executed tallies.
+    fn note(&self, memo: Option<&TableMemo>) {
+        match (self, memo) {
+            (Source::Table, Some(m)) => m.note_served(1),
+            (Source::Run, Some(m)) => m.note_executed(1),
+            _ => {}
+        }
+    }
+}
+
 /// Seal each per-instruction section's outcome streams. Mirrors
 /// [`seal_program_sections`]: a group fully served from an existing table
-/// is left alone, and any site the run could not finish cleanly
-/// (deadline-truncated, unsampled, or quarantined) marks the whole group
+/// is left alone, and any site the run could not finish
+/// (deadline-truncated or unsampled) marks the whole group
 /// `complete: false` — a miss on every future load.
 fn seal_per_inst_sections(
     memo: &TableMemo,
@@ -726,8 +605,8 @@ pub struct CampaignEngine<'a> {
     input: &'a ProgInput,
     golden: &'a GoldenRun,
     cfg: &'a CampaignConfig,
-    /// Fallback scheduler (retry knobs from `cfg.sched`, no deadline)
-    /// used when the caller does not attach one.
+    /// Fallback scheduler (early stop per `cfg.sched`, no deadline) used
+    /// when the caller does not attach one.
     owned_sched: Scheduler,
     sched: Option<&'a Scheduler>,
     journal: Option<(&'a CampaignJournal, u64)>,
@@ -739,7 +618,7 @@ pub struct CampaignEngine<'a> {
 
 impl<'a> CampaignEngine<'a> {
     /// An engine over `(module, input, golden)` with no external policy
-    /// layers: retries per `cfg.sched`, no deadline, no journal.
+    /// layers: early stop per `cfg.sched`, no deadline, no journal.
     pub fn new(
         module: &'a Module,
         input: &'a ProgInput,
@@ -786,22 +665,35 @@ impl<'a> CampaignEngine<'a> {
         self
     }
 
-    /// The memo, gated off under chaos: engine-failure chaos perturbs
-    /// outcomes (`EngineError` from exhausted retries), so memoizing a
-    /// chaos run would leak synthetic failures into clean re-campaigns.
-    fn active_tables(&self) -> Option<&TableMemo> {
-        let chaos = self.cfg.chaos_panic_one_in.filter(|&n| n > 0).is_some()
-            || self.cfg.chaos_timeout_one_in.filter(|&n| n > 0).is_some();
-        if chaos {
-            None
-        } else {
-            self.tables
-        }
-    }
-
     /// The scheduler this engine executes under.
     pub fn scheduler(&self) -> &Scheduler {
         self.sched.unwrap_or(&self.owned_sched)
+    }
+
+    /// Run `fault` to its classified outcome behind the
+    /// [`injection_boundary`].
+    fn execute(
+        &self,
+        interp: &Interp<'_>,
+        st: &mut ExecScratch,
+        fault: FaultSpec,
+        inject: &Inject<'_>,
+    ) -> (Outcome, StepTally) {
+        injection_boundary(self.module, self.input, self.cfg.seed, fault, || {
+            let r = inject(interp, st, self.golden, self.input, fault);
+            debug_assert!(r.fault_applied, "fault target within population");
+            let outcome = classify(&self.golden.output, &r);
+            let skipped = r.resumed_at.unwrap_or(0);
+            let steps = StepTally {
+                skipped,
+                // a run that converged onto golden stopped there; the
+                // rest of `steps` is golden's tail, not replayed
+                executed: r.converged_at.unwrap_or(r.steps) - skipped,
+                saved: r.converged_at.map(|at| r.steps - at),
+            };
+            st.recycle_output(r.output);
+            (outcome, steps)
+        })
     }
 
     /// Per-instruction injections so far that were not interpreted
@@ -965,7 +857,7 @@ impl<'a> CampaignEngine<'a> {
         let suffix_steps = Histogram::new();
         let journal = self.journal;
         let writer = journal.map(|(j, fp)| OrderedWriter::new(j, fp));
-        let memo = self.active_tables();
+        let memo = self.tables;
         // one verified load per section, before the fan-out: workers only
         // index the decoded tables
         let loaded: Vec<Option<ProgramTable>> = sections
@@ -985,86 +877,53 @@ impl<'a> CampaignEngine<'a> {
                 let s = sections.partition_point(|sec| sec.unit_base <= i) - 1;
                 let sec = &sections[s];
                 let j = i - sec.unit_base;
-                if let Some((jr, fp)) = journal {
-                    if let Some(o) = jr.program_outcome(fp, i as u64).and_then(Outcome::from_u8) {
-                        sched.note_completed(1);
-                        if tracing {
-                            counters.record(outcome_kind(o), 0, 0);
-                        }
+                // the journal, then the sealed table, then — unless the
+                // deadline has passed — a run: the first that knows this
+                // unit's outcome
+                let journaled = journal
+                    .and_then(|(jr, fp)| jr.program_outcome(fp, i as u64))
+                    .and_then(Outcome::from_u8);
+                let tabled = loaded[s]
+                    .as_ref()
+                    .and_then(|t| t.units.get(j))
+                    .and_then(|&b| Outcome::from_u8(b));
+                let (outcome, steps, source) = match (journaled, tabled) {
+                    (Some(o), _) => (o, StepTally::default(), Source::Journal),
+                    (None, Some(o)) => (o, StepTally::default(), Source::Table),
+                    (None, None) if sched.deadline_exceeded() => {
                         if let Some(w) = &writer {
                             w.commit(i, Vec::new());
                         }
-                        return UnitResult::Done {
-                            outcome: o,
-                            recovered: false,
-                            fresh: false,
-                        };
+                        return UnitResult::Truncated;
                     }
-                }
-                if let Some((o, rec)) = loaded[s]
-                    .as_ref()
-                    .and_then(|t| t.units.get(j))
-                    .and_then(|&(b, rec)| Outcome::from_u8(b).map(|o| (o, rec)))
-                {
-                    // served from the sealed table; the WAL still gets a
-                    // real record so a resumed run's journal matches a
-                    // cold run's byte for byte
-                    sched.note_completed(1);
-                    if let Some(m) = memo {
-                        m.note_served(1);
-                    }
-                    if tracing {
-                        counters.record(outcome_kind(o), 0, 0);
-                        if rec {
-                            counters.record_recovered();
+                    (None, None) => {
+                        let run = self.execute(&interp, st, program_fault(cfg, sec, j), &inject);
+                        if tracing {
+                            suffix_steps.record(run.1.executed);
                         }
+                        (run.0, run.1, Source::Run)
                     }
-                    if let Some(w) = &writer {
-                        w.commit(
-                            i,
-                            vec![PendingRecord::Program {
-                                index: i as u64,
-                                outcome: o.to_u8(),
-                            }],
-                        );
-                    }
-                    return UnitResult::Done {
-                        outcome: o,
-                        recovered: rec,
-                        fresh: false,
-                    };
-                }
-                if sched.deadline_exceeded() {
-                    if let Some(w) = &writer {
-                        w.commit(i, Vec::new());
-                    }
-                    return UnitResult::Truncated;
-                }
-                let r = program_unit(cfg, sched, &interp, st, self.golden, self.input, sec, j, i);
-                if let Some(w) = &writer {
-                    w.commit(
-                        i,
-                        vec![PendingRecord::Program {
-                            index: i as u64,
-                            outcome: r.outcome.to_u8(),
-                        }],
-                    );
-                }
+                };
+                source.note(memo);
                 sched.note_completed(1);
-                if let Some(m) = memo {
-                    m.note_executed(1);
-                }
                 if tracing {
-                    r.steps.record(&counters, r.outcome);
-                    if r.recovered {
-                        counters.record_recovered();
+                    steps.record(&counters, outcome);
+                }
+                if let Some(w) = &writer {
+                    // a table-served outcome still gets a real record, so
+                    // a resumed run's journal matches a cold run's
+                    let mut records = Vec::new();
+                    if source != Source::Journal {
+                        records.push(PendingRecord::Program {
+                            index: i as u64,
+                            outcome: outcome.to_u8(),
+                        });
                     }
-                    suffix_steps.record(r.steps.executed);
+                    w.commit(i, records);
                 }
                 UnitResult::Done {
-                    outcome: r.outcome,
-                    recovered: r.recovered,
-                    fresh: true,
+                    outcome,
+                    fresh: source == Source::Run,
                 }
             })
         });
@@ -1087,19 +946,9 @@ impl<'a> CampaignEngine<'a> {
         let _reduce_span = trace::span("reduce");
         let mut counts = OutcomeCounts::default();
         let mut truncated = 0u64;
-        let mut recovered = 0u64;
         for r in &results {
             match r {
-                UnitResult::Done {
-                    outcome,
-                    recovered: rec,
-                    ..
-                } => {
-                    counts.record(*outcome);
-                    if *rec {
-                        recovered += 1;
-                    }
-                }
+                UnitResult::Done { outcome, .. } => counts.record(*outcome),
                 UnitResult::Truncated => truncated += 1,
                 UnitResult::Interrupted => unreachable!("handled above"),
             }
@@ -1119,25 +968,27 @@ impl<'a> CampaignEngine<'a> {
         if let Some((j, _)) = journal {
             let _ = j.sync();
         }
-        // engine errors carry no information about the program, so the CI
-        // is over the injections that produced a real outcome
-        let sdc_ci = binomial_ci(counts.sdc, counts.valid_total(), cfg.sched.ci_z);
+        let sdc_ci = binomial_ci(counts.sdc, counts.total(), cfg.sched.ci_z);
         Ok(ProgramCampaign {
             counts,
             sdc_ci,
             planned: injections as u64,
             truncated,
-            recovered,
         })
     }
 
     /// Execute the per-instruction campaign: `cfg.per_inst_injections`
     /// faults into uniformly random dynamic executions of every site in
-    /// the plan. Engine failures are retried; persistently failing sites
-    /// are quarantined; converged sites stop early; sites past the
-    /// deadline are truncated. Errs with [`Interrupted`] only when a
-    /// journal is attached and an interrupt is pending.
+    /// the plan. Converged sites stop early; sites past the deadline are
+    /// truncated. Errs with [`Interrupted`] only when a journal is
+    /// attached and an interrupt is pending.
     pub fn run_per_instruction(&self) -> Result<PerInstSdc, Interrupted> {
+        self.run_per_instruction_with(&inject)
+    }
+
+    /// [`run_per_instruction`](Self::run_per_instruction) over the given
+    /// way of running one fault (see [`execute`](Self::execute)).
+    fn run_per_instruction_with(&self, inject: &Inject<'_>) -> Result<PerInstSdc, Interrupted> {
         let plan_span = trace::span("plan");
         let (sections, planned) = match self.plan_per_instruction() {
             CampaignPlan::PerInst {
@@ -1161,7 +1012,7 @@ impl<'a> CampaignEngine<'a> {
         let counters = CampaignCounters::new(CampaignKind::PerInst, (sites.len() * planned) as u64);
         let journal = self.journal;
         let writer = journal.map(|(j, fp)| OrderedWriter::new(j, fp));
-        let memo = self.active_tables();
+        let memo = self.tables;
         let loaded: Vec<Option<PerInstTable>> = sections
             .iter()
             .map(|sec| {
@@ -1176,256 +1027,112 @@ impl<'a> CampaignEngine<'a> {
                 let s = sections.partition_point(|sec| sec.site_base <= t) - 1;
                 let sec = &sections[s];
                 let site = dense as u64;
-                let mut counts = OutcomeCounts::default();
-                let mut records: Vec<PendingRecord> = Vec::new();
-                let mut outcomes: Vec<u8> = Vec::new();
-                let mut fresh = false;
-                let commit = |records: Vec<PendingRecord>| {
-                    if let Some(w) = &writer {
-                        w.commit(t, records);
-                    }
+                let mut r = SiteResult {
+                    dense,
+                    counts: OutcomeCounts::default(),
+                    status: SiteStatus::Full,
+                    truncated: 0,
+                    done: true,
+                    outcomes: Vec::new(),
+                    fresh: false,
                 };
-                // a site quarantined by a previous (crashed or
-                // resumed) run is skipped outright: the journal is
-                // the durable quarantine list
-                if let Some((j, input_fp)) = journal {
-                    if let Some(b) = j.quarantined_site(input_fp, site) {
-                        let reason = FailureKind::from_u8(b).unwrap_or(FailureKind::Panic);
-                        sched.note_resumed_quarantine();
-                        sched.note_quarantine_skipped(planned as u64);
-                        if tracing {
-                            counters.record_quarantined(planned as u64);
-                        }
-                        commit(records);
-                        return SiteResult {
-                            dense,
-                            counts,
-                            status: SiteStatus::Quarantined(reason),
-                            done: true,
-                            outcomes,
-                            fresh,
-                        };
-                    }
-                }
+                let mut records: Vec<PendingRecord> = Vec::new();
                 // the sealed table's outcome stream for this site, keyed
                 // by the instruction's function-local index (stable when
-                // other functions are edited)
+                // other functions are edited). A stream shorter than
+                // `planned` means the sealing run stopped early at this
+                // site; the same stop re-derives below before `k` ever
+                // reaches its end.
                 let served: &[u8] = loaded[s]
                     .as_ref()
                     .and_then(|tab| tab.site(gid.inst.index() as u32))
                     .unwrap_or(&[]);
-                let mut status = SiteStatus::Full;
-                let mut consecutive = 0u32;
-                // outcome of the faults that ran cleanly at this site
+                // outcome of the faults already run at this site
                 let mut ran: HashMap<FaultSpec, Outcome> = HashMap::new();
                 for k in 0..planned {
                     if journal.is_some() && interrupt::requested() {
                         // partial work stays durable: the batch holds
                         // everything this unit finished before the
                         // interrupt
-                        commit(records);
-                        return SiteResult {
-                            dense,
-                            counts,
-                            status,
-                            done: false,
-                            outcomes,
-                            fresh,
-                        };
+                        r.done = false;
+                        break;
                     }
                     if sched.deadline_exceeded() {
-                        status = if k == 0 {
+                        r.status = if k == 0 {
                             SiteStatus::Unsampled
                         } else {
                             SiteStatus::Truncated
                         };
-                        sched.note_truncated(CampaignKind::PerInst, (planned - k) as u64);
+                        r.truncated = (planned - k) as u64;
                         break;
                     }
-                    if let Some(o) = journal
+                    // the journal, then the sealed table, then a run: the
+                    // first that knows this injection's outcome
+                    let journaled = journal
                         .and_then(|(j, fp)| j.per_inst_outcome(fp, site, k as u64))
-                        .and_then(Outcome::from_u8)
-                    {
-                        counts.record(o);
-                        outcomes.push(o.to_u8());
-                        sched.note_completed(1);
-                        consecutive = if o == Outcome::EngineError {
-                            consecutive + 1
-                        } else {
-                            0
-                        };
-                        if tracing {
-                            counters.record(outcome_kind(o), 0, 0);
-                        }
-                        if let Some(hw) = sched.early_stop(counts.sdc, counts.valid_total()) {
-                            if k + 1 < planned {
-                                let skip = (planned - k - 1) as u64;
-                                sched.note_early_stop(
-                                    CampaignKind::PerInst,
-                                    site,
-                                    counts.total(),
-                                    hw,
-                                    skip,
-                                );
-                                status = SiteStatus::EarlyStopped;
-                                break;
-                            }
-                        }
-                        continue;
-                    }
-                    // serve from the sealed table exactly as the journal
-                    // branch would: outcomes recorded, early stop
-                    // re-derived, never re-quarantined. A recorded
-                    // stream shorter than `planned` means the sealing
-                    // run stopped early at this site; the same stop
-                    // re-derives below before `k` ever reaches the end.
-                    if let Some(o) = served.get(k).copied().and_then(Outcome::from_u8) {
-                        counts.record(o);
-                        outcomes.push(o.to_u8());
-                        sched.note_completed(1);
-                        if let Some(m) = memo {
-                            m.note_served(1);
-                        }
-                        consecutive = if o == Outcome::EngineError {
-                            consecutive + 1
-                        } else {
-                            0
-                        };
-                        if tracing {
-                            counters.record(outcome_kind(o), 0, 0);
-                        }
-                        if journal.is_some() {
-                            records.push(PendingRecord::PerInst {
-                                site,
-                                k: k as u64,
-                                outcome: o.to_u8(),
-                            });
-                        }
-                        if let Some(hw) = sched.early_stop(counts.sdc, counts.valid_total()) {
-                            if k + 1 < planned {
-                                let skip = (planned - k - 1) as u64;
-                                sched.note_early_stop(
-                                    CampaignKind::PerInst,
-                                    site,
-                                    counts.total(),
-                                    hw,
-                                    skip,
-                                );
-                                status = SiteStatus::EarlyStopped;
-                                break;
-                            }
-                        }
-                        continue;
-                    }
-                    let fault = per_inst_fault(cfg, sec, gid, count, k);
-                    let chaos_key = per_inst_chaos_key(cfg, dense, k);
-                    let chaos = chaos_plan(cfg, chaos_key);
-                    // a repeat of a fault that ran cleanly at this site
-                    // takes its outcome (chaos fails attempts by `k`, so
-                    // a chaos-planned repeat still has to be attempted)
-                    let repeat = ran.get(&fault).filter(|_| chaos.is_none());
-                    let r = match repeat {
-                        Some(&outcome) => {
-                            self.deduped.fetch_add(1, Ordering::Relaxed);
-                            if tracing {
-                                counters.record_deduped();
-                            }
-                            ResolvedInjection::repeat_of(outcome)
-                        }
-                        None => {
-                            let r = resolve_injection(
-                                sched,
-                                CampaignKind::PerInst,
-                                chaos_key,
-                                &interp,
-                                st,
-                                self.golden,
-                                self.input,
-                                fault,
-                                chaos,
-                            );
-                            if chaos.is_none() && r.clean() {
-                                ran.insert(fault, r.outcome);
-                            }
-                            r
+                        .and_then(Outcome::from_u8);
+                    let tabled = served.get(k).copied().and_then(Outcome::from_u8);
+                    let (outcome, steps, source) = match (journaled, tabled) {
+                        (Some(o), _) => (o, StepTally::default(), Source::Journal),
+                        (None, Some(o)) => (o, StepTally::default(), Source::Table),
+                        (None, None) => {
+                            let fault = per_inst_fault(cfg, sec, gid, count, k);
+                            // a repeat of a fault already run at this site
+                            // takes its outcome: the interpreter is
+                            // deterministic
+                            let (o, steps) = match ran.get(&fault) {
+                                Some(&o) => {
+                                    self.deduped.fetch_add(1, Ordering::Relaxed);
+                                    if tracing {
+                                        counters.record_deduped();
+                                    }
+                                    (o, StepTally::default())
+                                }
+                                None => {
+                                    let run = self.execute(&interp, st, fault, inject);
+                                    ran.insert(fault, run.0);
+                                    run
+                                }
+                            };
+                            (o, steps, Source::Run)
                         }
                     };
-                    fresh = true;
-                    if let Some(m) = memo {
-                        m.note_executed(1);
-                    }
-                    if let Some(reason) = r.exhausted {
-                        consecutive += 1;
-                        if consecutive >= cfg.sched.quarantine_after.max(1)
-                            && sched.try_quarantine(
-                                CampaignKind::PerInst,
-                                site,
-                                reason,
-                                consecutive,
-                            )
-                        {
-                            // the triggering injection and everything
-                            // still pending at this site are charged
-                            // to quarantine, not recorded as outcomes
-                            if journal.is_some() {
-                                records.push(PendingRecord::Quarantine {
-                                    site,
-                                    reason: reason.to_u8(),
-                                });
-                            }
-                            let skip = (planned - k) as u64;
-                            sched.note_quarantine_skipped(skip);
-                            if tracing {
-                                counters.record_quarantined(skip);
-                            }
-                            status = SiteStatus::Quarantined(reason);
-                            break;
-                        }
-                        // cap reached or below the threshold: the
-                        // exhaustion degrades to a recorded EngineError
-                    } else {
-                        consecutive = 0;
-                    }
-                    if journal.is_some() {
+                    source.note(memo);
+                    r.fresh |= source == Source::Run;
+                    // a table-served outcome still gets a real WAL record,
+                    // so a resumed run's journal matches a cold run's
+                    if journal.is_some() && source != Source::Journal {
                         records.push(PendingRecord::PerInst {
                             site,
                             k: k as u64,
-                            outcome: r.outcome.to_u8(),
+                            outcome: outcome.to_u8(),
                         });
                     }
-                    counts.record(r.outcome);
-                    outcomes.push(r.outcome.to_u8());
+                    r.counts.record(outcome);
+                    r.outcomes.push(outcome.to_u8());
                     sched.note_completed(1);
                     if tracing {
-                        r.steps.record(&counters, r.outcome);
-                        if r.recovered {
-                            counters.record_recovered();
-                        }
+                        steps.record(&counters, outcome);
                     }
-                    if let Some(hw) = sched.early_stop(counts.sdc, counts.valid_total()) {
+                    if let Some(hw) = sched.early_stop(r.counts.sdc, r.counts.total()) {
                         if k + 1 < planned {
                             let skip = (planned - k - 1) as u64;
                             sched.note_early_stop(
                                 CampaignKind::PerInst,
                                 site,
-                                counts.total(),
+                                r.counts.total(),
                                 hw,
                                 skip,
                             );
-                            status = SiteStatus::EarlyStopped;
+                            r.status = SiteStatus::EarlyStopped;
                             break;
                         }
                     }
                 }
-                commit(records);
-                SiteResult {
-                    dense,
-                    counts,
-                    status,
-                    done: true,
-                    outcomes,
-                    fresh,
+                if let Some(w) = &writer {
+                    w.commit(t, records);
                 }
+                r
             })
         });
         drop(execute_span);
@@ -1443,6 +1150,10 @@ impl<'a> CampaignEngine<'a> {
             }
         }
         let _reduce_span = trace::span("reduce");
+        sched.note_truncated(
+            CampaignKind::PerInst,
+            per_site.iter().map(|r| r.truncated).sum(),
+        );
         if let Some(m) = memo {
             seal_per_inst_sections(m, cfg, self.golden, &sections, &loaded, &per_site);
             let served = loaded.iter().filter(|t| t.is_some()).count() as u64;
@@ -1459,10 +1170,8 @@ impl<'a> CampaignEngine<'a> {
         let mut ci = vec![binomial_ci(0, 0, cfg.sched.ci_z); n];
         let mut status = vec![SiteStatus::Unsampled; n];
         for r in per_site {
-            if r.status.trusted() {
-                sdc_prob[r.dense] = r.counts.sdc_prob();
-                ci[r.dense] = sched.site_ci(r.counts.sdc, r.counts.valid_total());
-            }
+            sdc_prob[r.dense] = r.counts.sdc_prob();
+            ci[r.dense] = sched.site_ci(r.counts.sdc, r.counts.total());
             counts[r.dense] = r.counts;
             status[r.dense] = r.status;
         }
@@ -1496,10 +1205,7 @@ impl<'a> CampaignEngine<'a> {
             CampaignPlan::PerInst { .. } => unreachable!(),
         };
         ProgramUnitExecutor {
-            cfg: self.cfg,
-            sched: self.scheduler(),
-            golden: self.golden,
-            input: self.input,
+            engine: self,
             interp: Interp::new(self.module, faulty_exec_config(self.cfg, self.golden.steps)),
             scratch: ExecScratch::default(),
             injections,
@@ -1516,15 +1222,12 @@ impl<'a> CampaignEngine<'a> {
 /// Resolves individual program-campaign units on demand: restore →
 /// replay → classify for one plan position, with no pool, journal or
 /// table around it, which is what the benchmark's `fi_units` workload
-/// times. Determinism is carried entirely by the plan position `i` — RNG
-/// seed, chaos plan and retry schedule all derive from `(cfg, i)` — so
-/// units resolved in any order, any number of times, reduce to exactly
-/// the [`run_program`](CampaignEngine::run_program) report.
+/// times. Determinism is carried entirely by the plan position `i` — the
+/// fault derives from `(cfg, section, i)` alone — so units resolved in any
+/// order, any number of times, reduce to exactly the
+/// [`run_program`](CampaignEngine::run_program) report.
 pub struct ProgramUnitExecutor<'e> {
-    cfg: &'e CampaignConfig,
-    sched: &'e Scheduler,
-    golden: &'e GoldenRun,
-    input: &'e ProgInput,
+    engine: &'e CampaignEngine<'e>,
     interp: Interp<'e>,
     scratch: ExecScratch,
     injections: usize,
@@ -1533,7 +1236,9 @@ pub struct ProgramUnitExecutor<'e> {
 }
 
 impl ProgramUnitExecutor<'_> {
-    /// Resolve unit `i`: `(classified outcome, recovered-via-retry)`.
+    /// Resolve unit `i` to its classified outcome. The `bool` is always
+    /// `false` (it said "recovered via retry"): `benchmark/` destructures
+    /// a pair and may not change here; ROADMAP item 5 drops it.
     ///
     /// Panics if `i` is outside the plan or the population is empty.
     pub fn run_unit(&mut self, i: usize) -> (Outcome, bool) {
@@ -1545,17 +1250,136 @@ impl ProgramUnitExecutor<'_> {
         );
         let s = self.sections.partition_point(|sec| sec.unit_base <= i) - 1;
         let sec = &self.sections[s];
-        let r = program_unit(
-            self.cfg,
-            self.sched,
-            &self.interp,
-            &mut self.scratch,
-            self.golden,
-            self.input,
-            sec,
-            i - sec.unit_base,
-            i,
-        );
-        (r.outcome, r.recovered)
+        let fault = program_fault(self.engine.cfg, sec, i - sec.unit_base);
+        let (outcome, _) = self
+            .engine
+            .execute(&self.interp, &mut self.scratch, fault, &inject);
+        (outcome, false)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::campaign::golden_run;
+    use crate::campaign::tests::{input, journal_dir, test_module, INTERRUPT_FLAG};
+    use std::sync::atomic::AtomicUsize;
+
+    #[test]
+    fn boundary_names_the_fault_and_reraises_the_panic() {
+        let m = test_module();
+        let inp = input(50);
+        let (gid, _) = m
+            .iter_insts()
+            .find(|(_, inst)| inst.injectable())
+            .expect("an injectable instruction");
+        let fault = FaultSpec {
+            target: FaultTarget::NthOfInst(gid, 7),
+            bit: 33,
+        };
+        let msg = describe_fault(&m, &inp, 42, fault);
+        for part in [
+            format!("main::%{} ", gid.inst.index()),
+            "dynamic instance 7,".to_string(),
+            "bit 33)".to_string(),
+            "campaign seed 42,".to_string(),
+            format!("input {:016x}.", inp.fingerprint()),
+        ] {
+            assert!(msg.contains(&part), "no `{part}` in: {msg}");
+        }
+        // a closure that returns is passed through; one that panics takes
+        // its own payload past the boundary
+        assert_eq!(injection_boundary(&m, &inp, 42, fault, || 5), 5);
+        let payload = catch_unwind(|| {
+            injection_boundary(&m, &inp, 42, fault, || -> u32 { panic!("interpreter bug") })
+        })
+        .expect_err("the panic goes on");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"interpreter bug"));
+    }
+
+    /// A harness panic at one injection stops the run with nothing
+    /// recorded for it — no outcome, no tally, no WAL record — and the
+    /// sites the WAL had committed are served when the run is resumed,
+    /// which ends at the report and the WAL of a run nothing disturbed.
+    #[test]
+    fn harness_panic_stops_the_run_and_its_wal_resumes() {
+        let _flag = INTERRUPT_FLAG.lock().unwrap_or_else(|e| e.into_inner());
+        let m = test_module();
+        let inp = input(50);
+        for threads in [1, 2] {
+            let mut cfg = CampaignConfig::quick(17);
+            cfg.threads = threads;
+            let g = golden_run(&m, &inp, &cfg).unwrap();
+            let planned = cfg.per_inst_injections as u64;
+            let wal = |dir: &std::path::Path| std::fs::read(dir.join("campaign.wal")).unwrap();
+
+            let calm_dir = journal_dir(&format!("panic-calm-{threads}"));
+            let calm = {
+                let j = CampaignJournal::open(&calm_dir, 1, 2).unwrap();
+                let p = CampaignEngine::new(&m, &inp, &g, &cfg)
+                    .with_journal(&j, 9)
+                    .run_per_instruction()
+                    .unwrap();
+                j.sync().unwrap();
+                p
+            };
+
+            // the harness fails on the third fault it runs at plan site 4
+            let dir = journal_dir(&format!("panic-{threads}"));
+            {
+                let j = CampaignJournal::open(&dir, 1, 2).unwrap();
+                let s = Scheduler::unbounded(cfg.sched.clone());
+                let eng = CampaignEngine::new(&m, &inp, &g, &cfg)
+                    .with_scheduler(&s)
+                    .with_journal(&j, 9);
+                let CampaignPlan::PerInst { sections, .. } = eng.plan_per_instruction() else {
+                    unreachable!()
+                };
+                let (_, bad_gid, _) = sections
+                    .iter()
+                    .flat_map(|sec| &sec.sites)
+                    .nth(4)
+                    .copied()
+                    .unwrap();
+                let runs_there = AtomicUsize::new(0);
+                let failing = |interp: &Interp<'_>,
+                               st: &mut ExecScratch,
+                               golden: &GoldenRun,
+                               input: &ProgInput,
+                               fault: FaultSpec| {
+                    if matches!(fault.target, FaultTarget::NthOfInst(gid, _) if gid == bad_gid)
+                        && runs_there.fetch_add(1, Ordering::Relaxed) == 2
+                    {
+                        panic!("interpreter bug");
+                    }
+                    inject(interp, st, golden, input, fault)
+                };
+                let payload =
+                    catch_unwind(AssertUnwindSafe(|| eng.run_per_instruction_with(&failing)))
+                        .expect_err("the run stops");
+                assert_eq!(payload.downcast_ref::<&str>(), Some(&"interpreter bug"));
+                let snap = s.snapshot();
+                assert!((4 * planned..snap.planned).contains(&snap.completed));
+                j.sync().unwrap();
+            }
+            // whole sites only, in plan order: the calm WAL's header and
+            // sites 0..4, nothing of the site that panicked or after it
+            let (partial, full) = (wal(&dir), wal(&calm_dir));
+            assert!(full.starts_with(&partial));
+            let records = minpsid_journal::wal::scan_bytes(&partial).records;
+            assert_eq!(records.len() as u64, 1 + 4 * planned);
+
+            let j = CampaignJournal::open(&dir, 1, 2).unwrap();
+            let resumed = CampaignEngine::new(&m, &inp, &g, &cfg)
+                .with_journal(&j, 9)
+                .run_per_instruction()
+                .unwrap();
+            j.sync().unwrap();
+            assert_eq!(resumed.counts, calm.counts);
+            assert_eq!(resumed.sdc_prob, calm.sdc_prob);
+            assert_eq!(resumed.status, calm.status);
+            assert!(j.usage().0 > 0, "committed sites were served, not re-run");
+            assert_eq!(wal(&dir), full);
+        }
     }
 }

@@ -21,8 +21,8 @@
 //!   SID's benefit, Eq. 2).
 //!
 //! Every campaign runs through one [`CampaignEngine`] (see [`engine`]): a
-//! plan/execute/reduce pipeline with scheduling (retry, quarantine, early
-//! stop, deadline), crash-safe WAL journaling and tracing attached as
+//! plan/execute/reduce pipeline with scheduling (early stop, deadline),
+//! crash-safe WAL journaling and tracing attached as
 //! composable policy layers. Campaigns are deterministic given a seed and
 //! embarrassingly parallel at any composition: injections fan out over
 //! `std::thread::scope` workers (see [`parallel`]) and reduce in plan
@@ -62,8 +62,7 @@ pub use minpsid_journal::{interrupt, CampaignJournal, Interrupted};
 // early-stop rule is built on it); re-exported here so campaign callers
 // keep a single import path.
 pub use minpsid_sched::{
-    binomial_ci, BinomialCi, Deadline, FailureKind, SchedConfig, SchedSnapshot, Scheduler,
-    SiteStatus,
+    binomial_ci, BinomialCi, Deadline, SchedConfig, SchedSnapshot, Scheduler, SiteStatus,
 };
 pub use outcome::{classify, Outcome, OutcomeCounts};
 pub use propagation::{render_report, trace_fault, PropagationReport};

@@ -15,15 +15,13 @@ pub enum Outcome {
     Hang,
     /// A duplication check fired.
     Detected,
-    /// The harness itself failed on this injection (worker panic or
-    /// wall-clock blowout) — a bug in *us*, not an observed program
-    /// outcome, so it is counted and reported but excluded from SDC and
-    /// detection rates (see [`OutcomeCounts::valid_total`]).
-    EngineError,
 }
 
 impl Outcome {
-    /// Stable byte encoding used by the campaign journal.
+    /// Stable byte encoding used by the campaign journal and the sealed
+    /// outcome tables. Byte 5 is reserved: it was `EngineError`, the
+    /// retry scheduler's "harness failed" verdict removed in PR 22, and
+    /// is never reused.
     pub fn to_u8(self) -> u8 {
         match self {
             Outcome::Benign => 0,
@@ -31,12 +29,12 @@ impl Outcome {
             Outcome::Crash => 2,
             Outcome::Hang => 3,
             Outcome::Detected => 4,
-            Outcome::EngineError => 5,
         }
     }
 
-    /// Inverse of [`Outcome::to_u8`]; `None` for bytes no version ever
-    /// wrote (treated as a journal miss, never a crash).
+    /// Inverse of [`Outcome::to_u8`]; `None` for every other byte, the
+    /// reserved 5 included — a journal or table miss, so the injection
+    /// simply runs.
     pub fn from_u8(b: u8) -> Option<Outcome> {
         Some(match b {
             0 => Outcome::Benign,
@@ -44,7 +42,6 @@ impl Outcome {
             2 => Outcome::Crash,
             3 => Outcome::Hang,
             4 => Outcome::Detected,
-            5 => Outcome::EngineError,
             _ => return None,
         })
     }
@@ -55,10 +52,6 @@ pub fn classify(golden_output: &Output, faulty: &ExecResult) -> Outcome {
     match faulty.termination {
         Termination::Trap(_) => Outcome::Crash,
         Termination::StepLimit => Outcome::Hang,
-        // The wall-clock budget is a harness safety net, not a program
-        // property: a blown budget means this injection's outcome is
-        // unknowable in reasonable time, which is an engine failure.
-        Termination::WallClock => Outcome::EngineError,
         Termination::Detected => Outcome::Detected,
         Termination::Exit => {
             if faulty.output == *golden_output {
@@ -78,7 +71,6 @@ pub struct OutcomeCounts {
     pub crash: u64,
     pub hang: u64,
     pub detected: u64,
-    pub engine_error: u64,
 }
 
 impl OutcomeCounts {
@@ -89,24 +81,17 @@ impl OutcomeCounts {
             Outcome::Crash => self.crash += 1,
             Outcome::Hang => self.hang += 1,
             Outcome::Detected => self.detected += 1,
-            Outcome::EngineError => self.engine_error += 1,
         }
     }
 
+    /// Injections classified — the denominator for SDC/detection rates.
     pub fn total(&self) -> u64 {
-        self.valid_total() + self.engine_error
-    }
-
-    /// Injections that produced a real program outcome — the denominator
-    /// for SDC/detection rates. Engine errors are excluded: they say
-    /// nothing about the program under test.
-    pub fn valid_total(&self) -> u64 {
         self.benign + self.sdc + self.crash + self.hang + self.detected
     }
 
     /// SDC probability: SDCs per manifested fault (paper §II-A).
     pub fn sdc_prob(&self) -> f64 {
-        let t = self.valid_total();
+        let t = self.total();
         if t == 0 {
             0.0
         } else {
@@ -116,7 +101,7 @@ impl OutcomeCounts {
 
     /// Detection rate: fraction of faults caught by duplication checks.
     pub fn detection_rate(&self) -> f64 {
-        let t = self.valid_total();
+        let t = self.total();
         if t == 0 {
             0.0
         } else {
@@ -130,7 +115,6 @@ impl OutcomeCounts {
         self.crash += other.crash;
         self.hang += other.hang;
         self.detected += other.detected;
-        self.engine_error += other.engine_error;
     }
 }
 
@@ -181,22 +165,6 @@ mod tests {
             classify(&golden, &result(Termination::Detected, vec![])),
             Outcome::Detected
         );
-        assert_eq!(
-            classify(&golden, &result(Termination::WallClock, vec![])),
-            Outcome::EngineError
-        );
-    }
-
-    #[test]
-    fn engine_errors_count_but_do_not_dilute_rates() {
-        let mut c = OutcomeCounts::default();
-        c.record(Outcome::Sdc);
-        c.record(Outcome::Benign);
-        c.record(Outcome::EngineError);
-        c.record(Outcome::EngineError);
-        assert_eq!(c.total(), 4);
-        assert_eq!(c.valid_total(), 2);
-        assert_eq!(c.sdc_prob(), 0.5);
     }
 
     #[test]
@@ -235,10 +203,10 @@ mod tests {
             Outcome::Crash,
             Outcome::Hang,
             Outcome::Detected,
-            Outcome::EngineError,
         ] {
             assert_eq!(Outcome::from_u8(o.to_u8()), Some(o));
         }
+        assert_eq!(Outcome::from_u8(5), None, "reserved, not reused");
         assert_eq!(Outcome::from_u8(6), None);
         assert_eq!(Outcome::from_u8(255), None);
     }

@@ -68,7 +68,7 @@ impl TableKind {
 /// determines a section's injection outcomes besides its content
 /// fingerprint: the golden baseline (output, steps, the section's dynamic
 /// counts and injectable population) and the injection-relevant config
-/// (seed, hang threshold, exec limits, retry/early-stop policy, and — for
+/// (seed, hang threshold, exec limits, early-stop policy, and — for
 /// per-instruction tables — the per-site sample count). Campaign *size*
 /// (`cfg.injections`) is deliberately excluded: program tables are served
 /// per-unit, so an allocation that grew merely executes the tail.
@@ -89,6 +89,8 @@ pub fn table_sig(
     if kind == TableKind::PerInst {
         h.u64(cfg.per_inst_injections as u64);
     }
+    // both renderings are hand-written and frozen (see their `Debug`
+    // impls): a sealed table outlives the struct layout it was keyed under
     write!(h, "{:?}{:?}", cfg.exec, cfg.sched).expect("fmt to hasher cannot fail");
     h.u64(golden.steps);
     h.u64(golden.output.items.len() as u64);
@@ -112,12 +114,12 @@ pub fn table_sig(
     h.finish()
 }
 
-/// A decoded whole-program outcome table: one `(outcome, recovered)` pair
-/// per executed unit of the section, in local unit order.
+/// A decoded whole-program outcome table: one outcome byte per executed
+/// unit of the section, in local unit order.
 #[derive(Debug, Clone, Default)]
 pub struct ProgramTable {
     pub complete: bool,
-    pub units: Vec<(u8, bool)>,
+    pub units: Vec<u8>,
 }
 
 /// A decoded per-instruction outcome table: for each site (keyed by the
@@ -183,9 +185,10 @@ fn check_header<'a>(
 fn encode_program(fp: u64, input_fp: u64, sig: u64, t: &ProgramTable) -> Vec<u8> {
     let mut buf = header(TableKind::Program, t.complete, fp, input_fp, sig);
     put_varint(&mut buf, t.units.len() as u64);
-    for &(outcome, recovered) in &t.units {
+    for &outcome in &t.units {
         buf.push(outcome);
-        buf.push(recovered as u8);
+        // reserved: was the unit's recovered-via-retry flag (PR 22)
+        buf.push(0);
     }
     buf
 }
@@ -196,11 +199,11 @@ fn decode_program(bytes: &[u8], fp: u64, input_fp: u64, sig: u64) -> Result<Prog
     let mut units = Vec::with_capacity(n);
     for _ in 0..n {
         let outcome = r.u8()?;
-        let recovered = r.u8()?;
-        if recovered > 1 {
-            return Err(Error::Invalid("recovered byte"));
+        // reserved byte: 0 or 1 in tables sealed before PR 22, ignored
+        if r.u8()? > 1 {
+            return Err(Error::Invalid("reserved byte"));
         }
-        units.push((outcome, recovered != 0));
+        units.push(outcome);
     }
     r.finish()?;
     Ok(ProgramTable { complete, units })
@@ -461,7 +464,7 @@ mod tests {
         let m = memo("prog-rt");
         let t = ProgramTable {
             complete: true,
-            units: vec![(0, false), (1, true), (4, false)],
+            units: vec![0, 1, 4],
         };
         assert!(m.load_program(5, 9).is_none(), "cold store misses");
         m.seal_program(5, 9, &t);
@@ -484,7 +487,7 @@ mod tests {
         let m = memo("incomplete");
         let t = ProgramTable {
             complete: false,
-            units: vec![(0, false)],
+            units: vec![0],
         };
         m.seal_program(1, 2, &t);
         assert!(m.load_program(1, 2).is_none());
@@ -526,7 +529,7 @@ mod tests {
             9,
             &ProgramTable {
                 complete: true,
-                units: vec![(0, false)],
+                units: vec![0],
             },
         );
         store.set_chaos_flip(0);
@@ -541,7 +544,7 @@ mod tests {
         use minpsid_ir::bytes::mutations;
         let t = ProgramTable {
             complete: true,
-            units: vec![(1, false), (2, true)],
+            units: vec![1, 2],
         };
         let good = encode_program(9, 77, 13, &t);
         for bad in mutations(&good) {
@@ -607,10 +610,13 @@ mod tests {
         };
         let cfg = CampaignConfig::quick(1);
         let base = table_sig(TableKind::Program, &cfg, &golden, &[5, 6], 11);
+        // measured at the parent of PR 22, which removed fields from the
+        // two structs the sig renders: a sealed table must stay findable
+        assert_eq!(base, 0x343a_734c_41fa_bc87, "program tables re-keyed");
         assert_eq!(
-            base,
-            table_sig(TableKind::Program, &cfg, &golden, &[5, 6], 11),
-            "deterministic"
+            table_sig(TableKind::PerInst, &cfg, &golden, &[5, 6], 11),
+            0x0040_eff3_39e7_1ef8,
+            "per-instruction tables re-keyed"
         );
         let mut seed2 = cfg.clone();
         seed2.seed = 2;

@@ -34,7 +34,7 @@
 //! can land inside a pair.
 //!
 //! Fused ops replicate the reference per-instruction sequence for *each*
-//! half: step increment, step-limit check, deadline poll, operand traps,
+//! half: step increment, step-limit check, operand traps,
 //! injection counting, fault application, register write — in that order —
 //! so step counts, injection indices and trap points are bit-identical.
 //!
@@ -2225,9 +2225,6 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
     let mem_limit = interp.config().mem_limit;
     let call_depth_limit = interp.config().call_depth_limit;
     let output_limit = interp.config().output_limit;
-    let deadline = (interp.config().wall_clock_ms > 0).then(|| {
-        std::time::Instant::now() + std::time::Duration::from_millis(interp.config().wall_clock_ms)
-    });
 
     let ExecScratch {
         st,
@@ -2285,21 +2282,12 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
     // loop; every exit path writes it back through `finish!` (or the
     // armed handoff) so the MachineState stays canonical
     let mut steps_l = *steps;
-    // one threshold folds the per-step limit check and the periodic
-    // deadline poll into a single compare: `next_pause` is the next step
-    // count at which *something* must happen — the step limit expiring
-    // (at exactly step_limit + 1, as the oracle) or a wall-clock poll (at
-    // the next multiple of 8192, as the oracle). With no deadline set — every
-    // campaign run — the poll term is u64::MAX and the compare is the
-    // only per-step accounting cost.
-    let next_pause_after = |steps: u64| -> u64 {
-        let poll = if deadline.is_some() {
-            ((steps >> 13) + 1) << 13
-        } else {
-            u64::MAX
-        };
-        poll.min(step_limit.saturating_add(1))
-    };
+    // one threshold folds everything a step may owe besides executing
+    // into a single compare: `next_pause` is the next step count at which
+    // *something* must happen. The step limit expires at exactly
+    // step_limit + 1, as the oracle (recomputed at each pause: held in a
+    // local it is one more value live across the loop, and LLVM then
+    // keeps `pc` on the stack); the other terms follow.
     // sampling profiler boundary, folded into the same compare: with the
     // profiler off (every campaign run unless `--profile-interp`),
     // `next_sample` is u64::MAX and the hot path is untouched. Sampling
@@ -2327,7 +2315,8 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
     } else {
         u64::MAX
     };
-    let mut next_pause = next_pause_after(steps_l)
+    let mut next_pause = step_limit
+        .saturating_add(1)
         .min(next_sample)
         .min(conv_at)
         .min(cap_at);
@@ -2375,8 +2364,8 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
         };
     }
     // per-step prologue: increment, checkpoint capture, limit check,
-    // coarse deadline poll, profiler sample, convergence boundary — all
-    // behind the one folded compare. `$di` is the carrying instruction, so fused halves
+    // profiler sample, convergence boundary — all behind the one folded
+    // compare. `$di` is the carrying instruction, so fused halves
     // attribute their sample to the superinstruction; `$half` is the
     // instruction's offset from the carrying slot (0 at the loop top), so
     // `pc + $half` is the standalone slot of the instruction about to
@@ -2388,9 +2377,9 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
                 half_l = $half;
             }
             if unlikely(steps_l >= next_pause) {
-                // cold: a capture is due, the limit expired, a deadline
-                // poll is due, a profiler sample is due, or a golden
-                // checkpoint boundary was reached
+                // cold: a capture is due, the limit expired, a profiler
+                // sample is due, or a golden checkpoint boundary was
+                // reached
                 if OBS && !ARMED && steps_l >= cap_at {
                     // due before this instruction, on completed steps:
                     // the state is the one after `steps_l - 1` steps
@@ -2408,11 +2397,6 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
                 }
                 if steps_l > step_limit {
                     finish!(Termination::StepLimit, None, false);
-                }
-                if let Some(d) = deadline {
-                    if std::time::Instant::now() >= d {
-                        finish!(Termination::WallClock, None, false);
-                    }
                 }
                 if steps_l >= next_sample {
                     crate::opprof::record($di.op.index());
@@ -2437,7 +2421,8 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
                     }
                     conv_at = conv.next_at();
                 }
-                next_pause = next_pause_after(steps_l)
+                next_pause = step_limit
+                    .saturating_add(1)
                     .min(next_sample)
                     .min(conv_at)
                     .min(cap_at);

@@ -24,7 +24,7 @@ use crate::value::{Output, ProgInput, Value};
 use minpsid_ir::{BlockId, CmpOp, CostModel, FuncId, InstKind, Module};
 
 /// Limits and switches for one execution.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct ExecConfig {
     /// Maximum dynamic instructions; exceeding it terminates with
     /// [`Termination::StepLimit`] (classified as a hang by the campaign
@@ -42,14 +42,26 @@ pub struct ExecConfig {
     /// Record every register write as a [`TraceEvent`] (used by the
     /// error-propagation analysis; costs memory proportional to steps).
     pub trace: bool,
-    /// Per-execution wall-clock budget in milliseconds; 0 disables it.
-    /// Exceeding it terminates with [`Termination::WallClock`] — a last
-    /// line of defence behind the deterministic step limit, for faults
-    /// that make individual steps pathologically slow rather than many.
-    /// Off by default: timing-dependent outcomes are not reproducible, so
-    /// campaigns that must replay bit-identically leave this at 0.
-    pub wall_clock_ms: u64,
     pub cost_model: CostModel,
+}
+
+/// Hashed, so frozen: the journal header, the golden-run store ref
+/// (`config_fingerprint`) and `table_sig` all key on this rendering.
+/// `wall_clock_ms` is the retired per-run clock budget, printed at the
+/// one value a journal or store written before its removal could hold.
+impl std::fmt::Debug for ExecConfig {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ExecConfig")
+            .field("step_limit", &self.step_limit)
+            .field("mem_limit", &self.mem_limit)
+            .field("call_depth_limit", &self.call_depth_limit)
+            .field("output_limit", &self.output_limit)
+            .field("profile", &self.profile)
+            .field("trace", &self.trace)
+            .field("wall_clock_ms", &0u64)
+            .field("cost_model", &self.cost_model)
+            .finish()
+    }
 }
 
 impl Default for ExecConfig {
@@ -61,7 +73,6 @@ impl Default for ExecConfig {
             output_limit: 1 << 20,
             profile: false,
             trace: false,
-            wall_clock_ms: 0,
             cost_model: CostModel::default(),
         }
     }
@@ -109,8 +120,6 @@ pub enum Termination {
     Detected,
     /// Step or output budget exhausted (hang).
     StepLimit,
-    /// Wall-clock budget exhausted (hang; see [`ExecConfig::wall_clock_ms`]).
-    WallClock,
 }
 
 /// The result of one execution.

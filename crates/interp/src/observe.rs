@@ -386,7 +386,7 @@ impl Observers {
     /// The run ended as `result` says with call stack `dframes`, the
     /// running frame at logical pc `top_pc`; `executed` says whether the
     /// instruction there got past its step accounting (a run that stops
-    /// *in* the accounting — step limit, wall clock — counts the step but
+    /// *in* the accounting — the step limit — counts the step but
     /// not the instruction). `inj_ctr` is the armed loop's count of
     /// injectable value productions; the unarmed loop has none. Completes
     /// `result` with the trace and with the [`Profile`] the counters

@@ -40,9 +40,9 @@ pub const FIRST_FUSED: usize = 28;
 
 /// Default sampling interval (steps between samples). Each sample costs
 /// one hot-loop exit through the cold pause path, so on a ~3 ns/step
-/// interpreter the interval sets the overhead directly: 8192 matches the
-/// deadline-poll granularity and measures under the 2% budget on the
-/// committed baseline (a 1024-step interval benched at ~3.5% on hpccg),
+/// interpreter the interval sets the overhead directly: 8192 measures
+/// under the 2% budget on the committed baseline (a 1024-step interval
+/// benched at ~3.5% on hpccg),
 /// while still collecting ~10⁴ samples/s — ample for per-op attribution
 /// over a campaign's thousands of runs.
 pub const DEFAULT_SAMPLE_EVERY: u64 = 8192;

@@ -11,8 +11,8 @@
 //! field (see DESIGN.md, "Interpreter hot path").
 //!
 //! No production code path may call into this module (`scripts/ci.sh`
-//! checks). It has no wall-clock poll and no sampling profiler: a
-//! reference must not depend on the clock.
+//! checks). It has no sampling profiler: a reference carries nothing a
+//! run's result does not need.
 
 use crate::exec::{
     bit_equal, cmp_ord, ExecResult, Frame, Interp, MachineState, Termination, TraceEvent, TrapKind,

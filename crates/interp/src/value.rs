@@ -108,6 +108,48 @@ impl ProgInput {
             streams: vec![],
         }
     }
+
+    /// Bit-exact fingerprint (floats hash by bit pattern, so -0.0 and NaN
+    /// payloads are distinguished, matching the interpreter's bit-exact
+    /// semantics): the key journals, the golden-run store and sealed
+    /// tables file this input under, and the name a harness panic gives
+    /// it.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = minpsid_ir::bytes::Fnv::new();
+        h.u64(self.args.len() as u64);
+        for a in &self.args {
+            match a {
+                Scalar::I(v) => {
+                    h.bytes(b"i");
+                    h.u64(*v as u64);
+                }
+                Scalar::F(v) => {
+                    h.bytes(b"f");
+                    h.u64(v.to_bits());
+                }
+            }
+        }
+        h.u64(self.streams.len() as u64);
+        for s in &self.streams {
+            match s {
+                Stream::I(v) => {
+                    h.bytes(b"I");
+                    h.u64(v.len() as u64);
+                    for x in v {
+                        h.u64(*x as u64);
+                    }
+                }
+                Stream::F(v) => {
+                    h.bytes(b"F");
+                    h.u64(v.len() as u64);
+                    for x in v {
+                        h.u64(x.to_bits());
+                    }
+                }
+            }
+        }
+        h.finish()
+    }
 }
 
 /// One item the program emitted.

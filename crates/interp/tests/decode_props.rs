@@ -194,7 +194,7 @@ impl Seen {
             Termination::Exit => &self.exit,
             Termination::Trap(_) => &self.trap,
             Termination::StepLimit => &self.step_limit,
-            Termination::Detected | Termination::WallClock => return,
+            Termination::Detected => return,
         };
         counter.fetch_add(1, Ordering::Relaxed);
     }

@@ -132,7 +132,6 @@ struct State {
     eval: HashMap<u64, Vec<u64>>,
     accepted: Vec<(u64, u64)>,
     selection: Option<Vec<bool>>,
-    quarantine: HashMap<(u64, u64), u8>,
     /// Latest per-section module identity: `(fingerprint, dense base,
     /// instruction count)` per function, in function order. Lets
     /// [`CampaignJournal::open_with_sections`] carry per-instruction
@@ -175,13 +174,8 @@ impl State {
                 }
             }
             Record::Selection { bits } => self.selection = Some(bits),
-            Record::Quarantine {
-                input_fp,
-                dense,
-                reason,
-            } => {
-                self.quarantine.insert((input_fp, dense), reason);
-            }
+            // retired (see `Record::Quarantine`): the site simply runs
+            Record::Quarantine { .. } => {}
             Record::SectionMap { entries } => self.sections = Some(entries),
         }
     }
@@ -229,15 +223,6 @@ impl State {
                 input_fp,
                 index,
                 outcome,
-            });
-        }
-        let mut quarantine: Vec<_> = self.quarantine.iter().collect();
-        quarantine.sort_unstable_by_key(|(k, _)| **k);
-        for (&(input_fp, dense), &reason) in quarantine {
-            out.push(Record::Quarantine {
-                input_fp,
-                dense,
-                reason,
             });
         }
         let mut eval: Vec<_> = self.eval.iter().collect();
@@ -392,7 +377,6 @@ impl CampaignJournal {
             + state.program.len()
             + state.eval.len()
             + state.accepted.len()
-            + state.quarantine.len()
             + usize::from(state.selection.is_some())) as u64;
         minpsid_trace::emit(minpsid_trace::Event::JournalRecovery {
             records: recovered_records,
@@ -424,7 +408,7 @@ impl CampaignJournal {
     /// If the existing log belongs to a *different module under the same
     /// config* — the program was edited between runs — and the old log
     /// carries a section map, this open remaps instead of refusing:
-    /// per-instruction outcomes and quarantines in sections whose
+    /// per-instruction outcomes in sections whose
     /// `(fingerprint, length)` survived the edit are carried over at
     /// their new dense offsets; everything else (golden digests, program
     /// outcomes, GA memos, accepted inputs, the selection) is dropped
@@ -520,16 +504,11 @@ impl CampaignJournal {
                 state.per_inst.insert((input_fp, nd, k), outcome);
             }
         }
-        for (&(input_fp, dense), &reason) in &old.quarantine {
-            if let Some(nd) = map_dense(dense) {
-                state.quarantine.insert((input_fp, nd), reason);
-            }
-        }
         state.sections = Some(sections.to_vec());
 
         let records = state.snapshot(module_fp, config_fp);
         let writer = rewrite_wal(&path, &records)?;
-        let recovered_records = (state.per_inst.len() + state.quarantine.len()) as u64;
+        let recovered_records = state.per_inst.len() as u64;
         minpsid_trace::emit(minpsid_trace::Event::JournalRecovery {
             records: recovered_records,
             truncated_bytes: recovery.truncated_bytes,
@@ -622,31 +601,6 @@ impl CampaignJournal {
             input_fp,
             index,
             outcome,
-        });
-    }
-
-    // --- quarantined injection sites ---
-
-    /// Is this (input, dense instruction) site quarantined? Returns the
-    /// failure-reason byte recorded when the scheduler gave up on it.
-    /// Resume consults this before sampling a site so a known-bad site is
-    /// skipped instead of re-exploding through its whole retry budget.
-    pub fn quarantined_site(&self, input_fp: u64, dense: u64) -> Option<u8> {
-        let hit = self.read().quarantine.get(&(input_fp, dense)).copied();
-        if hit.is_some() {
-            self.served.fetch_add(1, Ordering::Relaxed);
-        }
-        hit
-    }
-
-    pub fn record_quarantine(&self, input_fp: u64, dense: u64, reason: u8) {
-        if self.read().quarantine.contains_key(&(input_fp, dense)) {
-            return;
-        }
-        self.append(Record::Quarantine {
-            input_fp,
-            dense,
-            reason,
         });
     }
 
@@ -794,8 +748,6 @@ mod tests {
             j.record_eval(77, &[1, 2, 3]);
             j.record_accepted(0, 77);
             j.record_selection(&[true, false, true]);
-            j.record_quarantine(1, 4, 0);
-            j.record_quarantine(1, 4, 1); // idempotent: first reason wins
             j.sync().unwrap();
         }
         let j = CampaignJournal::open(&dir, 10, 20).unwrap();
@@ -807,10 +759,8 @@ mod tests {
         assert_eq!(j.eval_profile(77), Some(vec![1, 2, 3]));
         assert_eq!(j.accepted_input(0), Some(77));
         assert_eq!(j.selection(), Some(vec![true, false, true]));
-        assert_eq!(j.quarantined_site(1, 4), Some(0));
-        assert_eq!(j.quarantined_site(1, 3), None);
         let (recovered, _) = j.recovery_stats();
-        assert_eq!(recovered, 8);
+        assert_eq!(recovered, 7);
         // three hits + one eval hit were served above
         assert!(j.usage().0 >= 4);
     }
@@ -861,7 +811,6 @@ mod tests {
             j.record_golden(1, 111, 5000);
             j.record_per_inst(1, 1, 0, 2); // func a: dropped by the edit
             j.record_per_inst(1, 5, 3, 4); // func b, offset 1: survives
-            j.record_quarantine(1, 6, 0); // func b, offset 2: survives
             j.record_program(1, 0, 1);
             j.record_eval(77, &[1, 2]);
             j.record_selection(&[true; 10]);
@@ -873,7 +822,6 @@ mod tests {
         let j = CampaignJournal::open_with_sections(&dir, 200, 2, &new_map, None).unwrap();
         // surviving section's facts follow their section to the new base
         assert_eq!(j.per_inst_outcome(1, 6, 3), Some(4));
-        assert_eq!(j.quarantined_site(1, 7), Some(0));
         // edited section's facts and module-global facts are gone
         assert_eq!(j.per_inst_outcome(1, 1, 0), None);
         assert_eq!(j.golden_digest(1), None);

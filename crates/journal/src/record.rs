@@ -52,10 +52,10 @@ pub enum Record {
     SearchAccepted { index: u64, input_fp: u64 },
     /// Final knapsack selection bitmap over dense instruction indices.
     Selection { bits: Vec<bool> },
-    /// An injection site (input, dense instruction) quarantined by the
-    /// scheduler after consecutive engine failures. `reason` is the
-    /// failure-kind byte (`minpsid_sched::FailureKind::to_u8`). Resume
-    /// skips quarantined sites instead of re-exploding on them.
+    /// Retired: a site the retry scheduler removed in PR 22 gave up on.
+    /// Nothing writes it and the journal's index ignores it (the site
+    /// simply runs), but it still decodes — a WAL decode failure reads as
+    /// a torn tail and would drop every later record of an old journal.
     Quarantine {
         input_fp: u64,
         dense: u64,
@@ -78,6 +78,8 @@ const TAG_PROGRAM: u8 = 4;
 const TAG_EVAL: u8 = 5;
 const TAG_ACCEPTED: u8 = 6;
 const TAG_SELECTION: u8 = 7;
+// 8 is reserved too, but unlike 9 it did reach campaign WALs, so it is
+// decoded (and ignored) rather than rejected.
 const TAG_QUARANTINE: u8 = 8;
 // 9 is reserved: it was `ShardUnit`, written only into the spool segments
 // of the process fleet removed in PR 19 (never into a campaign WAL), and

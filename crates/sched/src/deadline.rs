@@ -22,18 +22,21 @@ impl Deadline {
     }
 
     /// Expires `budget` from now. A zero budget is already expired, which
-    /// tests use to force deterministic full truncation.
+    /// tests use to force deterministic full truncation; a budget past
+    /// what the clock can represent never expires.
     pub fn within(budget: Duration) -> Deadline {
         Deadline {
-            end: Some(Instant::now() + budget),
+            end: Instant::now().checked_add(budget),
         }
     }
 
-    /// Convenience for CLI plumbing: `None` ⇒ no deadline.
+    /// Convenience for CLI plumbing: `None` ⇒ no deadline, and so is a
+    /// budget too large to be a `Duration` (the value is unchecked user
+    /// input; `1e300` seconds is "never", not a panic).
     pub fn from_secs(secs: Option<f64>) -> Deadline {
-        match secs {
-            Some(s) => Deadline::within(Duration::from_secs_f64(s.max(0.0))),
-            None => Deadline::none(),
+        match secs.map(|s| Duration::try_from_secs_f64(s.max(0.0))) {
+            Some(Ok(budget)) => Deadline::within(budget),
+            Some(Err(_)) | None => Deadline::none(),
         }
     }
 
@@ -79,6 +82,17 @@ mod tests {
         let d = Deadline::within(Duration::from_secs(3600));
         assert!(!d.exceeded());
         assert!(d.remaining().unwrap() > Duration::from_secs(3500));
+    }
+
+    #[test]
+    fn unrepresentable_budgets_never_expire() {
+        // 1e19 s fits a Duration but not an Instant; 1e300 fits neither
+        for secs in [1e19, 1e300, f64::MAX, f64::INFINITY] {
+            let d = Deadline::from_secs(Some(secs));
+            assert!(!d.exceeded(), "{secs}");
+            assert!(!d.is_bounded(), "{secs}");
+        }
+        assert!(!Deadline::within(Duration::MAX).is_bounded());
     }
 
     #[test]

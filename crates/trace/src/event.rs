@@ -1,6 +1,6 @@
 //! The versioned trace event schema.
 //!
-//! Every JSONL line is one [`TimedEvent`]: `{"v":9,"ts_us":…,"kind":…,…}`.
+//! Every JSONL line is one [`TimedEvent`]: `{"v":10,"ts_us":…,"kind":…,…}`.
 //! `v` is [`SCHEMA_VERSION`]; the parser rejects lines whose version it
 //! does not understand, so a report can never silently misparse a log
 //! written by a different schema. Serialization is hand-rolled over
@@ -31,7 +31,10 @@ use crate::json::{parse, Json, JsonError};
 /// `converged`/`steps_saved`, optional within v7, are required.
 /// v9: the three v5 kinds are gone with the executor that emitted them; a
 /// log holding one is an unknown kind.
-pub const SCHEMA_VERSION: u32 = 9;
+/// v10: `retry_attempt`/`quarantine`, the tallies' `engine_error`/
+/// `transient_recovered`/`quarantined` and `sched_summary`'s retry and
+/// quarantine fields are gone with the retry loop that fed them.
+pub const SCHEMA_VERSION: u32 = 10;
 
 /// Which campaign shape produced a progress/end event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,23 +72,11 @@ pub struct OutcomeTally {
     pub crash: u64,
     pub hang: u64,
     pub detected: u64,
-    /// Injections whose final attempt panicked or blew its wall-clock
-    /// budget — a harness failure, not a program outcome; kept out of SDC
-    /// rates. An injection that failed but then succeeded on retry is
-    /// *not* here (it counts once, under its real outcome).
-    pub engine_error: u64,
-    /// Injections that failed at least once but produced a real outcome
-    /// after retry. A side-tally: these injections are already counted
-    /// once under their final outcome, so `total()` excludes this field.
-    pub transient_recovered: u64,
-    /// Injections skipped because their site was quarantined. Not
-    /// outcomes — excluded from `total()` and from all rates.
-    pub quarantined: u64,
 }
 
 impl OutcomeTally {
     pub fn total(&self) -> u64 {
-        self.benign + self.sdc + self.crash + self.hang + self.detected + self.engine_error
+        self.benign + self.sdc + self.crash + self.hang + self.detected
     }
 
     fn to_json(self) -> Json {
@@ -95,9 +86,6 @@ impl OutcomeTally {
         o.set("crash", Json::U64(self.crash));
         o.set("hang", Json::U64(self.hang));
         o.set("detected", Json::U64(self.detected));
-        o.set("engine_error", Json::U64(self.engine_error));
-        o.set("transient_recovered", Json::U64(self.transient_recovered));
-        o.set("quarantined", Json::U64(self.quarantined));
         o
     }
 
@@ -108,9 +96,6 @@ impl OutcomeTally {
             crash: field_u64(v, "crash")?,
             hang: field_u64(v, "hang")?,
             detected: field_u64(v, "detected")?,
-            engine_error: field_u64(v, "engine_error")?,
-            transient_recovered: field_u64(v, "transient_recovered")?,
-            quarantined: field_u64(v, "quarantined")?,
         })
     }
 }
@@ -210,23 +195,6 @@ pub enum Event {
     /// End-of-run journal usage: injections served from the journal
     /// (recovered) vs executed fresh and appended (replayed).
     JournalStats { recovered: u64, appended: u64 },
-    /// One scheduler retry: attempt `attempt` at injection site `site`
-    /// failed (`reason`) and will be retried after `backoff_ms`.
-    RetryAttempt {
-        kind: CampaignKind,
-        site: u64,
-        attempt: u64,
-        backoff_ms: u64,
-        reason: String,
-    },
-    /// A site exhausted `failures` consecutive retry budgets and was
-    /// quarantined: excluded from rates for the rest of the run.
-    Quarantine {
-        kind: CampaignKind,
-        site: u64,
-        failures: u64,
-        reason: String,
-    },
     /// A site's Wilson interval narrowed below the configured half-width
     /// after `samples` injections; the rest were skipped.
     EarlyStop {
@@ -257,11 +225,6 @@ pub enum Event {
     },
     /// Run-level scheduler accounting, emitted once at the end.
     SchedSummary {
-        retries: u64,
-        recovered: u64,
-        exhausted: u64,
-        quarantined_sites: u64,
-        quarantined_injections: u64,
         early_stopped_sites: u64,
         early_stop_skipped: u64,
         truncated: u64,
@@ -342,8 +305,6 @@ impl Event {
             Event::CacheStats { .. } => "cache_stats",
             Event::JournalRecovery { .. } => "journal_recovery",
             Event::JournalStats { .. } => "journal_stats",
-            Event::RetryAttempt { .. } => "retry_attempt",
-            Event::Quarantine { .. } => "quarantine",
             Event::EarlyStop { .. } => "early_stop",
             Event::DeadlineTruncation { .. } => "deadline_truncation",
             Event::InterpProfile { .. } => "interp_profile",
@@ -558,30 +519,6 @@ impl TimedEvent {
                 o.set("recovered", Json::U64(*recovered));
                 o.set("appended", Json::U64(*appended));
             }
-            Event::RetryAttempt {
-                kind,
-                site,
-                attempt,
-                backoff_ms,
-                reason,
-            } => {
-                o.set("campaign", Json::Str(kind.as_str().to_string()));
-                o.set("site", Json::U64(*site));
-                o.set("attempt", Json::U64(*attempt));
-                o.set("backoff_ms", Json::U64(*backoff_ms));
-                o.set("reason", Json::Str(reason.clone()));
-            }
-            Event::Quarantine {
-                kind,
-                site,
-                failures,
-                reason,
-            } => {
-                o.set("campaign", Json::Str(kind.as_str().to_string()));
-                o.set("site", Json::U64(*site));
-                o.set("failures", Json::U64(*failures));
-                o.set("reason", Json::Str(reason.clone()));
-            }
             Event::EarlyStop {
                 kind,
                 site,
@@ -631,21 +568,11 @@ impl TimedEvent {
                 );
             }
             Event::SchedSummary {
-                retries,
-                recovered,
-                exhausted,
-                quarantined_sites,
-                quarantined_injections,
                 early_stopped_sites,
                 early_stop_skipped,
                 truncated,
                 completeness,
             } => {
-                o.set("retries", Json::U64(*retries));
-                o.set("recovered", Json::U64(*recovered));
-                o.set("exhausted", Json::U64(*exhausted));
-                o.set("quarantined_sites", Json::U64(*quarantined_sites));
-                o.set("quarantined_injections", Json::U64(*quarantined_injections));
                 o.set("early_stopped_sites", Json::U64(*early_stopped_sites));
                 o.set("early_stop_skipped", Json::U64(*early_stop_skipped));
                 o.set("truncated", Json::U64(*truncated));
@@ -778,19 +705,6 @@ impl TimedEvent {
                 recovered: field_u64(&v, "recovered")?,
                 appended: field_u64(&v, "appended")?,
             },
-            "retry_attempt" => Event::RetryAttempt {
-                kind: field_kind(&v)?,
-                site: field_u64(&v, "site")?,
-                attempt: field_u64(&v, "attempt")?,
-                backoff_ms: field_u64(&v, "backoff_ms")?,
-                reason: field_str(&v, "reason")?,
-            },
-            "quarantine" => Event::Quarantine {
-                kind: field_kind(&v)?,
-                site: field_u64(&v, "site")?,
-                failures: field_u64(&v, "failures")?,
-                reason: field_str(&v, "reason")?,
-            },
             "early_stop" => Event::EarlyStop {
                 kind: field_kind(&v)?,
                 site: field_u64(&v, "site")?,
@@ -832,11 +746,6 @@ impl TimedEvent {
                 }
             }
             "sched_summary" => Event::SchedSummary {
-                retries: field_u64(&v, "retries")?,
-                recovered: field_u64(&v, "recovered")?,
-                exhausted: field_u64(&v, "exhausted")?,
-                quarantined_sites: field_u64(&v, "quarantined_sites")?,
-                quarantined_injections: field_u64(&v, "quarantined_injections")?,
                 early_stopped_sites: field_u64(&v, "early_stopped_sites")?,
                 early_stop_skipped: field_u64(&v, "early_stop_skipped")?,
                 truncated: field_u64(&v, "truncated")?,
@@ -906,9 +815,6 @@ mod tests {
                 crash: 1,
                 hang: 1,
                 detected: 1,
-                engine_error: 1,
-                transient_recovered: 2,
-                quarantined: 3,
             },
             elapsed_us: 7,
         });
@@ -971,19 +877,6 @@ mod tests {
             recovered: 200,
             appended: 121,
         });
-        rt(Event::RetryAttempt {
-            kind: CampaignKind::PerInst,
-            site: 17,
-            attempt: 1,
-            backoff_ms: 3,
-            reason: "panic".into(),
-        });
-        rt(Event::Quarantine {
-            kind: CampaignKind::PerInst,
-            site: 17,
-            failures: 2,
-            reason: "timeout".into(),
-        });
         rt(Event::EarlyStop {
             kind: CampaignKind::PerInst,
             site: 5,
@@ -1007,11 +900,6 @@ mod tests {
             samples: vec![("LoadBinStoreBr".into(), 2500), ("BinII".into(), 500)],
         });
         rt(Event::SchedSummary {
-            retries: 9,
-            recovered: 7,
-            exhausted: 2,
-            quarantined_sites: 1,
-            quarantined_injections: 20,
             early_stopped_sites: 3,
             early_stop_skipped: 55,
             truncated: 12,
@@ -1043,10 +931,18 @@ mod tests {
             event: Event::TraceEnd { dur_us: 0 },
         }
         .to_line()
-        .replace("\"v\":9", "\"v\":999");
+        .replace("\"v\":10", "\"v\":999");
         assert!(matches!(
             TimedEvent::parse_line(&line),
             Err(SchemaError::Version(999))
+        ));
+        // a v9 log — the last schema with `retry_attempt`/`quarantine` —
+        // is refused by version, before its kind is even looked at
+        assert!(matches!(
+            TimedEvent::parse_line(
+                r#"{"v":9,"ts_us":0,"kind":"quarantine","campaign":"per_inst","site":3,"failures":2,"reason":"panic"}"#
+            ),
+            Err(SchemaError::Version(9))
         ));
     }
 
@@ -1092,11 +988,11 @@ mod tests {
     #[test]
     fn unknown_kind_and_missing_fields_are_rejected() {
         assert!(matches!(
-            TimedEvent::parse_line(r#"{"v":9,"ts_us":0,"kind":"mystery"}"#),
+            TimedEvent::parse_line(r#"{"v":10,"ts_us":0,"kind":"mystery"}"#),
             Err(SchemaError::UnknownKind(_))
         ));
         assert!(matches!(
-            TimedEvent::parse_line(r#"{"v":9,"ts_us":0,"kind":"counter","name":"x"}"#),
+            TimedEvent::parse_line(r#"{"v":10,"ts_us":0,"kind":"counter","name":"x"}"#),
             Err(SchemaError::MissingField("value"))
         ));
         assert!(matches!(

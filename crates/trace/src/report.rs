@@ -170,10 +170,8 @@ pub struct TraceSummary {
     pub sections: Option<SectionStat>,
     /// Run-level scheduler accounting (last `sched_summary` event).
     pub sched: Option<SchedStat>,
-    /// Raw resilience event counts, present even when the run died
+    /// Raw scheduling event counts, present even when the run died
     /// before emitting its `sched_summary`.
-    pub retry_events: u64,
-    pub quarantine_events: u64,
     pub early_stop_events: u64,
     pub truncation_events: u64,
     /// Last sample of each named counter.
@@ -236,15 +234,10 @@ pub struct SectionStat {
     pub served_injections: u64,
 }
 
-/// Resilient-scheduler accounting: retries, quarantine, early stopping,
-/// and deadline truncation, plus the campaign-level completeness score.
+/// Scheduler accounting: early stopping and deadline truncation, plus
+/// the campaign-level completeness score.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SchedStat {
-    pub retries: u64,
-    pub recovered: u64,
-    pub exhausted: u64,
-    pub quarantined_sites: u64,
-    pub quarantined_injections: u64,
     pub early_stopped_sites: u64,
     pub early_stop_skipped: u64,
     pub truncated: u64,
@@ -275,9 +268,6 @@ fn add_tally(into: &mut OutcomeTally, from: &OutcomeTally) {
     into.crash += from.crash;
     into.hang += from.hang;
     into.detected += from.detected;
-    into.engine_error += from.engine_error;
-    into.transient_recovered += from.transient_recovered;
-    into.quarantined += from.quarantined;
 }
 
 /// Fold a parsed event stream into a [`TraceSummary`].
@@ -466,27 +456,15 @@ pub fn summarize(events: &[TimedEvent]) -> TraceSummary {
                     samples: samples.clone(),
                 });
             }
-            Event::RetryAttempt { .. } => s.retry_events += 1,
-            Event::Quarantine { .. } => s.quarantine_events += 1,
             Event::EarlyStop { .. } => s.early_stop_events += 1,
             Event::DeadlineTruncation { .. } => s.truncation_events += 1,
             Event::SchedSummary {
-                retries,
-                recovered,
-                exhausted,
-                quarantined_sites,
-                quarantined_injections,
                 early_stopped_sites,
                 early_stop_skipped,
                 truncated,
                 completeness,
             } => {
                 s.sched = Some(SchedStat {
-                    retries: *retries,
-                    recovered: *recovered,
-                    exhausted: *exhausted,
-                    quarantined_sites: *quarantined_sites,
-                    quarantined_injections: *quarantined_injections,
                     early_stopped_sites: *early_stopped_sites,
                     early_stop_skipped: *early_stop_skipped,
                     truncated: *truncated,
@@ -547,7 +525,7 @@ fn pct(num: u64, den: u64) -> f64 {
 fn tally_row(t: &OutcomeTally) -> String {
     let total = t.total();
     format!(
-        "{} | {} ({:.1}%) | {} ({:.1}%) | {} ({:.1}%) | {} ({:.1}%) | {} ({:.1}%) | {} ({:.1}%)",
+        "{} | {} ({:.1}%) | {} ({:.1}%) | {} ({:.1}%) | {} ({:.1}%) | {} ({:.1}%)",
         total,
         t.benign,
         pct(t.benign, total),
@@ -559,8 +537,6 @@ fn tally_row(t: &OutcomeTally) -> String {
         pct(t.hang, total),
         t.detected,
         pct(t.detected, total),
-        t.engine_error,
-        pct(t.engine_error, total),
     )
 }
 
@@ -579,7 +555,7 @@ fn campaign_section(out: &mut String, title: &str, c: &CampaignStat) {
     );
     let _ = writeln!(
         out,
-        "\n| total | benign | sdc | crash | hang | detected | engine-err |\n|---|---|---|---|---|---|---|"
+        "\n| total | benign | sdc | crash | hang | detected |\n|---|---|---|---|---|---|"
     );
     let _ = writeln!(out, "| {} |", tally_row(&c.counts));
     let _ = writeln!(
@@ -606,14 +582,6 @@ fn campaign_section(out: &mut String, title: &str, c: &CampaignStat) {
             "deduplication: {} injection(s) repeated a fault already run at their site \
              and took its outcome without a replay\n",
             c.deduped
-        );
-    }
-    if c.counts.transient_recovered + c.counts.quarantined > 0 {
-        let _ = writeln!(
-            out,
-            "resilience: {} injection(s) recovered via retry (counted once above), \
-             {} skipped by quarantine (excluded from rates)\n",
-            c.counts.transient_recovered, c.counts.quarantined
         );
     }
 }
@@ -817,26 +785,14 @@ pub fn render_markdown(s: &TraceSummary) -> String {
         );
     }
 
-    let any_resilience = s.sched.is_some()
-        || s.retry_events + s.quarantine_events + s.early_stop_events + s.truncation_events > 0;
-    if any_resilience {
-        let _ = writeln!(out, "## Resilient scheduling\n");
+    if s.sched.is_some() || s.early_stop_events + s.truncation_events > 0 {
+        let _ = writeln!(out, "## Scheduling\n");
         let _ = writeln!(
             out,
-            "- events: {} retry, {} quarantine, {} early-stop, {} deadline-truncation",
-            s.retry_events, s.quarantine_events, s.early_stop_events, s.truncation_events
+            "- events: {} early-stop, {} deadline-truncation",
+            s.early_stop_events, s.truncation_events
         );
         if let Some(r) = &s.sched {
-            let _ = writeln!(
-                out,
-                "- retries: {} attempts retried; {} injection(s) recovered, {} exhausted their budget",
-                r.retries, r.recovered, r.exhausted
-            );
-            let _ = writeln!(
-                out,
-                "- quarantine: {} site(s) quarantined, {} injection(s) excluded from rates",
-                r.quarantined_sites, r.quarantined_injections
-            );
             let _ = writeln!(
                 out,
                 "- early stop: {} site(s) converged early, {} injection(s) skipped with confidence",
@@ -1037,8 +993,6 @@ mod tests {
                     sdc: 30,
                     crash: 15,
                     hang: 5,
-                    transient_recovered: 4,
-                    quarantined: 10,
                     ..OutcomeTally::default()
                 },
                 steps_executed: 4000,
@@ -1107,19 +1061,6 @@ mod tests {
                 recovered: 150,
                 appended: 50,
             },
-            Event::RetryAttempt {
-                kind: CampaignKind::PerInst,
-                site: 3,
-                attempt: 0,
-                backoff_ms: 1,
-                reason: "panic".into(),
-            },
-            Event::Quarantine {
-                kind: CampaignKind::PerInst,
-                site: 3,
-                failures: 2,
-                reason: "panic".into(),
-            },
             Event::EarlyStop {
                 kind: CampaignKind::PerInst,
                 site: 8,
@@ -1131,11 +1072,6 @@ mod tests {
                 truncated: 12,
             },
             Event::SchedSummary {
-                retries: 6,
-                recovered: 4,
-                exhausted: 2,
-                quarantined_sites: 1,
-                quarantined_injections: 10,
                 early_stopped_sites: 1,
                 early_stop_skipped: 60,
                 truncated: 12,
@@ -1170,13 +1106,11 @@ mod tests {
         assert_eq!(j.served, 150);
         assert_eq!(j.appended, 50);
         assert_eq!(s.open_spans, 0);
-        assert_eq!(s.retry_events, 1);
-        assert_eq!(s.quarantine_events, 1);
         assert_eq!(s.early_stop_events, 1);
         assert_eq!(s.truncation_events, 1);
         let r = s.sched.unwrap();
-        assert_eq!(r.retries, 6);
-        assert_eq!(r.quarantined_injections, 10);
+        assert_eq!(r.early_stop_skipped, 60);
+        assert_eq!(r.truncated, 12);
         assert!((r.completeness - 0.89).abs() < 1e-9);
     }
 
@@ -1208,9 +1142,8 @@ mod tests {
             "expected SDC coverage: 90.00%",
             "## Crash-safe journal",
             "150 recovered vs 50 executed fresh",
-            "## Resilient scheduling",
-            "4 injection(s) recovered via retry",
-            "10 skipped by quarantine",
+            "## Scheduling",
+            "1 early-stop, 1 deadline-truncation",
             "campaign completeness: 0.890",
         ] {
             assert!(md.contains(needle), "missing {needle:?} in:\n{md}");

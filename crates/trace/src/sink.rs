@@ -275,9 +275,6 @@ pub enum OutcomeKind {
     Crash,
     Hang,
     Detected,
-    /// Harness failure (worker panic / wall-clock blowout), not a program
-    /// outcome.
-    EngineError,
 }
 
 /// Lock-free campaign telemetry the parallel workers write and the
@@ -295,15 +292,12 @@ pub struct CampaignCounters {
     crash: AtomicU64,
     hang: AtomicU64,
     detected: AtomicU64,
-    engine_error: AtomicU64,
     steps_executed: AtomicU64,
     steps_skipped: AtomicU64,
     restores: AtomicU64,
     converged: AtomicU64,
     steps_saved: AtomicU64,
     deduped: AtomicU64,
-    transient_recovered: AtomicU64,
-    quarantined: AtomicU64,
 }
 
 impl CampaignCounters {
@@ -318,15 +312,12 @@ impl CampaignCounters {
             crash: AtomicU64::new(0),
             hang: AtomicU64::new(0),
             detected: AtomicU64::new(0),
-            engine_error: AtomicU64::new(0),
             steps_executed: AtomicU64::new(0),
             steps_skipped: AtomicU64::new(0),
             restores: AtomicU64::new(0),
             converged: AtomicU64::new(0),
             steps_saved: AtomicU64::new(0),
             deduped: AtomicU64::new(0),
-            transient_recovered: AtomicU64::new(0),
-            quarantined: AtomicU64::new(0),
         }
     }
 
@@ -340,7 +331,6 @@ impl CampaignCounters {
             OutcomeKind::Crash => &self.crash,
             OutcomeKind::Hang => &self.hang,
             OutcomeKind::Detected => &self.detected,
-            OutcomeKind::EngineError => &self.engine_error,
         };
         slot.fetch_add(1, Ordering::Relaxed);
         self.steps_executed
@@ -370,21 +360,6 @@ impl CampaignCounters {
         self.deduped.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// An injection that failed at least one attempt but then produced a
-    /// real outcome. The outcome itself was already (or will be) counted
-    /// exactly once via [`CampaignCounters::record`]; this side-tally
-    /// never enters `total()`, so retried injections cannot double-count.
-    #[inline]
-    pub fn record_recovered(&self) {
-        self.transient_recovered.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `n` injections skipped because their site is quarantined.
-    #[inline]
-    pub fn record_quarantined(&self, n: u64) {
-        self.quarantined.fetch_add(n, Ordering::Relaxed);
-    }
-
     pub fn done(&self) -> u64 {
         self.done.load(Ordering::Relaxed)
     }
@@ -396,9 +371,6 @@ impl CampaignCounters {
             crash: self.crash.load(Ordering::Relaxed),
             hang: self.hang.load(Ordering::Relaxed),
             detected: self.detected.load(Ordering::Relaxed),
-            engine_error: self.engine_error.load(Ordering::Relaxed),
-            transient_recovered: self.transient_recovered.load(Ordering::Relaxed),
-            quarantined: self.quarantined.load(Ordering::Relaxed),
         }
     }
 
@@ -536,10 +508,6 @@ mod tests {
             }
             counters.record_converged(30);
             counters.record_deduped();
-            // one of those outcomes came after a retry, plus two
-            // quarantine-skipped injections: side-tallies only
-            counters.record_recovered();
-            counters.record_quarantined(2);
             "done"
         });
         assert_eq!(out, "done");
@@ -592,10 +560,6 @@ mod tests {
             .expect("campaign_end present");
         assert_eq!(end.0, 4);
         assert_eq!(end.1.sdc, 4);
-        // retried-then-succeeded injections count once: side-tallies do
-        // not inflate the outcome total
-        assert_eq!(end.1.transient_recovered, 1);
-        assert_eq!(end.1.quarantined, 2);
         assert_eq!(end.1.total(), 4);
         assert_eq!(end.2, 100 + 101 + 102 + 103);
         assert_eq!(end.3, 200);

@@ -12,9 +12,6 @@ fn tally(seed: [u64; 5]) -> OutcomeTally {
         crash: seed[2],
         hang: seed[3],
         detected: seed[4],
-        engine_error: seed[0] ^ seed[4],
-        transient_recovered: seed[1] ^ seed[2],
-        quarantined: seed[3] ^ seed[0],
     }
 }
 

@@ -20,8 +20,8 @@
 //!   offline `minpsid trace report` analyzer: the one way to watch a run;
 //! * [`journal`] — crash-safe campaign journal: durable WAL,
 //!   resume-after-crash, cooperative interrupts;
-//! * [`sched`] — resilient campaign scheduler: retry/backoff,
-//!   site quarantine, Wilson-interval early stopping, deadlines;
+//! * [`sched`] — campaign scheduler: Wilson-interval early stopping,
+//!   deadlines, the accounting invariant;
 //! * [`store`] — self-verifying content-addressed artifact store:
 //!   digest-verified loads, corruption quarantine, scrub/gc;
 //! * [`workloads`] — the 11 benchmarks of Table I.

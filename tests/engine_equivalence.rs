@@ -256,7 +256,7 @@ fn every_planned_fault_resolved_alone_equals_the_engine() {
                 ref_journal.record_per_inst(INPUT_FP, dense as u64, k as u64, outcome.to_u8());
             }
             expected.sdc_prob[dense] = counts.sdc_prob();
-            expected.ci[dense] = sched.site_ci(counts.sdc, counts.valid_total());
+            expected.ci[dense] = sched.site_ci(counts.sdc, counts.total());
             expected.status[dense] = SiteStatus::Full;
         }
     }

@@ -4,7 +4,16 @@
 //! answer with an error or with a value that is safe to use — never a
 //! panic, never bytes it was not given. `faultsim::table`'s decoders are
 //! crate-private; their case lives next to them.
+//!
+//! It also holds what stays readable of formats that lost a writer: the
+//! bytes the retry scheduler removed in PR 22 left in journals and sealed
+//! tables (record tag 8, outcome byte 5, the program table's per-unit
+//! flag) are reserved, and a journal or store holding them is served as
+//! if they were not there.
 
+use minpsid_repro::faultsim::{
+    golden_run, CampaignConfig, CampaignEngine, Outcome, TableMemo, TABLE_ARTIFACT,
+};
 use minpsid_repro::interp::wire::{
     decode_checkpoints, decode_golden, encode_checkpoints, encode_golden,
 };
@@ -16,8 +25,8 @@ use minpsid_repro::ir::bytes::mutations;
 use minpsid_repro::journal::record::{DecodeError, Record};
 use minpsid_repro::journal::wal::{encode_records, scan_bytes};
 use minpsid_repro::journal::CampaignJournal;
-use minpsid_repro::sched::FailureKind;
 use minpsid_repro::store::{ArtifactStore, StoreError};
+use std::sync::Arc;
 
 fn every_record() -> Vec<Record> {
     vec![
@@ -55,7 +64,7 @@ fn every_record() -> Vec<Record> {
         Record::Quarantine {
             input_fp: 14,
             dense: 15,
-            reason: 2, // reserved; stored raw, so old journals still open
+            reason: 2, // the whole record is retired; old journals still open
         },
         Record::SectionMap {
             entries: vec![(0xdead_beef, 0, 12), (u64::MAX, 12, 3)],
@@ -87,10 +96,20 @@ fn journal_records() {
             "tag {tag}"
         );
     }
-    // what only the removed second executor wrote stays reserved: tag 9 is
-    // no record, and reason byte 2 (in `every_record`) no failure kind
+    // what only removed code wrote stays reserved: tag 9 (the second
+    // executor's) is no record; tag 8 (the retry scheduler's quarantine)
+    // reached campaign WALs, so it still decodes — to a record nothing
+    // reads — and outcome byte 5 (its `EngineError`) is no outcome
     assert_eq!(Record::decode(&[9; 11]), Err(DecodeError::UnknownTag(9)));
-    assert_eq!(FailureKind::from_u8(2), None);
+    let retired = Record::Quarantine {
+        input_fp: 14,
+        dense: 15,
+        reason: 1,
+    };
+    assert_eq!(retired.to_bytes()[0], 8);
+    assert_eq!(Record::decode(&retired.to_bytes()), Ok(retired));
+    assert_eq!(Outcome::from_u8(5), None);
+    assert!((0..5).all(|b| Outcome::from_u8(b).map(Outcome::to_u8) == Some(b)));
 }
 
 #[test]
@@ -98,13 +117,15 @@ fn wal_images() {
     let records = every_record();
     let good = encode_records(&records);
     assert_eq!(scan_bytes(&good).records, records);
-    // the image is a journal, reserved quarantine reason and all
-    let dir = std::env::temp_dir().join(format!("minpsid-wal-image-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    // the image is a journal, retired quarantine record and all: what
+    // follows that record is still there
+    let dir = scratch("wal-image");
     std::fs::write(dir.join("campaign.wal"), &good).unwrap();
     let journal = CampaignJournal::open(&dir, 1, u64::MAX).expect("the image is a journal");
-    assert_eq!(journal.quarantined_site(14, 15), Some(2));
+    assert_eq!(
+        journal.section_map().as_deref(),
+        Some(&[(0xdead_beef, 0, 12), (u64::MAX, 12, 3)][..])
+    );
     let _ = std::fs::remove_dir_all(&dir);
     for bad in mutations(&good) {
         let rec = scan_bytes(&bad);
@@ -119,6 +140,143 @@ fn wal_images() {
             assert!(rec.records.len() < records.len(), "a flipped bit is seen");
         }
     }
+}
+
+fn scratch(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("minpsid-format-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// A `campaign.wal` as the parent of PR 22 could leave it: site A gave up
+/// after one `EngineError` (outcome byte 5) and was quarantined (tag 8),
+/// site B recorded one `EngineError` among real outcomes. Both bytes are
+/// reserved now: the journal opens, every record around them is served,
+/// exactly the injections they stood for run, and the run ends at the
+/// report and the (compacted) WAL of a run that never saw them.
+#[test]
+fn a_journal_holding_retired_records_resumes_to_the_undisturbed_run() {
+    let module = minpsid_repro::minic::compile(KERNEL, "kernel").expect("kernel compiles");
+    let input = ProgInput::scalars(vec![Scalar::I(9)]);
+    let mut cfg = CampaignConfig::quick(5);
+    cfg.per_inst_injections = 6;
+    let golden = golden_run(&module, &input, &cfg).unwrap();
+    let run = |dir: &std::path::Path| {
+        let journal = CampaignJournal::open(dir, 1, 2).unwrap();
+        let report = CampaignEngine::new(&module, &input, &golden, &cfg)
+            .with_journal(&journal, 3)
+            .run_per_instruction()
+            .unwrap();
+        let appended = journal.usage().1;
+        journal.compact().unwrap();
+        (
+            report,
+            appended,
+            std::fs::read(dir.join("campaign.wal")).unwrap(),
+        )
+    };
+
+    let calm_dir = scratch("retired-calm");
+    let (calm, all, calm_wal) = run(&calm_dir);
+    let records = scan_bytes(&calm_wal).records;
+    let dense_of = |r: &Record| match r {
+        Record::PerInstOutcome { dense, .. } => Some(*dense),
+        _ => None,
+    };
+    let mut sites: Vec<u64> = records.iter().filter_map(dense_of).collect();
+    sites.dedup();
+    let (a, b) = (sites[1], sites[sites.len() - 2]);
+
+    let retire = |r: &Record| -> Vec<Record> {
+        let &Record::PerInstOutcome {
+            input_fp, dense, k, ..
+        } = r
+        else {
+            return vec![r.clone()];
+        };
+        let engine_error = Record::PerInstOutcome {
+            input_fp,
+            dense,
+            k,
+            outcome: 5,
+        };
+        let quarantine = Record::Quarantine {
+            input_fp,
+            dense,
+            reason: 0,
+        };
+        match k {
+            0 if dense == a => vec![engine_error, quarantine],
+            _ if dense == a => vec![],
+            2 if dense == b => vec![engine_error],
+            _ => vec![r.clone()],
+        }
+    };
+    let old: Vec<Record> = records.iter().flat_map(retire).collect();
+    let dir = scratch("retired");
+    std::fs::write(dir.join("campaign.wal"), encode_records(&old)).unwrap();
+    let (resumed, appended, wal) = run(&dir);
+    assert_eq!(resumed.counts, calm.counts);
+    assert_eq!(resumed.sdc_prob, calm.sdc_prob);
+    assert_eq!(resumed.status, calm.status);
+    assert_eq!(
+        appended,
+        cfg.per_inst_injections as u64 + 1,
+        "all of site A and one injection of site B ran, of {all}"
+    );
+    assert!(wal == calm_wal, "compacted WALs differ");
+    let _ = std::fs::remove_dir_all(&calm_dir);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A program table sealed before PR 22 carries a per-unit flag byte that
+/// is reserved now: 0 or 1, read and ignored. Such a table still serves
+/// its section.
+#[test]
+fn a_program_table_with_the_reserved_byte_set_is_served() {
+    let module = minpsid_repro::minic::compile(KERNEL, "kernel").expect("kernel compiles");
+    let input = ProgInput::scalars(vec![Scalar::I(9)]);
+    let cfg = CampaignConfig::quick(5);
+    let golden = golden_run(&module, &input, &cfg).unwrap();
+    let root = scratch("reserved-table");
+    let store = Arc::new(ArtifactStore::open(&root).unwrap());
+    let run = || {
+        let memo = TableMemo::new(store.clone(), 3);
+        let report = CampaignEngine::new(&module, &input, &golden, &cfg)
+            .with_tables(&memo)
+            .run_program()
+            .unwrap();
+        (report.counts, memo.stats())
+    };
+    let (cold, stats) = run();
+    assert_eq!(stats.injections_executed, cfg.injections as u64);
+
+    // rewrite every sealed program table with the flag of each unit set
+    const HEADER: usize = 4 + 4 + 1 + 1 + 8 + 8 + 8;
+    let mut rewritten = 0;
+    for entry in std::fs::read_dir(root.join("refs").join(TABLE_ARTIFACT)).unwrap() {
+        let file = entry.unwrap().file_name().into_string().unwrap();
+        let name = file.strip_suffix(".ref").expect("a ref file");
+        let (_, mut bytes) = store.load_named(TABLE_ARTIFACT, name).unwrap().unwrap();
+        assert_eq!(bytes[8], b'p', "run_program seals program tables");
+        let units = bytes[HEADER] as usize;
+        assert!(units < 0x80 && bytes.len() == HEADER + 1 + 2 * units);
+        for u in 0..units {
+            assert_eq!(bytes[HEADER + 2 + 2 * u], 0, "written 0");
+            bytes[HEADER + 2 + 2 * u] = 1;
+        }
+        let digest = store.publish(TABLE_ARTIFACT, &bytes).unwrap();
+        store.set_ref(TABLE_ARTIFACT, name, &digest).unwrap();
+        rewritten += units;
+    }
+    assert_eq!(rewritten, cfg.injections);
+
+    let (warm, stats) = run();
+    assert_eq!(warm, cold);
+    assert_eq!(stats.injections_executed, 0, "{stats:?}");
+    assert_eq!(stats.injections_served, cfg.injections as u64);
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 const KERNEL: &str = r#"

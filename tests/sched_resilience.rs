@@ -1,4 +1,4 @@
-//! Integration tests for the resilient campaign scheduler: a run whose
+//! Integration test for the campaign scheduler's deadline: a run whose
 //! wall-clock deadline expires still terminates with an honest, annotated
 //! report, and resuming its journal under a looser (or absent) budget
 //! converges to exactly the result an unbounded run produces.
@@ -120,39 +120,4 @@ fn deadline_truncated_run_resumes_to_the_full_report() {
         assert_eq!(resumed.sched.completeness(), 1.0);
     }
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Chaos knobs + the default retry budget: transient failures heal, the
-/// result matches a chaos-free run, and the accounting invariant holds.
-#[test]
-fn transient_chaos_is_invisible_in_the_final_report() {
-    let suite = workloads::suite();
-    let b = suite.first().expect("non-empty suite");
-    let module = b.compile();
-    let cfg = tiny_minpsid(11);
-    let clean = run_minpsid(&module, b.model.as_ref(), &cfg).unwrap();
-
-    let mut chaotic_cfg = cfg.clone();
-    chaotic_cfg.campaign.chaos_panic_one_in = Some(50);
-    chaotic_cfg.campaign.chaos_timeout_one_in = Some(50);
-    // zero backoff keeps the test fast; the chaos plans fail 1–4
-    // consecutive attempts, so raise the budget until every site recovers
-    chaotic_cfg.campaign.sched.max_retries = 4;
-    chaotic_cfg.campaign.sched.backoff_base_ms = 0;
-    chaotic_cfg.campaign.sched.backoff_cap_ms = 0;
-    let chaotic = run_minpsid(&module, b.model.as_ref(), &chaotic_cfg).unwrap();
-
-    assert!(
-        chaotic.sched.recovered > 0,
-        "the chaos knobs must actually fire: {:?}",
-        chaotic.sched
-    );
-    assert_eq!(chaotic.sched.quarantined_sites, 0, "everything recovers");
-    assert_eq!(chaotic.sched.accounted(), chaotic.sched.planned);
-    assert_eq!(chaotic.sched.completeness(), 1.0);
-    // recovered-after-retry injections count exactly once: the chaotic
-    // run's report is identical to the clean one
-    assert_eq!(clean.selection, chaotic.selection);
-    assert_eq!(clean.incubative, chaotic.incubative);
-    assert_eq!(clean.expected_coverage, chaotic.expected_coverage);
 }

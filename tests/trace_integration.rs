@@ -2,18 +2,19 @@
 //! attached, then feed the captured log to the offline analyzer and check
 //! the report sees the pipeline's structure — stage spans in order,
 //! non-zero campaign counts, checkpoint savings, GA curves, knapsack and
-//! cache summaries.
+//! cache summaries. Then, with a fresh sink, that a deadline-truncated
+//! campaign of either shape emits one `deadline_truncation` event.
 //!
 //! The sink is process-wide state, so this file holds exactly one test
 //! function (integration-test files are separate binaries, which isolates
 //! it from the rest of the suite).
 
-use minpsid_repro::faultsim::CampaignConfig;
+use minpsid_repro::faultsim::{golden_run, CampaignConfig, CampaignEngine, Deadline, Scheduler};
 use minpsid_repro::interp::{ProgInput, Stream};
 use minpsid_repro::minpsid::{
     run_minpsid_cached, GaConfig, GoldenCache, InputModel, MinpsidConfig, ParamSpec, ParamValue,
 };
-use minpsid_repro::trace::{self, Event, TimedEvent};
+use minpsid_repro::trace::{self, CampaignKind, Event, TimedEvent};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::io::Write;
@@ -214,4 +215,38 @@ fn traced_pipeline_round_trips_into_the_analyzer() {
     }
     let html = trace::render_html(&summary);
     assert!(html.contains("<table>") && html.contains("Stage time breakdown"));
+
+    // a campaign the deadline cut reports its truncation once, with the
+    // total, whichever shape it has (the per-instruction one used to emit
+    // an event per site)
+    let buf = Buf::default();
+    trace::init_writer(Box::new(buf.clone()));
+    let input = model.materialize(&model.reference());
+    let golden = golden_run(&module, &input, &cfg.campaign).unwrap();
+    let sched = Scheduler::new(cfg.campaign.sched.clone(), Deadline::from_secs(Some(0.0)));
+    let engine =
+        CampaignEngine::new(&module, &input, &golden, &cfg.campaign).with_scheduler(&sched);
+    let program = engine.run_program().unwrap();
+    let per_inst = engine.run_per_instruction().unwrap();
+    trace::shutdown().unwrap();
+    assert_eq!(program.truncated, cfg.campaign.injections as u64);
+    assert!(per_inst.counts.iter().all(|c| c.total() == 0));
+    let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+    let truncations: Vec<_> = trace::parse_log(&text)
+        .expect("every line parses")
+        .into_iter()
+        .filter_map(|e| match e.event {
+            Event::DeadlineTruncation { kind, truncated } => Some((kind, truncated)),
+            _ => None,
+        })
+        .collect();
+    let snap = sched.snapshot();
+    assert_eq!(
+        truncations,
+        [
+            (CampaignKind::Program, program.truncated),
+            (CampaignKind::PerInst, snap.truncated - program.truncated),
+        ]
+    );
+    assert_eq!(snap.accounted(), snap.planned);
 }
