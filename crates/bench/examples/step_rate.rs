@@ -6,11 +6,26 @@
 //! ratio; and how much of the run the slotted lowering addresses at
 //! decode time — the share of dynamic instructions that are loads or
 //! stores, the share that are slot-addressed ones, and the static count
-//! behind it.
-use minpsid_interp::{ExecConfig, FaultSpec, FaultTarget, Interp, ProgInput};
+//! behind it. Then, per op kind, what it carries: its static code slots
+//! over the suite, its share of the suite's steps (every step of one
+//! clean run per kernel, attributed by `opprof` to the op that carried
+//! it) and the kernel where that share peaks — the sizing column of a
+//! superinstruction's price (EXPERIMENTS.md "The fusion table earns its
+//! keep").
+use minpsid_interp::{opprof, ExecConfig, FaultSpec, FaultTarget, Interp, ProgInput};
 use minpsid_ir::InstKind;
+use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::time::Instant;
+
+/// What one op kind carries over the suite.
+#[derive(Default)]
+struct OpShare {
+    slots: usize,
+    steps: u64,
+    /// `(share of the kernel's steps, kernel)` where it is largest.
+    peak: (f64, &'static str),
+}
 
 fn main() {
     println!(
@@ -31,6 +46,7 @@ fn main() {
     };
     let (mut steps_all, mut mem_all, mut slot_all) = (0u64, 0u64, 0u64);
     let mut secs_all = [0f64; 3];
+    let mut ops: BTreeMap<String, OpShare> = BTreeMap::new();
     for b in minpsid_workloads::suite() {
         let module = b.compile();
         let input = b.model.materialize(&b.model.reference());
@@ -89,6 +105,23 @@ fn main() {
         steps_all += p.total_insts;
         mem_all += mem;
         slot_all += slot;
+
+        // an interval of 1 samples every step: exact, and off the clock
+        opprof::reset();
+        opprof::enable(1);
+        clean.run(&input);
+        opprof::disable();
+        for (name, n) in opprof::snapshot().samples {
+            let op = ops.entry(name).or_default();
+            op.steps += n;
+            let share = n as f64 / p.total_insts as f64;
+            if share > op.peak.0 {
+                op.peak = (share, b.name);
+            }
+        }
+        for name in clean.op_names().iter().flatten() {
+            ops.entry(name.to_string()).or_default().slots += 1;
+        }
     }
     let [clean, obs, armed_obs] = secs_all.map(|s| steps_all as f64 / s / 1e6);
     println!(
@@ -98,4 +131,17 @@ fn main() {
         100.0 * slot_all as f64 / steps_all as f64,
         obs / clean
     );
+
+    println!("\n{:<15} {:>6} {:>8}   peak", "op", "slots", "steps %");
+    let mut ops: Vec<_> = ops.into_iter().collect();
+    ops.sort_by_key(|(_, op)| std::cmp::Reverse(op.steps));
+    for (name, op) in ops.into_iter().filter(|(_, op)| op.steps > 0) {
+        println!(
+            "{name:<15} {:>6} {:>8.2}   {:.1} % of {}",
+            op.slots,
+            100.0 * op.steps as f64 / steps_all as f64,
+            100.0 * op.peak.0,
+            op.peak.1
+        );
+    }
 }

@@ -289,7 +289,6 @@ const FLAGS: &[(&str, bool)] = &[
     ("--seed", true),
     ("--quick", false),
     ("--threads", true),
-    ("--checkpoint-interval", true),
     ("--no-checkpoints", false),
     // scheduling
     ("--deadline-secs", true),
@@ -298,9 +297,7 @@ const FLAGS: &[(&str, bool)] = &[
     ("--journal", true),
     ("--resume", true),
     ("--max-inputs", true),
-    ("--golden-cache-cap", true),
     ("--store", true),
-    ("--incremental", false),
     ("--no-incremental", false),
     // observability
     ("--profile-interp", false),
@@ -363,10 +360,9 @@ FI campaign options (fi/analyze/sid/minpsid):
   --quick                   small campaign preset for smoke tests
   --threads N               worker threads (default: all cores); reports
                             are byte-identical at any thread count
-  --checkpoint-interval N   snapshot the golden run every N dynamic
-                            instructions (default: auto, ~sqrt of steps)
-  --no-checkpoints          disable checkpointing; replay every injection
-                            from scratch
+  --no-checkpoints          disable checkpointing (the golden run is
+                            otherwise snapshotted every ~sqrt of its
+                            steps); replay every injection from scratch
 
 scheduling (fi/analyze/sid/minpsid):
   --deadline-secs S         global wall-clock budget; expired work is
@@ -380,7 +376,6 @@ crash-safe journal (fi/minpsid):
                             SIGTERM flushes and exits with a resume hint
   --resume DIR              resume a journaled run (same flags required)
   --max-inputs N            cap on searched inputs (minpsid; default 25)
-  --golden-cache-cap N      LRU-evict golden runs beyond N cache entries
 
 self-verifying artifact store (fi/minpsid):
   --store DIR               persist golden runs, checkpoints, and WAL
@@ -390,12 +385,10 @@ self-verifying artifact store (fi/minpsid):
                             corruption is quarantined and recomputed,
                             never served)
 
-incremental re-campaigns (fi/minpsid, needs --store or --journal):
-  --incremental             memoize sealed per-section outcome tables in
-                            the store and serve them on later runs, so a
-                            re-campaign after an edit re-executes only
-                            the touched functions (default when a store
-                            is attached)
+incremental re-campaigns (fi/minpsid, with --store or --journal): sealed
+per-section outcome tables are memoized in the store and served on later
+runs, so a re-campaign after an edit re-executes only the touched
+functions.
   --no-incremental          always re-execute every injection
 
 profiling:
@@ -584,7 +577,7 @@ fn cmd_fi(rest: &[String]) -> Result<(), String> {
     let golden =
         golden_run(&module, &input, &campaign).map_err(|t| format!("golden run failed: {t:?}"))?;
     let input_fp = input_fingerprint(&input);
-    let memo = match (parse_incremental(rest)?, &store) {
+    let memo = match (parse_incremental(rest), &store) {
         (true, Some(s)) => Some(TableMemo::new(s.clone(), input_fp)),
         _ => None,
     };
@@ -619,17 +612,11 @@ fn cmd_fi(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `--incremental` / `--no-incremental`: memoize sealed per-section
-/// outcome tables in the artifact store and serve them on later runs.
-/// Default *on* whenever a store is attached (the flag is a no-op
-/// without one), so `--no-incremental` is the escape hatch.
-fn parse_incremental(rest: &[String]) -> Result<bool, String> {
-    let on = rest.iter().any(|a| a == "--incremental");
-    let off = rest.iter().any(|a| a == "--no-incremental");
-    if on && off {
-        return Err("--incremental and --no-incremental are mutually exclusive".into());
-    }
-    Ok(!off)
+/// Whether sealed per-section outcome tables are memoized in the artifact
+/// store and served on later runs: whenever a store is attached, unless
+/// `--no-incremental` says to re-execute every injection.
+fn parse_incremental(rest: &[String]) -> bool {
+    !rest.iter().any(|a| a == "--no-incremental")
 }
 
 /// One stderr line of section-table usage, the incremental analogue of
@@ -1092,7 +1079,7 @@ fn cmd_minpsid(rest: &[String]) -> Result<(), String> {
         protection_level: parse_level(rest)?,
         campaign: parse_campaign(rest)?,
         deadline_secs: parse_deadline(rest)?,
-        incremental: parse_incremental(rest)?,
+        incremental: parse_incremental(rest),
         ..MinpsidConfig::default()
     };
     if quick {
@@ -1111,12 +1098,9 @@ fn cmd_minpsid(rest: &[String]) -> Result<(), String> {
     // cache's cross-invocation artifacts and the journal's compacted
     // WAL snapshots.
     let store = open_run_store(rest)?;
-    let cap = parse_positive(rest, "--golden-cache-cap", "want a positive entry count")?
-        .map(|n| n as usize)
-        .unwrap_or(0);
     let cache = match &store {
-        Some(s) => GoldenCache::with_store(cap, s.clone()),
-        None => GoldenCache::with_capacity(cap),
+        Some(s) => GoldenCache::with_store(0, s.clone()),
+        None => GoldenCache::new(),
     };
 
     let resume = flag_value(rest, "--resume")?;
@@ -1416,8 +1400,8 @@ mod tests {
             assert_eq!(takes_value(flag), Some(placeholder), "{line}");
             option_lines += 1;
         }
-        assert_eq!(FLAGS.len(), 34);
-        assert!(option_lines >= 21, "{option_lines} option lines");
+        assert_eq!(FLAGS.len(), 31);
+        assert!(option_lines >= 18, "{option_lines} option lines");
     }
 
     #[test]
@@ -1431,8 +1415,10 @@ mod tests {
         let err = check_flags(&args(&["pathfinder", "--quick", "--workers", "4"])).unwrap_err();
         assert_eq!(err, "unknown flag --workers");
         assert!(check_flags(&args(&["7", "--spool-dir", "/tmp/s"])).is_err());
-        // the live endpoint and two flags that had no user, then the retry
-        // scheduler's six: gone, not ignored
+        // the live endpoint and two flags that had no user, the retry
+        // scheduler's six, then three the flag audit condemned (a cap no
+        // caller set, a no-op, an interval the engine chooses): gone, not
+        // ignored
         for (gone, value) in [
             ("--status-addr", "127.0.0.1:1"),
             ("--snapshot-mode", "full"),
@@ -1443,6 +1429,9 @@ mod tests {
             ("--injection-timeout-ms", "5"),
             ("--chaos-panic-one-in", "40"),
             ("--chaos-timeout-one-in", "40"),
+            ("--golden-cache-cap", "4"),
+            ("--incremental", "--quiet"),
+            ("--checkpoint-interval", "500"),
         ] {
             let err = check_flags(&args(&["hpccg", "--quick", gone, value])).unwrap_err();
             assert_eq!(err, format!("unknown flag {gone}"));
@@ -1474,10 +1463,10 @@ mod tests {
     #[test]
     fn flag_without_its_value_is_a_usage_error() {
         // last on the line
-        let rest = args(&["bench", "--seed", "9", "--checkpoint-interval"]);
-        let err = flag_value(&rest, "--checkpoint-interval").unwrap_err();
-        assert!(err.contains("--checkpoint-interval needs a value"), "{err}");
-        assert!(parse_campaign(&rest).is_err(), "not the default interval");
+        let rest = args(&["bench", "--seed", "9", "--per-inst"]);
+        let err = flag_value(&rest, "--per-inst").unwrap_err();
+        assert!(err.contains("--per-inst needs a value"), "{err}");
+        assert!(parse_campaign(&rest).is_err(), "not the default count");
         // followed by another flag, which is not its value
         let rest = args(&["bench", "--level", "--seed", "9"]);
         assert!(flag_value(&rest, "--level").is_err());
@@ -1573,21 +1562,21 @@ mod tests {
         assert_eq!(def.checkpoints, CheckpointPolicy::Auto);
         assert_eq!(def.seed, 42);
 
-        let every =
-            parse_campaign(&args(&["--checkpoint-interval", "500", "--seed", "7"])).unwrap();
-        assert_eq!(every.checkpoints, CheckpointPolicy::Every(500));
-        assert_eq!(every.seed, 7);
-
-        let off = parse_campaign(&args(&["--no-checkpoints"])).unwrap();
+        // `Every` is the tests' reference policy, not a flag
+        let off = parse_campaign(&args(&["--no-checkpoints", "--seed", "7"])).unwrap();
         assert_eq!(off.checkpoints, CheckpointPolicy::Disabled);
+        assert_eq!(off.seed, 7);
+    }
 
-        // --no-checkpoints wins if both are given
-        let both =
-            parse_campaign(&args(&["--checkpoint-interval", "10", "--no-checkpoints"])).unwrap();
-        assert_eq!(both.checkpoints, CheckpointPolicy::Disabled);
-
-        assert!(parse_campaign(&args(&["--checkpoint-interval", "0"])).is_err());
-        assert!(parse_campaign(&args(&["--checkpoint-interval", "abc"])).is_err());
+    #[test]
+    fn tables_are_memoized_unless_told_not_to() {
+        assert!(parse_incremental(&args(&["hpccg", "--store", "s"])));
+        assert!(!parse_incremental(&args(&["hpccg", "--no-incremental"])));
+        assert!(!parse_incremental(&args(&[
+            "--no-incremental",
+            "--store",
+            "s"
+        ])));
     }
 
     #[test]

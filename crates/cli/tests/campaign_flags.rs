@@ -55,8 +55,11 @@ fn deadlines_end_in_an_honest_report() {
     }
 }
 
-/// The retry scheduler's six flags went with it: each is a usage error
-/// under every subcommand that used to read it, not a silent no-op.
+/// The retry scheduler's six flags went with it, and the flag audit took
+/// three more (`--golden-cache-cap`: nothing capped; `--incremental`: on
+/// wherever it was legal; `--checkpoint-interval`: the engine chooses):
+/// each is a usage error under every subcommand that used to read it, not
+/// a silent no-op.
 #[test]
 fn retired_flags_are_unknown_flags() {
     for cmd in ["fi", "analyze", "sid", "minpsid"] {
@@ -67,6 +70,9 @@ fn retired_flags_are_unknown_flags() {
             "--injection-timeout-ms",
             "--chaos-panic-one-in",
             "--chaos-timeout-one-in",
+            "--golden-cache-cap",
+            "--incremental",
+            "--checkpoint-interval",
         ] {
             let out = minpsid(&[cmd, "pathfinder", "--quick", flag, "3"]);
             assert_eq!(out.status.code(), Some(1), "{cmd} {flag}: {out:?}");

@@ -208,7 +208,7 @@ impl GoldenCache {
         // Disk tier: a verified load from the store skips the recompute.
         // A corrupt artifact was already quarantined by the store — it
         // can never be served — so we fall through to recompute.
-        if let Some(g) = self.load_from_store(key) {
+        if let Some(g) = self.load_from_store(key, cfg) {
             self.disk_hits.fetch_add(1, Ordering::Relaxed);
             self.insert(key, &g);
             return Ok(g);
@@ -245,7 +245,7 @@ impl GoldenCache {
     /// any failure: absent refs, a digest mismatch (the store has
     /// already quarantined the object and emitted a `store_event`), an
     /// I/O error, or a wire decode error — all degrade to recompute.
-    fn load_from_store(&self, key: Key) -> Option<Arc<GoldenRun>> {
+    fn load_from_store(&self, key: Key, cfg: &CampaignConfig) -> Option<Arc<GoldenRun>> {
         let store = self.store.as_ref()?;
         let name = ref_name(key);
         let fetch = |kind: &str| match store.load_named(kind, &name) {
@@ -263,7 +263,9 @@ impl GoldenCache {
         };
         let meta = fetch(GOLDEN_ARTIFACT)?;
         let ckpt = fetch(CKPT_ARTIFACT)?;
-        GoldenRun::decode(&meta, &ckpt).ok().map(Arc::new)
+        GoldenRun::decode(&meta, &ckpt, &cfg.exec)
+            .ok()
+            .map(Arc::new)
     }
 
     /// Best-effort publish of a freshly computed run; persistence

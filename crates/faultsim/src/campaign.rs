@@ -167,11 +167,18 @@ impl GoldenRun {
         minpsid_interp::wire::encode_checkpoints(&self.checkpoints)
     }
 
-    /// Rebuild a golden run from its two wire images. Checked end to
-    /// end: malformed bytes produce an error, never a panic.
-    pub fn decode(meta: &[u8], ckpt: &[u8]) -> Result<GoldenRun, minpsid_interp::wire::WireError> {
+    /// Rebuild a golden run from its two wire images, for campaigns under
+    /// `exec`'s limits. Checked end to end: malformed bytes produce an
+    /// error, never a panic, and no checkpoint may record more memory
+    /// than `exec.mem_limit` lets a run allocate.
+    pub fn decode(
+        meta: &[u8],
+        ckpt: &[u8],
+        exec: &ExecConfig,
+    ) -> Result<GoldenRun, minpsid_interp::wire::WireError> {
         let (output, profile, steps) = minpsid_interp::wire::decode_golden(meta)?;
-        let mut checkpoints = minpsid_interp::wire::decode_checkpoints(ckpt)?;
+        let mut checkpoints =
+            minpsid_interp::wire::decode_checkpoints_within(ckpt, exec.mem_limit)?;
         // a golden run exited normally by construction; the entry
         // function's return value is not part of the meta image
         checkpoints.attach_tail(output.clone(), steps, None);
@@ -414,7 +421,7 @@ pub(crate) mod tests {
         let cfg = CampaignConfig::default(); // delta-mode checkpoints
         let g = golden_run(&m, &input(60), &cfg).unwrap();
         assert!(!g.checkpoints.is_empty());
-        let back = GoldenRun::decode(&g.encode_meta(), &g.encode_checkpoints()).unwrap();
+        let back = GoldenRun::decode(&g.encode_meta(), &g.encode_checkpoints(), &cfg.exec).unwrap();
         assert_eq!(back.output, g.output);
         assert_eq!(back.steps, g.steps);
         assert_eq!(back.profile.inst_counts, g.profile.inst_counts);

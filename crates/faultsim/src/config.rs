@@ -11,7 +11,7 @@
 //!
 //! Validation philosophy, inherited from the CLI: a knob whose zero value
 //! silently produces an empty campaign (`injections`, `per-inst`,
-//! `threads`, `checkpoint-interval`) rejects zero; a knob where zero is a
+//! `threads`) rejects zero; a knob where zero is a
 //! meaningful mode (`ci-half-width` = early stop off) accepts it.
 //!
 //! The deadline rides on the builder but **not** on the built config: it
@@ -80,19 +80,6 @@ impl CampaignConfigBuilder {
         Ok(self)
     }
 
-    /// Snapshot the golden run every `n` dynamic instructions instead of
-    /// the auto (~sqrt of steps) interval.
-    pub fn checkpoint_interval(mut self, n: u64) -> Result<Self, String> {
-        if n == 0 {
-            return Err("bad --checkpoint-interval `0` (want a positive integer)".into());
-        }
-        // --no-checkpoints wins if both were given, whatever the order
-        if self.cfg.checkpoints != CheckpointPolicy::Disabled {
-            self.cfg.checkpoints = CheckpointPolicy::Every(n);
-        }
-        Ok(self)
-    }
-
     /// Disable checkpointing; every injection replays from scratch.
     pub fn no_checkpoints(mut self) -> Self {
         self.cfg.checkpoints = CheckpointPolicy::Disabled;
@@ -140,8 +127,8 @@ impl CampaignConfigBuilder {
     /// Parse the shared campaign flag vocabulary out of `rest` (flags
     /// irrelevant to campaigns are ignored, so front ends can mix their
     /// own flags in freely): `--seed`, `--quick`, `--injections`,
-    /// `--per-inst`, `--threads`, `--checkpoint-interval`,
-    /// `--no-checkpoints`, `--ci-half-width` and `--deadline-secs`.
+    /// `--per-inst`, `--threads`, `--no-checkpoints`, `--ci-half-width`
+    /// and `--deadline-secs`.
     pub fn from_flags(rest: &[String]) -> Result<Self, String> {
         let seed = match flag_value(rest, "--seed")? {
             None => 42,
@@ -163,9 +150,6 @@ impl CampaignConfigBuilder {
         }
         if let Some(n) = parse_u64(rest, "--threads")? {
             b = b.threads(n)?;
-        }
-        if let Some(n) = parse_u64(rest, "--checkpoint-interval")? {
-            b = b.checkpoint_interval(n)?;
         }
         if let Some(v) = flag_value(rest, "--ci-half-width")? {
             let w: f64 = v
@@ -246,9 +230,6 @@ mod tests {
             .per_inst_injections(0)
             .is_err());
         assert!(CampaignConfigBuilder::new(1).threads(0).is_err());
-        assert!(CampaignConfigBuilder::new(1)
-            .checkpoint_interval(0)
-            .is_err());
     }
 
     #[test]
@@ -268,17 +249,6 @@ mod tests {
         assert_eq!(c.threads, 4);
         assert!(CampaignConfigBuilder::from_flags(&args(&["--threads", "0"])).is_err());
         assert!(CampaignConfigBuilder::from_flags(&args(&["--threads", "abc"])).is_err());
-    }
-
-    #[test]
-    fn no_checkpoints_wins_regardless_of_flag_order() {
-        for rest in [
-            args(&["--checkpoint-interval", "10", "--no-checkpoints"]),
-            args(&["--no-checkpoints", "--checkpoint-interval", "10"]),
-        ] {
-            let c = CampaignConfigBuilder::from_flags(&rest).unwrap().build();
-            assert_eq!(c.checkpoints, CheckpointPolicy::Disabled);
-        }
     }
 
     #[test]

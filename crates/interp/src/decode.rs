@@ -18,20 +18,23 @@
 //!   match when types are mixed or unknown. Specialized ops still verify
 //!   the runtime variant, so semantics — including every trap — are
 //!   bit-identical to the reference tree walk;
-//! * the two hottest adjacent pairs fused into superinstructions:
-//!   cmp+cond-branch ([`DOp::CmpBr`]) and load+binop ([`DOp::LoadBin`]).
+//! * eight hot instruction windows carried by one superinstruction each
+//!   ([`DOp::CmpBr`] … [`DOp::LoadBin`]): the set whose removal measures,
+//!   all of it named by one matcher, `try_fuse`.
 //!
 //! ## Superinstruction layout and snapshot resume
 //!
 //! Fusion must not disturb the pc ↔ (block, pos) mapping, because
 //! snapshots store frame positions in (block, pos) form and a resumed run
-//! may land *between* the two halves of a pair. So a fused pair emits the
+//! may land *between* the halves of a window. So a fused window emits the
 //! superinstruction at the first instruction's pc **and** a standalone
-//! copy of the second instruction at the second pc; block lengths are
+//! copy of every later instruction at its own pc; block lengths are
 //! unchanged and `pc = block_entry[block] + pos` stays plain arithmetic.
-//! The fused op advances the pc by 2; only a snapshot resume ever enters
-//! the standalone copy. Jump targets are always block starts, so no branch
-//! can land inside a pair.
+//! The fused op advances the pc by its width (or branches); only a
+//! snapshot resume ever enters a standalone copy. Jump targets are always
+//! block starts, so no branch can land inside a window. Which windows
+//! fuse is therefore invisible outside `code`: a checkpoint captured
+//! under one fusion set restores under any other.
 //!
 //! Fused ops replicate the reference per-instruction sequence for *each*
 //! half: step increment, step-limit check, operand traps,
@@ -239,47 +242,6 @@ pub(crate) enum DOp {
         t: u32,
         e: u32,
     },
-    /// Fused binary op + unconditional branch: the ubiquitous loop latch
-    /// `i = i + 1; br head`. Metadata in the carrying [`DInst`] belongs
-    /// to the bin; the branch half is control-only (no result, not
-    /// injectable).
-    BinBr {
-        op: BinOp,
-        a: Opd,
-        b: Opd,
-        target: u32,
-    },
-    /// Fused pair of adjacent binary ops (a multiply feeding an
-    /// accumulate, or two independent updates). The second half's
-    /// operands are fetched *after* the first half's (possibly faulted)
-    /// result is written, so a dependent pair reads exactly what the
-    /// oracle's sequential execution reads.
-    BinBin {
-        op1: BinOp,
-        a1: Opd,
-        b1: Opd,
-        op2: BinOp,
-        a2: Opd,
-        b2: Opd,
-        bin_dst: u32,
-        bin_dense: u32,
-        bin_inj: bool,
-    },
-    /// Fused pair of adjacent loads (`a[i]` and `b[i]` feeding one
-    /// expression). The second load's address operands are fetched after
-    /// the first's result is written, so indirect chains
-    /// (`x[idx[k]]`) fuse correctly.
-    LoadLoad {
-        ty1: Ty,
-        ptr1: Opd,
-        idx1: Opd,
-        ty2: Ty,
-        ptr2: Opd,
-        idx2: Opd,
-        ld_dst: u32,
-        ld_dense: u32,
-        ld_inj: bool,
-    },
     /// Fused run of four loads: reduction bodies interleave slot reads
     /// and element reads (`s, i, a[i], i`) into long load runs. Each
     /// half's address operands are fetched after the previous halves'
@@ -289,17 +251,6 @@ pub(crate) enum DOp {
         dsts: [u32; 3],
         denses: [u32; 3],
         injs: [bool; 3],
-    },
-    /// Fused load + cast + binary op + unary op: the twiddle-factor
-    /// prologue of every fft butterfly iteration (`cos(w * float(j))`,
-    /// `sin(w * float(j))`) and any other libm-feeding index chain.
-    /// Carries only the load's operands; the cast, bin and un execute
-    /// from their standalone slots at `pc+1..pc+3` (a bounded tag check
-    /// each instead of a full dispatch round).
-    LoadCastBinUn {
-        ty: Ty,
-        ptr: Opd,
-        idx: Opd,
     },
     /// Fused slot-load + compare + conditional branch: every loop head
     /// (`while i_slot < n`) is this exact triple. Load metadata on the
@@ -319,41 +270,16 @@ pub(crate) enum DOp {
         cmp_dense: u32,
         cmp_inj: bool,
     },
-    /// Fused binary op + store + unconditional branch: the canonical
-    /// block tail `acc_slot = acc + t; br next`. Bin metadata on the
-    /// carrying [`DInst`]; store and branch halves produce nothing.
-    BinStoreBr {
-        op: BinOp,
-        a: Opd,
-        b: Opd,
-        ptr: Opd,
-        idx: Opd,
-        v: Opd,
-        target: u32,
-    },
     /// Fused load + load + binary op: the dominant three-instruction
-    /// window of compiled loop bodies (`a[i]`, `b[i]`, combine). Carries
-    /// the two loads' operands exactly as [`DOp::LoadLoad`]; the bin
-    /// executes from its typed standalone slot at `pc + 2` (a bounded
-    /// tag check instead of a full dispatch round).
+    /// window of compiled loop bodies (`a[i]`, `b[i]`, combine). The
+    /// second load's address operands are fetched after the first's
+    /// result is written, so indirect chains (`x[idx[k]]`) fuse
+    /// correctly; the bin executes from its typed standalone slot at
+    /// `pc + 2` (a bounded tag check instead of a full dispatch round).
     LoadLoadBin {
         ty1: Ty,
         ptr1: Opd,
         idx1: Opd,
-        ty2: Ty,
-        ptr2: Opd,
-        idx2: Opd,
-        ld_dst: u32,
-        ld_dense: u32,
-        ld_inj: bool,
-    },
-    /// Fused binary op + load + load (index arithmetic feeding two
-    /// reads). Carries the bin and first load as [`DOp::BinLoad`]; the
-    /// second load executes from its standalone slot at `pc + 2`.
-    BinLoadLoad {
-        op: BinOp,
-        a: Opd,
-        b: Opd,
         ty2: Ty,
         ptr2: Opd,
         idx2: Opd,
@@ -401,78 +327,6 @@ pub(crate) enum DOp {
         st_v: Opd,
         target: u32,
     },
-    /// Fused load + load + bin + store + unconditional branch: a block
-    /// tail storing a two-operand combine (`s = s + x; br next` where
-    /// both operands live in slots). Carries [`DOp::LoadLoadBin`]'s
-    /// fields plus the branch target; the bin and store execute from
-    /// their standalone slots at `pc+3`/`pc+4`.
-    LoadLoadBinStoreBr {
-        ty1: Ty,
-        ptr1: Opd,
-        idx1: Opd,
-        ty2: Ty,
-        ptr2: Opd,
-        idx2: Opd,
-        ld_dst: u32,
-        ld_dense: u32,
-        ld_inj: bool,
-        target: u32,
-    },
-    /// Fused load + load + bin + bin + store: a full compiled statement
-    /// (`w[k] = a + b` with a computed element index). Carries
-    /// [`DOp::LoadLoadBin`]'s fields; the second bin and the store
-    /// execute from their standalone slots at `pc+3`/`pc+4`.
-    LoadLoadBinBinStore {
-        ty1: Ty,
-        ptr1: Opd,
-        idx1: Opd,
-        ty2: Ty,
-        ptr2: Opd,
-        idx2: Opd,
-        ld_dst: u32,
-        ld_dense: u32,
-        ld_inj: bool,
-    },
-    /// Fused load + load + bin + bin + load: index arithmetic feeding an
-    /// element read (`x[i + half]`). Same carrier fields as
-    /// [`DOp::LoadLoadBin`]; chained slots at `pc+3`/`pc+4`.
-    LoadLoadBinBinLoad {
-        ty1: Ty,
-        ptr1: Opd,
-        idx1: Opd,
-        ty2: Ty,
-        ptr2: Opd,
-        idx2: Opd,
-        ld_dst: u32,
-        ld_dense: u32,
-        ld_inj: bool,
-    },
-    /// Fused load + load + bin + bin + bin: a three-op arithmetic chain
-    /// over two slot reads. Same carrier fields as [`DOp::LoadLoadBin`];
-    /// chained slots at `pc+3`/`pc+4`.
-    LoadLoadBinBinBin {
-        ty1: Ty,
-        ptr1: Opd,
-        idx1: Opd,
-        ty2: Ty,
-        ptr2: Opd,
-        idx2: Opd,
-        ld_dst: u32,
-        ld_dense: u32,
-        ld_inj: bool,
-    },
-    /// Fused binary op + store (`acc = acc + t` and every latch's
-    /// `i = i + 1` compile to bin-then-store-to-slot). The store's value
-    /// operand is fetched after the bin's (possibly faulted) result is
-    /// written. The store half produces nothing and is not injectable.
-    BinStore {
-        op: BinOp,
-        a: Opd,
-        b: Opd,
-        ptr: Opd,
-        idx: Opd,
-        v: Opd,
-    },
     /// Fused store + unconditional branch (block tails like
     /// `i_slot = t; br head`). Control-only second half.
     StoreBr {
@@ -480,45 +334,6 @@ pub(crate) enum DOp {
         idx: Opd,
         v: Opd,
         target: u32,
-    },
-    /// Fused store + load (slot write followed by the next statement's
-    /// slot read). The load's metadata is carried here; the carrying
-    /// [`DInst`]'s dst is `u32::MAX` (stores produce nothing).
-    StoreLoad {
-        ptr1: Opd,
-        idx1: Opd,
-        v: Opd,
-        ty2: Ty,
-        ptr2: Opd,
-        idx2: Opd,
-        ld_dst: u32,
-        ld_dense: u32,
-        ld_inj: bool,
-    },
-    /// Fused binary op + load: index arithmetic feeding the next slot
-    /// read (`t = base + j; ... half_slot`). The load's address operands
-    /// are fetched after the bin's result is written.
-    BinLoad {
-        op: BinOp,
-        a: Opd,
-        b: Opd,
-        ty2: Ty,
-        ptr2: Opd,
-        idx2: Opd,
-        ld_dst: u32,
-        ld_dense: u32,
-        ld_inj: bool,
-    },
-    /// Fused load + store: the element-copy / swap idiom
-    /// (`re[i] = re[j]`, `let tr = re[i]`). The store's operands are
-    /// fetched after the load's (possibly faulted) result is written.
-    LoadStore {
-        ty: Ty,
-        ptr1: Opd,
-        idx1: Opd,
-        ptr2: Opd,
-        idx2: Opd,
-        v: Opd,
     },
     /// Fused load + binary op. Metadata in the carrying [`DInst`] belongs
     /// to the load; the bin half's is carried here.
@@ -541,8 +356,10 @@ pub(crate) enum DOp {
 
 /// Display names for every [`DOp`] kind, indexed by [`DOp::index`].
 /// Declaration order of the enum; fused superinstructions start at
-/// [`opprof::FIRST_FUSED`](crate::opprof::FIRST_FUSED).
-pub(crate) const OP_NAMES: [&str; 50] = [
+/// [`opprof::FIRST_FUSED`](crate::opprof::FIRST_FUSED). The enum, this
+/// table, [`DOp::index`] and [`DOp::width`] are kept equal by the unit
+/// test `every_op_kind_is_declared_once`.
+pub(crate) const OP_NAMES: [&str; 36] = [
     "Param",
     "BinII",
     "BinFF",
@@ -572,26 +389,12 @@ pub(crate) const OP_NAMES: [&str; 50] = [
     "CondBr",
     "Ret",
     "CmpBr",
-    "BinBr",
-    "BinBin",
-    "LoadLoad",
     "Load4",
-    "LoadCastBinUn",
     "LoadCmpBr",
-    "BinStoreBr",
     "LoadLoadBin",
-    "BinLoadLoad",
     "LoadBinBin",
     "LoadBinStoreBr",
-    "LoadLoadBinStoreBr",
-    "LoadLoadBinBinStore",
-    "LoadLoadBinBinLoad",
-    "LoadLoadBinBinBin",
-    "BinStore",
     "StoreBr",
-    "StoreLoad",
-    "BinLoad",
-    "LoadStore",
     "LoadBin",
 ];
 
@@ -630,27 +433,26 @@ impl DOp {
             DOp::CondBr { .. } => 26,
             DOp::Ret { .. } => 27,
             DOp::CmpBr { .. } => 28,
-            DOp::BinBr { .. } => 29,
-            DOp::BinBin { .. } => 30,
-            DOp::LoadLoad { .. } => 31,
-            DOp::Load4 { .. } => 32,
-            DOp::LoadCastBinUn { .. } => 33,
-            DOp::LoadCmpBr { .. } => 34,
-            DOp::BinStoreBr { .. } => 35,
-            DOp::LoadLoadBin { .. } => 36,
-            DOp::BinLoadLoad { .. } => 37,
-            DOp::LoadBinBin { .. } => 38,
-            DOp::LoadBinStoreBr { .. } => 39,
-            DOp::LoadLoadBinStoreBr { .. } => 40,
-            DOp::LoadLoadBinBinStore { .. } => 41,
-            DOp::LoadLoadBinBinLoad { .. } => 42,
-            DOp::LoadLoadBinBinBin { .. } => 43,
-            DOp::BinStore { .. } => 44,
-            DOp::StoreBr { .. } => 45,
-            DOp::StoreLoad { .. } => 46,
-            DOp::BinLoad { .. } => 47,
-            DOp::LoadStore { .. } => 48,
-            DOp::LoadBin { .. } => 49,
+            DOp::Load4 { .. } => 29,
+            DOp::LoadCmpBr { .. } => 30,
+            DOp::LoadLoadBin { .. } => 31,
+            DOp::LoadBinBin { .. } => 32,
+            DOp::LoadBinStoreBr { .. } => 33,
+            DOp::StoreBr { .. } => 34,
+            DOp::LoadBin { .. } => 35,
+        }
+    }
+
+    /// How many instructions the op executes — the window a
+    /// superinstruction carries; 1 for a plain op. [`decode_func`] lays
+    /// the window out from it and the op's arm advances the pc by it
+    /// (or branches).
+    fn width(&self) -> usize {
+        match self {
+            DOp::Load4 { .. } | DOp::LoadBinStoreBr { .. } => 4,
+            DOp::LoadCmpBr { .. } | DOp::LoadLoadBin { .. } | DOp::LoadBinBin { .. } => 3,
+            DOp::CmpBr { .. } | DOp::StoreBr { .. } | DOp::LoadBin { .. } => 2,
+            _ => 1,
         }
     }
 
@@ -663,64 +465,10 @@ impl DOp {
             DOp::Load { ptr, idx, .. }
             | DOp::Store { ptr, idx, .. }
             | DOp::StoreBr { ptr, idx, .. }
-            | DOp::LoadCastBinUn { ptr, idx, .. }
             | DOp::LoadCmpBr { ptr, idx, .. }
             | DOp::LoadBinBin { ptr, idx, .. }
             | DOp::LoadBin { ptr, idx, .. } => f(0, ptr, idx),
-            DOp::BinStore { ptr, idx, .. } | DOp::BinStoreBr { ptr, idx, .. } => f(1, ptr, idx),
-            DOp::BinLoad { ptr2, idx2, .. } | DOp::BinLoadLoad { ptr2, idx2, .. } => {
-                f(1, ptr2, idx2)
-            }
-            DOp::LoadLoad {
-                ptr1,
-                idx1,
-                ptr2,
-                idx2,
-                ..
-            }
-            | DOp::LoadLoadBin {
-                ptr1,
-                idx1,
-                ptr2,
-                idx2,
-                ..
-            }
-            | DOp::LoadLoadBinStoreBr {
-                ptr1,
-                idx1,
-                ptr2,
-                idx2,
-                ..
-            }
-            | DOp::LoadLoadBinBinStore {
-                ptr1,
-                idx1,
-                ptr2,
-                idx2,
-                ..
-            }
-            | DOp::LoadLoadBinBinLoad {
-                ptr1,
-                idx1,
-                ptr2,
-                idx2,
-                ..
-            }
-            | DOp::LoadLoadBinBinBin {
-                ptr1,
-                idx1,
-                ptr2,
-                idx2,
-                ..
-            }
-            | DOp::StoreLoad {
-                ptr1,
-                idx1,
-                ptr2,
-                idx2,
-                ..
-            }
-            | DOp::LoadStore {
+            DOp::LoadLoadBin {
                 ptr1,
                 idx1,
                 ptr2,
@@ -771,9 +519,7 @@ impl DOp {
             | DOp::Br { .. }
             | DOp::CondBr { .. }
             | DOp::Ret { .. }
-            | DOp::CmpBr { .. }
-            | DOp::BinBr { .. }
-            | DOp::BinBin { .. } => {}
+            | DOp::CmpBr { .. } => {}
         }
     }
 }
@@ -1178,103 +924,17 @@ fn decode_func(f: &Function, dense_base: u32, slot_base: usize) -> DFunc {
     for b in &f.blocks {
         let mut k = 0;
         while k < b.insts.len() {
-            if k + 4 < b.insts.len() {
-                if let Some(fused) = try_fuse5(
-                    f,
-                    &cx,
-                    &block_entry,
-                    [
-                        b.insts[k],
-                        b.insts[k + 1],
-                        b.insts[k + 2],
-                        b.insts[k + 3],
-                        b.insts[k + 4],
-                    ],
-                    dense_base,
-                ) {
-                    code.push(fused);
-                    for j in 1..5 {
-                        code.push(decode_inst(
-                            f,
-                            &cx,
-                            &block_entry,
-                            b.insts[k + j],
-                            dense_base,
-                        ));
-                    }
-                    k += 5;
-                    continue;
-                }
+            // the layout rule: whatever carries the window sits in its
+            // first slot, and every later instruction of the window keeps
+            // a standalone copy in its own
+            let carrier = try_fuse(f, &cx, &block_entry, &b.insts[k..], dense_base)
+                .unwrap_or_else(|| decode_inst(f, &cx, &block_entry, b.insts[k], dense_base));
+            let width = carrier.op.width();
+            code.push(carrier);
+            for &iid in &b.insts[k + 1..k + width] {
+                code.push(decode_inst(f, &cx, &block_entry, iid, dense_base));
             }
-            if k + 3 < b.insts.len() {
-                if let Some(fused) = try_fuse4(
-                    f,
-                    &cx,
-                    &block_entry,
-                    [b.insts[k], b.insts[k + 1], b.insts[k + 2], b.insts[k + 3]],
-                    dense_base,
-                ) {
-                    code.push(fused);
-                    for j in 1..4 {
-                        code.push(decode_inst(
-                            f,
-                            &cx,
-                            &block_entry,
-                            b.insts[k + j],
-                            dense_base,
-                        ));
-                    }
-                    k += 4;
-                    continue;
-                }
-            }
-            if k + 2 < b.insts.len() {
-                if let Some(fused) = try_fuse3(
-                    f,
-                    &cx,
-                    &block_entry,
-                    b.insts[k],
-                    b.insts[k + 1],
-                    b.insts[k + 2],
-                    dense_base,
-                ) {
-                    code.push(fused);
-                    code.push(decode_inst(
-                        f,
-                        &cx,
-                        &block_entry,
-                        b.insts[k + 1],
-                        dense_base,
-                    ));
-                    code.push(decode_inst(
-                        f,
-                        &cx,
-                        &block_entry,
-                        b.insts[k + 2],
-                        dense_base,
-                    ));
-                    k += 3;
-                    continue;
-                }
-            }
-            if k + 1 < b.insts.len() {
-                if let Some(fused) =
-                    try_fuse(f, &cx, &block_entry, b.insts[k], b.insts[k + 1], dense_base)
-                {
-                    code.push(fused);
-                    code.push(decode_inst(
-                        f,
-                        &cx,
-                        &block_entry,
-                        b.insts[k + 1],
-                        dense_base,
-                    ));
-                    k += 2;
-                    continue;
-                }
-            }
-            code.push(decode_inst(f, &cx, &block_entry, b.insts[k], dense_base));
-            k += 1;
+            k += width;
         }
     }
     let consts = cx.pool.into_inner().vals;
@@ -1287,400 +947,108 @@ fn decode_func(f: &Function, dense_base: u32, slot_base: usize) -> DFunc {
     }
 }
 
-/// Five-instruction fusion, tried first: compiled whole-statement
-/// windows anchored on a load+load+bin head. Layout rule as everywhere —
-/// the superinstruction sits at the first pc and standalone copies fill
-/// the next four slots; the chained tail ops execute from those slots.
-fn try_fuse5(
-    f: &Function,
-    cx: &OpdCx,
-    block_entry: &[u32],
-    ids: [minpsid_ir::InstId; 5],
-    dense_base: u32,
-) -> Option<DInst> {
-    let opd = |o: &Operand| cx.opd(o);
-    let (
-        InstKind::Load {
-            ptr: p1,
-            idx: x1,
-            ty: t1,
-        },
-        InstKind::Load {
-            ptr: p2,
-            idx: x2,
-            ty: t2,
-        },
-        InstKind::Bin { .. },
-    ) = (
-        &f.insts[ids[0].index()].kind,
-        &f.insts[ids[1].index()].kind,
-        &f.insts[ids[2].index()].kind,
-    )
-    else {
-        return None;
-    };
-    let ld_dst = ids[1].0;
-    let ld_dense = dense_base + ids[1].0;
-    let ld_inj = f.insts[ids[1].index()].injectable();
-    let op = match (&f.insts[ids[3].index()].kind, &f.insts[ids[4].index()].kind) {
-        (InstKind::Store { .. }, InstKind::Br { target }) => DOp::LoadLoadBinStoreBr {
-            ty1: *t1,
-            ptr1: opd(p1),
-            idx1: opd(x1),
-            ty2: *t2,
-            ptr2: opd(p2),
-            idx2: opd(x2),
-            ld_dst,
-            ld_dense,
-            ld_inj,
-            target: block_entry[target.index()],
-        },
-        (InstKind::Bin { .. }, InstKind::Store { .. }) => DOp::LoadLoadBinBinStore {
-            ty1: *t1,
-            ptr1: opd(p1),
-            idx1: opd(x1),
-            ty2: *t2,
-            ptr2: opd(p2),
-            idx2: opd(x2),
-            ld_dst,
-            ld_dense,
-            ld_inj,
-        },
-        (InstKind::Bin { .. }, InstKind::Load { .. }) => DOp::LoadLoadBinBinLoad {
-            ty1: *t1,
-            ptr1: opd(p1),
-            idx1: opd(x1),
-            ty2: *t2,
-            ptr2: opd(p2),
-            idx2: opd(x2),
-            ld_dst,
-            ld_dense,
-            ld_inj,
-        },
-        (InstKind::Bin { .. }, InstKind::Bin { .. }) => DOp::LoadLoadBinBinBin {
-            ty1: *t1,
-            ptr1: opd(p1),
-            idx1: opd(x1),
-            ty2: *t2,
-            ptr2: opd(p2),
-            idx2: opd(x2),
-            ld_dst,
-            ld_dense,
-            ld_inj,
-        },
-        _ => return None,
-    };
-    Some(DInst {
-        op,
-        dst: ids[0].0,
-        dense: dense_base + ids[0].0,
-        inj: f.insts[ids[0].index()].injectable(),
-    })
-}
-
-/// Four-instruction fusion, tried after quints: a straight run of four
-/// loads, the load+cast+bin+un twiddle chain, or the loop latch. Layout
-/// rule as for pairs/triples — the superinstruction sits at the first pc
-/// and standalone copies fill the next three slots.
-fn try_fuse4(
-    f: &Function,
-    cx: &OpdCx,
-    block_entry: &[u32],
-    ids: [minpsid_ir::InstId; 4],
-    dense_base: u32,
-) -> Option<DInst> {
-    let opd = |o: &Operand| cx.opd(o);
-    // load + cast + bin + un (the bin may combine the cast result with
-    // anything; no dependence restrictions are needed — each half
-    // fetches its operands after the previous halves' writes)
-    if let (
-        InstKind::Load { ptr, idx, ty },
-        InstKind::Cast { .. },
-        InstKind::Bin { .. },
-        InstKind::Un { .. },
-    ) = (
-        &f.insts[ids[0].index()].kind,
-        &f.insts[ids[1].index()].kind,
-        &f.insts[ids[2].index()].kind,
-        &f.insts[ids[3].index()].kind,
-    ) {
-        return Some(DInst {
-            op: DOp::LoadCastBinUn {
-                ty: *ty,
-                ptr: opd(ptr),
-                idx: opd(idx),
-            },
-            dst: ids[0].0,
-            dense: dense_base + ids[0].0,
-            inj: f.insts[ids[0].index()].injectable(),
-        });
-    }
-    // load + bin + store + br: the loop latch (`i = i + 1; br head`)
-    if let (
-        InstKind::Load { ptr, idx, ty },
-        InstKind::Bin { op, lhs, rhs },
-        InstKind::Store {
-            ptr: sp,
-            idx: si,
-            value: sv,
-        },
-        InstKind::Br { target },
-    ) = (
-        &f.insts[ids[0].index()].kind,
-        &f.insts[ids[1].index()].kind,
-        &f.insts[ids[2].index()].kind,
-        &f.insts[ids[3].index()].kind,
-    ) {
-        return Some(DInst {
-            op: DOp::LoadBinStoreBr {
-                ty: *ty,
-                ptr: opd(ptr),
-                idx: opd(idx),
-                op: *op,
-                a: opd(lhs),
-                b: opd(rhs),
-                bin_dst: ids[1].0,
-                bin_dense: dense_base + ids[1].0,
-                bin_inj: f.insts[ids[1].index()].injectable(),
-                st_ptr: opd(sp),
-                st_idx: opd(si),
-                st_v: opd(sv),
-                target: block_entry[target.index()],
-            },
-            dst: ids[0].0,
-            dense: dense_base + ids[0].0,
-            inj: f.insts[ids[0].index()].injectable(),
-        });
-    }
-    let mut ops = [(Ty::I64, 0 as Opd, 0 as Opd); 4];
-    for (slot, id) in ops.iter_mut().zip(ids) {
-        match &f.insts[id.index()].kind {
-            InstKind::Load { ptr, idx, ty } => *slot = (*ty, opd(ptr), opd(idx)),
-            _ => return None,
-        }
-    }
-    let meta = |i: usize| {
-        let id = ids[i];
-        (id.0, dense_base + id.0, f.insts[id.index()].injectable())
-    };
-    let (d1, n1, j1) = meta(1);
-    let (d2, n2, j2) = meta(2);
-    let (d3, n3, j3) = meta(3);
-    Some(DInst {
-        op: DOp::Load4 {
-            ops,
-            dsts: [d1, d2, d3],
-            denses: [n1, n2, n3],
-            injs: [j1, j2, j3],
-        },
-        dst: ids[0].0,
-        dense: dense_base + ids[0].0,
-        inj: f.insts[ids[0].index()].injectable(),
-    })
-}
-
-/// Three-instruction fusion, tried before pair fusion. Same layout rule:
-/// the superinstruction sits at the first pc, standalone copies of the
-/// second and third occupy their own pcs (snapshot resume can land on
-/// either), and block lengths never change.
-fn try_fuse3(
-    f: &Function,
-    cx: &OpdCx,
-    block_entry: &[u32],
-    i1: minpsid_ir::InstId,
-    i2: minpsid_ir::InstId,
-    i3: minpsid_ir::InstId,
-    dense_base: u32,
-) -> Option<DInst> {
-    let opd = |o: &Operand| cx.opd(o);
-    let first = &f.insts[i1.index()];
-    let second = &f.insts[i2.index()];
-    let third = &f.insts[i3.index()];
-    match (&first.kind, &second.kind, &third.kind) {
-        (
-            InstKind::Load { ptr, idx, ty },
-            InstKind::Cmp { op, lhs, rhs },
-            InstKind::CondBr {
-                cond: Operand::Value(id),
-                then_b,
-                else_b,
-            },
-        ) if *id == i2 => {
-            let kind = match (sty(f, lhs), sty(f, rhs)) {
-                (Some(Ty::I64), Some(Ty::I64)) => CmpKind::II,
-                (Some(Ty::F64), Some(Ty::F64)) => CmpKind::FF,
-                (Some(Ty::Bool), Some(Ty::Bool)) => CmpKind::BB,
-                _ => CmpKind::Any,
-            };
-            Some(DInst {
-                op: DOp::LoadCmpBr {
-                    ty: *ty,
-                    ptr: opd(ptr),
-                    idx: opd(idx),
-                    kind,
-                    op: *op,
-                    a: opd(lhs),
-                    b: opd(rhs),
-                    t: block_entry[then_b.index()],
-                    e: block_entry[else_b.index()],
-                    cmp_dst: i2.0,
-                    cmp_dense: dense_base + i2.0,
-                    cmp_inj: second.injectable(),
-                },
-                dst: i1.0,
-                dense: dense_base + i1.0,
-                inj: first.injectable(),
-            })
-        }
-        (
-            InstKind::Bin { op, lhs, rhs },
-            InstKind::Store { ptr, idx, value },
-            InstKind::Br { target },
-        ) => Some(DInst {
-            op: DOp::BinStoreBr {
-                op: *op,
-                a: opd(lhs),
-                b: opd(rhs),
-                ptr: opd(ptr),
-                idx: opd(idx),
-                v: opd(value),
-                target: block_entry[target.index()],
-            },
-            dst: i1.0,
-            dense: dense_base + i1.0,
-            inj: first.injectable(),
-        }),
-        (
-            InstKind::Load {
-                ptr: p1,
-                idx: x1,
-                ty: t1,
-            },
-            InstKind::Load {
-                ptr: p2,
-                idx: x2,
-                ty: t2,
-            },
-            InstKind::Bin { .. },
-        ) => Some(DInst {
-            op: DOp::LoadLoadBin {
-                ty1: *t1,
-                ptr1: opd(p1),
-                idx1: opd(x1),
-                ty2: *t2,
-                ptr2: opd(p2),
-                idx2: opd(x2),
-                ld_dst: i2.0,
-                ld_dense: dense_base + i2.0,
-                ld_inj: second.injectable(),
-            },
-            dst: i1.0,
-            dense: dense_base + i1.0,
-            inj: first.injectable(),
-        }),
-        (
-            InstKind::Bin { op, lhs, rhs },
-            InstKind::Load {
-                ptr: p2,
-                idx: x2,
-                ty: t2,
-            },
-            InstKind::Load { .. },
-        ) => Some(DInst {
-            op: DOp::BinLoadLoad {
-                op: *op,
-                a: opd(lhs),
-                b: opd(rhs),
-                ty2: *t2,
-                ptr2: opd(p2),
-                idx2: opd(x2),
-                ld_dst: i2.0,
-                ld_dense: dense_base + i2.0,
-                ld_inj: second.injectable(),
-            },
-            dst: i1.0,
-            dense: dense_base + i1.0,
-            inj: first.injectable(),
-        }),
-        (
-            InstKind::Load { ptr, idx, ty },
-            InstKind::Bin { op, lhs, rhs },
-            InstKind::Bin {
-                op: op2,
-                lhs: l2,
-                rhs: r2,
-            },
-        ) if matches!(lhs, Operand::Value(id) if *id == i1)
-            || matches!(rhs, Operand::Value(id) if *id == i1) =>
-        {
-            let load_lhs = matches!(lhs, Operand::Value(id) if *id == i1);
-            let other = if load_lhs { opd(rhs) } else { opd(lhs) };
-            Some(DInst {
-                op: DOp::LoadBinBin {
-                    ty: *ty,
-                    op: *op,
-                    ptr: opd(ptr),
-                    idx: opd(idx),
-                    other,
-                    load_lhs,
-                    bin_dst: i2.0,
-                    bin_dense: dense_base + i2.0,
-                    bin_inj: second.injectable(),
-                    op2: *op2,
-                    a2: opd(l2),
-                    b2: opd(r2),
-                    bin2_dst: i3.0,
-                    bin2_dense: dense_base + i3.0,
-                    bin2_inj: third.injectable(),
-                },
-                dst: i1.0,
-                dense: dense_base + i1.0,
-                inj: first.injectable(),
-            })
-        }
-        _ => None,
-    }
-}
-
+/// The superinstruction that carries the instructions `window` opens
+/// with, if one does. `window` is the rest of a block; a pattern covers
+/// its own two to four instructions ([`DOp::width`]), the widest that
+/// matches wins, and no two of one width match the same window. The set
+/// is the one whose removal measured (EXPERIMENTS.md "The fusion table
+/// earns its keep"): price a new pattern the same way before adding it.
+///
+/// No pattern needs a dependence restriction beyond the ones spelled out:
+/// every half fetches its operands after the previous halves' writes.
 fn try_fuse(
     f: &Function,
     cx: &OpdCx,
     block_entry: &[u32],
-    i1: minpsid_ir::InstId,
-    i2: minpsid_ir::InstId,
+    window: &[minpsid_ir::InstId],
     dense_base: u32,
 ) -> Option<DInst> {
     let opd = |o: &Operand| cx.opd(o);
-    let first = &f.insts[i1.index()];
-    let second = &f.insts[i2.index()];
-    match (&first.kind, &second.kind) {
+    let kind = |h: usize| window.get(h).map(|id| &f.insts[id.index()].kind);
+    // (dst, dense, inj) of a later half, carried inline by the op
+    let meta = |h: usize| {
+        let id = window[h];
+        (id.0, dense_base + id.0, f.insts[id.index()].injectable())
+    };
+    let is = |o: &Operand, h: usize| matches!(o, Operand::Value(id) if *id == window[h]);
+    let cmp_kind = |lhs: &Operand, rhs: &Operand| match (sty(f, lhs), sty(f, rhs)) {
+        (Some(Ty::I64), Some(Ty::I64)) => CmpKind::II,
+        (Some(Ty::F64), Some(Ty::F64)) => CmpKind::FF,
+        (Some(Ty::Bool), Some(Ty::Bool)) => CmpKind::BB,
+        _ => CmpKind::Any,
+    };
+    let op = match (kind(0)?, kind(1)?, kind(2), kind(3)) {
+        // the loop latch (`i = i + 1; br head`)
         (
+            InstKind::Load { ptr, idx, ty },
+            InstKind::Bin { op, lhs, rhs },
+            Some(InstKind::Store {
+                ptr: sp,
+                idx: si,
+                value: sv,
+            }),
+            Some(InstKind::Br { target }),
+        ) => {
+            let (bin_dst, bin_dense, bin_inj) = meta(1);
+            DOp::LoadBinStoreBr {
+                ty: *ty,
+                ptr: opd(ptr),
+                idx: opd(idx),
+                op: *op,
+                a: opd(lhs),
+                b: opd(rhs),
+                bin_dst,
+                bin_dense,
+                bin_inj,
+                st_ptr: opd(sp),
+                st_idx: opd(si),
+                st_v: opd(sv),
+                target: block_entry[target.index()],
+            }
+        }
+        (
+            InstKind::Load { .. },
+            InstKind::Load { .. },
+            Some(InstKind::Load { .. }),
+            Some(InstKind::Load { .. }),
+        ) => {
+            let ops = [0, 1, 2, 3].map(|h| match kind(h) {
+                Some(InstKind::Load { ptr, idx, ty }) => (*ty, opd(ptr), opd(idx)),
+                _ => unreachable!("matched four loads"),
+            });
+            let [m1, m2, m3] = [meta(1), meta(2), meta(3)];
+            DOp::Load4 {
+                ops,
+                dsts: [m1.0, m2.0, m3.0],
+                denses: [m1.1, m2.1, m3.1],
+                injs: [m1.2, m2.2, m3.2],
+            }
+        }
+        (
+            InstKind::Load { ptr, idx, ty },
             InstKind::Cmp { op, lhs, rhs },
-            InstKind::CondBr {
-                cond: Operand::Value(id),
+            Some(InstKind::CondBr {
+                cond,
                 then_b,
                 else_b,
-            },
-        ) if *id == i1 => {
-            let kind = match (sty(f, lhs), sty(f, rhs)) {
-                (Some(Ty::I64), Some(Ty::I64)) => CmpKind::II,
-                (Some(Ty::F64), Some(Ty::F64)) => CmpKind::FF,
-                (Some(Ty::Bool), Some(Ty::Bool)) => CmpKind::BB,
-                _ => CmpKind::Any,
-            };
-            Some(DInst {
-                op: DOp::CmpBr {
-                    kind,
-                    op: *op,
-                    a: opd(lhs),
-                    b: opd(rhs),
-                    t: block_entry[then_b.index()],
-                    e: block_entry[else_b.index()],
-                },
-                dst: i1.0,
-                dense: dense_base + i1.0,
-                inj: first.injectable(),
-            })
+            }),
+            _,
+        ) if is(cond, 1) => {
+            let (cmp_dst, cmp_dense, cmp_inj) = meta(1);
+            DOp::LoadCmpBr {
+                ty: *ty,
+                ptr: opd(ptr),
+                idx: opd(idx),
+                kind: cmp_kind(lhs, rhs),
+                op: *op,
+                a: opd(lhs),
+                b: opd(rhs),
+                t: block_entry[then_b.index()],
+                e: block_entry[else_b.index()],
+                cmp_dst,
+                cmp_dense,
+                cmp_inj,
+            }
         }
         (
             InstKind::Load {
@@ -1693,178 +1061,114 @@ fn try_fuse(
                 idx: x2,
                 ty: t2,
             },
-        ) => Some(DInst {
-            op: DOp::LoadLoad {
+            Some(InstKind::Bin { .. }),
+            _,
+        ) => {
+            let (ld_dst, ld_dense, ld_inj) = meta(1);
+            DOp::LoadLoadBin {
                 ty1: *t1,
                 ptr1: opd(p1),
                 idx1: opd(x1),
                 ty2: *t2,
                 ptr2: opd(p2),
                 idx2: opd(x2),
-                ld_dst: i2.0,
-                ld_dense: dense_base + i2.0,
-                ld_inj: second.injectable(),
-            },
-            dst: i1.0,
-            dense: dense_base + i1.0,
-            inj: first.injectable(),
-        }),
-        (InstKind::Load { ptr, idx, ty }, InstKind::Bin { op, lhs, rhs })
-            if matches!(lhs, Operand::Value(id) if *id == i1)
-                || matches!(rhs, Operand::Value(id) if *id == i1) =>
+                ld_dst,
+                ld_dense,
+                ld_inj,
+            }
+        }
+        // a bin of the load just before it, alone or feeding a second bin
+        (InstKind::Load { ptr, idx, ty }, InstKind::Bin { op, lhs, rhs }, third, _)
+            if is(lhs, 0) || is(rhs, 0) =>
         {
-            let load_lhs = matches!(lhs, Operand::Value(id) if *id == i1);
+            let load_lhs = is(lhs, 0);
+            let (ty, op, ptr, idx) = (*ty, *op, opd(ptr), opd(idx));
             let other = if load_lhs { opd(rhs) } else { opd(lhs) };
-            Some(DInst {
-                op: DOp::LoadBin {
-                    ty: *ty,
-                    op: *op,
-                    ptr: opd(ptr),
-                    idx: opd(idx),
+            let (bin_dst, bin_dense, bin_inj) = meta(1);
+            match third {
+                Some(InstKind::Bin {
+                    op: op2,
+                    lhs: l2,
+                    rhs: r2,
+                }) => {
+                    let (bin2_dst, bin2_dense, bin2_inj) = meta(2);
+                    DOp::LoadBinBin {
+                        ty,
+                        op,
+                        ptr,
+                        idx,
+                        other,
+                        load_lhs,
+                        bin_dst,
+                        bin_dense,
+                        bin_inj,
+                        op2: *op2,
+                        a2: opd(l2),
+                        b2: opd(r2),
+                        bin2_dst,
+                        bin2_dense,
+                        bin2_inj,
+                    }
+                }
+                _ => DOp::LoadBin {
+                    ty,
+                    op,
+                    ptr,
+                    idx,
                     other,
                     load_lhs,
-                    bin_dst: i2.0,
-                    bin_dense: dense_base + i2.0,
-                    bin_inj: second.injectable(),
+                    bin_dst,
+                    bin_dense,
+                    bin_inj,
                 },
-                dst: i1.0,
-                dense: dense_base + i1.0,
-                inj: first.injectable(),
-            })
+            }
         }
         (
-            InstKind::Bin {
-                op: o1,
-                lhs: l1,
-                rhs: r1,
+            InstKind::Cmp { op, lhs, rhs },
+            InstKind::CondBr {
+                cond,
+                then_b,
+                else_b,
             },
-            InstKind::Bin {
-                op: o2,
-                lhs: l2,
-                rhs: r2,
-            },
-        ) => Some(DInst {
-            op: DOp::BinBin {
-                op1: *o1,
-                a1: opd(l1),
-                b1: opd(r1),
-                op2: *o2,
-                a2: opd(l2),
-                b2: opd(r2),
-                bin_dst: i2.0,
-                bin_dense: dense_base + i2.0,
-                bin_inj: second.injectable(),
-            },
-            dst: i1.0,
-            dense: dense_base + i1.0,
-            inj: first.injectable(),
-        }),
-        (InstKind::Bin { op, lhs, rhs }, InstKind::Br { target }) => Some(DInst {
-            op: DOp::BinBr {
-                op: *op,
-                a: opd(lhs),
-                b: opd(rhs),
-                target: block_entry[target.index()],
-            },
-            dst: i1.0,
-            dense: dense_base + i1.0,
-            inj: first.injectable(),
-        }),
-        (InstKind::Bin { op, lhs, rhs }, InstKind::Store { ptr, idx, value }) => Some(DInst {
-            op: DOp::BinStore {
-                op: *op,
-                a: opd(lhs),
-                b: opd(rhs),
-                ptr: opd(ptr),
-                idx: opd(idx),
-                v: opd(value),
-            },
-            dst: i1.0,
-            dense: dense_base + i1.0,
-            inj: first.injectable(),
-        }),
-        (InstKind::Store { ptr, idx, value }, InstKind::Br { target }) => Some(DInst {
-            op: DOp::StoreBr {
-                ptr: opd(ptr),
-                idx: opd(idx),
-                v: opd(value),
-                target: block_entry[target.index()],
-            },
-            dst: u32::MAX,
-            dense: dense_base + i1.0,
-            inj: false,
-        }),
-        (
-            InstKind::Bin { op, lhs, rhs },
-            InstKind::Load {
-                ptr: p2,
-                idx: x2,
-                ty: t2,
-            },
-        ) => Some(DInst {
-            op: DOp::BinLoad {
-                op: *op,
-                a: opd(lhs),
-                b: opd(rhs),
-                ty2: *t2,
-                ptr2: opd(p2),
-                idx2: opd(x2),
-                ld_dst: i2.0,
-                ld_dense: dense_base + i2.0,
-                ld_inj: second.injectable(),
-            },
-            dst: i1.0,
-            dense: dense_base + i1.0,
-            inj: first.injectable(),
-        }),
-        (
-            InstKind::Load {
-                ptr: p1,
-                idx: x1,
-                ty: t1,
-            },
-            InstKind::Store { ptr, idx, value },
-        ) => Some(DInst {
-            op: DOp::LoadStore {
-                ty: *t1,
-                ptr1: opd(p1),
-                idx1: opd(x1),
-                ptr2: opd(ptr),
-                idx2: opd(idx),
-                v: opd(value),
-            },
-            dst: i1.0,
-            dense: dense_base + i1.0,
-            inj: first.injectable(),
-        }),
-        (
-            InstKind::Store {
-                ptr: p1,
-                idx: x1,
-                value,
-            },
-            InstKind::Load {
-                ptr: p2,
-                idx: x2,
-                ty: t2,
-            },
-        ) => Some(DInst {
-            op: DOp::StoreLoad {
-                ptr1: opd(p1),
-                idx1: opd(x1),
-                v: opd(value),
-                ty2: *t2,
-                ptr2: opd(p2),
-                idx2: opd(x2),
-                ld_dst: i2.0,
-                ld_dense: dense_base + i2.0,
-                ld_inj: second.injectable(),
-            },
-            dst: u32::MAX,
-            dense: dense_base + i1.0,
-            inj: false,
-        }),
-        _ => None,
+            ..,
+        ) if is(cond, 0) => DOp::CmpBr {
+            kind: cmp_kind(lhs, rhs),
+            op: *op,
+            a: opd(lhs),
+            b: opd(rhs),
+            t: block_entry[then_b.index()],
+            e: block_entry[else_b.index()],
+        },
+        (InstKind::Store { ptr, idx, value }, InstKind::Br { target }, ..) => DOp::StoreBr {
+            ptr: opd(ptr),
+            idx: opd(idx),
+            v: opd(value),
+            target: block_entry[target.index()],
+        },
+        _ => return None,
+    };
+    Some(slot(f, window[0], dense_base, op))
+}
+
+/// The slot of instruction `iid` holding `op`: the static metadata the
+/// oracle looks up per step.
+fn slot(f: &Function, iid: minpsid_ir::InstId, dense_base: u32, op: DOp) -> DInst {
+    let inst = &f.insts[iid.index()];
+    // Calls keep their dst: the return value is written through the call
+    // op's slot when the callee returns (see the `Ret` arm).
+    let has_result = !matches!(
+        inst.kind,
+        InstKind::Store { .. }
+            | InstKind::Check { .. }
+            | InstKind::Br { .. }
+            | InstKind::CondBr { .. }
+            | InstKind::Ret { .. }
+    );
+    DInst {
+        op,
+        dst: if has_result { iid.0 } else { u32::MAX },
+        dense: dense_base + iid.0,
+        inj: inst.injectable(),
     }
 }
 
@@ -1963,22 +1267,7 @@ fn decode_inst(
             v: v.as_ref().map(opd),
         },
     };
-    // Calls keep their dst: the return value is written through the call
-    // op's slot when the callee returns (see the `Ret` arm).
-    let has_result = !matches!(
-        inst.kind,
-        InstKind::Store { .. }
-            | InstKind::Check { .. }
-            | InstKind::Br { .. }
-            | InstKind::CondBr { .. }
-            | InstKind::Ret { .. }
-    );
-    DInst {
-        op,
-        dst: if has_result { iid.0 } else { u32::MAX },
-        dense: dense_base + iid.0,
-        inj: inst.injectable(),
-    }
+    slot(f, iid, dense_base, op)
 }
 
 /// Run the decoded loop from the state in `scratch` to a termination.
@@ -2119,14 +1408,14 @@ enum Stop {
     /// Clean only: the state equals the golden run's at the checkpoint
     /// just visited.
     Converged,
-    /// The run is over. `executed`: whether the instruction in flight, at
-    /// logical pc `top_pc` of the running frame, got past its step
-    /// accounting (false only when the accounting itself ends the run).
+    /// The run is over. `executed`: whether the instruction in flight got
+    /// past its step accounting (false only when the accounting itself
+    /// ends the run); `pc`: the slot carrying it in the running frame.
     End {
         termination: Termination,
         ret: Option<Value>,
         executed: bool,
-        top_pc: usize,
+        pc: usize,
     },
 }
 
@@ -2158,7 +1447,7 @@ fn run_loop<const ARMED: bool, const OBS: bool>(
             termination,
             ret,
             executed,
-            top_pc,
+            pc,
         } => {
             let st = &mut scratch.st;
             let result = ExecResult {
@@ -2176,7 +1465,7 @@ fn run_loop<const ARMED: bool, const OBS: bool>(
                 scratch.obs.finish(
                     interp,
                     &scratch.dframes,
-                    top_pc as u32,
+                    (pc + scratch.obs.half) as u32,
                     executed,
                     result,
                     ARMED.then_some(st.inj_ctr),
@@ -2272,11 +1561,13 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
     let mut code: &[DInst] = &dm.funcs[top.func as usize].code;
     // armed only: dense index of the instruction whose value was flipped
     let mut flipped = u32::MAX;
-    // observed only: the running function's base into the taken-branch
-    // counters, and the offset of the instruction in flight from the slot
-    // carrying it (`pc + half_l` is its logical pc when a run stops)
+    // observed only: whether register writes are traced, asked once — the
+    // `Option`'s niche is a 64-bit constant, and tested at every write it
+    // is hoisted into a register of its own, which `pc` then pays for
+    // (see `Observers::half`, and the note on `capture` below) — and the
+    // running function's base into the taken-branch counters
+    let tracing = OBS && obs.trace.is_some();
     let mut br_base = 2 * dm.funcs[top.func as usize].slot_base;
-    let mut half_l = 0usize;
 
     // the step counter lives in a register-resident local for the whole
     // loop; every exit path writes it back through `finish!` (or the
@@ -2354,7 +1645,7 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
                 termination: $term,
                 ret: $ret,
                 executed: $executed,
-                top_pc: pc + half_l,
+                pc,
             };
         }};
     }
@@ -2374,7 +1665,7 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
         ($di:expr, $half:expr) => {
             steps_l += 1;
             if OBS {
-                half_l = $half;
+                obs.half = $half;
             }
             if unlikely(steps_l >= next_pause) {
                 // cold: a capture is due, the limit expired, a profiler
@@ -2540,7 +1831,7 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
             unsafe {
                 *regs.get_unchecked_mut(reg_base + $dst as usize) = v;
             }
-            if OBS {
+            if OBS && tracing {
                 if let Some(t) = obs.trace.as_mut() {
                     t.push(TraceEvent {
                         dense: $dense,
@@ -3083,83 +2374,6 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
                 }
                 pc += 4;
             }
-            DOp::LoadCastBinUn { ty, ptr, idx } => {
-                // load half (metadata on the carrying DInst)
-                let bits = load_word!(ptr, idx);
-                let r = match ty {
-                    Ty::I64 => Value::I(bits as i64),
-                    Ty::F64 => Value::F(f64::from_bits(bits)),
-                    _ => trap!(TrapKind::TypeConfusion),
-                };
-                produce!(di.dense, di.inj, di.dst, r);
-                // the cast, bin and un execute from their standalone
-                // slots — a bounded tag check each, not a dispatch
-                // round; every half fetches after the previous write
-                tick!(di, 1);
-                // SAFETY: decode fused a 4-window of one block, so the
-                // three standalone copies follow the carrying slot
-                let d2 = unsafe { cur_code.get_unchecked(pc + 1) };
-                match &d2.op {
-                    DOp::Cast { to, a } => {
-                        let v = raw!(a);
-                        let r = match (v, to) {
-                            (Value::I(x), Ty::F64) => Value::F(x as f64),
-                            (Value::F(x), Ty::I64) => Value::I(x as i64), // saturating
-                            (Value::B(x), Ty::I64) => Value::I(x as i64),
-                            (Value::I(x), Ty::I64) => Value::I(x),
-                            _ => trap!(TrapKind::TypeConfusion),
-                        };
-                        produce!(d2.dense, d2.inj, d2.dst, r);
-                    }
-                    _ => unreachable!("LoadCastBinUn chains a cast slot"),
-                }
-                tick!(di, 2);
-                // SAFETY: as above
-                let d3 = unsafe { cur_code.get_unchecked(pc + 2) };
-                match &d3.op {
-                    DOp::BinII { op, a, b } => {
-                        let r = bin_ii!(op, int!(a), int!(b));
-                        produce!(d3.dense, d3.inj, d3.dst, Value::I(r));
-                    }
-                    DOp::BinFF { op, a, b } => {
-                        let r = bin_ff!(op, flt!(a), flt!(b));
-                        produce!(d3.dense, d3.inj, d3.dst, Value::F(r));
-                    }
-                    DOp::BinAny { op, a, b } => {
-                        let x = raw!(a);
-                        let y = raw!(b);
-                        let r = bin_any!(op, x, y);
-                        produce!(d3.dense, d3.inj, d3.dst, r);
-                    }
-                    _ => unreachable!("LoadCastBinUn chains a bin slot"),
-                }
-                tick!(di, 3);
-                // SAFETY: as above
-                let d4 = unsafe { cur_code.get_unchecked(pc + 3) };
-                match &d4.op {
-                    DOp::Un { op, a } => {
-                        let v = raw!(a);
-                        let r = match (op, v) {
-                            (UnOp::Neg, Value::I(x)) => Value::I(x.wrapping_neg()),
-                            (UnOp::Neg, Value::F(x)) => Value::F(-x),
-                            (UnOp::Not, Value::B(x)) => Value::B(!x),
-                            (UnOp::Not, Value::I(x)) => Value::I(!x),
-                            (UnOp::Abs, Value::I(x)) => Value::I(x.wrapping_abs()),
-                            (UnOp::Abs, Value::F(x)) => Value::F(x.abs()),
-                            (UnOp::Sqrt, Value::F(x)) => Value::F(x.sqrt()),
-                            (UnOp::Sin, Value::F(x)) => Value::F(x.sin()),
-                            (UnOp::Cos, Value::F(x)) => Value::F(x.cos()),
-                            (UnOp::Exp, Value::F(x)) => Value::F(x.exp()),
-                            (UnOp::Log, Value::F(x)) => Value::F(x.ln()),
-                            (UnOp::Floor, Value::F(x)) => Value::F(x.floor()),
-                            _ => trap!(TrapKind::TypeConfusion),
-                        };
-                        produce!(d4.dense, d4.inj, d4.dst, r);
-                    }
-                    _ => unreachable!("LoadCastBinUn chains a un slot"),
-                }
-                pc += 4;
-            }
             DOp::LoadCmpBr {
                 ty,
                 ptr,
@@ -3212,74 +2426,6 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
                 edge!(2, !cv);
                 pc = if cv { *t } else { *e } as usize;
             }
-            DOp::BinLoad {
-                op,
-                a,
-                b,
-                ty2,
-                ptr2,
-                idx2,
-                ld_dst,
-                ld_dense,
-                ld_inj,
-            } => {
-                // bin half (metadata on the carrying DInst)
-                let x = raw!(a);
-                let y = raw!(b);
-                let r = bin_any!(op, x, y);
-                produce!(di.dense, di.inj, di.dst, r);
-                // load half: address fetched after the bin write
-                tick!(di, 1);
-                let bits = load_word!(ptr2, idx2);
-                let r = match ty2 {
-                    Ty::I64 => Value::I(bits as i64),
-                    Ty::F64 => Value::F(f64::from_bits(bits)),
-                    _ => trap!(TrapKind::TypeConfusion),
-                };
-                produce!(*ld_dense, *ld_inj, *ld_dst, r);
-                pc += 2;
-            }
-            DOp::LoadStore {
-                ty,
-                ptr1,
-                idx1,
-                ptr2,
-                idx2,
-                v,
-            } => {
-                // load half (metadata on the carrying DInst)
-                let bits = load_word!(ptr1, idx1);
-                let r = match ty {
-                    Ty::I64 => Value::I(bits as i64),
-                    Ty::F64 => Value::F(f64::from_bits(bits)),
-                    _ => trap!(TrapKind::TypeConfusion),
-                };
-                produce!(di.dense, di.inj, di.dst, r);
-                // store half: value fetched after the load write, so a
-                // store of the loaded value reads the post-fault value
-                tick!(di, 1);
-                store_word!(ptr2, idx2, v);
-                pc += 2;
-            }
-            DOp::BinStore {
-                op,
-                a,
-                b,
-                ptr,
-                idx,
-                v,
-            } => {
-                // bin half (metadata on the carrying DInst)
-                let x = raw!(a);
-                let y = raw!(b);
-                let r = bin_any!(op, x, y);
-                produce!(di.dense, di.inj, di.dst, r);
-                // store half: value fetched after the bin write, so a
-                // store of the bin result reads the post-fault value
-                tick!(di, 1);
-                store_word!(ptr, idx, v);
-                pc += 2;
-            }
             DOp::StoreBr {
                 ptr,
                 idx,
@@ -3292,98 +2438,6 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
                 tick!(di, 1);
                 edge!(1, false);
                 pc = *target as usize;
-            }
-            DOp::StoreLoad {
-                ptr1,
-                idx1,
-                v,
-                ty2,
-                ptr2,
-                idx2,
-                ld_dst,
-                ld_dense,
-                ld_inj,
-            } => {
-                // store half (carrying DInst; produces nothing)
-                store_word!(ptr1, idx1, v);
-                // load half: address fetched after the store, so a
-                // read-back of the stored slot sees the new value
-                tick!(di, 1);
-                let bits = load_word!(ptr2, idx2);
-                let r = match ty2 {
-                    Ty::I64 => Value::I(bits as i64),
-                    Ty::F64 => Value::F(f64::from_bits(bits)),
-                    _ => trap!(TrapKind::TypeConfusion),
-                };
-                produce!(*ld_dense, *ld_inj, *ld_dst, r);
-                pc += 2;
-            }
-            DOp::BinBr { op, a, b, target } => {
-                // bin half (metadata on the carrying DInst)
-                let x = raw!(a);
-                let y = raw!(b);
-                let r = bin_any!(op, x, y);
-                produce!(di.dense, di.inj, di.dst, r);
-                // branch half: control-only
-                tick!(di, 1);
-                edge!(1, false);
-                pc = *target as usize;
-            }
-            DOp::BinBin {
-                op1,
-                a1,
-                b1,
-                op2,
-                a2,
-                b2,
-                bin_dst,
-                bin_dense,
-                bin_inj,
-            } => {
-                // first half (metadata on the carrying DInst)
-                let x = raw!(a1);
-                let y = raw!(b1);
-                let r = bin_any!(op1, x, y);
-                produce!(di.dense, di.inj, di.dst, r);
-                // second half fetches after the first write, so a
-                // dependent pair reads the post-fault value as the oracle does
-                tick!(di, 1);
-                let x = raw!(a2);
-                let y = raw!(b2);
-                let r = bin_any!(op2, x, y);
-                produce!(*bin_dense, *bin_inj, *bin_dst, r);
-                pc += 2;
-            }
-            DOp::LoadLoad {
-                ty1,
-                ptr1,
-                idx1,
-                ty2,
-                ptr2,
-                idx2,
-                ld_dst,
-                ld_dense,
-                ld_inj,
-            } => {
-                // first load (metadata on the carrying DInst)
-                let bits = load_word!(ptr1, idx1);
-                let r = match ty1 {
-                    Ty::I64 => Value::I(bits as i64),
-                    Ty::F64 => Value::F(f64::from_bits(bits)),
-                    _ => trap!(TrapKind::TypeConfusion),
-                };
-                produce!(di.dense, di.inj, di.dst, r);
-                // second load: address operands fetched after the first
-                // write, so indirect chains read the post-fault value
-                tick!(di, 1);
-                let bits = load_word!(ptr2, idx2);
-                let r = match ty2 {
-                    Ty::I64 => Value::I(bits as i64),
-                    Ty::F64 => Value::F(f64::from_bits(bits)),
-                    _ => trap!(TrapKind::TypeConfusion),
-                };
-                produce!(*ld_dense, *ld_inj, *ld_dst, r);
-                pc += 2;
             }
             DOp::LoadBin {
                 ty,
@@ -3415,28 +2469,6 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
                 let r = bin_any!(op, x, y);
                 produce!(*bin_dense, *bin_inj, *bin_dst, r);
                 pc += 2;
-            }
-            DOp::BinStoreBr {
-                op,
-                a,
-                b,
-                ptr,
-                idx,
-                v,
-                target,
-            } => {
-                // bin half (metadata on the carrying DInst)
-                let x = raw!(a);
-                let y = raw!(b);
-                let r = bin_any!(op, x, y);
-                produce!(di.dense, di.inj, di.dst, r);
-                // store half: value fetched after the bin write
-                tick!(di, 1);
-                store_word!(ptr, idx, v);
-                // branch half: control-only
-                tick!(di, 2);
-                edge!(2, false);
-                pc = *target as usize;
             }
             DOp::LoadLoadBin {
                 ty1,
@@ -3490,50 +2522,6 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
                         produce!(d3.dense, d3.inj, d3.dst, r);
                     }
                     _ => unreachable!("LoadLoadBin chains a bin slot"),
-                }
-                pc += 3;
-            }
-            DOp::BinLoadLoad {
-                op,
-                a,
-                b,
-                ty2,
-                ptr2,
-                idx2,
-                ld_dst,
-                ld_dense,
-                ld_inj,
-            } => {
-                // bin half (metadata on the carrying DInst)
-                let x = raw!(a);
-                let y = raw!(b);
-                let r = bin_any!(op, x, y);
-                produce!(di.dense, di.inj, di.dst, r);
-                // first load: address fetched after the bin write
-                tick!(di, 1);
-                let bits = load_word!(ptr2, idx2);
-                let r = match ty2 {
-                    Ty::I64 => Value::I(bits as i64),
-                    Ty::F64 => Value::F(f64::from_bits(bits)),
-                    _ => trap!(TrapKind::TypeConfusion),
-                };
-                produce!(*ld_dense, *ld_inj, *ld_dst, r);
-                // second load executes from its standalone slot
-                tick!(di, 2);
-                // SAFETY: decode fused a 3-window of one block, so the
-                // standalone load copy sits two slots after the carrier
-                let d3 = unsafe { cur_code.get_unchecked(pc + 2) };
-                match &d3.op {
-                    DOp::Load { ty, ptr, idx } => {
-                        let bits = load_word!(ptr, idx);
-                        let r = match ty {
-                            Ty::I64 => Value::I(bits as i64),
-                            Ty::F64 => Value::F(f64::from_bits(bits)),
-                            _ => trap!(TrapKind::TypeConfusion),
-                        };
-                        produce!(d3.dense, d3.inj, d3.dst, r);
-                    }
-                    _ => unreachable!("BinLoadLoad chains a load slot"),
                 }
                 pc += 3;
             }
@@ -3617,282 +2605,6 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
                 edge!(3, false);
                 pc = *target as usize;
             }
-            DOp::LoadLoadBinStoreBr {
-                ty1,
-                ptr1,
-                idx1,
-                ty2,
-                ptr2,
-                idx2,
-                ld_dst,
-                ld_dense,
-                ld_inj,
-                target,
-            } => {
-                // first load (metadata on the carrying DInst)
-                let bits = load_word!(ptr1, idx1);
-                let r = match ty1 {
-                    Ty::I64 => Value::I(bits as i64),
-                    Ty::F64 => Value::F(f64::from_bits(bits)),
-                    _ => trap!(TrapKind::TypeConfusion),
-                };
-                produce!(di.dense, di.inj, di.dst, r);
-                // second load: address operands fetched after the first
-                // write, so indirect chains read the post-fault value
-                tick!(di, 1);
-                let bits = load_word!(ptr2, idx2);
-                let r = match ty2 {
-                    Ty::I64 => Value::I(bits as i64),
-                    Ty::F64 => Value::F(f64::from_bits(bits)),
-                    _ => trap!(TrapKind::TypeConfusion),
-                };
-                produce!(*ld_dense, *ld_inj, *ld_dst, r);
-                // bin and store execute from their standalone slots
-                tick!(di, 2);
-                // SAFETY: decode fused a 5-window of one block, so the
-                // four standalone copies follow the carrying slot
-                let d3 = unsafe { cur_code.get_unchecked(pc + 2) };
-                match &d3.op {
-                    DOp::BinII { op, a, b }
-                    | DOp::BinFF { op, a, b }
-                    | DOp::BinAny { op, a, b } => {
-                        let x = raw!(a);
-                        let y = raw!(b);
-                        let r = bin_any!(op, x, y);
-                        produce!(d3.dense, d3.inj, d3.dst, r);
-                    }
-                    _ => unreachable!("LoadLoadBinStoreBr chains a bin slot"),
-                }
-                tick!(di, 3);
-                // SAFETY: as above
-                let d4 = unsafe { cur_code.get_unchecked(pc + 3) };
-                match &d4.op {
-                    DOp::Store { ptr, idx, v } => store_word!(ptr, idx, v),
-                    _ => unreachable!("LoadLoadBinStoreBr chains a store slot"),
-                }
-                // branch half: control-only
-                tick!(di, 4);
-                edge!(4, false);
-                pc = *target as usize;
-            }
-            DOp::LoadLoadBinBinStore {
-                ty1,
-                ptr1,
-                idx1,
-                ty2,
-                ptr2,
-                idx2,
-                ld_dst,
-                ld_dense,
-                ld_inj,
-            } => {
-                // first load (metadata on the carrying DInst)
-                let bits = load_word!(ptr1, idx1);
-                let r = match ty1 {
-                    Ty::I64 => Value::I(bits as i64),
-                    Ty::F64 => Value::F(f64::from_bits(bits)),
-                    _ => trap!(TrapKind::TypeConfusion),
-                };
-                produce!(di.dense, di.inj, di.dst, r);
-                // second load
-                tick!(di, 1);
-                let bits = load_word!(ptr2, idx2);
-                let r = match ty2 {
-                    Ty::I64 => Value::I(bits as i64),
-                    Ty::F64 => Value::F(f64::from_bits(bits)),
-                    _ => trap!(TrapKind::TypeConfusion),
-                };
-                produce!(*ld_dense, *ld_inj, *ld_dst, r);
-                // two bins and the store execute from standalone slots
-                tick!(di, 2);
-                // SAFETY: decode fused a 5-window of one block, so the
-                // four standalone copies follow the carrying slot
-                let d3 = unsafe { cur_code.get_unchecked(pc + 2) };
-                match &d3.op {
-                    DOp::BinII { op, a, b }
-                    | DOp::BinFF { op, a, b }
-                    | DOp::BinAny { op, a, b } => {
-                        let x = raw!(a);
-                        let y = raw!(b);
-                        let r = bin_any!(op, x, y);
-                        produce!(d3.dense, d3.inj, d3.dst, r);
-                    }
-                    _ => unreachable!("LoadLoadBinBinStore chains a bin slot"),
-                }
-                tick!(di, 3);
-                // SAFETY: as above
-                let d4 = unsafe { cur_code.get_unchecked(pc + 3) };
-                match &d4.op {
-                    DOp::BinII { op, a, b }
-                    | DOp::BinFF { op, a, b }
-                    | DOp::BinAny { op, a, b } => {
-                        let x = raw!(a);
-                        let y = raw!(b);
-                        let r = bin_any!(op, x, y);
-                        produce!(d4.dense, d4.inj, d4.dst, r);
-                    }
-                    _ => unreachable!("LoadLoadBinBinStore chains a bin slot"),
-                }
-                tick!(di, 4);
-                // SAFETY: as above
-                let d5 = unsafe { cur_code.get_unchecked(pc + 4) };
-                match &d5.op {
-                    DOp::Store { ptr, idx, v } => store_word!(ptr, idx, v),
-                    _ => unreachable!("LoadLoadBinBinStore chains a store slot"),
-                }
-                pc += 5;
-            }
-            DOp::LoadLoadBinBinLoad {
-                ty1,
-                ptr1,
-                idx1,
-                ty2,
-                ptr2,
-                idx2,
-                ld_dst,
-                ld_dense,
-                ld_inj,
-            } => {
-                // first load (metadata on the carrying DInst)
-                let bits = load_word!(ptr1, idx1);
-                let r = match ty1 {
-                    Ty::I64 => Value::I(bits as i64),
-                    Ty::F64 => Value::F(f64::from_bits(bits)),
-                    _ => trap!(TrapKind::TypeConfusion),
-                };
-                produce!(di.dense, di.inj, di.dst, r);
-                // second load
-                tick!(di, 1);
-                let bits = load_word!(ptr2, idx2);
-                let r = match ty2 {
-                    Ty::I64 => Value::I(bits as i64),
-                    Ty::F64 => Value::F(f64::from_bits(bits)),
-                    _ => trap!(TrapKind::TypeConfusion),
-                };
-                produce!(*ld_dense, *ld_inj, *ld_dst, r);
-                // the bins and the trailing element load execute from
-                // standalone slots
-                tick!(di, 2);
-                // SAFETY: decode fused a 5-window of one block, so the
-                // four standalone copies follow the carrying slot
-                let d3 = unsafe { cur_code.get_unchecked(pc + 2) };
-                match &d3.op {
-                    DOp::BinII { op, a, b }
-                    | DOp::BinFF { op, a, b }
-                    | DOp::BinAny { op, a, b } => {
-                        let x = raw!(a);
-                        let y = raw!(b);
-                        let r = bin_any!(op, x, y);
-                        produce!(d3.dense, d3.inj, d3.dst, r);
-                    }
-                    _ => unreachable!("LoadLoadBinBinLoad chains a bin slot"),
-                }
-                tick!(di, 3);
-                // SAFETY: as above
-                let d4 = unsafe { cur_code.get_unchecked(pc + 3) };
-                match &d4.op {
-                    DOp::BinII { op, a, b }
-                    | DOp::BinFF { op, a, b }
-                    | DOp::BinAny { op, a, b } => {
-                        let x = raw!(a);
-                        let y = raw!(b);
-                        let r = bin_any!(op, x, y);
-                        produce!(d4.dense, d4.inj, d4.dst, r);
-                    }
-                    _ => unreachable!("LoadLoadBinBinLoad chains a bin slot"),
-                }
-                tick!(di, 4);
-                // SAFETY: as above
-                let d5 = unsafe { cur_code.get_unchecked(pc + 4) };
-                match &d5.op {
-                    DOp::Load { ty, ptr, idx } => {
-                        let bits = load_word!(ptr, idx);
-                        let r = match ty {
-                            Ty::I64 => Value::I(bits as i64),
-                            Ty::F64 => Value::F(f64::from_bits(bits)),
-                            _ => trap!(TrapKind::TypeConfusion),
-                        };
-                        produce!(d5.dense, d5.inj, d5.dst, r);
-                    }
-                    _ => unreachable!("LoadLoadBinBinLoad chains a load slot"),
-                }
-                pc += 5;
-            }
-            DOp::LoadLoadBinBinBin {
-                ty1,
-                ptr1,
-                idx1,
-                ty2,
-                ptr2,
-                idx2,
-                ld_dst,
-                ld_dense,
-                ld_inj,
-            } => {
-                // first load (metadata on the carrying DInst)
-                let bits = load_word!(ptr1, idx1);
-                let r = match ty1 {
-                    Ty::I64 => Value::I(bits as i64),
-                    Ty::F64 => Value::F(f64::from_bits(bits)),
-                    _ => trap!(TrapKind::TypeConfusion),
-                };
-                produce!(di.dense, di.inj, di.dst, r);
-                // second load
-                tick!(di, 1);
-                let bits = load_word!(ptr2, idx2);
-                let r = match ty2 {
-                    Ty::I64 => Value::I(bits as i64),
-                    Ty::F64 => Value::F(f64::from_bits(bits)),
-                    _ => trap!(TrapKind::TypeConfusion),
-                };
-                produce!(*ld_dense, *ld_inj, *ld_dst, r);
-                // the three-op arithmetic chain executes from standalone
-                // slots, each fetching after the previous write
-                tick!(di, 2);
-                // SAFETY: decode fused a 5-window of one block, so the
-                // four standalone copies follow the carrying slot
-                let d3 = unsafe { cur_code.get_unchecked(pc + 2) };
-                match &d3.op {
-                    DOp::BinII { op, a, b }
-                    | DOp::BinFF { op, a, b }
-                    | DOp::BinAny { op, a, b } => {
-                        let x = raw!(a);
-                        let y = raw!(b);
-                        let r = bin_any!(op, x, y);
-                        produce!(d3.dense, d3.inj, d3.dst, r);
-                    }
-                    _ => unreachable!("LoadLoadBinBinBin chains a bin slot"),
-                }
-                tick!(di, 3);
-                // SAFETY: as above
-                let d4 = unsafe { cur_code.get_unchecked(pc + 3) };
-                match &d4.op {
-                    DOp::BinII { op, a, b }
-                    | DOp::BinFF { op, a, b }
-                    | DOp::BinAny { op, a, b } => {
-                        let x = raw!(a);
-                        let y = raw!(b);
-                        let r = bin_any!(op, x, y);
-                        produce!(d4.dense, d4.inj, d4.dst, r);
-                    }
-                    _ => unreachable!("LoadLoadBinBinBin chains a bin slot"),
-                }
-                tick!(di, 4);
-                // SAFETY: as above
-                let d5 = unsafe { cur_code.get_unchecked(pc + 4) };
-                match &d5.op {
-                    DOp::BinII { op, a, b }
-                    | DOp::BinFF { op, a, b }
-                    | DOp::BinAny { op, a, b } => {
-                        let x = raw!(a);
-                        let y = raw!(b);
-                        let r = bin_any!(op, x, y);
-                        produce!(d5.dense, d5.inj, d5.dst, r);
-                    }
-                    _ => unreachable!("LoadLoadBinBinBin chains a bin slot"),
-                }
-                pc += 5;
-            }
         }
     }
 }
@@ -3921,6 +2633,7 @@ fn mix(a: [float], n: int, w: float) -> float {
         a[i] = a[(i + 1) % n] * w + x;
         s = s + cos(w * float(i)) * a[i];
         t = t + s * x - w;
+        t = t * 0.5 + 1.0;
         if s > t { let u = s; s = t; t = u; }
     }
     return s + t;
@@ -3994,10 +2707,124 @@ fn main() {
             slotted * 2 > all,
             "{slotted} of {all} halves slot-addressed"
         );
-        assert!(
-            slotted_kinds.len() >= 10,
-            "slot-addressed halves in only {slotted_kinds:?}"
-        );
+        // plain loads and stores, and every superinstruction but the one
+        // that touches no memory
+        let unslotted: Vec<_> = (0..OP_NAMES.len())
+            .filter(|&k| k >= crate::opprof::FIRST_FUSED || matches!(OP_NAMES[k], "Load" | "Store"))
+            .filter(|k| !slotted_kinds.contains(k))
+            .map(|k| OP_NAMES[k])
+            .collect();
+        assert_eq!(unslotted, ["CmpBr"], "slot-addressed: {slotted_kinds:?}");
+    }
+
+    /// The enum, [`OP_NAMES`], [`DOp::index`], [`DOp::width`] and
+    /// [`FIRST_FUSED`](crate::opprof::FIRST_FUSED) are four hand-kept
+    /// lists; a profile is attributed through them. Decode one function
+    /// holding every instruction kind at every operand typing and every
+    /// window that fuses, and hold each emitted op to all four: its name
+    /// is its variant's, and it sits at or past `FIRST_FUSED` exactly when
+    /// it carries a window. Every index is seen, so a variant added
+    /// without its rows fails here.
+    #[test]
+    fn every_op_kind_is_declared_once() {
+        use minpsid_ir::{ModuleBuilder, UnOp};
+        let mut mb = ModuleBuilder::new("kinds");
+        let main = mb.declare("main", vec![Ty::I64], None);
+        let mut fb = mb.body(main);
+        let [cmp_br, store_br, load_bin, load_bin_bin, load_load_bin, load4, load_cmp_br, latch, exit] =
+            std::array::from_fn(|_| fb.new_block("window"));
+
+        // the plain kinds, no two neighbours a window
+        let p = fb.param(0);
+        let n = fb.nargs();
+        let ai = fb.arg_i(n);
+        let af = fb.arg_f(1i64);
+        let len = fb.data_len(0);
+        let di = fb.data_i(0, len);
+        let df = fb.data_f(1, 0i64);
+        let heap = fb.alloc(4i64);
+        let s = fb.salloc(2i64);
+        let ii = fb.add(Ty::I64, ai, di);
+        let ff = fb.mul(Ty::F64, af, df);
+        let mixed = fb.add(Ty::I64, ai, af);
+        let neg = fb.un(UnOp::Neg, Ty::I64, mixed);
+        let cast = fb.cast(Ty::F64, neg);
+        let cii = fb.cmp(CmpOp::Lt, ai, di);
+        let cff = fb.cmp(CmpOp::Lt, cast, ff);
+        let cbb = fb.cmp(CmpOp::Eq, cii, cff);
+        let cany = fb.cmp(CmpOp::Eq, ai, af);
+        let sel = fb.select(Ty::I64, cbb, ii, p);
+        fb.check(sel, sel);
+        fb.out_i(sel);
+        fb.out_f(ff);
+        fb.call(main, None, vec![sel.into()]);
+        let x = fb.load(Ty::I64, heap, 0i64);
+        fb.store(s, 0i64, x);
+        fb.cond_br(cany, cmp_br, exit);
+
+        // one block per window
+        fb.switch_to(cmp_br);
+        let c = fb.cmp(CmpOp::Lt, x, 3i64);
+        fb.cond_br(c, store_br, exit);
+        fb.switch_to(store_br);
+        fb.store(s, 1i64, x);
+        fb.br(load_bin);
+        fb.switch_to(load_bin);
+        let a = fb.load(Ty::I64, s, 0i64);
+        let b = fb.add(Ty::I64, 1i64, a);
+        fb.out_i(b);
+        fb.br(load_bin_bin);
+        fb.switch_to(load_bin_bin);
+        let a = fb.load(Ty::I64, s, 0i64);
+        let b = fb.add(Ty::I64, a, 1i64);
+        let c = fb.mul(Ty::I64, b, b);
+        fb.out_i(c);
+        fb.br(load_load_bin);
+        fb.switch_to(load_load_bin);
+        let a = fb.load(Ty::I64, s, 0i64);
+        let b = fb.load(Ty::I64, s, 1i64);
+        let c = fb.add(Ty::I64, x, x);
+        fb.out_i(c);
+        fb.out_i(a);
+        fb.out_i(b);
+        fb.br(load4);
+        fb.switch_to(load4);
+        for idx in [0i64, 1, 0, 1] {
+            fb.load(Ty::I64, s, idx);
+        }
+        fb.out_i(x);
+        fb.br(load_cmp_br);
+        fb.switch_to(load_cmp_br);
+        let a = fb.load(Ty::I64, s, 0i64);
+        let c = fb.cmp(CmpOp::Lt, a, 9i64);
+        fb.cond_br(c, latch, exit);
+        fb.switch_to(latch);
+        let a = fb.load(Ty::I64, s, 0i64);
+        let b = fb.add(Ty::I64, a, 1i64);
+        fb.store(s, 0i64, b);
+        fb.br(load_cmp_br);
+        fb.switch_to(exit);
+        fb.ret_void();
+        mb.define(fb);
+        let m = mb.finish();
+
+        let mut seen = std::collections::BTreeSet::new();
+        for di in &decode_module(&m).generic.funcs[0].code {
+            let debug = format!("{:?}", di.op);
+            let variant = debug.split([' ', '{']).next().unwrap();
+            assert_eq!(OP_NAMES[di.op.index()], variant);
+            assert_eq!(
+                di.op.index() >= crate::opprof::FIRST_FUSED,
+                di.op.width() > 1,
+                "{variant}"
+            );
+            seen.insert(di.op.index());
+        }
+        let missing: Vec<_> = (0..OP_NAMES.len())
+            .filter(|i| !seen.contains(i))
+            .map(|i| OP_NAMES[i])
+            .collect();
+        assert!(missing.is_empty(), "no decoded op is a {missing:?}");
     }
 
     /// Every state the reference walk checkpoints hashes — and compares —

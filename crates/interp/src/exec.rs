@@ -351,6 +351,17 @@ impl<'m> Interp<'m> {
         self.lowered.slot_addressed[dense]
     }
 
+    /// The display name of the op in every code slot, function by
+    /// function: a superinstruction's name sits in the first slot of the
+    /// window it carries. Tests pin which windows fuse; `step_rate` counts
+    /// the static sites of each kind.
+    #[doc(hidden)]
+    pub fn op_names(&self) -> Vec<Vec<&'static str>> {
+        let name = |di: &decode::DInst| decode::OP_NAMES[di.op.index()];
+        let funcs = self.lowered.slotted.funcs.iter();
+        funcs.map(|f| f.code.iter().map(name).collect()).collect()
+    }
+
     pub fn module(&self) -> &'m Module {
         self.module
     }

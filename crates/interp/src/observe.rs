@@ -68,6 +68,12 @@ pub(crate) struct Observers {
     profile: Option<Profile>,
     /// First step of the running frame's current stretch.
     stretch_start: u64,
+    /// Offset of the instruction in flight from the slot carrying it (0
+    /// outside a superinstruction): the loop writes it at every step, and
+    /// the carrying pc plus it is the logical pc when the run stops. It
+    /// lives here, in memory, because as one more local of the loop it
+    /// costs `pc` its register.
+    pub(crate) half: usize,
     pub(crate) trace: Option<Vec<TraceEvent>>,
     pub(crate) ckpt: Option<CheckpointCollector>,
     /// The state at a capture boundary, in canonical form.

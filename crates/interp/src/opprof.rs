@@ -1,9 +1,9 @@
 //! Sampling profiler for the decoded dispatch loop.
 //!
-//! ROADMAP item 4(e) (what each superinstruction earns) needs per-opcode
-//! cost attribution before anything can be optimized further: after the
-//! pre-decode PR we know an injection costs ~46–275 µs but not *where*
-//! the cycles go. This module answers that with statistical sampling:
+//! Pricing a superinstruction (EXPERIMENTS.md "The fusion table earns its
+//! keep") starts from per-opcode attribution: how many of a run's steps
+//! each op kind carries. This module answers that with statistical
+//! sampling:
 //! every `sample_every` interpreter steps, the op at the current pc gets
 //! one sample. Samples attribute to the *carrying* op, so a fused
 //! superinstruction accumulates samples for all of its halves — exactly
@@ -35,7 +35,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub const NUM_OPS: usize = OP_NAMES.len();
 
 /// Index of the first fused superinstruction in [`OP_NAMES`] order;
-/// indices below this are straight-line single ops.
+/// indices below this are straight-line single ops (held to the decoder's
+/// own tables by its `every_op_kind_is_declared_once` test).
 pub const FIRST_FUSED: usize = 28;
 
 /// Default sampling interval (steps between samples). Each sample costs

@@ -389,12 +389,17 @@ fn apply_delta_state(st: &mut MachineState, d: &SnapDelta, steps: u64, inj_ctr: 
 
 /// Whether [`apply_delta_state`] can apply `d` to `st`, and [`apply_inj`]
 /// its count stream to `num_insts` counts, without indexing out of bounds
-/// — the check a delta from outside the process must pass before it is
-/// applied.
-fn delta_applies(st: &MachineState, d: &SnapDelta, num_insts: usize) -> bool {
+/// or growing a memory past `mem_limit` words — the check a delta from
+/// outside the process must pass before it is applied. The lengths are
+/// bare varints on the wire and applying one resizes to it; no run grows
+/// either memory past its `ExecConfig::mem_limit`, so no checkpoint of
+/// one records more.
+fn delta_applies(st: &MachineState, d: &SnapDelta, num_insts: usize, mem_limit: u64) -> bool {
     let runs_fit = |runs: &[(usize, Vec<u64>)], len: usize| {
-        runs.iter()
-            .all(|(start, words)| start.checked_add(words.len()).is_some_and(|end| end <= len))
+        len as u64 <= mem_limit
+            && runs
+                .iter()
+                .all(|(start, words)| start.checked_add(words.len()).is_some_and(|end| end <= len))
     };
     let frames_fit = match &d.frames {
         FramesDelta::Full(_) => true,
@@ -637,16 +642,18 @@ pub struct CheckpointStore {
 impl CheckpointStore {
     /// Rebuild a store from wire-decoded entries (their `digest` fields
     /// are placeholders): walk every delta chain once, refusing a delta
-    /// that would not apply, and take each checkpoint's state digest.
+    /// that would not apply or that asks for more than `mem_limit` words
+    /// of either memory, and take each checkpoint's state digest.
     pub(crate) fn from_decoded(
         mut entries: Vec<StoredSnap>,
         num_insts: usize,
+        mem_limit: u64,
     ) -> Result<Self, &'static str> {
         let mut cur = MachineState::default();
         for e in &mut entries {
             match &e.body {
                 SnapBody::Key(s) => cur.clone_from(&s.state),
-                SnapBody::Delta(d) if delta_applies(&cur, d, num_insts) => {
+                SnapBody::Delta(d) if delta_applies(&cur, d, num_insts, mem_limit) => {
                     apply_delta_state(&mut cur, d, e.steps, e.inj_ctr)
                 }
                 SnapBody::Delta(_) => return Err("delta does not apply to its predecessor"),

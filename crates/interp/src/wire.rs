@@ -350,14 +350,27 @@ pub fn encode_checkpoints(store: &CheckpointStore) -> Vec<u8> {
     buf
 }
 
+/// [`decode_checkpoints_within`] the default [`ExecConfig`]'s `mem_limit`.
+///
+/// [`ExecConfig`]: crate::ExecConfig
+pub fn decode_checkpoints(bytes: &[u8]) -> Result<CheckpointStore, WireError> {
+    decode_checkpoints_within(bytes, crate::ExecConfig::default().mem_limit)
+}
+
 /// Decode a [`CheckpointStore`] image, validating structure end to end:
 /// every delta chain starts at an in-range keyframe, every keyframe
 /// carries the advertised `num_insts` counts and every delta applies to
 /// its predecessor, so downstream `restore_into`/`inj_count_at` cannot
-/// index out of bounds. The per-checkpoint state digests are not on the
-/// wire; they are retaken here from the decoded states. The golden tail
-/// is not either: see [`CheckpointStore::attach_tail`].
-pub fn decode_checkpoints(bytes: &[u8]) -> Result<CheckpointStore, WireError> {
+/// index out of bounds. `mem_limit` is the `ExecConfig::mem_limit` of the
+/// runs that will restore from the store: a delta recording a longer
+/// memory is refused before its length is allocated (the run that
+/// captured it obeyed the same limit). The per-checkpoint state digests
+/// are not on the wire; they are retaken here from the decoded states.
+/// The golden tail is not either: see [`CheckpointStore::attach_tail`].
+pub fn decode_checkpoints_within(
+    bytes: &[u8],
+    mem_limit: u64,
+) -> Result<CheckpointStore, WireError> {
     let mut r = Reader::new(bytes);
     if r.take(4)? != CKPT_MAGIC {
         return Err(WireError::Invalid("checkpoint magic"));
@@ -403,7 +416,7 @@ pub fn decode_checkpoints(bytes: &[u8]) -> Result<CheckpointStore, WireError> {
         });
     }
     r.finish()?;
-    CheckpointStore::from_decoded(entries, num_insts).map_err(WireError::Invalid)
+    CheckpointStore::from_decoded(entries, num_insts, mem_limit).map_err(WireError::Invalid)
 }
 
 // --- profile ---

@@ -1147,29 +1147,30 @@ fn slots_module() -> Module {
     })
 }
 
-/// Every bit of a fault into every `salloc` result — the pointer moves to
-/// a neighbour slot, into the caller's frame, past the stack's end, or
-/// (stack tag cleared) onto the heap — cold, cold beside the golden
-/// store, and resumed from every checkpoint before the flip, addressed as
-/// `NthDynamic` and as `NthOfInst`, on the bare loops and on the observed
-/// loop with the trace on. The slotted lowering would not see the flipped
-/// pointer, so each of these runs must finish on the generic one; a fault
-/// anywhere else must not.
-fn faults_into_slot_pointers_match_the_oracle() {
-    let m = slots_module();
-    let input = ProgInput::default();
-    let (bare, obs) = (Interp::new(&m, exec()), Interp::new(&m, observed()));
+/// Every injectable production of `m`'s fault-free run on `input`,
+/// faulted at each of `bits(is it a salloc's)`: cold, cold beside the
+/// golden store (a checkpoint every `interval` steps) and resumed from
+/// every checkpoint before the flip, addressed as `NthDynamic` and as
+/// `NthOfInst`, on the bare loops and on the observed loop with the trace
+/// on, each against the oracle. A fault into a `salloc` result must finish
+/// on the generic lowering, as must every observed run with a fault; any
+/// other bare run must not. Returns the golden run, its store and how
+/// many faults went into `salloc` results and elsewhere.
+fn every_fault_matches_the_oracle(
+    m: &Module,
+    input: &ProgInput,
+    interval: u64,
+    bits: impl Fn(bool) -> Vec<u32>,
+) -> (ExecResult, CheckpointStore, usize, usize) {
+    let (bare, obs) = (Interp::new(m, exec()), Interp::new(m, observed()));
     let ckpt = CheckpointConfig {
-        interval: 7,
+        interval,
         mode: SnapshotMode::Delta,
         keyframe_every: 3,
         ..CheckpointConfig::default()
     };
-    let (golden, store) = obs.run_with_checkpoint_store(&input, ckpt);
+    let (golden, store) = obs.run_with_checkpoint_store(input, ckpt);
     assert!(golden.exited());
-    assert!(store.len() > 10, "{} checkpoints", store.len());
-    let (slotted, all) = bare.slot_coverage();
-    assert_eq!((slotted, all), (14, 16), "only the heap accesses compute");
 
     // every injectable production of the golden run, in order: its
     // `NthDynamic` index is its position, its `NthOfInst` index the
@@ -1192,27 +1193,25 @@ fn faults_into_slot_pointers_match_the_oracle() {
         let is_salloc = matches!(m.inst(gid).kind, InstKind::Salloc { .. });
         let of_inst = productions[..nth].iter().filter(|&&g| g == gid).count() as u64;
         let dense = numbering.index(gid);
-        // all 64 bits of a slot pointer; one bit of everything else
-        let bits = if is_salloc { 0..64 } else { 1..2 };
-        for bit in bits {
+        for bit in bits(is_salloc) {
             for target in [
                 FaultTarget::NthDynamic(nth as u64),
                 FaultTarget::NthOfInst(gid, of_inst),
             ] {
                 let fault = FaultSpec { target, bit };
                 let what = format!("{fault:?}");
-                let reference = oracle::run_with_fault(&bare, &input, fault);
+                let reference = oracle::run_with_fault(&bare, input, fault);
                 assert!(reference.fault_applied, "{what}");
-                let cold = bare.run_with_fault_in(&mut scratch, &input, fault);
+                let cold = bare.run_with_fault_in(&mut scratch, input, fault);
                 check(&what, same_result(&cold, &reference));
                 assert_eq!(scratch.finished_on_generic(), is_salloc, "{what}");
-                let beside = bare.run_with_fault_against(&mut scratch, &store, &input, fault);
+                let beside = bare.run_with_fault_against(&mut scratch, &store, input, fault);
                 check(&what, same_result(&beside, &reference));
                 assert_eq!(scratch.finished_on_generic(), is_salloc, "{what}");
-                let traced = obs.run_with_fault_in(&mut scratch, &input, fault);
+                let traced = obs.run_with_fault_in(&mut scratch, input, fault);
                 check(
                     &what,
-                    same_result(&traced, &oracle::run_with_fault(&obs, &input, fault)),
+                    same_result(&traced, &oracle::run_with_fault(&obs, input, fault)),
                 );
                 assert!(scratch.finished_on_generic(), "observed, {what}");
 
@@ -1222,21 +1221,21 @@ fn faults_into_slot_pointers_match_the_oracle() {
                 };
                 for idx in (0..store.len()).filter(|&i| before_flip(i)) {
                     let what = format!("{what} from checkpoint {idx}");
-                    let resumed = bare.resume_from(&mut scratch, &store, idx, &input, fault);
+                    let resumed = bare.resume_from(&mut scratch, &store, idx, input, fault);
                     check(
                         &what,
                         same_result(
                             &resumed,
-                            &oracle::resume_from(&bare, &store, idx, &input, fault),
+                            &oracle::resume_from(&bare, &store, idx, input, fault),
                         ),
                     );
                     assert_eq!(scratch.finished_on_generic(), is_salloc, "{what}");
-                    let traced = obs.resume_from(&mut scratch, &store, idx, &input, fault);
+                    let traced = obs.resume_from(&mut scratch, &store, idx, input, fault);
                     check(
                         &what,
                         same_result(
                             &traced,
-                            &oracle::resume_from(&obs, &store, idx, &input, fault),
+                            &oracle::resume_from(&obs, &store, idx, input, fault),
                         ),
                     );
                     SEEN.resumed.fetch_add(1, Ordering::Relaxed);
@@ -1252,18 +1251,51 @@ fn faults_into_slot_pointers_match_the_oracle() {
             }
         }
     }
+    (golden, store, into_salloc, elsewhere)
+}
+
+/// Every bit of a fault into every `salloc` result — the pointer moves to
+/// a neighbour slot, into the caller's frame, past the stack's end, or
+/// (stack tag cleared) onto the heap — cold, cold beside the golden
+/// store, and resumed from every checkpoint before the flip, addressed as
+/// `NthDynamic` and as `NthOfInst`, on the bare loops and on the observed
+/// loop with the trace on. The slotted lowering would not see the flipped
+/// pointer, so each of these runs must finish on the generic one; a fault
+/// anywhere else must not.
+fn faults_into_slot_pointers_match_the_oracle() {
+    let m = slots_module();
+    let input = ProgInput::default();
+    let bare = Interp::new(&m, exec());
+    let (slotted, all) = bare.slot_coverage();
+    assert_eq!((slotted, all), (14, 16), "only the heap accesses compute");
+    // all 64 bits of a slot pointer; one bit of everything else
+    let (golden, store, into_salloc, elsewhere) =
+        every_fault_matches_the_oracle(&m, &input, 7, |is_salloc| {
+            if is_salloc {
+                (0..64).collect()
+            } else {
+                vec![1]
+            }
+        });
+    assert!(store.len() > 10, "{} checkpoints", store.len());
     // x, y, z in two calls and main's own slot; every ending a moved
     // pointer can have was among them
     assert_eq!(into_salloc, 7 * 64 * 2);
     assert!(elsewhere > 100, "{elsewhere} faults outside slot pointers");
+    let numbering = m.numbering();
+    let y_in_the_second_call = golden
+        .trace
+        .as_ref()
+        .expect("traced")
+        .iter()
+        .map(|e| m.inst(numbering.id_of(e.dense as usize)))
+        .filter(|inst| inst.injectable())
+        .enumerate()
+        .filter(|(_, inst)| matches!(inst.kind, InstKind::Salloc { .. }))
+        .nth(5)
+        .expect("seven sallocs run")
+        .0 as u64;
     let moved = |bit| {
-        let y_in_the_second_call = productions
-            .iter()
-            .enumerate()
-            .filter(|(_, &g)| matches!(m.inst(g).kind, InstKind::Salloc { .. }))
-            .nth(5)
-            .expect("seven sallocs run")
-            .0 as u64;
         let fault = FaultSpec {
             target: FaultTarget::NthDynamic(y_in_the_second_call),
             bit,
@@ -1293,6 +1325,156 @@ fn faults_into_slot_pointers_match_the_oracle() {
     assert!(!r.fault_applied && r.output == golden.output);
     assert!(!scratch.finished_on_generic());
     assert_eq!(fault_free_runs_match(&m, &input, exec()), Termination::Exit);
+}
+
+/// `main` for one window: two stack slots (`s[0] = 1`, `s[1] = 5`), a
+/// heap block holding the chain `1 -> 2 -> 3 -> 0`, then `body` in a block
+/// of its own, so the window it opens with is matched from its first
+/// instruction.
+fn window_module(
+    name: &str,
+    body: impl FnOnce(&mut FunctionBuilder, minpsid_ir::InstId, minpsid_ir::InstId),
+) -> Module {
+    built(name, |_, fb| {
+        let start = fb.new_block("window");
+        let s = fb.salloc(2i64);
+        let heap = fb.alloc(4i64);
+        for (idx, next) in [(1i64, 2i64), (2, 3), (3, 0)] {
+            fb.store(heap, idx, next);
+        }
+        fb.store(s, 1i64, 5i64);
+        fb.store(s, 0i64, 1i64);
+        fb.br(start);
+        fb.switch_to(start);
+        body(fb, s, heap);
+    })
+}
+
+/// Every superinstruction the decoder can emit, each in a minimal
+/// function: the decode must emit it (a pattern no program reaches would
+/// otherwise survive unnoticed), and every half must read what the half
+/// before it wrote — each window is a dependence chain, so an operand
+/// fetched early reads a stale register. Fault-free, with a fault in
+/// every half (an address moved by one or two words, a sign, a flipped
+/// compare) and resumed at every step — the mid-window pcs among them —
+/// on the slotted lowering (bare runs) and the generic one (observed runs
+/// with a fault), field for field against the oracle.
+#[test]
+fn every_superinstruction_is_reachable_and_oracle_exact() {
+    fn emit(fb: &mut FunctionBuilder, v: impl Into<minpsid_ir::Operand>) {
+        fb.out_i(v);
+        fb.ret_void();
+    }
+    let counted_loop = || {
+        window_module("loop", |fb, s, _| {
+            let (latch, exit) = (fb.new_block("latch"), fb.new_block("exit"));
+            let head = fb.current_block();
+            let i = fb.load(Ty::I64, s, 0i64);
+            let more = fb.cmp(CmpOp::Lt, i, 4i64);
+            fb.cond_br(more, latch, exit);
+            fb.switch_to(latch);
+            let i = fb.load(Ty::I64, s, 0i64);
+            let next = fb.add(Ty::I64, i, 1i64);
+            fb.store(s, 0i64, next);
+            fb.br(head);
+            fb.switch_to(exit);
+            let i = fb.load(Ty::I64, s, 0i64);
+            emit(fb, i);
+        })
+    };
+    let windows: Vec<(&str, Module)> = vec![
+        (
+            "CmpBr",
+            window_module("cmp-br", |fb, s, _| {
+                let (yes, no) = (fb.new_block("yes"), fb.new_block("no"));
+                let a = fb.load(Ty::I64, s, 1i64);
+                fb.out_i(a);
+                let c = fb.cmp(CmpOp::Lt, a, 9i64);
+                fb.cond_br(c, yes, no);
+                fb.switch_to(yes);
+                emit(fb, 1i64);
+                fb.switch_to(no);
+                emit(fb, 0i64);
+            }),
+        ),
+        (
+            "StoreBr",
+            window_module("store-br", |fb, s, _| {
+                let exit = fb.new_block("exit");
+                fb.store(s, 0i64, 9i64);
+                fb.br(exit);
+                fb.switch_to(exit);
+                let v = fb.load(Ty::I64, s, 0i64);
+                emit(fb, v);
+            }),
+        ),
+        (
+            "LoadBin",
+            window_module("load-bin", |fb, s, _| {
+                let a = fb.load(Ty::I64, s, 1i64);
+                let b = fb.sub(Ty::I64, 3i64, a);
+                emit(fb, b);
+            }),
+        ),
+        (
+            "LoadBinBin",
+            window_module("load-bin-bin", |fb, s, _| {
+                let a = fb.load(Ty::I64, s, 1i64);
+                let b = fb.mul(Ty::I64, a, 3i64);
+                let c = fb.sub(Ty::I64, b, a);
+                emit(fb, c);
+            }),
+        ),
+        (
+            "LoadLoadBin",
+            window_module("load-load-bin", |fb, s, heap| {
+                let a = fb.load(Ty::I64, s, 0i64);
+                let b = fb.load(Ty::I64, heap, a);
+                let c = fb.sub(Ty::I64, b, a);
+                emit(fb, c);
+            }),
+        ),
+        (
+            "Load4",
+            window_module("load4", |fb, s, heap| {
+                let a = fb.load(Ty::I64, s, 0i64);
+                let b = fb.load(Ty::I64, heap, a);
+                let c = fb.load(Ty::I64, heap, b);
+                let d = fb.load(Ty::I64, heap, c);
+                emit(fb, d);
+            }),
+        ),
+        ("LoadCmpBr", counted_loop()),
+        ("LoadBinStoreBr", counted_loop()),
+    ];
+    for (name, m) in &windows {
+        minpsid_ir::verify_module(m).unwrap_or_else(|e| panic!("{name}: {e:?}"));
+        let ops = Interp::new(m, exec()).op_names();
+        assert!(ops[0].contains(name), "{name} not emitted: {:?}", ops[0]);
+        let input = ProgInput::default();
+        assert_eq!(fault_free_runs_match(m, &input, exec()), Termination::Exit);
+        let (golden, store, _, elsewhere) =
+            every_fault_matches_the_oracle(m, &input, 1, |_| vec![0, 1, 63]);
+        assert_eq!(store.len() as u64, golden.steps - 1, "a stop at every step");
+        assert!(elsewhere >= 2 * 3 * 2, "{name}: {elsewhere} faults");
+    }
+    // and the table is the whole set: a superinstruction added to the
+    // decoder shows up in some function here or fails this
+    let emitted: std::collections::BTreeSet<&str> = windows
+        .iter()
+        .flat_map(|(_, m)| Interp::new(m, exec()).op_names().concat())
+        .collect();
+    let plain = [
+        "Salloc", "Alloc", "Store", "Load", "BinII", "CmpII", "OutI", "Br", "CondBr", "Ret",
+    ];
+    let fused: Vec<&str> = emitted
+        .iter()
+        .copied()
+        .filter(|n| !plain.contains(n))
+        .collect();
+    let mut table: Vec<&str> = windows.iter().map(|(n, _)| *n).collect();
+    table.sort_unstable();
+    assert_eq!(fused, table);
 }
 
 /// The slot-addressing rewrite against the oracle where it applies and

@@ -43,13 +43,24 @@ test -s "$TRACE_TMP/report/trace_report.html"
 CLI="target/release/minpsid"
 cargo build --release --offline -q -p minpsid-cli
 
+echo "== exec_loop codegen (pc stays in a register in all four instantiations)"
+# LLVM puts the loop's `pc` on the stack when one more value is live
+# across it (clean loop -18 %, nothing fails), and deleting code from the
+# loop trips that as readily as adding to it: every `pc += 1` is then an
+# `incq` on a stack slot
+SPILLS="$(objdump -d --no-show-raw-insn "$CLI" | awk '/exec_loop/,/^$/' \
+  | grep -c 'incq .*(%rsp)' || true)"
+test "$SPILLS" = "0" \
+  || { echo "exec_loop keeps pc on the stack ($SPILLS incq on %rsp)"; exit 1; }
+
 echo "== unknown-flag smoke (a misspelt flag is a usage error, not a different run)"
-# --workers, --status-addr, the retry scheduler's six: a flag an older
-# binary accepted is refused like a typo
+# --workers, --status-addr, the retry scheduler's six, the flag audit's
+# three: a flag an older binary accepted is refused like a typo
 for BAD in "--bogus-flag" "--workers 2" "--status-addr 127.0.0.1:1" \
            "--max-retries 0" "--quarantine-after 1" "--quarantine-cap 5" \
            "--injection-timeout-ms 5" "--chaos-panic-one-in 40" \
-           "--chaos-timeout-one-in 40"; do
+           "--chaos-timeout-one-in 40" "--golden-cache-cap 4" \
+           "--incremental" "--checkpoint-interval 500"; do
   # shellcheck disable=SC2086
   if BAD_OUT="$("$CLI" fi hpccg --quick $BAD 2>&1)"; then
     echo "fi $BAD exited 0"; exit 1

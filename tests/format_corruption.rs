@@ -21,7 +21,7 @@ use minpsid_repro::interp::{
     CheckpointConfig, CheckpointStore, ExecConfig, Interp, MachineState, ProgInput, Scalar,
     SnapshotMode,
 };
-use minpsid_repro::ir::bytes::mutations;
+use minpsid_repro::ir::bytes::{mutations, put_varint};
 use minpsid_repro::journal::record::{DecodeError, Record};
 use minpsid_repro::journal::wal::{encode_records, scan_bytes};
 use minpsid_repro::journal::CampaignJournal;
@@ -339,6 +339,33 @@ fn golden_and_checkpoint_images() {
                 assert_eq!(bad.len(), good.len(), "a truncation decoded");
                 use_store(&back, module.num_insts());
             }
+        }
+
+        // a delta's memory lengths are bare varints that a restore resizes
+        // to, and no single flip makes one large: written one word past
+        // what a run may allocate over every one-byte field of the image
+        // — the lengths among them — the image is refused or decodes to
+        // states of the size it carries, never to the size it names
+        if mode == SnapshotMode::Delta {
+            let limit = ExecConfig::default().mem_limit;
+            let mut hostile = Vec::new();
+            put_varint(&mut hostile, limit + 1);
+            let mut refused = 0;
+            for at in (0..good.len()).filter(|&at| good[at] < 0x80) {
+                let bad = [&good[..at], &hostile[..], &good[at + 1..]].concat();
+                match decode_checkpoints(&bad) {
+                    Ok(back) => {
+                        for i in 0..back.len() {
+                            let bytes = back.materialize(i).approx_bytes() as u64;
+                            assert!(bytes < 8 * limit, "byte {at}: a {bytes}-byte state");
+                        }
+                    }
+                    Err(_) => refused += 1,
+                }
+            }
+            // both lengths of every delta (keyframes every fourth entry)
+            let deltas = store.len() - store.len().div_ceil(4);
+            assert!(refused >= 2 * deltas, "{refused} refusals, {deltas} deltas");
         }
 
         if mode == SnapshotMode::Full {
