@@ -1,9 +1,12 @@
 //! Step-rate probe: per kernel, on its reference input, the steps/sec of
-//! the clean loop, of the observed loop (a profiled fault-free run, what a
-//! GA candidate costs) and of the armed-observed loop (a profiled run with
-//! a fault aimed past the end of the trace, so it never fires: what
-//! observing cost before it stopped arming), with the observed/clean
-//! ratio; and how much of the run the slotted lowering addresses at
+//! each of the four instantiations of the decoded loop — clean; armed (a
+//! fault aimed past the end of the trace, so it never fires and the armed
+//! loop runs the whole program: what a faulty run pays up to its flip);
+//! observed (a profiled fault-free run, what a GA candidate costs); and
+//! armed-observed (a profiled run with that same fault: what observing
+//! cost before it stopped arming) — with the observed/clean ratio, under
+//! a header naming the code-slot size, the loop's dispatch stride; and
+//! how much of the run the slotted lowering addresses at
 //! decode time — the share of dynamic instructions that are loads or
 //! stores, the share that are slot-addressed ones, and the static count
 //! behind it. Then, per op kind, what it carries: its static code slots
@@ -28,14 +31,16 @@ struct OpShare {
 }
 
 fn main() {
+    println!("code slot: {} B", Interp::code_slot_bytes());
     println!(
-        "{:<15} {:>8} {:>7} {:>7} {:>9} {:>9} {:>9} {:>9} {:>9}",
+        "{:<15} {:>8} {:>7} {:>7} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
         "kernel",
         "steps",
         "mem %",
         "slot %",
         "static",
         "clean M/s",
+        "armed M/s",
         "obs M/s",
         "armed-obs",
         "obs/clean"
@@ -45,7 +50,7 @@ fn main() {
         bit: 0,
     };
     let (mut steps_all, mut mem_all, mut slot_all) = (0u64, 0u64, 0u64);
-    let mut secs_all = [0f64; 3];
+    let mut secs_all = [0f64; 4];
     let mut ops: BTreeMap<String, OpShare> = BTreeMap::new();
     for b in minpsid_workloads::suite() {
         let module = b.compile();
@@ -72,6 +77,7 @@ fn main() {
         };
         let secs = [
             best_secs(&|i| drop(black_box(clean.run(i)))),
+            best_secs(&|i| drop(black_box(clean.run_with_fault(i, never)))),
             best_secs(&|i| drop(black_box(observed.run(i)))),
             best_secs(&|i| drop(black_box(observed.run_with_fault(i, never)))),
         ];
@@ -88,7 +94,7 @@ fn main() {
         let (slotted, all) = clean.slot_coverage();
         let pct = |n: u64| 100.0 * n as f64 / p.total_insts as f64;
         println!(
-            "{:<15} {:>8} {:>7.1} {:>7.1} {:>9} {:>9.1} {:>9.1} {:>9.1} {:>9.2}",
+            "{:<15} {:>8} {:>7.1} {:>7.1} {:>9} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.2}",
             b.name,
             p.total_insts,
             pct(mem),
@@ -97,7 +103,8 @@ fn main() {
             rate(secs[0]),
             rate(secs[1]),
             rate(secs[2]),
-            secs[0] / secs[1]
+            rate(secs[3]),
+            secs[0] / secs[2]
         );
         for (all, s) in secs_all.iter_mut().zip(secs) {
             *all += s;
@@ -123,10 +130,11 @@ fn main() {
             ops.entry(name.to_string()).or_default().slots += 1;
         }
     }
-    let [clean, obs, armed_obs] = secs_all.map(|s| steps_all as f64 / s / 1e6);
+    let [clean, armed, obs, armed_obs] = secs_all.map(|s| steps_all as f64 / s / 1e6);
     println!(
         "suite: {steps_all} steps, {:.1} % loads/stores, {:.1} % slot-addressed; \
-         clean {clean:.1} M/s, observed {obs:.1} M/s ({:.2}x clean), armed-observed {armed_obs:.1} M/s",
+         clean {clean:.1} M/s, armed {armed:.1} M/s, observed {obs:.1} M/s ({:.2}x clean), \
+         armed-observed {armed_obs:.1} M/s",
         100.0 * mem_all as f64 / steps_all as f64,
         100.0 * slot_all as f64 / steps_all as f64,
         obs / clean

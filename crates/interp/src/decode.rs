@@ -96,17 +96,25 @@ use crate::snapshot::{CheckpointCollector, CheckpointStore};
 use crate::value::{Output, Scalar, Stream, Value};
 use minpsid_ir::{BinOp, CmpOp, Function, InstKind, Module, Operand, Ty, UnOp};
 
-/// A pre-resolved operand: an index into the frame's register arena.
+/// A pre-resolved operand: a register of the frame's arena, as its byte
+/// offset from the frame's first register ([`OPD_SCALE`] × its index).
 /// Indices below the function's instruction count name registers (the
 /// producing instruction's index); the slots after them hold the
 /// function's interned constants, materialized at frame entry. Operand
-/// fetch is therefore a single indexed load — no immediate-vs-register
-/// branch in the hot loop.
+/// fetch is therefore a single load at frame base + operand — no
+/// immediate-vs-register branch and no index scaling in the hot loop.
 pub(crate) type Opd = u32;
+
+/// What decode multiplies every register operand and destination by: the
+/// size of a register. x86 addressing scales an index by 1, 2, 4 or 8
+/// only, so an index into 16-byte registers would cost a shift on every
+/// operand fetch and every register write; a byte offset costs nothing.
+pub(crate) const OPD_SCALE: u32 = 16;
+const _: () = assert!(OPD_SCALE as usize == std::mem::size_of::<Value>());
 
 /// In the `ptr` field of a load/store half: the half is slot-addressed and
 /// its `idx` field is the word offset from the frame's stack base, not an
-/// operand. No function has this many registers.
+/// operand. Operands are multiples of [`OPD_SCALE`], so none is this.
 pub(crate) const SLOT: Opd = u32::MAX;
 
 /// Which specialized comparison a fused [`DOp::CmpBr`] performs.
@@ -243,14 +251,16 @@ pub(crate) enum DOp {
         e: u32,
     },
     /// Fused run of four loads: reduction bodies interleave slot reads
-    /// and element reads (`s, i, a[i], i`) into long load runs. Each
-    /// half's address operands are fetched after the previous halves'
-    /// results are written, so loads may feed later addresses.
+    /// and element reads (`s, i, a[i], i`) into long load runs. Carries
+    /// the first load; the other three execute from their standalone
+    /// slots at `pc + 1 .. pc + 3` (inline they would hold [`DInst`] at
+    /// 96 bytes, a stride x86 cannot scale). Each half's address
+    /// operands are fetched after the previous halves' results are
+    /// written, so loads may feed later addresses.
     Load4 {
-        ops: [(Ty, Opd, Opd); 4],
-        dsts: [u32; 3],
-        denses: [u32; 3],
-        injs: [bool; 3],
+        ty: Ty,
+        ptr: Opd,
+        idx: Opd,
     },
     /// Fused slot-load + compare + conditional branch: every loop head
     /// (`while i_slot < n`) is this exact triple. Load metadata on the
@@ -467,6 +477,7 @@ impl DOp {
             | DOp::StoreBr { ptr, idx, .. }
             | DOp::LoadCmpBr { ptr, idx, .. }
             | DOp::LoadBinBin { ptr, idx, .. }
+            | DOp::Load4 { ptr, idx, .. }
             | DOp::LoadBin { ptr, idx, .. } => f(0, ptr, idx),
             DOp::LoadLoadBin {
                 ptr1,
@@ -487,11 +498,6 @@ impl DOp {
             } => {
                 f(0, ptr, idx);
                 f(2, st_ptr, st_idx);
-            }
-            DOp::Load4 { ops, .. } => {
-                for (h, (_, ptr, idx)) in ops.iter_mut().enumerate() {
-                    f(h, ptr, idx);
-                }
             }
             DOp::Param { .. }
             | DOp::BinII { .. }
@@ -525,11 +531,13 @@ impl DOp {
 }
 
 /// One decoded instruction slot: the op plus the static per-instruction
-/// metadata the oracle looks up per step.
+/// metadata the oracle looks up per step. 64 bytes, so that the loop's
+/// `code[pc]` is one shift and an add (a unit test pins the size).
 #[derive(Debug, Clone)]
 pub(crate) struct DInst {
     pub(crate) op: DOp,
-    /// Destination register; `u32::MAX` for void ops (never written).
+    /// Destination register, scaled like an [`Opd`]; `u32::MAX` for void
+    /// ops (never written).
     pub(crate) dst: u32,
     /// Dense module-wide index (fault targeting, injection counting).
     pub(crate) dense: u32,
@@ -738,9 +746,16 @@ fn sty(f: &Function, o: &Operand) -> Option<Ty> {
     }
 }
 
+/// Register `r` of a frame as an [`Opd`]: its byte offset.
+fn scaled(r: u32) -> Opd {
+    r.checked_mul(OPD_SCALE)
+        .expect("a function's registers are byte-addressable in 32 bits")
+}
+
 /// Per-function operand-interning context. Registers resolve to their
 /// instruction id; constants are deduplicated by tagged bit pattern
-/// (`0.0` and `-0.0` stay distinct) into slots after the registers.
+/// (`0.0` and `-0.0` stay distinct) into slots after the registers. Both
+/// come out [`scaled`].
 struct OpdCx {
     /// Instruction count of the function = index of the first const slot.
     ni: u32,
@@ -762,12 +777,12 @@ impl OpdCx {
     }
 
     fn opd(&self, o: &Operand) -> Opd {
-        match o {
+        scaled(match o {
             Operand::Value(id) => id.0,
             Operand::ConstI(c) => self.slot(0, *c as u64, Value::I(*c)),
             Operand::ConstF(c) => self.slot(1, c.to_bits(), Value::F(*c)),
             Operand::ConstB(c) => self.slot(2, *c as u64, Value::B(*c)),
-        }
+        })
     }
 
     fn slot(&self, tag: u8, bits: u64, v: Value) -> u32 {
@@ -968,7 +983,11 @@ fn try_fuse(
     // (dst, dense, inj) of a later half, carried inline by the op
     let meta = |h: usize| {
         let id = window[h];
-        (id.0, dense_base + id.0, f.insts[id.index()].injectable())
+        (
+            scaled(id.0),
+            dense_base + id.0,
+            f.insts[id.index()].injectable(),
+        )
     };
     let is = |o: &Operand, h: usize| matches!(o, Operand::Value(id) if *id == window[h]);
     let cmp_kind = |lhs: &Operand, rhs: &Operand| match (sty(f, lhs), sty(f, rhs)) {
@@ -1007,23 +1026,15 @@ fn try_fuse(
             }
         }
         (
-            InstKind::Load { .. },
+            InstKind::Load { ptr, idx, ty },
             InstKind::Load { .. },
             Some(InstKind::Load { .. }),
             Some(InstKind::Load { .. }),
-        ) => {
-            let ops = [0, 1, 2, 3].map(|h| match kind(h) {
-                Some(InstKind::Load { ptr, idx, ty }) => (*ty, opd(ptr), opd(idx)),
-                _ => unreachable!("matched four loads"),
-            });
-            let [m1, m2, m3] = [meta(1), meta(2), meta(3)];
-            DOp::Load4 {
-                ops,
-                dsts: [m1.0, m2.0, m3.0],
-                denses: [m1.1, m2.1, m3.1],
-                injs: [m1.2, m2.2, m3.2],
-            }
-        }
+        ) => DOp::Load4 {
+            ty: *ty,
+            ptr: opd(ptr),
+            idx: opd(idx),
+        },
         (
             InstKind::Load { ptr, idx, ty },
             InstKind::Cmp { op, lhs, rhs },
@@ -1166,7 +1177,7 @@ fn slot(f: &Function, iid: minpsid_ir::InstId, dense_base: u32, op: DOp) -> DIns
     );
     DInst {
         op,
-        dst: if has_result { iid.0 } else { u32::MAX },
+        dst: if has_result { scaled(iid.0) } else { u32::MAX },
         dense: dense_base + iid.0,
         inj: inst.injectable(),
     }
@@ -1552,7 +1563,17 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
     // current-frame fields cached in locals; re-synced on call/return
     let top = *dframes.last().expect("scratch holds at least one frame");
     let mut pc = top.pc as usize;
-    let mut reg_base = top.reg_base;
+    // the running frame's first register, as a byte pointer: operands
+    // and destinations are byte offsets from it (see `OPD_SCALE`), so a
+    // register access is base + index, unscaled. The arena moves only
+    // when a call grows it, and the frame changes at calls and returns:
+    // `frame_at!` re-derives it at exactly those two places
+    macro_rules! frame_at {
+        ($reg_base:expr) => {
+            regs.as_mut_ptr().wrapping_add($reg_base).cast::<u8>()
+        };
+    }
+    let mut frame = frame_at!(top.reg_base);
     let mut arg_base = top.arg_base;
     let mut arg_len = top.arg_len;
     // where the running frame's slots start: a slot-addressed half is
@@ -1565,9 +1586,12 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
     // `Option`'s niche is a 64-bit constant, and tested at every write it
     // is hoisted into a register of its own, which `pc` then pays for
     // (see `Observers::half`, and the note on `capture` below) — and the
-    // running function's base into the taken-branch counters
+    // running function's base into the taken-branch counters, which lives
+    // in the observers for the same reason
     let tracing = OBS && obs.trace.is_some();
-    let mut br_base = 2 * dm.funcs[top.func as usize].slot_base;
+    if OBS {
+        obs.br_base = 2 * dm.funcs[top.func as usize].slot_base;
+    }
 
     // the step counter lives in a register-resident local for the whole
     // loop; every exit path writes it back through `finish!` (or the
@@ -1725,21 +1749,42 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
     macro_rules! edge {
         ($half:expr, $else:expr) => {
             if OBS {
-                obs.branches[br_base + 2 * (pc + $half) + usize::from($else)] += 1;
+                obs.branches[obs.br_base + 2 * (pc + $half) + usize::from($else)] += 1;
             }
         };
+    }
+    // debug builds: byte offset `$off` — an operand or destination as
+    // decode scaled it — names a whole register inside the arena
+    macro_rules! check_in_frame {
+        ($off:expr) => {
+            debug_assert!(
+                $off % OPD_SCALE as usize == 0
+                    && (frame as usize - regs.as_ptr() as usize + $off) / (OPD_SCALE as usize)
+                        < regs.len(),
+                "register offset {} outside the running frame",
+                $off
+            )
+        };
+    }
+    // the running frame's register at byte offset `$off`
+    macro_rules! reg {
+        ($off:expr) => {{
+            let off = $off as usize;
+            check_in_frame!(off);
+            // SAFETY: decode scales register operands (instruction ids of
+            // the running function) and constants (the interned slots
+            // after them), all < num_regs on verified IR, by OPD_SCALE
+            // bytes, the size of a register; `frame` points at the running
+            // frame's first register and the arena holds its num_regs
+            // registers from there (resized on call, truncated on return,
+            // `frame` re-derived at both; restored frames are checked).
+            unsafe { *frame.add(off).cast::<Value>() }
+        }};
     }
     // operand fetch; trap order (UndefRead before type checks) matches the oracle
     macro_rules! raw {
         ($o:expr) => {{
-            let r = *$o as usize;
-            debug_assert!(reg_base + r < regs.len());
-            // SAFETY: decode resolves register operands to instruction
-            // ids of the current function and constants to the interned
-            // slots after them (all < num_regs on verified IR), and the
-            // arena holds exactly reg_base + num_regs slots for the
-            // active frame (resized on call, truncated on return).
-            let v = unsafe { *regs.get_unchecked(reg_base + r) };
+            let v = reg!(*$o);
             if matches!(v, Value::Undef) {
                 trap!(TrapKind::UndefRead);
             }
@@ -1752,52 +1797,40 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
     // so the only reachable trap here is UndefRead — checked per operand
     // in the same order as the oracle.
     macro_rules! int {
-        ($o:expr) => {{
-            let r = *$o as usize;
-            debug_assert!(reg_base + r < regs.len());
-            // SAFETY: see `raw!`.
-            match unsafe { *regs.get_unchecked(reg_base + r) } {
+        ($o:expr) => {
+            match reg!(*$o) {
                 Value::I(x) => x,
                 Value::Undef => trap!(TrapKind::UndefRead),
                 _ => trap!(TrapKind::TypeConfusion),
             }
-        }};
+        };
     }
     macro_rules! flt {
-        ($o:expr) => {{
-            let r = *$o as usize;
-            debug_assert!(reg_base + r < regs.len());
-            // SAFETY: see `raw!`.
-            match unsafe { *regs.get_unchecked(reg_base + r) } {
+        ($o:expr) => {
+            match reg!(*$o) {
                 Value::F(x) => x,
                 Value::Undef => trap!(TrapKind::UndefRead),
                 _ => trap!(TrapKind::TypeConfusion),
             }
-        }};
+        };
     }
     macro_rules! boolean {
-        ($o:expr) => {{
-            let r = *$o as usize;
-            debug_assert!(reg_base + r < regs.len());
-            // SAFETY: see `raw!`.
-            match unsafe { *regs.get_unchecked(reg_base + r) } {
+        ($o:expr) => {
+            match reg!(*$o) {
                 Value::B(x) => x,
                 Value::Undef => trap!(TrapKind::UndefRead),
                 _ => trap!(TrapKind::TypeConfusion),
             }
-        }};
+        };
     }
     macro_rules! pointer {
-        ($o:expr) => {{
-            let r = *$o as usize;
-            debug_assert!(reg_base + r < regs.len());
-            // SAFETY: see `raw!`.
-            match unsafe { *regs.get_unchecked(reg_base + r) } {
+        ($o:expr) => {
+            match reg!(*$o) {
                 Value::P(x) => x,
                 Value::Undef => trap!(TrapKind::UndefRead),
                 _ => trap!(TrapKind::TypeConfusion),
             }
-        }};
+        };
     }
     // fault application + injection counting + register write (+ trace
     // event) for one produced value; evaluates to the (possibly flipped)
@@ -1825,11 +1858,12 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
                 }
                 *inj_ctr += 1;
             }
-            debug_assert!(reg_base + ($dst as usize) < regs.len());
-            // SAFETY: dst is this instruction's id (< num_regs); see the
-            // operand-read invariant in `raw!`.
+            let dst = $dst as usize;
+            check_in_frame!(dst);
+            // SAFETY: dst is this instruction's id (< num_regs), scaled;
+            // an in-frame register, see `reg!`.
             unsafe {
-                *regs.get_unchecked_mut(reg_base + $dst as usize) = v;
+                *frame.add(dst).cast::<Value>() = v;
             }
             if OBS && tracing {
                 if let Some(t) = obs.trace.as_mut() {
@@ -2156,6 +2190,7 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
                     Value::Undef,
                 );
                 regs.extend_from_slice(&cf.consts);
+                frame = frame_at!(new_reg_base);
                 dframes.push(DFrame {
                     func: callee as u32,
                     pc: cf.block_entry[0],
@@ -2167,11 +2202,10 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
                 if OBS {
                     let caller = dframes[dframes.len() - 2].func;
                     obs.on_call(caller, callee, steps_l);
-                    br_base = 2 * cf.slot_base;
+                    obs.br_base = 2 * cf.slot_base;
                 }
                 code = &dm.funcs[callee].code;
                 pc = cf.block_entry[0] as usize;
-                reg_base = new_reg_base;
                 arg_base = new_arg_base;
                 arg_len = cargs.len();
                 sp_base = stack_mem.len();
@@ -2290,11 +2324,11 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
                     }
                     Some(&caller) => {
                         if OBS {
-                            br_base = 2 * dm.funcs[caller.func as usize].slot_base;
+                            obs.br_base = 2 * dm.funcs[caller.func as usize].slot_base;
                         }
                         code = &dm.funcs[caller.func as usize].code;
                         pc = caller.pc as usize;
-                        reg_base = caller.reg_base;
+                        frame = frame_at!(caller.reg_base);
                         arg_base = caller.arg_base;
                         arg_len = caller.arg_len;
                         sp_base = caller.sp_base;
@@ -2345,15 +2379,8 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
                 edge!(1, !cv);
                 pc = if cv { *t } else { *e } as usize;
             }
-            DOp::Load4 {
-                ops,
-                dsts,
-                denses,
-                injs,
-            } => {
-                // first load (metadata on the carrying DInst); later
-                // halves fetch addresses after earlier writes land
-                let (ty, ptr, idx) = &ops[0];
+            DOp::Load4 { ty, ptr, idx } => {
+                // first load (metadata on the carrying DInst)
                 let bits = load_word!(ptr, idx);
                 let r = match ty {
                     Ty::I64 => Value::I(bits as i64),
@@ -2361,16 +2388,25 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
                     _ => trap!(TrapKind::TypeConfusion),
                 };
                 produce!(di.dense, di.inj, di.dst, r);
-                for h in 0..3 {
-                    tick!(di, h + 1);
-                    let (ty, ptr, idx) = &ops[h + 1];
+                // the other three from their standalone slots — a bounded
+                // variant check, not a dispatch round each; every half
+                // fetches its address after the earlier halves' writes
+                for h in 1..4 {
+                    tick!(di, h);
+                    // SAFETY: decode fused a 4-window of one block, so
+                    // the standalone load copies sit in the three slots
+                    // after the carrier
+                    let dh = unsafe { cur_code.get_unchecked(pc + h) };
+                    let DOp::Load { ty, ptr, idx } = &dh.op else {
+                        unreachable!("Load4 chains load slots")
+                    };
                     let bits = load_word!(ptr, idx);
                     let r = match ty {
                         Ty::I64 => Value::I(bits as i64),
                         Ty::F64 => Value::F(f64::from_bits(bits)),
                         _ => trap!(TrapKind::TypeConfusion),
                     };
-                    produce!(denses[h], injs[h], dsts[h], r);
+                    produce!(dh.dense, dh.inj, dh.dst, r);
                 }
                 pc += 4;
             }
@@ -2616,12 +2652,107 @@ mod tests {
     use crate::value::{ProgInput, Scalar};
     use crate::ExecConfig;
 
+    /// Every register operand and inline destination `op` carries, as
+    /// decoded; a slot-addressed half's `(SLOT, word offset)` is none.
+    fn registers(op: &DOp) -> Vec<Opd> {
+        let half = |ptr: &Opd, idx: &Opd| match *ptr {
+            SLOT => vec![],
+            _ => vec![*ptr, *idx],
+        };
+        match op {
+            DOp::Param { .. } | DOp::NArgs | DOp::DataLen { .. } | DOp::Br { .. } => vec![],
+            DOp::BinII { a, b, .. }
+            | DOp::BinFF { a, b, .. }
+            | DOp::BinAny { a, b, .. }
+            | DOp::CmpII { a, b, .. }
+            | DOp::CmpFF { a, b, .. }
+            | DOp::CmpBB { a, b, .. }
+            | DOp::CmpAny { a, b, .. }
+            | DOp::Check { a, b }
+            | DOp::CmpBr { a, b, .. } => vec![*a, *b],
+            DOp::Un { a, .. } | DOp::Cast { a, .. } => vec![*a],
+            DOp::Select { c, t, e } => vec![*c, *t, *e],
+            DOp::Alloc { n } | DOp::Salloc { n } | DOp::ArgI { n } | DOp::ArgF { n } => vec![*n],
+            DOp::DataI { idx, .. } | DOp::DataF { idx, .. } => vec![*idx],
+            DOp::OutI { v } | DOp::OutF { v } => vec![*v],
+            DOp::CondBr { c, .. } => vec![*c],
+            DOp::Ret { v } => v.iter().copied().collect(),
+            DOp::Call { args, .. } => args.to_vec(),
+            DOp::Load { ptr, idx, .. } | DOp::Load4 { ptr, idx, .. } => half(ptr, idx),
+            DOp::Store { ptr, idx, v } | DOp::StoreBr { ptr, idx, v, .. } => {
+                [half(ptr, idx), vec![*v]].concat()
+            }
+            DOp::LoadCmpBr {
+                ptr,
+                idx,
+                a,
+                b,
+                cmp_dst,
+                ..
+            } => [half(ptr, idx), vec![*a, *b, *cmp_dst]].concat(),
+            DOp::LoadLoadBin {
+                ptr1,
+                idx1,
+                ptr2,
+                idx2,
+                ld_dst,
+                ..
+            } => [half(ptr1, idx1), half(ptr2, idx2), vec![*ld_dst]].concat(),
+            DOp::LoadBin {
+                ptr,
+                idx,
+                other,
+                bin_dst,
+                ..
+            } => [half(ptr, idx), vec![*other, *bin_dst]].concat(),
+            DOp::LoadBinBin {
+                ptr,
+                idx,
+                other,
+                bin_dst,
+                a2,
+                b2,
+                bin2_dst,
+                ..
+            } => [half(ptr, idx), vec![*other, *bin_dst, *a2, *b2, *bin2_dst]].concat(),
+            DOp::LoadBinStoreBr {
+                ptr,
+                idx,
+                a,
+                b,
+                bin_dst,
+                st_ptr,
+                st_idx,
+                st_v,
+                ..
+            } => [
+                half(ptr, idx),
+                vec![*a, *b, *bin_dst],
+                half(st_ptr, st_idx),
+                vec![*st_v],
+            ]
+            .concat(),
+        }
+    }
+
+    /// The loop indexes code by pc and registers by byte offset; both
+    /// strides are what x86 addressing takes in one step only while a
+    /// code slot is a power of two and an operand is pre-scaled. A slot
+    /// that grows back past 64 bytes costs the clean loop ~3 % and fails
+    /// nothing else (EXPERIMENTS.md "Power-of-two strides").
+    #[test]
+    fn a_code_slot_is_64_bytes() {
+        assert_eq!(std::mem::size_of::<DInst>(), 64);
+    }
+
     /// The two lowerings are one layout — same slots, same fusion choice
     /// per slot, same block entries, same constant pool — and differ only
     /// in the address operands of slot-addressed halves. Every half
     /// [`DOp::for_each_mem_half`] reports is the load or store `half`
     /// slots after the carrier, and it reports every address an op
-    /// carries, so no superinstruction quietly keeps computing.
+    /// carries, so no superinstruction quietly keeps computing. Every
+    /// other register an op names, and every destination, is its IR id
+    /// scaled by [`OPD_SCALE`].
     #[test]
     fn lowerings_differ_only_in_the_addresses_of_slot_halves() {
         let src = r#"
@@ -2680,12 +2811,21 @@ fn main() {
             let placed: Vec<_> = f.blocks.iter().flat_map(|b| &b.insts).collect();
             for (pc, (ds, dg)) in s.code.iter().zip(&g.code).enumerate() {
                 assert_eq!((ds.dst, ds.dense, ds.inj), (dg.dst, dg.dense, dg.inj));
+                // every register a slot names is a scaled one of its frame
+                if dg.dst != u32::MAX {
+                    assert_eq!(dg.dst, placed[pc].0 * OPD_SCALE, "dst of slot {pc}");
+                }
+                for op in [&ds.op, &dg.op] {
+                    for r in registers(op) {
+                        assert!(
+                            r % OPD_SCALE == 0 && r / OPD_SCALE < g.num_regs,
+                            "operand {r} of slot {pc}: {op:?}"
+                        );
+                    }
+                }
                 let ((shape_s, halves_s), (shape_g, halves_g)) = (split(&ds.op), split(&dg.op));
                 assert_eq!(shape_s, shape_g, "slot {pc} differs in more than addresses");
-                let address_fields = match &dg.op {
-                    DOp::Load4 { .. } => 4,
-                    _ => format!("{:?}", dg.op).matches("ptr").count(),
-                };
+                let address_fields = format!("{:?}", dg.op).matches("ptr").count();
                 assert_eq!(halves_g.len(), address_fields, "{:?}", dg.op);
                 for (&hs, &(h, ptr, idx)) in halves_s.iter().zip(&halves_g) {
                     let (InstKind::Load { ptr: p, .. } | InstKind::Store { ptr: p, .. }) =
@@ -2693,7 +2833,7 @@ fn main() {
                     else {
                         panic!("half {h} of slot {pc} is not a load or store");
                     };
-                    assert_eq!(Operand::Value(minpsid_ir::InstId(ptr)), *p);
+                    assert_eq!(Operand::Value(minpsid_ir::InstId(ptr / OPD_SCALE)), *p);
                     if hs.1 == SLOT {
                         slotted_kinds.insert(ds.op.index());
                     } else {

@@ -362,6 +362,13 @@ impl<'m> Interp<'m> {
         funcs.map(|f| f.code.iter().map(name).collect()).collect()
     }
 
+    /// Bytes per code slot of the decoded loop: the stride of its
+    /// dispatch, which `step_rate` prints beside the rates it explains.
+    #[doc(hidden)]
+    pub fn code_slot_bytes() -> usize {
+        std::mem::size_of::<decode::DInst>()
+    }
+
     pub fn module(&self) -> &'m Module {
         self.module
     }

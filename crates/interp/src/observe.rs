@@ -74,6 +74,10 @@ pub(crate) struct Observers {
     /// lives here, in memory, because as one more local of the loop it
     /// costs `pc` its register.
     pub(crate) half: usize,
+    /// The running function's pair base into `branches`: twice its
+    /// `slot_base`. Written by the loop at every call and return; in
+    /// memory for the same reason as `half`.
+    pub(crate) br_base: usize,
     pub(crate) trace: Option<Vec<TraceEvent>>,
     pub(crate) ckpt: Option<CheckpointCollector>,
     /// The state at a capture boundary, in canonical form.

@@ -99,6 +99,14 @@ impl Snapshot {
     pub fn approx_bytes(&self) -> usize {
         self.state.approx_bytes() + self.inj_counts.len() * 8 + 64
     }
+
+    /// The 64-bit state digest golden convergence filters on
+    /// ([`crate::converge`]): equal states hash equal. Measurements key
+    /// faulty runs' states by it (`examples/replay_headroom.rs`).
+    #[doc(hidden)]
+    pub fn digest(&self) -> u64 {
+        crate::converge::digest_of(&self.state)
+    }
 }
 
 /// How checkpoints are stored.

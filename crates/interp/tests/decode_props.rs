@@ -1434,6 +1434,10 @@ fn every_superinstruction_is_reachable_and_oracle_exact() {
                 emit(fb, c);
             }),
         ),
+        // `Load4` carries its first load and runs the other three from
+        // their standalone slots: once where each later load addresses
+        // through the one before it, once where the chained halves are
+        // slot-addressed and the last two address through the first two
         (
             "Load4",
             window_module("load4", |fb, s, heap| {
@@ -1442,6 +1446,17 @@ fn every_superinstruction_is_reachable_and_oracle_exact() {
                 let c = fb.load(Ty::I64, heap, b);
                 let d = fb.load(Ty::I64, heap, c);
                 emit(fb, d);
+            }),
+        ),
+        (
+            "Load4",
+            window_module("load4-slots", |fb, s, heap| {
+                let a = fb.load(Ty::I64, s, 0i64);
+                let b = fb.load(Ty::I64, s, 1i64);
+                let c = fb.load(Ty::I64, heap, a);
+                let d = fb.load(Ty::I64, heap, c);
+                let e = fb.sub(Ty::I64, d, b);
+                emit(fb, e);
             }),
         ),
         ("LoadCmpBr", counted_loop()),
@@ -1457,6 +1472,29 @@ fn every_superinstruction_is_reachable_and_oracle_exact() {
             every_fault_matches_the_oracle(m, &input, 1, |_| vec![0, 1, 63]);
         assert_eq!(store.len() as u64, golden.steps - 1, "a stop at every step");
         assert!(elsewhere >= 2 * 3 * 2, "{name}: {elsewhere} faults");
+        if *name == "Load4" {
+            // each half produced, so each took a fault above, and the
+            // window ran through boundaries at all three mid-window pcs
+            let window = &m.funcs[0].blocks[1].insts[..4];
+            let produced: Vec<u32> = golden
+                .trace
+                .as_ref()
+                .expect("traced")
+                .iter()
+                .map(|e| e.dense)
+                .collect();
+            for id in window {
+                assert!(matches!(
+                    m.funcs[0].insts[id.index()].kind,
+                    InstKind::Load { .. }
+                ));
+                assert!(
+                    produced.contains(&id.0),
+                    "{}: half {id:?} never ran",
+                    m.name
+                );
+            }
+        }
     }
     // and the table is the whole set: a superinstruction added to the
     // decoder shows up in some function here or fails this
@@ -1474,6 +1512,7 @@ fn every_superinstruction_is_reachable_and_oracle_exact() {
         .collect();
     let mut table: Vec<&str> = windows.iter().map(|(n, _)| *n).collect();
     table.sort_unstable();
+    table.dedup();
     assert_eq!(fused, table);
 }
 

@@ -5,7 +5,8 @@
 //! per-instruction plan (`CampaignEngine::planned_faults`) one fault at a
 //! time on the path a campaign's `inject` takes — `Interp::resume_from`,
 //! or `Interp::run_with_fault_against` before the first checkpoint — and
-//! prints three tables (EXPERIMENTS.md, "Replay headroom"):
+//! prints four tables (EXPERIMENTS.md, "Replay headroom" and "Power-of-two
+//! strides"):
 //!
 //! 1. **Steps by outcome**: the share of executed steps spent in runs that
 //!    end SDC / benign / hang / crash. SDC and hang runs must reach their
@@ -26,6 +27,21 @@
 //!    profiled, and two hangs whose block-entry counts are equal retraced
 //!    the same path to the step limit (what ROADMAP item 4(a)'s
 //!    counted-loop proof would have to recognise without running them).
+//! 4. **Trajectory-map headroom** (ROADMAP item 3(b)): every distinct
+//!    fault, in plan order, is replayed on the reference walk with its
+//!    states captured at the golden boundaries, and each state that is not
+//!    golden's is keyed by (boundary, state digest). *Map* is the steps a
+//!    run executes after the first boundary whose key an earlier faulty
+//!    run already reached — what a map from those keys to a finished run's
+//!    outcome could serve at most; *back-off* the same for a map that, like
+//!    golden convergence, hashes a run's state only at the 1st, 2nd, 4th,
+//!    8th … boundary after it leaves golden, so it holds and looks up only
+//!    those; *same site* that map kept per site; *in benign* how much of
+//!    *map* is in runs that end benign. Two smaller
+//!    levers beside it: *bool bit*, the runs at a `Bool` site whose
+//!    instance already ran with another bit (every bit of a `B` flips it,
+//!    so they repeat a run), and *no reader*, the runs at a site whose
+//!    value no instruction reads.
 //!
 //! ```text
 //! cargo run --release --example replay_headroom -- [--per-inst N] [--seed N]
@@ -45,7 +61,7 @@ use minpsid_repro::interp::{
     auto_interval, divergence, oracle, CheckpointConfig, CheckpointStore, Divergence, ExecConfig,
     ExecResult, ExecScratch, FaultSpec, FaultTarget, Interp, ProgInput, SnapshotMode,
 };
-use minpsid_repro::ir::GlobalInstId;
+use minpsid_repro::ir::{GlobalInstId, Ty};
 use minpsid_repro::workloads;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::time::{Duration, Instant};
@@ -84,6 +100,29 @@ struct Kernel {
     raw: Duration,
     slowest: Duration,
     engine: Duration,
+    /// Table 4: steps a trajectory map could serve — at any boundary, at
+    /// the back-off's, at the back-off's from the same site — and of the
+    /// first, those in runs that end benign; then the bool-bit and
+    /// no-reader steps.
+    map: [u64; 3],
+    map_benign: u64,
+    bool_bit: u64,
+    unread: u64,
+}
+
+/// Table 4's memory of the runs so far, in plan order.
+#[derive(Default)]
+struct Trajectories {
+    /// Golden's state digest at each boundary, by step count.
+    golden: HashMap<u64, u64>,
+    /// (boundary, state digest) of every non-golden state a run reached.
+    seen: HashSet<(u64, u64)>,
+    /// The same for the states a run reached at a boundary the back-off
+    /// visits — the only ones it would hash — under `None` and under its
+    /// site.
+    visited: HashSet<(Option<GlobalInstId>, u64, u64)>,
+    /// (site, instance) of the `Bool` sites' runs.
+    bool_runs: HashSet<(GlobalInstId, u64)>,
 }
 
 fn main() {
@@ -129,6 +168,23 @@ fn main() {
             mode: SnapshotMode::Full,
             keyframe_every: 1,
         };
+        // golden's own states at those boundaries, which no map needs to
+        // hold, and the values some instruction reads
+        let (_, states) = oracle::run_with_checkpoint_store(&interp, &input, capture);
+        let mut maps = Trajectories {
+            golden: (0..states.len())
+                .map(|i| (states.steps_at(i), states.materialize(i).digest()))
+                .collect(),
+            ..Trajectories::default()
+        };
+        let mut read = HashSet::new();
+        for (func, f) in module.iter_funcs() {
+            let mut ids = Vec::new();
+            for inst in &f.insts {
+                inst.kind.value_operands(&mut ids);
+            }
+            read.extend(ids.into_iter().map(|inst| GlobalInstId { func, inst }));
+        }
         let mut k = Kernel::default();
         // every distinct planned fault on `inject`'s path, handed to `visit`
         // with its site's dynamic count, its result and outcome, and the
@@ -179,7 +235,25 @@ fn main() {
             .expect("three runs");
         (k.injections, k.repeats) = replay(&mut |site, fault, r, outcome, took| {
             k.slowest = k.slowest.max(took);
-            let executed = r.converged_at.unwrap_or(r.steps) - r.resumed_at.unwrap_or(0);
+            let end = r.converged_at.unwrap_or(r.steps);
+            let executed = end - r.resumed_at.unwrap_or(0);
+            let FaultTarget::NthOfInst(_, nth) = fault.target else {
+                unreachable!("per-instruction faults name their site")
+            };
+            if module.inst(site.gid).ty == Some(Ty::Bool) && !maps.bool_runs.insert((site.gid, nth))
+            {
+                k.bool_bit += executed;
+            }
+            if !read.contains(&site.gid) {
+                k.unread += executed;
+            }
+            let served = reuse(&interp, &input, fault, capture, site.gid, end, &mut maps);
+            for (m, s) in k.map.iter_mut().zip(served) {
+                *m += s;
+            }
+            if outcome == Outcome::Benign {
+                k.map_benign += served[0];
+            }
             match outcome {
                 Outcome::Sdc => k.by_outcome[0] += executed,
                 Outcome::Benign => k.by_outcome[1] += executed,
@@ -256,6 +330,59 @@ fn why_missed(
     }
 }
 
+/// Table 4 for one run: replay `fault` on the reference walk with its
+/// states captured at the golden boundaries and return the steps it
+/// executes (up to `end`) after the first state an earlier run reached —
+/// at any boundary; at a boundary the back-off visits, in a map that
+/// holds only visited states; the same, reached from `site` — then
+/// remember its states.
+fn reuse(
+    interp: &Interp<'_>,
+    input: &ProgInput,
+    fault: FaultSpec,
+    capture: CheckpointConfig,
+    site: GlobalInstId,
+    end: u64,
+    maps: &mut Trajectories,
+) -> [u64; 3] {
+    let (_, faulty) = oracle::run_with_fault_capturing(interp, input, fault, capture);
+    let mut served = [None; 3];
+    // boundaries since the run left golden: the back-off's ordinal
+    let mut ord = 0u64;
+    let mut keys = Vec::new();
+    for i in 0..faulty.len() {
+        let (steps, digest) = (faulty.steps_at(i), faulty.materialize(i).digest());
+        let on_golden = maps.golden.get(&steps) == Some(&digest);
+        if ord == 0 && on_golden {
+            continue; // before the flip, or the flip already masked
+        }
+        ord += 1;
+        if on_golden {
+            continue; // back on golden: convergence's to serve
+        }
+        let visited = ord.is_power_of_two();
+        let hits = [
+            maps.seen.contains(&(steps, digest)),
+            visited && maps.visited.contains(&(None, steps, digest)),
+            visited && maps.visited.contains(&(Some(site), steps, digest)),
+        ];
+        for (s, hit) in served.iter_mut().zip(hits) {
+            if hit && s.is_none() {
+                *s = Some(end.saturating_sub(steps));
+            }
+        }
+        keys.push((steps, digest, visited));
+    }
+    for (steps, digest, visited) in keys {
+        maps.seen.insert((steps, digest));
+        if visited {
+            maps.visited.insert((None, steps, digest));
+            maps.visited.insert((Some(site), steps, digest));
+        }
+    }
+    served.map(|s| s.unwrap_or(0))
+}
+
 fn print_tables(rows: &[(&str, Kernel)]) {
     let pct = |part: u64, whole: u64| 100.0 * part as f64 / whole.max(1) as f64;
     let total = |k: &Kernel| k.by_outcome.iter().sum::<u64>();
@@ -283,7 +410,13 @@ fn print_tables(rows: &[(&str, Kernel)]) {
         for (s, v) in suite.missed.iter_mut().zip(k.missed) {
             *s += v;
         }
+        for (s, v) in suite.map.iter_mut().zip(k.map) {
+            *s += v;
+        }
         suite.benign_converged += k.benign_converged;
+        suite.map_benign += k.map_benign;
+        suite.bool_bit += k.bool_bit;
+        suite.unread += k.unread;
     }
     let t = total(&suite);
     println!(
@@ -345,6 +478,26 @@ fn print_tables(rows: &[(&str, Kernel)]) {
             ms(k.slowest),
             100.0 * ms(k.slowest) / ms(k.raw),
             k.hang_insts.iter().cloned().collect::<Vec<_>>().join(",")
+        );
+    }
+
+    println!("\ntrajectory-map headroom (share of all steps; in benign: share of map)");
+    println!(
+        "{:<15} {:>13} {:>7} {:>9} {:>10} {:>10} {:>9} {:>10}",
+        "kernel", "steps", "map", "back-off", "same site", "in benign", "bool bit", "no reader"
+    );
+    for (name, k) in rows.iter().map(|(n, k)| (*n, k)).chain([("suite", &suite)]) {
+        let t = total(k);
+        println!(
+            "{:<15} {:>13} {:>6.1}% {:>8.1}% {:>9.1}% {:>9.1}% {:>8.1}% {:>9.1}%",
+            name,
+            t,
+            pct(k.map[0], t),
+            pct(k.map[1], t),
+            pct(k.map[2], t),
+            pct(k.map_benign, k.map[0]),
+            pct(k.bool_bit, t),
+            pct(k.unread, t)
         );
     }
 }

@@ -47,11 +47,19 @@ echo "== exec_loop codegen (pc stays in a register in all four instantiations)"
 # LLVM puts the loop's `pc` on the stack when one more value is live
 # across it (clean loop -18 %, nothing fails), and deleting code from the
 # loop trips that as readily as adding to it: every `pc += 1` is then an
-# `incq` on a stack slot
-SPILLS="$(objdump -d --no-show-raw-insn "$CLI" | awk '/exec_loop/,/^$/' \
-  | grep -c 'incq .*(%rsp)' || true)"
-test "$SPILLS" = "0" \
-  || { echo "exec_loop keeps pc on the stack ($SPILLS incq on %rsp)"; exit 1; }
+# `incq` on a stack slot, every `pc += 4` an `addq`. Counted per
+# instantiation, so a failure names the symbol that spilled
+SPILLS="$(objdump -d --no-show-raw-insn "$CLI" | awk '
+  /^[0-9a-f]+ <.*exec_loop.*>:$/ { sym = $2; n[sym] = 0; next }
+  sym && /^$/ { sym = "" }
+  sym && /(inc|add)q .*\(%rsp\)/ { n[sym]++ }
+  END { for (s in n) print s, n[s] }')"
+echo "$SPILLS"
+test "$(wc -l <<<"$SPILLS")" = "4" \
+  || { echo "expected four exec_loop instantiations"; exit 1; }
+if grep -v ' 0$' <<<"$SPILLS"; then
+  echo "exec_loop keeps pc on the stack: (inc|add)q on %rsp in the symbol(s) above"; exit 1
+fi
 
 echo "== unknown-flag smoke (a misspelt flag is a usage error, not a different run)"
 # --workers, --status-addr, the retry scheduler's six, the flag audit's
