@@ -1,10 +1,12 @@
 //! Step-rate probe: per kernel, on its reference input, the steps/sec of
-//! each of the four instantiations of the decoded loop — clean; armed (a
+//! each of the five instantiations of the decoded loop — clean; armed (a
 //! fault aimed past the end of the trace, so it never fires and the armed
 //! loop runs the whole program: what a faulty run pays up to its flip);
-//! observed (a profiled fault-free run, what a GA candidate costs); and
+//! observed (a profiled fault-free run, what a GA candidate costs);
 //! armed-observed (a profiled run with that same fault: what observing
-//! cost before it stopped arming) — with the observed/clean ratio, under
+//! cost before it stopped arming); and proving (the loop a faulty run
+//! finishes on past the golden run's length, visiting every counted
+//! loop's latch from the first step) — with the observed/clean ratio, under
 //! a header naming the code-slot size, the loop's dispatch stride; and
 //! how much of the run the slotted lowering addresses at
 //! decode time — the share of dynamic instructions that are loads or
@@ -33,7 +35,7 @@ struct OpShare {
 fn main() {
     println!("code slot: {} B", Interp::code_slot_bytes());
     println!(
-        "{:<15} {:>8} {:>7} {:>7} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
+        "{:<15} {:>8} {:>7} {:>7} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
         "kernel",
         "steps",
         "mem %",
@@ -43,6 +45,7 @@ fn main() {
         "armed M/s",
         "obs M/s",
         "armed-obs",
+        "prove M/s",
         "obs/clean"
     );
     let never = FaultSpec {
@@ -50,7 +53,7 @@ fn main() {
         bit: 0,
     };
     let (mut steps_all, mut mem_all, mut slot_all) = (0u64, 0u64, 0u64);
-    let mut secs_all = [0f64; 4];
+    let mut secs_all = [0f64; 5];
     let mut ops: BTreeMap<String, OpShare> = BTreeMap::new();
     for b in minpsid_workloads::suite() {
         let module = b.compile();
@@ -80,6 +83,7 @@ fn main() {
             best_secs(&|i| drop(black_box(clean.run_with_fault(i, never)))),
             best_secs(&|i| drop(black_box(observed.run(i)))),
             best_secs(&|i| drop(black_box(observed.run_with_fault(i, never)))),
+            best_secs(&|i| drop(black_box(clean.run_proving(i)))),
         ];
         let rate = |secs: f64| p.total_insts as f64 / secs / 1e6;
         let (mut mem, mut slot) = (0u64, 0u64);
@@ -94,7 +98,7 @@ fn main() {
         let (slotted, all) = clean.slot_coverage();
         let pct = |n: u64| 100.0 * n as f64 / p.total_insts as f64;
         println!(
-            "{:<15} {:>8} {:>7.1} {:>7.1} {:>9} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.2}",
+            "{:<15} {:>8} {:>7.1} {:>7.1} {:>9} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.2}",
             b.name,
             p.total_insts,
             pct(mem),
@@ -104,6 +108,7 @@ fn main() {
             rate(secs[1]),
             rate(secs[2]),
             rate(secs[3]),
+            rate(secs[4]),
             secs[0] / secs[2]
         );
         for (all, s) in secs_all.iter_mut().zip(secs) {
@@ -130,11 +135,11 @@ fn main() {
             ops.entry(name.to_string()).or_default().slots += 1;
         }
     }
-    let [clean, armed, obs, armed_obs] = secs_all.map(|s| steps_all as f64 / s / 1e6);
+    let [clean, armed, obs, armed_obs, prove] = secs_all.map(|s| steps_all as f64 / s / 1e6);
     println!(
         "suite: {steps_all} steps, {:.1} % loads/stores, {:.1} % slot-addressed; \
          clean {clean:.1} M/s, armed {armed:.1} M/s, observed {obs:.1} M/s ({:.2}x clean), \
-         armed-observed {armed_obs:.1} M/s",
+         armed-observed {armed_obs:.1} M/s, proving {prove:.1} M/s",
         100.0 * mem_all as f64 / steps_all as f64,
         100.0 * slot_all as f64 / steps_all as f64,
         obs / clean

@@ -292,8 +292,10 @@ fn emit_function_outcomes(
 /// Run one injection: resume from the nearest safe snapshot when one
 /// exists (faults early in the trace may precede the first snapshot),
 /// otherwise replay from scratch. Either way the run is finished early
-/// once its state equals the golden run's at a later snapshot. `st` is
-/// per-worker scratch whose buffers are reused across injections.
+/// once its state equals the golden run's at a later snapshot, or once,
+/// past the golden run's length, a counted loop of it provably repeats
+/// itself to the step limit. `st` is per-worker scratch whose buffers are
+/// reused across injections.
 fn inject(
     interp: &Interp<'_>,
     st: &mut ExecScratch,
@@ -321,12 +323,14 @@ type Inject<'f> = dyn Fn(&Interp<'_>, &mut ExecScratch, &GoldenRun, &ProgInput, 
 
 /// Where one injection's dynamic steps went: skipped by resuming from a
 /// checkpoint, executed, and — when the run converged onto the golden run
-/// and was finished early — the tail that was neither.
+/// and was finished early — the tail that was neither. A run proved to
+/// end at the step limit executed up to the proof only.
 #[derive(Debug, Clone, Copy, Default)]
 struct StepTally {
     executed: u64,
     skipped: u64,
     saved: Option<u64>,
+    hang_proved: bool,
 }
 
 impl StepTally {
@@ -334,6 +338,9 @@ impl StepTally {
         counters.record(outcome_kind(outcome), self.executed, self.skipped);
         if let Some(saved) = self.saved {
             counters.record_converged(saved);
+        }
+        if self.hang_proved {
+            counters.record_hang_proved();
         }
     }
 }
@@ -686,10 +693,12 @@ impl<'a> CampaignEngine<'a> {
             let skipped = r.resumed_at.unwrap_or(0);
             let steps = StepTally {
                 skipped,
-                // a run that converged onto golden stopped there; the
-                // rest of `steps` is golden's tail, not replayed
-                executed: r.converged_at.unwrap_or(r.steps) - skipped,
+                // a run that converged onto golden stopped there, one
+                // proved to hang at the proof; the rest of `steps` was
+                // not replayed
+                executed: r.hang_proved_at.or(r.converged_at).unwrap_or(r.steps) - skipped,
                 saved: r.converged_at.map(|at| r.steps - at),
+                hang_proved: r.hang_proved_at.is_some(),
             };
             st.recycle_output(r.output);
             (outcome, steps)
@@ -1238,7 +1247,7 @@ pub struct ProgramUnitExecutor<'e> {
 impl ProgramUnitExecutor<'_> {
     /// Resolve unit `i` to its classified outcome. The `bool` is always
     /// `false` (it said "recovered via retry"): `benchmark/` destructures
-    /// a pair and may not change here; ROADMAP item 5 drops it.
+    /// a pair and may not change here; ROADMAP 4(b) drops it.
     ///
     /// Panics if `i` is outside the plan or the population is empty.
     pub fn run_unit(&mut self, i: usize) -> (Outcome, bool) {

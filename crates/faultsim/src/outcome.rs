@@ -134,6 +134,7 @@ mod tests {
             trace: None,
             resumed_at: None,
             converged_at: None,
+            hang_proved_at: None,
         }
     }
 

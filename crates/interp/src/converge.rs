@@ -147,7 +147,7 @@ pub(crate) fn digest_of(st: &MachineState) -> u64 {
     )
 }
 
-fn values_eq(a: &[Value], b: &[Value]) -> bool {
+pub(crate) fn values_eq(a: &[Value], b: &[Value]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(&x, &y)| value_bits_eq(x, y))
 }
 
@@ -264,7 +264,7 @@ impl<'a> DecodedView<'a> {
 
     /// Words a digest of this state reads, counted from the arena sizes
     /// (constant slots included): an upper bound that costs nothing.
-    fn words(&self) -> u64 {
+    pub(crate) fn words(&self) -> u64 {
         (self.regs.len() + self.args.len() + self.mem.len() + self.stack_mem.len()) as u64
     }
 
@@ -284,7 +284,8 @@ impl<'a> DecodedView<'a> {
 }
 
 /// What the last [`Interp::resume_from`] on a scratch spent looking for
-/// convergence; see [`ExecScratch::converge_stats`].
+/// convergence, and for a hang to prove past the golden run's length; see
+/// [`ExecScratch::converge_stats`].
 ///
 /// [`Interp::resume_from`]: crate::Interp::resume_from
 /// [`ExecScratch::converge_stats`]: crate::ExecScratch::converge_stats
@@ -294,10 +295,16 @@ pub struct ConvergeStats {
     pub checks: u32,
     /// Words those hashes read (an upper bound; see the module docs).
     pub words_hashed: u64,
+    /// Words the hang proof copied into latch saves and compared against
+    /// them, each save charged its compare when taken; never more than
+    /// the steps run past the golden run's length / [`WORDS_PER_STEP_DEN`].
+    pub proof_words: u64,
 }
 
 /// The early-exit driver of one injection: which boundary to visit next
-/// and what the visits have cost. Lives for one clean-loop run.
+/// and what the visits have cost. Lives for one clean-loop run, which it
+/// ends at the golden run's length if nothing earlier does: a run still
+/// going there continues on the loop that proves hangs (`hang.rs`).
 pub(crate) struct Converge<'a> {
     /// `None` when early exit is off for this run.
     golden: Option<(&'a CheckpointStore, &'a GoldenTail)>,
@@ -366,21 +373,39 @@ impl<'a> Converge<'a> {
 
     /// Step count at which the loop must pause for the next visit: one
     /// past the boundary, because the pause sits in the tick of the
-    /// instruction that follows it. `u64::MAX` when there is none.
+    /// instruction that follows it; after the last boundary, one past the
+    /// golden run's length (which a faulty run, equal to golden up to its
+    /// flip, has not passed when it gets here). `u64::MAX` when early exit
+    /// is off.
     pub(crate) fn next_at(&self) -> u64 {
-        self.golden
-            .and_then(|(store, _)| store.entries.get(self.first + self.ord - 1))
-            .map_or(u64::MAX, |e| e.steps + 1)
+        match self.golden {
+            Some((store, tail)) => store
+                .entries
+                .get(self.first + self.ord - 1)
+                .map_or(tail.steps + 1, |e| e.steps + 1),
+            None => u64::MAX,
+        }
     }
 
-    /// Visit the boundary [`Converge::next_at`] announced. `true` means
-    /// the run has converged there; `shadow` then holds the golden state.
+    /// Whether the pause [`Converge::visit`] ended the clean loop at is a
+    /// boundary the run converged at, not the golden run's length.
+    pub(crate) fn converged(&self) -> bool {
+        self.golden
+            .is_some_and(|(store, _)| self.first + self.ord - 1 < store.entries.len())
+    }
+
+    /// Visit the pause [`Converge::next_at`] announced. `true` ends the
+    /// clean loop there: the run has converged at the boundary (`shadow`
+    /// then holds the golden state), or it has reached the golden run's
+    /// length without ([`Converge::converged`] tells the two apart).
     #[cold]
     #[inline(never)]
     pub(crate) fn visit(&mut self, view: &DecodedView<'_>, shadow: &mut MachineState) -> bool {
         let (store, _) = self.golden.expect("a pause was announced");
         let k = self.first + self.ord - 1;
-        let entry = &store.entries[k];
+        let Some(entry) = store.entries.get(k) else {
+            return true;
+        };
         #[cfg(test)]
         if let Some(log) = &mut self.audit {
             store.restore_into(k, shadow);
@@ -435,6 +460,7 @@ impl<'a> Converge<'a> {
             trace: None,
             resumed_at: self.resumed_at,
             converged_at: Some(at),
+            hang_proved_at: None,
         }
     }
 }

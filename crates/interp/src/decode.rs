@@ -69,7 +69,10 @@
 //! and checkpoint-capture observers of [`crate::observe`]; the unarmed
 //! one is what every golden run and every GA candidate evaluation
 //! executes on, and the injection counts those need are derived from the
-//! observers' own counters. The other two compile the observers out.
+//! observers' own counters. The other two compile the observers out. A
+//! fifth, the *proving* loop, is the clean one plus a visit at the latch
+//! of every counted loop the decoder found (`hang.rs`): what a faulty run
+//! finishes on once it has passed the golden run's length.
 //!
 //! ## The scratch arena
 //!
@@ -91,6 +94,7 @@ use crate::exec::{
     STACK_TAG,
 };
 use crate::fault::{flip_bit, FaultSpec, FaultTarget};
+use crate::hang::{HangProof, Latch};
 use crate::observe::Observers;
 use crate::snapshot::{CheckpointCollector, CheckpointStore};
 use crate::value::{Output, Scalar, Stream, Value};
@@ -561,6 +565,12 @@ pub(crate) struct DFunc {
     /// Code slots of all earlier functions: this function's base into
     /// module-wide per-slot tables (see [`crate::observe`]).
     pub(crate) slot_base: usize,
+    /// The counted loops whose latches the proving loop visits, by pc
+    /// (`hang.rs`). Slotted lowering only: the generic one proves nothing.
+    pub(crate) latches: Vec<Latch>,
+    /// Per register: holds a `salloc` result, the one stack pointer a
+    /// state the hang proof accepts may hold.
+    pub(crate) salloc_regs: Vec<bool>,
 }
 
 impl DFunc {
@@ -599,7 +609,7 @@ pub(crate) struct Lowered {
 
 /// One decoded frame: bases into the shared [`ExecScratch`] arenas
 /// instead of per-frame `Vec`s.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct DFrame {
     pub(crate) func: u32,
     pub(crate) pc: u32,
@@ -627,6 +637,8 @@ pub struct ExecScratch {
     on_generic: bool,
     /// What the observed loop records (see [`crate::observe`]).
     obs: Observers,
+    /// The latch saves of the proving loop (`hang.rs`).
+    hang: HangProof,
 }
 
 impl ExecScratch {
@@ -804,7 +816,10 @@ pub(crate) fn decode_module(m: &Module) -> Lowered {
     let mut mem_halves = 0;
     let mut dense_base = 0u32;
     let mut slot_base = 0usize;
-    for f in &m.funcs {
+    let offsets: Vec<_> = m.funcs.iter().map(slot_offsets).collect();
+    let contained = crate::hang::sallocs_stay_in_slots(m, &offsets);
+    let mut latch_ids = 0;
+    for (f, offsets) in m.funcs.iter().zip(&offsets) {
         let df = decode_func(f, dense_base, slot_base);
         dense_base += f.insts.len() as u32;
         slot_base += df.code.len();
@@ -816,7 +831,6 @@ pub(crate) fn decode_module(m: &Module) -> Lowered {
         // the slotted lowering is the generic one with the slot-addressed
         // halves rewritten in place: layout, fusion and pool are shared
         // by construction
-        let offsets = slot_offsets(f);
         let mut sf = df.clone();
         for pc in 0..sf.code.len() {
             sf.code[pc].op.for_each_mem_half(|half, ptr, idx| {
@@ -826,6 +840,7 @@ pub(crate) fn decode_module(m: &Module) -> Lowered {
                 }
             });
         }
+        sf.latches = crate::hang::latches(f, offsets, contained, &mut latch_ids);
         generic.push(df);
         slotted.push(sf);
     }
@@ -959,6 +974,10 @@ fn decode_func(f: &Function, dense_base: u32, slot_base: usize) -> DFunc {
         num_regs: f.insts.len() as u32 + consts.len() as u32,
         consts,
         slot_base,
+        latches: Vec::new(),
+        salloc_regs: (f.insts.iter())
+            .map(|i| matches!(i.kind, InstKind::Salloc { .. }))
+            .collect(),
     }
 }
 
@@ -1348,9 +1367,9 @@ fn run_observed(
     scratch.on_generic = fault.is_some() || st.fault_applied;
     let conv = &mut Converge::off();
     if armed {
-        run_loop::<true, true>(interp, scratch, input, fault, resumed_at, conv)
+        run_loop::<true, true, false>(interp, scratch, input, fault, resumed_at, conv)
     } else {
-        run_loop::<false, true>(interp, scratch, input, None, None, conv)
+        run_loop::<false, true, false>(interp, scratch, input, None, None, conv)
     }
     .expect("the observed loops always run to a termination")
 }
@@ -1366,7 +1385,10 @@ fn run_observed(
 /// resumed from, or that a cold run executes beside: once the fault has
 /// fired, the clean phase pauses at its later checkpoints and finishes
 /// early when the state has converged onto the golden run (see
-/// [`crate::converge`]).
+/// [`crate::converge`]). A run still going at the golden run's length
+/// finishes on the *proving* instantiation instead, which stops it there
+/// once a counted loop of it provably repeats itself to the step limit
+/// (`hang.rs`).
 pub(crate) fn run_unobserved(
     interp: &Interp<'_>,
     scratch: &mut ExecScratch,
@@ -1381,7 +1403,7 @@ pub(crate) fn run_unobserved(
     let mut conv = Converge::off();
     if fault.is_some() && !scratch.st.fault_applied {
         if let Some(r) =
-            run_loop::<true, false>(interp, scratch, input, fault, resumed_at, &mut conv)
+            run_loop::<true, false, false>(interp, scratch, input, fault, resumed_at, &mut conv)
         {
             return r;
         }
@@ -1389,9 +1411,41 @@ pub(crate) fn run_unobserved(
             conv = Converge::new(interp, store, resumed_at, scratch.st.steps);
         }
     }
-    let r = run_loop::<false, false>(interp, scratch, input, fault, resumed_at, &mut conv)
-        .expect("the clean loop always runs to a termination");
+    let r = run_loop::<false, false, false>(interp, scratch, input, fault, resumed_at, &mut conv)
+        .unwrap_or_else(|| prove(interp, scratch, input, fault, resumed_at, &mut conv));
     scratch.converge_stats = conv.stats;
+    r
+}
+
+/// A fault-free run on the proving instantiation from the state in
+/// `scratch` on (see [`Interp::run_proving`](crate::Interp::run_proving)).
+pub(crate) fn run_proving(
+    interp: &Interp<'_>,
+    scratch: &mut ExecScratch,
+    input: &crate::value::ProgInput,
+) -> ExecResult {
+    scratch.on_generic = false;
+    let mut conv = Converge::off();
+    let r = prove(interp, scratch, input, None, None, &mut conv);
+    scratch.converge_stats = conv.stats;
+    r
+}
+
+/// Run to the end on the proving instantiation from the state in
+/// `scratch`, the budget for latch saves counted from there.
+fn prove(
+    interp: &Interp<'_>,
+    scratch: &mut ExecScratch,
+    input: &crate::value::ProgInput,
+    fault: Option<FaultSpec>,
+    resumed_at: Option<u64>,
+    conv: &mut Converge<'_>,
+) -> ExecResult {
+    let step_limit = interp.config().step_limit;
+    scratch.hang.begin(scratch.st.steps, step_limit);
+    let r = run_loop::<false, false, true>(interp, scratch, input, fault, resumed_at, conv)
+        .expect("the proving loop always runs to a termination");
+    conv.stats.proof_words = scratch.hang.words;
     r
 }
 
@@ -1416,9 +1470,14 @@ enum Stop {
     /// Armed only: the fault has fired at the last instruction, the one
     /// with dense index `flipped`; the run continues on the clean loop.
     Handoff { flipped: u32 },
-    /// Clean only: the state equals the golden run's at the checkpoint
-    /// just visited.
-    Converged,
+    /// Clean only, at a pause of [`Converge`]: the state equals the golden
+    /// run's at the checkpoint just visited, or the run has reached the
+    /// golden run's length and continues on the proving loop (the running
+    /// frame's pc synced back into the scratch).
+    Paused,
+    /// Proving only: the run ends at the step limit; the step counter
+    /// holds where that was proved.
+    HangProved,
     /// The run is over. `executed`: whether the instruction in flight got
     /// past its step accounting (false only when the accounting itself
     /// ends the run); `pc`: the slot carrying it in the running frame.
@@ -1432,8 +1491,8 @@ enum Stop {
 
 /// One instantiation of [`exec_loop`] from the state in `scratch`, and the
 /// result of the run if it ended there (`None`: the armed loop handed
-/// off; see [`Stop`]).
-fn run_loop<const ARMED: bool, const OBS: bool>(
+/// off, or the clean loop reached the golden run's length; see [`Stop`]).
+fn run_loop<const ARMED: bool, const OBS: bool, const PROVE: bool>(
     interp: &Interp<'_>,
     scratch: &mut ExecScratch,
     input: &crate::value::ProgInput,
@@ -1447,13 +1506,16 @@ fn run_loop<const ARMED: bool, const OBS: bool>(
     } else {
         &lowered.slotted
     };
-    match exec_loop::<ARMED, OBS>(interp, dm, scratch, input, fault, conv) {
+    match exec_loop::<ARMED, OBS, PROVE>(interp, dm, scratch, input, fault, conv) {
         Stop::Handoff { flipped } => {
             // a flipped slot pointer no longer addresses its slot
             scratch.on_generic = interp.is_salloc(flipped);
             None
         }
-        Stop::Converged => Some(conv.finish(&mut scratch.st.output)),
+        Stop::Paused => conv
+            .converged()
+            .then(|| conv.finish(&mut scratch.st.output)),
+        Stop::HangProved => Some(scratch.hang.finish(&mut scratch.st, resumed_at)),
         Stop::End {
             termination,
             ret,
@@ -1471,6 +1533,7 @@ fn run_loop<const ARMED: bool, const OBS: bool>(
                 trace: None,
                 resumed_at,
                 converged_at: None,
+                hang_proved_at: None,
             };
             Some(if OBS {
                 scratch.obs.finish(
@@ -1488,19 +1551,23 @@ fn run_loop<const ARMED: bool, const OBS: bool>(
     }
 }
 
-/// The interpreter loop, monomorphized four ways — `ARMED` and `OBS` are
-/// independent; see [`run_decoded`]. Runs until the run ends or has to
-/// continue elsewhere, writes the step counter back into the scratch and
-/// says why it stopped.
+/// The interpreter loop, monomorphized five ways — `ARMED` and `OBS` are
+/// independent, `PROVE` goes with neither; see [`run_decoded`]. Runs until
+/// the run ends or has to continue elsewhere, writes the step counter back
+/// into the scratch and says why it stopped.
 ///
 /// * `ARMED`: counts injectable value productions and fires the fault.
 ///   Without it a produced value is a bare register write.
 /// * `OBS`: never hands off and drives the scratch's [`Observers`] —
 ///   taken-branch counters, call/return bookkeeping, the register write
 ///   trace.
+/// * `PROVE`: visits the latches of counted loops (`hang.rs`).
 ///
-/// * clean (neither): pauses at golden checkpoints for the convergence
-///   early exit.
+/// * clean (none): pauses at golden checkpoints for the convergence
+///   early exit, and at the golden run's length to hand over to the
+///   proving loop.
+/// * proving: the clean loop plus a visit at every latch the decoder
+///   found, after the latch's store; a run past the golden run's length.
 /// * armed: stops at the first instruction boundary after the flip, with
 ///   the current frame's pc synced back into the scratch so the clean
 ///   variant can pick up mid-run.
@@ -1513,7 +1580,7 @@ fn run_loop<const ARMED: bool, const OBS: bool>(
 /// * armed-observed: a profiled or traced run with a fault armed or
 ///   applied, or resumed mid-run; runs to its end on the counters it
 ///   entered with.
-fn exec_loop<const ARMED: bool, const OBS: bool>(
+fn exec_loop<const ARMED: bool, const OBS: bool, const PROVE: bool>(
     interp: &Interp<'_>,
     dm: &DecodedModule,
     scratch: &mut ExecScratch,
@@ -1535,6 +1602,7 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
         converge_stats: _,
         on_generic: _,
         obs,
+        hang,
     } = scratch;
     let MachineState {
         frames: _,
@@ -1615,8 +1683,9 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
     };
     // golden-convergence boundary, folded into the same compare: the next
     // checkpoint at which the (clean-phase) state is compared with the
-    // golden run's; u64::MAX when early exit is off for this run
-    let mut conv_at = if ARMED || OBS {
+    // golden run's, or the golden run's length; u64::MAX when early exit
+    // is off for this run
+    let mut conv_at = if ARMED || OBS || PROVE {
         u64::MAX
     } else {
         conv.next_at()
@@ -1717,6 +1786,9 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
                     crate::opprof::record($di.op.index());
                     next_sample = ((steps_l / sample_every) + 1) * sample_every;
                 }
+                // clean only in effect: the proving loop's `conv_at` is
+                // u64::MAX, but compiling the arm out of it changes how
+                // LLVM allocates the loop and puts `pc` on the stack
                 if !ARMED && !OBS && steps_l == conv_at {
                     // the state is the one after `steps_l - 1` steps
                     let view = DecodedView {
@@ -1731,8 +1803,11 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
                         out_len: output.len(),
                     };
                     if conv.visit(&view, shadow) {
+                        // resumable from the instruction about to run
+                        dframes.last_mut().expect("frame stack is non-empty").pc =
+                            (pc + $half) as u32;
                         *steps = steps_l - 1;
-                        return Stop::Converged;
+                        return Stop::Paused;
                     }
                     conv_at = conv.next_at();
                 }
@@ -2636,6 +2711,29 @@ fn exec_loop<const ARMED: bool, const OBS: bool>(
                 // store half: value fetched after the bin's write
                 tick!(di, 2);
                 store_word!(st_ptr, st_idx, st_v);
+                if PROVE {
+                    // a counted loop's latch: the counter is stored, the
+                    // branch not yet taken
+                    let func = dframes.last().expect("frame stack is non-empty").func;
+                    let latches = &dm.funcs[func as usize].latches;
+                    if let Some(latch) = latches.iter().find(|l| l.pc as usize == pc) {
+                        let view = DecodedView {
+                            dm,
+                            dframes: dframes.as_slice(),
+                            pc,
+                            half: 3,
+                            regs: regs.as_slice(),
+                            args: args.as_slice(),
+                            mem: mem.as_slice(),
+                            stack_mem: stack_mem.as_slice(),
+                            out_len: output.len(),
+                        };
+                        if hang.visit(latch, &view, steps_l) {
+                            *steps = steps_l;
+                            return Stop::HangProved;
+                        }
+                    }
+                }
                 // branch half: control-only
                 tick!(di, 3);
                 edge!(3, false);
@@ -3008,8 +3106,15 @@ fn main() {
             let mut scratch = ExecScratch::default();
             scratch.start_decoded(interp.decoded());
             let mut conv = Converge::audit(&interp, &store);
-            let r = run_loop::<false, false>(&interp, &mut scratch, &input, None, None, &mut conv)
-                .expect("the clean loop runs to a termination");
+            let r = run_loop::<false, false, false>(
+                &interp,
+                &mut scratch,
+                &input,
+                None,
+                None,
+                &mut conv,
+            )
+            .expect("the clean loop runs to a termination");
             assert_eq!(r.output, golden.output);
             assert_eq!(r.converged_at, None, "an audit never exits early");
 

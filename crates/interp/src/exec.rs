@@ -148,6 +148,12 @@ pub struct ExecResult {
     /// the full replay would have produced, and `converged_at -
     /// resumed_at` is what was executed (see [`crate::converge`]).
     pub converged_at: Option<u64>,
+    /// Step count at which the run was proved to end at the step limit and
+    /// was stopped (`None` for a run that got there, or anywhere else, on
+    /// its own). Telemetry like `converged_at`: the result is the full
+    /// run's, `steps` included, and `hang_proved_at - resumed_at` is what
+    /// was executed (DESIGN.md, "Proving a hang").
+    pub hang_proved_at: Option<u64>,
 }
 
 impl ExecResult {
@@ -406,6 +412,21 @@ impl<'m> Interp<'m> {
         decode::run_unobserved(self, &mut scratch, input, None, None)
     }
 
+    /// Execute without faults on the loop a faulty run finishes on once it
+    /// has passed the golden run's length — the one that visits counted
+    /// loops' latches to prove a hang — from the first step on, the budget
+    /// for its saves counted from there. What `step_rate` times, and what
+    /// tests hold against the oracle on hand-built loops: a run whose loop
+    /// provably repeats itself to the step limit stops at the proof, with
+    /// [`ExecResult::hang_proved_at`] set and every other field the full
+    /// run's.
+    #[doc(hidden)]
+    pub fn run_proving(&self, input: &ProgInput) -> ExecResult {
+        let mut scratch = ExecScratch::default();
+        scratch.start_decoded(self.decoded());
+        decode::run_proving(self, &mut scratch, input)
+    }
+
     /// Execute with a single fault armed.
     pub fn run_with_fault(&self, input: &ProgInput, fault: FaultSpec) -> ExecResult {
         let mut scratch = ExecScratch::default();
@@ -432,8 +453,9 @@ impl<'m> Interp<'m> {
     /// a cold run from the entry point that, once the fault has fired, is
     /// compared with the golden run at `golden`'s checkpoints and finished
     /// early when their states are equal, exactly as
-    /// [`Interp::resume_from`] does for a resumed one. Same result as the
-    /// plain cold run, `converged_at` aside.
+    /// [`Interp::resume_from`] does for a resumed one (the hang proof
+    /// included). Same result as the plain cold run, `converged_at` and
+    /// `hang_proved_at` aside.
     pub fn run_with_fault_against(
         &self,
         scratch: &mut ExecScratch,
@@ -487,7 +509,10 @@ impl<'m> Interp<'m> {
     /// checkpoints of `store` and finished early when their states are
     /// equal (see [`crate::converge`]; the store must come from a run
     /// under this interpreter's memory and call-depth limits).
-    /// [`ExecResult::converged_at`] says when that happened.
+    /// [`ExecResult::converged_at`] says when that happened. A run still
+    /// going past the golden run's length is stopped, too, once a counted
+    /// loop of it provably repeats itself to the step limit;
+    /// [`ExecResult::hang_proved_at`] says when.
     ///
     /// [`CheckpointStore::nearest_for_dynamic`]: crate::CheckpointStore::nearest_for_dynamic
     /// [`CheckpointStore::nearest_for_inst`]: crate::CheckpointStore::nearest_for_inst

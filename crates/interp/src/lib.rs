@@ -28,6 +28,7 @@ pub mod converge;
 pub mod decode;
 pub mod exec;
 pub mod fault;
+mod hang;
 mod observe;
 pub mod opprof;
 #[doc(hidden)]

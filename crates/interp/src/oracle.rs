@@ -179,6 +179,7 @@ fn run_inner(
                         trace,
                         resumed_at,
                         converged_at: None,
+                        hang_proved_at: None,
                     }
                 };
             }

@@ -29,7 +29,7 @@ use minpsid_interp::{
     FaultTarget, Interp, ProgInput, Scalar, SnapshotMode, Stream, Termination, TrapKind, Value,
 };
 use minpsid_ir::{
-    BlockId, CmpOp, FunctionBuilder, GlobalInstId, InstKind, Module, ModuleBuilder, Ty,
+    BlockId, CmpOp, FunctionBuilder, GlobalInstId, InstId, InstKind, Module, ModuleBuilder, Ty,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -1538,4 +1538,395 @@ fn slot_addressing_matches_the_oracle_and_yields_where_it_must() {
         "{} ineligible halves",
         n(&SEEN.ineligible)
     );
+}
+
+/// `main` counting stack slot 0 from 0 up to `arg_i(0)` in the latch shape
+/// the hang proof recognises (`head: load; icmp lt; condbr`, `latch: load;
+/// add 1; store; br head`). `body` runs between them and gets the slot,
+/// the bound, the header's load of the counter and a four-word heap block
+/// allocated before the loop, all zero; `exit` ends the block the loop
+/// leaves to and gets the slot and the header.
+fn counted_loop(
+    name: &str,
+    body: impl FnOnce(&mut ModuleBuilder, &mut FunctionBuilder, [InstId; 4]),
+    exit: impl FnOnce(&mut FunctionBuilder, InstId, BlockId),
+) -> Module {
+    built(name, |mb, fb| {
+        let [head, first, latch, out] = ["head", "body", "latch", "exit"].map(|n| fb.new_block(n));
+        let s = fb.salloc(1i64);
+        let heap = fb.alloc(4i64);
+        let n = fb.arg_i(0i64);
+        fb.store(s, 0i64, 0i64);
+        fb.br(head);
+        fb.switch_to(head);
+        let h0 = fb.load(Ty::I64, s, 0i64);
+        let more = fb.cmp(CmpOp::Lt, h0, n);
+        fb.cond_br(more, first, out);
+        fb.switch_to(first);
+        body(mb, fb, [s, n, h0, heap]);
+        fb.br(latch);
+        fb.switch_to(latch);
+        let i = fb.load(Ty::I64, s, 0i64);
+        let next = fb.add(Ty::I64, i, 1i64);
+        fb.store(s, 0i64, next);
+        fb.br(head);
+        fb.switch_to(out);
+        exit(fb, s, head);
+    })
+}
+
+/// `1000 / (v - k)`: traps once `v` reaches `k`, and is what a loop body
+/// computes into a register nothing reads.
+fn trap_at(fb: &mut FunctionBuilder, v: impl Into<minpsid_ir::Operand>, k: i64) {
+    let d = fb.sub(Ty::I64, v, k);
+    fb.div(Ty::I64, 1000i64, d);
+}
+
+/// A `void` function of one pointer, declared and defined by `body`.
+fn callee(
+    mb: &mut ModuleBuilder,
+    name: &str,
+    body: impl FnOnce(&mut FunctionBuilder, InstId),
+) -> minpsid_ir::FuncId {
+    let f = mb.declare(name, vec![Ty::Ptr], None);
+    let mut g = mb.body(f);
+    let p = g.param(0);
+    body(&mut g, p);
+    g.ret_void();
+    mb.define(g);
+    f
+}
+
+/// `m` on the proving loop (`Interp::run_proving`: every latch visited from
+/// the first step) against the oracle, field for field, at every step
+/// limit from `span` below to `span` above the step at which `m` ends
+/// under `cap` — a trap, an exit, or `cap` itself. Returns how many of
+/// those runs a proof stopped, or the first that differs.
+fn proofs_around_the_end(
+    m: &Module,
+    input: &ProgInput,
+    cap: ExecConfig,
+    span: u64,
+) -> Result<usize, String> {
+    let end = oracle::run(&Interp::new(m, cap.clone()), input).steps;
+    let mut proofs = 0;
+    for step_limit in end - span..=end + span {
+        let interp = Interp::new(
+            m,
+            ExecConfig {
+                step_limit,
+                ..cap.clone()
+            },
+        );
+        let (r, want) = (interp.run_proving(input), oracle::run(&interp, input));
+        same_result(&r, &want)
+            .map_err(|e| format!("{} at step limit {step_limit}: {e}", m.name))?;
+        if let Some(at) = r.hang_proved_at {
+            assert!(at < step_limit, "{}: proved at {at}", m.name);
+            proofs += 1;
+        }
+    }
+    Ok(proofs)
+}
+
+/// The hang proof stops a run at a counted loop's latch only when the
+/// iterations to come provably repeat the last one to the step limit. Two
+/// loops it must prove — one counting up to a bound past the limit, one
+/// whose state recurs exactly — with the loop's exit falling at the step
+/// limit, one step past it, and around both; and a hand-built loop for
+/// each way a weaker rule would claim a hang that is not one, each ending
+/// in a division that traps at iteration K: a heap cell that a callee
+/// counts; a register carried from one iteration into the next (IR that
+/// does not verify); the counter read in the body through its slot, or
+/// compared through the header's register; a side exit whose block reads
+/// the counter; a slot pointer passed to a callee that reads it; a bound
+/// loaded inside the loop; a loop that prints every iteration; and a heap
+/// pointer flipped into a stack pointer that a callee reads the counter
+/// through, on the path a campaign's faulty run takes. Each against the
+/// oracle at every step limit around its end (EXPERIMENTS.md "Proving a
+/// hang" says which of the rule's conditions each one needs).
+#[test]
+fn hangs_are_proved_only_where_the_loop_repeats_itself() -> Result<(), String> {
+    let ints = |v: &[i64]| ProgInput::scalars(v.iter().map(|&x| Scalar::I(x)).collect());
+    let cap = |step_limit: u64| ExecConfig {
+        step_limit,
+        ..exec()
+    };
+    let ret = |fb: &mut FunctionBuilder, _: InstId, _: BlockId| fb.ret_void();
+    const K: i64 = 200;
+    let huge = ints(&[1 << 40]);
+
+    // the loops to prove: an iteration count past the limit, with the
+    // exit at step_limit, step_limit + 1 and around; and an inner loop of
+    // one trip that an endless outer loop re-enters, resetting the counter
+    let counting = counted_loop(
+        "counting",
+        |_, fb, [_, n, _, _]| {
+            fb.mul(Ty::I64, n, 3i64);
+        },
+        ret,
+    );
+    let trips = ints(&[300]);
+    let end = oracle::run(&Interp::new(&counting, exec()), &trips).steps;
+    for (step_limit, ends) in [(end, Termination::Exit), (end - 1, Termination::StepLimit)] {
+        let r = Interp::new(&counting, cap(step_limit)).run_proving(&trips);
+        assert_eq!((r.termination, r.steps), (ends, end), "limit {step_limit}");
+    }
+    assert!(proofs_around_the_end(&counting, &trips, exec(), 40)? >= 20);
+    let recurring = counted_loop(
+        "recurring",
+        |_, _, _| {},
+        |fb, s, head| {
+            fb.store(s, 0i64, 0i64);
+            fb.br(head);
+        },
+    );
+    assert_eq!(
+        proofs_around_the_end(&recurring, &ints(&[1]), cap(20_000), 40)?,
+        81
+    );
+
+    // the loops a weaker rule would prove: each ends in a trap (or at the
+    // output limit) before the step limit, and none is proved
+    let mut refuted: Vec<(Module, ExecConfig)> = Vec::new();
+    let counted_cell = counted_loop(
+        "heap-cell-counted-by-a-callee",
+        |mb, fb, [_, _, _, heap]| {
+            let bump = callee(mb, "bump", |g, p| {
+                let c = g.load(Ty::I64, p, 0i64);
+                let c2 = g.add(Ty::I64, c, 1i64);
+                g.store(p, 0i64, c2);
+                trap_at(g, c, K);
+            });
+            fb.call(bump, None, vec![heap.into()]);
+        },
+        ret,
+    );
+    refuted.push((counted_cell, exec()));
+    // the first pass sets a flag; every later one adds 1 to what the
+    // select left in its register the pass before
+    let ids = std::cell::Cell::new(None);
+    let mut carried = counted_loop(
+        "register-carried-across-iterations",
+        |_, fb, [_, _, _, heap]| {
+            let [first, later, join] = ["first", "later", "join"].map(|n| fb.new_block(n));
+            let f = fb.load(Ty::I64, heap, 0i64);
+            let fresh = fb.cmp(CmpOp::Eq, f, 0i64);
+            fb.cond_br(fresh, first, later);
+            fb.switch_to(first);
+            fb.store(heap, 0i64, 1i64);
+            fb.br(join);
+            fb.switch_to(later);
+            let x = fb.add(Ty::I64, 0i64, 1i64);
+            fb.br(join);
+            fb.switch_to(join);
+            let sel = fb.select(Ty::I64, fresh, 0i64, x);
+            trap_at(fb, sel, K);
+            ids.set(Some((x, sel)));
+        },
+        ret,
+    );
+    let (x, sel) = ids.get().expect("the body was built");
+    carried.funcs[0].insts[x.index()].kind = InstKind::Bin {
+        op: minpsid_ir::BinOp::Add,
+        lhs: sel.into(),
+        rhs: 1i64.into(),
+    };
+    assert!(minpsid_ir::verify_module(&carried).is_err());
+    refuted.push((carried, exec()));
+    let read_slot = counted_loop(
+        "counter-read-through-its-slot",
+        |_, fb, [s, ..]| {
+            let t = fb.load(Ty::I64, s, 0i64);
+            trap_at(fb, t, K);
+        },
+        ret,
+    );
+    refuted.push((read_slot, exec()));
+    let compared = counted_loop(
+        "counter-compared-through-h0",
+        |_, fb, [_, _, h0, _]| {
+            let [boom, on] = ["boom", "on"].map(|n| fb.new_block(n));
+            let hit = fb.cmp(CmpOp::Eq, h0, K);
+            fb.cond_br(hit, boom, on);
+            fb.switch_to(boom);
+            fb.div(Ty::I64, 1000i64, 0i64);
+            fb.br(on);
+            fb.switch_to(on);
+        },
+        ret,
+    );
+    refuted.push((compared, exec()));
+    // every other pass through the body leaves through a side exit whose
+    // block reads the counter, then re-enters at the header: the latch
+    // sees the same memory each time, the counter one higher
+    let side_exit = built("side-exit", |_, fb| {
+        let [head, body, stay, side, latch, exit] =
+            ["head", "body", "stay", "side", "latch", "exit"].map(|n| fb.new_block(n));
+        let s = fb.salloc(1i64);
+        let n = fb.arg_i(0i64);
+        let flag = fb.alloc(1i64);
+        fb.store(s, 0i64, 0i64);
+        fb.br(head);
+        fb.switch_to(head);
+        let h0 = fb.load(Ty::I64, s, 0i64);
+        let more = fb.cmp(CmpOp::Lt, h0, n);
+        fb.cond_br(more, body, exit);
+        fb.switch_to(body);
+        let f = fb.load(Ty::I64, flag, 0i64);
+        let fresh = fb.cmp(CmpOp::Eq, f, 0i64);
+        fb.cond_br(fresh, stay, side);
+        fb.switch_to(stay);
+        fb.store(flag, 0i64, 1i64);
+        fb.br(latch);
+        fb.switch_to(side);
+        let t = fb.load(Ty::I64, s, 0i64);
+        trap_at(fb, t, K);
+        fb.store(flag, 0i64, 0i64);
+        fb.br(head);
+        fb.switch_to(latch);
+        let i = fb.load(Ty::I64, s, 0i64);
+        let next = fb.add(Ty::I64, i, 1i64);
+        fb.store(s, 0i64, next);
+        fb.br(head);
+        fb.switch_to(exit);
+        fb.ret_void();
+    });
+    refuted.push((side_exit, exec()));
+    let escaped = counted_loop(
+        "slot-pointer-passed-to-a-callee",
+        |mb, fb, [s, ..]| {
+            let peek = callee(mb, "peek", |g, p| {
+                let t = g.load(Ty::I64, p, 0i64);
+                trap_at(g, t, K);
+            });
+            fb.call(peek, None, vec![s.into()]);
+        },
+        ret,
+    );
+    refuted.push((escaped, exec()));
+    // the header loads the bound from a heap cell the body halves once the
+    // counter has passed K
+    let loaded_bound = built("bound-loaded-in-the-loop", |_, fb| {
+        let [head, body, down, latch, exit] =
+            ["head", "body", "down", "latch", "exit"].map(|n| fb.new_block(n));
+        let s = fb.salloc(1i64);
+        let cell = fb.alloc(1i64);
+        let n = fb.arg_i(0i64);
+        fb.store(cell, 0i64, n);
+        fb.store(s, 0i64, 0i64);
+        fb.br(head);
+        fb.switch_to(head);
+        let h0 = fb.load(Ty::I64, s, 0i64);
+        let bound = fb.load(Ty::I64, cell, 0i64);
+        let more = fb.cmp(CmpOp::Lt, h0, bound);
+        fb.cond_br(more, body, exit);
+        fb.switch_to(body);
+        let late = fb.cmp(CmpOp::Gt, h0, K);
+        fb.cond_br(late, down, latch);
+        fb.switch_to(down);
+        let b = fb.load(Ty::I64, cell, 0i64);
+        let shrunk = fb.div(Ty::I64, b, 2i64);
+        fb.store(cell, 0i64, shrunk);
+        fb.br(latch);
+        fb.switch_to(latch);
+        let i = fb.load(Ty::I64, s, 0i64);
+        let next = fb.add(Ty::I64, i, 1i64);
+        fb.store(s, 0i64, next);
+        fb.br(head);
+        fb.switch_to(exit);
+        fb.ret_void();
+    });
+    refuted.push((loaded_bound, exec()));
+    let printing = counted_loop("prints-every-iteration", |_, fb, _| fb.out_i(7i64), ret);
+    refuted.push((printing.clone(), cap(3_000)));
+    let output_capped = ExecConfig {
+        output_limit: 150,
+        ..exec()
+    };
+    refuted.push((printing, output_capped));
+    // every case, so that a rule too weak for several names them all
+    let wrong: Vec<String> = (refuted.iter())
+        .filter_map(
+            |(m, cap)| match proofs_around_the_end(m, &huge, cap.clone(), 40) {
+                Ok(0) => None,
+                Ok(proofs) => Some(format!("{}: {proofs} proofs", m.name)),
+                Err(e) => Some(e),
+            },
+        )
+        .collect();
+    assert!(wrong.is_empty(), "{}", wrong.join("\n"));
+
+    // a fault sets a heap pointer's stack tag: the bound is read from the
+    // slot that holds 1_000_000, and a callee reads the counter through it.
+    // The same loop with the bound's add flipped instead is a hang the
+    // campaign's path proves
+    let aliased = built("flipped-heap-pointer", |mb, fb| {
+        let [head, body, latch, exit] = ["head", "body", "latch", "exit"].map(|n| fb.new_block(n));
+        let s = fb.salloc(3i64);
+        fb.store(s, 2i64, 1_000_000i64);
+        let heap = fb.alloc(3i64);
+        let b = fb.load(Ty::I64, heap, 2i64);
+        let n = fb.add(Ty::I64, b, 5i64);
+        fb.store(s, 0i64, 0i64);
+        fb.br(head);
+        fb.switch_to(head);
+        let h0 = fb.load(Ty::I64, s, 0i64);
+        let more = fb.cmp(CmpOp::Lt, h0, n);
+        fb.cond_br(more, body, exit);
+        fb.switch_to(body);
+        let peek = callee(mb, "peek", |g, p| {
+            let v = g.load(Ty::I64, p, 0i64);
+            trap_at(g, v, K);
+        });
+        fb.call(peek, None, vec![heap.into()]);
+        fb.br(latch);
+        fb.switch_to(latch);
+        let i = fb.load(Ty::I64, s, 0i64);
+        let next = fb.add(Ty::I64, i, 1i64);
+        fb.store(s, 0i64, next);
+        fb.br(head);
+        fb.switch_to(exit);
+        fb.ret_void();
+    });
+    let input = ProgInput::default();
+    let (heap, bound) = (InstId(2), InstId(4));
+    assert!(matches!(
+        aliased.funcs[0].insts[2].kind,
+        InstKind::Alloc { .. }
+    ));
+    assert!(matches!(
+        aliased.funcs[0].insts[4].kind,
+        InstKind::Bin { .. }
+    ));
+    let mut scratch = ExecScratch::default();
+    for (inst, bit, proves) in [(heap, 62, false), (bound, 20, true)] {
+        let fault = FaultSpec {
+            target: FaultTarget::NthOfInst(
+                GlobalInstId {
+                    func: minpsid_ir::FuncId(0),
+                    inst,
+                },
+                0,
+            ),
+            bit,
+        };
+        let end = oracle::run_with_fault(&Interp::new(&aliased, cap(50_000)), &input, fault).steps;
+        let mut proved = 0;
+        for step_limit in end - 40..=end + 40 {
+            let interp = Interp::new(&aliased, cap(step_limit));
+            let ckpt = CheckpointConfig {
+                interval: 5,
+                ..CheckpointConfig::default()
+            };
+            let (golden, store) = interp.run_with_checkpoint_store(&input, ckpt);
+            assert!(golden.exited() && golden.steps < 100);
+            let r = interp.run_with_fault_against(&mut scratch, &store, &input, fault);
+            same_result(&r, &oracle::run_with_fault(&interp, &input, fault))
+                .unwrap_or_else(|e| panic!("{fault:?} at step limit {step_limit}: {e}"));
+            proved += usize::from(r.hang_proved_at.is_some());
+        }
+        assert_eq!(proved > 0, proves, "{fault:?}: {proved} proofs");
+    }
+    Ok(())
 }

@@ -9,6 +9,6 @@
 //! pins the `minpsid-trace → minpsid-metrics` edge and `benchmark/run.sh`
 //! builds `--offline` without `--locked`: dropping the edge makes cargo
 //! rewrite a file under `benchmark/`, which only a benchmark PR may touch
-//! (`scripts/ci.sh` fails on that diff). ROADMAP 4(d) — the PR that
+//! (`scripts/ci.sh` fails on that diff). ROADMAP 4(b) — the PR that
 //! refreshes the lock — deletes this directory and the dependency line in
 //! `crates/trace/Cargo.toml`.

@@ -107,7 +107,7 @@ pub struct SchedSnapshot {
     pub planned: u64,
     pub completed: u64,
     /// Always 0: nothing retries. Kept because `benchmark/` reads it for
-    /// its `sched.retries` column and may not change here; ROADMAP item 5
+    /// its `sched.retries` column and may not change here; ROADMAP 4(b)
     /// deletes both.
     pub retries: u64,
     pub early_stopped_sites: u64,

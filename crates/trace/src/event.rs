@@ -1,6 +1,6 @@
 //! The versioned trace event schema.
 //!
-//! Every JSONL line is one [`TimedEvent`]: `{"v":10,"ts_us":…,"kind":…,…}`.
+//! Every JSONL line is one [`TimedEvent`]: `{"v":11,"ts_us":…,"kind":…,…}`.
 //! `v` is [`SCHEMA_VERSION`]; the parser rejects lines whose version it
 //! does not understand, so a report can never silently misparse a log
 //! written by a different schema. Serialization is hand-rolled over
@@ -34,7 +34,9 @@ use crate::json::{parse, Json, JsonError};
 /// v10: `retry_attempt`/`quarantine`, the tallies' `engine_error`/
 /// `transient_recovered`/`quarantined` and `sched_summary`'s retry and
 /// quarantine fields are gone with the retry loop that fed them.
-pub const SCHEMA_VERSION: u32 = 10;
+/// v11: `campaign_end` carries `hangs_proved` — injections stopped once a
+/// counted loop of theirs provably repeated itself to the step limit.
+pub const SCHEMA_VERSION: u32 = 11;
 
 /// Which campaign shape produced a progress/end event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,8 +135,11 @@ pub enum Event {
     /// from golden-run snapshots) and golden-convergence accounting
     /// (`converged` injections were finished early at a checkpoint where
     /// their state equalled the golden run's, leaving `steps_saved` tail
-    /// steps unreplayed; `deduped` injections repeated a fault already run
-    /// at their site and were not replayed at all).
+    /// steps unreplayed; `hangs_proved` injections were stopped once a
+    /// counted loop of theirs provably repeated itself to the step limit,
+    /// their steps after the proof in neither step tally; `deduped`
+    /// injections repeated a fault already run at their site and were not
+    /// replayed at all).
     CampaignEnd {
         kind: CampaignKind,
         injections: u64,
@@ -145,6 +150,7 @@ pub enum Event {
         restores: u64,
         converged: u64,
         steps_saved: u64,
+        hangs_proved: u64,
         deduped: u64,
     },
     /// Per-function outcome distribution of a per-instruction campaign.
@@ -433,6 +439,7 @@ impl TimedEvent {
                 restores,
                 converged,
                 steps_saved,
+                hangs_proved,
                 deduped,
             } => {
                 o.set("campaign", Json::Str(kind.as_str().to_string()));
@@ -444,6 +451,7 @@ impl TimedEvent {
                 o.set("restores", Json::U64(*restores));
                 o.set("converged", Json::U64(*converged));
                 o.set("steps_saved", Json::U64(*steps_saved));
+                o.set("hangs_proved", Json::U64(*hangs_proved));
                 o.set("deduped", Json::U64(*deduped));
             }
             Event::FunctionOutcomes { func, counts } => {
@@ -663,6 +671,7 @@ impl TimedEvent {
                 restores: field_u64(&v, "restores")?,
                 converged: field_u64(&v, "converged")?,
                 steps_saved: field_u64(&v, "steps_saved")?,
+                hangs_proved: field_u64(&v, "hangs_proved")?,
                 deduped: field_u64(&v, "deduped")?,
             },
             "function_outcomes" => Event::FunctionOutcomes {
@@ -832,6 +841,7 @@ mod tests {
             restores: 99,
             converged: 12,
             steps_saved: 3400,
+            hangs_proved: 3,
             deduped: 5,
         });
         rt(Event::FunctionOutcomes {
@@ -931,7 +941,7 @@ mod tests {
             event: Event::TraceEnd { dur_us: 0 },
         }
         .to_line()
-        .replace("\"v\":10", "\"v\":999");
+        .replace("\"v\":11", "\"v\":999");
         assert!(matches!(
             TimedEvent::parse_line(&line),
             Err(SchemaError::Version(999))
@@ -944,10 +954,19 @@ mod tests {
             ),
             Err(SchemaError::Version(9))
         ));
+        // and a v10 `campaign_end`, which could not say how many hangs were
+        // proved, is refused the same way
+        assert!(matches!(
+            TimedEvent::parse_line(
+                r#"{"v":10,"ts_us":0,"kind":"campaign_end","campaign":"per_inst","injections":1,"elapsed_us":1,"counts":{"benign":0,"sdc":0,"crash":0,"hang":1,"detected":0},"steps_executed":9,"steps_skipped":0,"restores":0,"converged":0,"steps_saved":0,"deduped":0}"#
+            ),
+            Err(SchemaError::Version(10))
+        ));
     }
 
-    /// Every `campaign_end` counter is required under v8 (a v7 log, where
-    /// `converged`/`steps_saved` could be absent, is refused by version).
+    /// Every `campaign_end` counter is required (a v7 log, where
+    /// `converged`/`steps_saved` could be absent, and a v10 one, which has no
+    /// `hangs_proved`, are refused by version).
     #[test]
     fn campaign_end_without_a_counter_is_rejected() {
         let line = TimedEvent {
@@ -962,6 +981,7 @@ mod tests {
                 restores: 9,
                 converged: 3,
                 steps_saved: 17,
+                hangs_proved: 1,
                 deduped: 2,
             },
         }
@@ -969,6 +989,7 @@ mod tests {
         for (field, text) in [
             ("converged", ",\"converged\":3"),
             ("steps_saved", ",\"steps_saved\":17"),
+            ("hangs_proved", ",\"hangs_proved\":1"),
             ("deduped", ",\"deduped\":2"),
         ] {
             let without = line.replace(text, "");
@@ -988,11 +1009,11 @@ mod tests {
     #[test]
     fn unknown_kind_and_missing_fields_are_rejected() {
         assert!(matches!(
-            TimedEvent::parse_line(r#"{"v":10,"ts_us":0,"kind":"mystery"}"#),
+            TimedEvent::parse_line(r#"{"v":11,"ts_us":0,"kind":"mystery"}"#),
             Err(SchemaError::UnknownKind(_))
         ));
         assert!(matches!(
-            TimedEvent::parse_line(r#"{"v":10,"ts_us":0,"kind":"counter","name":"x"}"#),
+            TimedEvent::parse_line(r#"{"v":11,"ts_us":0,"kind":"counter","name":"x"}"#),
             Err(SchemaError::MissingField("value"))
         ));
         assert!(matches!(

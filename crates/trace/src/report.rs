@@ -103,6 +103,9 @@ pub struct CampaignStat {
     /// steps that left unreplayed.
     pub converged: u64,
     pub steps_saved: u64,
+    /// Injections stopped once a counted loop of theirs provably repeated
+    /// itself to the step limit.
+    pub hangs_proved: u64,
     /// Injections that repeated a fault already run at their site and
     /// took its outcome without a replay.
     pub deduped: u64,
@@ -338,6 +341,7 @@ pub fn summarize(events: &[TimedEvent]) -> TraceSummary {
                 restores,
                 converged,
                 steps_saved,
+                hangs_proved,
                 deduped,
             } => {
                 let stat = match kind {
@@ -353,6 +357,7 @@ pub fn summarize(events: &[TimedEvent]) -> TraceSummary {
                 stat.restores += restores;
                 stat.converged += converged;
                 stat.steps_saved += steps_saved;
+                stat.hangs_proved += hangs_proved;
                 stat.deduped += deduped;
             }
             Event::FunctionOutcomes { func, counts } => {
@@ -574,6 +579,14 @@ fn campaign_section(out: &mut String, title: &str, c: &CampaignStat) {
             "golden convergence: {} injection(s) finished early at a checkpoint \
              where their state equalled the golden run's; {} tail steps not replayed\n",
             c.converged, c.steps_saved
+        );
+    }
+    if c.hangs_proved > 0 {
+        let _ = writeln!(
+            out,
+            "hang proofs: {} of {} hang(s) stopped where a counted loop provably repeated \
+             itself to the step limit; steps after the proof not executed\n",
+            c.hangs_proved, c.counts.hang
         );
     }
     if c.deduped > 0 {
@@ -1000,6 +1013,7 @@ mod tests {
                 restores: 180,
                 converged: 40,
                 steps_saved: 2500,
+                hangs_proved: 4,
                 deduped: 7,
             },
             Event::FunctionOutcomes {
@@ -1134,6 +1148,7 @@ mod tests {
             "replay work saved",
             "40 injection(s) finished early",
             "2500 tail steps not replayed",
+            "hang proofs: 4 of 5 hang(s) stopped",
             "7 injection(s) repeated a fault already run",
             "## Golden-run cache",
             "75.0% hit rate",

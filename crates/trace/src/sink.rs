@@ -297,6 +297,7 @@ pub struct CampaignCounters {
     restores: AtomicU64,
     converged: AtomicU64,
     steps_saved: AtomicU64,
+    hangs_proved: AtomicU64,
     deduped: AtomicU64,
 }
 
@@ -317,6 +318,7 @@ impl CampaignCounters {
             restores: AtomicU64::new(0),
             converged: AtomicU64::new(0),
             steps_saved: AtomicU64::new(0),
+            hangs_proved: AtomicU64::new(0),
             deduped: AtomicU64::new(0),
         }
     }
@@ -350,6 +352,15 @@ impl CampaignCounters {
     pub fn record_converged(&self, steps_saved: u64) {
         self.converged.fetch_add(1, Ordering::Relaxed);
         self.steps_saved.fetch_add(steps_saved, Ordering::Relaxed);
+    }
+
+    /// The injection just [`record`](CampaignCounters::record)ed was
+    /// stopped once a counted loop of it provably repeated itself to the
+    /// step limit: a hang, with the steps after the proof not executed
+    /// (they are in neither step tally of `record`).
+    #[inline]
+    pub fn record_hang_proved(&self) {
+        self.hangs_proved.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The injection about to be [`record`](CampaignCounters::record)ed
@@ -395,6 +406,7 @@ impl CampaignCounters {
             restores: self.restores.load(Ordering::Relaxed),
             converged: self.converged.load(Ordering::Relaxed),
             steps_saved: self.steps_saved.load(Ordering::Relaxed),
+            hangs_proved: self.hangs_proved.load(Ordering::Relaxed),
             deduped: self.deduped.load(Ordering::Relaxed),
         }
     }
@@ -507,6 +519,7 @@ mod tests {
                 counters.record(OutcomeKind::Sdc, 100 + i, 50);
             }
             counters.record_converged(30);
+            counters.record_hang_proved();
             counters.record_deduped();
             "done"
         });
@@ -545,6 +558,7 @@ mod tests {
                     restores,
                     converged,
                     steps_saved,
+                    hangs_proved,
                     deduped,
                     ..
                 } => Some((
@@ -553,7 +567,7 @@ mod tests {
                     *steps_executed,
                     *steps_skipped,
                     *restores,
-                    (*converged, *steps_saved, *deduped),
+                    (*converged, *steps_saved, *hangs_proved, *deduped),
                 )),
                 _ => None,
             })
@@ -564,7 +578,7 @@ mod tests {
         assert_eq!(end.2, 100 + 101 + 102 + 103);
         assert_eq!(end.3, 200);
         assert_eq!(end.4, 4);
-        assert_eq!(end.5, (1, 30, 1));
+        assert_eq!(end.5, (1, 30, 1, 1));
         // timestamps are monotone
         assert!(events.windows(2).all(|w| w[0].ts_us <= w[1].ts_us));
 

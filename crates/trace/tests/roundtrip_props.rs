@@ -89,6 +89,7 @@ proptest! {
                 restores,
                 converged: restores / 3,
                 steps_saved: skipped / 2,
+                hangs_proved: done / 7,
                 deduped: done / 5,
             }
         };

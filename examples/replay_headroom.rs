@@ -19,14 +19,16 @@
 //!    and the hashing budget passed over; otherwise what still differed at
 //!    the last shared boundary — *shape* (call stack, pc, output length),
 //!    *memory*, or *registers only* (the case a liveness-masked digest
-//!    would admit, ROADMAP item 4).
+//!    would admit, struck from ROADMAP 3(d)).
 //! 3. **Engine vs raw loop**: the same faults through `CampaignEngine`
 //!    (scheduler, accounting, reduction) against the bare loop above, the
 //!    campaign's hangs, and its slowest single injection. *Trajectories*
 //!    is how many distinct runs the hangs are: each hang fault is re-run
 //!    profiled, and two hangs whose block-entry counts are equal retraced
-//!    the same path to the step limit (what ROADMAP item 4(a)'s
-//!    counted-loop proof would have to recognise without running them).
+//!    the same path to the step limit. *Proved* is how many hangs the
+//!    counted-loop proof (ROADMAP 3(a)) stopped early, and *saved* the
+//!    steps it did not run, as a share of what the kernel's runs would
+//!    have executed without it.
 //! 4. **Trajectory-map headroom** (ROADMAP item 3(b)): every distinct
 //!    fault, in plan order, is replayed on the reference walk with its
 //!    states captured at the golden boundaries, and each state that is not
@@ -94,6 +96,9 @@ struct Kernel {
     repeats: u64,
     hangs: u64,
     hangs_once: u64,
+    /// Hangs the counted-loop proof stopped early, and the steps it saved.
+    proved: u64,
+    proof_saved: u64,
     /// The block-entry counts of every hang run, one profiled re-run each.
     hang_trajectories: HashSet<Vec<u64>>,
     hang_insts: BTreeSet<String>,
@@ -235,7 +240,7 @@ fn main() {
             .expect("three runs");
         (k.injections, k.repeats) = replay(&mut |site, fault, r, outcome, took| {
             k.slowest = k.slowest.max(took);
-            let end = r.converged_at.unwrap_or(r.steps);
+            let end = r.hang_proved_at.or(r.converged_at).unwrap_or(r.steps);
             let executed = end - r.resumed_at.unwrap_or(0);
             let FaultTarget::NthOfInst(_, nth) = fault.target else {
                 unreachable!("per-instruction faults name their site")
@@ -261,6 +266,10 @@ fn main() {
                     k.by_outcome[2] += executed;
                     k.hangs += 1;
                     k.hangs_once += u64::from(site.count == 1);
+                    if let Some(at) = r.hang_proved_at {
+                        k.proved += 1;
+                        k.proof_saved += r.steps - at;
+                    }
                     let profile = profiling.run_with_fault(&input, fault).profile;
                     k.hang_trajectories
                         .insert(profile.expect("a profiled run").indexed_cfg_list());
@@ -450,7 +459,7 @@ fn print_tables(rows: &[(&str, Kernel)]) {
 
     println!("\nengine vs raw loop (one thread; repeats run once on both sides)");
     println!(
-        "{:<15} {:>6} {:>8} {:>9} {:>9} {:>8} {:>6} {:>10} {:>12} {:>11}  hang sites",
+        "{:<15} {:>6} {:>8} {:>9} {:>9} {:>8} {:>6} {:>10} {:>12} {:>7} {:>7} {:>11}  hang sites",
         "kernel",
         "inj",
         "repeats",
@@ -460,12 +469,14 @@ fn print_tables(rows: &[(&str, Kernel)]) {
         "hangs",
         "once-exec",
         "trajectories",
+        "proved",
+        "saved",
         "slowest"
     );
     for (name, k) in rows {
         let ms = |d: Duration| d.as_secs_f64() * 1e3;
         println!(
-            "{:<15} {:>6} {:>8} {:>9.1} {:>9.1} {:>+7.1}% {:>6} {:>10} {:>12} {:>6.2} ms {:>2.0}%  {}",
+            "{:<15} {:>6} {:>8} {:>9.1} {:>9.1} {:>+7.1}% {:>6} {:>10} {:>12} {:>7} {:>6.1}% {:>6.2} ms {:>2.0}%  {}",
             name,
             k.injections,
             k.repeats,
@@ -475,6 +486,8 @@ fn print_tables(rows: &[(&str, Kernel)]) {
             k.hangs,
             k.hangs_once,
             k.hang_trajectories.len(),
+            k.proved,
+            pct(k.proof_saved, total(k) + k.proof_saved),
             ms(k.slowest),
             100.0 * ms(k.slowest) / ms(k.raw),
             k.hang_insts.iter().cloned().collect::<Vec<_>>().join(",")

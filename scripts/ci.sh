@@ -43,7 +43,7 @@ test -s "$TRACE_TMP/report/trace_report.html"
 CLI="target/release/minpsid"
 cargo build --release --offline -q -p minpsid-cli
 
-echo "== exec_loop codegen (pc stays in a register in all four instantiations)"
+echo "== exec_loop codegen (pc stays in a register in all five instantiations)"
 # LLVM puts the loop's `pc` on the stack when one more value is live
 # across it (clean loop -18 %, nothing fails), and deleting code from the
 # loop trips that as readily as adding to it: every `pc += 1` is then an
@@ -55,8 +55,8 @@ SPILLS="$(objdump -d --no-show-raw-insn "$CLI" | awk '
   sym && /(inc|add)q .*\(%rsp\)/ { n[sym]++ }
   END { for (s in n) print s, n[s] }')"
 echo "$SPILLS"
-test "$(wc -l <<<"$SPILLS")" = "4" \
-  || { echo "expected four exec_loop instantiations"; exit 1; }
+test "$(wc -l <<<"$SPILLS")" = "5" \
+  || { echo "expected five exec_loop instantiations"; exit 1; }
 if grep -v ' 0$' <<<"$SPILLS"; then
   echo "exec_loop keeps pc on the stack: (inc|add)q on %rsp in the symbol(s) above"; exit 1
 fi
@@ -90,11 +90,13 @@ diff "$TRACE_TMP/eq-fi-t1.txt" "$TRACE_TMP/eq-fi-t4.txt"
   --journal "$TRACE_TMP/eq-journal-t4" > "$TRACE_TMP/eq-mp-t4.txt" 2>/dev/null
 diff "$TRACE_TMP/eq-mp-t1.txt" "$TRACE_TMP/eq-mp-t4.txt"
 
-echo "== dedup smoke (kmeans at 64/site repeats faults; report equals the cold replay's)"
+echo "== dedup smoke (kmeans at 64/site repeats faults and proves hangs; report equals the cold replay's)"
 # a site executed once draws its 64 faults from 64 possibilities, so the
 # campaign must serve repeats from their first run (deduped > 0 in
-# campaign_end) — and print what a campaign that replays every fault
-# from program start, with no checkpoint to resume or converge on, prints
+# campaign_end), and kmeans' inflated iteration count must be proved a
+# hang at its latch (hangs_proved > 0) — and print what a campaign that
+# replays every fault from program start, with no checkpoint to resume or
+# converge on and no golden length to prove a hang past, prints
 DEDUP_ARGS=(analyze kmeans --per-inst 64 --seed 42 --threads 1)
 "$CLI" "${DEDUP_ARGS[@]}" --trace-out "$TRACE_TMP/dedup.jsonl" \
   > "$TRACE_TMP/dedup.txt" 2>/dev/null
@@ -102,6 +104,8 @@ DEDUP_ARGS=(analyze kmeans --per-inst 64 --seed 42 --threads 1)
 cmp "$TRACE_TMP/dedup.txt" "$TRACE_TMP/dedup-cold.txt"
 grep '"kind":"campaign_end"' "$TRACE_TMP/dedup.jsonl" | grep -Eq '"deduped":[1-9]' \
   || { echo "campaign_end reports no deduped injection"; exit 1; }
+grep '"kind":"campaign_end"' "$TRACE_TMP/dedup.jsonl" | grep -Eq '"hangs_proved":[1-9]' \
+  || { echo "campaign_end reports no proved hang"; exit 1; }
 
 echo "== store smoke (scrub exit codes, corruption heals, cross-invocation cache hits)"
 # first store-backed run populates the store; scrub verifies clean (exit 0)

@@ -6,7 +6,9 @@
 //! SIGKILLed mid-run resumes from its WAL to the same bytes. Every fault
 //! a per-instruction campaign plans, resolved one by one on a bare
 //! interpreter, against what the engine — checkpoints, early exits,
-//! deduplicated repeats — reports and journals for it. And the
+//! deduplicated repeats — reports and journals for it; and every hang of
+//! the kernels whose campaigns hang, proved at a latch or run out, against
+//! the reference oracle. And the
 //! interpreter's side of the bargain, on all 11 kernels: the decoded
 //! engine's one-pass golden run and shared-interpreter input search
 //! against the reference oracle and per-candidate profiling, the
@@ -264,6 +266,88 @@ fn every_planned_fault_resolved_alone_equals_the_engine() {
     assert_eq!(format!("{report:?}"), format!("{expected:?}"));
     drop((journal, ref_journal));
     assert!(wal_of(&dir) == wal_of(&ref_dir), "WAL bytes diverged");
+}
+
+/// The hang proof against the oracle on the kernels whose campaigns hang.
+/// Every distinct fault the per-instruction plan holds for fft, knn and
+/// kmeans at the benchmark's 6 per site (seed 42, a 2^20-word memory cap)
+/// that ends in a hang on the engine's path — resumed from the nearest
+/// checkpoint, or beside the golden store before the first — ends, field
+/// for field, as the reference walk's cold run to the step limit does.
+/// The proofs are counted so that the identity is not vacuous, and pinned:
+/// every kmeans hang (an inflated iteration count over a clustering that
+/// has settled), six of fft's thirteen (an inflated `logn`, whose doubling
+/// of `n` settles at 0), and none of knn's, whose inflated loop prints
+/// every iteration.
+#[test]
+fn proved_hangs_equal_the_oracle_on_the_kernels_that_hang() {
+    use minpsid_repro::faultsim::{classify, CampaignPlan, Outcome};
+    use minpsid_repro::interp::{oracle, ExecScratch, FaultTarget, Interp};
+    use std::collections::HashSet;
+
+    let mut cfg = CampaignConfigBuilder::new(42)
+        .per_inst_injections(6)
+        .and_then(|b| b.max_checkpoints(128))
+        .expect("valid config")
+        .build();
+    cfg.exec.mem_limit = 1 << 20;
+    let mut proofs = Vec::new();
+    for name in ["fft", "knn", "kmeans"] {
+        let (module, input) = bench_module(name);
+        let golden = golden_run(&module, &input, &cfg).expect("golden run");
+        let engine = CampaignEngine::new(&module, &input, &golden, &cfg);
+        let CampaignPlan::PerInst { sections, .. } = engine.plan_per_instruction() else {
+            unreachable!("a per-instruction plan")
+        };
+        let interp = Interp::new(&module, faulty_exec_config(&cfg, golden.steps));
+        let store = &golden.checkpoints;
+        let mut scratch = ExecScratch::default();
+        let (mut hangs, mut proved, mut ran) = (0, 0, HashSet::new());
+        for sec in &sections {
+            for (i, &(dense, _, _)) in sec.sites.iter().enumerate() {
+                for fault in engine.planned_faults(sec, i).filter(|&f| ran.insert(f)) {
+                    let FaultTarget::NthOfInst(_, nth) = fault.target else {
+                        unreachable!("per-instruction faults name their site")
+                    };
+                    let r = match store.nearest_for_inst(dense, nth) {
+                        Some(idx) => interp.resume_from(&mut scratch, store, idx, &input, fault),
+                        None => interp.run_with_fault_against(&mut scratch, store, &input, fault),
+                    };
+                    if classify(&golden.output, &r) != Outcome::Hang {
+                        continue;
+                    }
+                    hangs += 1;
+                    proved += usize::from(r.hang_proved_at.is_some());
+                    let want = oracle::run_with_fault(&interp, &input, fault);
+                    let what = format!("{name} {fault:?}, proved at {:?}", r.hang_proved_at);
+                    assert_eq!(r.termination, want.termination, "{what}");
+                    assert_eq!(r.output, want.output, "{what}");
+                    assert_eq!(r.steps, want.steps, "{what}");
+                    assert_eq!(r.fault_applied, want.fault_applied, "{what}");
+                    assert_eq!(r.ret, want.ret, "{what}");
+                    assert!(r.profile.is_none() && want.profile.is_none(), "{what}");
+                    assert!(r.trace.is_none() && want.trace.is_none(), "{what}");
+                    if let Some(at) = r.hang_proved_at {
+                        let from = r.resumed_at.unwrap_or(0);
+                        assert!(from < at && at < r.steps, "{what}");
+                        let stats = scratch.converge_stats();
+                        assert!(
+                            stats.proof_words * 8 <= at - golden.steps,
+                            "{what}: {} words over {} steps past golden",
+                            stats.proof_words,
+                            at - golden.steps
+                        );
+                    }
+                }
+            }
+        }
+        proofs.push((name, proved, hangs));
+    }
+    assert_eq!(
+        proofs,
+        [("fft", 6, 13), ("knn", 0, 5), ("kmeans", 5, 5)],
+        "(kernel, hangs proved, hangs)"
+    );
 }
 
 /// `golden_run` — one observed pass of the decoded engine yielding the
