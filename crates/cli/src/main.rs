@@ -1328,8 +1328,7 @@ fn cmd_trace(rest: &[String]) -> Result<(), String> {
             Ok(())
         }
         "report" => {
-            let summary = trace::summarize(&events);
-            let md = trace::render_markdown(&summary);
+            let md = trace::render_markdown(&trace::summarize(&events));
             match flag_value(rest, "-o")?.or(flag_value(rest, "--out")?) {
                 None => {
                     print!("{md}");
@@ -1339,12 +1338,9 @@ fn cmd_trace(rest: &[String]) -> Result<(), String> {
                     std::fs::create_dir_all(dir)
                         .map_err(|e| format!("creating {}: {e}", dir.display()))?;
                     let md_path = dir.join("trace_report.md");
-                    let html_path = dir.join("trace_report.html");
                     std::fs::write(&md_path, &md)
                         .map_err(|e| format!("writing {}: {e}", md_path.display()))?;
-                    std::fs::write(&html_path, trace::render_html(&summary))
-                        .map_err(|e| format!("writing {}: {e}", html_path.display()))?;
-                    diag!("wrote {} and {}", md_path.display(), html_path.display());
+                    diag!("wrote {}", md_path.display());
                 }
             }
             Ok(())

@@ -4,8 +4,10 @@
 //! `v` is [`SCHEMA_VERSION`]; the parser rejects lines whose version it
 //! does not understand, so a report can never silently misparse a log
 //! written by a different schema. Serialization is hand-rolled over
-//! [`crate::json`] (no serde in the dependency budget) and round-trip
-//! tested, both example-based and property-based.
+//! [`crate::json`] (no serde in the dependency budget): each kind's name
+//! and fields are declared once, in the `events!` table below, which
+//! generates the [`Event`] enum, its encoder and its strict decoder, so
+//! the two cannot drift.
 
 use crate::json::{parse, Json, JsonError};
 
@@ -36,297 +38,9 @@ use crate::json::{parse, Json, JsonError};
 /// quarantine fields are gone with the retry loop that fed them.
 /// v11: `campaign_end` carries `hangs_proved` — injections stopped once a
 /// counted loop of theirs provably repeated itself to the step limit.
+/// The `counter` kind, which no v11 producer ever wrote, is an unknown
+/// kind.
 pub const SCHEMA_VERSION: u32 = 11;
-
-/// Which campaign shape produced a progress/end event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CampaignKind {
-    /// Whole-program campaign (`program_campaign`).
-    Program,
-    /// Per-static-instruction campaign (`per_instruction_campaign`).
-    PerInst,
-}
-
-impl CampaignKind {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            CampaignKind::Program => "program",
-            CampaignKind::PerInst => "per_inst",
-        }
-    }
-
-    fn from_str(s: &str) -> Option<Self> {
-        match s {
-            "program" => Some(CampaignKind::Program),
-            "per_inst" => Some(CampaignKind::PerInst),
-            _ => None,
-        }
-    }
-}
-
-/// FI outcome tallies carried by campaign events (mirrors
-/// `minpsid_faultsim::OutcomeCounts`, re-declared here so the trace crate
-/// sits at the bottom of the dependency graph).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OutcomeTally {
-    pub benign: u64,
-    pub sdc: u64,
-    pub crash: u64,
-    pub hang: u64,
-    pub detected: u64,
-}
-
-impl OutcomeTally {
-    pub fn total(&self) -> u64 {
-        self.benign + self.sdc + self.crash + self.hang + self.detected
-    }
-
-    fn to_json(self) -> Json {
-        let mut o = Json::obj();
-        o.set("benign", Json::U64(self.benign));
-        o.set("sdc", Json::U64(self.sdc));
-        o.set("crash", Json::U64(self.crash));
-        o.set("hang", Json::U64(self.hang));
-        o.set("detected", Json::U64(self.detected));
-        o
-    }
-
-    fn from_json(v: &Json) -> Result<Self, SchemaError> {
-        Ok(OutcomeTally {
-            benign: field_u64(v, "benign")?,
-            sdc: field_u64(v, "sdc")?,
-            crash: field_u64(v, "crash")?,
-            hang: field_u64(v, "hang")?,
-            detected: field_u64(v, "detected")?,
-        })
-    }
-}
-
-/// One structured trace event.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Event {
-    /// First line of every trace: identifies the producing tool.
-    TraceStart { tool: String },
-    /// Last line written by a clean shutdown.
-    TraceEnd { dur_us: u64 },
-    /// A named stage began. `id` pairs it with its `SpanEnd`.
-    SpanBegin { id: u64, name: String },
-    /// A named stage finished after `dur_us` microseconds.
-    SpanEnd { id: u64, name: String, dur_us: u64 },
-    /// A monotonic counter sample.
-    Counter { name: String, value: u64 },
-    /// A power-of-two-bucketed histogram snapshot: `(bucket_lo, count)`
-    /// pairs for the non-empty buckets.
-    Histogram {
-        name: String,
-        buckets: Vec<(u64, u64)>,
-    },
-    /// Periodic mid-campaign sample taken from the workers' lock-free
-    /// counters by the sampler thread.
-    CampaignProgress {
-        kind: CampaignKind,
-        done: u64,
-        total: u64,
-        counts: OutcomeTally,
-        elapsed_us: u64,
-    },
-    /// Campaign summary: final outcome tallies plus checkpoint-restore
-    /// accounting (dynamic steps actually executed vs skipped by resuming
-    /// from golden-run snapshots) and golden-convergence accounting
-    /// (`converged` injections were finished early at a checkpoint where
-    /// their state equalled the golden run's, leaving `steps_saved` tail
-    /// steps unreplayed; `hangs_proved` injections were stopped once a
-    /// counted loop of theirs provably repeated itself to the step limit,
-    /// their steps after the proof in neither step tally; `deduped`
-    /// injections repeated a fault already run at their site and were not
-    /// replayed at all).
-    CampaignEnd {
-        kind: CampaignKind,
-        injections: u64,
-        elapsed_us: u64,
-        counts: OutcomeTally,
-        steps_executed: u64,
-        steps_skipped: u64,
-        restores: u64,
-        converged: u64,
-        steps_saved: u64,
-        hangs_proved: u64,
-        deduped: u64,
-    },
-    /// Per-function outcome distribution of a per-instruction campaign.
-    FunctionOutcomes { func: String, counts: OutcomeTally },
-    /// One GA generation inside an input search.
-    GaGeneration {
-        /// How many inputs were already in the search history when this
-        /// GA round started (0 = the round that produced input #1).
-        input_index: u64,
-        generation: u64,
-        best_fitness: f64,
-        mean_fitness: f64,
-        population: u64,
-        evals: u64,
-    },
-    /// One accepted search input, after its FI campaign.
-    SearchInput {
-        index: u64,
-        fitness: f64,
-        new_incubative: u64,
-        total_incubative: u64,
-    },
-    /// Knapsack selection summary (budget in dynamic cycles).
-    Knapsack {
-        budget: u64,
-        total_cycles: u64,
-        eligible: u64,
-        selected: u64,
-        protected_cycle_fraction: f64,
-        expected_coverage: f64,
-    },
-    /// Golden-run cache tallies.
-    CacheStats {
-        hits: u64,
-        misses: u64,
-        entries: u64,
-    },
-    /// Crash-safe journal opened: how much prior state was recovered and
-    /// how many bytes of torn/corrupt tail were truncated.
-    /// `dropped_records` counts intact-looking records found *after* the
-    /// first corrupt frame: nonzero means mid-file corruption (bit rot),
-    /// not an ordinary torn tail, and those records will be recomputed.
-    JournalRecovery {
-        records: u64,
-        truncated_bytes: u64,
-        dropped_records: u64,
-    },
-    /// End-of-run journal usage: injections served from the journal
-    /// (recovered) vs executed fresh and appended (replayed).
-    JournalStats { recovered: u64, appended: u64 },
-    /// A site's Wilson interval narrowed below the configured half-width
-    /// after `samples` injections; the rest were skipped.
-    EarlyStop {
-        kind: CampaignKind,
-        site: u64,
-        samples: u64,
-        half_width: f64,
-    },
-    /// The wall-clock deadline expired with `truncated` injections still
-    /// pending in this campaign.
-    DeadlineTruncation { kind: CampaignKind, truncated: u64 },
-    /// Accumulated interpreter sampling-profiler state: per-op sample
-    /// counts (descending), fusion coverage, and checkpoint
-    /// encode/restore cost totals. Emitted once at shutdown when the
-    /// profiler ran.
-    InterpProfile {
-        sample_every: u64,
-        total_samples: u64,
-        fused_samples: u64,
-        fused_sites: u64,
-        total_sites: u64,
-        encode_ns: u64,
-        encode_ops: u64,
-        restore_ns: u64,
-        restore_ops: u64,
-        /// `(op name, samples)` pairs, nonzero only.
-        samples: Vec<(String, u64)>,
-    },
-    /// Run-level scheduler accounting, emitted once at the end.
-    SchedSummary {
-        early_stopped_sites: u64,
-        early_stop_skipped: u64,
-        truncated: u64,
-        completeness: f64,
-    },
-    /// Artifact-store operation. `op` is one of `publish`, `load`,
-    /// `quarantine`, `chaos_flip`, `scrub`, `gc`; `artifact` is the
-    /// artifact class (`golden`, `ckpt`, `table`, `wal`, …— `*` for
-    /// store-wide ops); `bytes` is the object size (for `scrub`/`gc`,
-    /// the number of objects examined).
-    StoreEvent {
-        op: String,
-        artifact: String,
-        bytes: u64,
-    },
-    /// Per-section outcome-table disposition in an incremental campaign.
-    /// `fp` is the section's content fingerprint; `units` is the number
-    /// of memoized injection outcomes involved (served outcomes for
-    /// `hit`, composed sections for `compose`, 0 for `miss`/`recompute`).
-    SectionEvent {
-        fp: u64,
-        action: SectionAction,
-        units: u64,
-    },
-}
-
-/// How the table memo disposed of one section (or, for `Compose`, how the
-/// reducer assembled the campaign report from per-section tables).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SectionAction {
-    /// A sealed, complete table matched and its outcomes were served.
-    Hit,
-    /// No usable table: absent, stale signature, or sealed incomplete.
-    Miss,
-    /// The table failed store verification, was quarantined, and the
-    /// section re-ran.
-    Recompute,
-    /// The reducer composed per-section results into the final report.
-    Compose,
-}
-
-impl SectionAction {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SectionAction::Hit => "hit",
-            SectionAction::Miss => "miss",
-            SectionAction::Recompute => "recompute",
-            SectionAction::Compose => "compose",
-        }
-    }
-
-    fn from_str(s: &str) -> Option<Self> {
-        match s {
-            "hit" => Some(SectionAction::Hit),
-            "miss" => Some(SectionAction::Miss),
-            "recompute" => Some(SectionAction::Recompute),
-            "compose" => Some(SectionAction::Compose),
-            _ => None,
-        }
-    }
-}
-
-impl Event {
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Event::TraceStart { .. } => "trace_start",
-            Event::TraceEnd { .. } => "trace_end",
-            Event::SpanBegin { .. } => "span_begin",
-            Event::SpanEnd { .. } => "span_end",
-            Event::Counter { .. } => "counter",
-            Event::Histogram { .. } => "histogram",
-            Event::CampaignProgress { .. } => "campaign_progress",
-            Event::CampaignEnd { .. } => "campaign_end",
-            Event::FunctionOutcomes { .. } => "function_outcomes",
-            Event::GaGeneration { .. } => "ga_generation",
-            Event::SearchInput { .. } => "search_input",
-            Event::Knapsack { .. } => "knapsack",
-            Event::CacheStats { .. } => "cache_stats",
-            Event::JournalRecovery { .. } => "journal_recovery",
-            Event::JournalStats { .. } => "journal_stats",
-            Event::EarlyStop { .. } => "early_stop",
-            Event::DeadlineTruncation { .. } => "deadline_truncation",
-            Event::InterpProfile { .. } => "interp_profile",
-            Event::SchedSummary { .. } => "sched_summary",
-            Event::StoreEvent { .. } => "store_event",
-            Event::SectionEvent { .. } => "section_event",
-        }
-    }
-}
-
-/// An event plus its timestamp (microseconds since trace start).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimedEvent {
-    pub ts_us: u64,
-    pub event: Event,
-}
 
 /// Schema-level (as opposed to JSON-level) decode failure.
 #[derive(Debug, Clone, PartialEq)]
@@ -358,27 +72,354 @@ impl std::fmt::Display for SchemaError {
 
 impl std::error::Error for SchemaError {}
 
-fn field<'a>(v: &'a Json, key: &'static str) -> Result<&'a Json, SchemaError> {
-    v.get(key).ok_or(SchemaError::MissingField(key))
+/// A value an event field can hold: how it is written, and how it is read
+/// back from the JSON value stored under `key` (named in errors).
+trait Field: Sized {
+    fn put(&self) -> Json;
+    fn take(v: &Json, key: &'static str) -> Result<Self, SchemaError>;
 }
 
-fn field_u64(v: &Json, key: &'static str) -> Result<u64, SchemaError> {
-    field(v, key)?.as_u64().ok_or(SchemaError::BadField(key))
+/// Read the field `key` of object `v`.
+fn take<T: Field>(v: &Json, key: &'static str) -> Result<T, SchemaError> {
+    T::take(v.get(key).ok_or(SchemaError::MissingField(key))?, key)
 }
 
-fn field_f64(v: &Json, key: &'static str) -> Result<f64, SchemaError> {
-    field(v, key)?.as_f64().ok_or(SchemaError::BadField(key))
+/// The JSON scalars: each written as its `Json` variant, read with its
+/// `as_*` accessor.
+macro_rules! scalars {
+    ($($ty:ty => $variant:ident, $read:ident;)*) => {$(
+        impl Field for $ty {
+            fn put(&self) -> Json {
+                Json::$variant(self.to_owned())
+            }
+            fn take(v: &Json, key: &'static str) -> Result<Self, SchemaError> {
+                v.$read().map(<$ty>::from).ok_or(SchemaError::BadField(key))
+            }
+        }
+    )*};
 }
 
-fn field_str(v: &Json, key: &'static str) -> Result<String, SchemaError> {
-    field(v, key)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or(SchemaError::BadField(key))
+scalars! {
+    u64 => U64, as_u64;
+    f64 => F64, as_f64;
+    String => Str, as_str;
 }
 
-fn field_kind(v: &Json) -> Result<CampaignKind, SchemaError> {
-    CampaignKind::from_str(&field_str(v, "campaign")?).ok_or(SchemaError::BadField("campaign"))
+/// `[a, b]` pairs: histogram buckets and profile samples.
+impl<A: Field, B: Field> Field for Vec<(A, B)> {
+    fn put(&self) -> Json {
+        Json::Array(
+            self.iter()
+                .map(|(a, b)| Json::Array(vec![a.put(), b.put()]))
+                .collect(),
+        )
+    }
+    fn take(v: &Json, key: &'static str) -> Result<Self, SchemaError> {
+        let bad = || SchemaError::BadField(key);
+        v.as_array()
+            .ok_or_else(bad)?
+            .iter()
+            .map(|pair| match pair.as_array() {
+                Some([a, b]) => Ok((A::take(a, key)?, B::take(b, key)?)),
+                _ => Err(bad()),
+            })
+            .collect()
+    }
+}
+
+/// Declares a fieldless enum written on the wire as one of its names.
+macro_rules! names {
+    ($(#[$doc:meta])* $name:ident { $($(#[$vdoc:meta])* $variant:ident = $s:literal,)* }) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $name {
+            $($(#[$vdoc])* $variant,)*
+        }
+
+        impl $name {
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $($name::$variant => $s,)*
+                }
+            }
+        }
+
+        impl Field for $name {
+            fn put(&self) -> Json {
+                Json::Str(self.as_str().to_string())
+            }
+            fn take(v: &Json, key: &'static str) -> Result<Self, SchemaError> {
+                match v.as_str() {
+                    $(Some($s) => Ok($name::$variant),)*
+                    _ => Err(SchemaError::BadField(key)),
+                }
+            }
+        }
+    };
+}
+
+names! {
+    /// Which campaign shape produced a progress/end event.
+    CampaignKind {
+        /// Whole-program campaign (`program_campaign`).
+        Program = "program",
+        /// Per-static-instruction campaign (`per_instruction_campaign`).
+        PerInst = "per_inst",
+    }
+}
+
+names! {
+    /// How the table memo disposed of one section (or, for `Compose`, how
+    /// the reducer assembled the campaign report from per-section tables).
+    SectionAction {
+        /// A sealed, complete table matched and its outcomes were served.
+        Hit = "hit",
+        /// No usable table: absent, stale signature, or sealed incomplete.
+        Miss = "miss",
+        /// The table failed store verification, was quarantined, and the
+        /// section re-ran.
+        Recompute = "recompute",
+        /// The reducer composed per-section results into the final report.
+        Compose = "compose",
+    }
+}
+
+/// FI outcome tallies carried by campaign events (mirrors
+/// `minpsid_faultsim::OutcomeCounts`, re-declared here so the trace crate
+/// sits at the bottom of the dependency graph).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OutcomeTally {
+    pub benign: u64,
+    pub sdc: u64,
+    pub crash: u64,
+    pub hang: u64,
+    pub detected: u64,
+}
+
+impl OutcomeTally {
+    pub fn total(&self) -> u64 {
+        self.benign + self.sdc + self.crash + self.hang + self.detected
+    }
+}
+
+impl Field for OutcomeTally {
+    fn put(&self) -> Json {
+        let mut o = Json::obj();
+        o.set("benign", self.benign.put());
+        o.set("sdc", self.sdc.put());
+        o.set("crash", self.crash.put());
+        o.set("hang", self.hang.put());
+        o.set("detected", self.detected.put());
+        o
+    }
+    fn take(v: &Json, _key: &'static str) -> Result<Self, SchemaError> {
+        Ok(OutcomeTally {
+            benign: take(v, "benign")?,
+            sdc: take(v, "sdc")?,
+            crash: take(v, "crash")?,
+            hang: take(v, "hang")?,
+            detected: take(v, "detected")?,
+        })
+    }
+}
+
+/// The wire key of a field: its name, or the `as "…"` override.
+macro_rules! key {
+    ($field:ident) => {
+        stringify!($field)
+    };
+    ($field:ident $key:literal) => {
+        $key
+    };
+}
+
+/// The event table: `Variant = "kind" { field [as "key"]: Type, … }`
+/// declares one kind's variant, wire name and fields, written and
+/// required in declaration order.
+macro_rules! events {
+    ($(
+        $(#[$doc:meta])*
+        $variant:ident = $kind:literal {
+            $($(#[$fdoc:meta])* $field:ident $(as $key:literal)?: $ty:ty,)*
+        }
+    )*) => {
+        /// One structured trace event.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Event {
+            $($(#[$doc])* $variant { $($(#[$fdoc])* $field: $ty,)* },)*
+        }
+
+        impl Event {
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(Event::$variant { .. } => $kind,)*
+                }
+            }
+
+            fn put_fields(&self, o: &mut Json) {
+                match self {
+                    $(Event::$variant { $($field,)* } => {
+                        $(o.set(key!($field $($key)?), Field::put($field));)*
+                    })*
+                }
+            }
+
+            fn take_fields(kind: &str, v: &Json) -> Result<Event, SchemaError> {
+                match kind {
+                    $($kind => Ok(Event::$variant {
+                        $($field: take(v, key!($field $($key)?))?,)*
+                    }),)*
+                    other => Err(SchemaError::UnknownKind(other.to_string())),
+                }
+            }
+        }
+    };
+}
+
+events! {
+    /// First line of every trace: identifies the producing tool.
+    TraceStart = "trace_start" { tool: String, }
+    /// Last line written by a clean shutdown.
+    TraceEnd = "trace_end" { dur_us: u64, }
+    /// A named stage began. `id` pairs it with its `SpanEnd`.
+    SpanBegin = "span_begin" { id: u64, name: String, }
+    /// A named stage finished after `dur_us` microseconds.
+    SpanEnd = "span_end" { id: u64, name: String, dur_us: u64, }
+    /// A power-of-two-bucketed histogram snapshot: `(bucket_lo, count)`
+    /// pairs for the non-empty buckets.
+    Histogram = "histogram" { name: String, buckets: Vec<(u64, u64)>, }
+    /// Periodic mid-campaign sample taken from the workers' lock-free
+    /// counters by the sampler thread.
+    CampaignProgress = "campaign_progress" {
+        kind as "campaign": CampaignKind,
+        done: u64,
+        total: u64,
+        counts: OutcomeTally,
+        elapsed_us: u64,
+    }
+    /// Campaign summary: final outcome tallies plus checkpoint-restore
+    /// accounting (dynamic steps actually executed vs skipped by resuming
+    /// from golden-run snapshots) and golden-convergence accounting
+    /// (`converged` injections were finished early at a checkpoint where
+    /// their state equalled the golden run's, leaving `steps_saved` tail
+    /// steps unreplayed; `hangs_proved` injections were stopped once a
+    /// counted loop of theirs provably repeated itself to the step limit,
+    /// their steps after the proof in neither step tally; `deduped`
+    /// injections repeated a fault already run at their site and were not
+    /// replayed at all).
+    CampaignEnd = "campaign_end" {
+        kind as "campaign": CampaignKind,
+        injections: u64,
+        elapsed_us: u64,
+        counts: OutcomeTally,
+        steps_executed: u64,
+        steps_skipped: u64,
+        restores: u64,
+        converged: u64,
+        steps_saved: u64,
+        hangs_proved: u64,
+        deduped: u64,
+    }
+    /// Per-function outcome distribution of a per-instruction campaign.
+    FunctionOutcomes = "function_outcomes" { func: String, counts: OutcomeTally, }
+    /// One GA generation inside an input search.
+    GaGeneration = "ga_generation" {
+        /// How many inputs were already in the search history when this
+        /// GA round started (0 = the round that produced input #1).
+        input_index: u64,
+        generation: u64,
+        best_fitness: f64,
+        mean_fitness: f64,
+        population: u64,
+        evals: u64,
+    }
+    /// One accepted search input, after its FI campaign.
+    SearchInput = "search_input" {
+        index: u64,
+        fitness: f64,
+        new_incubative: u64,
+        total_incubative: u64,
+    }
+    /// Knapsack selection summary (budget in dynamic cycles).
+    Knapsack = "knapsack" {
+        budget: u64,
+        total_cycles: u64,
+        eligible: u64,
+        selected: u64,
+        protected_cycle_fraction: f64,
+        expected_coverage: f64,
+    }
+    /// Golden-run cache tallies.
+    CacheStats = "cache_stats" { hits: u64, misses: u64, entries: u64, }
+    /// Crash-safe journal opened: how much prior state was recovered and
+    /// how many bytes of torn/corrupt tail were truncated.
+    /// `dropped_records` counts intact-looking records found *after* the
+    /// first corrupt frame: nonzero means mid-file corruption (bit rot),
+    /// not an ordinary torn tail, and those records will be recomputed.
+    JournalRecovery = "journal_recovery" {
+        records: u64,
+        truncated_bytes: u64,
+        dropped_records: u64,
+    }
+    /// End-of-run journal usage: injections served from the journal
+    /// (recovered) vs executed fresh and appended (replayed).
+    JournalStats = "journal_stats" { recovered: u64, appended: u64, }
+    /// A site's Wilson interval narrowed below the configured half-width
+    /// after `samples` injections; the rest were skipped.
+    EarlyStop = "early_stop" {
+        kind as "campaign": CampaignKind,
+        site: u64,
+        samples: u64,
+        half_width: f64,
+    }
+    /// The wall-clock deadline expired with `truncated` injections still
+    /// pending in this campaign.
+    DeadlineTruncation = "deadline_truncation" {
+        kind as "campaign": CampaignKind,
+        truncated: u64,
+    }
+    /// Accumulated interpreter sampling-profiler state: per-op sample
+    /// counts (descending), fusion coverage, and checkpoint
+    /// encode/restore cost totals. Emitted once at shutdown when the
+    /// profiler ran.
+    InterpProfile = "interp_profile" {
+        sample_every: u64,
+        total_samples: u64,
+        fused_samples: u64,
+        fused_sites: u64,
+        total_sites: u64,
+        encode_ns: u64,
+        encode_ops: u64,
+        restore_ns: u64,
+        restore_ops: u64,
+        /// `(op name, samples)` pairs, nonzero only.
+        samples: Vec<(String, u64)>,
+    }
+    /// Run-level scheduler accounting, emitted once at the end.
+    SchedSummary = "sched_summary" {
+        early_stopped_sites: u64,
+        early_stop_skipped: u64,
+        truncated: u64,
+        completeness: f64,
+    }
+    /// Artifact-store operation. `op` is one of `publish`, `load`,
+    /// `quarantine`, `chaos_flip`, `scrub`, `gc`; `artifact` is the
+    /// artifact class (`golden`, `ckpt`, `table`, `wal`, …— `*` for
+    /// store-wide ops); `bytes` is the object size (for `scrub`/`gc`,
+    /// the number of objects examined).
+    StoreEvent = "store_event" { op: String, artifact: String, bytes: u64, }
+    /// Per-section outcome-table disposition in an incremental campaign.
+    /// `fp` is the section's content fingerprint; `units` is the number
+    /// of memoized injection outcomes involved (served outcomes for
+    /// `hit`, composed sections for `compose`, 0 for `miss`/`recompute`).
+    SectionEvent = "section_event" { fp: u64, action: SectionAction, units: u64, }
+}
+
+/// An event plus its timestamp (microseconds since trace start).
+#[derive(Debug, Clone, PartialEq)]
+pub struct TimedEvent {
+    pub ts_us: u64,
+    pub event: Event,
 }
 
 impl TimedEvent {
@@ -388,219 +429,7 @@ impl TimedEvent {
         o.set("v", Json::U64(SCHEMA_VERSION as u64));
         o.set("ts_us", Json::U64(self.ts_us));
         o.set("kind", Json::Str(self.event.kind().to_string()));
-        match &self.event {
-            Event::TraceStart { tool } => o.set("tool", Json::Str(tool.clone())),
-            Event::TraceEnd { dur_us } => o.set("dur_us", Json::U64(*dur_us)),
-            Event::SpanBegin { id, name } => {
-                o.set("id", Json::U64(*id));
-                o.set("name", Json::Str(name.clone()));
-            }
-            Event::SpanEnd { id, name, dur_us } => {
-                o.set("id", Json::U64(*id));
-                o.set("name", Json::Str(name.clone()));
-                o.set("dur_us", Json::U64(*dur_us));
-            }
-            Event::Counter { name, value } => {
-                o.set("name", Json::Str(name.clone()));
-                o.set("value", Json::U64(*value));
-            }
-            Event::Histogram { name, buckets } => {
-                o.set("name", Json::Str(name.clone()));
-                o.set(
-                    "buckets",
-                    Json::Array(
-                        buckets
-                            .iter()
-                            .map(|&(lo, n)| Json::Array(vec![Json::U64(lo), Json::U64(n)]))
-                            .collect(),
-                    ),
-                );
-            }
-            Event::CampaignProgress {
-                kind,
-                done,
-                total,
-                counts,
-                elapsed_us,
-            } => {
-                o.set("campaign", Json::Str(kind.as_str().to_string()));
-                o.set("done", Json::U64(*done));
-                o.set("total", Json::U64(*total));
-                o.set("counts", counts.to_json());
-                o.set("elapsed_us", Json::U64(*elapsed_us));
-            }
-            Event::CampaignEnd {
-                kind,
-                injections,
-                elapsed_us,
-                counts,
-                steps_executed,
-                steps_skipped,
-                restores,
-                converged,
-                steps_saved,
-                hangs_proved,
-                deduped,
-            } => {
-                o.set("campaign", Json::Str(kind.as_str().to_string()));
-                o.set("injections", Json::U64(*injections));
-                o.set("elapsed_us", Json::U64(*elapsed_us));
-                o.set("counts", counts.to_json());
-                o.set("steps_executed", Json::U64(*steps_executed));
-                o.set("steps_skipped", Json::U64(*steps_skipped));
-                o.set("restores", Json::U64(*restores));
-                o.set("converged", Json::U64(*converged));
-                o.set("steps_saved", Json::U64(*steps_saved));
-                o.set("hangs_proved", Json::U64(*hangs_proved));
-                o.set("deduped", Json::U64(*deduped));
-            }
-            Event::FunctionOutcomes { func, counts } => {
-                o.set("func", Json::Str(func.clone()));
-                o.set("counts", counts.to_json());
-            }
-            Event::GaGeneration {
-                input_index,
-                generation,
-                best_fitness,
-                mean_fitness,
-                population,
-                evals,
-            } => {
-                o.set("input_index", Json::U64(*input_index));
-                o.set("generation", Json::U64(*generation));
-                o.set("best_fitness", Json::F64(*best_fitness));
-                o.set("mean_fitness", Json::F64(*mean_fitness));
-                o.set("population", Json::U64(*population));
-                o.set("evals", Json::U64(*evals));
-            }
-            Event::SearchInput {
-                index,
-                fitness,
-                new_incubative,
-                total_incubative,
-            } => {
-                o.set("index", Json::U64(*index));
-                o.set("fitness", Json::F64(*fitness));
-                o.set("new_incubative", Json::U64(*new_incubative));
-                o.set("total_incubative", Json::U64(*total_incubative));
-            }
-            Event::Knapsack {
-                budget,
-                total_cycles,
-                eligible,
-                selected,
-                protected_cycle_fraction,
-                expected_coverage,
-            } => {
-                o.set("budget", Json::U64(*budget));
-                o.set("total_cycles", Json::U64(*total_cycles));
-                o.set("eligible", Json::U64(*eligible));
-                o.set("selected", Json::U64(*selected));
-                o.set(
-                    "protected_cycle_fraction",
-                    Json::F64(*protected_cycle_fraction),
-                );
-                o.set("expected_coverage", Json::F64(*expected_coverage));
-            }
-            Event::CacheStats {
-                hits,
-                misses,
-                entries,
-            } => {
-                o.set("hits", Json::U64(*hits));
-                o.set("misses", Json::U64(*misses));
-                o.set("entries", Json::U64(*entries));
-            }
-            Event::JournalRecovery {
-                records,
-                truncated_bytes,
-                dropped_records,
-            } => {
-                o.set("records", Json::U64(*records));
-                o.set("truncated_bytes", Json::U64(*truncated_bytes));
-                o.set("dropped_records", Json::U64(*dropped_records));
-            }
-            Event::JournalStats {
-                recovered,
-                appended,
-            } => {
-                o.set("recovered", Json::U64(*recovered));
-                o.set("appended", Json::U64(*appended));
-            }
-            Event::EarlyStop {
-                kind,
-                site,
-                samples,
-                half_width,
-            } => {
-                o.set("campaign", Json::Str(kind.as_str().to_string()));
-                o.set("site", Json::U64(*site));
-                o.set("samples", Json::U64(*samples));
-                o.set("half_width", Json::F64(*half_width));
-            }
-            Event::DeadlineTruncation { kind, truncated } => {
-                o.set("campaign", Json::Str(kind.as_str().to_string()));
-                o.set("truncated", Json::U64(*truncated));
-            }
-            Event::InterpProfile {
-                sample_every,
-                total_samples,
-                fused_samples,
-                fused_sites,
-                total_sites,
-                encode_ns,
-                encode_ops,
-                restore_ns,
-                restore_ops,
-                samples,
-            } => {
-                o.set("sample_every", Json::U64(*sample_every));
-                o.set("total_samples", Json::U64(*total_samples));
-                o.set("fused_samples", Json::U64(*fused_samples));
-                o.set("fused_sites", Json::U64(*fused_sites));
-                o.set("total_sites", Json::U64(*total_sites));
-                o.set("encode_ns", Json::U64(*encode_ns));
-                o.set("encode_ops", Json::U64(*encode_ops));
-                o.set("restore_ns", Json::U64(*restore_ns));
-                o.set("restore_ops", Json::U64(*restore_ops));
-                o.set(
-                    "samples",
-                    Json::Array(
-                        samples
-                            .iter()
-                            .map(|(name, n)| {
-                                Json::Array(vec![Json::Str(name.clone()), Json::U64(*n)])
-                            })
-                            .collect(),
-                    ),
-                );
-            }
-            Event::SchedSummary {
-                early_stopped_sites,
-                early_stop_skipped,
-                truncated,
-                completeness,
-            } => {
-                o.set("early_stopped_sites", Json::U64(*early_stopped_sites));
-                o.set("early_stop_skipped", Json::U64(*early_stop_skipped));
-                o.set("truncated", Json::U64(*truncated));
-                o.set("completeness", Json::F64(*completeness));
-            }
-            Event::StoreEvent {
-                op,
-                artifact,
-                bytes,
-            } => {
-                o.set("op", Json::Str(op.clone()));
-                o.set("artifact", Json::Str(artifact.clone()));
-                o.set("bytes", Json::U64(*bytes));
-            }
-            Event::SectionEvent { fp, action, units } => {
-                o.set("fp", Json::U64(*fp));
-                o.set("action", Json::Str(action.as_str().to_string()));
-                o.set("units", Json::U64(*units));
-            }
-        }
+        self.event.put_fields(&mut o);
         o.render()
     }
 
@@ -608,171 +437,13 @@ impl TimedEvent {
     /// missing/malformed fields are all errors.
     pub fn parse_line(line: &str) -> Result<TimedEvent, SchemaError> {
         let v = parse(line.trim()).map_err(SchemaError::Json)?;
-        let version = field_u64(&v, "v")?;
+        let version: u64 = take(&v, "v")?;
         if version != SCHEMA_VERSION as u64 {
             return Err(SchemaError::Version(version));
         }
-        let ts_us = field_u64(&v, "ts_us")?;
-        let kind = field_str(&v, "kind")?;
-        let event = match kind.as_str() {
-            "trace_start" => Event::TraceStart {
-                tool: field_str(&v, "tool")?,
-            },
-            "trace_end" => Event::TraceEnd {
-                dur_us: field_u64(&v, "dur_us")?,
-            },
-            "span_begin" => Event::SpanBegin {
-                id: field_u64(&v, "id")?,
-                name: field_str(&v, "name")?,
-            },
-            "span_end" => Event::SpanEnd {
-                id: field_u64(&v, "id")?,
-                name: field_str(&v, "name")?,
-                dur_us: field_u64(&v, "dur_us")?,
-            },
-            "counter" => Event::Counter {
-                name: field_str(&v, "name")?,
-                value: field_u64(&v, "value")?,
-            },
-            "histogram" => {
-                let raw = field(&v, "buckets")?
-                    .as_array()
-                    .ok_or(SchemaError::BadField("buckets"))?;
-                let mut buckets = Vec::with_capacity(raw.len());
-                for pair in raw {
-                    let pair = pair.as_array().ok_or(SchemaError::BadField("buckets"))?;
-                    match pair {
-                        [lo, n] => buckets.push((
-                            lo.as_u64().ok_or(SchemaError::BadField("buckets"))?,
-                            n.as_u64().ok_or(SchemaError::BadField("buckets"))?,
-                        )),
-                        _ => return Err(SchemaError::BadField("buckets")),
-                    }
-                }
-                Event::Histogram {
-                    name: field_str(&v, "name")?,
-                    buckets,
-                }
-            }
-            "campaign_progress" => Event::CampaignProgress {
-                kind: field_kind(&v)?,
-                done: field_u64(&v, "done")?,
-                total: field_u64(&v, "total")?,
-                counts: OutcomeTally::from_json(field(&v, "counts")?)?,
-                elapsed_us: field_u64(&v, "elapsed_us")?,
-            },
-            "campaign_end" => Event::CampaignEnd {
-                kind: field_kind(&v)?,
-                injections: field_u64(&v, "injections")?,
-                elapsed_us: field_u64(&v, "elapsed_us")?,
-                counts: OutcomeTally::from_json(field(&v, "counts")?)?,
-                steps_executed: field_u64(&v, "steps_executed")?,
-                steps_skipped: field_u64(&v, "steps_skipped")?,
-                restores: field_u64(&v, "restores")?,
-                converged: field_u64(&v, "converged")?,
-                steps_saved: field_u64(&v, "steps_saved")?,
-                hangs_proved: field_u64(&v, "hangs_proved")?,
-                deduped: field_u64(&v, "deduped")?,
-            },
-            "function_outcomes" => Event::FunctionOutcomes {
-                func: field_str(&v, "func")?,
-                counts: OutcomeTally::from_json(field(&v, "counts")?)?,
-            },
-            "ga_generation" => Event::GaGeneration {
-                input_index: field_u64(&v, "input_index")?,
-                generation: field_u64(&v, "generation")?,
-                best_fitness: field_f64(&v, "best_fitness")?,
-                mean_fitness: field_f64(&v, "mean_fitness")?,
-                population: field_u64(&v, "population")?,
-                evals: field_u64(&v, "evals")?,
-            },
-            "search_input" => Event::SearchInput {
-                index: field_u64(&v, "index")?,
-                fitness: field_f64(&v, "fitness")?,
-                new_incubative: field_u64(&v, "new_incubative")?,
-                total_incubative: field_u64(&v, "total_incubative")?,
-            },
-            "knapsack" => Event::Knapsack {
-                budget: field_u64(&v, "budget")?,
-                total_cycles: field_u64(&v, "total_cycles")?,
-                eligible: field_u64(&v, "eligible")?,
-                selected: field_u64(&v, "selected")?,
-                protected_cycle_fraction: field_f64(&v, "protected_cycle_fraction")?,
-                expected_coverage: field_f64(&v, "expected_coverage")?,
-            },
-            "cache_stats" => Event::CacheStats {
-                hits: field_u64(&v, "hits")?,
-                misses: field_u64(&v, "misses")?,
-                entries: field_u64(&v, "entries")?,
-            },
-            "journal_recovery" => Event::JournalRecovery {
-                records: field_u64(&v, "records")?,
-                truncated_bytes: field_u64(&v, "truncated_bytes")?,
-                dropped_records: field_u64(&v, "dropped_records")?,
-            },
-            "journal_stats" => Event::JournalStats {
-                recovered: field_u64(&v, "recovered")?,
-                appended: field_u64(&v, "appended")?,
-            },
-            "early_stop" => Event::EarlyStop {
-                kind: field_kind(&v)?,
-                site: field_u64(&v, "site")?,
-                samples: field_u64(&v, "samples")?,
-                half_width: field_f64(&v, "half_width")?,
-            },
-            "deadline_truncation" => Event::DeadlineTruncation {
-                kind: field_kind(&v)?,
-                truncated: field_u64(&v, "truncated")?,
-            },
-            "interp_profile" => {
-                let raw = field(&v, "samples")?
-                    .as_array()
-                    .ok_or(SchemaError::BadField("samples"))?;
-                let mut samples = Vec::with_capacity(raw.len());
-                for pair in raw {
-                    let pair = pair.as_array().ok_or(SchemaError::BadField("samples"))?;
-                    match pair {
-                        [name, n] => samples.push((
-                            name.as_str()
-                                .ok_or(SchemaError::BadField("samples"))?
-                                .to_string(),
-                            n.as_u64().ok_or(SchemaError::BadField("samples"))?,
-                        )),
-                        _ => return Err(SchemaError::BadField("samples")),
-                    }
-                }
-                Event::InterpProfile {
-                    sample_every: field_u64(&v, "sample_every")?,
-                    total_samples: field_u64(&v, "total_samples")?,
-                    fused_samples: field_u64(&v, "fused_samples")?,
-                    fused_sites: field_u64(&v, "fused_sites")?,
-                    total_sites: field_u64(&v, "total_sites")?,
-                    encode_ns: field_u64(&v, "encode_ns")?,
-                    encode_ops: field_u64(&v, "encode_ops")?,
-                    restore_ns: field_u64(&v, "restore_ns")?,
-                    restore_ops: field_u64(&v, "restore_ops")?,
-                    samples,
-                }
-            }
-            "sched_summary" => Event::SchedSummary {
-                early_stopped_sites: field_u64(&v, "early_stopped_sites")?,
-                early_stop_skipped: field_u64(&v, "early_stop_skipped")?,
-                truncated: field_u64(&v, "truncated")?,
-                completeness: field_f64(&v, "completeness")?,
-            },
-            "store_event" => Event::StoreEvent {
-                op: field_str(&v, "op")?,
-                artifact: field_str(&v, "artifact")?,
-                bytes: field_u64(&v, "bytes")?,
-            },
-            "section_event" => Event::SectionEvent {
-                fp: field_u64(&v, "fp")?,
-                action: SectionAction::from_str(&field_str(&v, "action")?)
-                    .ok_or(SchemaError::BadField("action"))?,
-                units: field_u64(&v, "units")?,
-            },
-            other => return Err(SchemaError::UnknownKind(other.to_string())),
-        };
+        let ts_us = take(&v, "ts_us")?;
+        let kind: String = take(&v, "kind")?;
+        let event = Event::take_fields(&kind, &v)?;
         Ok(TimedEvent { ts_us, event })
     }
 }
@@ -805,10 +476,6 @@ mod tests {
             id: 1,
             name: "ref_fi".into(),
             dur_us: 42,
-        });
-        rt(Event::Counter {
-            name: "cache.hits".into(),
-            value: u64::MAX,
         });
         rt(Event::Histogram {
             name: "restore.suffix_steps".into(),
@@ -1012,9 +679,33 @@ mod tests {
             TimedEvent::parse_line(r#"{"v":11,"ts_us":0,"kind":"mystery"}"#),
             Err(SchemaError::UnknownKind(_))
         ));
+        // `counter` had no producer and is gone from v11
         assert!(matches!(
-            TimedEvent::parse_line(r#"{"v":11,"ts_us":0,"kind":"counter","name":"x"}"#),
-            Err(SchemaError::MissingField("value"))
+            TimedEvent::parse_line(r#"{"v":11,"ts_us":0,"kind":"counter","name":"x","value":1}"#),
+            Err(SchemaError::UnknownKind(_))
+        ));
+        assert!(matches!(
+            TimedEvent::parse_line(r#"{"v":11,"ts_us":0,"kind":"journal_stats","recovered":1}"#),
+            Err(SchemaError::MissingField("appended"))
+        ));
+        // a tally names its own missing key, not the field that holds it
+        assert!(matches!(
+            TimedEvent::parse_line(
+                r#"{"v":11,"ts_us":0,"kind":"function_outcomes","func":"main","counts":{"sdc":0,"crash":0,"hang":0,"detected":0}}"#
+            ),
+            Err(SchemaError::MissingField("benign"))
+        ));
+        assert!(matches!(
+            TimedEvent::parse_line(
+                r#"{"v":11,"ts_us":0,"kind":"section_event","fp":1,"action":"stale","units":0}"#
+            ),
+            Err(SchemaError::BadField("action"))
+        ));
+        assert!(matches!(
+            TimedEvent::parse_line(
+                r#"{"v":11,"ts_us":0,"kind":"histogram","name":"h","buckets":[[1,2,3]]}"#
+            ),
+            Err(SchemaError::BadField("buckets"))
         ));
         assert!(matches!(
             TimedEvent::parse_line("not json at all"),

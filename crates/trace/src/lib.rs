@@ -8,11 +8,11 @@
 //!
 //! Three layers:
 //!
-//! * **Schema** ([`event`]): versioned event structs ([`Event`], wrapped
-//!   in [`TimedEvent`]) with hand-rolled JSON round-tripping over
-//!   [`json`] — every line carries `"v": SCHEMA_VERSION` and the parser
-//!   rejects anything it does not understand, so reports never silently
-//!   misparse.
+//! * **Schema** ([`event`]): versioned events ([`Event`], wrapped in
+//!   [`TimedEvent`]), each kind's name and fields declared once and its
+//!   JSON encoder and decoder generated from that over [`json`] — every
+//!   line carries `"v": SCHEMA_VERSION` and the parser rejects anything
+//!   it does not understand, so reports never silently misparse.
 //! * **Sink** ([`sink`]): a `Sync`, process-wide sink that is a no-op
 //!   static until a file ([`init_file`]) or observer ([`add_observer`])
 //!   is attached — the disabled cost is one relaxed atomic load. Hot
@@ -20,7 +20,7 @@
 //!   that a sampler thread ([`sample_campaign`]) turns into events at a
 //!   fixed low rate; [`span`] guards mark pipeline stages.
 //! * **Analyzer** ([`report`]): `minpsid trace report <log>` parses the
-//!   JSONL into a [`TraceSummary`] and renders markdown/HTML with stage
+//!   JSONL into a [`TraceSummary`] and renders markdown with stage
 //!   time breakdowns, FI throughput + outcome distributions, checkpoint
 //!   restore savings, golden-cache hit rates, and per-generation GA
 //!   fitness curves.
@@ -39,10 +39,7 @@ pub mod sink;
 pub use event::{
     CampaignKind, Event, OutcomeTally, SchemaError, SectionAction, TimedEvent, SCHEMA_VERSION,
 };
-pub use report::{
-    parse_log, render_html, render_markdown, summarize, CampaignStat, JournalStat, SchedStat,
-    TraceSummary,
-};
+pub use report::{parse_log, render_markdown, summarize, CampaignStat, JournalStat, TraceSummary};
 pub use sink::{
     active, add_observer, emit, flush, init_file, init_writer, sample_campaign, shutdown, span,
     CampaignCounters, Histogram, OutcomeKind, Span,

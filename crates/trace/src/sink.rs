@@ -496,9 +496,9 @@ mod tests {
         assert!(!active(), "sink starts disabled");
         // disabled: spans and emits are free no-ops
         drop(span("noop"));
-        emit(Event::Counter {
-            name: "dropped".into(),
-            value: 1,
+        emit(Event::JournalStats {
+            recovered: 0,
+            appended: 1,
         });
 
         let buf = Buf::default();
@@ -507,9 +507,9 @@ mod tests {
 
         {
             let _s = span("stage_a");
-            emit(Event::Counter {
-                name: "k".into(),
-                value: 7,
+            emit(Event::JournalStats {
+                recovered: 3,
+                appended: 7,
             });
         }
 
@@ -583,9 +583,9 @@ mod tests {
         assert!(events.windows(2).all(|w| w[0].ts_us <= w[1].ts_us));
 
         // emitting after shutdown is a no-op again
-        emit(Event::Counter {
-            name: "late".into(),
-            value: 1,
+        emit(Event::JournalStats {
+            recovered: 0,
+            appended: 1,
         });
         assert_eq!(buf.lines().len(), events.len());
     }

@@ -37,7 +37,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn spans_and_counters_round_trip(
+    fn spans_and_names_round_trip(
         ts in 0u64..u64::MAX,
         id in 0u64..u64::MAX,
         // names exercise JSON string escaping: quotes, backslashes,
@@ -50,7 +50,7 @@ proptest! {
         let event = match which {
             0 => Event::SpanBegin { id, name },
             1 => Event::SpanEnd { id, name, dur_us: dur },
-            2 => Event::Counter { name, value },
+            2 => Event::StoreEvent { op: name.clone(), artifact: name, bytes: value },
             _ => Event::TraceStart { tool: name },
         };
         assert_roundtrip(ts, event)?;
@@ -167,7 +167,7 @@ proptest! {
             .map(|(i, &v)| {
                 TimedEvent {
                     ts_us: i as u64,
-                    event: Event::Counter { name: format!("c{i}"), value: v },
+                    event: Event::JournalStats { recovered: v, appended: i as u64 },
                 }
                 .to_line() + "\n"
             })
@@ -178,7 +178,7 @@ proptest! {
         for (i, (te, &v)) in parsed.iter().zip(&values).enumerate() {
             prop_assert_eq!(te.ts_us, i as u64);
             match &te.event {
-                Event::Counter { value, .. } => prop_assert_eq!(*value, v),
+                Event::JournalStats { recovered, .. } => prop_assert_eq!(*recovered, v),
                 other => return Err(TestCaseError::fail(format!("wrong kind {other:?}"))),
             }
         }

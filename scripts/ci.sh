@@ -38,7 +38,7 @@ cargo run --release --offline -q -p minpsid-cli -- trace check "$TRACE_TMP/fig2.
 cargo run --release --offline -q -p minpsid-cli -- trace report "$TRACE_TMP/fig2.jsonl" \
   -o "$TRACE_TMP/report"
 test -s "$TRACE_TMP/report/trace_report.md"
-test -s "$TRACE_TMP/report/trace_report.html"
+grep -q '^## FI campaigns' "$TRACE_TMP/report/trace_report.md"
 
 CLI="target/release/minpsid"
 cargo build --release --offline -q -p minpsid-cli

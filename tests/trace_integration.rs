@@ -213,8 +213,6 @@ fn traced_pipeline_round_trips_into_the_analyzer() {
     for stage in ["ref_fi", "incubative_fi", "select_transform"] {
         assert!(md.contains(stage), "report missing stage `{stage}`");
     }
-    let html = trace::render_html(&summary);
-    assert!(html.contains("<table>") && html.contains("Stage time breakdown"));
 
     // a campaign the deadline cut reports its truncation once, with the
     // total, whichever shape it has (the per-instruction one used to emit
