@@ -17,7 +17,9 @@
 //! it) and the kernel where that share peaks — the sizing column of a
 //! superinstruction's price (EXPERIMENTS.md "The fusion table earns its
 //! keep").
-use minpsid_interp::{opprof, ExecConfig, FaultSpec, FaultTarget, Interp, ProgInput};
+use minpsid_interp::{
+    opprof, ExecConfig, ExecScratch, FaultSpec, FaultTarget, Interp, ProgInput, Run,
+};
 use minpsid_ir::InstKind;
 use std::collections::BTreeMap;
 use std::hint::black_box;
@@ -78,12 +80,22 @@ fn main() {
             }
             best
         };
+        let armed = |interp: &Interp<'_>, i: &ProgInput| {
+            interp.run_with_fault_in(&mut ExecScratch::default(), i, never)
+        };
+        let proving = |i: &ProgInput| {
+            let run = Run {
+                prove: true,
+                ..Run::new(i)
+            };
+            clean.execute(&mut ExecScratch::default(), &run)
+        };
         let secs = [
             best_secs(&|i| drop(black_box(clean.run(i)))),
-            best_secs(&|i| drop(black_box(clean.run_with_fault(i, never)))),
+            best_secs(&|i| drop(black_box(armed(&clean, i)))),
             best_secs(&|i| drop(black_box(observed.run(i)))),
-            best_secs(&|i| drop(black_box(observed.run_with_fault(i, never)))),
-            best_secs(&|i| drop(black_box(clean.run_proving(i)))),
+            best_secs(&|i| drop(black_box(armed(&observed, i)))),
+            best_secs(&|i| drop(black_box(proving(i)))),
         ];
         let rate = |secs: f64| p.total_insts as f64 / secs / 1e6;
         let (mut mem, mut slot) = (0u64, 0u64);

@@ -2,7 +2,7 @@
 //! Eq. 3).
 
 use minpsid_faultsim::CampaignConfig;
-use minpsid_interp::{ExecConfig, ExecScratch, Interp, Profile, ProgInput, Termination};
+use minpsid_interp::{ExecConfig, ExecScratch, Interp, Profile, ProgInput, Run, Termination};
 use minpsid_ir::Module;
 
 /// A profiling interpreter for `module` under the campaign's limits.
@@ -25,7 +25,7 @@ pub(crate) fn profile_with(
     scratch: &mut ExecScratch,
     input: &ProgInput,
 ) -> Result<(Profile, u64), Termination> {
-    let r = interp.run_in(scratch, input);
+    let r = interp.execute(scratch, &Run::new(input));
     if r.termination != Termination::Exit {
         return Err(r.termination);
     }

@@ -26,8 +26,8 @@ use crate::engine::CampaignEngine;
 use crate::outcome::{Outcome, OutcomeCounts};
 use crate::parallel::default_threads;
 use minpsid_interp::{
-    auto_interval, CheckpointConfig, CheckpointStore, ExecConfig, Interp, Output, Profile,
-    ProgInput, SnapshotMode, Termination,
+    auto_interval, CheckpointConfig, CheckpointStore, ExecConfig, ExecScratch, Interp, Output,
+    Profile, ProgInput, Run, SnapshotMode, Termination,
 };
 use minpsid_ir::Module;
 use minpsid_sched::{binomial_ci, BinomialCi, SchedConfig, SiteStatus};
@@ -245,7 +245,13 @@ pub fn golden_run_sized(
             let steps = match steps {
                 Some(steps) => steps,
                 None => {
-                    let sizing = interp.run_unobserved(input);
+                    let sizing = interp.execute(
+                        &mut ExecScratch::default(),
+                        &Run {
+                            observe: false,
+                            ..Run::new(input)
+                        },
+                    );
                     if sizing.termination != Termination::Exit {
                         return Err(sizing.termination);
                     }

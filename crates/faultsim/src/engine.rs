@@ -47,7 +47,7 @@ use crate::outcome::{classify, Outcome, OutcomeCounts};
 use crate::parallel::par_map_init;
 use crate::table::{table_sig, PerInstTable, ProgramTable, TableKind, TableMemo};
 use minpsid_interp::{
-    ExecConfig, ExecResult, ExecScratch, FaultSpec, FaultTarget, Interp, ProgInput,
+    ExecConfig, ExecResult, ExecScratch, FaultSpec, FaultTarget, Interp, ProgInput, Run, Start,
 };
 use minpsid_ir::{section_fingerprints, GlobalInstId, Module};
 use minpsid_journal::{interrupt, CampaignJournal, Interrupted};
@@ -289,13 +289,12 @@ fn emit_function_outcomes(
     }
 }
 
-/// Run one injection: resume from the nearest safe snapshot when one
-/// exists (faults early in the trace may precede the first snapshot),
-/// otherwise replay from scratch. Either way the run is finished early
-/// once its state equals the golden run's at a later snapshot, or once,
-/// past the golden run's length, a counted loop of it provably repeats
-/// itself to the step limit. `st` is per-worker scratch whose buffers are
-/// reused across injections.
+/// Run one injection beside the golden run ([`Start::Beside`]): resumed
+/// from the nearest checkpoint before the fault's target, or from the entry
+/// point when none precedes it, and finished early once its state equals
+/// the golden run's at a later checkpoint, or once, past the golden run's
+/// length, a counted loop of it provably repeats itself to the step limit.
+/// `st` is per-worker scratch whose buffers are reused across injections.
 fn inject(
     interp: &Interp<'_>,
     st: &mut ExecScratch,
@@ -303,16 +302,14 @@ fn inject(
     input: &ProgInput,
     fault: FaultSpec,
 ) -> ExecResult {
-    let snap = match fault.target {
-        FaultTarget::NthDynamic(n) => golden.checkpoints.nearest_for_dynamic(n),
-        FaultTarget::NthOfInst(gid, n) => golden
-            .checkpoints
-            .nearest_for_inst(interp.dense_index(gid), n),
-    };
-    match snap {
-        Some(i) => interp.resume_from(st, &golden.checkpoints, i, input, fault),
-        None => interp.run_with_fault_against(st, &golden.checkpoints, input, fault),
-    }
+    interp.execute(
+        st,
+        &Run {
+            fault: Some(fault),
+            start: Start::Beside(&golden.checkpoints),
+            ..Run::new(input)
+        },
+    )
 }
 
 /// How a campaign runs one fault: [`inject`], always — a type so that a

@@ -9,7 +9,7 @@
 //! the paper builds on (Li et al., DSN'18).
 
 use crate::outcome::{classify, Outcome};
-use minpsid_interp::{ExecConfig, Interp, Output, ProgInput, TraceEvent, Value};
+use minpsid_interp::{ExecConfig, ExecScratch, Interp, Output, ProgInput, Run, TraceEvent, Value};
 use minpsid_ir::{GlobalInstId, Module};
 use std::collections::BTreeSet;
 
@@ -73,7 +73,13 @@ pub fn trace_fault(
     };
     let interp = Interp::new(module, exec);
     let golden = interp.run(input);
-    let faulty = interp.run_with_fault(input, fault);
+    let faulty = interp.execute(
+        &mut ExecScratch::default(),
+        &Run {
+            fault: Some(fault),
+            ..Run::new(input)
+        },
+    );
     let outcome = classify(golden_output, &faulty);
 
     let gt = golden.trace.expect("tracing enabled");

@@ -3,7 +3,7 @@
 //! classification for the same fault.
 
 use minpsid_faultsim::{classify, trace_fault, Outcome};
-use minpsid_interp::{ExecConfig, FaultSpec, FaultTarget, Interp, ProgInput, Scalar};
+use minpsid_interp::{ExecConfig, ExecScratch, FaultSpec, FaultTarget, Interp, ProgInput, Scalar};
 use proptest::prelude::*;
 
 fn module() -> minpsid_ir::Module {
@@ -44,7 +44,7 @@ proptest! {
         let fault = FaultSpec { target: FaultTarget::NthDynamic(nth), bit };
 
         let report = trace_fault(&m, &input, fault, &golden.output, golden.steps * 10);
-        let direct = classify(&golden.output, &interp.run_with_fault(&input, fault));
+        let direct = classify(&golden.output, &interp.run_with_fault_in(&mut ExecScratch::default(), &input, fault));
         prop_assert_eq!(report.outcome, direct);
 
         match report.outcome {

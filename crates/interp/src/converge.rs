@@ -7,10 +7,10 @@
 //! there will retrace the golden run step for step to its end: same
 //! termination, same step count, same return value, same output items
 //! from there on. Replaying that suffix buys nothing, so the checkpointed
-//! injection path ([`Interp::resume_from`], and
-//! [`Interp::run_with_fault_against`] for a fault that precedes the first
-//! checkpoint) stops at `k` and returns the result the full replay would
-//! have produced.
+//! injection path (a run beside the golden run's store, [`Start::Beside`],
+//! whether it resumed from a checkpoint or, for a fault that precedes the
+//! first one, started cold) stops at `k` and returns the result the full
+//! replay would have produced.
 //!
 //! **State** is what the next instruction can observe: the frame stack
 //! (function, logical pc, every register, arguments, stack watermark),
@@ -40,8 +40,7 @@
 //!   has replayed ([`WORDS_PER_STEP_DEN`]): boundaries that would break
 //!   the bound are passed over, which spaces the checks by state size.
 //!
-//! [`Interp::resume_from`]: crate::Interp::resume_from
-//! [`Interp::run_with_fault_against`]: crate::Interp::run_with_fault_against
+//! [`Start::Beside`]: crate::Start::Beside
 
 use crate::decode::{DFrame, DecodedModule};
 use crate::exec::{ExecResult, Frame, Interp, MachineState, Termination};
@@ -283,11 +282,10 @@ impl<'a> DecodedView<'a> {
     }
 }
 
-/// What the last [`Interp::resume_from`] on a scratch spent looking for
-/// convergence, and for a hang to prove past the golden run's length; see
+/// What the last run on a scratch spent looking for convergence, and for
+/// a hang to prove past the golden run's length; see
 /// [`ExecScratch::converge_stats`].
 ///
-/// [`Interp::resume_from`]: crate::Interp::resume_from
 /// [`ExecScratch::converge_stats`]: crate::ExecScratch::converge_stats
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConvergeStats {

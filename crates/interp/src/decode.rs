@@ -90,8 +90,8 @@
 
 use crate::converge::{Converge, ConvergeStats, DecodedView};
 use crate::exec::{
-    bit_equal, cmp_ord, ExecResult, Interp, MachineState, Termination, TraceEvent, TrapKind,
-    STACK_TAG,
+    bit_equal, cmp_ord, ExecResult, Interp, MachineState, Run, Start, Termination, TraceEvent,
+    TrapKind, STACK_TAG,
 };
 use crate::fault::{flip_bit, FaultSpec, FaultTarget};
 use crate::hang::{HangProof, Latch};
@@ -639,6 +639,8 @@ pub struct ExecScratch {
     obs: Observers,
     /// The latch saves of the proving loop (`hang.rs`).
     hang: HangProof,
+    /// What the last [`Start::Capture`] run captured.
+    captured: Option<CheckpointStore>,
 }
 
 impl ExecScratch {
@@ -654,10 +656,18 @@ impl ExecScratch {
         }
     }
 
-    /// What the last [`Interp::resume_from`] on this scratch spent looking
-    /// for golden convergence.
+    /// The checkpoint store the last [`Start::Capture`] run on this scratch
+    /// captured, with the golden run's ending attached when it exited
+    /// ([`CheckpointStore::attach_tail`]).
     ///
-    /// [`Interp::resume_from`]: crate::Interp::resume_from
+    /// # Panics
+    /// If no capturing run left one here.
+    pub fn take_checkpoints(&mut self) -> CheckpointStore {
+        self.captured.take().expect("a capturing run left a store")
+    }
+
+    /// What the last run on this scratch spent looking for golden
+    /// convergence (see [`Start::Beside`]).
     pub fn converge_stats(&self) -> ConvergeStats {
         self.converge_stats
     }
@@ -1300,134 +1310,108 @@ fn decode_inst(
     slot(f, iid, dense_base, op)
 }
 
-/// Run the decoded loop from the state in `scratch` to a termination.
-/// Semantics (step accounting, trap points, injection ordering, fault
-/// application, every observer) are bit-identical to the reference walk
-/// in [`crate::oracle`].
+/// Execute `run` from where it starts to a termination. Semantics (step
+/// accounting, trap points, injection ordering, fault application, every
+/// observer) are bit-identical to the reference walk in [`crate::oracle`].
+/// One `match` picks the instantiations:
 ///
-/// A run that wants a profile or a trace (per the interpreter's config)
-/// executes on an *observed* instantiation from its first step to its
-/// last ([`run_observed`] says which); any other run goes through
-/// [`run_unobserved`], which is also what `golden` — the golden run's
-/// checkpoint store, if the caller has one — is for.
-pub(crate) fn run_decoded(
-    interp: &Interp<'_>,
-    scratch: &mut ExecScratch,
-    input: &crate::value::ProgInput,
-    fault: Option<FaultSpec>,
-    golden: Option<&CheckpointStore>,
-) -> ExecResult {
+/// * *observed* — a run that captures checkpoints, or that wants a
+///   profile or a trace (per the interpreter's config) — from its first
+///   step to its last. Observing does not need the injection counters: a
+///   fault-free run from the entry point — a GA candidate's profile, a
+///   golden run's capture, the golden side of a propagation trace —
+///   executes *unarmed*, and what the counters would have read is derived
+///   from what the observers keep anyway (see [`crate::observe`]). Only a
+///   run that has a fault to fire, already carries one, or starts mid-run
+///   from a restored counter executes *armed-observed*.
+/// * *proving* from the first step, for [`Run::prove`].
+/// * otherwise observer-free: the *armed* instantiation carries the
+///   injection counters and the fault-fire check, the *clean* one strips
+///   every per-step fault cost. A faulty run executes armed only up to the
+///   flip, then finishes clean; a fault-free run is clean from the first
+///   step. Nothing observes the injection counters after the fault has
+///   fired, so dropping them mid-run is invisible. Beside the golden run's
+///   store ([`Start::Beside`], [`Start::At`]), once the fault has fired,
+///   the clean phase pauses at its later checkpoints and finishes early
+///   when the state has converged onto the golden run (see
+///   [`crate::converge`]). A run still going at the golden run's length
+///   finishes on the *proving* instantiation instead, which stops it there
+///   once a counted loop of it provably repeats itself to the step limit
+///   (`hang.rs`).
+pub(crate) fn execute(interp: &Interp<'_>, scratch: &mut ExecScratch, run: &Run<'_>) -> ExecResult {
+    let golden = match run.golden(interp) {
+        (Some(store), Some(k)) => {
+            interp.restore(store, k, run.fault, &mut scratch.st);
+            scratch.enter_decoded(interp.decoded());
+            Some(store)
+        }
+        (golden, _) => {
+            scratch.start_decoded(interp.decoded());
+            golden
+        }
+    };
+    let (input, fault) = (run.input, run.fault);
+    let (steps, applied) = (scratch.st.steps, scratch.st.fault_applied);
+    let resumed_at = (steps > 0).then_some(steps);
+    let ckpt = match run.start {
+        Start::Capture(cfg) => Some(CheckpointCollector::new(cfg, interp.module().num_insts())),
+        _ => None,
+    };
     let cfg = interp.config();
-    if cfg.profile || cfg.trace {
-        run_observed(interp, scratch, input, fault, None)
-    } else {
-        run_unobserved(interp, scratch, input, fault, golden)
-    }
-}
-
-/// A fault-free run from the entry point on the observed instantiation
-/// that captures checkpoints into `ckpt` (and profiles or traces, if the
-/// config says so); hands the collector back with what it captured.
-pub(crate) fn run_capturing(
-    interp: &Interp<'_>,
-    scratch: &mut ExecScratch,
-    input: &crate::value::ProgInput,
-    ckpt: CheckpointCollector,
-) -> (ExecResult, CheckpointCollector) {
-    let r = run_observed(interp, scratch, input, None, Some(ckpt));
-    let ckpt = scratch.obs.ckpt.take().expect("the run had a collector");
-    (r, ckpt)
-}
-
-/// The observed run. Observing does not need the injection counters: a
-/// fault-free run from the entry point — a GA candidate's profile, a
-/// golden run's capture, the golden side of a propagation trace —
-/// executes *unarmed*, and what the counters would have read is derived
-/// from what the observers keep anyway (see [`crate::observe`]). Only a
-/// run that has a fault to fire, already carries one, or starts mid-run
-/// from a restored counter executes *armed-observed*.
-fn run_observed(
-    interp: &Interp<'_>,
-    scratch: &mut ExecScratch,
-    input: &crate::value::ProgInput,
-    fault: Option<FaultSpec>,
-    ckpt: Option<CheckpointCollector>,
-) -> ExecResult {
-    let st = &scratch.st;
-    let resumed_at = (st.steps > 0).then_some(st.steps);
-    let armed = fault.is_some() || st.fault_applied || st.steps > 0;
-    assert!(
-        !armed || ckpt.is_none(),
-        "only a fault-free run from the entry point is captured"
-    );
-    scratch.converge_stats = ConvergeStats::default();
-    scratch.obs.begin(interp, ckpt, &scratch.dframes, st.steps);
-    // the observed loop never hands off, so a run that will flip a value
-    // (or already has) is generic from its first step
-    scratch.on_generic = fault.is_some() || st.fault_applied;
-    let conv = &mut Converge::off();
-    if armed {
-        run_loop::<true, true, false>(interp, scratch, input, fault, resumed_at, conv)
-    } else {
-        run_loop::<false, true, false>(interp, scratch, input, None, None, conv)
-    }
-    .expect("the observed loops always run to a termination")
-}
-
-/// The observer-free run: the *armed* instantiation carries the injection
-/// counters and the fault-fire check, the *clean* one strips every
-/// per-step fault cost. A faulty run executes armed only up to the flip,
-/// then finishes clean; a fault-free run is clean from the first step.
-/// Nothing observes the injection counters after the fault has fired, so
-/// dropping them mid-run is invisible.
-///
-/// `golden` is the golden run's checkpoint store — the one the run
-/// resumed from, or that a cold run executes beside: once the fault has
-/// fired, the clean phase pauses at its later checkpoints and finishes
-/// early when the state has converged onto the golden run (see
-/// [`crate::converge`]). A run still going at the golden run's length
-/// finishes on the *proving* instantiation instead, which stops it there
-/// once a counted loop of it provably repeats itself to the step limit
-/// (`hang.rs`).
-pub(crate) fn run_unobserved(
-    interp: &Interp<'_>,
-    scratch: &mut ExecScratch,
-    input: &crate::value::ProgInput,
-    fault: Option<FaultSpec>,
-    golden: Option<&CheckpointStore>,
-) -> ExecResult {
-    let resumed_at = (scratch.st.steps > 0).then_some(scratch.st.steps);
-    scratch.converge_stats = ConvergeStats::default();
+    let mut conv = Converge::off();
     // a fault this run did not see applied may sit in a slot pointer
-    scratch.on_generic = scratch.st.fault_applied;
-    let mut conv = Converge::off();
-    if fault.is_some() && !scratch.st.fault_applied {
-        if let Some(r) =
-            run_loop::<true, false, false>(interp, scratch, input, fault, resumed_at, &mut conv)
-        {
-            return r;
+    scratch.on_generic = applied;
+    let observing = ckpt.is_some() || run.observe && (cfg.profile || cfg.trace);
+    let r = if run.prove {
+        assert!(
+            fault.is_none() && !observing && matches!(run.start, Start::Entry),
+            "a proving run is fault-free and unobserved from the entry point"
+        );
+        prove(interp, scratch, input, None, None, &mut conv)
+    } else if observing {
+        let armed = fault.is_some() || applied || steps > 0;
+        assert!(
+            !armed || ckpt.is_none(),
+            "only a fault-free run from the entry point is captured"
+        );
+        scratch
+            .obs
+            .begin(interp, run.observe, ckpt, &scratch.dframes, steps);
+        // the observed loop never hands off, so a run that will flip a
+        // value (or already has) is generic from its first step
+        scratch.on_generic |= fault.is_some();
+        if armed {
+            run_loop::<true, true, false>(interp, scratch, input, fault, resumed_at, &mut conv)
+        } else {
+            run_loop::<false, true, false>(interp, scratch, input, None, None, &mut conv)
         }
-        if let Some(store) = golden {
-            conv = Converge::new(interp, store, resumed_at, scratch.st.steps);
+        .expect("the observed loops always run to a termination")
+    } else {
+        let mut ended = None;
+        if fault.is_some() && !applied {
+            ended = run_loop::<true, false, false>(
+                interp, scratch, input, fault, resumed_at, &mut conv,
+            );
+            if let (None, Some(store)) = (&ended, golden) {
+                conv = Converge::new(interp, store, resumed_at, scratch.st.steps);
+            }
         }
+        ended
+            .or_else(|| {
+                run_loop::<false, false, false>(
+                    interp, scratch, input, fault, resumed_at, &mut conv,
+                )
+            })
+            .unwrap_or_else(|| prove(interp, scratch, input, fault, resumed_at, &mut conv))
+    };
+    scratch.converge_stats = conv.stats;
+    if let Some(ckpt) = scratch.obs.ckpt.take() {
+        let mut store = ckpt.into_store();
+        if r.termination == Termination::Exit {
+            store.attach_tail(r.output.clone(), r.steps, r.ret);
+        }
+        scratch.captured = Some(store);
     }
-    let r = run_loop::<false, false, false>(interp, scratch, input, fault, resumed_at, &mut conv)
-        .unwrap_or_else(|| prove(interp, scratch, input, fault, resumed_at, &mut conv));
-    scratch.converge_stats = conv.stats;
-    r
-}
-
-/// A fault-free run on the proving instantiation from the state in
-/// `scratch` on (see [`Interp::run_proving`](crate::Interp::run_proving)).
-pub(crate) fn run_proving(
-    interp: &Interp<'_>,
-    scratch: &mut ExecScratch,
-    input: &crate::value::ProgInput,
-) -> ExecResult {
-    scratch.on_generic = false;
-    let mut conv = Converge::off();
-    let r = prove(interp, scratch, input, None, None, &mut conv);
-    scratch.converge_stats = conv.stats;
     r
 }
 
@@ -1552,7 +1536,7 @@ fn run_loop<const ARMED: bool, const OBS: bool, const PROVE: bool>(
 }
 
 /// The interpreter loop, monomorphized five ways — `ARMED` and `OBS` are
-/// independent, `PROVE` goes with neither; see [`run_decoded`]. Runs until
+/// independent, `PROVE` goes with neither; see [`execute`]. Runs until
 /// the run ends or has to continue elsewhere, writes the step counter back
 /// into the scratch and says why it stopped.
 ///
@@ -1603,6 +1587,7 @@ fn exec_loop<const ARMED: bool, const OBS: bool, const PROVE: bool>(
         on_generic: _,
         obs,
         hang,
+        captured: _,
     } = scratch;
     let MachineState {
         frames: _,
@@ -3099,7 +3084,12 @@ fn main() {
                 mode,
                 ..CheckpointConfig::default()
             };
-            let (golden, store) = crate::oracle::run_with_checkpoint_store(&interp, &input, cfg);
+            let capture = Run {
+                start: Start::Capture(cfg),
+                ..Run::new(&input)
+            };
+            let (golden, store) = crate::oracle::execute(&interp, &capture);
+            let store = store.expect("a capturing run captures");
             assert!(golden.exited());
             assert_eq!(store.len() as u64, golden.steps - 1, "one per boundary");
 
@@ -3154,7 +3144,8 @@ fn main() {
                         ..ExecConfig::default()
                     },
                 );
-                let (stopped, reference) = (cut.run(&input), crate::oracle::run(&cut, &input));
+                let stopped = cut.run(&input);
+                let reference = crate::oracle::execute(&cut, &Run::new(&input)).0;
                 assert_eq!(stopped.termination, Termination::StepLimit);
                 assert_eq!(stopped.steps, reference.steps);
                 assert_eq!(stopped.profile, reference.profile, "boundary {k}");

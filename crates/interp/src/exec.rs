@@ -1,17 +1,17 @@
 //! The interpreter's front door: execution limits, results, the canonical
 //! machine state and [`Interp`], which binds a module to its decoded form.
 //!
-//! Every run — clean, faulty, profiled, traced, checkpoint-capturing —
-//! executes on the one decoded loop in [`crate::decode`]; this module only
-//! prepares the scratch state and picks the entry point. Per-instruction
+//! Every run — clean, faulty, profiled, traced, checkpoint-capturing,
+//! resumed — is one [`Run`] handed to [`Interp::execute`], which executes
+//! it on the one decoded loop in [`crate::decode`]. Per-instruction
 //! static data (cycle cost, dense numbering) is precomputed in
 //! [`Interp::new`], and the observers are compiled out of the
 //! fault-injection runs that dominate total experiment time.
 //!
 //! All mutable machine state lives in [`MachineState`], which makes two
-//! things cheap: snapshotting it mid-run (see
-//! [`Interp::run_with_checkpoint_store`]) and resuming a faulty run from a
-//! checkpoint instead of from scratch (see [`Interp::resume_from`]).
+//! things cheap: snapshotting it mid-run ([`Start::Capture`]) and resuming
+//! a faulty run from a checkpoint instead of from scratch
+//! ([`Start::Beside`]).
 //! Because the machine is fully deterministic, a resumed run is
 //! bit-identical to a from-scratch run with the same fault.
 
@@ -19,7 +19,7 @@ use crate::decode::{self, DecodedModule, ExecScratch, Lowered};
 use crate::fault::{FaultSpec, FaultTarget};
 use crate::observe::BlockTable;
 use crate::profile::Profile;
-use crate::snapshot::{CheckpointCollector, CheckpointConfig, CheckpointStore};
+use crate::snapshot::{CheckpointConfig, CheckpointStore};
 use crate::value::{Output, ProgInput, Value};
 use minpsid_ir::{BlockId, CmpOp, CostModel, FuncId, InstKind, Module};
 
@@ -189,7 +189,7 @@ pub(crate) struct Frame {
 /// runs re-collect them for the suffix only.
 ///
 /// Campaigns keep one `MachineState` per worker thread as reusable scratch
-/// (inside an [`ExecScratch`], see [`Interp::resume_from`]): restoring
+/// (inside an [`ExecScratch`], see [`Interp::execute`]): restoring
 /// into an existing state reuses its memory buffers instead of
 /// reallocating per injection.
 #[derive(Debug, Default)]
@@ -277,6 +277,90 @@ impl MachineState {
             + (self.mem.len() + self.stack_mem.len()) * 8
             + self.output.items.len() * std::mem::size_of::<crate::value::OutputItem>()
             + 64
+    }
+}
+
+/// Where a [`Run`] starts, and the golden run's checkpoints it runs beside.
+#[derive(Clone, Copy)]
+pub enum Start<'a> {
+    /// The program entry point.
+    Entry,
+    /// The entry point, fault-free, capturing a checkpoint every
+    /// `interval` dynamic instructions into a [`CheckpointStore`]
+    /// (delta-encoded checkpoints stay encoded) that
+    /// [`ExecScratch::take_checkpoints`] hands over. The result is
+    /// bit-identical to the plain run's, profile and trace included: one
+    /// pass yields everything a golden run needs.
+    Capture(CheckpointConfig),
+    /// A faulty run of the input the golden run that captured this store
+    /// ran, under this interpreter's memory and call-depth limits — a
+    /// campaign's injection. It resumes from the last checkpoint before the
+    /// fault's target (executing only the suffix, the profile and trace
+    /// covering it alone) or, when none precedes it, runs cold from the
+    /// entry point. Once the fault has fired, an unobserved run is compared
+    /// with the golden run at the store's later checkpoints and finished
+    /// early when their states are equal ([`ExecResult::converged_at`], see
+    /// [`crate::converge`]); one still going past the golden run's length
+    /// is stopped once a counted loop of it provably repeats itself to the
+    /// step limit ([`ExecResult::hang_proved_at`]). Same result as the cold
+    /// run, that telemetry and [`ExecResult::resumed_at`] aside.
+    Beside(&'a CheckpointStore),
+    /// As [`Start::Beside`], resumed from checkpoint `k` of the store,
+    /// which must precede the fault's target.
+    At(&'a CheckpointStore, usize),
+}
+
+/// One execution: what [`Interp::execute`] runs.
+#[derive(Clone, Copy)]
+pub struct Run<'a> {
+    pub input: &'a ProgInput,
+    /// The single bit flip armed for the run, if any.
+    pub fault: Option<FaultSpec>,
+    pub start: Start<'a>,
+    /// Run the observers the config asks for ([`ExecConfig::profile`],
+    /// [`ExecConfig::trace`]). Off, the result carries neither: the sizing
+    /// pass of a golden run whose checkpoint interval depends on the run's
+    /// length.
+    pub observe: bool,
+    /// Run fault-free from the entry point on the loop a faulty run
+    /// finishes on past the golden run's length, visiting counted loops'
+    /// latches from the first step (the budget for their saves counted
+    /// from there): a run whose loop provably repeats itself to the step
+    /// limit stops at the proof, with [`ExecResult::hang_proved_at`] set
+    /// and every other field the full run's. What `step_rate` times and
+    /// tests hold against the oracle on hand-built loops.
+    #[doc(hidden)]
+    pub prove: bool,
+}
+
+impl<'a> Run<'a> {
+    /// A fault-free, observed run of `input` from the entry point.
+    pub fn new(input: &'a ProgInput) -> Self {
+        Run {
+            input,
+            fault: None,
+            start: Start::Entry,
+            observe: true,
+            prove: false,
+        }
+    }
+
+    /// The golden run's store this run executes beside, and the checkpoint
+    /// of it the run resumes from: for [`Start::Beside`], the last one
+    /// captured before the fault's target executed.
+    pub(crate) fn golden(
+        &self,
+        interp: &Interp<'_>,
+    ) -> (Option<&'a CheckpointStore>, Option<usize>) {
+        let from = |store: &CheckpointStore, f: FaultSpec| match f.target {
+            FaultTarget::NthDynamic(n) => store.nearest_for_dynamic(n),
+            FaultTarget::NthOfInst(gid, n) => store.nearest_for_inst(interp.dense_index(gid), n),
+        };
+        match self.start {
+            Start::Entry | Start::Capture(_) => (None, None),
+            Start::Beside(store) => (Some(store), self.fault.and_then(|f| from(store, f))),
+            Start::At(store, k) => (Some(store), Some(k)),
+        }
     }
 }
 
@@ -388,134 +472,61 @@ impl<'m> Interp<'m> {
         self.base[gid.func.index()] + gid.inst.index()
     }
 
-    /// Execute without faults.
+    /// Execute one [`Run`] in `scratch`, reusing every buffer (frames,
+    /// register/argument arenas, memories, the observers' counters, the
+    /// output a caller handed back with [`ExecScratch::recycle_output`]).
+    /// The one way to run the interpreter: the run's start, fault and
+    /// observers pick one of the decoded loop's instantiations (see
+    /// [`crate::decode`]), and the result is bit-identical to the
+    /// reference walk's ([`crate::oracle`]), telemetry aside.
+    ///
+    /// # Panics
+    /// A [`Start::Capture`] with a fault, a proving run that is not a
+    /// fault-free one from the entry point, a [`Start::At`] checkpoint at
+    /// which the fault's target has already executed, and a checkpoint
+    /// whose frames are not the module's.
+    pub fn execute(&self, scratch: &mut ExecScratch, run: &Run<'_>) -> ExecResult {
+        decode::execute(self, scratch, run)
+    }
+
+    /// A fault-free run from the entry point.
     pub fn run(&self, input: &ProgInput) -> ExecResult {
-        self.run_in(&mut ExecScratch::default(), input)
+        self.execute(&mut ExecScratch::default(), &Run::new(input))
     }
 
-    /// [`Interp::run`] into caller-provided scratch, reusing every buffer
-    /// (frames, register/argument arenas, memories, the observers'
-    /// counters): what a caller that runs many inputs holds one
-    /// [`ExecScratch`] for.
-    pub fn run_in(&self, scratch: &mut ExecScratch, input: &ProgInput) -> ExecResult {
-        scratch.start_decoded(self.decoded());
-        decode::run_decoded(self, scratch, input, None, None)
-    }
-
-    /// Execute without faults and without observers, whatever the config
-    /// asks for: the result carries no profile and no trace. This is the
-    /// sizing pass of a golden run whose checkpoint interval depends on
-    /// the run's length.
-    pub fn run_unobserved(&self, input: &ProgInput) -> ExecResult {
-        let mut scratch = ExecScratch::default();
-        scratch.start_decoded(self.decoded());
-        decode::run_unobserved(self, &mut scratch, input, None, None)
-    }
-
-    /// Execute without faults on the loop a faulty run finishes on once it
-    /// has passed the golden run's length — the one that visits counted
-    /// loops' latches to prove a hang — from the first step on, the budget
-    /// for its saves counted from there. What `step_rate` times, and what
-    /// tests hold against the oracle on hand-built loops: a run whose loop
-    /// provably repeats itself to the step limit stops at the proof, with
-    /// [`ExecResult::hang_proved_at`] set and every other field the full
-    /// run's.
-    #[doc(hidden)]
-    pub fn run_proving(&self, input: &ProgInput) -> ExecResult {
-        let mut scratch = ExecScratch::default();
-        scratch.start_decoded(self.decoded());
-        decode::run_proving(self, &mut scratch, input)
-    }
-
-    /// Execute with a single fault armed.
-    pub fn run_with_fault(&self, input: &ProgInput, fault: FaultSpec) -> ExecResult {
-        let mut scratch = ExecScratch::default();
-        self.run_with_fault_in(&mut scratch, input, fault)
-    }
-
-    /// [`Interp::run_with_fault`] into caller-provided scratch, reusing
-    /// every buffer (frames, register/argument arenas, memories, output).
-    /// Campaign workers hold one [`ExecScratch`] each and hand every
-    /// result's output back ([`ExecScratch::recycle_output`]), making
-    /// injection runs allocation-free after warmup.
+    /// A run with `fault` armed from the entry point, in `scratch`.
     pub fn run_with_fault_in(
         &self,
         scratch: &mut ExecScratch,
         input: &ProgInput,
         fault: FaultSpec,
     ) -> ExecResult {
-        scratch.start_decoded(self.decoded());
-        decode::run_decoded(self, scratch, input, Some(fault), None)
+        self.execute(
+            scratch,
+            &Run {
+                fault: Some(fault),
+                ..Run::new(input)
+            },
+        )
     }
 
-    /// [`Interp::run_with_fault_in`] for a fault that fires before the
-    /// first checkpoint of `golden` (so there is nothing to resume from):
-    /// a cold run from the entry point that, once the fault has fired, is
-    /// compared with the golden run at `golden`'s checkpoints and finished
-    /// early when their states are equal, exactly as
-    /// [`Interp::resume_from`] does for a resumed one (the hang proof
-    /// included). Same result as the plain cold run, `converged_at` and
-    /// `hang_proved_at` aside.
-    pub fn run_with_fault_against(
-        &self,
-        scratch: &mut ExecScratch,
-        golden: &CheckpointStore,
-        input: &ProgInput,
-        fault: FaultSpec,
-    ) -> ExecResult {
-        scratch.start_decoded(self.decoded());
-        decode::run_decoded(self, scratch, input, Some(fault), Some(golden))
-    }
-
-    /// Execute without faults, capturing a checkpoint every
-    /// `cfg.interval` dynamic instructions into a [`CheckpointStore`]
-    /// (delta-encoded checkpoints stay encoded). The result is
-    /// bit-identical to [`Interp::run`], profile and trace included when
-    /// the config asks for them — one pass yields everything a golden run
-    /// needs.
+    /// A fault-free run from the entry point that captures checkpoints
+    /// ([`Start::Capture`]), and the store it captured.
     pub fn run_with_checkpoint_store(
         &self,
         input: &ProgInput,
         cfg: CheckpointConfig,
     ) -> (ExecResult, CheckpointStore) {
-        let mut scratch = ExecScratch::default();
-        scratch.start_decoded(self.decoded());
-        let coll = CheckpointCollector::new(cfg, self.module.num_insts());
-        let (r, coll) = decode::run_capturing(self, &mut scratch, input, coll);
-        let mut store = coll.into_store();
-        if r.termination == Termination::Exit {
-            store.attach_tail(r.output.clone(), r.steps, r.ret);
-        }
-        (r, store)
+        let scratch = &mut ExecScratch::default();
+        let run = Run {
+            start: Start::Capture(cfg),
+            ..Run::new(input)
+        };
+        (self.execute(scratch, &run), scratch.take_checkpoints())
     }
 
-    /// Resume from checkpoint `idx` of a [`CheckpointStore`] into
-    /// caller-provided scratch with a fault armed, executing only the
-    /// suffix. This is the campaign hot path: the store materializes the
-    /// checkpoint directly into the scratch state (applying delta chains
-    /// in place when the store is delta-encoded) and the decoded loop runs
-    /// the suffix without allocating.
-    ///
-    /// Bit-identical to [`Interp::run_with_fault`] with the same input and
-    /// fault, provided the store came from a golden (fault-free) run of
-    /// the same module and input and the fault's target has not yet
-    /// executed at the checkpoint (use
-    /// [`CheckpointStore::nearest_for_dynamic`] /
-    /// [`CheckpointStore::nearest_for_inst`] to pick one). The `profile`
-    /// and `trace` of the result, when enabled, cover the suffix only.
-    ///
-    /// The suffix is not always *executed* to its end: once the fault has
-    /// fired, an unobserved run is compared with the golden run at later
-    /// checkpoints of `store` and finished early when their states are
-    /// equal (see [`crate::converge`]; the store must come from a run
-    /// under this interpreter's memory and call-depth limits).
-    /// [`ExecResult::converged_at`] says when that happened. A run still
-    /// going past the golden run's length is stopped, too, once a counted
-    /// loop of it provably repeats itself to the step limit;
-    /// [`ExecResult::hang_proved_at`] says when.
-    ///
-    /// [`CheckpointStore::nearest_for_dynamic`]: crate::CheckpointStore::nearest_for_dynamic
-    /// [`CheckpointStore::nearest_for_inst`]: crate::CheckpointStore::nearest_for_inst
+    /// A run with `fault` armed, resumed from checkpoint `idx` of `store`
+    /// ([`Start::At`]).
     pub fn resume_from(
         &self,
         scratch: &mut ExecScratch,
@@ -524,18 +535,45 @@ impl<'m> Interp<'m> {
         input: &ProgInput,
         fault: FaultSpec,
     ) -> ExecResult {
-        store.restore_into(idx, &mut scratch.st);
-        // `NthOfInst` counts executions of one static instruction; the
-        // golden run that captured the checkpoint had no armed target, so
-        // restore the counter from the store's dense count vector.
-        if let FaultTarget::NthOfInst(gid, _) = fault.target {
-            scratch.st.per_inst_ctr = store.inj_count_at(idx, self.dense_index(gid));
-        } else {
-            scratch.st.per_inst_ctr = 0;
-        }
-        scratch.st.fault_applied = false;
-        scratch.enter_decoded(self.decoded());
-        decode::run_decoded(self, scratch, input, Some(fault), Some(store))
+        let run = Run {
+            fault: Some(fault),
+            start: Start::At(store, idx),
+            ..Run::new(input)
+        };
+        self.execute(scratch, &run)
+    }
+
+    /// Restore checkpoint `idx` of `store` into `st` for a run with
+    /// `fault`. The golden run that captured it armed no fault, so an
+    /// `NthOfInst` target's counter comes from the store's dense count
+    /// vector.
+    ///
+    /// # Panics
+    /// If the fault's target has already executed at the checkpoint: the
+    /// loops fire on a counter *equal* to the target, so a run resumed
+    /// past it would never flip its bit and look benign.
+    pub(crate) fn restore(
+        &self,
+        store: &CheckpointStore,
+        idx: usize,
+        fault: Option<FaultSpec>,
+        st: &mut MachineState,
+    ) {
+        store.restore_into(idx, st);
+        st.fault_applied = false;
+        st.per_inst_ctr = 0;
+        let (seen, nth) = match fault.map(|f| f.target) {
+            None => return,
+            Some(FaultTarget::NthDynamic(n)) => (st.inj_ctr, n),
+            Some(FaultTarget::NthOfInst(gid, n)) => {
+                st.per_inst_ctr = store.inj_count_at(idx, self.dense_index(gid));
+                (st.per_inst_ctr, n)
+            }
+        };
+        assert!(
+            seen <= nth,
+            "checkpoint {idx} is past the fault's target ({seen} of its events already ran, it fires at {nth})"
+        );
     }
 }
 
@@ -756,7 +794,11 @@ mod tests {
             ),
             bit: 5,
         };
-        let r = Interp::new(&m, cfg).run_with_fault(&ProgInput::default(), fault);
+        let r = Interp::new(&m, cfg).run_with_fault_in(
+            &mut ExecScratch::default(),
+            &ProgInput::default(),
+            fault,
+        );
         assert!(r.fault_applied);
         assert_eq!(r.termination, Termination::Detected);
     }
@@ -772,7 +814,7 @@ mod tests {
             target: FaultTarget::NthDynamic(20),
             bit: 3,
         };
-        let faulty = interp.run_with_fault(&input, fault);
+        let faulty = interp.run_with_fault_in(&mut ExecScratch::default(), &input, fault);
         assert!(faulty.fault_applied);
         // outcome is input- and site-dependent; it must be *some* deviation
         // or a masked (equal-output) run, never a panic
@@ -791,7 +833,7 @@ mod tests {
             target: FaultTarget::NthDynamic(1_000_000),
             bit: 0,
         };
-        let r = interp.run_with_fault(&input, fault);
+        let r = interp.run_with_fault_in(&mut ExecScratch::default(), &input, fault);
         assert!(!r.fault_applied);
         assert!(r.exited());
     }
@@ -826,7 +868,7 @@ mod tests {
             target: FaultTarget::NthOfInst(call_gid, 0),
             bit: 0,
         };
-        let r = interp.run_with_fault(&ProgInput::default(), fault);
+        let r = interp.run_with_fault_in(&mut ExecScratch::default(), &ProgInput::default(), fault);
         assert!(r.fault_applied, "call-return fault must fire");
         assert_eq!(
             r.output.items,
@@ -867,7 +909,7 @@ mod tests {
             target: FaultTarget::NthDynamic(pop - 1),
             bit: 1,
         };
-        let r = interp.run_with_fault(&ProgInput::default(), fault);
+        let r = interp.run_with_fault_in(&mut ExecScratch::default(), &ProgInput::default(), fault);
         assert!(
             r.fault_applied,
             "last injectable execution must be reachable"
@@ -876,7 +918,7 @@ mod tests {
             target: FaultTarget::NthDynamic(pop),
             bit: 1,
         };
-        let r = interp.run_with_fault(&ProgInput::default(), fault);
+        let r = interp.run_with_fault_in(&mut ExecScratch::default(), &ProgInput::default(), fault);
         assert!(!r.fault_applied, "population is exactly `injectable_execs`");
     }
 
@@ -889,8 +931,8 @@ mod tests {
             target: FaultTarget::NthDynamic(33),
             bit: 62,
         };
-        let a = interp.run_with_fault(&input, fault);
-        let b = interp.run_with_fault(&input, fault);
+        let a = interp.run_with_fault_in(&mut ExecScratch::default(), &input, fault);
+        let b = interp.run_with_fault_in(&mut ExecScratch::default(), &input, fault);
         assert_eq!(a.termination, b.termination);
         assert_eq!(a.output, b.output);
         assert_eq!(a.steps, b.steps);
@@ -1048,7 +1090,7 @@ mod tests {
                     target: FaultTarget::NthDynamic(nth),
                     bit,
                 };
-                let cold = interp.run_with_fault(&input, fault);
+                let cold = interp.run_with_fault_in(&mut ExecScratch::default(), &input, fault);
                 assert_eq!(cold.resumed_at, None, "cold runs report no restore");
                 if let Some(i) = store.nearest_for_dynamic(nth) {
                     let warm = interp.resume_from(&mut scratch, &store, i, &input, fault);
@@ -1101,7 +1143,7 @@ mod tests {
                         target: FaultTarget::NthOfInst(gid, nth),
                         bit: 7,
                     };
-                    let cold = interp.run_with_fault(&input, fault);
+                    let cold = interp.run_with_fault_in(&mut ExecScratch::default(), &input, fault);
                     if let Some(i) = store.nearest_for_inst(dense, nth) {
                         let warm = interp.resume_from(&mut scratch, &store, i, &input, fault);
                         assert_eq!(cold.termination, warm.termination, "gid={gid:?} nth={nth}");
@@ -1127,7 +1169,7 @@ mod tests {
                 target: FaultTarget::NthDynamic(nth),
                 bit: 4,
             };
-            let cold = interp.run_with_fault(&input, fault);
+            let cold = interp.run_with_fault_in(&mut ExecScratch::default(), &input, fault);
             if let Some(i) = store.nearest_for_dynamic(nth) {
                 let warm = interp.resume_from(&mut scratch, &store, i, &input, fault);
                 assert_eq!(cold.termination, warm.termination);

@@ -40,7 +40,9 @@ pub mod wire;
 
 pub use converge::{divergence, ConvergeStats, Divergence};
 pub use decode::ExecScratch;
-pub use exec::{ExecConfig, ExecResult, Interp, MachineState, Termination, TraceEvent, TrapKind};
+pub use exec::{
+    ExecConfig, ExecResult, Interp, MachineState, Run, Start, Termination, TraceEvent, TrapKind,
+};
 pub use fault::{flip_bit, FaultSpec, FaultTarget};
 pub use opprof::InterpProfileReport;
 pub use profile::Profile;

@@ -241,10 +241,11 @@ fn unproduced<'a>(
 impl Observers {
     /// Set up for a run about to enter the loop with call stack `dframes`
     /// after `steps` completed steps (0: a fresh run), capturing into
-    /// `ckpt` if there is one.
+    /// `ckpt` if there is one; the profile and trace only if `observe`.
     pub(crate) fn begin(
         &mut self,
         interp: &Interp<'_>,
+        observe: bool,
         ckpt: Option<CheckpointCollector>,
         dframes: &[DFrame],
         steps: u64,
@@ -255,7 +256,7 @@ impl Observers {
         self.branches.resize(2 * slots, 0);
         self.calls.clear();
         self.calls.resize(m.funcs.len(), 0);
-        self.profile = interp.config().profile.then(|| Profile::for_module(m));
+        self.profile = (observe && interp.config().profile).then(|| Profile::for_module(m));
         if steps == 0 {
             self.calls[m.entry.index()] = 1;
         } else if let Some(p) = &mut self.profile {
@@ -270,7 +271,7 @@ impl Observers {
             }
         }
         self.stretch_start = steps + 1;
-        self.trace = interp.config().trace.then(Vec::new);
+        self.trace = (observe && interp.config().trace).then(Vec::new);
         self.ckpt = ckpt;
     }
 

@@ -15,92 +15,51 @@
 //! run's result does not need.
 
 use crate::exec::{
-    bit_equal, cmp_ord, ExecResult, Frame, Interp, MachineState, Termination, TraceEvent, TrapKind,
-    STACK_TAG,
+    bit_equal, cmp_ord, ExecResult, Frame, Interp, MachineState, Run, Start, Termination,
+    TraceEvent, TrapKind, STACK_TAG,
 };
 use crate::fault::{flip_bit, FaultSpec, FaultTarget};
 use crate::profile::Profile;
-use crate::snapshot::{CheckpointCollector, CheckpointConfig, CheckpointStore};
-use crate::value::{ProgInput, Scalar, Stream, Value};
+use crate::snapshot::{CheckpointCollector, CheckpointStore};
+use crate::value::{Scalar, Stream, Value};
 use minpsid_ir::{BinOp, BlockId, CmpOp, FuncId, InstKind, Ty, UnOp};
 
-/// [`Interp::run`] on the reference walk.
-pub fn run(interp: &Interp<'_>, input: &ProgInput) -> ExecResult {
+/// [`Interp::execute`] on the reference walk, and the store a
+/// [`Start::Capture`] run captured. It resumes where the decoded engine
+/// does, but replays every run to its own end: no golden-convergence early
+/// exit and no hang proof ([`Run::prove`] changes nothing here). And it
+/// captures a *faulty* run too, which the decoded engine has no use for:
+/// the states a fault leaves behind at the golden run's checkpoint
+/// boundaries, for asking afterwards why a run did not converge
+/// ([`crate::converge::divergence`]).
+pub fn execute(interp: &Interp<'_>, run: &Run<'_>) -> (ExecResult, Option<CheckpointStore>) {
     let mut st = MachineState::default();
-    st.start(interp.module());
-    run_inner(interp, &mut st, input, None, None)
-}
-
-/// [`Interp::run_with_fault`] on the reference walk.
-pub fn run_with_fault(interp: &Interp<'_>, input: &ProgInput, fault: FaultSpec) -> ExecResult {
-    let mut st = MachineState::default();
-    st.start(interp.module());
-    run_inner(interp, &mut st, input, Some(fault), None)
-}
-
-/// [`Interp::run_with_checkpoint_store`] on the reference walk.
-pub fn run_with_checkpoint_store(
-    interp: &Interp<'_>,
-    input: &ProgInput,
-    cfg: CheckpointConfig,
-) -> (ExecResult, CheckpointStore) {
-    capture(interp, input, None, cfg)
-}
-
-/// A *faulty* run captured the way a golden run is, which the decoded
-/// engine has no use for: the states a fault leaves behind at the golden
-/// run's checkpoint boundaries, for asking afterwards why a run did not
-/// converge ([`crate::converge::divergence`]).
-pub fn run_with_fault_capturing(
-    interp: &Interp<'_>,
-    input: &ProgInput,
-    fault: FaultSpec,
-    cfg: CheckpointConfig,
-) -> (ExecResult, CheckpointStore) {
-    capture(interp, input, Some(fault), cfg)
-}
-
-fn capture(
-    interp: &Interp<'_>,
-    input: &ProgInput,
-    fault: Option<FaultSpec>,
-    cfg: CheckpointConfig,
-) -> (ExecResult, CheckpointStore) {
-    let mut st = MachineState::default();
-    st.start(interp.module());
-    let mut coll = CheckpointCollector::new(cfg, interp.module().num_insts());
-    let r = run_inner(interp, &mut st, input, fault, Some(&mut coll));
-    let mut store = coll.into_store();
-    if r.termination == Termination::Exit {
-        store.attach_tail(r.output.clone(), r.steps, r.ret);
+    match run.golden(interp) {
+        (Some(store), Some(k)) => interp.restore(store, k, run.fault, &mut st),
+        _ => st.start(interp.module()),
     }
+    let mut ckpt = match run.start {
+        Start::Capture(cfg) => Some(CheckpointCollector::new(cfg, interp.module().num_insts())),
+        _ => None,
+    };
+    let r = run_inner(interp, &mut st, run, ckpt.as_mut());
+    let store = ckpt.map(|coll| {
+        let mut store = coll.into_store();
+        if r.termination == Termination::Exit {
+            store.attach_tail(r.output.clone(), r.steps, r.ret);
+        }
+        store
+    });
     (r, store)
-}
-
-/// [`Interp::resume_from`] on the reference walk: the suffix is always
-/// replayed to its own end (no golden-convergence early exit).
-pub fn resume_from(
-    interp: &Interp<'_>,
-    store: &CheckpointStore,
-    idx: usize,
-    input: &ProgInput,
-    fault: FaultSpec,
-) -> ExecResult {
-    let mut st = MachineState::default();
-    store.restore_into(idx, &mut st);
-    if let FaultTarget::NthOfInst(gid, _) = fault.target {
-        st.per_inst_ctr = store.inj_count_at(idx, interp.dense_index(gid));
-    }
-    run_inner(interp, &mut st, input, Some(fault), None)
 }
 
 fn run_inner(
     interp: &Interp<'_>,
     st: &mut MachineState,
-    input: &ProgInput,
-    fault: Option<FaultSpec>,
+    run: &Run<'_>,
     mut ckpt: Option<&mut CheckpointCollector>,
 ) -> ExecResult {
+    let (input, fault) = (run.input, run.fault);
     let m = interp.module();
     // per static instruction (dense): injectable flag
     let injectable: Vec<bool> = m
@@ -108,8 +67,9 @@ fn run_inner(
         .iter()
         .flat_map(|f| f.insts.iter().map(|inst| inst.injectable()))
         .collect();
-    let mut profile = interp.config().profile.then(|| Profile::for_module(m));
-    let mut trace: Option<Vec<TraceEvent>> = interp.config().trace.then(Vec::new);
+    let cfg = interp.config();
+    let mut profile = (run.observe && cfg.profile).then(|| Profile::for_module(m));
+    let mut trace: Option<Vec<TraceEvent>> = (run.observe && cfg.trace).then(Vec::new);
     // A resumed run enters with the snapshot's step counter already set.
     let resumed_at = (st.steps > 0).then_some(st.steps);
 

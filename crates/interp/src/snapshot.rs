@@ -677,15 +677,15 @@ impl CheckpointStore {
 
     /// Tell the store how its golden run ended — normal exit after `steps`
     /// instructions with the complete `output` and return value `ret` —
-    /// which is what lets [`Interp::resume_from`] finish a faulty run
-    /// early once it has converged onto the golden one.
-    /// [`Interp::run_with_checkpoint_store`] does this itself; a store
+    /// which is what lets a run beside it ([`Start::Beside`]) finish early
+    /// once it has converged onto the golden one. A [`Start::Capture`] run
+    /// does this itself; a store
     /// decoded from its wire image needs it re-attached. Pass `ret: None`
     /// when the return value is not known: early exit then stays off for
     /// modules whose entry function returns a value.
     ///
-    /// [`Interp::resume_from`]: crate::Interp::resume_from
-    /// [`Interp::run_with_checkpoint_store`]: crate::Interp::run_with_checkpoint_store
+    /// [`Start::Beside`]: crate::Start::Beside
+    /// [`Start::Capture`]: crate::Start::Capture
     pub fn attach_tail(&mut self, output: Output, steps: u64, ret: Option<Value>) {
         self.tail = Some(GoldenTail { output, steps, ret });
     }

@@ -4,14 +4,15 @@
 //! whose injection counter has not yet reached the fault must be
 //! bit-identical to injecting into a from-scratch run — also when the
 //! resumed run is finished early because its state converged onto the
-//! golden run's (`Interp::resume_from`, and `Interp::run_with_fault_against`
-//! for a fault that precedes every snapshot), which must change what is
-//! executed and never what is returned.
+//! golden run's (`Start::At`, and `Start::Beside` for a fault that precedes
+//! every snapshot), which must change what is executed and never what is
+//! returned.
 
 use minpsid_interp::{
     CheckpointConfig, CheckpointStore, ExecConfig, ExecResult, ExecScratch, FaultSpec, FaultTarget,
-    Interp, ProgInput, Scalar, SnapshotMode, Termination,
+    Interp, ProgInput, Run, Scalar, SnapshotMode, Start, Termination,
 };
+use minpsid_ir::Module;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -75,8 +76,9 @@ fn exec() -> ExecConfig {
     }
 }
 
-/// `resume_from` on `store` from checkpoint `idx` — or, for `None`, the
-/// cold `run_with_fault_against` beside `store` — held to its contract —
+/// A run resumed from checkpoint `idx` of `store` — or, for `None`, run
+/// beside a `store` none of whose checkpoints precedes the fault, which
+/// starts cold — held to its contract —
 /// equal to the cold run field for field — and to its cost bounds: the
 /// words hashed looking for convergence stay within 1/8 of the steps
 /// executed, and the boundaries hashed follow a geometric back-off.
@@ -89,10 +91,16 @@ fn check_resume_from(
     fault: FaultSpec,
     cold: &ExecResult,
 ) -> Result<ExecResult, TestCaseError> {
-    let warm = match idx {
-        Some(idx) => interp.resume_from(scratch, store, idx, input, fault),
-        None => interp.run_with_fault_against(scratch, store, input, fault),
+    let start = match idx {
+        Some(idx) => Start::At(store, idx),
+        None => Start::Beside(store),
     };
+    let run = Run {
+        fault: Some(fault),
+        start,
+        ..Run::new(input)
+    };
+    let warm = interp.execute(scratch, &run);
     prop_assert_eq!(&warm.termination, &cold.termination);
     prop_assert_eq!(&warm.output, &cold.output);
     prop_assert_eq!(warm.steps, cold.steps);
@@ -172,7 +180,7 @@ proptest! {
         for salt in 0..4u64 {
             let nth = (nth_raw + salt * 7919) % golden.steps;
             let fault = FaultSpec { target: FaultTarget::NthDynamic(nth), bit: bit + salt as u32 };
-            let cold = interp.run_with_fault(&input, fault);
+            let cold = interp.run_with_fault_in(&mut ExecScratch::default(), &input, fault);
             // a fault that precedes every checkpoint is replayed cold
             let from = match store.nearest_for_dynamic(nth) {
                 Some(nearest) => vec![Some(nearest), Some(0)],
@@ -192,7 +200,7 @@ proptest! {
 
 /// A fault before the first checkpoint has nothing to resume from, but the
 /// run it starts from the entry point still meets every checkpoint on its
-/// way: `run_with_fault_against` finishes it at the first one where its
+/// way: `Start::Beside` finishes it at the first one where its
 /// state is golden's again. The program opens with the masking loop, so
 /// most early flips wash out within an iteration.
 #[test]
@@ -217,7 +225,7 @@ fn cold_injection_converges_and_equals_the_cold_replay() {
             bit: (nth % 5) as u32,
         };
         assert_eq!(store.nearest_for_dynamic(nth), None);
-        let cold = interp.run_with_fault(&input, fault);
+        let cold = interp.run_with_fault_in(&mut ExecScratch::default(), &input, fault);
         let warm = check_resume_from(&interp, &mut scratch, &store, None, &input, fault, &cold)
             .unwrap_or_else(|e| panic!("fault {nth}: {e:?}"));
         match warm.converged_at {
@@ -285,6 +293,50 @@ fn recycled_output_buffer_is_reused_by_the_next_injection() {
     assert!(reused > 20, "only {reused} runs reused the buffer");
 }
 
+/// A checkpoint at which the fault's target has already executed: the
+/// loops fire on a counter *equal* to the target, so a run resumed there
+/// would never flip its bit and return the golden result, which a
+/// campaign counts as benign. Resuming there is refused, for a
+/// whole-program fault and for a per-instruction one.
+fn resume_past_the_target(target: impl Fn(&Module, &CheckpointStore) -> FaultTarget) {
+    let m = minic::compile(&gen_source(&[(3, 5), (4, 3), (0, 2)]), "past").unwrap();
+    let input = ProgInput::scalars(vec![Scalar::I(3), Scalar::I(4)]);
+    let interp = Interp::new(&m, exec());
+    let cfg = CheckpointConfig {
+        interval: 25,
+        ..CheckpointConfig::default()
+    };
+    let (golden, store) = interp.run_with_checkpoint_store(&input, cfg);
+    assert!(golden.exited() && store.len() > 2);
+    let fault = FaultSpec {
+        target: target(&m, &store),
+        bit: 0,
+    };
+    let last = store.len() - 1;
+    interp.resume_from(&mut ExecScratch::default(), &store, last, &input, fault);
+}
+
+#[test]
+#[should_panic(expected = "past the fault's target")]
+fn resuming_past_a_whole_program_fault_is_refused() {
+    resume_past_the_target(|_, store| {
+        assert!(store.inj_ctr_at(store.len() - 1) > 0);
+        FaultTarget::NthDynamic(0)
+    });
+}
+
+#[test]
+#[should_panic(expected = "past the fault's target")]
+fn resuming_past_a_per_instruction_fault_is_refused() {
+    resume_past_the_target(|m, store| {
+        // the first instruction that ran before the last checkpoint
+        let dense = (0..m.num_insts())
+            .find(|&d| store.inj_count_at(store.len() - 1, d) > 0)
+            .expect("something ran");
+        FaultTarget::NthOfInst(m.numbering().id_of(dense), 0)
+    });
+}
+
 /// A fault that makes the run print one item too many and then leaves no
 /// other trace: every register it touched is recomputed within a few
 /// iterations (the printing block runs every eighth one), memory never
@@ -336,7 +388,7 @@ fn main() {
         let idx = store
             .nearest_for_dynamic(nth)
             .expect("past the first checkpoint");
-        let cold = roomy.run_with_fault(&input, fault);
+        let cold = roomy.run_with_fault_in(&mut ExecScratch::default(), &input, fault);
         let warm = roomy.resume_from(&mut scratch, &store, idx, &input, fault);
         assert_eq!(warm.termination, cold.termination);
         assert_eq!(warm.output, cold.output);
@@ -352,7 +404,7 @@ fn main() {
                 warm.converged_at, None,
                 "fault {nth}: output length is state"
             );
-            let cold = tight.run_with_fault(&input, fault);
+            let cold = tight.run_with_fault_in(&mut ExecScratch::default(), &input, fault);
             let warm = tight.resume_from(&mut scratch, &store, idx, &input, fault);
             assert_eq!(cold.termination, Termination::StepLimit);
             assert_eq!(warm.termination, cold.termination);
@@ -371,7 +423,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// `resume_from` on every checkpoint eligible for a random
-    /// dynamic-index fault matches `run_with_fault` bit for bit.
+    /// dynamic-index fault matches the cold faulty run bit for bit.
     #[test]
     fn resume_matches_cold_run_for_dynamic_faults(
         stmts in proptest::collection::vec((0u8..6, 0u8..20), 1..8),
@@ -396,7 +448,7 @@ proptest! {
 
         let nth = nth_raw % golden.steps;
         let fault = FaultSpec { target: FaultTarget::NthDynamic(nth), bit };
-        let cold = interp.run_with_fault(&input, fault);
+        let cold = interp.run_with_fault_in(&mut ExecScratch::default(), &input, fault);
 
         let mut scratch = ExecScratch::default();
         for i in (0..store.len()).filter(|&i| store.inj_ctr_at(i) <= nth) {
@@ -436,7 +488,7 @@ proptest! {
         let dense = dense_raw % m.num_insts();
         let gid = numbering.id_of(dense);
         let fault = FaultSpec { target: FaultTarget::NthOfInst(gid, nth), bit };
-        let cold = interp.run_with_fault(&input, fault);
+        let cold = interp.run_with_fault_in(&mut ExecScratch::default(), &input, fault);
 
         let mut scratch = ExecScratch::default();
         for i in (0..store.len()).filter(|&i| store.inj_count_at(i, dense) <= nth) {

@@ -26,7 +26,8 @@
 use minpsid_interp::wire::encode_checkpoints;
 use minpsid_interp::{
     oracle, CheckpointConfig, CheckpointStore, ExecConfig, ExecResult, ExecScratch, FaultSpec,
-    FaultTarget, Interp, ProgInput, Scalar, SnapshotMode, Stream, Termination, TrapKind, Value,
+    FaultTarget, Interp, ProgInput, Run, Scalar, SnapshotMode, Start, Stream, Termination,
+    TrapKind, Value,
 };
 use minpsid_ir::{
     BlockId, CmpOp, FunctionBuilder, GlobalInstId, InstId, InstKind, Module, ModuleBuilder, Ty,
@@ -215,9 +216,8 @@ static SEEN: Seen = Seen {
 /// every kind random programs can end in.
 #[test]
 fn observers_match_the_oracle_on_every_kind_of_run() {
-    observed_runs_match_oracle();
+    every_run_matches_the_oracle();
     checkpoint_stores_are_byte_identical();
-    resumed_suffix_matches_oracle();
     let n = |c: &AtomicUsize| c.load(Ordering::Relaxed);
     assert!(n(&SEEN.exit) >= 20, "{} runs exited", n(&SEEN.exit));
     assert!(n(&SEEN.trap) >= 5, "{} runs trapped", n(&SEEN.trap));
@@ -230,70 +230,162 @@ fn observers_match_the_oracle_on_every_kind_of_run() {
     assert!(n(&SEEN.resumed) >= 20, "{} resumes", n(&SEEN.resumed));
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(40))]
+/// `run` on the reference walk.
+fn reference(interp: &Interp<'_>, run: &Run<'_>) -> ExecResult {
+    oracle::execute(interp, run).0
+}
 
-    /// The unobserved loops (clean, armed → clean) against the oracle,
-    /// without and with a random single-bit fault at a random dynamic
-    /// instruction — the injection counters of the two engines must agree
-    /// step for step.
-    #[test]
-    fn unobserved_runs_match_oracle(
-        stmts in proptest::collection::vec((0u8..8, 0u8..20), 1..8),
-        a in 0i64..30,
-        b in -10i64..30,
-        nth_raw in 0u64..10_000,
-        bit in 0u32..64,
-    ) {
-        let m = minic::compile(&gen_source(&stmts), "prop-decode").unwrap();
-        let input = ProgInput::scalars(vec![Scalar::I(a), Scalar::I(b)]);
-        let interp = Interp::new(&m, exec());
-        let golden = oracle::run(&interp, &input);
-        same_result(&interp.run(&input), &golden)?;
-        prop_assume!(golden.exited());
+/// A capturing run on the reference walk, and the store it captured.
+fn oracle_capture(
+    interp: &Interp<'_>,
+    input: &ProgInput,
+    cfg: CheckpointConfig,
+) -> (ExecResult, CheckpointStore) {
+    let run = Run {
+        start: Start::Capture(cfg),
+        ..Run::new(input)
+    };
+    let (r, store) = oracle::execute(interp, &run);
+    (r, store.expect("a capturing run captures"))
+}
 
-        let nth = nth_raw % golden.steps;
-        let fault = FaultSpec { target: FaultTarget::NthDynamic(nth), bit };
-        same_result(
-            &interp.run_with_fault(&input, fault),
-            &oracle::run_with_fault(&interp, &input, fault),
-        )?;
+/// A run of `input` resumed from checkpoint `idx` of `store` with `fault`
+/// armed.
+fn from_checkpoint<'a>(
+    store: &'a CheckpointStore,
+    idx: usize,
+    input: &'a ProgInput,
+    fault: FaultSpec,
+) -> Run<'a> {
+    Run {
+        start: Start::At(store, idx),
+        ..faulty(input, fault)
     }
+}
 
-    /// The observed loop against the oracle: the whole profile and the
-    /// whole trace, fault-free, under a whole-program fault, under a
-    /// per-instruction fault, and cut short by a step limit that falls
-    /// anywhere in the run. Run by
+/// A run of `input` with `fault` armed from the entry point.
+fn faulty(input: &ProgInput, fault: FaultSpec) -> Run<'_> {
+    Run {
+        fault: Some(fault),
+        ..Run::new(input)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(80))]
+
+    /// Every kind of [`Run`] against the oracle: each start (the entry
+    /// point, a capture, beside the golden store, and at the first, the
+    /// middle and the nearest checkpoint before the fault's target), with
+    /// no fault, a whole-program fault and a per-instruction fault at a
+    /// random dynamic instruction, observed or not, on the bare config and
+    /// with the profile and trace on; and the proving loop and an observed
+    /// run cut short by a step limit that falls anywhere in the run. The
+    /// injection counters of the two engines must agree step for step, the
+    /// observers field for field, a resumed run must say where it resumed,
+    /// a captured store must equal the oracle's byte for byte, and a run
+    /// must finish on the generic lowering when it observes a fault, never
+    /// when it has none. Run by
     /// `observers_match_the_oracle_on_every_kind_of_run`.
-    fn observed_runs_match_oracle(
+    fn every_run_matches_the_oracle(
         stmts in proptest::collection::vec((0u8..8, 0u8..20), 1..8),
         a in 0i64..30,
         b in -10i64..30,
+        interval_raw in 1u64..400,
         nth_raw in 0u64..10_000,
         dense_raw in 0usize..10_000,
         bit in 0u32..64,
     ) {
-        let m = minic::compile(&gen_source(&stmts), "prop-observe").unwrap();
+        let m = minic::compile(&gen_source(&stmts), "prop-run").unwrap();
         let input = ProgInput::scalars(vec![Scalar::I(a), Scalar::I(b)]);
-        let interp = Interp::new(&m, observed());
-        let golden = oracle::run(&interp, &input);
-        SEEN.record(golden.termination);
-        same_result(&interp.run(&input), &golden)?;
+        let ckpt = CheckpointConfig {
+            interval: 1 + interval_raw % 97,
+            mode: SnapshotMode::Delta,
+            keyframe_every: 4,
+            ..CheckpointConfig::default()
+        };
+        let mut scratch = ExecScratch::default();
+        for cfg in [exec(), observed()] {
+            let observing = cfg.profile;
+            let interp = Interp::new(&m, cfg);
+            let capture = Run { start: Start::Capture(ckpt), ..Run::new(&input) };
+            let (golden, store) = oracle::execute(&interp, &capture);
+            let store = store.expect("a capturing run captures");
+            let nth = nth_raw % golden.steps;
+            let gid = m.numbering().id_of(dense_raw % m.num_insts());
+            let faults = [
+                None,
+                Some(FaultSpec { target: FaultTarget::NthDynamic(nth), bit }),
+                Some(FaultSpec { target: FaultTarget::NthOfInst(gid, nth % 5), bit }),
+            ];
+            for fault in faults {
+                let before_flip = |i: usize| match fault.map(|f| f.target) {
+                    None => true,
+                    Some(FaultTarget::NthDynamic(n)) => store.inj_ctr_at(i) <= n,
+                    Some(FaultTarget::NthOfInst(g, n)) => {
+                        store.inj_count_at(i, m.numbering().index(g)) <= n
+                    }
+                };
+                let eligible: Vec<usize> = (0..store.len()).filter(|&i| before_flip(i)).collect();
+                let mut starts = vec![Start::Entry, Start::Beside(&store)];
+                if fault.is_none() {
+                    starts.push(Start::Capture(ckpt));
+                }
+                starts.extend(
+                    [eligible.first(), eligible.get(eligible.len() / 2), eligible.last()]
+                        .into_iter()
+                        .flatten()
+                        .map(|&k| Start::At(&store, k)),
+                );
+                for start in starts {
+                    for observe in [true, false] {
+                        let run = Run { input: &input, fault, start, observe, prove: false };
+                        let (want, want_store) = oracle::execute(&interp, &run);
+                        let got = interp.execute(&mut scratch, &run);
+                        same_result(&got, &want)?;
+                        if observing && observe && matches!(start, Start::Entry) {
+                            SEEN.record(want.termination);
+                        }
+                        let generic = scratch.finished_on_generic();
+                        prop_assert!(fault.is_some() || !generic, "a fault-free run went generic");
+                        if observing && observe && fault.is_some() {
+                            prop_assert!(generic, "an observed faulty run stayed slotted");
+                        }
+                        match start {
+                            Start::At(_, k) => {
+                                prop_assert_eq!(got.resumed_at, Some(store.steps_at(k)));
+                                if observing && observe {
+                                    SEEN.resumed.fetch_add(1, Ordering::Relaxed);
+                                }
+                            }
+                            Start::Capture(_) => {
+                                let (got, want) = (scratch.take_checkpoints(), want_store.unwrap());
+                                same_inj_counts(&m, &got, &want)?;
+                                prop_assert!(
+                                    encode_checkpoints(&got) == encode_checkpoints(&want),
+                                    "captured store images differ"
+                                );
+                            }
+                            _ => {}
+                        }
+                    }
+                }
+            }
+            let proving = Run { observe: false, prove: true, ..Run::new(&input) };
+            same_result(&interp.execute(&mut scratch, &proving), &reference(&interp, &proving))?;
 
-        let nth = nth_raw % golden.steps;
-        let gid = m.numbering().id_of(dense_raw % m.num_insts());
-        for target in [FaultTarget::NthDynamic(nth), FaultTarget::NthOfInst(gid, nth % 5)] {
-            let fault = FaultSpec { target, bit };
-            let reference = oracle::run_with_fault(&interp, &input, fault);
-            SEEN.record(reference.termination);
-            same_result(&interp.run_with_fault(&input, fault), &reference)?;
+            let cut = Interp::new(&m, ExecConfig { step_limit: nth, ..interp.config().clone() });
+            let want = reference(&cut, &Run::new(&input));
+            if observing {
+                SEEN.record(want.termination);
+            }
+            same_result(&cut.run(&input), &want)?;
         }
-
-        let cut = Interp::new(&m, ExecConfig { step_limit: nth, ..observed() });
-        let reference = oracle::run(&cut, &input);
-        SEEN.record(reference.termination);
-        same_result(&cut.run(&input), &reference)?;
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// One observed pass captures the very store the oracle captures:
     /// same boundaries, counters, thinning and keyframe/delta choices, so
@@ -312,7 +404,7 @@ proptest! {
         let m = minic::compile(&gen_source(&stmts), "prop-capture").unwrap();
         let input = ProgInput::scalars(vec![Scalar::I(a), Scalar::I(b)]);
         let interp = Interp::new(&m, observed());
-        let golden = oracle::run(&interp, &input);
+        let golden = reference(&interp, &Run::new(&input));
         prop_assume!(golden.exited());
 
         let interval = 1 + interval_raw % 40;
@@ -323,7 +415,7 @@ proptest! {
                 mode,
                 keyframe_every,
             };
-            let (rr, reference) = oracle::run_with_checkpoint_store(&interp, &input, cfg);
+            let (rr, reference) = oracle_capture(&interp, &input, cfg);
             let (rd, decoded) = interp.run_with_checkpoint_store(&input, cfg);
             same_result(&rd, &rr)?;
             same_result(&rd, &golden)?;
@@ -336,48 +428,6 @@ proptest! {
             if (decoded.len() as u64) < (golden.steps - 1) / interval {
                 SEEN.thinned.fetch_add(1, Ordering::Relaxed);
             }
-        }
-    }
-
-    /// A resumed run's observers cover the suffix only — no entry-block
-    /// count, no credit for what ran before the checkpoint — and agree
-    /// with the oracle resumed from the same checkpoint. Run by
-    /// `observers_match_the_oracle_on_every_kind_of_run`.
-    fn resumed_suffix_matches_oracle(
-        stmts in proptest::collection::vec((0u8..8, 0u8..20), 1..8),
-        a in 0i64..30,
-        b in -10i64..30,
-        interval_raw in 1u64..400,
-        nth_raw in 0u64..10_000,
-        bit in 0u32..64,
-    ) {
-        let m = minic::compile(&gen_source(&stmts), "prop-resume").unwrap();
-        let input = ProgInput::scalars(vec![Scalar::I(a), Scalar::I(b)]);
-        let interp = Interp::new(&m, observed());
-        let cfg = CheckpointConfig {
-            interval: 1 + interval_raw % 97,
-            mode: SnapshotMode::Delta,
-            keyframe_every: 4,
-            ..CheckpointConfig::default()
-        };
-        let (golden, store) = interp.run_with_checkpoint_store(&input, cfg);
-        prop_assume!(golden.exited());
-
-        let nth = nth_raw % golden.steps;
-        let fault = FaultSpec { target: FaultTarget::NthDynamic(nth), bit };
-        let eligible: Vec<usize> =
-            (0..store.len()).filter(|&i| store.inj_ctr_at(i) <= nth).collect();
-        let mut scratch = ExecScratch::default();
-        // the first, the middle and the nearest eligible checkpoint
-        for &idx in [eligible.first(), eligible.get(eligible.len() / 2), eligible.last()]
-            .into_iter()
-            .flatten()
-        {
-            let reference = oracle::resume_from(&interp, &store, idx, &input, fault);
-            let resumed = interp.resume_from(&mut scratch, &store, idx, &input, fault);
-            prop_assert_eq!(resumed.resumed_at, Some(store.steps_at(idx)));
-            same_result(&resumed, &reference)?;
-            SEEN.resumed.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -465,7 +515,7 @@ proptest! {
 
         let nth = nth_raw % golden.steps;
         let fault = FaultSpec { target: FaultTarget::NthDynamic(nth), bit };
-        let cold = interp.run_with_fault(&input, fault);
+        let cold = interp.execute(&mut ExecScratch::default(), &faulty(&input, fault));
 
         let mut scratch = ExecScratch::default();
         for i in (0..store.len()).filter(|&i| store.inj_ctr_at(i) <= nth) {
@@ -482,7 +532,7 @@ proptest! {
 /// Compare one observed run with the oracle and return how it ended.
 fn ends_like_the_oracle(m: &Module, cfg: ExecConfig, input: &ProgInput) -> Termination {
     let interp = Interp::new(m, cfg);
-    let reference = oracle::run(&interp, input);
+    let reference = reference(&interp, &Run::new(input));
     if let Err(e) = same_result(&interp.run(input), &reference) {
         panic!("{}: {e}", m.name);
     }
@@ -680,7 +730,7 @@ fn a_stop_at_every_step_profiles_like_the_oracle() {
     )
     .unwrap();
     let input = ProgInput::scalars(vec![Scalar::I(5), Scalar::I(3)]);
-    let full = oracle::run(&Interp::new(&m, observed()), &input);
+    let full = reference(&Interp::new(&m, observed()), &Run::new(&input));
     assert!(full.exited());
     assert!(full.steps > 300, "the run is worth sweeping");
     for step_limit in 0..=full.steps {
@@ -715,12 +765,12 @@ fn injectable_execs_three_ways(name: &str, src: &str, cfg: ExecConfig) -> (ExecR
     let input = ProgInput::default();
     let interp = Interp::new(&m, cfg);
     let check = |r: Result<(), TestCaseError>| r.unwrap_or_else(|e| panic!("{name}: {e}"));
-    let counted = oracle::run(&interp, &input);
+    let counted = reference(&interp, &Run::new(&input));
     let derived = interp.run(&input);
     check(same_result(&derived, &counted));
     check(same_result(
-        &interp.run_with_fault(&input, NEVER),
-        &oracle::run_with_fault(&interp, &input, NEVER),
+        &interp.execute(&mut ExecScratch::default(), &faulty(&input, NEVER)),
+        &reference(&interp, &faulty(&input, NEVER)),
     ));
     for mode in [SnapshotMode::Full, SnapshotMode::Delta] {
         let ckpt = CheckpointConfig {
@@ -729,7 +779,7 @@ fn injectable_execs_three_ways(name: &str, src: &str, cfg: ExecConfig) -> (ExecR
             keyframe_every: 4,
             ..CheckpointConfig::default()
         };
-        let (_, want) = oracle::run_with_checkpoint_store(&interp, &input, ckpt);
+        let (_, want) = oracle_capture(&interp, &input, ckpt);
         let (_, got) = interp.run_with_checkpoint_store(&input, ckpt);
         check(same_inj_counts(&m, &got, &want));
         assert!(
@@ -842,11 +892,11 @@ fn faulty_and_resumed_observed_runs_keep_their_counters() {
         target: FaultTarget::NthDynamic(total / 2),
         bit: 1,
     };
-    let faulty = interp.run_with_fault(&input, fault);
-    assert!(faulty.fault_applied);
+    let flipped = interp.execute(&mut ExecScratch::default(), &faulty(&input, fault));
+    assert!(flipped.fault_applied);
     check(same_result(
-        &faulty,
-        &oracle::run_with_fault(&interp, &input, fault),
+        &flipped,
+        &reference(&interp, &faulty(&input, fault)),
     ));
 
     let mut scratch = ExecScratch::default();
@@ -854,7 +904,7 @@ fn faulty_and_resumed_observed_runs_keep_their_counters() {
     let resumed = interp.resume_from(&mut scratch, &store, idx, &input, NEVER);
     check(same_result(
         &resumed,
-        &oracle::resume_from(&interp, &store, idx, &input, NEVER),
+        &reference(&interp, &from_checkpoint(&store, idx, &input, NEVER)),
     ));
     let p = resumed.profile.as_ref().expect("profiled");
     assert_eq!(p.injectable_execs, total, "restored counter + suffix");
@@ -887,7 +937,10 @@ fn built(name: &str, body: impl FnOnce(&mut ModuleBuilder, &mut FunctionBuilder)
 fn fault_free_runs_match(m: &Module, input: &ProgInput, cfg: ExecConfig) -> Termination {
     let check = |r: Result<(), TestCaseError>| r.unwrap_or_else(|e| panic!("{}: {e}", m.name));
     let bare = Interp::new(m, cfg.clone());
-    check(same_result(&bare.run(input), &oracle::run(&bare, input)));
+    check(same_result(
+        &bare.run(input),
+        &reference(&bare, &Run::new(input)),
+    ));
     let interp = Interp::new(
         m,
         ExecConfig {
@@ -896,7 +949,7 @@ fn fault_free_runs_match(m: &Module, input: &ProgInput, cfg: ExecConfig) -> Term
             ..cfg
         },
     );
-    let reference = oracle::run(&interp, input);
+    let reference = reference(&interp, &Run::new(input));
     check(same_result(&interp.run(input), &reference));
     for mode in [SnapshotMode::Full, SnapshotMode::Delta] {
         let ckpt = CheckpointConfig {
@@ -905,7 +958,7 @@ fn fault_free_runs_match(m: &Module, input: &ProgInput, cfg: ExecConfig) -> Term
             keyframe_every: 4,
             ..CheckpointConfig::default()
         };
-        let (rr, want) = oracle::run_with_checkpoint_store(&interp, input, ckpt);
+        let (rr, want) = oracle_capture(&interp, input, ckpt);
         let (rd, got) = interp.run_with_checkpoint_store(input, ckpt);
         check(same_result(&rd, &rr));
         assert!(
@@ -1199,48 +1252,40 @@ fn every_fault_matches_the_oracle(
                 FaultTarget::NthOfInst(gid, of_inst),
             ] {
                 let fault = FaultSpec { target, bit };
-                let what = format!("{fault:?}");
-                let reference = oracle::run_with_fault(&bare, input, fault);
-                assert!(reference.fault_applied, "{what}");
-                let cold = bare.run_with_fault_in(&mut scratch, input, fault);
-                check(&what, same_result(&cold, &reference));
-                assert_eq!(scratch.finished_on_generic(), is_salloc, "{what}");
-                let beside = bare.run_with_fault_against(&mut scratch, &store, input, fault);
-                check(&what, same_result(&beside, &reference));
-                assert_eq!(scratch.finished_on_generic(), is_salloc, "{what}");
-                let traced = obs.run_with_fault_in(&mut scratch, input, fault);
-                check(
-                    &what,
-                    same_result(&traced, &oracle::run_with_fault(&obs, input, fault)),
-                );
-                assert!(scratch.finished_on_generic(), "observed, {what}");
-
                 let before_flip = |i: usize| match target {
                     FaultTarget::NthDynamic(n) => store.inj_ctr_at(i) <= n,
                     FaultTarget::NthOfInst(_, n) => store.inj_count_at(i, dense) <= n,
                 };
-                for idx in (0..store.len()).filter(|&i| before_flip(i)) {
-                    let what = format!("{what} from checkpoint {idx}");
-                    let resumed = bare.resume_from(&mut scratch, &store, idx, input, fault);
-                    check(
-                        &what,
-                        same_result(
-                            &resumed,
-                            &oracle::resume_from(&bare, &store, idx, input, fault),
-                        ),
-                    );
-                    assert_eq!(scratch.finished_on_generic(), is_salloc, "{what}");
-                    let traced = obs.resume_from(&mut scratch, &store, idx, input, fault);
-                    check(
-                        &what,
-                        same_result(
-                            &traced,
-                            &oracle::resume_from(&obs, &store, idx, input, fault),
-                        ),
-                    );
-                    SEEN.resumed.fetch_add(1, Ordering::Relaxed);
-                    if is_salloc {
-                        SEEN.on_generic.fetch_add(1, Ordering::Relaxed);
+                let resumes = (0..store.len()).filter(|&i| before_flip(i));
+                let starts = [(Start::Entry, "cold".to_string())]
+                    .into_iter()
+                    .chain([(Start::Beside(&store), "beside the store".to_string())])
+                    .chain(resumes.map(|k| (Start::At(&store, k), format!("from checkpoint {k}"))));
+                for (start, from) in starts {
+                    let what = format!("{fault:?} {from}");
+                    let run = Run {
+                        start,
+                        ..faulty(input, fault)
+                    };
+                    for interp in [&bare, &obs] {
+                        let want = reference(interp, &run);
+                        assert!(want.fault_applied, "{what}");
+                        check(
+                            &what,
+                            same_result(&interp.execute(&mut scratch, &run), &want),
+                        );
+                        let observed = interp.config().trace;
+                        assert_eq!(
+                            scratch.finished_on_generic(),
+                            is_salloc || observed,
+                            "{what}, observed: {observed}"
+                        );
+                    }
+                    if let Start::At(..) = start {
+                        SEEN.resumed.fetch_add(1, Ordering::Relaxed);
+                        if is_salloc {
+                            SEEN.on_generic.fetch_add(1, Ordering::Relaxed);
+                        }
                     }
                 }
                 *if is_salloc {
@@ -1300,7 +1345,7 @@ fn faults_into_slot_pointers_match_the_oracle() {
             target: FaultTarget::NthDynamic(y_in_the_second_call),
             bit,
         };
-        let r = bare.run_with_fault(&input, fault);
+        let r = bare.execute(&mut ExecScratch::default(), &faulty(&input, fault));
         (r.termination, r.output == golden.output)
     };
     // y = stack word 3: bit 0 -> x's slot, bit 1 -> the caller's m[1],
@@ -1597,7 +1642,7 @@ fn callee(
     f
 }
 
-/// `m` on the proving loop (`Interp::run_proving`: every latch visited from
+/// `m` on the proving loop ([`Run::prove`]: every latch visited from
 /// the first step) against the oracle, field for field, at every step
 /// limit from `span` below to `span` above the step at which `m` ends
 /// under `cap` — a trap, an exit, or `cap` itself. Returns how many of
@@ -1608,7 +1653,7 @@ fn proofs_around_the_end(
     cap: ExecConfig,
     span: u64,
 ) -> Result<usize, String> {
-    let end = oracle::run(&Interp::new(m, cap.clone()), input).steps;
+    let end = reference(&Interp::new(m, cap.clone()), &Run::new(input)).steps;
     let mut proofs = 0;
     for step_limit in end - span..=end + span {
         let interp = Interp::new(
@@ -1618,7 +1663,12 @@ fn proofs_around_the_end(
                 ..cap.clone()
             },
         );
-        let (r, want) = (interp.run_proving(input), oracle::run(&interp, input));
+        let proving = Run {
+            prove: true,
+            ..Run::new(input)
+        };
+        let r = interp.execute(&mut ExecScratch::default(), &proving);
+        let want = reference(&interp, &proving);
         same_result(&r, &want)
             .map_err(|e| format!("{} at step limit {step_limit}: {e}", m.name))?;
         if let Some(at) = r.hang_proved_at {
@@ -1667,9 +1717,14 @@ fn hangs_are_proved_only_where_the_loop_repeats_itself() -> Result<(), String> {
         ret,
     );
     let trips = ints(&[300]);
-    let end = oracle::run(&Interp::new(&counting, exec()), &trips).steps;
+    let end = reference(&Interp::new(&counting, exec()), &Run::new(&trips)).steps;
+    let proving = Run {
+        prove: true,
+        ..Run::new(&trips)
+    };
     for (step_limit, ends) in [(end, Termination::Exit), (end - 1, Termination::StepLimit)] {
-        let r = Interp::new(&counting, cap(step_limit)).run_proving(&trips);
+        let r =
+            Interp::new(&counting, cap(step_limit)).execute(&mut ExecScratch::default(), &proving);
         assert_eq!((r.termination, r.steps), (ends, end), "limit {step_limit}");
     }
     assert!(proofs_around_the_end(&counting, &trips, exec(), 40)? >= 20);
@@ -1911,7 +1966,7 @@ fn hangs_are_proved_only_where_the_loop_repeats_itself() -> Result<(), String> {
             ),
             bit,
         };
-        let end = oracle::run_with_fault(&Interp::new(&aliased, cap(50_000)), &input, fault).steps;
+        let end = reference(&Interp::new(&aliased, cap(50_000)), &faulty(&input, fault)).steps;
         let mut proved = 0;
         for step_limit in end - 40..=end + 40 {
             let interp = Interp::new(&aliased, cap(step_limit));
@@ -1921,8 +1976,12 @@ fn hangs_are_proved_only_where_the_loop_repeats_itself() -> Result<(), String> {
             };
             let (golden, store) = interp.run_with_checkpoint_store(&input, ckpt);
             assert!(golden.exited() && golden.steps < 100);
-            let r = interp.run_with_fault_against(&mut scratch, &store, &input, fault);
-            same_result(&r, &oracle::run_with_fault(&interp, &input, fault))
+            let beside = Run {
+                start: Start::Beside(&store),
+                ..faulty(&input, fault)
+            };
+            let r = interp.execute(&mut scratch, &beside);
+            same_result(&r, &reference(&interp, &faulty(&input, fault)))
                 .unwrap_or_else(|e| panic!("{fault:?} at step limit {step_limit}: {e}"));
             proved += usize::from(r.hang_proved_at.is_some());
         }

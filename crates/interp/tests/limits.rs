@@ -5,7 +5,8 @@
 
 use minic::compile;
 use minpsid_interp::{
-    ExecConfig, FaultSpec, FaultTarget, Interp, ProgInput, Scalar, Termination, TrapKind,
+    ExecConfig, ExecScratch, FaultSpec, FaultTarget, Interp, ProgInput, Scalar, Termination,
+    TrapKind,
 };
 
 fn run_with(src: &str, args: Vec<Scalar>, cfg: ExecConfig) -> minpsid_interp::ExecResult {
@@ -104,7 +105,7 @@ fn pointer_fault_can_cross_into_the_stack_space_and_traps() {
             target: FaultTarget::NthDynamic(nth),
             bit: 62,
         };
-        let r = interp.run_with_fault(&ProgInput::default(), fault);
+        let r = interp.run_with_fault_in(&mut ExecScratch::default(), &ProgInput::default(), fault);
         assert!(
             matches!(
                 r.termination,

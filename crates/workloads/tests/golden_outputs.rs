@@ -1,9 +1,14 @@
 //! Golden-output regression fixtures: each benchmark's reference-input
-//! output stream is locked by an FNV-1a hash. Any change to a kernel, a
-//! generator, the front end, or the interpreter that alters observable
-//! behaviour trips these — deliberate changes update the constants.
+//! output stream is locked by an FNV-1a hash, and the random input its
+//! generator draws from seed 42 by its fingerprint. Any change to a
+//! kernel, a generator (or the random stream under it), the front end, or
+//! the interpreter that alters observable behaviour trips these —
+//! deliberate changes update the constants.
 
 use minpsid_interp::{ExecConfig, Interp, OutputItem};
+use minpsid_workloads::Benchmark;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// FNV-1a over the output stream's bit patterns.
 fn output_hash(items: &[OutputItem]) -> u64 {
@@ -29,25 +34,33 @@ fn output_hash(items: &[OutputItem]) -> u64 {
     h
 }
 
-/// `(benchmark, reference-output FNV-1a, output length)` — regenerate with
-/// the ignored `print_golden_hashes` test below.
-const GOLDEN: &[(&str, u64, usize)] = &[
-    ("xsbench", 0x79208f5a7edfc6fe, 2),
-    ("hpccg", 0x005e14318fe903be, 161),
-    ("fft", 0xb1fe13cb8640a753, 128),
-    ("knn", 0x9fa0ac4ca7fc9112, 8),
-    ("pathfinder", 0x4293d2202443de26, 41),
-    ("backprop", 0x2ebd3c042603d595, 3),
-    ("bfs", 0x4fee091ad4b49bc8, 203),
-    ("particlefilter", 0x7ab36af244f52f4e, 8),
-    ("kmeans", 0x7d3f4b9a7c610532, 8),
-    ("lu", 0xc8846a87dcdd206e, 17),
-    ("needle", 0xe49ed370615b677d, 34),
+/// The fingerprint of the input the benchmark's generator draws first
+/// from `StdRng::seed_from_u64(42)`.
+fn seed_42_input(b: &Benchmark) -> u64 {
+    let params = b.model.random(&mut StdRng::seed_from_u64(42));
+    b.model.materialize(&params).fingerprint()
+}
+
+/// `(benchmark, reference-output FNV-1a, output length, seed-42 random
+/// input fingerprint)` — regenerate with the ignored `print_golden_hashes`
+/// test below.
+const GOLDEN: &[(&str, u64, usize, u64)] = &[
+    ("xsbench", 0x79208f5a7edfc6fe, 2, 0x009390c1408fa4c7),
+    ("hpccg", 0x005e14318fe903be, 161, 0x2a038e0c6cb503ef),
+    ("fft", 0xb1fe13cb8640a753, 128, 0x5a9282a13db5bc33),
+    ("knn", 0x9fa0ac4ca7fc9112, 8, 0x5a791b72928c6fe3),
+    ("pathfinder", 0x4293d2202443de26, 41, 0x99bd16ecaae6ae50),
+    ("backprop", 0x2ebd3c042603d595, 3, 0x1a475f06505dc2fe),
+    ("bfs", 0x4fee091ad4b49bc8, 203, 0x7607918844bc132e),
+    ("particlefilter", 0x7ab36af244f52f4e, 8, 0x7dc4f7698815340e),
+    ("kmeans", 0x7d3f4b9a7c610532, 8, 0x46cfaf7be395263c),
+    ("lu", 0xc8846a87dcdd206e, 17, 0x8e75382c2a7b9cd9),
+    ("needle", 0xe49ed370615b677d, 34, 0xcfe437f3a2ddd17f),
 ];
 
 #[test]
 fn reference_outputs_match_locked_hashes() {
-    for &(name, expected_hash, expected_len) in GOLDEN {
+    for &(name, expected_hash, expected_len, _) in GOLDEN {
         let b = minpsid_workloads::by_name(name).unwrap();
         let m = b.compile();
         let input = b.model.materialize(&b.model.reference());
@@ -63,9 +76,21 @@ fn reference_outputs_match_locked_hashes() {
 }
 
 #[test]
+fn seed_42_random_inputs_match_locked_fingerprints() {
+    for &(name, _, _, expected) in GOLDEN {
+        let b = minpsid_workloads::by_name(name).unwrap();
+        assert_eq!(
+            seed_42_input(&b),
+            expected,
+            "{name}: the seed-42 random input changed — update GOLDEN if intentional"
+        );
+    }
+}
+
+#[test]
 fn golden_table_covers_the_whole_suite() {
     let suite: Vec<&str> = minpsid_workloads::suite().iter().map(|b| b.name).collect();
-    let locked: Vec<&str> = GOLDEN.iter().map(|(n, _, _)| *n).collect();
+    let locked: Vec<&str> = GOLDEN.iter().map(|(n, ..)| *n).collect();
     assert_eq!(suite, locked, "GOLDEN must track the suite");
 }
 
@@ -78,10 +103,11 @@ fn print_golden_hashes() {
         let input = b.model.materialize(&b.model.reference());
         let r = Interp::new(&m, ExecConfig::default()).run(&input);
         println!(
-            "    (\"{}\", {:#018x}, {}),",
+            "    (\"{}\", {:#018x}, {}, {:#018x}),",
             b.name,
             output_hash(&r.output.items),
-            r.output.len()
+            r.output.len(),
+            seed_42_input(&b)
         );
     }
 }

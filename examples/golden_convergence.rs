@@ -2,9 +2,10 @@
 //! much replay does stopping there save?
 //!
 //! For every kernel of the suite, injects a deterministic sample of
-//! whole-program faults through the checkpointed path
-//! (`Interp::resume_from`, exactly what a campaign's `inject` calls) and
-//! tabulates, per outcome, the share of runs that were finished early
+//! whole-program faults through the checkpointed path (`Interp::execute`
+//! beside the golden run's checkpoints, exactly what a campaign's `inject`
+//! calls), leaves out the runs no checkpoint precedes, and tabulates, per
+//! outcome, the share of runs that were finished early
 //! because their state equalled the golden run's at a checkpoint
 //! (DESIGN.md §6, "Golden-convergence early exit"), next to the steps
 //! executed and the tail steps left unreplayed. This is the per-kernel
@@ -15,7 +16,7 @@
 //! ```
 
 use minpsid_repro::faultsim::{classify, faulty_exec_config, golden_run, CampaignConfig, Outcome};
-use minpsid_repro::interp::{ExecScratch, FaultSpec, FaultTarget, Interp};
+use minpsid_repro::interp::{ExecScratch, FaultSpec, FaultTarget, Interp, Run, Start};
 use minpsid_repro::workloads;
 
 fn main() {
@@ -45,10 +46,16 @@ fn main() {
                 target: FaultTarget::NthDynamic(nth),
                 bit: (i * 7 % 64) as u32,
             };
-            let Some(idx) = golden.checkpoints.nearest_for_dynamic(nth) else {
+            let run = Run {
+                fault: Some(fault),
+                start: Start::Beside(&golden.checkpoints),
+                ..Run::new(&input)
+            };
+            let r = interp.execute(&mut scratch, &run);
+            let Some(resumed_at) = r.resumed_at else {
+                scratch.recycle_output(r.output);
                 continue; // before the first checkpoint: a cold run
             };
-            let r = interp.resume_from(&mut scratch, &golden.checkpoints, idx, &input, fault);
             let tally = match classify(&golden.output, &r) {
                 Outcome::Benign => Some(&mut benign),
                 Outcome::Sdc => Some(&mut sdc),
@@ -58,7 +65,6 @@ fn main() {
                 *runs += 1;
                 *converged += u64::from(r.converged_at.is_some());
             }
-            let resumed_at = r.resumed_at.unwrap_or(0);
             executed += r.converged_at.unwrap_or(r.steps) - resumed_at;
             saved += r.converged_at.map_or(0, |at| r.steps - at);
             scratch.recycle_output(r.output);

@@ -3,8 +3,8 @@
 //!
 //! For every kernel of the suite this resolves the reference input's
 //! per-instruction plan (`CampaignEngine::planned_faults`) one fault at a
-//! time on the path a campaign's `inject` takes — `Interp::resume_from`,
-//! or `Interp::run_with_fault_against` before the first checkpoint — and
+//! time on the path a campaign's `inject` takes — `Interp::execute` beside
+//! the golden run's checkpoints (`Start::Beside`) — and
 //! prints four tables (EXPERIMENTS.md, "Replay headroom" and "Power-of-two
 //! strides"):
 //!
@@ -13,7 +13,7 @@
 //!    own end; only benign runs can rejoin the golden run.
 //! 2. **Why unconverged benign runs missed**, as a share of all steps. Each
 //!    such run is replayed on the reference walk with its states captured
-//!    at the golden boundaries (`oracle::run_with_fault_capturing`) and
+//!    at the golden boundaries (`oracle::execute` on a `Start::Capture`) and
 //!    compared there (`interp::divergence`): *no boundary* left after the
 //!    flip; *never visited* — equal to golden at some boundary the back-off
 //!    and the hashing budget passed over; otherwise what still differed at
@@ -61,7 +61,7 @@ use minpsid_repro::faultsim::{
 };
 use minpsid_repro::interp::{
     auto_interval, divergence, oracle, CheckpointConfig, CheckpointStore, Divergence, ExecConfig,
-    ExecResult, ExecScratch, FaultSpec, FaultTarget, Interp, ProgInput, SnapshotMode,
+    ExecResult, ExecScratch, FaultSpec, FaultTarget, Interp, ProgInput, Run, SnapshotMode, Start,
 };
 use minpsid_repro::ir::{GlobalInstId, Ty};
 use minpsid_repro::workloads;
@@ -175,7 +175,7 @@ fn main() {
         };
         // golden's own states at those boundaries, which no map needs to
         // hold, and the values some instruction reads
-        let (_, states) = oracle::run_with_checkpoint_store(&interp, &input, capture);
+        let states = captured(&interp, &input, None, capture);
         let mut maps = Trajectories {
             golden: (0..states.len())
                 .map(|i| (states.steps_at(i), states.materialize(i).digest()))
@@ -198,27 +198,21 @@ fn main() {
             let mut scratch = ExecScratch::default();
             let (mut injections, mut repeats) = (0, 0);
             for sec in &sections {
-                for (i, &(dense, gid, count)) in sec.sites.iter().enumerate() {
+                for (i, &(_, gid, count)) in sec.sites.iter().enumerate() {
                     let mut ran = HashSet::new();
                     for fault in engine.planned_faults(sec, i) {
-                        let FaultTarget::NthOfInst(_, nth) = fault.target else {
-                            unreachable!("per-instruction faults name their site")
-                        };
                         injections += 1;
                         if !ran.insert(fault) {
                             repeats += 1; // the engine serves these from the first run
                             continue;
                         }
-                        let from = store.nearest_for_inst(dense, nth);
-                        let t = Instant::now();
-                        let r = match from {
-                            Some(idx) => {
-                                interp.resume_from(&mut scratch, store, idx, &input, fault)
-                            }
-                            None => {
-                                interp.run_with_fault_against(&mut scratch, store, &input, fault)
-                            }
+                        let run = Run {
+                            fault: Some(fault),
+                            start: Start::Beside(store),
+                            ..Run::new(&input)
                         };
+                        let t = Instant::now();
+                        let r = interp.execute(&mut scratch, &run);
                         let outcome = classify(&golden.output, &r);
                         let took = t.elapsed();
                         visit(Site { gid, count }, fault, &r, outcome, took);
@@ -270,7 +264,9 @@ fn main() {
                         k.proved += 1;
                         k.proof_saved += r.steps - at;
                     }
-                    let profile = profiling.run_with_fault(&input, fault).profile;
+                    let profile = profiling
+                        .run_with_fault_in(&mut ExecScratch::default(), &input, fault)
+                        .profile;
                     k.hang_trajectories
                         .insert(profile.expect("a profiled run").indexed_cfg_list());
                     let kind = format!("{:?}", module.inst(site.gid).kind);
@@ -307,6 +303,24 @@ fn main() {
     print_tables(&rows);
 }
 
+/// `input` with `fault` (if any) on the reference walk, its states captured
+/// every `capture.interval` steps.
+fn captured(
+    interp: &Interp<'_>,
+    input: &ProgInput,
+    fault: Option<FaultSpec>,
+    capture: CheckpointConfig,
+) -> CheckpointStore {
+    let run = Run {
+        fault,
+        start: Start::Capture(capture),
+        ..Run::new(input)
+    };
+    oracle::execute(interp, &run)
+        .1
+        .expect("a capturing run captures")
+}
+
 /// Replay `fault` on the reference walk, keeping its state at every
 /// golden boundary, and say why the run never met the golden run there.
 fn why_missed(
@@ -316,7 +330,7 @@ fn why_missed(
     capture: CheckpointConfig,
     golden: &CheckpointStore,
 ) -> Miss {
-    let (_, faulty) = oracle::run_with_fault_capturing(interp, input, fault, capture);
+    let faulty = captured(interp, input, Some(fault), capture);
     // boundaries both stores hold, by step count (golden's may be thinned)
     let at: HashMap<u64, usize> = (0..faulty.len()).map(|i| (faulty.steps_at(i), i)).collect();
     let mut last = None;
@@ -354,7 +368,7 @@ fn reuse(
     end: u64,
     maps: &mut Trajectories,
 ) -> [u64; 3] {
-    let (_, faulty) = oracle::run_with_fault_capturing(interp, input, fault, capture);
+    let faulty = captured(interp, input, Some(fault), capture);
     let mut served = [None; 3];
     // boundaries since the run left golden: the back-off's ordinal
     let mut ord = 0u64;

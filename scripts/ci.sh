@@ -107,35 +107,6 @@ grep '"kind":"campaign_end"' "$TRACE_TMP/dedup.jsonl" | grep -Eq '"deduped":[1-9
 grep '"kind":"campaign_end"' "$TRACE_TMP/dedup.jsonl" | grep -Eq '"hangs_proved":[1-9]' \
   || { echo "campaign_end reports no proved hang"; exit 1; }
 
-echo "== store smoke (scrub exit codes, corruption heals, cross-invocation cache hits)"
-# first store-backed run populates the store; scrub verifies clean (exit 0)
-STORE_ARGS=(minpsid pathfinder --quick --seed 42 --level 0.5)
-rm -rf "$TRACE_TMP/store"
-"$CLI" "${STORE_ARGS[@]}" --quiet --store "$TRACE_TMP/store" > "$TRACE_TMP/store-run1.txt"
-"$CLI" store scrub "$TRACE_TMP/store" >/dev/null
-# cross-invocation golden-cache hit: the second run is served verified
-# artifacts from disk (no recompute) and prints identical bytes
-"$CLI" "${STORE_ARGS[@]}" --store "$TRACE_TMP/store" \
-  > "$TRACE_TMP/store-run2.txt" 2> "$TRACE_TMP/store-run2-err.txt"
-diff "$TRACE_TMP/store-run1.txt" "$TRACE_TMP/store-run2.txt"
-grep -Eq "golden cache +0 hits / [1-9][0-9]* disk hits / 0 misses" \
-  "$TRACE_TMP/store-run2-err.txt" \
-  || { echo "second run was not served from the store"; exit 1; }
-# bit-rot one object: scrub must quarantine it and exit 3 (not 0, not 1)
-OBJ="$(find "$TRACE_TMP/store/objects" -name '*.obj' | head -1)"
-printf 'X' | dd of="$OBJ" bs=1 seek=3 conv=notrunc 2>/dev/null
-set +e
-"$CLI" store scrub "$TRACE_TMP/store" >/dev/null
-SCRUB_EXIT=$?
-set -e
-test "$SCRUB_EXIT" = "3" \
-  || { echo "scrub on a corrupt store exited $SCRUB_EXIT, want 3"; exit 1; }
-# the next campaign recomputes the quarantined artifact: byte-identical
-# report, and the store scrubs clean (exit 0) again
-"$CLI" "${STORE_ARGS[@]}" --quiet --store "$TRACE_TMP/store" > "$TRACE_TMP/store-run3.txt"
-diff "$TRACE_TMP/store-run1.txt" "$TRACE_TMP/store-run3.txt"
-"$CLI" store scrub "$TRACE_TMP/store" >/dev/null
-
 echo "== incremental smoke (cold seal -> edit one fn -> O(diff) re-campaign)"
 # compositional FI at the CLI: a cold store-backed campaign seals
 # per-section outcome tables; editing one leaf function (same value,

@@ -20,7 +20,7 @@ use minpsid_repro::faultsim::{
     faulty_exec_config, golden_run, CampaignConfig, CampaignConfigBuilder, CampaignEngine,
     CampaignJournal, GoldenRun, Scheduler,
 };
-use minpsid_repro::interp::ProgInput;
+use minpsid_repro::interp::{FaultSpec, ProgInput, Run, Start};
 use minpsid_repro::ir::Module;
 use minpsid_repro::workloads;
 use std::path::{Path, PathBuf};
@@ -42,6 +42,16 @@ fn wal_of(dir: &Path) -> Vec<u8> {
 fn bench_module(name: &str) -> (Module, ProgInput) {
     let b = workloads::by_name(name).expect("workload exists");
     (b.compile(), b.model.materialize(&b.model.reference()))
+}
+
+/// `input` with `fault` beside `golden`'s checkpoints: a campaign's
+/// injection.
+fn beside<'a>(golden: &'a GoldenRun, input: &'a ProgInput, fault: FaultSpec) -> Run<'a> {
+    Run {
+        fault: Some(fault),
+        start: Start::Beside(&golden.checkpoints),
+        ..Run::new(input)
+    }
 }
 
 /// Canonical report bytes for one engine composition: the debug render
@@ -112,7 +122,7 @@ fn all_engine_compositions_are_byte_identical_across_thread_counts() {
 /// where every fault is replayed cold from program start to its own end.
 #[test]
 fn checkpointed_per_inst_campaign_equals_cold_replay_on_every_kernel() {
-    use minpsid_repro::interp::{ExecScratch, FaultSpec, FaultTarget, Interp};
+    use minpsid_repro::interp::{ExecScratch, FaultTarget, Interp};
 
     let builder = CampaignConfigBuilder::new(11)
         .per_inst_injections(3)
@@ -149,7 +159,7 @@ fn checkpointed_per_inst_campaign_equals_cold_replay_on_every_kernel() {
 
         // the identity proves nothing about the early exit unless these
         // kernels and stores take it: count it on a slice of the same
-        // injection path (`resume_from` under the engine's limits)
+        // injection path (`Start::Beside` under the engine's limits)
         let interp = Interp::new(&module, faulty_exec_config(&warm_cfg, golden.steps));
         let mut scratch = ExecScratch::default();
         let population = golden.profile.injectable_execs;
@@ -160,7 +170,8 @@ fn checkpointed_per_inst_campaign_equals_cold_replay_on_every_kernel() {
                 bit: (i % 8) as u32,
             };
             if let Some(idx) = golden.checkpoints.nearest_for_dynamic(nth) {
-                let r = interp.resume_from(&mut scratch, &golden.checkpoints, idx, &input, fault);
+                let r = interp.execute(&mut scratch, &beside(&golden, &input, fault));
+                assert_eq!(r.resumed_at, Some(golden.checkpoints.steps_at(idx)));
                 converged += usize::from(r.converged_at.is_some());
             }
         }
@@ -176,7 +187,7 @@ fn checkpointed_per_inst_campaign_equals_cold_replay_on_every_kernel() {
                 target: FaultTarget::NthDynamic(nth),
                 bit: i as u32,
             };
-            let r = interp.run_with_fault_against(&mut scratch, &golden.checkpoints, &input, fault);
+            let r = interp.execute(&mut scratch, &beside(&golden, &input, fault));
             assert_eq!(r.resumed_at, None);
             cold_converged += usize::from(r.converged_at.is_some());
         }
@@ -194,7 +205,7 @@ fn checkpointed_per_inst_campaign_equals_cold_replay_on_every_kernel() {
 /// The engine against no engine at all. Every fault the per-instruction
 /// plan holds for `bfs` at 64 injections per site — where a site executed
 /// once can only draw from 64 distinct faults, so the campaign repeats
-/// itself — is resolved here by one cold `Interp::run_with_fault` and
+/// itself — is resolved here by one cold `Interp::run_with_fault_in` and
 /// `classify`, nothing shared between two of them. The engine, which
 /// resumes from checkpoints, exits early on convergence and serves a
 /// repeated `(instance, bit)` from the first run of it, must arrive at the
@@ -203,6 +214,7 @@ fn checkpointed_per_inst_campaign_equals_cold_replay_on_every_kernel() {
 fn every_planned_fault_resolved_alone_equals_the_engine() {
     use minpsid_repro::faultsim::outcome::{classify, OutcomeCounts};
     use minpsid_repro::faultsim::{CampaignPlan, PerInstSdc};
+    use minpsid_repro::interp::ExecScratch;
     use minpsid_repro::interp::Interp;
     use minpsid_repro::sched::SiteStatus;
 
@@ -248,7 +260,10 @@ fn every_planned_fault_resolved_alone_equals_the_engine() {
             let counts = &mut expected.counts[dense];
             for (k, &fault) in faults.iter().enumerate() {
                 repeats += usize::from(faults[..k].contains(&fault));
-                let outcome = classify(&golden.output, &interp.run_with_fault(&input, fault));
+                let outcome = classify(
+                    &golden.output,
+                    &interp.run_with_fault_in(&mut ExecScratch::default(), &input, fault),
+                );
                 assert_eq!(
                     journal.per_inst_outcome(INPUT_FP, dense as u64, k as u64),
                     Some(outcome.to_u8()),
@@ -282,7 +297,7 @@ fn every_planned_fault_resolved_alone_equals_the_engine() {
 #[test]
 fn proved_hangs_equal_the_oracle_on_the_kernels_that_hang() {
     use minpsid_repro::faultsim::{classify, CampaignPlan, Outcome};
-    use minpsid_repro::interp::{oracle, ExecScratch, FaultTarget, Interp};
+    use minpsid_repro::interp::{oracle, ExecScratch, Interp};
     use std::collections::HashSet;
 
     let mut cfg = CampaignConfigBuilder::new(42)
@@ -300,25 +315,22 @@ fn proved_hangs_equal_the_oracle_on_the_kernels_that_hang() {
             unreachable!("a per-instruction plan")
         };
         let interp = Interp::new(&module, faulty_exec_config(&cfg, golden.steps));
-        let store = &golden.checkpoints;
         let mut scratch = ExecScratch::default();
         let (mut hangs, mut proved, mut ran) = (0, 0, HashSet::new());
         for sec in &sections {
-            for (i, &(dense, _, _)) in sec.sites.iter().enumerate() {
+            for i in 0..sec.sites.len() {
                 for fault in engine.planned_faults(sec, i).filter(|&f| ran.insert(f)) {
-                    let FaultTarget::NthOfInst(_, nth) = fault.target else {
-                        unreachable!("per-instruction faults name their site")
-                    };
-                    let r = match store.nearest_for_inst(dense, nth) {
-                        Some(idx) => interp.resume_from(&mut scratch, store, idx, &input, fault),
-                        None => interp.run_with_fault_against(&mut scratch, store, &input, fault),
-                    };
+                    let r = interp.execute(&mut scratch, &beside(&golden, &input, fault));
                     if classify(&golden.output, &r) != Outcome::Hang {
                         continue;
                     }
                     hangs += 1;
                     proved += usize::from(r.hang_proved_at.is_some());
-                    let want = oracle::run_with_fault(&interp, &input, fault);
+                    let faulty = Run {
+                        fault: Some(fault),
+                        ..Run::new(&input)
+                    };
+                    let want = oracle::execute(&interp, &faulty).0;
                     let what = format!("{name} {fault:?}, proved at {:?}", r.hang_proved_at);
                     assert_eq!(r.termination, want.termination, "{what}");
                     assert_eq!(r.output, want.output, "{what}");
@@ -380,7 +392,7 @@ fn one_pass_golden_run_equals_the_oracles_two_passes_on_every_kernel() {
                     ..cfg.exec.clone()
                 },
             );
-            let first = oracle::run(&profiling, &input);
+            let first = oracle::execute(&profiling, &Run::new(&input)).0;
             assert!(first.exited(), "{}", b.name);
             let capturing = Interp::new(&module, cfg.exec.clone());
             let ck = CheckpointConfig {
@@ -389,7 +401,12 @@ fn one_pass_golden_run_equals_the_oracles_two_passes_on_every_kernel() {
                 mode: cfg.snapshot_mode,
                 keyframe_every: cfg.keyframe_every,
             };
-            let (second, store) = oracle::run_with_checkpoint_store(&capturing, &input, ck);
+            let capture = Run {
+                start: Start::Capture(ck),
+                ..Run::new(&input)
+            };
+            let (second, store) = oracle::execute(&capturing, &capture);
+            let store = store.expect("a capturing run captures");
             assert_eq!(second.steps, first.steps, "{}", b.name);
             assert!(!store.is_empty(), "{}: nothing captured", b.name);
 
@@ -447,7 +464,7 @@ fn derived_injection_counts_equal_the_oracles_on_every_kernel() {
         for (k, params) in params.iter().enumerate() {
             let what = format!("{} input {k}", b.name);
             let input = b.model.materialize(params);
-            let counted = oracle::run(&interp, &input);
+            let counted = oracle::execute(&interp, &Run::new(&input)).0;
             let derived = interp.run(&input);
             assert_eq!(derived.termination, counted.termination, "{what}");
             let (d, c) = (
@@ -472,7 +489,11 @@ fn derived_injection_counts_equal_the_oracles_on_every_kernel() {
                     mode,
                     keyframe_every: cfg.keyframe_every,
                 };
-                let (_, want) = oracle::run_with_checkpoint_store(&interp, &input, ck);
+                let capture = Run {
+                    start: Start::Capture(ck),
+                    ..Run::new(&input)
+                };
+                let want = oracle::execute(&interp, &capture).1.expect("captured");
                 let (_, got) = interp.run_with_checkpoint_store(&input, ck);
                 assert_eq!(got.len(), want.len(), "{what} ({mode:?})");
                 for i in 0..want.len() {
@@ -510,7 +531,7 @@ fn derived_injection_counts_equal_the_oracles_on_every_kernel() {
 /// slots fails here instead of quietly costing a sixth of the speed.
 #[test]
 fn faults_into_slot_pointers_equal_the_oracle_on_every_kernel() {
-    use minpsid_repro::interp::{oracle, ExecScratch, FaultSpec, FaultTarget, Interp};
+    use minpsid_repro::interp::{oracle, ExecScratch, FaultTarget, Interp};
     use minpsid_repro::ir::InstKind;
 
     let cfg = CampaignConfigBuilder::new(7).build();
@@ -543,19 +564,24 @@ fn faults_into_slot_pointers_equal_the_oracle_on_every_kernel() {
                         bit,
                     };
                     let what = format!("{} {fault:?}", b.name);
-                    let want = oracle::run_with_fault(&interp, &input, fault);
+                    let faulty = Run {
+                        fault: Some(fault),
+                        ..Run::new(&input)
+                    };
+                    let want = oracle::execute(&interp, &faulty).0;
                     assert!(want.fault_applied, "{what}");
                     let ends = |r: &minpsid_repro::interp::ExecResult| {
                         (r.termination, r.output.clone(), r.steps, r.fault_applied)
                     };
                     let store = &golden.checkpoints;
-                    let cold = interp.run_with_fault_against(&mut scratch, store, &input, fault);
+                    let cold = interp.execute(&mut scratch, &faulty);
                     assert_eq!(ends(&cold), ends(&want), "{what}, cold");
                     on_generic += usize::from(scratch.finished_on_generic());
+                    let warm = interp.execute(&mut scratch, &beside(&golden, &input, fault));
+                    assert_eq!(ends(&warm), ends(&want), "{what}, beside the store");
+                    assert!(scratch.finished_on_generic(), "{what}");
                     if let Some(idx) = store.nearest_for_inst(dense, nth) {
-                        let warm = interp.resume_from(&mut scratch, store, idx, &input, fault);
-                        assert_eq!(ends(&warm), ends(&want), "{what}, from checkpoint {idx}");
-                        assert!(scratch.finished_on_generic(), "{what}");
+                        assert_eq!(warm.resumed_at, Some(store.steps_at(idx)), "{what}");
                         resumed += 1;
                     }
                 }

@@ -5,7 +5,9 @@
 //! evaluator with identical semantics (wrapping i64 arithmetic, IEEE-754
 //! doubles, same evaluation order).
 
-use minpsid_repro::interp::{ExecConfig, FaultSpec, FaultTarget, Interp, OutputItem, ProgInput};
+use minpsid_repro::interp::{
+    ExecConfig, ExecScratch, FaultSpec, FaultTarget, Interp, OutputItem, ProgInput,
+};
 use minpsid_repro::sid::duplicate_module;
 use proptest::prelude::*;
 
@@ -130,8 +132,8 @@ proptest! {
         let Ok(module) = minic::compile(&src, "prop") else { return Ok(()); };
         let interp = Interp::new(&module, ExecConfig::default());
         let fault = FaultSpec { target: FaultTarget::NthDynamic(nth), bit };
-        let a = interp.run_with_fault(&ProgInput::default(), fault);
-        let b = interp.run_with_fault(&ProgInput::default(), fault);
+        let a = interp.run_with_fault_in(&mut ExecScratch::default(), &ProgInput::default(), fault);
+        let b = interp.run_with_fault_in(&mut ExecScratch::default(), &ProgInput::default(), fault);
         prop_assert_eq!(a.termination, b.termination);
         prop_assert_eq!(a.output, b.output);
         prop_assert_eq!(a.steps, b.steps);
