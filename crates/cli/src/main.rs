@@ -388,7 +388,8 @@ self-verifying artifact store (fi/minpsid):
 incremental re-campaigns (fi/minpsid, with --store or --journal): sealed
 per-section outcome tables are memoized in the store and served on later
 runs, so a re-campaign after an edit re-executes only the touched
-functions.
+functions. They are the only reuse across an edit: a journal of the
+unedited program is superseded, not resumed.
   --no-incremental          always re-execute every injection
 
 profiling:
@@ -825,14 +826,10 @@ fn open_fi_journal(
             dir.display()
         ));
     }
-    // Opening through the section map lets a resume after a program edit
-    // keep the per-instruction facts of untouched functions instead of
-    // refusing outright.
-    let j = CampaignJournal::open_with_sections(
+    let j = CampaignJournal::open(
         &dir,
         module_fingerprint(module),
         fi_journal_key(campaign),
-        &module_section_map(module),
         store,
     )
     .map_err(|e| format!("opening journal: {e}"))?;
@@ -1114,11 +1111,10 @@ fn cmd_minpsid(rest: &[String]) -> Result<(), String> {
                 dir.display()
             ));
         }
-        let j = CampaignJournal::open_with_sections(
+        let j = CampaignJournal::open(
             &dir,
             module_fingerprint(&module),
             minpsid_config_fingerprint(&cfg),
-            &module_section_map(&module),
             store.clone(),
         )
         .map_err(|e| format!("opening journal: {e}"))?;

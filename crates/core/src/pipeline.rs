@@ -241,11 +241,10 @@ pub fn minpsid_config_fingerprint(cfg: &MinpsidConfig) -> u64 {
     fingerprint_debug(&c)
 }
 
-/// The per-section module identity that
-/// [`CampaignJournal::open_with_sections`] expects: one `(fingerprint,
-/// dense instruction base, instruction count)` triple per function, in
-/// function order. Opening a journal through this map lets a re-campaign
-/// after an edit keep the per-instruction facts of untouched functions.
+/// The per-section module identity: one `(fingerprint, dense
+/// instruction base, instruction count)` triple per function, in function
+/// order. `minpsid sections` prints it, and the benchmark counts and
+/// times it.
 pub fn module_section_map(module: &Module) -> Vec<(u64, u64, u64)> {
     let fps = minpsid_ir::section_fingerprints(module);
     let mut out = Vec::with_capacity(fps.len());
@@ -749,7 +748,7 @@ mod tests {
 
         // fresh journaled run == plain run
         {
-            let journal = CampaignJournal::open(&dir, mfp, cfp).unwrap();
+            let journal = CampaignJournal::open(&dir, mfp, cfp, None).unwrap();
             let fresh =
                 run_minpsid_journaled(&m, &model, &cfg, &GoldenCache::new(), &journal).unwrap();
             same_result(&plain, &fresh);
@@ -760,7 +759,7 @@ mod tests {
         // resumed run (fresh cache, reopened journal) == plain run, with
         // nearly all injections served from the log
         {
-            let journal = CampaignJournal::open(&dir, mfp, cfp).unwrap();
+            let journal = CampaignJournal::open(&dir, mfp, cfp, None).unwrap();
             let resumed =
                 run_minpsid_journaled(&m, &model, &cfg, &GoldenCache::new(), &journal).unwrap();
             same_result(&plain, &resumed);
@@ -776,14 +775,14 @@ mod tests {
         // run still matches
         let dir2 = journal_dir("pipeline-interrupt");
         {
-            let journal = CampaignJournal::open(&dir2, mfp, cfp).unwrap();
+            let journal = CampaignJournal::open(&dir2, mfp, cfp, None).unwrap();
             interrupt::request();
             let r = run_minpsid_journaled(&m, &model, &cfg, &GoldenCache::new(), &journal);
             interrupt::clear();
             assert!(matches!(r, Err(PipelineError::Interrupted)));
         }
         {
-            let journal = CampaignJournal::open(&dir2, mfp, cfp).unwrap();
+            let journal = CampaignJournal::open(&dir2, mfp, cfp, None).unwrap();
             let (recovered, _) = journal.recovery_stats();
             assert!(recovered > 0, "the interrupted run journaled its ref FI");
             let resumed =
@@ -793,7 +792,9 @@ mod tests {
 
         // a config change is refused (journal belongs to different work)
         let other = quick_cfg(0.9, SearchStrategy::Genetic);
-        assert!(CampaignJournal::open(&dir, mfp, minpsid_config_fingerprint(&other)).is_err());
+        assert!(
+            CampaignJournal::open(&dir, mfp, minpsid_config_fingerprint(&other), None).is_err()
+        );
 
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&dir2);

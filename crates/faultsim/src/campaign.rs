@@ -670,7 +670,7 @@ pub(crate) mod tests {
         let plain_pi = per_instruction_campaign(&m, &input(50), &g, &cfg);
 
         let dir = journal_dir("bitident");
-        let j = CampaignJournal::open(&dir, 1, 2).unwrap();
+        let j = CampaignJournal::open(&dir, 1, 2, None).unwrap();
         let s = Scheduler::unbounded(cfg.sched.clone());
         let inp = input(50);
         // first pass: everything fresh (appended); scoped so the engine's
@@ -691,7 +691,7 @@ pub(crate) mod tests {
         // second pass over a reopened journal: everything served, still
         // bit-identical
         drop(j);
-        let j = CampaignJournal::open(&dir, 1, 2).unwrap();
+        let j = CampaignJournal::open(&dir, 1, 2, None).unwrap();
         let s = Scheduler::unbounded(cfg.sched.clone());
         let eng = CampaignEngine::new(&m, &inp, &g, &cfg)
             .with_scheduler(&s)
@@ -720,7 +720,7 @@ pub(crate) mod tests {
 
         let dir = journal_dir("interrupt");
         {
-            let j = CampaignJournal::open(&dir, 1, 2).unwrap();
+            let j = CampaignJournal::open(&dir, 1, 2, None).unwrap();
             // request the interrupt up front: the campaign must drain
             // immediately and report Interrupted without recording anything
             interrupt::request();
@@ -731,7 +731,7 @@ pub(crate) mod tests {
             assert_eq!(r.unwrap_err(), Interrupted);
         }
         // resume: completes and matches the uninterrupted counts
-        let j = CampaignJournal::open(&dir, 1, 2).unwrap();
+        let j = CampaignJournal::open(&dir, 1, 2, None).unwrap();
         let resumed = CampaignEngine::new(&m, &input(50), &g, &cfg)
             .with_journal(&j, 5)
             .run_program()

@@ -162,10 +162,21 @@ impl CampaignPlan {
 // ---------------------------------------------------------------------------
 
 /// One WAL record a worker produced, buffered until the single ordered
-/// writer commits its work unit.
+/// writer commits its work unit. `ran` is false for an outcome a sealed
+/// table served: the journal writes it all the same, but it is already
+/// durable in the store and does not advance the WAL's fsync cadence.
 enum PendingRecord {
-    Program { index: u64, outcome: u8 },
-    PerInst { site: u64, k: u64, outcome: u8 },
+    Program {
+        index: u64,
+        outcome: u8,
+        ran: bool,
+    },
+    PerInst {
+        site: u64,
+        k: u64,
+        outcome: u8,
+        ran: bool,
+    },
 }
 
 /// The single ordered writer behind parallel journaled runs.
@@ -233,13 +244,21 @@ impl<'j> OrderedWriter<'j> {
 
     fn append(&self, r: &PendingRecord) {
         match *r {
-            PendingRecord::Program { index, outcome } => {
-                self.journal.record_program(self.input_fp, index, outcome)
-            }
-            PendingRecord::PerInst { site, k, outcome } => {
-                self.journal
-                    .record_per_inst(self.input_fp, site, k, outcome)
-            }
+            PendingRecord::Program {
+                index,
+                outcome,
+                ran,
+            } => self
+                .journal
+                .record_program(self.input_fp, index, outcome, ran),
+            PendingRecord::PerInst {
+                site,
+                k,
+                outcome,
+                ran,
+            } => self
+                .journal
+                .record_per_inst(self.input_fp, site, k, outcome, ran),
         }
     }
 }
@@ -923,6 +942,7 @@ impl<'a> CampaignEngine<'a> {
                         records.push(PendingRecord::Program {
                             index: i as u64,
                             outcome: outcome.to_u8(),
+                            ran: source == Source::Run,
                         });
                     }
                     w.commit(i, records);
@@ -1112,6 +1132,7 @@ impl<'a> CampaignEngine<'a> {
                             site,
                             k: k as u64,
                             outcome: outcome.to_u8(),
+                            ran: source == Source::Run,
                         });
                     }
                     r.counts.record(outcome);
@@ -1321,7 +1342,7 @@ mod tests {
 
             let calm_dir = journal_dir(&format!("panic-calm-{threads}"));
             let calm = {
-                let j = CampaignJournal::open(&calm_dir, 1, 2).unwrap();
+                let j = CampaignJournal::open(&calm_dir, 1, 2, None).unwrap();
                 let p = CampaignEngine::new(&m, &inp, &g, &cfg)
                     .with_journal(&j, 9)
                     .run_per_instruction()
@@ -1333,7 +1354,7 @@ mod tests {
             // the harness fails on the third fault it runs at plan site 4
             let dir = journal_dir(&format!("panic-{threads}"));
             {
-                let j = CampaignJournal::open(&dir, 1, 2).unwrap();
+                let j = CampaignJournal::open(&dir, 1, 2, None).unwrap();
                 let s = Scheduler::unbounded(cfg.sched.clone());
                 let eng = CampaignEngine::new(&m, &inp, &g, &cfg)
                     .with_scheduler(&s)
@@ -1375,7 +1396,7 @@ mod tests {
             let records = minpsid_journal::wal::scan_bytes(&partial).records;
             assert_eq!(records.len() as u64, 1 + 4 * planned);
 
-            let j = CampaignJournal::open(&dir, 1, 2).unwrap();
+            let j = CampaignJournal::open(&dir, 1, 2, None).unwrap();
             let resumed = CampaignEngine::new(&m, &inp, &g, &cfg)
                 .with_journal(&j, 9)
                 .run_per_instruction()

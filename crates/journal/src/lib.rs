@@ -36,7 +36,7 @@ pub mod wal;
 
 use minpsid_store::{ArtifactStore, StoreError};
 use record::Record;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -85,8 +85,11 @@ impl std::error::Error for Interrupted {}
 #[derive(Debug)]
 pub enum JournalError {
     Io(io::Error),
-    /// The log belongs to a different (module, config) pair; replaying
-    /// its outcomes into this run would be silent garbage.
+    /// The log belongs to another campaign configuration: its outcomes
+    /// answer other questions (seeds, injection counts, inputs), so
+    /// replaying them into this run would be silent garbage. (A log of
+    /// another *module* under the same config is superseded instead; see
+    /// [`CampaignJournal::open`].) Both pairs are `(module, config)`.
     Mismatch {
         expected: (u64, u64),
         found: (u64, u64),
@@ -99,10 +102,10 @@ impl fmt::Display for JournalError {
             JournalError::Io(e) => write!(f, "journal I/O: {e}"),
             JournalError::Mismatch { expected, found } => write!(
                 f,
-                "journal belongs to a different run: module/config fingerprint \
-                 {found:#x?} but this run is {expected:#x?} — \
-                 resume with the same program, inputs, and campaign settings, \
-                 or point --journal at a fresh directory"
+                "journal belongs to a different campaign configuration: config \
+                 fingerprint {:#x} but this run is {:#x} — resume with the same \
+                 inputs and campaign settings, or point --journal at a fresh directory",
+                found.1, expected.1
             ),
         }
     }
@@ -132,11 +135,6 @@ struct State {
     eval: HashMap<u64, Vec<u64>>,
     accepted: Vec<(u64, u64)>,
     selection: Option<Vec<bool>>,
-    /// Latest per-section module identity: `(fingerprint, dense base,
-    /// instruction count)` per function, in function order. Lets
-    /// [`CampaignJournal::open_with_sections`] carry per-instruction
-    /// facts across a module edit.
-    sections: Option<Vec<(u64, u64, u64)>>,
 }
 
 impl State {
@@ -176,7 +174,8 @@ impl State {
             Record::Selection { bits } => self.selection = Some(bits),
             // retired (see `Record::Quarantine`): the site simply runs
             Record::Quarantine { .. } => {}
-            Record::SectionMap { entries } => self.sections = Some(entries),
+            // retired (see `Record::SectionMap`)
+            Record::SectionMap { .. } => {}
         }
     }
 
@@ -189,13 +188,6 @@ impl State {
             module_fp,
             config_fp,
         });
-        // right after the header so a remapping open finds it before any
-        // outcome record
-        if let Some(entries) = &self.sections {
-            out.push(Record::SectionMap {
-                entries: entries.clone(),
-            });
-        }
         // deterministic order so compaction is reproducible
         let mut golden: Vec<_> = self.golden.iter().collect();
         golden.sort_unstable_by_key(|(k, _)| **k);
@@ -275,20 +267,26 @@ pub const WAL_ARTIFACT: &str = "wal";
 
 impl CampaignJournal {
     /// Open (creating if needed) the journal in `dir`, recover its
-    /// intact prefix, truncate any torn tail, and verify it belongs to
-    /// this (module, config) pair. Emits a `journal_recovery` trace
-    /// event describing what recovery found.
-    pub fn open(dir: &Path, module_fp: u64, config_fp: u64) -> Result<Self, JournalError> {
-        Self::open_with_store(dir, module_fp, config_fp, None)
-    }
-
-    /// [`CampaignJournal::open`], plus an artifact store that holds a
-    /// verified snapshot of every compacted WAL. The snapshot's records
-    /// are merged *under* the live log (the live log is newer), so if
-    /// mid-file corruption severed the live log's compacted prefix, the
-    /// snapshot restores those facts; if the snapshot itself rotted, the
-    /// store quarantines it and the live log stands alone.
-    pub fn open_with_store(
+    /// intact prefix, truncate any torn tail, and emit a
+    /// `journal_recovery` trace event describing what recovery found.
+    ///
+    /// One rule decides what the log's facts are worth to this run, read
+    /// off the live log's header:
+    /// - same (module, config): resume — every recovered fact is served;
+    /// - same config, another module: the program was edited, so the live
+    ///   log is superseded and rewritten (two-phase) to hold only this
+    ///   run's header. Outcomes that survive an edit are served by the
+    ///   store's sealed section tables, which check the golden context a
+    ///   section's outcomes depend on; this log's keys cannot;
+    /// - another config: [`JournalError::Mismatch`].
+    ///
+    /// With a `store`, the verified snapshot of the last compacted WAL of
+    /// this (module, config) pair is merged *under* the live log (the
+    /// live log is newer): facts that mid-file corruption severed from
+    /// the live log come back, and so do a module's facts when an edit is
+    /// undone. A rotten snapshot is quarantined by the store and the live
+    /// log stands alone.
+    pub fn open(
         dir: &Path,
         module_fp: u64,
         config_fp: u64,
@@ -313,6 +311,36 @@ impl CampaignJournal {
                     .map(|p| p.display().to_string())
                     .unwrap_or_else(|| "<unsaved>".to_string()),
             );
+        }
+
+        let mut live_records = recovery.records;
+        let found = live_records.iter().find_map(|rec| match *rec {
+            Record::Header {
+                module_fp,
+                config_fp,
+            } => Some((module_fp, config_fp)),
+            _ => None,
+        });
+        let header = Record::Header {
+            module_fp,
+            config_fp,
+        };
+        match found {
+            Some(found) if found.1 != config_fp => {
+                return Err(JournalError::Mismatch {
+                    expected: (module_fp, config_fp),
+                    found,
+                });
+            }
+            Some((m, _)) if m != module_fp => {
+                live_records.clear();
+                writer = rewrite_wal(&path, std::slice::from_ref(&header))?;
+            }
+            Some(_) => {}
+            None => {
+                writer.append(&header)?;
+                writer.sync()?;
+            }
         }
 
         // Records from the last compacted-WAL snapshot in the store, if
@@ -343,33 +371,8 @@ impl CampaignJournal {
         }
 
         let mut state = State::default();
-        let mut header: Option<(u64, u64)> = None;
-        let live_records = recovery.records;
         for rec in snapshot_records.into_iter().chain(live_records) {
-            if let Record::Header {
-                module_fp: m,
-                config_fp: c,
-            } = rec
-            {
-                header = Some((m, c));
-            }
             state.apply(rec);
-        }
-        match header {
-            Some(found) if found != (module_fp, config_fp) => {
-                return Err(JournalError::Mismatch {
-                    expected: (module_fp, config_fp),
-                    found,
-                });
-            }
-            Some(_) => {}
-            None => {
-                writer.append(&Record::Header {
-                    module_fp,
-                    config_fp,
-                })?;
-                writer.sync()?;
-            }
         }
 
         let recovered_records = (state.golden.len()
@@ -399,135 +402,17 @@ impl CampaignJournal {
         })
     }
 
-    /// [`CampaignJournal::open_with_store`], plus the per-section
-    /// identity of the module this run is about: one `(fingerprint,
-    /// dense base, instruction count)` triple per function, in function
-    /// order (see `minpsid_ir::section_fingerprints`).
-    ///
-    /// On a clean open the map is journaled so future opens can remap.
-    /// If the existing log belongs to a *different module under the same
-    /// config* — the program was edited between runs — and the old log
-    /// carries a section map, this open remaps instead of refusing:
-    /// per-instruction outcomes in sections whose
-    /// `(fingerprint, length)` survived the edit are carried over at
-    /// their new dense offsets; everything else (golden digests, program
-    /// outcomes, GA memos, accepted inputs, the selection) is dropped
-    /// for recompute; and the WAL is rewritten under the new header.
-    /// [`CampaignJournal::open`] keeps its strict refuse semantics.
+    /// [`CampaignJournal::open`]; the section map is not journaled. Kept
+    /// for the benchmark package, which still calls it.
+    #[doc(hidden)]
     pub fn open_with_sections(
         dir: &Path,
         module_fp: u64,
         config_fp: u64,
-        sections: &[(u64, u64, u64)],
+        _sections: &[(u64, u64, u64)],
         store: Option<Arc<ArtifactStore>>,
     ) -> Result<Self, JournalError> {
-        match Self::open_with_store(dir, module_fp, config_fp, store.clone()) {
-            Ok(j) => {
-                j.record_section_map(sections);
-                Ok(j)
-            }
-            Err(JournalError::Mismatch { expected, found })
-                if found.1 == config_fp && found.0 != module_fp =>
-            {
-                match Self::open_remapped(dir, module_fp, config_fp, sections, store, found)? {
-                    Some(j) => Ok(j),
-                    // no section map in the old log (pre-incremental
-                    // journal): fall back to the strict refusal
-                    None => Err(JournalError::Mismatch { expected, found }),
-                }
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Rebuild the journal from an old module's log by translating dense
-    /// instruction keys through matching sections. `Ok(None)` means the
-    /// old log has no section map and cannot be remapped.
-    fn open_remapped(
-        dir: &Path,
-        module_fp: u64,
-        config_fp: u64,
-        sections: &[(u64, u64, u64)],
-        store: Option<Arc<ArtifactStore>>,
-        old_pair: (u64, u64),
-    ) -> Result<Option<Self>, JournalError> {
-        let path = dir.join(WAL_FILE);
-        let (writer, recovery) = open_wal(&path)?;
-        drop(writer); // the log is rewritten below
-        let mut old = State::default();
-        if let Some(store) = &store {
-            if let Ok(Some((_, bytes))) =
-                store.load_named(WAL_ARTIFACT, &wal_ref_name(old_pair.0, old_pair.1))
-            {
-                for rec in wal::scan_bytes(&bytes).records {
-                    old.apply(rec);
-                }
-            }
-        }
-        for rec in recovery.records {
-            old.apply(rec);
-        }
-        let Some(old_map) = old.sections.take() else {
-            return Ok(None);
-        };
-
-        // Pair old and new sections that share (fingerprint, length), in
-        // function order, so duplicated functions match positionally.
-        let mut pool: HashMap<(u64, u64), VecDeque<u64>> = HashMap::new();
-        for &(fp, base, len) in &old_map {
-            if len > 0 {
-                pool.entry((fp, len)).or_default().push_back(base);
-            }
-        }
-        // (old dense base, length, new dense base) per surviving section
-        let mut intervals: Vec<(u64, u64, u64)> = Vec::new();
-        for &(fp, base, len) in sections {
-            if len == 0 {
-                continue;
-            }
-            if let Some(old_base) = pool.get_mut(&(fp, len)).and_then(VecDeque::pop_front) {
-                intervals.push((old_base, len, base));
-            }
-        }
-        intervals.sort_unstable();
-        let map_dense = |d: u64| -> Option<u64> {
-            let i = intervals.partition_point(|&(ob, _, _)| ob <= d);
-            let &(ob, len, nb) = intervals.get(i.checked_sub(1)?)?;
-            (d - ob < len).then(|| nb + (d - ob))
-        };
-
-        // Only facts keyed by a dense instruction inside a surviving
-        // section carry over; everything module-global is recomputed.
-        let mut state = State::default();
-        for (&(input_fp, dense, k), &outcome) in &old.per_inst {
-            if let Some(nd) = map_dense(dense) {
-                state.per_inst.insert((input_fp, nd, k), outcome);
-            }
-        }
-        state.sections = Some(sections.to_vec());
-
-        let records = state.snapshot(module_fp, config_fp);
-        let writer = rewrite_wal(&path, &records)?;
-        let recovered_records = state.per_inst.len() as u64;
-        minpsid_trace::emit(minpsid_trace::Event::JournalRecovery {
-            records: recovered_records,
-            truncated_bytes: recovery.truncated_bytes,
-            dropped_records: recovery.dropped_records,
-        });
-
-        Ok(Some(CampaignJournal {
-            dir: dir.to_path_buf(),
-            module_fp,
-            config_fp,
-            state: RwLock::new(state),
-            writer: Mutex::new(writer),
-            served: AtomicU64::new(0),
-            appended: AtomicU64::new(0),
-            recovered_records,
-            truncated_bytes: recovery.truncated_bytes,
-            dropped_records: recovery.dropped_records,
-            store,
-        }))
+        Self::open(dir, module_fp, config_fp, store)
     }
 
     /// Directory this journal lives in (for "resume with ..." hints).
@@ -540,12 +425,24 @@ impl CampaignJournal {
     }
 
     fn append(&self, rec: Record) {
+        self.append_fact(rec, true);
+    }
+
+    /// Append `rec`; `ran` says whether its fact is new work. A fact a
+    /// sealed table served is already durable and digest-verified in the
+    /// store, so its record does not advance the fsync cadence
+    /// ([`WalWriter::append_served`]).
+    fn append_fact(&self, rec: Record, ran: bool) {
         {
             let mut w = self.writer.lock().unwrap_or_else(|e| e.into_inner());
             // a failed append degrades durability, not correctness: the
             // in-memory state stays right, so the run completes and only
             // resumability of the un-appended span is lost
-            let _ = w.append(&rec);
+            let _ = if ran {
+                w.append(&rec)
+            } else {
+                w.append_served(&rec)
+            };
         }
         self.appended.fetch_add(1, Ordering::Relaxed);
         let mut st = self.state.write().unwrap_or_else(|e| e.into_inner());
@@ -579,13 +476,16 @@ impl CampaignJournal {
         hit
     }
 
-    pub fn record_per_inst(&self, input_fp: u64, dense: u64, k: u64, outcome: u8) {
-        self.append(Record::PerInstOutcome {
+    /// Journal one per-instruction outcome; `ran` is false when a sealed
+    /// table served it rather than an injection.
+    pub fn record_per_inst(&self, input_fp: u64, dense: u64, k: u64, outcome: u8, ran: bool) {
+        let rec = Record::PerInstOutcome {
             input_fp,
             dense,
             k,
             outcome,
-        });
+        };
+        self.append_fact(rec, ran);
     }
 
     pub fn program_outcome(&self, input_fp: u64, index: u64) -> Option<u8> {
@@ -596,12 +496,15 @@ impl CampaignJournal {
         hit
     }
 
-    pub fn record_program(&self, input_fp: u64, index: u64, outcome: u8) {
-        self.append(Record::ProgramOutcome {
+    /// Journal one whole-program outcome; `ran` as for
+    /// [`record_per_inst`](Self::record_per_inst).
+    pub fn record_program(&self, input_fp: u64, index: u64, outcome: u8, ran: bool) {
+        let rec = Record::ProgramOutcome {
             input_fp,
             index,
             outcome,
-        });
+        };
+        self.append_fact(rec, ran);
     }
 
     // --- GA evaluation memos ---
@@ -648,23 +551,6 @@ impl CampaignJournal {
     pub fn record_selection(&self, bits: &[bool]) {
         self.append(Record::Selection {
             bits: bits.to_vec(),
-        });
-    }
-
-    // --- section map ---
-
-    /// The journaled per-section module identity, if any.
-    pub fn section_map(&self) -> Option<Vec<(u64, u64, u64)>> {
-        self.read().sections.clone()
-    }
-
-    /// Journal the module's per-section identity (idempotent).
-    pub fn record_section_map(&self, entries: &[(u64, u64, u64)]) {
-        if self.read().sections.as_deref() == Some(entries) {
-            return;
-        }
-        self.append(Record::SectionMap {
-            entries: entries.to_vec(),
         });
     }
 
@@ -740,17 +626,17 @@ mod tests {
     fn outcomes_survive_reopen() {
         let dir = tmpdir("reopen");
         {
-            let j = CampaignJournal::open(&dir, 10, 20).unwrap();
+            let j = CampaignJournal::open(&dir, 10, 20, None).unwrap();
             j.record_golden(1, 111, 5000);
-            j.record_per_inst(1, 3, 0, 2);
-            j.record_per_inst(1, 3, 1, 0);
-            j.record_program(1, 9, 1);
+            j.record_per_inst(1, 3, 0, 2, true);
+            j.record_per_inst(1, 3, 1, 0, true);
+            j.record_program(1, 9, 1, true);
             j.record_eval(77, &[1, 2, 3]);
             j.record_accepted(0, 77);
             j.record_selection(&[true, false, true]);
             j.sync().unwrap();
         }
-        let j = CampaignJournal::open(&dir, 10, 20).unwrap();
+        let j = CampaignJournal::open(&dir, 10, 20, None).unwrap();
         assert_eq!(j.golden_digest(1), Some((111, 5000)));
         assert_eq!(j.per_inst_outcome(1, 3, 0), Some(2));
         assert_eq!(j.per_inst_outcome(1, 3, 1), Some(0));
@@ -769,112 +655,74 @@ mod tests {
     fn mismatched_fingerprints_refuse_to_resume() {
         let dir = tmpdir("mismatch");
         {
-            let j = CampaignJournal::open(&dir, 1, 2).unwrap();
+            let j = CampaignJournal::open(&dir, 1, 2, None).unwrap();
             j.record_golden(1, 1, 1);
             j.sync().unwrap();
         }
+        // another config — with the same module or another one — means
+        // other campaign questions: refuse
         assert!(matches!(
-            CampaignJournal::open(&dir, 1, 3),
+            CampaignJournal::open(&dir, 1, 3, None),
             Err(JournalError::Mismatch { .. })
         ));
         assert!(matches!(
-            CampaignJournal::open(&dir, 9, 2),
+            CampaignJournal::open(&dir, 9, 3, None),
             Err(JournalError::Mismatch { .. })
         ));
-        // the right pair still opens
-        assert!(CampaignJournal::open(&dir, 1, 2).is_ok());
+        // a refusal leaves the log alone: the right pair still resumes
+        let j = CampaignJournal::open(&dir, 1, 2, None).unwrap();
+        assert_eq!(j.golden_digest(1), Some((1, 1)));
     }
 
     #[test]
-    fn section_map_round_trips_and_survives_compaction() {
-        let dir = tmpdir("secmap");
-        let map = [(0xaa, 0, 4), (0xbb, 4, 6)];
+    fn edited_module_supersedes_the_log_and_the_snapshot_returns_on_revert() {
+        let dir = tmpdir("supersede");
+        let store = Arc::new(ArtifactStore::open(&dir.join("store")).unwrap());
         {
-            let j = CampaignJournal::open_with_sections(&dir, 1, 2, &map, None).unwrap();
-            assert_eq!(j.section_map().as_deref(), Some(&map[..]));
-            j.record_section_map(&map); // idempotent: no second record
-            let (_, appended) = j.usage();
-            assert_eq!(appended, 1);
-            j.compact().unwrap();
-        }
-        let j = CampaignJournal::open(&dir, 1, 2).unwrap();
-        assert_eq!(j.section_map().as_deref(), Some(&map[..]));
-    }
-
-    #[test]
-    fn edited_module_remaps_surviving_sections_and_drops_the_rest() {
-        let dir = tmpdir("remap");
-        // module A: func a = insts [0,4), func b = insts [4,10)
-        let old_map = [(0xaa, 0, 4), (0xbb, 4, 6)];
-        {
-            let j = CampaignJournal::open_with_sections(&dir, 100, 2, &old_map, None).unwrap();
+            let j = CampaignJournal::open(&dir, 100, 2, Some(store.clone())).unwrap();
             j.record_golden(1, 111, 5000);
-            j.record_per_inst(1, 1, 0, 2); // func a: dropped by the edit
-            j.record_per_inst(1, 5, 3, 4); // func b, offset 1: survives
-            j.record_program(1, 0, 1);
-            j.record_eval(77, &[1, 2]);
-            j.record_selection(&[true; 10]);
+            j.record_per_inst(1, 5, 3, 4, true);
+            j.compact().unwrap(); // publishes module 100's snapshot
+            j.record_program(1, 0, 1, true); // live only
             j.sync().unwrap();
         }
-        // module B: func a edited (new fp, now 5 insts), func b untouched
-        // but shifted to base 5
-        let new_map = [(0xcc, 0, 5), (0xbb, 5, 6)];
-        let j = CampaignJournal::open_with_sections(&dir, 200, 2, &new_map, None).unwrap();
-        // surviving section's facts follow their section to the new base
-        assert_eq!(j.per_inst_outcome(1, 6, 3), Some(4));
-        // edited section's facts and module-global facts are gone
-        assert_eq!(j.per_inst_outcome(1, 1, 0), None);
+        // the program was edited (same config): nothing of module 100's
+        // carries over, and the log holds only the new header
+        let j = CampaignJournal::open(&dir, 200, 2, Some(store.clone())).unwrap();
+        assert_eq!(j.recovery_stats().0, 0);
+        assert_eq!(j.per_inst_outcome(1, 5, 3), None);
         assert_eq!(j.golden_digest(1), None);
-        assert_eq!(j.program_outcome(1, 0), None);
-        assert_eq!(j.eval_profile(77), None);
-        assert_eq!(j.selection(), None);
-        assert_eq!(j.section_map().as_deref(), Some(&new_map[..]));
+        assert_eq!(
+            std::fs::read(dir.join(WAL_FILE)).unwrap(),
+            encode_records(&[Record::Header {
+                module_fp: 200,
+                config_fp: 2
+            }])
+        );
+        j.record_per_inst(1, 6, 3, 0, true);
+        j.sync().unwrap();
         drop(j);
-        // the rewritten WAL now belongs to module B: a plain open works
-        // and the carried facts are durable
-        let j = CampaignJournal::open(&dir, 200, 2).unwrap();
-        assert_eq!(j.per_inst_outcome(1, 6, 3), Some(4));
-        // ...and the old module refuses, as it must
-        assert!(matches!(
-            CampaignJournal::open(&dir, 100, 2),
-            Err(JournalError::Mismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn remap_requires_a_section_map_and_a_matching_config() {
-        let dir = tmpdir("remap-refuse");
-        let map = [(0xaa, 0, 4)];
-        {
-            // old log written without a section map
-            let j = CampaignJournal::open(&dir, 100, 2).unwrap();
-            j.record_per_inst(1, 1, 0, 2);
-            j.sync().unwrap();
-        }
-        assert!(matches!(
-            CampaignJournal::open_with_sections(&dir, 200, 2, &map, None),
-            Err(JournalError::Mismatch { .. })
-        ));
-        let dir = tmpdir("remap-refuse-cfg");
-        {
-            let j = CampaignJournal::open_with_sections(&dir, 100, 2, &map, None).unwrap();
-            j.sync().unwrap();
-        }
-        // config changed: dense keys may mean different things; refuse
-        assert!(matches!(
-            CampaignJournal::open_with_sections(&dir, 200, 3, &map, None),
-            Err(JournalError::Mismatch { .. })
-        ));
+        // the edit is undone: module 100's compacted facts come back from
+        // its snapshot; the fact it never compacted is recomputed
+        let j = CampaignJournal::open(&dir, 100, 2, Some(store)).unwrap();
+        assert_eq!(j.golden_digest(1), Some((111, 5000)));
+        assert_eq!(j.per_inst_outcome(1, 5, 3), Some(4));
+        assert_eq!(j.program_outcome(1, 0), None);
+        assert_eq!(j.per_inst_outcome(1, 6, 3), None);
+        drop(j);
+        // without a store nothing returns
+        let j = CampaignJournal::open(&dir, 200, 2, None).unwrap();
+        assert_eq!(j.recovery_stats().0, 0);
     }
 
     #[test]
     fn compaction_preserves_state_and_shrinks_log() {
         let dir = tmpdir("compact");
-        let j = CampaignJournal::open(&dir, 5, 6).unwrap();
+        let j = CampaignJournal::open(&dir, 5, 6, None).unwrap();
         // write the same key many times: only the last survives compaction
         for i in 0..200u64 {
-            j.record_per_inst(1, 0, 0, (i % 6) as u8);
-            j.record_per_inst(1, 0, i, 1);
+            j.record_per_inst(1, 0, 0, (i % 6) as u8, true);
+            j.record_per_inst(1, 0, i, 1, true);
         }
         j.sync().unwrap();
         let before = std::fs::metadata(dir.join(WAL_FILE)).unwrap().len();
@@ -882,7 +730,7 @@ mod tests {
         let after = std::fs::metadata(dir.join(WAL_FILE)).unwrap().len();
         assert!(after < before, "compaction shrinks ({before} -> {after})");
         drop(j);
-        let j = CampaignJournal::open(&dir, 5, 6).unwrap();
+        let j = CampaignJournal::open(&dir, 5, 6, None).unwrap();
         assert_eq!(j.per_inst_outcome(1, 0, 0), Some((199 % 6) as u8));
         assert_eq!(j.per_inst_outcome(1, 0, 150), Some(1));
     }
@@ -903,12 +751,12 @@ mod tests {
         let dir = tmpdir("snap-restore");
         let store = Arc::new(ArtifactStore::open(&dir.join("store")).unwrap());
         {
-            let j = CampaignJournal::open_with_store(&dir, 5, 6, Some(store.clone())).unwrap();
+            let j = CampaignJournal::open(&dir, 5, 6, Some(store.clone())).unwrap();
             j.record_golden(1, 111, 5000);
-            j.record_per_inst(1, 3, 0, 2);
+            j.record_per_inst(1, 3, 0, 2, true);
             j.sync().unwrap();
             j.compact().unwrap(); // publishes the snapshot artifact
-            j.record_program(1, 9, 1); // post-snapshot fact
+            j.record_program(1, 9, 1, true); // post-snapshot fact
             j.sync().unwrap();
         }
         // Rot a byte inside frame 1 (the GoldenDigest record): the live
@@ -919,7 +767,7 @@ mod tests {
         bytes[pos] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
 
-        let j = CampaignJournal::open_with_store(&dir, 5, 6, Some(store)).unwrap();
+        let j = CampaignJournal::open(&dir, 5, 6, Some(store)).unwrap();
         // intact frames past the corruption (per_inst + program) counted
         assert_eq!(j.dropped_records(), 2);
         // compacted facts come back from the verified snapshot...
@@ -937,7 +785,7 @@ mod tests {
         let store_dir = dir.join("store");
         let store = Arc::new(ArtifactStore::open(&store_dir).unwrap());
         {
-            let j = CampaignJournal::open_with_store(&dir, 5, 6, Some(store.clone())).unwrap();
+            let j = CampaignJournal::open(&dir, 5, 6, Some(store.clone())).unwrap();
             j.record_golden(1, 111, 5000);
             j.sync().unwrap();
             j.compact().unwrap();
@@ -961,7 +809,7 @@ mod tests {
 
         // open succeeds from the intact live log; the rotten snapshot is
         // quarantined, not consumed
-        let j = CampaignJournal::open_with_store(&dir, 5, 6, Some(store.clone())).unwrap();
+        let j = CampaignJournal::open(&dir, 5, 6, Some(store.clone())).unwrap();
         assert_eq!(j.golden_digest(1), Some((111, 5000)));
         assert_eq!(store.quarantined_count().unwrap(), 1);
         assert!(!obj.exists());

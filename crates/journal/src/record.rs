@@ -17,8 +17,10 @@ use minpsid_store::bytes::{put_u64, Reader};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Record {
     /// First record of every journal: which (module, config) the log
-    /// belongs to. Resume refuses to proceed under a different pair —
-    /// replaying outcomes of a different program would be silent garbage.
+    /// belongs to. Only the same pair resumes. Another module under the
+    /// same config (the program was edited) supersedes the log: it is
+    /// rewritten to hold just the new header. Another config is refused —
+    /// replaying outcomes of a different campaign would be silent garbage.
     Header { module_fp: u64, config_fp: u64 },
     /// Digest of a completed golden run for one input. Resume re-executes
     /// golden runs (they are cheap relative to campaigns) and verifies
@@ -61,13 +63,11 @@ pub enum Record {
         dense: u64,
         reason: u8,
     },
-    /// Per-section identity of the module this WAL belongs to: one
-    /// `(fingerprint, dense base, instruction count)` triple per
-    /// function, in function order. A later open against an *edited*
-    /// module (same config) uses this to remap per-instruction facts:
-    /// sections whose fingerprint and length survive the edit keep their
-    /// outcomes at their new dense offsets; facts in edited sections are
-    /// dropped and recomputed. The latest map wins.
+    /// Retired: a module's per-section identity (`(fingerprint, dense
+    /// base, instruction count)` per function), which older journals hold.
+    /// Outcomes cross an edit only through the store's sealed section
+    /// tables, so nothing writes or reads it, but it still decodes — like
+    /// [`Record::Quarantine`].
     SectionMap { entries: Vec<(u64, u64, u64)> },
 }
 
@@ -84,6 +84,7 @@ const TAG_QUARANTINE: u8 = 8;
 // 9 is reserved: it was `ShardUnit`, written only into the spool segments
 // of the process fleet removed in PR 19 (never into a campaign WAL), and
 // is never reused.
+// 10 is retired like 8: older campaign WALs hold it, so it still decodes.
 const TAG_SECTION_MAP: u8 = 10;
 
 impl Record {

@@ -11,8 +11,10 @@
 //! Durability model: every frame is `write_all`'d directly to the file
 //! (no userspace buffering), so a SIGKILL loses at most the frame being
 //! written — the OS page cache holds everything already written. `fsync`
-//! is batched (every [`WalWriter::FSYNC_EVERY`] frames plus explicit
-//! [`WalWriter::sync`] calls) and only matters for power loss. Either
+//! is batched (every [`WalWriter::FSYNC_EVERY`] frames of new work plus
+//! explicit [`WalWriter::sync`] calls) and only matters for power loss: a
+//! frame whose fact a sealed table served ([`WalWriter::append_served`])
+//! is already durable in the store and does not count. Either
 //! way the tail of the file may be torn or half-written; recovery walks
 //! frames from the start and truncates the file at the first frame whose
 //! length, checksum, or payload fails to validate. Everything before
@@ -149,14 +151,28 @@ pub fn encode_records(records: &[Record]) -> Vec<u8> {
 /// `fsync` is batched.
 pub struct WalWriter {
     file: File,
+    /// Frames of new work written since the last fsync: what the cadence
+    /// counts.
     unsynced: u32,
+    /// Anything written since the last fsync, counted or not.
+    dirty: bool,
     fsync_every: u32,
 }
 
 impl WalWriter {
-    /// How many appended frames may await fsync (power-loss exposure
-    /// window; process crashes lose nothing regardless).
+    /// How many appended frames of new work may await fsync (power-loss
+    /// exposure window; process crashes lose nothing regardless).
     pub const FSYNC_EVERY: u32 = 64;
+
+    /// A writer appending at `file`'s cursor.
+    fn new(file: File) -> Self {
+        WalWriter {
+            file,
+            unsynced: 0,
+            dirty: false,
+            fsync_every: Self::FSYNC_EVERY,
+        }
+    }
 
     /// Override the automatic fsync cadence. `0` disables periodic
     /// fsync entirely: only explicit [`sync`](Self::sync) calls hit
@@ -172,12 +188,25 @@ impl WalWriter {
         self.append_batch(std::slice::from_ref(record))
     }
 
+    /// [`append`](Self::append) a record whose fact is already durable
+    /// elsewhere — an outcome a sealed table served, digest-verified in
+    /// the store. Same frame, but it does not advance the fsync cadence;
+    /// the next [`sync`](Self::sync) still covers it.
+    pub fn append_served(&mut self, record: &Record) -> io::Result<()> {
+        self.write_frames(std::slice::from_ref(record), 0)
+    }
+
     /// Append several records with a single `write` — frame encoding is
     /// identical to one [`append`](Self::append) per record, but a
     /// high-rate writer pays one syscall per batch instead of one per
     /// record. A crash loses at most the batch being written, which
     /// batching callers must already tolerate.
     pub fn append_batch(&mut self, records: &[Record]) -> io::Result<()> {
+        self.write_frames(records, records.len() as u32)
+    }
+
+    /// Write `records` with one `write`, `ran` of them new work.
+    fn write_frames(&mut self, records: &[Record], ran: u32) -> io::Result<()> {
         if records.is_empty() {
             return Ok(());
         }
@@ -186,7 +215,8 @@ impl WalWriter {
             put_frame(&mut buf, record);
         }
         self.file.write_all(&buf)?;
-        self.unsynced += records.len() as u32;
+        self.dirty = true;
+        self.unsynced += ran;
         if self.fsync_every > 0 && self.unsynced >= self.fsync_every {
             self.sync()?;
         }
@@ -195,8 +225,9 @@ impl WalWriter {
 
     /// Force everything appended so far to stable storage.
     pub fn sync(&mut self) -> io::Result<()> {
-        if self.unsynced > 0 {
+        if self.dirty {
             self.file.sync_data()?;
+            self.dirty = false;
             self.unsynced = 0;
         }
         Ok(())
@@ -226,14 +257,7 @@ pub fn open_wal(path: &Path) -> io::Result<(WalWriter, Recovery)> {
         file.write_all(&MAGIC)?;
         file.write_all(&VERSION.to_le_bytes())?;
         file.sync_data()?;
-        return Ok((
-            WalWriter {
-                file,
-                unsynced: 0,
-                fsync_every: WalWriter::FSYNC_EVERY,
-            },
-            Recovery::default(),
-        ));
+        return Ok((WalWriter::new(file), Recovery::default()));
     }
 
     let mut recovery = scan_bytes(&bytes);
@@ -275,14 +299,7 @@ pub fn open_wal(path: &Path) -> io::Result<(WalWriter, Recovery)> {
     use std::io::Seek;
     file.seek(io::SeekFrom::Start(recovery.valid_len))?;
     recovery.records.shrink_to_fit();
-    Ok((
-        WalWriter {
-            file,
-            unsynced: 0,
-            fsync_every: WalWriter::FSYNC_EVERY,
-        },
-        recovery,
-    ))
+    Ok((WalWriter::new(file), recovery))
 }
 
 /// Read-only scan of the log at `path`: recover the intact record prefix
@@ -309,11 +326,7 @@ pub fn rewrite_wal(path: &Path, records: &[Record]) -> io::Result<WalWriter> {
     let mut file = OpenOptions::new().write(true).open(path)?;
     use std::io::Seek;
     file.seek(io::SeekFrom::End(0))?;
-    Ok(WalWriter {
-        file,
-        unsynced: 0,
-        fsync_every: WalWriter::FSYNC_EVERY,
-    })
+    Ok(WalWriter::new(file))
 }
 
 #[cfg(test)]
@@ -351,6 +364,33 @@ mod tests {
         assert_eq!(rec.records.len(), 100);
         assert_eq!(rec.truncated_bytes, 0);
         assert_eq!(rec.records[41], sample(41));
+    }
+
+    #[test]
+    fn served_frames_do_not_advance_the_fsync_cadence() {
+        let dir = tmpdir("cadence");
+        let path = dir.join("j.wal");
+        let (mut w, _) = open_wal(&path).unwrap();
+        for i in 0..200 {
+            w.append_served(&sample(i)).unwrap();
+        }
+        assert_eq!((w.unsynced, w.dirty), (0, true), "no fsync was due");
+        for i in 0..WalWriter::FSYNC_EVERY as u64 - 1 {
+            w.append(&sample(i)).unwrap();
+        }
+        assert_eq!(w.unsynced, WalWriter::FSYNC_EVERY - 1);
+        w.append(&sample(0)).unwrap();
+        assert_eq!(
+            (w.unsynced, w.dirty),
+            (0, false),
+            "the 64th run frame syncs"
+        );
+        w.append_served(&sample(1)).unwrap();
+        w.sync().unwrap();
+        assert!(!w.dirty, "sync covers served frames");
+        drop(w);
+        let (_, rec) = open_wal(&path).unwrap();
+        assert_eq!(rec.records.len(), 200 + WalWriter::FSYNC_EVERY as usize + 1);
     }
 
     #[test]

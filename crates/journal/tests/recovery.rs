@@ -18,9 +18,9 @@ fn wal_path(dir: &Path) -> PathBuf {
 
 /// Write a journal with `n` per-inst outcomes and return the wal bytes.
 fn seed_journal(dir: &Path, n: u64) -> Vec<u8> {
-    let j = CampaignJournal::open(dir, 0xAB, 0xCD).unwrap();
+    let j = CampaignJournal::open(dir, 0xAB, 0xCD, None).unwrap();
     for i in 0..n {
-        j.record_per_inst(1, i, 0, (i % 6) as u8);
+        j.record_per_inst(1, i, 0, (i % 6) as u8, true);
     }
     j.sync().unwrap();
     drop(j);
@@ -34,7 +34,7 @@ fn truncated_tail_reopens_at_last_valid_record() {
 
     // chop off part of the last frame (simulates a crash mid-write)
     std::fs::write(wal_path(&dir), &full[..full.len() - 7]).unwrap();
-    let j = CampaignJournal::open(&dir, 0xAB, 0xCD).unwrap();
+    let j = CampaignJournal::open(&dir, 0xAB, 0xCD, None).unwrap();
     let (recovered, truncated) = j.recovery_stats();
     assert_eq!(recovered, 49, "only the torn final record is lost");
     assert!(truncated > 0);
@@ -45,7 +45,7 @@ fn truncated_tail_reopens_at_last_valid_record() {
     drop(j);
 
     // the truncation is durable: a second reopen sees a clean log
-    let j = CampaignJournal::open(&dir, 0xAB, 0xCD).unwrap();
+    let j = CampaignJournal::open(&dir, 0xAB, 0xCD, None).unwrap();
     assert_eq!(j.recovery_stats(), (49, 0));
 }
 
@@ -59,7 +59,7 @@ fn bit_flipped_tail_record_is_dropped_and_prefix_kept() {
     bytes[n - 2] ^= 0x10;
     std::fs::write(wal_path(&dir), &bytes).unwrap();
 
-    let j = CampaignJournal::open(&dir, 0xAB, 0xCD).unwrap();
+    let j = CampaignJournal::open(&dir, 0xAB, 0xCD, None).unwrap();
     let (recovered, truncated) = j.recovery_stats();
     assert_eq!(recovered, 29);
     assert!(truncated > 0, "corrupt frame counts as truncated tail");
@@ -79,7 +79,7 @@ fn mid_log_corruption_keeps_only_the_prefix() {
     bytes[mid] ^= 0xFF;
     std::fs::write(wal_path(&dir), &bytes).unwrap();
 
-    let j = CampaignJournal::open(&dir, 0xAB, 0xCD).unwrap();
+    let j = CampaignJournal::open(&dir, 0xAB, 0xCD, None).unwrap();
     let (recovered, truncated) = j.recovery_stats();
     assert!(recovered < 40);
     assert!(truncated > 0);
@@ -98,12 +98,12 @@ fn resume_after_crash_appends_cleanly() {
     // reopen (drops record 19), then write new work and reopen again:
     // the journal must hold the intact prefix plus the new records
     {
-        let j = CampaignJournal::open(&dir, 0xAB, 0xCD).unwrap();
-        j.record_per_inst(1, 19, 0, 5);
-        j.record_per_inst(2, 0, 0, 3);
+        let j = CampaignJournal::open(&dir, 0xAB, 0xCD, None).unwrap();
+        j.record_per_inst(1, 19, 0, 5, true);
+        j.record_per_inst(2, 0, 0, 3, true);
         j.sync().unwrap();
     }
-    let j = CampaignJournal::open(&dir, 0xAB, 0xCD).unwrap();
+    let j = CampaignJournal::open(&dir, 0xAB, 0xCD, None).unwrap();
     assert_eq!(j.recovery_stats().1, 0, "no torn tail after clean close");
     assert_eq!(j.per_inst_outcome(1, 18, 0), Some(0));
     assert_eq!(j.per_inst_outcome(1, 19, 0), Some(5));
@@ -114,7 +114,7 @@ fn resume_after_crash_appends_cleanly() {
 fn wrong_run_is_refused_with_a_mismatch_error() {
     let dir = tmpdir("mismatch");
     seed_journal(&dir, 3);
-    match CampaignJournal::open(&dir, 0xAB, 0xFF) {
+    match CampaignJournal::open(&dir, 0xAB, 0xFF, None) {
         Err(JournalError::Mismatch { expected, found }) => {
             assert_eq!(expected, (0xAB, 0xFF));
             assert_eq!(found, (0xAB, 0xCD));

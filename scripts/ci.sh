@@ -107,84 +107,6 @@ grep '"kind":"campaign_end"' "$TRACE_TMP/dedup.jsonl" | grep -Eq '"deduped":[1-9
 grep '"kind":"campaign_end"' "$TRACE_TMP/dedup.jsonl" | grep -Eq '"hangs_proved":[1-9]' \
   || { echo "campaign_end reports no proved hang"; exit 1; }
 
-echo "== incremental smoke (cold seal -> edit one fn -> O(diff) re-campaign)"
-# compositional FI at the CLI: a cold store-backed campaign seals
-# per-section outcome tables; editing one leaf function (same value,
-# same instruction count, different fingerprint) and re-running against
-# the same store re-executes only the edited section and its caller,
-# yet prints the exact bytes a from-scratch campaign of the edited
-# program prints
-INCR_MC="$TRACE_TMP/incr.mc"
-cat > "$INCR_MC" <<'MC'
-fn heavy_a(n: int) -> int {
-    let acc = 1;
-    for i = 0 to n {
-        let t = i * 3 + 7;
-        let u = t * t - i * 2;
-        let v = u + t - 5;
-        acc = acc + v - u;
-    }
-    return acc;
-}
-fn heavy_b(n: int) -> int {
-    let acc = 1;
-    for i = 0 to n {
-        let t = i * 5 + 7;
-        let u = t * t - i * 2;
-        let v = u + t - 5;
-        acc = acc + v - u;
-    }
-    return acc;
-}
-fn tweak(x: int) -> int {
-    return x * 2;
-}
-fn main() {
-    let n = arg_i(0);
-    let a = heavy_a(n);
-    let b = heavy_b(n);
-    out_i(tweak(a));
-    out_i(tweak(b));
-}
-MC
-INCR_ARGS=(fi "$INCR_MC" --args i:32 --injections 400 --seed 7)
-rm -rf "$TRACE_TMP/incr-store"
-"$CLI" "${INCR_ARGS[@]}" --store "$TRACE_TMP/incr-store" \
-  > "$TRACE_TMP/incr-cold.txt" 2> "$TRACE_TMP/incr-cold-err.txt"
-grep -Eq "[1-9][0-9]* tables sealed" "$TRACE_TMP/incr-cold-err.txt" \
-  || { echo "cold run sealed no section tables"; exit 1; }
-# edit one leaf function in place: x * 2 -> x + x computes the same
-# value with the same instruction count, so every untouched section's
-# sealed table stays valid while tweak's fingerprint (and its caller's)
-# changes
-sed -i 's/return x \* 2;/return x + x;/' "$INCR_MC"
-grep -q "return x + x;" "$INCR_MC"
-# from-scratch reference campaign of the edited program (no store)
-"$CLI" "${INCR_ARGS[@]}" > "$TRACE_TMP/incr-scratch.txt" 2>/dev/null
-# incremental re-campaign over the sealed store: composed report must
-# diff clean against from-scratch
-"$CLI" "${INCR_ARGS[@]}" --store "$TRACE_TMP/incr-store" \
-  > "$TRACE_TMP/incr-warm.txt" 2> "$TRACE_TMP/incr-warm-err.txt"
-diff "$TRACE_TMP/incr-scratch.txt" "$TRACE_TMP/incr-warm.txt"
-# only the edited section (plus its caller) re-executed: >5x fewer
-# injections than the cold campaign, the rest served from tables
-COLD_EXEC="$(sed -n 's/.*tables, \([0-9]*\) executed.*/\1/p' "$TRACE_TMP/incr-cold-err.txt")"
-INCR_EXEC="$(sed -n 's/.*tables, \([0-9]*\) executed.*/\1/p' "$TRACE_TMP/incr-warm-err.txt")"
-INCR_SERVED="$(sed -n 's/.*; \([0-9]*\) injections served.*/\1/p' "$TRACE_TMP/incr-warm-err.txt")"
-test -n "$COLD_EXEC" && test -n "$INCR_EXEC" && test -n "$INCR_SERVED" \
-  || { echo "missing sections: diag line on a store-backed run"; exit 1; }
-test "$INCR_SERVED" -gt 0 \
-  || { echo "incremental re-campaign served nothing from tables"; exit 1; }
-test $((INCR_EXEC * 5)) -lt "$COLD_EXEC" \
-  || { echo "re-campaign not O(diff): executed $INCR_EXEC of $COLD_EXEC cold injections"; exit 1; }
-# --no-incremental is the escape hatch: same store, no table layer
-"$CLI" "${INCR_ARGS[@]}" --store "$TRACE_TMP/incr-store" --no-incremental \
-  > /dev/null 2> "$TRACE_TMP/incr-off-err.txt"
-if grep -q "sections:" "$TRACE_TMP/incr-off-err.txt"; then
-  echo "--no-incremental still engaged the table layer"; exit 1
-fi
-echo "incremental smoke: cold $COLD_EXEC executed; edit re-ran $INCR_EXEC, served $INCR_SERVED"
-
 echo "== oracle-isolation guard (the reference tree walk is reachable from tests only)"
 # `minpsid_interp::oracle` is what the decoded engine is compared with
 # (crates/interp/tests/decode_props.rs, tests/engine_equivalence.rs); a

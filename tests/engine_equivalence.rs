@@ -77,7 +77,7 @@ fn reports(
         "plain" => {}
         "sched" => engine = engine.with_scheduler(&sched),
         "journaled" => {
-            journal = CampaignJournal::open(&dir, 0, 0).expect("open journal");
+            journal = CampaignJournal::open(&dir, 0, 0, None).expect("open journal");
             engine = engine.with_journal(&journal, 1);
         }
         other => panic!("unknown mode {other}"),
@@ -135,7 +135,7 @@ fn checkpointed_per_inst_campaign_equals_cold_replay_on_every_kernel() {
             module.name,
             golden.checkpoints.len()
         ));
-        let journal = CampaignJournal::open(&dir, 0, 0).expect("open journal");
+        let journal = CampaignJournal::open(&dir, 0, 0, None).expect("open journal");
         let per_inst = CampaignEngine::new(module, input, golden, cfg)
             .with_journal(&journal, 1)
             .run_per_instruction()
@@ -226,7 +226,7 @@ fn every_planned_fault_resolved_alone_equals_the_engine() {
         .build();
     let golden = golden_run(&module, &input, &cfg).expect("golden run");
     let dir = journal_dir("planned-engine");
-    let journal = CampaignJournal::open(&dir, 0, 0).expect("open journal");
+    let journal = CampaignJournal::open(&dir, 0, 0, None).expect("open journal");
     let engine =
         CampaignEngine::new(&module, &input, &golden, &cfg).with_journal(&journal, INPUT_FP);
     let report = engine
@@ -251,7 +251,7 @@ fn every_planned_fault_resolved_alone_equals_the_engine() {
         status: vec![SiteStatus::Unsampled; n],
     };
     let ref_dir = journal_dir("planned-alone");
-    let ref_journal = CampaignJournal::open(&ref_dir, 0, 0).expect("open journal");
+    let ref_journal = CampaignJournal::open(&ref_dir, 0, 0, None).expect("open journal");
     let mut repeats = 0;
     for sec in &sections {
         for (i, &(dense, _, _)) in sec.sites.iter().enumerate() {
@@ -270,7 +270,13 @@ fn every_planned_fault_resolved_alone_equals_the_engine() {
                     "site {dense}, injection {k}: {fault:?}"
                 );
                 counts.record(outcome);
-                ref_journal.record_per_inst(INPUT_FP, dense as u64, k as u64, outcome.to_u8());
+                ref_journal.record_per_inst(
+                    INPUT_FP,
+                    dense as u64,
+                    k as u64,
+                    outcome.to_u8(),
+                    true,
+                );
             }
             expected.sdc_prob[dense] = counts.sdc_prob();
             expected.ci[dense] = sched.site_ci(counts.sdc, counts.total());
@@ -730,7 +736,7 @@ fn observability_on_and_off_produce_byte_identical_reports() {
 
     let run = |pass: &str| {
         let dir = journal_dir(&format!("observed-{pass}"));
-        let journal = CampaignJournal::open(&dir, 0, 0).expect("open journal");
+        let journal = CampaignJournal::open(&dir, 0, 0, None).expect("open journal");
         let engine = CampaignEngine::new(&module, &input, &golden, &cfg).with_journal(&journal, 1);
         let reports = ["program", "per_inst"].map(|shape| run_shape(shape, &engine));
         drop(journal);
@@ -806,7 +812,7 @@ fn sigkill_resume_child() {
     let (module, input, cfg) = sigkill_campaign(shape);
     let golden = golden_run(&module, &input, &cfg).expect("golden run");
     let journal =
-        CampaignJournal::open(std::path::Path::new(dir), 0, 0).expect("open child journal");
+        CampaignJournal::open(std::path::Path::new(dir), 0, 0, None).expect("open child journal");
     run_shape(
         shape,
         &CampaignEngine::new(&module, &input, &golden, &cfg).with_journal(&journal, 1),
@@ -863,13 +869,13 @@ fn sigkill_then_resume(shape: &str) {
     let (module, input, cfg) = sigkill_campaign(shape);
     let golden = golden_run(&module, &input, &cfg).expect("golden run");
     let whole_dir = journal_dir(&format!("never-killed-{shape}"));
-    let whole = CampaignJournal::open(&whole_dir, 0, 0).expect("open reference journal");
+    let whole = CampaignJournal::open(&whole_dir, 0, 0, None).expect("open reference journal");
     let never_killed = run_shape(
         shape,
         &CampaignEngine::new(&module, &input, &golden, &cfg).with_journal(&whole, 1),
     );
 
-    let journal = CampaignJournal::open(&dir, 0, 0).expect("reopen journal after SIGKILL");
+    let journal = CampaignJournal::open(&dir, 0, 0, None).expect("reopen journal after SIGKILL");
     let (recovered, _truncated) = journal.recovery_stats();
     assert!(
         recovered > 0,

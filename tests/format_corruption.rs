@@ -9,7 +9,8 @@
 //! bytes the retry scheduler removed in PR 22 left in journals and sealed
 //! tables (record tag 8, outcome byte 5, the program table's per-unit
 //! flag) are reserved, and a journal or store holding them is served as
-//! if they were not there.
+//! if they were not there. The journal's section map (record tag 10)
+//! lost its writer and its reader the same way.
 
 use minpsid_repro::faultsim::{
     golden_run, CampaignConfig, CampaignEngine, Outcome, TableMemo, TABLE_ARTIFACT,
@@ -117,15 +118,21 @@ fn wal_images() {
     let records = every_record();
     let good = encode_records(&records);
     assert_eq!(scan_bytes(&good).records, records);
-    // the image is a journal, retired quarantine record and all: what
-    // follows that record is still there
+    // the image is a journal, retired records and all: a fact recorded
+    // after the retired section map (tag 10) is still served
     let dir = scratch("wal-image");
-    std::fs::write(dir.join("campaign.wal"), &good).unwrap();
-    let journal = CampaignJournal::open(&dir, 1, u64::MAX).expect("the image is a journal");
-    assert_eq!(
-        journal.section_map().as_deref(),
-        Some(&[(0xdead_beef, 0, 12), (u64::MAX, 12, 3)][..])
-    );
+    let mut image = records.clone();
+    image.push(Record::PerInstOutcome {
+        input_fp: 16,
+        dense: 17,
+        k: 0,
+        outcome: 1,
+    });
+    std::fs::write(dir.join("campaign.wal"), encode_records(&image)).unwrap();
+    let journal = CampaignJournal::open(&dir, 1, u64::MAX, None).expect("the image is a journal");
+    assert!(matches!(image[image.len() - 2], Record::SectionMap { .. }));
+    assert_eq!(journal.per_inst_outcome(16, 17, 0), Some(1));
+    assert_eq!(journal.per_inst_outcome(9, 10, 11), Some(255));
     let _ = std::fs::remove_dir_all(&dir);
     for bad in mutations(&good) {
         let rec = scan_bytes(&bad);
@@ -163,7 +170,7 @@ fn a_journal_holding_retired_records_resumes_to_the_undisturbed_run() {
     cfg.per_inst_injections = 6;
     let golden = golden_run(&module, &input, &cfg).unwrap();
     let run = |dir: &std::path::Path| {
-        let journal = CampaignJournal::open(dir, 1, 2).unwrap();
+        let journal = CampaignJournal::open(dir, 1, 2, None).unwrap();
         let report = CampaignEngine::new(&module, &input, &golden, &cfg)
             .with_journal(&journal, 3)
             .run_per_instruction()

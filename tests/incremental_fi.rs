@@ -4,7 +4,9 @@
 //! re-execute only that section (plus its callers) — the O(diff)
 //! re-campaign the table layer exists for — while still producing the
 //! exact bytes a from-scratch campaign of the edited program produces,
-//! in both the reports and the journal's WAL.
+//! in both the reports and the journal's WAL. The tables are the only
+//! way outcomes cross an edit: a journal of the unedited program is
+//! superseded, never served to the edited one.
 
 use minpsid_repro::faultsim::{
     golden_run, CampaignConfig, CampaignConfigBuilder, CampaignEngine, CampaignJournal, GoldenRun,
@@ -13,7 +15,7 @@ use minpsid_repro::faultsim::{
 use minpsid_repro::interp::{ProgInput, Scalar};
 use minpsid_repro::ir::Module;
 use minpsid_repro::minic;
-use minpsid_repro::minpsid::input_fingerprint;
+use minpsid_repro::minpsid::{input_fingerprint, module_fingerprint};
 use minpsid_repro::store::ArtifactStore;
 use minpsid_repro::workloads;
 use proptest::prelude::*;
@@ -31,7 +33,7 @@ fn open_store(name: &str) -> Arc<ArtifactStore> {
 }
 
 /// Canonical report bytes for both campaign shapes, optionally memoized
-/// and optionally journaled (fresh WAL under fingerprints (0, 0)).
+/// and optionally journaled.
 fn reports(
     module: &Module,
     input: &ProgInput,
@@ -117,6 +119,10 @@ fn main() {{
 
 const TWEAK_V1: &str = "x * 2";
 const TWEAK_V2: &str = "x + x";
+/// A behaviour-changing edit with the same instruction count: every
+/// `heavy_*` section keeps its fingerprint and length, but no fault in
+/// one can reach the output any more.
+const TWEAK_ZERO: &str = "x - x";
 
 fn mini_module(tweak_body: &str) -> (Module, ProgInput) {
     let module = minic::compile(&mini_source(tweak_body), "mini").expect("mini program compiles");
@@ -211,9 +217,9 @@ fn editing_one_leaf_function_reexecutes_only_its_sections() {
 }
 
 /// Serving outcomes from tables still commits real records: a journaled
-/// incremental re-campaign writes the same WAL bytes a journaled
-/// from-scratch campaign writes, so crash-resume and incrementality
-/// compose instead of conflicting.
+/// incremental re-campaign over the journal of the unedited program
+/// writes the same WAL bytes a journaled from-scratch campaign writes, so
+/// crash-resume and incrementality compose instead of conflicting.
 #[test]
 fn incremental_and_from_scratch_journals_are_byte_identical() {
     let cfg = campaign(9, 80, 4);
@@ -229,11 +235,19 @@ fn incremental_and_from_scratch_journals_are_byte_identical() {
     let g2 = golden_run(&m2, &input, &cfg).expect("v2 golden run");
 
     let scratch_dir = tmp("wal-scratch");
-    let scratch_journal = CampaignJournal::open(&scratch_dir, 0, 0).expect("open scratch journal");
+    let scratch_journal = CampaignJournal::open(&scratch_dir, module_fingerprint(&m2), 0, None)
+        .expect("open scratch journal");
     let scratch = reports(&m2, &input, &g2, &cfg, None, Some(&scratch_journal));
 
+    // the edit workflow: the v2 re-campaign opens the journal the v1
+    // campaign wrote, which it supersedes
     let incr_dir = tmp("wal-incr");
-    let incr_journal = CampaignJournal::open(&incr_dir, 0, 0).expect("open incremental journal");
+    let v1_journal = CampaignJournal::open(&incr_dir, module_fingerprint(&m1), 0, None)
+        .expect("open v1 journal");
+    reports(&m1, &input, &g1, &cfg, None, Some(&v1_journal));
+    drop(v1_journal);
+    let incr_journal = CampaignJournal::open(&incr_dir, module_fingerprint(&m2), 0, None)
+        .expect("open incremental journal over the v1 WAL");
     let warm = TableMemo::new(store, input_fp);
     let incr = reports(&m2, &input, &g2, &cfg, Some(&warm), Some(&incr_journal));
 
@@ -249,6 +263,55 @@ fn incremental_and_from_scratch_journals_are_byte_identical() {
     assert_eq!(a, b, "incremental WAL bytes diverged from from-scratch WAL");
     let _ = std::fs::remove_dir_all(&scratch_dir);
     let _ = std::fs::remove_dir_all(&incr_dir);
+}
+
+/// Reuse across an edit is sound: seal v1, edit `tweak` so that it
+/// returns 0, and re-campaign v2 through v1's journal, with and without
+/// the store. v1's outcomes for the unedited `heavy_*` sites (SDCs there)
+/// must not be served — the journal is superseded and the tables' golden
+/// context refuses every section — so the reports equal a from-scratch
+/// campaign of v2.
+#[test]
+fn a_behaviour_changing_edit_is_never_served_stale_outcomes() {
+    let cfg = campaign(5, 60, 4);
+    let (m1, input) = mini_module(TWEAK_V1);
+    let (m2, _) = mini_module(TWEAK_ZERO);
+    let g1 = golden_run(&m1, &input, &cfg).expect("v1 golden run");
+    let g2 = golden_run(&m2, &input, &cfg).expect("v2 golden run");
+    let input_fp = input_fingerprint(&input);
+    let scratch = reports(&m2, &input, &g2, &cfg, None, None);
+    assert_ne!(
+        reports(&m1, &input, &g1, &cfg, None, None).1,
+        scratch.1,
+        "the edit was meant to change per-instruction outcomes"
+    );
+
+    for with_store in [false, true] {
+        let dir = tmp(&format!("stale-{with_store}"));
+        let store = with_store.then(|| open_store(&format!("stale-store-{with_store}")));
+        let open = |m: &Module| {
+            CampaignJournal::open(&dir, module_fingerprint(m), 3, store.clone())
+                .expect("open journal")
+        };
+        let memo = || store.clone().map(|s| TableMemo::new(s, input_fp));
+
+        let v1 = open(&m1);
+        reports(&m1, &input, &g1, &cfg, memo().as_ref(), Some(&v1));
+        v1.compact().expect("compact v1 journal");
+        drop(v1);
+
+        let v2 = open(&m2);
+        let tables = memo();
+        let incr = reports(&m2, &input, &g2, &cfg, tables.as_ref(), Some(&v2));
+        assert_eq!(
+            incr, scratch,
+            "an edited program was served stale outcomes (store: {with_store})"
+        );
+        assert_eq!(v2.usage().0, 0, "the v1 journal served the edited program");
+        if let Some(t) = tables {
+            assert_eq!(t.stats().sections_hit, 0, "a v1 table served the edit");
+        }
+    }
 }
 
 proptest! {

@@ -67,7 +67,7 @@ fn interrupted_minpsid_run_resumes_bit_identically() {
     // completed before the first poll
     let dir = journal_dir("resume");
     {
-        let journal = CampaignJournal::open(&dir, mfp, cfp).unwrap();
+        let journal = CampaignJournal::open(&dir, mfp, cfp, None).unwrap();
         interrupt::request();
         let r = run_minpsid_journaled(
             &module,
@@ -84,7 +84,7 @@ fn interrupted_minpsid_run_resumes_bit_identically() {
     }
 
     // resume with a fresh cache and a reopened journal: bit-identical
-    let journal = CampaignJournal::open(&dir, mfp, cfp).unwrap();
+    let journal = CampaignJournal::open(&dir, mfp, cfp, None).unwrap();
     let resumed = run_minpsid_journaled(
         &module,
         b.model.as_ref(),
@@ -97,7 +97,7 @@ fn interrupted_minpsid_run_resumes_bit_identically() {
 
     // run once more over the now-complete journal: everything is served
     drop(journal);
-    let journal = CampaignJournal::open(&dir, mfp, cfp).unwrap();
+    let journal = CampaignJournal::open(&dir, mfp, cfp, None).unwrap();
     let replayed = run_minpsid_journaled(
         &module,
         b.model.as_ref(),

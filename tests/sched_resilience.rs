@@ -81,7 +81,7 @@ fn deadline_truncated_run_resumes_to_the_full_report() {
     // phase 1: run out of budget immediately — still Ok, still a report,
     // honestly annotated, with every planned injection accounted for
     {
-        let journal = CampaignJournal::open(&dir, mfp, cfp).unwrap();
+        let journal = CampaignJournal::open(&dir, mfp, cfp, None).unwrap();
         let partial = run_minpsid_journaled(
             &module,
             b.model.as_ref(),
@@ -107,7 +107,7 @@ fn deadline_truncated_run_resumes_to_the_full_report() {
     // phase 2: resume the same journal with no deadline — converges to
     // the full report, bit-identical to the never-bounded run
     {
-        let journal = CampaignJournal::open(&dir, mfp, cfp).unwrap();
+        let journal = CampaignJournal::open(&dir, mfp, cfp, None).unwrap();
         let resumed = run_minpsid_journaled(
             &module,
             b.model.as_ref(),

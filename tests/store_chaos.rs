@@ -124,7 +124,7 @@ fn flipped_wal_snapshot_quarantines_and_live_log_stays_authoritative() {
     {
         let store = Arc::new(ArtifactStore::open(&store_dir).unwrap());
         store.set_chaos_flip(1);
-        let j = CampaignJournal::open_with_store(&dir, mfp, cfp, Some(store)).unwrap();
+        let j = CampaignJournal::open(&dir, mfp, cfp, Some(store)).unwrap();
         let r1 = run_minpsid_journaled(&module, b.model.as_ref(), &cfg, &GoldenCache::new(), &j)
             .unwrap();
         same_result(&plain, &r1);
@@ -134,7 +134,7 @@ fn flipped_wal_snapshot_quarantines_and_live_log_stays_authoritative() {
     // Reopen: the rotten snapshot is quarantined; the live WAL alone
     // serves the replay, which is bit-identical.
     let store2 = Arc::new(ArtifactStore::open(&store_dir).unwrap());
-    let j2 = CampaignJournal::open_with_store(&dir, mfp, cfp, Some(store2.clone())).unwrap();
+    let j2 = CampaignJournal::open(&dir, mfp, cfp, Some(store2.clone())).unwrap();
     assert!(
         store2.quarantined_count().unwrap() >= 1,
         "corrupt snapshot was quarantined on open"
