@@ -1,14 +1,28 @@
-//! Shared experiment plumbing: profile once per benchmark, protect per
-//! level, evaluate coverage over random inputs.
+//! The computation every experiment table is a view of. A [`Sweep`] holds,
+//! for one (preset, seed), each kernel's baseline profile, each MINPSID
+//! pass, each evaluation input's unprotected golden run and campaign, and
+//! each (input, protected program) coverage — computed lazily, at most
+//! once, keyed by module fingerprint and configuration.
 
-use minpsid::{run_minpsid, InputModel, MinpsidConfig, MinpsidResult};
+use crate::preset::Preset;
+use minpsid::{
+    input_fingerprint, minpsid_config_fingerprint, module_fingerprint, run_minpsid, InputModel,
+    MinpsidConfig, MinpsidResult, ParamValue,
+};
 use minpsid_faultsim::{golden_run, per_instruction_campaign, CampaignConfig};
+use minpsid_interp::ProgInput;
 use minpsid_ir::Module;
 use minpsid_sid::transform::TransformMeta;
-use minpsid_sid::{measure_coverage, select_and_protect, CostBenefit};
+use minpsid_sid::{
+    measure_protected, measure_unprotected, select_and_protect, CostBenefit, Unprotected,
+};
 use minpsid_workloads::Benchmark;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashMap;
+use std::hash::Hash;
+use std::rc::Rc;
+use std::time::{Duration, Instant};
 
 /// A benchmark with its profile, ready for per-level selection.
 pub struct Prepared {
@@ -18,38 +32,26 @@ pub struct Prepared {
     pub cb: CostBenefit,
 }
 
-/// Profile a benchmark the baseline-SID way (reference input only).
-pub fn prepared_baseline(b: &Benchmark, campaign: &CampaignConfig) -> Prepared {
-    let module = b.compile();
-    let ref_input = b.model.materialize(&b.model.reference());
-    let golden = golden_run(&module, &ref_input, campaign)
-        .unwrap_or_else(|t| panic!("{}: reference input failed: {t:?}", b.name));
-    let per_inst = per_instruction_campaign(&module, &ref_input, &golden, campaign);
-    let cb = CostBenefit::build(&module, &golden, &per_inst);
-    Prepared { module, cb }
+impl Prepared {
+    /// Knapsack + transform at one protection level: the protected module
+    /// and the coverage it promises.
+    pub fn protect(&self, level: f64) -> (Module, f64, TransformMeta) {
+        let (_, expected, protected, meta) =
+            select_and_protect(&self.module, &self.cb, level, false);
+        (protected, expected, meta)
+    }
 }
 
-/// Run the MINPSID search once for a benchmark; the returned profile is
-/// level-independent (only the knapsack re-runs per level).
-pub fn prepared_minpsid(b: &Benchmark, cfg: &MinpsidConfig) -> (Prepared, MinpsidResult) {
-    let module = b.compile();
-    let result = run_minpsid(&module, b.model.as_ref(), cfg)
-        .unwrap_or_else(|t| panic!("{}: MINPSID failed: {t:?}", b.name));
-    let cb = result.cost_benefit.clone();
-    (Prepared { module, cb }, result)
+/// One MINPSID run on one kernel. The profile is level-independent (only
+/// the knapsack re-runs per level).
+pub(crate) struct Pass {
+    pub(crate) prepared: Prepared,
+    pub(crate) result: MinpsidResult,
+    /// The run's own wall time, however many tables read it.
+    pub(crate) elapsed: Duration,
 }
 
-/// Knapsack + transform at one protection level.
-pub fn protect_at_level(
-    prepared: &Prepared,
-    level: f64,
-) -> (Module, f64, TransformMeta, Vec<bool>) {
-    let (selection, expected, protected, meta) =
-        select_and_protect(&prepared.module, &prepared.cb, level, false);
-    (protected, expected, meta, selection)
-}
-
-/// Coverage of one protected binary over `n` random inputs.
+/// Coverage of one protected binary over the evaluation inputs.
 #[derive(Debug, Clone)]
 pub struct CoverageRow {
     /// Measured SDC coverage per evaluation input.
@@ -75,84 +77,260 @@ impl CoverageRow {
         losses as f64 / self.coverage.len() as f64
     }
 
-    /// Strict variant (no noise slack).
-    pub fn loss_fraction(&self) -> f64 {
-        self.loss_fraction_with(1e-9)
-    }
-
     pub fn min(&self) -> f64 {
         self.coverage.iter().copied().fold(f64::INFINITY, f64::min)
     }
 }
 
-/// Evaluate a protected binary: sample `n` *valid* random inputs from the
-/// model (§III-A2 filters error-producing inputs) and measure the SDC
-/// coverage on each.
-pub fn eval_coverage_over_inputs(
-    original: &Module,
-    protected: &Module,
-    model: &dyn InputModel,
-    n: usize,
-    campaign: &CampaignConfig,
-    seed: u64,
-) -> Vec<f64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut out = Vec::with_capacity(n);
-    let mut attempts = 0;
-    while out.len() < n && attempts < 10 * n + 20 {
-        attempts += 1;
-        let params = model.random(&mut rng);
-        let input = model.materialize(&params);
-        match measure_coverage(original, protected, &input, campaign) {
-            Ok(m) => out.push(m.coverage),
-            Err(_) => continue, // invalid input: rejected like the paper does
-        }
-    }
-    out
+/// How often a memo computed a value and how often it handed one back.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Tally {
+    pub(crate) computed: u64,
+    pub(crate) reused: u64,
 }
 
-/// Evaluate over a *fixed* list of inputs (the §VII case-study datasets).
-pub fn eval_coverage_over_fixed(
-    original: &Module,
-    protected: &Module,
-    model: &dyn InputModel,
-    params_list: &[Vec<minpsid::ParamValue>],
-    campaign: &CampaignConfig,
-) -> Vec<f64> {
-    params_list
-        .iter()
-        .filter_map(|params| {
-            let input = model.materialize(params);
-            measure_coverage(original, protected, &input, campaign)
-                .ok()
-                .map(|m| m.coverage)
+impl std::fmt::Display for Tally {
+    fn fmt(&self, f: &mut std::fmt::Formatter) -> std::fmt::Result {
+        write!(f, "{} run / {} reused", self.computed, self.reused)
+    }
+}
+
+struct Memo<K, V> {
+    map: HashMap<K, V>,
+    tally: Tally,
+}
+
+impl<K: Hash + Eq, V: Clone> Memo<K, V> {
+    fn new() -> Self {
+        Memo {
+            map: HashMap::new(),
+            tally: Tally::default(),
+        }
+    }
+
+    fn get_or(&mut self, key: K, compute: impl FnOnce() -> V) -> V {
+        if let Some(v) = self.map.get(&key) {
+            self.tally.reused += 1;
+            return v.clone();
+        }
+        self.tally.computed += 1;
+        let v = compute();
+        self.map.insert(key, v.clone());
+        v
+    }
+}
+
+/// Everything the experiment tables of one (preset, seed) measure.
+pub struct Sweep {
+    pub(crate) preset: Preset,
+    pub(crate) seed: u64,
+    pub(crate) campaign: CampaignConfig,
+    /// Restrict the per-kernel tables to this kernel (`--bench`).
+    only: Option<String>,
+    /// By kernel ([`Sweep::kernel`]).
+    baselines: Memo<(u64, u64), Rc<Prepared>>,
+    /// By kernel and config fingerprint.
+    passes: Memo<(u64, u64, u64), Rc<Pass>>,
+    /// By (module, input) fingerprint; `None` for an input the program
+    /// rejects.
+    unprotected: Memo<(u64, u64), Option<Rc<Unprotected>>>,
+    /// By (module, protected module, input) fingerprint.
+    coverage: Memo<(u64, u64, u64), Option<f64>>,
+}
+
+impl Sweep {
+    pub fn new(preset: Preset, seed: u64, only: Option<String>) -> Sweep {
+        Sweep {
+            preset,
+            seed,
+            campaign: preset.campaign(seed),
+            only,
+            baselines: Memo::new(),
+            passes: Memo::new(),
+            unprotected: Memo::new(),
+            coverage: Memo::new(),
+        }
+    }
+
+    /// Whether the per-kernel tables include `name`.
+    pub(crate) fn selects(&self, name: &str) -> bool {
+        self.only
+            .as_ref()
+            .is_none_or(|only| name.eq_ignore_ascii_case(only))
+    }
+
+    /// The suite's kernels that [`Sweep::selects`].
+    pub(crate) fn kernels(&self) -> Vec<Benchmark> {
+        minpsid_workloads::suite()
+            .into_iter()
+            .filter(|b| self.selects(b.name))
+            .collect()
+    }
+
+    /// `b`'s module, its reference input, and the key the memos know the
+    /// kernel by: module and reference-input fingerprints (the input model
+    /// counts too: the threaded FFTs are one program under three models).
+    fn kernel(b: &Benchmark) -> (Module, ProgInput, (u64, u64)) {
+        let module = b.compile();
+        let ref_input = b.model.materialize(&b.model.reference());
+        let key = (module_fingerprint(&module), input_fingerprint(&ref_input));
+        (module, ref_input, key)
+    }
+
+    /// The baseline-SID profile: the reference input only.
+    pub(crate) fn baseline(&mut self, b: &Benchmark) -> Rc<Prepared> {
+        let (module, ref_input, key) = Self::kernel(b);
+        let campaign = &self.campaign;
+        self.baselines.get_or(key, || {
+            eprintln!("[sweep] baseline profile: {}", b.name);
+            let golden = golden_run(&module, &ref_input, campaign)
+                .unwrap_or_else(|t| panic!("{}: reference input failed: {t:?}", b.name));
+            let per_inst = per_instruction_campaign(&module, &ref_input, &golden, campaign);
+            let cb = CostBenefit::build(&module, &golden, &per_inst);
+            Rc::new(Prepared { module, cb })
         })
-        .collect()
+    }
+
+    /// The MINPSID run of `b` under `cfg`.
+    pub(crate) fn pass(&mut self, b: &Benchmark, cfg: &MinpsidConfig) -> Rc<Pass> {
+        let (module, _, (module_fp, input_fp)) = Self::kernel(b);
+        let key = (module_fp, input_fp, minpsid_config_fingerprint(cfg));
+        self.passes.get_or(key, || {
+            eprintln!(
+                "[sweep] minpsid pass: {} ({:?}, {:?})",
+                b.name, cfg.strategy, cfg.ga.fitness
+            );
+            let t0 = Instant::now();
+            let result = run_minpsid(&module, b.model.as_ref(), cfg)
+                .unwrap_or_else(|t| panic!("{}: MINPSID failed: {t:?}", b.name));
+            let elapsed = t0.elapsed();
+            let cb = result.cost_benefit.clone();
+            Rc::new(Pass {
+                prepared: Prepared { module, cb },
+                result,
+                elapsed,
+            })
+        })
+    }
+
+    /// The MINPSID run at the 50 % level most tables share.
+    pub(crate) fn pass_at_half(&mut self, b: &Benchmark) -> Rc<Pass> {
+        let cfg = self.preset.minpsid_config(0.5, self.seed);
+        self.pass(b, &cfg)
+    }
+
+    /// `prepared` protected at `level`, evaluated on the preset's count of
+    /// *valid* random inputs drawn with `seed` (§III-A2 filters
+    /// error-producing inputs).
+    pub(crate) fn evaluate(
+        &mut self,
+        model: &dyn InputModel,
+        prepared: &Prepared,
+        level: f64,
+        seed: u64,
+    ) -> CoverageRow {
+        let n = self.preset.eval_inputs();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let drawn = (0..10 * n + 20).map(|_| model.materialize(&model.random(&mut rng)));
+        self.evaluate_on(prepared, level, drawn, n)
+    }
+
+    /// Like [`Sweep::evaluate`], over a *fixed* list of inputs (the §VII
+    /// case-study datasets).
+    pub(crate) fn evaluate_fixed(
+        &mut self,
+        model: &dyn InputModel,
+        prepared: &Prepared,
+        level: f64,
+        params_list: &[Vec<ParamValue>],
+    ) -> CoverageRow {
+        let inputs = params_list.iter().map(|params| model.materialize(params));
+        self.evaluate_on(prepared, level, inputs, params_list.len())
+    }
+
+    /// The measured coverage on the first `n` of `inputs` that both the
+    /// original and the protected program accept.
+    fn evaluate_on(
+        &mut self,
+        prepared: &Prepared,
+        level: f64,
+        inputs: impl Iterator<Item = ProgInput>,
+        n: usize,
+    ) -> CoverageRow {
+        let (protected, expected, _) = prepared.protect(level);
+        let original = &prepared.module;
+        let (orig_fp, prot_fp) = (module_fingerprint(original), module_fingerprint(&protected));
+        let campaign = &self.campaign;
+        let coverage = inputs
+            .filter_map(|input| {
+                let input_fp = input_fingerprint(&input);
+                let unprotected = self.unprotected.get_or((orig_fp, input_fp), || {
+                    measure_unprotected(original, &input, campaign)
+                        .ok()
+                        .map(Rc::new)
+                })?;
+                self.coverage.get_or((orig_fp, prot_fp, input_fp), || {
+                    measure_protected(&unprotected, &protected, &input, campaign)
+                        .ok()
+                        .map(|m| m.coverage)
+                })
+            })
+            .take(n)
+            .collect();
+        CoverageRow { coverage, expected }
+    }
+
+    /// Computed/reused counts of the four memos, in the order baseline
+    /// profiles, MINPSID passes, unprotected measurements, coverages.
+    pub(crate) fn tallies(&self) -> [Tally; 4] {
+        [
+            self.baselines.tally,
+            self.passes.tally,
+            self.unprotected.tally,
+            self.coverage.tally,
+        ]
+    }
+
+    /// One line of what the memos computed and reused.
+    pub fn memo_report(&self) -> String {
+        let [b, p, u, c] = self.tallies();
+        format!(
+            "sweep memo: baseline profiles {b}, minpsid passes {p}, unprotected runs {u}, \
+             coverages {c}"
+        )
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::preset::Preset;
 
     #[test]
     fn baseline_prepare_and_protect_roundtrip() {
         let b = minpsid_workloads::by_name("pathfinder").unwrap();
-        let campaign = Preset::Tiny.campaign(3);
-        let prepared = prepared_baseline(&b, &campaign);
-        let (protected, expected, meta, _) = protect_at_level(&prepared, 0.5);
+        let mut sweep = Sweep::new(Preset::Tiny, 3, None);
+        let prepared = sweep.baseline(&b);
+        let (_, _, meta) = prepared.protect(0.5);
         assert!(meta.num_dups > 0);
-        assert!(expected > 0.0);
-        let cov = eval_coverage_over_inputs(
-            &prepared.module,
-            &protected,
-            b.model.as_ref(),
-            3,
-            &campaign,
-            9,
+        let row = sweep.evaluate(b.model.as_ref(), &prepared, 0.5, 9);
+        assert!(row.expected > 0.0);
+        assert_eq!(row.coverage.len(), Preset::Tiny.eval_inputs());
+        assert!(row.coverage.iter().all(|c| (0.0..=1.0).contains(c)));
+        // the same profile, at another level, on the same inputs: only the
+        // protected halves run again
+        let again = sweep.baseline(&b);
+        assert!(Rc::ptr_eq(&prepared, &again));
+        sweep.evaluate(b.model.as_ref(), &prepared, 0.3, 9);
+        let [base, _, unprot, cov] = sweep.tallies();
+        assert_eq!(
+            base,
+            Tally {
+                computed: 1,
+                reused: 1
+            }
         );
-        assert_eq!(cov.len(), 3);
-        assert!(cov.iter().all(|c| (0.0..=1.0).contains(c)));
+        assert_eq!(unprot.reused, unprot.computed);
+        assert_eq!(cov.reused, 0);
     }
 
     #[test]
@@ -161,7 +339,7 @@ mod tests {
             coverage: vec![0.9, 0.5, 0.95, 1.0],
             expected: 0.93,
         };
-        assert_eq!(row.loss_fraction(), 0.5);
+        assert_eq!(row.loss_fraction_with(0.0), 0.5);
         assert_eq!(row.min(), 0.5);
     }
 }

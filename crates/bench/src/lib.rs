@@ -1,13 +1,14 @@
 //! # minpsid-bench — experiment harness
 //!
-//! Shared infrastructure for the binaries that regenerate every table and
-//! figure of the paper (see DESIGN.md §4 for the index). Each binary
-//! accepts:
+//! The paper's evaluation — Figs. 2 and 6–9, Tables II–IV, §IV, §VIII and
+//! four ablations — is twelve views of one computation per kernel. A
+//! [`Sweep`] computes each kernel's baseline profile, MINPSID passes and
+//! evaluation campaigns once; the [`tables`] render from it. One binary
+//! prints them (DESIGN.md §4 has the index):
 //!
 //! ```text
-//! --preset tiny|small|paper   experiment scale (default: tiny)
-//! --seed <u64>                master seed (default: 42)
-//! --bench <name>              restrict to one benchmark
+//! experiments [TABLE…] [--preset tiny|small|paper] [--seed N] [--bench KERNEL]
+//!             [--trace-out FILE] [--out DIR]
 //! ```
 //!
 //! `paper` uses the paper's §III-A counts (50 evaluation inputs, 1000
@@ -19,10 +20,8 @@
 pub mod candlestick;
 pub mod experiment;
 pub mod preset;
+pub mod tables;
 
 pub use candlestick::Candlestick;
-pub use experiment::{
-    eval_coverage_over_fixed, eval_coverage_over_inputs, prepared_baseline, prepared_minpsid,
-    protect_at_level, CoverageRow, Prepared,
-};
-pub use preset::{finish_trace, parse_args, ExperimentArgs, Preset};
+pub use experiment::{CoverageRow, Prepared, Sweep};
+pub use preset::{parse_args, usage, ExperimentArgs, Preset};

@@ -1,6 +1,7 @@
-//! Experiment presets and command-line parsing (hand-rolled: the
-//! dependency budget has no CLI crate, and two flags do not justify one).
+//! Experiment presets and the `experiments` command line (hand-rolled:
+//! the dependency budget has no CLI crate).
 
+use crate::tables::{Table, TABLES};
 use minpsid::{GaConfig, IncubativeConfig, MinpsidConfig, SearchStrategy};
 use minpsid_faultsim::{CampaignConfig, CampaignConfigBuilder};
 
@@ -115,73 +116,73 @@ impl Preset {
     }
 }
 
-/// Parsed common experiment arguments.
+/// The `experiments` command line.
 #[derive(Debug, Clone)]
 pub struct ExperimentArgs {
+    /// The tables to render, in the order given (all of them if none was).
+    pub tables: Vec<Table>,
     pub preset: Preset,
     pub seed: u64,
-    /// Restrict to one benchmark by name.
+    /// Restrict the per-kernel tables to one benchmark by name.
     pub bench: Option<String>,
     /// Write a structured JSONL trace of the experiment here.
     pub trace_out: Option<String>,
+    /// Write each table to `DIR/<table>.txt` instead of stdout.
+    pub out: Option<String>,
 }
 
-impl Default for ExperimentArgs {
-    fn default() -> Self {
-        ExperimentArgs {
-            preset: Preset::Tiny,
-            seed: 42,
-            bench: None,
-            trace_out: None,
+/// The usage text, with every table and kernel name.
+pub fn usage() -> String {
+    let tables: Vec<&str> = TABLES.iter().map(|(name, _)| *name).collect();
+    let kernels: Vec<&str> = minpsid_workloads::suite().iter().map(|b| b.name).collect();
+    format!(
+        "usage: experiments [TABLE…] [--preset tiny|small|paper] [--seed N] [--bench KERNEL] \
+         [--trace-out FILE] [--out DIR]\n\
+         tables (none means all): {}\n\
+         kernels: {}",
+        tables.join(" "),
+        kernels.join(" ")
+    )
+}
+
+/// Parse the `experiments` arguments. An unknown table, kernel, flag or
+/// value is an error naming it; the caller prints it with [`usage`].
+pub fn parse_args(mut args: impl Iterator<Item = String>) -> Result<ExperimentArgs, String> {
+    let mut out = ExperimentArgs {
+        tables: Vec::new(),
+        preset: Preset::Tiny,
+        seed: 42,
+        bench: None,
+        trace_out: None,
+        out: None,
+    };
+    while let Some(arg) = args.next() {
+        if !arg.starts_with("--") {
+            let table = TABLES.iter().find(|(name, _)| *name == arg);
+            out.tables
+                .push(*table.ok_or(format!("unknown table `{arg}`"))?);
+            continue;
         }
-    }
-}
-
-/// Parse `--preset`, `--seed`, `--bench`, `--trace-out` from an iterator
-/// of arguments. Unknown flags abort with a usage message. `--trace-out`
-/// also initializes the global trace sink, so every experiment binary gets
-/// structured tracing without its own plumbing; binaries must end `main`
-/// with [`finish_trace`] or buffered tail events are lost.
-pub fn parse_args(args: impl Iterator<Item = String>) -> ExperimentArgs {
-    let mut out = ExperimentArgs::default();
-    let mut it = args.peekable();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("missing value for {name}"))
-        };
-        match flag.as_str() {
+        let value = args.next().ok_or(format!("{arg} needs a value"))?;
+        match arg.as_str() {
             "--preset" => {
-                let v = value("--preset");
-                out.preset = Preset::parse(&v)
-                    .unwrap_or_else(|| panic!("unknown preset `{v}` (tiny|small|paper)"));
+                out.preset = Preset::parse(&value)
+                    .ok_or(format!("unknown preset `{value}` (tiny|small|paper)"))?;
             }
-            "--seed" => {
-                let v = value("--seed");
-                out.seed = v.parse().unwrap_or_else(|_| panic!("bad seed `{v}`"));
+            "--seed" => out.seed = value.parse().map_err(|_| format!("bad seed `{value}`"))?,
+            "--bench" => {
+                minpsid_workloads::by_name(&value).ok_or(format!("unknown kernel `{value}`"))?;
+                out.bench = Some(value);
             }
-            "--bench" => out.bench = Some(value("--bench")),
-            "--trace-out" => {
-                let path = value("--trace-out");
-                minpsid_trace::init_file(&path)
-                    .unwrap_or_else(|e| panic!("cannot open trace file `{path}`: {e}"));
-                out.trace_out = Some(path);
-            }
-            other => {
-                panic!("unknown flag `{other}` (expected --preset/--seed/--bench/--trace-out)")
-            }
+            "--trace-out" => out.trace_out = Some(value),
+            "--out" => out.out = Some(value),
+            _ => return Err(format!("unknown flag `{arg}`")),
         }
     }
-    out
-}
-
-/// Finish an experiment: emit `trace_end` and close the trace sink. Call
-/// at the end of each experiment binary's `main`; a no-op without
-/// `--trace-out`.
-pub fn finish_trace() {
-    if let Err(e) = minpsid_trace::shutdown() {
-        eprintln!("warning: writing trace log: {e}");
+    if out.tables.is_empty() {
+        out.tables = TABLES.to_vec();
     }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -189,30 +190,74 @@ mod tests {
     use super::*;
     use minpsid_faultsim::CheckpointPolicy;
 
-    fn parse(v: &[&str]) -> ExperimentArgs {
+    fn parse(v: &[&str]) -> Result<ExperimentArgs, String> {
         parse_args(v.iter().map(|s| s.to_string()))
     }
 
     #[test]
     fn defaults() {
-        let a = parse(&[]);
+        let a = parse(&[]).unwrap();
+        assert_eq!(a.tables.len(), TABLES.len());
         assert_eq!(a.preset, Preset::Tiny);
         assert_eq!(a.seed, 42);
         assert!(a.bench.is_none());
+        assert!(a.out.is_none());
     }
 
     #[test]
     fn parses_all_flags() {
-        let a = parse(&["--preset", "paper", "--seed", "7", "--bench", "fft"]);
+        let a = parse(&[
+            "fig8_time_breakdown",
+            "--preset",
+            "paper",
+            "--seed",
+            "7",
+            "fig2_baseline_loss",
+            "--bench",
+            "fft",
+            "--out",
+            "results",
+        ])
+        .unwrap();
+        let names: Vec<&str> = a.tables.iter().map(|(name, _)| *name).collect();
+        assert_eq!(names, ["fig8_time_breakdown", "fig2_baseline_loss"]);
         assert_eq!(a.preset, Preset::Paper);
         assert_eq!(a.seed, 7);
         assert_eq!(a.bench.as_deref(), Some("fft"));
+        assert_eq!(a.out.as_deref(), Some("results"));
     }
 
     #[test]
-    #[should_panic(expected = "unknown preset")]
     fn rejects_bad_preset() {
-        parse(&["--preset", "huge"]);
+        assert_eq!(
+            parse(&["--preset", "huge"]).unwrap_err(),
+            "unknown preset `huge` (tiny|small|paper)"
+        );
+        assert_eq!(parse(&["--seed", "x"]).unwrap_err(), "bad seed `x`");
+        assert_eq!(parse(&["--seed"]).unwrap_err(), "--seed needs a value");
+    }
+
+    #[test]
+    fn rejects_an_unknown_kernel() {
+        assert_eq!(
+            parse(&["--bench", "knnn"]).unwrap_err(),
+            "unknown kernel `knnn`"
+        );
+        assert!(usage().contains("knn"), "{}", usage());
+    }
+
+    #[test]
+    fn rejects_an_unknown_table() {
+        assert_eq!(parse(&["fig3"]).unwrap_err(), "unknown table `fig3`");
+        assert!(usage().contains("fig2_baseline_loss"), "{}", usage());
+    }
+
+    #[test]
+    fn rejects_an_unknown_flag() {
+        assert_eq!(
+            parse(&["--threads", "2"]).unwrap_err(),
+            "unknown flag `--threads`"
+        );
     }
 
     #[test]

@@ -202,6 +202,29 @@ pub fn divergence(faulty: &Snapshot, golden: &Snapshot) -> Option<Divergence> {
     }
 }
 
+/// The memory words in which `faulty` differs from `golden` — heap words
+/// by index, then stack words numbered on from the longer heap — when the
+/// two states differ in memory and nowhere else (same shape, same
+/// registers and arguments); `None` otherwise. A measurement aid like
+/// [`divergence`] (`examples/replay_headroom.rs`, table 5).
+pub fn memory_only_difference(faulty: &Snapshot, golden: &Snapshot) -> Option<Vec<usize>> {
+    let (a, b) = (&faulty.state, &golden.state);
+    let regs_equal = a
+        .frames
+        .iter()
+        .zip(&b.frames)
+        .all(|(x, y)| values_eq(&x.regs, &y.regs) && values_eq(&x.args, &y.args));
+    if divergence(faulty, golden) != Some(Divergence::Memory) || !regs_equal {
+        return None;
+    }
+    fn differing<'a>(x: &'a [u64], y: &'a [u64]) -> impl Iterator<Item = usize> + 'a {
+        (0..x.len().max(y.len())).filter(move |&i| x.get(i) != y.get(i))
+    }
+    let heap = a.mem.len().max(b.mem.len());
+    let stack = differing(&a.stack_mem, &b.stack_mem).map(|i| heap + i);
+    Some(differing(&a.mem, &b.mem).chain(stack).collect())
+}
+
 /// A decoded run's live state, borrowed at a pause. The running frame's
 /// [`DFrame::pc`] is stale while the loop caches the pc in a local: `pc`
 /// is that local — the slot of the instruction, or of the superinstruction

@@ -30,7 +30,8 @@ pub mod transform;
 
 pub use knapsack::{dp_select, greedy_select, Selection};
 pub use pipeline::{
-    measure_coverage, run_sid, select_and_protect, CoverageMeasurement, SidConfig, SidResult,
+    measure_coverage, measure_protected, measure_unprotected, run_sid, select_and_protect,
+    CoverageMeasurement, SidConfig, SidResult, Unprotected,
 };
 pub use profile::CostBenefit;
 pub use transform::{

@@ -7,7 +7,7 @@ use minpsid_faultsim::{
     golden_run, per_instruction_campaign, program_campaign, CampaignConfig, GoldenRun,
     OutcomeCounts, PerInstSdc,
 };
-use minpsid_interp::{ProgInput, Termination};
+use minpsid_interp::{Output, ProgInput, Termination};
 use minpsid_ir::Module;
 
 /// SID configuration.
@@ -121,22 +121,48 @@ pub struct CoverageMeasurement {
     pub protected_counts: OutcomeCounts,
 }
 
-/// Measure SDC coverage of `protected` (vs `original`) under `input`.
-pub fn measure_coverage(
+/// The unprotected half of a [`CoverageMeasurement`]: one input's golden
+/// run and whole-program campaign on the original program. It depends on
+/// neither the protected program nor the protection level, so an
+/// evaluation that protects one program several ways measures it once.
+#[derive(Debug, Clone)]
+pub struct Unprotected {
+    /// The golden run's output, which every protected program must match.
+    pub output: Output,
+    pub sdc: f64,
+    pub counts: OutcomeCounts,
+}
+
+/// Measure the unprotected half of a coverage measurement under `input`.
+pub fn measure_unprotected(
     original: &Module,
+    input: &ProgInput,
+    campaign: &CampaignConfig,
+) -> Result<Unprotected, Termination> {
+    let golden = golden_run(original, input, campaign)?;
+    let c = program_campaign(original, input, &golden, campaign);
+    Ok(Unprotected {
+        sdc: c.sdc_prob(),
+        counts: c.counts,
+        output: golden.output,
+    })
+}
+
+/// Complete a coverage measurement: the protected half under the `input`
+/// that `unprotected` was measured on.
+pub fn measure_protected(
+    unprotected: &Unprotected,
     protected: &Module,
     input: &ProgInput,
     campaign: &CampaignConfig,
 ) -> Result<CoverageMeasurement, Termination> {
-    let g_orig = golden_run(original, input, campaign)?;
     let g_prot = golden_run(protected, input, campaign)?;
     debug_assert_eq!(
-        g_orig.output, g_prot.output,
+        unprotected.output, g_prot.output,
         "protection must preserve program semantics"
     );
-    let c_orig = program_campaign(original, input, &g_orig, campaign);
     let c_prot = program_campaign(protected, input, &g_prot, campaign);
-    let pu = c_orig.sdc_prob();
+    let pu = unprotected.sdc;
     let pp = c_prot.sdc_prob();
     let coverage = if pu <= 0.0 {
         1.0
@@ -147,9 +173,20 @@ pub fn measure_coverage(
         unprotected_sdc: pu,
         protected_sdc: pp,
         coverage,
-        unprotected_counts: c_orig.counts,
+        unprotected_counts: unprotected.counts,
         protected_counts: c_prot.counts,
     })
+}
+
+/// Measure SDC coverage of `protected` (vs `original`) under `input`.
+pub fn measure_coverage(
+    original: &Module,
+    protected: &Module,
+    input: &ProgInput,
+    campaign: &CampaignConfig,
+) -> Result<CoverageMeasurement, Termination> {
+    let unprotected = measure_unprotected(original, input, campaign)?;
+    measure_protected(&unprotected, protected, input, campaign)
 }
 
 #[cfg(test)]

@@ -427,29 +427,32 @@ pub fn sample_campaign<T>(
     if !active() {
         return body();
     }
-    struct StopOnDrop<'a>(&'a AtomicBool);
+    /// Sets the flag and wakes the sampler, so the join never waits out
+    /// the rest of a sampling interval.
+    struct StopOnDrop<'a>(&'a AtomicBool, std::thread::Thread);
     impl Drop for StopOnDrop<'_> {
         fn drop(&mut self) {
-            self.0.store(true, Ordering::Relaxed);
+            self.0.store(true, Ordering::Release);
+            self.1.unpark();
         }
     }
     let stop = AtomicBool::new(false);
     let result = std::thread::scope(|scope| {
-        scope.spawn(|| {
-            // poll in short slices so the final join is prompt even with a
-            // long sampling interval
-            let slice = interval.min(Duration::from_millis(10));
-            let mut since_sample = Duration::ZERO;
-            while !stop.load(Ordering::Relaxed) {
-                std::thread::sleep(slice);
-                since_sample += slice;
-                if since_sample >= interval && !stop.load(Ordering::Relaxed) {
+        let sampler = scope.spawn(|| {
+            // `park_timeout` may wake early (an `unpark`, or spuriously):
+            // the next sample is due by the clock, not by wake-ups
+            let mut due = Instant::now() + interval;
+            while !stop.load(Ordering::Acquire) {
+                let now = Instant::now();
+                if now < due {
+                    std::thread::park_timeout(due - now);
+                } else {
                     emit(counters.progress_event());
-                    since_sample = Duration::ZERO;
+                    due = now + interval;
                 }
             }
         });
-        let _stop = StopOnDrop(&stop);
+        let _stop = StopOnDrop(&stop, sampler.thread().clone());
         body()
     });
     emit(counters.end_event());
@@ -616,6 +619,29 @@ mod tests {
         shutdown().unwrap();
         assert_eq!(came_back, Ok(true), "the sampler outlived a panicked body");
         assert!(!ended.load(Ordering::Relaxed), "campaign_end, unfinished");
+    }
+
+    /// Stopping the sampler wakes it: a campaign's wall time is its body's,
+    /// not rounded up to the sampler's next wake-up. Each body lasts 2 ms,
+    /// long enough for the sampler to be waiting when it returns (a body
+    /// that returns at once can stop the sampler before it first waits).
+    #[test]
+    fn an_observed_campaign_does_not_wait_for_the_sampler() {
+        let _sink = SINK_TESTS.lock().unwrap_or_else(|e| e.into_inner());
+        init_writer(Box::new(Buf::default()));
+        let counters = CampaignCounters::new(CampaignKind::Program, 0);
+        let t0 = Instant::now();
+        for _ in 0..20 {
+            sample_campaign(&counters, Duration::from_millis(250), || {
+                std::thread::sleep(Duration::from_millis(2))
+            });
+        }
+        let took = t0.elapsed();
+        shutdown().unwrap();
+        assert!(
+            took < Duration::from_millis(100),
+            "20 observed 2 ms campaigns took {took:?}"
+        );
     }
 
     #[test]

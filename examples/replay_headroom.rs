@@ -5,7 +5,7 @@
 //! per-instruction plan (`CampaignEngine::planned_faults`) one fault at a
 //! time on the path a campaign's `inject` takes — `Interp::execute` beside
 //! the golden run's checkpoints (`Start::Beside`) — and
-//! prints four tables (EXPERIMENTS.md, "Replay headroom" and "Power-of-two
+//! prints five tables (EXPERIMENTS.md, "Replay headroom" and "Power-of-two
 //! strides"):
 //!
 //! 1. **Steps by outcome**: the share of executed steps spent in runs that
@@ -44,6 +44,14 @@
 //!    instance already ran with another bit (every bit of a `B` flips it,
 //!    so they repeat a run), and *no reader*, the runs at a site whose
 //!    value no instruction reads.
+//! 5. **Memory-only divergence** (ROADMAP item 3): every unconverged run
+//!    that does not hang is compared with golden at each boundary after the
+//!    flip (`interp::memory_only_difference`). *After mem-only* is the
+//!    steps it executes after the first boundary where it differs from
+//!    golden in memory alone; *same words* the steps in intervals whose two
+//!    ends differ so in the same words — what an exact rule that skips
+//!    golden intervals not reading those words could serve at most;
+//!    *median words* the differing-word count at such a boundary.
 //!
 //! ```text
 //! cargo run --release --example replay_headroom -- [--per-inst N] [--seed N]
@@ -60,8 +68,9 @@ use minpsid_repro::faultsim::{
     Outcome,
 };
 use minpsid_repro::interp::{
-    auto_interval, divergence, oracle, CheckpointConfig, CheckpointStore, Divergence, ExecConfig,
-    ExecResult, ExecScratch, FaultSpec, FaultTarget, Interp, ProgInput, Run, SnapshotMode, Start,
+    auto_interval, divergence, memory_only_difference, oracle, CheckpointConfig, CheckpointStore,
+    Divergence, ExecConfig, ExecResult, ExecScratch, FaultSpec, FaultTarget, Interp, ProgInput,
+    Run, SnapshotMode, Start,
 };
 use minpsid_repro::ir::{GlobalInstId, Ty};
 use minpsid_repro::workloads;
@@ -113,6 +122,13 @@ struct Kernel {
     map_benign: u64,
     bool_bit: u64,
     unread: u64,
+    /// Table 5, over unconverged runs that do not hang: steps after the
+    /// first boundary where the state differs from golden's in memory
+    /// alone, steps in intervals between two such boundaries that differ
+    /// in the same words, and the differing-word count at each one.
+    mem_after: u64,
+    mem_same: u64,
+    mem_words: Vec<usize>,
 }
 
 /// Table 4's memory of the runs so far, in plan order.
@@ -246,7 +262,8 @@ fn main() {
             if !read.contains(&site.gid) {
                 k.unread += executed;
             }
-            let served = reuse(&interp, &input, fault, capture, site.gid, end, &mut maps);
+            let faulty = captured(&interp, &input, Some(fault), capture);
+            let served = reuse(&faulty, site.gid, end, &mut maps);
             for (m, s) in k.map.iter_mut().zip(served) {
                 *m += s;
             }
@@ -275,6 +292,11 @@ fn main() {
                 }
                 _ => k.by_outcome[3] += executed,
             }
+            if outcome != Outcome::Hang && r.converged_at.is_none() {
+                let [after, same] = memory_only(&faulty, &states, end, &mut k.mem_words);
+                k.mem_after += after;
+                k.mem_same += same;
+            }
             if outcome != Outcome::Benign {
                 return;
             }
@@ -282,7 +304,7 @@ fn main() {
                 k.benign_converged += executed;
                 return;
             }
-            let miss = why_missed(&interp, &input, fault, capture, store);
+            let miss = why_missed(&faulty, store);
             k.missed[miss as usize] += executed;
         });
 
@@ -321,16 +343,9 @@ fn captured(
         .expect("a capturing run captures")
 }
 
-/// Replay `fault` on the reference walk, keeping its state at every
-/// golden boundary, and say why the run never met the golden run there.
-fn why_missed(
-    interp: &Interp<'_>,
-    input: &ProgInput,
-    fault: FaultSpec,
-    capture: CheckpointConfig,
-    golden: &CheckpointStore,
-) -> Miss {
-    let faulty = captured(interp, input, Some(fault), capture);
+/// Say why a run whose states at every golden boundary are `faulty` never
+/// met the golden run there.
+fn why_missed(faulty: &CheckpointStore, golden: &CheckpointStore) -> Miss {
     // boundaries both stores hold, by step count (golden's may be thinned)
     let at: HashMap<u64, usize> = (0..faulty.len()).map(|i| (faulty.steps_at(i), i)).collect();
     let mut last = None;
@@ -353,22 +368,17 @@ fn why_missed(
     }
 }
 
-/// Table 4 for one run: replay `fault` on the reference walk with its
-/// states captured at the golden boundaries and return the steps it
-/// executes (up to `end`) after the first state an earlier run reached —
-/// at any boundary; at a boundary the back-off visits, in a map that
-/// holds only visited states; the same, reached from `site` — then
-/// remember its states.
+/// Table 4 for one run, whose states at the golden boundaries are
+/// `faulty`: the steps it executes (up to `end`) after the first state an
+/// earlier run reached — at any boundary; at a boundary the back-off
+/// visits, in a map that holds only visited states; the same, reached
+/// from `site` — then remember its states.
 fn reuse(
-    interp: &Interp<'_>,
-    input: &ProgInput,
-    fault: FaultSpec,
-    capture: CheckpointConfig,
+    faulty: &CheckpointStore,
     site: GlobalInstId,
     end: u64,
     maps: &mut Trajectories,
 ) -> [u64; 3] {
-    let faulty = captured(interp, input, Some(fault), capture);
     let mut served = [None; 3];
     // boundaries since the run left golden: the back-off's ordinal
     let mut ord = 0u64;
@@ -406,6 +416,44 @@ fn reuse(
     served.map(|s| s.unwrap_or(0))
 }
 
+/// Table 5 for one run, whose states at the golden boundaries are
+/// `faulty` and golden's `golden` (every boundary kept): the steps it
+/// executes (up to `end`) after the first boundary past the flip where it
+/// differs from golden in memory alone, and the steps in intervals whose
+/// ends both differ so, in the same words. Pushes each such boundary's
+/// differing-word count to `words`.
+fn memory_only(
+    faulty: &CheckpointStore,
+    golden: &CheckpointStore,
+    end: u64,
+    words: &mut Vec<usize>,
+) -> [u64; 2] {
+    let at: HashMap<u64, usize> = (0..golden.len()).map(|i| (golden.steps_at(i), i)).collect();
+    let (mut first, mut same, mut flipped) = (None, 0, false);
+    let mut prev: Option<(u64, Vec<usize>)> = None;
+    for i in 0..faulty.len() {
+        let steps = faulty.steps_at(i);
+        let Some(&gi) = at.get(&steps) else {
+            break; // past golden's end
+        };
+        let (f, g) = (faulty.materialize(i), golden.materialize(gi));
+        flipped = flipped || divergence(&f, &g).is_some();
+        if !flipped {
+            continue; // before the flip, or the flip already masked
+        }
+        let diff = memory_only_difference(&f, &g);
+        if let Some(d) = &diff {
+            first.get_or_insert(steps);
+            words.push(d.len());
+            if let Some((from, _)) = prev.as_ref().filter(|(_, p)| p == d) {
+                same += steps - from;
+            }
+        }
+        prev = diff.map(|d| (steps, d));
+    }
+    [first.map_or(0, |s| end.saturating_sub(s)), same]
+}
+
 fn print_tables(rows: &[(&str, Kernel)]) {
     let pct = |part: u64, whole: u64| 100.0 * part as f64 / whole.max(1) as f64;
     let total = |k: &Kernel| k.by_outcome.iter().sum::<u64>();
@@ -440,6 +488,9 @@ fn print_tables(rows: &[(&str, Kernel)]) {
         suite.map_benign += k.map_benign;
         suite.bool_bit += k.bool_bit;
         suite.unread += k.unread;
+        suite.mem_after += k.mem_after;
+        suite.mem_same += k.mem_same;
+        suite.mem_words.extend(&k.mem_words);
     }
     let t = total(&suite);
     println!(
@@ -525,6 +576,28 @@ fn print_tables(rows: &[(&str, Kernel)]) {
             pct(k.map_benign, k.map[0]),
             pct(k.bool_bit, t),
             pct(k.unread, t)
+        );
+    }
+
+    println!("\nmemory-only divergence (unconverged runs that do not hang; share of all steps)");
+    println!(
+        "{:<15} {:>13} {:>14} {:>11} {:>13}",
+        "kernel", "steps", "after mem-only", "same words", "median words"
+    );
+    for (name, k) in rows.iter().map(|(n, k)| (*n, k)).chain([("suite", &suite)]) {
+        let t = total(k);
+        let mut words = k.mem_words.clone();
+        words.sort_unstable();
+        let median = words
+            .get(words.len() / 2)
+            .map_or("-".into(), usize::to_string);
+        println!(
+            "{:<15} {:>13} {:>13.1}% {:>10.1}% {:>13}",
+            name,
+            t,
+            pct(k.mem_after, t),
+            pct(k.mem_same, t),
+            median
         );
     }
 }

@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# Regenerate every table/figure of the paper into results/.
+# Regenerate every table/figure of the paper into results/: one sweep,
+# each table written to results/<table>.txt, the progress log to
+# results/experiments.log.
 # Usage: scripts/run_experiments.sh [preset] [seed]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -7,27 +9,10 @@ cd "$(dirname "$0")/.."
 preset="${1:-tiny}"
 seed="${2:-42}"
 
-cargo build --release -p minpsid-bench
-
-bins=(
-  fig2_baseline_loss
-  fig6_minpsid_mitigation
-  fig7_search_efficiency
-  sec4_incubative_stats
-  fig8_time_breakdown
-  fig9_case_study
-  sec8_overhead_variance
-  sec8_multithread
-  ablation_reprioritization
-  ablation_search_strategy
-  ablation_check_placement
-  ablation_knapsack
-)
+cargo build --release -p minpsid-bench --bin experiments
 
 mkdir -p results
-for bin in "${bins[@]}"; do
-  echo "[experiments] $bin (preset=$preset seed=$seed) $(date +%T)"
-  "./target/release/$bin" --preset "$preset" --seed "$seed" \
-    > "results/$bin.txt" 2> "results/$bin.log"
-done
+echo "[experiments] preset=$preset seed=$seed $(date +%T)"
+./target/release/experiments --preset "$preset" --seed "$seed" --out results \
+  2> results/experiments.log
 echo "[experiments] all done $(date +%T)"
