@@ -603,8 +603,8 @@ fn mean_dup_fraction(
 /// **§VIII-B**: SID and MINPSID on a multi-threaded FFT with 1 / 2 / 4
 /// threads. Detection happens per thread before any synchronization
 /// point, so a `T`-thread run is modelled as `T` shard transforms under
-/// one protected instruction set (see `fft::MT_SOURCE`). Runs whatever
-/// `--bench` names.
+/// one protected instruction set (see `fft::MT_SOURCE`). Its rows are
+/// FFT's, so a `--bench` naming another kernel leaves only the header.
 ///
 /// Paper: baseline coverage loss 7.52 / 12.13 / 6.00 % at 1 / 2 / 4
 /// threads; MINPSID reduces it to 2.50 / 5.50 / 1.46 %.
@@ -619,7 +619,8 @@ pub fn sec8_multithread(sw: &mut Sweep, s: &mut String) -> fmt::Result {
         "{:<8} {:<8} | {:>8} | {:>8} | {:>10}",
         "threads", "method", "expected", "min cov", "mean loss"
     )?;
-    for threads in [1i64, 2, 4] {
+    let fft = sw.selects("fft");
+    for threads in [1i64, 2, 4].into_iter().filter(|_| fft) {
         let b = mt_benchmark(threads);
         let base = sw.baseline(&b);
         let hard = sw.pass_at_half(&b);

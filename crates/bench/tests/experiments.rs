@@ -76,6 +76,29 @@ fn traced_fig2_on_pathfinder_matches_its_fixture() {
 
 /// A usage error names what was wrong, lists the valid names and exits 2
 /// before anything runs.
+/// §VIII-B's rows are the threaded FFTs': a `--bench` naming another
+/// kernel profiles, searches and evaluates none of them.
+#[test]
+fn sec8_on_another_kernel_runs_no_fft() {
+    let out = experiments(&[
+        "sec8_multithread",
+        "--preset",
+        "tiny",
+        "--seed",
+        "42",
+        "--bench",
+        "pathfinder",
+    ]);
+    let table = stdout_of(&out);
+    assert!(table.contains("== Section VIII-B"), "{table}");
+    assert!(!table.contains("baseline |"), "an FFT row: {table}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("baseline profiles 0 run / 0 reused, minpsid passes 0 run / 0 reused"),
+        "{stderr}"
+    );
+}
+
 fn assert_usage_error(args: &[&str], message: &str) {
     let out = experiments(args);
     let stderr = String::from_utf8_lossy(&out.stderr);

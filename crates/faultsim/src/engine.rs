@@ -1,12 +1,16 @@
-//! The unified campaign execution engine: one plan → execute → reduce
-//! pipeline behind every campaign composition.
+//! The campaign execution engine: one plan → execute → reduce loop behind
+//! both of the paper's campaign shapes (§III-A3).
 //!
-//! Four features grew onto the fault-injection loop one PR at a time —
-//! checkpointed replay, tracing, the crash-safe WAL journal, and the
-//! scheduler — and each arrived as a forked entry point, until
-//! `campaign.rs` carried a 3×2 matrix of near-identical loop bodies.
-//! [`CampaignEngine`] folds that matrix back into one orchestration core
-//! with the features attached as *policy layers*:
+//! A whole-program campaign (N faults over every dynamic instruction) and
+//! a per-instruction one (N faults per static instruction) are the same
+//! injector under two sampling rules, so they run through one loop. A plan
+//! is a list of *units*, each a section-local stream of planned faults: a
+//! program unit plans one fault, a per-instruction unit (one site) plans
+//! `cfg.per_inst_injections`. What differs per shape is a small `match` on
+//! the plan's [`CampaignKind`] — the fault a unit draws, the key its
+//! outcomes have in the journal and in a sealed table, and the reduction
+//! into [`ProgramCampaign`] or [`PerInstSdc`]. The policy layers observe
+//! each unit of that loop:
 //!
 //! * **Scheduling** — early stop, the wall-clock deadline and the
 //!   accounting invariant live on a [`Scheduler`]. The engine owns an
@@ -16,17 +20,26 @@
 //!   crash-safe: recorded outcomes are served without re-execution, fresh
 //!   outcomes are appended, and a pending [`interrupt`] drains the run
 //!   into [`Interrupted`] with all finished work durable.
+//! * **Tables** — [`CampaignEngine::with_tables`] serves a section's
+//!   outcomes from the table an earlier run sealed, and seals new ones.
 //! * **Tracing** — counters, progress sampling and per-function outcome
 //!   events, active whenever the process-wide trace sink is.
 //!
-//! Execution is parallel for **every** composition. Workers fan out over
-//! [`par_map_init`] and each result lands in its plan-ordered slot, so
-//! reduction — and therefore every report — is byte-identical at any
-//! thread count. Journaled runs stay parallel too: workers buffer their
-//! WAL records per work unit and a single [`OrderedWriter`] appends each
-//! contiguous prefix of completed units, so the WAL byte stream is as
-//! deterministic as the report while finished work still reaches disk
-//! *during* the run (a crash loses at most the in-flight units).
+//! One rule for the deadline, in both shapes: it stops a fault from
+//! *running*, never an outcome that is already recorded from being
+//! *served*. A unit looks in the journal, then in its section's table,
+//! and only when neither knows the outcome does an expired deadline
+//! truncate it — so a resumed run under a deadline still takes everything
+//! its WAL holds.
+//!
+//! Execution is parallel. Workers fan out over [`par_map_init`] and each
+//! result lands in its plan-ordered slot, so reduction — and therefore
+//! every report — is byte-identical at any thread count. Journaled runs
+//! stay parallel too: workers buffer their WAL records per unit and a
+//! single [`OrderedWriter`] appends each contiguous prefix of completed
+//! units, so the WAL byte stream is as deterministic as the report while
+//! finished work still reaches disk *during* the run (a crash loses at
+//! most the in-flight units).
 //!
 //! Failure policy, stated once: everything an injected program can do
 //! wrong is a value the interpreter returns — its step, output, memory
@@ -36,16 +49,16 @@
 //! lets the panic go on to stop the run. Nothing is recorded for that
 //! injection, and what the WAL had committed resumes.
 //!
-//! Determinism contract (unchanged from the pre-engine code, verified by
-//! the equivalence tests): every injection's RNG is seeded only by
-//! `(cfg.seed, plan position)`, never by thread schedule or by which
-//! outcomes a journal served, so plain, scheduled, journaled and resumed
-//! runs of the same seed produce bit-identical reports.
+//! Determinism contract (verified by the equivalence tests): every
+//! injection's RNG is seeded only by `(cfg.seed, section, unit, k)`, never
+//! by thread schedule or by which outcomes a journal served, so plain,
+//! scheduled, journaled and resumed runs of the same seed produce
+//! bit-identical reports.
 
 use crate::campaign::{CampaignConfig, GoldenRun, PerInstSdc, ProgramCampaign, PROGRESS_INTERVAL};
 use crate::outcome::{classify, Outcome, OutcomeCounts};
 use crate::parallel::par_map_init;
-use crate::table::{table_sig, PerInstTable, ProgramTable, TableKind, TableMemo};
+use crate::table::{table_sig, SectionTable, TableMemo};
 use minpsid_interp::{
     ExecConfig, ExecResult, ExecScratch, FaultSpec, FaultTarget, Interp, ProgInput, Run, Start,
 };
@@ -65,14 +78,10 @@ use std::sync::Mutex;
 // Plan
 // ---------------------------------------------------------------------------
 
-/// One whole-program-campaign section: a function's slice of the
-/// stratified plan. Flat plan positions `unit_base..unit_base+injections`
-/// target this function's injectable dynamic executions; allocations are
-/// largest-remainder over `pop`, so per-section totals still sum to
-/// `cfg.injections` and the sampling stays proportional to execution
-/// weight (the same distribution the unstratified sampler converged to).
+/// One section of a plan: a function, its injectable executed sites, and
+/// the run of plan units that sample them.
 #[derive(Debug, Clone)]
-pub struct ProgramSection {
+pub struct Section {
     /// Function index in the module.
     pub func: usize,
     /// Content fingerprint: the function's own code plus every transitive
@@ -80,80 +89,97 @@ pub struct ProgramSection {
     pub fp: u64,
     /// Flat plan position of this section's first unit.
     pub unit_base: usize,
-    /// Units allocated to this section.
-    pub injections: usize,
-    /// Injectable dynamic executions within this function.
-    pub pop: u64,
-    /// Cumulative dynamic counts over the function's injectable sites
-    /// with nonzero count, in instruction order: `(gid, count-through-
-    /// gid)`. Maps a section-local draw in `0..pop` to a fault target.
-    pub prefix: Vec<(GlobalInstId, u64)>,
-}
-
-/// One per-instruction-campaign section: a function's injectable,
-/// executed sites, highest dynamic count first (a deadline truncates the
-/// low-benefit tail *within* each section).
-#[derive(Debug, Clone)]
-pub struct PerInstSection {
-    /// Function index in the module.
-    pub func: usize,
-    /// Content fingerprint (code + transitive callees).
-    pub fp: u64,
-    /// Flat plan position of this section's first site.
-    pub site_base: usize,
-    /// `(dense index, instruction id, dynamic count)`.
+    /// Units planned in this section: its share of a whole-program
+    /// campaign's faults, or one per site for a per-instruction campaign.
+    pub units: usize,
+    /// `(dense index, instruction id, dynamic count)` of every injectable
+    /// site that executed: in instruction order in a program plan, highest
+    /// count first (dense index breaking ties) in a per-instruction one, so
+    /// a deadline truncates each section's low-benefit tail.
     pub sites: Vec<(usize, GlobalInstId, u64)>,
+    /// Injectable dynamic executions within the function.
+    pub pop: u64,
 }
 
-/// The deterministic work list a campaign executes: per-section unit
-/// groups — a single injection per unit for program campaigns, a whole
-/// site per unit for per-instruction campaigns. One *section* is one
-/// function; grouping by section is what lets a memoized outcome table
-/// stand in for a whole group, and the per-section RNG streams (seeded by
-/// content fingerprint, not flat position) are what keep an unedited
-/// section's fault sequence stable when a neighbour is edited. Building a
-/// plan is pure: it depends only on the module, the golden profile and
-/// the config, never on the thread schedule or on journal contents, which
-/// is what keeps reduction order (and unit numbering for the ordered
-/// journal writer) stable.
+/// The deterministic work list a campaign executes: units grouped by
+/// section. One *section* is one function; grouping by section is what
+/// lets a memoized outcome table stand in for a whole group, and the
+/// per-section RNG streams (seeded by content fingerprint, not flat
+/// position) are what keep an unedited section's fault sequence stable
+/// when a neighbour is edited. Building a plan is pure: it depends only on
+/// the module, the golden profile and the config, never on the thread
+/// schedule or on journal contents, which is what keeps reduction order
+/// (and unit numbering for the ordered journal writer) stable.
 #[derive(Debug, Clone)]
-pub enum CampaignPlan {
-    /// `injections` single-bit flips over `population` injectable dynamic
-    /// executions, stratified across `sections`.
-    Program {
-        injections: usize,
-        population: u64,
-        sections: Vec<ProgramSection>,
-    },
-    /// One unit per injectable, executed static instruction, grouped by
-    /// enclosing function.
-    PerInst {
-        sections: Vec<PerInstSection>,
-        injections_per_site: usize,
-    },
+pub struct CampaignPlan {
+    /// The sampling rule: one fault per unit over the whole program, or
+    /// `faults_per_unit` per static instruction.
+    pub kind: CampaignKind,
+    /// Campaign seed every fault stream starts from.
+    pub seed: u64,
+    /// Faults each unit plans: 1 in a program plan.
+    pub faults_per_unit: usize,
+    pub sections: Vec<Section>,
 }
 
 impl CampaignPlan {
     /// Number of work units the executor fans out over.
     pub fn units(&self) -> usize {
-        match self {
-            CampaignPlan::Program { injections, .. } => *injections,
-            CampaignPlan::PerInst { sections, .. } => sections.iter().map(|s| s.sites.len()).sum(),
-        }
+        self.sections.iter().map(|s| s.units).sum()
     }
 
     /// Total injections the plan intends to run (the scheduler's
     /// `planned` figure).
     pub fn planned_injections(&self) -> u64 {
-        match self {
-            CampaignPlan::Program { injections, .. } => *injections as u64,
-            CampaignPlan::PerInst {
-                sections,
-                injections_per_site,
-            } => {
-                (sections.iter().map(|s| s.sites.len()).sum::<usize>() * injections_per_site) as u64
-            }
+        (self.units() * self.faults_per_unit) as u64
+    }
+
+    /// Unit `t`'s section and its section-local index.
+    fn locate(&self, t: usize) -> (usize, usize) {
+        // last section whose unit range begins at or before `t`
+        let s = self.sections.partition_point(|sec| sec.unit_base <= t) - 1;
+        (s, t - self.sections[s].unit_base)
+    }
+
+    /// The `k`-th fault of `sec`'s unit `j`.
+    fn fault(&self, sec: &Section, j: usize, k: usize) -> FaultSpec {
+        match self.kind {
+            CampaignKind::Program => program_fault(self.seed, sec, j),
+            CampaignKind::PerInst => per_inst_fault(self.seed, sec, j, k),
         }
+    }
+
+    /// The key of unit `t` (`sec`'s unit `j`) in the journal: the plan
+    /// position of a program unit, the dense index of a per-instruction
+    /// site (the journal adds the fault's `k`).
+    fn journal_key(&self, t: usize, sec: &Section, j: usize) -> u64 {
+        match self.kind {
+            CampaignKind::Program => t as u64,
+            CampaignKind::PerInst => sec.sites[j].0 as u64,
+        }
+    }
+
+    /// The key of `sec`'s unit `j` in a sealed table: the local unit index
+    /// in a program table, the instruction's function-local index in a
+    /// per-instruction one (stable when other functions are edited).
+    fn table_key(&self, sec: &Section, j: usize) -> u32 {
+        match self.kind {
+            CampaignKind::Program => j as u32,
+            CampaignKind::PerInst => sec.sites[j].1.inst.index() as u32,
+        }
+    }
+
+    /// The faults the engine plans for `sec`'s unit `j`, in injection
+    /// order. Planning is pure (seed, section fingerprint, the site's
+    /// dynamic count): what the journal or a sealed table serves, and which
+    /// repeats are deduped, changes which of these faults are *run*, never
+    /// which are planned.
+    pub fn faults<'s>(
+        &'s self,
+        sec: &'s Section,
+        j: usize,
+    ) -> impl Iterator<Item = FaultSpec> + 's {
+        (0..self.faults_per_unit).map(move |k| self.fault(sec, j, k))
     }
 }
 
@@ -162,24 +188,22 @@ impl CampaignPlan {
 // ---------------------------------------------------------------------------
 
 /// One WAL record a worker produced, buffered until the single ordered
-/// writer commits its work unit. `ran` is false for an outcome a sealed
-/// table served: the journal writes it all the same, but it is already
-/// durable in the store and does not advance the WAL's fsync cadence.
-enum PendingRecord {
-    Program {
-        index: u64,
-        outcome: u8,
-        ran: bool,
-    },
-    PerInst {
-        site: u64,
-        k: u64,
-        outcome: u8,
-        ran: bool,
-    },
+/// writer commits its unit. `key` is the unit's journal key (see
+/// [`OrderedWriter`]). `ran` is false for an outcome a sealed table
+/// served: the journal writes it all the same, but it is already durable
+/// in the store and does not advance the WAL's fsync cadence.
+struct PendingRecord {
+    key: u64,
+    k: u64,
+    outcome: u8,
+    ran: bool,
 }
 
-/// The single ordered writer behind parallel journaled runs.
+/// The journal layer of one campaign, and the single ordered writer behind
+/// parallel journaled runs.
+///
+/// A program unit's outcome is keyed by its plan position; a
+/// per-instruction unit's `k`-th outcome by the site's dense index and `k`.
 ///
 /// Workers complete units out of order, but the WAL byte stream must not
 /// depend on the thread schedule: replay correctness is keyed, yet a
@@ -193,6 +217,7 @@ enum PendingRecord {
 struct OrderedWriter<'j> {
     journal: &'j CampaignJournal,
     input_fp: u64,
+    kind: CampaignKind,
     state: Mutex<ReorderBuffer>,
 }
 
@@ -205,12 +230,22 @@ struct ReorderBuffer {
 }
 
 impl<'j> OrderedWriter<'j> {
-    fn new(journal: &'j CampaignJournal, input_fp: u64) -> Self {
+    fn new(journal: &'j CampaignJournal, input_fp: u64, kind: CampaignKind) -> Self {
         OrderedWriter {
             journal,
             input_fp,
+            kind,
             state: Mutex::new(ReorderBuffer::default()),
         }
+    }
+
+    /// The `k`-th outcome the journal holds for the unit keyed `key`.
+    fn lookup(&self, key: u64, k: u64) -> Option<Outcome> {
+        match self.kind {
+            CampaignKind::Program => self.journal.program_outcome(self.input_fp, key),
+            CampaignKind::PerInst => self.journal.per_inst_outcome(self.input_fp, key, k),
+        }
+        .and_then(Outcome::from_u8)
     }
 
     /// Hand over unit `unit`'s records (possibly empty — served-from-
@@ -243,28 +278,16 @@ impl<'j> OrderedWriter<'j> {
     }
 
     fn append(&self, r: &PendingRecord) {
-        match *r {
-            PendingRecord::Program {
-                index,
-                outcome,
-                ran,
-            } => self
-                .journal
-                .record_program(self.input_fp, index, outcome, ran),
-            PendingRecord::PerInst {
-                site,
-                k,
-                outcome,
-                ran,
-            } => self
-                .journal
-                .record_per_inst(self.input_fp, site, k, outcome, ran),
+        let (j, fp) = (self.journal, self.input_fp);
+        match self.kind {
+            CampaignKind::Program => j.record_program(fp, r.key, r.outcome, r.ran),
+            CampaignKind::PerInst => j.record_per_inst(fp, r.key, r.k, r.outcome, r.ran),
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Execution helpers (shared by both campaign shapes)
+// Execution helpers
 // ---------------------------------------------------------------------------
 
 fn outcome_kind(o: Outcome) -> OutcomeKind {
@@ -289,14 +312,12 @@ fn outcome_tally(c: &OutcomeCounts) -> trace::OutcomeTally {
 
 /// Aggregate a per-instruction campaign's outcome counts by enclosing
 /// function and emit one `function_outcomes` event per touched function.
-fn emit_function_outcomes(
-    module: &Module,
-    targets: &[(usize, GlobalInstId, u64)],
-    counts: &[OutcomeCounts],
-) {
+fn emit_function_outcomes(module: &Module, plan: &CampaignPlan, counts: &[OutcomeCounts]) {
     let mut per_func = vec![OutcomeCounts::default(); module.funcs.len()];
-    for &(dense, gid, _) in targets {
-        per_func[gid.func.index()].merge(&counts[dense]);
+    for sec in &plan.sections {
+        for &(dense, _, _) in &sec.sites {
+            per_func[sec.func].merge(&counts[dense]);
+        }
     }
     for (fi, agg) in per_func.iter().enumerate() {
         if agg.total() > 0 {
@@ -400,46 +421,43 @@ fn injection_boundary<T>(
 }
 
 /// The fault a whole-program campaign injects at section-local unit `j`
-/// of `sec` — shared by [`CampaignEngine::run_program`] and
-/// [`ProgramUnitExecutor`], so a unit resolved on its own is exactly the
-/// outcome the parallel executor records at that plan position.
+/// of `sec`: a draw over the section's injectable dynamic executions,
+/// mapped through the sites' counts in instruction order, and a bit.
 ///
-/// The RNG stream is seeded by `(cfg.seed, section fingerprint, j)` —
-/// never by the flat plan position — so an unedited section draws the
-/// same fault sequence whatever its neighbours turned into, which is the
-/// determinism a memoized outcome table relies on.
-fn program_fault(cfg: &CampaignConfig, sec: &ProgramSection, j: usize) -> FaultSpec {
+/// The RNG stream is seeded by `(seed, section fingerprint, j)` — never by
+/// the flat plan position — so an unedited section draws the same fault
+/// sequence whatever its neighbours turned into, which is the determinism
+/// a memoized outcome table relies on.
+fn program_fault(seed: u64, sec: &Section, j: usize) -> FaultSpec {
     let mut rng = StdRng::seed_from_u64(
-        cfg.seed ^ splitmix64(sec.fp) ^ (j as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        seed ^ splitmix64(sec.fp) ^ (j as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
     );
-    let r = rng.random_range(0..sec.pop);
-    // map the section-local draw through the cumulative site counts
-    let idx = sec.prefix.partition_point(|&(_, cum)| cum <= r);
-    let (gid, _) = sec.prefix[idx];
-    let prev = if idx == 0 { 0 } else { sec.prefix[idx - 1].1 };
+    let mut r = rng.random_range(0..sec.pop);
+    let mut sites = sec.sites.iter();
+    let gid = loop {
+        let &(_, gid, count) = sites.next().expect("a draw below the population");
+        if r < count {
+            break gid;
+        }
+        r -= count;
+    };
     FaultSpec {
-        target: FaultTarget::NthOfInst(gid, r - prev),
+        target: FaultTarget::NthOfInst(gid, r),
         bit: rng.random_range(0..64),
     }
 }
 
-/// The `k`-th fault a per-instruction campaign injects at the site
-/// `(gid, count)` of `sec`: one of the site's `count` dynamic instances,
-/// one bit. Seeded by content (section fingerprint, function-local
-/// instruction index, `k`), never by plan position, for the same reason
-/// [`program_fault`]'s stream is. With `count` instances there are only
-/// `64 * count` distinct faults, so at a site executed once a campaign of
-/// N injections repeats itself (half of them at N = 100).
-fn per_inst_fault(
-    cfg: &CampaignConfig,
-    sec: &PerInstSection,
-    gid: GlobalInstId,
-    count: u64,
-    k: usize,
-) -> FaultSpec {
+/// The `k`-th fault a per-instruction campaign injects at site `j` of
+/// `sec`: one of the site's dynamic instances, one bit. Seeded by content
+/// (section fingerprint, function-local instruction index, `k`), never by
+/// plan position, for the same reason [`program_fault`]'s stream is. With
+/// `count` instances there are only `64 * count` distinct faults, so at a
+/// site executed once a campaign of N injections repeats itself (half of
+/// them at N = 100).
+fn per_inst_fault(seed: u64, sec: &Section, j: usize, k: usize) -> FaultSpec {
+    let (_, gid, count) = sec.sites[j];
     let mut rng = StdRng::seed_from_u64(
-        cfg.seed
-            ^ splitmix64(sec.fp)
+        seed ^ splitmix64(sec.fp)
             ^ (gid.inst.index() as u64).wrapping_mul(0xD1B5_4A32_D192_ED03)
             ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
     );
@@ -449,67 +467,52 @@ fn per_inst_fault(
     }
 }
 
-/// Golden-context table signature for a program section: the per-site
-/// dynamic counts (in plan order) plus the section population pin every
-/// fault target the section-local RNG stream can draw.
-fn program_sig(cfg: &CampaignConfig, golden: &GoldenRun, sec: &ProgramSection) -> u64 {
-    let mut counts = Vec::with_capacity(sec.prefix.len());
-    let mut prev = 0u64;
-    for &(_, cum) in &sec.prefix {
-        counts.push(cum - prev);
-        prev = cum;
-    }
-    table_sig(TableKind::Program, cfg, golden, &counts, sec.pop)
-}
-
-/// Golden-context table signature for a per-instruction section.
-fn per_inst_sig(cfg: &CampaignConfig, golden: &GoldenRun, sec: &PerInstSection) -> u64 {
-    let counts: Vec<u64> = sec.sites.iter().map(|&(_, _, c)| c).collect();
-    let pop = counts.iter().sum();
-    table_sig(TableKind::PerInst, cfg, golden, &counts, pop)
-}
-
-/// Seal each program section's outcomes after a completed (uninterrupted)
-/// run. A group fully served from an existing table is skipped — the
-/// sealed artifact may hold *more* units than this run's allocation
-/// (allocation drift after an edit elsewhere), and rewriting would
-/// discard them. A group containing a truncated unit seals
-/// `complete: false`: a miss on every future load, so deadline-starved
-/// runs never masquerade as finished ones.
-fn seal_program_sections(
-    memo: &TableMemo,
+/// Golden-context table signature for a section: the per-site dynamic
+/// counts (in plan order) plus the section population pin every fault
+/// target the section-local RNG streams can draw.
+fn section_sig(
+    plan: &CampaignPlan,
     cfg: &CampaignConfig,
     golden: &GoldenRun,
-    sections: &[ProgramSection],
-    loaded: &[Option<ProgramTable>],
+    sec: &Section,
+) -> u64 {
+    let counts: Vec<u64> = sec.sites.iter().map(|&(_, _, c)| c).collect();
+    table_sig(plan.kind, cfg, golden, &counts, sec.pop)
+}
+
+/// Seal each section's outcome streams after a completed (uninterrupted)
+/// run. A section with no units has nothing to seal. One fully served
+/// from an existing table is skipped — the sealed artifact may hold
+/// *more* units than this run's allocation (allocation drift after an
+/// edit elsewhere), and rewriting would discard them. A section with a
+/// unit the deadline cut seals `complete: false`: a miss on every future
+/// load, so deadline-starved runs never masquerade as finished ones.
+fn seal_sections(
+    memo: &TableMemo,
+    plan: &CampaignPlan,
+    cfg: &CampaignConfig,
+    golden: &GoldenRun,
+    loaded: &[Option<SectionTable>],
     results: &[UnitResult],
 ) {
-    for (s, sec) in sections.iter().enumerate() {
-        if sec.injections == 0 {
+    for (s, sec) in plan.sections.iter().enumerate() {
+        let range = &results[sec.unit_base..sec.unit_base + sec.units];
+        if range.is_empty() || loaded[s].is_some() && !range.iter().any(|r| r.fresh) {
             continue;
         }
-        let range = &results[sec.unit_base..sec.unit_base + sec.injections];
-        let any_fresh = range
+        let complete = range
             .iter()
-            .any(|r| matches!(r, UnitResult::Done { fresh: true, .. }));
-        if loaded[s].is_some() && !any_fresh {
-            continue;
-        }
-        let mut units = Vec::with_capacity(range.len());
-        let mut complete = true;
-        for r in range {
-            match r {
-                UnitResult::Done { outcome, .. } => units.push(outcome.to_u8()),
-                _ => {
-                    complete = false;
-                    break;
-                }
-            }
-        }
-        memo.seal_program(
+            .all(|r| matches!(r.status, SiteStatus::Full | SiteStatus::EarlyStopped));
+        let streams = range
+            .iter()
+            .enumerate()
+            .map(|(j, r)| (plan.table_key(sec, j), r.outcomes.clone()))
+            .collect();
+        memo.seal(
+            plan.kind,
             sec.fp,
-            program_sig(cfg, golden, sec),
-            &ProgramTable { complete, units },
+            section_sig(plan, cfg, golden, sec),
+            &SectionTable { complete, streams },
         );
     }
 }
@@ -525,23 +528,11 @@ pub fn faulty_exec_config(cfg: &CampaignConfig, golden_steps: u64) -> ExecConfig
     }
 }
 
-/// How a program-campaign work unit ended. `fresh` distinguishes an
-/// interpreter execution from an outcome served by the journal or a
-/// memoized table — sealing skips groups with nothing newly executed.
-enum UnitResult {
-    Done { outcome: Outcome, fresh: bool },
-    Truncated,
-    Interrupted,
-}
-
-/// How one per-instruction site (one work unit) ended: the dense index
-/// and outcome tally the reducer keys on, the final site status, how many
-/// of its injections the deadline cut, whether the unit ran to completion
-/// (vs interrupted), the recorded outcome bytes in injection order (what
-/// sealing writes), and whether any injection at this site executed
-/// fresh.
-struct SiteResult {
-    dense: usize,
+/// How one unit ended: its outcome tally, how sampling ended there, how
+/// many of its faults the deadline cut, whether it ran to completion (vs
+/// interrupted), the recorded outcome bytes in injection order (what
+/// sealing writes), and whether any of its faults executed fresh.
+struct UnitResult {
     counts: OutcomeCounts,
     status: SiteStatus,
     truncated: u64,
@@ -569,42 +560,6 @@ impl Source {
     }
 }
 
-/// Seal each per-instruction section's outcome streams. Mirrors
-/// [`seal_program_sections`]: a group fully served from an existing table
-/// is left alone, and any site the run could not finish
-/// (deadline-truncated or unsampled) marks the whole group
-/// `complete: false` — a miss on every future load.
-fn seal_per_inst_sections(
-    memo: &TableMemo,
-    cfg: &CampaignConfig,
-    golden: &GoldenRun,
-    sections: &[PerInstSection],
-    loaded: &[Option<PerInstTable>],
-    per_site: &[SiteResult],
-) {
-    for (s, sec) in sections.iter().enumerate() {
-        let range = &per_site[sec.site_base..sec.site_base + sec.sites.len()];
-        let any_fresh = range.iter().any(|r| r.fresh);
-        if loaded[s].is_some() && !any_fresh {
-            continue;
-        }
-        let complete = range
-            .iter()
-            .all(|r| matches!(r.status, SiteStatus::Full | SiteStatus::EarlyStopped));
-        let sites: Vec<(u32, Vec<u8>)> = sec
-            .sites
-            .iter()
-            .zip(range)
-            .map(|(&(_, gid, _), r)| (gid.inst.index() as u32, r.outcomes.clone()))
-            .collect();
-        memo.seal_per_inst(
-            sec.fp,
-            per_inst_sig(cfg, golden, sec),
-            &PerInstTable { complete, sites },
-        );
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The engine
 // ---------------------------------------------------------------------------
@@ -613,8 +568,9 @@ fn seal_per_inst_sections(
 ///
 /// Construct with [`CampaignEngine::new`], attach policy layers with
 /// [`with_scheduler`](CampaignEngine::with_scheduler) /
-/// [`with_journal`](CampaignEngine::with_journal), then execute a
-/// campaign shape with [`run_program`](CampaignEngine::run_program) or
+/// [`with_journal`](CampaignEngine::with_journal) /
+/// [`with_tables`](CampaignEngine::with_tables), then execute a campaign
+/// shape with [`run_program`](CampaignEngine::run_program) or
 /// [`run_per_instruction`](CampaignEngine::run_per_instruction).
 ///
 /// ```text
@@ -634,6 +590,7 @@ pub struct CampaignEngine<'a> {
     sched: Option<&'a Scheduler>,
     journal: Option<(&'a CampaignJournal, u64)>,
     tables: Option<&'a TableMemo>,
+    inject: &'a Inject<'a>,
     /// Per-instruction injections that repeated a fault already run at
     /// their site and took its outcome (a statistic, hence `Relaxed`).
     deduped: AtomicU64,
@@ -657,6 +614,7 @@ impl<'a> CampaignEngine<'a> {
             sched: None,
             journal: None,
             tables: None,
+            inject: &inject,
             deduped: AtomicU64::new(0),
         }
     }
@@ -688,6 +646,13 @@ impl<'a> CampaignEngine<'a> {
         self
     }
 
+    /// Run every fault through `inject` instead of [`inject`].
+    #[cfg(test)]
+    fn with_inject(mut self, inject: &'a Inject<'a>) -> Self {
+        self.inject = inject;
+        self
+    }
+
     /// The scheduler this engine executes under.
     pub fn scheduler(&self) -> &Scheduler {
         self.sched.unwrap_or(&self.owned_sched)
@@ -700,10 +665,9 @@ impl<'a> CampaignEngine<'a> {
         interp: &Interp<'_>,
         st: &mut ExecScratch,
         fault: FaultSpec,
-        inject: &Inject<'_>,
     ) -> (Outcome, StepTally) {
         injection_boundary(self.module, self.input, self.cfg.seed, fault, || {
-            let r = inject(interp, st, self.golden, self.input, fault);
+            let r = (self.inject)(interp, st, self.golden, self.input, fault);
             debug_assert!(r.fault_applied, "fault target within population");
             let outcome = classify(&self.golden.output, &r);
             let skipped = r.resumed_at.unwrap_or(0);
@@ -729,23 +693,16 @@ impl<'a> CampaignEngine<'a> {
         self.deduped.load(Ordering::Relaxed)
     }
 
-    /// The faults [`run_per_instruction`](Self::run_per_instruction)
-    /// injects at `sec.sites[site]`, in injection order. Planning is pure
-    /// (config, section fingerprint, the site's dynamic count): what the
-    /// journal or a sealed table serves, and which repeats are deduped,
-    /// changes which of these faults are *run*, never which are planned.
-    pub fn planned_faults<'s>(
-        &'s self,
-        sec: &'s PerInstSection,
-        site: usize,
-    ) -> impl Iterator<Item = FaultSpec> + 's {
-        let (_, gid, count) = sec.sites[site];
-        (0..self.cfg.per_inst_injections).map(move |k| per_inst_fault(self.cfg, sec, gid, count, k))
-    }
-
-    /// Injectable sites per function: `(dense index, gid, dynamic count)`
-    /// for every injectable instruction that executed at least once.
-    fn sites_by_function(&self) -> Vec<Vec<(usize, GlobalInstId, u64)>> {
+    /// The plan of either shape: one section per function with an
+    /// injectable site that executed. A per-instruction plan has one unit
+    /// per site, its sites ordered by dynamic count. A program plan
+    /// allocates `cfg.injections` units over the golden run's injectable
+    /// population by largest remainder over each section's executions
+    /// (remainder ties broken by function index), so they sum exactly to
+    /// `cfg.injections` and track execution weight the way uniform global
+    /// sampling does in expectation.
+    fn plan(&self, kind: CampaignKind) -> CampaignPlan {
+        let fps = section_fingerprints(self.module);
         let numbering = self.module.numbering();
         let mut per_func = vec![Vec::new(); self.module.funcs.len()];
         for (gid, inst) in self.module.iter_insts() {
@@ -758,70 +715,65 @@ impl<'a> CampaignEngine<'a> {
                 per_func[gid.func.index()].push((dense, gid, count));
             }
         }
-        per_func
-    }
-
-    /// The whole-program plan: `cfg.injections` units over the golden
-    /// run's injectable population, stratified by section. Per-section
-    /// allocations are largest-remainder over each section's injectable
-    /// executions (remainder ties broken by function index), so they sum
-    /// exactly to `cfg.injections` and track execution weight the way
-    /// uniform global sampling does in expectation.
-    pub fn plan_program(&self) -> CampaignPlan {
-        let population = self.golden.profile.injectable_execs;
-        let injections = self.cfg.injections;
-        let fps = section_fingerprints(self.module);
-        let per_func = self.sites_by_function();
-        let mut sections: Vec<ProgramSection> = Vec::new();
-        for (fi, sites) in per_func.into_iter().enumerate() {
+        let mut sections: Vec<Section> = Vec::new();
+        for (func, mut sites) in per_func.into_iter().enumerate() {
             if sites.is_empty() {
                 continue;
             }
-            let mut prefix = Vec::with_capacity(sites.len());
-            let mut cum = 0u64;
-            for (_, gid, count) in sites {
-                cum += count;
-                prefix.push((gid, cum));
+            if kind == CampaignKind::PerInst {
+                sites.sort_unstable_by_key(|&(dense, _, count)| (std::cmp::Reverse(count), dense));
             }
-            sections.push(ProgramSection {
-                func: fi,
-                fp: fps[fi],
+            sections.push(Section {
+                func,
+                fp: fps[func],
                 unit_base: 0,
-                injections: 0,
-                pop: cum,
-                prefix,
+                units: sites.len(),
+                pop: sites.iter().map(|&(_, _, c)| c).sum(),
+                sites,
             });
         }
+        let population = self.golden.profile.injectable_execs;
         debug_assert_eq!(
             sections.iter().map(|s| s.pop).sum::<u64>(),
             population,
             "profile population equals the sum of section populations"
         );
-        if population > 0 && injections > 0 {
-            let mut assigned = 0usize;
-            let mut remainders: Vec<(u128, usize)> = Vec::with_capacity(sections.len());
-            for (s, sec) in sections.iter_mut().enumerate() {
-                let exact = injections as u128 * sec.pop as u128;
-                sec.injections = (exact / population as u128) as usize;
-                assigned += sec.injections;
-                remainders.push((exact % population as u128, s));
+        let faults_per_unit = match kind {
+            CampaignKind::Program => {
+                let injections = self.cfg.injections;
+                let mut assigned = 0usize;
+                let mut remainders: Vec<(u128, usize)> = Vec::with_capacity(sections.len());
+                for (s, sec) in sections.iter_mut().enumerate() {
+                    let exact = injections as u128 * sec.pop as u128;
+                    sec.units = (exact / population as u128) as usize;
+                    assigned += sec.units;
+                    remainders.push((exact % population as u128, s));
+                }
+                remainders.sort_unstable_by_key(|&(rem, s)| (std::cmp::Reverse(rem), s));
+                for &(_, s) in remainders.iter().take(injections - assigned) {
+                    sections[s].units += 1;
+                }
+                1
             }
-            remainders.sort_unstable_by_key(|&(rem, s)| (std::cmp::Reverse(rem), s));
-            for &(_, s) in remainders.iter().take(injections - assigned) {
-                sections[s].injections += 1;
-            }
-            let mut base = 0usize;
-            for sec in &mut sections {
-                sec.unit_base = base;
-                base += sec.injections;
-            }
-            debug_assert_eq!(base, injections, "allocations sum to the plan size");
+            CampaignKind::PerInst => self.cfg.per_inst_injections,
+        };
+        let mut base = 0usize;
+        for sec in &mut sections {
+            sec.unit_base = base;
+            base += sec.units;
         }
-        CampaignPlan::Program {
-            injections,
-            population,
+        CampaignPlan {
+            kind,
+            seed: self.cfg.seed,
+            faults_per_unit,
             sections,
         }
+    }
+
+    /// The whole-program plan: `cfg.injections` units of one fault each
+    /// (see [`plan`](Self::plan) for the allocation).
+    pub fn plan_program(&self) -> CampaignPlan {
+        self.plan(CampaignKind::Program)
     }
 
     /// The per-instruction plan: one unit per injectable, executed static
@@ -829,28 +781,7 @@ impl<'a> CampaignEngine<'a> {
     /// first within each group (deadlines truncate each section's
     /// low-benefit tail; dense index breaks ties so the order is total).
     pub fn plan_per_instruction(&self) -> CampaignPlan {
-        let fps = section_fingerprints(self.module);
-        let per_func = self.sites_by_function();
-        let mut sections: Vec<PerInstSection> = Vec::new();
-        let mut site_base = 0usize;
-        for (fi, mut sites) in per_func.into_iter().enumerate() {
-            if sites.is_empty() {
-                continue;
-            }
-            sites.sort_unstable_by_key(|&(dense, _, count)| (std::cmp::Reverse(count), dense));
-            let len = sites.len();
-            sections.push(PerInstSection {
-                func: fi,
-                fp: fps[fi],
-                site_base,
-                sites,
-            });
-            site_base += len;
-        }
-        CampaignPlan::PerInst {
-            sections,
-            injections_per_site: self.cfg.per_inst_injections,
-        }
+        self.plan(CampaignKind::PerInst)
     }
 
     /// Execute the whole-program campaign: `cfg.injections` single-bit
@@ -859,146 +790,18 @@ impl<'a> CampaignEngine<'a> {
     /// golden run. Errs with [`Interrupted`] only when a journal is
     /// attached and an interrupt is pending.
     pub fn run_program(&self) -> Result<ProgramCampaign, Interrupted> {
-        let plan_span = trace::span("plan");
-        let (injections, population, sections) = match self.plan_program() {
-            CampaignPlan::Program {
-                injections,
-                population,
-                sections,
-            } => (injections, population, sections),
-            CampaignPlan::PerInst { .. } => unreachable!(),
-        };
-        drop(plan_span);
-        let cfg = self.cfg;
-        let sched = self.scheduler();
-        if population == 0 || injections == 0 {
-            return Ok(ProgramCampaign::empty(cfg));
-        }
-        sched.add_planned(injections as u64);
-        let interp = Interp::new(self.module, faulty_exec_config(cfg, self.golden.steps));
-        // capture once so workers pay no atomic load when tracing is off
-        let tracing = trace::active();
-        let counters = CampaignCounters::new(CampaignKind::Program, injections as u64);
-        let suffix_steps = Histogram::new();
-        let journal = self.journal;
-        let writer = journal.map(|(j, fp)| OrderedWriter::new(j, fp));
-        let memo = self.tables;
-        // one verified load per section, before the fan-out: workers only
-        // index the decoded tables
-        let loaded: Vec<Option<ProgramTable>> = sections
-            .iter()
-            .map(|sec| {
-                memo.filter(|_| sec.injections > 0)
-                    .and_then(|m| m.load_program(sec.fp, program_sig(cfg, self.golden, sec)))
-            })
-            .collect();
-        let execute_span = trace::span("execute");
-        let results = trace::sample_campaign(&counters, PROGRESS_INTERVAL, || {
-            par_map_init(injections, cfg.threads, ExecScratch::default, |st, i| {
-                if journal.is_some() && interrupt::requested() {
-                    return UnitResult::Interrupted;
-                }
-                // last section whose unit range begins at or before `i`
-                let s = sections.partition_point(|sec| sec.unit_base <= i) - 1;
-                let sec = &sections[s];
-                let j = i - sec.unit_base;
-                // the journal, then the sealed table, then — unless the
-                // deadline has passed — a run: the first that knows this
-                // unit's outcome
-                let journaled = journal
-                    .and_then(|(jr, fp)| jr.program_outcome(fp, i as u64))
-                    .and_then(Outcome::from_u8);
-                let tabled = loaded[s]
-                    .as_ref()
-                    .and_then(|t| t.units.get(j))
-                    .and_then(|&b| Outcome::from_u8(b));
-                let (outcome, steps, source) = match (journaled, tabled) {
-                    (Some(o), _) => (o, StepTally::default(), Source::Journal),
-                    (None, Some(o)) => (o, StepTally::default(), Source::Table),
-                    (None, None) if sched.deadline_exceeded() => {
-                        if let Some(w) = &writer {
-                            w.commit(i, Vec::new());
-                        }
-                        return UnitResult::Truncated;
-                    }
-                    (None, None) => {
-                        let run = self.execute(&interp, st, program_fault(cfg, sec, j), &inject);
-                        if tracing {
-                            suffix_steps.record(run.1.executed);
-                        }
-                        (run.0, run.1, Source::Run)
-                    }
-                };
-                source.note(memo);
-                sched.note_completed(1);
-                if tracing {
-                    steps.record(&counters, outcome);
-                }
-                if let Some(w) = &writer {
-                    // a table-served outcome still gets a real record, so
-                    // a resumed run's journal matches a cold run's
-                    let mut records = Vec::new();
-                    if source != Source::Journal {
-                        records.push(PendingRecord::Program {
-                            index: i as u64,
-                            outcome: outcome.to_u8(),
-                            ran: source == Source::Run,
-                        });
-                    }
-                    w.commit(i, records);
-                }
-                UnitResult::Done {
-                    outcome,
-                    fresh: source == Source::Run,
-                }
-            })
-        });
-        drop(execute_span);
-        if let Some(w) = &writer {
-            w.finish();
-        }
-        if tracing {
-            suffix_steps.emit("fi.program.suffix_steps");
-        }
-        if journal.is_some()
-            && (results.iter().any(|r| matches!(r, UnitResult::Interrupted))
-                || interrupt::requested())
-        {
-            if let Some((j, _)) = journal {
-                let _ = j.sync();
-            }
-            return Err(Interrupted);
-        }
+        let (plan, results) = self.run(CampaignKind::Program)?;
         let _reduce_span = trace::span("reduce");
         let mut counts = OutcomeCounts::default();
         let mut truncated = 0u64;
         for r in &results {
-            match r {
-                UnitResult::Done { outcome, .. } => counts.record(*outcome),
-                UnitResult::Truncated => truncated += 1,
-                UnitResult::Interrupted => unreachable!("handled above"),
-            }
+            counts.merge(&r.counts);
+            truncated += r.truncated;
         }
-        sched.note_truncated(CampaignKind::Program, truncated);
-        if let Some(m) = memo {
-            seal_program_sections(m, cfg, self.golden, &sections, &loaded, &results);
-            let served = loaded.iter().filter(|t| t.is_some()).count() as u64;
-            if served > 0 {
-                trace::emit(trace::Event::SectionEvent {
-                    fp: 0,
-                    action: trace::SectionAction::Compose,
-                    units: served,
-                });
-            }
-        }
-        if let Some((j, _)) = journal {
-            let _ = j.sync();
-        }
-        let sdc_ci = binomial_ci(counts.sdc, counts.total(), cfg.sched.ci_z);
         Ok(ProgramCampaign {
             counts,
-            sdc_ci,
-            planned: injections as u64,
+            sdc_ci: binomial_ci(counts.sdc, counts.total(), self.cfg.sched.ci_z),
+            planned: plan.planned_injections(),
             truncated,
         })
     }
@@ -1009,52 +812,86 @@ impl<'a> CampaignEngine<'a> {
     /// truncated. Errs with [`Interrupted`] only when a journal is
     /// attached and an interrupt is pending.
     pub fn run_per_instruction(&self) -> Result<PerInstSdc, Interrupted> {
-        self.run_per_instruction_with(&inject)
+        let (plan, results) = self.run(CampaignKind::PerInst)?;
+        let _reduce_span = trace::span("reduce");
+        let n = self.module.numbering().len();
+        let sched = self.scheduler();
+        let mut sdc_prob = vec![0.0; n];
+        let mut counts = vec![OutcomeCounts::default(); n];
+        let mut ci = vec![binomial_ci(0, 0, self.cfg.sched.ci_z); n];
+        let mut status = vec![SiteStatus::Unsampled; n];
+        let sites = plan.sections.iter().flat_map(|sec| &sec.sites);
+        for (&(dense, _, _), r) in sites.zip(results) {
+            sdc_prob[dense] = r.counts.sdc_prob();
+            ci[dense] = sched.site_ci(r.counts.sdc, r.counts.total());
+            counts[dense] = r.counts;
+            status[dense] = r.status;
+        }
+        if trace::active() {
+            emit_function_outcomes(self.module, &plan, &counts);
+        }
+        Ok(PerInstSdc {
+            sdc_prob,
+            counts,
+            ci,
+            status,
+        })
     }
 
-    /// [`run_per_instruction`](Self::run_per_instruction) over the given
-    /// way of running one fault (see [`execute`](Self::execute)).
-    fn run_per_instruction_with(&self, inject: &Inject<'_>) -> Result<PerInstSdc, Interrupted> {
-        let plan_span = trace::span("plan");
-        let (sections, planned) = match self.plan_per_instruction() {
-            CampaignPlan::PerInst {
-                sections,
-                injections_per_site,
-            } => (sections, injections_per_site),
-            CampaignPlan::Program { .. } => unreachable!(),
+    /// The one campaign loop: plan `kind`, then resolve every unit's
+    /// faults in parallel — each from the journal, else from its section's
+    /// sealed table, else, unless the deadline has passed, by running it —
+    /// and hand back the plan and the per-unit results in plan order.
+    fn run(&self, kind: CampaignKind) -> Result<(CampaignPlan, Vec<UnitResult>), Interrupted> {
+        let plan = {
+            let _plan_span = trace::span("plan");
+            self.plan(kind)
         };
-        drop(plan_span);
-        // flat plan-order site list, for the fan-out and the reducer
-        let sites: Vec<(usize, GlobalInstId, u64)> = sections
-            .iter()
-            .flat_map(|sec| sec.sites.iter().copied())
-            .collect();
+        let units = plan.units();
+        if units == 0 {
+            return Ok((plan, Vec::new()));
+        }
         let cfg = self.cfg;
         let sched = self.scheduler();
-        let n = self.module.numbering().len();
+        let planned = plan.faults_per_unit;
+        sched.add_planned(plan.planned_injections());
         let interp = Interp::new(self.module, faulty_exec_config(cfg, self.golden.steps));
-        sched.add_planned((sites.len() * planned) as u64);
+        // capture once so workers pay no atomic load when tracing is off
         let tracing = trace::active();
-        let counters = CampaignCounters::new(CampaignKind::PerInst, (sites.len() * planned) as u64);
+        let counters = CampaignCounters::new(kind, plan.planned_injections());
+        let suffix_steps = match kind {
+            CampaignKind::Program => Some(("fi.program.suffix_steps", Histogram::new())),
+            CampaignKind::PerInst => None,
+        }
+        .filter(|_| tracing);
         let journal = self.journal;
-        let writer = journal.map(|(j, fp)| OrderedWriter::new(j, fp));
+        let writer = journal.map(|(j, fp)| OrderedWriter::new(j, fp, kind));
         let memo = self.tables;
-        let loaded: Vec<Option<PerInstTable>> = sections
+        // one verified load per section, before the fan-out: workers only
+        // index the decoded tables
+        let loaded: Vec<Option<SectionTable>> = plan
+            .sections
             .iter()
             .map(|sec| {
-                memo.and_then(|m| m.load_per_inst(sec.fp, per_inst_sig(cfg, self.golden, sec)))
+                memo.filter(|_| sec.units > 0)
+                    .and_then(|m| m.load(kind, sec.fp, section_sig(&plan, cfg, self.golden, sec)))
             })
             .collect();
         let execute_span = trace::span("execute");
-        let per_site = trace::sample_campaign(&counters, PROGRESS_INTERVAL, || {
-            par_map_init(sites.len(), cfg.threads, ExecScratch::default, |st, t| {
-                let (dense, gid, count) = sites[t];
-                // last section whose site range begins at or before `t`
-                let s = sections.partition_point(|sec| sec.site_base <= t) - 1;
-                let sec = &sections[s];
-                let site = dense as u64;
-                let mut r = SiteResult {
-                    dense,
+        let results = trace::sample_campaign(&counters, PROGRESS_INTERVAL, || {
+            par_map_init(units, cfg.threads, ExecScratch::default, |st, t| {
+                let (s, j) = plan.locate(t);
+                let sec = &plan.sections[s];
+                let journal_key = plan.journal_key(t, sec, j);
+                // the sealed table's outcome stream for this unit. One
+                // shorter than `planned` means the sealing run stopped
+                // early here; the same stop re-derives below before `k`
+                // ever reaches its end.
+                let served: &[u8] = loaded[s]
+                    .as_ref()
+                    .and_then(|tab| tab.stream(plan.table_key(sec, j)))
+                    .unwrap_or(&[]);
+                let mut r = UnitResult {
                     counts: OutcomeCounts::default(),
                     status: SiteStatus::Full,
                     truncated: 0,
@@ -1063,17 +900,7 @@ impl<'a> CampaignEngine<'a> {
                     fresh: false,
                 };
                 let mut records: Vec<PendingRecord> = Vec::new();
-                // the sealed table's outcome stream for this site, keyed
-                // by the instruction's function-local index (stable when
-                // other functions are edited). A stream shorter than
-                // `planned` means the sealing run stopped early at this
-                // site; the same stop re-derives below before `k` ever
-                // reaches its end.
-                let served: &[u8] = loaded[s]
-                    .as_ref()
-                    .and_then(|tab| tab.site(gid.inst.index() as u32))
-                    .unwrap_or(&[]);
-                // outcome of the faults already run at this site
+                // outcome of the faults already run in this unit
                 let mut ran: HashMap<FaultSpec, Outcome> = HashMap::new();
                 for k in 0..planned {
                     if journal.is_some() && interrupt::requested() {
@@ -1083,27 +910,28 @@ impl<'a> CampaignEngine<'a> {
                         r.done = false;
                         break;
                     }
-                    if sched.deadline_exceeded() {
-                        r.status = if k == 0 {
-                            SiteStatus::Unsampled
-                        } else {
-                            SiteStatus::Truncated
-                        };
-                        r.truncated = (planned - k) as u64;
-                        break;
-                    }
-                    // the journal, then the sealed table, then a run: the
-                    // first that knows this injection's outcome
-                    let journaled = journal
-                        .and_then(|(j, fp)| j.per_inst_outcome(fp, site, k as u64))
-                        .and_then(Outcome::from_u8);
+                    // the journal, then the sealed table, then — unless
+                    // the deadline has passed — a run: the first that
+                    // knows this injection's outcome
+                    let journaled = writer
+                        .as_ref()
+                        .and_then(|w| w.lookup(journal_key, k as u64));
                     let tabled = served.get(k).copied().and_then(Outcome::from_u8);
                     let (outcome, steps, source) = match (journaled, tabled) {
                         (Some(o), _) => (o, StepTally::default(), Source::Journal),
                         (None, Some(o)) => (o, StepTally::default(), Source::Table),
+                        (None, None) if sched.deadline_exceeded() => {
+                            r.status = if k == 0 {
+                                SiteStatus::Unsampled
+                            } else {
+                                SiteStatus::Truncated
+                            };
+                            r.truncated = (planned - k) as u64;
+                            break;
+                        }
                         (None, None) => {
-                            let fault = per_inst_fault(cfg, sec, gid, count, k);
-                            // a repeat of a fault already run at this site
+                            let fault = plan.fault(sec, j, k);
+                            // a repeat of a fault already run in this unit
                             // takes its outcome: the interpreter is
                             // deterministic
                             let (o, steps) = match ran.get(&fault) {
@@ -1115,8 +943,15 @@ impl<'a> CampaignEngine<'a> {
                                     (o, StepTally::default())
                                 }
                                 None => {
-                                    let run = self.execute(&interp, st, fault, inject);
-                                    ran.insert(fault, run.0);
+                                    let run = self.execute(&interp, st, fault);
+                                    // only a later fault of this unit can
+                                    // repeat it (a program unit has none)
+                                    if k + 1 < planned {
+                                        ran.insert(fault, run.0);
+                                    }
+                                    if let Some((_, h)) = &suffix_steps {
+                                        h.record(run.1.executed);
+                                    }
                                     run
                                 }
                             };
@@ -1128,8 +963,8 @@ impl<'a> CampaignEngine<'a> {
                     // a table-served outcome still gets a real WAL record,
                     // so a resumed run's journal matches a cold run's
                     if journal.is_some() && source != Source::Journal {
-                        records.push(PendingRecord::PerInst {
-                            site,
+                        records.push(PendingRecord {
+                            key: journal_key,
                             k: k as u64,
                             outcome: outcome.to_u8(),
                             ran: source == Source::Run,
@@ -1144,13 +979,7 @@ impl<'a> CampaignEngine<'a> {
                     if let Some(hw) = sched.early_stop(r.counts.sdc, r.counts.total()) {
                         if k + 1 < planned {
                             let skip = (planned - k - 1) as u64;
-                            sched.note_early_stop(
-                                CampaignKind::PerInst,
-                                site,
-                                r.counts.total(),
-                                hw,
-                                skip,
-                            );
+                            sched.note_early_stop(kind, journal_key, r.counts.total(), hw, skip);
                             r.status = SiteStatus::EarlyStopped;
                             break;
                         }
@@ -1166,23 +995,18 @@ impl<'a> CampaignEngine<'a> {
         if let Some(w) = &writer {
             w.finish();
         }
-
-        if journal.is_some() {
-            let complete = per_site.iter().all(|r| r.done);
-            if !complete || interrupt::requested() {
-                if let Some((j, _)) = journal {
-                    let _ = j.sync();
-                }
+        if let Some((name, h)) = &suffix_steps {
+            h.emit(name);
+        }
+        if let Some((j, _)) = journal {
+            if results.iter().any(|r| !r.done) || interrupt::requested() {
+                let _ = j.sync();
                 return Err(Interrupted);
             }
         }
-        let _reduce_span = trace::span("reduce");
-        sched.note_truncated(
-            CampaignKind::PerInst,
-            per_site.iter().map(|r| r.truncated).sum(),
-        );
+        sched.note_truncated(kind, results.iter().map(|r| r.truncated).sum());
         if let Some(m) = memo {
-            seal_per_inst_sections(m, cfg, self.golden, &sections, &loaded, &per_site);
+            seal_sections(m, &plan, cfg, self.golden, &loaded, &results);
             let served = loaded.iter().filter(|t| t.is_some()).count() as u64;
             if served > 0 {
                 trace::emit(trace::Event::SectionEvent {
@@ -1192,28 +1016,10 @@ impl<'a> CampaignEngine<'a> {
                 });
             }
         }
-        let mut sdc_prob = vec![0.0; n];
-        let mut counts = vec![OutcomeCounts::default(); n];
-        let mut ci = vec![binomial_ci(0, 0, cfg.sched.ci_z); n];
-        let mut status = vec![SiteStatus::Unsampled; n];
-        for r in per_site {
-            sdc_prob[r.dense] = r.counts.sdc_prob();
-            ci[r.dense] = sched.site_ci(r.counts.sdc, r.counts.total());
-            counts[r.dense] = r.counts;
-            status[r.dense] = r.status;
-        }
-        if tracing {
-            emit_function_outcomes(self.module, &sites, &counts);
-        }
         if let Some((j, _)) = journal {
             let _ = j.sync();
         }
-        Ok(PerInstSdc {
-            sdc_prob,
-            counts,
-            ci,
-            status,
-        })
+        Ok((plan, results))
     }
 
     /// A sequential unit-at-a-time executor over this engine's program
@@ -1223,21 +1029,11 @@ impl<'a> CampaignEngine<'a> {
     /// what [`run_program`](Self::run_program) would have produced at
     /// that plan position.
     pub fn program_executor(&self) -> ProgramUnitExecutor<'_> {
-        let (injections, population, sections) = match self.plan_program() {
-            CampaignPlan::Program {
-                injections,
-                population,
-                sections,
-            } => (injections, population, sections),
-            CampaignPlan::PerInst { .. } => unreachable!(),
-        };
         ProgramUnitExecutor {
             engine: self,
             interp: Interp::new(self.module, faulty_exec_config(self.cfg, self.golden.steps)),
             scratch: ExecScratch::default(),
-            injections,
-            population,
-            sections,
+            plan: self.plan_program(),
         }
     }
 }
@@ -1257,9 +1053,7 @@ pub struct ProgramUnitExecutor<'e> {
     engine: &'e CampaignEngine<'e>,
     interp: Interp<'e>,
     scratch: ExecScratch,
-    injections: usize,
-    population: u64,
-    sections: Vec<ProgramSection>,
+    plan: CampaignPlan,
 }
 
 impl ProgramUnitExecutor<'_> {
@@ -1267,20 +1061,13 @@ impl ProgramUnitExecutor<'_> {
     /// `false` (it said "recovered via retry"): `benchmark/` destructures
     /// a pair and may not change here; ROADMAP 4(b) drops it.
     ///
-    /// Panics if `i` is outside the plan or the population is empty.
+    /// Panics if `i` is outside the plan.
     pub fn run_unit(&mut self, i: usize) -> (Outcome, bool) {
-        assert!(
-            i < self.injections && self.population > 0,
-            "unit {i} outside plan ({} injections, population {})",
-            self.injections,
-            self.population
-        );
-        let s = self.sections.partition_point(|sec| sec.unit_base <= i) - 1;
-        let sec = &self.sections[s];
-        let fault = program_fault(self.engine.cfg, sec, i - sec.unit_base);
-        let (outcome, _) = self
-            .engine
-            .execute(&self.interp, &mut self.scratch, fault, &inject);
+        let units = self.plan.units();
+        assert!(i < units, "unit {i} outside plan ({units} units)");
+        let (s, j) = self.plan.locate(i);
+        let fault = self.plan.fault(&self.plan.sections[s], j, 0);
+        let (outcome, _) = self.engine.execute(&self.interp, &mut self.scratch, fault);
         (outcome, false)
     }
 }
@@ -1290,7 +1077,8 @@ mod tests {
     use super::*;
     use crate::campaign::golden_run;
     use crate::campaign::tests::{input, journal_dir, test_module, INTERRUPT_FLAG};
-    use std::sync::atomic::AtomicUsize;
+    use minpsid_sched::{Deadline, SchedSnapshot};
+    use std::path::Path;
 
     #[test]
     fn boundary_names_the_fault_and_reraises_the_panic() {
@@ -1324,89 +1112,177 @@ mod tests {
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"interpreter bug"));
     }
 
+    /// `kind`'s campaign on `eng`, rendered.
+    fn report(eng: &CampaignEngine, kind: CampaignKind) -> String {
+        match kind {
+            CampaignKind::Program => format!("{:?}", eng.run_program().unwrap()),
+            CampaignKind::PerInst => format!("{:?}", eng.run_per_instruction().unwrap()),
+        }
+    }
+
+    fn wal(dir: &Path) -> Vec<u8> {
+        std::fs::read(dir.join("campaign.wal")).unwrap()
+    }
+
+    /// Run `kind`'s campaign journaled into `dir` with a harness that
+    /// panics at plan unit `bad` — at its third fault in a per-instruction
+    /// unit, at its only one in a program unit — and return the stopped
+    /// run's accounting. The journal then holds units `0..bad`.
+    fn panic_at_unit(
+        (m, inp, g, cfg): (&Module, &ProgInput, &GoldenRun, &CampaignConfig),
+        kind: CampaignKind,
+        bad: usize,
+        dir: &Path,
+    ) -> SchedSnapshot {
+        let plan = CampaignEngine::new(m, inp, g, cfg).plan(kind);
+        let (s, j) = plan.locate(bad);
+        let bad_fault = plan.faults(&plan.sections[s], j).take(3).last().unwrap();
+        let failing = |interp: &Interp<'_>,
+                       st: &mut ExecScratch,
+                       golden: &GoldenRun,
+                       input: &ProgInput,
+                       fault: FaultSpec| {
+            if fault == bad_fault {
+                panic!("interpreter bug");
+            }
+            inject(interp, st, golden, input, fault)
+        };
+        let j = CampaignJournal::open(dir, 1, 2, None).unwrap();
+        let sched = Scheduler::unbounded(cfg.sched.clone());
+        let eng = CampaignEngine::new(m, inp, g, cfg)
+            .with_scheduler(&sched)
+            .with_journal(&j, 9)
+            .with_inject(&failing);
+        let payload =
+            catch_unwind(AssertUnwindSafe(|| report(&eng, kind))).expect_err("the run stops");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"interpreter bug"));
+        j.sync().unwrap();
+        sched.snapshot()
+    }
+
     /// A harness panic at one injection stops the run with nothing
     /// recorded for it — no outcome, no tally, no WAL record — and the
-    /// sites the WAL had committed are served when the run is resumed,
+    /// units the WAL had committed are served when the run is resumed,
     /// which ends at the report and the WAL of a run nothing disturbed.
+    /// Both shapes: the panic reaches the one loop through the same hook.
     #[test]
     fn harness_panic_stops_the_run_and_its_wal_resumes() {
         let _flag = INTERRUPT_FLAG.lock().unwrap_or_else(|e| e.into_inner());
         let m = test_module();
         let inp = input(50);
-        for threads in [1, 2] {
-            let mut cfg = CampaignConfig::quick(17);
-            cfg.threads = threads;
-            let g = golden_run(&m, &inp, &cfg).unwrap();
-            let planned = cfg.per_inst_injections as u64;
-            let wal = |dir: &std::path::Path| std::fs::read(dir.join("campaign.wal")).unwrap();
+        for kind in [CampaignKind::PerInst, CampaignKind::Program] {
+            for threads in [1, 2] {
+                let mut cfg = CampaignConfig::quick(17);
+                cfg.threads = threads;
+                let g = golden_run(&m, &inp, &cfg).unwrap();
+                let name = format!("{}-{threads}", kind.as_str());
+                let faults = CampaignEngine::new(&m, &inp, &g, &cfg)
+                    .plan(kind)
+                    .faults_per_unit;
 
-            let calm_dir = journal_dir(&format!("panic-calm-{threads}"));
-            let calm = {
-                let j = CampaignJournal::open(&calm_dir, 1, 2, None).unwrap();
-                let p = CampaignEngine::new(&m, &inp, &g, &cfg)
-                    .with_journal(&j, 9)
-                    .run_per_instruction()
-                    .unwrap();
-                j.sync().unwrap();
-                p
-            };
+                let calm_dir = journal_dir(&format!("panic-calm-{name}"));
+                let calm = {
+                    let j = CampaignJournal::open(&calm_dir, 1, 2, None).unwrap();
+                    let r = report(
+                        &CampaignEngine::new(&m, &inp, &g, &cfg).with_journal(&j, 9),
+                        kind,
+                    );
+                    j.sync().unwrap();
+                    r
+                };
 
-            // the harness fails on the third fault it runs at plan site 4
-            let dir = journal_dir(&format!("panic-{threads}"));
-            {
+                let dir = journal_dir(&format!("panic-{name}"));
+                let snap = panic_at_unit((&m, &inp, &g, &cfg), kind, 4, &dir);
+                assert!((4 * faults as u64..snap.planned).contains(&snap.completed));
+                // whole units only, in plan order: the calm WAL's header and
+                // units 0..4, nothing of the unit that panicked or after it
+                let (partial, full) = (wal(&dir), wal(&calm_dir));
+                assert!(full.starts_with(&partial), "{name}");
+                let records = minpsid_journal::wal::scan_bytes(&partial).records;
+                assert_eq!(records.len(), 1 + 4 * faults, "{name}");
+
                 let j = CampaignJournal::open(&dir, 1, 2, None).unwrap();
-                let s = Scheduler::unbounded(cfg.sched.clone());
-                let eng = CampaignEngine::new(&m, &inp, &g, &cfg)
-                    .with_scheduler(&s)
-                    .with_journal(&j, 9);
-                let CampaignPlan::PerInst { sections, .. } = eng.plan_per_instruction() else {
-                    unreachable!()
-                };
-                let (_, bad_gid, _) = sections
-                    .iter()
-                    .flat_map(|sec| &sec.sites)
-                    .nth(4)
-                    .copied()
-                    .unwrap();
-                let runs_there = AtomicUsize::new(0);
-                let failing = |interp: &Interp<'_>,
-                               st: &mut ExecScratch,
-                               golden: &GoldenRun,
-                               input: &ProgInput,
-                               fault: FaultSpec| {
-                    if matches!(fault.target, FaultTarget::NthOfInst(gid, _) if gid == bad_gid)
-                        && runs_there.fetch_add(1, Ordering::Relaxed) == 2
-                    {
-                        panic!("interpreter bug");
-                    }
-                    inject(interp, st, golden, input, fault)
-                };
-                let payload =
-                    catch_unwind(AssertUnwindSafe(|| eng.run_per_instruction_with(&failing)))
-                        .expect_err("the run stops");
-                assert_eq!(payload.downcast_ref::<&str>(), Some(&"interpreter bug"));
-                let snap = s.snapshot();
-                assert!((4 * planned..snap.planned).contains(&snap.completed));
+                let resumed = report(
+                    &CampaignEngine::new(&m, &inp, &g, &cfg).with_journal(&j, 9),
+                    kind,
+                );
                 j.sync().unwrap();
+                assert_eq!(resumed, calm, "{name}");
+                assert!(
+                    j.usage().0 > 0,
+                    "{name}: committed units were served, not re-run"
+                );
+                assert_eq!(wal(&dir), full, "{name}");
             }
-            // whole sites only, in plan order: the calm WAL's header and
-            // sites 0..4, nothing of the site that panicked or after it
-            let (partial, full) = (wal(&dir), wal(&calm_dir));
-            assert!(full.starts_with(&partial));
-            let records = minpsid_journal::wal::scan_bytes(&partial).records;
-            assert_eq!(records.len() as u64, 1 + 4 * planned);
+        }
+    }
+
+    /// The one deadline rule, in both shapes: an expired deadline stops
+    /// every fault from running, never a recorded outcome from being
+    /// served. Resumed under a deadline that has already passed, a journal
+    /// holding the first half of the units serves all of them and
+    /// truncates the rest, and appends nothing.
+    #[test]
+    fn an_expired_deadline_serves_what_the_journal_holds_and_runs_nothing() {
+        let _flag = INTERRUPT_FLAG.lock().unwrap_or_else(|e| e.into_inner());
+        let m = test_module();
+        let inp = input(50);
+        let mut cfg = CampaignConfig::quick(17);
+        cfg.threads = 2;
+        let g = golden_run(&m, &inp, &cfg).unwrap();
+        for kind in [CampaignKind::PerInst, CampaignKind::Program] {
+            let plan = CampaignEngine::new(&m, &inp, &g, &cfg).plan(kind);
+            let (units, faults) = (plan.units(), plan.faults_per_unit);
+            let half = units / 2;
+            let dir = journal_dir(&format!("deadline-{}", kind.as_str()));
+            panic_at_unit((&m, &inp, &g, &cfg), kind, half, &dir);
+            let before = wal(&dir);
 
             let j = CampaignJournal::open(&dir, 1, 2, None).unwrap();
-            let resumed = CampaignEngine::new(&m, &inp, &g, &cfg)
-                .with_journal(&j, 9)
-                .run_per_instruction()
-                .unwrap();
+            let sched = Scheduler::new(cfg.sched.clone(), Deadline::from_secs(Some(0.0)));
+            let eng = CampaignEngine::new(&m, &inp, &g, &cfg)
+                .with_scheduler(&sched)
+                .with_journal(&j, 9);
+            let served = (half * faults) as u64;
+            match kind {
+                CampaignKind::Program => {
+                    let c = eng.run_program().unwrap();
+                    assert_eq!(c.counts.total(), served);
+                    assert_eq!(c.truncated, (units - half) as u64);
+                }
+                CampaignKind::PerInst => {
+                    let p = eng.run_per_instruction().unwrap();
+                    let calm = CampaignEngine::new(&m, &inp, &g, &cfg)
+                        .run_per_instruction()
+                        .unwrap();
+                    let sites = plan.sections.iter().flat_map(|sec| &sec.sites);
+                    for (t, &(dense, _, _)) in sites.enumerate() {
+                        let (status, counts) = if t < half {
+                            (SiteStatus::Full, calm.counts[dense])
+                        } else {
+                            (SiteStatus::Unsampled, OutcomeCounts::default())
+                        };
+                        assert_eq!(
+                            (p.status[dense], p.counts[dense]),
+                            (status, counts),
+                            "site {t}"
+                        );
+                    }
+                }
+            }
+            let snap = sched.snapshot();
+            assert_eq!(
+                snap.completed, served,
+                "{kind:?}: every journaled outcome served"
+            );
+            assert_eq!(snap.truncated, snap.planned - served, "{kind:?}");
+            assert_eq!(j.usage().0, served, "{kind:?}");
             j.sync().unwrap();
-            assert_eq!(resumed.counts, calm.counts);
-            assert_eq!(resumed.sdc_prob, calm.sdc_prob);
-            assert_eq!(resumed.status, calm.status);
-            assert!(j.usage().0 > 0, "committed sites were served, not re-run");
-            assert_eq!(wal(&dir), full);
+            assert_eq!(
+                wal(&dir),
+                before,
+                "{kind:?}: nothing ran, nothing was appended"
+            );
         }
     }
 }

@@ -20,9 +20,12 @@
 //!   100-fault per-instruction SDC-probability measurement that feeds
 //!   SID's benefit, Eq. 2).
 //!
-//! Every campaign runs through one [`CampaignEngine`] (see [`engine`]): a
-//! plan/execute/reduce pipeline with scheduling (early stop, deadline),
-//! crash-safe WAL journaling and tracing attached as
+//! Both shapes are one injector with two sampling rules, and every
+//! campaign runs through one [`CampaignEngine`] loop (see [`engine`]): a
+//! plan of units — one planned fault per whole-program unit,
+//! `per_inst_injections` per per-instruction site — executed and reduced
+//! with scheduling (early stop, deadline), crash-safe WAL journaling,
+//! per-section outcome tables (see [`table`]) and tracing attached as
 //! composable policy layers. Campaigns are deterministic given a seed and
 //! embarrassingly parallel at any composition: injections fan out over
 //! `std::thread::scope` workers (see [`parallel`]) and reduce in plan
@@ -49,11 +52,11 @@ pub use campaign::{
     CampaignConfig, CheckpointPolicy, GoldenRun, PerInstSdc, ProgramCampaign,
 };
 pub use config::CampaignConfigBuilder;
-pub use engine::{
-    faulty_exec_config, CampaignEngine, CampaignPlan, PerInstSection, ProgramSection,
-    ProgramUnitExecutor,
-};
-pub use table::{table_sig, TableKind, TableMemo, TableStatsSnapshot, TABLE_ARTIFACT};
+pub use engine::{faulty_exec_config, CampaignEngine, CampaignPlan, ProgramUnitExecutor, Section};
+pub use table::{table_sig, TableMemo, TableStatsSnapshot, TABLE_ARTIFACT};
+// The campaign shape a plan and a sealed table carry, re-exported so
+// campaign callers keep a single import path.
+pub use minpsid_trace::CampaignKind;
 // The interpreter knob that rides on CampaignConfig, re-exported so front
 // ends keep a single import path.
 pub use minpsid_interp::SnapshotMode;

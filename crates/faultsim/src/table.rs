@@ -37,6 +37,7 @@ use minpsid_interp::OutputItem;
 use minpsid_ir::bytes::{put_u32, put_u64, put_varint, Error, Fnv, Reader};
 use minpsid_store::{ArtifactStore, StoreError};
 use minpsid_trace as trace;
+use minpsid_trace::CampaignKind;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -48,19 +49,12 @@ pub const TABLE_ARTIFACT: &str = "table";
 const TABLE_VERSION: u32 = 1;
 const TABLE_MAGIC: &[u8; 4] = b"MPTB";
 
-/// Which campaign shape a table memoizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TableKind {
-    Program,
-    PerInst,
-}
-
-impl TableKind {
-    fn tag(self) -> u8 {
-        match self {
-            TableKind::Program => b'p',
-            TableKind::PerInst => b'i',
-        }
+/// The byte a table's header, signature and ref name carry for the
+/// campaign shape it memoizes.
+fn tag(kind: CampaignKind) -> u8 {
+    match kind {
+        CampaignKind::Program => b'p',
+        CampaignKind::PerInst => b'i',
     }
 }
 
@@ -75,7 +69,7 @@ impl TableKind {
 /// Checkpoint/snapshot knobs are excluded too — checkpointed and cold
 /// injections are bit-identical by the engine's equivalence invariant.
 pub fn table_sig(
-    kind: TableKind,
+    kind: CampaignKind,
     cfg: &CampaignConfig,
     golden: &GoldenRun,
     sec_counts: &[u64],
@@ -83,10 +77,10 @@ pub fn table_sig(
 ) -> u64 {
     let mut h = Fnv::new();
     h.u64(TABLE_VERSION as u64);
-    h.bytes(&[kind.tag()]);
+    h.bytes(&[tag(kind)]);
     h.u64(cfg.seed);
     h.u64(cfg.hang_multiplier);
-    if kind == TableKind::PerInst {
+    if kind == CampaignKind::PerInst {
         h.u64(cfg.per_inst_injections as u64);
     }
     // both renderings are hand-written and frozen (see their `Debug`
@@ -114,46 +108,46 @@ pub fn table_sig(
     h.finish()
 }
 
-/// A decoded whole-program outcome table: one outcome byte per executed
-/// unit of the section, in local unit order.
+/// A decoded section table: the outcome stream of each unit of the
+/// section, in plan order, each under its key — in a program table the
+/// local unit index, with one outcome; in a per-instruction table the
+/// instruction's *local* index within the function (stable across edits
+/// elsewhere), with the outcomes in injection order. An early-stopped site
+/// recorded fewer than `per_inst_injections` outcomes; the serve loop
+/// re-derives the stop deterministically.
 #[derive(Debug, Clone, Default)]
-pub struct ProgramTable {
+pub struct SectionTable {
     pub complete: bool,
-    pub units: Vec<u8>,
+    pub streams: Vec<(u32, Vec<u8>)>,
 }
 
-/// A decoded per-instruction outcome table: for each site (keyed by the
-/// instruction's *local* index within the function, stable across edits
-/// elsewhere), the executed outcome byte sequence in injection order.
-/// Early-stopped sites recorded fewer than `per_inst_injections` outcomes;
-/// the serve loop re-derives the stop deterministically.
-#[derive(Debug, Clone, Default)]
-pub struct PerInstTable {
-    pub complete: bool,
-    pub sites: Vec<(u32, Vec<u8>)>,
-}
-
-impl PerInstTable {
-    /// Outcomes recorded for one site, by local instruction index.
-    pub fn site(&self, local: u32) -> Option<&[u8]> {
-        self.sites
-            .iter()
-            .find(|(l, _)| *l == local)
-            .map(|(_, o)| o.as_slice())
+impl SectionTable {
+    /// Outcomes recorded for one unit, by key. A program table's streams
+    /// sit at their keys' positions, so its units are found without a
+    /// scan.
+    pub fn stream(&self, key: u32) -> Option<&[u8]> {
+        match self.streams.get(key as usize) {
+            Some((k, o)) if *k == key => Some(o),
+            _ => self
+                .streams
+                .iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, o)| o.as_slice()),
+        }
     }
 
     pub fn total_outcomes(&self) -> u64 {
-        self.sites.iter().map(|(_, o)| o.len() as u64).sum()
+        self.streams.iter().map(|(_, o)| o.len() as u64).sum()
     }
 }
 
 // --- wire format ---
 
-fn header(kind: TableKind, complete: bool, fp: u64, input_fp: u64, sig: u64) -> Vec<u8> {
+fn header(kind: CampaignKind, complete: bool, fp: u64, input_fp: u64, sig: u64) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64);
     buf.extend_from_slice(TABLE_MAGIC);
     put_u32(&mut buf, TABLE_VERSION);
-    buf.push(kind.tag());
+    buf.push(tag(kind));
     buf.push(complete as u8);
     put_u64(&mut buf, fp);
     put_u64(&mut buf, input_fp);
@@ -166,13 +160,13 @@ fn header(kind: TableKind, complete: bool, fp: u64, input_fp: u64, sig: u64) -> 
 /// completeness flag and a reader positioned at the body.
 fn check_header<'a>(
     bytes: &'a [u8],
-    kind: TableKind,
+    kind: CampaignKind,
     fp: u64,
     input_fp: u64,
     sig: u64,
 ) -> Result<(bool, Reader<'a>), Error> {
     let mut r = Reader::new(bytes);
-    if r.take(4)? != TABLE_MAGIC || r.u32()? != TABLE_VERSION || r.u8()? != kind.tag() {
+    if r.take(4)? != TABLE_MAGIC || r.u32()? != TABLE_VERSION || r.u8()? != tag(kind) {
         return Err(Error::Invalid("not this kind of table"));
     }
     let complete = r.u8()? != 0;
@@ -182,10 +176,38 @@ fn check_header<'a>(
     Ok((complete, r))
 }
 
-fn encode_program(fp: u64, input_fp: u64, sig: u64, t: &ProgramTable) -> Vec<u8> {
-    let mut buf = header(TableKind::Program, t.complete, fp, input_fp, sig);
-    put_varint(&mut buf, t.units.len() as u64);
-    for &outcome in &t.units {
+/// The layout of a section table of either kind.
+fn encode(kind: CampaignKind, fp: u64, input_fp: u64, sig: u64, t: &SectionTable) -> Vec<u8> {
+    match kind {
+        CampaignKind::Program => encode_program(fp, input_fp, sig, t),
+        CampaignKind::PerInst => encode_per_inst(fp, input_fp, sig, t),
+    }
+}
+
+fn decode(
+    kind: CampaignKind,
+    bytes: &[u8],
+    fp: u64,
+    input_fp: u64,
+    sig: u64,
+) -> Result<SectionTable, Error> {
+    match kind {
+        CampaignKind::Program => decode_program(bytes, fp, input_fp, sig),
+        CampaignKind::PerInst => decode_per_inst(bytes, fp, input_fp, sig),
+    }
+}
+
+/// One outcome byte per unit, up to the first unit with none (one the
+/// deadline cut, in a table sealed incomplete).
+fn encode_program(fp: u64, input_fp: u64, sig: u64, t: &SectionTable) -> Vec<u8> {
+    let units: Vec<u8> = t
+        .streams
+        .iter()
+        .map_while(|(_, o)| o.first().copied())
+        .collect();
+    let mut buf = header(CampaignKind::Program, t.complete, fp, input_fp, sig);
+    put_varint(&mut buf, units.len() as u64);
+    for outcome in units {
         buf.push(outcome);
         // reserved: was the unit's recovered-via-retry flag (PR 22)
         buf.push(0);
@@ -193,26 +215,26 @@ fn encode_program(fp: u64, input_fp: u64, sig: u64, t: &ProgramTable) -> Vec<u8>
     buf
 }
 
-fn decode_program(bytes: &[u8], fp: u64, input_fp: u64, sig: u64) -> Result<ProgramTable, Error> {
-    let (complete, mut r) = check_header(bytes, TableKind::Program, fp, input_fp, sig)?;
+fn decode_program(bytes: &[u8], fp: u64, input_fp: u64, sig: u64) -> Result<SectionTable, Error> {
+    let (complete, mut r) = check_header(bytes, CampaignKind::Program, fp, input_fp, sig)?;
     let n = r.count(2)?;
-    let mut units = Vec::with_capacity(n);
-    for _ in 0..n {
+    let mut streams = Vec::with_capacity(n);
+    for j in 0..n {
         let outcome = r.u8()?;
         // reserved byte: 0 or 1 in tables sealed before PR 22, ignored
         if r.u8()? > 1 {
             return Err(Error::Invalid("reserved byte"));
         }
-        units.push(outcome);
+        streams.push((j as u32, vec![outcome]));
     }
     r.finish()?;
-    Ok(ProgramTable { complete, units })
+    Ok(SectionTable { complete, streams })
 }
 
-fn encode_per_inst(fp: u64, input_fp: u64, sig: u64, t: &PerInstTable) -> Vec<u8> {
-    let mut buf = header(TableKind::PerInst, t.complete, fp, input_fp, sig);
-    put_varint(&mut buf, t.sites.len() as u64);
-    for (local, outcomes) in &t.sites {
+fn encode_per_inst(fp: u64, input_fp: u64, sig: u64, t: &SectionTable) -> Vec<u8> {
+    let mut buf = header(CampaignKind::PerInst, t.complete, fp, input_fp, sig);
+    put_varint(&mut buf, t.streams.len() as u64);
+    for (local, outcomes) in &t.streams {
         put_varint(&mut buf, *local as u64);
         put_varint(&mut buf, outcomes.len() as u64);
         buf.extend_from_slice(outcomes);
@@ -220,17 +242,17 @@ fn encode_per_inst(fp: u64, input_fp: u64, sig: u64, t: &PerInstTable) -> Vec<u8
     buf
 }
 
-fn decode_per_inst(bytes: &[u8], fp: u64, input_fp: u64, sig: u64) -> Result<PerInstTable, Error> {
-    let (complete, mut r) = check_header(bytes, TableKind::PerInst, fp, input_fp, sig)?;
+fn decode_per_inst(bytes: &[u8], fp: u64, input_fp: u64, sig: u64) -> Result<SectionTable, Error> {
+    let (complete, mut r) = check_header(bytes, CampaignKind::PerInst, fp, input_fp, sig)?;
     let n = r.count(2)?;
-    let mut sites = Vec::with_capacity(n);
+    let mut streams = Vec::with_capacity(n);
     for _ in 0..n {
         let local = u32::try_from(r.varint()?).map_err(|_| Error::Invalid("site index"))?;
         let k = r.count(1)?;
-        sites.push((local, r.take(k)?.to_vec()));
+        streams.push((local, r.take(k)?.to_vec()));
     }
     r.finish()?;
-    Ok(PerInstTable { complete, sites })
+    Ok(SectionTable { complete, streams })
 }
 
 // --- the memo ---
@@ -320,26 +342,19 @@ impl TableMemo {
             .fetch_add(n, Ordering::Relaxed);
     }
 
-    fn ref_name(&self, kind: TableKind, fp: u64, sig: u64) -> String {
+    fn ref_name(&self, kind: CampaignKind, fp: u64, sig: u64) -> String {
         format!(
             "{}-{fp:016x}-{:016x}-{sig:016x}",
-            self.ref_prefix(kind),
+            tag(kind) as char,
             self.input_fp
         )
-    }
-
-    fn ref_prefix(&self, kind: TableKind) -> char {
-        match kind {
-            TableKind::Program => 'p',
-            TableKind::PerInst => 'i',
-        }
     }
 
     /// Fetch the raw table bytes, bumping stats and emitting the
     /// `section_event` for every disposition. `None` is a miss (absent,
     /// stale, incomplete, corrupt — corrupt additionally quarantined the
     /// artifact and counts as a recompute).
-    fn fetch(&self, kind: TableKind, fp: u64, sig: u64) -> Option<Vec<u8>> {
+    fn fetch(&self, kind: CampaignKind, fp: u64, sig: u64) -> Option<Vec<u8>> {
         let name = self.ref_name(kind, fp, sig);
         match self.store.load_named(TABLE_ARTIFACT, &name) {
             Ok(Some((_, bytes))) => Some(bytes),
@@ -388,26 +403,11 @@ impl TableMemo {
         });
     }
 
-    /// Load a sealed whole-program table for `(fp, sig)`. Incomplete
+    /// Load the sealed table of `kind` for `(fp, sig)`. Incomplete
     /// tables (sealed under an expired deadline) are misses.
-    pub(crate) fn load_program(&self, fp: u64, sig: u64) -> Option<ProgramTable> {
-        let bytes = self.fetch(TableKind::Program, fp, sig)?;
-        match decode_program(&bytes, fp, self.input_fp, sig) {
-            Ok(t) if t.complete => {
-                self.note_hit(fp, t.units.len() as u64);
-                Some(t)
-            }
-            _ => {
-                self.note_stale(fp);
-                None
-            }
-        }
-    }
-
-    /// Load a sealed per-instruction table for `(fp, sig)`.
-    pub(crate) fn load_per_inst(&self, fp: u64, sig: u64) -> Option<PerInstTable> {
-        let bytes = self.fetch(TableKind::PerInst, fp, sig)?;
-        match decode_per_inst(&bytes, fp, self.input_fp, sig) {
+    pub(crate) fn load(&self, kind: CampaignKind, fp: u64, sig: u64) -> Option<SectionTable> {
+        let bytes = self.fetch(kind, fp, sig)?;
+        match decode(kind, &bytes, fp, self.input_fp, sig) {
             Ok(t) if t.complete => {
                 self.note_hit(fp, t.total_outcomes());
                 Some(t)
@@ -421,37 +421,28 @@ impl TableMemo {
 
     /// Publish a table and point the section's ref at it. Best-effort: a
     /// failed seal degrades to a future miss, never an error.
-    fn seal(&self, kind: TableKind, fp: u64, sig: u64, bytes: &[u8]) {
+    pub(crate) fn seal(&self, kind: CampaignKind, fp: u64, sig: u64, t: &SectionTable) {
         let name = self.ref_name(kind, fp, sig);
-        if let Ok(digest) = self.store.publish(TABLE_ARTIFACT, bytes) {
+        let bytes = encode(kind, fp, self.input_fp, sig, t);
+        if let Ok(digest) = self.store.publish(TABLE_ARTIFACT, &bytes) {
             if self.store.set_ref(TABLE_ARTIFACT, &name, &digest).is_ok() {
                 self.stats.tables_sealed.fetch_add(1, Ordering::Relaxed);
             }
         }
-    }
-
-    pub(crate) fn seal_program(&self, fp: u64, sig: u64, t: &ProgramTable) {
-        self.seal(
-            TableKind::Program,
-            fp,
-            sig,
-            &encode_program(fp, self.input_fp, sig, t),
-        );
-    }
-
-    pub(crate) fn seal_per_inst(&self, fp: u64, sig: u64, t: &PerInstTable) {
-        self.seal(
-            TableKind::PerInst,
-            fp,
-            sig,
-            &encode_per_inst(fp, self.input_fp, sig, t),
-        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use CampaignKind::{PerInst, Program};
+
+    fn program(complete: bool, units: &[u8]) -> SectionTable {
+        SectionTable {
+            complete,
+            streams: (0..).zip(units).map(|(j, &o)| (j, vec![o])).collect(),
+        }
+    }
 
     fn memo(name: &str) -> TableMemo {
         let dir = std::env::temp_dir().join(format!("minpsid-table-{name}-{}", std::process::id()));
@@ -462,22 +453,21 @@ mod tests {
     #[test]
     fn program_table_round_trips_through_the_store() {
         let m = memo("prog-rt");
-        let t = ProgramTable {
-            complete: true,
-            units: vec![0, 1, 4],
-        };
-        assert!(m.load_program(5, 9).is_none(), "cold store misses");
-        m.seal_program(5, 9, &t);
-        let back = m.load_program(5, 9).unwrap();
-        assert_eq!(back.units, t.units);
+        let t = program(true, &[0, 1, 4]);
+        assert!(m.load(Program, 5, 9).is_none(), "cold store misses");
+        m.seal(Program, 5, 9, &t);
+        let back = m.load(Program, 5, 9).unwrap();
+        assert_eq!(back.streams, t.streams);
+        assert_eq!(back.stream(1), Some(&[1u8][..]));
         assert!(back.complete);
-        // wrong fingerprint or signature: miss, not a wrong-table serve
-        assert!(m.load_program(6, 9).is_none());
-        assert!(m.load_program(5, 10).is_none());
+        // wrong fingerprint, signature or kind: miss, not a wrong-table serve
+        assert!(m.load(Program, 6, 9).is_none());
+        assert!(m.load(Program, 5, 10).is_none());
+        assert!(m.load(PerInst, 5, 9).is_none());
         let s = m.stats();
         assert_eq!(s.sections_hit, 1);
         assert_eq!(s.tables_sealed, 1);
-        assert!(s.sections_missed >= 3);
+        assert!(s.sections_missed >= 4);
     }
 
     #[test]
@@ -485,34 +475,36 @@ mod tests {
         // the --deadline-secs asymmetry fix: a table sealed under a
         // truncated deadline must never be served as if it were finished
         let m = memo("incomplete");
-        let t = ProgramTable {
+        m.seal(Program, 1, 2, &program(false, &[0]));
+        assert!(m.load(Program, 1, 2).is_none());
+        // a program table stops at the first unit the deadline cut
+        let mut cut = program(false, &[1, 2, 3]);
+        cut.streams[1].1.clear();
+        let back = decode(Program, &encode(Program, 1, 77, 2, &cut), 1, 77, 2).unwrap();
+        assert_eq!(back.streams, vec![(0, vec![1])]);
+        let pi = SectionTable {
             complete: false,
-            units: vec![0],
+            streams: vec![(0, vec![0, 0])],
         };
-        m.seal_program(1, 2, &t);
-        assert!(m.load_program(1, 2).is_none());
-        let pi = PerInstTable {
-            complete: false,
-            sites: vec![(0, vec![0, 0])],
-        };
-        m.seal_per_inst(3, 4, &pi);
-        assert!(m.load_per_inst(3, 4).is_none());
+        m.seal(PerInst, 3, 4, &pi);
+        assert!(m.load(PerInst, 3, 4).is_none());
         assert_eq!(m.stats().sections_hit, 0);
     }
 
     #[test]
     fn per_inst_table_round_trips_and_indexes_by_local_site() {
         let m = memo("pi-rt");
-        let t = PerInstTable {
+        let t = SectionTable {
             complete: true,
-            sites: vec![(2, vec![0, 1, 0]), (7, vec![3])],
+            streams: vec![(2, vec![0, 1, 0]), (7, vec![3]), (0, vec![1])],
         };
-        m.seal_per_inst(11, 13, &t);
-        let back = m.load_per_inst(11, 13).unwrap();
-        assert_eq!(back.site(2), Some(&[0u8, 1, 0][..]));
-        assert_eq!(back.site(7), Some(&[3u8][..]));
-        assert_eq!(back.site(9), None);
-        assert_eq!(back.total_outcomes(), 4);
+        m.seal(PerInst, 11, 13, &t);
+        let back = m.load(PerInst, 11, 13).unwrap();
+        assert_eq!(back.stream(2), Some(&[0u8, 1, 0][..]));
+        assert_eq!(back.stream(7), Some(&[3u8][..]));
+        assert_eq!(back.stream(0), Some(&[1u8][..]));
+        assert_eq!(back.stream(9), None);
+        assert_eq!(back.total_outcomes(), 5);
     }
 
     #[test]
@@ -524,16 +516,9 @@ mod tests {
         // Chaos flips at publish time: arm it before sealing so the
         // stored object rots in place, then load must spot the rot.
         store.set_chaos_flip(1);
-        m.seal_program(
-            5,
-            9,
-            &ProgramTable {
-                complete: true,
-                units: vec![0],
-            },
-        );
+        m.seal(Program, 5, 9, &program(true, &[0]));
         store.set_chaos_flip(0);
-        assert!(m.load_program(5, 9).is_none(), "corrupt table is a miss");
+        assert!(m.load(Program, 5, 9).is_none(), "corrupt table is a miss");
         let s = m.stats();
         assert_eq!(s.sections_recomputed, 1);
         assert_eq!(store.quarantined_count().unwrap(), 1);
@@ -542,45 +527,41 @@ mod tests {
     #[test]
     fn corrupt_table_bytes_are_misses_or_tables_that_are_safe_to_serve() {
         use minpsid_ir::bytes::mutations;
-        let t = ProgramTable {
-            complete: true,
-            units: vec![1, 2],
-        };
-        let good = encode_program(9, 77, 13, &t);
+        let good = encode(Program, 9, 77, 13, &program(true, &[1, 2]));
         for bad in mutations(&good) {
-            if let Ok(back) = decode_program(&bad, 9, 77, 13) {
+            if let Ok(back) = decode(Program, &bad, 9, 77, 13) {
                 assert_eq!(bad.len(), good.len(), "a truncation decoded");
                 assert_eq!(
-                    back.units.len(),
+                    back.streams.len(),
                     2,
                     "a flip may change outcomes, never the shape"
                 );
             }
         }
-        let pi = PerInstTable {
+        let pi = SectionTable {
             complete: true,
-            sites: vec![(1, vec![0; 4]), (300, vec![3; 130])],
+            streams: vec![(1, vec![0; 4]), (300, vec![3; 130])],
         };
-        let good = encode_per_inst(9, 77, 13, &pi);
+        let good = encode(PerInst, 9, 77, 13, &pi);
         for bad in mutations(&good) {
-            if let Ok(back) = decode_per_inst(&bad, 9, 77, 13) {
+            if let Ok(back) = decode(PerInst, &bad, 9, 77, 13) {
                 assert_eq!(bad.len(), good.len(), "a truncation decoded");
                 assert!(back.total_outcomes() <= good.len() as u64);
-                back.site(1);
+                back.stream(1);
             }
         }
-        let body = header(TableKind::PerInst, true, 9, 77, 13).len();
+        let body = header(PerInst, true, 9, 77, 13).len();
         // hostile length never over-allocates
         let mut bad = good.clone();
         bad[body] = 0xff;
         bad.push(0xff);
-        assert!(decode_per_inst(&bad, 9, 77, 13).is_err());
+        assert!(decode(PerInst, &bad, 9, 77, 13).is_err());
         // a ten-byte varint may only carry bit 63 in its last byte
         let mut bad = good[..body].to_vec();
         bad.extend_from_slice(&[0xff; 9]);
         bad.push(0x02);
         assert_eq!(
-            decode_per_inst(&bad, 9, 77, 13).err(),
+            decode(PerInst, &bad, 9, 77, 13).err(),
             Some(Error::Invalid("varint exceeds 64 bits"))
         );
         // a length near usize::MAX is an error, not an overflowing `pos + n`
@@ -588,7 +569,7 @@ mod tests {
         put_varint(&mut bad, 1);
         put_varint(&mut bad, 0);
         put_varint(&mut bad, u64::MAX);
-        assert!(decode_per_inst(&bad, 9, 77, 13).is_err());
+        assert!(decode(PerInst, &bad, 9, 77, 13).is_err());
     }
 
     #[test]
@@ -609,42 +590,33 @@ mod tests {
             checkpoints: Default::default(),
         };
         let cfg = CampaignConfig::quick(1);
-        let base = table_sig(TableKind::Program, &cfg, &golden, &[5, 6], 11);
+        let base = table_sig(Program, &cfg, &golden, &[5, 6], 11);
         // measured at the parent of PR 22, which removed fields from the
         // two structs the sig renders: a sealed table must stay findable
         assert_eq!(base, 0x343a_734c_41fa_bc87, "program tables re-keyed");
         assert_eq!(
-            table_sig(TableKind::PerInst, &cfg, &golden, &[5, 6], 11),
+            table_sig(PerInst, &cfg, &golden, &[5, 6], 11),
             0x0040_eff3_39e7_1ef8,
             "per-instruction tables re-keyed"
         );
         let mut seed2 = cfg.clone();
         seed2.seed = 2;
-        assert_ne!(
-            base,
-            table_sig(TableKind::Program, &seed2, &golden, &[5, 6], 11)
-        );
+        assert_ne!(base, table_sig(Program, &seed2, &golden, &[5, 6], 11));
         let mut more = cfg.clone();
         more.injections += 1;
         assert_eq!(
             base,
-            table_sig(TableKind::Program, &more, &golden, &[5, 6], 11),
+            table_sig(Program, &more, &golden, &[5, 6], 11),
             "campaign size must not invalidate program tables"
         );
         let mut ckpt = cfg.clone();
         ckpt.max_checkpoints = 3;
         assert_eq!(
             base,
-            table_sig(TableKind::Program, &ckpt, &golden, &[5, 6], 11),
+            table_sig(Program, &ckpt, &golden, &[5, 6], 11),
             "checkpoint policy is outcome-neutral"
         );
-        assert_ne!(
-            base,
-            table_sig(TableKind::Program, &cfg, &golden, &[5, 7], 11)
-        );
-        assert_ne!(
-            base,
-            table_sig(TableKind::PerInst, &cfg, &golden, &[5, 6], 11)
-        );
+        assert_ne!(base, table_sig(Program, &cfg, &golden, &[5, 7], 11));
+        assert_ne!(base, table_sig(PerInst, &cfg, &golden, &[5, 6], 11));
     }
 }

@@ -2,7 +2,7 @@
 //! *exact* replay shortcut still save?
 //!
 //! For every kernel of the suite this resolves the reference input's
-//! per-instruction plan (`CampaignEngine::planned_faults`) one fault at a
+//! per-instruction plan (`CampaignPlan::faults`) one fault at a
 //! time on the path a campaign's `inject` takes — `Interp::execute` beside
 //! the golden run's checkpoints (`Start::Beside`) — and
 //! prints five tables (EXPERIMENTS.md, "Replay headroom" and "Power-of-two
@@ -64,8 +64,7 @@
 
 use minpsid_repro::faultsim::config::flag_value;
 use minpsid_repro::faultsim::{
-    classify, faulty_exec_config, golden_run, CampaignConfigBuilder, CampaignEngine, CampaignPlan,
-    Outcome,
+    classify, faulty_exec_config, golden_run, CampaignConfigBuilder, CampaignEngine, Outcome,
 };
 use minpsid_repro::interp::{
     auto_interval, divergence, memory_only_difference, oracle, CheckpointConfig, CheckpointStore,
@@ -171,9 +170,7 @@ fn main() {
         let golden = golden_run(&module, &input, &cfg).expect("reference input exits");
         let store = &golden.checkpoints;
         let engine = CampaignEngine::new(&module, &input, &golden, &cfg);
-        let CampaignPlan::PerInst { sections, .. } = engine.plan_per_instruction() else {
-            unreachable!("a per-instruction plan")
-        };
+        let plan = engine.plan_per_instruction();
         let interp = Interp::new(&module, faulty_exec_config(&cfg, golden.steps));
         let profiling = Interp::new(
             &module,
@@ -213,10 +210,10 @@ fn main() {
         let replay = |visit: &mut dyn FnMut(Site, FaultSpec, &ExecResult, Outcome, Duration)| {
             let mut scratch = ExecScratch::default();
             let (mut injections, mut repeats) = (0, 0);
-            for sec in &sections {
+            for sec in &plan.sections {
                 for (i, &(_, gid, count)) in sec.sites.iter().enumerate() {
                     let mut ran = HashSet::new();
-                    for fault in engine.planned_faults(sec, i) {
+                    for fault in plan.faults(sec, i) {
                         injections += 1;
                         if !ran.insert(fault) {
                             repeats += 1; // the engine serves these from the first run

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI gate: formatting, lints, the full workspace test suite (which runs the
-# `experiments` binary on two pinned tables and checks its trace), CLI
-# smokes, and the benchmark smoke.
+# `experiments` binary on two pinned tables and checks its trace, and the
+# `minpsid` binary's thread-count and cold-replay identities), CLI smokes,
+# and the benchmark smoke.
 # Usage: scripts/ci.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -22,9 +23,6 @@ echo "== cargo test --release (interpreter + engine equivalence)"
 # checkpoint image and an out-of-bounds read
 cargo test --release -q --offline -p minpsid-interp
 cargo test --release -q --offline --test engine_equivalence
-
-TRACE_TMP="$(mktemp -d)"
-trap 'rm -rf "$TRACE_TMP"' EXIT
 
 CLI="target/release/minpsid"
 cargo build --release --offline -q -p minpsid-cli
@@ -61,37 +59,6 @@ for BAD in "--bogus-flag" "--workers 2" "--status-addr 127.0.0.1:1" \
   fi
   grep -q "unknown flag ${BAD%% *}" <<<"$BAD_OUT"
 done
-
-echo "== engine-equivalence smoke (hpccg: two compositions x two thread counts)"
-# every CampaignEngine composition must report identical bytes at any
-# thread count: plain+scheduler (fi) and the journaled pipeline
-# (minpsid --journal), each at 1 and 4 worker threads
-EQ_ARGS=(hpccg --quick --seed 42 --injections 60 --per-inst 4 --quiet)
-"$CLI" fi "${EQ_ARGS[@]}" --threads 1 > "$TRACE_TMP/eq-fi-t1.txt" 2>/dev/null
-"$CLI" fi "${EQ_ARGS[@]}" --threads 4 > "$TRACE_TMP/eq-fi-t4.txt" 2>/dev/null
-diff "$TRACE_TMP/eq-fi-t1.txt" "$TRACE_TMP/eq-fi-t4.txt"
-"$CLI" minpsid "${EQ_ARGS[@]}" --level 0.5 --threads 1 \
-  --journal "$TRACE_TMP/eq-journal-t1" > "$TRACE_TMP/eq-mp-t1.txt" 2>/dev/null
-"$CLI" minpsid "${EQ_ARGS[@]}" --level 0.5 --threads 4 \
-  --journal "$TRACE_TMP/eq-journal-t4" > "$TRACE_TMP/eq-mp-t4.txt" 2>/dev/null
-diff "$TRACE_TMP/eq-mp-t1.txt" "$TRACE_TMP/eq-mp-t4.txt"
-
-echo "== dedup smoke (kmeans at 64/site repeats faults and proves hangs; report equals the cold replay's)"
-# a site executed once draws its 64 faults from 64 possibilities, so the
-# campaign must serve repeats from their first run (deduped > 0 in
-# campaign_end), and kmeans' inflated iteration count must be proved a
-# hang at its latch (hangs_proved > 0) — and print what a campaign that
-# replays every fault from program start, with no checkpoint to resume or
-# converge on and no golden length to prove a hang past, prints
-DEDUP_ARGS=(analyze kmeans --per-inst 64 --seed 42 --threads 1)
-"$CLI" "${DEDUP_ARGS[@]}" --trace-out "$TRACE_TMP/dedup.jsonl" \
-  > "$TRACE_TMP/dedup.txt" 2>/dev/null
-"$CLI" "${DEDUP_ARGS[@]}" --no-checkpoints > "$TRACE_TMP/dedup-cold.txt" 2>/dev/null
-cmp "$TRACE_TMP/dedup.txt" "$TRACE_TMP/dedup-cold.txt"
-grep '"kind":"campaign_end"' "$TRACE_TMP/dedup.jsonl" | grep -Eq '"deduped":[1-9]' \
-  || { echo "campaign_end reports no deduped injection"; exit 1; }
-grep '"kind":"campaign_end"' "$TRACE_TMP/dedup.jsonl" | grep -Eq '"hangs_proved":[1-9]' \
-  || { echo "campaign_end reports no proved hang"; exit 1; }
 
 echo "== oracle-isolation guard (the reference tree walk is reachable from tests only)"
 # `minpsid_interp::oracle` is what the decoded engine is compared with

@@ -213,7 +213,7 @@ fn checkpointed_per_inst_campaign_equals_cold_replay_on_every_kernel() {
 #[test]
 fn every_planned_fault_resolved_alone_equals_the_engine() {
     use minpsid_repro::faultsim::outcome::{classify, OutcomeCounts};
-    use minpsid_repro::faultsim::{CampaignPlan, PerInstSdc};
+    use minpsid_repro::faultsim::PerInstSdc;
     use minpsid_repro::interp::ExecScratch;
     use minpsid_repro::interp::Interp;
     use minpsid_repro::sched::SiteStatus;
@@ -238,9 +238,7 @@ fn every_planned_fault_resolved_alone_equals_the_engine() {
     );
 
     // the reference: same plan, every fault on its own
-    let CampaignPlan::PerInst { sections, .. } = engine.plan_per_instruction() else {
-        unreachable!("a per-instruction plan")
-    };
+    let plan = engine.plan_per_instruction();
     let interp = Interp::new(&module, faulty_exec_config(&cfg, golden.steps));
     let sched = Scheduler::unbounded(cfg.sched.clone());
     let n = module.numbering().len();
@@ -253,9 +251,9 @@ fn every_planned_fault_resolved_alone_equals_the_engine() {
     let ref_dir = journal_dir("planned-alone");
     let ref_journal = CampaignJournal::open(&ref_dir, 0, 0, None).expect("open journal");
     let mut repeats = 0;
-    for sec in &sections {
+    for sec in &plan.sections {
         for (i, &(dense, _, _)) in sec.sites.iter().enumerate() {
-            let faults: Vec<_> = engine.planned_faults(sec, i).collect();
+            let faults: Vec<_> = plan.faults(sec, i).collect();
             assert_eq!(faults.len(), 64);
             let counts = &mut expected.counts[dense];
             for (k, &fault) in faults.iter().enumerate() {
@@ -302,7 +300,7 @@ fn every_planned_fault_resolved_alone_equals_the_engine() {
 /// every iteration.
 #[test]
 fn proved_hangs_equal_the_oracle_on_the_kernels_that_hang() {
-    use minpsid_repro::faultsim::{classify, CampaignPlan, Outcome};
+    use minpsid_repro::faultsim::{classify, Outcome};
     use minpsid_repro::interp::{oracle, ExecScratch, Interp};
     use std::collections::HashSet;
 
@@ -317,15 +315,13 @@ fn proved_hangs_equal_the_oracle_on_the_kernels_that_hang() {
         let (module, input) = bench_module(name);
         let golden = golden_run(&module, &input, &cfg).expect("golden run");
         let engine = CampaignEngine::new(&module, &input, &golden, &cfg);
-        let CampaignPlan::PerInst { sections, .. } = engine.plan_per_instruction() else {
-            unreachable!("a per-instruction plan")
-        };
+        let plan = engine.plan_per_instruction();
         let interp = Interp::new(&module, faulty_exec_config(&cfg, golden.steps));
         let mut scratch = ExecScratch::default();
         let (mut hangs, mut proved, mut ran) = (0, 0, HashSet::new());
-        for sec in &sections {
+        for sec in &plan.sections {
             for i in 0..sec.sites.len() {
-                for fault in engine.planned_faults(sec, i).filter(|&f| ran.insert(f)) {
+                for fault in plan.faults(sec, i).filter(|&f| ran.insert(f)) {
                     let r = interp.execute(&mut scratch, &beside(&golden, &input, fault));
                     if classify(&golden.output, &r) != Outcome::Hang {
                         continue;
@@ -902,4 +898,69 @@ fn sigkill_then_resume(shape: &str) {
     );
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&whole_dir);
+}
+
+/// Bytes a campaign leaves behind, pinned across commits: hpccg at seed
+/// 42 with the `--quick` campaign, each shape journaled and memoized on a
+/// fresh store, at 1 and 4 threads. Each pair is the FNV-1a of the WAL
+/// and of the sorted `(table ref, object digest)` list of the sealed
+/// section tables. The constants were captured before the two campaign
+/// shapes shared one loop; a change that moves a WAL record or a table
+/// byte — an order, a key, a `ran` flag, a completeness bit — moves them.
+#[test]
+fn journaled_memoized_campaign_bytes_are_pinned() {
+    use minpsid_repro::faultsim::TableMemo;
+    use minpsid_repro::ir::bytes::Fnv;
+    use minpsid_repro::store::ArtifactStore;
+    use std::sync::Arc;
+
+    const PINS: [(&str, u64, u64); 2] = [
+        ("program", 0x627b_753d_a571_4994, 0x9ddc_521d_e565_3a16),
+        ("per_inst", 0xc7f9_0a45_888a_e0e5, 0xd805_a5d6_0a6b_1671),
+    ];
+    let (module, input) = bench_module("hpccg");
+    for threads in [1u64, 4] {
+        let cfg = CampaignConfigBuilder::new(42)
+            .injections(120)
+            .and_then(|b| b.per_inst_injections(20))
+            .and_then(|b| b.threads(threads))
+            .expect("valid config")
+            .build();
+        let golden = golden_run(&module, &input, &cfg).expect("golden run");
+        for (shape, wal_pin, tables_pin) in PINS {
+            let dir = journal_dir(&format!("pins-{shape}-t{threads}"));
+            let store_dir = journal_dir(&format!("pins-store-{shape}-t{threads}"));
+            let store = Arc::new(ArtifactStore::open(&store_dir).expect("open store"));
+            let memo = TableMemo::new(store.clone(), input.fingerprint());
+            let journal = CampaignJournal::open(&dir, 0, 0, None).expect("open journal");
+            let engine = CampaignEngine::new(&module, &input, &golden, &cfg)
+                .with_journal(&journal, input.fingerprint())
+                .with_tables(&memo);
+            run_shape(shape, &engine);
+            drop(journal);
+            let mut wal = Fnv::new();
+            wal.bytes(&wal_of(&dir));
+            let mut tables = Fnv::new();
+            let mut sealed = 0;
+            for entry in store.ls().expect("list store") {
+                for r in entry.refs.iter().filter(|r| r.starts_with("table/")) {
+                    tables.bytes(r.as_bytes());
+                    tables.bytes(entry.digest.hex().as_bytes());
+                    sealed += 1;
+                }
+            }
+            let _ = std::fs::remove_dir_all(&store_dir);
+            assert!(sealed > 0, "{shape}: nothing sealed");
+            assert_eq!(
+                wal.finish(),
+                wal_pin,
+                "{shape} at {threads} threads: WAL bytes moved"
+            );
+            assert_eq!(
+                tables.finish(),
+                tables_pin,
+                "{shape} at {threads} threads: sealed tables moved"
+            );
+        }
+    }
 }
