@@ -66,7 +66,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let rest = &args[1..];
-    if let Err(e) = check_flags(rest) {
+    if let Err(e) = check_flags(cmd, rest) {
         eprintln!("error: {e}");
         return ExitCode::FAILURE;
     }
@@ -265,64 +265,101 @@ fn finish_interp_profile(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Every `--flag` a subcommand reads and whether a value follows it.
-/// Anything else on the command line that starts with `--` is a usage
-/// error (a misspelt flag used to run a different experiment, silently);
-/// a test holds the table to the flags [`USAGE`] documents.
-const FLAGS: &[(&str, bool)] = &[
-    // what to run on
-    ("--args", false), // followed by any number of `i:N` / `f:X`
-    ("--opt", false),
-    ("--fn", true),
-    ("--nth", true),
-    ("--bit", true),
-    ("--top", true),
-    ("--static", false),
-    ("--kind", true),
-    ("--out", true),
-    ("--level", true),
-    ("--json", false),
-    ("--help", false),
-    // FI campaign
-    ("--injections", true),
-    ("--per-inst", true),
-    ("--seed", true),
-    ("--quick", false),
-    ("--threads", true),
-    ("--no-checkpoints", false),
-    // scheduling
-    ("--deadline-secs", true),
-    ("--ci-half-width", true),
-    // journal, store, incremental
-    ("--journal", true),
-    ("--resume", true),
-    ("--max-inputs", true),
-    ("--store", true),
-    ("--no-incremental", false),
-    // observability
-    ("--profile-interp", false),
-    ("--profile-sample-every", true),
-    ("--profile-folded", true),
-    ("--trace-out", true),
-    ("--progress", false),
-    ("--quiet", false),
+/// Every subcommand `main` dispatches (`help` also answers to `--help`
+/// and `-h`).
+const COMMANDS: &[&str] = &[
+    "list",
+    "compile",
+    "run",
+    "fi",
+    "analyze",
+    "cfg",
+    "propagate",
+    "sid",
+    "minpsid",
+    "sections",
+    "store",
+    "trace",
+    "help",
 ];
 
-/// Whether `flag` is followed by a value; `None` for a flag nothing reads.
-fn takes_value(flag: &str) -> Option<bool> {
-    FLAGS.iter().find(|(f, _)| *f == flag).map(|&(_, v)| v)
-}
+/// The subcommands that run a fault-injection campaign from the shared
+/// campaign flags ([`parse_campaign`]).
+const CAMPAIGNS: &[&str] = &["fi", "analyze", "sid", "minpsid"];
+
+/// The subcommands that journal a run and keep a store ([`open_journal`],
+/// [`open_run_store`], [`parse_incremental`]).
+const JOURNALED: &[&str] = &["fi", "minpsid"];
+
+/// Every `--flag`, whether a value follows it, and the subcommands that
+/// read it. Anything else on the command line that starts with `--` is a
+/// usage error (a misspelt flag used to run a different experiment,
+/// silently), and so is a flag the chosen subcommand does not read (it
+/// would be dropped, silently); a test holds the table to the flags
+/// [`USAGE`] documents.
+const FLAGS: &[(&str, bool, &[&str])] = &[
+    // what to run on; `--args` is followed by any number of `i:N` / `f:X`
+    (
+        "--args",
+        false,
+        &["run", "fi", "analyze", "cfg", "propagate", "sections"],
+    ),
+    ("--opt", false, &["compile"]),
+    ("--fn", true, &["cfg"]),
+    ("--nth", true, &["propagate"]),
+    ("--bit", true, &["propagate"]),
+    ("--top", true, &["analyze"]),
+    ("--static", false, &["sections"]),
+    ("--kind", true, &["store"]),
+    ("--out", true, &["trace"]),
+    ("--level", true, &["sid", "minpsid"]),
+    ("--json", false, &["minpsid"]),
+    ("--help", false, &["help"]),
+    // FI campaign
+    ("--injections", true, CAMPAIGNS),
+    ("--per-inst", true, CAMPAIGNS),
+    ("--seed", true, CAMPAIGNS),
+    ("--quick", false, CAMPAIGNS),
+    ("--threads", true, CAMPAIGNS),
+    ("--no-checkpoints", false, CAMPAIGNS),
+    // scheduling
+    ("--deadline-secs", true, &["fi", "analyze", "minpsid"]),
+    // journal, store, incremental
+    ("--journal", true, JOURNALED),
+    ("--resume", true, JOURNALED),
+    ("--max-inputs", true, &["minpsid"]),
+    ("--store", true, &["fi", "minpsid", "store"]),
+    ("--no-incremental", false, JOURNALED),
+    // observability, read by `main` before any subcommand runs
+    ("--profile-interp", false, COMMANDS),
+    ("--profile-sample-every", true, COMMANDS),
+    ("--profile-folded", true, COMMANDS),
+    ("--trace-out", true, COMMANDS),
+    ("--progress", false, COMMANDS),
+    ("--quiet", false, COMMANDS),
+];
 
 /// Refuse a command line before anything runs: a `--flag` that no
-/// subcommand reads, or a value-taking flag without its value.
-fn check_flags(rest: &[String]) -> Result<(), String> {
+/// subcommand reads, a value-taking flag without its value, or a flag the
+/// subcommand `cmd` does not read. An unknown `cmd` is left to the
+/// dispatcher to name.
+fn check_flags(cmd: &str, rest: &[String]) -> Result<(), String> {
+    let cmd = match cmd {
+        "--help" | "-h" => "help",
+        c => c,
+    };
     for a in rest.iter().filter(|a| a.starts_with("--")) {
-        match takes_value(a) {
-            None => return Err(format!("unknown flag {a}")),
-            Some(true) => {
-                flag_value(rest, a)?;
-            }
-            Some(false) => {}
+        let Some(&(_, value, readers)) = FLAGS.iter().find(|(f, ..)| f == a) else {
+            return Err(format!("unknown flag {a}"));
+        };
+        if value {
+            flag_value(rest, a)?;
+        }
+        if COMMANDS.contains(&cmd) && !readers.contains(&cmd) {
+            return Err(format!(
+                "`minpsid {cmd}` does not read {a} (read by: {})",
+                readers.join(", ")
+            ));
         }
     }
     Ok(())
@@ -352,7 +389,8 @@ usage:
                                          # plus per-kind byte totals
   minpsid help | --help
 
-A flag no subcommand reads is an error, not a no-op.
+A flag the subcommand does not read is an error, not a no-op; the
+parenthesized names below are the subcommands that read each group.
 
 FI campaign options (fi/analyze/sid/minpsid):
   --injections N            whole-program campaign size (default 1000)
@@ -364,12 +402,10 @@ FI campaign options (fi/analyze/sid/minpsid):
                             otherwise snapshotted every ~sqrt of its
                             steps); replay every injection from scratch
 
-scheduling (fi/analyze/sid/minpsid):
+scheduling (fi/analyze/minpsid):
   --deadline-secs S         global wall-clock budget; expired work is
                             truncated (low-benefit sites first) and the
                             report carries a completeness score
-  --ci-half-width W         per-site early stop once the 95% Wilson
-                            interval half-width is <= W (0 = off)
 
 crash-safe journal (fi/minpsid):
   --journal DIR             journal campaign progress to DIR; SIGINT or
@@ -377,7 +413,7 @@ crash-safe journal (fi/minpsid):
   --resume DIR              resume a journaled run (same flags required)
   --max-inputs N            cap on searched inputs (minpsid; default 25)
 
-self-verifying artifact store (fi/minpsid):
+self-verifying artifact store (fi/minpsid; store):
   --store DIR               persist golden runs, checkpoints, and WAL
                             snapshots in a content-addressed store at
                             DIR (default <journal>/store when journaled;
@@ -392,7 +428,7 @@ functions. They are the only reuse across an edit: a journal of the
 unedited program is superseded, not resumed.
   --no-incremental          always re-execute every injection
 
-profiling:
+profiling (any subcommand):
   --profile-interp          interpreter sampling profiler: per-opcode
                             cycle attribution, fusion hit rates, and
                             snapshot encode/restore costs (reported via
@@ -402,7 +438,7 @@ profiling:
   --profile-folded PATH     write flamegraph-compatible folded stacks
                             (implies --profile-interp)
 
-global options:
+global options (any subcommand):
   --trace-out PATH          write a structured JSONL trace of the run
                             (analyze with `minpsid trace report`)
   --progress                live campaign meter on stderr (single-line
@@ -574,7 +610,12 @@ fn cmd_fi(rest: &[String]) -> Result<(), String> {
         Deadline::from_secs(parse_deadline(rest)?),
     );
     let store = open_run_store(rest)?;
-    let journal = open_fi_journal(rest, &module, &campaign, store.clone())?;
+    let journal = open_journal(
+        rest,
+        module_fingerprint(&module),
+        fi_journal_key(&campaign),
+        store.clone(),
+    )?;
     let golden =
         golden_run(&module, &input, &campaign).map_err(|t| format!("golden run failed: {t:?}"))?;
     let input_fp = input_fingerprint(&input);
@@ -596,7 +637,7 @@ fn cmd_fi(rest: &[String]) -> Result<(), String> {
             let j = journal
                 .as_ref()
                 .expect("interrupts only surface under a journal");
-            return Err(fi_resume_hint(rest, j));
+            return Err(resume_hint("fi", rest, j.dir()));
         }
     };
     print_fi_report(&c, &sched.snapshot())?;
@@ -649,9 +690,8 @@ fn cmd_sections(rest: &[String]) -> Result<(), String> {
         None
     } else {
         let input = parse_input(name, rest)?;
-        let campaign = parse_campaign(rest)?;
         Some(
-            golden_run(&module, &input, &campaign)
+            golden_run(&module, &input, &CampaignConfig::default())
                 .map_err(|t| format!("golden run failed: {t:?}"))?,
         )
     };
@@ -806,13 +846,14 @@ fn fi_journal_key(campaign: &CampaignConfig) -> u64 {
         ^ (campaign.injections as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// `fi --journal DIR` / `fi --resume DIR`: open (or refuse to resume a
-/// missing) campaign journal and install the interrupt handlers that
-/// make ^C / SIGTERM flush instead of corrupt.
-fn open_fi_journal(
+/// `--journal DIR` / `--resume DIR` of `fi` and `minpsid`: open (or
+/// refuse to resume a missing) campaign journal keyed by the run's
+/// module and config, and install the interrupt handlers that make ^C /
+/// SIGTERM flush instead of corrupt.
+fn open_journal(
     rest: &[String],
-    module: &Module,
-    campaign: &CampaignConfig,
+    module_fp: u64,
+    config_fp: u64,
     store: Option<Arc<ArtifactStore>>,
 ) -> Result<Option<CampaignJournal>, String> {
     let resume = flag_value(rest, "--resume")?;
@@ -826,13 +867,8 @@ fn open_fi_journal(
             dir.display()
         ));
     }
-    let j = CampaignJournal::open(
-        &dir,
-        module_fingerprint(module),
-        fi_journal_key(campaign),
-        store,
-    )
-    .map_err(|e| format!("opening journal: {e}"))?;
+    let j = CampaignJournal::open(&dir, module_fp, config_fp, store)
+        .map_err(|e| format!("opening journal: {e}"))?;
     let (recovered, truncated) = j.recovery_stats();
     if recovered > 0 || truncated > 0 {
         diag!("journal: recovered {recovered} records ({truncated} torn-tail bytes truncated)");
@@ -841,24 +877,25 @@ fn open_fi_journal(
     Ok(Some(j))
 }
 
-fn fi_resume_hint(rest: &[String], j: &CampaignJournal) -> String {
-    let dir = j.dir().display().to_string();
-    let mut args: Vec<String> = Vec::new();
+/// What an interrupted `minpsid <cmd> <rest…>` prints: the same command
+/// line with its `--journal DIR` / `--resume DIR` pair (flag and value,
+/// wherever it stands) replaced by `--resume <journal dir>`.
+fn resume_hint(cmd: &str, rest: &[String], journal_dir: &std::path::Path) -> String {
+    let mut args: Vec<&str> = Vec::new();
     let mut skip = false;
     for a in rest {
         if skip {
             skip = false;
-            continue;
-        }
-        if a == "--journal" || a == "--resume" {
+        } else if a == "--journal" || a == "--resume" {
             skip = true;
-            continue;
+        } else {
+            args.push(a);
         }
-        args.push(a.clone());
     }
     format!(
-        "interrupted; progress saved — resume with: minpsid fi {} --resume {dir}",
-        args.join(" ")
+        "interrupted; progress saved — resume with: minpsid {cmd} {} --resume {}",
+        args.join(" "),
+        journal_dir.display()
     )
 }
 
@@ -946,15 +983,7 @@ fn cmd_analyze(rest: &[String]) -> Result<(), String> {
             minpsid_ir::printer::print_inst(func, gid.inst)
         );
     }
-    let early = per_inst
-        .status
-        .iter()
-        .filter(|s| matches!(s, minpsid_faultsim::SiteStatus::EarlyStopped))
-        .count();
     let snap = sched.snapshot();
-    if early > 0 {
-        println!("early-stopped sites: {early}");
-    }
     println!("completeness: {:.4}", snap.completeness());
     if snap.accounted() != snap.planned {
         return Err(format!(
@@ -1100,52 +1129,17 @@ fn cmd_minpsid(rest: &[String]) -> Result<(), String> {
         None => GoldenCache::new(),
     };
 
-    let resume = flag_value(rest, "--resume")?;
-    let journal_dir = journal_dir_flag(rest)?;
-    let mut journal = None;
-    if let Some(dir) = &journal_dir {
-        let dir = std::path::PathBuf::from(dir);
-        if resume.is_some() && !dir.join("campaign.wal").is_file() {
-            return Err(format!(
-                "--resume: no journal found at {} (start one with --journal)",
-                dir.display()
-            ));
-        }
-        let j = CampaignJournal::open(
-            &dir,
-            module_fingerprint(&module),
-            minpsid_config_fingerprint(&cfg),
-            store.clone(),
-        )
-        .map_err(|e| format!("opening journal: {e}"))?;
-        let (recovered, truncated) = j.recovery_stats();
-        if recovered > 0 || truncated > 0 {
-            diag!(
-                "journal: recovered {recovered} records \
-                 ({truncated} torn-tail bytes truncated)"
-            );
-        }
-        install_interrupt_handlers();
-        journal = Some(j);
-    }
+    let journal = open_journal(
+        rest,
+        module_fingerprint(&module),
+        minpsid_config_fingerprint(&cfg),
+        store.clone(),
+    )?;
 
     let r = match &journal {
         Some(j) => match run_minpsid_journaled(&module, b.model.as_ref(), &cfg, &cache, j) {
             Ok(r) => r,
-            Err(PipelineError::Interrupted) => {
-                let mut resume_args: Vec<String> = rest
-                    .iter()
-                    .filter(|a| *a != "--journal" && *a != "--resume")
-                    .cloned()
-                    .collect();
-                resume_args.retain(|a| Some(a) != journal_dir.as_ref());
-                return Err(format!(
-                    "interrupted; progress saved — resume with: \
-                     minpsid minpsid {} --resume {}",
-                    resume_args.join(" "),
-                    j.dir().display()
-                ));
-            }
+            Err(PipelineError::Interrupted) => return Err(resume_hint("minpsid", rest, j.dir())),
             Err(e) => return Err(format!("MINPSID failed: {e}")),
         },
         None => run_minpsid_cached(&module, b.model.as_ref(), &cfg, &cache)
@@ -1281,11 +1275,6 @@ fn minpsid_json(
     let mut sched = Json::obj();
     sched.set("planned", Json::U64(r.sched.planned));
     sched.set("completed", Json::U64(r.sched.completed));
-    sched.set(
-        "early_stopped_sites",
-        Json::U64(r.sched.early_stopped_sites),
-    );
-    sched.set("early_stop_skipped", Json::U64(r.sched.early_stop_skipped));
     sched.set("truncated", Json::U64(r.sched.truncated));
     sched.set("completeness", Json::F64(r.sched.completeness()));
     o.set("sched", sched);
@@ -1378,7 +1367,7 @@ mod tests {
             .split(|c: char| !(c.is_ascii_lowercase() || c == '-'))
             .filter(|w| w.len() > 2 && w.starts_with("--"))
             .collect();
-        let table: BTreeSet<&str> = FLAGS.iter().map(|&(f, _)| f).collect();
+        let table: BTreeSet<&str> = FLAGS.iter().map(|&(f, ..)| f).collect();
         assert_eq!(documented, table);
         assert_eq!(FLAGS.len(), table.len(), "a flag twice");
 
@@ -1389,28 +1378,39 @@ mod tests {
             let placeholder = words
                 .next()
                 .is_some_and(|w| w.chars().all(|c| c.is_ascii_uppercase()));
-            assert_eq!(takes_value(flag), Some(placeholder), "{line}");
+            let value = FLAGS.iter().find(|(f, ..)| *f == flag).map(|&(_, v, _)| v);
+            assert_eq!(value, Some(placeholder), "{line}");
             option_lines += 1;
         }
-        assert_eq!(FLAGS.len(), 31);
-        assert!(option_lines >= 18, "{option_lines} option lines");
+        assert_eq!(FLAGS.len(), 30);
+        // every reader is a subcommand `main` dispatches
+        for &(flag, _, readers) in FLAGS {
+            for r in readers {
+                assert!(COMMANDS.contains(r), "{flag} read by unknown `{r}`");
+            }
+        }
+        assert!(option_lines >= 17, "{option_lines} option lines");
     }
 
     #[test]
     fn a_flag_nothing_reads_is_a_usage_error() {
-        let err = check_flags(&args(&["bfs", "--quick", "--per-instt", "3"])).unwrap_err();
+        let err = check_flags("fi", &args(&["bfs", "--quick", "--per-instt", "3"])).unwrap_err();
         assert_eq!(err, "unknown flag --per-instt");
         // removed two PRs ago, silently skipped since
-        assert!(check_flags(&args(&["hpccg", "--dispatch", "legacy"])).is_err());
-        assert!(check_flags(&args(&["hpccg", "--"])).is_err());
+        assert!(check_flags("fi", &args(&["hpccg", "--dispatch", "legacy"])).is_err());
+        assert!(check_flags("fi", &args(&["hpccg", "--"])).is_err());
         // the second executor's flags went with it: no silent thread run
-        let err = check_flags(&args(&["pathfinder", "--quick", "--workers", "4"])).unwrap_err();
+        let err = check_flags(
+            "minpsid",
+            &args(&["pathfinder", "--quick", "--workers", "4"]),
+        )
+        .unwrap_err();
         assert_eq!(err, "unknown flag --workers");
-        assert!(check_flags(&args(&["7", "--spool-dir", "/tmp/s"])).is_err());
+        assert!(check_flags("fi", &args(&["7", "--spool-dir", "/tmp/s"])).is_err());
         // the live endpoint and two flags that had no user, the retry
         // scheduler's six, then three the flag audit condemned (a cap no
         // caller set, a no-op, an interval the engine chooses): gone, not
-        // ignored
+        // ignored; and per-site early stopping, whose width is gone with it
         for (gone, value) in [
             ("--status-addr", "127.0.0.1:1"),
             ("--snapshot-mode", "full"),
@@ -1424,21 +1424,89 @@ mod tests {
             ("--golden-cache-cap", "4"),
             ("--incremental", "--quiet"),
             ("--checkpoint-interval", "500"),
+            ("--ci-half-width", "0.1"),
         ] {
-            let err = check_flags(&args(&["hpccg", "--quick", gone, value])).unwrap_err();
-            assert_eq!(err, format!("unknown flag {gone}"));
+            for cmd in ["fi", "analyze", "minpsid"] {
+                let err = check_flags(cmd, &args(&["hpccg", "--quick", gone, value])).unwrap_err();
+                assert_eq!(err, format!("unknown flag {gone}"));
+            }
         }
         // positionals, values with one dash and `--args` lists pass
-        for ok in [
-            &["bfs", "--quick", "--per-inst", "3", "--level", "-0.1"][..],
-            &["custom.mc", "--args", "i:-5", "f:2.5", "--quiet"],
-            &["report", "log.jsonl", "-o", "out"],
+        for (cmd, ok) in [
+            (
+                "minpsid",
+                &["bfs", "--quick", "--per-inst", "3", "--level", "-0.1"][..],
+            ),
+            ("run", &["custom.mc", "--args", "i:-5", "f:2.5", "--quiet"]),
+            ("trace", &["report", "log.jsonl", "-o", "out"]),
+            // an unknown command is the dispatcher's to name
+            ("frobnicate", &["hpccg", "--store", "s"]),
         ] {
-            assert_eq!(check_flags(&args(ok)), Ok(()), "{ok:?}");
+            assert_eq!(check_flags(cmd, &args(ok)), Ok(()), "{cmd} {ok:?}");
         }
         // and a known flag still needs its value, whoever reads it
-        let err = check_flags(&args(&["run", "fft", "--seed"])).unwrap_err();
+        let err = check_flags("run", &args(&["fft", "--seed"])).unwrap_err();
         assert!(err.contains("--seed needs a value"), "{err}");
+    }
+
+    /// A flag the chosen subcommand never reads is refused, naming the
+    /// subcommand: `analyze` attaches no journal, store or table memo, so
+    /// `analyze … --store S` used to exit 0, create nothing and re-run
+    /// every injection on the next call.
+    #[test]
+    fn a_flag_the_subcommand_does_not_read_is_a_usage_error() {
+        for (flag, value) in [
+            ("--store", Some("S")),
+            ("--journal", Some("J")),
+            ("--resume", Some("J")),
+            ("--no-incremental", None),
+            ("--max-inputs", Some("3")),
+        ] {
+            let mut line = args(&["hpccg", "--per-inst", "40", flag]);
+            line.extend(value.map(String::from));
+            let err = check_flags("analyze", &line).unwrap_err();
+            assert!(
+                err.starts_with(&format!("`minpsid analyze` does not read {flag}")),
+                "{err}"
+            );
+        }
+        // what each reads, per subcommand
+        let no = |cmd: &str, line: &[&str]| check_flags(cmd, &args(line)).is_err();
+        assert!(no("sid", &["hpccg", "--deadline-secs", "1"]));
+        assert!(no("fi", &["hpccg", "--level", "0.3"]));
+        assert!(no("fi", &["hpccg", "--json"]));
+        assert!(no("minpsid", &["hpccg", "--args", "i:3"]));
+        assert!(no("run", &["fft", "--quick"]));
+        assert!(no("sections", &["fft", "--seed", "3"]));
+        assert!(no("--help", &["--top", "3"]));
+        for (cmd, line) in [
+            ("fi", &["hpccg", "--store", "S", "--no-incremental"][..]),
+            ("minpsid", &["hpccg", "--max-inputs", "3", "--journal", "J"]),
+            ("store", &["ls", "--store", "S", "--kind", "table"]),
+            ("analyze", &["hpccg", "--deadline-secs", "1", "--top", "3"]),
+            ("list", &["--quiet", "--trace-out", "t.jsonl"]),
+            ("-h", &["--quiet"]),
+        ] {
+            assert_eq!(check_flags(cmd, &args(line)), Ok(()), "{cmd} {line:?}");
+        }
+    }
+
+    /// The hint drops the journal flag with its value and nothing else:
+    /// a journal directory named like the kernel keeps the kernel.
+    #[test]
+    fn resume_hint_keeps_an_argument_equal_to_the_journal_dir() {
+        let dir = std::path::Path::new("fft");
+        for flag in ["--journal", "--resume"] {
+            let rest = args(&["fft", flag, "fft", "--quick", "--seed", "fft"]);
+            assert_eq!(
+                resume_hint("minpsid", &rest, dir),
+                "interrupted; progress saved — resume with: \
+                 minpsid minpsid fft --quick --seed fft --resume fft"
+            );
+        }
+        let rest = args(&["hpccg", "--injections", "9", "--journal", "J"]);
+        assert!(resume_hint("fi", &rest, std::path::Path::new("J"))
+            .ends_with("minpsid fi hpccg --injections 9 --resume J"));
     }
 
     #[test]
@@ -1513,17 +1581,16 @@ mod tests {
         assert!(parse_campaign(&args(&["--injections", "0"])).is_err());
     }
 
+    /// The one scheduling flag bounds the run and is not part of the
+    /// campaign config, whose scheduler part has no knob left: with or
+    /// without a deadline the config, and so every key hashed from it, is
+    /// the default one.
     #[test]
     fn sched_flags_parse_into_sched_config() {
-        let c = parse_campaign(&args(&["--ci-half-width", "0.05"])).unwrap();
-        assert_eq!(c.sched.ci_half_width, 0.05);
-
-        // defaults survive when no flags are given
         let d = parse_campaign(&args(&[])).unwrap();
         assert_eq!(d.sched, minpsid_faultsim::SchedConfig::default());
-
-        assert!(parse_campaign(&args(&["--ci-half-width", "0.7"])).is_err());
-        assert!(parse_campaign(&args(&["--ci-half-width", "-0.1"])).is_err());
+        let with = parse_campaign(&args(&["--deadline-secs", "0.5"])).unwrap();
+        assert_eq!(format!("{with:?}"), format!("{d:?}"));
     }
 
     #[test]

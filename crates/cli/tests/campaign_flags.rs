@@ -1,7 +1,7 @@
 //! What the command line promises about a campaign's budget and about the
 //! flags it no longer has, on the real binary: `--deadline-secs` always
-//! ends in an honest report, and a flag an older binary accepted is
-//! refused before anything runs.
+//! ends in an honest report, and a flag an older binary accepted — or one
+//! the chosen subcommand does not read — is refused before anything runs.
 
 use std::process::{Command, Output};
 
@@ -57,9 +57,9 @@ fn deadlines_end_in_an_honest_report() {
 
 /// The retry scheduler's six flags went with it, and the flag audit took
 /// three more (`--golden-cache-cap`: nothing capped; `--incremental`: on
-/// wherever it was legal; `--checkpoint-interval`: the engine chooses):
-/// each is a usage error under every subcommand that used to read it, not
-/// a silent no-op.
+/// wherever it was legal; `--checkpoint-interval`: the engine chooses),
+/// and per-site early stopping took `--ci-half-width`: each is a usage
+/// error under every subcommand that used to read it, not a silent no-op.
 #[test]
 fn retired_flags_are_unknown_flags() {
     for cmd in ["fi", "analyze", "sid", "minpsid"] {
@@ -73,6 +73,7 @@ fn retired_flags_are_unknown_flags() {
             "--golden-cache-cap",
             "--incremental",
             "--checkpoint-interval",
+            "--ci-half-width",
         ] {
             let out = minpsid(&[cmd, "pathfinder", "--quick", flag, "3"]);
             assert_eq!(out.status.code(), Some(1), "{cmd} {flag}: {out:?}");
@@ -84,4 +85,23 @@ fn retired_flags_are_unknown_flags() {
             );
         }
     }
+}
+
+/// `analyze` keeps no store: `--store S` used to exit 0, create nothing
+/// and leave the next call to re-run every injection. Now the command
+/// line is refused, naming the subcommand, and nothing is created.
+#[test]
+fn a_flag_the_subcommand_does_not_read_is_refused() {
+    let store = std::env::temp_dir().join(format!("minpsid-analyze-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
+    let s = store.to_str().expect("utf-8 temp path");
+    let out = minpsid(&["analyze", "hpccg", "--per-inst", "40", "--store", s]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(out.stdout.is_empty(), "analyze ran something");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("error: `minpsid analyze` does not read --store"),
+        "{err}"
+    );
+    assert!(!store.exists(), "{} was created", store.display());
 }

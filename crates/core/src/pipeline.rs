@@ -6,7 +6,7 @@ use crate::input::InputModel;
 use crate::search::{EvalMemo, GaConfig, SearchEngine};
 use minpsid_faultsim::{
     interrupt, CampaignConfig, CampaignEngine, CampaignJournal, Deadline, GoldenRun, Interrupted,
-    SchedSnapshot, Scheduler, TableMemo, TableStatsSnapshot,
+    SchedConfig, SchedSnapshot, Scheduler, TableMemo, TableStatsSnapshot,
 };
 use minpsid_interp::{ProgInput, Termination};
 use minpsid_ir::Module;
@@ -119,7 +119,7 @@ pub struct MinpsidResult {
     /// The full benefit-observation state, so callers can re-derive
     /// profiles under alternative re-prioritization rules (ablations).
     pub tracker: IncubativeTracker,
-    /// The run's scheduler accounting: early stops, deadline truncation.
+    /// The run's scheduler accounting: completed and deadline-truncated.
     /// `sched.completeness()` annotates the report.
     pub sched: SchedSnapshot,
     /// Section-table usage aggregated over every campaign in the run.
@@ -257,11 +257,10 @@ pub fn module_section_map(module: &Module) -> Vec<(u64, u64, u64)> {
     out
 }
 
-/// The run-scoped scheduler: early-stop knobs from the campaign config,
-/// deadline from `deadline_secs`.
+/// The run-scoped scheduler, under the deadline `deadline_secs` sets.
 fn run_scheduler(cfg: &MinpsidConfig) -> Scheduler {
     Scheduler::new(
-        cfg.campaign.sched.clone(),
+        SchedConfig::default(),
         Deadline::from_secs(cfg.deadline_secs),
     )
 }

@@ -2,7 +2,7 @@
 //!
 //! The CLI, the bench binaries and the examples all accept the same
 //! campaign vocabulary (`--injections`, `--per-inst`, `--threads`,
-//! checkpoint flags, `--ci-half-width` and `--deadline-secs`). Before
+//! checkpoint flags and `--deadline-secs`). Before
 //! this module each front end re-parsed and re-validated its own subset,
 //! and the validation rules drifted. [`CampaignConfigBuilder`] is the
 //! single place those rules live: construct one (or parse one with
@@ -12,7 +12,7 @@
 //! Validation philosophy, inherited from the CLI: a knob whose zero value
 //! silently produces an empty campaign (`injections`, `per-inst`,
 //! `threads`) rejects zero; a knob where zero is a
-//! meaningful mode (`ci-half-width` = early stop off) accepts it.
+//! meaningful mode (`deadline-secs` = already expired) accepts it.
 //!
 //! The deadline rides on the builder but **not** on the built config: it
 //! bounds how much work runs, never what that work computes, so it stays
@@ -99,19 +99,6 @@ impl CampaignConfigBuilder {
         Ok(self)
     }
 
-    /// Per-site early stop once the Wilson half-width is ≤ `w`; 0
-    /// disables early stopping. Widths ≥ 0.5 are vacuous (the interval
-    /// starts narrower) and rejected as configuration mistakes.
-    pub fn ci_half_width(mut self, w: f64) -> Result<Self, String> {
-        if !(0.0..0.5).contains(&w) {
-            return Err(format!(
-                "bad --ci-half-width `{w}` (want a width in [0, 0.5))"
-            ));
-        }
-        self.cfg.sched.ci_half_width = w;
-        Ok(self)
-    }
-
     /// Global wall-clock budget in seconds; 0 means already expired
     /// (truncate everything), which is allowed.
     pub fn deadline_secs(mut self, d: f64) -> Result<Self, String> {
@@ -127,8 +114,8 @@ impl CampaignConfigBuilder {
     /// Parse the shared campaign flag vocabulary out of `rest` (flags
     /// irrelevant to campaigns are ignored, so front ends can mix their
     /// own flags in freely): `--seed`, `--quick`, `--injections`,
-    /// `--per-inst`, `--threads`, `--no-checkpoints`, `--ci-half-width`
-    /// and `--deadline-secs`.
+    /// `--per-inst`, `--threads`, `--no-checkpoints` and
+    /// `--deadline-secs`.
     pub fn from_flags(rest: &[String]) -> Result<Self, String> {
         let seed = match flag_value(rest, "--seed")? {
             None => 42,
@@ -150,12 +137,6 @@ impl CampaignConfigBuilder {
         }
         if let Some(n) = parse_u64(rest, "--threads")? {
             b = b.threads(n)?;
-        }
-        if let Some(v) = flag_value(rest, "--ci-half-width")? {
-            let w: f64 = v
-                .parse()
-                .map_err(|_| format!("bad --ci-half-width `{v}` (want a width in [0, 0.5))"))?;
-            b = b.ci_half_width(w)?;
         }
         if let Some(v) = flag_value(rest, "--deadline-secs")? {
             let d: f64 = v
@@ -234,11 +215,13 @@ mod tests {
 
     #[test]
     fn zero_meaning_knobs_accept_zero() {
-        let c = CampaignConfigBuilder::new(1)
-            .ci_half_width(0.0)
-            .unwrap()
-            .build();
-        assert_eq!(c.sched.ci_half_width, 0.0);
+        let b = CampaignConfigBuilder::from_flags(&args(&["--deadline-secs", "0"])).unwrap();
+        assert_eq!(b.deadline(), Some(0.0));
+        // the deadline bounds the run, it is not part of the config
+        assert_eq!(
+            format!("{:?}", b.build()),
+            format!("{:?}", CampaignConfigBuilder::new(42).build())
+        );
     }
 
     #[test]
@@ -249,13 +232,6 @@ mod tests {
         assert_eq!(c.threads, 4);
         assert!(CampaignConfigBuilder::from_flags(&args(&["--threads", "0"])).is_err());
         assert!(CampaignConfigBuilder::from_flags(&args(&["--threads", "abc"])).is_err());
-    }
-
-    #[test]
-    fn ci_half_width_range_is_enforced() {
-        assert!(CampaignConfigBuilder::new(1).ci_half_width(0.49).is_ok());
-        assert!(CampaignConfigBuilder::new(1).ci_half_width(0.5).is_err());
-        assert!(CampaignConfigBuilder::new(1).ci_half_width(-0.1).is_err());
     }
 
     #[test]

@@ -12,10 +12,11 @@
 //! into [`ProgramCampaign`] or [`PerInstSdc`]. The policy layers observe
 //! each unit of that loop:
 //!
-//! * **Scheduling** — early stop, the wall-clock deadline and the
-//!   accounting invariant live on a [`Scheduler`]. The engine owns an
-//!   unbounded one by default; [`CampaignEngine::with_scheduler`] attaches
-//!   a caller-owned (deadline-aware, shared-accounting) one instead.
+//! * **Scheduling** — the wall-clock deadline and the accounting
+//!   invariant live on a [`Scheduler`]. Every unit runs its full plan
+//!   unless the deadline cuts it. The engine owns an unbounded scheduler
+//!   by default; [`CampaignEngine::with_scheduler`] attaches a
+//!   caller-owned (deadline-aware, shared-accounting) one instead.
 //! * **Journaling** — [`CampaignEngine::with_journal`] makes the run
 //!   crash-safe: recorded outcomes are served without re-execution, fresh
 //!   outcomes are appended, and a pending [`interrupt`] drains the run
@@ -64,7 +65,7 @@ use minpsid_interp::{
 };
 use minpsid_ir::{section_fingerprints, GlobalInstId, Module};
 use minpsid_journal::{interrupt, CampaignJournal, Interrupted};
-use minpsid_sched::{binomial_ci, splitmix64, Scheduler, SiteStatus};
+use minpsid_sched::{binomial_ci, splitmix64, Scheduler, SiteStatus, Z};
 use minpsid_trace as trace;
 use minpsid_trace::{CampaignCounters, CampaignKind, Histogram, OutcomeKind};
 use rand::rngs::StdRng;
@@ -500,9 +501,7 @@ fn seal_sections(
         if range.is_empty() || loaded[s].is_some() && !range.iter().any(|r| r.fresh) {
             continue;
         }
-        let complete = range
-            .iter()
-            .all(|r| matches!(r.status, SiteStatus::Full | SiteStatus::EarlyStopped));
+        let complete = range.iter().all(|r| r.status == SiteStatus::Full);
         let streams = range
             .iter()
             .enumerate()
@@ -528,10 +527,11 @@ pub fn faulty_exec_config(cfg: &CampaignConfig, golden_steps: u64) -> ExecConfig
     }
 }
 
-/// How one unit ended: its outcome tally, how sampling ended there, how
-/// many of its faults the deadline cut, whether it ran to completion (vs
-/// interrupted), the recorded outcome bytes in injection order (what
-/// sealing writes), and whether any of its faults executed fresh.
+/// How one unit ended: its outcome tally, its status (full, or cut by the
+/// deadline) and how many of its faults the deadline cut, whether it ran
+/// to completion (vs interrupted), the recorded outcome bytes in
+/// injection order (what sealing writes), and whether any of its faults
+/// executed fresh.
 struct UnitResult {
     counts: OutcomeCounts,
     status: SiteStatus,
@@ -584,8 +584,8 @@ pub struct CampaignEngine<'a> {
     input: &'a ProgInput,
     golden: &'a GoldenRun,
     cfg: &'a CampaignConfig,
-    /// Fallback scheduler (early stop per `cfg.sched`, no deadline) used
-    /// when the caller does not attach one.
+    /// Fallback scheduler (no deadline) used when the caller does not
+    /// attach one.
     owned_sched: Scheduler,
     sched: Option<&'a Scheduler>,
     journal: Option<(&'a CampaignJournal, u64)>,
@@ -598,7 +598,7 @@ pub struct CampaignEngine<'a> {
 
 impl<'a> CampaignEngine<'a> {
     /// An engine over `(module, input, golden)` with no external policy
-    /// layers: early stop per `cfg.sched`, no deadline, no journal.
+    /// layers: no deadline, no journal.
     pub fn new(
         module: &'a Module,
         input: &'a ProgInput,
@@ -610,7 +610,7 @@ impl<'a> CampaignEngine<'a> {
             input,
             golden,
             cfg,
-            owned_sched: Scheduler::unbounded(cfg.sched.clone()),
+            owned_sched: Scheduler::unbounded(),
             sched: None,
             journal: None,
             tables: None,
@@ -800,7 +800,7 @@ impl<'a> CampaignEngine<'a> {
         }
         Ok(ProgramCampaign {
             counts,
-            sdc_ci: binomial_ci(counts.sdc, counts.total(), self.cfg.sched.ci_z),
+            sdc_ci: binomial_ci(counts.sdc, counts.total(), Z),
             planned: plan.planned_injections(),
             truncated,
         })
@@ -808,22 +808,20 @@ impl<'a> CampaignEngine<'a> {
 
     /// Execute the per-instruction campaign: `cfg.per_inst_injections`
     /// faults into uniformly random dynamic executions of every site in
-    /// the plan. Converged sites stop early; sites past the deadline are
-    /// truncated. Errs with [`Interrupted`] only when a journal is
+    /// the plan. Sites past the deadline are truncated. Errs with [`Interrupted`] only when a journal is
     /// attached and an interrupt is pending.
     pub fn run_per_instruction(&self) -> Result<PerInstSdc, Interrupted> {
         let (plan, results) = self.run(CampaignKind::PerInst)?;
         let _reduce_span = trace::span("reduce");
         let n = self.module.numbering().len();
-        let sched = self.scheduler();
         let mut sdc_prob = vec![0.0; n];
         let mut counts = vec![OutcomeCounts::default(); n];
-        let mut ci = vec![binomial_ci(0, 0, self.cfg.sched.ci_z); n];
+        let mut ci = vec![binomial_ci(0, 0, Z); n];
         let mut status = vec![SiteStatus::Unsampled; n];
         let sites = plan.sections.iter().flat_map(|sec| &sec.sites);
         for (&(dense, _, _), r) in sites.zip(results) {
             sdc_prob[dense] = r.counts.sdc_prob();
-            ci[dense] = sched.site_ci(r.counts.sdc, r.counts.total());
+            ci[dense] = binomial_ci(r.counts.sdc, r.counts.total(), Z);
             counts[dense] = r.counts;
             status[dense] = r.status;
         }
@@ -883,10 +881,7 @@ impl<'a> CampaignEngine<'a> {
                 let (s, j) = plan.locate(t);
                 let sec = &plan.sections[s];
                 let journal_key = plan.journal_key(t, sec, j);
-                // the sealed table's outcome stream for this unit. One
-                // shorter than `planned` means the sealing run stopped
-                // early here; the same stop re-derives below before `k`
-                // ever reaches its end.
+                // the sealed table's outcome stream for this unit
                 let served: &[u8] = loaded[s]
                     .as_ref()
                     .and_then(|tab| tab.stream(plan.table_key(sec, j)))
@@ -975,14 +970,6 @@ impl<'a> CampaignEngine<'a> {
                     sched.note_completed(1);
                     if tracing {
                         steps.record(&counters, outcome);
-                    }
-                    if let Some(hw) = sched.early_stop(r.counts.sdc, r.counts.total()) {
-                        if k + 1 < planned {
-                            let skip = (planned - k - 1) as u64;
-                            sched.note_early_stop(kind, journal_key, r.counts.total(), hw, skip);
-                            r.status = SiteStatus::EarlyStopped;
-                            break;
-                        }
                     }
                 }
                 if let Some(w) = &writer {
@@ -1148,7 +1135,7 @@ mod tests {
             inject(interp, st, golden, input, fault)
         };
         let j = CampaignJournal::open(dir, 1, 2, None).unwrap();
-        let sched = Scheduler::unbounded(cfg.sched.clone());
+        let sched = Scheduler::unbounded();
         let eng = CampaignEngine::new(m, inp, g, cfg)
             .with_scheduler(&sched)
             .with_journal(&j, 9)

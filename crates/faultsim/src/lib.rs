@@ -24,7 +24,7 @@
 //! campaign runs through one [`CampaignEngine`] loop (see [`engine`]): a
 //! plan of units — one planned fault per whole-program unit,
 //! `per_inst_injections` per per-instruction site — executed and reduced
-//! with scheduling (early stop, deadline), crash-safe WAL journaling,
+//! with scheduling (deadline, accounting), crash-safe WAL journaling,
 //! per-section outcome tables (see [`table`]) and tracing attached as
 //! composable policy layers. Campaigns are deterministic given a seed and
 //! embarrassingly parallel at any composition: injections fan out over
@@ -61,11 +61,10 @@ pub use minpsid_trace::CampaignKind;
 // ends keep a single import path.
 pub use minpsid_interp::SnapshotMode;
 pub use minpsid_journal::{interrupt, CampaignJournal, Interrupted};
-// The Wilson-interval code lives in minpsid-sched (the scheduler's
-// early-stop rule is built on it); re-exported here so campaign callers
-// keep a single import path.
+// The Wilson-interval code and the scheduler live in minpsid-sched;
+// re-exported here so campaign callers keep a single import path.
 pub use minpsid_sched::{
-    binomial_ci, BinomialCi, Deadline, SchedConfig, SchedSnapshot, Scheduler, SiteStatus,
+    binomial_ci, BinomialCi, Deadline, SchedConfig, SchedSnapshot, Scheduler, SiteStatus, Z,
 };
 pub use outcome::{classify, Outcome, OutcomeCounts};
 pub use propagation::{render_report, trace_fault, PropagationReport};

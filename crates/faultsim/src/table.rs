@@ -62,8 +62,8 @@ fn tag(kind: CampaignKind) -> u8 {
 /// determines a section's injection outcomes besides its content
 /// fingerprint: the golden baseline (output, steps, the section's dynamic
 /// counts and injectable population) and the injection-relevant config
-/// (seed, hang threshold, exec limits, early-stop policy, and — for
-/// per-instruction tables — the per-site sample count). Campaign *size*
+/// (seed, hang threshold, exec limits, the frozen scheduler rendering,
+/// and — for per-instruction tables — the per-site sample count). Campaign *size*
 /// (`cfg.injections`) is deliberately excluded: program tables are served
 /// per-unit, so an allocation that grew merely executes the tail.
 /// Checkpoint/snapshot knobs are excluded too — checkpointed and cold
@@ -112,9 +112,7 @@ pub fn table_sig(
 /// section, in plan order, each under its key — in a program table the
 /// local unit index, with one outcome; in a per-instruction table the
 /// instruction's *local* index within the function (stable across edits
-/// elsewhere), with the outcomes in injection order. An early-stopped site
-/// recorded fewer than `per_inst_injections` outcomes; the serve loop
-/// re-derives the stop deterministically.
+/// elsewhere), with the outcomes in injection order.
 #[derive(Debug, Clone, Default)]
 pub struct SectionTable {
     pub complete: bool,

@@ -1,13 +1,14 @@
 //! minpsid-sched: campaign scheduling policy — how much of a planned
 //! campaign runs, and the books that prove none of it was lost.
 //!
-//! * [`stats`] — Wilson score intervals, both for report error bars and
-//!   for confidence-bounded early stopping;
+//! * [`stats`] — Wilson score intervals for report error bars, at the one
+//!   confidence level [`Z`];
 //! * [`deadline`] — a global wall-clock budget under which campaigns
 //!   degrade gracefully to a truncated-but-honest report with a
 //!   completeness score;
-//! * [`Scheduler`] — the early-stop rule, the deadline and the accounting
-//!   invariant (completed + early-stop-skipped + truncated = planned).
+//! * [`Scheduler`] — the deadline and the accounting invariant
+//!   (completed + truncated = planned). Every site gets its full sample
+//!   size.
 //!
 //! There is no failure handling here because there is no failure to
 //! handle: every way an injected program can go wrong is a value the
@@ -25,7 +26,7 @@ pub mod stats;
 
 pub use deadline::Deadline;
 pub use scheduler::{SchedConfig, SchedSnapshot, Scheduler, SiteStatus};
-pub use stats::{binomial_ci, BinomialCi};
+pub use stats::{binomial_ci, BinomialCi, Z};
 
 /// splitmix64: the standard 64-bit finalizer-style mixer. The campaign
 /// engine derives every injection's RNG seed with it, so no state is

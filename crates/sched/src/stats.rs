@@ -2,13 +2,16 @@
 //!
 //! The paper reports 95 % confidence intervals of 0.26 %–3.10 % on its FI
 //! measurements (§III-A3); the same Wilson score interval is exposed here
-//! so experiment reports can print comparable error bars, and so the
-//! scheduler can stop sampling a site once its interval is tight enough.
+//! so experiment reports can print comparable error bars.
 //!
 //! This module is the single home of the Wilson interval for the whole
-//! workspace: `minpsid-faultsim` re-exports [`BinomialCi`] and
-//! [`binomial_ci`] rather than keeping its own copy, so campaign reports
-//! and scheduler early-stopping always agree on the arithmetic.
+//! workspace: `minpsid-faultsim` re-exports [`BinomialCi`],
+//! [`binomial_ci`] and [`Z`] rather than keeping its own copy, so every
+//! report agrees on the arithmetic and the confidence level.
+
+/// The confidence level every campaign report prints its intervals at,
+/// in standard deviations: 1.96 ⇒ 95 %.
+pub const Z: f64 = 1.96;
 
 /// A binomial proportion with its confidence interval.
 #[derive(Debug, Clone, Copy, PartialEq)]

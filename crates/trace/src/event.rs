@@ -1,6 +1,6 @@
 //! The versioned trace event schema.
 //!
-//! Every JSONL line is one [`TimedEvent`]: `{"v":11,"ts_us":…,"kind":…,…}`.
+//! Every JSONL line is one [`TimedEvent`]: `{"v":12,"ts_us":…,"kind":…,…}`.
 //! `v` is [`SCHEMA_VERSION`]; the parser rejects lines whose version it
 //! does not understand, so a report can never silently misparse a log
 //! written by a different schema. Serialization is hand-rolled over
@@ -15,7 +15,7 @@ use crate::json::{parse, Json, JsonError};
 /// v2: outcome tallies carry `engine_error`, and the crash-safe journal
 /// emits `journal_recovery`/`journal_stats` events.
 /// v3: outcome tallies carry `transient_recovered`/`quarantined`, and the
-/// resilient scheduler emits `retry_attempt`/`quarantine`/`early_stop`/
+/// resilient scheduler emits `retry_attempt`/`quarantine`/early-stop/
 /// `deadline_truncation`/`sched_summary` events.
 /// v4: the interpreter sampling profiler emits `interp_profile`, and the
 /// engine wraps plan/execute/reduce (plus golden runs and checkpoint
@@ -40,7 +40,10 @@ use crate::json::{parse, Json, JsonError};
 /// counted loop of theirs provably repeated itself to the step limit.
 /// The `counter` kind, which no v11 producer ever wrote, is an unknown
 /// kind.
-pub const SCHEMA_VERSION: u32 = 11;
+/// v12: the early-stop kind and `sched_summary`'s two early-stop counts
+/// are gone with per-site early stopping: every site gets its full sample
+/// size.
+pub const SCHEMA_VERSION: u32 = 12;
 
 /// Schema-level (as opposed to JSON-level) decode failure.
 #[derive(Debug, Clone, PartialEq)]
@@ -364,14 +367,6 @@ events! {
     /// End-of-run journal usage: injections served from the journal
     /// (recovered) vs executed fresh and appended (replayed).
     JournalStats = "journal_stats" { recovered: u64, appended: u64, }
-    /// A site's Wilson interval narrowed below the configured half-width
-    /// after `samples` injections; the rest were skipped.
-    EarlyStop = "early_stop" {
-        kind as "campaign": CampaignKind,
-        site: u64,
-        samples: u64,
-        half_width: f64,
-    }
     /// The wall-clock deadline expired with `truncated` injections still
     /// pending in this campaign.
     DeadlineTruncation = "deadline_truncation" {
@@ -397,8 +392,6 @@ events! {
     }
     /// Run-level scheduler accounting, emitted once at the end.
     SchedSummary = "sched_summary" {
-        early_stopped_sites: u64,
-        early_stop_skipped: u64,
         truncated: u64,
         completeness: f64,
     }
@@ -554,12 +547,6 @@ mod tests {
             recovered: 200,
             appended: 121,
         });
-        rt(Event::EarlyStop {
-            kind: CampaignKind::PerInst,
-            site: 5,
-            samples: 40,
-            half_width: 0.05,
-        });
         rt(Event::DeadlineTruncation {
             kind: CampaignKind::Program,
             truncated: 12,
@@ -577,8 +564,6 @@ mod tests {
             samples: vec![("LoadBinStoreBr".into(), 2500), ("BinII".into(), 500)],
         });
         rt(Event::SchedSummary {
-            early_stopped_sites: 3,
-            early_stop_skipped: 55,
             truncated: 12,
             completeness: 0.875,
         });
@@ -608,7 +593,7 @@ mod tests {
             event: Event::TraceEnd { dur_us: 0 },
         }
         .to_line()
-        .replace("\"v\":11", "\"v\":999");
+        .replace("\"v\":12", "\"v\":999");
         assert!(matches!(
             TimedEvent::parse_line(&line),
             Err(SchemaError::Version(999))
@@ -628,6 +613,14 @@ mod tests {
                 r#"{"v":10,"ts_us":0,"kind":"campaign_end","campaign":"per_inst","injections":1,"elapsed_us":1,"counts":{"benign":0,"sdc":0,"crash":0,"hang":1,"detected":0},"steps_executed":9,"steps_skipped":0,"restores":0,"converged":0,"steps_saved":0,"deduped":0}"#
             ),
             Err(SchemaError::Version(10))
+        ));
+        // and a v11 `early_stop`, from a run that skipped part of a site's
+        // sample
+        assert!(matches!(
+            TimedEvent::parse_line(
+                r#"{"v":11,"ts_us":0,"kind":"early_stop","campaign":"per_inst","site":7,"samples":6,"half_width":0.19}"#
+            ),
+            Err(SchemaError::Version(11))
         ));
     }
 
@@ -676,34 +669,38 @@ mod tests {
     #[test]
     fn unknown_kind_and_missing_fields_are_rejected() {
         assert!(matches!(
-            TimedEvent::parse_line(r#"{"v":11,"ts_us":0,"kind":"mystery"}"#),
+            TimedEvent::parse_line(r#"{"v":12,"ts_us":0,"kind":"mystery"}"#),
             Err(SchemaError::UnknownKind(_))
         ));
-        // `counter` had no producer and is gone from v11
+        // `counter` had no producer and is gone from v11, `early_stop`
+        // from v12
+        for kind in ["counter", "early_stop"] {
+            let line = format!(r#"{{"v":12,"ts_us":0,"kind":"{kind}","name":"x","value":1}}"#);
+            assert!(matches!(
+                TimedEvent::parse_line(&line),
+                Err(SchemaError::UnknownKind(_))
+            ));
+        }
         assert!(matches!(
-            TimedEvent::parse_line(r#"{"v":11,"ts_us":0,"kind":"counter","name":"x","value":1}"#),
-            Err(SchemaError::UnknownKind(_))
-        ));
-        assert!(matches!(
-            TimedEvent::parse_line(r#"{"v":11,"ts_us":0,"kind":"journal_stats","recovered":1}"#),
+            TimedEvent::parse_line(r#"{"v":12,"ts_us":0,"kind":"journal_stats","recovered":1}"#),
             Err(SchemaError::MissingField("appended"))
         ));
         // a tally names its own missing key, not the field that holds it
         assert!(matches!(
             TimedEvent::parse_line(
-                r#"{"v":11,"ts_us":0,"kind":"function_outcomes","func":"main","counts":{"sdc":0,"crash":0,"hang":0,"detected":0}}"#
+                r#"{"v":12,"ts_us":0,"kind":"function_outcomes","func":"main","counts":{"sdc":0,"crash":0,"hang":0,"detected":0}}"#
             ),
             Err(SchemaError::MissingField("benign"))
         ));
         assert!(matches!(
             TimedEvent::parse_line(
-                r#"{"v":11,"ts_us":0,"kind":"section_event","fp":1,"action":"stale","units":0}"#
+                r#"{"v":12,"ts_us":0,"kind":"section_event","fp":1,"action":"stale","units":0}"#
             ),
             Err(SchemaError::BadField("action"))
         ));
         assert!(matches!(
             TimedEvent::parse_line(
-                r#"{"v":11,"ts_us":0,"kind":"histogram","name":"h","buckets":[[1,2,3]]}"#
+                r#"{"v":12,"ts_us":0,"kind":"histogram","name":"h","buckets":[[1,2,3]]}"#
             ),
             Err(SchemaError::BadField("buckets"))
         ));

@@ -113,9 +113,8 @@ pub struct TraceSummary {
     pub sections: Option<SectionStat>,
     /// Run-level scheduler accounting (the last `sched_summary` event).
     pub sched: Option<Event>,
-    /// Raw scheduling event counts, present even when the run died
-    /// before emitting its `sched_summary`.
-    pub early_stop_events: u64,
+    /// Raw deadline-truncation event count, present even when the run
+    /// died before emitting its `sched_summary`.
     pub truncation_events: u64,
     /// Last sample of each named histogram.
     pub histograms: BTreeMap<String, Vec<(u64, u64)>>,
@@ -288,7 +287,6 @@ pub fn summarize(events: &[TimedEvent]) -> TraceSummary {
                 j.served = *recovered;
                 j.appended = *appended;
             }
-            Event::EarlyStop { .. } => s.early_stop_events += 1,
             Event::DeadlineTruncation { .. } => s.truncation_events += 1,
             Event::StoreEvent { op, .. } => {
                 let st = s.store.get_or_insert_with(StoreStat::default);
@@ -608,24 +606,14 @@ pub fn render_markdown(s: &TraceSummary) -> String {
         );
     }
 
-    if s.sched.is_some() || s.early_stop_events + s.truncation_events > 0 {
+    if s.sched.is_some() || s.truncation_events > 0 {
         let _ = writeln!(out, "## Scheduling\n");
-        let _ = writeln!(
-            out,
-            "- events: {} early-stop, {} deadline-truncation",
-            s.early_stop_events, s.truncation_events
-        );
+        let _ = writeln!(out, "- events: {} deadline-truncation", s.truncation_events);
         if let Some(Event::SchedSummary {
-            early_stopped_sites,
-            early_stop_skipped,
             truncated,
             completeness,
         }) = &s.sched
         {
-            let _ = writeln!(
-                out,
-                "- early stop: {early_stopped_sites} site(s) converged early, {early_stop_skipped} injection(s) skipped with confidence"
-            );
             let _ = writeln!(out, "- deadline: {truncated} injection(s) truncated");
             let _ = writeln!(out, "- **campaign completeness: {completeness:.3}**");
         } else {
@@ -832,19 +820,11 @@ mod tests {
                 recovered: 150,
                 appended: 50,
             },
-            Event::EarlyStop {
-                kind: CampaignKind::PerInst,
-                site: 8,
-                samples: 40,
-                half_width: 0.04,
-            },
             Event::DeadlineTruncation {
                 kind: CampaignKind::PerInst,
                 truncated: 12,
             },
             Event::SchedSummary {
-                early_stopped_sites: 1,
-                early_stop_skipped: 60,
                 truncated: 12,
                 completeness: 0.89,
             },
@@ -914,15 +894,12 @@ mod tests {
         assert_eq!(j.served, 150);
         assert_eq!(j.appended, 50);
         assert_eq!(s.open_spans, 0);
-        assert_eq!(s.early_stop_events, 1);
         assert_eq!(s.truncation_events, 1);
         assert!(matches!(
             s.sched,
             Some(Event::SchedSummary {
-                early_stop_skipped: 60,
                 truncated: 12,
                 completeness,
-                ..
             }) if (completeness - 0.89).abs() < 1e-9
         ));
     }
@@ -957,7 +934,7 @@ mod tests {
             "## Crash-safe journal",
             "150 recovered vs 50 executed fresh",
             "## Scheduling",
-            "1 early-stop, 1 deadline-truncation",
+            "- events: 1 deadline-truncation",
             "campaign completeness: 0.890",
         ] {
             assert!(md.contains(needle), "missing {needle:?} in:\n{md}");

@@ -1,14 +1,13 @@
-//! The v11 wire format, pinned by bytes a v11 binary wrote.
+//! The v12 wire format, pinned by bytes a v12 binary wrote.
 //!
-//! `fixtures/v11.jsonl` holds one line per event kind, in `Event`'s
+//! `fixtures/v12.jsonl` holds one line per event kind, in `Event`'s
 //! declaration order, copied from logs of `minpsid <kernel> --quick
-//! --journal … --profile-interp --ci-half-width 0.2`, its `--resume`, and
-//! `fi fft`. The round-trip tests show that encoder and decoder agree with
+//! --journal … --profile-interp`, its `--resume`, and `fi fft`. The round-trip tests show that encoder and decoder agree with
 //! each other; these show that both agree with what was shipped.
 
 use minpsid_trace::{parse_log, Event, TimedEvent};
 
-const FIXTURE: &str = include_str!("fixtures/v11.jsonl");
+const FIXTURE: &str = include_str!("fixtures/v12.jsonl");
 
 /// The fixture line of `event`'s kind. Exhaustive on purpose: a new kind
 /// does not compile until it has a line number here, and
@@ -29,17 +28,16 @@ fn position(event: &Event) -> usize {
         Event::CacheStats { .. } => 11,
         Event::JournalRecovery { .. } => 12,
         Event::JournalStats { .. } => 13,
-        Event::EarlyStop { .. } => 14,
-        Event::DeadlineTruncation { .. } => 15,
-        Event::InterpProfile { .. } => 16,
-        Event::SchedSummary { .. } => 17,
-        Event::StoreEvent { .. } => 18,
-        Event::SectionEvent { .. } => 19,
+        Event::DeadlineTruncation { .. } => 14,
+        Event::InterpProfile { .. } => 15,
+        Event::SchedSummary { .. } => 16,
+        Event::StoreEvent { .. } => 17,
+        Event::SectionEvent { .. } => 18,
     }
 }
 
 /// One past the last position above.
-const KINDS: usize = 20;
+const KINDS: usize = 19;
 
 #[test]
 fn fixture_lines_re_encode_byte_identically() {

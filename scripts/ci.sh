@@ -47,12 +47,14 @@ fi
 
 echo "== unknown-flag smoke (a misspelt flag is a usage error, not a different run)"
 # --workers, --status-addr, the retry scheduler's six, the flag audit's
-# three: a flag an older binary accepted is refused like a typo
+# three, the early-stop width: a flag an older binary accepted is refused
+# like a typo
 for BAD in "--bogus-flag" "--workers 2" "--status-addr 127.0.0.1:1" \
            "--max-retries 0" "--quarantine-after 1" "--quarantine-cap 5" \
            "--injection-timeout-ms 5" "--chaos-panic-one-in 40" \
            "--chaos-timeout-one-in 40" "--golden-cache-cap 4" \
-           "--incremental" "--checkpoint-interval 500"; do
+           "--incremental" "--checkpoint-interval 500" \
+           "--ci-half-width 0.1"; do
   # shellcheck disable=SC2086
   if BAD_OUT="$("$CLI" fi hpccg --quick $BAD 2>&1)"; then
     echo "fi $BAD exited 0"; exit 1

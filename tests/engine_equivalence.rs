@@ -69,7 +69,7 @@ fn reports(
         .and_then(|b| b.threads(threads as u64))
         .expect("valid matrix config")
         .build();
-    let sched = Scheduler::unbounded(cfg.sched.clone());
+    let sched = Scheduler::unbounded();
     let dir = journal_dir(&format!("matrix-{mode}-t{threads}"));
     let journal;
     let mut engine = CampaignEngine::new(module, input, golden, &cfg);
@@ -216,7 +216,7 @@ fn every_planned_fault_resolved_alone_equals_the_engine() {
     use minpsid_repro::faultsim::PerInstSdc;
     use minpsid_repro::interp::ExecScratch;
     use minpsid_repro::interp::Interp;
-    use minpsid_repro::sched::SiteStatus;
+    use minpsid_repro::sched::{binomial_ci, SiteStatus, Z};
 
     const INPUT_FP: u64 = 1;
     let (module, input) = bench_module("bfs");
@@ -240,12 +240,11 @@ fn every_planned_fault_resolved_alone_equals_the_engine() {
     // the reference: same plan, every fault on its own
     let plan = engine.plan_per_instruction();
     let interp = Interp::new(&module, faulty_exec_config(&cfg, golden.steps));
-    let sched = Scheduler::unbounded(cfg.sched.clone());
     let n = module.numbering().len();
     let mut expected = PerInstSdc {
         sdc_prob: vec![0.0; n],
         counts: vec![OutcomeCounts::default(); n],
-        ci: vec![sched.site_ci(0, 0); n],
+        ci: vec![binomial_ci(0, 0, Z); n],
         status: vec![SiteStatus::Unsampled; n],
     };
     let ref_dir = journal_dir("planned-alone");
@@ -277,7 +276,7 @@ fn every_planned_fault_resolved_alone_equals_the_engine() {
                 );
             }
             expected.sdc_prob[dense] = counts.sdc_prob();
-            expected.ci[dense] = sched.site_ci(counts.sdc, counts.total());
+            expected.ci[dense] = binomial_ci(counts.sdc, counts.total(), Z);
             expected.status[dense] = SiteStatus::Full;
         }
     }
