@@ -1662,3 +1662,6 @@ mod tests {
         assert!(parse_input("not-a-bench", &args(&[])).is_err());
     }
 }
+
+#[cfg(test)]
+mod key_pins;
