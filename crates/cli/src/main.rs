@@ -13,14 +13,14 @@
 //! to a `.mc` (minic) source file.
 
 use minpsid::{
-    config_fingerprint, input_fingerprint, minpsid_config_fingerprint, module_fingerprint,
-    module_section_map, run_minpsid_cached, run_minpsid_journaled, GoldenCache, MinpsidConfig,
-    PipelineError,
+    input_fingerprint, minpsid_config_fingerprint, module_fingerprint, module_section_map,
+    run_minpsid_cached, run_minpsid_journaled, GoldenCache, MinpsidConfig, PipelineError,
 };
 use minpsid_faultsim::config::flag_value;
 use minpsid_faultsim::{
-    golden_run, interrupt, CampaignConfig, CampaignConfigBuilder, CampaignEngine, CampaignJournal,
-    Deadline, ProgramCampaign, SchedSnapshot, Scheduler, TableMemo, TableStatsSnapshot,
+    fi_journal_key, golden_run, interrupt, CampaignConfig, CampaignConfigBuilder, CampaignEngine,
+    CampaignJournal, Deadline, ProgramCampaign, SchedSnapshot, Scheduler, TableMemo,
+    TableStatsSnapshot,
 };
 use minpsid_interp::{ExecConfig, Interp, ProgInput, Scalar};
 use minpsid_ir::printer::print_module;
@@ -835,17 +835,6 @@ fn cmd_store(rest: &[String]) -> Result<(), String> {
     }
 }
 
-/// Journal key for `fi` campaigns. [`config_fingerprint`] hashes only
-/// the golden-run-relevant fields; a whole-program campaign's recorded
-/// outcomes additionally depend on the seed and the plan size, so both
-/// are mixed in — resuming with a different seed must open a different
-/// key, not silently serve another campaign's outcomes.
-fn fi_journal_key(campaign: &CampaignConfig) -> u64 {
-    config_fingerprint(campaign)
-        ^ campaign.seed.rotate_left(17)
-        ^ (campaign.injections as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
 /// `--journal DIR` / `--resume DIR` of `fi` and `minpsid`: open (or
 /// refuse to resume a missing) campaign journal keyed by the run's
 /// module and config, and install the interrupt handlers that make ^C /
@@ -1345,18 +1334,6 @@ mod tests {
         v.iter().map(|s| s.to_string()).collect()
     }
 
-    #[test]
-    fn fi_journal_key_mixes_seed_and_plan_size() {
-        let base = CampaignConfig::default();
-        let mut other_seed = base.clone();
-        other_seed.seed ^= 1;
-        let mut other_n = base.clone();
-        other_n.injections += 1;
-        assert_ne!(fi_journal_key(&base), fi_journal_key(&other_seed));
-        assert_ne!(fi_journal_key(&base), fi_journal_key(&other_n));
-        assert_eq!(fi_journal_key(&base), fi_journal_key(&base.clone()));
-    }
-
     /// The flag table against the usage text: the same flags, and a value
     /// column that agrees with every `--flag VALUE` line of the option
     /// lists.
@@ -1662,6 +1639,3 @@ mod tests {
         assert!(parse_input("not-a-bench", &args(&[])).is_err());
     }
 }
-
-#[cfg(test)]
-mod key_pins;

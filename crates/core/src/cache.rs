@@ -18,13 +18,12 @@
 //! the golden run (interpreter limits and checkpoint knobs — not seeds,
 //! thread counts, or injection counts).
 
-use minpsid_faultsim::{golden_run_sized, CampaignConfig, GoldenRun};
-use minpsid_interp::{Output, OutputItem, ProgInput, Termination};
+use minpsid_faultsim::{golden_run_sized, CampaignConfig, ConfigKey, GoldenRun};
+use minpsid_interp::{Output, ProgInput, Termination};
 use minpsid_ir::bytes::Fnv;
 use minpsid_ir::Module;
 use minpsid_store::ArtifactStore;
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -37,15 +36,7 @@ pub const CKPT_ARTIFACT: &str = "ckpt";
 /// instructions changes it.
 pub fn module_fingerprint(module: &Module) -> u64 {
     let mut h = Fnv::new();
-    write!(h, "{module:?}").expect("fmt to hasher cannot fail");
-    h.finish()
-}
-
-/// FNV-1a over a value's `Debug` rendering (the journal's config
-/// fingerprint hashes a whole `MinpsidConfig` this way).
-pub(crate) fn fingerprint_debug<T: std::fmt::Debug>(v: &T) -> u64 {
-    let mut h = Fnv::new();
-    write!(h, "{v:?}").expect("fmt to hasher cannot fail");
+    h.text(format_args!("{module:?}"));
     h.finish()
 }
 
@@ -54,43 +45,18 @@ pub fn input_fingerprint(input: &ProgInput) -> u64 {
     input.fingerprint()
 }
 
-/// Bit-exact fingerprint of an execution's output — the digest the
-/// crash-safe journal stores to verify that a resumed run's recomputed
-/// golden runs match the originals.
+/// [`Output::key`] alone: the digest the crash-safe journal stores to
+/// verify that a resumed run's recomputed golden runs match the originals.
 pub fn output_fingerprint(output: &Output) -> u64 {
     let mut h = Fnv::new();
-    h.u64(output.items.len() as u64);
-    for item in &output.items {
-        match item {
-            OutputItem::I(v) => {
-                h.bytes(b"i");
-                h.u64(*v as u64);
-            }
-            OutputItem::F(v) => {
-                h.bytes(b"f");
-                h.u64(v.to_bits());
-            }
-        }
-    }
+    output.key(&mut h);
     h.finish()
 }
 
-/// Fingerprint of the campaign-config fields a golden run depends on.
-/// Seeds, thread counts, and injection counts deliberately do not
-/// participate: they change campaigns, not golden runs.
+/// The golden-run store ref's config part: [`ConfigKey::Golden`].
 pub fn config_fingerprint(cfg: &CampaignConfig) -> u64 {
     let mut h = Fnv::new();
-    write!(
-        h,
-        "{:?}|{:?}|{}|{}|{:?}|{}",
-        cfg.exec,
-        cfg.checkpoints,
-        cfg.max_checkpoints,
-        cfg.checkpoint_mem_budget,
-        cfg.snapshot_mode,
-        cfg.keyframe_every
-    )
-    .expect("fmt to hasher cannot fail");
+    cfg.key(ConfigKey::Golden, &mut h);
     h.finish()
 }
 
@@ -333,7 +299,7 @@ impl std::fmt::Debug for GoldenCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minpsid_interp::Scalar;
+    use minpsid_interp::{OutputItem, Scalar};
 
     fn module() -> Module {
         minic::compile(

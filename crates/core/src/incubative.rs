@@ -36,6 +36,22 @@ impl Default for IncubativeConfig {
     }
 }
 
+impl IncubativeConfig {
+    /// Feed the thresholds to the MINPSID journal header's key. Every one
+    /// enters: each changes which instructions count as incubative.
+    pub fn key(&self, h: &mut minpsid_ir::bytes::Fnv) {
+        let IncubativeConfig {
+            low_quantile,
+            low_mass,
+            high_quantile,
+        } = self;
+        h.text(format_args!(
+            "IncubativeConfig {{ low_quantile: {low_quantile:?}, low_mass: {low_mass:?}, \
+             high_quantile: {high_quantile:?} }}"
+        ));
+    }
+}
+
 /// Value at rank-quantile `q` of `values`.
 fn rank_quantile(values: &[f64], q: f64) -> f64 {
     if values.is_empty() {

@@ -1,14 +1,15 @@
 //! The end-to-end MINPSID pipeline (paper Fig. 4).
 
-use crate::cache::{fingerprint_debug, input_fingerprint, output_fingerprint, GoldenCache};
+use crate::cache::{input_fingerprint, output_fingerprint, GoldenCache};
 use crate::incubative::{IncubativeConfig, IncubativeTracker};
 use crate::input::InputModel;
 use crate::search::{EvalMemo, GaConfig, SearchEngine};
 use minpsid_faultsim::{
-    interrupt, CampaignConfig, CampaignEngine, CampaignJournal, Deadline, GoldenRun, Interrupted,
-    SchedConfig, SchedSnapshot, Scheduler, TableMemo, TableStatsSnapshot,
+    interrupt, CampaignConfig, CampaignEngine, CampaignJournal, ConfigKey, Deadline, GoldenRun,
+    Interrupted, SchedConfig, SchedSnapshot, Scheduler, TableMemo, TableStatsSnapshot,
 };
 use minpsid_interp::{ProgInput, Termination};
+use minpsid_ir::bytes::Fnv;
 use minpsid_ir::Module;
 use minpsid_sid::knapsack::Selection;
 use minpsid_sid::transform::TransformMeta;
@@ -225,20 +226,54 @@ impl From<Interrupted> for PipelineError {
     }
 }
 
+impl MinpsidConfig {
+    /// Feed this config to the MINPSID journal header's key. Everything
+    /// that changes the run's decisions enters; the destructure says why
+    /// the rest does not.
+    pub fn key(&self, h: &mut Fnv) {
+        let MinpsidConfig {
+            protection_level,
+            campaign,
+            ga,
+            incubative,
+            max_inputs,
+            stagnation_patience,
+            strategy,
+            use_dp,
+            // As `None`: a deadline truncates *which* work runs, never its
+            // results, so a truncated journal must resume under another budget.
+            deadline_secs: _,
+            // As `true`: table memoization changes where outcomes come from,
+            // not what they are, so an incremental run must resume a
+            // non-incremental journal.
+            incremental: _,
+        } = self;
+        let strategy = match strategy {
+            SearchStrategy::Genetic => "Genetic",
+            SearchStrategy::Random => "Random",
+            SearchStrategy::Annealing => "Annealing",
+        };
+        h.text(format_args!(
+            "MinpsidConfig {{ protection_level: {protection_level:?}, campaign: "
+        ));
+        campaign.key(ConfigKey::Journal, h);
+        h.bytes(b", ga: ");
+        ga.key(h);
+        h.bytes(b", incubative: ");
+        incubative.key(h);
+        h.text(format_args!(
+            ", max_inputs: {max_inputs:?}, stagnation_patience: {stagnation_patience:?}, \
+             strategy: {strategy}, use_dp: {use_dp:?}, deadline_secs: None, incremental: true }}"
+        ));
+    }
+}
+
 /// The config fingerprint a journal header carries for a MINPSID run:
-/// everything that changes the run's decisions participates; the worker
-/// thread count is normalized out (campaigns are thread-count-invariant,
-/// and resuming on a different machine must work).
+/// [`MinpsidConfig::key`].
 pub fn minpsid_config_fingerprint(cfg: &MinpsidConfig) -> u64 {
-    let mut c = cfg.clone();
-    c.campaign.threads = 0;
-    // A deadline truncates *which* work runs, never its results; a
-    // truncated journal must be resumable under a different budget.
-    c.deadline_secs = None;
-    // Table memoization changes where outcomes come from, not what they
-    // are: an incremental run must resume a non-incremental journal.
-    c.incremental = true;
-    fingerprint_debug(&c)
+    let mut h = Fnv::new();
+    cfg.key(&mut h);
+    h.finish()
 }
 
 /// The per-section module identity: one `(fingerprint, dense
@@ -857,7 +892,7 @@ mod tests {
     }
 
     /// Measured at the parent of PR 22, which removed fields from three
-    /// structs these fingerprints render with `{:?}`. They key the
+    /// structs these fingerprints then hashed the `{:?}` of. They key the
     /// golden-run store refs and the MINPSID journal header: if either
     /// moves, every store written before misses and every journal refuses
     /// to resume.

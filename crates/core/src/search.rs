@@ -17,6 +17,7 @@ use crate::wcfg::{
 };
 use minpsid_faultsim::{CampaignConfig, Deadline};
 use minpsid_interp::{ExecScratch, Interp, ProgInput};
+use minpsid_ir::bytes::Fnv;
 use minpsid_ir::Module;
 use minpsid_trace as trace;
 use rand::rngs::StdRng;
@@ -74,6 +75,31 @@ impl Default for GaConfig {
             max_generations: 8,
             seed: 1234,
         }
+    }
+}
+
+impl GaConfig {
+    /// Feed this config to the MINPSID journal header's key. Every field
+    /// enters: each changes which inputs the search proposes.
+    pub fn key(&self, h: &mut Fnv) {
+        let GaConfig {
+            population,
+            mutation_rate,
+            crossover_rate,
+            fitness,
+            patience,
+            max_generations,
+            seed,
+        } = self;
+        let fitness = match fitness {
+            FitnessKind::Euclidean => "Euclidean",
+            FitnessKind::NormalizedEuclidean => "NormalizedEuclidean",
+        };
+        h.text(format_args!(
+            "GaConfig {{ population: {population:?}, mutation_rate: {mutation_rate:?}, \
+             crossover_rate: {crossover_rate:?}, fitness: {fitness}, patience: {patience:?}, \
+             max_generations: {max_generations:?}, seed: {seed:?} }}"
+        ));
     }
 }
 

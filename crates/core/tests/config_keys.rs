@@ -6,9 +6,12 @@
 //! every table re-run. Each row is the default config with one field
 //! changed (every variant of each enum); the columns are those five keys.
 
-use super::{config_fingerprint, fi_journal_key, minpsid_config_fingerprint, MinpsidConfig};
-use minpsid::{FitnessKind, SearchStrategy};
-use minpsid_faultsim::{table_sig, CampaignKind, CheckpointPolicy, GoldenRun, SnapshotMode};
+use minpsid::{
+    config_fingerprint, minpsid_config_fingerprint, FitnessKind, MinpsidConfig, SearchStrategy,
+};
+use minpsid_faultsim::{
+    fi_journal_key, table_sig, CampaignKind, CheckpointPolicy, GoldenRun, SnapshotMode,
+};
 use minpsid_interp::{Output, Profile};
 
 type Edit = fn(&mut MinpsidConfig);

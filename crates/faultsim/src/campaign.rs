@@ -29,9 +29,11 @@ use minpsid_interp::{
     auto_interval, CheckpointConfig, CheckpointStore, ExecConfig, ExecScratch, Interp, Output,
     Profile, ProgInput, Run, SnapshotMode, Termination,
 };
+use minpsid_ir::bytes::Fnv;
 use minpsid_ir::Module;
 use minpsid_sched::{BinomialCi, SchedConfig, SiteStatus};
 use minpsid_trace as trace;
+use minpsid_trace::CampaignKind;
 use std::time::Duration;
 
 /// How often the sampler thread publishes `campaign_progress` events.
@@ -51,7 +53,7 @@ pub enum CheckpointPolicy {
 }
 
 /// Campaign parameters (defaults follow §III-A3 of the paper).
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct CampaignConfig {
     /// Whole-program campaign size (paper: 1000).
     pub injections: usize,
@@ -78,38 +80,12 @@ pub struct CampaignConfig {
     pub snapshot_mode: SnapshotMode,
     /// Delta mode: full keyframe every this many stored checkpoints.
     pub keyframe_every: u32,
-    /// Holds nothing; rendered into the hashed `Debug` below as the
-    /// frozen literal old keys were made under. Kept because `benchmark/`
-    /// reads it and may not change here (ROADMAP 4(b)). The wall-clock
-    /// deadline is *not* a config value — it lives on the
-    /// [`Scheduler`](minpsid_sched::Scheduler) so a resumed run may get a
-    /// fresh budget.
+    /// Holds nothing; [`CampaignConfig::key`] hashes its retired knobs as
+    /// a literal. Kept because `benchmark/` reads it and may not change
+    /// here (ROADMAP 4(b)). The wall-clock deadline is *not* a config
+    /// value — it lives on the [`Scheduler`](minpsid_sched::Scheduler) so
+    /// a resumed run may get a fresh budget.
     pub sched: SchedConfig,
-}
-
-/// Hashed, so frozen: `minpsid_config_fingerprint` (the MINPSID journal
-/// header) renders a whole `MinpsidConfig`, this struct included. The two
-/// `chaos_*` fields are the retired fault-the-harness knobs, printed at
-/// the one value a real run ever held.
-impl std::fmt::Debug for CampaignConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CampaignConfig")
-            .field("injections", &self.injections)
-            .field("per_inst_injections", &self.per_inst_injections)
-            .field("seed", &self.seed)
-            .field("threads", &self.threads)
-            .field("hang_multiplier", &self.hang_multiplier)
-            .field("exec", &self.exec)
-            .field("checkpoints", &self.checkpoints)
-            .field("max_checkpoints", &self.max_checkpoints)
-            .field("checkpoint_mem_budget", &self.checkpoint_mem_budget)
-            .field("snapshot_mode", &self.snapshot_mode)
-            .field("keyframe_every", &self.keyframe_every)
-            .field("chaos_panic_one_in", &None::<u64>)
-            .field("chaos_timeout_one_in", &None::<u64>)
-            .field("sched", &self.sched)
-            .finish()
-    }
 }
 
 impl Default for CampaignConfig {
@@ -131,6 +107,26 @@ impl Default for CampaignConfig {
     }
 }
 
+/// The keys a [`CampaignConfig`] enters. Each lets a later run reuse
+/// work, so each must cover exactly what determines that work's result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConfigKey {
+    /// A golden run's store ref (`config_fingerprint`), and through it a
+    /// `fi` journal's header ([`fi_journal_key`]).
+    Golden,
+    /// A MINPSID journal's header, inside `MinpsidConfig`'s key.
+    Journal,
+    /// A sealed section table's signature ([`crate::table_sig`]).
+    Table(CampaignKind),
+}
+
+/// What the keys hashed for [`CampaignConfig::sched`]: the `Debug` text
+/// of its retired retry, quarantine and early-stop knobs at the values
+/// every journal and sealed table written before their removal holds.
+const RETIRED_SCHED: &str =
+    "SchedConfig { max_retries: 2, backoff_base_ms: 1, backoff_cap_ms: 50, \
+     quarantine_after: 2, quarantine_cap: 64, ci_half_width: 0.0, ci_z: 1.96 }";
+
 impl CampaignConfig {
     /// Scaled-down preset for tests and tiny experiments.
     pub fn quick(seed: u64) -> Self {
@@ -141,6 +137,102 @@ impl CampaignConfig {
             ..CampaignConfig::default()
         }
     }
+
+    /// Feed this config to one of its keys. The destructure decides, per
+    /// field, which keys it enters, so a field added to the struct does
+    /// not compile until that is decided. The bytes are those each key
+    /// hashed when it was built from `Debug` text, so no journal, store
+    /// or table written before moves.
+    pub fn key(&self, of: ConfigKey, h: &mut Fnv) {
+        let CampaignConfig {
+            // journal, table, fi: another seed draws other faults
+            seed,
+            // journal, fi. Not table: program tables are served per unit,
+            // so a plan that grew executes only its tail
+            injections,
+            // journal, per-instruction table. Not fi: a whole-program
+            // campaign does not read it
+            per_inst_injections,
+            // journal, as 0: campaigns are thread-count invariant, and a
+            // journal must resume on another machine
+            threads: _,
+            // journal, table. Not fi, which no front end runs under
+            // another value
+            hang_multiplier,
+            // every key
+            exec,
+            // golden (so fi), journal: they shape the golden run's
+            // checkpoint store. Not table: checkpointed and cold
+            // injections are bit-identical
+            checkpoints,
+            max_checkpoints,
+            checkpoint_mem_budget,
+            snapshot_mode,
+            keyframe_every,
+            // holds nothing: journal and table hash RETIRED_SCHED for it
+            sched: _,
+        } = self;
+        let checkpoints = |h: &mut Fnv| match checkpoints {
+            CheckpointPolicy::Auto => h.bytes(b"Auto"),
+            CheckpointPolicy::Every(n) => h.text(format_args!("Every({n:?})")),
+            CheckpointPolicy::Disabled => h.bytes(b"Disabled"),
+        };
+        let snapshot_mode = match snapshot_mode {
+            SnapshotMode::Full => "Full",
+            SnapshotMode::Delta => "Delta",
+        };
+        match of {
+            ConfigKey::Golden => {
+                exec.key(h);
+                h.bytes(b"|");
+                checkpoints(h);
+                h.text(format_args!(
+                    "|{max_checkpoints}|{checkpoint_mem_budget}|{snapshot_mode}|{keyframe_every}"
+                ));
+            }
+            ConfigKey::Journal => {
+                h.text(format_args!(
+                    "CampaignConfig {{ injections: {injections:?}, \
+                     per_inst_injections: {per_inst_injections:?}, seed: {seed:?}, threads: 0, \
+                     hang_multiplier: {hang_multiplier:?}, exec: "
+                ));
+                exec.key(h);
+                h.bytes(b", checkpoints: ");
+                checkpoints(h);
+                // the two retired fault-the-harness knobs, at the one value
+                // a real run ever held
+                h.text(format_args!(
+                    ", max_checkpoints: {max_checkpoints:?}, \
+                     checkpoint_mem_budget: {checkpoint_mem_budget:?}, \
+                     snapshot_mode: {snapshot_mode}, keyframe_every: {keyframe_every:?}, \
+                     chaos_panic_one_in: None, chaos_timeout_one_in: None, \
+                     sched: {RETIRED_SCHED} }}"
+                ));
+            }
+            ConfigKey::Table(kind) => {
+                h.u64(*seed);
+                h.u64(*hang_multiplier);
+                if kind == CampaignKind::PerInst {
+                    h.u64(*per_inst_injections as u64);
+                }
+                exec.key(h);
+                h.bytes(RETIRED_SCHED.as_bytes());
+            }
+        }
+    }
+}
+
+/// A `fi` journal's key: the golden key, with the seed and the plan size
+/// mixed into the finished hash, since a whole-program campaign's
+/// outcomes depend on both — resuming with another seed must open
+/// another key, not serve another campaign's outcomes. Which fields
+/// enter is decided in [`CampaignConfig::key`]'s destructure.
+pub fn fi_journal_key(cfg: &CampaignConfig) -> u64 {
+    let mut h = Fnv::new();
+    cfg.key(ConfigKey::Golden, &mut h);
+    h.finish()
+        ^ cfg.seed.rotate_left(17)
+        ^ (cfg.injections as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 /// The fault-free reference execution of (module, input).
@@ -402,6 +494,18 @@ pub(crate) mod tests {
 
     pub(crate) fn input(n: i64) -> ProgInput {
         ProgInput::scalars(vec![Scalar::I(n)])
+    }
+
+    #[test]
+    fn fi_journal_key_mixes_seed_and_plan_size() {
+        let base = CampaignConfig::default();
+        let mut other_seed = base.clone();
+        other_seed.seed ^= 1;
+        let mut other_n = base.clone();
+        other_n.injections += 1;
+        assert_ne!(fi_journal_key(&base), fi_journal_key(&other_seed));
+        assert_ne!(fi_journal_key(&base), fi_journal_key(&other_n));
+        assert_eq!(fi_journal_key(&base), fi_journal_key(&base.clone()));
     }
 
     #[test]

@@ -48,8 +48,9 @@ pub mod propagation;
 pub mod table;
 
 pub use campaign::{
-    golden_run, golden_run_sized, outcome_fraction, per_instruction_campaign, program_campaign,
-    CampaignConfig, CheckpointPolicy, GoldenRun, PerInstSdc, ProgramCampaign,
+    fi_journal_key, golden_run, golden_run_sized, outcome_fraction, per_instruction_campaign,
+    program_campaign, CampaignConfig, CheckpointPolicy, ConfigKey, GoldenRun, PerInstSdc,
+    ProgramCampaign,
 };
 pub use config::CampaignConfigBuilder;
 pub use engine::{faulty_exec_config, CampaignEngine, CampaignPlan, ProgramUnitExecutor, Section};

@@ -32,13 +32,11 @@
 //! marked incomplete in its header and is a *miss* on load — truncated
 //! campaigns never masquerade as finished ones.
 
-use crate::campaign::{CampaignConfig, GoldenRun};
-use minpsid_interp::OutputItem;
+use crate::campaign::{CampaignConfig, ConfigKey, GoldenRun};
 use minpsid_ir::bytes::{put_u32, put_u64, put_varint, Error, Fnv, Reader};
 use minpsid_store::{ArtifactStore, StoreError};
 use minpsid_trace as trace;
 use minpsid_trace::CampaignKind;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -61,13 +59,9 @@ fn tag(kind: CampaignKind) -> u8 {
 /// The golden-context signature a table is valid under. Everything that
 /// determines a section's injection outcomes besides its content
 /// fingerprint: the golden baseline (output, steps, the section's dynamic
-/// counts and injectable population) and the injection-relevant config
-/// (seed, hang threshold, exec limits, the frozen scheduler rendering,
-/// and — for per-instruction tables — the per-site sample count). Campaign *size*
-/// (`cfg.injections`) is deliberately excluded: program tables are served
-/// per-unit, so an allocation that grew merely executes the tail.
-/// Checkpoint/snapshot knobs are excluded too — checkpointed and cold
-/// injections are bit-identical by the engine's equivalence invariant.
+/// counts and injectable population) and the config's
+/// [`ConfigKey::Table`] key, which records what of the config enters and
+/// why the rest does not.
 pub fn table_sig(
     kind: CampaignKind,
     cfg: &CampaignConfig,
@@ -78,28 +72,9 @@ pub fn table_sig(
     let mut h = Fnv::new();
     h.u64(TABLE_VERSION as u64);
     h.bytes(&[tag(kind)]);
-    h.u64(cfg.seed);
-    h.u64(cfg.hang_multiplier);
-    if kind == CampaignKind::PerInst {
-        h.u64(cfg.per_inst_injections as u64);
-    }
-    // both renderings are hand-written and frozen (see their `Debug`
-    // impls): a sealed table outlives the struct layout it was keyed under
-    write!(h, "{:?}{:?}", cfg.exec, cfg.sched).expect("fmt to hasher cannot fail");
+    cfg.key(ConfigKey::Table(kind), &mut h);
     h.u64(golden.steps);
-    h.u64(golden.output.items.len() as u64);
-    for item in &golden.output.items {
-        match item {
-            OutputItem::I(v) => {
-                h.bytes(b"i");
-                h.u64(*v as u64);
-            }
-            OutputItem::F(v) => {
-                h.bytes(b"f");
-                h.u64(v.to_bits());
-            }
-        }
-    }
+    golden.output.key(&mut h);
     h.u64(sec_counts.len() as u64);
     for &c in sec_counts {
         h.u64(c);
@@ -590,7 +565,7 @@ mod tests {
         let cfg = CampaignConfig::quick(1);
         let base = table_sig(Program, &cfg, &golden, &[5, 6], 11);
         // measured at the parent of PR 22, which removed fields from the
-        // two structs the sig renders: a sealed table must stay findable
+        // two structs the sig then rendered: a sealed table must stay findable
         assert_eq!(base, 0x343a_734c_41fa_bc87, "program tables re-keyed");
         assert_eq!(
             table_sig(PerInst, &cfg, &golden, &[5, 6], 11),

@@ -24,7 +24,7 @@ use crate::value::{Output, ProgInput, Value};
 use minpsid_ir::{BlockId, CmpOp, CostModel, FuncId, InstKind, Module};
 
 /// Limits and switches for one execution.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct ExecConfig {
     /// Maximum dynamic instructions; exceeding it terminates with
     /// [`Termination::StepLimit`] (classified as a hang by the campaign
@@ -45,22 +45,30 @@ pub struct ExecConfig {
     pub cost_model: CostModel,
 }
 
-/// Hashed, so frozen: the journal header, the golden-run store ref
-/// (`config_fingerprint`) and `table_sig` all key on this rendering.
-/// `wall_clock_ms` is the retired per-run clock budget, printed at the
-/// one value a journal or store written before its removal could hold.
-impl std::fmt::Debug for ExecConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ExecConfig")
-            .field("step_limit", &self.step_limit)
-            .field("mem_limit", &self.mem_limit)
-            .field("call_depth_limit", &self.call_depth_limit)
-            .field("output_limit", &self.output_limit)
-            .field("profile", &self.profile)
-            .field("trace", &self.trace)
-            .field("wall_clock_ms", &0u64)
-            .field("cost_model", &self.cost_model)
-            .finish()
+impl ExecConfig {
+    /// Feed this config to a key. It enters every key a campaign config
+    /// does, whole: each limit decides where a faulty run stops, `profile`
+    /// and `trace` what a golden run records, and the cost model the
+    /// cycles its profile holds.
+    pub fn key(&self, h: &mut minpsid_ir::bytes::Fnv) {
+        let ExecConfig {
+            step_limit,
+            mem_limit,
+            call_depth_limit,
+            output_limit,
+            profile,
+            trace,
+            cost_model,
+        } = self;
+        // `wall_clock_ms: 0` is the retired per-run clock budget, at the one
+        // value a journal or store written before its removal could hold
+        h.text(format_args!(
+            "ExecConfig {{ step_limit: {step_limit:?}, mem_limit: {mem_limit:?}, \
+             call_depth_limit: {call_depth_limit:?}, output_limit: {output_limit:?}, \
+             profile: {profile:?}, trace: {trace:?}, wall_clock_ms: 0, cost_model: "
+        ));
+        cost_model.key(h);
+        h.bytes(b" }");
     }
 }
 

@@ -199,6 +199,24 @@ impl Output {
         self.items.push(OutputItem::F(v));
     }
 
+    /// Feed the output to a key, bit-exact and order-sensitive: the golden
+    /// output a sealed table's signature pins and a journal's digest checks.
+    pub fn key(&self, h: &mut minpsid_ir::bytes::Fnv) {
+        h.u64(self.items.len() as u64);
+        for item in &self.items {
+            match item {
+                OutputItem::I(v) => {
+                    h.bytes(b"i");
+                    h.u64(*v as u64);
+                }
+                OutputItem::F(v) => {
+                    h.bytes(b"f");
+                    h.u64(v.to_bits());
+                }
+            }
+        }
+    }
+
     pub fn len(&self) -> usize {
         self.items.len()
     }

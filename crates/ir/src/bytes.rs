@@ -171,6 +171,13 @@ impl Fnv {
         self.bytes(&v.to_le_bytes());
     }
 
+    /// Feed formatted text, as `write!` would: a config's key is the
+    /// text its `Debug` rendering once hashed.
+    #[inline]
+    pub fn text(&mut self, args: fmt::Arguments<'_>) {
+        fmt::Write::write_fmt(self, args).expect("fmt to hasher cannot fail")
+    }
+
     #[inline]
     pub fn finish(self) -> u64 {
         self.0

@@ -7,6 +7,7 @@
 //! values only need to be *relatively* plausible — the knapsack normalizes
 //! by total cycles — so the table favours simplicity.
 
+use crate::bytes::Fnv;
 use crate::inst::{BinOp, InstKind, UnOp};
 use crate::types::Ty;
 
@@ -106,6 +107,32 @@ impl CostModel {
             InstKind::Check { .. } => self.check,
             InstKind::Br { .. } | InstKind::CondBr { .. } | InstKind::Ret { .. } => self.branch,
         }
+    }
+
+    /// Feed the latencies to a key, each as `{:?}` renders it: every one
+    /// sets cycle costs a profile reports, so every one enters.
+    pub fn key(&self, h: &mut Fnv) {
+        let CostModel {
+            int_alu,
+            int_mul,
+            int_div,
+            fp_add,
+            fp_mul,
+            fp_div,
+            fp_sqrt,
+            fp_trans,
+            mem,
+            branch,
+            call,
+            io,
+            check,
+        } = self;
+        h.text(format_args!(
+            "CostModel {{ int_alu: {int_alu:?}, int_mul: {int_mul:?}, int_div: {int_div:?}, \
+             fp_add: {fp_add:?}, fp_mul: {fp_mul:?}, fp_div: {fp_div:?}, fp_sqrt: {fp_sqrt:?}, \
+             fp_trans: {fp_trans:?}, mem: {mem:?}, branch: {branch:?}, call: {call:?}, \
+             io: {io:?}, check: {check:?} }}"
+        ));
     }
 }
 

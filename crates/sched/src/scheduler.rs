@@ -16,7 +16,6 @@
 //! `SchedSnapshot::accounted()` sums the two; campaigns assert it equals
 //! `planned`. "Zero lost injections" is that assertion.
 
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::deadline::Deadline;
@@ -27,26 +26,10 @@ use trace::CampaignKind;
 /// deadline is deliberately not a config value (see [`crate::deadline`]).
 /// Kept because `benchmark/` passes `cfg.campaign.sched` to
 /// [`Scheduler::new`] and may not change here; ROADMAP 4(b) deletes it.
-#[derive(Clone, Default, PartialEq, Eq)]
+/// The keys a campaign config enters hash the rendering of its retired
+/// knobs as a literal (`CampaignConfig::key`), not this struct.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SchedConfig {}
-
-/// Hashed, so frozen: `table_sig` and the MINPSID journal header key on
-/// this rendering. It prints the retired retry/quarantine knobs, the
-/// retired early-stop width and the confidence level at the values every
-/// journal and sealed table written before their removal was keyed under.
-impl fmt::Debug for SchedConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SchedConfig")
-            .field("max_retries", &2u32)
-            .field("backoff_base_ms", &1u64)
-            .field("backoff_cap_ms", &50u64)
-            .field("quarantine_after", &2u32)
-            .field("quarantine_cap", &64u64)
-            .field("ci_half_width", &0.0f64)
-            .field("ci_z", &1.96f64)
-            .finish()
-    }
-}
 
 /// How a per-instruction site ended the campaign. Annotates every
 /// estimate in the final report.
@@ -196,18 +179,6 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// `table_sig` and the journal header hash this string: a field
-    /// dropped, renamed or reordered re-keys every sealed table and
-    /// refuses every journal written before the change.
-    #[test]
-    fn hashed_rendering_is_the_one_old_journals_and_tables_were_keyed_under() {
-        assert_eq!(
-            format!("{:?}", SchedConfig::default()),
-            "SchedConfig { max_retries: 2, backoff_base_ms: 1, backoff_cap_ms: 50, \
-             quarantine_after: 2, quarantine_cap: 64, ci_half_width: 0.0, ci_z: 1.96 }"
-        );
-    }
 
     /// Every site gets its full sample size: nothing is skipped, so the
     /// benchmark's `early_stop_skipped` column stays 0 and the books

@@ -62,6 +62,9 @@ for BAD in "--bogus-flag" "--workers 2" "--status-addr 127.0.0.1:1" \
   grep -q "unknown flag ${BAD%% *}" <<<"$BAD_OUT"
 done
 
+# The guards below end in `|| exit 1`: `set -e` does not stop on a
+# command whose status `!` inverts, so without it a guard that finds
+# something only prints.
 echo "== oracle-isolation guard (the reference tree walk is reachable from tests only)"
 # `minpsid_interp::oracle` is what the decoded engine is compared with
 # (crates/interp/tests/decode_props.rs, tests/engine_equivalence.rs); a
@@ -70,7 +73,7 @@ echo "== oracle-isolation guard (the reference tree walk is reachable from tests
 ! awk 'FNR == 1 { in_tests = 0 } /^#\[cfg\(test\)\]/ { in_tests = 1 }
        !in_tests && /oracle::/ { print FILENAME ":" FNR ": " $0; found = 1 }
        END { exit !found }' \
-  $(find crates -path '*/src/*' -name '*.rs' ! -path crates/interp/src/oracle.rs)
+  $(find crates -path '*/src/*' -name '*.rs' ! -path crates/interp/src/oracle.rs) || exit 1
 
 echo "== byte-codec guard (one checked reader and one FNV per dependency root)"
 # how bytes are read, written and hashed is decided in two modules, one
@@ -84,7 +87,18 @@ echo "== byte-codec guard (one checked reader and one FNV per dependency root)"
          print FILENAME ":" FNR ": " $0; found = 1 }
        END { exit !found }' \
   $(find crates -path '*/src/*' -name '*.rs' ! -path 'crates/bench/*' \
-      ! -path crates/ir/src/bytes.rs ! -path crates/store/src/bytes.rs)
+      ! -path crates/ir/src/bytes.rs ! -path crates/store/src/bytes.rs) || exit 1
+
+echo "== config-key guard (no hand-written Debug on a config)"
+# what a config contributes to a journal, store or table key is decided
+# by the exhaustive destructure in its `key` method; a hand-written
+# `Debug` on a `…Config` is how a hashed rendering used to decide it, and
+# a field added to one silently did not participate.
+! awk 'FNR == 1 { in_tests = 0 } /^#\[cfg\(test\)\]/ { in_tests = 1 }
+       !in_tests && /impl (std::)?(fmt::)?Debug for [A-Za-z0-9_]*Config([^A-Za-z0-9_]|$)/ {
+         print FILENAME ":" FNR ": " $0; found = 1 }
+       END { exit !found }' \
+  $(find crates -path '*/src/*' -name '*.rs') || exit 1
 
 echo "== repo benchmark smoke (all four workloads build, run and check their results)"
 # the checks that gate a performance PR (BENCHMARK.json) also run here:
