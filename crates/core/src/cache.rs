@@ -208,27 +208,13 @@ impl GoldenCache {
     }
 
     /// Verified load of both wire artifacts from the store. `None` on
-    /// any failure: absent refs, a digest mismatch (the store has
-    /// already quarantined the object and emitted a `store_event`), an
-    /// I/O error, or a wire decode error — all degrade to recompute.
+    /// any miss the store reports ([`ArtifactStore::get`]) or a wire
+    /// decode error: all degrade to recompute.
     fn load_from_store(&self, key: Key, cfg: &CampaignConfig) -> Option<Arc<GoldenRun>> {
         let store = self.store.as_ref()?;
         let name = ref_name(key);
-        let fetch = |kind: &str| match store.load_named(kind, &name) {
-            Ok(Some((_, bytes))) => Some(bytes),
-            Ok(None) => None,
-            Err(minpsid_store::StoreError::Corrupt { quarantined, .. }) => {
-                eprintln!(
-                    "minpsid: STORE CORRUPTION: cached {kind} artifact {name} failed digest \
-                     verification; quarantined to {} and recomputing",
-                    quarantined.display(),
-                );
-                None
-            }
-            Err(_) => None,
-        };
-        let meta = fetch(GOLDEN_ARTIFACT)?;
-        let ckpt = fetch(CKPT_ARTIFACT)?;
+        let meta = store.get(GOLDEN_ARTIFACT, &name).ok()?;
+        let ckpt = store.get(CKPT_ARTIFACT, &name).ok()?;
         GoldenRun::decode(&meta, &ckpt, &cfg.exec)
             .ok()
             .map(Arc::new)
@@ -237,18 +223,12 @@ impl GoldenCache {
     /// Best-effort publish of a freshly computed run; persistence
     /// failures degrade to a cold cache, never to a wrong result.
     fn publish_to_store(&self, key: Key, g: &GoldenRun) {
-        let Some(store) = self.store.as_ref() else {
-            return;
-        };
-        let name = ref_name(key);
-        let publish = || -> std::io::Result<()> {
-            let meta = store.publish(GOLDEN_ARTIFACT, &g.encode_meta())?;
-            store.set_ref(GOLDEN_ARTIFACT, &name, &meta)?;
-            let ckpt = store.publish(CKPT_ARTIFACT, &g.encode_checkpoints())?;
-            store.set_ref(CKPT_ARTIFACT, &name, &ckpt)?;
-            Ok(())
-        };
-        let _ = publish();
+        if let Some(store) = &self.store {
+            let name = ref_name(key);
+            let _ = store
+                .put(GOLDEN_ARTIFACT, &name, &g.encode_meta())
+                .and_then(|()| store.put(CKPT_ARTIFACT, &name, &g.encode_checkpoints()));
+        }
     }
 
     pub fn hits(&self) -> u64 {

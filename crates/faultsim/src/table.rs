@@ -27,14 +27,15 @@
 //! cold path is always exact.
 //!
 //! Tables follow the store's verify-on-load discipline: a corrupt artifact
-//! is quarantined and the section silently re-runs (recompute-on-
-//! corruption, like goldens). A table sealed under an expired deadline is
-//! marked incomplete in its header and is a *miss* on load — truncated
-//! campaigns never masquerade as finished ones.
+//! is quarantined and the section re-runs (recompute-on-corruption, like
+//! goldens and WAL snapshots, with the same `STORE CORRUPTION` line). A
+//! table sealed under an expired deadline is marked incomplete in its
+//! header and is a *miss* on load — truncated campaigns never masquerade
+//! as finished ones.
 
 use crate::campaign::{CampaignConfig, ConfigKey, GoldenRun};
 use minpsid_ir::bytes::{put_u32, put_u64, put_varint, Error, Fnv, Reader};
-use minpsid_store::{ArtifactStore, StoreError};
+use minpsid_store::{ArtifactStore, Miss as StoreMiss};
 use minpsid_trace as trace;
 use minpsid_trace::CampaignKind;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -323,84 +324,37 @@ impl TableMemo {
         )
     }
 
-    /// Fetch the raw table bytes, bumping stats and emitting the
-    /// `section_event` for every disposition. `None` is a miss (absent,
-    /// stale, incomplete, corrupt — corrupt additionally quarantined the
-    /// artifact and counts as a recompute).
-    fn fetch(&self, kind: CampaignKind, fp: u64, sig: u64) -> Option<Vec<u8>> {
-        let name = self.ref_name(kind, fp, sig);
-        match self.store.load_named(TABLE_ARTIFACT, &name) {
-            Ok(Some((_, bytes))) => Some(bytes),
-            Ok(None) => {
-                self.stats.sections_missed.fetch_add(1, Ordering::Relaxed);
-                trace::emit(trace::Event::SectionEvent {
-                    fp,
-                    action: trace::SectionAction::Miss,
-                    units: 0,
-                });
-                None
-            }
-            Err(StoreError::Corrupt { .. }) => {
-                self.stats
-                    .sections_recomputed
-                    .fetch_add(1, Ordering::Relaxed);
-                trace::emit(trace::Event::SectionEvent {
-                    fp,
-                    action: trace::SectionAction::Recompute,
-                    units: 0,
-                });
-                None
-            }
-            Err(_) => {
-                self.stats.sections_missed.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    fn note_hit(&self, fp: u64, units: u64) {
-        self.stats.sections_hit.fetch_add(1, Ordering::Relaxed);
-        trace::emit(trace::Event::SectionEvent {
-            fp,
-            action: trace::SectionAction::Hit,
-            units,
-        });
-    }
-
-    fn note_stale(&self, fp: u64) {
-        self.stats.sections_missed.fetch_add(1, Ordering::Relaxed);
-        trace::emit(trace::Event::SectionEvent {
-            fp,
-            action: trace::SectionAction::Miss,
-            units: 0,
-        });
-    }
-
-    /// Load the sealed table of `kind` for `(fp, sig)`. Incomplete
-    /// tables (sealed under an expired deadline) are misses.
+    /// Load the sealed table of `kind` for `(fp, sig)`, bumping one stat
+    /// and emitting the `section_event` of its disposition: a hit; a
+    /// miss (absent, stale, version skew, or sealed incomplete under an
+    /// expired deadline); or a recompute (the store quarantined it).
     pub(crate) fn load(&self, kind: CampaignKind, fp: u64, sig: u64) -> Option<SectionTable> {
-        let bytes = self.fetch(kind, fp, sig)?;
-        match decode(kind, &bytes, fp, self.input_fp, sig) {
-            Ok(t) if t.complete => {
-                self.note_hit(fp, t.total_outcomes());
-                Some(t)
-            }
-            _ => {
-                self.note_stale(fp);
-                None
-            }
-        }
+        use trace::SectionAction::{Hit, Miss, Recompute};
+        let (stats, name) = (&self.stats, self.ref_name(kind, fp, sig));
+        let (counter, action, table) = match self.store.get(TABLE_ARTIFACT, &name) {
+            Ok(bytes) => match decode(kind, &bytes, fp, self.input_fp, sig) {
+                Ok(t) if t.complete => (&stats.sections_hit, Hit, Some(t)),
+                _ => (&stats.sections_missed, Miss, None),
+            },
+            Err(StoreMiss::Absent) => (&stats.sections_missed, Miss, None),
+            Err(StoreMiss::Quarantined) => (&stats.sections_recomputed, Recompute, None),
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        trace::emit(trace::Event::SectionEvent {
+            fp,
+            action,
+            units: table.as_ref().map_or(0, SectionTable::total_outcomes),
+        });
+        table
     }
 
-    /// Publish a table and point the section's ref at it. Best-effort: a
-    /// failed seal degrades to a future miss, never an error.
+    /// Publish a table under the section's ref. Best-effort: a failed
+    /// seal degrades to a future miss, never an error.
     pub(crate) fn seal(&self, kind: CampaignKind, fp: u64, sig: u64, t: &SectionTable) {
         let name = self.ref_name(kind, fp, sig);
         let bytes = encode(kind, fp, self.input_fp, sig, t);
-        if let Ok(digest) = self.store.publish(TABLE_ARTIFACT, &bytes) {
-            if self.store.set_ref(TABLE_ARTIFACT, &name, &digest).is_ok() {
-                self.stats.tables_sealed.fetch_add(1, Ordering::Relaxed);
-            }
+        if self.store.put(TABLE_ARTIFACT, &name, &bytes).is_ok() {
+            self.stats.tables_sealed.fetch_add(1, Ordering::Relaxed);
         }
     }
 }

@@ -34,9 +34,9 @@
 pub mod record;
 pub mod wal;
 
-use minpsid_store::{ArtifactStore, StoreError};
+use minpsid_store::ArtifactStore;
 use record::Record;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -127,111 +127,68 @@ fn wal_ref_name(module_fp: u64, config_fp: u64) -> String {
     format!("{module_fp:016x}-{config_fp:016x}")
 }
 
-#[derive(Default)]
-struct State {
-    golden: HashMap<u64, (u64, u64)>,
-    per_inst: HashMap<(u64, u64, u64), u8>,
-    program: HashMap<(u64, u64), u8>,
-    eval: HashMap<u64, Vec<u64>>,
-    accepted: Vec<(u64, u64)>,
-    selection: Option<Vec<bool>>,
+/// What one journaled record is a fact about. The derived `Ord` is the
+/// compacted log's record order, so compaction is reproducible.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Fact {
+    Golden(u64),
+    PerInst(u64, u64, u64),
+    Program(u64, u64),
+    Eval(u64),
+    Accepted(u64),
+    Selection,
 }
+
+impl Fact {
+    /// The fact `rec` states; `None` for the log's header and for the
+    /// retired records ([`Record::Quarantine`], [`Record::SectionMap`]),
+    /// which still decode but state nothing.
+    fn of(rec: &Record) -> Option<Fact> {
+        Some(match *rec {
+            Record::GoldenDigest { input_fp, .. } => Fact::Golden(input_fp),
+            Record::PerInstOutcome {
+                input_fp, dense, k, ..
+            } => Fact::PerInst(input_fp, dense, k),
+            Record::ProgramOutcome {
+                input_fp, index, ..
+            } => Fact::Program(input_fp, index),
+            Record::EvalProfile { input_fp, .. } => Fact::Eval(input_fp),
+            Record::SearchAccepted { index, .. } => Fact::Accepted(index),
+            Record::Selection { .. } => Fact::Selection,
+            Record::Header { .. } | Record::Quarantine { .. } | Record::SectionMap { .. } => {
+                return None
+            }
+        })
+    }
+}
+
+/// The journal's index: the record that states each fact — the latest
+/// one, except that the first acceptance of a search index stands.
+#[derive(Default)]
+struct State(BTreeMap<Fact, Record>);
 
 impl State {
     fn apply(&mut self, rec: Record) {
-        match rec {
-            Record::Header { .. } => {}
-            Record::GoldenDigest {
-                input_fp,
-                output_fp,
-                steps,
-            } => {
-                self.golden.insert(input_fp, (output_fp, steps));
+        match Fact::of(&rec) {
+            Some(fact @ Fact::Accepted(_)) => {
+                self.0.entry(fact).or_insert(rec);
             }
-            Record::PerInstOutcome {
-                input_fp,
-                dense,
-                k,
-                outcome,
-            } => {
-                self.per_inst.insert((input_fp, dense, k), outcome);
+            Some(fact) => {
+                self.0.insert(fact, rec);
             }
-            Record::ProgramOutcome {
-                input_fp,
-                index,
-                outcome,
-            } => {
-                self.program.insert((input_fp, index), outcome);
-            }
-            Record::EvalProfile { input_fp, cfg_list } => {
-                self.eval.insert(input_fp, cfg_list);
-            }
-            Record::SearchAccepted { index, input_fp } => {
-                if !self.accepted.iter().any(|&(i, _)| i == index) {
-                    self.accepted.push((index, input_fp));
-                }
-            }
-            Record::Selection { bits } => self.selection = Some(bits),
-            // retired (see `Record::Quarantine`): the site simply runs
-            Record::Quarantine { .. } => {}
-            // retired (see `Record::SectionMap`)
-            Record::SectionMap { .. } => {}
+            None => {}
         }
     }
 
-    /// The compacted record set: current state, one record per fact.
+    /// The compacted record set: the header, then one record per fact.
     fn snapshot(&self, module_fp: u64, config_fp: u64) -> Vec<Record> {
-        let mut out = Vec::with_capacity(
-            1 + self.golden.len() + self.per_inst.len() + self.program.len() + self.eval.len() + 8,
-        );
-        out.push(Record::Header {
+        let header = Record::Header {
             module_fp,
             config_fp,
-        });
-        // deterministic order so compaction is reproducible
-        let mut golden: Vec<_> = self.golden.iter().collect();
-        golden.sort_unstable_by_key(|(k, _)| **k);
-        for (&input_fp, &(output_fp, steps)) in golden {
-            out.push(Record::GoldenDigest {
-                input_fp,
-                output_fp,
-                steps,
-            });
-        }
-        let mut per_inst: Vec<_> = self.per_inst.iter().collect();
-        per_inst.sort_unstable_by_key(|(k, _)| **k);
-        for (&(input_fp, dense, k), &outcome) in per_inst {
-            out.push(Record::PerInstOutcome {
-                input_fp,
-                dense,
-                k,
-                outcome,
-            });
-        }
-        let mut program: Vec<_> = self.program.iter().collect();
-        program.sort_unstable_by_key(|(k, _)| **k);
-        for (&(input_fp, index), &outcome) in program {
-            out.push(Record::ProgramOutcome {
-                input_fp,
-                index,
-                outcome,
-            });
-        }
-        let mut eval: Vec<_> = self.eval.iter().collect();
-        eval.sort_unstable_by_key(|(k, _)| **k);
-        for (&input_fp, cfg_list) in eval {
-            out.push(Record::EvalProfile {
-                input_fp,
-                cfg_list: cfg_list.clone(),
-            });
-        }
-        for &(index, input_fp) in &self.accepted {
-            out.push(Record::SearchAccepted { index, input_fp });
-        }
-        if let Some(bits) = &self.selection {
-            out.push(Record::Selection { bits: bits.clone() });
-        }
-        out
+        };
+        std::iter::once(header)
+            .chain(self.0.values().cloned())
+            .collect()
     }
 }
 
@@ -284,8 +241,8 @@ impl CampaignJournal {
     /// this (module, config) pair is merged *under* the live log (the
     /// live log is newer): facts that mid-file corruption severed from
     /// the live log come back, and so do a module's facts when an edit is
-    /// undone. A rotten snapshot is quarantined by the store and the live
-    /// log stands alone.
+    /// undone. A rotten snapshot is quarantined by the store, and the live
+    /// log stands alone, as it does when the store cannot be read.
     pub fn open(
         dir: &Path,
         module_fp: u64,
@@ -343,44 +300,23 @@ impl CampaignJournal {
             }
         }
 
-        // Records from the last compacted-WAL snapshot in the store, if
-        // one exists and verifies. Applied before the live records so
-        // live facts win.
-        let mut snapshot_records = Vec::new();
-        if let Some(store) = &store {
-            let name = wal_ref_name(module_fp, config_fp);
-            match store.load_named(WAL_ARTIFACT, &name) {
-                Ok(Some((_, bytes))) => {
-                    let snap = wal::scan_bytes(&bytes);
-                    // the object is digest-verified, so a short scan means
-                    // an encoding bug, not rot; take whatever parses
-                    snapshot_records = snap.records;
-                }
-                Ok(None) => {}
-                Err(StoreError::Corrupt { quarantined, .. }) => {
-                    eprintln!(
-                        "minpsid: STORE CORRUPTION: compacted WAL snapshot for {} failed \
-                         digest verification; quarantined to {} (live journal stands alone)",
-                        path.display(),
-                        quarantined.display(),
-                    );
-                }
-                Err(StoreError::Missing(_)) => {}
-                Err(StoreError::Io(e)) => return Err(JournalError::Io(e)),
-            }
-        }
-
+        // The verified snapshot of this pair's last compacted WAL, applied
+        // before the live records so live facts win. It is digest-verified,
+        // so a short scan would be an encoding bug, not rot: take whatever
+        // parses.
+        let snapshot = store
+            .as_ref()
+            .and_then(|s| {
+                s.get(WAL_ARTIFACT, &wal_ref_name(module_fp, config_fp))
+                    .ok()
+            })
+            .map(|bytes| wal::scan_bytes(&bytes).records)
+            .unwrap_or_default();
         let mut state = State::default();
-        for rec in snapshot_records.into_iter().chain(live_records) {
+        for rec in snapshot.into_iter().chain(live_records) {
             state.apply(rec);
         }
-
-        let recovered_records = (state.golden.len()
-            + state.per_inst.len()
-            + state.program.len()
-            + state.eval.len()
-            + state.accepted.len()
-            + usize::from(state.selection.is_some())) as u64;
+        let recovered_records = state.0.len() as u64;
         minpsid_trace::emit(minpsid_trace::Event::JournalRecovery {
             records: recovered_records,
             truncated_bytes: recovery.truncated_bytes,
@@ -424,6 +360,21 @@ impl CampaignJournal {
         self.state.read().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// The record stating `fact`, if one is journaled.
+    fn fact(&self, fact: Fact) -> Option<Record> {
+        self.read().0.get(&fact).cloned()
+    }
+
+    /// [`fact`](Self::fact), counting a hit as work served from the
+    /// journal.
+    fn serve(&self, fact: Fact) -> Option<Record> {
+        let hit = self.fact(fact);
+        if hit.is_some() {
+            self.served.fetch_add(1, Ordering::Relaxed);
+        }
+        hit
+    }
+
     fn append(&self, rec: Record) {
         self.append_fact(rec, true);
     }
@@ -452,7 +403,12 @@ impl CampaignJournal {
     // --- golden-run digests ---
 
     pub fn golden_digest(&self, input_fp: u64) -> Option<(u64, u64)> {
-        self.read().golden.get(&input_fp).copied()
+        match self.fact(Fact::Golden(input_fp))? {
+            Record::GoldenDigest {
+                output_fp, steps, ..
+            } => Some((output_fp, steps)),
+            _ => None,
+        }
     }
 
     pub fn record_golden(&self, input_fp: u64, output_fp: u64, steps: u64) {
@@ -469,11 +425,10 @@ impl CampaignJournal {
     // --- per-injection outcomes ---
 
     pub fn per_inst_outcome(&self, input_fp: u64, dense: u64, k: u64) -> Option<u8> {
-        let hit = self.read().per_inst.get(&(input_fp, dense, k)).copied();
-        if hit.is_some() {
-            self.served.fetch_add(1, Ordering::Relaxed);
+        match self.serve(Fact::PerInst(input_fp, dense, k))? {
+            Record::PerInstOutcome { outcome, .. } => Some(outcome),
+            _ => None,
         }
-        hit
     }
 
     /// Journal one per-instruction outcome; `ran` is false when a sealed
@@ -489,11 +444,10 @@ impl CampaignJournal {
     }
 
     pub fn program_outcome(&self, input_fp: u64, index: u64) -> Option<u8> {
-        let hit = self.read().program.get(&(input_fp, index)).copied();
-        if hit.is_some() {
-            self.served.fetch_add(1, Ordering::Relaxed);
+        match self.serve(Fact::Program(input_fp, index))? {
+            Record::ProgramOutcome { outcome, .. } => Some(outcome),
+            _ => None,
         }
-        hit
     }
 
     /// Journal one whole-program outcome; `ran` as for
@@ -510,15 +464,14 @@ impl CampaignJournal {
     // --- GA evaluation memos ---
 
     pub fn eval_profile(&self, input_fp: u64) -> Option<Vec<u64>> {
-        let hit = self.read().eval.get(&input_fp).cloned();
-        if hit.is_some() {
-            self.served.fetch_add(1, Ordering::Relaxed);
+        match self.serve(Fact::Eval(input_fp))? {
+            Record::EvalProfile { cfg_list, .. } => Some(cfg_list),
+            _ => None,
         }
-        hit
     }
 
     pub fn record_eval(&self, input_fp: u64, cfg_list: &[u64]) {
-        if self.read().eval.contains_key(&input_fp) {
+        if self.read().0.contains_key(&Fact::Eval(input_fp)) {
             return;
         }
         self.append(Record::EvalProfile {
@@ -530,11 +483,10 @@ impl CampaignJournal {
     // --- search / selection state ---
 
     pub fn accepted_input(&self, index: u64) -> Option<u64> {
-        self.read()
-            .accepted
-            .iter()
-            .find(|&&(i, _)| i == index)
-            .map(|&(_, fp)| fp)
+        match self.fact(Fact::Accepted(index))? {
+            Record::SearchAccepted { input_fp, .. } => Some(input_fp),
+            _ => None,
+        }
     }
 
     pub fn record_accepted(&self, index: u64, input_fp: u64) {
@@ -545,7 +497,10 @@ impl CampaignJournal {
     }
 
     pub fn selection(&self) -> Option<Vec<bool>> {
-        self.read().selection.clone()
+        match self.fact(Fact::Selection)? {
+            Record::Selection { bits } => Some(bits),
+            _ => None,
+        }
     }
 
     pub fn record_selection(&self, bits: &[bool]) {
@@ -572,12 +527,8 @@ impl CampaignJournal {
         let records = self.read().snapshot(self.module_fp, self.config_fp);
         *w = rewrite_wal(&self.dir.join(WAL_FILE), &records)?;
         if let Some(store) = &self.store {
-            let digest = store.publish(WAL_ARTIFACT, &encode_records(&records))?;
-            store.set_ref(
-                WAL_ARTIFACT,
-                &wal_ref_name(self.module_fp, self.config_fp),
-                &digest,
-            )?;
+            let name = wal_ref_name(self.module_fp, self.config_fp);
+            store.put(WAL_ARTIFACT, &name, &encode_records(&records))?;
         }
         Ok(())
     }
@@ -816,6 +767,27 @@ mod tests {
         // the next compact republishes a fresh, verifiable snapshot
         j.compact().unwrap();
         assert!(!store.scrub().unwrap().found_corruption());
+    }
+
+    #[test]
+    fn an_unreadable_store_leaves_the_live_log_standing() {
+        let dir = tmpdir("snap-io");
+        let store_dir = dir.join("store");
+        let store = Arc::new(ArtifactStore::open(&store_dir).unwrap());
+        {
+            let j = CampaignJournal::open(&dir, 5, 6, Some(store.clone())).unwrap();
+            j.record_golden(1, 111, 5000);
+            j.sync().unwrap();
+        }
+        // a directory where the snapshot's ref belongs: reading it fails
+        let ref_path = store_dir
+            .join("refs")
+            .join(WAL_ARTIFACT)
+            .join(format!("{}.ref", wal_ref_name(5, 6)));
+        std::fs::create_dir_all(&ref_path).unwrap();
+        let j = CampaignJournal::open(&dir, 5, 6, Some(store)).unwrap();
+        assert_eq!(j.golden_digest(1), Some((111, 5000)));
+        assert_eq!(j.recovery_stats().0, 1);
     }
 
     #[test]

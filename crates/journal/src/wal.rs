@@ -23,8 +23,9 @@
 use crate::record::Record;
 pub use minpsid_store::bytes::fnv64;
 use minpsid_store::bytes::{put_u32, put_u64, Reader};
+use minpsid_store::claim_generation;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Seek, Write};
 use std::path::Path;
 
 pub const MAGIC: [u8; 4] = *b"MPSJ";
@@ -236,26 +237,20 @@ impl WalWriter {
 
 /// Open (or create) the log at `path`: recover its intact prefix,
 /// truncate any torn tail, and return a writer positioned at the end of
-/// the valid data.
+/// the valid data. A file that is a proper prefix of the preamble (a
+/// crash while the log was being created) is a fresh log; anything else
+/// without a valid preamble is refused, not clobbered.
 pub fn open_wal(path: &Path) -> io::Result<(WalWriter, Recovery)> {
-    let mut bytes = Vec::new();
-    let existed = match File::open(path) {
-        Ok(mut f) => {
-            f.read_to_end(&mut bytes)?;
-            true
-        }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => false,
-        Err(e) => return Err(e),
-    };
-
-    if !existed || bytes.is_empty() {
+    let bytes = read_or_empty(path)?;
+    let preamble = encode_records(&[]);
+    if bytes.len() < preamble.len() && preamble.starts_with(&bytes) {
         let mut file = OpenOptions::new()
             .create(true)
             .write(true)
             .truncate(true)
             .open(path)?;
-        file.write_all(&MAGIC)?;
-        file.write_all(&VERSION.to_le_bytes())?;
+        // one write: a crash leaves a prefix of it, which reopens as fresh
+        file.write_all(&preamble)?;
         file.sync_data()?;
         return Ok((WalWriter::new(file), Recovery::default()));
     }
@@ -269,52 +264,45 @@ pub fn open_wal(path: &Path) -> io::Result<(WalWriter, Recovery)> {
     }
     // Mid-file corruption (intact frames beyond the rot) is evidence of
     // bit rot, not a crash: preserve the severed suffix next to the log
-    // for post-mortem before truncating it away. Torn tails are not
-    // preserved — they are an expected crash artifact.
+    // (`<log>.corrupt`, then `.corrupt.1`, …) for post-mortem before
+    // truncating it away. Torn tails are not preserved — they are an
+    // expected crash artifact.
     if recovery.dropped_records > 0 {
         let suffix = &bytes[recovery.valid_len as usize..];
-        let mut n = 0u32;
-        let qpath = loop {
-            let candidate = path.with_extension(if n == 0 {
-                "corrupt".to_string()
-            } else {
-                format!("corrupt.{n}")
-            });
-            if !candidate.exists() {
-                break candidate;
-            }
-            n += 1;
-        };
-        std::fs::write(&qpath, suffix)?;
-        recovery.quarantined_tail = Some(qpath);
+        let claimed = claim_generation(&path.with_extension("corrupt"), |c| {
+            OpenOptions::new()
+                .write(true)
+                .create_new(true)
+                .open(c)?
+                .write_all(suffix)
+        })?;
+        recovery.quarantined_tail = Some(claimed);
     }
 
-    let file = OpenOptions::new().write(true).open(path)?;
+    let mut file = OpenOptions::new().write(true).open(path)?;
     if recovery.truncated_bytes > 0 {
         file.set_len(recovery.valid_len)?;
         file.sync_data()?;
     }
     // position at the append point (set_len does not move the cursor)
-    let mut file = file;
-    use std::io::Seek;
     file.seek(io::SeekFrom::Start(recovery.valid_len))?;
     recovery.records.shrink_to_fit();
     Ok((WalWriter::new(file), recovery))
+}
+
+/// The bytes of the file at `path`; a missing file reads as empty.
+fn read_or_empty(path: &Path) -> io::Result<Vec<u8>> {
+    match std::fs::read(path) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
+        read => read,
+    }
 }
 
 /// Read-only scan of the log at `path`: recover the intact record prefix
 /// without touching the file (no tail truncation, no writer). A missing
 /// file recovers zero records.
 pub fn read_wal(path: &Path) -> io::Result<Recovery> {
-    let mut bytes = Vec::new();
-    match File::open(path) {
-        Ok(mut f) => {
-            f.read_to_end(&mut bytes)?;
-        }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Recovery::default()),
-        Err(e) => return Err(e),
-    }
-    Ok(scan_bytes(&bytes))
+    read_or_empty(path).map(|bytes| scan_bytes(&bytes))
 }
 
 /// Atomically replace the log at `path` with a compacted one holding
@@ -324,7 +312,6 @@ pub fn read_wal(path: &Path) -> io::Result<Recovery> {
 pub fn rewrite_wal(path: &Path, records: &[Record]) -> io::Result<WalWriter> {
     minpsid_store::two_phase_write(path, &encode_records(records))?;
     let mut file = OpenOptions::new().write(true).open(path)?;
-    use std::io::Seek;
     file.seek(io::SeekFrom::End(0))?;
     Ok(WalWriter::new(file))
 }
@@ -522,6 +509,42 @@ mod tests {
             std::fs::read(&path).unwrap(),
             b"definitely not a journal".to_vec()
         );
+    }
+
+    #[test]
+    fn a_preamble_cut_short_reopens_as_a_fresh_log() {
+        let dir = tmpdir("short-preamble");
+        let path = dir.join("j.wal");
+        let preamble = encode_records(&[]);
+        for n in 1..preamble.len() {
+            std::fs::write(&path, &preamble[..n]).unwrap();
+            let (mut w, rec) = open_wal(&path).unwrap();
+            assert!(rec.records.is_empty(), "{n}-byte prefix");
+            w.append(&sample(n as u64)).unwrap();
+            drop(w);
+            let (_, rec) = open_wal(&path).unwrap();
+            assert_eq!(rec.records, vec![sample(n as u64)], "{n}-byte prefix");
+        }
+    }
+
+    #[test]
+    fn a_second_severed_suffix_is_kept_beside_the_first() {
+        let dir = tmpdir("suffix-generations");
+        let path = dir.join("j.wal");
+        let first = path.with_extension("corrupt");
+        std::fs::write(&first, b"earlier evidence").unwrap();
+        let (mut w, _) = open_wal(&path).unwrap();
+        for i in 0..4 {
+            w.append(&sample(i)).unwrap();
+        }
+        drop(w);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let off = frame_offset(&bytes, 1);
+        bytes[off + 12] ^= 0x20;
+        std::fs::write(&path, &bytes).unwrap();
+        let (_, rec) = open_wal(&path).unwrap();
+        assert_eq!(rec.quarantined_tail, Some(dir.join("j.corrupt.1")));
+        assert_eq!(std::fs::read(&first).unwrap(), b"earlier evidence");
     }
 
     #[test]

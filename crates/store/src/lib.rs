@@ -6,16 +6,16 @@
 //! fsync), so a partial publish is never visible under its final name.
 //! Every load re-hashes the bytes and compares against the requested
 //! digest: a mismatch is *never* returned to the caller — the object is
-//! moved to `corrupt/` (quarantined) and surfaced as
-//! [`StoreError::Corrupt`], and the caller falls back to recomputing the
-//! artifact (goldens, checkpoints, outcome tables, and compacted WALs
-//! are all re-derivable). A flipped bit on disk therefore costs one
-//! recomputation instead of a silently wrong campaign report.
+//! moved to `corrupt/` (quarantined) and the caller falls back to
+//! recomputing the artifact (goldens, checkpoints, outcome tables, and
+//! compacted WALs are all re-derivable). A flipped bit on disk therefore
+//! costs one recomputation instead of a silently wrong campaign report.
 //!
 //! Human-readable names map onto digests through `refs/<kind>/<name>.ref`
-//! files (one hex digest per file, also written two-phase), which is what
-//! makes cross-invocation lookups (“the golden for fingerprint X”)
-//! possible without trusting anything but the digest.
+//! files (one hex digest per file, also written two-phase). Clients use
+//! one pair: [`ArtifactStore::put`] publishes and sets the ref, and
+//! [`ArtifactStore::get`] resolves it and loads verified, deciding in one
+//! place what a miss, an I/O error and a corrupt object mean.
 //!
 //! `scrub` walks every object and verifies it in place; `gc` drops
 //! objects no ref points at; `ls` lists objects with their back-refs.
@@ -41,9 +41,9 @@ const REFS: &str = "refs";
 const CHAOS: &str = "chaos";
 const OBJ_EXT: &str = "obj";
 
-/// Typed load failure. `Corrupt` is the one callers must handle: the
-/// object failed digest verification, has already been moved to
-/// `corrupt/`, and the artifact must be recomputed.
+/// Typed failure of a load by digest ([`ArtifactStore::load`]); named
+/// artifacts go through [`ArtifactStore::get`], which reduces it to a
+/// [`Miss`].
 #[derive(Debug)]
 pub enum StoreError {
     Io(io::Error),
@@ -81,6 +81,16 @@ impl From<io::Error> for StoreError {
     fn from(e: io::Error) -> Self {
         StoreError::Io(e)
     }
+}
+
+/// Why [`ArtifactStore::get`] served nothing. Either way the caller
+/// recomputes the artifact and [`put`](ArtifactStore::put)s it again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Miss {
+    /// No ref, no object under it, or an I/O error reading either.
+    Absent,
+    /// The object failed verification and was quarantined.
+    Quarantined,
 }
 
 /// What a full-store verification pass found.
@@ -165,6 +175,33 @@ pub fn two_phase_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
     fs::rename(&tmp, path)?;
     File::open(&dir)?.sync_all()?;
     Ok(())
+}
+
+/// Claim the first free generation of `base` — `base`, then `base.1`,
+/// `base.2`, … — with `claim`, which must create the candidate atomically
+/// and fail with `AlreadyExists` when it is taken (`hard_link`,
+/// `create_new`), so two processes quarantining under one name never
+/// overwrite each other's evidence. Returns the path claimed.
+///
+/// Exported because the journal quarantines a WAL's severed suffix
+/// through it.
+pub fn claim_generation(
+    base: &Path,
+    mut claim: impl FnMut(&Path) -> io::Result<()>,
+) -> io::Result<PathBuf> {
+    for n in 0u32.. {
+        let mut candidate = base.as_os_str().to_os_string();
+        if n > 0 {
+            candidate.push(format!(".{n}"));
+        }
+        let candidate = PathBuf::from(candidate);
+        match claim(&candidate) {
+            Ok(()) => return Ok(candidate),
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => continue,
+            Err(e) => return Err(e),
+        }
+    }
+    unreachable!("u32 quarantine generations exhausted")
 }
 
 fn emit(op: &str, artifact: &str, bytes: u64) {
@@ -274,85 +311,58 @@ impl ArtifactStore {
         Ok(bytes)
     }
 
-    /// True if an object with this digest is currently present (no
-    /// verification; use [`ArtifactStore::load`] before trusting it).
-    pub fn contains(&self, digest: &Digest) -> bool {
-        self.object_path(digest).exists()
-    }
-
     fn ref_path(&self, kind: &str, name: &str) -> PathBuf {
         self.root.join(REFS).join(kind).join(format!("{name}.ref"))
     }
 
-    /// Point `refs/<kind>/<name>` at `digest` (two-phase, so a crash
-    /// leaves either the old ref or the new one).
-    pub fn set_ref(&self, kind: &str, name: &str, digest: &Digest) -> io::Result<()> {
+    /// Publish `bytes` as an object of `kind` and point
+    /// `refs/<kind>/<name>` at it (two-phase, so a crash leaves either
+    /// the old ref or the new one).
+    pub fn put(&self, kind: &str, name: &str, bytes: &[u8]) -> io::Result<()> {
+        let digest = self.publish(kind, bytes)?;
         let path = self.ref_path(kind, name);
         fs::create_dir_all(path.parent().unwrap())?;
         two_phase_write(&path, format!("{}\n", digest.hex()).as_bytes())
     }
 
-    /// Resolve a ref. A malformed ref file is itself quarantined and
-    /// reads as absent (the caller recomputes and rewrites it).
-    pub fn read_ref(&self, kind: &str, name: &str) -> io::Result<Option<Digest>> {
+    /// Resolve `refs/<kind>/<name>` and load its object, verified. An
+    /// absent ref or object and an I/O error are [`Miss::Absent`]. A
+    /// malformed ref is quarantined and reads as absent. An object that
+    /// fails verification is quarantined, announced on stderr (loud by
+    /// design, past `--quiet`: this is bit rot), and [`Miss::Quarantined`].
+    pub fn get(&self, kind: &str, name: &str) -> Result<Vec<u8>, Miss> {
         let path = self.ref_path(kind, name);
-        let text = match fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e),
-        };
-        match Digest::parse(&text) {
-            Some(d) => Ok(Some(d)),
-            None => {
-                let tag = format!("ref-{kind}-{name}");
-                self.quarantine_file(&path, &tag)?;
-                emit("quarantine", kind, text.len() as u64);
-                Ok(None)
-            }
-        }
-    }
-
-    /// Resolve `refs/<kind>/<name>` and load its object, verified.
-    /// `Ok(None)` means "not cached" (no ref, or the object is gone —
-    /// e.g. previously quarantined); `Err(Corrupt)` means this load
-    /// detected and quarantined corruption. Either way the caller's move
-    /// is the same: recompute and republish.
-    pub fn load_named(
-        &self,
-        kind: &str,
-        name: &str,
-    ) -> Result<Option<(Digest, Vec<u8>)>, StoreError> {
-        let Some(digest) = self.read_ref(kind, name)? else {
-            return Ok(None);
+        let text = fs::read_to_string(&path).map_err(|_| Miss::Absent)?;
+        let Some(digest) = Digest::parse(&text) else {
+            let _ = self.quarantine_file(&path, &format!("ref-{kind}-{name}"));
+            emit("quarantine", kind, text.len() as u64);
+            return Err(Miss::Absent);
         };
         match self.load(kind, &digest) {
-            Ok(bytes) => Ok(Some((digest, bytes))),
-            Err(StoreError::Missing(_)) => Ok(None),
-            Err(e) => Err(e),
+            Ok(bytes) => Ok(bytes),
+            Err(StoreError::Corrupt { quarantined, .. }) => {
+                eprintln!(
+                    "minpsid: STORE CORRUPTION: {kind} artifact {name} failed digest \
+                     verification; quarantined to {} and recomputing",
+                    quarantined.display(),
+                );
+                Err(Miss::Quarantined)
+            }
+            Err(_) => Err(Miss::Absent),
         }
     }
 
-    /// Move a failed file into `corrupt/`, never clobbering an earlier
-    /// quarantined generation. Returns the quarantine path.
+    /// Move a failed file into `corrupt/` under the first free generation
+    /// of `tag` ([`claim_generation`]). Returns the quarantine path.
     fn quarantine_file(&self, path: &Path, tag: &str) -> io::Result<PathBuf> {
-        let dir = self.root.join(CORRUPT);
-        fs::create_dir_all(&dir)?;
-        for n in 0u32.. {
-            let candidate = if n == 0 {
-                dir.join(tag)
-            } else {
-                dir.join(format!("{tag}.{n}"))
-            };
-            if candidate.exists() {
-                continue;
-            }
-            match fs::rename(path, &candidate) {
-                Ok(()) => return Ok(candidate),
-                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => continue,
-                Err(e) => return Err(e),
-            }
+        let claimed = claim_generation(&self.root.join(CORRUPT).join(tag), |c| {
+            fs::hard_link(path, c)
+        })?;
+        match fs::remove_file(path) {
+            // a concurrent quarantiner of the same file removed it first
+            Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
+            _ => Ok(claimed),
         }
-        unreachable!("u32 quarantine generations exhausted")
     }
 
     fn maybe_flip(&self, kind: &str, digest: &Digest, path: &Path) -> io::Result<()> {
@@ -391,7 +401,7 @@ impl ArtifactStore {
     }
 
     /// All refs as `(kind, name, digest)`; malformed refs are skipped
-    /// (they quarantine on read through [`ArtifactStore::read_ref`]).
+    /// (they quarantine on read through [`ArtifactStore::get`]).
     fn walk_refs(&self) -> io::Result<Vec<(String, String, Digest)>> {
         let mut out = Vec::new();
         let refs_root = self.root.join(REFS);
@@ -467,7 +477,7 @@ impl ArtifactStore {
             }
         }
         for (kind, name, d) in &refs {
-            if !self.contains(d) {
+            if !self.object_path(d).exists() {
                 report.dangling_refs.push(format!("{kind}/{name}"));
             }
         }
@@ -638,33 +648,73 @@ mod tests {
     #[test]
     fn refs_resolve_and_malformed_refs_quarantine() {
         let (d, store) = tmp_store("refs");
-        let digest = store.publish("golden", b"ref target").unwrap();
-        store.set_ref("golden", "mfp-ifp-cfp", &digest).unwrap();
+        store.put("golden", "mfp-ifp-cfp", b"ref target").unwrap();
         assert_eq!(
-            store.read_ref("golden", "mfp-ifp-cfp").unwrap(),
-            Some(digest)
+            store.get("golden", "mfp-ifp-cfp").unwrap(),
+            b"ref target".to_vec()
         );
-        let (got, bytes) = store.load_named("golden", "mfp-ifp-cfp").unwrap().unwrap();
-        assert_eq!(got, digest);
-        assert_eq!(bytes, b"ref target".to_vec());
-        assert_eq!(store.read_ref("golden", "absent").unwrap(), None);
+        assert_eq!(store.get("golden", "absent"), Err(Miss::Absent));
 
         // malformed ref: quarantined, reads as absent thereafter
         let rp = store.ref_path("golden", "mangled");
-        fs::create_dir_all(rp.parent().unwrap()).unwrap();
         fs::write(&rp, b"not a digest").unwrap();
-        assert_eq!(store.read_ref("golden", "mangled").unwrap(), None);
+        assert_eq!(store.get("golden", "mangled"), Err(Miss::Absent));
         assert!(!rp.exists());
-        assert_eq!(store.read_ref("golden", "mangled").unwrap(), None);
+        assert!(d.join(CORRUPT).join("ref-golden-mangled").exists());
+        assert_eq!(store.get("golden", "mangled"), Err(Miss::Absent));
+        let _ = fs::remove_dir_all(&d);
+    }
+
+    #[test]
+    fn get_quarantines_a_rotten_object_and_put_heals_it() {
+        let (d, store) = tmp_store("get-rot");
+        store.put("table", "t", b"sealed outcomes").unwrap();
+        let path = store.object_path(&sha256(b"sealed outcomes"));
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[0] ^= 0x04;
+        fs::write(&path, &bytes).unwrap();
+        assert_eq!(store.get("table", "t"), Err(Miss::Quarantined));
+        // the ref dangles now: a plain miss until the artifact is put again
+        assert_eq!(store.get("table", "t"), Err(Miss::Absent));
+        store.put("table", "t", b"sealed outcomes").unwrap();
+        assert_eq!(store.get("table", "t").unwrap(), b"sealed outcomes");
+        assert_eq!(store.quarantined_count().unwrap(), 1);
+        let _ = fs::remove_dir_all(&d);
+    }
+
+    #[test]
+    fn quarantine_never_overwrites_an_earlier_generation() {
+        let (d, store) = tmp_store("generations");
+        let corrupt = d.join(CORRUPT);
+        fs::write(corrupt.join("tag"), b"evidence 0").unwrap();
+        // claimants racing for one tag each keep their own generation
+        std::thread::scope(|s| {
+            for i in 1..=8 {
+                let (store, d) = (&store, &d);
+                s.spawn(move || {
+                    let victim = d.join(format!("victim-{i}"));
+                    fs::write(&victim, format!("evidence {i}")).unwrap();
+                    store.quarantine_file(&victim, "tag").unwrap();
+                    assert!(!victim.exists());
+                });
+            }
+        });
+        let mut kept: Vec<String> = read_dir_sorted(&corrupt)
+            .unwrap()
+            .iter()
+            .map(|p| fs::read_to_string(p).unwrap())
+            .collect();
+        kept.sort();
+        let want: Vec<String> = (0..=8).map(|i| format!("evidence {i}")).collect();
+        assert_eq!(kept, want);
         let _ = fs::remove_dir_all(&d);
     }
 
     #[test]
     fn scrub_clean_then_corrupt() {
         let (d, store) = tmp_store("scrub");
-        let d1 = store.publish("golden", b"first").unwrap();
-        let d2 = store.publish("spool", b"second").unwrap();
-        store.set_ref("golden", "g1", &d1).unwrap();
+        store.put("golden", "g1", b"first").unwrap();
+        let (d1, d2) = (sha256(b"first"), store.publish("spool", b"second").unwrap());
 
         let clean = store.scrub().unwrap();
         assert_eq!(clean.objects, 2);
@@ -687,16 +737,15 @@ mod tests {
         assert_eq!(after.objects, 1);
         assert!(!after.found_corruption());
         assert_eq!(after.dangling_refs, vec!["golden/g1".to_string()]);
-        assert!(store.contains(&d2));
+        assert!(store.object_path(&d2).exists());
         let _ = fs::remove_dir_all(&d);
     }
 
     #[test]
     fn gc_drops_unreferenced_and_sweeps_tmp() {
         let (d, store) = tmp_store("gc");
-        let live = store.publish("golden", b"live").unwrap();
+        store.put("golden", "keep", b"live").unwrap();
         let dead = store.publish("golden", b"dead").unwrap();
-        store.set_ref("golden", "keep", &live).unwrap();
         // a stale tmp from a crashed publish
         let fan = d.join(OBJECTS).join("ab");
         fs::create_dir_all(&fan).unwrap();
@@ -707,18 +756,17 @@ mod tests {
         assert_eq!(report.removed, 1);
         assert_eq!(report.bytes_freed, 4);
         assert_eq!(report.tmp_swept, 1);
-        assert!(store.contains(&live));
-        assert!(!store.contains(&dead));
+        assert_eq!(store.get("golden", "keep").unwrap(), b"live");
+        assert!(!store.object_path(&dead).exists());
         let _ = fs::remove_dir_all(&d);
     }
 
     #[test]
     fn ls_lists_objects_with_back_refs() {
         let (d, store) = tmp_store("ls");
-        let d1 = store.publish("golden", b"one").unwrap();
-        let d2 = store.publish("spool", b"two").unwrap();
-        store.set_ref("golden", "a", &d1).unwrap();
-        store.set_ref("ckpt", "b", &d1).unwrap();
+        store.put("golden", "a", b"one").unwrap();
+        store.put("ckpt", "b", b"one").unwrap();
+        let (d1, d2) = (sha256(b"one"), store.publish("spool", b"two").unwrap());
         let entries = store.ls().unwrap();
         assert_eq!(entries.len(), 2);
         let e1 = entries.iter().find(|e| e.digest == d1).unwrap();

@@ -89,6 +89,19 @@ echo "== byte-codec guard (one checked reader and one FNV per dependency root)"
   $(find crates -path '*/src/*' -name '*.rs' ! -path 'crates/bench/*' \
       ! -path crates/ir/src/bytes.rs ! -path crates/store/src/bytes.rs) || exit 1
 
+echo "== persistence guard (a rename, an fsync or a truncation belongs to one of two primitives)"
+# what becomes durable, and how, is decided in two modules:
+# crates/store/src/lib.rs (two-phase publish, named put/get, quarantine)
+# and crates/journal/src/wal.rs (the framed append log and its torn-tail
+# truncation). Anywhere else in production code, one of these calls is a
+# third persistence path starting.
+! awk 'FNR == 1 { in_tests = 0 } /^#\[cfg\(test\)\]/ { in_tests = 1 }
+       !in_tests && /fs::rename|sync_all|sync_data|set_len/ {
+         print FILENAME ":" FNR ": " $0; found = 1 }
+       END { exit !found }' \
+  $(find crates -path '*/src/*' -name '*.rs' \
+      ! -path crates/store/src/lib.rs ! -path crates/journal/src/wal.rs) || exit 1
+
 echo "== config-key guard (no hand-written Debug on a config)"
 # what a config contributes to a journal, store or table key is decided
 # by the exhaustive destructure in its `key` method; a hand-written

@@ -26,7 +26,7 @@ use minpsid_repro::ir::bytes::{mutations, put_varint};
 use minpsid_repro::journal::record::{DecodeError, Record};
 use minpsid_repro::journal::wal::{encode_records, scan_bytes};
 use minpsid_repro::journal::CampaignJournal;
-use minpsid_repro::store::{ArtifactStore, StoreError};
+use minpsid_repro::store::{ArtifactStore, Miss, StoreError};
 use std::sync::Arc;
 
 fn every_record() -> Vec<Record> {
@@ -265,7 +265,7 @@ fn a_program_table_with_the_reserved_byte_set_is_served() {
     for entry in std::fs::read_dir(root.join("refs").join(TABLE_ARTIFACT)).unwrap() {
         let file = entry.unwrap().file_name().into_string().unwrap();
         let name = file.strip_suffix(".ref").expect("a ref file");
-        let (_, mut bytes) = store.load_named(TABLE_ARTIFACT, name).unwrap().unwrap();
+        let mut bytes = store.get(TABLE_ARTIFACT, name).unwrap();
         assert_eq!(bytes[8], b'p', "run_program seals program tables");
         let units = bytes[HEADER] as usize;
         assert!(units < 0x80 && bytes.len() == HEADER + 1 + 2 * units);
@@ -273,8 +273,7 @@ fn a_program_table_with_the_reserved_byte_set_is_served() {
             assert_eq!(bytes[HEADER + 2 + 2 * u], 0, "written 0");
             bytes[HEADER + 2 + 2 * u] = 1;
         }
-        let digest = store.publish(TABLE_ARTIFACT, &bytes).unwrap();
-        store.set_ref(TABLE_ARTIFACT, name, &digest).unwrap();
+        store.put(TABLE_ARTIFACT, name, &bytes).unwrap();
         rewritten += units;
     }
     assert_eq!(rewritten, cfg.injections);
@@ -398,8 +397,8 @@ fn store_objects_and_refs() {
     let _ = std::fs::remove_dir_all(&root);
     let store = ArtifactStore::open(&root).unwrap();
     let original = b"thirty-two bytes of artifact....".to_vec();
-    let digest = store.publish("golden", &original).unwrap();
-    store.set_ref("golden", "run", &digest).unwrap();
+    store.put("golden", "run", &original).unwrap();
+    let digest = minpsid_repro::store::sha256(&original);
     let hex = digest.hex();
     let object = root
         .join("objects")
@@ -414,7 +413,7 @@ fn store_objects_and_refs() {
             Err(StoreError::Corrupt { .. }) => assert!(!object.exists(), "quarantined"),
             other => panic!("served {other:?} for a corrupt object"),
         }
-        assert!(matches!(store.load_named("golden", "run"), Ok(None)));
+        assert_eq!(store.get("golden", "run"), Err(Miss::Absent));
     }
     std::fs::write(&object, &original).unwrap();
 
@@ -423,12 +422,11 @@ fn store_objects_and_refs() {
     let good_ref = std::fs::read(&ref_file).unwrap();
     for bad in mutations(&good_ref) {
         std::fs::write(&ref_file, &bad).unwrap();
-        if let Ok(Some((d, bytes))) = store.load_named("golden", "run") {
-            assert_eq!((d, bytes), (digest, original.clone()));
+        if let Ok(bytes) = store.get("golden", "run") {
+            assert_eq!(bytes, original);
         }
     }
     std::fs::write(&ref_file, &good_ref).unwrap();
-    let (_, bytes) = store.load_named("golden", "run").unwrap().unwrap();
-    assert_eq!(bytes, original);
+    assert_eq!(store.get("golden", "run").unwrap(), original);
     let _ = std::fs::remove_dir_all(&root);
 }
