@@ -6,10 +6,10 @@
 
 use crate::preset::Preset;
 use minpsid::{
-    input_fingerprint, minpsid_config_fingerprint, module_fingerprint, run_minpsid, InputModel,
-    MinpsidConfig, MinpsidResult, ParamValue,
+    input_fingerprint, minpsid_config_fingerprint, module_fingerprint, reference_profile,
+    run_minpsid_from, GoldenCache, InputModel, MinpsidConfig, MinpsidResult, ParamValue, Reference,
 };
-use minpsid_faultsim::{golden_run, per_instruction_campaign, CampaignConfig};
+use minpsid_faultsim::CampaignConfig;
 use minpsid_interp::ProgInput;
 use minpsid_ir::Module;
 use minpsid_sid::transform::TransformMeta;
@@ -47,7 +47,7 @@ impl Prepared {
 pub(crate) struct Pass {
     pub(crate) prepared: Prepared,
     pub(crate) result: MinpsidResult,
-    /// The run's own wall time, however many tables read it.
+    /// The run's wall time, its reference profile's included.
     pub(crate) elapsed: Duration,
 }
 
@@ -127,8 +127,8 @@ pub struct Sweep {
     pub(crate) campaign: CampaignConfig,
     /// Restrict the per-kernel tables to this kernel (`--bench`).
     only: Option<String>,
-    /// By kernel ([`Sweep::kernel`]).
-    baselines: Memo<(u64, u64), Rc<Prepared>>,
+    /// By kernel ([`Sweep::profile`]), with the reference passes extend.
+    baselines: Memo<(u64, u64), (Rc<Prepared>, Rc<Reference>)>,
     /// By kernel and config fingerprint.
     passes: Memo<(u64, u64, u64), Rc<Pass>>,
     /// By (module, input) fingerprint; `None` for an input the program
@@ -167,33 +167,33 @@ impl Sweep {
             .collect()
     }
 
-    /// `b`'s module, its reference input, and the key the memos know the
-    /// kernel by: module and reference-input fingerprints (the input model
-    /// counts too: the threaded FFTs are one program under three models).
-    fn kernel(b: &Benchmark) -> (Module, ProgInput, (u64, u64)) {
+    /// `b`'s memo key (module and reference-input fingerprints: the threaded
+    /// FFTs are one program under three input models), its baseline-SID
+    /// profile, and the reference that profile is and its passes extend.
+    fn profile(&mut self, b: &Benchmark) -> ((u64, u64), Rc<Prepared>, Rc<Reference>) {
         let module = b.compile();
         let ref_input = b.model.materialize(&b.model.reference());
         let key = (module_fingerprint(&module), input_fingerprint(&ref_input));
-        (module, ref_input, key)
+        let cfg = self.preset.minpsid_config(0.5, self.seed);
+        let (prepared, reference) = self.baselines.get_or(key, || {
+            eprintln!("[sweep] baseline profile: {}", b.name);
+            let reference = reference_profile(&module, b.model.as_ref(), &cfg, &GoldenCache::new())
+                .unwrap_or_else(|t| panic!("{}: reference input failed: {t:?}", b.name));
+            let cb = reference.cb.clone();
+            (Rc::new(Prepared { module, cb }), Rc::new(reference))
+        });
+        (key, prepared, reference)
     }
 
     /// The baseline-SID profile: the reference input only.
     pub(crate) fn baseline(&mut self, b: &Benchmark) -> Rc<Prepared> {
-        let (module, ref_input, key) = Self::kernel(b);
-        let campaign = &self.campaign;
-        self.baselines.get_or(key, || {
-            eprintln!("[sweep] baseline profile: {}", b.name);
-            let golden = golden_run(&module, &ref_input, campaign)
-                .unwrap_or_else(|t| panic!("{}: reference input failed: {t:?}", b.name));
-            let per_inst = per_instruction_campaign(&module, &ref_input, &golden, campaign);
-            let cb = CostBenefit::build(&module, &golden, &per_inst);
-            Rc::new(Prepared { module, cb })
-        })
+        self.profile(b).1
     }
 
-    /// The MINPSID run of `b` under `cfg`.
+    /// The MINPSID run of `b` under `cfg`, extending `b`'s baseline profile:
+    /// `cfg.campaign` is the sweep's, as every `Preset::minpsid_config` is.
     pub(crate) fn pass(&mut self, b: &Benchmark, cfg: &MinpsidConfig) -> Rc<Pass> {
-        let (module, _, (module_fp, input_fp)) = Self::kernel(b);
+        let ((module_fp, input_fp), base, reference) = self.profile(b);
         let key = (module_fp, input_fp, minpsid_config_fingerprint(cfg));
         self.passes.get_or(key, || {
             eprintln!(
@@ -201,9 +201,10 @@ impl Sweep {
                 b.name, cfg.strategy, cfg.ga.fitness
             );
             let t0 = Instant::now();
-            let result = run_minpsid(&module, b.model.as_ref(), cfg)
+            let module = base.module.clone();
+            let result = run_minpsid_from(&module, b.model.as_ref(), cfg, &reference)
                 .unwrap_or_else(|t| panic!("{}: MINPSID failed: {t:?}", b.name));
-            let elapsed = t0.elapsed();
+            let elapsed = reference.elapsed + t0.elapsed();
             let cb = result.cost_benefit.clone();
             Rc::new(Pass {
                 prepared: Prepared { module, cb },

@@ -74,6 +74,45 @@ fn traced_fig2_on_pathfinder_matches_its_fixture() {
     );
 }
 
+/// A MINPSID pass extends its kernel's baseline profile: the reference
+/// campaign runs once, so fig6 on one kernel runs one per-instruction
+/// campaign for the reference and one per searched input.
+#[test]
+fn fig6_runs_the_reference_campaign_once() {
+    let trace = std::env::temp_dir().join(format!("experiments-fig6-{}.jsonl", std::process::id()));
+    let trace_arg = trace.to_str().expect("utf-8 temp path");
+    let out = experiments(&[
+        "fig6_minpsid_mitigation",
+        "--preset",
+        "tiny",
+        "--seed",
+        "42",
+        "--bench",
+        "pathfinder",
+        "--trace-out",
+        trace_arg,
+    ]);
+    stdout_of(&out);
+    let log = std::fs::read_to_string(&trace).expect("the trace was written");
+    std::fs::remove_file(&trace).ok();
+    let events = minpsid_trace::parse_log(&log)
+        .unwrap_or_else(|(line, e)| panic!("trace line {line}: {e:?}"));
+    let count =
+        |pick: fn(&minpsid_trace::Event) -> bool| events.iter().filter(|e| pick(&e.event)).count();
+    let per_inst = count(|e| {
+        matches!(
+            e,
+            minpsid_trace::Event::CampaignEnd {
+                kind: minpsid_trace::CampaignKind::PerInst,
+                ..
+            }
+        )
+    });
+    let searched = count(|e| matches!(e, minpsid_trace::Event::SearchInput { .. }));
+    assert!(searched > 0, "the pass searched no input");
+    assert_eq!(per_inst, 1 + searched);
+}
+
 /// A usage error names what was wrong, lists the valid names and exits 2
 /// before anything runs.
 /// §VIII-B's rows are the threaded FFTs': a `--bench` naming another

@@ -15,7 +15,7 @@
 //! ## The fix (Fig. 4)
 //!
 //! 1. **SID preparation** (①②): reference-input cost/benefit profile
-//!    (delegated to `minpsid-sid`).
+//!    ([`reference_profile`]; the cost/benefit model is `minpsid-sid`'s).
 //! 2. **Input search engine** (③–⑦): a genetic algorithm over the
 //!    program's input space whose fitness (Eq. 3) is the mean Euclidean
 //!    distance between the candidate's *indexed weighted-CFG list* (per
@@ -29,9 +29,9 @@
 //!    the knapsack now prioritizes them.
 //! 4. **Selection + transform** (⑨): rerun knapsack + duplication.
 //!
-//! [`run_minpsid`] is the end-to-end entry point; [`run_baseline_sid`]
-//! wraps the unhardened pipeline for comparison, and
-//! [`search::random_searcher`] is the blind-search baseline of Fig. 7.
+//! [`run_minpsid`] is the end-to-end entry point; baseline SID selects from
+//! a [`reference_profile`] as it stands, [`run_minpsid_from`] extends one,
+//! and [`search::random_searcher`] is the blind-search baseline of Fig. 7.
 
 pub mod cache;
 pub mod incubative;
@@ -46,9 +46,9 @@ pub use cache::{
 pub use incubative::{incubative_between, IncubativeConfig, IncubativeTracker, ReprioritizeRule};
 pub use input::{crossover, mutate, InputModel, ParamKind, ParamSpec, ParamValue};
 pub use pipeline::{
-    minpsid_config_fingerprint, module_section_map, run_baseline_sid, run_minpsid,
-    run_minpsid_cached, run_minpsid_journaled, Deduped, MinpsidConfig, MinpsidResult,
-    PipelineError, SearchStrategy, Timings,
+    minpsid_config_fingerprint, module_section_map, reference_profile, run_minpsid,
+    run_minpsid_cached, run_minpsid_from, run_minpsid_journaled, Deduped, MinpsidConfig,
+    MinpsidResult, PipelineError, Reference, SearchStrategy, Timings,
 };
 pub use search::{random_searcher, EvalMemo, FitnessKind, GaConfig, SearchEngine, SearchOutcome};
 pub use wcfg::{

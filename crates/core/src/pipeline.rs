@@ -6,14 +6,13 @@ use crate::input::InputModel;
 use crate::search::{EvalMemo, GaConfig, SearchEngine};
 use minpsid_faultsim::{
     interrupt, CampaignConfig, CampaignEngine, CampaignJournal, ConfigKey, Deadline, GoldenRun,
-    Interrupted, SchedConfig, SchedSnapshot, Scheduler, TableMemo, TableStatsSnapshot,
+    Interrupted, SchedSnapshot, Scheduler, TableMemo, TableStatsSnapshot,
 };
 use minpsid_interp::{ProgInput, Termination};
 use minpsid_ir::bytes::Fnv;
 use minpsid_ir::Module;
 use minpsid_sid::knapsack::Selection;
-use minpsid_sid::transform::TransformMeta;
-use minpsid_sid::{select_and_protect, CostBenefit, SidConfig, SidResult};
+use minpsid_sid::{select_and_protect, CostBenefit};
 use minpsid_trace as trace;
 use std::fmt;
 use std::sync::Arc;
@@ -103,7 +102,6 @@ impl Timings {
 pub struct MinpsidResult {
     /// The hardened binary (Fig. 4 ⑨).
     pub protected: Module,
-    pub meta: TransformMeta,
     pub selection: Selection,
     /// Expected coverage under the *re-prioritized* profile — the
     /// conservative promise MINPSID reports (red bars of Fig. 6).
@@ -144,22 +142,27 @@ pub struct Deduped {
     pub injections: u64,
 }
 
-/// Baseline SID under this crate's naming, for experiment symmetry.
-pub fn run_baseline_sid(
+/// Step ① of Fig. 4: the reference input's cost/benefit profile, which
+/// baseline SID selects from as it stands and MINPSID extends.
+#[derive(Debug, Clone)]
+pub struct Reference {
+    pub cb: CostBenefit,
+    /// The reference run's indexed weighted-CFG list (search history).
+    pub cfg_list: Vec<u64>,
+    /// Fig. 8's "Per-Inst-FI (Ref Input)".
+    pub elapsed: Duration,
+}
+
+/// Compute step ① on `model`'s reference input: golden run, per-inst FI, [`CostBenefit`].
+pub fn reference_profile(
     module: &Module,
     model: &dyn InputModel,
     cfg: &MinpsidConfig,
-) -> Result<SidResult, Termination> {
-    let ref_input = model.materialize(&model.reference());
-    minpsid_sid::run_sid(
-        module,
-        &ref_input,
-        &SidConfig {
-            protection_level: cfg.protection_level,
-            campaign: cfg.campaign.clone(),
-            use_dp: cfg.use_dp,
-        },
-    )
+    cache: &GoldenCache,
+) -> Result<Reference, Termination> {
+    FiStage::new(module, cfg, cache)
+        .reference(model)
+        .map_err(journal_free)
 }
 
 /// Run the full MINPSID pipeline on `module` over `model`'s input space.
@@ -171,22 +174,36 @@ pub fn run_minpsid(
     run_minpsid_cached(module, model, cfg, &GoldenCache::new())
 }
 
-/// [`run_minpsid`] against a caller-owned [`GoldenCache`]. Experiment
-/// drivers that evaluate the same (module, input) pairs repeatedly —
-/// multiple protection levels, baseline-vs-hardened comparisons — share
-/// one cache across calls so each golden run (and its checkpoint store)
-/// is computed once.
+/// [`run_minpsid`] against a caller-owned [`GoldenCache`]: shared across
+/// calls, or backed by an artifact store, it computes each golden run (and
+/// its checkpoint store) once.
 pub fn run_minpsid_cached(
     module: &Module,
     model: &dyn InputModel,
     cfg: &MinpsidConfig,
     cache: &GoldenCache,
 ) -> Result<MinpsidResult, Termination> {
-    run_minpsid_inner(module, model, cfg, cache, None).map_err(|e| match e {
+    run_minpsid_inner(module, model, cfg, cache, None, None).map_err(journal_free)
+}
+
+/// [`run_minpsid`] extending a [`reference_profile`] (`timings.ref_fi` is its `elapsed`);
+/// `sched`, `deduped` and `table_stats` count only the search's work.
+pub fn run_minpsid_from(
+    module: &Module,
+    model: &dyn InputModel,
+    cfg: &MinpsidConfig,
+    reference: &Reference,
+) -> Result<MinpsidResult, Termination> {
+    let (cache, reference) = (GoldenCache::new(), Some(reference.clone()));
+    run_minpsid_inner(module, model, cfg, &cache, None, reference).map_err(journal_free)
+}
+
+/// Interrupts and journal mismatches require an attached journal.
+fn journal_free(e: PipelineError) -> Termination {
+    match e {
         PipelineError::Golden(t) => t,
-        // interrupts and journal mismatches require an attached journal
         _ => unreachable!("journal-free pipeline raised a journal error"),
-    })
+    }
 }
 
 /// Why a journaled pipeline run stopped without a result.
@@ -292,14 +309,6 @@ pub fn module_section_map(module: &Module) -> Vec<(u64, u64, u64)> {
     out
 }
 
-/// The run-scoped scheduler, under the deadline `deadline_secs` sets.
-fn run_scheduler(cfg: &MinpsidConfig) -> Scheduler {
-    Scheduler::new(
-        SchedConfig::default(),
-        Deadline::from_secs(cfg.deadline_secs),
-    )
-}
-
 /// The journal serves as the GA's evaluation memo: profiled CFG lists are
 /// durable, so a resumed search replays candidate evaluations for free.
 impl EvalMemo for CampaignJournal {
@@ -312,19 +321,44 @@ impl EvalMemo for CampaignJournal {
     }
 }
 
-/// What the per-input FI steps of one pipeline run share, and what they
-/// add up.
+/// What the per-input FI steps of one pipeline run share (the run-scoped
+/// scheduler under `deadline_secs`), and what they add up.
 struct FiStage<'a> {
     module: &'a Module,
     cfg: &'a MinpsidConfig,
     cache: &'a GoldenCache,
-    sched: &'a Scheduler,
+    sched: Scheduler,
     journal: Option<&'a CampaignJournal>,
     table_stats: Option<TableStatsSnapshot>,
     injections_deduped: u64,
 }
 
-impl FiStage<'_> {
+impl<'a> FiStage<'a> {
+    fn new(module: &'a Module, cfg: &'a MinpsidConfig, cache: &'a GoldenCache) -> Self {
+        FiStage {
+            module,
+            cfg,
+            cache,
+            sched: Scheduler::new(Default::default(), Deadline::from_secs(cfg.deadline_secs)),
+            journal: None,
+            table_stats: None,
+            injections_deduped: 0,
+        }
+    }
+
+    /// ① SID preparation: reference-input profile + per-instruction FI.
+    fn reference(&mut self, model: &dyn InputModel) -> Result<Reference, PipelineError> {
+        let t0 = Instant::now();
+        let _span = trace::span("ref_fi");
+        let ref_input = model.materialize(&model.reference());
+        let (golden, cb, _) = self.per_inst_fi(&ref_input, None)?;
+        Ok(Reference {
+            cb,
+            cfg_list: golden.profile.indexed_cfg_list(),
+            elapsed: t0.elapsed(),
+        })
+    }
+
     /// Fetch the golden run for `input` (`steps`: its length, when a
     /// profile run already measured it) and, under a journal, verify or
     /// record its digest. A digest mismatch means the journal belongs to
@@ -379,7 +413,7 @@ impl FiStage<'_> {
             _ => None,
         };
         let mut engine = CampaignEngine::new(self.module, input, &golden, &self.cfg.campaign)
-            .with_scheduler(self.sched);
+            .with_scheduler(&self.sched);
         if let (Some(j), Some(fp)) = (self.journal, input_fp) {
             engine = engine.with_journal(j, fp);
         }
@@ -411,40 +445,29 @@ pub fn run_minpsid_journaled(
     cache: &GoldenCache,
     journal: &CampaignJournal,
 ) -> Result<MinpsidResult, PipelineError> {
-    run_minpsid_inner(module, model, cfg, cache, Some(journal))
+    run_minpsid_inner(module, model, cfg, cache, Some(journal), None)
 }
 
-/// The one pipeline body behind [`run_minpsid_cached`] and
-/// [`run_minpsid_journaled`]: identical orchestration, with the journal
-/// (durable outcomes, eval memo, interrupt handling, selection record)
-/// attached as a layer when present.
+/// The one pipeline body behind [`run_minpsid_cached`], [`run_minpsid_journaled`]
+/// and [`run_minpsid_from`]: the journal (durable outcomes, eval memo, interrupt
+/// handling, selection record) is a layer attached when present, and step ① runs
+/// here unless `reference` is given.
 fn run_minpsid_inner(
     module: &Module,
     model: &dyn InputModel,
     cfg: &MinpsidConfig,
     cache: &GoldenCache,
     journal: Option<&CampaignJournal>,
+    reference: Option<Reference>,
 ) -> Result<MinpsidResult, PipelineError> {
-    let mut timings = Timings::default();
     let _pipeline_span = trace::span("minpsid_pipeline");
-    let sched = run_scheduler(cfg);
-    let mut fi = FiStage {
-        module,
-        cfg,
-        cache,
-        sched: &sched,
-        journal,
-        table_stats: None,
-        injections_deduped: 0,
+    let mut fi = FiStage::new(module, cfg, cache);
+    fi.journal = journal;
+    let reference = reference.map_or_else(|| fi.reference(model), Ok)?;
+    let mut timings = Timings {
+        ref_fi: reference.elapsed,
+        ..Timings::default()
     };
-
-    // ① SID preparation: reference-input profile + per-instruction FI
-    let t0 = Instant::now();
-    let ref_fi_span = trace::span("ref_fi");
-    let ref_input = model.materialize(&model.reference());
-    let (ref_golden, ref_cb, _) = fi.per_inst_fi(&ref_input, None)?;
-    drop(ref_fi_span);
-    timings.ref_fi = t0.elapsed();
     if let Some(j) = journal {
         let _ = j.sync();
     }
@@ -454,21 +477,19 @@ fn run_minpsid_inner(
     if let Some(j) = journal {
         engine.set_eval_memo(j);
     }
-    engine.set_deadline(sched.deadline());
-    engine.record_history(ref_golden.profile.indexed_cfg_list());
-    let mut tracker = IncubativeTracker::new(ref_cb.benefit.clone(), cfg.incubative);
+    engine.set_deadline(fi.sched.deadline());
+    engine.record_history(reference.cfg_list.clone());
+    let mut tracker = IncubativeTracker::new(reference.cb.benefit.clone(), cfg.incubative);
     let mut incubative_history = Vec::new();
     let mut stale = 0usize;
     let mut inputs_searched = 0usize;
 
     while inputs_searched < cfg.max_inputs && stale < cfg.stagnation_patience {
-        if journal.is_some() && interrupt::requested() {
-            if let Some(j) = journal {
-                let _ = j.sync();
-            }
+        if let Some(j) = journal.filter(|_| interrupt::requested()) {
+            let _ = j.sync();
             return Err(PipelineError::Interrupted);
         }
-        if sched.deadline_exceeded() {
+        if fi.sched.deadline_exceeded() {
             break; // graceful: report what we have, annotated as partial
         }
         let t_search = Instant::now();
@@ -517,9 +538,9 @@ fn run_minpsid_inner(
     // ⑧ re-prioritization + ⑨ selection & transform
     let t_rest = Instant::now();
     let select_span = trace::span("select_transform");
-    let mut cb = ref_cb;
+    let mut cb = reference.cb;
     cb.benefit = tracker.reprioritized_benefit();
-    let (selection, expected_coverage, protected, meta) =
+    let (selection, expected_coverage, protected, _) =
         select_and_protect(module, &cb, cfg.protection_level, cfg.use_dp);
     if let Some(j) = journal {
         j.record_selection(&selection);
@@ -536,7 +557,7 @@ fn run_minpsid_inner(
     if let Some(j) = journal {
         j.emit_stats();
     }
-    sched.emit_summary();
+    fi.sched.emit_summary();
     if let Some(j) = journal {
         // completed run: compact the log so the directory stays small
         // across repeated resumes, and make everything durable on the
@@ -547,7 +568,6 @@ fn run_minpsid_inner(
 
     Ok(MinpsidResult {
         protected,
-        meta,
         selection,
         expected_coverage,
         incubative: tracker.incubative_indices(),
@@ -556,7 +576,7 @@ fn run_minpsid_inner(
         timings,
         cost_benefit: cb,
         tracker,
-        sched: sched.snapshot(),
+        sched: fi.sched.snapshot(),
         table_stats: fi.table_stats,
         deduped: Deduped {
             evals: engine.deduped,
@@ -682,15 +702,16 @@ mod tests {
         let model = Model::new();
         let cfg = quick_cfg(0.6, SearchStrategy::Genetic);
 
-        let baseline = run_baseline_sid(&m, &model, &cfg).unwrap();
-        let hardened = run_minpsid(&m, &model, &cfg).unwrap();
+        let reference = reference_profile(&m, &model, &cfg, &GoldenCache::new()).unwrap();
+        let (_, _, baseline, _) =
+            select_and_protect(&m, &reference.cb, cfg.protection_level, cfg.use_dp);
+        let hardened = run_minpsid_from(&m, &model, &cfg, &reference).unwrap();
 
         // adversarial input: every value above the threshold
         let bad_params = vec![ParamValue::I(48), ParamValue::I(90), ParamValue::I(3)];
         let bad_input = model.materialize(&bad_params);
 
-        let base_cov =
-            measure_coverage(&m, &baseline.protected, &bad_input, &cfg.campaign).unwrap();
+        let base_cov = measure_coverage(&m, &baseline, &bad_input, &cfg.campaign).unwrap();
         let hard_cov =
             measure_coverage(&m, &hardened.protected, &bad_input, &cfg.campaign).unwrap();
 
@@ -701,6 +722,31 @@ mod tests {
             base_cov.coverage,
             hard_cov.coverage
         );
+    }
+
+    /// Extending a reference the caller computed is the pipeline that
+    /// computes its own: same search, same profile, same protected program.
+    #[test]
+    fn a_run_from_a_reference_equals_a_run_that_computes_it() {
+        let m = module();
+        let model = Model::new();
+        for strategy in [SearchStrategy::Genetic, SearchStrategy::Random] {
+            let cfg = quick_cfg(0.5, strategy);
+            let reference = reference_profile(&m, &model, &cfg, &GoldenCache::new()).unwrap();
+            let from = run_minpsid_from(&m, &model, &cfg, &reference).unwrap();
+            let whole = run_minpsid(&m, &model, &cfg).unwrap();
+            same_result(&from, &whole);
+            let bits = |r: &MinpsidResult| -> Vec<u64> {
+                r.cost_benefit.benefit.iter().map(|b| b.to_bits()).collect()
+            };
+            assert_eq!(bits(&from), bits(&whole), "{strategy:?}");
+            assert_eq!(
+                crate::cache::module_fingerprint(&from.protected),
+                crate::cache::module_fingerprint(&whole.protected),
+                "{strategy:?}"
+            );
+            assert_eq!(from.timings.ref_fi, reference.elapsed);
+        }
     }
 
     #[test]

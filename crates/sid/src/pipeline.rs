@@ -4,8 +4,7 @@ use crate::knapsack::{dp_select, greedy_select, Selection};
 use crate::profile::CostBenefit;
 use crate::transform::{duplicable, duplicate_module, TransformMeta};
 use minpsid_faultsim::{
-    golden_run, per_instruction_campaign, program_campaign, CampaignConfig, GoldenRun,
-    OutcomeCounts, PerInstSdc,
+    golden_run, per_instruction_campaign, program_campaign, CampaignConfig, OutcomeCounts,
 };
 use minpsid_interp::{Output, ProgInput, Termination};
 use minpsid_ir::Module;
@@ -23,16 +22,6 @@ pub struct SidConfig {
     pub use_dp: bool,
 }
 
-impl Default for SidConfig {
-    fn default() -> Self {
-        SidConfig {
-            protection_level: 0.5,
-            campaign: CampaignConfig::default(),
-            use_dp: false,
-        }
-    }
-}
-
 /// Everything SID produces for a program.
 #[derive(Debug, Clone)]
 pub struct SidResult {
@@ -43,8 +32,6 @@ pub struct SidResult {
     /// The coverage SID promises to developers (red bars of Figs. 2/6).
     pub expected_coverage: f64,
     pub cost_benefit: CostBenefit,
-    pub golden_ref: GoldenRun,
-    pub per_inst: PerInstSdc,
 }
 
 /// Run the full baseline-SID pipeline on `module` with the reference
@@ -65,8 +52,6 @@ pub fn run_sid(
         selection,
         expected_coverage,
         cost_benefit: cb,
-        golden_ref: golden,
-        per_inst,
     })
 }
 
@@ -117,7 +102,6 @@ pub struct CoverageMeasurement {
     /// `1 − P_sdc(protected) / P_sdc(unprotected)`, clamped to `[0, 1]`;
     /// defined as 1 when the unprotected program shows no SDCs at all.
     pub coverage: f64,
-    pub unprotected_counts: OutcomeCounts,
     pub protected_counts: OutcomeCounts,
 }
 
@@ -130,7 +114,6 @@ pub struct Unprotected {
     /// The golden run's output, which every protected program must match.
     pub output: Output,
     pub sdc: f64,
-    pub counts: OutcomeCounts,
 }
 
 /// Measure the unprotected half of a coverage measurement under `input`.
@@ -143,7 +126,6 @@ pub fn measure_unprotected(
     let c = program_campaign(original, input, &golden, campaign);
     Ok(Unprotected {
         sdc: c.sdc_prob(),
-        counts: c.counts,
         output: golden.output,
     })
 }
@@ -173,7 +155,6 @@ pub fn measure_protected(
         unprotected_sdc: pu,
         protected_sdc: pp,
         coverage,
-        unprotected_counts: unprotected.counts,
         protected_counts: c_prot.counts,
     })
 }

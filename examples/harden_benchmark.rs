@@ -8,9 +8,9 @@
 
 use minpsid_repro::faultsim::CampaignConfigBuilder;
 use minpsid_repro::minpsid::{
-    run_baseline_sid, run_minpsid, GaConfig, MinpsidConfig, SearchStrategy,
+    reference_profile, run_minpsid_from, GaConfig, GoldenCache, MinpsidConfig, SearchStrategy,
 };
-use minpsid_repro::sid::measure_coverage;
+use minpsid_repro::sid::{measure_coverage, select_and_protect};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -46,15 +46,18 @@ fn main() {
     };
 
     println!("running baseline SID (reference input only) ...");
-    let baseline = run_baseline_sid(&module, bench.model.as_ref(), &cfg).unwrap();
+    let reference =
+        reference_profile(&module, bench.model.as_ref(), &cfg, &GoldenCache::new()).unwrap();
+    let (_, expected, baseline, meta) =
+        select_and_protect(&module, &reference.cb, cfg.protection_level, cfg.use_dp);
     println!(
         "  expected coverage {:.1}%, {} duplicates",
-        baseline.expected_coverage * 100.0,
-        baseline.meta.num_dups
+        expected * 100.0,
+        meta.num_dups
     );
 
-    println!("running MINPSID (GA input search + re-prioritization) ...");
-    let hardened = run_minpsid(&module, bench.model.as_ref(), &cfg).unwrap();
+    println!("running MINPSID (GA input search + re-prioritization), extending that profile ...");
+    let hardened = run_minpsid_from(&module, bench.model.as_ref(), &cfg, &reference).unwrap();
     println!(
         "  searched {} inputs, found {} incubative instructions, expected coverage {:.1}%",
         hardened.inputs_searched,
@@ -71,7 +74,7 @@ fn main() {
     while shown < 8 {
         let params = bench.model.random(&mut rng);
         let input = bench.model.materialize(&params);
-        let Ok(b) = measure_coverage(&module, &baseline.protected, &input, &cfg.campaign) else {
+        let Ok(b) = measure_coverage(&module, &baseline, &input, &cfg.campaign) else {
             continue;
         };
         let h = measure_coverage(&module, &hardened.protected, &input, &cfg.campaign).unwrap();

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI gate: formatting, lints, the full workspace test suite (which runs the
 # `experiments` binary on two pinned tables and checks its trace, and the
-# `minpsid` binary's thread-count and cold-replay identities), CLI smokes,
-# and the benchmark smoke.
+# `minpsid` binary's thread-count and cold-replay identities), the tiny
+# sweep against results/, CLI smokes, and the benchmark smoke.
 # Usage: scripts/ci.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -44,6 +44,22 @@ test "$(wc -l <<<"$SPILLS")" = "5" \
 if grep -v ' 0$' <<<"$SPILLS"; then
   echo "exec_loop keeps pc on the stack: (inc|add)q on %rsp in the symbol(s) above"; exit 1
 fi
+
+echo "== tiny sweep against results/ (seed 42; the wall-clock tables excepted)"
+# results/ is what the current code prints; a change that moves a table
+# commits the new file with it
+cargo build --release --offline -q -p minpsid-bench --bin experiments
+SWEEP="$(mktemp -d)"
+target/release/experiments --preset tiny --seed 42 --out "$SWEEP" 2>"$SWEEP/experiments.log" \
+  || { cat "$SWEEP/experiments.log"; exit 1; }
+for TABLE in "$SWEEP"/*.txt; do
+  NAME="$(basename "$TABLE")"
+  case "$NAME" in
+    fig8_time_breakdown.txt | ablation_knapsack.txt | ablation_search_strategy.txt) continue ;;
+  esac
+  diff -u "results/$NAME" "$TABLE" || { echo "results/$NAME moved"; exit 1; }
+done
+rm -rf "$SWEEP"
 
 echo "== unknown-flag smoke (a misspelt flag is a usage error, not a different run)"
 # --workers, --status-addr, the retry scheduler's six, the flag audit's

@@ -4,9 +4,9 @@
 use minpsid_repro::faultsim::{golden_run, CampaignConfig};
 use minpsid_repro::interp::{ExecConfig, Interp};
 use minpsid_repro::minpsid::{
-    run_baseline_sid, run_minpsid, GaConfig, MinpsidConfig, SearchStrategy,
+    reference_profile, run_minpsid_from, GaConfig, GoldenCache, MinpsidConfig, SearchStrategy,
 };
-use minpsid_repro::sid::{measure_coverage, run_sid, SidConfig};
+use minpsid_repro::sid::{measure_coverage, run_sid, select_and_protect, SidConfig};
 use minpsid_repro::workloads;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -88,8 +88,12 @@ fn minpsid_does_not_lose_to_baseline_on_kmeans() {
     let b = workloads::by_name("kmeans").unwrap();
     let module = b.compile();
     let cfg = tiny_minpsid(3);
-    let baseline = run_baseline_sid(&module, b.model.as_ref(), &cfg).unwrap();
-    let hardened = run_minpsid(&module, b.model.as_ref(), &cfg).unwrap();
+    // baseline SID and MINPSID from one reference profile
+    let reference =
+        reference_profile(&module, b.model.as_ref(), &cfg, &GoldenCache::new()).unwrap();
+    let (_, _, baseline, _) =
+        select_and_protect(&module, &reference.cb, cfg.protection_level, cfg.use_dp);
+    let hardened = run_minpsid_from(&module, b.model.as_ref(), &cfg, &reference).unwrap();
     assert!(
         !hardened.incubative.is_empty(),
         "kmeans must show incubative insts"
@@ -101,7 +105,7 @@ fn minpsid_does_not_lose_to_baseline_on_kmeans() {
     let mut n = 0;
     while n < 4 {
         let input = b.model.materialize(&b.model.random(&mut rng));
-        let Ok(bm) = measure_coverage(&module, &baseline.protected, &input, &cfg.campaign) else {
+        let Ok(bm) = measure_coverage(&module, &baseline, &input, &cfg.campaign) else {
             continue;
         };
         let hm = measure_coverage(&module, &hardened.protected, &input, &cfg.campaign).unwrap();
@@ -157,11 +161,12 @@ fn reprioritized_profile_is_conservative() {
     let b = workloads::by_name("fft").unwrap();
     let module = b.compile();
     let cfg = tiny_minpsid(5);
-    let hardened = run_minpsid(&module, b.model.as_ref(), &cfg).unwrap();
-    let baseline = run_baseline_sid(&module, b.model.as_ref(), &cfg).unwrap();
+    let reference =
+        reference_profile(&module, b.model.as_ref(), &cfg, &GoldenCache::new()).unwrap();
+    let hardened = run_minpsid_from(&module, b.model.as_ref(), &cfg, &reference).unwrap();
     for i in 0..module.num_insts() {
         assert!(
-            hardened.cost_benefit.benefit[i] >= baseline.cost_benefit.benefit[i] - 1e-12,
+            hardened.cost_benefit.benefit[i] >= reference.cb.benefit[i] - 1e-12,
             "benefit can only be raised by re-prioritization (inst {i})"
         );
     }
