@@ -1,8 +1,8 @@
 //! The computation every experiment table is a view of. A [`Sweep`] holds,
 //! for one (preset, seed), each kernel's baseline profile, each MINPSID
-//! pass, each evaluation input's unprotected golden run and campaign, and
-//! each (input, protected program) coverage — computed lazily, at most
-//! once, keyed by module fingerprint and configuration.
+//! pass and each evaluation input's golden run and campaign on the original
+//! program — computed lazily, at most once, keyed by module fingerprint and
+//! configuration. Every coverage is read from those campaigns.
 
 use crate::preset::Preset;
 use minpsid::{
@@ -14,7 +14,7 @@ use minpsid_interp::ProgInput;
 use minpsid_ir::Module;
 use minpsid_sid::transform::TransformMeta;
 use minpsid_sid::{
-    measure_protected, measure_unprotected, select_and_protect, CostBenefit, Unprotected,
+    duplicate_module, measure_unprotected, select, CostBenefit, Selection, Unprotected,
 };
 use minpsid_workloads::Benchmark;
 use rand::rngs::StdRng;
@@ -33,11 +33,16 @@ pub struct Prepared {
 }
 
 impl Prepared {
-    /// Knapsack + transform at one protection level: the protected module
-    /// and the coverage it promises.
+    /// The knapsack selection at one protection level and the coverage it
+    /// promises.
+    pub(crate) fn select(&self, level: f64) -> (Selection, f64) {
+        select(&self.module, &self.cb, level, false)
+    }
+
+    /// [`Prepared::select`] and the transform: the protected module.
     pub fn protect(&self, level: f64) -> (Module, f64, TransformMeta) {
-        let (_, expected, protected, meta) =
-            select_and_protect(&self.module, &self.cb, level, false);
+        let (selection, expected) = self.select(level);
+        let (protected, meta) = duplicate_module(&self.module, &selection);
         (protected, expected, meta)
     }
 }
@@ -134,8 +139,6 @@ pub struct Sweep {
     /// By (module, input) fingerprint; `None` for an input the program
     /// rejects.
     unprotected: Memo<(u64, u64), Option<Rc<Unprotected>>>,
-    /// By (module, protected module, input) fingerprint.
-    coverage: Memo<(u64, u64, u64), Option<f64>>,
 }
 
 impl Sweep {
@@ -148,7 +151,6 @@ impl Sweep {
             baselines: Memo::new(),
             passes: Memo::new(),
             unprotected: Memo::new(),
-            coverage: Memo::new(),
         }
     }
 
@@ -220,8 +222,8 @@ impl Sweep {
         self.pass(b, &cfg)
     }
 
-    /// `prepared` protected at `level`, evaluated on the preset's count of
-    /// *valid* random inputs drawn with `seed` (§III-A2 filters
+    /// `prepared`'s selection at `level`, evaluated on the preset's count
+    /// of *valid* random inputs drawn with `seed` (§III-A2 filters
     /// error-producing inputs).
     pub(crate) fn evaluate(
         &mut self,
@@ -233,7 +235,9 @@ impl Sweep {
         let n = self.preset.eval_inputs();
         let mut rng = StdRng::seed_from_u64(seed);
         let drawn = (0..10 * n + 20).map(|_| model.materialize(&model.random(&mut rng)));
-        self.evaluate_on(prepared, level, drawn, n)
+        let (selection, expected) = prepared.select(level);
+        let coverage = self.evaluate_on(&prepared.module, &selection, drawn, n);
+        CoverageRow { coverage, expected }
     }
 
     /// Like [`Sweep::evaluate`], over a *fixed* list of inputs (the §VII
@@ -246,59 +250,51 @@ impl Sweep {
         params_list: &[Vec<ParamValue>],
     ) -> CoverageRow {
         let inputs = params_list.iter().map(|params| model.materialize(params));
-        self.evaluate_on(prepared, level, inputs, params_list.len())
+        let (selection, expected) = prepared.select(level);
+        let coverage = self.evaluate_on(&prepared.module, &selection, inputs, params_list.len());
+        CoverageRow { coverage, expected }
     }
 
-    /// The measured coverage on the first `n` of `inputs` that both the
-    /// original and the protected program accept.
+    /// The measured coverage of `selection` on the first `n` of `inputs`
+    /// that `original` accepts, each read from the input's one campaign on
+    /// `original`.
     fn evaluate_on(
         &mut self,
-        prepared: &Prepared,
-        level: f64,
+        original: &Module,
+        selection: &Selection,
         inputs: impl Iterator<Item = ProgInput>,
         n: usize,
-    ) -> CoverageRow {
-        let (protected, expected, _) = prepared.protect(level);
-        let original = &prepared.module;
-        let (orig_fp, prot_fp) = (module_fingerprint(original), module_fingerprint(&protected));
+    ) -> Vec<f64> {
+        let orig_fp = module_fingerprint(original);
         let campaign = &self.campaign;
-        let coverage = inputs
+        inputs
             .filter_map(|input| {
-                let input_fp = input_fingerprint(&input);
-                let unprotected = self.unprotected.get_or((orig_fp, input_fp), || {
+                let key = (orig_fp, input_fingerprint(&input));
+                let unprotected = self.unprotected.get_or(key, || {
                     measure_unprotected(original, &input, campaign)
                         .ok()
                         .map(Rc::new)
                 })?;
-                self.coverage.get_or((orig_fp, prot_fp, input_fp), || {
-                    measure_protected(&unprotected, &protected, &input, campaign)
-                        .ok()
-                        .map(|m| m.coverage)
-                })
+                Some(unprotected.coverage(selection))
             })
             .take(n)
-            .collect();
-        CoverageRow { coverage, expected }
+            .collect()
     }
 
-    /// Computed/reused counts of the four memos, in the order baseline
-    /// profiles, MINPSID passes, unprotected measurements, coverages.
-    pub(crate) fn tallies(&self) -> [Tally; 4] {
+    /// Computed/reused counts of the three memos, in the order baseline
+    /// profiles, MINPSID passes, unprotected measurements.
+    pub(crate) fn tallies(&self) -> [Tally; 3] {
         [
             self.baselines.tally,
             self.passes.tally,
             self.unprotected.tally,
-            self.coverage.tally,
         ]
     }
 
     /// One line of what the memos computed and reused.
     pub fn memo_report(&self) -> String {
-        let [b, p, u, c] = self.tallies();
-        format!(
-            "sweep memo: baseline profiles {b}, minpsid passes {p}, unprotected runs {u}, \
-             coverages {c}"
-        )
+        let [b, p, u] = self.tallies();
+        format!("sweep memo: baseline profiles {b}, minpsid passes {p}, unprotected runs {u}")
     }
 }
 
@@ -317,12 +313,12 @@ mod tests {
         assert!(row.expected > 0.0);
         assert_eq!(row.coverage.len(), Preset::Tiny.eval_inputs());
         assert!(row.coverage.iter().all(|c| (0.0..=1.0).contains(c)));
-        // the same profile, at another level, on the same inputs: only the
-        // protected halves run again
+        // the same profile, at another level, on the same inputs: no
+        // campaign runs again
         let again = sweep.baseline(&b);
         assert!(Rc::ptr_eq(&prepared, &again));
         sweep.evaluate(b.model.as_ref(), &prepared, 0.3, 9);
-        let [base, _, unprot, cov] = sweep.tallies();
+        let [base, _, unprot] = sweep.tallies();
         assert_eq!(
             base,
             Tally {
@@ -331,7 +327,6 @@ mod tests {
             }
         );
         assert_eq!(unprot.reused, unprot.computed);
-        assert_eq!(cov.reused, 0);
     }
 
     #[test]

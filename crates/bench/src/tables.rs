@@ -825,7 +825,8 @@ fn eligible(module: &Module) -> Vec<bool> {
 
 /// **Ablation — knapsack solver** (DESIGN.md §5): greedy benefit-density
 /// selection (what deployed SID systems use, and this repo's default)
-/// versus the exact scaled-DP solver. Reports expected coverage, budget
+/// versus the scaled-DP solver at 4096 columns (not exact at this scale:
+/// weights round up to a column). Reports expected coverage, budget
 /// utilisation, and solve time.
 pub fn ablation_knapsack(sw: &mut Sweep, s: &mut String) -> fmt::Result {
     writeln!(s, "== Ablation: knapsack solver ==")?;

@@ -1,7 +1,7 @@
 //! The `experiments` binary end to end: two tables pinned byte for byte
-//! (`fixtures/` holds what the per-table binaries this one replaced
-//! printed at `--preset tiny --seed 42`), the trace it writes, and its
-//! usage errors.
+//! (`fixtures/` holds what it prints at `--preset tiny --seed 42`; a
+//! change that moves a table regenerates its fixture), the trace it
+//! writes, the campaigns it runs, and its usage errors.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -76,7 +76,9 @@ fn traced_fig2_on_pathfinder_matches_its_fixture() {
 
 /// A MINPSID pass extends its kernel's baseline profile: the reference
 /// campaign runs once, so fig6 on one kernel runs one per-instruction
-/// campaign for the reference and one per searched input.
+/// campaign for the reference and one per searched input. Coverage is read
+/// from one whole-program campaign per evaluation input on the original
+/// program, whatever the selections: none runs on a protected module.
 #[test]
 fn fig6_runs_the_reference_campaign_once() {
     let trace = std::env::temp_dir().join(format!("experiments-fig6-{}.jsonl", std::process::id()));
@@ -97,20 +99,33 @@ fn fig6_runs_the_reference_campaign_once() {
     std::fs::remove_file(&trace).ok();
     let events = minpsid_trace::parse_log(&log)
         .unwrap_or_else(|(line, e)| panic!("trace line {line}: {e:?}"));
-    let count =
-        |pick: fn(&minpsid_trace::Event) -> bool| events.iter().filter(|e| pick(&e.event)).count();
-    let per_inst = count(|e| {
-        matches!(
-            e,
-            minpsid_trace::Event::CampaignEnd {
-                kind: minpsid_trace::CampaignKind::PerInst,
-                ..
-            }
-        )
-    });
-    let searched = count(|e| matches!(e, minpsid_trace::Event::SearchInput { .. }));
+    let campaigns = |kind: minpsid_trace::CampaignKind| {
+        events
+            .iter()
+            .filter(|e| matches!(&e.event, minpsid_trace::Event::CampaignEnd { kind: k, .. } if *k == kind))
+            .count()
+    };
+    let searched = events
+        .iter()
+        .filter(|e| matches!(e.event, minpsid_trace::Event::SearchInput { .. }))
+        .count();
     assert!(searched > 0, "the pass searched no input");
-    assert_eq!(per_inst, 1 + searched);
+    assert_eq!(
+        campaigns(minpsid_trace::CampaignKind::PerInst),
+        1 + searched
+    );
+
+    // the memo line counts the distinct (original program, input) pairs
+    // evaluated: `unprotected runs N run / M reused`
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let inputs: usize = stderr
+        .split("unprotected runs ")
+        .nth(1)
+        .and_then(|rest| rest.split(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no memo line: {stderr}"));
+    assert!(inputs > 0);
+    assert_eq!(campaigns(minpsid_trace::CampaignKind::Program), inputs);
 }
 
 /// A usage error names what was wrong, lists the valid names and exits 2

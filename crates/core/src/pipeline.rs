@@ -590,7 +590,7 @@ mod tests {
     use super::*;
     use crate::input::{ParamSpec, ParamValue};
     use minpsid_interp::{ProgInput, Stream};
-    use minpsid_sid::measure_coverage;
+    use minpsid_sid::{measure_unprotected, select};
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
@@ -703,24 +703,21 @@ mod tests {
         let cfg = quick_cfg(0.6, SearchStrategy::Genetic);
 
         let reference = reference_profile(&m, &model, &cfg, &GoldenCache::new()).unwrap();
-        let (_, _, baseline, _) =
-            select_and_protect(&m, &reference.cb, cfg.protection_level, cfg.use_dp);
+        let (baseline, _) = select(&m, &reference.cb, cfg.protection_level, cfg.use_dp);
         let hardened = run_minpsid_from(&m, &model, &cfg, &reference).unwrap();
 
         // adversarial input: every value above the threshold
         let bad_params = vec![ParamValue::I(48), ParamValue::I(90), ParamValue::I(3)];
         let bad_input = model.materialize(&bad_params);
 
-        let base_cov = measure_coverage(&m, &baseline, &bad_input, &cfg.campaign).unwrap();
-        let hard_cov =
-            measure_coverage(&m, &hardened.protected, &bad_input, &cfg.campaign).unwrap();
+        let measured = measure_unprotected(&m, &bad_input, &cfg.campaign).unwrap();
+        let base_cov = measured.coverage(&baseline);
+        let hard_cov = measured.coverage(&hardened.selection);
 
         assert!(
-            hard_cov.coverage >= base_cov.coverage,
+            hard_cov >= base_cov,
             "MINPSID must not lose coverage vs baseline on the adversarial input: \
-             baseline={:.3}, minpsid={:.3}",
-            base_cov.coverage,
-            hard_cov.coverage
+             baseline={base_cov:.3}, minpsid={hard_cov:.3}"
         );
     }
 

@@ -23,7 +23,7 @@
 //! or at any interval.
 
 use crate::engine::CampaignEngine;
-use crate::outcome::{Outcome, OutcomeCounts};
+use crate::outcome::OutcomeCounts;
 use crate::parallel::default_threads;
 use minpsid_interp::{
     auto_interval, CheckpointConfig, CheckpointStore, ExecConfig, ExecScratch, Interp, Output,
@@ -377,6 +377,9 @@ pub fn golden_run_sized(
 #[derive(Debug, Clone)]
 pub struct ProgramCampaign {
     pub counts: OutcomeCounts,
+    /// SDC outcomes by the static instruction each fault hit (dense in
+    /// module numbering order).
+    pub site_sdc: Vec<u64>,
     /// Wilson interval on the SDC probability (at [`Z`](minpsid_sched::Z)).
     pub sdc_ci: BinomialCi,
     /// Injections the campaign intended to run.
@@ -447,22 +450,6 @@ pub fn per_instruction_campaign(
     CampaignEngine::new(module, input, golden, cfg)
         .run_per_instruction()
         .unwrap_or_else(|_| unreachable!("interrupts only observed under a journal"))
-}
-
-/// Count one specific outcome in a program campaign (test/report helper).
-pub fn outcome_fraction(counts: &OutcomeCounts, outcome: Outcome) -> f64 {
-    let t = counts.total();
-    if t == 0 {
-        return 0.0;
-    }
-    let k = match outcome {
-        Outcome::Benign => counts.benign,
-        Outcome::Sdc => counts.sdc,
-        Outcome::Crash => counts.crash,
-        Outcome::Hang => counts.hang,
-        Outcome::Detected => counts.detected,
-    };
-    k as f64 / t as f64
 }
 
 #[cfg(test)]

@@ -792,14 +792,23 @@ impl<'a> CampaignEngine<'a> {
     pub fn run_program(&self) -> Result<ProgramCampaign, Interrupted> {
         let (plan, results) = self.run(CampaignKind::Program)?;
         let _reduce_span = trace::span("reduce");
+        let numbering = self.module.numbering();
         let mut counts = OutcomeCounts::default();
+        let mut site_sdc = vec![0; numbering.len()];
         let mut truncated = 0u64;
-        for r in &results {
+        for (t, r) in results.iter().enumerate() {
             counts.merge(&r.counts);
             truncated += r.truncated;
+            // tables and the journal key a program unit by position, so its
+            // site is redrawn from the plan
+            let (s, j) = plan.locate(t);
+            if let FaultTarget::NthOfInst(gid, _) = plan.fault(&plan.sections[s], j, 0).target {
+                site_sdc[numbering.index(gid)] += r.counts.sdc;
+            }
         }
         Ok(ProgramCampaign {
             counts,
+            site_sdc,
             sdc_ci: binomial_ci(counts.sdc, counts.total(), Z),
             planned: plan.planned_injections(),
             truncated,

@@ -48,9 +48,8 @@ pub mod propagation;
 pub mod table;
 
 pub use campaign::{
-    fi_journal_key, golden_run, golden_run_sized, outcome_fraction, per_instruction_campaign,
-    program_campaign, CampaignConfig, CheckpointPolicy, ConfigKey, GoldenRun, PerInstSdc,
-    ProgramCampaign,
+    fi_journal_key, golden_run, golden_run_sized, per_instruction_campaign, program_campaign,
+    CampaignConfig, CheckpointPolicy, ConfigKey, GoldenRun, PerInstSdc, ProgramCampaign,
 };
 pub use config::CampaignConfigBuilder;
 pub use engine::{faulty_exec_config, CampaignEngine, CampaignPlan, ProgramUnitExecutor, Section};

@@ -8,7 +8,7 @@
 //! 2. **Instruction selection**: a 0-1 knapsack with capacity
 //!    `protection level × total cycles` picks the instructions to
 //!    duplicate. (Both the greedy density heuristic used by SID systems in
-//!    practice and an exact DP solver are provided; the ablation bench
+//!    practice and a scaled-DP solver are provided; the ablation bench
 //!    compares them.)
 //! 3. **Code transformation**: each selected instruction is re-executed on
 //!    its original operands and a `check` comparing the two results is
@@ -19,9 +19,12 @@
 //!    program's SDC mass that the selection covers — the number SID
 //!    reports to developers, and the red bars of Figs. 2 & 6.
 //!
-//! [`measure_coverage`] then does what the paper's evaluation does: FI
-//! campaigns on the unprotected and protected binaries under an arbitrary
-//! input, with `coverage = 1 − P_sdc(protected) / P_sdc(unprotected)`.
+//! [`measure_unprotected`] then gives what the paper's evaluation
+//! measures: one FI campaign on the *original* program under an arbitrary
+//! input, tallied by site, from which [`Unprotected::coverage`] reads the
+//! measured coverage of any selection (the share of SDC faults at the
+//! sites it duplicates) and [`Unprotected::paper_coverage`] the paper's
+//! `1 − P_sdc(protected) / P_sdc(unprotected)`.
 
 pub mod knapsack;
 pub mod pipeline;
@@ -30,8 +33,7 @@ pub mod transform;
 
 pub use knapsack::{dp_select, greedy_select, Selection};
 pub use pipeline::{
-    measure_coverage, measure_protected, measure_unprotected, run_sid, select_and_protect,
-    CoverageMeasurement, SidConfig, SidResult, Unprotected,
+    measure_unprotected, run_sid, select, select_and_protect, SidConfig, SidResult, Unprotected,
 };
 pub use profile::CostBenefit;
 pub use transform::{

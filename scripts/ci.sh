@@ -16,13 +16,17 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo test (workspace)"
 cargo test -q --workspace --offline
 
-echo "== cargo test --release (interpreter + engine equivalence)"
+echo "== cargo test --release (interpreter, engine equivalence, one-campaign coverage probe)"
 # the debug profile above compiles `debug_assert!` in and std checks
 # `get_unchecked`; what ships is the release build, where the restore
 # checks and the slot-addressing bounds are all that stand between a bad
 # checkpoint image and an out-of-bounds read
 cargo test --release -q --offline -p minpsid-interp
 cargo test --release -q --offline --test engine_equivalence
+# coverage is read from one campaign on the original program; the rule
+# that rests on, at the scale it was first measured at (11 kernels x 3
+# inputs x 1,000 faults, each also run on five protected programs)
+cargo test --release -q --offline --test one_campaign_coverage -- --ignored
 
 CLI="target/release/minpsid"
 cargo build --release --offline -q -p minpsid-cli

@@ -6,7 +6,7 @@ use minpsid_repro::interp::{ExecConfig, Interp};
 use minpsid_repro::minpsid::{
     reference_profile, run_minpsid_from, GaConfig, GoldenCache, MinpsidConfig, SearchStrategy,
 };
-use minpsid_repro::sid::{measure_coverage, run_sid, select_and_protect, SidConfig};
+use minpsid_repro::sid::{measure_unprotected, run_sid, select, SidConfig};
 use minpsid_repro::workloads;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -91,8 +91,7 @@ fn minpsid_does_not_lose_to_baseline_on_kmeans() {
     // baseline SID and MINPSID from one reference profile
     let reference =
         reference_profile(&module, b.model.as_ref(), &cfg, &GoldenCache::new()).unwrap();
-    let (_, _, baseline, _) =
-        select_and_protect(&module, &reference.cb, cfg.protection_level, cfg.use_dp);
+    let (baseline, _) = select(&module, &reference.cb, cfg.protection_level, cfg.use_dp);
     let hardened = run_minpsid_from(&module, b.model.as_ref(), &cfg, &reference).unwrap();
     assert!(
         !hardened.incubative.is_empty(),
@@ -105,12 +104,11 @@ fn minpsid_does_not_lose_to_baseline_on_kmeans() {
     let mut n = 0;
     while n < 4 {
         let input = b.model.materialize(&b.model.random(&mut rng));
-        let Ok(bm) = measure_coverage(&module, &baseline, &input, &cfg.campaign) else {
+        let Ok(measured) = measure_unprotected(&module, &input, &cfg.campaign) else {
             continue;
         };
-        let hm = measure_coverage(&module, &hardened.protected, &input, &cfg.campaign).unwrap();
-        base_min = base_min.min(bm.coverage);
-        hard_min = hard_min.min(hm.coverage);
+        base_min = base_min.min(measured.coverage(&baseline));
+        hard_min = hard_min.min(measured.coverage(&hardened.selection));
         n += 1;
     }
     // noise slack: a tiny campaign carries wide error bars

@@ -1,11 +1,16 @@
 //! Property tests over *randomly generated IR modules* (not source
-//! programs): the text format round-trips them and the optimizer
-//! preserves their observable behaviour.
+//! programs): the text format round-trips them, the optimizer
+//! preserves their observable behaviour, and SID's duplication decides
+//! each fault's outcome the way one-campaign coverage assumes.
 //!
 //! The generator builds verified straight-line modules by folding a
 //! random op tape into the builder, tracking per-type value pools so
 //! every operand reference is well-typed and dominating.
 
+mod coverage_rule;
+
+use coverage_rule::{check, random_selection};
+use minpsid_repro::faultsim::CampaignConfig;
 use minpsid_repro::interp::{ExecConfig, Interp, ProgInput};
 use minpsid_repro::ir::inst::{BinOp, CmpOp, UnOp};
 use minpsid_repro::ir::parser::parse_module;
@@ -207,5 +212,26 @@ proptest! {
             );
         }
         prop_assert!(b.steps <= a.steps, "optimizer added work");
+    }
+
+    /// The rule `sid::Unprotected::coverage` rests on
+    /// (`coverage_rule/mod.rs`): a fault at an unselected site ends alike
+    /// in the protected module, one at a selected site never as SDC, and
+    /// the duplicates add exactly their originals' executions.
+    #[test]
+    fn one_campaign_rule_holds_on_generated_modules(
+        tape in prop::collection::vec(op_strategy(), 0..80),
+        seed in any::<u64>(),
+    ) {
+        let m = build_module(&tape);
+        let cfg = CampaignConfig {
+            injections: 32,
+            per_inst_injections: 1,
+            seed,
+            threads: 1,
+            ..CampaignConfig::default()
+        };
+        // a module whose fault-free run traps has no campaign to check
+        check(&m, &ProgInput::default(), &cfg, &[random_selection(&m, 50, seed)]);
     }
 }
