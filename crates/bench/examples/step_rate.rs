@@ -12,14 +12,14 @@
 //! decode time — the share of dynamic instructions that are loads or
 //! stores, the share that are slot-addressed ones, and the static count
 //! behind it. Then, per op kind, what it carries: its static code slots
-//! over the suite, its share of the suite's steps (every step of one
-//! clean run per kernel, attributed by `opprof` to the op that carried
-//! it) and the kernel where that share peaks — the sizing column of a
-//! superinstruction's price (EXPERIMENTS.md "The fusion table earns its
-//! keep").
-use minpsid_interp::{
-    opprof, ExecConfig, ExecScratch, FaultSpec, FaultTarget, Interp, ProgInput, Run,
-};
+//! over the suite, its share of the suite's steps and the kernel where
+//! that share peaks — the sizing column of a superinstruction's price
+//! (EXPERIMENTS.md "The fusion table earns its keep"). The steps are
+//! exact, read off the profiled run: walking each function's slots window
+//! by window, a window's carrier executes as often as its first
+//! instruction and carries its width in steps (`tests/engine_equivalence.rs`
+//! holds the sum to the run's steps on every kernel).
+use minpsid_interp::{ExecConfig, ExecScratch, FaultSpec, FaultTarget, Interp, ProgInput, Run};
 use minpsid_ir::InstKind;
 use std::collections::BTreeMap;
 use std::hint::black_box;
@@ -56,7 +56,7 @@ fn main() {
     };
     let (mut steps_all, mut mem_all, mut slot_all) = (0u64, 0u64, 0u64);
     let mut secs_all = [0f64; 5];
-    let mut ops: BTreeMap<String, OpShare> = BTreeMap::new();
+    let mut ops: BTreeMap<&str, OpShare> = BTreeMap::new();
     for b in minpsid_workloads::suite() {
         let module = b.compile();
         let input = b.model.materialize(&b.model.reference());
@@ -130,21 +130,25 @@ fn main() {
         mem_all += mem;
         slot_all += slot;
 
-        // an interval of 1 samples every step: exact, and off the clock
-        opprof::reset();
-        opprof::enable(1);
-        clean.run(&input);
-        opprof::disable();
-        for (name, n) in opprof::snapshot().samples {
+        let mut carried: BTreeMap<&str, u64> = BTreeMap::new();
+        for slots in clean.op_names() {
+            let mut pc = 0;
+            while pc < slots.len() {
+                let (name, width, dense) = slots[pc];
+                *carried.entry(name).or_default() += width as u64 * p.inst_counts[dense];
+                pc += width;
+            }
+            for (name, ..) in slots {
+                ops.entry(name).or_default().slots += 1;
+            }
+        }
+        for (name, n) in carried.into_iter().filter(|&(_, n)| n > 0) {
             let op = ops.entry(name).or_default();
             op.steps += n;
             let share = n as f64 / p.total_insts as f64;
             if share > op.peak.0 {
                 op.peak = (share, b.name);
             }
-        }
-        for name in clean.op_names().iter().flatten() {
-            ops.entry(name.to_string()).or_default().slots += 1;
         }
     }
     let [clean, armed, obs, armed_obs, prove] = secs_all.map(|s| steps_all as f64 / s / 1e6);

@@ -81,14 +81,6 @@ fn main() -> ExitCode {
     if rest.iter().any(|a| a == "--progress") && !quiet() {
         install_progress_meter();
     }
-    match parse_profile_flags(rest) {
-        Ok(Some(every)) => minpsid_interp::opprof::enable(every),
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
     let result = match cmd.as_str() {
         "list" => cmd_list(),
         "compile" => cmd_compile(rest),
@@ -108,9 +100,8 @@ fn main() -> ExitCode {
         }
         other => Err(format!("unknown command `{other}`")),
     };
-    let result = result
-        .and_then(|()| finish_interp_profile(rest))
-        .and_then(|()| trace::shutdown().map_err(|e| format!("writing trace log: {e}")));
+    let result =
+        result.and_then(|()| trace::shutdown().map_err(|e| format!("writing trace log: {e}")));
     match result {
         Ok(()) => match EXIT_OVERRIDE.load(Ordering::Relaxed) {
             0 => ExitCode::SUCCESS,
@@ -197,70 +188,10 @@ fn install_progress_meter() {
     });
 }
 
-/// `--profile-interp` / `--profile-sample-every N`: returns
-/// `Some(sample_every)` when the interpreter sampling profiler should be
-/// enabled (0 = the profiler's default interval).
-fn parse_profile_flags(rest: &[String]) -> Result<Option<u64>, String> {
-    let every = match flag_value(rest, "--profile-sample-every")? {
-        None => None,
-        Some(v) => Some(v.parse::<u64>().ok().filter(|&n| n > 0).ok_or_else(|| {
-            format!("bad --profile-sample-every `{v}` (want a positive step count)")
-        })?),
-    };
-    let folded = flag_value(rest, "--profile-folded")?.is_some();
-    if rest.iter().any(|a| a == "--profile-interp") || every.is_some() || folded {
-        Ok(Some(every.unwrap_or(0)))
-    } else {
-        Ok(None)
-    }
-}
-
 /// `--trace-out PATH`: open the trace sink before any command runs.
 fn init_trace_sink(rest: &[String]) -> Result<(), String> {
     if let Some(path) = flag_value(rest, "--trace-out")? {
         trace::init_file(&path).map_err(|e| format!("cannot open trace file `{path}`: {e}"))?;
-    }
-    Ok(())
-}
-
-/// When the interpreter profiler ran, surface its findings: emit the
-/// `interp_profile` trace event (lands in `--trace-out` logs for
-/// `minpsid trace report`), write the flamegraph-compatible folded-stacks
-/// file (`--profile-folded PATH`), and print a short stderr summary.
-/// Stdout is untouched — reports stay byte-identical with profiling on.
-fn finish_interp_profile(rest: &[String]) -> Result<(), String> {
-    if !minpsid_interp::opprof::enabled() {
-        return Ok(());
-    }
-    let rep = minpsid_interp::opprof::snapshot();
-    trace::emit(trace::Event::InterpProfile {
-        sample_every: rep.sample_every,
-        total_samples: rep.total_samples,
-        fused_samples: rep.fused_samples,
-        fused_sites: rep.fused_sites,
-        total_sites: rep.total_sites,
-        encode_ns: rep.encode_ns,
-        encode_ops: rep.encode_ops,
-        restore_ns: rep.restore_ns,
-        restore_ops: rep.restore_ops,
-        samples: rep.samples.clone(),
-    });
-    if let Some(path) = flag_value(rest, "--profile-folded")? {
-        std::fs::write(&path, rep.folded())
-            .map_err(|e| format!("writing folded stacks to {path}: {e}"))?;
-        diag!("wrote folded stacks to {path}");
-    }
-    diag!(
-        "interp profile: {} samples (1 per {} steps), {:.1}% on fused superinstructions, \
-         {} of {} load/store halves slot-addressed",
-        rep.total_samples,
-        rep.sample_every,
-        rep.fused_sample_rate() * 100.0,
-        rep.slot_halves,
-        rep.mem_halves
-    );
-    for (op, n) in rep.samples.iter().take(5) {
-        diag!("  {op:<22} {n}");
     }
     Ok(())
 }
@@ -331,9 +262,6 @@ const FLAGS: &[(&str, bool, &[&str])] = &[
     ("--store", true, &["fi", "minpsid", "store"]),
     ("--no-incremental", false, JOURNALED),
     // observability, read by `main` before any subcommand runs
-    ("--profile-interp", false, COMMANDS),
-    ("--profile-sample-every", true, COMMANDS),
-    ("--profile-folded", true, COMMANDS),
     ("--trace-out", true, COMMANDS),
     ("--progress", false, COMMANDS),
     ("--quiet", false, COMMANDS),
@@ -427,16 +355,6 @@ runs, so a re-campaign after an edit re-executes only the touched
 functions. They are the only reuse across an edit: a journal of the
 unedited program is superseded, not resumed.
   --no-incremental          always re-execute every injection
-
-profiling (any subcommand):
-  --profile-interp          interpreter sampling profiler: per-opcode
-                            cycle attribution, fusion hit rates, and
-                            snapshot encode/restore costs (reported via
-                            stderr, the trace log, and trace report)
-  --profile-sample-every N  profiler sample interval in dynamic steps
-                            (default 8192; implies --profile-interp)
-  --profile-folded PATH     write flamegraph-compatible folded stacks
-                            (implies --profile-interp)
 
 global options (any subcommand):
   --trace-out PATH          write a structured JSONL trace of the run
@@ -1043,7 +961,6 @@ fn cmd_sid(rest: &[String]) -> Result<(), String> {
     let cfg = SidConfig {
         protection_level: parse_level(rest)?,
         campaign: parse_campaign(rest)?,
-        use_dp: false,
     };
     let r = run_sid(&module, &ref_input, &cfg).map_err(|t| format!("SID failed: {t:?}"))?;
     let selected = r.selection.iter().filter(|&&s| s).count();
@@ -1359,14 +1276,14 @@ mod tests {
             assert_eq!(value, Some(placeholder), "{line}");
             option_lines += 1;
         }
-        assert_eq!(FLAGS.len(), 30);
+        assert_eq!(FLAGS.len(), 27);
         // every reader is a subcommand `main` dispatches
         for &(flag, _, readers) in FLAGS {
             for r in readers {
                 assert!(COMMANDS.contains(r), "{flag} read by unknown `{r}`");
             }
         }
-        assert!(option_lines >= 17, "{option_lines} option lines");
+        assert!(option_lines >= 14, "{option_lines} option lines");
     }
 
     #[test]
@@ -1511,7 +1428,6 @@ mod tests {
         assert_eq!(flag_value(&rest, "--seed").unwrap().as_deref(), Some("9"));
         // every route to a value goes through the same check
         assert!(parse_positive(&args(&["--max-inputs"]), "--max-inputs", "x").is_err());
-        assert!(parse_profile_flags(&args(&["--profile-sample-every", "--quiet"])).is_err());
         assert!(journal_dir_flag(&args(&["--journal", "--resume", "d"])).is_err());
         assert!(init_trace_sink(&args(&["--trace-out"])).is_err());
         // a single dash starts a value: a negative number is a (bad) value

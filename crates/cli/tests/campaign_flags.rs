@@ -1,7 +1,8 @@
 //! What the command line promises about a campaign's budget and about the
 //! flags it no longer has, on the real binary: `--deadline-secs` always
 //! ends in an honest report, and a flag an older binary accepted — or one
-//! the chosen subcommand does not read — is refused before anything runs.
+//! the chosen subcommand does not read — is refused before anything runs,
+//! while a trace log a retired flag wrote still reads.
 
 use std::process::{Command, Output};
 
@@ -74,6 +75,9 @@ fn retired_flags_are_unknown_flags() {
             "--incremental",
             "--checkpoint-interval",
             "--ci-half-width",
+            "--profile-interp",
+            "--profile-sample-every",
+            "--profile-folded",
         ] {
             let out = minpsid(&[cmd, "pathfinder", "--quick", flag, "3"]);
             assert_eq!(out.status.code(), Some(1), "{cmd} {flag}: {out:?}");
@@ -85,6 +89,33 @@ fn retired_flags_are_unknown_flags() {
             );
         }
     }
+}
+
+/// The interpreter sampling profiler is gone, but a log it wrote still
+/// reads: the wire fixture's `interp_profile` line passes `trace check`,
+/// and `trace report` renders the rest of the log without a profile
+/// section.
+#[test]
+fn a_log_holding_a_retired_interp_profile_still_reads() {
+    let fixture = include_str!("../../trace/tests/fixtures/v12.jsonl");
+    assert!(fixture.contains("\"kind\":\"interp_profile\""));
+    let log = std::env::temp_dir().join(format!("minpsid-old-log-{}.jsonl", std::process::id()));
+    std::fs::write(&log, fixture).expect("write the log");
+    let log_arg = log.to_str().expect("utf-8 path");
+
+    let check = stdout_of(&["trace", "check", log_arg]);
+    let lines = fixture.lines().count();
+    assert!(
+        check.ends_with(&format!("{lines} events, schema ok\n")),
+        "{check}"
+    );
+
+    let report = stdout_of(&["trace", "report", log_arg]);
+    assert!(report.starts_with("# "), "{report}");
+    for gone in ["Interpreter profile", "LoadBinStoreBr", "superinstructions"] {
+        assert!(!report.contains(gone), "{gone:?} in:\n{report}");
+    }
+    let _ = std::fs::remove_file(&log);
 }
 
 /// `analyze` keeps no store: `--store S` used to exit 0, create nothing

@@ -46,13 +46,15 @@ pub enum FitnessKind {
     NormalizedEuclidean,
 }
 
-/// GA hyper-parameters. Mutation 0.4 / crossover 0.05 follow the paper's
-/// §V-B1 choice of "common heuristics used in GA".
+/// Per-survivor mutation and per-generation crossover chances: the
+/// paper's §V-B1 choice of "common heuristics used in GA".
+const MUTATION_RATE: f64 = 0.4;
+const CROSSOVER_RATE: f64 = 0.05;
+
+/// GA hyper-parameters.
 #[derive(Debug, Clone)]
 pub struct GaConfig {
     pub population: usize,
-    pub mutation_rate: f64,
-    pub crossover_rate: f64,
     /// Fitness function (Eq. 3 by default).
     pub fitness: FitnessKind,
     /// Stop an inner GA search when the best fitness has not improved for
@@ -68,8 +70,6 @@ impl Default for GaConfig {
     fn default() -> Self {
         GaConfig {
             population: 10,
-            mutation_rate: 0.4,
-            crossover_rate: 0.05,
             fitness: FitnessKind::Euclidean,
             patience: 2,
             max_generations: 8,
@@ -79,13 +79,11 @@ impl Default for GaConfig {
 }
 
 impl GaConfig {
-    /// Feed this config to the MINPSID journal header's key. Every field
-    /// enters: each changes which inputs the search proposes.
+    /// Feed this config to the MINPSID journal header's key. Every field,
+    /// and the two rates as text, enters: each changes what the search proposes.
     pub fn key(&self, h: &mut Fnv) {
         let GaConfig {
             population,
-            mutation_rate,
-            crossover_rate,
             fitness,
             patience,
             max_generations,
@@ -96,8 +94,8 @@ impl GaConfig {
             FitnessKind::NormalizedEuclidean => "NormalizedEuclidean",
         };
         h.text(format_args!(
-            "GaConfig {{ population: {population:?}, mutation_rate: {mutation_rate:?}, \
-             crossover_rate: {crossover_rate:?}, fitness: {fitness}, patience: {patience:?}, \
+            "GaConfig {{ population: {population:?}, mutation_rate: {MUTATION_RATE:?}, \
+             crossover_rate: {CROSSOVER_RATE:?}, fitness: {fitness}, patience: {patience:?}, \
              max_generations: {max_generations:?}, seed: {seed:?} }}"
         ));
     }
@@ -298,12 +296,12 @@ impl<'a> SearchEngine<'a> {
             // offspring via mutation
             let mut offspring: Vec<Vec<ParamValue>> = Vec::new();
             for c in &pop {
-                if self.rng.random_range(0.0..1.0) < self.ga.mutation_rate {
+                if self.rng.random_range(0.0..1.0) < MUTATION_RATE {
                     offspring.push(mutate(self.model.spec(), &c.params, &mut self.rng));
                 }
             }
             // offspring via crossover of two random parents
-            if pop.len() >= 2 && self.rng.random_range(0.0..1.0) < self.ga.crossover_rate {
+            if pop.len() >= 2 && self.rng.random_range(0.0..1.0) < CROSSOVER_RATE {
                 let a = self.rng.random_range(0..pop.len());
                 let mut b = self.rng.random_range(0..pop.len());
                 if a == b {

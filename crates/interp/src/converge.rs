@@ -425,6 +425,9 @@ impl<'a> Converge<'a> {
         let (store, _) = self.golden.expect("a pause was announced");
         let k = self.first + self.ord - 1;
         let Some(entry) = store.entries.get(k) else {
+            // the golden run's length: the run goes on proving, with
+            // nothing left to visit
+            self.golden = None;
             return true;
         };
         #[cfg(test)]

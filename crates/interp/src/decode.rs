@@ -369,10 +369,9 @@ pub(crate) enum DOp {
 }
 
 /// Display names for every [`DOp`] kind, indexed by [`DOp::index`].
-/// Declaration order of the enum; fused superinstructions start at
-/// [`opprof::FIRST_FUSED`](crate::opprof::FIRST_FUSED). The enum, this
-/// table, [`DOp::index`] and [`DOp::width`] are kept equal by the unit
-/// test `every_op_kind_is_declared_once`.
+/// Declaration order of the enum, fused superinstructions last. The enum,
+/// this table, [`DOp::index`] and [`DOp::width`] are kept equal by the
+/// unit test `every_op_kind_is_declared_once`.
 pub(crate) const OP_NAMES: [&str; 36] = [
     "Param",
     "BinII",
@@ -461,7 +460,7 @@ impl DOp {
     /// superinstruction carries; 1 for a plain op. [`decode_func`] lays
     /// the window out from it and the op's arm advances the pc by it
     /// (or branches).
-    fn width(&self) -> usize {
+    pub(crate) fn width(&self) -> usize {
         match self {
             DOp::Load4 { .. } | DOp::LoadBinStoreBr { .. } => 4,
             DOp::LoadCmpBr { .. } | DOp::LoadLoadBin { .. } | DOp::LoadBinBin { .. } => 3,
@@ -854,20 +853,6 @@ pub(crate) fn decode_module(m: &Module) -> Lowered {
         generic.push(df);
         slotted.push(sf);
     }
-    // static coverage for the sampling profiler: carrying
-    // superinstruction slots vs all decoded slots, and slot-addressed
-    // loads/stores vs all of them
-    let (mut fused, mut total) = (0u64, 0u64);
-    for f in &generic {
-        total += f.code.len() as u64;
-        fused += f
-            .code
-            .iter()
-            .filter(|di| di.op.index() >= crate::opprof::FIRST_FUSED)
-            .count() as u64;
-    }
-    let slot_halves = slot_addressed.iter().filter(|&&s| s).count();
-    crate::opprof::record_decode_stats(fused, total, slot_halves as u64, mem_halves as u64);
     let lowering = |funcs| DecodedModule {
         funcs,
         entry: m.entry.0,
@@ -1627,8 +1612,6 @@ fn exec_loop<const ARMED: bool, const OBS: bool, const PROVE: bool>(
         };
     }
     let mut frame = frame_at!(top.reg_base);
-    let mut arg_base = top.arg_base;
-    let mut arg_len = top.arg_len;
     // where the running frame's slots start: a slot-addressed half is
     // `stack_mem[sp_base + offset]`
     let mut sp_base = top.sp_base;
@@ -1656,39 +1639,38 @@ fn exec_loop<const ARMED: bool, const OBS: bool, const PROVE: bool>(
     // step_limit + 1, as the oracle (recomputed at each pause: held in a
     // local it is one more value live across the loop, and LLVM then
     // keeps `pc` on the stack); the other terms follow.
-    // sampling profiler boundary, folded into the same compare: with the
-    // profiler off (every campaign run unless `--profile-interp`),
-    // `next_sample` is u64::MAX and the hot path is untouched. Sampling
-    // on global step phase (next multiple of the interval) keeps short
-    // replayed suffixes sampled at the same rate as long runs.
-    let sample_every = crate::opprof::sample_every();
-    let mut next_sample = match steps_l.checked_div(sample_every) {
-        None => u64::MAX,
-        Some(intervals) => (intervals + 1) * sample_every,
-    };
     // golden-convergence boundary, folded into the same compare: the next
     // checkpoint at which the (clean-phase) state is compared with the
     // golden run's, or the golden run's length; u64::MAX when early exit
-    // is off for this run
-    let mut conv_at = if ARMED || OBS || PROVE {
-        u64::MAX
-    } else {
-        conv.next_at()
-    };
+    // is off for this run, and in a proving run, where `conv` has nothing
+    // left to visit. Asked of `conv` at each pause, and the capture
+    // boundary below of the observers, rather than held in locals: with
+    // either one live across the loop, LLVM keeps `pc` on the stack, and
+    // with the proving loop's boundary a constant it does so there
+    macro_rules! conv_at {
+        () => {
+            if ARMED || OBS {
+                u64::MAX
+            } else {
+                conv.next_at()
+            }
+        };
+    }
     // checkpoint-capture boundary, folded into the same compare: one past
     // the completed-step count at which the next capture is due (the
     // pause sits in the tick of the instruction that follows the
-    // boundary); u64::MAX when nothing is captured
-    let mut cap_at = if OBS && !ARMED {
-        obs.capture_at(steps_l)
-    } else {
-        u64::MAX
-    };
-    let mut next_pause = step_limit
-        .saturating_add(1)
-        .min(next_sample)
-        .min(conv_at)
-        .min(cap_at);
+    // boundary, so a capture already due pauses at the next tick);
+    // u64::MAX when nothing is captured
+    macro_rules! cap_at {
+        () => {
+            if OBS && !ARMED {
+                obs.capture_at()
+            } else {
+                u64::MAX
+            }
+        };
+    }
+    let mut next_pause = step_limit.saturating_add(1).min(conv_at!()).min(cap_at!());
     // The capture is reached through a pointer, not by name: what the
     // observers call must not change how the loops compile. rustc's MIR
     // inliner inlines this crate's getters (`Interp::config`,
@@ -1733,23 +1715,20 @@ fn exec_loop<const ARMED: bool, const OBS: bool, const PROVE: bool>(
         };
     }
     // per-step prologue: increment, checkpoint capture, limit check,
-    // profiler sample, convergence boundary — all behind the one folded
-    // compare. `$di` is the carrying instruction, so fused halves
-    // attribute their sample to the superinstruction; `$half` is the
-    // instruction's offset from the carrying slot (0 at the loop top), so
-    // `pc + $half` is the standalone slot of the instruction about to
-    // run — the logical pc a snapshot taken here would record.
+    // convergence boundary — all behind the one folded compare. `$half`
+    // is the instruction's offset from the carrying slot (0 at the loop
+    // top), so `pc + $half` is the standalone slot of the instruction
+    // about to run — the logical pc a snapshot taken here would record.
     macro_rules! tick {
-        ($di:expr, $half:expr) => {
+        ($half:expr) => {
             steps_l += 1;
             if OBS {
                 obs.half = $half;
             }
             if unlikely(steps_l >= next_pause) {
-                // cold: a capture is due, the limit expired, a profiler
-                // sample is due, or a golden checkpoint boundary was
-                // reached
-                if OBS && !ARMED && steps_l >= cap_at {
+                // cold: a capture is due, the limit expired, or a golden
+                // checkpoint boundary was reached
+                if OBS && !ARMED && steps_l >= cap_at!() {
                     // due before this instruction, on completed steps:
                     // the state is the one after `steps_l - 1` steps
                     capture(
@@ -1762,19 +1741,14 @@ fn exec_loop<const ARMED: bool, const OBS: bool, const PROVE: bool>(
                         (&mut *mem, &mut *stack_mem, &mut *output),
                         steps_l - 1,
                     );
-                    cap_at = obs.capture_at(steps_l);
                 }
                 if steps_l > step_limit {
                     finish!(Termination::StepLimit, None, false);
                 }
-                if steps_l >= next_sample {
-                    crate::opprof::record($di.op.index());
-                    next_sample = ((steps_l / sample_every) + 1) * sample_every;
-                }
-                // clean only in effect: the proving loop's `conv_at` is
+                // clean only in effect: the proving loop's `conv_at!` is
                 // u64::MAX, but compiling the arm out of it changes how
                 // LLVM allocates the loop and puts `pc` on the stack
-                if !ARMED && !OBS && steps_l == conv_at {
+                if !ARMED && !OBS && steps_l == conv_at!() {
                     // the state is the one after `steps_l - 1` steps
                     let view = DecodedView {
                         dm,
@@ -1794,13 +1768,8 @@ fn exec_loop<const ARMED: bool, const OBS: bool, const PROVE: bool>(
                         *steps = steps_l - 1;
                         return Stop::Paused;
                     }
-                    conv_at = conv.next_at();
                 }
-                next_pause = step_limit
-                    .saturating_add(1)
-                    .min(next_sample)
-                    .min(conv_at)
-                    .min(cap_at);
+                next_pause = step_limit.saturating_add(1).min(conv_at!()).min(cap_at!());
             }
         };
     }
@@ -2095,11 +2064,15 @@ fn exec_loop<const ARMED: bool, const OBS: bool, const PROVE: bool>(
         // of a non-terminator; verified IR ends every (non-empty) block
         // with a terminator, so both stay inside `code`.
         let di = unsafe { cur_code.get_unchecked(pc) };
-        tick!(di, 0);
+        tick!(0);
         match &di.op {
             DOp::Param { n } => {
-                let v = if (*n as usize) < arg_len {
-                    args[arg_base + *n as usize]
+                // the frame's argument window is read here, not held in
+                // locals: one more value live across the loop, and LLVM
+                // keeps `pc` on the stack
+                let top = dframes.last().expect("frame stack is non-empty");
+                let v = if (*n as usize) < top.arg_len {
+                    args[top.arg_base + *n as usize]
                 } else {
                     Value::Undef
                 };
@@ -2266,8 +2239,6 @@ fn exec_loop<const ARMED: bool, const OBS: bool, const PROVE: bool>(
                 }
                 code = &dm.funcs[callee].code;
                 pc = cf.block_entry[0] as usize;
-                arg_base = new_arg_base;
-                arg_len = cargs.len();
                 sp_base = stack_mem.len();
             }
             DOp::NArgs => {
@@ -2389,8 +2360,6 @@ fn exec_loop<const ARMED: bool, const OBS: bool, const PROVE: bool>(
                         code = &dm.funcs[caller.func as usize].code;
                         pc = caller.pc as usize;
                         frame = frame_at!(caller.reg_base);
-                        arg_base = caller.arg_base;
-                        arg_len = caller.arg_len;
                         sp_base = caller.sp_base;
                         // the caller's pc still points at the call (calls
                         // are never fused): its return value materializes
@@ -2435,7 +2404,7 @@ fn exec_loop<const ARMED: bool, const OBS: bool, const PROVE: bool>(
                     Value::B(c) => c,
                     _ => unreachable!("bit flip preserves the Bool variant"),
                 };
-                tick!(di, 1);
+                tick!(1);
                 edge!(1, !cv);
                 pc = if cv { *t } else { *e } as usize;
             }
@@ -2452,7 +2421,7 @@ fn exec_loop<const ARMED: bool, const OBS: bool, const PROVE: bool>(
                 // variant check, not a dispatch round each; every half
                 // fetches its address after the earlier halves' writes
                 for h in 1..4 {
-                    tick!(di, h);
+                    tick!(h);
                     // SAFETY: decode fused a 4-window of one block, so
                     // the standalone load copies sit in the three slots
                     // after the carrier
@@ -2495,7 +2464,7 @@ fn exec_loop<const ARMED: bool, const OBS: bool, const PROVE: bool>(
                 // compare half: operands fetched after the load write,
                 // so a compare of the loaded slot reads the post-fault
                 // value exactly as the oracle does
-                tick!(di, 1);
+                tick!(1);
                 let r = match kind {
                     CmpKind::II => {
                         let (x, y) = (int!(a), int!(b));
@@ -2518,7 +2487,7 @@ fn exec_loop<const ARMED: bool, const OBS: bool, const PROVE: bool>(
                     Value::B(c) => c,
                     _ => unreachable!("bit flip preserves the Bool variant"),
                 };
-                tick!(di, 2);
+                tick!(2);
                 edge!(2, !cv);
                 pc = if cv { *t } else { *e } as usize;
             }
@@ -2531,7 +2500,7 @@ fn exec_loop<const ARMED: bool, const OBS: bool, const PROVE: bool>(
                 // store half (carrying DInst; produces nothing)
                 store_word!(ptr, idx, v);
                 // branch half: control-only
-                tick!(di, 1);
+                tick!(1);
                 edge!(1, false);
                 pc = *target as usize;
             }
@@ -2556,7 +2525,7 @@ fn exec_loop<const ARMED: bool, const OBS: bool, const PROVE: bool>(
                 let lv = produce!(di.dense, di.inj, di.dst, lv);
                 // bin half: reads the post-fault load value; operand fetch
                 // order (lhs before rhs) matches the oracle
-                tick!(di, 1);
+                tick!(1);
                 let (x, y) = if *load_lhs {
                     (lv, raw!(other))
                 } else {
@@ -2587,7 +2556,7 @@ fn exec_loop<const ARMED: bool, const OBS: bool, const PROVE: bool>(
                 produce!(di.dense, di.inj, di.dst, r);
                 // second load: address operands fetched after the first
                 // write, so indirect chains read the post-fault value
-                tick!(di, 1);
+                tick!(1);
                 let bits = load_word!(ptr2, idx2);
                 let r = match ty2 {
                     Ty::I64 => Value::I(bits as i64),
@@ -2598,7 +2567,7 @@ fn exec_loop<const ARMED: bool, const OBS: bool, const PROVE: bool>(
                 // bin third: executes from its standalone slot — a
                 // bounded tag check, not a full dispatch round; operand
                 // fetch happens after both load writes
-                tick!(di, 2);
+                tick!(2);
                 // SAFETY: decode fused a 3-window of one block, so the
                 // standalone bin copy sits two slots after the carrier
                 let d3 = unsafe { cur_code.get_unchecked(pc + 2) };
@@ -2648,7 +2617,7 @@ fn exec_loop<const ARMED: bool, const OBS: bool, const PROVE: bool>(
                 let lv = produce!(di.dense, di.inj, di.dst, lv);
                 // first bin: reads the post-fault load value; operand
                 // fetch order (lhs before rhs) matches the oracle
-                tick!(di, 1);
+                tick!(1);
                 let (x, y) = if *load_lhs {
                     (lv, raw!(other))
                 } else {
@@ -2657,7 +2626,7 @@ fn exec_loop<const ARMED: bool, const OBS: bool, const PROVE: bool>(
                 let r = bin_any!(op, x, y);
                 produce!(*bin_dense, *bin_inj, *bin_dst, r);
                 // second bin: operands fetched after the first's write
-                tick!(di, 2);
+                tick!(2);
                 let x = raw!(a2);
                 let y = raw!(b2);
                 let r = bin_any!(op2, x, y);
@@ -2688,13 +2657,13 @@ fn exec_loop<const ARMED: bool, const OBS: bool, const PROVE: bool>(
                 };
                 produce!(di.dense, di.inj, di.dst, r);
                 // bin half: operands fetched after the load's write
-                tick!(di, 1);
+                tick!(1);
                 let x = raw!(a);
                 let y = raw!(b);
                 let r = bin_any!(op, x, y);
                 produce!(*bin_dense, *bin_inj, *bin_dst, r);
                 // store half: value fetched after the bin's write
-                tick!(di, 2);
+                tick!(2);
                 store_word!(st_ptr, st_idx, st_v);
                 if PROVE {
                     // a counted loop's latch: the counter is stored, the
@@ -2720,7 +2689,7 @@ fn exec_loop<const ARMED: bool, const OBS: bool, const PROVE: bool>(
                     }
                 }
                 // branch half: control-only
-                tick!(di, 3);
+                tick!(3);
                 edge!(3, false);
                 pc = *target as usize;
             }
@@ -2734,6 +2703,10 @@ mod tests {
     use crate::snapshot::{CheckpointConfig, SnapshotMode};
     use crate::value::{ProgInput, Scalar};
     use crate::ExecConfig;
+
+    /// Index of the first fused superinstruction in [`OP_NAMES`] order;
+    /// indices below it are straight-line single ops.
+    const FIRST_FUSED: usize = 28;
 
     /// Every register operand and inline destination `op` carries, as
     /// decoded; a slot-addressed half's `(SLOT, word offset)` is none.
@@ -2933,7 +2906,7 @@ fn main() {
         // plain loads and stores, and every superinstruction but the one
         // that touches no memory
         let unslotted: Vec<_> = (0..OP_NAMES.len())
-            .filter(|&k| k >= crate::opprof::FIRST_FUSED || matches!(OP_NAMES[k], "Load" | "Store"))
+            .filter(|&k| k >= FIRST_FUSED || matches!(OP_NAMES[k], "Load" | "Store"))
             .filter(|k| !slotted_kinds.contains(k))
             .map(|k| OP_NAMES[k])
             .collect();
@@ -2941,8 +2914,8 @@ fn main() {
     }
 
     /// The enum, [`OP_NAMES`], [`DOp::index`], [`DOp::width`] and
-    /// [`FIRST_FUSED`](crate::opprof::FIRST_FUSED) are four hand-kept
-    /// lists; a profile is attributed through them. Decode one function
+    /// [`FIRST_FUSED`] are four hand-kept
+    /// lists; `step_rate`'s per-op table is attributed through them. Decode one function
     /// holding every instruction kind at every operand typing and every
     /// window that fuses, and hold each emitted op to all four: its name
     /// is its variant's, and it sits at or past `FIRST_FUSED` exactly when
@@ -3036,11 +3009,7 @@ fn main() {
             let debug = format!("{:?}", di.op);
             let variant = debug.split([' ', '{']).next().unwrap();
             assert_eq!(OP_NAMES[di.op.index()], variant);
-            assert_eq!(
-                di.op.index() >= crate::opprof::FIRST_FUSED,
-                di.op.width() > 1,
-                "{variant}"
-            );
+            assert_eq!(di.op.index() >= FIRST_FUSED, di.op.width() > 1, "{variant}");
             seen.insert(di.op.index());
         }
         let missing: Vec<_> = (0..OP_NAMES.len())

@@ -21,7 +21,7 @@ use crate::observe::BlockTable;
 use crate::profile::Profile;
 use crate::snapshot::{CheckpointConfig, CheckpointStore};
 use crate::value::{Output, ProgInput, Value};
-use minpsid_ir::{BlockId, CmpOp, CostModel, FuncId, InstKind, Module};
+use minpsid_ir::{BlockId, CmpOp, FuncId, InstKind, Module};
 
 /// Limits and switches for one execution.
 #[derive(Debug, Clone)]
@@ -42,7 +42,6 @@ pub struct ExecConfig {
     /// Record every register write as a [`TraceEvent`] (used by the
     /// error-propagation analysis; costs memory proportional to steps).
     pub trace: bool,
-    pub cost_model: CostModel,
 }
 
 impl ExecConfig {
@@ -58,7 +57,6 @@ impl ExecConfig {
             output_limit,
             profile,
             trace,
-            cost_model,
         } = self;
         // `wall_clock_ms: 0` is the retired per-run clock budget, at the one
         // value a journal or store written before its removal could hold
@@ -67,7 +65,7 @@ impl ExecConfig {
              call_depth_limit: {call_depth_limit:?}, output_limit: {output_limit:?}, \
              profile: {profile:?}, trace: {trace:?}, wall_clock_ms: 0, cost_model: "
         ));
-        cost_model.key(h);
+        minpsid_ir::cost::key(h);
         h.bytes(b" }");
     }
 }
@@ -81,7 +79,6 @@ impl Default for ExecConfig {
             output_limit: 1 << 20,
             profile: false,
             trace: false,
-            cost_model: CostModel::default(),
         }
     }
 }
@@ -397,7 +394,7 @@ impl<'m> Interp<'m> {
             base.push(acc);
             acc += f.insts.len();
             for inst in &f.insts {
-                cost.push(config.cost_model.cycles(&inst.kind, inst.ty));
+                cost.push(minpsid_ir::cycles(&inst.kind, inst.ty));
             }
         }
         let lowered = decode::decode_module(module);
@@ -449,15 +446,20 @@ impl<'m> Interp<'m> {
         self.lowered.slot_addressed[dense]
     }
 
-    /// The display name of the op in every code slot, function by
-    /// function: a superinstruction's name sits in the first slot of the
-    /// window it carries. Tests pin which windows fuse; `step_rate` counts
-    /// the static sites of each kind.
+    /// The op in every code slot, function by function, as `(display
+    /// name, width, dense index)`: a superinstruction's name sits in the
+    /// first slot of the window it carries, `width` slots long, and the
+    /// dense index is the instruction the slot stands for. Tests pin which
+    /// windows fuse; `step_rate` counts the static sites of each kind and,
+    /// window by window, the steps each carries.
     #[doc(hidden)]
-    pub fn op_names(&self) -> Vec<Vec<&'static str>> {
-        let name = |di: &decode::DInst| decode::OP_NAMES[di.op.index()];
+    pub fn op_names(&self) -> Vec<Vec<(&'static str, usize, usize)>> {
+        let op = |di: &decode::DInst| {
+            let name = decode::OP_NAMES[di.op.index()];
+            (name, di.op.width(), di.dense as usize)
+        };
         let funcs = self.lowered.slotted.funcs.iter();
-        funcs.map(|f| f.code.iter().map(name).collect()).collect()
+        funcs.map(|f| f.code.iter().map(op).collect()).collect()
     }
 
     /// Bytes per code slot of the decoded loop: the stride of its

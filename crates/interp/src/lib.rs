@@ -30,7 +30,6 @@ pub mod exec;
 pub mod fault;
 mod hang;
 mod observe;
-pub mod opprof;
 #[doc(hidden)]
 pub mod oracle;
 pub mod profile;
@@ -44,7 +43,6 @@ pub use exec::{
     ExecConfig, ExecResult, Interp, MachineState, Run, Start, Termination, TraceEvent, TrapKind,
 };
 pub use fault::{flip_bit, FaultSpec, FaultTarget};
-pub use opprof::InterpProfileReport;
 pub use profile::Profile;
 pub use snapshot::{auto_interval, CheckpointConfig, CheckpointStore, Snapshot, SnapshotMode};
 pub use value::{Output, OutputItem, ProgInput, Scalar, Stream, Value};

@@ -324,14 +324,14 @@ impl Observers {
         counts
     }
 
-    /// Step count at which the loop must pause for the next capture,
-    /// given `steps` completed ones: one past the boundary, because the
-    /// pause sits in the tick of the instruction that follows it.
-    /// `u64::MAX` when nothing is captured.
-    pub(crate) fn capture_at(&self, steps: u64) -> u64 {
+    /// Step count from which the loop must pause for the next capture:
+    /// one past the boundary, because the pause sits in the tick of the
+    /// instruction that follows it (a boundary already passed is due at
+    /// the next tick). `u64::MAX` when nothing is captured.
+    pub(crate) fn capture_at(&self) -> u64 {
         self.ckpt
             .as_ref()
-            .map_or(u64::MAX, |c| c.next_at().max(steps).saturating_add(1))
+            .map_or(u64::MAX, |c| c.next_at().saturating_add(1))
     }
 
     /// Capture the state after `steps` completed steps: `dframes` with the

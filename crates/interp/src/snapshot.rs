@@ -508,17 +508,12 @@ impl CheckpointCollector {
     }
 
     pub(crate) fn capture(&mut self, st: &MachineState) {
-        // profiler-only clock reads: zero syscalls when disabled
-        let t0 = crate::opprof::enabled().then(std::time::Instant::now);
         let inj = std::mem::take(&mut self.inj_counts);
         self.push_entry(st, &inj, crate::converge::digest_of(st));
         self.inj_counts = inj;
         self.next_at = st.steps + self.interval;
         while self.bytes > self.mem_budget_bytes && self.entries.len() > 1 {
             self.thin();
-        }
-        if let Some(t0) = t0 {
-            crate::opprof::add_encode(t0.elapsed().as_nanos() as u64);
         }
     }
 
@@ -739,8 +734,6 @@ impl CheckpointStore {
     /// buffers: `clone_from` the governing keyframe, then apply the (at
     /// most `keyframe_every - 1`) deltas in place.
     pub fn restore_into(&self, idx: usize, st: &mut MachineState) {
-        // profiler-only clock reads: zero syscalls when disabled
-        let t0 = crate::opprof::enabled().then(std::time::Instant::now);
         let key = self.entries[idx].key as usize;
         for j in key..=idx {
             let e = &self.entries[j];
@@ -748,9 +741,6 @@ impl CheckpointStore {
                 SnapBody::Key(s) => st.clone_from(&s.state),
                 SnapBody::Delta(d) => apply_delta_state(st, d, e.steps, e.inj_ctr),
             }
-        }
-        if let Some(t0) = t0 {
-            crate::opprof::add_restore(t0.elapsed().as_nanos() as u64);
         }
     }
 

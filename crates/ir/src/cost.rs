@@ -5,135 +5,74 @@
 //! the authors' Xeon testbed, cycles come from a latency table patterned on
 //! published per-op latencies of a modern out-of-order x86 core. Absolute
 //! values only need to be *relatively* plausible — the knapsack normalizes
-//! by total cycles — so the table favours simplicity.
+//! by total cycles — so the table favours simplicity. It is a constant:
+//! nothing ever ran with other latencies.
 
 use crate::bytes::Fnv;
 use crate::inst::{BinOp, InstKind, UnOp};
 use crate::types::Ty;
 
-/// Configurable per-opcode cycle latencies.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CostModel {
-    pub int_alu: u64,
-    pub int_mul: u64,
-    pub int_div: u64,
-    pub fp_add: u64,
-    pub fp_mul: u64,
-    pub fp_div: u64,
-    pub fp_sqrt: u64,
-    pub fp_trans: u64,
-    pub mem: u64,
-    pub branch: u64,
-    pub call: u64,
-    pub io: u64,
-    pub check: u64,
-}
+const INT_ALU: u64 = 1;
+const INT_MUL: u64 = 3;
+const INT_DIV: u64 = 20;
+const FP_ADD: u64 = 3;
+const FP_MUL: u64 = 4;
+const FP_DIV: u64 = 14;
+const FP_SQRT: u64 = 15;
+const FP_TRANS: u64 = 25;
+const MEM: u64 = 4;
+const BRANCH: u64 = 1;
+const CALL: u64 = 4;
+const IO: u64 = 4;
+const CHECK: u64 = 1;
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            int_alu: 1,
-            int_mul: 3,
-            int_div: 20,
-            fp_add: 3,
-            fp_mul: 4,
-            fp_div: 14,
-            fp_sqrt: 15,
-            fp_trans: 25,
-            mem: 4,
-            branch: 1,
-            call: 4,
-            io: 4,
-            check: 1,
-        }
+/// Cycle cost of one dynamic execution of `kind` with result type `ty`.
+pub fn cycles(kind: &InstKind, ty: Option<Ty>) -> u64 {
+    let fp = ty == Some(Ty::F64);
+    match kind {
+        InstKind::Param { .. } => 0,
+        InstKind::Bin { op, .. } => match (op, fp) {
+            (BinOp::Mul, true) => FP_MUL,
+            (BinOp::Mul, false) => INT_MUL,
+            (BinOp::Div | BinOp::Rem, true) => FP_DIV,
+            (BinOp::Div | BinOp::Rem, false) => INT_DIV,
+            (_, true) => FP_ADD,
+            (_, false) => INT_ALU,
+        },
+        InstKind::Un { op, .. } => match op {
+            UnOp::Sqrt => FP_SQRT,
+            UnOp::Sin | UnOp::Cos | UnOp::Exp | UnOp::Log => FP_TRANS,
+            _ if fp => FP_ADD,
+            _ => INT_ALU,
+        },
+        InstKind::Cmp { .. } | InstKind::Select { .. } | InstKind::Cast { .. } => INT_ALU,
+        InstKind::Alloc { .. } => CALL,
+        InstKind::Salloc { .. } => INT_ALU,
+        InstKind::Load { .. } | InstKind::Store { .. } => MEM,
+        InstKind::Call { .. } => CALL,
+        InstKind::NArgs
+        | InstKind::ArgI { .. }
+        | InstKind::ArgF { .. }
+        | InstKind::DataLen { .. }
+        | InstKind::DataI { .. }
+        | InstKind::DataF { .. }
+        | InstKind::OutI { .. }
+        | InstKind::OutF { .. } => IO,
+        InstKind::Check { .. } => CHECK,
+        InstKind::Br { .. } | InstKind::CondBr { .. } | InstKind::Ret { .. } => BRANCH,
     }
 }
 
-impl CostModel {
-    /// Cycle cost of one dynamic execution of `kind` with result type `ty`.
-    pub fn cycles(&self, kind: &InstKind, ty: Option<Ty>) -> u64 {
-        match kind {
-            InstKind::Param { .. } => 0,
-            InstKind::Bin { op, .. } => {
-                let fp = ty == Some(Ty::F64);
-                match op {
-                    BinOp::Mul => {
-                        if fp {
-                            self.fp_mul
-                        } else {
-                            self.int_mul
-                        }
-                    }
-                    BinOp::Div | BinOp::Rem => {
-                        if fp {
-                            self.fp_div
-                        } else {
-                            self.int_div
-                        }
-                    }
-                    _ => {
-                        if fp {
-                            self.fp_add
-                        } else {
-                            self.int_alu
-                        }
-                    }
-                }
-            }
-            InstKind::Un { op, .. } => match op {
-                UnOp::Sqrt => self.fp_sqrt,
-                UnOp::Sin | UnOp::Cos | UnOp::Exp | UnOp::Log => self.fp_trans,
-                _ => {
-                    if ty == Some(Ty::F64) {
-                        self.fp_add
-                    } else {
-                        self.int_alu
-                    }
-                }
-            },
-            InstKind::Cmp { .. } | InstKind::Select { .. } | InstKind::Cast { .. } => self.int_alu,
-            InstKind::Alloc { .. } => self.call,
-            InstKind::Salloc { .. } => self.int_alu,
-            InstKind::Load { .. } | InstKind::Store { .. } => self.mem,
-            InstKind::Call { .. } => self.call,
-            InstKind::NArgs
-            | InstKind::ArgI { .. }
-            | InstKind::ArgF { .. }
-            | InstKind::DataLen { .. }
-            | InstKind::DataI { .. }
-            | InstKind::DataF { .. }
-            | InstKind::OutI { .. }
-            | InstKind::OutF { .. } => self.io,
-            InstKind::Check { .. } => self.check,
-            InstKind::Br { .. } | InstKind::CondBr { .. } | InstKind::Ret { .. } => self.branch,
-        }
-    }
-
-    /// Feed the latencies to a key, each as `{:?}` renders it: every one
-    /// sets cycle costs a profile reports, so every one enters.
-    pub fn key(&self, h: &mut Fnv) {
-        let CostModel {
-            int_alu,
-            int_mul,
-            int_div,
-            fp_add,
-            fp_mul,
-            fp_div,
-            fp_sqrt,
-            fp_trans,
-            mem,
-            branch,
-            call,
-            io,
-            check,
-        } = self;
-        h.text(format_args!(
-            "CostModel {{ int_alu: {int_alu:?}, int_mul: {int_mul:?}, int_div: {int_div:?}, \
-             fp_add: {fp_add:?}, fp_mul: {fp_mul:?}, fp_div: {fp_div:?}, fp_sqrt: {fp_sqrt:?}, \
-             fp_trans: {fp_trans:?}, mem: {mem:?}, branch: {branch:?}, call: {call:?}, \
-             io: {io:?}, check: {check:?} }}"
-        ));
-    }
+/// Feed the latencies to a key, as the text the settable `CostModel`
+/// they replaced rendered, so no key written before moved: every one sets
+/// cycle costs a profile reports, so every one enters.
+pub fn key(h: &mut Fnv) {
+    h.text(format_args!(
+        "CostModel {{ int_alu: {INT_ALU:?}, int_mul: {INT_MUL:?}, int_div: {INT_DIV:?}, \
+         fp_add: {FP_ADD:?}, fp_mul: {FP_MUL:?}, fp_div: {FP_DIV:?}, fp_sqrt: {FP_SQRT:?}, \
+         fp_trans: {FP_TRANS:?}, mem: {MEM:?}, branch: {BRANCH:?}, call: {CALL:?}, \
+         io: {IO:?}, check: {CHECK:?} }}"
+    ));
 }
 
 #[cfg(test)]
@@ -143,7 +82,6 @@ mod tests {
 
     #[test]
     fn fp_ops_cost_more_than_int() {
-        let cm = CostModel::default();
         let int_add = InstKind::Bin {
             op: BinOp::Add,
             lhs: Operand::ConstI(1),
@@ -154,12 +92,11 @@ mod tests {
             lhs: Operand::ConstF(1.0),
             rhs: Operand::ConstF(2.0),
         };
-        assert!(cm.cycles(&fp_add, Some(Ty::F64)) > cm.cycles(&int_add, Some(Ty::I64)));
+        assert!(cycles(&fp_add, Some(Ty::F64)) > cycles(&int_add, Some(Ty::I64)));
     }
 
     #[test]
     fn division_dominates_addition() {
-        let cm = CostModel::default();
         let div = InstKind::Bin {
             op: BinOp::Div,
             lhs: Operand::ConstI(1),
@@ -170,22 +107,20 @@ mod tests {
             lhs: Operand::ConstI(1),
             rhs: Operand::ConstI(2),
         };
-        assert!(cm.cycles(&div, Some(Ty::I64)) > 10 * cm.cycles(&add, Some(Ty::I64)));
+        assert!(cycles(&div, Some(Ty::I64)) > 10 * cycles(&add, Some(Ty::I64)));
     }
 
     #[test]
     fn params_are_free() {
-        let cm = CostModel::default();
-        assert_eq!(cm.cycles(&InstKind::Param { n: 0 }, Some(Ty::I64)), 0);
+        assert_eq!(cycles(&InstKind::Param { n: 0 }, Some(Ty::I64)), 0);
     }
 
     #[test]
     fn transcendentals_are_the_most_expensive_alu_ops() {
-        let cm = CostModel::default();
         let sin = InstKind::Un {
             op: UnOp::Sin,
             arg: Operand::ConstF(1.0),
         };
-        assert_eq!(cm.cycles(&sin, Some(Ty::F64)), cm.fp_trans);
+        assert_eq!(cycles(&sin, Some(Ty::F64)), FP_TRANS);
     }
 }

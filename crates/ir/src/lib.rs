@@ -40,7 +40,7 @@ pub mod verify;
 
 pub use builder::{FunctionBuilder, ModuleBuilder};
 pub use cfg::Cfg;
-pub use cost::CostModel;
+pub use cost::cycles;
 pub use dom::DomTree;
 pub use fingerprint::section_fingerprints;
 pub use inst::{BinOp, CmpOp, Inst, InstId, InstKind, Operand, UnOp};

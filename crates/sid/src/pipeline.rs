@@ -16,9 +16,6 @@ pub struct SidConfig {
     pub protection_level: f64,
     /// FI campaign parameters for the profiling phase.
     pub campaign: CampaignConfig,
-    /// Use the scaled-DP knapsack instead of the greedy heuristic
-    /// (ablation; greedy is the default as in deployed SID systems).
-    pub use_dp: bool,
 }
 
 /// Everything SID produces for a program.
@@ -35,6 +32,7 @@ pub struct SidResult {
 
 /// Run the full baseline-SID pipeline on `module` with the reference
 /// input (§II-C: profiling and selection both use the reference input).
+/// Selection is greedy, as in deployed SID systems.
 pub fn run_sid(
     module: &Module,
     ref_input: &ProgInput,
@@ -44,7 +42,7 @@ pub fn run_sid(
     let per_inst = per_instruction_campaign(module, ref_input, &golden, &cfg.campaign);
     let cb = CostBenefit::build(module, &golden, &per_inst);
     let (selection, expected_coverage, protected, meta) =
-        select_and_protect(module, &cb, cfg.protection_level, cfg.use_dp);
+        select_and_protect(module, &cb, cfg.protection_level, false);
     Ok(SidResult {
         protected,
         meta,
@@ -184,7 +182,6 @@ mod tests {
         SidConfig {
             protection_level: level,
             campaign: CampaignConfig::quick(17),
-            use_dp: false,
         }
     }
 
@@ -259,10 +256,8 @@ mod tests {
         let m = kernel();
         let input = ProgInput::scalars(vec![Scalar::I(48)]);
         let greedy = run_sid(&m, &input, &quick_cfg(0.3)).unwrap();
-        let mut dp_cfg = quick_cfg(0.3);
-        dp_cfg.use_dp = true;
-        let dp = run_sid(&m, &input, &dp_cfg).unwrap();
-        // same profile (same seed) -> comparable benefit sums
-        assert!(dp.expected_coverage >= greedy.expected_coverage - 0.05);
+        let (_, dp) = select(&m, &greedy.cost_benefit, 0.3, true);
+        // same profile -> comparable benefit sums
+        assert!(dp >= greedy.expected_coverage - 0.05);
     }
 }

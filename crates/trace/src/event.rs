@@ -43,6 +43,10 @@ use crate::json::{parse, Json, JsonError};
 /// v12: the early-stop kind and `sched_summary`'s two early-stop counts
 /// are gone with per-site early stopping: every site gets its full sample
 /// size.
+/// Within v12, `interp_profile` has no producer: it went with the
+/// interpreter sampling profiler. The kind stays declared, as the journal
+/// keeps its retired records, so a log that holds one still decodes, and
+/// `trace report` passes over it.
 pub const SCHEMA_VERSION: u32 = 12;
 
 /// Schema-level (as opposed to JSON-level) decode failure.
@@ -375,8 +379,8 @@ events! {
     }
     /// Accumulated interpreter sampling-profiler state: per-op sample
     /// counts (descending), fusion coverage, and checkpoint
-    /// encode/restore cost totals. Emitted once at shutdown when the
-    /// profiler ran.
+    /// encode/restore cost totals. Retired: nothing emits it since the
+    /// profiler went, and it is kept only so that older logs decode.
     InterpProfile = "interp_profile" {
         sample_every: u64,
         total_samples: u64,

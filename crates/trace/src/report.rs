@@ -120,8 +120,6 @@ pub struct TraceSummary {
     pub histograms: BTreeMap<String, Vec<(u64, u64)>>,
     /// Spans that began but never ended (crashed / truncated trace).
     pub open_spans: u64,
-    /// Interpreter sampling profile (the last `interp_profile` event).
-    pub interp_profile: Option<Event>,
     /// Completed span instances in begin order, capped at
     /// [`WATERFALL_CAP`] rows.
     pub waterfall: Vec<WaterfallEntry>,
@@ -267,7 +265,8 @@ pub fn summarize(events: &[TimedEvent]) -> TraceSummary {
             Event::SearchInput { .. } => s.inputs.push(te.event.clone()),
             Event::Knapsack { .. } => s.knapsack = Some(te.event.clone()),
             Event::CacheStats { .. } => s.cache = Some(te.event.clone()),
-            Event::InterpProfile { .. } => s.interp_profile = Some(te.event.clone()),
+            // retired with the sampling profiler: an old log still reads
+            Event::InterpProfile { .. } => {}
             Event::SchedSummary { .. } => s.sched = Some(te.event.clone()),
             Event::JournalRecovery {
                 records,
@@ -479,49 +478,6 @@ pub fn render_markdown(s: &TraceSummary) -> String {
                 "\n({} later span(s) omitted; totals in the stage table above)",
                 s.waterfall_dropped
             );
-        }
-        let _ = writeln!(out);
-    }
-
-    if let Some(Event::InterpProfile {
-        sample_every,
-        total_samples,
-        fused_samples,
-        fused_sites,
-        total_sites,
-        encode_ns,
-        encode_ops,
-        restore_ns,
-        restore_ops,
-        samples,
-    }) = &s.interp_profile
-    {
-        let _ = writeln!(out, "## Interpreter profile\n");
-        let _ = writeln!(
-            out,
-            "- {total_samples} samples, one every {sample_every} steps (~{} steps covered)",
-            total_samples * sample_every
-        );
-        let _ = writeln!(
-            out,
-            "- fusion: {:.1}% of dynamic samples in superinstructions; {fused_sites} of {total_sites} static slots are fused carriers ({:.1}%)",
-            pct(*fused_samples, *total_samples),
-            pct(*fused_sites, *total_sites)
-        );
-        if encode_ops + restore_ops > 0 {
-            let _ = writeln!(
-                out,
-                "- snapshots: {encode_ops} encode(s) at {:.1} µs mean, {restore_ops} restore(s) at {:.1} µs mean",
-                ratio(*encode_ns, *encode_ops) / 1e3,
-                ratio(*restore_ns, *restore_ops) / 1e3,
-            );
-        }
-        let _ = writeln!(out, "\n| op | samples | share | |\n|---|---|---|---|");
-        let peak = samples.first().map(|&(_, n)| n).unwrap_or(1).max(1);
-        for (name, n) in samples {
-            let bar = "█".repeat(((n * 24).div_ceil(peak)) as usize);
-            let share = pct(*n, *total_samples);
-            let _ = writeln!(out, "| {name} | {n} | {share:.1}% | {bar} |");
         }
         let _ = writeln!(out);
     }
@@ -942,7 +898,7 @@ mod tests {
     }
 
     #[test]
-    fn interp_profile_section_renders_with_fusion_and_snapshot_costs() {
+    fn a_retired_interp_profile_event_renders_no_section() {
         let events = parse_log(&log_from(vec![Event::InterpProfile {
             sample_every: 1024,
             total_samples: 1000,
@@ -956,20 +912,10 @@ mod tests {
             samples: vec![("LoadBinStoreBr".into(), 700), ("BinII".into(), 300)],
         }]))
         .unwrap();
-        let s = summarize(&events);
-        let md = render_markdown(&s);
-        for needle in [
-            "## Interpreter profile",
-            "1000 samples, one every 1024 steps",
-            "75.0% of dynamic samples in superinstructions",
-            "30 of 120 static slots are fused carriers (25.0%)",
-            "10 encode(s) at 500.0 µs mean, 9 restore(s) at 100.0 µs mean",
-            "| LoadBinStoreBr | 700 | 70.0% |",
-            "| BinII | 300 | 30.0% |",
-        ] {
-            assert!(md.contains(needle), "missing {needle:?} in:\n{md}");
+        let md = render_markdown(&summarize(&events));
+        for needle in ["profile", "samples", "LoadBinStoreBr"] {
+            assert!(!md.contains(needle), "{needle:?} in:\n{md}");
         }
-        assert_eq!(assert_tables_are_rectangular(&md), 1);
     }
 
     #[test]

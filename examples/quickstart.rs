@@ -59,7 +59,6 @@ fn main() {
         &SidConfig {
             protection_level: 0.5,
             campaign: campaign.clone(),
-            use_dp: false,
         },
     )
     .unwrap();

@@ -520,6 +520,52 @@ fn derived_injection_counts_equal_the_oracles_on_every_kernel() {
     assert!(checkpoints >= 2000, "{checkpoints} checkpoints compared");
 }
 
+/// `step_rate`'s per-op table reads each op kind's steps off one profiled
+/// run: walking a function's slots window by window, a carrier executes
+/// as often as its first instruction and carries its window's width in
+/// steps. That is exact for a run that exits, because a window never
+/// spans a call or a block — so every half of it runs exactly as often as
+/// the first — and a fault-free run from the entry never dispatches a
+/// standalone copy. On every kernel's reference input, each window's
+/// halves run alike, and the carried steps sum to the clean run's steps.
+#[test]
+fn op_steps_read_off_one_profile_sum_to_each_kernels_run() {
+    use minpsid_repro::interp::{ExecConfig, Interp};
+
+    let mut kernels = 0;
+    for b in workloads::suite() {
+        let (module, input) = bench_module(b.name);
+        let profiled = ExecConfig {
+            profile: true,
+            ..ExecConfig::default()
+        };
+        let interp = Interp::new(&module, profiled);
+        let profile = interp.run(&input).profile.expect("profiled");
+        let clean = Interp::new(&module, ExecConfig::default()).run(&input);
+        assert!(clean.exited(), "{}", b.name);
+
+        // an op's count is its width times its carriers' executions when
+        // every half of each window it carries runs as often as the first
+        let mut carried = 0;
+        for slots in interp.op_names() {
+            let mut pc = 0;
+            while pc < slots.len() {
+                let (name, width, dense) = slots[pc];
+                let runs = profile.inst_counts[dense];
+                for (k, &(.., d)) in slots[pc..pc + width].iter().enumerate() {
+                    let what = format!("{}: {name} at slot {pc}, half {k}", b.name);
+                    assert_eq!(profile.inst_counts[d], runs, "{what}");
+                }
+                carried += width as u64 * runs;
+                pc += width;
+            }
+        }
+        assert_eq!(carried, clean.steps, "{}: carried steps", b.name);
+        kernels += 1;
+    }
+    assert_eq!(kernels, 11);
+}
+
 /// The decoded engine addresses a function's constant stack slots at
 /// decode time, which is exact only while every `salloc` register holds
 /// the pointer its `salloc` produced. On every kernel, a flip of that
@@ -712,8 +758,8 @@ fn search_on_a_shared_interpreter_equals_per_candidate_profiling() {
 }
 
 /// Observation must be pure: the same two campaigns, journaled, with an
-/// in-process observer, a trace writer and the interpreter sampling
-/// profiler attached produce the reports *and the WAL* of a bare run.
+/// in-process observer and a trace writer attached produce the reports
+/// *and the WAL* of a bare run.
 /// The observer sees real events — the campaigns are sampled — but none
 /// of it may leak into what a run reports or persists.
 #[test]
@@ -748,11 +794,7 @@ fn observability_on_and_off_produce_byte_identical_reports() {
         }
     });
     trace::init_writer(Box::new(std::io::sink()));
-    minpsid_repro::interp::opprof::enable(64);
     let (observed, observed_wal) = run("on");
-    let samples = minpsid_repro::interp::opprof::snapshot().total_samples;
-    minpsid_repro::interp::opprof::disable();
-    minpsid_repro::interp::opprof::reset();
     trace::shutdown().expect("clean trace shutdown");
 
     assert_eq!(observed, bare, "reports changed under observation");
@@ -764,7 +806,6 @@ fn observability_on_and_off_produce_byte_identical_reports() {
         ends.contains(&CampaignKind::Program) && ends.contains(&CampaignKind::PerInst),
         "a campaign_end per campaign: {ends:?}"
     );
-    assert!(samples > 0, "the profiler sampled nothing");
 }
 
 /// Campaign the SIGKILL child and the resuming parent both run, in one of

@@ -60,7 +60,6 @@ fn sid_protects_optimized_modules() {
             seed: 2,
             ..CampaignConfig::default()
         },
-        use_dp: false,
     };
     let sid = run_sid(&module, &ref_input, &cfg).expect("SID on optimized IR");
     assert!(sid.meta.num_dups > 0);

@@ -51,7 +51,6 @@ fn protection_preserves_semantics_across_the_whole_suite() {
             &SidConfig {
                 protection_level: 0.5,
                 campaign: tiny_campaign(1),
-                use_dp: false,
             },
         )
         .unwrap_or_else(|t| panic!("{}: {t:?}", b.name));
