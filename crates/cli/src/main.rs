@@ -87,7 +87,6 @@ fn main() -> ExitCode {
         "run" => cmd_run(rest),
         "fi" => cmd_fi(rest),
         "analyze" => cmd_analyze(rest),
-        "cfg" => cmd_cfg(rest),
         "propagate" => cmd_propagate(rest),
         "sid" => cmd_sid(rest),
         "minpsid" => cmd_minpsid(rest),
@@ -204,7 +203,6 @@ const COMMANDS: &[&str] = &[
     "run",
     "fi",
     "analyze",
-    "cfg",
     "propagate",
     "sid",
     "minpsid",
@@ -233,10 +231,8 @@ const FLAGS: &[(&str, bool, &[&str])] = &[
     (
         "--args",
         false,
-        &["run", "fi", "analyze", "cfg", "propagate", "sections"],
+        &["run", "fi", "analyze", "propagate", "sections"],
     ),
-    ("--opt", false, &["compile"]),
-    ("--fn", true, &["cfg"]),
     ("--nth", true, &["propagate"]),
     ("--bit", true, &["propagate"]),
     ("--top", true, &["analyze"]),
@@ -297,11 +293,10 @@ const USAGE: &str = "minpsid — MINPSID (SC'22) reproduction driver
 
 usage:
   minpsid list
-  minpsid compile <bench|file.mc> [--opt]
+  minpsid compile <bench|file.mc>
   minpsid run <bench> [--args i:N f:X ...]
   minpsid fi <bench> [--injections N] [--seed S]
   minpsid analyze <bench> [--top N]      # rank instructions by SDC benefit
-  minpsid cfg <bench> [--fn NAME]        # weighted CFG as Graphviz DOT
   minpsid propagate <bench> [--nth K] [--bit B]
   minpsid sid <bench> [--level 0.5] [--seed S]
   minpsid minpsid <bench> [--level 0.5] [--seed S] [--json]
@@ -459,11 +454,7 @@ fn first_arg<'a>(rest: &'a [String], what: &str) -> Result<&'a str, String> {
 
 fn cmd_compile(rest: &[String]) -> Result<(), String> {
     let name = first_arg(rest, "benchmark name or .mc file")?;
-    let mut module = load_module(name)?;
-    if rest.iter().any(|a| a == "--opt") {
-        let removed = minpsid_ir::opt::optimize(&mut module);
-        diag!("; optimizer removed {removed} instructions");
-    }
+    let module = load_module(name)?;
     print!("{}", print_module(&module));
     println!(
         "; {} functions, {} static instructions",
@@ -902,29 +893,6 @@ fn cmd_analyze(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_cfg(rest: &[String]) -> Result<(), String> {
-    let name = first_arg(rest, "benchmark name")?;
-    let module = load_module(name)?;
-    let input = parse_input(name, rest)?;
-    let exec = ExecConfig {
-        profile: true,
-        ..ExecConfig::default()
-    };
-    let r = Interp::new(&module, exec).run(&input);
-    if !r.exited() {
-        return Err(format!("run failed: {:?}", r.termination));
-    }
-    let profile = r.profile.expect("profiling enabled");
-    let fid = match flag_value(rest, "--fn")? {
-        None => module.entry,
-        Some(fname) => module
-            .func_by_name(&fname)
-            .ok_or_else(|| format!("no function `{fname}`"))?,
-    };
-    print!("{}", minpsid::weighted_cfg_dot(&module, &profile, fid));
-    Ok(())
-}
-
 fn cmd_propagate(rest: &[String]) -> Result<(), String> {
     use minpsid_faultsim::{render_report, trace_fault};
     use minpsid_interp::{FaultSpec, FaultTarget};
@@ -1276,7 +1244,7 @@ mod tests {
             assert_eq!(value, Some(placeholder), "{line}");
             option_lines += 1;
         }
-        assert_eq!(FLAGS.len(), 27);
+        assert_eq!(FLAGS.len(), 25);
         // every reader is a subcommand `main` dispatches
         for &(flag, _, readers) in FLAGS {
             for r in readers {

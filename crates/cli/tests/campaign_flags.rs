@@ -59,8 +59,10 @@ fn deadlines_end_in_an_honest_report() {
 /// The retry scheduler's six flags went with it, and the flag audit took
 /// three more (`--golden-cache-cap`: nothing capped; `--incremental`: on
 /// wherever it was legal; `--checkpoint-interval`: the engine chooses),
-/// and per-site early stopping took `--ci-half-width`: each is a usage
-/// error under every subcommand that used to read it, not a silent no-op.
+/// and per-site early stopping took `--ci-half-width`; the IR optimizer
+/// took `compile --opt` and the weighted-CFG export `cfg --fn`: each is a
+/// usage error under every subcommand that used to read it, not a silent
+/// no-op.
 #[test]
 fn retired_flags_are_unknown_flags() {
     for cmd in ["fi", "analyze", "sid", "minpsid"] {
@@ -78,6 +80,8 @@ fn retired_flags_are_unknown_flags() {
             "--profile-interp",
             "--profile-sample-every",
             "--profile-folded",
+            "--opt",
+            "--fn",
         ] {
             let out = minpsid(&[cmd, "pathfinder", "--quick", flag, "3"]);
             assert_eq!(out.status.code(), Some(1), "{cmd} {flag}: {out:?}");
@@ -89,6 +93,22 @@ fn retired_flags_are_unknown_flags() {
             );
         }
     }
+    let out = minpsid(&["compile", "pathfinder", "--opt"]);
+    assert_eq!(out.status.code(), Some(1), "compile --opt: {out:?}");
+    assert!(out.stdout.is_empty(), "compile --opt printed IR");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("error: unknown flag --opt"), "{err}");
+}
+
+/// The weighted-CFG DOT export went with its subcommand; the Fig. 5 route
+/// is `examples/weighted_cfg.rs`. `minpsid cfg` is refused like a typo.
+#[test]
+fn the_retired_cfg_command_is_an_unknown_command() {
+    let out = minpsid(&["cfg", "pathfinder"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(out.stdout.is_empty(), "cfg printed something");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("error: unknown command"), "{err}");
 }
 
 /// The interpreter sampling profiler is gone, but a log it wrote still

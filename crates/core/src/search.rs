@@ -201,10 +201,6 @@ impl<'a> SearchEngine<'a> {
         self.history.push(list);
     }
 
-    pub fn history_len(&self) -> usize {
-        self.history.len()
-    }
-
     /// The profile run of `input` (fingerprint `fp`): looked up in
     /// `profiled`, else executed and entered there. A fresh valid run is
     /// also handed to the memo.

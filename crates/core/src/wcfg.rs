@@ -112,34 +112,6 @@ pub fn fitness_score_normalized(current: &[u64], history: &[Vec<u64>]) -> f64 {
     sum / (history.len() as f64 + 1.0)
 }
 
-/// Render one function's weighted CFG as Graphviz DOT: nodes are basic
-/// blocks annotated with their dynamic entry counts, edges carry their
-/// execution counts (the Fig. 5 picture, machine-generated).
-pub fn weighted_cfg_dot(module: &Module, profile: &Profile, func: minpsid_ir::FuncId) -> String {
-    use std::fmt::Write as _;
-    let f = module.func(func);
-    let cfg = minpsid_ir::Cfg::build(f);
-    let mut out = String::new();
-    let _ = writeln!(out, "digraph \"{}\" {{", f.name);
-    let _ = writeln!(out, "  node [shape=box, fontname=\"monospace\"];");
-    for (bid, block) in f.iter_blocks() {
-        let label = block.name.as_deref().unwrap_or("bb");
-        let count = profile.block_counts[func.index()][bid.index()];
-        let _ = writeln!(
-            out,
-            "  b{} [label=\"BB{} {label}\\nentries: {count}\"];",
-            bid.0, bid.0
-        );
-    }
-    for &(from, to) in cfg.edges() {
-        let w = profile.edge_count(func, from, to);
-        let style = if w == 0 { ", style=dashed" } else { "" };
-        let _ = writeln!(out, "  b{} -> b{} [label=\"{w}\"{style}];", from.0, to.0);
-    }
-    out.push_str("}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,19 +166,6 @@ mod tests {
         let near = fitness_score(&[11, 10], &history);
         let far = fitness_score(&[100, 10], &history);
         assert!(far > near);
-    }
-
-    #[test]
-    fn dot_export_contains_blocks_and_edge_weights() {
-        let m = module();
-        let cfg = CampaignConfig::quick(1);
-        let p = profile_input(&m, &ProgInput::scalars(vec![Scalar::I(6)]), &cfg).unwrap();
-        let dot = weighted_cfg_dot(&m, &p, m.entry);
-        assert!(dot.starts_with("digraph"));
-        assert!(dot.contains("entries:"));
-        assert!(dot.contains("->"));
-        // the loop body executed 6 times: some edge carries weight 6
-        assert!(dot.contains("\"6\""), "{dot}");
     }
 
     #[test]

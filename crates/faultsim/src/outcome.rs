@@ -99,16 +99,6 @@ impl OutcomeCounts {
         }
     }
 
-    /// Detection rate: fraction of faults caught by duplication checks.
-    pub fn detection_rate(&self) -> f64 {
-        let t = self.total();
-        if t == 0 {
-            0.0
-        } else {
-            self.detected as f64 / t as f64
-        }
-    }
-
     pub fn merge(&mut self, other: &OutcomeCounts) {
         self.benign += other.benign;
         self.sdc += other.sdc;
@@ -193,7 +183,6 @@ mod tests {
         b.record(Outcome::Detected);
         b.merge(&a);
         assert_eq!(b.total(), 5);
-        assert_eq!(b.detection_rate(), 0.2);
     }
 
     #[test]
@@ -216,6 +205,5 @@ mod tests {
     fn empty_counts_have_zero_probabilities() {
         let c = OutcomeCounts::default();
         assert_eq!(c.sdc_prob(), 0.0);
-        assert_eq!(c.detection_rate(), 0.0);
     }
 }

@@ -20,10 +20,17 @@
 //!
 //! Together these pin every seed, every fault target and the golden
 //! baseline each outcome was classified against. What they do **not** pin
-//! is the post-injection trajectory through *other* (edited) functions;
-//! an edit that changes neither the golden output, the golden step count,
-//! nor the section's dynamic counts is assumed not to re-classify faults
-//! injected elsewhere. `--no-incremental` is the escape hatch, and the
+//! is the post-injection trajectory through *other* (edited) functions,
+//! and that is a known bug, not a safe assumption: an edit to a caller
+//! that changes neither the golden output, the golden step count, nor
+//! the callee's dynamic counts still re-classifies faults injected in the
+//! callee, and the callee's sealed table is served with stale outcomes.
+//! Example: `f(x) = x * 3` called from a `main` that prints 30 when
+//! `f(arg) > 1000000` and `f(arg)` otherwise; input 10 (golden prints
+//! 30), 64 faults per site, seed 42. Edit the branch golden never takes
+//! to print 31, and one site of `f` is served 20 SDC of 64 where a
+//! from-scratch campaign gives 64 of 64. ROADMAP item 25 has the sound
+//! fix. Until it lands, `--no-incremental` is the escape hatch, and the
 //! cold path is always exact.
 //!
 //! Tables follow the store's verify-on-load discipline: a corrupt artifact

@@ -713,7 +713,7 @@ mod tests {
         // head entered 11 times (10 iterations + final test)
         assert_eq!(p.block_counts[0][1], 11);
         // edge body->head has weight 10
-        assert_eq!(p.edge_count(FuncId(0), BlockId(2), BlockId(1)), 10);
+        assert_eq!(p.edge_counts[0][&(BlockId(2), BlockId(1))], 10);
         assert!(p.total_cycles > 0);
         assert_eq!(p.total_insts, r.steps);
     }

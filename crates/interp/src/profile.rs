@@ -9,7 +9,7 @@
 //!    inputs.
 //! 3. **Per-edge execution counts** — the weighted CFG proper.
 
-use minpsid_ir::{BlockId, FuncId, GlobalInstId, Module};
+use minpsid_ir::{BlockId, FuncId, Module};
 use std::collections::HashMap;
 
 /// Dynamic profile of one execution.
@@ -73,19 +73,6 @@ impl Profile {
     pub fn indexed_cfg_list(&self) -> Vec<u64> {
         self.block_counts.iter().flatten().copied().collect()
     }
-
-    /// Dynamic count of one static instruction.
-    pub fn count_of(&self, module: &Module, id: GlobalInstId) -> u64 {
-        self.inst_counts[module.numbering().index(id)]
-    }
-
-    /// Edge weight lookup.
-    pub fn edge_count(&self, func: FuncId, from: BlockId, to: BlockId) -> u64 {
-        self.edge_counts[func.index()]
-            .get(&(from, to))
-            .copied()
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -123,6 +110,6 @@ mod tests {
         let p = Profile::for_module(&m);
         assert_eq!(p.total_cycles, 0);
         assert_eq!(p.inst_counts, vec![0]);
-        assert_eq!(p.edge_count(FuncId(0), BlockId(0), BlockId(0)), 0);
+        assert!(p.edge_counts[0].is_empty());
     }
 }

@@ -28,20 +28,6 @@ impl Value {
             _ => None,
         }
     }
-
-    pub fn as_b(self) -> Option<bool> {
-        match self {
-            Value::B(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    pub fn as_p(self) -> Option<u64> {
-        match self {
-            Value::P(v) => Some(v),
-            _ => None,
-        }
-    }
 }
 
 /// A scalar command-line-style argument.
@@ -268,8 +254,6 @@ mod tests {
         assert_eq!(Value::I(3).as_i(), Some(3));
         assert_eq!(Value::I(3).as_f(), None);
         assert_eq!(Value::F(2.5).as_f(), Some(2.5));
-        assert_eq!(Value::B(true).as_b(), Some(true));
-        assert_eq!(Value::P(9).as_p(), Some(9));
     }
 
     #[test]

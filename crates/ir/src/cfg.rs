@@ -97,19 +97,6 @@ impl Cfg {
         post.reverse();
         post
     }
-
-    /// Blocks not reachable from the entry.
-    pub fn unreachable_blocks(&self) -> Vec<BlockId> {
-        let rpo = self.reverse_postorder();
-        let mut reach = vec![false; self.num_blocks()];
-        for b in rpo {
-            reach[b.index()] = true;
-        }
-        (0..self.num_blocks() as u32)
-            .map(BlockId)
-            .filter(|b| !reach[b.index()])
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -159,7 +146,6 @@ mod tests {
         let rpo = cfg.reverse_postorder();
         assert_eq!(rpo[0], BlockId(0));
         assert_eq!(rpo.len(), 4);
-        assert!(cfg.unreachable_blocks().is_empty());
     }
 
     #[test]
@@ -174,7 +160,7 @@ mod tests {
         mb.define(fb);
         let m = mb.finish();
         let cfg = Cfg::build(m.func(m.entry));
-        assert_eq!(cfg.unreachable_blocks(), vec![dead]);
+        assert!(!cfg.reverse_postorder().contains(&dead));
     }
 
     #[test]

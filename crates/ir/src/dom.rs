@@ -16,7 +16,6 @@ pub struct DomTree {
     /// `idom[b]` = immediate dominator of `b`; entry's idom is itself.
     /// Unreachable blocks have `None`.
     idom: Vec<Option<BlockId>>,
-    rpo_index: Vec<usize>,
     rpo: Vec<BlockId>,
 }
 
@@ -30,11 +29,7 @@ impl DomTree {
         }
         let mut idom: Vec<Option<BlockId>> = vec![None; n];
         if n == 0 || rpo.is_empty() {
-            return DomTree {
-                idom,
-                rpo_index,
-                rpo,
-            };
+            return DomTree { idom, rpo };
         }
         let entry = rpo[0];
         idom[entry.index()] = Some(entry);
@@ -61,11 +56,7 @@ impl DomTree {
                 }
             }
         }
-        DomTree {
-            idom,
-            rpo_index,
-            rpo,
-        }
+        DomTree { idom, rpo }
     }
 
     /// Immediate dominator of `b` (entry maps to itself); `None` if `b` is
@@ -96,12 +87,6 @@ impl DomTree {
     /// Blocks in reverse postorder (reachable only).
     pub fn rpo(&self) -> &[BlockId] {
         &self.rpo
-    }
-
-    /// Position of `b` in reverse postorder, or `None` if unreachable.
-    pub fn rpo_position(&self, b: BlockId) -> Option<usize> {
-        let i = self.rpo_index[b.index()];
-        (i != usize::MAX).then_some(i)
     }
 
     /// Back edges `(latch, header)`: edges whose target dominates the source.

@@ -32,7 +32,6 @@ pub mod dom;
 pub mod fingerprint;
 pub mod inst;
 pub mod module;
-pub mod opt;
 pub mod parser;
 pub mod printer;
 pub mod types;

@@ -191,14 +191,6 @@ impl Module {
     pub fn inst(&self, id: GlobalInstId) -> &Inst {
         self.func(id.func).inst(id.inst)
     }
-
-    /// All injectable instruction ids, in numbering order.
-    pub fn injectable_insts(&self) -> Vec<GlobalInstId> {
-        self.iter_insts()
-            .filter(|(_, inst)| inst.injectable())
-            .map(|(id, _)| id)
-            .collect()
-    }
 }
 
 /// Dense module-wide instruction numbering (see [`Module::numbering`]).
@@ -340,6 +332,6 @@ mod tests {
         let mut m = Module::new("t");
         m.funcs.push(mk_func("a", 3));
         // two adds are injectable, ret is not
-        assert_eq!(m.injectable_insts().len(), 2);
+        assert_eq!(m.iter_insts().filter(|(_, i)| i.injectable()).count(), 2);
     }
 }

@@ -20,17 +20,6 @@ pub enum Ty {
 }
 
 impl Ty {
-    /// Number of bits a single-bit-flip fault can target in a value of this
-    /// type. This mirrors LLFI flipping a uniformly random bit of the
-    /// instruction's return value: 64 for integers/doubles, 1 for booleans.
-    /// Pointers are 64-bit offsets.
-    pub fn bit_width(self) -> u32 {
-        match self {
-            Ty::I64 | Ty::F64 | Ty::Ptr => 64,
-            Ty::Bool => 1,
-        }
-    }
-
     /// True for the numeric types that arithmetic instructions accept.
     pub fn is_numeric(self) -> bool {
         matches!(self, Ty::I64 | Ty::F64)
@@ -52,14 +41,6 @@ impl fmt::Display for Ty {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bit_widths_match_fault_model() {
-        assert_eq!(Ty::I64.bit_width(), 64);
-        assert_eq!(Ty::F64.bit_width(), 64);
-        assert_eq!(Ty::Ptr.bit_width(), 64);
-        assert_eq!(Ty::Bool.bit_width(), 1);
-    }
 
     #[test]
     fn numeric_classification() {

@@ -51,14 +51,6 @@ impl Json {
         }
     }
 
-    pub fn as_i64(&self) -> Option<i64> {
-        match *self {
-            Json::I64(v) => Some(v),
-            Json::U64(v) if v <= i64::MAX as u64 => Some(v as i64),
-            _ => None,
-        }
-    }
-
     pub fn as_f64(&self) -> Option<f64> {
         match *self {
             Json::F64(v) => Some(v),
@@ -442,7 +434,7 @@ mod tests {
     fn object_lookup_and_coercions() {
         let v = parse(r#"{"a":1,"b":-2,"c":1.5}"#).unwrap();
         assert_eq!(v.get("a").unwrap().as_u64(), Some(1));
-        assert_eq!(v.get("b").unwrap().as_i64(), Some(-2));
+        assert_eq!(v.get("b"), Some(&Json::I64(-2)));
         assert_eq!(v.get("c").unwrap().as_f64(), Some(1.5));
         assert_eq!(v.get("missing"), None);
     }

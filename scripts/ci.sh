@@ -67,21 +67,38 @@ rm -rf "$SWEEP"
 
 echo "== unknown-flag smoke (a misspelt flag is a usage error, not a different run)"
 # --workers, --status-addr, the retry scheduler's six, the flag audit's
-# three, the early-stop width, the sampling profiler's three: a flag an
-# older binary accepted is refused like a typo
+# three, the early-stop width, the sampling profiler's three, the IR
+# optimizer's --opt and the weighted-CFG export's --fn: a flag an older
+# binary accepted is refused like a typo
 for BAD in "--bogus-flag" "--workers 2" "--status-addr 127.0.0.1:1" \
            "--max-retries 0" "--quarantine-after 1" "--quarantine-cap 5" \
            "--injection-timeout-ms 5" "--chaos-panic-one-in 40" \
            "--chaos-timeout-one-in 40" "--golden-cache-cap 4" \
            "--incremental" "--checkpoint-interval 500" \
            "--ci-half-width 0.1" "--profile-interp" \
-           "--profile-sample-every 64" "--profile-folded f"; do
+           "--profile-sample-every 64" "--profile-folded f" \
+           "--opt" "--fn main"; do
   # shellcheck disable=SC2086
   if BAD_OUT="$("$CLI" fi hpccg --quick $BAD 2>&1)"; then
     echo "fi $BAD exited 0"; exit 1
   fi
   grep -q "unknown flag ${BAD%% *}" <<<"$BAD_OUT"
 done
+
+echo "== README .ir route (a .mc compiled to .ir runs like the .mc)"
+# the README's fenced block that names prog.ir, run as written with the
+# release binary on PATH; its stdout must be the .mc's own run
+ROUTE="$(mktemp -d)"
+awk '/^```/ { if (inb) { if (hit) { printf "%s", blk; exit } inb = 0; blk = ""; hit = 0 } else inb = 1; next }
+     inb { blk = blk $0 "\n"; if (/prog\.ir/) hit = 1 }' README.md >"$ROUTE/route.sh"
+grep -q "minpsid run prog.ir --args i:10" "$ROUTE/route.sh" \
+  || { echo "README has no .ir route block"; exit 1; }
+BIN="$PWD/target/release"
+ROUTE_OUT="$(cd "$ROUTE" && PATH="$BIN:$PATH" bash -e route.sh)"
+MC_OUT="$(cd "$ROUTE" && "$BIN/minpsid" run prog.mc --args i:10)"
+test -n "$MC_OUT" && test "$ROUTE_OUT" = "$MC_OUT" \
+  || { echo "README .ir route printed '$ROUTE_OUT', the .mc '$MC_OUT'"; exit 1; }
+rm -rf "$ROUTE"
 
 # The guards below end in `|| exit 1`: `set -e` does not stop on a
 # command whose status `!` inverts, so without it a guard that finds
