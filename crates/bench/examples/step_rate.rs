@@ -69,7 +69,8 @@ fn main() {
                 },
             )
         });
-        let p = observed.run(&input).profile.expect("profiled");
+        let r = observed.run(&input);
+        let p = r.profile.expect("profiled");
         // best of 30: a run is ~100 us, so a handful is all scheduler
         let best_secs = |run: &dyn Fn(&ProgInput)| {
             let mut best = f64::INFINITY;
@@ -97,7 +98,7 @@ fn main() {
             best_secs(&|i| drop(black_box(armed(&observed, i)))),
             best_secs(&|i| drop(black_box(proving(i)))),
         ];
-        let rate = |secs: f64| p.total_insts as f64 / secs / 1e6;
+        let rate = |secs: f64| r.steps as f64 / secs / 1e6;
         let (mut mem, mut slot) = (0u64, 0u64);
         for ((_, inst), (dense, &n)) in module.iter_insts().zip(p.inst_counts.iter().enumerate()) {
             if matches!(inst.kind, InstKind::Load { .. } | InstKind::Store { .. }) {
@@ -108,11 +109,11 @@ fn main() {
             }
         }
         let (slotted, all) = clean.slot_coverage();
-        let pct = |n: u64| 100.0 * n as f64 / p.total_insts as f64;
+        let pct = |n: u64| 100.0 * n as f64 / r.steps as f64;
         println!(
             "{:<15} {:>8} {:>7.1} {:>7.1} {:>9} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.2}",
             b.name,
-            p.total_insts,
+            r.steps,
             pct(mem),
             pct(slot),
             format!("{slotted}/{all}"),
@@ -126,7 +127,7 @@ fn main() {
         for (all, s) in secs_all.iter_mut().zip(secs) {
             *all += s;
         }
-        steps_all += p.total_insts;
+        steps_all += r.steps;
         mem_all += mem;
         slot_all += slot;
 
@@ -145,7 +146,7 @@ fn main() {
         for (name, n) in carried.into_iter().filter(|&(_, n)| n > 0) {
             let op = ops.entry(name).or_default();
             op.steps += n;
-            let share = n as f64 / p.total_insts as f64;
+            let share = n as f64 / r.steps as f64;
             if share > op.peak.0 {
                 op.peak = (share, b.name);
             }

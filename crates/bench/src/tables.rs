@@ -801,8 +801,9 @@ pub fn ablation_check_placement(sw: &mut Sweep, s: &mut String) -> fmt::Result {
                 ..ExecConfig::default()
             };
             let run = Interp::new(&protected, exec).run(&ref_input);
-            let overhead =
-                meta.dynamic_cycle_overhead(&run.profile.expect("a profiled run").inst_cycles);
+            let overhead = meta.dynamic_cycle_overhead(
+                &run.profile.expect("a profiled run").inst_cycles(&protected),
+            );
             writeln!(
                 s,
                 "{:<15} {:<12} | {:>8} {:>8} {:>9.2}% | {:>12}",

@@ -477,6 +477,46 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A golden image of another wire version (a store kept from an older
+    /// binary) is a decode error: the run is recomputed and republished,
+    /// and the next process serves the new image from disk.
+    #[test]
+    fn golden_image_of_another_wire_version_is_recomputed() {
+        let dir = store_dir("version");
+        let m = module();
+        let cfg = CampaignConfig::quick(1);
+        let key = (
+            module_fingerprint(&m),
+            input_fingerprint(&input(30)),
+            config_fingerprint(&cfg),
+        );
+        let g = golden_run_sized(&m, &input(30), &cfg, None).unwrap();
+        let mut old = g.encode_meta();
+        let version = minpsid_interp::wire::WIRE_VERSION - 1;
+        old[4..8].copy_from_slice(&version.to_le_bytes());
+        let store = Arc::new(ArtifactStore::open(&dir).unwrap());
+        store.put(GOLDEN_ARTIFACT, &ref_name(key), &old).unwrap();
+        store
+            .put(CKPT_ARTIFACT, &ref_name(key), &g.encode_checkpoints())
+            .unwrap();
+
+        let first = GoldenCache::with_store(0, Arc::clone(&store));
+        first.golden(&m, &input(30), &cfg).unwrap();
+        assert_eq!(first.disk_hits(), 0, "an old image must not be served");
+        assert_eq!(first.misses(), 1, "recomputed");
+        let republished = store.get(GOLDEN_ARTIFACT, &ref_name(key)).unwrap();
+        assert_eq!(republished, g.encode_meta());
+
+        let store = Arc::new(ArtifactStore::open(&dir).unwrap());
+        let second = GoldenCache::with_store(0, store);
+        let b = second.golden(&m, &input(30), &cfg).unwrap();
+        assert_eq!((second.disk_hits(), second.misses()), (1, 0));
+        assert_eq!(b.profile, g.profile);
+        assert_eq!(b.encode_meta(), g.encode_meta());
+        assert_eq!(b.encode_checkpoints(), g.encode_checkpoints());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn unbounded_cache_never_evicts() {
         let m = module();

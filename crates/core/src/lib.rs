@@ -51,4 +51,4 @@ pub use pipeline::{
     MinpsidResult, PipelineError, Reference, SearchStrategy, Timings,
 };
 pub use search::{random_searcher, EvalMemo, FitnessKind, GaConfig, SearchEngine, SearchOutcome};
-pub use wcfg::{fitness_score, fitness_score_normalized, indexed_cfg_list, profile_input};
+pub use wcfg::{fitness_score, fitness_score_normalized, profile_input};

@@ -12,9 +12,7 @@
 
 use crate::cache::input_fingerprint;
 use crate::input::{crossover, mutate, InputModel, ParamValue};
-use crate::wcfg::{
-    fitness_score, fitness_score_normalized, indexed_cfg_list, profile_with, profiling_interp,
-};
+use crate::wcfg::{fitness_score, fitness_score_normalized, profile_with, profiling_interp};
 use minpsid_faultsim::{CampaignConfig, Deadline};
 use minpsid_interp::{ExecScratch, Interp, ProgInput};
 use minpsid_ir::bytes::Fnv;
@@ -215,7 +213,7 @@ impl<'a> SearchEngine<'a> {
         }
         let run = profile_with(&self.interp, &mut self.scratch, input)
             .ok()
-            .map(|(profile, steps)| (indexed_cfg_list(&profile), steps));
+            .map(|(profile, steps)| (profile.block_counts, steps));
         if let (Some(m), Some((list, _))) = (self.memo, &run) {
             m.record_cfg_list(fp, list);
         }
@@ -476,7 +474,7 @@ mod tests {
         let mut engine = SearchEngine::new(&m, &model, cfg.clone(), GaConfig::default());
         // history: the reference input n=10
         let ref_profile = profile_input(&m, &model.materialize(&model.reference()), &cfg).unwrap();
-        engine.record_history(indexed_cfg_list(&ref_profile));
+        engine.record_history(ref_profile.indexed_cfg_list());
 
         let got = engine.next_ga_input().expect("search succeeds");
         // the trip count of the chosen input should be far from 10 —
@@ -494,9 +492,9 @@ mod tests {
         let m = module();
         let model = ToyModel::new();
         let cfg = CampaignConfig::quick(6);
-        let ref_list = indexed_cfg_list(
-            &profile_input(&m, &model.materialize(&model.reference()), &cfg).unwrap(),
-        );
+        let ref_list = profile_input(&m, &model.materialize(&model.reference()), &cfg)
+            .unwrap()
+            .indexed_cfg_list();
         let run = |seed: u64| {
             let mut e = SearchEngine::new(
                 &m,
@@ -541,9 +539,9 @@ mod tests {
         let m = module();
         let model = ToyModel::new();
         let cfg = CampaignConfig::quick(3);
-        let ref_list = indexed_cfg_list(
-            &profile_input(&m, &model.materialize(&model.reference()), &cfg).unwrap(),
-        );
+        let ref_list = profile_input(&m, &model.materialize(&model.reference()), &cfg)
+            .unwrap()
+            .indexed_cfg_list();
         let run = |seed| {
             let mut e = SearchEngine::new(
                 &m,
@@ -666,9 +664,9 @@ mod tests {
             seed: 9,
             ..GaConfig::default()
         };
-        let ref_list = indexed_cfg_list(
-            &profile_input(&m, &model.materialize(&model.reference()), &cfg).unwrap(),
-        );
+        let ref_list = profile_input(&m, &model.materialize(&model.reference()), &cfg)
+            .unwrap()
+            .indexed_cfg_list();
         let run = |bypass: bool| {
             let mut e = SearchEngine::new(&m, &model, cfg.clone(), ga.clone());
             e.bypass_profiled = bypass;
@@ -693,9 +691,9 @@ mod tests {
         let m = module();
         let model = ToyModel::new();
         let cfg = CampaignConfig::quick(4);
-        let ref_list = indexed_cfg_list(
-            &profile_input(&m, &model.materialize(&model.reference()), &cfg).unwrap(),
-        );
+        let ref_list = profile_input(&m, &model.materialize(&model.reference()), &cfg)
+            .unwrap()
+            .indexed_cfg_list();
         let mut e = SearchEngine::new(&m, &model, cfg, GaConfig::default());
         e.record_history(ref_list);
         let _ = e.next_ga_input();

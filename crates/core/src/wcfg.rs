@@ -47,12 +47,6 @@ pub fn profile_input(
     .map(|(profile, _)| profile)
 }
 
-/// The indexed weighted-CFG list of a profile: per-basic-block dynamic
-/// entry counts, concatenated over all functions (Fig. 5's list form).
-pub fn indexed_cfg_list(profile: &Profile) -> Vec<u64> {
-    profile.indexed_cfg_list()
-}
-
 /// Fitness of a candidate's indexed CFG list against the search history
 /// (Eq. 3): the Euclidean distances to every historical list, summed and
 /// divided by `|M| + 1`. Higher is better — a distant execution shape
@@ -138,7 +132,7 @@ mod tests {
         let cfg = CampaignConfig::quick(1);
         let p1 = profile_input(&m, &ProgInput::scalars(vec![Scalar::I(4)]), &cfg).unwrap();
         let p2 = profile_input(&m, &ProgInput::scalars(vec![Scalar::I(40)]), &cfg).unwrap();
-        assert_ne!(indexed_cfg_list(&p1), indexed_cfg_list(&p2));
+        assert_ne!(p1.indexed_cfg_list(), p2.indexed_cfg_list());
     }
 
     #[test]

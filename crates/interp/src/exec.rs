@@ -4,7 +4,7 @@
 //! Every run — clean, faulty, profiled, traced, checkpoint-capturing,
 //! resumed — is one [`Run`] handed to [`Interp::execute`], which executes
 //! it on the one decoded loop in [`crate::decode`]. Per-instruction
-//! static data (cycle cost, dense numbering) is precomputed in
+//! static data (dense numbering, block table) is precomputed in
 //! [`Interp::new`], and the observers are compiled out of the
 //! fault-injection runs that dominate total experiment time.
 //!
@@ -48,7 +48,7 @@ impl ExecConfig {
     /// Feed this config to a key. It enters every key a campaign config
     /// does, whole: each limit decides where a faulty run stops, `profile`
     /// and `trace` what a golden run records, and the cost model the
-    /// cycles its profile holds.
+    /// knapsack's costs ([`Profile::inst_cycles`]).
     pub fn key(&self, h: &mut minpsid_ir::bytes::Fnv) {
         let ExecConfig {
             step_limit,
@@ -377,8 +377,6 @@ pub struct Interp<'m> {
     config: ExecConfig,
     /// Dense numbering base per function.
     pub(crate) base: Vec<usize>,
-    /// Per static instruction (dense): cycle cost.
-    pub(crate) cost: Vec<u64>,
     /// The module's blocks as the observers' counters see them.
     pub(crate) block_table: BlockTable,
     /// The module lowered for pre-decoded dispatch (see [`crate::decode`]).
@@ -389,20 +387,15 @@ impl<'m> Interp<'m> {
     pub fn new(module: &'m Module, config: ExecConfig) -> Self {
         let mut base = Vec::with_capacity(module.funcs.len());
         let mut acc = 0usize;
-        let mut cost = Vec::with_capacity(module.num_insts());
         for f in &module.funcs {
             base.push(acc);
             acc += f.insts.len();
-            for inst in &f.insts {
-                cost.push(minpsid_ir::cycles(&inst.kind, inst.ty));
-            }
         }
         let lowered = decode::decode_module(module);
         Interp {
             module,
             config,
             base,
-            cost,
             block_table: BlockTable::new(module, &lowered.slotted),
             lowered,
         }
@@ -709,13 +702,11 @@ mod tests {
         let r = run_module(&m, &ProgInput::scalars(vec![Scalar::I(10)]));
         let p = r.profile.unwrap();
         // body block (id 2) entered exactly 10 times
-        assert_eq!(p.block_counts[0][2], 10);
+        assert_eq!(p.block_counts[2], 10);
         // head entered 11 times (10 iterations + final test)
-        assert_eq!(p.block_counts[0][1], 11);
-        // edge body->head has weight 10
-        assert_eq!(p.edge_counts[0][&(BlockId(2), BlockId(1))], 10);
-        assert!(p.total_cycles > 0);
-        assert_eq!(p.total_insts, r.steps);
+        assert_eq!(p.block_counts[1], 11);
+        assert_eq!(p.inst_counts.iter().sum::<u64>(), r.steps);
+        assert!(p.inst_cycles(&m).iter().sum::<u64>() > 0);
     }
 
     #[test]

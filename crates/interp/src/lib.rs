@@ -13,8 +13,8 @@
 //! * it classifies abnormal termination (traps → crash, step budget →
 //!   hang, duplication-check mismatch → detected);
 //! * it optionally collects a [`Profile`]: per-instruction dynamic counts
-//!   and cycles (SID's cost input, Eq. 1), per-block entry counts (the
-//!   *indexed weighted-CFG list* of Fig. 5), and per-edge execution counts.
+//!   (times each instruction's static cost, SID's cost input, Eq. 1) and
+//!   per-block entry counts (the *indexed weighted-CFG list* of Fig. 5).
 //!
 //! Determinism is total: same module + same input + same fault spec ⇒ same
 //! result, which is what lets fault-injection campaigns run embarrassingly

@@ -11,9 +11,9 @@
 //!   the branch's logical pc, so a branch fused into a superinstruction
 //!   counts like a standalone one) and one block entry per call. Whenever
 //!   counts are wanted — at the end of a profiled run, at a capture — the
-//!   branch counters become block entries and CFG edges, and every
-//!   instruction's dynamic count is the entry count of its block — minus
-//!   one for each live frame that has not reached it yet (the *partial
+//!   branch counters become block entries, and every instruction's
+//!   dynamic count is the entry count of its block — minus one for each
+//!   live frame that has not reached it yet (the *partial
 //!   block correction*: a suspended caller has executed its block up to
 //!   and including the call, the running frame up to the instruction in
 //!   flight), plus one for each frame a resumed run re-entered mid-block
@@ -300,24 +300,18 @@ impl Observers {
     }
 
     /// Entries of every block so far, numbered as in `t`: by call, counted
-    /// as the run goes, and by taken branch, from the counters — each of
-    /// which is also a CFG edge `(from, to, times taken)` that `edge` is
-    /// told.
-    fn block_counts(&self, t: &BlockTable, mut edge: impl FnMut(usize, u32, u64)) -> Vec<u64> {
+    /// as the run goes, and by taken branch, from the counters.
+    fn block_counts(&self, t: &BlockTable) -> Vec<u64> {
         let mut counts = vec![0; t.terms.len()];
         for (&first, &n) in t.first.iter().zip(&self.calls) {
             if n > 0 {
                 counts[first as usize] = n;
             }
         }
-        for (from, term) in t.terms.iter().enumerate() {
+        for term in &t.terms {
             for (k, &to) in term.targets.iter().enumerate() {
                 if to != NONE {
-                    let n = self.branches[2 * term.slot as usize + k];
-                    counts[to as usize] += n;
-                    if n > 0 {
-                        edge(from, to, n);
-                    }
+                    counts[to as usize] += self.branches[2 * term.slot as usize + k];
                 }
             }
         }
@@ -354,7 +348,7 @@ impl Observers {
         // what the armed counters would read: the executions of every
         // injection site, minus the ones that have not produced
         let t = &interp.block_table;
-        let blocks = self.block_counts(t, |_, _, _| {});
+        let blocks = self.block_counts(t);
         let coll = self.ckpt.as_mut().expect("a capture was announced");
         let counts = &mut coll.inj_counts;
         counts.fill(0);
@@ -425,37 +419,16 @@ impl Observers {
         }
         let mut p = self.profile.take().expect("checked above");
         let t = &interp.block_table;
-        let edges = &mut p.edge_counts;
-        let blocks = self.block_counts(t, |from, to, n| {
-            let fi = t.first.partition_point(|&first| first as usize <= from) - 1;
-            let local = |block: u32| BlockId(block - t.first[fi]);
-            *edges[fi]
-                .entry((local(from as u32), local(to)))
-                .or_insert(0) += n;
-        });
-        for (counts, range) in p.block_counts.iter_mut().zip(t.first.windows(2)) {
-            counts.copy_from_slice(&blocks[range[0] as usize..range[1] as usize]);
-        }
+        p.block_counts = self.block_counts(t);
         add_executions(
             interp,
             &t.block_of,
-            &blocks,
+            &p.block_counts,
             dframes,
             top_pc,
             executed,
             &mut p.inst_counts,
         );
-
-        for ((cycles, &n), &cost) in p
-            .inst_cycles
-            .iter_mut()
-            .zip(&p.inst_counts)
-            .zip(&interp.cost)
-        {
-            *cycles = n * cost;
-        }
-        p.total_cycles = p.inst_cycles.iter().sum();
-        p.total_insts = steps;
         p.injectable_execs = inj_ctr.unwrap_or_else(|| {
             let executions: u64 = p
                 .inst_counts

@@ -67,6 +67,15 @@ fn run_inner(
         .iter()
         .flat_map(|f| f.insts.iter().map(|inst| inst.injectable()))
         .collect();
+    // per function: the number of its first block in the profile's list
+    let first_block: Vec<usize> = m
+        .funcs
+        .iter()
+        .scan(0, |n, f| {
+            *n += f.blocks.len();
+            Some(*n - f.blocks.len())
+        })
+        .collect();
     let cfg = interp.config();
     let mut profile = (run.observe && cfg.profile).then(|| Profile::for_module(m));
     let mut trace: Option<Vec<TraceEvent>> = (run.observe && cfg.trace).then(Vec::new);
@@ -93,7 +102,7 @@ fn run_inner(
     // block entry.
     if st.steps == 0 {
         if let Some(p) = profile.as_mut() {
-            p.block_counts[m.entry.index()][0] += 1;
+            p.block_counts[first_block[m.entry.index()]] += 1;
         }
     }
 
@@ -128,9 +137,7 @@ fn run_inner(
                         termination: $term,
                         output: std::mem::take(output),
                         profile: profile.map(|mut p: Profile| {
-                            p.total_insts = *steps;
                             p.injectable_execs = *inj_ctr;
-                            p.total_cycles = p.inst_cycles.iter().sum();
                             p
                         }),
                         steps: *steps,
@@ -164,7 +171,6 @@ fn run_inner(
             }
             if let Some(p) = profile.as_mut() {
                 p.inst_counts[dense] += 1;
-                p.inst_cycles[dense] += interp.cost[dense];
                 // Per-section dynamic range: steps are 1-based here
                 // (incremented above), so 0 doubles as "never ran".
                 let fidx = frame.func.index();
@@ -557,10 +563,7 @@ fn run_inner(
                 }
                 Some(Control::Jump(target)) => {
                     if let Some(p) = profile.as_mut() {
-                        p.block_counts[frame.func.index()][target.index()] += 1;
-                        *p.edge_counts[frame.func.index()]
-                            .entry((frame.block, target))
-                            .or_insert(0) += 1;
+                        p.block_counts[first_block[frame.func.index()] + target.index()] += 1;
                     }
                     frame.block = target;
                     frame.pos = 0;
@@ -576,7 +579,7 @@ fn run_inner(
                         sp_base: stack_mem.len(),
                     };
                     if let Some(p) = profile.as_mut() {
-                        p.block_counts[callee.index()][0] += 1;
+                        p.block_counts[first_block[callee.index()]] += 1;
                     }
                     stack.push(new_frame);
                 }

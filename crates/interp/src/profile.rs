@@ -1,16 +1,15 @@
 //! Dynamic execution profiles.
 //!
-//! A [`Profile`] captures the three signals the pipeline needs:
+//! A [`Profile`] holds what one run counts, in the shape its readers use:
 //!
-//! 1. **Per-instruction dynamic counts and cycles** — SID's knapsack cost
-//!    (Eq. 1) and the denominator of per-instruction FI sampling.
+//! 1. **Per-instruction dynamic counts** — the denominator of
+//!    per-instruction FI sampling and, times each instruction's static
+//!    cycle cost ([`Profile::inst_cycles`]), SID's knapsack cost (Eq. 1).
 //! 2. **Per-block entry counts** — the *indexed weighted-CFG list* of
 //!    paper Fig. 5, which the GA fitness function (Eq. 3) compares across
 //!    inputs.
-//! 3. **Per-edge execution counts** — the weighted CFG proper.
 
-use minpsid_ir::{BlockId, FuncId, Module};
-use std::collections::HashMap;
+use minpsid_ir::{FuncId, Module};
 
 /// Dynamic profile of one execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -18,16 +17,9 @@ pub struct Profile {
     /// Dynamic execution count per static instruction, dense in module
     /// numbering order.
     pub inst_counts: Vec<u64>,
-    /// Total cycles attributed to each static instruction.
-    pub inst_cycles: Vec<u64>,
-    /// Entry count per basic block: `block_counts[func][block]`.
-    pub block_counts: Vec<Vec<u64>>,
-    /// Execution count per CFG edge, keyed `(from, to)`, per function.
-    pub edge_counts: Vec<HashMap<(BlockId, BlockId), u64>>,
-    /// Sum of `inst_cycles`.
-    pub total_cycles: u64,
-    /// Total dynamic instructions executed.
-    pub total_insts: u64,
+    /// Entry count per basic block, numbered in function order, then
+    /// block order: the list `L = {i_1, …, i_N}` of paper Eq. 3.
+    pub block_counts: Vec<u64>,
     /// Total dynamic executions of injectable instructions (the population
     /// whole-program random injection samples from).
     pub injectable_execs: u64,
@@ -43,18 +35,9 @@ pub struct Profile {
 impl Profile {
     /// Empty profile shaped for `module`.
     pub fn for_module(module: &Module) -> Self {
-        let n = module.num_insts();
         Profile {
-            inst_counts: vec![0; n],
-            inst_cycles: vec![0; n],
-            block_counts: module
-                .funcs
-                .iter()
-                .map(|f| vec![0; f.blocks.len()])
-                .collect(),
-            edge_counts: module.funcs.iter().map(|_| HashMap::new()).collect(),
-            total_cycles: 0,
-            total_insts: 0,
+            inst_counts: vec![0; module.num_insts()],
+            block_counts: vec![0; module.funcs.iter().map(|f| f.blocks.len()).sum()],
             injectable_execs: 0,
             sec_first_step: vec![0; module.funcs.len()],
             sec_last_step: vec![0; module.funcs.len()],
@@ -67,11 +50,21 @@ impl Profile {
         (first != 0).then(|| (first, self.sec_last_step[func.index()]))
     }
 
-    /// The indexed weighted-CFG list of the *whole program*: the per-block
-    /// entry counts of every function, concatenated in function order.
-    /// This is the vector `L = {i_1, …, i_N}` of paper Eq. 3.
+    /// The indexed weighted-CFG list of the *whole program*: a copy of
+    /// [`Profile::block_counts`].
     pub fn indexed_cfg_list(&self) -> Vec<u64> {
-        self.block_counts.iter().flatten().copied().collect()
+        self.block_counts.clone()
+    }
+
+    /// Cycles spent in each static instruction of `module` (dense): its
+    /// dynamic count times its cost per execution.
+    pub fn inst_cycles(&self, module: &Module) -> Vec<u64> {
+        assert_eq!(self.inst_counts.len(), module.num_insts());
+        module
+            .iter_insts()
+            .zip(&self.inst_counts)
+            .map(|((_, inst), &n)| n * minpsid_ir::cycles(&inst.kind, inst.ty))
+            .collect()
     }
 }
 
@@ -94,8 +87,8 @@ mod tests {
         let m = mb.finish();
 
         let mut p = Profile::for_module(&m);
-        p.block_counts[0][0] = 7;
-        p.block_counts[1][0] = 3;
+        p.block_counts[0] = 7;
+        p.block_counts[1] = 3;
         assert_eq!(p.indexed_cfg_list(), vec![7, 3]);
     }
 
@@ -108,8 +101,8 @@ mod tests {
         mb.define(fb);
         let m = mb.finish();
         let p = Profile::for_module(&m);
-        assert_eq!(p.total_cycles, 0);
         assert_eq!(p.inst_counts, vec![0]);
-        assert!(p.edge_counts[0].is_empty());
+        assert_eq!(p.block_counts, vec![0]);
+        assert_eq!(p.inst_cycles(&m), vec![0]);
     }
 }

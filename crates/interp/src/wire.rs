@@ -15,9 +15,7 @@
 //!
 //! Integers are varint-encoded (LEB128, ≤ 10 bytes) except raw memory
 //! words, which stay fixed 8-byte LE — HPC heaps are dense with
-//! high-entropy floats where varints only add bytes. Hash-map ordered
-//! collections (CFG edge counts) are sorted by key before encoding so
-//! the byte image is a pure function of the value.
+//! high-entropy floats where varints only add bytes.
 
 use crate::exec::{Frame, MachineState};
 use crate::profile::Profile;
@@ -28,12 +26,13 @@ use crate::value::{Output, OutputItem, Value};
 pub use minpsid_ir::bytes::Error as WireError;
 use minpsid_ir::bytes::{put_u32, put_u64, put_varint, Reader};
 use minpsid_ir::{BlockId, FuncId};
-use std::collections::HashMap;
 
 /// Format version; bump on any layout change (decoders reject other
 /// versions rather than guessing). v2 added the per-section dynamic step
-/// ranges (`sec_first_step`/`sec_last_step`) to encoded profiles.
-pub const WIRE_VERSION: u32 = 2;
+/// ranges (`sec_first_step`/`sec_last_step`) to encoded profiles; v3
+/// dropped their cycles, edge counts and step total, and stores the block
+/// entries as one list.
+pub const WIRE_VERSION: u32 = 3;
 
 const GOLDEN_MAGIC: &[u8; 4] = b"MPSG";
 const CKPT_MAGIC: &[u8; 4] = b"MPSC";
@@ -423,24 +422,7 @@ pub fn decode_checkpoints_within(
 
 fn w_profile(buf: &mut Vec<u8>, p: &Profile) {
     w_varints(buf, &p.inst_counts);
-    w_varints(buf, &p.inst_cycles);
-    put_varint(buf, p.block_counts.len() as u64);
-    for counts in &p.block_counts {
-        w_varints(buf, counts);
-    }
-    put_varint(buf, p.edge_counts.len() as u64);
-    for edges in &p.edge_counts {
-        let mut sorted: Vec<_> = edges.iter().collect();
-        sorted.sort_unstable_by_key(|(k, _)| **k);
-        put_varint(buf, sorted.len() as u64);
-        for (&(from, to), &count) in sorted {
-            put_u32(buf, from.0);
-            put_u32(buf, to.0);
-            put_varint(buf, count);
-        }
-    }
-    put_varint(buf, p.total_cycles);
-    put_varint(buf, p.total_insts);
+    w_varints(buf, &p.block_counts);
     put_varint(buf, p.injectable_execs);
     w_varints(buf, &p.sec_first_step);
     w_varints(buf, &p.sec_last_step);
@@ -448,26 +430,7 @@ fn w_profile(buf: &mut Vec<u8>, p: &Profile) {
 
 fn r_profile(r: &mut Reader) -> Result<Profile, WireError> {
     let inst_counts = r_varints(r)?;
-    let inst_cycles = r_varints(r)?;
-    let nb = r.count(1)?;
-    let mut block_counts = Vec::with_capacity(nb);
-    for _ in 0..nb {
-        block_counts.push(r_varints(r)?);
-    }
-    let ne = r.count(1)?;
-    let mut edge_counts = Vec::with_capacity(ne);
-    for _ in 0..ne {
-        let k = r.count(9)?;
-        let mut edges = HashMap::with_capacity(k);
-        for _ in 0..k {
-            let from = BlockId(r.u32()?);
-            let to = BlockId(r.u32()?);
-            edges.insert((from, to), r.varint()?);
-        }
-        edge_counts.push(edges);
-    }
-    let total_cycles = r.varint()?;
-    let total_insts = r.varint()?;
+    let block_counts = r_varints(r)?;
     let injectable_execs = r.varint()?;
     let sec_first_step = r_varints(r)?;
     let sec_last_step = r_varints(r)?;
@@ -476,11 +439,7 @@ fn r_profile(r: &mut Reader) -> Result<Profile, WireError> {
     }
     Ok(Profile {
         inst_counts,
-        inst_cycles,
         block_counts,
-        edge_counts,
-        total_cycles,
-        total_insts,
         injectable_execs,
         sec_first_step,
         sec_last_step,
@@ -595,31 +554,18 @@ mod tests {
                 OutputItem::F(-0.0),
             ],
         };
-        let mut profile = Profile {
+        let profile = Profile {
             inst_counts: vec![0, 3, u64::MAX],
-            inst_cycles: vec![1, 2, 3],
-            block_counts: vec![vec![5, 6], vec![]],
-            edge_counts: vec![HashMap::new(), HashMap::new()],
-            total_cycles: 99,
-            total_insts: 42,
+            block_counts: vec![5, 6],
             injectable_execs: 17,
             sec_first_step: vec![1, 0],
             sec_last_step: vec![40, 0],
         };
-        profile.edge_counts[0].insert((BlockId(0), BlockId(1)), 10);
-        profile.edge_counts[0].insert((BlockId(1), BlockId(0)), 9);
-
         let bytes = encode_golden(&output, &profile, 12345);
         assert_eq!(bytes, encode_golden(&output, &profile, 12345));
         let (o2, p2, steps) = decode_golden(&bytes).unwrap();
         assert_eq!(o2, output);
-        assert_eq!(p2.inst_counts, profile.inst_counts);
-        assert_eq!(p2.inst_cycles, profile.inst_cycles);
-        assert_eq!(p2.block_counts, profile.block_counts);
-        assert_eq!(p2.edge_counts, profile.edge_counts);
-        assert_eq!(p2.total_cycles, 99);
-        assert_eq!(p2.sec_first_step, profile.sec_first_step);
-        assert_eq!(p2.sec_last_step, profile.sec_last_step);
+        assert_eq!(p2, profile);
         assert_eq!(steps, 12345);
     }
 
@@ -787,11 +733,7 @@ mod tests {
             &Output::default(),
             &Profile {
                 inst_counts: vec![],
-                inst_cycles: vec![],
                 block_counts: vec![],
-                edge_counts: vec![],
-                total_cycles: 0,
-                total_insts: 0,
                 injectable_execs: 0,
                 sec_first_step: vec![],
                 sec_last_step: vec![],

@@ -21,17 +21,16 @@ pub struct CostBenefit {
 impl CostBenefit {
     /// Combine a golden profile with a per-instruction FI campaign.
     pub fn build(module: &Module, golden: &GoldenRun, per_inst: &PerInstSdc) -> Self {
-        let n = module.num_insts();
-        assert_eq!(golden.profile.inst_cycles.len(), n);
-        assert_eq!(per_inst.sdc_prob.len(), n);
-        let total_cycles = golden.profile.total_cycles.max(1);
-        let mut benefit = vec![0.0; n];
-        for (i, b) in benefit.iter_mut().enumerate() {
-            let cost_fraction = golden.profile.inst_cycles[i] as f64 / total_cycles as f64;
-            *b = cost_fraction * per_inst.sdc_prob[i];
-        }
+        let cost = golden.profile.inst_cycles(module);
+        assert_eq!(per_inst.sdc_prob.len(), cost.len());
+        let total_cycles = cost.iter().sum::<u64>().max(1);
+        let benefit = cost
+            .iter()
+            .zip(&per_inst.sdc_prob)
+            .map(|(&c, &p)| c as f64 / total_cycles as f64 * p)
+            .collect();
         CostBenefit {
-            cost: golden.profile.inst_cycles.clone(),
+            cost,
             benefit,
             sdc_prob: per_inst.sdc_prob.clone(),
             dyn_counts: golden.profile.inst_counts.clone(),

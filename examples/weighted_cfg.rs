@@ -8,7 +8,7 @@
 
 use minpsid_repro::faultsim::CampaignConfig;
 use minpsid_repro::interp::{ProgInput, Scalar, Stream};
-use minpsid_repro::minpsid::{fitness_score, indexed_cfg_list, profile_input};
+use minpsid_repro::minpsid::{fitness_score, profile_input};
 
 fn main() {
     // the Fig. 5 code shape: a guarded accumulation over a grid row
@@ -58,8 +58,8 @@ fn main() {
     // input B: long row, ascending values (the `if` never fires)
     let b = run(10, (1..=10).collect());
 
-    let la = indexed_cfg_list(&a);
-    let lb = indexed_cfg_list(&b);
+    let la = a.indexed_cfg_list();
+    let lb = b.indexed_cfg_list();
     println!("\nindexed weighted-CFG lists (per-block dynamic entry counts):");
     println!("  input A (4 cols, descending): {la:?}");
     println!("  input B (10 cols, ascending): {lb:?}");

@@ -100,6 +100,15 @@ test -n "$MC_OUT" && test "$ROUTE_OUT" = "$MC_OUT" \
   || { echo "README .ir route printed '$ROUTE_OUT', the .mc '$MC_OUT'"; exit 1; }
 rm -rf "$ROUTE"
 
+echo "== fast examples (each runs to exit 0 from the release build)"
+# `cargo test` compiles examples/ but runs none of them; harden_benchmark
+# takes minutes and is left to scripts/run_examples.sh
+cargo build --release --offline -q -p minpsid-repro --example quickstart \
+  --example incubative_instruction --example weighted_cfg --example error_propagation
+for EX in quickstart incubative_instruction weighted_cfg error_propagation; do
+  "target/release/examples/$EX" >/dev/null || { echo "example $EX failed"; exit 1; }
+done
+
 # The guards below end in `|| exit 1`: `set -e` does not stop on a
 # command whose status `!` inverts, so without it a guard that finds
 # something only prints.
