@@ -9,10 +9,17 @@ use crate::inst::InstKind;
 use crate::module::{BlockId, Function};
 
 /// The static control-flow graph of one function.
+///
+/// Successors and predecessors are stored flat: block `b`'s successors
+/// are `succ[succ_at[b]..succ_at[b + 1]]` and its predecessors likewise in
+/// `pred`/`pred_at`, so building one costs a handful of allocations
+/// whatever the number of blocks.
 #[derive(Debug, Clone)]
 pub struct Cfg {
-    succs: Vec<Vec<BlockId>>,
-    preds: Vec<Vec<BlockId>>,
+    succ: Vec<BlockId>,
+    succ_at: Vec<u32>,
+    pred: Vec<BlockId>,
+    pred_at: Vec<u32>,
     /// All edges `(from, to)` in block order, deduplicated.
     edges: Vec<(BlockId, BlockId)>,
 }
@@ -21,47 +28,56 @@ impl Cfg {
     /// Build the CFG from a function's terminators.
     pub fn build(func: &Function) -> Cfg {
         let n = func.blocks.len();
-        let mut succs = vec![Vec::new(); n];
-        let mut preds: Vec<Vec<BlockId>> = vec![Vec::new(); n];
         let mut edges = Vec::new();
+        let mut succ_at = Vec::with_capacity(n + 1);
+        succ_at.push(0);
         for (bid, block) in func.iter_blocks() {
-            let Some(term) = block.terminator() else {
-                continue;
-            };
-            let targets: Vec<BlockId> = match &func.inst(term).kind {
-                InstKind::Br { target } => vec![*target],
-                InstKind::CondBr { then_b, else_b, .. } => {
-                    if then_b == else_b {
-                        vec![*then_b]
-                    } else {
-                        vec![*then_b, *else_b]
+            if let Some(term) = block.terminator() {
+                let targets = match &func.inst(term).kind {
+                    InstKind::Br { target } => [Some(*target), None],
+                    InstKind::CondBr { then_b, else_b, .. } => {
+                        [Some(*then_b), (then_b != else_b).then_some(*else_b)]
                     }
-                }
-                _ => vec![],
-            };
-            for t in targets {
-                succs[bid.index()].push(t);
-                preds[t.index()].push(bid);
-                edges.push((bid, t));
+                    _ => [None, None],
+                };
+                edges.extend(targets.into_iter().flatten().map(|t| (bid, t)));
             }
+            succ_at.push(edges.len() as u32);
+        }
+        let succ = edges.iter().map(|&(_, to)| to).collect();
+        // predecessors: the edges sorted by target, stably (block order)
+        let mut pred_at = vec![0u32; n + 1];
+        for &(_, to) in &edges {
+            pred_at[to.index() + 1] += 1;
+        }
+        for b in 0..n {
+            pred_at[b + 1] += pred_at[b];
+        }
+        let mut next = pred_at.clone();
+        let mut pred = vec![BlockId(0); edges.len()];
+        for &(from, to) in &edges {
+            pred[next[to.index()] as usize] = from;
+            next[to.index()] += 1;
         }
         Cfg {
-            succs,
-            preds,
+            succ,
+            succ_at,
+            pred,
+            pred_at,
             edges,
         }
     }
 
     pub fn num_blocks(&self) -> usize {
-        self.succs.len()
+        self.succ_at.len() - 1
     }
 
     pub fn succs(&self, b: BlockId) -> &[BlockId] {
-        &self.succs[b.index()]
+        &self.succ[self.succ_at[b.index()] as usize..self.succ_at[b.index() + 1] as usize]
     }
 
     pub fn preds(&self, b: BlockId) -> &[BlockId] {
-        &self.preds[b.index()]
+        &self.pred[self.pred_at[b.index()] as usize..self.pred_at[b.index() + 1] as usize]
     }
 
     /// All CFG edges in emission order.
@@ -82,8 +98,9 @@ impl Cfg {
         let mut stack: Vec<(BlockId, usize)> = vec![(BlockId(0), 0)];
         visited[0] = true;
         while let Some(&mut (b, ref mut cursor)) = stack.last_mut() {
-            if *cursor < self.succs[b.index()].len() {
-                let s = self.succs[b.index()][*cursor];
+            let succs = self.succs(b);
+            if *cursor < succs.len() {
+                let s = succs[*cursor];
                 *cursor += 1;
                 if !visited[s.index()] {
                     visited[s.index()] = true;

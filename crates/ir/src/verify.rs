@@ -130,6 +130,7 @@ fn verify_function(m: &Module, f: &Function, errs: &mut Vec<VerifyError>) {
 
     // per-instruction typing
     let owners = f.inst_blocks();
+    let mut targets_in_range = true;
     for (iid, inst) in f.insts.iter().enumerate() {
         let iid = InstId(iid as u32);
         check_types(m, f, iid, inst, errs);
@@ -148,16 +149,21 @@ fn verify_function(m: &Module, f: &Function, errs: &mut Vec<VerifyError>) {
             }
         }
         // branch targets in range
-        let targets: Vec<BlockId> = match &inst.kind {
-            InstKind::Br { target } => vec![*target],
-            InstKind::CondBr { then_b, else_b, .. } => vec![*then_b, *else_b],
-            _ => vec![],
+        let targets = match &inst.kind {
+            InstKind::Br { target } => [Some(*target), None],
+            InstKind::CondBr { then_b, else_b, .. } => [Some(*then_b), Some(*else_b)],
+            _ => [None, None],
         };
-        for t in targets {
+        for t in targets.into_iter().flatten() {
             if t.index() >= f.blocks.len() {
+                targets_in_range = false;
                 err(errs, format!("{iid:?}: branch target {t:?} out of range"));
             }
         }
+    }
+    if !targets_in_range {
+        // the CFG indexes its tables by branch target
+        return;
     }
 
     // dominance: each value operand's def dominates the use
@@ -534,5 +540,21 @@ mod tests {
         mb.define(fb);
         let m = mb.finish();
         assert!(verify_module(&m).is_err());
+    }
+
+    #[test]
+    fn rejects_out_of_range_branch_target_without_panicking() {
+        // reachable from an `.ir` file: `br bb.7` in a one-block function
+        let mut mb = ModuleBuilder::new("t");
+        let main = mb.declare("main", vec![], None);
+        let mut fb = mb.body(main);
+        fb.br(BlockId(7));
+        mb.define(fb);
+        let errs = verify_module(&mb.finish()).unwrap_err();
+        assert_eq!(errs.len(), 1);
+        assert_eq!(
+            errs[0].to_string(),
+            "in `main`: InstId(0): branch target BlockId(7) out of range"
+        );
     }
 }

@@ -1,4 +1,4 @@
-//! Abstract syntax tree for minic.
+//! Abstract syntax tree for minic. Names borrow from the source text.
 
 /// Source-level types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,65 +40,65 @@ impl Type {
 }
 
 #[derive(Debug, Clone, PartialEq)]
-pub struct Program {
-    pub fns: Vec<FnDecl>,
+pub struct Program<'src> {
+    pub fns: Vec<FnDecl<'src>>,
 }
 
 #[derive(Debug, Clone, PartialEq)]
-pub struct FnDecl {
-    pub name: String,
-    pub params: Vec<(String, Type)>,
+pub struct FnDecl<'src> {
+    pub name: &'src str,
+    pub params: Vec<(&'src str, Type)>,
     pub ret: Option<Type>,
-    pub body: Block,
+    pub body: Block<'src>,
     pub line: u32,
 }
 
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct Block {
-    pub stmts: Vec<Stmt>,
+pub struct Block<'src> {
+    pub stmts: Vec<Stmt<'src>>,
 }
 
 #[derive(Debug, Clone, PartialEq)]
-pub enum Stmt {
+pub enum Stmt<'src> {
     Let {
-        name: String,
+        name: &'src str,
         ty: Option<Type>,
-        init: Expr,
+        init: Expr<'src>,
         line: u32,
     },
     Assign {
-        name: String,
-        value: Expr,
+        name: &'src str,
+        value: Expr<'src>,
         line: u32,
     },
     AssignIdx {
-        name: String,
-        idx: Expr,
-        value: Expr,
+        name: &'src str,
+        idx: Expr<'src>,
+        value: Expr<'src>,
         line: u32,
     },
     If {
-        cond: Expr,
-        then_b: Block,
-        else_b: Option<Block>,
+        cond: Expr<'src>,
+        then_b: Block<'src>,
+        else_b: Option<Block<'src>>,
         line: u32,
     },
     While {
-        cond: Expr,
-        body: Block,
+        cond: Expr<'src>,
+        body: Block<'src>,
         line: u32,
     },
     /// `for var = from to to_ { body }` — half-open `[from, to_)`, `to_`
     /// evaluated once before the loop.
     For {
-        var: String,
-        from: Expr,
-        to_: Expr,
-        body: Block,
+        var: &'src str,
+        from: Expr<'src>,
+        to_: Expr<'src>,
+        body: Block<'src>,
         line: u32,
     },
     Return {
-        value: Option<Expr>,
+        value: Option<Expr<'src>>,
         line: u32,
     },
     Break {
@@ -108,7 +108,7 @@ pub enum Stmt {
         line: u32,
     },
     Expr {
-        e: Expr,
+        e: Expr<'src>,
         line: u32,
     },
 }
@@ -150,35 +150,35 @@ impl BinaryOp {
 }
 
 #[derive(Debug, Clone, PartialEq)]
-pub enum Expr {
+pub enum Expr<'src> {
     IntLit(i64, u32),
     FloatLit(f64, u32),
     BoolLit(bool, u32),
-    Var(String, u32),
+    Var(&'src str, u32),
     Index {
-        name: String,
-        idx: Box<Expr>,
+        name: &'src str,
+        idx: Box<Expr<'src>>,
         line: u32,
     },
     Call {
-        name: String,
-        args: Vec<Expr>,
+        name: &'src str,
+        args: Vec<Expr<'src>>,
         line: u32,
     },
     Unary {
         op: UnaryOp,
-        e: Box<Expr>,
+        e: Box<Expr<'src>>,
         line: u32,
     },
     Binary {
         op: BinaryOp,
-        l: Box<Expr>,
-        r: Box<Expr>,
+        l: Box<Expr<'src>>,
+        r: Box<Expr<'src>>,
         line: u32,
     },
 }
 
-impl Expr {
+impl Expr<'_> {
     pub fn line(&self) -> u32 {
         match self {
             Expr::IntLit(_, l)

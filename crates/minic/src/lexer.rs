@@ -2,16 +2,17 @@
 
 use crate::CompileError;
 
-/// A token with its 1-based source line.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
-    pub kind: TokKind,
+/// A token with its 1-based source line. Identifiers borrow their text
+/// from the source.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Token<'src> {
+    pub kind: TokKind<'src>,
     pub line: u32,
 }
 
-#[derive(Debug, Clone, PartialEq)]
-pub enum TokKind {
-    Ident(String),
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TokKind<'src> {
+    Ident(&'src str),
     Int(i64),
     Float(f64),
     // keywords
@@ -60,7 +61,7 @@ pub enum TokKind {
     Eof,
 }
 
-impl TokKind {
+impl TokKind<'_> {
     /// Human-readable description for error messages.
     pub fn describe(&self) -> String {
         match self {
@@ -121,7 +122,7 @@ fn token_text(k: &TokKind) -> &'static str {
 
 /// Tokenize `source`. `//` line comments and `/* */` block comments are
 /// skipped.
-pub fn lex(source: &str) -> Result<Vec<Token>, CompileError> {
+pub fn lex(source: &str) -> Result<Vec<Token<'_>>, CompileError> {
     let bytes = source.as_bytes();
     let mut toks = Vec::new();
     let mut i = 0usize;
@@ -180,7 +181,7 @@ pub fn lex(source: &str) -> Result<Vec<Token>, CompileError> {
                     "int" => TokKind::KwInt,
                     "float" => TokKind::KwFloat,
                     "bool" => TokKind::KwBool,
-                    _ => TokKind::Ident(word.to_string()),
+                    _ => TokKind::Ident(word),
                 };
                 toks.push(Token { kind, line });
             }
@@ -265,8 +266,11 @@ pub fn lex(source: &str) -> Result<Vec<Token>, CompileError> {
                             '!' => TokKind::Bang,
                             '<' => TokKind::Lt,
                             '>' => TokKind::Gt,
-                            other => {
-                                return Err(err(line, format!("unexpected character `{other}`")))
+                            _ => {
+                                // `i` is on a character boundary: everything
+                                // consumed so far ends in an ASCII byte
+                                let ch = source[i..].chars().next().unwrap_or('?');
+                                return Err(err(line, format!("unexpected character `{ch}`")));
                             }
                         };
                         (k, 1)
@@ -288,7 +292,7 @@ pub fn lex(source: &str) -> Result<Vec<Token>, CompileError> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokKind> {
+    fn kinds(src: &str) -> Vec<TokKind<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -298,7 +302,7 @@ mod tests {
             kinds("fn foo let"),
             vec![
                 TokKind::Fn,
-                TokKind::Ident("foo".into()),
+                TokKind::Ident("foo"),
                 TokKind::Let,
                 TokKind::Eof
             ]
@@ -346,9 +350,9 @@ mod tests {
     #[test]
     fn skips_comments_and_tracks_lines() {
         let toks = lex("// comment\nx /* multi\nline */ y").unwrap();
-        assert_eq!(toks[0].kind, TokKind::Ident("x".into()));
+        assert_eq!(toks[0].kind, TokKind::Ident("x"));
         assert_eq!(toks[0].line, 2);
-        assert_eq!(toks[1].kind, TokKind::Ident("y".into()));
+        assert_eq!(toks[1].kind, TokKind::Ident("y"));
         assert_eq!(toks[1].line, 3);
     }
 
@@ -370,5 +374,19 @@ mod tests {
         for src in ["&\u{10ee73}]", "🕴", "a 𠚃 b", "=\u{00e9}"] {
             assert!(lex(src).is_err(), "{src:?} should error, not panic");
         }
+    }
+
+    #[test]
+    fn non_ascii_characters_are_named_as_written() {
+        for (src, ch) in [
+            ("fn main() { let x = 1; \u{e9} }", "\u{e9}"),
+            ("a \u{2192} b", "\u{2192}"),
+            ("x\n\u{1f574}", "\u{1f574}"),
+        ] {
+            let e = lex(src).unwrap_err();
+            assert_eq!(e.msg, format!("unexpected character `{ch}`"), "{src:?}");
+        }
+        let e = lex("fn main() { let x = 1; \u{e9} }").unwrap_err();
+        assert_eq!(e.to_string(), "line 1: unexpected character `\u{e9}`");
     }
 }

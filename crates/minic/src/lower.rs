@@ -25,27 +25,24 @@ use std::collections::{HashMap, HashSet};
 /// [`minpsid_ir::verify_module`] (done by [`crate::compile`]).
 pub fn lower(program: &Program, module_name: &str) -> Result<Module, CompileError> {
     let mut mb = ModuleBuilder::new(module_name);
-    let mut sigs: HashMap<String, (FuncId, Vec<Type>, Option<Type>)> = HashMap::new();
+    let mut sigs: Sigs = HashMap::new();
 
     for f in &program.fns {
-        if BUILTINS.contains(&f.name.as_str()) {
+        if BUILTINS.contains(&f.name) {
             return Err(err(f.line, format!("`{}` is a builtin name", f.name)));
         }
-        if sigs.contains_key(&f.name) {
+        if sigs.contains_key(f.name) {
             return Err(err(f.line, format!("duplicate function `{}`", f.name)));
         }
         let params: Vec<Ty> = f.params.iter().map(|(_, t)| ir_ty(*t)).collect();
-        let fid = mb.declare(&f.name, params, f.ret.map(ir_ty));
-        sigs.insert(
-            f.name.clone(),
-            (fid, f.params.iter().map(|(_, t)| *t).collect(), f.ret),
-        );
+        let fid = mb.declare(f.name, params, f.ret.map(ir_ty));
+        sigs.insert(f.name, (fid, f));
     }
 
-    let Some(&(main_id, ref main_params, _)) = sigs.get("main") else {
+    let Some(&(main_id, main)) = sigs.get("main") else {
         return Err(err(0, "program has no `main` function".into()));
     };
-    if !main_params.is_empty() {
+    if !main.params.is_empty() {
         return Err(err(
             0,
             "`main` takes no parameters; read inputs with arg_i/arg_f/data_* builtins".into(),
@@ -55,7 +52,7 @@ pub fn lower(program: &Program, module_name: &str) -> Result<Module, CompileErro
 
     let mut patches: Vec<(FuncId, InstId, i64)> = Vec::new();
     for f in &program.fns {
-        let fid = sigs[&f.name].0;
+        let fid = sigs[f.name].0;
         let mut lowerer = FnLower::new(&mb, fid, f, &sigs)?;
         lowerer.lower_body()?;
         let (fb, slot_base, slots) = lowerer.finish();
@@ -72,6 +69,9 @@ pub fn lower(program: &Program, module_name: &str) -> Result<Module, CompileErro
     }
     Ok(module)
 }
+
+/// Each function's id and declaration, by name.
+type Sigs<'p, 'src> = HashMap<&'src str, (FuncId, &'p FnDecl<'src>)>;
 
 const BUILTINS: &[&str] = &[
     "nargs", "arg_i", "arg_f", "data_len", "data_i", "data_f", "out_i", "out_f", "sqrt", "sin",
@@ -113,23 +113,26 @@ struct LoopCtx {
     break_to: BlockId,
 }
 
-struct FnLower<'p> {
+struct FnLower<'p, 'src> {
     fb: FunctionBuilder,
-    decl: &'p FnDecl,
-    sigs: &'p HashMap<String, (FuncId, Vec<Type>, Option<Type>)>,
-    scopes: Vec<HashMap<String, VarInfo>>,
+    decl: &'p FnDecl<'src>,
+    sigs: &'p Sigs<'p, 'src>,
+    /// The variables in scope, innermost last; `scope_starts` holds where
+    /// each open scope's run of `vars` begins.
+    vars: Vec<(&'src str, VarInfo)>,
+    scope_starts: Vec<usize>,
     loops: Vec<LoopCtx>,
-    assigned: HashSet<String>,
+    assigned: HashSet<&'src str>,
     slot_base: InstId,
     next_slot: i64,
 }
 
-impl<'p> FnLower<'p> {
+impl<'p, 'src> FnLower<'p, 'src> {
     fn new(
         mb: &ModuleBuilder,
         fid: FuncId,
-        decl: &'p FnDecl,
-        sigs: &'p HashMap<String, (FuncId, Vec<Type>, Option<Type>)>,
+        decl: &'p FnDecl<'src>,
+        sigs: &'p Sigs<'p, 'src>,
     ) -> Result<Self, CompileError> {
         let mut fb = mb.body(fid);
         // frame slab; size patched in `lower`
@@ -142,7 +145,8 @@ impl<'p> FnLower<'p> {
             fb,
             decl,
             sigs,
-            scopes: vec![HashMap::new()],
+            vars: vec![],
+            scope_starts: vec![0],
             loops: vec![],
             assigned,
             slot_base,
@@ -150,7 +154,7 @@ impl<'p> FnLower<'p> {
         };
 
         // bind parameters; assigned ones are copied into slots
-        for (i, (name, ty)) in decl.params.iter().enumerate() {
+        for (i, &(name, ty)) in decl.params.iter().enumerate() {
             let preg = this.fb.param(i);
             if this.assigned.contains(name) {
                 if ty.is_array() {
@@ -160,10 +164,10 @@ impl<'p> FnLower<'p> {
                     ));
                 }
                 let off = this.alloc_slot();
-                this.write_slot(off, *ty, preg.into());
-                this.declare_var(name, *ty, Place::Slot(off), decl.line)?;
+                this.write_slot(off, ty, preg.into());
+                this.declare_var(name, ty, Place::Slot(off), decl.line)?;
             } else {
-                this.declare_var(name, *ty, Place::Val(preg.into()), decl.line)?;
+                this.declare_var(name, ty, Place::Val(preg.into()), decl.line)?;
             }
         }
         Ok(this)
@@ -179,31 +183,38 @@ impl<'p> FnLower<'p> {
         off
     }
 
+    fn open_scope(&mut self) {
+        self.scope_starts.push(self.vars.len());
+    }
+
+    fn close_scope(&mut self) {
+        let start = self.scope_starts.pop().unwrap();
+        self.vars.truncate(start);
+    }
+
     fn declare_var(
         &mut self,
-        name: &str,
+        name: &'src str,
         ty: Type,
         place: Place,
         line: u32,
     ) -> Result<(), CompileError> {
-        let scope = self.scopes.last_mut().unwrap();
-        if scope.contains_key(name) {
+        let start = *self.scope_starts.last().unwrap();
+        if self.vars[start..].iter().any(|&(n, _)| n == name) {
             return Err(err(
                 line,
                 format!("`{name}` already declared in this scope"),
             ));
         }
-        scope.insert(name.to_string(), VarInfo { ty, place });
+        self.vars.push((name, VarInfo { ty, place }));
         Ok(())
     }
 
     fn lookup(&self, name: &str, line: u32) -> Result<VarInfo, CompileError> {
-        for scope in self.scopes.iter().rev() {
-            if let Some(v) = scope.get(name) {
-                return Ok(*v);
-            }
+        match self.vars.iter().rev().find(|&&(n, _)| n == name) {
+            Some(&(_, v)) => Ok(v),
+            None => Err(err(line, format!("unknown variable `{name}`"))),
         }
-        Err(err(line, format!("unknown variable `{name}`")))
     }
 
     /// Store `value` (of minic type `ty`) into frame slot `off`.
@@ -295,8 +306,8 @@ impl<'p> FnLower<'p> {
     // ---- statements ----
 
     fn lower_body(&mut self) -> Result<(), CompileError> {
-        let body = self.decl.body.clone();
-        let terminated = self.lower_block(&body)?;
+        let decl = self.decl;
+        let terminated = self.lower_block(&decl.body)?;
         if !terminated {
             match self.decl.ret {
                 None => self.fb.ret_void(),
@@ -316,21 +327,20 @@ impl<'p> FnLower<'p> {
 
     /// Lower a block in a fresh scope; returns whether control flow is
     /// terminated at the end (return/break/continue on all paths).
-    fn lower_block(&mut self, block: &Block) -> Result<bool, CompileError> {
-        self.scopes.push(HashMap::new());
+    fn lower_block(&mut self, block: &Block<'src>) -> Result<bool, CompileError> {
+        self.open_scope();
         let mut terminated = false;
         for stmt in &block.stmts {
             if terminated {
-                self.scopes.pop();
                 return Err(err(stmt_line(stmt), "unreachable code".into()));
             }
             terminated = self.lower_stmt(stmt)?;
         }
-        self.scopes.pop();
+        self.close_scope();
         Ok(terminated)
     }
 
-    fn lower_stmt(&mut self, stmt: &Stmt) -> Result<bool, CompileError> {
+    fn lower_stmt(&mut self, stmt: &Stmt<'src>) -> Result<bool, CompileError> {
         match stmt {
             Stmt::Let {
                 name,
@@ -343,7 +353,7 @@ impl<'p> FnLower<'p> {
                     name: cname, args, ..
                 } = init
                 {
-                    if cname == "alloc" {
+                    if *cname == "alloc" {
                         let Some(decl_ty) = ty else {
                             return Err(err(
                                 *line,
@@ -518,7 +528,7 @@ impl<'p> FnLower<'p> {
                 self.fb.cond_br(c, body_block, exit);
 
                 self.fb.switch_to(body_block);
-                self.scopes.push(HashMap::new());
+                self.open_scope();
                 self.declare_var(var, Type::Int, Place::Slot(off), *line)?;
                 self.loops.push(LoopCtx {
                     continue_to: latch,
@@ -526,7 +536,7 @@ impl<'p> FnLower<'p> {
                 });
                 let terminated = self.lower_block(body)?;
                 self.loops.pop();
-                self.scopes.pop();
+                self.close_scope();
                 if !terminated {
                     self.fb.br(latch);
                 }
@@ -880,21 +890,22 @@ impl<'p> FnLower<'p> {
             }
             _ => {
                 // user function
-                let Some((fid, param_tys, ret)) = self.sigs.get(name).cloned() else {
+                let Some(&(fid, callee)) = self.sigs.get(name) else {
                     return Err(err(line, format!("unknown function `{name}`")));
                 };
-                if args.len() != param_tys.len() {
+                if args.len() != callee.params.len() {
                     return Err(err(
                         line,
                         format!(
                             "`{name}` takes {} argument(s), got {}",
-                            param_tys.len(),
+                            callee.params.len(),
                             args.len()
                         ),
                     ));
                 }
+                let ret = callee.ret;
                 let mut ops = Vec::with_capacity(args.len());
-                for (a, &pt) in args.iter().zip(&param_tys) {
+                for (a, &(_, pt)) in args.iter().zip(&callee.params) {
                     let (op, ty) = self.lower_expr(a)?;
                     let op = self.coerce(op, ty, pt, a.line())?;
                     ops.push(op);
@@ -947,11 +958,11 @@ fn stmt_line(s: &Stmt) -> u32 {
     }
 }
 
-fn collect_assigned(block: &Block, out: &mut HashSet<String>) {
+fn collect_assigned<'src>(block: &Block<'src>, out: &mut HashSet<&'src str>) {
     for s in &block.stmts {
         match s {
             Stmt::Assign { name, .. } => {
-                out.insert(name.clone());
+                out.insert(*name);
             }
             Stmt::If { then_b, else_b, .. } => {
                 collect_assigned(then_b, out);

@@ -4,8 +4,9 @@ use crate::ast::*;
 use crate::lexer::{TokKind, Token};
 use crate::CompileError;
 
-/// Parse a token stream into a program.
-pub fn parse(tokens: &[Token]) -> Result<Program, CompileError> {
+/// Parse a token stream into a program whose names borrow from the
+/// tokens' source.
+pub fn parse<'src>(tokens: &[Token<'src>]) -> Result<Program<'src>, CompileError> {
     let mut p = Parser {
         toks: tokens,
         pos: 0,
@@ -17,14 +18,14 @@ pub fn parse(tokens: &[Token]) -> Result<Program, CompileError> {
     Ok(Program { fns })
 }
 
-struct Parser<'a> {
-    toks: &'a [Token],
+struct Parser<'t, 'src> {
+    toks: &'t [Token<'src>],
     pos: usize,
 }
 
-impl<'a> Parser<'a> {
-    fn peek(&self) -> &Token {
-        &self.toks[self.pos]
+impl<'src> Parser<'_, 'src> {
+    fn peek(&self) -> Token<'src> {
+        self.toks[self.pos]
     }
 
     fn at(&self, kind: TokKind) -> bool {
@@ -35,12 +36,10 @@ impl<'a> Parser<'a> {
         self.peek().line
     }
 
-    fn bump(&mut self) -> &Token {
-        let t = &self.toks[self.pos];
+    fn bump(&mut self) {
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
-        t
     }
 
     fn eat(&mut self, kind: TokKind) -> bool {
@@ -53,7 +52,7 @@ impl<'a> Parser<'a> {
     }
 
     fn expect(&mut self, kind: TokKind) -> Result<(), CompileError> {
-        if self.eat(kind.clone()) {
+        if self.eat(kind) {
             Ok(())
         } else {
             Err(self.err(format!(
@@ -71,10 +70,9 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn ident(&mut self) -> Result<String, CompileError> {
-        match &self.peek().kind {
+    fn ident(&mut self) -> Result<&'src str, CompileError> {
+        match self.peek().kind {
             TokKind::Ident(s) => {
-                let s = s.clone();
                 self.bump();
                 Ok(s)
             }
@@ -96,15 +94,13 @@ impl<'a> Parser<'a> {
             TokKind::KwInt => Type::Int,
             TokKind::KwFloat => Type::Float,
             TokKind::KwBool => Type::Bool,
-            ref other => {
-                return Err(self.err(format!("expected a type, found {}", other.describe())))
-            }
+            other => return Err(self.err(format!("expected a type, found {}", other.describe()))),
         };
         self.bump();
         Ok(t)
     }
 
-    fn fn_decl(&mut self) -> Result<FnDecl, CompileError> {
+    fn fn_decl(&mut self) -> Result<FnDecl<'src>, CompileError> {
         let line = self.line();
         self.expect(TokKind::Fn)?;
         let name = self.ident()?;
@@ -137,7 +133,7 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn block(&mut self) -> Result<Block, CompileError> {
+    fn block(&mut self) -> Result<Block<'src>, CompileError> {
         self.expect(TokKind::LBrace)?;
         let mut stmts = Vec::new();
         while !self.at(TokKind::RBrace) {
@@ -150,7 +146,7 @@ impl<'a> Parser<'a> {
         Ok(Block { stmts })
     }
 
-    fn stmt(&mut self) -> Result<Stmt, CompileError> {
+    fn stmt(&mut self) -> Result<Stmt<'src>, CompileError> {
         let line = self.line();
         match self.peek().kind {
             TokKind::Let => {
@@ -237,38 +233,36 @@ impl<'a> Parser<'a> {
                 self.expect(TokKind::Semi)?;
                 Ok(Stmt::Continue { line })
             }
-            TokKind::Ident(_) => {
+            TokKind::Ident(name) => {
                 // assignment, indexed assignment, or expression statement —
                 // disambiguate by lookahead
-                if let TokKind::Ident(name) = self.peek().kind.clone() {
-                    let next = &self.toks[(self.pos + 1).min(self.toks.len() - 1)].kind;
-                    if *next == TokKind::Assign {
-                        self.bump();
-                        self.bump();
+                let next = self.toks[(self.pos + 1).min(self.toks.len() - 1)].kind;
+                if next == TokKind::Assign {
+                    self.bump();
+                    self.bump();
+                    let value = self.expr()?;
+                    self.expect(TokKind::Semi)?;
+                    return Ok(Stmt::Assign { name, value, line });
+                }
+                if next == TokKind::LBracket {
+                    // could be `a[i] = v;` or an expression using `a[i]`;
+                    // parse the index expression and check for `=`
+                    let save = self.pos;
+                    self.bump();
+                    self.bump();
+                    let idx = self.expr()?;
+                    self.expect(TokKind::RBracket)?;
+                    if self.eat(TokKind::Assign) {
                         let value = self.expr()?;
                         self.expect(TokKind::Semi)?;
-                        return Ok(Stmt::Assign { name, value, line });
+                        return Ok(Stmt::AssignIdx {
+                            name,
+                            idx,
+                            value,
+                            line,
+                        });
                     }
-                    if *next == TokKind::LBracket {
-                        // could be `a[i] = v;` or an expression using `a[i]`;
-                        // parse the index expression and check for `=`
-                        let save = self.pos;
-                        self.bump();
-                        self.bump();
-                        let idx = self.expr()?;
-                        self.expect(TokKind::RBracket)?;
-                        if self.eat(TokKind::Assign) {
-                            let value = self.expr()?;
-                            self.expect(TokKind::Semi)?;
-                            return Ok(Stmt::AssignIdx {
-                                name,
-                                idx,
-                                value,
-                                line,
-                            });
-                        }
-                        self.pos = save;
-                    }
+                    self.pos = save;
                 }
                 let e = self.expr()?;
                 self.expect(TokKind::Semi)?;
@@ -284,100 +278,21 @@ impl<'a> Parser<'a> {
 
     // ---- expressions (precedence climbing) ----
 
-    fn expr(&mut self) -> Result<Expr, CompileError> {
-        self.or_expr()
+    fn expr(&mut self) -> Result<Expr<'src>, CompileError> {
+        self.binary(1)
     }
 
-    fn or_expr(&mut self) -> Result<Expr, CompileError> {
-        let mut l = self.and_expr()?;
-        while self.at(TokKind::OrOr) {
-            let line = self.line();
-            self.bump();
-            let r = self.and_expr()?;
-            l = Expr::Binary {
-                op: BinaryOp::Or,
-                l: Box::new(l),
-                r: Box::new(r),
-                line,
-            };
-        }
-        Ok(l)
-    }
-
-    fn and_expr(&mut self) -> Result<Expr, CompileError> {
-        let mut l = self.cmp_expr()?;
-        while self.at(TokKind::AndAnd) {
-            let line = self.line();
-            self.bump();
-            let r = self.cmp_expr()?;
-            l = Expr::Binary {
-                op: BinaryOp::And,
-                l: Box::new(l),
-                r: Box::new(r),
-                line,
-            };
-        }
-        Ok(l)
-    }
-
-    fn cmp_expr(&mut self) -> Result<Expr, CompileError> {
-        let mut l = self.add_expr()?;
-        loop {
-            let op = match self.peek().kind {
-                TokKind::EqEq => BinaryOp::Eq,
-                TokKind::NotEq => BinaryOp::Ne,
-                TokKind::Lt => BinaryOp::Lt,
-                TokKind::Le => BinaryOp::Le,
-                TokKind::Gt => BinaryOp::Gt,
-                TokKind::Ge => BinaryOp::Ge,
-                _ => break,
-            };
-            let line = self.line();
-            self.bump();
-            let r = self.add_expr()?;
-            l = Expr::Binary {
-                op,
-                l: Box::new(l),
-                r: Box::new(r),
-                line,
-            };
-        }
-        Ok(l)
-    }
-
-    fn add_expr(&mut self) -> Result<Expr, CompileError> {
-        let mut l = self.mul_expr()?;
-        loop {
-            let op = match self.peek().kind {
-                TokKind::Plus => BinaryOp::Add,
-                TokKind::Minus => BinaryOp::Sub,
-                _ => break,
-            };
-            let line = self.line();
-            self.bump();
-            let r = self.mul_expr()?;
-            l = Expr::Binary {
-                op,
-                l: Box::new(l),
-                r: Box::new(r),
-                line,
-            };
-        }
-        Ok(l)
-    }
-
-    fn mul_expr(&mut self) -> Result<Expr, CompileError> {
+    /// A left-associative chain of binary operators that bind at least as
+    /// tightly as `min_prec`; the operator's line is the node's line.
+    fn binary(&mut self, min_prec: u8) -> Result<Expr<'src>, CompileError> {
         let mut l = self.unary_expr()?;
-        loop {
-            let op = match self.peek().kind {
-                TokKind::Star => BinaryOp::Mul,
-                TokKind::Slash => BinaryOp::Div,
-                TokKind::Percent => BinaryOp::Rem,
-                _ => break,
-            };
+        while let Some((op, prec)) = binary_op(self.peek().kind) {
+            if prec < min_prec {
+                break;
+            }
             let line = self.line();
             self.bump();
-            let r = self.unary_expr()?;
+            let r = self.binary(prec + 1)?;
             l = Expr::Binary {
                 op,
                 l: Box::new(l),
@@ -388,7 +303,7 @@ impl<'a> Parser<'a> {
         Ok(l)
     }
 
-    fn unary_expr(&mut self) -> Result<Expr, CompileError> {
+    fn unary_expr(&mut self) -> Result<Expr<'src>, CompileError> {
         let line = self.line();
         if self.eat(TokKind::Minus) {
             let e = self.unary_expr()?;
@@ -409,9 +324,9 @@ impl<'a> Parser<'a> {
         self.primary()
     }
 
-    fn primary(&mut self) -> Result<Expr, CompileError> {
+    fn primary(&mut self) -> Result<Expr<'src>, CompileError> {
         let line = self.line();
-        match self.peek().kind.clone() {
+        match self.peek().kind {
             TokKind::Int(v) => {
                 self.bump();
                 Ok(Expr::IntLit(v, line))
@@ -446,7 +361,7 @@ impl<'a> Parser<'a> {
                 let arg = self.expr()?;
                 self.expect(TokKind::RParen)?;
                 Ok(Expr::Call {
-                    name: name.into(),
+                    name,
                     args: vec![arg],
                     line,
                 })
@@ -485,12 +400,33 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// A binary operator token's operator and precedence (C's order: `||`
+/// loosest, then `&&`, comparisons, `+ -`, `* / %`).
+fn binary_op(kind: TokKind) -> Option<(BinaryOp, u8)> {
+    Some(match kind {
+        TokKind::OrOr => (BinaryOp::Or, 1),
+        TokKind::AndAnd => (BinaryOp::And, 2),
+        TokKind::EqEq => (BinaryOp::Eq, 3),
+        TokKind::NotEq => (BinaryOp::Ne, 3),
+        TokKind::Lt => (BinaryOp::Lt, 3),
+        TokKind::Le => (BinaryOp::Le, 3),
+        TokKind::Gt => (BinaryOp::Gt, 3),
+        TokKind::Ge => (BinaryOp::Ge, 3),
+        TokKind::Plus => (BinaryOp::Add, 4),
+        TokKind::Minus => (BinaryOp::Sub, 4),
+        TokKind::Star => (BinaryOp::Mul, 5),
+        TokKind::Slash => (BinaryOp::Div, 5),
+        TokKind::Percent => (BinaryOp::Rem, 5),
+        _ => return None,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lexer::lex;
 
-    fn parse_src(src: &str) -> Program {
+    fn parse_src(src: &str) -> Program<'_> {
         parse(&lex(src).unwrap()).unwrap()
     }
 
@@ -500,10 +436,7 @@ mod tests {
         assert_eq!(p.fns.len(), 1);
         let f = &p.fns[0];
         assert_eq!(f.name, "f");
-        assert_eq!(
-            f.params,
-            vec![("a".into(), Type::Int), ("b".into(), Type::ArrFloat)]
-        );
+        assert_eq!(f.params, vec![("a", Type::Int), ("b", Type::ArrFloat)]);
         assert_eq!(f.ret, Some(Type::Float));
     }
 

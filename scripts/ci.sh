@@ -104,8 +104,9 @@ echo "== fast examples (each runs to exit 0 from the release build)"
 # `cargo test` compiles examples/ but runs none of them; harden_benchmark
 # takes minutes and is left to scripts/run_examples.sh
 cargo build --release --offline -q -p minpsid-repro --example quickstart \
-  --example incubative_instruction --example weighted_cfg --example error_propagation
-for EX in quickstart incubative_instruction weighted_cfg error_propagation; do
+  --example incubative_instruction --example weighted_cfg --example error_propagation \
+  --example golden_convergence
+for EX in quickstart incubative_instruction weighted_cfg error_propagation golden_convergence; do
   "target/release/examples/$EX" >/dev/null || { echo "example $EX failed"; exit 1; }
 done
 
