@@ -233,8 +233,6 @@ const FLAGS: &[(&str, bool, &[&str])] = &[
         false,
         &["run", "fi", "analyze", "propagate", "sections"],
     ),
-    ("--nth", true, &["propagate"]),
-    ("--bit", true, &["propagate"]),
     ("--top", true, &["analyze"]),
     ("--static", false, &["sections"]),
     ("--kind", true, &["store"]),
@@ -297,7 +295,9 @@ usage:
   minpsid run <bench> [--args i:N f:X ...]
   minpsid fi <bench> [--injections N] [--seed S]
   minpsid analyze <bench> [--top N]      # rank instructions by SDC benefit
-  minpsid propagate <bench> [--nth K] [--bit B]
+  minpsid propagate <bench> <fn>::%<inst>:<instance>:<bit>
+                                         # one fault as a campaign runs it,
+                                         # checkpoint by checkpoint
   minpsid sid <bench> [--level 0.5] [--seed S]
   minpsid minpsid <bench> [--level 0.5] [--seed S] [--json]
   minpsid sections <bench> [--static]    # per-function fingerprints and
@@ -501,11 +501,15 @@ fn cmd_run(rest: &[String]) -> Result<(), String> {
     for item in &r.output.items {
         println!("{item}");
     }
-    diag!(
+    let ended = format!(
         "terminated: {:?}, {} dynamic instructions",
-        r.termination,
-        r.steps
+        r.termination, r.steps
     );
+    // a run that does not exit is an error, whatever `--quiet` says
+    if !r.exited() {
+        return Err(ended);
+    }
+    diag!("{ended}");
     Ok(())
 }
 
@@ -893,30 +897,99 @@ fn cmd_analyze(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// `minpsid propagate <bench|file.mc> <fn>::%<inst>:<instance>:<bit>`:
+/// run one fault as a campaign runs it — beside the golden run of the
+/// CLI's default campaign config, classified the same way — and print
+/// what its state still differs in at each golden checkpoint after the
+/// flip, then how the run ended. The fault is named as `analyze` names a
+/// site and a harness panic names its fault.
 fn cmd_propagate(rest: &[String]) -> Result<(), String> {
-    use minpsid_faultsim::{render_report, trace_fault};
-    use minpsid_interp::{FaultSpec, FaultTarget};
+    use minpsid_interp::Termination;
     let name = first_arg(rest, "benchmark name")?;
+    let token = rest
+        .get(1)
+        .filter(|t| !t.starts_with("--"))
+        .ok_or("missing fault (want <fn>::%<inst>:<instance>:<bit>, e.g. main::%3:0:33)")?;
     let module = load_module(name)?;
     let input = parse_input(name, rest)?;
-    let nth: u64 = match flag_value(rest, "--nth")? {
-        None => 100,
-        Some(v) => v.parse().map_err(|_| format!("bad --nth `{v}`"))?,
+    let campaign = parse_campaign(rest)?;
+    let golden =
+        golden_run(&module, &input, &campaign).map_err(|t| format!("golden run failed: {t:?}"))?;
+    let fault = minpsid_faultsim::parse_fault(&module, &golden, token)?;
+    let e = minpsid_faultsim::explain(&module, &input, &golden, &campaign, fault);
+    let store = &golden.checkpoints;
+    let at = |steps: u64| {
+        let k = (0..store.len()).find(|&k| store.steps_at(k) == steps);
+        format!(
+            "checkpoint {} (step {steps})",
+            k.expect("a golden boundary")
+        )
     };
-    let bit: u32 = match flag_value(rest, "--bit")? {
-        None => 33,
-        Some(v) => v.parse().map_err(|_| format!("bad --bit `{v}`"))?,
-    };
-    let golden = Interp::new(&module, ExecConfig::default()).run(&input);
-    if !golden.exited() {
-        return Err(format!("golden run failed: {:?}", golden.termination));
+    println!("fault: {token}");
+    println!("outcome: {:?}", e.outcome);
+    match e.run.resumed_at {
+        Some(steps) => println!("resumed from {}", at(steps)),
+        None => println!("ran from the entry point: no golden checkpoint precedes the fault"),
     }
-    let fault = FaultSpec {
-        target: FaultTarget::NthDynamic(nth),
-        bit,
+    if e.states.is_empty() {
+        println!("no golden checkpoint between the flip and the end of the run");
+    }
+    // the first few registers or words of a kind, and how many there are
+    let named = |what: &str, names: Vec<String>| {
+        let more = if names.len() > 8 { " …" } else { "" };
+        let first = names[..names.len().min(8)].join(" ");
+        format!("{what} {} [{first}{more}]", names.len())
     };
-    let report = trace_fault(&module, &input, fault, &golden.output, golden.steps * 10);
-    print!("{}", render_report(&module, &report));
+    let func = |f: minpsid_ir::FuncId| &module.func(f).name;
+    let mut lines: Vec<(usize, usize, String)> = Vec::new();
+    for (k, d) in &e.states {
+        let mut parts = Vec::new();
+        if d.shape {
+            parts.push("shape (call stack or output length)".to_string());
+        }
+        if !d.regs.is_empty() {
+            let regs = d.regs.iter().map(|&(f, i)| format!("{}::%{i}", func(f)));
+            parts.push(named("registers", regs.collect()));
+        }
+        if !d.args.is_empty() {
+            let args = d.args.iter().map(|&(f, i)| format!("{} arg {i}", func(f)));
+            parts.push(named("arguments", args.collect()));
+        }
+        if !d.words.is_empty() {
+            let words = d.words.iter().map(usize::to_string);
+            parts.push(named("memory words", words.collect()));
+        }
+        let what = if d.is_empty() {
+            "equal to golden".to_string()
+        } else {
+            parts.join("; ")
+        };
+        // consecutive checkpoints that differ alike share a line
+        match lines.last_mut() {
+            Some((_, last, prev)) if *prev == what => *last = *k,
+            _ => lines.push((*k, *k, what)),
+        }
+    }
+    for (first, last, what) in lines {
+        let (a, b) = (store.steps_at(first), store.steps_at(last));
+        if first == last {
+            println!("checkpoint {first} (step {a}): {what}");
+        } else {
+            println!("checkpoints {first}-{last} (steps {a}-{b}): {what}");
+        }
+    }
+    let (r, steps) = (&e.run, e.run.steps);
+    let ended = match (r.converged_at, r.hang_proved_at, r.termination) {
+        (Some(c), ..) => format!("converged at {}: the rest retraces golden", at(c)),
+        (_, Some(h), _) => format!("hang proved at step {h}"),
+        (.., Termination::Exit) if r.output == golden.output => {
+            format!("exit at step {steps}, output equal to golden's")
+        }
+        (.., Termination::Exit) => format!("exit at step {steps}, output different from golden's"),
+        (.., Termination::StepLimit) => format!("step limit ({steps} steps)"),
+        (.., t) => format!("{t:?} at step {steps}"),
+    };
+    println!("ended: {ended}");
     Ok(())
 }
 
@@ -1244,7 +1317,7 @@ mod tests {
             assert_eq!(value, Some(placeholder), "{line}");
             option_lines += 1;
         }
-        assert_eq!(FLAGS.len(), 25);
+        assert_eq!(FLAGS.len(), 23);
         // every reader is a subcommand `main` dispatches
         for &(flag, _, readers) in FLAGS {
             for r in readers {

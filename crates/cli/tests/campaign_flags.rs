@@ -60,7 +60,8 @@ fn deadlines_end_in_an_honest_report() {
 /// three more (`--golden-cache-cap`: nothing capped; `--incremental`: on
 /// wherever it was legal; `--checkpoint-interval`: the engine chooses),
 /// and per-site early stopping took `--ci-half-width`; the IR optimizer
-/// took `compile --opt` and the weighted-CFG export `cfg --fn`: each is a
+/// took `compile --opt` and the weighted-CFG export `cfg --fn`, and
+/// `propagate`'s site token took `--nth` and `--bit`: each is a
 /// usage error under every subcommand that used to read it, not a silent
 /// no-op.
 #[test]
@@ -98,6 +99,17 @@ fn retired_flags_are_unknown_flags() {
     assert!(out.stdout.is_empty(), "compile --opt printed IR");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("error: unknown flag --opt"), "{err}");
+    // `propagate` names its fault by site, instance and bit
+    for flag in ["--nth", "--bit"] {
+        let out = minpsid(&["propagate", "pathfinder", "main::%3:0:33", flag, "3"]);
+        assert_eq!(out.status.code(), Some(1), "propagate {flag}: {out:?}");
+        assert!(out.stdout.is_empty(), "propagate {flag} ran something");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("error: unknown flag {flag}")),
+            "{err}"
+        );
+    }
 }
 
 /// The weighted-CFG DOT export went with its subcommand; the Fig. 5 route

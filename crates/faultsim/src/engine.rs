@@ -61,9 +61,10 @@ use crate::outcome::{classify, Outcome, OutcomeCounts};
 use crate::parallel::par_map_init;
 use crate::table::{table_sig, SectionTable, TableMemo};
 use minpsid_interp::{
-    ExecConfig, ExecResult, ExecScratch, FaultSpec, FaultTarget, Interp, ProgInput, Run, Start,
+    state_diff, CheckpointConfig, ExecConfig, ExecResult, ExecScratch, FaultSpec, FaultTarget,
+    Interp, ProgInput, Run, Start, StateDiff,
 };
-use minpsid_ir::{section_fingerprints, GlobalInstId, Module};
+use minpsid_ir::{section_fingerprints, GlobalInstId, InstId, Module};
 use minpsid_journal::{interrupt, CampaignJournal, Interrupted};
 use minpsid_sched::{binomial_ci, splitmix64, Scheduler, SiteStatus, Z};
 use minpsid_trace as trace;
@@ -353,6 +354,125 @@ fn inject(
     )
 }
 
+/// One injection as a campaign runs it, and the states it left at the
+/// golden run's checkpoints: the lens `minpsid propagate` prints.
+#[derive(Debug)]
+pub struct Explanation {
+    /// The campaign's own run of the fault ([`inject`]): where it resumed,
+    /// converged onto the golden run or was proved to hang.
+    pub run: ExecResult,
+    /// `run` classified against the golden output, as the campaign does.
+    pub outcome: Outcome,
+    /// Every golden checkpoint after the flip that the faulty run reached,
+    /// up to the first at which its state equals golden's, and what
+    /// differs there.
+    pub states: Vec<(usize, StateDiff)>,
+}
+
+/// Run `fault` as a campaign under `cfg` runs it beside `golden`, and
+/// compare the states it leaves at the golden run's checkpoints with
+/// golden's. The states come from a second run of the fault from the entry
+/// point that captures them at the same boundaries (the store's first
+/// boundary is its interval, whatever thinning did to it) and stops at
+/// the golden run's length.
+pub fn explain(
+    module: &Module,
+    input: &ProgInput,
+    golden: &GoldenRun,
+    cfg: &CampaignConfig,
+    fault: FaultSpec,
+) -> Explanation {
+    let exec = faulty_exec_config(cfg, golden.steps);
+    let interp = Interp::new(module, exec.clone());
+    let run = inject(&interp, &mut ExecScratch::default(), golden, input, fault);
+    let store = &golden.checkpoints;
+    let mut states = Vec::new();
+    if !store.is_empty() {
+        let capture = CheckpointConfig {
+            interval: store.steps_at(0),
+            mem_budget_bytes: cfg.checkpoint_mem_budget,
+            mode: cfg.snapshot_mode,
+            keyframe_every: cfg.keyframe_every,
+        };
+        let mut scratch = ExecScratch::default();
+        let step_limit = golden.steps;
+        Interp::new(module, ExecConfig { step_limit, ..exec }).execute(
+            &mut scratch,
+            &Run {
+                fault: Some(fault),
+                start: Start::Capture(capture),
+                ..Run::new(input)
+            },
+        );
+        let faulty = scratch.take_checkpoints();
+        let at: HashMap<u64, usize> = (0..faulty.len()).map(|f| (faulty.steps_at(f), f)).collect();
+        // the flip lies between the checkpoint the run resumed from and the next
+        let flipped_after = run.resumed_at.unwrap_or(0);
+        for k in (0..store.len()).filter(|&k| store.steps_at(k) > flipped_after) {
+            let Some(&f) = at.get(&store.steps_at(k)) else {
+                continue; // the faulty run ended before it, or thinned it
+            };
+            let diff = state_diff(&faulty.materialize(f), &store.materialize(k));
+            let converged = diff.is_empty();
+            states.push((k, diff));
+            if converged {
+                break;
+            }
+        }
+    }
+    Explanation {
+        outcome: classify(&golden.output, &run),
+        run,
+        states,
+    }
+}
+
+/// `fn::%inst:instance:bit`: how a command line names the per-instruction
+/// fault into dynamic instance `nth` of `gid`, at `bit`.
+pub fn fault_token(module: &Module, gid: GlobalInstId, nth: u64, bit: u32) -> String {
+    let func = &module.func(gid.func).name;
+    format!("{func}::%{}:{nth}:{bit}", gid.inst.index())
+}
+
+/// The fault a [`fault_token`] names in `module` under the input `golden`
+/// ran: the instruction must exist and produce a value, the instance must
+/// be one that `golden` executed and the bit one of 64.
+pub fn parse_fault(module: &Module, golden: &GoldenRun, token: &str) -> Result<FaultSpec, String> {
+    let bad = || format!("bad fault `{token}` (want <fn>::%<inst>:<instance>:<bit>)");
+    let (name, rest) = token.split_once("::%").ok_or_else(bad)?;
+    let mut fields = rest.split(':').map(str::parse::<u64>);
+    let (Some(Ok(inst)), Some(Ok(nth)), Some(Ok(bit)), None) =
+        (fields.next(), fields.next(), fields.next(), fields.next())
+    else {
+        return Err(bad());
+    };
+    let site = format!("{name}::%{inst}");
+    let gid = module
+        .iter_funcs()
+        .find(|(_, f)| f.name == name && inst < f.insts.len() as u64)
+        .map(|(func, _)| GlobalInstId {
+            func,
+            inst: InstId(inst as u32),
+        })
+        .ok_or_else(|| format!("no instruction {site} in the program"))?;
+    if !module.inst(gid).injectable() {
+        return Err(format!("{site} produces no value to flip"));
+    }
+    let count = golden.profile.inst_counts[module.numbering().index(gid)];
+    if nth >= count {
+        return Err(format!(
+            "{site} executes {count} times under this input: no instance {nth}"
+        ));
+    }
+    if bit >= 64 {
+        return Err(format!("no bit {bit} in a 64-bit value"));
+    }
+    Ok(FaultSpec {
+        target: FaultTarget::NthOfInst(gid, nth),
+        bit: bit as u32,
+    })
+}
+
 /// How a campaign runs one fault: [`inject`], always — a type so that a
 /// test can hand the engine a way that fails.
 type Inject<'f> = dyn Fn(&Interp<'_>, &mut ExecScratch, &GoldenRun, &ProgInput, FaultSpec) -> ExecResult
@@ -386,18 +506,25 @@ impl StepTally {
 /// The one line a harness panic adds to the panic's own: which fault was
 /// running, in the terms `propagate` and a journal use to find it again.
 fn describe_fault(module: &Module, input: &ProgInput, seed: u64, fault: FaultSpec) -> String {
-    let target = match fault.target {
-        FaultTarget::NthOfInst(gid, nth) => format!(
-            "{}::%{} (dynamic instance {nth}",
-            module.func(gid.func).name,
-            gid.inst.index()
+    let (target, replay) = match fault.target {
+        FaultTarget::NthOfInst(gid, nth) => (
+            format!(
+                "{}::%{} (dynamic instance {nth}",
+                module.func(gid.func).name,
+                gid.inst.index()
+            ),
+            format!(
+                " `minpsid propagate <program> {}` replays it.",
+                fault_token(module, gid, nth, fault.bit)
+            ),
         ),
-        FaultTarget::NthDynamic(nth) => format!("(dynamic instruction {nth}"),
+        FaultTarget::NthDynamic(nth) => (format!("(dynamic instruction {nth}"), String::new()),
     };
     format!(
         "minpsid: harness panic while injecting into {target}, bit {}) — campaign seed {seed}, \
          input {:016x}. This is a bug in the interpreter or the engine, not an outcome: nothing \
-         was recorded for this injection, and a journaled run resumes from what its WAL holds.",
+         was recorded for this injection, and a journaled run resumes from what its WAL holds.\
+         {replay}",
         fault.bit,
         input.fingerprint()
     )
@@ -1106,6 +1233,51 @@ mod tests {
         })
         .expect_err("the panic goes on");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"interpreter bug"));
+    }
+
+    /// A harness panic names its fault the way `propagate` takes one: the
+    /// line carries the token, and the token parses back to the fault;
+    /// what no campaign could inject does not parse.
+    #[test]
+    fn the_panic_line_names_a_fault_propagate_parses() {
+        let m = test_module();
+        let inp = input(50);
+        let g = golden_run(&m, &inp, &CampaignConfig::quick(17)).unwrap();
+        let numbering = m.numbering();
+        let count = |gid| g.profile.inst_counts[numbering.index(gid)];
+        let (gid, _) = m
+            .iter_insts()
+            .find(|&(gid, inst)| inst.injectable() && count(gid) > 7)
+            .expect("an injectable instruction executed 8 times");
+        let fault = FaultSpec {
+            target: FaultTarget::NthOfInst(gid, 7),
+            bit: 33,
+        };
+        let token = fault_token(&m, gid, 7, 33);
+        assert_eq!(token, format!("main::%{}:7:33", gid.inst.index()));
+        let msg = describe_fault(&m, &inp, 42, fault);
+        assert!(
+            msg.contains(&format!("`minpsid propagate <program> {token}`")),
+            "{msg}"
+        );
+        assert_eq!(parse_fault(&m, &g, &token), Ok(fault));
+
+        let (store, _) = m
+            .iter_insts()
+            .find(|(_, inst)| !inst.injectable())
+            .expect("an instruction without a value");
+        let site = |gid: GlobalInstId| format!("{}::%{}", m.func(gid.func).name, gid.inst.index());
+        for bad in [
+            format!("{}:{}:0", site(gid), count(gid)),
+            format!("{}:0:64", site(gid)),
+            format!("{}:0:0", site(store)),
+            "nosuch::%0:0:0".to_string(),
+            "main::%99999:0:0".to_string(),
+            format!("{}:0", site(gid)),
+            format!("{}:0:1:2", site(gid)),
+        ] {
+            assert!(parse_fault(&m, &g, &bad).is_err(), "{bad} parsed");
+        }
     }
 
     /// `kind`'s campaign on `eng`, rendered.

@@ -44,7 +44,6 @@ pub mod config;
 pub mod engine;
 pub mod outcome;
 pub mod parallel;
-pub mod propagation;
 pub mod table;
 
 pub use campaign::{
@@ -52,7 +51,10 @@ pub use campaign::{
     CampaignConfig, CheckpointPolicy, ConfigKey, GoldenRun, PerInstSdc, ProgramCampaign,
 };
 pub use config::CampaignConfigBuilder;
-pub use engine::{faulty_exec_config, CampaignEngine, CampaignPlan, ProgramUnitExecutor, Section};
+pub use engine::{
+    explain, fault_token, faulty_exec_config, parse_fault, CampaignEngine, CampaignPlan,
+    Explanation, ProgramUnitExecutor, Section,
+};
 pub use table::{table_sig, TableMemo, TableStatsSnapshot, TABLE_ARTIFACT};
 // The campaign shape a plan and a sealed table carry, re-exported so
 // campaign callers keep a single import path.
@@ -67,4 +69,3 @@ pub use minpsid_sched::{
     binomial_ci, BinomialCi, Deadline, SchedConfig, SchedSnapshot, Scheduler, SiteStatus, Z,
 };
 pub use outcome::{classify, Outcome, OutcomeCounts};
-pub use propagation::{render_report, trace_fault, PropagationReport};

@@ -46,6 +46,7 @@ use crate::decode::{DFrame, DecodedModule};
 use crate::exec::{ExecResult, Frame, Interp, MachineState, Termination};
 use crate::snapshot::{value_bits_eq, CheckpointStore, GoldenTail, Snapshot};
 use crate::value::{Output, Value};
+use minpsid_ir::FuncId;
 
 /// Cumulative words hashed per injection stay ≤ steps replayed / this.
 pub const WORDS_PER_STEP_DEN: u64 = 8;
@@ -150,25 +151,38 @@ pub(crate) fn values_eq(a: &[Value], b: &[Value]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(&x, &y)| value_bits_eq(x, y))
 }
 
-/// The coarsest part of the state (as the module docs define it) in which
-/// two snapshots differ; see [`divergence`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Divergence {
+/// Where a state differs from the state another run had at the same step
+/// (see [`state_diff`]); empty when the two are equal.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct StateDiff {
     /// The call stacks are not in the same place — depth, function,
-    /// logical pc or stack watermark of some frame — or the outputs are
-    /// not the same length.
-    Shape,
-    /// Same shape; heap or stack memory differs.
-    Memory,
-    /// Same shape and memories; only register or argument values differ.
-    Registers,
+    /// logical pc, stack watermark or register count of some frame — or
+    /// the outputs are not the same length.
+    pub shape: bool,
+    /// Registers that differ in frames of the same function, bottom frame
+    /// first: `(function, instruction)`, the instruction that wrote it.
+    pub regs: Vec<(FuncId, usize)>,
+    /// Arguments that differ in frames of the same function:
+    /// `(function, argument index)`.
+    pub args: Vec<(FuncId, usize)>,
+    /// Memory words that differ: heap words by index, then stack words
+    /// numbered on from the longer heap.
+    pub words: Vec<usize>,
 }
 
-/// Why a run whose state is `faulty` has not converged onto the run whose
-/// state at the same step is `golden`, or `None` if it has. A measurement
-/// aid (`examples/replay_headroom.rs`): the early exit itself only ever
-/// asks whether the states are equal.
-pub fn divergence(faulty: &Snapshot, golden: &Snapshot) -> Option<Divergence> {
+impl StateDiff {
+    /// Whether the two states are equal (the run has converged).
+    pub fn is_empty(&self) -> bool {
+        !self.shape && self.regs.is_empty() && self.args.is_empty() && self.words.is_empty()
+    }
+}
+
+/// Where the state `faulty` differs from `golden`, the state another run
+/// had at the same step. The early exit itself only ever asks whether two
+/// states are equal; this says what still differs — `propagate` prints it
+/// at every golden checkpoint after a fault, and
+/// `examples/replay_headroom.rs` sorts unconverged runs by it.
+pub fn state_diff(faulty: &Snapshot, golden: &Snapshot) -> StateDiff {
     let (a, b) = (&faulty.state, &golden.state);
     let place = |f: &Frame| {
         (
@@ -180,49 +194,36 @@ pub fn divergence(faulty: &Snapshot, golden: &Snapshot) -> Option<Divergence> {
             f.args.len(),
         )
     };
-    if a.output.len() != b.output.len()
-        || a.frames.len() != b.frames.len()
-        || a.frames
-            .iter()
-            .zip(&b.frames)
-            .any(|(x, y)| place(x) != place(y))
-    {
-        Some(Divergence::Shape)
-    } else if a.mem != b.mem || a.stack_mem != b.stack_mem {
-        Some(Divergence::Memory)
-    } else if a
-        .frames
-        .iter()
-        .zip(&b.frames)
-        .any(|(x, y)| !values_eq(&x.regs, &y.regs) || !values_eq(&x.args, &y.args))
-    {
-        Some(Divergence::Registers)
-    } else {
-        None
-    }
-}
-
-/// The memory words in which `faulty` differs from `golden` — heap words
-/// by index, then stack words numbered on from the longer heap — when the
-/// two states differ in memory and nowhere else (same shape, same
-/// registers and arguments); `None` otherwise. A measurement aid like
-/// [`divergence`] (`examples/replay_headroom.rs`, table 5).
-pub fn memory_only_difference(faulty: &Snapshot, golden: &Snapshot) -> Option<Vec<usize>> {
-    let (a, b) = (&faulty.state, &golden.state);
-    let regs_equal = a
-        .frames
-        .iter()
-        .zip(&b.frames)
-        .all(|(x, y)| values_eq(&x.regs, &y.regs) && values_eq(&x.args, &y.args));
-    if divergence(faulty, golden) != Some(Divergence::Memory) || !regs_equal {
-        return None;
+    let mut d = StateDiff {
+        shape: a.output.len() != b.output.len()
+            || a.frames.len() != b.frames.len()
+            || a.frames
+                .iter()
+                .zip(&b.frames)
+                .any(|(x, y)| place(x) != place(y)),
+        ..StateDiff::default()
+    };
+    for (x, y) in a.frames.iter().zip(&b.frames) {
+        if x.func != y.func {
+            continue;
+        }
+        let changed = |p: &[Value], q: &[Value]| {
+            let pairs = p.iter().zip(q).enumerate();
+            pairs
+                .filter(|(_, (&v, &w))| !value_bits_eq(v, w))
+                .map(|(i, _)| (x.func, i))
+                .collect::<Vec<_>>()
+        };
+        d.regs.extend(changed(&x.regs, &y.regs));
+        d.args.extend(changed(&x.args, &y.args));
     }
     fn differing<'a>(x: &'a [u64], y: &'a [u64]) -> impl Iterator<Item = usize> + 'a {
         (0..x.len().max(y.len())).filter(move |&i| x.get(i) != y.get(i))
     }
     let heap = a.mem.len().max(b.mem.len());
     let stack = differing(&a.stack_mem, &b.stack_mem).map(|i| heap + i);
-    Some(differing(&a.mem, &b.mem).chain(stack).collect())
+    d.words = differing(&a.mem, &b.mem).chain(stack).collect();
+    d
 }
 
 /// A decoded run's live state, borrowed at a pause. The running frame's

@@ -1304,11 +1304,12 @@ fn decode_inst(
 ///   profile or a trace (per the interpreter's config) — from its first
 ///   step to its last. Observing does not need the injection counters: a
 ///   fault-free run from the entry point — a GA candidate's profile, a
-///   golden run's capture, the golden side of a propagation trace —
-///   executes *unarmed*, and what the counters would have read is derived
-///   from what the observers keep anyway (see [`crate::observe`]). Only a
-///   run that has a fault to fire, already carries one, or starts mid-run
-///   from a restored counter executes *armed-observed*.
+///   golden run's capture — executes *unarmed*, and what the counters
+///   would have read is derived from what the observers keep anyway (see
+///   [`crate::observe`]). Only a run that has a fault to fire, already
+///   carries one, or starts mid-run from a restored counter executes
+///   *armed-observed*; a faulty run captured from the entry point (the
+///   states `propagate` compares with the golden run's) is one.
 /// * *proving* from the first step, for [`Run::prove`].
 /// * otherwise observer-free: the *armed* instantiation carries the
 ///   injection counters and the fault-fire check, the *clean* one strips
@@ -1355,10 +1356,6 @@ pub(crate) fn execute(interp: &Interp<'_>, scratch: &mut ExecScratch, run: &Run<
         prove(interp, scratch, input, None, None, &mut conv)
     } else if observing {
         let armed = fault.is_some() || applied || steps > 0;
-        assert!(
-            !armed || ckpt.is_none(),
-            "only a fault-free run from the entry point is captured"
-        );
         scratch
             .obs
             .begin(interp, run.observe, ckpt, &scratch.dframes, steps);
@@ -1546,9 +1543,11 @@ fn run_loop<const ARMED: bool, const OBS: bool, const PROVE: bool>(
 ///   return, not when the call executes, so the observers derive the
 ///   injection counts from executions minus the calls still suspended
 ///   (see [`crate::observe`]).
-/// * armed-observed: a profiled or traced run with a fault armed or
-///   applied, or resumed mid-run; runs to its end on the counters it
-///   entered with.
+/// * armed-observed: a profiled, traced or captured run with a fault
+///   armed or applied, or resumed mid-run; runs to its end on the
+///   counters it entered with. A captured one starts at the entry point,
+///   so its captures derive the injection counts as the observed loop's
+///   do.
 fn exec_loop<const ARMED: bool, const OBS: bool, const PROVE: bool>(
     interp: &Interp<'_>,
     dm: &DecodedModule,
@@ -1663,7 +1662,7 @@ fn exec_loop<const ARMED: bool, const OBS: bool, const PROVE: bool>(
     // u64::MAX when nothing is captured
     macro_rules! cap_at {
         () => {
-            if OBS && !ARMED {
+            if OBS {
                 obs.capture_at()
             } else {
                 u64::MAX
@@ -1728,7 +1727,7 @@ fn exec_loop<const ARMED: bool, const OBS: bool, const PROVE: bool>(
             if unlikely(steps_l >= next_pause) {
                 // cold: a capture is due, the limit expired, or a golden
                 // checkpoint boundary was reached
-                if OBS && !ARMED && steps_l >= cap_at!() {
+                if OBS && steps_l >= cap_at!() {
                     // due before this instruction, on completed steps:
                     // the state is the one after `steps_l - 1` steps
                     capture(

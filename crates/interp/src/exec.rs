@@ -39,8 +39,9 @@ pub struct ExecConfig {
     pub output_limit: usize,
     /// Collect a [`Profile`].
     pub profile: bool,
-    /// Record every register write as a [`TraceEvent`] (used by the
-    /// error-propagation analysis; costs memory proportional to steps).
+    /// Record every register write as a [`TraceEvent`] (costs memory
+    /// proportional to steps). A test's check: `tests/decode_props.rs`
+    /// holds the decoded loop to the oracle write by write with it.
     pub trace: bool,
 }
 
@@ -85,8 +86,8 @@ impl Default for ExecConfig {
 
 /// One register write: which static instruction (dense index) produced
 /// which value. The sequence of trace events is the program's dataflow
-/// history; diffing a faulty run's trace against the golden one shows how
-/// an error propagates (the paper's §IV root-cause methodology).
+/// history, which `tests/decode_props.rs` compares between the decoded
+/// loop and the oracle event for event ([`ExecConfig::trace`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceEvent {
     /// Dense module-wide index of the producing instruction.
@@ -290,12 +291,13 @@ impl MachineState {
 pub enum Start<'a> {
     /// The program entry point.
     Entry,
-    /// The entry point, fault-free, capturing a checkpoint every
-    /// `interval` dynamic instructions into a [`CheckpointStore`]
-    /// (delta-encoded checkpoints stay encoded) that
-    /// [`ExecScratch::take_checkpoints`] hands over. The result is
-    /// bit-identical to the plain run's, profile and trace included: one
-    /// pass yields everything a golden run needs.
+    /// The entry point, capturing a checkpoint every `interval` dynamic
+    /// instructions into a [`CheckpointStore`] (delta-encoded checkpoints
+    /// stay encoded) that [`ExecScratch::take_checkpoints`] hands over.
+    /// The result is bit-identical to the plain run's, profile and trace
+    /// included: one fault-free pass yields everything a golden run needs.
+    /// With a fault, the store holds the states the fault left at the
+    /// same boundaries, which `propagate` compares with the golden run's.
     Capture(CheckpointConfig),
     /// A faulty run of the input the golden run that captured this store
     /// ran, under this interpreter's memory and call-depth limits — a
@@ -484,8 +486,7 @@ impl<'m> Interp<'m> {
     /// reference walk's ([`crate::oracle`]), telemetry aside.
     ///
     /// # Panics
-    /// A [`Start::Capture`] with a fault, a proving run that is not a
-    /// fault-free one from the entry point, a [`Start::At`] checkpoint at
+    /// A proving run that is not a fault-free one from the entry point, a [`Start::At`] checkpoint at
     /// which the fault's target has already executed, and a checkpoint
     /// whose frames are not the module's.
     pub fn execute(&self, scratch: &mut ExecScratch, run: &Run<'_>) -> ExecResult {

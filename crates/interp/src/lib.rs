@@ -37,7 +37,7 @@ pub mod snapshot;
 pub mod value;
 pub mod wire;
 
-pub use converge::{divergence, memory_only_difference, ConvergeStats, Divergence};
+pub use converge::{state_diff, ConvergeStats, StateDiff};
 pub use decode::ExecScratch;
 pub use exec::{
     ExecConfig, ExecResult, Interp, MachineState, Run, Start, Termination, TraceEvent, TrapKind,

@@ -27,11 +27,8 @@ use minpsid_ir::{BinOp, BlockId, CmpOp, FuncId, InstKind, Ty, UnOp};
 /// [`Interp::execute`] on the reference walk, and the store a
 /// [`Start::Capture`] run captured. It resumes where the decoded engine
 /// does, but replays every run to its own end: no golden-convergence early
-/// exit and no hang proof ([`Run::prove`] changes nothing here). And it
-/// captures a *faulty* run too, which the decoded engine has no use for:
-/// the states a fault leaves behind at the golden run's checkpoint
-/// boundaries, for asking afterwards why a run did not converge
-/// ([`crate::converge::divergence`]).
+/// exit and no hang proof ([`Run::prove`] changes nothing here). A
+/// captured faulty run holds the decoded engine's faulty capture to it.
 pub fn execute(interp: &Interp<'_>, run: &Run<'_>) -> (ExecResult, Option<CheckpointStore>) {
     let mut st = MachineState::default();
     match run.golden(interp) {

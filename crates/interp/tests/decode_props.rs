@@ -10,7 +10,7 @@
 //!   register-write trace event for event, and the checkpoint store byte
 //!   for byte in both encodings, thinned or not — the injection counts
 //!   among them, which the oracle counts production by production and
-//!   the decoded engine derives for a fault-free run;
+//!   the decoded engine derives for a run captured from the entry point;
 //! * a delta-encoded checkpoint store materializes to exactly the
 //!   snapshots a full-encoding store captures, and resuming a faulty run
 //!   from any delta-chain index matches the from-scratch faulty run.
@@ -25,9 +25,9 @@
 
 use minpsid_interp::wire::encode_checkpoints;
 use minpsid_interp::{
-    oracle, CheckpointConfig, CheckpointStore, ExecConfig, ExecResult, ExecScratch, FaultSpec,
-    FaultTarget, Interp, ProgInput, Run, Scalar, SnapshotMode, Start, Stream, Termination,
-    TrapKind, Value,
+    oracle, state_diff, CheckpointConfig, CheckpointStore, ExecConfig, ExecResult, ExecScratch,
+    FaultSpec, FaultTarget, Interp, ProgInput, Run, Scalar, SnapshotMode, Start, Stream,
+    Termination, TrapKind, Value,
 };
 use minpsid_ir::{
     BlockId, CmpOp, FunctionBuilder, GlobalInstId, InstId, InstKind, Module, ModuleBuilder, Ty,
@@ -283,9 +283,9 @@ proptest! {
     /// run cut short by a step limit that falls anywhere in the run. The
     /// injection counters of the two engines must agree step for step, the
     /// observers field for field, a resumed run must say where it resumed,
-    /// a captured store must equal the oracle's byte for byte, and a run
-    /// must finish on the generic lowering when it observes a fault, never
-    /// when it has none. Run by
+    /// a captured store — a faulty run's too — must equal the oracle's
+    /// byte for byte, and a run must finish on the generic lowering when
+    /// it observes a fault, never when it has none. Run by
     /// `observers_match_the_oracle_on_every_kind_of_run`.
     fn every_run_matches_the_oracle(
         stmts in proptest::collection::vec((0u8..8, 0u8..20), 1..8),
@@ -327,10 +327,7 @@ proptest! {
                     }
                 };
                 let eligible: Vec<usize> = (0..store.len()).filter(|&i| before_flip(i)).collect();
-                let mut starts = vec![Start::Entry, Start::Beside(&store)];
-                if fault.is_none() {
-                    starts.push(Start::Capture(ckpt));
-                }
+                let mut starts = vec![Start::Entry, Start::Beside(&store), Start::Capture(ckpt)];
                 starts.extend(
                     [eligible.first(), eligible.get(eligible.len() / 2), eligible.last()]
                         .into_iter()
@@ -361,10 +358,19 @@ proptest! {
                             Start::Capture(_) => {
                                 let (got, want) = (scratch.take_checkpoints(), want_store.unwrap());
                                 same_inj_counts(&m, &got, &want)?;
-                                prop_assert!(
-                                    encode_checkpoints(&got) == encode_checkpoints(&want),
-                                    "captured store images differ"
-                                );
+                                if fault.is_none() {
+                                    prop_assert!(
+                                        encode_checkpoints(&got) == encode_checkpoints(&want),
+                                        "captured store images differ"
+                                    );
+                                }
+                                // a faulty run's states, the run's own fault
+                                // bookkeeping aside (a restore resets it)
+                                for i in 0..want.len() {
+                                    let (g, w) = (got.materialize(i), want.materialize(i));
+                                    prop_assert!(state_diff(&g, &w).is_empty(), "state {}", i);
+                                    prop_assert_eq!(g.output(), w.output());
+                                }
                             }
                             _ => {}
                         }

@@ -12,9 +12,9 @@
 //!    end SDC / benign / hang / crash. SDC and hang runs must reach their
 //!    own end; only benign runs can rejoin the golden run.
 //! 2. **Why unconverged benign runs missed**, as a share of all steps. Each
-//!    such run is replayed on the reference walk with its states captured
-//!    at the golden boundaries (`oracle::execute` on a `Start::Capture`) and
-//!    compared there (`interp::divergence`): *no boundary* left after the
+//!    such run is replayed from the entry point with its states captured
+//!    at the golden boundaries (a faulty `Start::Capture`) and compared
+//!    there (`interp::state_diff`): *no boundary* left after the
 //!    flip; *never visited* — equal to golden at some boundary the back-off
 //!    and the hashing budget passed over; otherwise what still differed at
 //!    the last shared boundary — *shape* (call stack, pc, output length),
@@ -30,7 +30,7 @@
 //!    steps it did not run, as a share of what the kernel's runs would
 //!    have executed without it.
 //! 4. **Trajectory-map headroom** (ROADMAP item 3(b)): every distinct
-//!    fault, in plan order, is replayed on the reference walk with its
+//!    fault, in plan order, is replayed from the entry point with its
 //!    states captured at the golden boundaries, and each state that is not
 //!    golden's is keyed by (boundary, state digest). *Map* is the steps a
 //!    run executes after the first boundary whose key an earlier faulty
@@ -46,7 +46,7 @@
 //!    value no instruction reads.
 //! 5. **Memory-only divergence** (ROADMAP item 3): every unconverged run
 //!    that does not hang is compared with golden at each boundary after the
-//!    flip (`interp::memory_only_difference`). *After mem-only* is the
+//!    flip (`interp::state_diff`). *After mem-only* is the
 //!    steps it executes after the first boundary where it differs from
 //!    golden in memory alone; *same words* the steps in intervals whose two
 //!    ends differ so in the same words — what an exact rule that skips
@@ -67,9 +67,8 @@ use minpsid_repro::faultsim::{
     classify, faulty_exec_config, golden_run, CampaignConfigBuilder, CampaignEngine, Outcome,
 };
 use minpsid_repro::interp::{
-    auto_interval, divergence, memory_only_difference, oracle, CheckpointConfig, CheckpointStore,
-    Divergence, ExecConfig, ExecResult, ExecScratch, FaultSpec, FaultTarget, Interp, ProgInput,
-    Run, SnapshotMode, Start,
+    auto_interval, state_diff, CheckpointConfig, CheckpointStore, ExecConfig, ExecResult,
+    ExecScratch, FaultSpec, FaultTarget, Interp, ProgInput, Run, SnapshotMode, Start,
 };
 use minpsid_repro::ir::{GlobalInstId, Ty};
 use minpsid_repro::workloads;
@@ -322,8 +321,8 @@ fn main() {
     print_tables(&rows);
 }
 
-/// `input` with `fault` (if any) on the reference walk, its states captured
-/// every `capture.interval` steps.
+/// `input` with `fault` (if any) from the entry point, its states
+/// captured every `capture.interval` steps.
 fn captured(
     interp: &Interp<'_>,
     input: &ProgInput,
@@ -335,9 +334,9 @@ fn captured(
         start: Start::Capture(capture),
         ..Run::new(input)
     };
-    oracle::execute(interp, &run)
-        .1
-        .expect("a capturing run captures")
+    let mut scratch = ExecScratch::default();
+    interp.execute(&mut scratch, &run);
+    scratch.take_checkpoints()
 }
 
 /// Say why a run whose states at every golden boundary are `faulty` never
@@ -350,19 +349,18 @@ fn why_missed(faulty: &CheckpointStore, golden: &CheckpointStore) -> Miss {
         let Some(&f) = at.get(&golden.steps_at(g)) else {
             continue;
         };
-        match divergence(&faulty.materialize(f), &golden.materialize(g)) {
+        let d = state_diff(&faulty.materialize(f), &golden.materialize(g));
+        match last {
             // equal before the flip, by construction: not a boundary that counts
-            None if last.is_none() => {}
-            None => return Miss::NeverVisited,
-            Some(d) => last = Some(d),
+            None if d.is_empty() => {}
+            Some(_) if d.is_empty() => return Miss::NeverVisited,
+            // the coarsest part of the state that differs
+            _ if d.shape => last = Some(Miss::Shape),
+            _ if !d.words.is_empty() => last = Some(Miss::Memory),
+            _ => last = Some(Miss::Registers),
         }
     }
-    match last {
-        None => Miss::NoBoundary,
-        Some(Divergence::Shape) => Miss::Shape,
-        Some(Divergence::Memory) => Miss::Memory,
-        Some(Divergence::Registers) => Miss::Registers,
-    }
+    last.unwrap_or(Miss::NoBoundary)
 }
 
 /// Table 4 for one run, whose states at the golden boundaries are
@@ -433,12 +431,13 @@ fn memory_only(
         let Some(&gi) = at.get(&steps) else {
             break; // past golden's end
         };
-        let (f, g) = (faulty.materialize(i), golden.materialize(gi));
-        flipped = flipped || divergence(&f, &g).is_some();
+        let d = state_diff(&faulty.materialize(i), &golden.materialize(gi));
+        flipped = flipped || !d.is_empty();
         if !flipped {
             continue; // before the flip, or the flip already masked
         }
-        let diff = memory_only_difference(&f, &g);
+        let memory_only = !d.shape && d.regs.is_empty() && d.args.is_empty();
+        let diff = Some(d.words).filter(|w| memory_only && !w.is_empty());
         if let Some(d) = &diff {
             first.get_or_insert(steps);
             words.push(d.len());

@@ -68,8 +68,8 @@ rm -rf "$SWEEP"
 echo "== unknown-flag smoke (a misspelt flag is a usage error, not a different run)"
 # --workers, --status-addr, the retry scheduler's six, the flag audit's
 # three, the early-stop width, the sampling profiler's three, the IR
-# optimizer's --opt and the weighted-CFG export's --fn: a flag an older
-# binary accepted is refused like a typo
+# optimizer's --opt, the weighted-CFG export's --fn and propagate's --nth
+# and --bit: a flag an older binary accepted is refused like a typo
 for BAD in "--bogus-flag" "--workers 2" "--status-addr 127.0.0.1:1" \
            "--max-retries 0" "--quarantine-after 1" "--quarantine-cap 5" \
            "--injection-timeout-ms 5" "--chaos-panic-one-in 40" \
@@ -77,13 +77,24 @@ for BAD in "--bogus-flag" "--workers 2" "--status-addr 127.0.0.1:1" \
            "--incremental" "--checkpoint-interval 500" \
            "--ci-half-width 0.1" "--profile-interp" \
            "--profile-sample-every 64" "--profile-folded f" \
-           "--opt" "--fn main"; do
+           "--opt" "--fn main" "--nth 3" "--bit 3"; do
   # shellcheck disable=SC2086
   if BAD_OUT="$("$CLI" fi hpccg --quick $BAD 2>&1)"; then
     echo "fi $BAD exited 0"; exit 1
   fi
   grep -q "unknown flag ${BAD%% *}" <<<"$BAD_OUT"
 done
+
+echo "== a site analyze names pastes into propagate"
+# the fn::%inst of analyze's first row, with a dynamic instance and a bit,
+# is a fault propagate runs as the campaign runs it
+SITE="$("$CLI" analyze fft --top 1 --per-inst 6 --seed 42 --threads 1 \
+  | awk -F' [|] ' '$1 ~ /^ +1 / { split($2, a, " : "); print a[1] }')"
+test -n "$SITE" || { echo "analyze fft printed no first row"; exit 1; }
+PROPAGATE="$("$CLI" propagate fft "$SITE:0:33")" \
+  || { echo "propagate fft $SITE:0:33 failed"; exit 1; }
+grep -q '^outcome: ' <<<"$PROPAGATE" \
+  || { echo "propagate fft $SITE:0:33 printed no outcome"; exit 1; }
 
 echo "== README .ir route (a .mc compiled to .ir runs like the .mc)"
 # the README's fenced block that names prog.ir, run as written with the
@@ -104,9 +115,8 @@ echo "== fast examples (each runs to exit 0 from the release build)"
 # `cargo test` compiles examples/ but runs none of them; harden_benchmark
 # takes minutes and is left to scripts/run_examples.sh
 cargo build --release --offline -q -p minpsid-repro --example quickstart \
-  --example incubative_instruction --example weighted_cfg --example error_propagation \
-  --example golden_convergence
-for EX in quickstart incubative_instruction weighted_cfg error_propagation golden_convergence; do
+  --example incubative_instruction --example weighted_cfg --example golden_convergence
+for EX in quickstart incubative_instruction weighted_cfg golden_convergence; do
   "target/release/examples/$EX" >/dev/null || { echo "example $EX failed"; exit 1; }
 done
 

@@ -4,7 +4,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release --examples
-for ex in quickstart incubative_instruction weighted_cfg error_propagation golden_convergence; do
+for ex in quickstart incubative_instruction weighted_cfg golden_convergence; do
   echo "== example: $ex =="
   "./target/release/examples/$ex"
   echo

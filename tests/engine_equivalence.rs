@@ -286,6 +286,57 @@ fn every_planned_fault_resolved_alone_equals_the_engine() {
     assert!(wal_of(&dir) == wal_of(&ref_dir), "WAL bytes diverged");
 }
 
+/// `propagate`'s lens is the campaign's injection. Every fault of bfs's
+/// per-instruction plan (6 per site, seed 42), run alone through
+/// `faultsim::explain`, tallies per site to exactly the counts the engine
+/// reports; and the states it lists end where the run converged: a run
+/// that converged at a golden checkpoint was equal to golden there or
+/// earlier, and every state listed before the last one still differed.
+#[test]
+fn every_explained_fault_tallies_to_the_campaign() {
+    use minpsid_repro::faultsim::{explain, OutcomeCounts};
+    use minpsid_repro::interp::FaultTarget;
+
+    let (module, input) = bench_module("bfs");
+    let cfg = CampaignConfigBuilder::new(42)
+        .per_inst_injections(6)
+        .expect("valid config")
+        .build();
+    let golden = golden_run(&module, &input, &cfg).expect("golden run");
+    let engine = CampaignEngine::new(&module, &input, &golden, &cfg);
+    let report = engine
+        .run_per_instruction()
+        .expect("no interrupt requested");
+    let plan = engine.plan_per_instruction();
+    let numbering = module.numbering();
+    let mut tallies = vec![OutcomeCounts::default(); numbering.len()];
+    let mut converged = 0;
+    for sec in &plan.sections {
+        for i in 0..sec.sites.len() {
+            for fault in plan.faults(sec, i) {
+                let FaultTarget::NthOfInst(gid, _) = fault.target else {
+                    unreachable!("per-instruction faults name their site")
+                };
+                let e = explain(&module, &input, &golden, &cfg, fault);
+                tallies[numbering.index(gid)].record(e.outcome);
+                let (last, before) = match e.states.split_last() {
+                    Some((last, before)) => (Some(last), before),
+                    None => (None, &[][..]),
+                };
+                assert!(before.iter().all(|(_, d)| !d.is_empty()), "{fault:?}");
+                if let Some(at) = e.run.converged_at {
+                    converged += 1;
+                    let (k, d) = last.expect("a converged run reached a checkpoint");
+                    assert!(d.is_empty(), "{fault:?}");
+                    assert!(golden.checkpoints.steps_at(*k) <= at, "{fault:?}");
+                }
+            }
+        }
+    }
+    assert_eq!(tallies, report.counts);
+    assert!(converged > 0, "no explained run converged");
+}
+
 /// The hang proof against the oracle on the kernels whose campaigns hang.
 /// Every distinct fault the per-instruction plan holds for fft, knn and
 /// kmeans at the benchmark's 6 per site (seed 42, a 2^20-word memory cap)
