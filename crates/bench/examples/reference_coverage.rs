@@ -11,11 +11,10 @@
 //! ```text
 //! cargo run --release -p minpsid-bench --example reference_coverage -- [tiny|small|paper] [seed]
 //! ```
-use minpsid::{reference_profile, GoldenCache};
 use minpsid_bench::Preset;
-use minpsid_faultsim::{binomial_ci, Z};
+use minpsid_faultsim::{binomial_ci, golden_run, per_instruction_campaign, Z};
 use minpsid_sid::knapsack::selection_weight;
-use minpsid_sid::{measure_unprotected, select};
+use minpsid_sid::{measure_unprotected, select, CostBenefit};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -34,20 +33,21 @@ fn main() {
     let kernels = minpsid_workloads::suite();
     for b in &kernels {
         let module = b.compile();
-        let cfg = preset.minpsid_config(0.5, seed);
-        let reference = reference_profile(&module, b.model.as_ref(), &cfg, &GoldenCache::new())
-            .unwrap_or_else(|t| panic!("{}: reference input failed: {t:?}", b.name));
+        let campaign = preset.campaign(seed);
         let input = b.model.materialize(&b.model.reference());
-        let measured = measure_unprotected(&module, &input, &preset.campaign(seed))
+        let golden = golden_run(&module, &input, &campaign)
+            .unwrap_or_else(|t| panic!("{}: reference input failed: {t:?}", b.name));
+        let per_inst = per_instruction_campaign(&module, &input, &golden, &campaign);
+        let cb = CostBenefit::build(&module, &golden, &per_inst);
+        let measured = measure_unprotected(&module, &input, &campaign)
             .unwrap_or_else(|t| panic!("{}: reference input failed: {t:?}", b.name));
         let sdcs: u64 = measured.site_sdc.iter().sum();
-        let cb = &reference.cb;
-        let by_exec: Vec<f64> = (cb.dyn_counts.iter().zip(&cb.sdc_prob))
-            .map(|(&n, &p)| n as f64 * p)
+        let by_exec: Vec<f64> = (golden.profile.inst_counts.iter().zip(&per_inst.counts))
+            .map(|(&n, c)| n as f64 * c.sdc_prob())
             .collect();
         let total_by_exec: f64 = by_exec.iter().sum();
         for (li, &level) in levels.iter().enumerate() {
-            let (selection, expected) = select(&module, &reference.cb, level, false);
+            let (selection, expected) = select(&module, &cb, level, false);
             let ci = binomial_ci(selection_weight(&measured.site_sdc, &selection), sdcs, Z);
             let hit = ci.lo <= expected && expected <= ci.hi;
             inside[li] += usize::from(hit);

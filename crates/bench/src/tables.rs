@@ -5,7 +5,7 @@
 
 use crate::candlestick::Candlestick;
 use crate::experiment::{Pass, Prepared, Sweep};
-use minpsid::{FitnessKind, InputModel, ReprioritizeRule, SearchStrategy};
+use minpsid::{reprioritize, FitnessKind, InputModel, ReprioritizeRule, SearchStrategy};
 use minpsid_faultsim::{golden_run, program_campaign};
 use minpsid_interp::{ExecConfig, Interp};
 use minpsid_ir::Module;
@@ -678,9 +678,10 @@ pub fn ablation_reprioritization(sw: &mut Sweep, s: &mut String) -> fmt::Result 
     let mut mins: Vec<(usize, f64)> = Vec::new();
     for b in sw.kernels() {
         let pass = sw.pass_at_half(&b);
+        let profiles = pass.result.tracker.profiles();
         for (ri, (label, rule)) in rules.iter().enumerate() {
             let mut cb = pass.prepared.cb.clone();
-            cb.benefit = pass.result.tracker.reprioritized_with(*rule);
+            cb.benefit = reprioritize(profiles, &pass.result.incubative, *rule);
             let prepared = Prepared {
                 module: pass.prepared.module.clone(),
                 cb,

@@ -18,9 +18,9 @@ use minpsid::{
 };
 use minpsid_faultsim::config::flag_value;
 use minpsid_faultsim::{
-    fi_journal_key, golden_run, interrupt, CampaignConfig, CampaignConfigBuilder, CampaignEngine,
-    CampaignJournal, Deadline, ProgramCampaign, SchedSnapshot, Scheduler, TableMemo,
-    TableStatsSnapshot,
+    binomial_ci, fi_journal_key, golden_run, interrupt, CampaignConfig, CampaignConfigBuilder,
+    CampaignEngine, CampaignJournal, Deadline, ProgramCampaign, SchedSnapshot, Scheduler,
+    TableMemo, TableStatsSnapshot, Z,
 };
 use minpsid_interp::{ExecConfig, Interp, ProgInput, Scalar};
 use minpsid_ir::printer::print_module;
@@ -814,11 +814,12 @@ fn print_fi_report(c: &ProgramCampaign, snap: &SchedSnapshot) -> Result<(), Stri
             c.truncated, c.planned
         );
     }
+    let ci = binomial_ci(c.counts.sdc, c.counts.total(), Z);
     println!(
         "SDC probability: {:.2}% (95% CI {:.2}%..{:.2}%)",
         c.sdc_prob() * 100.0,
-        c.sdc_ci.lo * 100.0,
-        c.sdc_ci.hi * 100.0
+        ci.lo * 100.0,
+        ci.hi * 100.0
     );
     println!("completeness: {:.4}", snap.completeness());
     if snap.accounted() != snap.planned {
@@ -871,15 +872,16 @@ fn cmd_analyze(rest: &[String]) -> Result<(), String> {
     for (rank, &dense) in ranked.iter().take(top).enumerate() {
         let gid = numbering.id_of(dense);
         let func = module.func(gid.func);
-        let ci = &per_inst.ci[dense];
+        let c = &per_inst.counts[dense];
+        let ci = binomial_ci(c.sdc, c.total(), Z);
         println!(
             "{:>6} {:>9.5} {:>8.1}% {:>6.1}%..{:>5.1}% {:>11} {:>13} | {}::{}",
             rank + 1,
             cb.benefit[dense],
-            cb.sdc_prob[dense] * 100.0,
+            c.sdc_prob() * 100.0,
             ci.lo * 100.0,
             ci.hi * 100.0,
-            cb.dyn_counts[dense],
+            golden.profile.inst_counts[dense],
             per_inst.status[dense].as_str(),
             func.name,
             minpsid_ir::printer::print_inst(func, gid.inst)

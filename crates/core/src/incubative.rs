@@ -114,27 +114,22 @@ pub fn incubative_between(
         .collect()
 }
 
-/// Accumulates incubative instructions and per-instruction benefit maxima
-/// across the searched inputs, and answers the search-termination question
-/// ("the entire search terminates once the number of incubative
-/// instructions no longer increases", §V-B2).
+/// Keeps the benefit profile of every input it was given — the reference
+/// first, then the searched inputs in acceptance order — and the
+/// incubative instructions found so far, and answers the
+/// search-termination question ("the entire search terminates once the
+/// number of incubative instructions no longer increases", §V-B2).
 #[derive(Debug, Clone)]
 pub struct IncubativeTracker {
     cfg: IncubativeConfig,
-    ref_benefit: Vec<f64>,
-    /// max benefit observed per instruction across reference + all
-    /// searched inputs (the re-prioritization value, Fig. 4 ⑧).
-    max_benefit: Vec<f64>,
-    /// sum of observed benefits (reference + searched), for the mean-rule
-    /// ablation.
-    sum_benefit: Vec<f64>,
+    profiles: Vec<Vec<f64>>,
     incubative: Vec<bool>,
-    inputs_seen: usize,
 }
 
 /// How incubative instructions' benefits are rewritten before the final
 /// knapsack (the paper uses [`ReprioritizeRule::Max`]; the others exist
-/// for the re-prioritization ablation).
+/// for the re-prioritization ablation). Each rule is a view over the
+/// tracker's per-input list, computed by [`reprioritize`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReprioritizeRule {
     /// Highest benefit observed across all searched inputs (paper ⑧).
@@ -146,40 +141,59 @@ pub enum ReprioritizeRule {
     ReferenceOnly,
 }
 
+/// The re-prioritized benefit profile (Fig. 4 ⑧): the instructions in
+/// `incubative` take `rule`'s reading of their benefits across
+/// `profiles` (the reference first, then the searched inputs in
+/// acceptance order); every other instruction keeps the reference
+/// benefit.
+pub fn reprioritize(
+    profiles: &[Vec<f64>],
+    incubative: &[usize],
+    rule: ReprioritizeRule,
+) -> Vec<f64> {
+    let (reference, searched) = profiles.split_first().expect("the reference profile");
+    let mut out = reference.clone();
+    for &i in incubative {
+        let observed = searched.iter().map(|p| p[i]);
+        out[i] = match rule {
+            ReprioritizeRule::Max => observed.fold(reference[i], |m, b| if b > m { b } else { m }),
+            ReprioritizeRule::Mean => {
+                observed.fold(reference[i], |s, b| s + b) / profiles.len() as f64
+            }
+            ReprioritizeRule::ReferenceOnly => reference[i],
+        };
+    }
+    out
+}
+
 impl IncubativeTracker {
     pub fn new(ref_benefit: Vec<f64>, cfg: IncubativeConfig) -> Self {
-        let max_benefit = ref_benefit.clone();
-        let sum_benefit = ref_benefit.clone();
         let n = ref_benefit.len();
         IncubativeTracker {
             cfg,
-            ref_benefit,
-            max_benefit,
-            sum_benefit,
+            profiles: vec![ref_benefit],
             incubative: vec![false; n],
-            inputs_seen: 0,
         }
     }
 
-    /// Fold in one searched input's benefit profile. Returns the number of
+    /// Record one searched input's benefit profile. Returns the number of
     /// *new* incubative instructions this input revealed.
     pub fn observe(&mut self, benefit: &[f64]) -> usize {
-        assert_eq!(benefit.len(), self.ref_benefit.len());
-        self.inputs_seen += 1;
-        for (i, b) in benefit.iter().enumerate() {
-            if *b > self.max_benefit[i] {
-                self.max_benefit[i] = *b;
-            }
-            self.sum_benefit[i] += *b;
-        }
         let mut new = 0;
-        for i in incubative_between(&self.ref_benefit, benefit, &self.cfg) {
+        for i in incubative_between(&self.profiles[0], benefit, &self.cfg) {
             if !self.incubative[i] {
                 self.incubative[i] = true;
                 new += 1;
             }
         }
+        self.profiles.push(benefit.to_vec());
         new
+    }
+
+    /// The benefit profile of every input given, the reference first and
+    /// then the searched inputs in acceptance order.
+    pub fn profiles(&self) -> &[Vec<f64>] {
+        &self.profiles
     }
 
     /// Dense indices of all incubative instructions found so far.
@@ -193,32 +207,14 @@ impl IncubativeTracker {
         self.incubative.iter().filter(|&&b| b).count()
     }
 
-    pub fn inputs_seen(&self) -> usize {
-        self.inputs_seen
-    }
-
-    /// The re-prioritized benefit profile (Fig. 4 ⑧): incubative
-    /// instructions take their maximum observed benefit, everything else
-    /// keeps the reference benefit.
+    /// The re-prioritized benefit profile under the paper's rule:
+    /// incubative instructions take their maximum observed benefit.
     pub fn reprioritized_benefit(&self) -> Vec<f64> {
-        self.reprioritized_with(ReprioritizeRule::Max)
-    }
-
-    /// Re-prioritization under an explicit rule (ablation support).
-    pub fn reprioritized_with(&self, rule: ReprioritizeRule) -> Vec<f64> {
-        let samples = (self.inputs_seen + 1) as f64;
-        (0..self.ref_benefit.len())
-            .map(|i| {
-                if !self.incubative[i] {
-                    return self.ref_benefit[i];
-                }
-                match rule {
-                    ReprioritizeRule::Max => self.max_benefit[i],
-                    ReprioritizeRule::Mean => self.sum_benefit[i] / samples,
-                    ReprioritizeRule::ReferenceOnly => self.ref_benefit[i],
-                }
-            })
-            .collect()
+        reprioritize(
+            &self.profiles,
+            &self.incubative_indices(),
+            ReprioritizeRule::Max,
+        )
     }
 }
 
@@ -275,7 +271,11 @@ mod tests {
         assert_eq!(new3, 1);
         assert_eq!(t.count(), 2);
         assert_eq!(t.incubative_indices(), vec![1, 2]);
-        assert_eq!(t.inputs_seen(), 3);
+        assert_eq!(
+            t.profiles().len(),
+            4,
+            "the reference and three searched inputs"
+        );
     }
 
     #[test]
@@ -300,15 +300,55 @@ mod tests {
         t.observe(&[0.5, 0.4, 0.3, 0.2]);
         t.observe(&[0.5, 0.1, 0.3, 0.2]);
         // inst 1 incubative: ref 0.0, observed 0.4 and 0.1
-        let max = t.reprioritized_with(ReprioritizeRule::Max);
-        let mean = t.reprioritized_with(ReprioritizeRule::Mean);
-        let refonly = t.reprioritized_with(ReprioritizeRule::ReferenceOnly);
+        let inc = t.incubative_indices();
+        let max = reprioritize(t.profiles(), &inc, ReprioritizeRule::Max);
+        let mean = reprioritize(t.profiles(), &inc, ReprioritizeRule::Mean);
+        let refonly = reprioritize(t.profiles(), &inc, ReprioritizeRule::ReferenceOnly);
         assert_eq!(max[1], 0.4);
         assert!((mean[1] - 0.5 / 3.0).abs() < 1e-12);
         assert_eq!(refonly[1], 0.0);
         // non-incubative inst keeps the reference under all rules
         assert_eq!(max[0], 0.5);
         assert_eq!(mean[0], 0.5);
+    }
+
+    /// Each rule read from the list is bit for bit the running fold the
+    /// tracker used to keep: a maximum by `>` and a sum in acceptance
+    /// order, both starting from the reference.
+    #[test]
+    fn reprioritize_equals_a_sequential_fold_of_the_list() {
+        let profiles = vec![
+            vec![0.1, 0.0, 0.3, 1e-17, 0.0],
+            vec![0.2, 0.7, 0.1, 0.1, 0.3],
+            vec![0.05, 0.3, 0.9, 0.2 + 1e-16, 0.1],
+        ];
+        let all: Vec<usize> = (0..5).collect();
+        let mut max = profiles[0].clone();
+        let mut sum = profiles[0].clone();
+        for p in &profiles[1..] {
+            for i in 0..5 {
+                if p[i] > max[i] {
+                    max[i] = p[i];
+                }
+                sum[i] += p[i];
+            }
+        }
+        let mean: Vec<f64> = sum.iter().map(|s| s / 3.0).collect();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (rule, want) in [
+            (ReprioritizeRule::Max, &max),
+            (ReprioritizeRule::Mean, &mean),
+            (ReprioritizeRule::ReferenceOnly, &profiles[0]),
+        ] {
+            assert_eq!(
+                bits(&reprioritize(&profiles, &all, rule)),
+                bits(want),
+                "{rule:?}"
+            );
+        }
+        // instructions outside `incubative` keep the reference under every rule
+        let some = reprioritize(&profiles, &[1], ReprioritizeRule::Max);
+        assert_eq!(bits(&some), bits(&[0.1, 0.7, 0.3, 1e-17, 0.0]));
     }
 
     #[test]

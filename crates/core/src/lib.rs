@@ -30,8 +30,7 @@
 //! 4. **Selection + transform** (⑨): rerun knapsack + duplication.
 //!
 //! [`run_minpsid`] is the end-to-end entry point; baseline SID selects from
-//! a [`reference_profile`] as it stands, [`run_minpsid_from`] extends one,
-//! and [`search::random_searcher`] is the blind-search baseline of Fig. 7.
+//! a [`reference_profile`] as it stands, and [`run_minpsid_from`] extends one.
 
 pub mod cache;
 pub mod incubative;
@@ -43,12 +42,14 @@ pub mod wcfg;
 pub use cache::{
     config_fingerprint, input_fingerprint, module_fingerprint, output_fingerprint, GoldenCache,
 };
-pub use incubative::{incubative_between, IncubativeConfig, IncubativeTracker, ReprioritizeRule};
+pub use incubative::{
+    incubative_between, reprioritize, IncubativeConfig, IncubativeTracker, ReprioritizeRule,
+};
 pub use input::{crossover, mutate, InputModel, ParamKind, ParamSpec, ParamValue};
 pub use pipeline::{
     minpsid_config_fingerprint, module_section_map, reference_profile, run_minpsid,
     run_minpsid_cached, run_minpsid_from, run_minpsid_journaled, Deduped, MinpsidConfig,
     MinpsidResult, PipelineError, Reference, SearchStrategy, Timings,
 };
-pub use search::{random_searcher, EvalMemo, FitnessKind, GaConfig, SearchEngine, SearchOutcome};
+pub use search::{EvalMemo, FitnessKind, GaConfig, SearchEngine, SearchOutcome};
 pub use wcfg::{fitness_score, fitness_score_normalized, profile_input};

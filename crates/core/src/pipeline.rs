@@ -115,8 +115,8 @@ pub struct MinpsidResult {
     pub timings: Timings,
     /// The re-prioritized cost/benefit profile used for selection.
     pub cost_benefit: CostBenefit,
-    /// The full benefit-observation state, so callers can re-derive
-    /// profiles under alternative re-prioritization rules (ablations).
+    /// Every input's benefit profile, so callers can re-derive the
+    /// selection under another re-prioritization rule (ablations).
     pub tracker: IncubativeTracker,
     /// The run's scheduler accounting: completed and deadline-truncated.
     /// `sched.completeness()` annotates the report.
@@ -803,6 +803,14 @@ mod tests {
         assert_eq!(a.incubative_history, b.incubative_history);
         assert_eq!(a.inputs_searched, b.inputs_searched);
         assert_eq!(a.expected_coverage, b.expected_coverage);
+        let bits = |r: &MinpsidResult| -> Vec<Vec<u64>> {
+            let profiles = r.tracker.profiles();
+            profiles
+                .iter()
+                .map(|p| p.iter().map(|b| b.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(bits(a), bits(b), "per-input benefit lists");
     }
 
     /// `interrupt::request()` is process-wide and every journal-attached

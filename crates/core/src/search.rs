@@ -391,25 +391,6 @@ impl<'a> SearchEngine<'a> {
     }
 }
 
-/// Convenience wrapper used by experiments that only need the baseline.
-pub fn random_searcher(
-    module: &Module,
-    model: &dyn InputModel,
-    campaign: &CampaignConfig,
-    seed: u64,
-) -> Option<SearchOutcome> {
-    let mut engine = SearchEngine::new(
-        module,
-        model,
-        campaign.clone(),
-        GaConfig {
-            seed,
-            ..GaConfig::default()
-        },
-    );
-    engine.next_random_input()
-}
-
 fn sort_by_fitness(pop: &mut [SearchOutcome]) {
     pop.sort_by(|a, b| {
         b.fitness
@@ -529,7 +510,13 @@ mod tests {
         let m = module();
         let model = ToyModel::new();
         let cfg = CampaignConfig::quick(2);
-        let got = random_searcher(&m, &model, &cfg, 7).unwrap();
+        let ga = GaConfig {
+            seed: 7,
+            ..GaConfig::default()
+        };
+        let got = SearchEngine::new(&m, &model, cfg, ga)
+            .next_random_input()
+            .unwrap();
         let n = got.params[0].as_i();
         assert!((1..=200).contains(&n));
     }

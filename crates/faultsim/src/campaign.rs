@@ -31,7 +31,7 @@ use minpsid_interp::{
 };
 use minpsid_ir::bytes::Fnv;
 use minpsid_ir::Module;
-use minpsid_sched::{BinomialCi, SchedConfig, SiteStatus};
+use minpsid_sched::{SchedConfig, SiteStatus};
 use minpsid_trace as trace;
 use minpsid_trace::CampaignKind;
 use std::time::Duration;
@@ -380,8 +380,6 @@ pub struct ProgramCampaign {
     /// SDC outcomes by the static instruction each fault hit (dense in
     /// module numbering order).
     pub site_sdc: Vec<u64>,
-    /// Wilson interval on the SDC probability (at [`Z`](minpsid_sched::Z)).
-    pub sdc_ci: BinomialCi,
     /// Injections the campaign intended to run.
     pub planned: u64,
     /// Injections dropped because the wall-clock deadline expired.
@@ -397,14 +395,11 @@ impl ProgramCampaign {
 /// Per-static-instruction SDC profile (dense in module numbering order).
 #[derive(Debug, Clone)]
 pub struct PerInstSdc {
-    /// SDC probability of each static instruction; 0 for never-executed
-    /// or non-injectable instructions.
-    pub sdc_prob: Vec<f64>,
-    /// Raw outcome counts per static instruction.
+    /// Outcome counts per static instruction, all zero for never-executed
+    /// or non-injectable instructions. An instruction's SDC probability is
+    /// `counts[i].sdc_prob()` and its Wilson interval
+    /// `binomial_ci(c.sdc, c.total(), Z)`.
     pub counts: Vec<OutcomeCounts>,
-    /// Wilson interval on each instruction's SDC probability (vacuous for
-    /// unsampled instructions).
-    pub ci: Vec<BinomialCi>,
     /// How sampling ended at each instruction. `Unsampled` for
     /// instructions outside the campaign (never executed, not injectable)
     /// and for sites the deadline prevented entirely.
@@ -413,11 +408,11 @@ pub struct PerInstSdc {
 
 impl PerInstSdc {
     pub fn len(&self) -> usize {
-        self.sdc_prob.len()
+        self.counts.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.sdc_prob.is_empty()
+        self.counts.is_empty()
     }
 }
 
@@ -619,7 +614,7 @@ pub(crate) mod tests {
 
         let pa = per_instruction_campaign(&m, &input(40), &g, &cfg);
         let pb = per_instruction_campaign(&m, &input(40), &g, &cfg);
-        assert_eq!(pa.sdc_prob, pb.sdc_prob);
+        assert_eq!(pa.counts, pb.counts);
     }
 
     #[test]
@@ -640,8 +635,8 @@ pub(crate) mod tests {
         assert_eq!(p.len(), m.num_insts());
         // the output instruction (out_i) is not injectable -> prob 0;
         // at least one arithmetic instruction must show SDCs
-        assert!(p.sdc_prob.iter().any(|&x| x > 0.0));
-        assert!(p.sdc_prob.iter().all(|&x| (0.0..=1.0).contains(&x)));
+        assert!(p.counts.iter().any(|c| c.sdc_prob() > 0.0));
+        assert!(p.counts.iter().all(|c| (0.0..=1.0).contains(&c.sdc_prob())));
     }
 
     #[test]
@@ -710,11 +705,9 @@ pub(crate) mod tests {
         let pa = per_instruction_campaign(&m, &input(60), &g_cold, &cold);
         let pb = per_instruction_campaign(&m, &input(60), &g_auto, &auto_cfg);
         let pc = per_instruction_campaign(&m, &input(60), &g_fixed, &fixed);
-        assert_eq!(pa.sdc_prob, pb.sdc_prob);
         assert_eq!(pa.counts, pb.counts);
         assert_eq!(pa.counts, pc.counts);
         let pd = per_instruction_campaign(&m, &input(60), &g_full, &full);
-        assert_eq!(pa.sdc_prob, pd.sdc_prob);
         assert_eq!(pa.counts, pd.counts);
     }
 
@@ -783,7 +776,6 @@ pub(crate) mod tests {
         let b_pi = eng.run_per_instruction().unwrap();
         assert_eq!(b.counts, plain.counts);
         assert_eq!(b_pi.counts, plain_pi.counts);
-        assert_eq!(b_pi.sdc_prob, plain_pi.sdc_prob);
         let (served, appended) = j.usage();
         assert_eq!(appended, 0, "a fully journaled rerun executes nothing");
         assert_eq!(

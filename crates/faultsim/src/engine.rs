@@ -66,7 +66,7 @@ use minpsid_interp::{
 };
 use minpsid_ir::{section_fingerprints, GlobalInstId, InstId, Module};
 use minpsid_journal::{interrupt, CampaignJournal, Interrupted};
-use minpsid_sched::{binomial_ci, splitmix64, Scheduler, SiteStatus, Z};
+use minpsid_sched::{splitmix64, Scheduler, SiteStatus};
 use minpsid_trace as trace;
 use minpsid_trace::{CampaignCounters, CampaignKind, Histogram, OutcomeKind};
 use rand::rngs::StdRng;
@@ -936,7 +936,6 @@ impl<'a> CampaignEngine<'a> {
         Ok(ProgramCampaign {
             counts,
             site_sdc,
-            sdc_ci: binomial_ci(counts.sdc, counts.total(), Z),
             planned: plan.planned_injections(),
             truncated,
         })
@@ -950,26 +949,17 @@ impl<'a> CampaignEngine<'a> {
         let (plan, results) = self.run(CampaignKind::PerInst)?;
         let _reduce_span = trace::span("reduce");
         let n = self.module.numbering().len();
-        let mut sdc_prob = vec![0.0; n];
         let mut counts = vec![OutcomeCounts::default(); n];
-        let mut ci = vec![binomial_ci(0, 0, Z); n];
         let mut status = vec![SiteStatus::Unsampled; n];
         let sites = plan.sections.iter().flat_map(|sec| &sec.sites);
         for (&(dense, _, _), r) in sites.zip(results) {
-            sdc_prob[dense] = r.counts.sdc_prob();
-            ci[dense] = binomial_ci(r.counts.sdc, r.counts.total(), Z);
             counts[dense] = r.counts;
             status[dense] = r.status;
         }
         if trace::active() {
             emit_function_outcomes(self.module, &plan, &counts);
         }
-        Ok(PerInstSdc {
-            sdc_prob,
-            counts,
-            ci,
-            status,
-        })
+        Ok(PerInstSdc { counts, status })
     }
 
     /// The one campaign loop: plan `kind`, then resolve every unit's

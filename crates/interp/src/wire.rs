@@ -31,8 +31,9 @@ use minpsid_ir::{BlockId, FuncId};
 /// versions rather than guessing). v2 added the per-section dynamic step
 /// ranges (`sec_first_step`/`sec_last_step`) to encoded profiles; v3
 /// dropped their cycles, edge counts and step total, and stores the block
-/// entries as one list.
-pub const WIRE_VERSION: u32 = 3;
+/// entries as one list; v4 dropped each stored state's per-instruction
+/// fault counter and fault-applied flag.
+pub const WIRE_VERSION: u32 = 4;
 
 const GOLDEN_MAGIC: &[u8; 4] = b"MPSG";
 const CKPT_MAGIC: &[u8; 4] = b"MPSC";
@@ -200,8 +201,6 @@ fn w_state(buf: &mut Vec<u8>, st: &MachineState) {
     w_output_items(buf, &st.output.items);
     put_varint(buf, st.steps);
     put_varint(buf, st.inj_ctr);
-    put_varint(buf, st.per_inst_ctr);
-    buf.push(u8::from(st.fault_applied));
 }
 
 fn r_state(r: &mut Reader) -> Result<MachineState, WireError> {
@@ -214,12 +213,10 @@ fn r_state(r: &mut Reader) -> Result<MachineState, WireError> {
         },
         steps: r.varint()?,
         inj_ctr: r.varint()?,
-        per_inst_ctr: r.varint()?,
-        fault_applied: match r.u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(WireError::Invalid("fault_applied byte")),
-        },
+        // a stored state never carries a fault: `Interp::restore` arms
+        // both afresh
+        per_inst_ctr: 0,
+        fault_applied: false,
     })
 }
 

@@ -25,9 +25,9 @@
 
 use minpsid_interp::wire::encode_checkpoints;
 use minpsid_interp::{
-    oracle, state_diff, CheckpointConfig, CheckpointStore, ExecConfig, ExecResult, ExecScratch,
-    FaultSpec, FaultTarget, Interp, ProgInput, Run, Scalar, SnapshotMode, Start, Stream,
-    Termination, TrapKind, Value,
+    oracle, CheckpointConfig, CheckpointStore, ExecConfig, ExecResult, ExecScratch, FaultSpec,
+    FaultTarget, Interp, ProgInput, Run, Scalar, SnapshotMode, Start, Stream, Termination,
+    TrapKind, Value,
 };
 use minpsid_ir::{
     BlockId, CmpOp, FunctionBuilder, GlobalInstId, InstId, InstKind, Module, ModuleBuilder, Ty,
@@ -358,19 +358,10 @@ proptest! {
                             Start::Capture(_) => {
                                 let (got, want) = (scratch.take_checkpoints(), want_store.unwrap());
                                 same_inj_counts(&m, &got, &want)?;
-                                if fault.is_none() {
-                                    prop_assert!(
-                                        encode_checkpoints(&got) == encode_checkpoints(&want),
-                                        "captured store images differ"
-                                    );
-                                }
-                                // a faulty run's states, the run's own fault
-                                // bookkeeping aside (a restore resets it)
-                                for i in 0..want.len() {
-                                    let (g, w) = (got.materialize(i), want.materialize(i));
-                                    prop_assert!(state_diff(&g, &w).is_empty(), "state {}", i);
-                                    prop_assert_eq!(g.output(), w.output());
-                                }
+                                prop_assert!(
+                                    encode_checkpoints(&got) == encode_checkpoints(&want),
+                                    "captured store images differ"
+                                );
                             }
                             _ => {}
                         }

@@ -82,13 +82,14 @@ pub fn select(
     };
     let expected = cb.expected_coverage(&selection);
     if minpsid_trace::active() {
+        let total_cycles = cb.total_cycles();
         minpsid_trace::emit(minpsid_trace::Event::Knapsack {
             budget: capacity,
-            total_cycles: cb.total_cycles,
+            total_cycles,
             eligible: eligible.iter().filter(|&&e| e).count() as u64,
             selected: selection.iter().filter(|&&s| s).count() as u64,
             protected_cycle_fraction: selection_weight(&cb.cost, &selection) as f64
-                / cb.total_cycles.max(1) as f64,
+                / total_cycles as f64,
             expected_coverage: expected,
         });
     }

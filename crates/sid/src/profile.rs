@@ -13,29 +13,26 @@ use minpsid_ir::Module;
 pub struct CostBenefit {
     pub cost: Vec<u64>,
     pub benefit: Vec<f64>,
-    pub sdc_prob: Vec<f64>,
-    pub dyn_counts: Vec<u64>,
-    pub total_cycles: u64,
 }
 
 impl CostBenefit {
     /// Combine a golden profile with a per-instruction FI campaign.
     pub fn build(module: &Module, golden: &GoldenRun, per_inst: &PerInstSdc) -> Self {
         let cost = golden.profile.inst_cycles(module);
-        assert_eq!(per_inst.sdc_prob.len(), cost.len());
+        assert_eq!(per_inst.len(), cost.len());
         let total_cycles = cost.iter().sum::<u64>().max(1);
         let benefit = cost
             .iter()
-            .zip(&per_inst.sdc_prob)
-            .map(|(&c, &p)| c as f64 / total_cycles as f64 * p)
+            .zip(&per_inst.counts)
+            .map(|(&c, p)| c as f64 / total_cycles as f64 * p.sdc_prob())
             .collect();
-        CostBenefit {
-            cost,
-            benefit,
-            sdc_prob: per_inst.sdc_prob.clone(),
-            dyn_counts: golden.profile.inst_counts.clone(),
-            total_cycles,
-        }
+        CostBenefit { cost, benefit }
+    }
+
+    /// Dynamic cycles of the whole profiling run (at least 1): the
+    /// denominator of Eq. 1 and the knapsack's full capacity.
+    pub fn total_cycles(&self) -> u64 {
+        self.cost.iter().sum::<u64>().max(1)
     }
 
     pub fn len(&self) -> usize {
@@ -71,7 +68,7 @@ impl CostBenefit {
 
     /// Knapsack capacity for a protection level in `[0, 1]`.
     pub fn capacity(&self, protection_level: f64) -> u64 {
-        (protection_level.clamp(0.0, 1.0) * self.total_cycles as f64) as u64
+        (protection_level.clamp(0.0, 1.0) * self.total_cycles() as f64) as u64
     }
 }
 
@@ -81,7 +78,7 @@ mod tests {
     use minpsid_faultsim::{golden_run, per_instruction_campaign, CampaignConfig};
     use minpsid_interp::{ProgInput, Scalar};
 
-    fn setup() -> (Module, CostBenefit) {
+    fn setup() -> (GoldenRun, PerInstSdc, CostBenefit) {
         let m = minic::compile(
             r#"
             fn main() {
@@ -101,21 +98,21 @@ mod tests {
         let g = golden_run(&m, &input, &cfg).unwrap();
         let p = per_instruction_campaign(&m, &input, &g, &cfg);
         let cb = CostBenefit::build(&m, &g, &p);
-        (m, cb)
+        (g, p, cb)
     }
 
     #[test]
     fn benefit_is_cost_fraction_times_sdc_prob() {
-        let (_, cb) = setup();
+        let (_, p, cb) = setup();
         for i in 0..cb.len() {
-            let expected = cb.cost[i] as f64 / cb.total_cycles as f64 * cb.sdc_prob[i];
+            let expected = cb.cost[i] as f64 / cb.total_cycles() as f64 * p.counts[i].sdc_prob();
             assert!((cb.benefit[i] - expected).abs() < 1e-12);
         }
     }
 
     #[test]
     fn expected_coverage_bounds() {
-        let (_, cb) = setup();
+        let (_, _, cb) = setup();
         let none = vec![false; cb.len()];
         let all = vec![true; cb.len()];
         assert_eq!(cb.expected_coverage(&none), 0.0);
@@ -124,23 +121,22 @@ mod tests {
 
     #[test]
     fn capacity_scales_with_level() {
-        let (_, cb) = setup();
+        let (_, _, cb) = setup();
         assert_eq!(cb.capacity(0.0), 0);
         assert!(cb.capacity(0.5) > 0);
         assert!(cb.capacity(0.5) <= cb.capacity(0.7));
-        assert_eq!(cb.capacity(1.0), cb.total_cycles);
+        assert_eq!(cb.capacity(1.0), cb.total_cycles());
         // out-of-range levels are clamped
-        assert_eq!(cb.capacity(2.0), cb.total_cycles);
+        assert_eq!(cb.capacity(2.0), cb.total_cycles());
     }
 
     #[test]
     fn unexecuted_instructions_have_zero_benefit() {
-        let (m, cb) = setup();
+        let (g, _, cb) = setup();
         for i in 0..cb.len() {
-            if cb.dyn_counts[i] == 0 {
+            if g.profile.inst_counts[i] == 0 {
                 assert_eq!(cb.benefit[i], 0.0);
             }
         }
-        let _ = m;
     }
 }

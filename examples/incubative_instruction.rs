@@ -62,10 +62,12 @@ fn main() {
     let profile = |input: &ProgInput| {
         let golden = golden_run(&module, input, &campaign).unwrap();
         let per_inst = per_instruction_campaign(&module, input, &golden, &campaign);
-        CostBenefit::build(&module, &golden, &per_inst)
+        let cb = CostBenefit::build(&module, &golden, &per_inst);
+        let sdc_prob: Vec<f64> = per_inst.counts.iter().map(|c| c.sdc_prob()).collect();
+        (sdc_prob, cb)
     };
-    let ref_cb = profile(&ref_input);
-    let oth_cb = profile(&other_input);
+    let (ref_sdc, ref_cb) = profile(&ref_input);
+    let (oth_sdc, oth_cb) = profile(&other_input);
 
     // locate the threshold comparison in the IR
     let numbering = module.numbering();
@@ -75,12 +77,12 @@ fn main() {
         let dense = numbering.index(gid);
         let is_cmp = matches!(inst.kind, InstKind::Cmp { .. });
         let marker = if is_cmp { "  <-- icmp" } else { "" };
-        if ref_cb.sdc_prob[dense] > 0.0 || oth_cb.sdc_prob[dense] > 0.0 || is_cmp {
+        if ref_sdc[dense] > 0.0 || oth_sdc[dense] > 0.0 || is_cmp {
             println!(
                 "{:>6} {:>8.1}% {:>8.1}%   {}{}",
                 dense,
-                ref_cb.sdc_prob[dense] * 100.0,
-                oth_cb.sdc_prob[dense] * 100.0,
+                ref_sdc[dense] * 100.0,
+                oth_sdc[dense] * 100.0,
                 print_inst(module.func(gid.func), gid.inst),
                 marker
             );

@@ -171,6 +171,15 @@ echo "== config-key guard (no hand-written Debug on a config)"
        END { exit !found }' \
   $(find crates -path '*/src/*' -name '*.rs') || exit 1
 
+echo "== orphan-regressions guard (a proptest-regressions file sits beside its test)"
+# proptest keeps `<test>.proptest-regressions` next to `<test>.rs`; one
+# whose test file is gone replays nothing, and nothing fails to say so
+ORPHANS="$(find crates tests -name '*.proptest-regressions' \
+  \( -path 'crates/*/tests/*' -o -path 'tests/*' \) | while read -r F; do
+    test -f "${F%.proptest-regressions}.rs" || echo "$F"
+  done)"
+test -z "$ORPHANS" || { echo "no test beside: $ORPHANS"; exit 1; }
+
 echo "== repo benchmark smoke (all four workloads build, run and check their results)"
 # the checks that gate a performance PR (BENCHMARK.json) also run here:
 # the last line of standard output is the result object, and anything but

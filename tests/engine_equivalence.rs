@@ -216,7 +216,7 @@ fn every_planned_fault_resolved_alone_equals_the_engine() {
     use minpsid_repro::faultsim::PerInstSdc;
     use minpsid_repro::interp::ExecScratch;
     use minpsid_repro::interp::Interp;
-    use minpsid_repro::sched::{binomial_ci, SiteStatus, Z};
+    use minpsid_repro::sched::SiteStatus;
 
     const INPUT_FP: u64 = 1;
     let (module, input) = bench_module("bfs");
@@ -242,9 +242,7 @@ fn every_planned_fault_resolved_alone_equals_the_engine() {
     let interp = Interp::new(&module, faulty_exec_config(&cfg, golden.steps));
     let n = module.numbering().len();
     let mut expected = PerInstSdc {
-        sdc_prob: vec![0.0; n],
         counts: vec![OutcomeCounts::default(); n],
-        ci: vec![binomial_ci(0, 0, Z); n],
         status: vec![SiteStatus::Unsampled; n],
     };
     let ref_dir = journal_dir("planned-alone");
@@ -275,8 +273,6 @@ fn every_planned_fault_resolved_alone_equals_the_engine() {
                     true,
                 );
             }
-            expected.sdc_prob[dense] = counts.sdc_prob();
-            expected.ci[dense] = binomial_ci(counts.sdc, counts.total(), Z);
             expected.status[dense] = SiteStatus::Full;
         }
     }

@@ -176,7 +176,7 @@ fn flipped_wal_snapshot_quarantines_and_live_log_stays_authoritative() {
 #[test]
 fn journaled_store_backed_run_leaves_a_pinned_image() {
     use minpsid_repro::ir::bytes::Fnv;
-    const PIN: u64 = 0x0f94_03d6_4d04_d8c3;
+    const PIN: u64 = 0x07cd_52c9_ea9d_db54;
 
     let b = workloads::by_name("xsbench").expect("xsbench");
     let module = b.compile();
