@@ -3,7 +3,7 @@
 
 use crate::tables::{Table, TABLES};
 use minpsid::{GaConfig, IncubativeConfig, MinpsidConfig, SearchStrategy};
-use minpsid_faultsim::{CampaignConfig, CampaignConfigBuilder};
+use minpsid_faultsim::CampaignConfig;
 
 /// Experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,16 +83,15 @@ impl Preset {
         }
     }
 
-    /// Campaign config for this preset, routed through the shared
-    /// [`CampaignConfigBuilder`] so the validation rules live in one
-    /// place (preset sizes are positive by construction).
+    /// Campaign config for this preset.
     pub fn campaign(self, seed: u64) -> CampaignConfig {
-        CampaignConfigBuilder::new(seed)
-            .injections(self.injections() as u64)
-            .and_then(|b| b.per_inst_injections(self.per_inst_injections() as u64))
-            .and_then(|b| b.max_checkpoints(self.max_checkpoints()))
-            .expect("preset campaign sizes are positive")
-            .build()
+        CampaignConfig {
+            injections: self.injections(),
+            per_inst_injections: self.per_inst_injections(),
+            seed,
+            max_checkpoints: self.max_checkpoints(),
+            ..CampaignConfig::default()
+        }
     }
 
     pub fn minpsid_config(self, level: f64, seed: u64) -> MinpsidConfig {

@@ -16,10 +16,9 @@ use minpsid::{
     input_fingerprint, minpsid_config_fingerprint, module_fingerprint, module_section_map,
     run_minpsid_cached, run_minpsid_journaled, GoldenCache, MinpsidConfig, PipelineError,
 };
-use minpsid_faultsim::config::flag_value;
 use minpsid_faultsim::{
-    binomial_ci, fi_journal_key, golden_run, interrupt, CampaignConfig, CampaignConfigBuilder,
-    CampaignEngine, CampaignJournal, Deadline, ProgramCampaign, SchedSnapshot, Scheduler,
+    binomial_ci, fi_journal_key, golden_run, interrupt, CampaignConfig, CampaignEngine,
+    CampaignJournal, CheckpointPolicy, Deadline, ProgramCampaign, SchedSnapshot, Scheduler,
     TableMemo, TableStatsSnapshot, Z,
 };
 use minpsid_interp::{ExecConfig, Interp, ProgInput, Scalar};
@@ -390,6 +389,20 @@ fn load_module(name: &str) -> Result<Module, String> {
         .ok_or_else(|| format!("unknown benchmark `{name}` (see `minpsid list`)"))
 }
 
+/// `--flag value` lookup over a raw argument slice: `Ok(None)` when the
+/// flag is absent, a usage error when it is there without its value —
+/// last on the line, or followed by another `--flag` (a value may start
+/// with a single `-`: `--level -0.1` is a value, and a bad one).
+fn flag_value(rest: &[String], flag: &str) -> Result<Option<String>, String> {
+    let Some(i) = rest.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    match rest.get(i + 1) {
+        Some(v) if !v.starts_with("--") => Ok(Some(v.clone())),
+        _ => Err(format!("{flag} needs a value")),
+    }
+}
+
 /// The journal directory of this run: `--journal DIR`, else `--resume DIR`.
 fn journal_dir_flag(rest: &[String]) -> Result<Option<String>, String> {
     Ok(flag_value(rest, "--journal")?.or(flag_value(rest, "--resume")?))
@@ -402,7 +415,9 @@ fn parse_level(rest: &[String]) -> Result<f64, String> {
             .parse::<f64>()
             .map_err(|_| format!("bad --level `{v}`"))
             .and_then(|l| {
-                if l <= 0.0 {
+                if !l.is_finite() {
+                    Err("--level must be in (0, 1]".into())
+                } else if l <= 0.0 {
                     Err(format!(
                         "--level {v} gives a zero protection budget \
                          (no instruction can be selected); use a level in (0, 1]"
@@ -431,18 +446,61 @@ fn parse_positive(rest: &[String], flag: &str, what: &str) -> Result<Option<u64>
     }
 }
 
-/// Campaign config from the shared FI flag vocabulary — a thin delegate
-/// to [`CampaignConfigBuilder::from_flags`], which owns every validation
-/// rule (the bench binaries parse the same flags through the same code).
-fn parse_campaign(rest: &[String]) -> Result<CampaignConfig, String> {
-    CampaignConfigBuilder::from_flags(rest).map(CampaignConfigBuilder::build)
+/// The campaign flags, parsed once: `--seed`, `--quick`, `--injections`,
+/// `--per-inst`, `--threads` and `--no-checkpoints` into the config, and
+/// beside it `--deadline-secs`, the global wall-clock budget. The deadline
+/// is not part of the config (and so not of any key): it bounds how much
+/// work runs, never what that work computes, and 0 (already expired) is
+/// allowed.
+fn parse_campaign(rest: &[String]) -> Result<(CampaignConfig, Option<f64>), String> {
+    let seed = match flag_value(rest, "--seed")? {
+        None => 42,
+        Some(v) => v.parse().map_err(|_| format!("bad --seed `{v}`"))?,
+    };
+    let mut cfg = if rest.iter().any(|a| a == "--quick") {
+        CampaignConfig::quick(seed)
+    } else {
+        CampaignConfig {
+            seed,
+            ..CampaignConfig::default()
+        }
+    };
+    if rest.iter().any(|a| a == "--no-checkpoints") {
+        cfg.checkpoints = CheckpointPolicy::Disabled;
+    }
+    let size = |flag, what| parse_positive(rest, flag, what).map(|n| n.map(|n| n as usize));
+    if let Some(n) = size("--injections", "want a positive campaign size")? {
+        cfg.injections = n;
+    }
+    if let Some(n) = size("--per-inst", "want a positive per-instruction count")? {
+        cfg.per_inst_injections = n;
+    }
+    if let Some(n) = size("--threads", "want a positive worker count")? {
+        cfg.threads = n;
+    }
+    let deadline = match flag_value(rest, "--deadline-secs")? {
+        None => None,
+        Some(v) => Some(
+            v.parse::<f64>()
+                .ok()
+                .filter(|d| d.is_finite() && *d >= 0.0)
+                .ok_or_else(|| format!("bad --deadline-secs `{v}` (want a non-negative number)"))?,
+        ),
+    };
+    Ok((cfg, deadline))
 }
 
-/// `--deadline-secs`: the global wall-clock budget. Not part of the
-/// campaign config (and so not of the journal fingerprint) — it bounds
-/// how much work runs, never what that work computes.
-fn parse_deadline(rest: &[String]) -> Result<Option<f64>, String> {
-    CampaignConfigBuilder::from_flags(rest).map(|b| b.deadline())
+/// Every planned injection ran or was truncated; a report that lost one
+/// is refused.
+fn check_accounting(snap: &SchedSnapshot) -> Result<(), String> {
+    if snap.accounted() == snap.planned {
+        return Ok(());
+    }
+    Err(format!(
+        "scheduler accounting violated: {} of {} injections unaccounted",
+        snap.planned - snap.accounted(),
+        snap.planned
+    ))
 }
 
 fn first_arg<'a>(rest: &'a [String], what: &str) -> Result<&'a str, String> {
@@ -517,11 +575,8 @@ fn cmd_fi(rest: &[String]) -> Result<(), String> {
     let name = first_arg(rest, "benchmark name")?;
     let module = load_module(name)?;
     let input = parse_input(name, rest)?;
-    let campaign = parse_campaign(rest)?;
-    let sched = Scheduler::new(
-        campaign.sched.clone(),
-        Deadline::from_secs(parse_deadline(rest)?),
-    );
+    let (campaign, deadline) = parse_campaign(rest)?;
+    let sched = Scheduler::new(campaign.sched.clone(), Deadline::from_secs(deadline));
     let store = open_run_store(rest)?;
     let journal = open_journal(
         rest,
@@ -822,14 +877,7 @@ fn print_fi_report(c: &ProgramCampaign, snap: &SchedSnapshot) -> Result<(), Stri
         ci.hi * 100.0
     );
     println!("completeness: {:.4}", snap.completeness());
-    if snap.accounted() != snap.planned {
-        return Err(format!(
-            "scheduler accounting violated: {} of {} injections unaccounted",
-            snap.planned - snap.accounted(),
-            snap.planned
-        ));
-    }
-    Ok(())
+    check_accounting(snap)
 }
 
 /// Rank instructions by SDC benefit under the reference input — the
@@ -843,11 +891,8 @@ fn cmd_analyze(rest: &[String]) -> Result<(), String> {
         None => 15,
         Some(v) => v.parse().map_err(|_| format!("bad --top `{v}`"))?,
     };
-    let campaign = parse_campaign(rest)?;
-    let sched = Scheduler::new(
-        campaign.sched.clone(),
-        Deadline::from_secs(parse_deadline(rest)?),
-    );
+    let (campaign, deadline) = parse_campaign(rest)?;
+    let sched = Scheduler::new(campaign.sched.clone(), Deadline::from_secs(deadline));
     let golden =
         golden_run(&module, &input, &campaign).map_err(|t| format!("golden run failed: {t:?}"))?;
     let per_inst = CampaignEngine::new(&module, &input, &golden, &campaign)
@@ -889,14 +934,7 @@ fn cmd_analyze(rest: &[String]) -> Result<(), String> {
     }
     let snap = sched.snapshot();
     println!("completeness: {:.4}", snap.completeness());
-    if snap.accounted() != snap.planned {
-        return Err(format!(
-            "scheduler accounting violated: {} of {} injections unaccounted",
-            snap.planned - snap.accounted(),
-            snap.planned
-        ));
-    }
-    Ok(())
+    check_accounting(&snap)
 }
 
 /// `minpsid propagate <bench|file.mc> <fn>::%<inst>:<instance>:<bit>`:
@@ -914,7 +952,7 @@ fn cmd_propagate(rest: &[String]) -> Result<(), String> {
         .ok_or("missing fault (want <fn>::%<inst>:<instance>:<bit>, e.g. main::%3:0:33)")?;
     let module = load_module(name)?;
     let input = parse_input(name, rest)?;
-    let campaign = parse_campaign(rest)?;
+    let (campaign, _) = parse_campaign(rest)?;
     let golden =
         golden_run(&module, &input, &campaign).map_err(|t| format!("golden run failed: {t:?}"))?;
     let fault = minpsid_faultsim::parse_fault(&module, &golden, token)?;
@@ -1003,7 +1041,7 @@ fn cmd_sid(rest: &[String]) -> Result<(), String> {
     let ref_input = b.model.materialize(&b.model.reference());
     let cfg = SidConfig {
         protection_level: parse_level(rest)?,
-        campaign: parse_campaign(rest)?,
+        campaign: parse_campaign(rest)?.0,
     };
     let r = run_sid(&module, &ref_input, &cfg).map_err(|t| format!("SID failed: {t:?}"))?;
     let selected = r.selection.iter().filter(|&&s| s).count();
@@ -1044,20 +1082,19 @@ fn install_interrupt_handlers() {
 #[cfg(not(unix))]
 fn install_interrupt_handlers() {}
 
-fn cmd_minpsid(rest: &[String]) -> Result<(), String> {
-    let name = first_arg(rest, "benchmark name")?;
-    let b =
-        minpsid_workloads::by_name(name).ok_or_else(|| format!("unknown benchmark `{name}`"))?;
-    let module = b.compile();
-    let quick = rest.iter().any(|a| a == "--quick");
+/// The pipeline config `minpsid minpsid` runs under: the campaign flags,
+/// `--level`, `--max-inputs`, and `--quick`'s small input search.
+fn minpsid_config(rest: &[String]) -> Result<MinpsidConfig, String> {
+    let protection_level = parse_level(rest)?;
+    let (campaign, deadline_secs) = parse_campaign(rest)?;
     let mut cfg = MinpsidConfig {
-        protection_level: parse_level(rest)?,
-        campaign: parse_campaign(rest)?,
-        deadline_secs: parse_deadline(rest)?,
+        protection_level,
+        campaign,
+        deadline_secs,
         incremental: parse_incremental(rest),
         ..MinpsidConfig::default()
     };
-    if quick {
+    if rest.iter().any(|a| a == "--quick") {
         cfg.ga.population = 4;
         cfg.ga.max_generations = 3;
         cfg.max_inputs = 4;
@@ -1069,6 +1106,15 @@ fn cmd_minpsid(rest: &[String]) -> Result<(), String> {
     )? {
         cfg.max_inputs = n as usize;
     }
+    Ok(cfg)
+}
+
+fn cmd_minpsid(rest: &[String]) -> Result<(), String> {
+    let name = first_arg(rest, "benchmark name")?;
+    let b =
+        minpsid_workloads::by_name(name).ok_or_else(|| format!("unknown benchmark `{name}`"))?;
+    let module = b.compile();
+    let cfg = minpsid_config(rest)?;
     // One store instance backs both tiers of persistence: the golden
     // cache's cross-invocation artifacts and the journal's compacted
     // WAL snapshots.
@@ -1122,13 +1168,7 @@ fn cmd_minpsid(rest: &[String]) -> Result<(), String> {
             );
         }
     }
-    if r.sched.accounted() != r.sched.planned {
-        return Err(format!(
-            "scheduler accounting violated: {} of {} injections unaccounted",
-            r.sched.planned - r.sched.accounted(),
-            r.sched.planned
-        ));
-    }
+    check_accounting(&r.sched)?;
     print_run_telemetry(&r.timings, &cache, r.deduped);
     if let Some(j) = &journal {
         let (served, appended) = j.usage();
@@ -1288,7 +1328,6 @@ fn cmd_trace(rest: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minpsid_faultsim::CheckpointPolicy;
 
     fn args(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
@@ -1488,6 +1527,12 @@ mod tests {
         let err = parse_level(&args(&["--level", "0"])).unwrap_err();
         assert!(err.contains("zero protection budget"), "{err}");
         assert!(parse_level(&args(&["--level", "-0.1"])).is_err());
+        // NaN compares false both ways, so the range checks alone let it
+        // through and nothing was selected
+        for bad in ["nan", "NaN", "inf", "-inf"] {
+            let err = parse_level(&args(&["--level", bad])).unwrap_err();
+            assert_eq!(err, "--level must be in (0, 1]", "{bad}");
+        }
     }
 
     #[test]
@@ -1506,15 +1551,54 @@ mod tests {
         assert!(parse_positive(&args(&["--per-inst", "abc"]), "--per-inst", "x").is_err());
     }
 
+    fn campaign(line: &[&str]) -> CampaignConfig {
+        parse_campaign(&args(line)).unwrap().0
+    }
+
+    fn deadline(line: &[&str]) -> Result<Option<f64>, String> {
+        parse_campaign(&args(line)).map(|(_, d)| d)
+    }
+
+    #[test]
+    fn defaults_match_campaign_config() {
+        let (c, d) = parse_campaign(&args(&[])).unwrap();
+        assert_eq!(d, None);
+        assert_eq!(c.seed, 42);
+        assert_eq!(format!("{c:?}"), format!("{:?}", CampaignConfig::default()));
+    }
+
     #[test]
     fn campaign_flags_cover_sizes() {
-        let c = parse_campaign(&args(&["--injections", "60", "--per-inst", "7"])).unwrap();
+        let c = campaign(&["--injections", "60", "--per-inst", "7", "--threads", "3"]);
         assert_eq!(c.injections, 60);
         assert_eq!(c.per_inst_injections, 7);
+        assert_eq!(c.threads, 3);
+    }
 
-        let q = parse_campaign(&args(&["--quick"])).unwrap();
+    /// Zero would be an empty campaign, or one no worker runs.
+    #[test]
+    fn zero_rejecting_knobs_reject_zero() {
+        for flag in ["--injections", "--per-inst", "--threads"] {
+            for bad in ["0", "abc", "-3"] {
+                let err = parse_campaign(&args(&[flag, bad])).unwrap_err();
+                assert!(err.starts_with(&format!("bad {flag} `{bad}` (want a positive ")));
+            }
+        }
+    }
+
+    #[test]
+    fn threads_flag_is_part_of_the_shared_vocabulary() {
+        assert_eq!(campaign(&["--threads", "4"]).threads, 4);
+        assert!(parse_campaign(&args(&["--threads", "0"])).is_err());
+        assert!(parse_campaign(&args(&["--threads", "abc"])).is_err());
+    }
+
+    #[test]
+    fn quick_preset_shrinks_campaigns() {
+        let q = campaign(&["--quick", "--seed", "7"]);
         assert!(q.injections < CampaignConfig::default().injections);
-        assert!(parse_campaign(&args(&["--injections", "0"])).is_err());
+        assert!(q.per_inst_injections < CampaignConfig::default().per_inst_injections);
+        assert_eq!(q.seed, 7);
     }
 
     /// The one scheduling flag bounds the run and is not part of the
@@ -1523,44 +1607,81 @@ mod tests {
     /// the default one.
     #[test]
     fn sched_flags_parse_into_sched_config() {
-        let d = parse_campaign(&args(&[])).unwrap();
+        let d = campaign(&[]);
         assert_eq!(d.sched, minpsid_faultsim::SchedConfig::default());
-        let with = parse_campaign(&args(&["--deadline-secs", "0.5"])).unwrap();
+        let with = campaign(&["--deadline-secs", "0.5"]);
         assert_eq!(format!("{with:?}"), format!("{d:?}"));
+    }
+
+    /// A zero deadline is a mode (already expired: truncate everything),
+    /// and like any deadline it stays out of the config.
+    #[test]
+    fn zero_meaning_knobs_accept_zero() {
+        let (c, d) = parse_campaign(&args(&["--deadline-secs", "0"])).unwrap();
+        assert_eq!(d, Some(0.0));
+        assert_eq!(format!("{c:?}"), format!("{:?}", campaign(&[])));
+    }
+
+    #[test]
+    fn deadline_allows_zero_and_rejects_nonsense() {
+        assert_eq!(
+            deadline(&["--deadline-secs", "0"]).unwrap(),
+            Some(0.0),
+            "an already-expired budget is allowed (truncate everything)"
+        );
+        for bad in ["-1", "inf", "soon"] {
+            assert!(deadline(&["--deadline-secs", bad]).is_err(), "{bad}");
+        }
     }
 
     #[test]
     fn deadline_flag_validates() {
-        assert_eq!(parse_deadline(&args(&[])).unwrap(), None);
-        assert_eq!(
-            parse_deadline(&args(&["--deadline-secs", "2.5"])).unwrap(),
-            Some(2.5)
-        );
-        assert_eq!(
-            parse_deadline(&args(&["--deadline-secs", "0"])).unwrap(),
-            Some(0.0),
-            "an already-expired budget is allowed (truncate everything)"
-        );
+        assert_eq!(deadline(&[]).unwrap(), None);
+        assert_eq!(deadline(&["--deadline-secs", "2.5"]).unwrap(), Some(2.5));
         // a budget no clock can hold is "never", not a panic
         for huge in ["1e19", "1e300"] {
-            let d = parse_deadline(&args(&["--deadline-secs", huge])).unwrap();
+            let d = deadline(&["--deadline-secs", huge]).unwrap();
             assert!(!Deadline::from_secs(d).is_bounded(), "{huge}");
         }
-        assert!(parse_deadline(&args(&["--deadline-secs", "-1"])).is_err());
-        assert!(parse_deadline(&args(&["--deadline-secs", "inf"])).is_err());
-        assert!(parse_deadline(&args(&["--deadline-secs", "soon"])).is_err());
+        for bad in ["-1", "inf", "NaN", "soon"] {
+            let err = deadline(&["--deadline-secs", bad]).unwrap_err();
+            assert_eq!(
+                err,
+                format!("bad --deadline-secs `{bad}` (want a non-negative number)")
+            );
+        }
     }
 
     #[test]
     fn checkpoint_flags_parse_into_policy() {
-        let def = parse_campaign(&args(&[])).unwrap();
+        let def = campaign(&[]);
         assert_eq!(def.checkpoints, CheckpointPolicy::Auto);
         assert_eq!(def.seed, 42);
 
         // `Every` is the tests' reference policy, not a flag
-        let off = parse_campaign(&args(&["--no-checkpoints", "--seed", "7"])).unwrap();
+        let off = campaign(&["--no-checkpoints", "--seed", "7"]);
         assert_eq!(off.checkpoints, CheckpointPolicy::Disabled);
         assert_eq!(off.seed, 7);
+    }
+
+    /// A journal written before keeps resuming: the keys of one parsed
+    /// flag set, for `fi` and for `minpsid`, are the values an earlier
+    /// build of this binary wrote into its journal headers.
+    #[test]
+    fn parsed_flags_keep_their_journal_keys() {
+        let line = args(&[
+            "hpccg",
+            "--quick",
+            "--seed",
+            "7",
+            "--per-inst",
+            "5",
+            "--no-checkpoints",
+        ]);
+        let (c, _) = parse_campaign(&line).unwrap();
+        assert_eq!(fi_journal_key(&c), 0x0fda_36f5_3f3f_8e11);
+        let m = minpsid_config(&line).unwrap();
+        assert_eq!(minpsid_config_fingerprint(&m), 0x0051_9b5a_4284_e870);
     }
 
     #[test]

@@ -35,12 +35,12 @@
 //! the suffix after the nearest snapshot (see [`campaign`]).
 //!
 //! [`program_campaign`] and [`per_instruction_campaign`] remain as thin
-//! wrappers for default-policy campaigns; [`CampaignConfigBuilder`] (in
-//! [`config`]) is the one validated front door for campaign knobs shared
-//! by the CLI and the bench binaries.
+//! wrappers for default-policy campaigns. A [`CampaignConfig`] is plain
+//! data: callers build it with struct-update syntax over `Default` or
+//! [`CampaignConfig::quick`], and the `minpsid` CLI, where campaign flags
+//! arrive from outside, is the one place they are parsed and validated.
 
 pub mod campaign;
-pub mod config;
 pub mod engine;
 pub mod outcome;
 pub mod parallel;
@@ -50,7 +50,6 @@ pub use campaign::{
     fi_journal_key, golden_run, golden_run_sized, per_instruction_campaign, program_campaign,
     CampaignConfig, CheckpointPolicy, ConfigKey, GoldenRun, PerInstSdc, ProgramCampaign,
 };
-pub use config::CampaignConfigBuilder;
 pub use engine::{
     explain, fault_token, faulty_exec_config, parse_fault, CampaignEngine, CampaignPlan,
     Explanation, ProgramUnitExecutor, Section,

@@ -56,13 +56,14 @@ impl CostBenefit {
         if total <= 0.0 {
             return 1.0;
         }
-        let covered: f64 = self
+        // a fold from +0.0: `Sum` starts at -0.0, and an empty selection
+        // would report `-0.00%`
+        let covered = self
             .benefit
             .iter()
             .zip(selected)
             .filter(|(_, &s)| s)
-            .map(|(b, _)| *b)
-            .sum();
+            .fold(0.0, |acc, (b, _)| acc + b);
         covered / total
     }
 
@@ -117,6 +118,14 @@ mod tests {
         let all = vec![true; cb.len()];
         assert_eq!(cb.expected_coverage(&none), 0.0);
         assert!((cb.expected_coverage(&all) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn an_empty_selection_covers_positive_zero() {
+        let (_, _, cb) = setup();
+        let c = cb.expected_coverage(&vec![false; cb.len()]);
+        assert_eq!(c, 0.0);
+        assert!(c.is_sign_positive(), "{c}");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! cargo run --release --example harden_benchmark [bench-name]
 //! ```
 
-use minpsid_repro::faultsim::CampaignConfigBuilder;
+use minpsid_repro::faultsim::CampaignConfig;
 use minpsid_repro::minpsid::{
     reference_profile, run_minpsid_from, GaConfig, GoldenCache, MinpsidConfig, SearchStrategy,
 };
@@ -27,11 +27,12 @@ fn main() {
 
     let cfg = MinpsidConfig {
         protection_level: 0.5,
-        campaign: CampaignConfigBuilder::new(5)
-            .injections(300)
-            .and_then(|b| b.per_inst_injections(15))
-            .expect("positive campaign sizes")
-            .build(),
+        campaign: CampaignConfig {
+            injections: 300,
+            per_inst_injections: 15,
+            seed: 5,
+            ..CampaignConfig::default()
+        },
         ga: GaConfig {
             population: 8,
             max_generations: 5,

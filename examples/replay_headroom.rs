@@ -62,9 +62,8 @@
 //! injections per site, seed 42, 128 checkpoints, a 2^20-word memory cap
 //! (`--default-mem-limit` keeps the CLI's 2^24).
 
-use minpsid_repro::faultsim::config::flag_value;
 use minpsid_repro::faultsim::{
-    classify, faulty_exec_config, golden_run, CampaignConfigBuilder, CampaignEngine, Outcome,
+    classify, faulty_exec_config, golden_run, CampaignConfig, CampaignEngine, Outcome,
 };
 use minpsid_repro::interp::{
     auto_interval, state_diff, CheckpointConfig, CheckpointStore, ExecConfig, ExecResult,
@@ -145,23 +144,30 @@ struct Trajectories {
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if !args.iter().any(|a| a == "--per-inst") {
-        args.extend(["--per-inst".to_string(), "6".to_string()]);
-    }
-    let only = flag_value(&args, "--kernel").expect("--kernel NAME");
-    let mut cfg = CampaignConfigBuilder::from_flags(&args)
-        .and_then(|b| b.max_checkpoints(128))
-        .and_then(|b| b.threads(1))
-        .expect("--per-inst N, --seed N")
-        .build();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let value = |flag: &str| {
+        let i = args.iter().position(|a| a == flag)?;
+        Some(
+            args.get(i + 1)
+                .expect("--kernel NAME, --per-inst N, --seed N"),
+        )
+    };
+    let number = |flag, default: u64| value(flag).map_or(default, |v| v.parse().expect("N"));
+    let only = value("--kernel");
+    let mut cfg = CampaignConfig {
+        per_inst_injections: number("--per-inst", 6) as usize,
+        seed: number("--seed", 42),
+        threads: 1,
+        max_checkpoints: 128,
+        ..CampaignConfig::default()
+    };
     if !args.iter().any(|a| a == "--default-mem-limit") {
         cfg.exec.mem_limit = 1 << 20;
     }
 
     let mut rows = Vec::new();
     for b in workloads::suite() {
-        if only.as_deref().is_some_and(|k| k != b.name) {
+        if only.is_some_and(|k| k != b.name) {
             continue;
         }
         let module = b.compile();

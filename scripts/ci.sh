@@ -85,6 +85,17 @@ for BAD in "--bogus-flag" "--workers 2" "--status-addr 127.0.0.1:1" \
   grep -q "unknown flag ${BAD%% *}" <<<"$BAD_OUT"
 done
 
+echo "== bad-value smoke (a value a flag cannot take is a usage error)"
+# each is refused when the command line is parsed, before anything runs
+for BAD in "--level nan" "--level 0" "--injections 0" "--per-inst 0" \
+           "--threads 0" "--deadline-secs -1" "--max-inputs 0"; do
+  BAD_STATUS=0
+  # shellcheck disable=SC2086
+  BAD_OUT="$("$CLI" minpsid hpccg --quick $BAD 2>&1)" || BAD_STATUS=$?
+  test "$BAD_STATUS" = 1 || { echo "minpsid $BAD exited $BAD_STATUS"; exit 1; }
+  grep -q "^error: " <<<"$BAD_OUT" || { echo "minpsid $BAD printed no error line"; exit 1; }
+done
+
 echo "== a site analyze names pastes into propagate"
 # the fn::%inst of analyze's first row, with a dynamic instance and a bit,
 # is a fault propagate runs as the campaign runs it

@@ -17,8 +17,8 @@
 //! addressing takes for granted.
 
 use minpsid_repro::faultsim::{
-    faulty_exec_config, golden_run, CampaignConfig, CampaignConfigBuilder, CampaignEngine,
-    CampaignJournal, GoldenRun, Scheduler,
+    faulty_exec_config, golden_run, CampaignConfig, CampaignEngine, CampaignJournal,
+    CheckpointPolicy, GoldenRun, Scheduler,
 };
 use minpsid_repro::interp::{FaultSpec, ProgInput, Run, Start};
 use minpsid_repro::ir::Module;
@@ -63,12 +63,13 @@ fn reports(
     threads: usize,
     mode: &str,
 ) -> (String, String) {
-    let cfg = CampaignConfigBuilder::new(7)
-        .injections(60)
-        .and_then(|b| b.per_inst_injections(4))
-        .and_then(|b| b.threads(threads as u64))
-        .expect("valid matrix config")
-        .build();
+    let cfg = CampaignConfig {
+        injections: 60,
+        per_inst_injections: 4,
+        seed: 7,
+        threads,
+        ..CampaignConfig::default()
+    };
     let sched = Scheduler::unbounded();
     let dir = journal_dir(&format!("matrix-{mode}-t{threads}"));
     let journal;
@@ -95,11 +96,12 @@ fn reports(
 #[test]
 fn all_engine_compositions_are_byte_identical_across_thread_counts() {
     let (module, input) = bench_module("hpccg");
-    let cfg = CampaignConfigBuilder::new(7)
-        .injections(60)
-        .and_then(|b| b.per_inst_injections(4))
-        .expect("valid matrix config")
-        .build();
+    let cfg = CampaignConfig {
+        injections: 60,
+        per_inst_injections: 4,
+        seed: 7,
+        ..CampaignConfig::default()
+    };
     let golden = golden_run(&module, &input, &cfg).expect("golden run");
 
     let reference = reports(&module, &input, &golden, 1, "plain");
@@ -124,11 +126,15 @@ fn all_engine_compositions_are_byte_identical_across_thread_counts() {
 fn checkpointed_per_inst_campaign_equals_cold_replay_on_every_kernel() {
     use minpsid_repro::interp::{ExecScratch, FaultTarget, Interp};
 
-    let builder = CampaignConfigBuilder::new(11)
-        .per_inst_injections(3)
-        .expect("valid config");
-    let warm_cfg = builder.clone().build();
-    let cold_cfg = builder.no_checkpoints().build();
+    let warm_cfg = CampaignConfig {
+        per_inst_injections: 3,
+        seed: 11,
+        ..CampaignConfig::default()
+    };
+    let cold_cfg = CampaignConfig {
+        checkpoints: CheckpointPolicy::Disabled,
+        ..warm_cfg.clone()
+    };
     let run = |module: &Module, input: &ProgInput, golden: &GoldenRun, cfg: &CampaignConfig| {
         let dir = journal_dir(&format!(
             "early-exit-{}-{}",
@@ -220,10 +226,10 @@ fn every_planned_fault_resolved_alone_equals_the_engine() {
 
     const INPUT_FP: u64 = 1;
     let (module, input) = bench_module("bfs");
-    let cfg = CampaignConfigBuilder::new(42)
-        .per_inst_injections(64)
-        .expect("valid config")
-        .build();
+    let cfg = CampaignConfig {
+        per_inst_injections: 64,
+        ..CampaignConfig::default()
+    };
     let golden = golden_run(&module, &input, &cfg).expect("golden run");
     let dir = journal_dir("planned-engine");
     let journal = CampaignJournal::open(&dir, 0, 0, None).expect("open journal");
@@ -294,10 +300,10 @@ fn every_explained_fault_tallies_to_the_campaign() {
     use minpsid_repro::interp::FaultTarget;
 
     let (module, input) = bench_module("bfs");
-    let cfg = CampaignConfigBuilder::new(42)
-        .per_inst_injections(6)
-        .expect("valid config")
-        .build();
+    let cfg = CampaignConfig {
+        per_inst_injections: 6,
+        ..CampaignConfig::default()
+    };
     let golden = golden_run(&module, &input, &cfg).expect("golden run");
     let engine = CampaignEngine::new(&module, &input, &golden, &cfg);
     let report = engine
@@ -350,11 +356,11 @@ fn proved_hangs_equal_the_oracle_on_the_kernels_that_hang() {
     use minpsid_repro::interp::{oracle, ExecScratch, Interp};
     use std::collections::HashSet;
 
-    let mut cfg = CampaignConfigBuilder::new(42)
-        .per_inst_injections(6)
-        .and_then(|b| b.max_checkpoints(128))
-        .expect("valid config")
-        .build();
+    let mut cfg = CampaignConfig {
+        per_inst_injections: 6,
+        max_checkpoints: 128,
+        ..CampaignConfig::default()
+    };
     cfg.exec.mem_limit = 1 << 20;
     let mut proofs = Vec::new();
     for name in ["fft", "knn", "kmeans"] {
@@ -424,11 +430,12 @@ fn one_pass_golden_run_equals_the_oracles_two_passes_on_every_kernel() {
     };
 
     for mode in [SnapshotMode::Delta, SnapshotMode::Full] {
-        let mut cfg = CampaignConfigBuilder::new(7)
-            .max_checkpoints(128)
-            .expect("valid config")
-            .build();
-        cfg.snapshot_mode = mode;
+        let cfg = CampaignConfig {
+            seed: 7,
+            max_checkpoints: 128,
+            snapshot_mode: mode,
+            ..CampaignConfig::default()
+        };
         for b in workloads::suite() {
             let (module, input) = bench_module(b.name);
             let golden = golden_run(&module, &input, &cfg).expect("golden run");
@@ -492,7 +499,10 @@ fn derived_injection_counts_equal_the_oracles_on_every_kernel() {
     };
     use rand::SeedableRng;
 
-    let cfg = CampaignConfigBuilder::new(7).build();
+    let cfg = CampaignConfig {
+        seed: 7,
+        ..CampaignConfig::default()
+    };
     let (mut runs, mut checkpoints) = (0, 0);
     for b in workloads::suite() {
         let module = b.compile();
@@ -626,7 +636,10 @@ fn faults_into_slot_pointers_equal_the_oracle_on_every_kernel() {
     use minpsid_repro::interp::{oracle, ExecScratch, FaultTarget, Interp};
     use minpsid_repro::ir::InstKind;
 
-    let cfg = CampaignConfigBuilder::new(7).build();
+    let cfg = CampaignConfig {
+        seed: 7,
+        ..CampaignConfig::default()
+    };
     let (mut sites, mut resumed, mut on_generic) = (0, 0, 0);
     for b in workloads::suite() {
         let (module, input) = bench_module(b.name);
@@ -745,7 +758,10 @@ fn search_on_a_shared_interpreter_equals_per_candidate_profiling() {
         fn record_cfg_list(&self, _: u64, _: &[u64]) {}
     }
 
-    let campaign = CampaignConfigBuilder::new(7).build();
+    let campaign = CampaignConfig {
+        seed: 7,
+        ..CampaignConfig::default()
+    };
     let ga = GaConfig {
         population: 6,
         max_generations: 3,
@@ -813,11 +829,12 @@ fn observability_on_and_off_produce_byte_identical_reports() {
     use std::sync::{Arc, Mutex};
 
     let (module, input) = bench_module("fft");
-    let cfg = CampaignConfigBuilder::new(7)
-        .injections(60)
-        .and_then(|b| b.per_inst_injections(4))
-        .expect("valid config")
-        .build();
+    let cfg = CampaignConfig {
+        injections: 60,
+        per_inst_injections: 4,
+        seed: 7,
+        ..CampaignConfig::default()
+    };
     let golden = golden_run(&module, &input, &cfg).expect("golden run");
 
     let run = |pass: &str| {
@@ -859,15 +876,22 @@ fn observability_on_and_off_produce_byte_identical_reports() {
 /// the multi-threaded journaled path.
 fn sigkill_campaign(shape: &str) -> (Module, ProgInput, CampaignConfig) {
     let (module, input) = bench_module("hpccg");
-    let sized = match shape {
-        "per_inst" => CampaignConfigBuilder::new(11).per_inst_injections(8),
-        "program" => CampaignConfigBuilder::new(11).injections(4000),
+    let base = CampaignConfig {
+        seed: 11,
+        threads: 8,
+        ..CampaignConfig::default()
+    };
+    let cfg = match shape {
+        "per_inst" => CampaignConfig {
+            per_inst_injections: 8,
+            ..base
+        },
+        "program" => CampaignConfig {
+            injections: 4000,
+            ..base
+        },
         other => panic!("unknown campaign shape {other}"),
     };
-    let cfg = sized
-        .and_then(|b| b.threads(8))
-        .expect("valid sigkill config")
-        .build();
     (module, input, cfg)
 }
 
@@ -1004,13 +1028,13 @@ fn journaled_memoized_campaign_bytes_are_pinned() {
         ("per_inst", 0xc7f9_0a45_888a_e0e5, 0xd805_a5d6_0a6b_1671),
     ];
     let (module, input) = bench_module("hpccg");
-    for threads in [1u64, 4] {
-        let cfg = CampaignConfigBuilder::new(42)
-            .injections(120)
-            .and_then(|b| b.per_inst_injections(20))
-            .and_then(|b| b.threads(threads))
-            .expect("valid config")
-            .build();
+    for threads in [1, 4] {
+        let cfg = CampaignConfig {
+            injections: 120,
+            per_inst_injections: 20,
+            threads,
+            ..CampaignConfig::default()
+        };
         let golden = golden_run(&module, &input, &cfg).expect("golden run");
         for (shape, wal_pin, tables_pin) in PINS {
             let dir = journal_dir(&format!("pins-{shape}-t{threads}"));

@@ -9,8 +9,7 @@
 //! superseded, never served to the edited one.
 
 use minpsid_repro::faultsim::{
-    golden_run, CampaignConfig, CampaignConfigBuilder, CampaignEngine, CampaignJournal, GoldenRun,
-    TableMemo,
+    golden_run, CampaignConfig, CampaignEngine, CampaignJournal, GoldenRun, TableMemo,
 };
 use minpsid_repro::interp::{ProgInput, Scalar};
 use minpsid_repro::ir::Module;
@@ -57,11 +56,12 @@ fn reports(
 }
 
 fn campaign(seed: u64, injections: u64, per_inst: u64) -> CampaignConfig {
-    CampaignConfigBuilder::new(seed)
-        .injections(injections)
-        .and_then(|b| b.per_inst_injections(per_inst))
-        .expect("valid campaign config")
-        .build()
+    CampaignConfig {
+        injections: injections as usize,
+        per_inst_injections: per_inst as usize,
+        seed,
+        ..CampaignConfig::default()
+    }
 }
 
 /// A program whose work lives in four chunky leaf functions; `main` and
